@@ -105,6 +105,11 @@ fn main() {
 
     let speedup = plain_wall / replay_wall.max(1e-12);
     let launches = (ITERS * CHAIN) as u64;
+    // Host wall time per replayed launch (first replay's two cache misses
+    // included) — the number ROADMAP item 2 tracks; it depends on how many
+    // host cores the worker pool has, so that is recorded beside it.
+    let replay_launch_host_s = replay_wall / launches as f64;
+    let host_cores = cucc_exec::pool::host_cores();
     let wire_reduction = if plain_wire > 0 {
         1.0 - total.wire_bytes as f64 / plain_wire as f64
     } else {
@@ -129,8 +134,10 @@ fn main() {
         total.gathers_full
     );
     println!(
-        "\nreplay speedup {speedup:.2}x, wire bytes {} -> {} ({:.1}% reduction), \
+        "\nreplay speedup {speedup:.2}x ({:.1} us of host time per replayed launch on {host_cores} \
+         host core(s)), wire bytes {} -> {} ({:.1}% reduction), \
          cache hit rate {:.1}%, {} gathers elided / {} narrowed",
+        replay_launch_host_s * 1e6,
         plain_wire,
         total.wire_bytes,
         wire_reduction * 100.0,
@@ -148,9 +155,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"graph\",\n  \"nodes\": {NODES},\n  \"chain\": {CHAIN},\n  \
-         \"iterations\": {ITERS},\n  \"elems\": {ELEMS},\n  \
+        "{{\n  \"bench\": \"graph\",\n  \"host_cores\": {host_cores},\n  \"nodes\": {NODES},\n  \
+         \"chain\": {CHAIN},\n  \"iterations\": {ITERS},\n  \"elems\": {ELEMS},\n  \
          \"uncaptured_wall_s\": {plain_wall:.9},\n  \"replay_wall_s\": {replay_wall:.9},\n  \
+         \"replay_launch_host_s\": {replay_launch_host_s:.9},\n  \
          \"replay_speedup\": {speedup:.4},\n  \"uncaptured_wire_bytes\": {plain_wire},\n  \
          \"replay_wire_bytes\": {},\n  \"wire_reduction\": {wire_reduction:.6},\n  \
          \"wire_bytes_saved\": {},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \

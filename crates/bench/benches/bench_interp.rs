@@ -3,17 +3,22 @@
 //! shared-memory tile reverse with a barrier, and a compute-bound Horner
 //! polynomial).
 //!
-//! All three launches exactly cover their data (`N = BLOCKS * THREADS`), so
+//! Every launch exactly covers its data (`n = blocks * THREADS`), so
 //! the kernels need no tail guard — their segments are straight-line and
 //! exercise the engines' dense modes; guarded/divergent and looping kernels
 //! are covered by the equivalence suites and unit tests.
 //!
 //! Besides the criterion report, the harness re-measures each configuration
-//! directly — at 1, 2, 4 and 8 intra-node workers — and writes
+//! directly — on a 128-block and a 4096-block grid, at 1, 2, 4 and 8
+//! requested intra-node workers capped at the host's core count (more
+//! chunks than cores only measures oversubscription) — and writes
 //! `BENCH_interp.json` at the repository root so docs and CI can quote the
-//! numbers: one row per (kernel, worker count) with `tree`, `bytecode` and
-//! `simd` blocks/s columns (`bytecode_speedup` is vs the serial tree walk,
-//! `simd_speedup` is vs the bytecode engine at the *same* worker count),
+//! numbers. The file records `host_cores`, and every row its grid size and
+//! its requested and effective worker count: a multi-worker number means
+//! nothing without them. One row per (kernel, grid, worker count) with
+//! `tree`, `bytecode` and `simd` blocks/s columns (`bytecode_speedup` is vs
+//! the serial tree walk, `simd_speedup` is vs the bytecode engine at the
+//! *same* worker count),
 //! plus steady-state `*_run_blocks_per_sec` (checked) and
 //! `*_unchecked_blocks_per_sec` (range-certified, bounds-check-elided)
 //! columns with compile + range analysis hoisted out of the timed region
@@ -24,25 +29,27 @@
 //! The harness doubles as the perf-regression smoke: it panics if the
 //! vectorized tier fails to beat the bytecode engine, or if the certified
 //! unchecked path falls behind the checked path, on the saxpy or horner15
-//! serial rows — so a CI bench run fails on a vectorization or elision
-//! regression. Checked-vs-unchecked bit-identity (stats and memory) is
+//! serial rows of either grid — so a CI bench run fails on a vectorization
+//! or elision regression. Checked-vs-unchecked bit-identity (stats and memory) is
 //! asserted before anything is timed.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use cucc_analysis::{certify_program, global_extents};
 use cucc_exec::{
-    execute_block_range, run_range, run_range_parallel, run_range_parallel_simd, run_range_simd,
-    sanitize_launch, Arg, BufferId, CertMode, MemPool, Program,
+    execute_block_range, pool::host_cores, run_range, run_range_parallel, run_range_parallel_simd,
+    run_range_simd, sanitize_launch, Arg, BufferId, CertMode, MemPool, Program,
 };
 use cucc_ir::{Axis, Expr, Kernel, KernelBuilder, LaunchConfig, Scalar};
 use std::time::Instant;
 
-const BLOCKS: u32 = 128;
 const THREADS: u32 = 128;
-const N: i64 = (BLOCKS as i64) * (THREADS as i64);
+/// Grid sizes swept: one where per-call overhead shows (128 blocks, 16 per
+/// worker at 8 workers) and one where block work dominates.
+const GRIDS: [u32; 2] = [128, 4096];
+/// Requested worker counts; each is capped at [`host_cores`] before it runs.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Which launch arguments a kernel takes (all buffers are `f32[N]`).
+/// Which launch arguments a kernel takes (all buffers are `f32[n]`).
 #[derive(Clone, Copy)]
 enum ArgSpec {
     /// `(x, y)`
@@ -119,13 +126,13 @@ fn horner15() -> Kernel {
     b.finish()
 }
 
-fn setup(pool: &mut MemPool, spec: ArgSpec) -> Vec<Arg> {
-    let x = pool.alloc_elems(Scalar::F32, N as usize);
-    let y = pool.alloc_elems(Scalar::F32, N as usize);
-    let xs: Vec<u8> = (0..N)
+fn setup(pool: &mut MemPool, spec: ArgSpec, n: usize) -> Vec<Arg> {
+    let x = pool.alloc_elems(Scalar::F32, n);
+    let y = pool.alloc_elems(Scalar::F32, n);
+    let xs: Vec<u8> = (0..n)
         .flat_map(|i| ((i % 257) as f32 * 0.01 - 1.0).to_le_bytes())
         .collect();
-    let ys: Vec<u8> = (0..N)
+    let ys: Vec<u8> = (0..n)
         .flat_map(|i| (3.0 - i as f32 * 0.125).to_le_bytes())
         .collect();
     pool.write_all(x, &xs);
@@ -133,7 +140,7 @@ fn setup(pool: &mut MemPool, spec: ArgSpec) -> Vec<Arg> {
     match spec {
         ArgSpec::Xy => vec![Arg::Buffer(x), Arg::Buffer(y)],
         ArgSpec::XyzA => {
-            let z = pool.alloc_elems(Scalar::F32, N as usize);
+            let z = pool.alloc_elems(Scalar::F32, n);
             vec![
                 Arg::Buffer(x),
                 Arg::Buffer(y),
@@ -159,6 +166,9 @@ struct SerialBase {
 /// range-certified (bounds-check-elided) flavours, so `elide_speedup`
 /// isolates the elision effect from per-launch compile jitter.
 struct WorkerRow {
+    /// Worker count asked for (`WORKER_COUNTS`).
+    requested: usize,
+    /// Worker count run: `requested` capped at the host's cores.
     workers: usize,
     bytecode: f64,
     simd: f64,
@@ -199,7 +209,7 @@ fn measure(
     reps: usize,
 ) -> (SerialBase, Vec<WorkerRow>) {
     let mut pool_a = MemPool::new();
-    let args = setup(&mut pool_a, spec);
+    let args = setup(&mut pool_a, spec, launch.total_threads() as usize);
     let mut pool_b = pool_a.clone();
     let mut pool_c = pool_a.clone();
     let mut pool_d = pool_a.clone();
@@ -251,8 +261,12 @@ fn measure(
         assert!(report.clean(), "bench kernel flagged: {}", report.summary());
     }
 
-    let mut rows = Vec::new();
-    for workers in WORKER_COUNTS {
+    let mut rows: Vec<WorkerRow> = Vec::new();
+    for requested in WORKER_COUNTS {
+        let workers = requested.min(host_cores());
+        if rows.iter().any(|r| r.workers == workers) {
+            continue;
+        }
         // Pre-built programs for the steady-state (run-only) rows.
         let prog_run = Program::compile(kernel, launch, &args).unwrap();
         let prog_cert = compile_certified(kernel, launch, &args, &pool_d);
@@ -262,58 +276,36 @@ fn measure(
         let mut simd_r = f64::MAX;
         let mut bytecode_u = f64::MAX;
         let mut simd_u = f64::MAX;
+        // `run_range_parallel{,_simd}` take the serial path at one worker.
+        let time = |best: &mut f64, run: &mut dyn FnMut()| {
+            let t = Instant::now();
+            run();
+            *best = best.min(t.elapsed().as_secs_f64());
+        };
         for _ in 0..reps {
-            let t = Instant::now();
-            let prog = Program::compile(kernel, launch, &args).unwrap();
-            if workers <= 1 {
-                run_range(&prog, &mut pool_b, 0..nblocks).unwrap();
-            } else {
+            time(&mut bytecode, &mut || {
+                let prog = Program::compile(kernel, launch, &args).unwrap();
                 run_range_parallel(&prog, &mut pool_b, 0..nblocks, workers).unwrap();
-            }
-            bytecode = bytecode.min(t.elapsed().as_secs_f64());
-
-            let t = Instant::now();
-            let prog = Program::compile(kernel, launch, &args).unwrap();
-            if workers <= 1 {
-                run_range_simd(&prog, &mut pool_c, 0..nblocks).unwrap();
-            } else {
+            });
+            time(&mut simd, &mut || {
+                let prog = Program::compile(kernel, launch, &args).unwrap();
                 run_range_parallel_simd(&prog, &mut pool_c, 0..nblocks, workers).unwrap();
-            }
-            simd = simd.min(t.elapsed().as_secs_f64());
-
-            let t = Instant::now();
-            if workers <= 1 {
-                run_range(&prog_run, &mut pool_b, 0..nblocks).unwrap();
-            } else {
+            });
+            time(&mut bytecode_r, &mut || {
                 run_range_parallel(&prog_run, &mut pool_b, 0..nblocks, workers).unwrap();
-            }
-            bytecode_r = bytecode_r.min(t.elapsed().as_secs_f64());
-
-            let t = Instant::now();
-            if workers <= 1 {
-                run_range_simd(&prog_run, &mut pool_c, 0..nblocks).unwrap();
-            } else {
+            });
+            time(&mut simd_r, &mut || {
                 run_range_parallel_simd(&prog_run, &mut pool_c, 0..nblocks, workers).unwrap();
-            }
-            simd_r = simd_r.min(t.elapsed().as_secs_f64());
-
-            let t = Instant::now();
-            if workers <= 1 {
-                run_range(&prog_cert, &mut pool_d, 0..nblocks).unwrap();
-            } else {
+            });
+            time(&mut bytecode_u, &mut || {
                 run_range_parallel(&prog_cert, &mut pool_d, 0..nblocks, workers).unwrap();
-            }
-            bytecode_u = bytecode_u.min(t.elapsed().as_secs_f64());
-
-            let t = Instant::now();
-            if workers <= 1 {
-                run_range_simd(&prog_cert, &mut pool_e, 0..nblocks).unwrap();
-            } else {
+            });
+            time(&mut simd_u, &mut || {
                 run_range_parallel_simd(&prog_cert, &mut pool_e, 0..nblocks, workers).unwrap();
-            }
-            simd_u = simd_u.min(t.elapsed().as_secs_f64());
+            });
         }
         rows.push(WorkerRow {
+            requested,
             workers,
             bytecode: bps(bytecode),
             simd: bps(simd),
@@ -338,12 +330,12 @@ fn bench_engines(c: &mut Criterion) {
         ("tile_reverse", tile_reverse(), ArgSpec::Xy),
         ("horner15", horner15(), ArgSpec::Xy),
     ];
-    let launch = LaunchConfig::new(BLOCKS, THREADS);
 
-    let mut rows = String::new();
+    // The criterion groups keep their historical shape: serial, small grid.
+    let launch = LaunchConfig::new(GRIDS[0], THREADS);
     for (name, kernel, spec) in &kernels {
         let mut pool = MemPool::new();
-        let args = setup(&mut pool, *spec);
+        let args = setup(&mut pool, *spec, launch.total_threads() as usize);
         let mut g = c.benchmark_group(format!("interp/{name}"));
         g.throughput(Throughput::Elements(launch.num_blocks()));
         g.bench_function("tree_walk", |b| {
@@ -365,83 +357,96 @@ fn bench_engines(c: &mut Criterion) {
             })
         });
         g.finish();
+    }
 
-        let (base, wrows) = measure(kernel, launch, *spec, 9);
-        for r in &wrows {
-            println!(
-                "{name:<14} w={} tree {:>10.0} blk/s | bytecode {:>10.0} blk/s ({:.2}x) | \
-                 simd {:>10.0} blk/s ({:.2}x vs bytecode) | certified simd {:>10.0} blk/s \
-                 ({:.2}x vs checked run-only {:>10.0}) | sanitize {:>10.0} blk/s",
-                r.workers,
-                base.tree,
-                r.bytecode,
-                r.bytecode / base.tree,
-                r.simd,
-                r.simd / r.bytecode,
-                r.simd_unchecked,
-                r.simd_unchecked / r.simd_run,
-                r.simd_run,
-                base.sanitize,
-            );
-            if !rows.is_empty() {
-                rows.push_str(",\n");
+    let mut rows = String::new();
+    for (name, kernel, spec) in &kernels {
+        for blocks in GRIDS {
+            let launch = LaunchConfig::new(blocks, THREADS);
+            // Best-of-9 on the small grid, where a run is a millisecond;
+            // best-of-3 on the large one, where it is not.
+            let reps = if blocks <= 128 { 9 } else { 3 };
+            let (base, wrows) = measure(kernel, launch, *spec, reps);
+            for r in &wrows {
+                println!(
+                    "{name:<14} {blocks:>4} blocks w={}/{} tree {:>10.0} blk/s | bytecode \
+                     {:>10.0} blk/s ({:.2}x) | simd {:>10.0} blk/s ({:.2}x vs bytecode) | \
+                     certified simd {:>10.0} blk/s ({:.2}x vs checked run-only {:>10.0}) | \
+                     sanitize {:>10.0} blk/s",
+                    r.workers,
+                    r.requested,
+                    base.tree,
+                    r.bytecode,
+                    r.bytecode / base.tree,
+                    r.simd,
+                    r.simd / r.bytecode,
+                    r.simd_unchecked,
+                    r.simd_unchecked / r.simd_run,
+                    r.simd_run,
+                    base.sanitize,
+                );
+                if !rows.is_empty() {
+                    rows.push_str(",\n");
+                }
+                rows.push_str(&format!(
+                    "    {{\"kernel\": \"{name}\", \"blocks\": {blocks}, \
+                     \"threads_per_block\": {THREADS}, \"workers_requested\": {}, \
+                     \"workers\": {}, \"tree_blocks_per_sec\": {:.0}, \
+                     \"bytecode_blocks_per_sec\": {:.0}, \"bytecode_speedup\": {:.2}, \
+                     \"simd_blocks_per_sec\": {:.0}, \"simd_speedup\": {:.2}, \
+                     \"bytecode_run_blocks_per_sec\": {:.0}, \
+                     \"simd_run_blocks_per_sec\": {:.0}, \
+                     \"bytecode_unchecked_blocks_per_sec\": {:.0}, \
+                     \"simd_unchecked_blocks_per_sec\": {:.0}, \"elide_speedup\": {:.2}, \
+                     \"sanitize_blocks_per_sec\": {:.0}, \"sanitize_overhead_vs_tree\": {:.2}}}",
+                    r.requested,
+                    r.workers,
+                    base.tree,
+                    r.bytecode,
+                    r.bytecode / base.tree,
+                    r.simd,
+                    r.simd / r.bytecode,
+                    r.bytecode_run,
+                    r.simd_run,
+                    r.bytecode_unchecked,
+                    r.simd_unchecked,
+                    r.simd_unchecked / r.simd_run,
+                    base.sanitize,
+                    base.tree / base.sanitize,
+                ));
             }
-            rows.push_str(&format!(
-                "    {{\"kernel\": \"{name}\", \"blocks\": {}, \"threads_per_block\": {}, \
-                 \"workers\": {}, \"tree_blocks_per_sec\": {:.0}, \
-                 \"bytecode_blocks_per_sec\": {:.0}, \"bytecode_speedup\": {:.2}, \
-                 \"simd_blocks_per_sec\": {:.0}, \"simd_speedup\": {:.2}, \
-                 \"bytecode_run_blocks_per_sec\": {:.0}, \
-                 \"simd_run_blocks_per_sec\": {:.0}, \
-                 \"bytecode_unchecked_blocks_per_sec\": {:.0}, \
-                 \"simd_unchecked_blocks_per_sec\": {:.0}, \"elide_speedup\": {:.2}, \
-                 \"sanitize_blocks_per_sec\": {:.0}, \"sanitize_overhead_vs_tree\": {:.2}}}",
-                BLOCKS,
-                THREADS,
-                r.workers,
-                base.tree,
-                r.bytecode,
-                r.bytecode / base.tree,
-                r.simd,
-                r.simd / r.bytecode,
-                r.bytecode_run,
-                r.simd_run,
-                r.bytecode_unchecked,
-                r.simd_unchecked,
-                r.simd_unchecked / r.simd_run,
-                base.sanitize,
-                base.tree / base.sanitize,
-            ));
-        }
-        // Perf-regression smoke: the vectorized tier must not lose to the
-        // bytecode engine, and the certified bounds-check-elided path must
-        // not lose to the checked path, on the dense compute kernels they
-        // were built for.
-        if matches!(*name, "saxpy" | "horner15") {
-            let serial = &wrows[0];
-            assert!(
-                serial.simd >= serial.bytecode,
-                "{name}: simd tier regressed below bytecode \
-                 ({:.0} < {:.0} blocks/s serial)",
-                serial.simd,
-                serial.bytecode,
-            );
-            // 10% noise floor: on the compute-bound kernels the two
-            // memory ops per element put elision within run-to-run
-            // jitter, so only a real regression should fail CI. Both
-            // sides are steady-state run-only measurements.
-            assert!(
-                serial.simd_unchecked >= serial.simd_run * 0.9,
-                "{name}: certified simd path regressed below checked \
-                 ({:.0} < {:.0} blocks/s serial run-only)",
-                serial.simd_unchecked,
-                serial.simd_run,
-            );
+            // Perf-regression smoke: the vectorized tier must not lose to
+            // the bytecode engine, and the certified bounds-check-elided
+            // path must not lose to the checked path, on the dense compute
+            // kernels they were built for.
+            if matches!(*name, "saxpy" | "horner15") {
+                let serial = &wrows[0];
+                assert!(
+                    serial.simd >= serial.bytecode,
+                    "{name}/{blocks}: simd tier regressed below bytecode \
+                     ({:.0} < {:.0} blocks/s serial)",
+                    serial.simd,
+                    serial.bytecode,
+                );
+                // 10% noise floor: on the compute-bound kernels the two
+                // memory ops per element put elision within run-to-run
+                // jitter, so only a real regression should fail CI. Both
+                // sides are steady-state run-only measurements.
+                assert!(
+                    serial.simd_unchecked >= serial.simd_run * 0.9,
+                    "{name}/{blocks}: certified simd path regressed below checked \
+                     ({:.0} < {:.0} blocks/s serial run-only)",
+                    serial.simd_unchecked,
+                    serial.simd_run,
+                );
+            }
         }
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"interp\",\n  \"unit\": \"blocks_per_sec\",\n  \"rows\": [\n{rows}\n  ]\n}}\n"
+        "{{\n  \"bench\": \"interp\",\n  \"unit\": \"blocks_per_sec\",\n  \
+         \"host_cores\": {},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
+        host_cores()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
     std::fs::write(path, &json).expect("write BENCH_interp.json");

@@ -7,13 +7,18 @@
 //! collectives in `cucc-net` really copying bytes between pools, which is
 //! what makes the end-to-end correctness tests meaningful.
 //!
-//! Functional block execution is multithreaded with scoped threads: one OS
-//! thread per simulated node (safe because pools are disjoint).
+//! Functional block execution is multithreaded: every simulated node with
+//! blocks to run is one job on the process-wide worker pool
+//! ([`cucc_exec::pool`]; safe because node pools are disjoint), and a node
+//! job may fan its range out into intra-node chunks on the same pool. The
+//! pool's threads outlive every launch, so a launch costs what its blocks
+//! cost, and a phase in which no node has blocks dispatches nothing.
 
 use crate::specs::ClusterSpec;
+use cucc_exec::interp::check_args;
 use cucc_exec::{
-    execute_block_range, run_range, run_range_parallel, run_range_parallel_simd, run_range_simd,
-    Arg, BlockStats, BufferId, EngineKind, ExecError, ExecOptions, MemPool, Program,
+    execute_block_range, pool, run_range_parallel, run_range_parallel_simd, Arg, BlockStats,
+    BufferId, EngineKind, ExecError, ExecOptions, MemPool, Program,
 };
 use cucc_ir::{Kernel, LaunchConfig};
 use cucc_net::{
@@ -21,6 +26,23 @@ use cucc_net::{
     CollectiveCost, GatherSegment,
 };
 use std::ops::Range;
+
+/// Run `blocks` of a compiled program on one node's pool with the lane
+/// (`simd`) or the bytecode engine, cut into `workers` chunks (both runners
+/// go serial at one).
+fn run_compiled(
+    prog: &Program,
+    pool: &mut MemPool,
+    blocks: Range<u64>,
+    simd: bool,
+    workers: usize,
+) -> Result<BlockStats, ExecError> {
+    if simd {
+        run_range_parallel_simd(prog, pool, blocks, workers)
+    } else {
+        run_range_parallel(prog, pool, blocks, workers)
+    }
+}
 
 /// A simulated CPU cluster.
 #[derive(Debug, Clone)]
@@ -98,12 +120,12 @@ impl SimCluster {
         &mut self.pools[i]
     }
 
-    /// Worker threads one node may use for intra-node block parallelism
-    /// under `opts`, given how many node threads run concurrently and how
-    /// many blocks the node has. Conservative: 1 unless the caller opted in
-    /// via [`ExecOptions::block_parallel`], never more than the simulated
-    /// node's core count, and never so many that workers get fewer than a
-    /// handful of blocks each.
+    /// Chunks one node's block range is cut into for intra-node block
+    /// parallelism under `opts`, given how many node jobs run concurrently
+    /// and how many blocks the node has. Conservative: 1 unless the caller
+    /// opted in via [`ExecOptions::block_parallel`], never more than the
+    /// simulated node's core count, and never so many that chunks get fewer
+    /// than a handful of blocks each.
     fn intra_node_workers(&self, opts: &ExecOptions, nodes_running: usize, nblocks: u64) -> usize {
         if !opts.block_parallel {
             return 1;
@@ -111,10 +133,7 @@ impl SimCluster {
         let req = if opts.node_threads > 0 {
             opts.node_threads
         } else {
-            let avail = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            (avail / nodes_running.max(1)).clamp(1, self.spec.cpu.cores as usize)
+            (pool::host_cores() / nodes_running.max(1)).clamp(1, self.spec.cpu.cores as usize)
         };
         req.min((nblocks / 4).max(1) as usize).max(1)
     }
@@ -146,23 +165,18 @@ impl SimCluster {
             EngineKind::TreeWalk => {
                 execute_block_range(kernel, launch, blocks, args, &mut self.pools[node])
             }
-            EngineKind::Bytecode => {
+            EngineKind::Bytecode | EngineKind::Simd => {
+                let simd = opts.engine == EngineKind::Simd;
                 let prog = Program::compile(kernel, launch, args)?;
                 let nblocks = blocks.end.saturating_sub(blocks.start);
                 let workers = self.intra_node_workers(opts, 1, nblocks);
-                run_range_parallel(&prog, &mut self.pools[node], blocks, workers)
-            }
-            EngineKind::Simd => {
-                let prog = Program::compile(kernel, launch, args)?;
-                let nblocks = blocks.end.saturating_sub(blocks.start);
-                let workers = self.intra_node_workers(opts, 1, nblocks);
-                run_range_parallel_simd(&prog, &mut self.pools[node], blocks, workers)
+                run_compiled(&prog, &mut self.pools[node], blocks, simd, workers)
             }
         }
     }
 
-    /// Execute per-node block ranges **in parallel** (one thread per node,
-    /// default [`ExecOptions`]).
+    /// Execute per-node block ranges **in parallel** (one pool job per node
+    /// with blocks to run, default [`ExecOptions`]).
     ///
     /// `assignments[i]` is the block range node `i` executes. Ranges need
     /// not be disjoint — callback phases intentionally run the same blocks
@@ -179,7 +193,7 @@ impl SimCluster {
 
     /// [`SimCluster::run_blocks_parallel`] with explicit executor options.
     /// On the bytecode path the kernel is compiled **once** and the program
-    /// shared read-only by every node thread.
+    /// shared read-only by every node job.
     pub fn run_blocks_parallel_opts(
         &mut self,
         kernel: &Kernel,
@@ -188,24 +202,14 @@ impl SimCluster {
         args: &[Arg],
         opts: &ExecOptions,
     ) -> Result<Vec<BlockStats>, ExecError> {
-        assert_eq!(assignments.len(), self.pools.len());
         match opts.engine {
             EngineKind::TreeWalk => {
-                let mut results: Vec<Result<BlockStats, ExecError>> = Vec::new();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .pools
-                        .iter_mut()
-                        .zip(assignments.iter().cloned())
-                        .map(|(pool, range)| {
-                            s.spawn(move || execute_block_range(kernel, launch, range, args, pool))
-                        })
-                        .collect();
-                    for h in handles {
-                        results.push(h.join().expect("node thread panicked"));
-                    }
-                });
-                results.into_iter().collect()
+                // The oracle type-checks its arguments per call; do it here
+                // so a phase with no blocks anywhere still reports them.
+                check_args(kernel, args)?;
+                self.run_nodes(assignments, |_, pool, range| {
+                    execute_block_range(kernel, launch, range, args, pool)
+                })
             }
             EngineKind::Bytecode | EngineKind::Simd => {
                 let prog = Program::compile(kernel, launch, args)?;
@@ -215,17 +219,16 @@ impl SimCluster {
     }
 
     /// Execute per-node block ranges of an already-compiled [`Program`] in
-    /// parallel (one thread per node, each optionally fanning out across
-    /// intra-node workers). Compile once per launch, then reuse the program
-    /// for every phase that shares the launch — this is the engine's
-    /// compile-once contract.
+    /// parallel (one pool job per node with blocks to run, each optionally
+    /// fanning out across intra-node chunks on the same pool). Compile once
+    /// per launch, then reuse the program for every phase that shares the
+    /// launch — this is the engine's compile-once contract.
     pub fn run_program_parallel(
         &mut self,
         prog: &Program,
         assignments: &[Range<u64>],
         opts: &ExecOptions,
     ) -> Result<Vec<BlockStats>, ExecError> {
-        assert_eq!(assignments.len(), self.pools.len());
         let nodes_running = assignments.iter().filter(|r| !r.is_empty()).count();
         let workers: Vec<usize> = assignments
             .iter()
@@ -235,27 +238,36 @@ impl SimCluster {
             })
             .collect();
         let simd = opts.engine == EngineKind::Simd;
-        let mut results: Vec<Result<BlockStats, ExecError>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .pools
-                .iter_mut()
-                .zip(assignments.iter().cloned())
-                .zip(workers.iter().copied())
-                .map(|((pool, range), w)| {
-                    s.spawn(move || match (simd, w) {
-                        (false, 0..=1) => run_range(prog, pool, range),
-                        (false, _) => run_range_parallel(prog, pool, range, w),
-                        (true, 0..=1) => run_range_simd(prog, pool, range),
-                        (true, _) => run_range_parallel_simd(prog, pool, range, w),
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("node thread panicked"));
-            }
-        });
-        results.into_iter().collect()
+        self.run_nodes(assignments, |node, pool, range| {
+            run_compiled(prog, pool, range, simd, workers[node])
+        })
+    }
+
+    /// Run `job(node, pool, range)` as one [`pool`] job for every node whose
+    /// range is non-empty, each ascending on its own [`MemPool`]. A node
+    /// without blocks reports zeroed stats and is never dispatched, so a
+    /// phase that is empty everywhere (a callback phase with no tail) costs
+    /// nothing. The first error in node order wins.
+    fn run_nodes(
+        &mut self,
+        assignments: &[Range<u64>],
+        job: impl Fn(usize, &mut MemPool, Range<u64>) -> Result<BlockStats, ExecError> + Sync,
+    ) -> Result<Vec<BlockStats>, ExecError> {
+        assert_eq!(assignments.len(), self.pools.len());
+        let busy: Vec<(usize, &mut MemPool, Range<u64>)> = self
+            .pools
+            .iter_mut()
+            .zip(assignments)
+            .enumerate()
+            .filter(|(_, (_, range))| !range.is_empty())
+            .map(|(node, (pool, range))| (node, pool, range.clone()))
+            .collect();
+        let results = pool::run(busy, |(node, pool, range)| (node, job(node, pool, range)));
+        let mut stats = vec![BlockStats::default(); assignments.len()];
+        for (node, result) in results {
+            stats[node] = result?;
+        }
+        Ok(stats)
     }
 
     /// Balanced Allgather over the byte region

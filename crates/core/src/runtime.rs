@@ -1007,7 +1007,7 @@ impl CuccCluster {
                     self.process_joins()?;
                     let sched = self.plan_cached(ck, *launch, args)?;
                     planned_wire += sched.wire_bytes;
-                    let w0 = self.timeline.wire_bytes();
+                    let mark = self.timeline.checkpoint();
                     self.replay_launch(
                         ck,
                         *launch,
@@ -1016,7 +1016,7 @@ impl CuccCluster {
                         node.footprints.as_ref(),
                         &mut stats,
                     )?;
-                    gather_wire += self.timeline.wire_bytes() - w0;
+                    gather_wire += self.timeline.wire_bytes_since(mark);
                 }
             }
         }

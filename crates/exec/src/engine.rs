@@ -5,8 +5,8 @@
 //! local arrays and the block's shared-memory image, allocated once per
 //! `run_*` call and reset per block. [`run_range`] executes a contiguous
 //! block range serially (the same ascending order as the tree-walk oracle);
-//! [`run_range_parallel`] chunks the range across scoped worker threads for
-//! intra-node block parallelism.
+//! [`run_range_parallel`] chunks the range across the process-wide worker
+//! [`crate::pool`] for intra-node block parallelism.
 //!
 //! Parallel legality: CUDA guarantees no ordering between blocks, so any
 //! interleaving of block execution is a valid GPU execution. Workers share
@@ -132,9 +132,10 @@ pub(crate) struct RacyView {
     bufs: Vec<(*mut u8, usize)>,
 }
 
-// SAFETY: the view only exists while `run_range_parallel` holds `&mut
-// MemPool`, so the pointed-to allocations are alive and not accessed
-// through the pool for the whole scope; all accesses are bounds-checked
+// SAFETY: the view only exists while `run_chunked` holds `&mut MemPool`
+// and `pool::run` does not return before every chunk has finished, so the
+// pointed-to allocations are alive and not accessed through the pool for
+// as long as any clone exists; all accesses are bounds-checked
 // byte copies (see type-level comment for the data-race contract).
 unsafe impl Send for RacyView {}
 
@@ -1734,60 +1735,61 @@ pub fn run_range(
     Ok(total)
 }
 
-/// Execute a contiguous block range chunked across up to `workers` scoped
-/// threads. Falls back to [`run_range`] when one worker suffices or the
-/// program is [`Program::serial_only`] (global atomics).
+/// Cut `blocks` into `workers` near-equal ascending chunks and run `chunk`
+/// on each through the [`crate::pool`], every chunk on its own clone of one
+/// [`RacyView`] of `pool`. `None` when a single worker suffices or the
+/// program is [`Program::serial_only`] (global atomics): the caller then
+/// takes its serial path.
 ///
-/// Per-worker [`BlockStats`] are summed at the end; since every counter is
-/// a plain `u64` total, the merged stats are bit-identical to a serial run
-/// regardless of interleaving. On error the first failing block in
+/// Per-chunk [`BlockStats`] are summed in chunk order; since every counter
+/// is a plain `u64` total, the merged stats are bit-identical to a serial
+/// run regardless of interleaving. On error the first failing block in
 /// ascending order wins (chunks are ascending and each chunk runs
 /// ascending), matching the serial path's reported error.
+pub(crate) fn run_chunked(
+    prog: &Program,
+    pool: &mut MemPool,
+    blocks: &Range<u64>,
+    workers: usize,
+    chunk: impl Fn(&mut RacyView, Range<u64>) -> Result<BlockStats, ExecError> + Sync,
+) -> Option<Result<BlockStats, ExecError>> {
+    let nblocks = blocks.end.saturating_sub(blocks.start);
+    let workers = workers.min(nblocks.min(usize::MAX as u64) as usize) as u64;
+    if workers <= 1 || prog.serial_only() {
+        return None;
+    }
+    let view = RacyView::new(pool);
+    let chunks: Vec<(RacyView, Range<u64>)> = (0..workers)
+        .map(|i| {
+            let lo = blocks.start + i * nblocks / workers;
+            let hi = blocks.start + (i + 1) * nblocks / workers;
+            (view.clone(), lo..hi)
+        })
+        .collect();
+    let results = crate::pool::run(chunks, |(mut view, range)| chunk(&mut view, range));
+    let mut results = results.into_iter();
+    Some(results.try_fold(BlockStats::default(), |total, r| Ok(total + r?)))
+}
+
+/// Execute a contiguous block range chunked across up to `workers` jobs on
+/// the [`crate::pool`] (see `run_chunked` for the bit-identity argument).
+/// Falls back to [`run_range`] when one worker suffices or the program is
+/// [`Program::serial_only`].
 pub fn run_range_parallel(
     prog: &Program,
     pool: &mut MemPool,
     blocks: Range<u64>,
     workers: usize,
 ) -> Result<BlockStats, ExecError> {
-    let nblocks = blocks.end.saturating_sub(blocks.start);
-    let workers = workers.min(nblocks.min(usize::MAX as u64) as usize);
-    if workers <= 1 || prog.serial_only() {
-        return run_range(prog, pool, blocks);
-    }
-    let view = RacyView::new(pool);
-    let chunks: Vec<Range<u64>> = (0..workers as u64)
-        .map(|i| {
-            let lo = blocks.start + i * nblocks / workers as u64;
-            let hi = blocks.start + (i + 1) * nblocks / workers as u64;
-            lo..hi
-        })
-        .filter(|r| !r.is_empty())
-        .collect();
-    let results: Vec<Result<BlockStats, ExecError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|r| {
-                let mut v = view.clone();
-                s.spawn(move || {
-                    let mut eng = BlockEngine::new(prog);
-                    let mut total = BlockStats::default();
-                    for b in r {
-                        total += eng.run_block(&mut v, b)?;
-                    }
-                    Ok(total)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
+    let chunked = run_chunked(prog, pool, &blocks, workers, |view, range| {
+        let mut eng = BlockEngine::new(prog);
+        let mut total = BlockStats::default();
+        for b in range {
+            total += eng.run_block(view, b)?;
+        }
+        Ok(total)
     });
-    let mut total = BlockStats::default();
-    for r in results {
-        total += r?;
-    }
-    Ok(total)
+    chunked.unwrap_or_else(|| run_range(prog, pool, blocks))
 }
 
 /// Compile `kernel` for `launch` and execute every block with the bytecode

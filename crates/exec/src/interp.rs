@@ -352,7 +352,9 @@ pub fn profile_launch(
     })
 }
 
-pub(crate) fn check_args(kernel: &Kernel, args: &[Arg]) -> Result<(), ExecError> {
+/// Check that `args` match `kernel`'s parameter list in count and kind
+/// (buffer vs scalar) — what every executor verifies before its first block.
+pub fn check_args(kernel: &Kernel, args: &[Arg]) -> Result<(), ExecError> {
     if args.len() != kernel.params.len() {
         return Err(ExecError::ArgCount {
             expected: kernel.params.len(),

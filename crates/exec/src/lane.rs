@@ -24,8 +24,8 @@
 
 use crate::bytecode::{BatchKind, LaneOp, LanePlan, PhaseOp, Program, Reg, SlotKind};
 use crate::engine::{
-    cert_wrap, count_op, load_value, oob, raw_load, raw_store, run_seg, slot_info, store_value,
-    GlobalMem, RacyView,
+    cert_wrap, count_op, load_value, oob, raw_load, raw_store, run_chunked, run_seg, slot_info,
+    store_value, GlobalMem,
 };
 use crate::interp::{
     apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, Arg,
@@ -508,14 +508,17 @@ fn scatter_cert(
 /// retire.
 type LaneFault = (usize, ExecError);
 
-/// Reusable per-run lane-array execution state: the SoA register file for
-/// every thread, plus shared/local images — the lane-tier counterpart of
-/// `engine::BlockEngine`, allocated once per `run_*` call and reset per
-/// block.
-pub(crate) struct LaneEngine<'p> {
-    prog: &'p Program,
-    nthreads: usize,
-    num_locals: usize,
+/// A [`LaneEngine`]'s heap buffers. They outlive the engine: dropping it
+/// parks them in a thread-local, and the next engine built on the same
+/// thread refills them in place. A thread that runs launch after launch — a
+/// pool worker, or the launching thread working beside it — therefore
+/// neither allocates nor frees an engine's worth of memory per run. On the
+/// launching thread those frees used to land between the planner's
+/// multi-megabyte scratch copies, and glibc then trimmed and re-faulted the
+/// heap on every launch (CHANGES.md, PR 12: 14k page faults per
+/// `steady_tiled` op against 0.4k).
+#[derive(Default)]
+struct LaneBufs {
     /// Reg-major packed register values: register `r`, thread `t` lives at
     /// `bits[r * nthreads + t]`.
     bits: Vec<u64>,
@@ -527,10 +530,45 @@ pub(crate) struct LaneEngine<'p> {
     shared: Vec<Vec<u8>>,
     /// Thread-major local arrays: `locals[t * num_locals + l]`.
     locals: Vec<Vec<u8>>,
-    block: (u32, u32, u32),
-    stats: BlockStats,
     /// AoS staging buffer for the scalar fallback (`run_seg` windows).
     scratch: Vec<Value>,
+}
+
+thread_local! {
+    static PARKED: std::cell::Cell<LaneBufs> = std::cell::Cell::new(LaneBufs::default());
+}
+
+/// `*v = vec![x; n]`, in `v`'s existing allocation when it is large enough.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
+/// `n` zeroed byte buffers of the given sizes, reusing `vs`' buffers in order.
+fn refill_each(vs: &mut Vec<Vec<u8>>, n: usize, sizes: impl Iterator<Item = usize>) {
+    vs.resize_with(n, Vec::new);
+    for (v, size) in vs.iter_mut().zip(sizes) {
+        refill(v, size, 0);
+    }
+}
+
+/// Reusable per-run lane-array execution state: the SoA register file for
+/// every thread, plus shared/local images — the lane-tier counterpart of
+/// `engine::BlockEngine`, built once per `run_*` call (from the thread's
+/// parked [`LaneBufs`]) and reset per block.
+pub(crate) struct LaneEngine<'p> {
+    prog: &'p Program,
+    nthreads: usize,
+    num_locals: usize,
+    bufs: LaneBufs,
+    block: (u32, u32, u32),
+    stats: BlockStats,
+}
+
+impl Drop for LaneEngine<'_> {
+    fn drop(&mut self) {
+        PARKED.set(std::mem::take(&mut self.bufs));
+    }
 }
 
 impl<'p> LaneEngine<'p> {
@@ -538,24 +576,25 @@ impl<'p> LaneEngine<'p> {
         let nthreads = prog.launch.threads_per_block() as usize;
         let num_regs = prog.num_regs as usize;
         let num_locals = prog.local_sizes.len();
-        let tids: Vec<(u32, u32, u32)> = (0..nthreads)
-            .map(|t| prog.launch.block.delinearize(t as u64))
-            .collect();
+        let mut bufs = PARKED.take();
+        bufs.tids.clear();
+        let tids = (0..nthreads).map(|t| prog.launch.block.delinearize(t as u64));
+        bufs.tids.extend(tids);
+        refill(&mut bufs.bits, num_regs * nthreads, 0);
+        refill(&mut bufs.kinds, num_regs * nthreads, 0);
+        refill(&mut bufs.returned, nthreads, false);
+        refill(&mut bufs.scratch, num_regs, Value::I64(0));
+        let shared_sizes = prog.shared_sizes.iter().copied();
+        refill_each(&mut bufs.shared, prog.shared_sizes.len(), shared_sizes);
+        let local_sizes = prog.local_sizes.iter().copied().cycle();
+        refill_each(&mut bufs.locals, nthreads * num_locals, local_sizes);
         let mut eng = LaneEngine {
             prog,
             nthreads,
             num_locals,
-            bits: vec![0; num_regs * nthreads],
-            kinds: vec![0; num_regs * nthreads],
-            returned: vec![false; nthreads],
-            tids,
-            shared: prog.shared_sizes.iter().map(|&sz| vec![0u8; sz]).collect(),
-            locals: (0..nthreads)
-                .flat_map(|_| prog.local_sizes.iter().map(|&sz| vec![0u8; sz]))
-                .collect(),
+            bufs,
             block: (0, 0, 0),
             stats: BlockStats::default(),
-            scratch: vec![Value::I64(0); num_regs],
         };
         // Launch-invariant rows are splatted once and survive every block:
         // nothing writes them and `reset` skips them.
@@ -563,14 +602,14 @@ impl<'p> LaneEngine<'p> {
         for (k, c) in prog.const_pool.iter().enumerate() {
             let (b, kd) = pack(*c);
             let r = base + k;
-            eng.bits[r * nthreads..(r + 1) * nthreads].fill(b);
-            eng.kinds[r * nthreads..(r + 1) * nthreads].fill(kd);
+            eng.bufs.bits[r * nthreads..(r + 1) * nthreads].fill(b);
+            eng.bufs.kinds[r * nthreads..(r + 1) * nthreads].fill(kd);
         }
         let tid_base = base + prog.const_pool.len();
         for (k, axis) in prog.tid_pool.iter().enumerate() {
             let r = tid_base + k;
             for t in 0..nthreads {
-                eng.bits[r * nthreads + t] = axis_of(eng.tids[t], *axis) as u64;
+                eng.bufs.bits[r * nthreads + t] = axis_of(eng.bufs.tids[t], *axis) as u64;
             }
         }
         eng
@@ -581,13 +620,13 @@ impl<'p> LaneEngine<'p> {
         // written before read, so only the leading `num_vars` rows (and the
         // `I64(0)` kind) need clearing.
         let nv = self.prog.num_vars as usize * self.nthreads;
-        self.bits[..nv].fill(0);
-        self.kinds[..nv].fill(0);
-        self.returned.fill(false);
-        for s in &mut self.shared {
+        self.bufs.bits[..nv].fill(0);
+        self.bufs.kinds[..nv].fill(0);
+        self.bufs.returned.fill(false);
+        for s in &mut self.bufs.shared {
             s.fill(0);
         }
-        for l in &mut self.locals {
+        for l in &mut self.bufs.locals {
             l.fill(0);
         }
     }
@@ -595,15 +634,15 @@ impl<'p> LaneEngine<'p> {
     #[inline]
     fn get(&self, r: Reg, t: usize) -> Value {
         let i = r as usize * self.nthreads + t;
-        unpack(self.bits[i], self.kinds[i])
+        unpack(self.bufs.bits[i], self.bufs.kinds[i])
     }
 
     #[inline]
     fn set(&mut self, r: Reg, t: usize, v: Value) {
         let (b, k) = pack(v);
         let i = r as usize * self.nthreads + t;
-        self.bits[i] = b;
-        self.kinds[i] = k;
+        self.bufs.bits[i] = b;
+        self.bufs.kinds[i] = k;
     }
 
     /// Copy one register's chunk row into stack arrays (lanes past `nl` are
@@ -613,8 +652,8 @@ impl<'p> LaneEngine<'p> {
         let base = r as usize * self.nthreads + c0;
         let mut b = [0u64; LANES];
         let mut k = [0u8; LANES];
-        b[..nl].copy_from_slice(&self.bits[base..base + nl]);
-        k[..nl].copy_from_slice(&self.kinds[base..base + nl]);
+        b[..nl].copy_from_slice(&self.bufs.bits[base..base + nl]);
+        k[..nl].copy_from_slice(&self.bufs.kinds[base..base + nl]);
         (b, k)
     }
 
@@ -623,8 +662,8 @@ impl<'p> LaneEngine<'p> {
     #[inline]
     fn store_row(&mut self, r: Reg, c0: usize, nl: usize, out: &[u64; LANES], kind: u8) {
         let base = r as usize * self.nthreads + c0;
-        self.bits[base..base + nl].copy_from_slice(&out[..nl]);
-        self.kinds[base..base + nl].fill(kind);
+        self.bufs.bits[base..base + nl].copy_from_slice(&out[..nl]);
+        self.bufs.kinds[base..base + nl].fill(kind);
     }
 
     #[inline]
@@ -637,16 +676,16 @@ impl<'p> LaneEngine<'p> {
         kinds: &[u8; LANES],
     ) {
         let base = r as usize * self.nthreads + c0;
-        self.bits[base..base + nl].copy_from_slice(&out[..nl]);
-        self.kinds[base..base + nl].copy_from_slice(&kinds[..nl]);
+        self.bufs.bits[base..base + nl].copy_from_slice(&out[..nl]);
+        self.bufs.kinds[base..base + nl].copy_from_slice(&kinds[..nl]);
     }
 
     /// Gather a register row as memory indices (`Value::as_i64` per lane).
     #[inline]
     fn idx_row(&self, r: Reg, c0: usize, nl: usize) -> [i64; LANES] {
         let base = r as usize * self.nthreads + c0;
-        let bs = &self.bits[base..base + nl];
-        let ks = &self.kinds[base..base + nl];
+        let bs = &self.bufs.bits[base..base + nl];
+        let ks = &self.bufs.kinds[base..base + nl];
         let mut ix = [0i64; LANES];
         if uniform(ks) == Some(0) {
             for i in 0..nl {
@@ -664,15 +703,18 @@ impl<'p> LaneEngine<'p> {
     #[inline]
     fn row(&self, r: Reg, c0: usize, nl: usize) -> (&[u64], &[u8]) {
         let base = r as usize * self.nthreads + c0;
-        (&self.bits[base..base + nl], &self.kinds[base..base + nl])
+        (
+            &self.bufs.bits[base..base + nl],
+            &self.bufs.kinds[base..base + nl],
+        )
     }
 
     /// Broadcast a uniform loop variable to every thread's row.
     fn set_var_all(&mut self, r: Reg, v: Value) {
         let (b, k) = pack(v);
         let base = r as usize * self.nthreads;
-        self.bits[base..base + self.nthreads].fill(b);
-        self.kinds[base..base + self.nthreads].fill(k);
+        self.bufs.bits[base..base + self.nthreads].fill(b);
+        self.bufs.kinds[base..base + self.nthreads].fill(k);
     }
 
     /// Execute one block; global-memory effects land in `mem`.
@@ -708,7 +750,7 @@ impl<'p> LaneEngine<'p> {
                         self.run_plan(&prog.lane_plans[pi], prog.plan_cert_masks(pi), mem)?;
                     } else {
                         for t in 0..self.nthreads {
-                            if !self.returned[t] {
+                            if !self.bufs.returned[t] {
                                 self.seg_scalar(t, *start, *end, mem)?;
                             }
                         }
@@ -770,29 +812,29 @@ impl<'p> LaneEngine<'p> {
         let nl = self.num_locals;
         let prog = self.prog;
         let num_regs = prog.num_regs as usize;
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.bufs.scratch);
         for (r, s) in scratch.iter_mut().enumerate() {
-            *s = unpack(self.bits[r * n + t], self.kinds[r * n + t]);
+            *s = unpack(self.bufs.bits[r * n + t], self.bufs.kinds[r * n + t]);
         }
         let res = run_seg(
             prog,
             &mut scratch,
-            &mut self.shared,
-            &mut self.locals[t * nl..(t + 1) * nl],
-            &mut self.returned[t],
+            &mut self.bufs.shared,
+            &mut self.bufs.locals[t * nl..(t + 1) * nl],
+            &mut self.bufs.returned[t],
             &mut self.stats,
             self.block,
-            self.tids[t],
+            self.bufs.tids[t],
             start,
             end,
             mem,
         );
         for (r, s) in scratch.iter().enumerate().take(num_regs) {
             let (b, k) = pack(*s);
-            self.bits[r * n + t] = b;
-            self.kinds[r * n + t] = k;
+            self.bufs.bits[r * n + t] = b;
+            self.bufs.kinds[r * n + t] = k;
         }
-        self.scratch = scratch;
+        self.bufs.scratch = scratch;
         res
     }
 
@@ -852,7 +894,7 @@ impl<'p> LaneEngine<'p> {
         let mut resume = [0u32; LANES];
         let mut divergent = false;
         for (i, r) in resume.iter_mut().enumerate().take(nl) {
-            if self.returned[c0 + i] {
+            if self.bufs.returned[c0 + i] {
                 *r = DEAD;
                 divergent = true;
             }
@@ -868,7 +910,7 @@ impl<'p> LaneEngine<'p> {
                     }
                     LaneOp::Return => {
                         for i in 0..nl {
-                            self.returned[c0 + i] = true;
+                            self.bufs.returned[c0 + i] = true;
                         }
                         return;
                     }
@@ -1006,7 +1048,7 @@ impl<'p> LaneEngine<'p> {
                 LaneOp::Return => {
                     for (i, r) in resume[..nl].iter_mut().enumerate() {
                         if *r <= ip {
-                            self.returned[c0 + i] = true;
+                            self.bufs.returned[c0 + i] = true;
                             *r = DEAD;
                         }
                     }
@@ -1146,7 +1188,7 @@ impl<'p> LaneEngine<'p> {
             LaneOp::Tid { dst, axis } => {
                 let mut out = [0u64; LANES];
                 for (i, o) in out.iter_mut().enumerate().take(nl) {
-                    *o = axis_of(self.tids[c0 + i], *axis) as u64;
+                    *o = axis_of(self.bufs.tids[c0 + i], *axis) as u64;
                 }
                 self.store_row(*dst, c0, nl, &out, 0);
             }
@@ -1157,8 +1199,8 @@ impl<'p> LaneEngine<'p> {
             LaneOp::Copy { dst, src } => {
                 let n = self.nthreads;
                 let (sb, db) = (*src as usize * n + c0, *dst as usize * n + c0);
-                self.bits.copy_within(sb..sb + nl, db);
-                self.kinds.copy_within(sb..sb + nl, db);
+                self.bufs.bits.copy_within(sb..sb + nl, db);
+                self.bufs.kinds.copy_within(sb..sb + nl, db);
             }
             LaneOp::Test { dst, src } => {
                 let (b, k) = self.row(*src, c0, nl);
@@ -1265,8 +1307,8 @@ impl<'p> LaneEngine<'p> {
                                 // before reporting the fault.
                                 self.stats.int_ops += i as u64 + 1;
                                 let row = *dst as usize * self.nthreads + c0;
-                                self.bits[row..row + i].copy_from_slice(&out[..i]);
-                                self.kinds[row..row + i].fill(0);
+                                self.bufs.bits[row..row + i].copy_from_slice(&out[..i]);
+                                self.bufs.kinds[row..row + i].fill(0);
                                 return Err((i, ExecError::DivByZero));
                             }
                         } else {
@@ -1385,7 +1427,7 @@ impl<'p> LaneEngine<'p> {
                         self.stats.global_loads += n64;
                     }
                     SlotKind::Shared { idx: si } => {
-                        let sh = &self.shared[si as usize];
+                        let sh = &self.bufs.shared[si as usize];
                         let (sp, slen) = (sh.as_ptr(), sh.len());
                         if let Err(i) = gather_cert(sp, slen, info.elem, &ix, nl, &mut out, elide) {
                             self.store_row(*dst, c0, i, &out, okind);
@@ -1414,8 +1456,9 @@ impl<'p> LaneEngine<'p> {
                     }
                     SlotKind::Shared { idx: si } => {
                         let pv = *val as usize * self.nthreads + c0;
-                        let (vb, vk) = (&self.bits[pv..pv + nl], &self.kinds[pv..pv + nl]);
-                        let sh = &mut self.shared[si as usize];
+                        let (vb, vk) =
+                            (&self.bufs.bits[pv..pv + nl], &self.bufs.kinds[pv..pv + nl]);
+                        let sh = &mut self.bufs.shared[si as usize];
                         if let Err(i) = scatter_cert(
                             sh.as_mut_ptr(),
                             sh.len(),
@@ -1480,7 +1523,7 @@ impl<'p> LaneEngine<'p> {
                         let lf = gather_cert(sp, slen, sinfo.elem, &six, nl, &mut v, elide).err();
                         let m = lf.unwrap_or(nl);
                         let vk = [u8::from(sinfo.elem.kind() == ValueKind::Float); LANES];
-                        let sh = &mut self.shared[*di as usize];
+                        let sh = &mut self.bufs.shared[*di as usize];
                         let sf = scatter_cert(
                             sh.as_mut_ptr(),
                             sh.len(),
@@ -1504,7 +1547,7 @@ impl<'p> LaneEngine<'p> {
                     }
                     (SlotKind::Shared { idx: si }, SlotKind::Global { buf: db }) => {
                         let (dp, dlen) = mem.raw(*db);
-                        let sh = &self.shared[*si as usize];
+                        let sh = &self.bufs.shared[*si as usize];
                         let mut v = [0u64; LANES];
                         let lf =
                             gather_cert(sh.as_ptr(), sh.len(), sinfo.elem, &six, nl, &mut v, elide)
@@ -1790,7 +1833,7 @@ impl<'p> LaneEngine<'p> {
                 self.set(*dst, t, *v);
             }
             LaneOp::Tid { dst, axis } => {
-                let v = Value::I64(axis_of(self.tids[t], *axis) as i64);
+                let v = Value::I64(axis_of(self.bufs.tids[t], *axis) as i64);
                 self.set(*dst, t, v);
             }
             LaneOp::Bid { dst, axis } => {
@@ -1849,8 +1892,8 @@ impl<'p> LaneEngine<'p> {
                 let info = slot_info(prog, *slot);
                 let v = load_value(
                     info,
-                    &self.shared,
-                    &self.locals[t * nloc..(t + 1) * nloc],
+                    &self.bufs.shared,
+                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     mem,
@@ -1863,8 +1906,8 @@ impl<'p> LaneEngine<'p> {
                 let info = slot_info(prog, *slot);
                 store_value(
                     info,
-                    &mut self.shared,
-                    &mut self.locals[t * nloc..(t + 1) * nloc],
+                    &mut self.bufs.shared,
+                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     v,
@@ -1877,8 +1920,8 @@ impl<'p> LaneEngine<'p> {
                 let info = slot_info(prog, *slot);
                 let old = load_value(
                     info,
-                    &self.shared,
-                    &self.locals[t * nloc..(t + 1) * nloc],
+                    &self.bufs.shared,
+                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     mem,
@@ -1886,8 +1929,8 @@ impl<'p> LaneEngine<'p> {
                 let new = apply_atomic(*op, old, v);
                 store_value(
                     info,
-                    &mut self.shared,
-                    &mut self.locals[t * nloc..(t + 1) * nloc],
+                    &mut self.bufs.shared,
+                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     new,
@@ -1909,8 +1952,8 @@ impl<'p> LaneEngine<'p> {
                 let info = slot_info(prog, *slot);
                 let v = load_value(
                     info,
-                    &self.shared,
-                    &self.locals[t * nloc..(t + 1) * nloc],
+                    &self.bufs.shared,
+                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     mem,
@@ -1946,8 +1989,8 @@ impl<'p> LaneEngine<'p> {
                 let info = slot_info(prog, *slot);
                 store_value(
                     info,
-                    &mut self.shared,
-                    &mut self.locals[t * nloc..(t + 1) * nloc],
+                    &mut self.bufs.shared,
+                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     v,
@@ -1964,8 +2007,8 @@ impl<'p> LaneEngine<'p> {
                 let sinfo = slot_info(prog, *sslot);
                 let v = load_value(
                     sinfo,
-                    &self.shared,
-                    &self.locals[t * nloc..(t + 1) * nloc],
+                    &self.bufs.shared,
+                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     sindex,
                     mem,
@@ -1974,8 +2017,8 @@ impl<'p> LaneEngine<'p> {
                 let dinfo = slot_info(prog, *dslot);
                 store_value(
                     dinfo,
-                    &mut self.shared,
-                    &mut self.locals[t * nloc..(t + 1) * nloc],
+                    &mut self.bufs.shared,
+                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     dindex,
                     v,
@@ -1994,8 +2037,8 @@ impl<'p> LaneEngine<'p> {
                 let info = slot_info(prog, *slot);
                 let v = load_value(
                     info,
-                    &self.shared,
-                    &self.locals[t * nloc..(t + 1) * nloc],
+                    &self.bufs.shared,
+                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     mem,
@@ -2011,8 +2054,8 @@ impl<'p> LaneEngine<'p> {
                 let info = slot_info(prog, *slot);
                 store_value(
                     info,
-                    &mut self.shared,
-                    &mut self.locals[t * nloc..(t + 1) * nloc],
+                    &mut self.bufs.shared,
+                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     index,
                     v,
@@ -2032,8 +2075,8 @@ impl<'p> LaneEngine<'p> {
                 let linfo = slot_info(prog, *lslot);
                 let v = load_value(
                     linfo,
-                    &self.shared,
-                    &self.locals[t * nloc..(t + 1) * nloc],
+                    &self.bufs.shared,
+                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     lindex,
                     mem,
@@ -2044,8 +2087,8 @@ impl<'p> LaneEngine<'p> {
                 let dinfo = slot_info(prog, *dslot);
                 store_value(
                     dinfo,
-                    &mut self.shared,
-                    &mut self.locals[t * nloc..(t + 1) * nloc],
+                    &mut self.bufs.shared,
+                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
                     &mut self.stats,
                     dindex,
                     r,
@@ -2078,56 +2121,25 @@ pub fn run_range_simd(
     Ok(total)
 }
 
-/// Lane-array counterpart of `run_range_parallel`: chunk the block range
-/// across up to `workers` scoped threads, each running its own
-/// [`LaneEngine`] over a shared `RacyView`. Falls back to [`run_range_simd`]
-/// when one worker suffices or the program is `Program::serial_only`
-/// (global atomics).
+/// Lane-array counterpart of `run_range_parallel`: the same chunking on the
+/// same worker pool (`run_chunked`), each chunk running its own
+/// [`LaneEngine`]. Falls back to [`run_range_simd`] when one worker suffices
+/// or the program is `Program::serial_only` (global atomics).
 pub fn run_range_parallel_simd(
     prog: &Program,
     pool: &mut MemPool,
     blocks: Range<u64>,
     workers: usize,
 ) -> Result<BlockStats, ExecError> {
-    let nblocks = blocks.end.saturating_sub(blocks.start);
-    let workers = workers.min(nblocks.min(usize::MAX as u64) as usize);
-    if workers <= 1 || prog.serial_only() {
-        return run_range_simd(prog, pool, blocks);
-    }
-    let view = RacyView::new(pool);
-    let chunks: Vec<Range<u64>> = (0..workers as u64)
-        .map(|i| {
-            let lo = blocks.start + i * nblocks / workers as u64;
-            let hi = blocks.start + (i + 1) * nblocks / workers as u64;
-            lo..hi
-        })
-        .filter(|r| !r.is_empty())
-        .collect();
-    let results: Vec<Result<BlockStats, ExecError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|r| {
-                let mut v = view.clone();
-                s.spawn(move || {
-                    let mut eng = LaneEngine::new(prog);
-                    let mut total = BlockStats::default();
-                    for b in r {
-                        total += eng.run_block(&mut v, b)?;
-                    }
-                    Ok(total)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("lane engine worker panicked"))
-            .collect()
+    let chunked = run_chunked(prog, pool, &blocks, workers, |view, range| {
+        let mut eng = LaneEngine::new(prog);
+        let mut total = BlockStats::default();
+        for b in range {
+            total += eng.run_block(view, b)?;
+        }
+        Ok(total)
     });
-    let mut total = BlockStats::default();
-    for r in results {
-        total += r?;
-    }
-    Ok(total)
+    chunked.unwrap_or_else(|| run_range_simd(prog, pool, blocks))
 }
 
 /// Compile `kernel` for `launch` and execute every block with the

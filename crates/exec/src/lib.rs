@@ -20,7 +20,8 @@
 //! The tree-walk interpreter in [`interp`] is the *reference* executor (and
 //! differential-testing oracle); [`bytecode`] + [`engine`] compile a kernel
 //! once per launch into a flat register-based instruction stream and run it
-//! with a reusable per-run arena and optional intra-node block parallelism.
+//! with a reusable per-run arena and optional intra-node block parallelism
+//! on the process-wide worker [`pool`].
 //! [`lane`] adds a third, vectorized tier on top of the same compiled
 //! [`Program`]: batchable segments execute instruction-major over chunked
 //! SoA lane-arrays with superinstruction fusion, falling back to the scalar
@@ -31,6 +32,7 @@ pub mod engine;
 pub mod interp;
 pub mod lane;
 pub mod memory;
+pub mod pool;
 pub mod sanitize;
 pub mod stats;
 

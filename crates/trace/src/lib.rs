@@ -427,7 +427,9 @@ impl Timeline {
     }
 
     /// In-order sum of depth-0 span durations of `category` over the whole
-    /// timeline.
+    /// timeline. Scans every span ever recorded, so its cost grows with the
+    /// life of the process: per-launch code takes a [`Timeline::checkpoint`]
+    /// and calls [`Timeline::time_in_since`].
     pub fn time_in(&self, category: Category) -> f64 {
         self.time_in_since(Mark::default(), category)
     }
@@ -487,7 +489,9 @@ impl Timeline {
             .sum()
     }
 
-    /// Total of counter `name` over the whole timeline.
+    /// Total of counter `name` over the whole timeline. Scans (and
+    /// string-compares) every counter event ever recorded; per-launch code
+    /// uses [`Timeline::counter_total_since`] from a checkpoint instead.
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counter_total_since(Mark::default(), name)
     }
@@ -497,7 +501,10 @@ impl Timeline {
         self.counter_total_since(mark, WIRE_BYTES)
     }
 
-    /// Total bytes that crossed the wire.
+    /// Total bytes that crossed the wire. A whole-timeline scan like
+    /// [`Timeline::counter_total`]; per-launch code takes a
+    /// [`Timeline::checkpoint`] before the work and calls
+    /// [`Timeline::wire_bytes_since`].
     pub fn wire_bytes(&self) -> u64 {
         self.wire_bytes_since(Mark::default())
     }

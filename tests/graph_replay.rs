@@ -249,6 +249,66 @@ fn external_launch_materializes_pending_state() {
     assert_eq!(a.download::<u8>(y).unwrap(), b.download::<u8>(yb).unwrap());
 }
 
+/// Replay accounting is relative to a timeline mark taken before each
+/// launch, so what the timeline already holds must not show in
+/// `ReplayStats`: the same graph replayed three times reports the same
+/// stats on a fresh cluster and on one that has already moved wire bytes
+/// on unrelated buffers (an upload and an uncaptured gathered launch).
+/// The narrowed gather makes `wire_bytes` non-zero, so the window matters.
+#[test]
+fn replay_stats_ignore_earlier_wire_traffic() {
+    let prod = compile_source(PROD).unwrap();
+    let cons = compile_source(CONS).unwrap();
+    let shift = compile_source(
+        "__global__ void sh(float* y, float* x) {
+            int id = blockIdx.x * blockDim.x + threadIdx.x;
+            y[id] = x[id + 64];
+        }",
+    )
+    .unwrap();
+    let xs = seeded(23, ELEMS + PAD);
+
+    let replays = |busy: bool| {
+        let mut cl = cluster(4);
+        let x = cl.alloc((ELEMS + PAD) * 4);
+        let y = cl.alloc(ELEMS * 4);
+        let u = cl.alloc(ELEMS * 4);
+        let v = cl.alloc(ELEMS * 4);
+        if busy {
+            cl.upload::<f32>(u, &seeded(29, ELEMS)).unwrap();
+            cl.launch(&cons, launch_cfg(), &[Arg::Buffer(u), Arg::Buffer(v)])
+                .unwrap();
+            assert!(cl.timeline().wire_bytes() > 0, "earlier traffic recorded");
+        }
+        let mut cap = GraphCapture::new();
+        cap.upload(x, bytes(&xs));
+        cap.launch(&prod, launch_cfg(), &[Arg::Buffer(x)]);
+        cap.launch(&shift, launch_cfg(), &[Arg::Buffer(y), Arg::Buffer(x)]);
+        let graph = cap.finish();
+        let stats: Vec<_> = (0..3).map(|_| cl.graph_replay(&graph).unwrap()).collect();
+        (stats, cl.download::<u8>(y).unwrap())
+    };
+    let (fresh, y_fresh) = replays(false);
+    let (busy, y_busy) = replays(true);
+    assert!(fresh[0].wire_bytes > 0, "the narrowed gather moves bytes");
+    for (i, (f, b)) in fresh.iter().zip(&busy).enumerate() {
+        // `time` is a difference of two readings of an ever-advancing
+        // clock; its last bits depend on how far the clock has run.
+        assert!(
+            (f.time - b.time).abs() <= 1e-9 * f.time,
+            "replay {i}: time {} vs {}",
+            f.time,
+            b.time
+        );
+        assert_eq!(
+            *f,
+            cucc::core::ReplayStats { time: f.time, ..*b },
+            "replay {i}"
+        );
+    }
+    assert_eq!(y_fresh, y_busy);
+}
+
 // ---------------------------------------------------------------------
 // Randomized producer/consumer DAGs
 // ---------------------------------------------------------------------
