@@ -12,7 +12,9 @@
 
 use cucc_bench::banner;
 use cucc_cluster::ClusterSpec;
-use cucc_core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RuntimeConfig};
+use cucc_core::{
+    compile_source, CompiledKernel, CuccCluster, FaultPlan, RunOptions, RuntimeConfig,
+};
 use cucc_exec::Arg;
 use cucc_ir::LaunchConfig;
 
@@ -31,7 +33,7 @@ const N_DEGRADED: usize = 1 << 20;
 fn make(nodes: u32, faults: FaultPlan) -> CuccCluster {
     CuccCluster::with_options(
         ClusterSpec::simd_focused().with_nodes(nodes),
-        RuntimeConfig::builder().faults(faults).build(),
+        RunOptions::builder().faults(faults).build(),
     )
 }
 

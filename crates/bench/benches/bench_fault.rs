@@ -9,7 +9,7 @@
 
 use cucc_bench::banner;
 use cucc_cluster::ClusterSpec;
-use cucc_core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RuntimeConfig};
+use cucc_core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RunOptions};
 use cucc_exec::Arg;
 use cucc_ir::LaunchConfig;
 use cucc_net::FaultKind;
@@ -39,7 +39,7 @@ fn run(ck: &CompiledKernel, nodes: u32, n: usize, faults: FaultPlan) -> Outcome 
     let ys: Vec<f32> = (0..n).map(|i| 50.0 - i as f32 * 0.125).collect();
     let mut cl = CuccCluster::with_options(
         ClusterSpec::simd_focused().with_nodes(nodes),
-        RuntimeConfig::builder().faults(faults).build(),
+        RunOptions::builder().faults(faults).build(),
     );
     let x = cl.alloc(n * 4);
     let y = cl.alloc(n * 4);

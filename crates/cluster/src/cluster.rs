@@ -138,62 +138,13 @@ impl SimCluster {
         req.min((nblocks / 4).max(1) as usize).max(1)
     }
 
-    /// Execute a contiguous range of blocks on one node (ascending block
-    /// id, default [`ExecOptions`]). Returns accumulated stats.
-    pub fn run_blocks(
-        &mut self,
-        node: usize,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        blocks: Range<u64>,
-        args: &[Arg],
-    ) -> Result<BlockStats, ExecError> {
-        self.run_blocks_opts(node, kernel, launch, blocks, args, &ExecOptions::default())
-    }
-
-    /// [`SimCluster::run_blocks`] with explicit executor options.
-    pub fn run_blocks_opts(
-        &mut self,
-        node: usize,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        blocks: Range<u64>,
-        args: &[Arg],
-        opts: &ExecOptions,
-    ) -> Result<BlockStats, ExecError> {
-        match opts.engine {
-            EngineKind::TreeWalk => {
-                execute_block_range(kernel, launch, blocks, args, &mut self.pools[node])
-            }
-            EngineKind::Bytecode | EngineKind::Simd => {
-                let simd = opts.engine == EngineKind::Simd;
-                let prog = Program::compile(kernel, launch, args)?;
-                let nblocks = blocks.end.saturating_sub(blocks.start);
-                let workers = self.intra_node_workers(opts, 1, nblocks);
-                run_compiled(&prog, &mut self.pools[node], blocks, simd, workers)
-            }
-        }
-    }
-
     /// Execute per-node block ranges **in parallel** (one pool job per node
-    /// with blocks to run, default [`ExecOptions`]).
+    /// with blocks to run).
     ///
     /// `assignments[i]` is the block range node `i` executes. Ranges need
     /// not be disjoint — callback phases intentionally run the same blocks
-    /// everywhere.
-    pub fn run_blocks_parallel(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        assignments: &[Range<u64>],
-        args: &[Arg],
-    ) -> Result<Vec<BlockStats>, ExecError> {
-        self.run_blocks_parallel_opts(kernel, launch, assignments, args, &ExecOptions::default())
-    }
-
-    /// [`SimCluster::run_blocks_parallel`] with explicit executor options.
-    /// On the bytecode path the kernel is compiled **once** and the program
-    /// shared read-only by every node job.
+    /// everywhere. On the bytecode path the kernel is compiled **once** and
+    /// the program shared read-only by every node job.
     pub fn run_blocks_parallel_opts(
         &mut self,
         kernel: &Kernel,
@@ -282,22 +233,14 @@ impl SimCluster {
         algo: AllgatherAlgo,
         placement: AllgatherPlacement,
     ) -> CollectiveCost {
-        let n = self.pools.len();
-        let lo = base as usize;
-        let hi = lo + unit as usize * n;
-        let mut views: Vec<&mut [u8]> = self
-            .pools
-            .iter_mut()
-            .map(|p| &mut p.bytes_mut(buf)[lo..hi])
-            .collect();
-        allgather(&mut views, &vec![unit; n], &self.spec.net, algo, placement)
+        let all: Vec<usize> = (0..self.pools.len()).collect();
+        self.allgather_region_among(buf, base, unit, &all, algo, placement)
     }
 
     /// [`SimCluster::allgather_region`] restricted to a survivor subset:
     /// the gather runs over `nodes` (physical node indices, ascending)
     /// only, each contributing `unit` bytes, and dead pools are left
-    /// untouched. With `nodes` covering every node this is exactly
-    /// [`SimCluster::allgather_region`].
+    /// untouched.
     pub fn allgather_region_among(
         &mut self,
         buf: BufferId,
@@ -488,7 +431,7 @@ mod tests {
         let args = [Arg::Buffer(out)];
         // Node i executes block i only.
         let assignments: Vec<_> = (0..4u64).map(|i| i..i + 1).collect();
-        c.run_blocks_parallel(&k, launch, &assignments, &args)
+        c.run_blocks_parallel_opts(&k, launch, &assignments, &args, &ExecOptions::default())
             .unwrap();
         assert!(!c.consistent(out), "nodes must have diverged");
         let cost = c.allgather_region(
@@ -519,8 +462,14 @@ mod tests {
         let launch = LaunchConfig::new(2u32, 32u32);
         // Every node runs every block.
         let assignments = vec![0..2u64, 0..2, 0..2];
-        c.run_blocks_parallel(&k, launch, &assignments, &[Arg::Buffer(out)])
-            .unwrap();
+        c.run_blocks_parallel_opts(
+            &k,
+            launch,
+            &assignments,
+            &[Arg::Buffer(out)],
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert!(c.fully_consistent());
     }
 
@@ -539,14 +488,18 @@ mod tests {
         let b1 = c1.alloc(n as usize * 4);
         let args1 = [Arg::Buffer(b1), Arg::int(n as i64)];
         let half = launch.num_blocks() / 2;
-        c1.run_blocks_parallel(&k, launch, &[0..half, half..launch.num_blocks()], &args1)
+        let opts = ExecOptions::default();
+        let last = launch.num_blocks();
+        c1.run_blocks_parallel_opts(&k, launch, &[0..half, half..last], &args1, &opts)
             .unwrap();
 
         let mut c2 = small_cluster(2);
         let b2 = c2.alloc(n as usize * 4);
         let args2 = [Arg::Buffer(b2), Arg::int(n as i64)];
-        c2.run_blocks(0, &k, launch, 0..half, &args2).unwrap();
-        c2.run_blocks(1, &k, launch, half..launch.num_blocks(), &args2)
+        // One node at a time: the other node's empty range dispatches nothing.
+        c2.run_blocks_parallel_opts(&k, launch, &[0..half, 0..0], &args2, &opts)
+            .unwrap();
+        c2.run_blocks_parallel_opts(&k, launch, &[0..0, half..last], &args2, &opts)
             .unwrap();
 
         assert_eq!(c1.read(0, b1), c2.read(0, b2));
@@ -559,11 +512,12 @@ mod tests {
         let mut c = small_cluster(2);
         let out = c.alloc(4); // 1 element, 4 threads → OOB
         let err = c
-            .run_blocks_parallel(
+            .run_blocks_parallel_opts(
                 &k,
                 LaunchConfig::new(1u32, 4u32),
                 &[0..1, 0..1],
                 &[Arg::Buffer(out)],
+                &ExecOptions::default(),
             )
             .unwrap_err();
         assert!(matches!(err, ExecError::OutOfBounds { .. }));

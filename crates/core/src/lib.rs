@@ -66,7 +66,7 @@ pub use graph::{
 pub use options::{RunOptions, RunOptionsBuilder};
 pub use program::{ArgSpec, GpuProgram, HostOp, ProgramBackend, ProgramBuilder, ProgramResult};
 pub use report::{ExecMode, FaultSummary, LaunchReport, PhaseTimes, ThreePhaseShape};
-pub use runtime::{CuccCluster, ExecutionFidelity, RuntimeConfig, RuntimeConfigBuilder};
+pub use runtime::{CuccCluster, ExecutionFidelity, RuntimeConfig};
 pub use schedule::{
     schedule_key, CacheStats, LaunchSchedule, ScheduleCache, ScheduleDecision, ScheduleKey,
 };

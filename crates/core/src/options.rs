@@ -66,9 +66,8 @@ impl From<RuntimeConfig> for RunOptions {
     }
 }
 
-/// Chainable constructor for [`RunOptions`]: the runtime knobs of
-/// [`crate::runtime::RuntimeConfigBuilder`] plus the session knobs, one
-/// builder for both.
+/// Chainable constructor for [`RunOptions`] — the one builder: the
+/// [`RuntimeConfig`] knobs and the session knobs alike.
 ///
 /// ```
 /// use cucc_core::RunOptions;
@@ -215,10 +214,11 @@ mod tests {
 
     #[test]
     fn from_runtime_config_preserves_every_knob() {
-        let cfg = RuntimeConfig::builder()
-            .sanitize(true)
-            .node_threads(2)
-            .build();
+        let cfg = RuntimeConfig {
+            sanitize: true,
+            node_threads: 2,
+            ..RuntimeConfig::default()
+        };
         let opts: RunOptions = cfg.clone().into();
         assert_eq!(opts.runtime, cfg);
         assert_eq!(opts.streams, 0);

@@ -39,13 +39,11 @@ pub enum ExecutionFidelity {
     Modeled,
 }
 
-/// Runtime knobs.
+/// Runtime knobs: the plain data behind [`crate::RunOptions::runtime`].
 ///
-/// Construct via [`RuntimeConfig::builder`] (or [`RuntimeConfig::default`] /
-/// [`RuntimeConfig::modeled`] plus struct update). Direct field-by-field
-/// struct literals are considered legacy style: every added knob (like
-/// [`RuntimeConfig::faults`]) breaks them, while the builder and struct
-/// update stay source-compatible.
+/// Construct through [`crate::RunOptions::builder`] (the one builder), or
+/// from [`RuntimeConfig::default`] / [`RuntimeConfig::modeled`] plus struct
+/// update; a bare `RuntimeConfig` converts into [`crate::RunOptions`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Functional vs modeled execution.
@@ -73,9 +71,10 @@ pub struct RuntimeConfig {
     pub sanitize: bool,
     /// Deterministic fault plan: scripted node kills, stragglers, and
     /// dropped collective steps, plus the retry policy used to detect
-    /// them. [`FaultPlan::none`] (the default) keeps the fault machinery
-    /// entirely out of the launch path, so fault-free sessions reproduce
-    /// pre-fault reports bit-for-bit.
+    /// them. Every launch walks the same fault-aware executor; under
+    /// [`FaultPlan::none`] (the default) no event ever fires, so stretches
+    /// return their input, collectives never retry, and reports reproduce
+    /// the pre-fault arithmetic bit-for-bit.
     pub faults: FaultPlan,
 }
 
@@ -103,96 +102,6 @@ impl RuntimeConfig {
             verify_consistency: false,
             ..RuntimeConfig::default()
         }
-    }
-
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> RuntimeConfigBuilder {
-        RuntimeConfigBuilder {
-            config: RuntimeConfig::default(),
-        }
-    }
-}
-
-/// Chainable constructor for [`RuntimeConfig`] — the supported way to set
-/// runtime knobs without naming every field.
-///
-/// ```
-/// use cucc_core::runtime::RuntimeConfig;
-/// let cfg = RuntimeConfig::builder().node_threads(2).sanitize(true).build();
-/// assert!(cfg.sanitize);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RuntimeConfigBuilder {
-    config: RuntimeConfig,
-}
-
-impl RuntimeConfigBuilder {
-    /// Switch to timing-only modeled fidelity (disables consistency
-    /// verification, like [`RuntimeConfig::modeled`]).
-    pub fn modeled(mut self) -> Self {
-        self.config.fidelity = ExecutionFidelity::Modeled;
-        self.config.verify_consistency = false;
-        self
-    }
-
-    /// Set the execution fidelity directly.
-    pub fn fidelity(mut self, fidelity: ExecutionFidelity) -> Self {
-        self.config.fidelity = fidelity;
-        self
-    }
-
-    /// Select the functional block executor.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Worker threads per node (`0` = derive from the host).
-    pub fn node_threads(mut self, threads: usize) -> Self {
-        self.config.node_threads = threads;
-        self
-    }
-
-    /// Enable or disable the dynamic kernel sanitizer.
-    pub fn sanitize(mut self, on: bool) -> Self {
-        self.config.sanitize = on;
-        self
-    }
-
-    /// Choose the Allgather algorithm.
-    pub fn allgather_algo(mut self, algo: AllgatherAlgo) -> Self {
-        self.config.allgather_algo = algo;
-        self
-    }
-
-    /// Choose the Allgather buffer placement.
-    pub fn placement(mut self, placement: AllgatherPlacement) -> Self {
-        self.config.placement = placement;
-        self
-    }
-
-    /// Enable or disable the per-launch consistency check.
-    pub fn verify_consistency(mut self, on: bool) -> Self {
-        self.config.verify_consistency = on;
-        self
-    }
-
-    /// Blocks sampled per launch profile.
-    pub fn profile_samples(mut self, samples: usize) -> Self {
-        self.config.profile_samples = samples;
-        self
-    }
-
-    /// Install a fault plan (scripted kills/stragglers/drops + retry
-    /// policy).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.config.faults = plan;
-        self
-    }
-
-    /// Finish and return the configuration.
-    pub fn build(self) -> RuntimeConfig {
-        self.config
     }
 }
 
@@ -235,10 +144,11 @@ pub struct CuccCluster {
     /// Observations of the most recent sanitized launch (populated only
     /// when [`RuntimeConfig::sanitize`] is on).
     last_sanitize: Option<cucc_exec::SanitizeReport>,
-    /// The fault injector, seeded from [`RuntimeConfig::faults`]. `None`
-    /// when the plan is empty, which keeps every fault branch off the
-    /// launch path (the bit-for-bit guarantee).
-    fault_state: Option<FaultInjector>,
+    /// The fault injector, seeded from [`RuntimeConfig::faults`] and always
+    /// present: an empty plan holds no events, so every query the launch
+    /// path makes (`stretch`, `kill_pending`, `take_drop`, `joins_pending`)
+    /// loops over nothing and the fault-free arithmetic is untouched.
+    fault_state: FaultInjector,
     /// Memoized launch schedules (graph replay). Keyed on the interned
     /// membership-shape id from [`ClusterState`], so entries survive
     /// membership changes and become valid again when the cluster returns
@@ -271,11 +181,7 @@ impl CuccCluster {
         } else {
             spec
         };
-        let fault_state = if config.faults.is_empty() {
-            None
-        } else {
-            Some(FaultInjector::new(config.faults.clone()))
-        };
+        let fault_state = FaultInjector::new(config.faults.clone());
         CuccCluster {
             sim: SimCluster::new(sim_spec),
             config,
@@ -287,13 +193,6 @@ impl CuccCluster {
             schedule_cache: ScheduleCache::new(),
             pending: BTreeMap::new(),
         }
-    }
-
-    /// Legacy constructor, kept as a thin shim over
-    /// [`CuccCluster::with_options`].
-    #[deprecated(note = "use CuccCluster::with_options — RunOptions subsumes RuntimeConfig")]
-    pub fn new(spec: ClusterSpec, config: RuntimeConfig) -> CuccCluster {
-        CuccCluster::with_options(spec, config)
     }
 
     /// Logical node ids that are still alive, in ascending order.
@@ -418,8 +317,7 @@ impl CuccCluster {
 
     /// Record one host-side transfer span starting at `t0`, reserve the
     /// host lane for it, and return its end time. The single recording
-    /// path behind `h2d`/`d2h`/`d2h_f32`/`h2d_f32` and their async
-    /// variants.
+    /// path behind `upload`/`download` and their `_on` stream variants.
     fn record_host_transfer(
         &mut self,
         name: &'static str,
@@ -521,13 +419,10 @@ impl CuccCluster {
     /// report window — the joiner's state transfer is recorded as a
     /// broadcast, which launch reports assert they never contain.
     fn process_joins(&mut self) -> Result<(), MigrateError> {
-        if self.fault_state.is_none() {
-            return Ok(());
-        }
         loop {
             let t = self.timeline.clock();
             let n = self.state.logical_nodes();
-            let ripe = self.fault_state.as_ref().unwrap().joins_pending(t);
+            let ripe = self.fault_state.joins_pending(t);
             // A join for a currently-alive slot stays pending — it fires
             // at the first boundary that finds the slot dead (a `kill` at
             // the same timestamp is admitted first, mid-launch).
@@ -549,10 +444,9 @@ impl CuccCluster {
     fn admit_join(&mut self, node: u32, t: f64) -> Result<(), MigrateError> {
         let n = self.state.logical_nodes();
         let nn = node as usize;
-        let inj = self.fault_state.as_mut().unwrap();
-        inj.take_join(node, t);
+        self.fault_state.take_join(node, t);
         // The join supersedes whatever kill(s) took this slot down.
-        inj.absorb_kills(node, t);
+        self.fault_state.absorb_kills(node, t);
         if nn < n && self.state.is_alive(nn) {
             // Already a member: the join is a no-op (but stays consumed).
             return Ok(());
@@ -602,10 +496,9 @@ impl CuccCluster {
     }
 
     /// Host→device copy: broadcast `data` to every node's replica of `buf`,
-    /// charged to the clock. The generic, validated entry point behind
-    /// [`CuccCluster::h2d`] and [`CuccCluster::h2d_f32`]. Records the
-    /// broadcast on the timeline — including the wire traffic the
-    /// pre-timeline accounting never attributed anywhere.
+    /// charged to the clock. Typed and validated. Records the broadcast on
+    /// the timeline — including the wire traffic the pre-timeline
+    /// accounting never attributed anywhere.
     pub fn upload<T: HostScalar>(&mut self, buf: BufferId, data: &[T]) -> Result<(), MigrateError> {
         self.check_upload::<T>(buf, data.len())?;
         self.sync_point()?;
@@ -619,8 +512,7 @@ impl CuccCluster {
     }
 
     /// Device→host copy of a whole buffer. Free in the time model, but
-    /// recorded on the timeline's host track. The generic, validated entry
-    /// point behind [`CuccCluster::d2h`] and [`CuccCluster::d2h_f32`].
+    /// recorded on the timeline's host track. Typed and validated.
     pub fn download<T: HostScalar>(&mut self, buf: BufferId) -> Result<Vec<T>, MigrateError> {
         self.check_download::<T>(buf)?;
         self.sync_point()?;
@@ -629,38 +521,6 @@ impl CuccCluster {
         let t = self.timeline.clock();
         self.record_host_transfer("d2h", Category::D2h, t, 0.0);
         Ok(T::decode(self.sim.read(self.read_node(), buf)))
-    }
-
-    /// Untyped host→device broadcast. Panicking shim over
-    /// [`CuccCluster::upload`] for legacy call sites.
-    #[deprecated(note = "use CuccCluster::upload — typed, validated, Result-based")]
-    pub fn h2d(&mut self, buf: BufferId, data: &[u8]) {
-        self.upload(buf, data)
-            .unwrap_or_else(|e| panic!("h2d failed: {e}"));
-    }
-
-    /// Untyped device→host copy. Panicking shim over
-    /// [`CuccCluster::download`] for legacy call sites.
-    #[deprecated(note = "use CuccCluster::download — typed, validated, Result-based")]
-    pub fn d2h(&mut self, buf: BufferId) -> Vec<u8> {
-        self.download(buf)
-            .unwrap_or_else(|e| panic!("d2h failed: {e}"))
-    }
-
-    /// Typed convenience reads. Panicking shim over
-    /// [`CuccCluster::download`] for legacy call sites.
-    #[deprecated(note = "use CuccCluster::download::<f32>")]
-    pub fn d2h_f32(&mut self, buf: BufferId) -> Vec<f32> {
-        self.download(buf)
-            .unwrap_or_else(|e| panic!("d2h_f32 failed: {e}"))
-    }
-
-    /// Typed convenience writes (broadcast). Panicking shim over
-    /// [`CuccCluster::upload`] for legacy call sites.
-    #[deprecated(note = "use CuccCluster::upload::<f32>")]
-    pub fn h2d_f32(&mut self, buf: BufferId, data: &[f32]) {
-        self.upload(buf, data)
-            .unwrap_or_else(|e| panic!("h2d_f32 failed: {e}"));
     }
 
     /// The pure **planning** stage of a launch: run the launch-time
@@ -721,7 +581,7 @@ impl CuccCluster {
         // flight, so the network floor is the clock itself; `t0 + partial`
         // can never round below `t0`, so the legacy serial layout — and its
         // exact f64 arithmetic — is reproduced.
-        let (report, _end) = self.execute_schedule(ck, launch, args, &sched, t0, t0)?;
+        let (report, _end) = self.execute_schedule(ck, launch, args, &sched, t0, t0, &[])?;
         // The report's times and wire bytes are *derived* from the spans
         // and counters this launch recorded; the invariant check asserts
         // they reproduce the directly-computed legacy values bit-for-bit.
@@ -826,7 +686,7 @@ impl CuccCluster {
         }
         let net_floor = self.timeline.lane_ready(Track::Network);
         let mark = self.timeline.checkpoint();
-        let (report, end) = self.execute_schedule(ck, launch, args, &sched, t0, net_floor)?;
+        let (report, end) = self.execute_schedule(ck, launch, args, &sched, t0, net_floor, &[])?;
         let report = self.derive_report(mark, report, ck);
         self.streams
             .commit(stream, &sched.reads, &sched.writes, end);
@@ -881,30 +741,6 @@ impl CuccCluster {
         self.record_host_transfer("d2h", Category::D2h, t0, 0.0);
         self.streams.commit(stream, &[buf], &[], t0);
         Ok(T::decode(self.sim.read(self.read_node(), buf)))
-    }
-
-    /// Untyped async broadcast. Panicking shim over
-    /// [`CuccCluster::upload_on`] for legacy call sites.
-    #[deprecated(note = "use CuccCluster::upload_on")]
-    pub fn h2d_async(&mut self, buf: BufferId, data: &[u8], stream: StreamId) {
-        self.upload_on(buf, data, stream)
-            .unwrap_or_else(|e| panic!("h2d_async failed: {e}"));
-    }
-
-    /// Typed async broadcast. Panicking shim over
-    /// [`CuccCluster::upload_on`] for legacy call sites.
-    #[deprecated(note = "use CuccCluster::upload_on::<f32>")]
-    pub fn h2d_async_f32(&mut self, buf: BufferId, data: &[f32], stream: StreamId) {
-        self.upload_on(buf, data, stream)
-            .unwrap_or_else(|e| panic!("h2d_async_f32 failed: {e}"));
-    }
-
-    /// Untyped async device→host copy. Panicking shim over
-    /// [`CuccCluster::download_on`] for legacy call sites.
-    #[deprecated(note = "use CuccCluster::download_on")]
-    pub fn d2h_async(&mut self, buf: BufferId, stream: StreamId) -> Vec<u8> {
-        self.download_on(buf, stream)
-            .unwrap_or_else(|e| panic!("d2h_async failed: {e}"))
     }
 
     /// Record an event capturing `stream`'s current position.
@@ -1057,7 +893,10 @@ impl CuccCluster {
             clock: self.timeline.clock(),
             modeled: self.config.fidelity == ExecutionFidelity::Modeled,
             alive: self.state.alive().to_vec(),
-            fault_cursor: self.fault_state.as_ref().map(|inj| inj.cursor()),
+            // Only an armed plan has consumption state worth carrying; an
+            // empty plan's image stays cursor-free (and byte-identical to
+            // the images written before the injector was always present).
+            fault_cursor: (!self.config.faults.is_empty()).then(|| self.fault_state.cursor()),
             buffers,
         })
     }
@@ -1116,18 +955,16 @@ impl CuccCluster {
         // Consumed one-shot fault events stay consumed across the restore,
         // and the fault RNG continues its checkpointed sequence.
         if let Some((rng, used)) = &ckpt.fault_cursor {
-            match cl.fault_state.as_mut() {
-                Some(inj) => inj
-                    .restore_cursor(*rng, used)
-                    .map_err(MigrateError::Checkpoint)?,
-                None => {
-                    return Err(MigrateError::Checkpoint(
-                        "the checkpoint carries a fault-session cursor but the restore \
-                         config has no fault plan"
-                            .into(),
-                    ))
-                }
+            if cl.config.faults.is_empty() {
+                return Err(MigrateError::Checkpoint(
+                    "the checkpoint carries a fault-session cursor but the restore \
+                     config has no fault plan"
+                        .into(),
+                ));
             }
+            cl.fault_state
+                .restore_cursor(*rng, used)
+                .map_err(MigrateError::Checkpoint)?;
         }
         // Resume the simulated clock at the checkpointed floor.
         cl.timeline.advance_to(ckpt.clock);
@@ -1170,31 +1007,7 @@ impl CuccCluster {
         }
         let mark = self.timeline.checkpoint();
         let t0 = self.timeline.clock();
-        let (report, _end) = if elide.iter().any(|&e| e) {
-            // Elision is only planned on the fault-free three-phase path.
-            let ScheduleDecision::ThreePhase {
-                plan,
-                part,
-                has_tail_block,
-            } = &sched.decision
-            else {
-                unreachable!("elision planned for a non-three-phase launch")
-            };
-            self.execute_three_phase(
-                ck,
-                launch,
-                args,
-                sched,
-                plan.clone(),
-                part.clone(),
-                *has_tail_block,
-                t0,
-                t0,
-                &elide,
-            )?
-        } else {
-            self.execute_schedule(ck, launch, args, sched, t0, t0)?
-        };
+        let (report, _end) = self.execute_schedule(ck, launch, args, sched, t0, t0, &elide)?;
         let report = self.derive_report(mark, report, ck);
         self.timeline.advance(report.time());
 
@@ -1277,9 +1090,9 @@ impl CuccCluster {
         id: BufferId,
         pg: &PendingGather,
     ) -> PendingAction {
-        // Fault sessions never elide; if one inherits pending state,
-        // resolve it the safe way.
-        if self.fault_state.is_some() {
+        // Policy: a session with an armed fault plan never elides; if one
+        // inherits pending state, resolve it the safe way.
+        if !self.config.faults.is_empty() {
             return PendingAction::Materialize;
         }
         // Replicated consumers run the whole grid on every node: any node
@@ -1346,16 +1159,16 @@ impl CuccCluster {
         }
     }
 
-    /// Which of this launch's own gathered regions can be deferred: the
-    /// fault-free three-phase path, unaliased region buffers, and no
-    /// callback-phase read touching the gathered span.
+    /// Which of this launch's own gathered regions can be deferred: a
+    /// three-phase launch under an empty fault plan, unaliased region
+    /// buffers, and no callback-phase read touching the gathered span.
     fn elision_plan(
         &self,
         args: &[Arg],
         sched: &LaunchSchedule,
         fps: Option<&LaunchFootprints>,
     ) -> Vec<bool> {
-        if self.fault_state.is_some() {
+        if !self.config.faults.is_empty() {
             return Vec::new();
         }
         let ScheduleDecision::ThreePhase { plan, part, .. } = &sched.decision else {
@@ -1524,12 +1337,8 @@ impl CuccCluster {
     fn verify_written(&self, ck: &CompiledKernel, args: &[Arg]) -> Result<(), MigrateError> {
         if self.config.verify_consistency && self.config.fidelity == ExecutionFidelity::Functional {
             // Dead nodes keep stale pre-recovery bytes; the invariant holds
-            // over the surviving communicator.
-            let survivors: Vec<usize> = if self.fault_state.is_some() {
-                self.alive_ids().iter().map(|&i| i as usize).collect()
-            } else {
-                (0..self.state.logical_nodes()).collect()
-            };
+            // over the surviving communicator (every node, absent faults).
+            let survivors: Vec<usize> = self.alive_ids().iter().map(|&i| i as usize).collect();
             for p in ck.kernel.written_global_buffers() {
                 let Arg::Buffer(id) = args[p.index()] else {
                     continue;
@@ -1540,12 +1349,7 @@ impl CuccCluster {
                 if self.pending.contains_key(&id) {
                     continue;
                 }
-                let ok = if self.fault_state.is_some() {
-                    self.sim.consistent_among(id, &survivors)
-                } else {
-                    self.sim.consistent(id)
-                };
-                if !ok {
+                if !self.sim.consistent_among(id, &survivors) {
                     return Err(MigrateError::Launch(format!(
                         "consistency violation: buffer `{}` differs across nodes after `{}`",
                         ck.kernel.params[p.index()].name(),
@@ -1558,8 +1362,10 @@ impl CuccCluster {
     }
 
     /// Rebuild a launch report's scalar accounting from the timeline
-    /// window the launch recorded, asserting it matches the directly
-    /// computed values bit-for-bit.
+    /// window the launch recorded, asserting it matches the values the
+    /// executor computed directly from its walk bit-for-bit (`retry` and
+    /// `reexec` are timeline views on both sides: their definitions are
+    /// scans).
     fn derive_report(&self, mark: Mark, report: LaunchReport, ck: &CompiledKernel) -> LaunchReport {
         let tl = &self.timeline;
         let derived = PhaseTimes {
@@ -1574,9 +1380,11 @@ impl CuccCluster {
             broadcast: tl.time_in_since(mark, Category::Broadcast),
             // Retry spans are wasted wire time: a flat in-order sum.
             retry: tl.time_in_since(mark, Category::Retry),
-            // Re-execution rounds are recorded uniformly on every current
-            // survivor and survivors only shrink, so the slowest track's
-            // in-order sum accumulates every round exactly.
+            // Each re-execution round is recorded uniformly on every node
+            // in the communicator at that moment. Membership can shrink
+            // (deaths) and grow (mid-launch joins) between rounds, so a
+            // track holds only the rounds its node took part in; the
+            // phase time is the slowest track's in-order sum.
             reexec: tl.max_track_sum_since(mark, Category::Reexec),
         };
         let derived_wire = tl.wire_bytes_since(mark);
@@ -1660,6 +1468,12 @@ impl CuccCluster {
     /// span. Does not advance the clock — the caller owns that (serially
     /// in [`CuccCluster::launch`], via stream commit in
     /// [`CuccCluster::launch_on`]).
+    ///
+    /// `elide` (parallel to the three-phase plan's `buffers`, or empty for
+    /// "gather all") marks regions whose Allgather the graph replayer
+    /// defers: they produce no collective spans, no wire bytes, and no
+    /// functional gather — each node keeps only its own slice.
+    #[allow(clippy::too_many_arguments)]
     fn execute_schedule(
         &mut self,
         ck: &CompiledKernel,
@@ -1668,296 +1482,37 @@ impl CuccCluster {
         sched: &LaunchSchedule,
         t0: f64,
         net_floor: f64,
+        elide: &[bool],
     ) -> Result<(LaunchReport, f64), MigrateError> {
         match &sched.decision {
             ScheduleDecision::ThreePhase {
                 plan,
                 part,
                 has_tail_block,
-            } => {
-                let plan = plan.clone();
-                let part = part.clone();
-                let tail = *has_tail_block;
-                if self.fault_state.is_some() {
-                    self.execute_three_phase_faulty(
-                        ck, launch, args, sched, plan, part, tail, t0, net_floor,
-                    )
-                } else {
-                    self.execute_three_phase(
-                        ck,
-                        launch,
-                        args,
-                        sched,
-                        plan,
-                        part,
-                        tail,
-                        t0,
-                        net_floor,
-                        &[],
-                    )
-                }
-            }
+            } => self.execute_three_phase(
+                ck,
+                launch,
+                args,
+                sched,
+                plan.clone(),
+                part.clone(),
+                *has_tail_block,
+                t0,
+                net_floor,
+                elide,
+            ),
             ScheduleDecision::Replicated { cause } => {
-                let cause = cause.clone();
-                if self.fault_state.is_some() {
-                    self.execute_replicated_faulty(ck, launch, args, sched, cause, t0)
-                } else {
-                    self.execute_replicated(ck, launch, args, sched, cause, t0)
-                }
+                self.execute_replicated(ck, launch, args, sched, cause.clone(), t0)
             }
         }
     }
 
-    /// `elide` (parallel to `tp.buffers`, or empty for "gather all") marks
-    /// regions whose Allgather is deferred by the graph replayer: they
-    /// produce no collective spans, no wire bytes, and no functional
-    /// gather — each node keeps only its own slice.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_three_phase(
-        &mut self,
-        ck: &CompiledKernel,
-        launch: LaunchConfig,
-        args: &[Arg],
-        sched: &LaunchSchedule,
-        tp: ThreePhasePlan,
-        part: Partition,
-        has_tail_block: bool,
-        t0: f64,
-        net_floor: f64,
-        elide: &[bool],
-    ) -> Result<(LaunchReport, f64), MigrateError> {
-        let n = self.state.logical_nodes() as u64;
-        let profile = &sched.profile;
-
-        // ---- Phase 1: partial block execution -------------------------
-        let pbn = part.partial_blocks_per_node;
-        let t_partial = sched.times.partial;
-        for i in 0..n {
-            self.timeline.span(
-                format!("{}: partial ({pbn} blocks)", ck.name()),
-                Track::Node(i as u32),
-                Category::Partial,
-                t0,
-                t_partial,
-            );
-        }
-
-        // ---- Phase 2: balanced in-place Allgather ----------------------
-        // `fl(t0 + t_partial) >= t0` for non-negative durations, so with
-        // `net_floor == t0` (the synchronous path) the max is exactly the
-        // legacy `t0 + t_partial` — serial layouts are preserved
-        // bit-for-bit. An async launch may instead wait here for the
-        // network lane (an in-flight h2d broadcast).
-        let t_ag0 = (t0 + t_partial).max(net_floor);
-        let mut t_allgather = 0.0;
-        let mut wire_bytes = 0u64;
-        for (idx, region) in tp.buffers.iter().enumerate() {
-            if elide.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            let unit = region.unit * part.chunks_per_node;
-            let label = format!(
-                "allgather {}",
-                ck.kernel.params[region.param.index()].name()
-            );
-            let cost = allgather_cost_traced(
-                n as usize,
-                unit,
-                &self.sim.spec.net,
-                self.config.allgather_algo,
-                self.config.placement,
-                &mut self.timeline,
-                t_ag0 + t_allgather,
-                &label,
-            );
-            t_allgather += cost.time;
-            wire_bytes += cost.wire_bytes;
-        }
-        if t_allgather > 0.0 {
-            // Visualization-only: every node blocks in the collective.
-            for i in 0..n {
-                self.timeline.child_span(
-                    "allgather",
-                    Track::Node(i as u32),
-                    Category::Allgather,
-                    t_ag0,
-                    t_allgather,
-                );
-            }
-        }
-
-        // ---- Phase 3: callback block execution -------------------------
-        let callback_full = part.callback_blocks - u64::from(has_tail_block);
-        let t_callback = sched.times.callback;
-        let t_cb0 = t_ag0 + t_allgather;
-        for i in 0..n {
-            self.timeline.span(
-                format!("{}: callback ({} blocks)", ck.name(), part.callback_blocks),
-                Track::Node(i as u32),
-                Category::Callback,
-                t_cb0,
-                t_callback,
-            );
-        }
-
-        // ---- Functional execution --------------------------------------
-        let mut node_stats = profile.per_block.scaled(pbn + callback_full);
-        if has_tail_block {
-            node_stats += profile.tail_block;
-        }
-        if self.config.fidelity == ExecutionFidelity::Functional {
-            let assignments: Vec<_> = (0..n).map(|i| i * pbn..(i + 1) * pbn).collect();
-            // Three-phase plans are Allgather-distributable — per-block
-            // write intervals are disjoint — so intra-node block
-            // parallelism is safe to enable here.
-            let opts = ExecOptions {
-                engine: self.config.engine,
-                node_threads: self.config.node_threads,
-                block_parallel: true,
-            };
-            // Compile once per launch; both execution phases reuse it.
-            let prog = match opts.engine {
-                EngineKind::Bytecode | EngineKind::Simd => {
-                    Some(self.compile_certified(ck, launch, args)?)
-                }
-                EngineKind::TreeWalk => None,
-            };
-            let stats = if let Some(prog) = &prog {
-                self.sim.run_program_parallel(prog, &assignments, &opts)?
-            } else {
-                self.sim
-                    .run_blocks_parallel_opts(&ck.kernel, launch, &assignments, args, &opts)?
-            };
-            for (idx, region) in tp.buffers.iter().enumerate() {
-                if elide.get(idx).copied().unwrap_or(false) {
-                    continue;
-                }
-                let unit = region.unit * part.chunks_per_node;
-                let Arg::Buffer(id) = args[region.param.index()] else {
-                    return Err(MigrateError::Launch(format!(
-                        "parameter {} is not a buffer",
-                        region.param
-                    )));
-                };
-                if unit > 0 {
-                    self.sim.allgather_region(
-                        id,
-                        region.base,
-                        unit,
-                        self.config.allgather_algo,
-                        self.config.placement,
-                    );
-                }
-            }
-            let cb: Vec<_> = (0..n).map(|_| part.callback_start..tp.num_blocks).collect();
-            let cb_stats = if let Some(prog) = &prog {
-                self.sim.run_program_parallel(prog, &cb, &opts)?
-            } else {
-                self.sim
-                    .run_blocks_parallel_opts(&ck.kernel, launch, &cb, args, &opts)?
-            };
-            node_stats = stats[0] + cb_stats[0];
-        }
-
-        // Per-node execution statistics as counter samples at launch start.
-        for i in 0..n {
-            node_stats.emit_counters(&mut self.timeline, Track::Node(i as u32), t0);
-        }
-
-        // The launch occupies every node lane until its last phase ends,
-        // and the network lane for the Allgather window.
-        let end = t_cb0 + t_callback;
-        for i in 0..n {
-            self.timeline.reserve_lane(Track::Node(i as u32), end);
-        }
-        if t_allgather > 0.0 {
-            self.timeline.reserve_lane(Track::Network, t_cb0);
-        }
-
-        Ok((
-            LaunchReport {
-                mode: ExecMode::ThreePhase {
-                    plan: tp,
-                    nodes: n,
-                    partial_blocks_per_node: pbn,
-                    callback_blocks: part.callback_blocks,
-                },
-                times: PhaseTimes {
-                    partial: t_partial,
-                    allgather: t_allgather,
-                    callback: t_callback,
-                    ..PhaseTimes::default()
-                },
-                node_stats,
-                wire_bytes,
-                faults: FaultSummary::default(),
-            },
-            end,
-        ))
-    }
-
-    fn execute_replicated(
-        &mut self,
-        ck: &CompiledKernel,
-        launch: LaunchConfig,
-        args: &[Arg],
-        sched: &LaunchSchedule,
-        cause: ReplicationCause,
-        t0: f64,
-    ) -> Result<(LaunchReport, f64), MigrateError> {
-        let n = self.state.logical_nodes() as u64;
-        let t = sched.times.callback;
-        let mut node_stats = sched.profile.total;
-        if self.config.fidelity == ExecutionFidelity::Functional {
-            let all: Vec<_> = (0..n).map(|_| 0..launch.num_blocks()).collect();
-            // Replicated launches are exactly the non-distributable ones
-            // (atomics, overlapping writes): keep blocks serial per node.
-            let opts = ExecOptions {
-                engine: self.config.engine,
-                node_threads: self.config.node_threads,
-                block_parallel: false,
-            };
-            let stats = self
-                .sim
-                .run_blocks_parallel_opts(&ck.kernel, launch, &all, args, &opts)?;
-            node_stats = stats[0];
-        }
-        // Every node redundantly runs the whole grid; the legacy accounting
-        // files replicated time under the callback phase.
-        let end = t0 + t;
-        for i in 0..n {
-            self.timeline.span(
-                format!("{}: replicated ({} blocks)", ck.name(), launch.num_blocks()),
-                Track::Node(i as u32),
-                Category::Callback,
-                t0,
-                t,
-            );
-            node_stats.emit_counters(&mut self.timeline, Track::Node(i as u32), t0);
-            self.timeline.reserve_lane(Track::Node(i as u32), end);
-        }
-        Ok((
-            LaunchReport {
-                mode: ExecMode::Replicated { cause },
-                times: PhaseTimes {
-                    callback: t,
-                    ..PhaseTimes::default()
-                },
-                node_stats,
-                wire_bytes: 0,
-                faults: FaultSummary::default(),
-            },
-            end,
-        ))
-    }
-
-    /// Fault-aware three-phase execution. Taken only when a fault plan is
-    /// installed, so the fault-free path above keeps its legacy arithmetic
-    /// untouched. When the plan fires nothing, the produced report is
-    /// bit-identical to the fault-free one (stretches return durations
-    /// unchanged, the fallible collective reproduces the clean layout, and
-    /// all report scalars are the same derived views `derive_report`
-    /// asserts against).
+    /// Three-phase execution — the only one. Every launch walks the
+    /// fault-aware protocol; when the plan fires nothing (always, for the
+    /// empty plan) stretches return durations unchanged, the fallible
+    /// collective lays out the clean collective, the recovery loop runs
+    /// its body once, and the result is the paper's plain §4 workflow with
+    /// the pre-fault arithmetic, bit for bit.
     ///
     /// Recovery protocol on a confirmed node death:
     /// 1. evict the dead node from the surviving communicator;
@@ -1974,7 +1529,7 @@ impl CuccCluster {
     /// complete, so each block runs at most once per surviving pool —
     /// read-modify-write kernels stay correct through recovery.
     #[allow(clippy::too_many_arguments)]
-    fn execute_three_phase_faulty(
+    fn execute_three_phase(
         &mut self,
         ck: &CompiledKernel,
         launch: LaunchConfig,
@@ -1985,23 +1540,20 @@ impl CuccCluster {
         has_tail_block: bool,
         t0: f64,
         net_floor: f64,
+        elide: &[bool],
     ) -> Result<(LaunchReport, f64), MigrateError> {
         let mark = self.timeline.checkpoint();
+        let elided = |idx: usize| elide.get(idx).copied().unwrap_or(false);
         let mut survivors: Vec<u32> = self.alive_ids();
         let initial = survivors.clone();
         let n0 = survivors.len() as u64;
         let pbn = part.partial_blocks_per_node;
         let t_partial = sched.times.partial;
-        let per_block = if pbn > 0 { t_partial / pbn as f64 } else { 0.0 };
 
         // ---- Phase 1: partial block execution (stragglers stretch) -----
         let mut t_partial_eff = 0.0f64;
         for &node in &survivors {
-            let d = self
-                .fault_state
-                .as_ref()
-                .unwrap()
-                .stretch(node, t0, t_partial);
+            let d = self.fault_state.stretch(node, t0, t_partial);
             self.timeline.span(
                 format!("{}: partial ({pbn} blocks)", ck.name()),
                 Track::Node(node),
@@ -2013,11 +1565,25 @@ impl CuccCluster {
         }
 
         // ---- Phase 2: Allgather with retry, eviction and re-partition --
+        // `fl(t0 + t_partial) >= t0` for non-negative durations, so with
+        // `net_floor == t0` (the synchronous path) the max is exactly
+        // `t0 + t_partial` — serial layouts are preserved bit-for-bit. An
+        // async launch may instead wait here for the network lane (an
+        // in-flight h2d broadcast).
         let t_ag_start = (t0 + t_partial_eff).max(net_floor);
+        // Everything the phase has spent so far — collectives, retries,
+        // re-execution rounds — summed in order; the walk's position is
+        // always `t_ag_start + t_blocked`, which is also how the plain
+        // workflow lays consecutive collectives out.
+        let mut t_blocked = 0.0f64;
         let mut t_cursor = t_ag_start;
+        // What the report states, accumulated as the walk goes: the
+        // completed collectives' analytic time and wire bytes (plus join
+        // state transfers).
+        let mut t_allgather = 0.0f64;
+        let mut wire_bytes = 0u64;
         let mut failures = 0u32;
         let mut retries_total = 0u32;
-        let mut reexec_blocks = 0u64;
         let mut degraded_ctx: Option<String> = None;
         // The §6 balance invariant: the total distributed chunk count is
         // fixed by the plan; a survivor set can take over the dead node's
@@ -2025,14 +1591,12 @@ impl CuccCluster {
         let dist_chunks = part.chunks_per_node * n0;
         let mut cur_cpn = part.chunks_per_node;
         let mut cur_pbn = pbn;
-        // Global block ids each survivor slot currently holds results for
-        // (contiguous by construction: re-partition hands each survivor
-        // its full new slice).
-        let mut owned: Vec<std::ops::Range<u64>> =
-            (0..n0).map(|i| i * pbn..(i + 1) * pbn).collect();
-        // Deferred re-execution passes (per-pool block ranges), run after
-        // the timing walk.
-        let mut reexec_passes: Vec<Vec<std::ops::Range<u64>>> = Vec::new();
+        let mut slices = Repartition {
+            per_block: if pbn > 0 { t_partial / pbn as f64 } else { 0.0 },
+            owned: (0..n0).map(|i| i * pbn..(i + 1) * pbn).collect(),
+            passes: Vec::new(),
+            reexec_blocks: 0,
+        };
         // Nodes admitted mid-launch via a `join:` event (they are not in
         // `initial`): the functional section first hands each one the
         // donor's launch-entry pool, and their tracks join the lane floor.
@@ -2049,32 +1613,29 @@ impl CuccCluster {
             // — cluster *growth* is a launch-boundary operation — and the
             // §6 balance rule gates admission exactly like the death-side
             // re-partition below.
-            while let Some(node) = self
-                .fault_state
-                .as_ref()
-                .unwrap()
-                .joins_pending(t_cursor)
-                .into_iter()
-                .find(|&jn| {
-                    // A node that died *this* launch rejoins at the next
-                    // launch boundary: its pool already ran partial blocks
-                    // here, and a mid-launch readmission would re-apply
-                    // them (wrong for read-modify-write kernels).
-                    (jn as usize) < self.state.logical_nodes()
-                        && !survivors.contains(&jn)
-                        && !initial.contains(&jn)
-                        && !deferred_joins.contains(&jn)
-                })
+            while let Some(node) =
+                self.fault_state
+                    .joins_pending(t_cursor)
+                    .into_iter()
+                    .find(|&jn| {
+                        // A node that died *this* launch rejoins at the next
+                        // launch boundary: its pool already ran partial blocks
+                        // here, and a mid-launch readmission would re-apply
+                        // them (wrong for read-modify-write kernels).
+                        (jn as usize) < self.state.logical_nodes()
+                            && !survivors.contains(&jn)
+                            && !initial.contains(&jn)
+                            && !deferred_joins.contains(&jn)
+                    })
             {
                 let m_new = survivors.len() as u64 + 1;
                 if dist_chunks % m_new != 0 {
                     deferred_joins.push(node);
                     continue;
                 }
-                let inj = self.fault_state.as_mut().unwrap();
-                inj.take_join(node, t_cursor);
+                self.fault_state.take_join(node, t_cursor);
                 // The join supersedes the kill(s) that took the slot down.
-                inj.absorb_kills(node, t_cursor);
+                self.fault_state.absorb_kills(node, t_cursor);
                 self.state.mark_alive(node as usize);
                 let slot = survivors
                     .iter()
@@ -2086,12 +1647,12 @@ impl CuccCluster {
                 }
                 // Re-partition onto the enlarged communicator. The joiner
                 // owns nothing yet — an empty range at its new slice
-                // start — so the slice-diff below hands it exactly its
-                // full new slice.
+                // start — so the slice diff hands it exactly its full new
+                // slice.
                 cur_cpn = dist_chunks / m_new;
                 cur_pbn = cur_cpn * tp.chunk_blocks;
                 let start = slot as u64 * cur_pbn;
-                owned.insert(slot, start..start);
+                slices.owned.insert(slot, start..start);
                 // The joiner first receives the launch-entry cluster state
                 // from one survivor (point-to-point on the wire), then
                 // re-executes its slice like any re-partition.
@@ -2100,63 +1661,27 @@ impl CuccCluster {
                 if xfer_bytes > 0 {
                     self.timeline
                         .counter(WIRE_BYTES, Track::Network, t_cursor, xfer_bytes);
+                    wire_bytes += xfer_bytes;
                 }
-                let mut pass_a = vec![0u64..0u64; self.state.logical_nodes()];
-                let mut pass_b = vec![0u64..0u64; self.state.logical_nodes()];
-                let mut t_round = 0.0f64;
-                let mut new_owned = Vec::with_capacity(survivors.len());
-                for (j, &sn) in survivors.iter().enumerate() {
-                    let new = j as u64 * cur_pbn..(j as u64 + 1) * cur_pbn;
-                    let old = &owned[j];
-                    let left = new.start..old.start.clamp(new.start, new.end);
-                    let right = old.end.clamp(new.start, new.end)..new.end;
-                    let blocks = (left.end - left.start) + (right.end - right.start);
-                    let mut d = self.fault_state.as_ref().unwrap().stretch(
-                        sn,
-                        t_cursor,
-                        per_block * blocks as f64,
-                    );
-                    if sn == node {
-                        // The state transfer precedes the joiner's re-run.
-                        d += xfer;
-                    }
-                    t_round = t_round.max(d);
-                    reexec_blocks += blocks;
-                    pass_a[sn as usize] = left;
-                    pass_b[sn as usize] = right;
-                    let merged = if old.start <= new.end && new.start <= old.end {
-                        old.start.min(new.start)..old.end.max(new.end)
-                    } else {
-                        new
-                    };
-                    new_owned.push(merged);
-                }
-                // Recorded uniformly on every current survivor, joiner
-                // included, mirroring the death-side rounds: the derived
-                // `reexec` view sums the slowest surviving track.
-                for &sn in &survivors {
-                    self.timeline.span(
-                        format!("{}: re-exec after node {node} join", ck.name()),
-                        Track::Node(sn),
-                        Category::Reexec,
-                        t_cursor,
-                        t_round,
-                    );
-                }
-                t_cursor += t_round;
-                owned = new_owned;
-                if pass_a.iter().any(|r| r.end > r.start) {
-                    reexec_passes.push(pass_a);
-                }
-                if pass_b.iter().any(|r| r.end > r.start) {
-                    reexec_passes.push(pass_b);
-                }
+                let t_round = self.repartition_round(
+                    &mut slices,
+                    &survivors,
+                    cur_pbn,
+                    t_cursor,
+                    Some((node, xfer)),
+                    format!("{}: re-exec after node {node} join", ck.name()),
+                );
+                t_blocked += t_round;
+                t_cursor = t_ag_start + t_blocked;
                 // The Allgather phase restarts over the enlarged
                 // communicator.
                 continue 'recover;
             }
             let m = survivors.len();
-            for region in &tp.buffers {
+            for (idx, region) in tp.buffers.iter().enumerate() {
+                if elided(idx) {
+                    continue;
+                }
                 let unit = region.unit * cur_cpn;
                 let label = format!(
                     "allgather {}",
@@ -2169,7 +1694,7 @@ impl CuccCluster {
                     self.config.allgather_algo,
                     self.config.placement,
                     &survivors,
-                    self.fault_state.as_mut().unwrap(),
+                    &mut self.fault_state,
                     &mut self.timeline,
                     t_cursor,
                     &label,
@@ -2177,11 +1702,15 @@ impl CuccCluster {
                 match res {
                     Ok(g) => {
                         retries_total += g.retries;
-                        t_cursor += g.retry_time + g.cost.time;
+                        t_blocked += g.retry_time + g.cost.time;
+                        t_cursor = t_ag_start + t_blocked;
+                        t_allgather += g.cost.time;
+                        wire_bytes += g.cost.wire_bytes;
                     }
                     Err(abort) => {
                         retries_total += abort.retries;
-                        t_cursor += abort.retry_time;
+                        t_blocked += abort.retry_time;
+                        t_cursor = t_ag_start + t_blocked;
                         let Some(slot) = abort.dead_slot else {
                             return Err(MigrateError::Timeout {
                                 context: format!("{label} in `{}`", ck.name()),
@@ -2194,7 +1723,7 @@ impl CuccCluster {
                         // schedules stay put and become valid again only if
                         // this exact shape returns (kill → join back).
                         self.state.mark_dead(dead as usize);
-                        owned.remove(slot);
+                        slices.owned.remove(slot);
                         if survivors.is_empty() {
                             return Err(MigrateError::NodeFailure {
                                 node: Some(dead),
@@ -2205,7 +1734,7 @@ impl CuccCluster {
                         let ctx = format!("node {dead} died during {label} in `{}`", ck.name());
                         if dist_chunks % m_new != 0 {
                             // Re-partitioning would break Allgather balance.
-                            if !self.fault_state.as_ref().unwrap().allow_degraded() {
+                            if !self.fault_state.allow_degraded() {
                                 return Err(MigrateError::Degraded {
                                     context: ctx,
                                     survivors: m_new as u32,
@@ -2215,64 +1744,19 @@ impl CuccCluster {
                             break 'recover;
                         }
                         // Re-partition: survivor slot j takes the j-th of
-                        // m_new equal slices; it re-executes only the
-                        // blocks its new slice adds over what it owns.
+                        // m_new equal slices.
                         cur_cpn = dist_chunks / m_new;
                         cur_pbn = cur_cpn * tp.chunk_blocks;
-                        let mut pass_a = vec![0u64..0u64; self.state.logical_nodes()];
-                        let mut pass_b = vec![0u64..0u64; self.state.logical_nodes()];
-                        let mut t_round = 0.0f64;
-                        let mut new_owned = Vec::with_capacity(survivors.len());
-                        for (j, &node) in survivors.iter().enumerate() {
-                            let new = j as u64 * cur_pbn..(j as u64 + 1) * cur_pbn;
-                            let old = &owned[j];
-                            let left = new.start..old.start.clamp(new.start, new.end);
-                            let right = old.end.clamp(new.start, new.end)..new.end;
-                            let blocks = (left.end - left.start) + (right.end - right.start);
-                            let d = self.fault_state.as_ref().unwrap().stretch(
-                                node,
-                                t_cursor,
-                                per_block * blocks as f64,
-                            );
-                            t_round = t_round.max(d);
-                            reexec_blocks += blocks;
-                            pass_a[node as usize] = left;
-                            pass_b[node as usize] = right;
-                            // The pool now holds results for old ∪ new —
-                            // recording only `new` would forget blocks the
-                            // node already ran and re-execute them after a
-                            // later death (double-applying non-idempotent
-                            // kernels). Consecutive slices of one survivor
-                            // always overlap, so the union is contiguous;
-                            // fall back to `new` defensively if not.
-                            let merged = if old.start <= new.end && new.start <= old.end {
-                                old.start.min(new.start)..old.end.max(new.end)
-                            } else {
-                                new
-                            };
-                            new_owned.push(merged);
-                        }
-                        // Recorded uniformly (the round's critical path) on
-                        // every survivor: the slowest surviving track then
-                        // accumulates every round, which is what the
-                        // derived `reexec` view sums.
-                        for &node in &survivors {
-                            self.timeline.span(
-                                format!("{}: re-exec after node {dead} death", ck.name()),
-                                Track::Node(node),
-                                Category::Reexec,
-                                t_cursor,
-                                t_round,
-                            );
-                        }
-                        t_cursor += t_round;
-                        owned = new_owned;
-                        if pass_a.iter().any(|r| r.end > r.start) {
-                            reexec_passes.push(pass_a);
-                        }
-                        if pass_b.iter().any(|r| r.end > r.start) {
-                            reexec_passes.push(pass_b);
-                        }
+                        let t_round = self.repartition_round(
+                            &mut slices,
+                            &survivors,
+                            cur_pbn,
+                            t_cursor,
+                            None,
+                            format!("{}: re-exec after node {dead} death", ck.name()),
+                        );
+                        t_blocked += t_round;
+                        t_cursor = t_ag_start + t_blocked;
                         // The whole Allgather phase restarts over the
                         // surviving communicator.
                         continue 'recover;
@@ -2281,13 +1765,6 @@ impl CuccCluster {
             }
             break 'recover;
         }
-        let net_end = t_cursor;
-
-        let opts = ExecOptions {
-            engine: self.config.engine,
-            node_threads: self.config.node_threads,
-            block_parallel: true,
-        };
         let functional = self.config.fidelity == ExecutionFidelity::Functional;
 
         // ---- Degraded completion: replicated re-run on survivors -------
@@ -2295,11 +1772,7 @@ impl CuccCluster {
             let t_deg = sched.degraded_time;
             let mut t_round = 0.0f64;
             for &node in &survivors {
-                let d = self
-                    .fault_state
-                    .as_ref()
-                    .unwrap()
-                    .stretch(node, t_cursor, t_deg);
+                let d = self.fault_state.stretch(node, t_cursor, t_deg);
                 t_round = t_round.max(d);
             }
             for &node in &survivors {
@@ -2315,7 +1788,7 @@ impl CuccCluster {
                     t_round,
                 );
             }
-            reexec_blocks += launch.num_blocks() * survivors.len() as u64;
+            slices.reexec_blocks += launch.num_blocks() * survivors.len() as u64;
             let end = t_cursor + t_round;
             let mut node_stats = sched.profile.total;
             if functional {
@@ -2323,24 +1796,13 @@ impl CuccCluster {
                 // recovery re-runs the whole grid from the (unmodified by
                 // this launch's deferred passes) inputs — so the partial
                 // and re-exec passes above are intentionally *not* run.
-                let rep_opts = ExecOptions {
-                    block_parallel: false,
-                    ..opts
-                };
                 // Mid-launch joiners first receive the launch-entry state
                 // from a donor pool (functional effects are deferred, so
                 // the donor still holds it).
                 for &jn in &joined {
                     self.sim.copy_node_state(initial[0] as usize, jn as usize);
                 }
-                let mut all = vec![0u64..0u64; self.state.logical_nodes()];
-                for &node in &survivors {
-                    all[node as usize] = 0..launch.num_blocks();
-                }
-                let stats = self
-                    .sim
-                    .run_blocks_parallel_opts(&ck.kernel, launch, &all, args, &rep_opts)?;
-                node_stats = stats[survivors[0] as usize];
+                node_stats = self.run_grid_on(&survivors, ck, launch, args)?;
             }
             for &node in &survivors {
                 node_stats.emit_counters(&mut self.timeline, Track::Node(node), t0);
@@ -2348,20 +1810,24 @@ impl CuccCluster {
             for &node in initial.iter().chain(&joined) {
                 self.timeline.reserve_lane(Track::Node(node), end);
             }
-            if net_end > t_ag_start {
-                self.timeline.reserve_lane(Track::Network, net_end);
+            if t_blocked > 0.0 {
+                self.timeline.reserve_lane(Track::Network, t_cursor);
             }
             let report = LaunchReport {
                 mode: ExecMode::Replicated {
                     cause: ReplicationCause::NodeLoss(ctx),
                 },
-                times: self.derived_times(mark),
+                times: PhaseTimes {
+                    partial: t_partial_eff,
+                    allgather: t_allgather,
+                    ..self.recovery_times(mark)
+                },
                 node_stats,
-                wire_bytes: self.timeline.wire_bytes_since(mark),
+                wire_bytes,
                 faults: FaultSummary {
                     failures,
                     retries: retries_total,
-                    reexecuted_blocks: reexec_blocks,
+                    reexecuted_blocks: slices.reexec_blocks,
                     degraded: true,
                 },
             };
@@ -2369,7 +1835,7 @@ impl CuccCluster {
         }
 
         // ---- Phase 3: callback on survivors ----------------------------
-        if t_cursor > t_ag_start {
+        if t_blocked > 0.0 {
             // Visualization-only: every survivor blocks in the collective
             // (including its retry and re-execution windows).
             for &node in &survivors {
@@ -2378,18 +1844,14 @@ impl CuccCluster {
                     Track::Node(node),
                     Category::Allgather,
                     t_ag_start,
-                    t_cursor - t_ag_start,
+                    t_blocked,
                 );
             }
         }
         let t_callback = sched.times.callback;
         let mut t_cb_eff = 0.0f64;
         for &node in &survivors {
-            let d = self
-                .fault_state
-                .as_ref()
-                .unwrap()
-                .stretch(node, t_cursor, t_callback);
+            let d = self.fault_state.stretch(node, t_cursor, t_callback);
             self.timeline.span(
                 format!("{}: callback ({} blocks)", ck.name(), part.callback_blocks),
                 Track::Node(node),
@@ -2408,6 +1870,15 @@ impl CuccCluster {
             node_stats += sched.profile.tail_block;
         }
         if functional {
+            let opts = ExecOptions {
+                engine: self.config.engine,
+                node_threads: self.config.node_threads,
+                // Three-phase plans are Allgather-distributable — per-block
+                // write intervals are disjoint — so intra-node block
+                // parallelism is safe to enable here.
+                block_parallel: true,
+            };
+            // Compile once per launch; every pass reuses it.
             let prog = match opts.engine {
                 EngineKind::Bytecode | EngineKind::Simd => {
                     Some(self.compile_certified(ck, launch, args)?)
@@ -2439,14 +1910,17 @@ impl CuccCluster {
             let first = survivors[0] as usize;
             node_stats = stats[first];
             // Pass B: recovery re-execution rounds, in order.
-            for pass in &reexec_passes {
+            for pass in &slices.passes {
                 let s = run_pass(&mut self.sim, prog.as_ref(), ck, launch, args, pass, &opts)?;
                 node_stats += s[first];
             }
             // Pass C: the Allgather over the surviving communicator, with
             // the final re-partitioned unit.
             let nodes: Vec<usize> = survivors.iter().map(|&s| s as usize).collect();
-            for region in &tp.buffers {
+            for (idx, region) in tp.buffers.iter().enumerate() {
+                if elided(idx) {
+                    continue;
+                }
                 let unit = region.unit * cur_cpn;
                 let Arg::Buffer(id) = args[region.param.index()] else {
                     return Err(MigrateError::Launch(format!(
@@ -2474,14 +1948,17 @@ impl CuccCluster {
             node_stats += cb_stats[first];
         }
 
+        // Per-node execution statistics as counter samples at launch start.
         for &node in &survivors {
             node_stats.emit_counters(&mut self.timeline, Track::Node(node), t0);
         }
+        // The launch occupies every node lane until its last phase ends,
+        // and the network lane for the Allgather window.
         for &node in initial.iter().chain(&joined) {
             self.timeline.reserve_lane(Track::Node(node), end);
         }
-        if net_end > t_ag_start {
-            self.timeline.reserve_lane(Track::Network, net_end);
+        if t_blocked > 0.0 {
+            self.timeline.reserve_lane(Track::Network, t_cursor);
         }
 
         let report = LaunchReport {
@@ -2491,25 +1968,99 @@ impl CuccCluster {
                 partial_blocks_per_node: cur_pbn,
                 callback_blocks: part.callback_blocks,
             },
-            times: self.derived_times(mark),
+            times: PhaseTimes {
+                partial: t_partial_eff,
+                allgather: t_allgather,
+                callback: t_cb_eff,
+                ..self.recovery_times(mark)
+            },
             node_stats,
-            wire_bytes: self.timeline.wire_bytes_since(mark),
+            wire_bytes,
             faults: FaultSummary {
                 failures,
                 retries: retries_total,
-                reexecuted_blocks: reexec_blocks,
+                reexecuted_blocks: slices.reexec_blocks,
                 degraded: false,
             },
         };
         Ok((report, end))
     }
 
-    /// Fault-aware replicated execution: the launch runs on the surviving
-    /// nodes only, with straggler stretch. Replicated launches run no
+    /// One re-partition round of the recovery walk, the same for a death
+    /// and for a mid-launch join: survivor slot `j` takes the `j`-th slice
+    /// of `pbn` blocks and re-executes only what that slice adds over the
+    /// blocks its pool already holds (`slices.owned`, updated in place);
+    /// the added ranges are queued as deferred passes. A `joiner` — its
+    /// node id and state-transfer time — receives the cluster state before
+    /// its re-run. The round's critical path is recorded as one `Reexec`
+    /// span starting at `t` on every survivor and returned.
+    fn repartition_round(
+        &mut self,
+        slices: &mut Repartition,
+        survivors: &[u32],
+        pbn: u64,
+        t: f64,
+        joiner: Option<(u32, f64)>,
+        label: String,
+    ) -> f64 {
+        let mut pass_a = vec![0u64..0u64; self.state.logical_nodes()];
+        let mut pass_b = vec![0u64..0u64; self.state.logical_nodes()];
+        let mut t_round = 0.0f64;
+        for (j, &node) in survivors.iter().enumerate() {
+            let new = j as u64 * pbn..(j as u64 + 1) * pbn;
+            let old = slices.owned[j].clone();
+            let left = new.start..old.start.clamp(new.start, new.end);
+            let right = old.end.clamp(new.start, new.end)..new.end;
+            let blocks = (left.end - left.start) + (right.end - right.start);
+            let mut d = self
+                .fault_state
+                .stretch(node, t, slices.per_block * blocks as f64);
+            if let Some((_, xfer)) = joiner.filter(|&(jn, _)| jn == node) {
+                // The state transfer precedes the joiner's re-run.
+                d += xfer;
+            }
+            t_round = t_round.max(d);
+            slices.reexec_blocks += blocks;
+            pass_a[node as usize] = left;
+            pass_b[node as usize] = right;
+            // The pool now holds results for old ∪ new — recording only
+            // `new` would forget blocks the node already ran and
+            // re-execute them after a later death (double-applying
+            // non-idempotent kernels). Consecutive slices of one survivor
+            // always overlap, so the union is contiguous; fall back to
+            // `new` defensively if not.
+            slices.owned[j] = if old.start <= new.end && new.start <= old.end {
+                old.start.min(new.start)..old.end.max(new.end)
+            } else {
+                new
+            };
+        }
+        // Recorded uniformly (the round's critical path) on every current
+        // survivor, joiner included: the derived `reexec` view sums the
+        // slowest track.
+        for &node in survivors {
+            self.timeline.span(
+                label.as_str(),
+                Track::Node(node),
+                Category::Reexec,
+                t,
+                t_round,
+            );
+        }
+        for pass in [pass_a, pass_b] {
+            if pass.iter().any(|r| r.end > r.start) {
+                slices.passes.push(pass);
+            }
+        }
+        t_round
+    }
+
+    /// Replicated execution — the only one: the launch runs on the alive
+    /// nodes, with straggler stretch. Replicated launches run no
     /// collective, so a scripted kill is *not detected* here — the node
     /// simply keeps its stale replica (excluded from the consistency
     /// check) until a three-phase launch's collective confirms the death.
-    fn execute_replicated_faulty(
+    fn execute_replicated(
         &mut self,
         ck: &CompiledKernel,
         launch: LaunchConfig,
@@ -2518,12 +2069,13 @@ impl CuccCluster {
         cause: ReplicationCause,
         t0: f64,
     ) -> Result<(LaunchReport, f64), MigrateError> {
-        let mark = self.timeline.checkpoint();
         let survivors = self.alive_ids();
         let t = sched.times.callback;
+        // Every node redundantly runs the whole grid; the accounting files
+        // replicated time under the callback phase.
         let mut t_eff = 0.0f64;
         for &node in &survivors {
-            let d = self.fault_state.as_ref().unwrap().stretch(node, t0, t);
+            let d = self.fault_state.stretch(node, t0, t);
             self.timeline.span(
                 format!("{}: replicated ({} blocks)", ck.name(), launch.num_blocks()),
                 Track::Node(node),
@@ -2536,19 +2088,7 @@ impl CuccCluster {
         let end = t0 + t_eff;
         let mut node_stats = sched.profile.total;
         if self.config.fidelity == ExecutionFidelity::Functional {
-            let opts = ExecOptions {
-                engine: self.config.engine,
-                node_threads: self.config.node_threads,
-                block_parallel: false,
-            };
-            let mut all = vec![0u64..0u64; self.state.logical_nodes()];
-            for &node in &survivors {
-                all[node as usize] = 0..launch.num_blocks();
-            }
-            let stats = self
-                .sim
-                .run_blocks_parallel_opts(&ck.kernel, launch, &all, args, &opts)?;
-            node_stats = stats[survivors[0] as usize];
+            node_stats = self.run_grid_on(&survivors, ck, launch, args)?;
         }
         for &node in &survivors {
             node_stats.emit_counters(&mut self.timeline, Track::Node(node), t0);
@@ -2556,28 +2096,68 @@ impl CuccCluster {
         }
         let report = LaunchReport {
             mode: ExecMode::Replicated { cause },
-            times: self.derived_times(mark),
+            times: PhaseTimes {
+                callback: t_eff,
+                ..PhaseTimes::default()
+            },
             node_stats,
-            wire_bytes: self.timeline.wire_bytes_since(mark),
+            wire_bytes: 0,
             faults: FaultSummary::default(),
         };
         Ok((report, end))
     }
 
-    /// The derived [`PhaseTimes`] of the window since `mark` — the same
-    /// views [`CuccCluster::derive_report`] re-computes and asserts
-    /// against, so fault-path reports are consistent by construction.
-    fn derived_times(&self, mark: Mark) -> PhaseTimes {
-        let tl = &self.timeline;
+    /// Run the whole grid on every pool in `nodes` — the replicated
+    /// fallback and the degraded recovery — and return the first node's
+    /// statistics. Replicated launches are exactly the non-distributable
+    /// ones (atomics, overlapping writes), so blocks stay serial per node.
+    fn run_grid_on(
+        &mut self,
+        nodes: &[u32],
+        ck: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+    ) -> Result<cucc_exec::BlockStats, MigrateError> {
+        let opts = ExecOptions {
+            engine: self.config.engine,
+            node_threads: self.config.node_threads,
+            block_parallel: false,
+        };
+        let mut all = vec![0u64..0u64; self.state.logical_nodes()];
+        for &node in nodes {
+            all[node as usize] = 0..launch.num_blocks();
+        }
+        let stats = self
+            .sim
+            .run_blocks_parallel_opts(&ck.kernel, launch, &all, args, &opts)?;
+        Ok(stats[nodes[0] as usize])
+    }
+
+    /// The two report times that are timeline views by definition — the
+    /// in-order sum of the window's retry spans and the slowest track's
+    /// sum of its re-execution spans — with every other field zero.
+    fn recovery_times(&self, mark: Mark) -> PhaseTimes {
         PhaseTimes {
-            partial: tl.max_in_since(mark, Category::Partial),
-            allgather: tl.time_in_since(mark, Category::Allgather),
-            callback: tl.max_in_since(mark, Category::Callback),
-            broadcast: tl.time_in_since(mark, Category::Broadcast),
-            retry: tl.time_in_since(mark, Category::Retry),
-            reexec: tl.max_track_sum_since(mark, Category::Reexec),
+            retry: self.timeline.time_in_since(mark, Category::Retry),
+            reexec: self.timeline.max_track_sum_since(mark, Category::Reexec),
+            ..PhaseTimes::default()
         }
     }
+}
+
+/// Mutable slice bookkeeping of one launch's recovery walk.
+struct Repartition {
+    /// Modeled time of one partial block.
+    per_block: f64,
+    /// Global block ids each survivor slot currently holds results for
+    /// (contiguous by construction: a re-partition hands each survivor its
+    /// full new slice).
+    owned: Vec<std::ops::Range<u64>>,
+    /// Deferred re-execution passes (per-pool block ranges), run after the
+    /// timing walk.
+    passes: Vec<Vec<std::ops::Range<u64>>>,
+    /// Blocks re-executed so far.
+    reexec_blocks: u64,
 }
 
 /// Run one deferred block pass through the configured engine.
@@ -3070,7 +2650,7 @@ mod tests {
         data: &[u8],
         faults: FaultPlan,
     ) -> (Result<LaunchReport, MigrateError>, Vec<u8>, CuccCluster) {
-        let cfg = RuntimeConfig::builder().faults(faults).build();
+        let cfg = crate::RunOptions::builder().faults(faults).build();
         let mut cl = CuccCluster::with_options(spec(nodes), cfg);
         let src = cl.alloc(bytes);
         let dest = cl.alloc(bytes);
@@ -3243,6 +2823,42 @@ mod tests {
         assert_eq!(armed, clean);
     }
 
+    /// An armed-but-silent session lays every span and counter exactly
+    /// where the empty plan does — also with several gathered regions,
+    /// where accumulating positions in another order would show in the
+    /// last float bits.
+    #[test]
+    fn armed_but_silent_fault_plan_reproduces_the_timeline_bitwise() {
+        let ck = compile_source(
+            "__global__ void fan(float* x, float* a, float* b, float* c, int n) {
+                int id = blockDim.x * blockIdx.x + threadIdx.x;
+                if (id < n) { a[id] = x[id] + 1.0f; b[id] = x[id] * 2.0f; c[id] = x[id] - 3.0f; }
+            }",
+        )
+        .unwrap();
+        let n = 15437usize;
+        let run = |faults: FaultPlan| {
+            let cfg = crate::RunOptions::builder().faults(faults).build();
+            let mut cl = CuccCluster::with_options(spec(3), cfg);
+            let bufs: Vec<BufferId> = (0..4).map(|_| cl.alloc(n * 4)).collect();
+            let data: Vec<f32> = (0..n).map(|i| i as f32 * 0.37).collect();
+            cl.upload(bufs[0], &data).unwrap();
+            let mut args: Vec<Arg> = bufs.iter().map(|&b| Arg::Buffer(b)).collect();
+            args.push(Arg::int(n as i64));
+            for _ in 0..3 {
+                cl.launch(&ck, LaunchConfig::cover1(n as u64, 128), &args)
+                    .unwrap();
+            }
+            let tl = cl.timeline();
+            (
+                tl.spans().to_vec(),
+                tl.counters().to_vec(),
+                cl.clock().to_bits(),
+            )
+        };
+        assert_eq!(run(FaultPlan::none().kill(2, 1e9)), run(FaultPlan::none()));
+    }
+
     #[test]
     fn transfer_validation_is_typed() {
         let mut cl = CuccCluster::with_options(spec(2), RuntimeConfig::default());
@@ -3267,22 +2883,5 @@ mod tests {
         cl.upload(buf, &[1.5f32, -2.0]).unwrap();
         assert_eq!(cl.download::<f32>(buf).unwrap(), vec![1.5, -2.0]);
         assert_eq!(cl.download::<u8>(buf).unwrap().len(), 8);
-    }
-
-    /// The deprecated untyped shims stay behaviorally intact until they
-    /// are removed: same bytes, panicking contract preserved.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_transfer_shims_still_work() {
-        let mut cl = CuccCluster::new(spec(2), RuntimeConfig::default());
-        let buf = cl.alloc(8);
-        cl.h2d(buf, &[7u8; 8]);
-        assert_eq!(cl.d2h(buf), vec![7u8; 8]);
-        cl.h2d_f32(buf, &[1.0, 2.0]);
-        assert_eq!(cl.d2h_f32(buf), vec![1.0, 2.0]);
-        let s = cl.stream_create();
-        cl.h2d_async(buf, &[9u8; 8], s);
-        cl.synchronize().unwrap();
-        assert_eq!(cl.d2h_async(buf, s), vec![9u8; 8]);
     }
 }

@@ -2,8 +2,8 @@
 //! the simulated clock.
 //!
 //! A [`StreamSet`] is the host-side bookkeeping behind the cluster's async
-//! command-queue API (`stream_create` / `launch_on` / `h2d_async` /
-//! `d2h_async` / `event_record` / `stream_wait_event` / `synchronize`).
+//! command-queue API (`stream_create` / `launch_on` / `upload_on` /
+//! `download_on` / `event_record` / `stream_wait_event` / `synchronize`).
 //! It tracks, purely in simulated time:
 //!
 //! * **per-stream order** — ops on one stream serialize (each op's

@@ -4,9 +4,7 @@
 //! the generic [`upload`](crate::runtime::CuccCluster::upload) /
 //! [`download`](crate::runtime::CuccCluster::download) pair (and their
 //! `_on` stream twins) move any implementing scalar type through one
-//! validated, `Result`-returning code path. The legacy `h2d` / `d2h` /
-//! `h2d_f32` / `d2h_f32` names survive as thin panicking shims over the
-//! generic entry points, so existing call sites keep compiling.
+//! validated, `Result`-returning code path.
 //!
 //! All encodings are little-endian, matching the simulated device memory
 //! layout the interpreter reads and writes.

@@ -95,9 +95,8 @@ impl RetryPolicy {
     /// Deadline for one attempt of a step whose modeled duration is
     /// `step_time`: `timeout_factor × step + (α + o)`.
     ///
-    /// This is the **only** place the deadline formula lives — full
-    /// Allgathers and partial gathers both step through
-    /// `traced::run_fallible`, which calls here per step.
+    /// This is the **only** place the deadline formula lives:
+    /// `traced::allgather_cost_traced_fallible` calls here per step.
     pub fn deadline(&self, step_time: f64, model: &NetModel) -> f64 {
         self.timeout_factor * step_time + (model.alpha + model.overhead)
     }
@@ -141,7 +140,9 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with no events and no random drops (faults disabled).
+    /// A plan with no events and no random drops. An injector over it
+    /// answers every query by looping over zero events, which is how the
+    /// runtime's one launch path serves fault-free sessions unchanged.
     pub fn none() -> Self {
         FaultPlan::default()
     }

@@ -32,6 +32,5 @@ pub use model::NetModel;
 pub use p2p::{P2pStats, P2pTracker};
 pub use traced::{
     allgather_cost_traced, allgather_cost_traced_fallible, allgather_traced, broadcast_traced,
-    partial_gather_cost_traced, partial_gather_cost_traced_fallible, partial_gather_traced,
-    FaultyGather, GatherAbort,
+    partial_gather_cost_traced, partial_gather_traced, FaultyGather, GatherAbort,
 };

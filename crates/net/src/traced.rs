@@ -160,36 +160,6 @@ pub fn allgather_cost_traced_fallible(
     } else {
         0.0
     };
-    run_fallible(
-        cost,
-        &steps,
-        staging,
-        model,
-        participants,
-        injector,
-        tl,
-        t0,
-        label,
-    )
-}
-
-/// The shared retry/deadline stepping loop behind every fallible gather —
-/// full ([`allgather_cost_traced_fallible`]) and partial
-/// ([`partial_gather_cost_traced_fallible`]) alike. Each step's deadline
-/// comes from [`crate::fault::RetryPolicy::deadline`]; the layout rules are
-/// documented on the public wrappers.
-#[allow(clippy::too_many_arguments)]
-fn run_fallible(
-    cost: CollectiveCost,
-    steps: &[CollectiveStep],
-    staging: f64,
-    model: &NetModel,
-    participants: &[u32],
-    injector: &mut FaultInjector,
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-) -> Result<FaultyGather, GatherAbort> {
     let policy = injector.policy();
 
     let mut t = t0;
@@ -231,7 +201,7 @@ fn run_fallible(
 
     if retries == 0 {
         // Clean run: identical layout and arithmetic to the fault-free path.
-        record(tl, t0, label, &cost, steps, staging);
+        record(tl, t0, label, &cost, &steps, staging);
     } else {
         // Parent span keeps the analytic duration (the authoritative
         // allgather time excludes retries); children sit at their actual
@@ -296,39 +266,6 @@ pub fn partial_gather_cost_traced(
     let staging = partial_staging(placement, model, per_owner);
     record(tl, t0, label, &cost, &steps, staging);
     cost
-}
-
-/// Analytic partial gather stepped under a [`FaultInjector`]: the partial
-/// counterpart of [`allgather_cost_traced_fallible`], sharing the exact
-/// same retry/deadline loop ([`run_fallible`]) and therefore the same
-/// [`crate::fault::RetryPolicy::deadline`] per-step deadline formula.
-#[allow(clippy::too_many_arguments)]
-pub fn partial_gather_cost_traced_fallible(
-    per_owner: &[u64],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    participants: &[u32],
-    injector: &mut FaultInjector,
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-) -> Result<FaultyGather, GatherAbort> {
-    debug_assert_eq!(participants.len(), per_owner.len());
-    let mut steps = Vec::new();
-    let cost = partial_gather_cost_steps(per_owner, model, algo, placement, &mut steps);
-    let staging = partial_staging(placement, model, per_owner);
-    run_fallible(
-        cost,
-        &steps,
-        staging,
-        model,
-        participants,
-        injector,
-        tl,
-        t0,
-        label,
-    )
 }
 
 /// Staging-copy duration of an out-of-place partial gather (gated by the

@@ -463,10 +463,12 @@ impl Timeline {
     /// durations of `category` after `mark` (0.0 when there are none).
     ///
     /// Used for phases that can repeat within one launch (fault-recovery
-    /// re-execution rounds): each round records one span per surviving node,
-    /// every round's spans land on the nodes that are still alive, and
-    /// survivors only shrink — so the slowest surviving track accumulates
-    /// every round and its sum is the phase's total elapsed time.
+    /// re-execution rounds): each round records one span on every node in
+    /// the communicator at that moment, so a track sums the rounds its node
+    /// took part in. While membership only shrinks, the slowest surviving
+    /// track holds every round and its sum is the phase's elapsed time;
+    /// once a mid-launch join also grows it, no single track need hold
+    /// them all.
     pub fn max_track_sum_since(&self, mark: Mark, category: Category) -> f64 {
         let mut sums: Vec<(Track, f64)> = Vec::new();
         for s in self.spans_since(mark) {

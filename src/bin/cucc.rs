@@ -75,7 +75,7 @@ use cucc::cluster::ClusterSpec;
 use cucc::core::codegen::{generate_host_module, generate_kernel_module};
 use cucc::core::{
     compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode, JobServer, RunOptions,
-    ServeConfig, ServePolicy,
+    RunOptionsBuilder, ServeConfig, ServePolicy,
 };
 use cucc::exec::Arg;
 use cucc::gpu_model::{GpuDevice, GpuSpec};
@@ -492,25 +492,104 @@ enum CliArg {
     Float(f64),
 }
 
+/// The value following `flag` in a subcommand's argument list.
+fn value<'a>(rest: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
+    rest.next()
+        .ok_or_else(|| format!("missing value after `{flag}`"))
+}
+
+/// The eight flags `run` and `serve` share, parsed once: the runtime knobs
+/// go straight into the [`RunOptions`] builder, the rest are plain fields.
 #[derive(Debug)]
-struct RunOpts {
+struct CommonOpts {
     cluster: String,
     nodes: u32,
+    seed: u64,
+    modeled: bool,
+    trace: Option<String>,
+    run: RunOptionsBuilder,
+}
+
+impl CommonOpts {
+    fn new(nodes: u32) -> CommonOpts {
+        CommonOpts {
+            cluster: "simd".into(),
+            nodes,
+            seed: 42,
+            modeled: false,
+            trace: None,
+            run: RunOptions::builder(),
+        }
+    }
+
+    /// Consume `flag` (and its value) when it is one of the shared flags;
+    /// `Ok(false)` leaves it to the subcommand.
+    fn take(&mut self, flag: &str, rest: &mut std::slice::Iter<String>) -> Result<bool, String> {
+        match flag {
+            "--cluster" => self.cluster = value(rest, flag)?.clone(),
+            "--nodes" => {
+                self.nodes = value(rest, flag)?
+                    .parse()
+                    .map_err(|e| format!("--nodes: {e}"))?
+            }
+            "--seed" => {
+                self.seed = value(rest, flag)?
+                    .parse()
+                    .map_err(|e| format!("--seed: {e}"))?
+            }
+            "--modeled" => {
+                self.modeled = true;
+                self.run = self.run.clone().modeled();
+            }
+            "--engine" => {
+                let v = value(rest, flag)?;
+                let engine = EngineKind::parse(v).ok_or_else(|| {
+                    format!("--engine: unknown engine `{v}` (tree|bytecode|simd)")
+                })?;
+                self.run = self.run.clone().engine(engine);
+            }
+            "--node-threads" => {
+                let threads = value(rest, flag)?
+                    .parse()
+                    .map_err(|e| format!("--node-threads: {e}"))?;
+                self.run = self.run.clone().node_threads(threads);
+            }
+            "--fault" => self.run = self.run.clone().fault(value(rest, flag)?)?,
+            "--trace" => self.trace = Some(value(rest, flag)?.clone()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The simulated cluster the `--cluster`/`--nodes` pair names.
+    fn spec(&self) -> Result<ClusterSpec, String> {
+        match self.cluster.as_str() {
+            "simd" => Ok(ClusterSpec::simd_focused().with_nodes(self.nodes)),
+            "thread" => Ok(ClusterSpec::thread_focused().with_nodes(self.nodes)),
+            other => Err(format!("unknown cluster `{other}` (simd|thread)")),
+        }
+    }
+}
+
+#[derive(Debug)]
+struct RunOpts {
+    common: CommonOpts,
     grid: Dim3,
     block: Dim3,
     args: Vec<CliArg>,
-    seed: u64,
-    modeled: bool,
     streams: usize,
     graph: usize,
-    trace: Option<String>,
-    engine: EngineKind,
-    node_threads: usize,
     sanitize: bool,
-    faults: Vec<String>,
     checkpoint: Option<String>,
     restore: Option<String>,
     verbose: bool,
+}
+
+impl std::ops::Deref for RunOpts {
+    type Target = CommonOpts;
+    fn deref(&self) -> &CommonOpts {
+        &self.common
+    }
 }
 
 fn parse_dim(s: &str) -> Result<Dim3, String> {
@@ -529,91 +608,56 @@ fn parse_dim(s: &str) -> Result<Dim3, String> {
 impl RunOpts {
     fn parse(args: &[String]) -> Result<RunOpts, String> {
         let mut o = RunOpts {
-            cluster: "simd".into(),
-            nodes: 4,
+            common: CommonOpts::new(4),
             grid: Dim3::new1(64),
             block: Dim3::new1(256),
             args: Vec::new(),
-            seed: 42,
-            modeled: false,
             streams: 0,
             graph: 0,
-            trace: None,
-            engine: EngineKind::default(),
-            node_threads: 0,
             sanitize: false,
-            faults: Vec::new(),
             checkpoint: None,
             restore: None,
             verbose: false,
         };
-        let mut i = 0;
-        let need = |i: &mut usize| -> Result<&String, String> {
-            *i += 1;
-            args.get(*i)
-                .ok_or_else(|| format!("missing value after `{}`", args[*i - 1]))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--cluster" => o.cluster = need(&mut i)?.clone(),
-                "--nodes" => {
-                    o.nodes = need(&mut i)?.parse().map_err(|e| format!("--nodes: {e}"))?
-                }
-                "--grid" => o.grid = parse_dim(need(&mut i)?)?,
-                "--block" => o.block = parse_dim(need(&mut i)?)?,
-                "--seed" => o.seed = need(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--modeled" => o.modeled = true,
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            if o.common.take(flag, &mut rest)? {
+                continue;
+            }
+            match flag.as_str() {
+                "--grid" => o.grid = parse_dim(value(&mut rest, flag)?)?,
+                "--block" => o.block = parse_dim(value(&mut rest, flag)?)?,
                 "--streams" => {
-                    o.streams = need(&mut i)?
+                    o.streams = value(&mut rest, flag)?
                         .parse()
                         .map_err(|e| format!("--streams: {e}"))?;
                 }
                 "--graph" => {
-                    o.graph = need(&mut i)?.parse().map_err(|e| format!("--graph: {e}"))?;
-                }
-                "--trace" => o.trace = Some(need(&mut i)?.clone()),
-                "--sanitize" => o.sanitize = true,
-                "--engine" => {
-                    let v = need(&mut i)?;
-                    o.engine = EngineKind::parse(v).ok_or_else(|| {
-                        format!("--engine: unknown engine `{v}` (tree|bytecode|simd)")
-                    })?;
-                }
-                "--node-threads" => {
-                    o.node_threads = need(&mut i)?
+                    o.graph = value(&mut rest, flag)?
                         .parse()
-                        .map_err(|e| format!("--node-threads: {e}"))?;
+                        .map_err(|e| format!("--graph: {e}"))?;
                 }
-                "--arg" => {
-                    let spec = need(&mut i)?;
-                    o.args.push(parse_arg(spec)?);
-                }
-                "--fault" => o.faults.push(need(&mut i)?.clone()),
-                "--checkpoint" => o.checkpoint = Some(need(&mut i)?.clone()),
-                "--restore" => o.restore = Some(need(&mut i)?.clone()),
+                "--sanitize" => o.sanitize = true,
+                "--arg" => o.args.push(parse_arg(value(&mut rest, flag)?)?),
+                "--checkpoint" => o.checkpoint = Some(value(&mut rest, flag)?.clone()),
+                "--restore" => o.restore = Some(value(&mut rest, flag)?.clone()),
                 "-v" | "--verbose" => o.verbose = true,
                 other => return Err(format!("unknown option `{other}`")),
             }
-            i += 1;
         }
         Ok(o)
     }
 
-    /// Fold every runtime and session flag into the one typed value the
-    /// cluster consumes.
+    /// The shared runtime knobs plus `run`'s session flags, as the one
+    /// typed value the cluster consumes. Every flag was validated when it
+    /// was parsed; the `Result` is for the callers' `?`.
     fn to_run_options(&self) -> Result<RunOptions, String> {
-        let mut b = RunOptions::builder()
-            .engine(self.engine)
-            .node_threads(self.node_threads)
+        let mut b = self
+            .run
+            .clone()
             .sanitize(self.sanitize)
             .streams(self.streams)
             .graph_iters(self.graph);
-        for spec in &self.faults {
-            b = b.fault(spec)?;
-        }
-        if self.modeled {
-            b = b.modeled();
-        }
         if let Some(path) = &self.checkpoint {
             b = b.checkpoint_to(path);
         }
@@ -680,48 +724,39 @@ fn cli_buffer_bytes(a: &CliArg, rng: &mut StdRng) -> Option<Vec<u8>> {
 // ------------------------------------------------------------------ serve --
 
 struct ServeOpts {
-    cluster: String,
-    nodes: u32,
+    common: CommonOpts,
     jobs: usize,
     tenants: u32,
     policy: ServePolicy,
     queue_depth: usize,
-    seed: u64,
     gap_us: f64,
-    modeled: bool,
-    engine: EngineKind,
-    node_threads: usize,
-    faults: Vec<String>,
-    trace: Option<String>,
+}
+
+impl std::ops::Deref for ServeOpts {
+    type Target = CommonOpts;
+    fn deref(&self) -> &CommonOpts {
+        &self.common
+    }
 }
 
 impl ServeOpts {
     fn parse(args: &[String]) -> Result<ServeOpts, String> {
         let mut o = ServeOpts {
-            cluster: "simd".into(),
-            nodes: 8,
+            common: CommonOpts::new(8),
             jobs: 200,
             tenants: 8,
             policy: ServePolicy::Fair,
             queue_depth: 0,
-            seed: 42,
             gap_us: 200.0,
-            modeled: false,
-            engine: EngineKind::default(),
-            node_threads: 0,
-            faults: Vec::new(),
-            trace: None,
         };
-        let mut i = 0;
-        let need = |i: &mut usize| -> Result<&String, String> {
-            *i += 1;
-            args.get(*i)
-                .ok_or_else(|| format!("missing value after `{}`", args[*i - 1]))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            if o.common.take(flag, &mut rest)? {
+                continue;
+            }
+            match flag.as_str() {
                 "--synthetic" => {
-                    for part in need(&mut i)?.split(',') {
+                    for part in value(&mut rest, flag)?.split(',') {
                         if let Some(v) = part.strip_prefix("jobs=") {
                             o.jobs = v.parse().map_err(|e| format!("--synthetic jobs: {e}"))?;
                         } else if let Some(v) = part.strip_prefix("tenants=") {
@@ -735,73 +770,36 @@ impl ServeOpts {
                     }
                 }
                 "--policy" => {
-                    let v = need(&mut i)?;
+                    let v = value(&mut rest, flag)?;
                     o.policy = ServePolicy::parse(v)
                         .ok_or_else(|| format!("--policy: unknown policy `{v}` (fifo|fair)"))?;
                 }
                 "--queue-depth" => {
-                    o.queue_depth = need(&mut i)?
+                    o.queue_depth = value(&mut rest, flag)?
                         .parse()
                         .map_err(|e| format!("--queue-depth: {e}"))?;
                 }
-                "--cluster" => o.cluster = need(&mut i)?.clone(),
-                "--nodes" => {
-                    o.nodes = need(&mut i)?.parse().map_err(|e| format!("--nodes: {e}"))?
-                }
-                "--seed" => o.seed = need(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
                 "--gap-us" => {
-                    o.gap_us = need(&mut i)?
+                    o.gap_us = value(&mut rest, flag)?
                         .parse()
                         .map_err(|e| format!("--gap-us: {e}"))?;
                 }
-                "--modeled" => o.modeled = true,
-                "--engine" => {
-                    let v = need(&mut i)?;
-                    o.engine = EngineKind::parse(v).ok_or_else(|| {
-                        format!("--engine: unknown engine `{v}` (tree|bytecode|simd)")
-                    })?;
-                }
-                "--node-threads" => {
-                    o.node_threads = need(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--node-threads: {e}"))?;
-                }
-                "--fault" => o.faults.push(need(&mut i)?.clone()),
-                "--trace" => o.trace = Some(need(&mut i)?.clone()),
                 other => return Err(format!("unknown option `{other}`")),
             }
-            i += 1;
         }
         if o.jobs == 0 || o.tenants == 0 {
             return Err("--synthetic needs jobs >= 1 and tenants >= 1".into());
         }
         Ok(o)
     }
-
-    fn to_run_options(&self) -> Result<RunOptions, String> {
-        let mut b = RunOptions::builder()
-            .engine(self.engine)
-            .node_threads(self.node_threads);
-        for spec in &self.faults {
-            b = b.fault(spec)?;
-        }
-        if self.modeled {
-            b = b.modeled();
-        }
-        Ok(b.build())
-    }
 }
 
 fn cmd_serve(opts: &ServeOpts) -> Result<String, String> {
-    let spec = match opts.cluster.as_str() {
-        "simd" => ClusterSpec::simd_focused().with_nodes(opts.nodes),
-        "thread" => ClusterSpec::thread_focused().with_nodes(opts.nodes),
-        other => return Err(format!("unknown cluster `{other}` (simd|thread)")),
-    };
+    let spec = opts.spec()?;
     let config = ServeConfig {
         policy: opts.policy,
         queue_depth: opts.queue_depth,
-        options: opts.to_run_options()?,
+        options: opts.run.clone().build(),
     };
     let mut srv = JobServer::new(spec.clone(), config).map_err(|e| e.to_string())?;
     let stream = synthetic_stream(opts.jobs, opts.tenants, opts.seed, opts.gap_us * 1e-6);
@@ -877,11 +875,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         grid: opts.grid,
         block: opts.block,
     };
-    let spec = match opts.cluster.as_str() {
-        "simd" => ClusterSpec::simd_focused().with_nodes(opts.nodes),
-        "thread" => ClusterSpec::thread_focused().with_nodes(opts.nodes),
-        other => return Err(format!("unknown cluster `{other}` (simd|thread)")),
-    };
+    let spec = opts.spec()?;
     let n_buffers = ck.kernel.buffer_params().count();
     let n_buf_args = opts
         .args
@@ -1084,18 +1078,18 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
     if opts.modeled {
         out += &format!(
             "  engine: {} (modeled run, blocks not executed)\n",
-            opts.engine
+            options.runtime.engine
         );
     } else {
         // Blocks node 0 really executed (partial slice + callbacks).
         let blocks = report.node_stats.blocks;
         out += &format!(
             "  engine: {} ({}): {} blocks/node in {:.3} ms wall, {:.0} blocks/s\n",
-            opts.engine,
-            if opts.node_threads == 0 {
+            options.runtime.engine,
+            if options.runtime.node_threads == 0 {
                 "auto node-threads".to_string()
             } else {
-                format!("{} node-threads", opts.node_threads)
+                format!("{} node-threads", options.runtime.node_threads)
             },
             blocks,
             wall * 1e3,

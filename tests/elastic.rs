@@ -6,7 +6,8 @@
 
 use cucc::cluster::ClusterSpec;
 use cucc::core::{
-    compile_source, Checkpoint, CompiledKernel, CuccCluster, FaultPlan, GraphCapture, RuntimeConfig,
+    compile_source, Checkpoint, CompiledKernel, CuccCluster, FaultPlan, GraphCapture, RunOptions,
+    RuntimeConfig,
 };
 use cucc::exec::Arg;
 use cucc::ir::LaunchConfig;
@@ -28,7 +29,7 @@ fn seeded(seed: u64, n: usize) -> (Vec<f32>, Vec<f32>) {
 fn cluster(nodes: u32, faults: FaultPlan) -> CuccCluster {
     CuccCluster::with_options(
         ClusterSpec::simd_focused().with_nodes(nodes),
-        RuntimeConfig::builder().faults(faults).build(),
+        RunOptions::builder().faults(faults).build(),
     )
 }
 
@@ -233,7 +234,7 @@ fn kill_join_checkpoint_restore_completes_bit_identical() {
     // count as the image, so liveness and epoch survive).
     let mut restored = CuccCluster::restore_from(
         ClusterSpec::simd_focused().with_nodes(5),
-        RuntimeConfig::builder().faults(plan).build(),
+        RunOptions::builder().faults(plan).build(),
         &path,
     )
     .unwrap();
@@ -327,7 +328,7 @@ fn restore_rejects_mismatched_configurations() {
     // Fidelity must match the image.
     let err = CuccCluster::restore(
         ClusterSpec::simd_focused().with_nodes(3),
-        RuntimeConfig::builder()
+        RunOptions::builder()
             .fidelity(cucc::core::ExecutionFidelity::Modeled)
             .build(),
         &ckpt,
@@ -337,4 +338,120 @@ fn restore_rejects_mismatched_configurations() {
         err.to_string().contains("fidelity"),
         "unexpected error: {err}"
     );
+}
+
+/// The fault-session cursor belongs to an armed plan only. A session with
+/// the empty plan writes a cursor-free image (the always-present injector
+/// must not leak into the `CUCCCKPT` v1 bytes); an armed session still
+/// carries its cursor, and restore validates it against the target plan
+/// with the typed checkpoint error.
+#[test]
+fn fault_cursor_is_written_only_under_a_plan_and_validated_on_restore() {
+    use cucc::core::MigrateError;
+    let image_of = |faults: FaultPlan| {
+        let mut cl = cluster(3, faults);
+        let x = cl.alloc(64);
+        cl.upload::<f32>(x, &[1.0; 16]).unwrap();
+        cl.checkpoint().unwrap()
+    };
+    let restore = |options: RunOptions, ckpt: &Checkpoint| {
+        CuccCluster::restore(ClusterSpec::simd_focused().with_nodes(3), options, ckpt)
+    };
+
+    let plain = image_of(FaultPlan::none());
+    assert_eq!(plain.fault_cursor, None);
+    // magic 8 + version 4 + nodes 4 + epoch 8 + clock 8 + modeled 1 + alive 3.
+    assert_eq!(plain.encode()[36], 0, "cursor byte of an empty-plan image");
+    restore(RunOptions::default(), &plain).unwrap();
+
+    let plan = FaultPlan::none().kill(1, 1e9).drop_step(1e9);
+    let armed = image_of(plan.clone());
+    let (_, flags) = armed.fault_cursor.as_ref().expect("armed plan → cursor");
+    assert_eq!(flags.len(), 2);
+    assert_eq!(armed.encode()[36], 1);
+    restore(RunOptions::builder().faults(plan).build(), &armed).unwrap();
+
+    // A cursor with no plan to apply it to, and a cursor whose flag count
+    // does not match the plan's event count.
+    for options in [
+        RunOptions::default(),
+        RunOptions::builder()
+            .faults(FaultPlan::none().kill(1, 1e9))
+            .build(),
+    ] {
+        let err = restore(options, &armed).unwrap_err();
+        assert!(
+            matches!(err, MigrateError::Checkpoint(_)),
+            "unexpected error: {err}"
+        );
+    }
+}
+
+/// One launch that loses a node, readmits a slot that was already dead at
+/// launch entry, then loses two more: 6 distributed chunks re-partition
+/// 3 → 2 → 3 → 2 → 1 ways, and only the mid-launch joiner survives. No
+/// node takes part in all four re-execution rounds, so the report's
+/// `reexec` (the slowest track's sum) is not the sum of the rounds; the
+/// report must still agree with the timeline (`derive_report`'s asserts).
+#[test]
+fn kill_join_kill_kill_in_one_launch_recovers_on_the_joiner() {
+    let n = 6 * 128 + 50; // 6 full blocks + a tail callback block
+    let ck = compile_source(SAXPY).unwrap();
+    let (xs, ys) = seeded(11, n);
+    let launch = LaunchConfig::cover1(n as u64, 128);
+
+    let (mut clean, cx, cy) = loaded(4, FaultPlan::none(), &xs, &ys);
+    let clean_args = saxpy_args(cx, cy, n);
+    clean.launch(&ck, launch, &clean_args).unwrap();
+    clean.launch(&ck, launch, &clean_args).unwrap();
+    let reference = clean.download::<u8>(cy).unwrap();
+
+    // Launch 1 loses node 3, so launch 2 enters with slots {0, 1, 2}. The
+    // simulation is deterministic: dry runs give the clock at the second
+    // launch's entry and the moment its first death is confirmed.
+    let two_launches = |plan: FaultPlan| {
+        let (mut cl, x, y) = loaded(4, plan, &xs, &ys);
+        let args = saxpy_args(x, y, n);
+        cl.launch(&ck, launch, &args).unwrap();
+        let entry = cl.clock();
+        let report = cl.launch(&ck, launch, &args).unwrap();
+        (cl, y, entry, report)
+    };
+    let base = FaultPlan::none().kill(3, 0.0);
+    let (_, _, entry, _) = two_launches(base.clone());
+    let base = base.kill(0, entry);
+    let (_, _, _, first) = two_launches(base.clone());
+    assert_eq!(first.faults.failures, 1);
+    let confirmed = entry + first.times.partial + first.times.retry;
+
+    let plan = base
+        .join(3, confirmed)
+        .kill(1, confirmed)
+        .kill(2, confirmed);
+    let (mut cl, y, _, report) = two_launches(plan);
+    assert!(report.mode.is_three_phase());
+    assert_eq!(report.faults.failures, 3);
+    assert!(!report.faults.degraded);
+    assert_eq!(cl.active_nodes(), 1);
+    assert!(cl.is_alive(3), "only the mid-launch joiner survives");
+    assert_eq!(
+        cl.download::<u8>(y).unwrap(),
+        reference,
+        "the joiner's memory diverged from the fault-free run"
+    );
+
+    // Four rounds (death, join, death, death), one span per node in the
+    // communicator at the time: distinct start times are distinct rounds.
+    let mut rounds: Vec<(f64, f64)> = Vec::new();
+    for s in cl.timeline().spans() {
+        let this_launch = s.start >= entry && s.category == cucc::trace::Category::Reexec;
+        if this_launch && !rounds.iter().any(|&(t, _)| t == s.start) {
+            rounds.push((s.start, s.dur));
+        }
+    }
+    assert_eq!(rounds.len(), 4);
+    // The slowest track missed a round, so the view can only under-count
+    // (CHANGES.md, PR 13, records this as a defect inherited from PR 8).
+    let sum: f64 = rounds.iter().map(|&(_, d)| d).sum();
+    assert!(report.times.reexec <= sum);
 }

@@ -4,7 +4,7 @@
 //! never fires must reproduce the fault-free `LaunchReport` bit-for-bit.
 
 use cucc::cluster::ClusterSpec;
-use cucc::core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RuntimeConfig};
+use cucc::core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RunOptions};
 use cucc::exec::Arg;
 use cucc::ir::LaunchConfig;
 use proptest::prelude::*;
@@ -46,7 +46,7 @@ fn run(
 ) -> (cucc::core::LaunchReport, Vec<u8>, CuccCluster) {
     let mut cl = CuccCluster::with_options(
         ClusterSpec::simd_focused().with_nodes(nodes),
-        RuntimeConfig::builder().faults(faults).build(),
+        RunOptions::builder().faults(faults).build(),
     );
     let x = cl.alloc(n * 4);
     let y = cl.alloc(n * 4);

@@ -10,7 +10,7 @@
 //!    warm-hits the entry planned for it.
 
 use cucc::cluster::ClusterSpec;
-use cucc::core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RuntimeConfig};
+use cucc::core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RunOptions};
 use cucc::exec::Arg;
 use cucc::ir::LaunchConfig;
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ fn setup(
     let ck = compile_source(SAXPY).unwrap();
     let mut cl = CuccCluster::with_options(
         ClusterSpec::simd_focused().with_nodes(nodes),
-        RuntimeConfig::builder().faults(faults).build(),
+        RunOptions::builder().faults(faults).build(),
     );
     let x = cl.alloc(n * 4);
     let y = cl.alloc(n * 4);
