@@ -304,7 +304,7 @@ struct Prov {
 
 /// Abstract machine state at one program point: one generic thread's
 /// register file (per-thread semantics are identical across threads and
-/// engine tiers, so a single frame abstracts them all).
+/// the lane and thread-major paths, so a single frame abstracts them all).
 #[derive(Debug, Clone, PartialEq)]
 struct State {
     vals: Vec<AbsVal>,

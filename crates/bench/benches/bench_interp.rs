@@ -1,45 +1,43 @@
-//! Tree-walk interpreter vs bytecode engine vs the vectorized lane-array
-//! tier: blocks/second on three representative kernels (elementwise SAXPY, a
-//! shared-memory tile reverse with a barrier, and a compute-bound Horner
-//! polynomial).
+//! The tree-walk oracle vs the compiled engine, in blocks/second: with its
+//! lane plans (`lane`), with them detached so every segment runs
+//! thread-major (`detached` — the same engine without lanes), and with
+//! range certificates attached in `CertMode::Elide` (`unchecked`).
 //!
-//! Every launch exactly covers its data (`n = blocks * THREADS`), so
-//! the kernels need no tail guard — their segments are straight-line and
-//! exercise the engines' dense modes; guarded/divergent and looping kernels
-//! are covered by the equivalence suites and unit tests.
+//! Two kernel sets, both written to `BENCH_interp.json` at the repository
+//! root so docs and CI can quote the numbers:
 //!
-//! Besides the criterion report, the harness re-measures each configuration
-//! directly — on a 128-block and a 4096-block grid, at 1, 2, 4 and 8
-//! requested intra-node workers capped at the host's core count (more
-//! chunks than cores only measures oversubscription) — and writes
-//! `BENCH_interp.json` at the repository root so docs and CI can quote the
-//! numbers. The file records `host_cores`, and every row its grid size and
-//! its requested and effective worker count: a multi-worker number means
-//! nothing without them. One row per (kernel, grid, worker count) with
-//! `tree`, `bytecode` and `simd` blocks/s columns (`bytecode_speedup` is vs
-//! the serial tree walk, `simd_speedup` is vs the bytecode engine at the
-//! *same* worker count),
-//! plus steady-state `*_run_blocks_per_sec` (checked) and
-//! `*_unchecked_blocks_per_sec` (range-certified, bounds-check-elided)
-//! columns with compile + range analysis hoisted out of the timed region
-//! — the schedule cache amortizes both across replays — so
-//! `elide_speedup` (certified simd vs checked simd run-only, same worker
-//! count) isolates the elision effect from per-launch compile jitter.
+//! * `micro` — three straight-line kernels (elementwise SAXPY, a
+//!   shared-memory tile reverse with a barrier, a compute-bound Horner
+//!   polynomial) whose launches exactly cover their data, on a 128-block and
+//!   a 4096-block grid, at 1, 2, 4 and 8 requested intra-node workers capped
+//!   at the host's core count (more chunks than cores only measures
+//!   oversubscription). `lane_blocks_per_sec` includes the per-launch
+//!   compile; the `*_run_*` columns hoist compile + range analysis out of
+//!   the timed region, so `elide_speedup` isolates the elision effect. The
+//!   kernels are out-of-place, so repetitions share one cache-warm pool.
+//! * `builtin` — all 42 built-in kernels (8 perf-suite at `Scale::Test`, 21
+//!   Triton, 13 Hetero-Mark) at their own launches, serial, run-only, every
+//!   repetition on a fresh copy of the initial memory.
 //!
-//! The harness doubles as the perf-regression smoke: it panics if the
-//! vectorized tier fails to beat the bytecode engine, or if the certified
-//! unchecked path falls behind the checked path, on the saxpy or horner15
-//! serial rows of either grid — so a CI bench run fails on a vectorization
-//! or elision regression. Checked-vs-unchecked bit-identity (stats and memory) is
-//! asserted before anything is timed.
+//! `before` carries the same 42-kernel sweep measured at the commit before
+//! the engine collapse (its `bytecode` tier was the inst-major `BlockEngine`,
+//! its `simd` tier the lane engine with full-register staging), on the host
+//! it names. The file records `host_cores`, and every row its grid, block
+//! size and worker counts: a number means nothing without them.
+//!
+//! The harness doubles as the perf-regression smoke: it panics if lanes fail
+//! to beat thread-major execution, or if the certified unchecked path falls
+//! behind the checked path, on the saxpy or horner15 serial rows of either
+//! grid. Bit-identity of all four executions (stats and memory) is asserted
+//! for every kernel before anything is timed.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use cucc_analysis::{certify_program, global_extents};
 use cucc_exec::{
-    execute_block_range, pool::host_cores, run_range, run_range_parallel, run_range_parallel_simd,
-    run_range_simd, sanitize_launch, Arg, BufferId, CertMode, MemPool, Program,
+    execute_block_range, pool::host_cores, run_range, run_range_parallel, sanitize_launch, Arg,
+    CertMode, MemPool, Program,
 };
-use cucc_ir::{Axis, Expr, Kernel, KernelBuilder, LaunchConfig, Scalar};
+use cucc_ir::{Axis, Expr, Kernel, KernelBuilder, LaunchConfig, Param, Scalar, Value};
+use cucc_workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
 use std::time::Instant;
 
 const THREADS: u32 = 128;
@@ -48,14 +46,16 @@ const THREADS: u32 = 128;
 const GRIDS: [u32; 2] = [128, 4096];
 /// Requested worker counts; each is capped at [`host_cores`] before it runs.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// The parent commit's 42-kernel sweep (see the module docs).
+const BEFORE: &str = include_str!("bench_interp_before.json");
 
-/// Which launch arguments a kernel takes (all buffers are `f32[n]`).
-#[derive(Clone, Copy)]
-enum ArgSpec {
-    /// `(x, y)`
-    Xy,
-    /// `(x, y, z, a)` — two inputs, one output, one scalar.
-    XyzA,
+/// One kernel at one launch with its initial memory.
+struct Case {
+    name: String,
+    kernel: Kernel,
+    launch: LaunchConfig,
+    pool: MemPool,
+    args: Vec<Arg>,
 }
 
 fn global_tid(b: &mut KernelBuilder) -> cucc_ir::VarId {
@@ -126,332 +126,295 @@ fn horner15() -> Kernel {
     b.finish()
 }
 
-fn setup(pool: &mut MemPool, spec: ArgSpec, n: usize) -> Vec<Arg> {
-    let x = pool.alloc_elems(Scalar::F32, n);
-    let y = pool.alloc_elems(Scalar::F32, n);
-    let xs: Vec<u8> = (0..n)
-        .flat_map(|i| ((i % 257) as f32 * 0.01 - 1.0).to_le_bytes())
+/// Bind one buffer per buffer parameter (with the given initial bytes) and
+/// one scalar per scalar parameter, in declaration order.
+fn case(
+    name: &str,
+    kernel: Kernel,
+    launch: LaunchConfig,
+    buffers: &[Vec<u8>],
+    scalars: &[Value],
+) -> Case {
+    let mut pool = MemPool::new();
+    let (mut bufs, mut scalars) = (buffers.iter(), scalars.iter());
+    let args = kernel
+        .params
+        .iter()
+        .map(|p| match p {
+            Param::Buffer { .. } => {
+                let data = bufs.next().expect("a buffer per buffer param");
+                let id = pool.alloc(data.len());
+                pool.write_all(id, data);
+                Arg::Buffer(id)
+            }
+            Param::Scalar { .. } => Arg::Scalar(*scalars.next().expect("a scalar per param")),
+        })
         .collect();
-    let ys: Vec<u8> = (0..n)
-        .flat_map(|i| (3.0 - i as f32 * 0.125).to_le_bytes())
-        .collect();
-    pool.write_all(x, &xs);
-    pool.write_all(y, &ys);
-    match spec {
-        ArgSpec::Xy => vec![Arg::Buffer(x), Arg::Buffer(y)],
-        ArgSpec::XyzA => {
-            let z = pool.alloc_elems(Scalar::F32, n);
-            vec![
-                Arg::Buffer(x),
-                Arg::Buffer(y),
-                Arg::Buffer(z),
-                Arg::float(1.0009765625),
-            ]
+    Case {
+        name: name.to_string(),
+        kernel,
+        launch,
+        pool,
+        args,
+    }
+}
+
+fn micro_case(name: &str, kernel: Kernel, blocks: u32) -> Case {
+    let launch = LaunchConfig::new(blocks, THREADS);
+    let n = launch.total_threads() as usize;
+    let f32s = |f: &dyn Fn(usize) -> f32| (0..n).flat_map(|i| f(i).to_le_bytes()).collect();
+    let buffers: Vec<Vec<u8>> = vec![
+        f32s(&|i| (i % 257) as f32 * 0.01 - 1.0),
+        f32s(&|i| 3.0 - i as f32 * 0.125),
+        vec![0u8; n * 4],
+    ];
+    let nbuf = kernel.params.iter().filter(|p| p.is_buffer()).count();
+    let a = [Value::F64(1.0009765625)];
+    case(name, kernel, launch, &buffers[..nbuf], &a)
+}
+
+fn builtin_cases() -> Vec<Case> {
+    let parse = |src: &str| cucc_ir::parse_kernel(src).expect("builtin kernel parses");
+    let mut out = Vec::new();
+    for b in perf_suite(Scale::Test) {
+        let (kernel, scalars) = (parse(&b.source()), b.scalars());
+        out.push(case(b.name(), kernel, b.launch(), &b.buffers(), &scalars));
+    }
+    for k in triton_kernels().into_iter().chain(heteromark_kernels()) {
+        let zeroed: Vec<Vec<u8>> = k.buffer_bytes.iter().map(|&n| vec![0u8; n]).collect();
+        out.push(case(
+            k.name,
+            parse(&k.source),
+            k.launch,
+            &zeroed,
+            &k.scalars,
+        ));
+    }
+    out
+}
+
+/// The compiled forms of one case.
+struct Programs {
+    lane: Program,
+    detached: Program,
+    unchecked: Program,
+    /// `(certified, total)` accesses of `unchecked`.
+    certs: (usize, usize),
+}
+
+/// Compile the case three ways and assert all of them reproduce the oracle's
+/// stats and memory exactly — nothing is timed before that.
+fn programs(c: &Case) -> Programs {
+    let lane = Program::compile(&c.kernel, c.launch, &c.args).unwrap();
+    let mut detached = lane.clone();
+    detached.detach_lane_plans();
+    let mut unchecked = lane.clone();
+    let exts = global_extents(&unchecked, |b| Some(c.pool.size_of(b)));
+    let certs = certify_program(&mut unchecked, &exts, CertMode::Elide).stats();
+
+    let blocks = 0..c.launch.num_blocks();
+    let mut want = c.pool.clone();
+    let stats = execute_block_range(&c.kernel, c.launch, blocks.clone(), &c.args, &mut want);
+    for (what, prog) in [
+        ("lane", &lane),
+        ("detached", &detached),
+        ("unchecked", &unchecked),
+    ] {
+        let mut got = c.pool.clone();
+        let s = run_range(prog, &mut got, blocks.clone());
+        assert_eq!(
+            stats, s,
+            "{}: {what} stats diverged from the oracle",
+            c.name
+        );
+        assert!(want == got, "{}: {what} memory diverged", c.name);
+    }
+    Programs {
+        lane,
+        detached,
+        unchecked,
+        certs,
+    }
+}
+
+/// Best single-run seconds: at least `min_reps` runs, and more until
+/// `budget` seconds are spent. With `fresh`, every run starts from a new copy
+/// of the case's memory (cloned outside the timed region), as a kernel that
+/// updates its buffers in place needs; without, runs share one copy and the
+/// data stays cache-warm.
+fn best(c: &Case, fresh: bool, min_reps: usize, budget: f64, run: impl Fn(&mut MemPool)) -> f64 {
+    let (mut best, mut spent, mut reps) = (f64::MAX, 0.0, 0);
+    let mut pool = c.pool.clone();
+    while reps < min_reps || spent < budget {
+        if fresh {
+            pool = c.pool.clone();
         }
+        let t = Instant::now();
+        run(&mut pool);
+        let dt = t.elapsed().as_secs_f64();
+        best = best.min(dt);
+        spent += dt;
+        reps += 1;
     }
+    best
 }
 
-/// Serial baselines, measured once per kernel.
-struct SerialBase {
-    tree: f64,
-    /// Tree-walk with the dynamic sanitizer (write tracing on a scratch
-    /// pool + interval sweep) — quantifies the `--sanitize` overhead.
-    sanitize: f64,
-}
-
-/// One (kernel, worker count) configuration: bytecode vs vectorized with
-/// compile inside the timed region (the historical columns), plus
-/// steady-state run-only rows — compile + range analysis hoisted, as the
-/// schedule cache amortizes them across replays — in checked and
-/// range-certified (bounds-check-elided) flavours, so `elide_speedup`
-/// isolates the elision effect from per-launch compile jitter.
-struct WorkerRow {
-    /// Worker count asked for (`WORKER_COUNTS`).
-    requested: usize,
-    /// Worker count run: `requested` capped at the host's cores.
-    workers: usize,
-    bytecode: f64,
-    simd: f64,
-    bytecode_run: f64,
-    simd_run: f64,
-    bytecode_unchecked: f64,
-    simd_unchecked: f64,
-}
-
-/// Compile and attach `CertMode::Elide` certificates against the pool's
-/// real allocation sizes; the dense exact-cover bench kernels must
-/// certify every access or the elided rows would be measuring nothing.
-fn compile_certified(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    args: &[Arg],
-    pool: &MemPool,
-) -> Program {
-    let mut prog = Program::compile(kernel, launch, args).unwrap();
-    let exts = global_extents(&prog, |b| (b.index() < pool.len()).then(|| pool.size_of(b)));
-    let (certified, total) = certify_program(&mut prog, &exts, CertMode::Elide).stats();
+/// Rows of the micro sweep for one kernel on one grid; returns the JSON rows
+/// and runs the perf-regression assertions on the serial row.
+fn micro_rows(c: &Case, reps: usize) -> Vec<String> {
+    let p = programs(c);
     assert_eq!(
-        certified, total,
-        "bench kernel `{}` only certified {certified}/{total} accesses",
-        kernel.name
+        p.certs.0, p.certs.1,
+        "bench kernel `{}` left accesses uncertified: the unchecked rows would measure nothing",
+        c.name
     );
-    prog
-}
-
-/// Best-of-`reps` blocks/second for every engine configuration, after an
-/// equivalence sanity check between the serial engines. Compile-once cost
-/// is part of the launch, so it stays inside the timed region for the
-/// bytecode and simd configurations.
-fn measure(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    spec: ArgSpec,
-    reps: usize,
-) -> (SerialBase, Vec<WorkerRow>) {
-    let mut pool_a = MemPool::new();
-    let args = setup(&mut pool_a, spec, launch.total_threads() as usize);
-    let mut pool_b = pool_a.clone();
-    let mut pool_c = pool_a.clone();
-    let mut pool_d = pool_a.clone();
-    let mut pool_e = pool_a.clone();
-    let nblocks = launch.num_blocks();
-
-    let sa = execute_block_range(kernel, launch, 0..nblocks, &args, &mut pool_a).unwrap();
-    let prog = Program::compile(kernel, launch, &args).unwrap();
-    let sb = run_range(&prog, &mut pool_b, 0..nblocks).unwrap();
-    assert_eq!(sa, sb, "engines disagree — refusing to benchmark");
-    let sc = run_range_simd(&prog, &mut pool_c, 0..nblocks).unwrap();
-    assert_eq!(sa, sc, "simd engine disagrees — refusing to benchmark");
-
-    // Checked-vs-unchecked bit-identity: the certified elided path must
-    // reproduce the checked path's stats and memory exactly.
-    let prog_u = compile_certified(kernel, launch, &args, &pool_d);
-    let sd = run_range(&prog_u, &mut pool_d, 0..nblocks).unwrap();
-    assert_eq!(
-        sa, sd,
-        "certified bytecode disagrees — refusing to benchmark"
-    );
-    let se = run_range_simd(&prog_u, &mut pool_e, 0..nblocks).unwrap();
-    assert_eq!(sa, se, "certified simd disagrees — refusing to benchmark");
-    for i in 0..pool_a.len() {
-        let id = BufferId(i as u32);
-        assert_eq!(
-            pool_a.bytes(id),
-            pool_d.bytes(id),
-            "certified bytecode memory diverged"
-        );
-        assert_eq!(
-            pool_a.bytes(id),
-            pool_e.bytes(id),
-            "certified simd memory diverged"
-        );
-    }
-
+    let nblocks = c.launch.num_blocks();
     let bps = |secs: f64| nblocks as f64 / secs;
-    let mut tree = f64::MAX;
-    let mut sanitize = f64::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        execute_block_range(kernel, launch, 0..nblocks, &args, &mut pool_a).unwrap();
-        tree = tree.min(t.elapsed().as_secs_f64());
-
-        let t = Instant::now();
-        let report = sanitize_launch(kernel, launch, &args, &pool_a);
-        sanitize = sanitize.min(t.elapsed().as_secs_f64());
+    let tree = bps(best(c, false, reps, 0.0, |pool| {
+        execute_block_range(&c.kernel, c.launch, 0..nblocks, &c.args, pool).unwrap();
+    }));
+    // Tree-walk with the dynamic sanitizer (write tracing on a scratch pool +
+    // interval sweep) — quantifies the `--sanitize` overhead.
+    let sanitize = bps(best(c, false, reps, 0.0, |pool| {
+        let report = sanitize_launch(&c.kernel, c.launch, &c.args, pool);
         assert!(report.clean(), "bench kernel flagged: {}", report.summary());
-    }
+    }));
 
-    let mut rows: Vec<WorkerRow> = Vec::new();
+    let mut rows = Vec::new();
+    let mut seen = Vec::new();
     for requested in WORKER_COUNTS {
         let workers = requested.min(host_cores());
-        if rows.iter().any(|r| r.workers == workers) {
+        if seen.contains(&workers) {
             continue;
         }
-        // Pre-built programs for the steady-state (run-only) rows.
-        let prog_run = Program::compile(kernel, launch, &args).unwrap();
-        let prog_cert = compile_certified(kernel, launch, &args, &pool_d);
-        let mut bytecode = f64::MAX;
-        let mut simd = f64::MAX;
-        let mut bytecode_r = f64::MAX;
-        let mut simd_r = f64::MAX;
-        let mut bytecode_u = f64::MAX;
-        let mut simd_u = f64::MAX;
-        // `run_range_parallel{,_simd}` take the serial path at one worker.
-        let time = |best: &mut f64, run: &mut dyn FnMut()| {
-            let t = Instant::now();
-            run();
-            *best = best.min(t.elapsed().as_secs_f64());
+        seen.push(workers);
+        // `run_range_parallel` takes the serial path at one worker.
+        let run_only = |prog: &Program| {
+            bps(best(c, false, reps, 0.0, |pool| {
+                run_range_parallel(prog, pool, 0..nblocks, workers).unwrap();
+            }))
         };
-        for _ in 0..reps {
-            time(&mut bytecode, &mut || {
-                let prog = Program::compile(kernel, launch, &args).unwrap();
-                run_range_parallel(&prog, &mut pool_b, 0..nblocks, workers).unwrap();
-            });
-            time(&mut simd, &mut || {
-                let prog = Program::compile(kernel, launch, &args).unwrap();
-                run_range_parallel_simd(&prog, &mut pool_c, 0..nblocks, workers).unwrap();
-            });
-            time(&mut bytecode_r, &mut || {
-                run_range_parallel(&prog_run, &mut pool_b, 0..nblocks, workers).unwrap();
-            });
-            time(&mut simd_r, &mut || {
-                run_range_parallel_simd(&prog_run, &mut pool_c, 0..nblocks, workers).unwrap();
-            });
-            time(&mut bytecode_u, &mut || {
-                run_range_parallel(&prog_cert, &mut pool_d, 0..nblocks, workers).unwrap();
-            });
-            time(&mut simd_u, &mut || {
-                run_range_parallel_simd(&prog_cert, &mut pool_e, 0..nblocks, workers).unwrap();
-            });
+        let lane = bps(best(c, false, reps, 0.0, |pool| {
+            let prog = Program::compile(&c.kernel, c.launch, &c.args).unwrap();
+            run_range_parallel(&prog, pool, 0..nblocks, workers).unwrap();
+        }));
+        let (lane_run, detached_run, unchecked_run) = (
+            run_only(&p.lane),
+            run_only(&p.detached),
+            run_only(&p.unchecked),
+        );
+        println!(
+            "{:<14} {nblocks:>4} blocks w={workers}/{requested} tree {tree:>10.0} blk/s | lane \
+             {lane:>10.0} ({:.2}x) | run-only: lane {lane_run:>10.0}, detached \
+             {detached_run:>10.0} ({:.2}x), unchecked {unchecked_run:>10.0} ({:.2}x) | sanitize \
+             {sanitize:>10.0}",
+            c.name,
+            lane / tree,
+            lane_run / detached_run,
+            unchecked_run / lane_run,
+        );
+        rows.push(format!(
+            "    {{\"kernel\": \"{}\", \"blocks\": {nblocks}, \"threads_per_block\": {THREADS}, \
+             \"workers_requested\": {requested}, \"workers\": {workers}, \
+             \"tree_blocks_per_sec\": {tree:.0}, \"lane_blocks_per_sec\": {lane:.0}, \
+             \"lane_speedup\": {:.2}, \"lane_run_blocks_per_sec\": {lane_run:.0}, \
+             \"detached_run_blocks_per_sec\": {detached_run:.0}, \"lane_vs_detached\": {:.2}, \
+             \"unchecked_run_blocks_per_sec\": {unchecked_run:.0}, \"elide_speedup\": {:.2}, \
+             \"sanitize_blocks_per_sec\": {sanitize:.0}, \"sanitize_overhead_vs_tree\": {:.2}}}",
+            c.name,
+            lane / tree,
+            lane_run / detached_run,
+            unchecked_run / lane_run,
+            tree / sanitize,
+        ));
+        // Perf-regression smoke, serial row: lanes must not lose to
+        // thread-major execution, and the certified bounds-check-elided
+        // path must not lose to the checked path, on the dense compute
+        // kernels they were built for. 10% noise floor on the second: with
+        // two memory ops per element elision sits within run-to-run jitter.
+        if workers == 1 && matches!(c.name.as_str(), "saxpy" | "horner15") {
+            assert!(
+                lane_run >= detached_run,
+                "{}/{nblocks}: lanes regressed below thread-major ({lane_run:.0} < \
+                 {detached_run:.0} blocks/s serial run-only)",
+                c.name,
+            );
+            assert!(
+                unchecked_run >= lane_run * 0.9,
+                "{}/{nblocks}: certified path regressed below checked ({unchecked_run:.0} < \
+                 {lane_run:.0} blocks/s serial run-only)",
+                c.name,
+            );
         }
-        rows.push(WorkerRow {
-            requested,
-            workers,
-            bytecode: bps(bytecode),
-            simd: bps(simd),
-            bytecode_run: bps(bytecode_r),
-            simd_run: bps(simd_r),
-            bytecode_unchecked: bps(bytecode_u),
-            simd_unchecked: bps(simd_u),
-        });
     }
-    (
-        SerialBase {
-            tree: bps(tree),
-            sanitize: bps(sanitize),
-        },
-        rows,
+    rows
+}
+
+/// One serial run-only row for a builtin kernel.
+fn builtin_row(c: &Case) -> String {
+    let p = programs(c);
+    let nblocks = c.launch.num_blocks();
+    let bps = |secs: f64| nblocks as f64 / secs;
+    let tree = bps(best(c, true, 1, 0.0, |pool| {
+        execute_block_range(&c.kernel, c.launch, 0..nblocks, &c.args, pool).unwrap();
+    }));
+    let run_only = |prog: &Program| {
+        bps(best(c, true, 3, 0.03, |pool| {
+            run_range(prog, pool, 0..nblocks).unwrap();
+        }))
+    };
+    let (lane, detached, unchecked) = (
+        run_only(&p.lane),
+        run_only(&p.detached),
+        run_only(&p.unchecked),
+    );
+    let tpb = c.launch.threads_per_block();
+    println!(
+        "{:<24} {nblocks:>4}x{tpb:<5} tree {tree:>10.0} | lane {lane:>10.0} | detached \
+         {detached:>10.0} ({:.2}x) | unchecked {unchecked:>10.0} ({}/{} certified)",
+        c.name,
+        lane / detached,
+        p.certs.0,
+        p.certs.1,
+    );
+    format!(
+        "    {{\"kernel\": \"{}\", \"blocks\": {nblocks}, \"threads_per_block\": {tpb}, \
+         \"phases\": \"{}\", \"tree_blocks_per_sec\": {tree:.0}, \
+         \"lane_run_blocks_per_sec\": {lane:.0}, \"detached_run_blocks_per_sec\": {detached:.0}, \
+         \"unchecked_run_blocks_per_sec\": {unchecked:.0}, \"certified\": {}, \"accesses\": {}}}",
+        c.name,
+        p.lane.phase_summary(),
+        p.certs.0,
+        p.certs.1,
     )
 }
 
-fn bench_engines(c: &mut Criterion) {
-    let kernels: [(&str, Kernel, ArgSpec); 3] = [
-        ("saxpy", saxpy(), ArgSpec::XyzA),
-        ("tile_reverse", tile_reverse(), ArgSpec::Xy),
-        ("horner15", horner15(), ArgSpec::Xy),
-    ];
-
-    // The criterion groups keep their historical shape: serial, small grid.
-    let launch = LaunchConfig::new(GRIDS[0], THREADS);
-    for (name, kernel, spec) in &kernels {
-        let mut pool = MemPool::new();
-        let args = setup(&mut pool, *spec, launch.total_threads() as usize);
-        let mut g = c.benchmark_group(format!("interp/{name}"));
-        g.throughput(Throughput::Elements(launch.num_blocks()));
-        g.bench_function("tree_walk", |b| {
-            b.iter(|| {
-                execute_block_range(kernel, launch, 0..launch.num_blocks(), &args, &mut pool)
-                    .unwrap()
-            })
-        });
-        g.bench_function("bytecode", |b| {
-            b.iter(|| {
-                let prog = Program::compile(kernel, launch, &args).unwrap();
-                run_range(&prog, &mut pool, 0..launch.num_blocks()).unwrap()
-            })
-        });
-        g.bench_function("simd", |b| {
-            b.iter(|| {
-                let prog = Program::compile(kernel, launch, &args).unwrap();
-                run_range_simd(&prog, &mut pool, 0..launch.num_blocks()).unwrap()
-            })
-        });
-        g.finish();
-    }
-
-    let mut rows = String::new();
-    for (name, kernel, spec) in &kernels {
+fn main() {
+    let mut micro = Vec::new();
+    for (name, kernel) in [
+        ("saxpy", saxpy()),
+        ("tile_reverse", tile_reverse()),
+        ("horner15", horner15()),
+    ] {
         for blocks in GRIDS {
-            let launch = LaunchConfig::new(blocks, THREADS);
             // Best-of-9 on the small grid, where a run is a millisecond;
             // best-of-3 on the large one, where it is not.
             let reps = if blocks <= 128 { 9 } else { 3 };
-            let (base, wrows) = measure(kernel, launch, *spec, reps);
-            for r in &wrows {
-                println!(
-                    "{name:<14} {blocks:>4} blocks w={}/{} tree {:>10.0} blk/s | bytecode \
-                     {:>10.0} blk/s ({:.2}x) | simd {:>10.0} blk/s ({:.2}x vs bytecode) | \
-                     certified simd {:>10.0} blk/s ({:.2}x vs checked run-only {:>10.0}) | \
-                     sanitize {:>10.0} blk/s",
-                    r.workers,
-                    r.requested,
-                    base.tree,
-                    r.bytecode,
-                    r.bytecode / base.tree,
-                    r.simd,
-                    r.simd / r.bytecode,
-                    r.simd_unchecked,
-                    r.simd_unchecked / r.simd_run,
-                    r.simd_run,
-                    base.sanitize,
-                );
-                if !rows.is_empty() {
-                    rows.push_str(",\n");
-                }
-                rows.push_str(&format!(
-                    "    {{\"kernel\": \"{name}\", \"blocks\": {blocks}, \
-                     \"threads_per_block\": {THREADS}, \"workers_requested\": {}, \
-                     \"workers\": {}, \"tree_blocks_per_sec\": {:.0}, \
-                     \"bytecode_blocks_per_sec\": {:.0}, \"bytecode_speedup\": {:.2}, \
-                     \"simd_blocks_per_sec\": {:.0}, \"simd_speedup\": {:.2}, \
-                     \"bytecode_run_blocks_per_sec\": {:.0}, \
-                     \"simd_run_blocks_per_sec\": {:.0}, \
-                     \"bytecode_unchecked_blocks_per_sec\": {:.0}, \
-                     \"simd_unchecked_blocks_per_sec\": {:.0}, \"elide_speedup\": {:.2}, \
-                     \"sanitize_blocks_per_sec\": {:.0}, \"sanitize_overhead_vs_tree\": {:.2}}}",
-                    r.requested,
-                    r.workers,
-                    base.tree,
-                    r.bytecode,
-                    r.bytecode / base.tree,
-                    r.simd,
-                    r.simd / r.bytecode,
-                    r.bytecode_run,
-                    r.simd_run,
-                    r.bytecode_unchecked,
-                    r.simd_unchecked,
-                    r.simd_unchecked / r.simd_run,
-                    base.sanitize,
-                    base.tree / base.sanitize,
-                ));
-            }
-            // Perf-regression smoke: the vectorized tier must not lose to
-            // the bytecode engine, and the certified bounds-check-elided
-            // path must not lose to the checked path, on the dense compute
-            // kernels they were built for.
-            if matches!(*name, "saxpy" | "horner15") {
-                let serial = &wrows[0];
-                assert!(
-                    serial.simd >= serial.bytecode,
-                    "{name}/{blocks}: simd tier regressed below bytecode \
-                     ({:.0} < {:.0} blocks/s serial)",
-                    serial.simd,
-                    serial.bytecode,
-                );
-                // 10% noise floor: on the compute-bound kernels the two
-                // memory ops per element put elision within run-to-run
-                // jitter, so only a real regression should fail CI. Both
-                // sides are steady-state run-only measurements.
-                assert!(
-                    serial.simd_unchecked >= serial.simd_run * 0.9,
-                    "{name}/{blocks}: certified simd path regressed below checked \
-                     ({:.0} < {:.0} blocks/s serial run-only)",
-                    serial.simd_unchecked,
-                    serial.simd_run,
-                );
-            }
+            micro.extend(micro_rows(&micro_case(name, kernel.clone(), blocks), reps));
         }
     }
+    let builtin: Vec<String> = builtin_cases().iter().map(builtin_row).collect();
+    assert_eq!(builtin.len(), 42, "the builtin sweep covers every kernel");
 
     let json = format!(
-        "{{\n  \"bench\": \"interp\",\n  \"unit\": \"blocks_per_sec\",\n  \
-         \"host_cores\": {},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-        host_cores()
+        "{{\n  \"bench\": \"interp\",\n  \"unit\": \"blocks_per_sec\",\n  \"host_cores\": {},\n  \
+         \"micro\": [\n{}\n  ],\n  \"builtin\": [\n{}\n  ],\n  \"before\": {}\n}}\n",
+        host_cores(),
+        micro.join(",\n"),
+        builtin.join(",\n"),
+        BEFORE.trim_end().replace('\n', "\n  "),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
     std::fs::write(path, &json).expect("write BENCH_interp.json");
     println!("wrote {path}");
 }
-
-criterion_group!(benches, bench_engines);
-criterion_main!(benches);

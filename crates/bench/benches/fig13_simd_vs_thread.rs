@@ -3,20 +3,18 @@
 //!
 //! The paper contrasts a SIMD-Focused cluster (few fat cores, wide vectors)
 //! with a Thread-Focused one (many scalar cores) at equalized peak capacity.
-//! Our measured analog drives the three real engine tiers over the eight
-//! evaluation kernels: the tree-walk oracle, the scalar bytecode engine
-//! across 1/2/4/8 workers (thread-style scaling), and the vectorized
-//! lane-array engine across the same worker counts (SIMD-style scaling).
-//! The per-worker `simd/bytecode` ratio is the measured counterpart of the
+//! Our measured analog drives the real executors over the eight evaluation
+//! kernels: the tree-walk oracle, the compiled engine with its lane plans
+//! detached (`Program::detach_lane_plans`: every segment thread-major)
+//! across 1/2/4/8 workers (thread-style scaling), and the compiled engine
+//! as it ships across the same worker counts (SIMD-style scaling). The
+//! per-worker `lane/thread-major` ratio is the measured counterpart of the
 //! figure's SIMD-vs-thread trade-off, and the §8.2 ablation (what a
-//! SIMD-focused machine loses when vector execution is disabled) becomes
-//! literal: run the same kernel with the lane engine turned off.
+//! SIMD-focused machine loses when vector execution is disabled) is
+//! literal: the same engine, the same kernel, lanes off.
 
 use cucc_bench::{banner, geomean};
-use cucc_exec::{
-    execute_block_range, run_range, run_range_parallel, run_range_parallel_simd, run_range_simd,
-    Arg, MemPool, Program,
-};
+use cucc_exec::{execute_block_range, run_range_parallel, Arg, MemPool, Program};
 use cucc_ir::Param;
 use cucc_workloads::{perf_suite, Benchmark, Scale};
 use std::time::Instant;
@@ -86,7 +84,7 @@ fn best_time(p: &Prepared, f: impl Fn(&Prepared, &mut MemPool)) -> f64 {
 fn main() {
     banner(
         "Figure 13",
-        "SIMD-style (lane engine) vs thread-style (bytecode workers), measured",
+        "SIMD-style (lane plans) vs thread-style (thread-major workers), measured",
     );
     let suite = perf_suite(Scale::Test);
     println!(
@@ -95,7 +93,7 @@ fn main() {
         "tree",
         WORKER_COUNTS
             .iter()
-            .map(|w| format!("{:>22}", format!("w={w}: simd/bytecode")))
+            .map(|w| format!("{:>22}", format!("w={w}: lane/thread")))
             .collect::<String>()
     );
 
@@ -110,25 +108,20 @@ fn main() {
         });
         print!("{:<16} {:>8.2}ms  ", p.name, tree * 1e3);
         let prog = Program::compile(&p.kernel, p.launch, &p.args).unwrap();
+        let mut thread_major = prog.clone();
+        thread_major.detach_lane_plans();
         for (i, &w) in WORKER_COUNTS.iter().enumerate() {
-            let byte = best_time(&p, |_, pool| {
-                if w <= 1 {
-                    run_range(&prog, pool, 0..blocks).unwrap();
-                } else {
-                    run_range_parallel(&prog, pool, 0..blocks, w).unwrap();
-                }
+            // `run_range_parallel` takes the serial path at one worker.
+            let thread = best_time(&p, |_, pool| {
+                run_range_parallel(&thread_major, pool, 0..blocks, w).unwrap();
             });
-            let simd = best_time(&p, |_, pool| {
-                if w <= 1 {
-                    run_range_simd(&prog, pool, 0..blocks).unwrap();
-                } else {
-                    run_range_parallel_simd(&prog, pool, 0..blocks, w).unwrap();
-                }
+            let lane = best_time(&p, |_, pool| {
+                run_range_parallel(&prog, pool, 0..blocks, w).unwrap();
             });
-            let ratio = byte / simd;
+            let ratio = thread / lane;
             ratios_per_w[i].push(ratio);
             if i == 0 {
-                serial.push((p.name.to_string(), byte, simd));
+                serial.push((p.name.to_string(), thread, lane));
             }
             print!("{:>19.2}x   ", ratio);
         }
@@ -146,19 +139,19 @@ fn main() {
     // ---- §8.2 ablation: disable vector execution on the SIMD-style tier ----
     // The paper disables SIMD on both CPUs and reports Transpose slowing
     // 61.66x on the SIMD-Focused machine but ~1x on the Thread-Focused one.
-    // Measured analog: the lane engine with its vector tier removed *is* the
-    // scalar bytecode engine, so the slowdown is simd-time vs bytecode-time
-    // serially; the thread-style tier never used vectors and is unchanged.
+    // Measured analog: the same engine with its lane plans detached, so the
+    // slowdown is thread-major time vs lane time serially; the thread-style
+    // column never used lanes and is unchanged.
     banner("§8.2 ablation", "Transpose with vector execution disabled");
-    let (name, byte, simd) = serial
+    let (name, thread, lane) = serial
         .iter()
         .find(|(n, _, _)| n == "Transpose")
         .expect("Transpose in suite");
     println!(
-        "  {name}: lane engine {:.3}ms -> scalar {:.3}ms ({:.2}x slowdown; paper 61.66x on 512-lane hardware)",
-        simd * 1e3,
-        byte * 1e3,
-        byte / simd
+        "  {name}: lanes on {:.3}ms -> lanes off {:.3}ms ({:.2}x slowdown; paper 61.66x on 512-lane hardware)",
+        lane * 1e3,
+        thread * 1e3,
+        thread / lane
     );
-    println!("  thread-style tier: unchanged (never vectorized; paper ~1x)");
+    println!("  thread-style column: unchanged (never used lanes; paper ~1x)");
 }

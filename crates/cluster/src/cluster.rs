@@ -17,8 +17,8 @@
 use crate::specs::ClusterSpec;
 use cucc_exec::interp::check_args;
 use cucc_exec::{
-    execute_block_range, pool, run_range_parallel, run_range_parallel_simd, Arg, BlockStats,
-    BufferId, EngineKind, ExecError, ExecOptions, MemPool, Program,
+    execute_block_range, pool, run_range_parallel, Arg, BlockStats, BufferId, EngineKind,
+    ExecError, ExecOptions, MemPool, Program,
 };
 use cucc_ir::{Kernel, LaunchConfig};
 use cucc_net::{
@@ -26,23 +26,6 @@ use cucc_net::{
     CollectiveCost, GatherSegment,
 };
 use std::ops::Range;
-
-/// Run `blocks` of a compiled program on one node's pool with the lane
-/// (`simd`) or the bytecode engine, cut into `workers` chunks (both runners
-/// go serial at one).
-fn run_compiled(
-    prog: &Program,
-    pool: &mut MemPool,
-    blocks: Range<u64>,
-    simd: bool,
-    workers: usize,
-) -> Result<BlockStats, ExecError> {
-    if simd {
-        run_range_parallel_simd(prog, pool, blocks, workers)
-    } else {
-        run_range_parallel(prog, pool, blocks, workers)
-    }
-}
 
 /// A simulated CPU cluster.
 #[derive(Debug, Clone)]
@@ -143,7 +126,7 @@ impl SimCluster {
     ///
     /// `assignments[i]` is the block range node `i` executes. Ranges need
     /// not be disjoint — callback phases intentionally run the same blocks
-    /// everywhere. On the bytecode path the kernel is compiled **once** and
+    /// everywhere. On the compiled path the kernel is compiled **once** and
     /// the program shared read-only by every node job.
     pub fn run_blocks_parallel_opts(
         &mut self,
@@ -162,7 +145,7 @@ impl SimCluster {
                     execute_block_range(kernel, launch, range, args, pool)
                 })
             }
-            EngineKind::Bytecode | EngineKind::Simd => {
+            EngineKind::Lane => {
                 let prog = Program::compile(kernel, launch, args)?;
                 self.run_program_parallel(&prog, assignments, opts)
             }
@@ -188,9 +171,8 @@ impl SimCluster {
                 self.intra_node_workers(opts, nodes_running, nblocks)
             })
             .collect();
-        let simd = opts.engine == EngineKind::Simd;
         self.run_nodes(assignments, |node, pool, range| {
-            run_compiled(prog, pool, range, simd, workers[node])
+            run_range_parallel(prog, pool, range, workers[node])
         })
     }
 
@@ -566,16 +548,16 @@ mod tests {
             engine: EngineKind::TreeWalk,
             ..ExecOptions::default()
         });
-        let byte = run(&ExecOptions {
-            engine: EngineKind::Bytecode,
+        let lane = run(&ExecOptions {
+            engine: EngineKind::Lane,
             ..ExecOptions::default()
         });
         let par = run(&ExecOptions {
-            engine: EngineKind::Bytecode,
+            engine: EngineKind::Lane,
             node_threads: 4,
             block_parallel: true,
         });
-        assert_eq!(tree, byte, "bytecode engine diverged from tree-walk");
+        assert_eq!(tree, lane, "compiled engine diverged from tree-walk");
         assert_eq!(tree, par, "intra-node parallel run diverged");
     }
 

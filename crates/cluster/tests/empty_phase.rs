@@ -26,15 +26,13 @@ fn all_empty_assignments_run_nothing() {
     let prog = Program::compile(&k, launch, &args).unwrap();
     // Every node's range is empty, at whatever offset.
     let empty: Vec<_> = (0..4u64).map(|i| i..i).collect();
-    for engine in [EngineKind::Bytecode, EngineKind::Simd] {
-        let opts = ExecOptions {
-            engine,
-            node_threads: 4,
-            block_parallel: true,
-        };
-        let stats = c.run_program_parallel(&prog, &empty, &opts).unwrap();
-        assert_eq!(stats, vec![BlockStats::default(); 4], "{engine}");
-    }
+    let opts = ExecOptions {
+        engine: EngineKind::Lane,
+        node_threads: 4,
+        block_parallel: true,
+    };
+    let stats = c.run_program_parallel(&prog, &empty, &opts).unwrap();
+    assert_eq!(stats, vec![BlockStats::default(); 4]);
     let tree = ExecOptions {
         engine: EngineKind::TreeWalk,
         ..ExecOptions::default()

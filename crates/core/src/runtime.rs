@@ -57,8 +57,8 @@ pub struct RuntimeConfig {
     pub verify_consistency: bool,
     /// Blocks sampled per profile.
     pub profile_samples: usize,
-    /// Which executor runs functional blocks (bytecode engine by default;
-    /// the tree-walk interpreter remains available as the oracle).
+    /// Which executor runs functional blocks (the compiled lane engine by
+    /// default; the tree-walk interpreter remains available as the oracle).
     pub engine: EngineKind,
     /// Worker threads per node for intra-node block parallelism
     /// (`0` = derive from host parallelism and the node's core count).
@@ -1437,9 +1437,9 @@ impl CuccCluster {
         }
     }
 
-    /// Compile the kernel for a bytecode-tier launch and attach range
+    /// Compile the kernel for a compiled-engine launch and attach range
     /// certificates resolved against the live allocation sizes: certified
-    /// accesses take the engines' unchecked fast path ([`CertMode::Elide`]).
+    /// accesses take the engine's unchecked fast path ([`CertMode::Elide`]).
     /// Under `--sanitize` every certificate is instead *cross-validated* at
     /// runtime ([`CertMode::Validate`]) — a wrong certificate becomes a
     /// hard `CertificateViolation` error, never UB.
@@ -1880,9 +1880,7 @@ impl CuccCluster {
             };
             // Compile once per launch; every pass reuses it.
             let prog = match opts.engine {
-                EngineKind::Bytecode | EngineKind::Simd => {
-                    Some(self.compile_certified(ck, launch, args)?)
-                }
+                EngineKind::Lane => Some(self.compile_certified(ck, launch, args)?),
                 EngineKind::TreeWalk => None,
             };
             // Mid-launch joiners first receive the launch-entry state from
@@ -2401,8 +2399,9 @@ mod tests {
 
     #[test]
     fn engines_produce_identical_launches() {
-        // Same kernel, same data: tree-walk and bytecode (with intra-node
-        // parallelism) must agree on memory, stats, times and wire bytes.
+        // Same kernel, same data: tree-walk and the compiled engine (with
+        // intra-node parallelism) must agree on memory, stats, times and
+        // wire bytes.
         let ck = compile_source(
             "__global__ void saxpy(float* x, float* y, float a, int n) {
                 int id = blockDim.x * blockIdx.x + threadIdx.x;
@@ -2440,22 +2439,14 @@ mod tests {
             (cl.download::<f32>(cy).unwrap(), report)
         };
         let (mem_tree, rep_tree) = run(EngineKind::TreeWalk, 0);
-        let (mem_byte, rep_byte) = run(EngineKind::Bytecode, 0);
-        let (mem_par, rep_par) = run(EngineKind::Bytecode, 4);
-        let (mem_simd, rep_simd) = run(EngineKind::Simd, 0);
-        let (mem_spar, rep_spar) = run(EngineKind::Simd, 4);
-        assert_eq!(mem_tree, mem_byte);
+        let (mem_lane, rep_lane) = run(EngineKind::Lane, 0);
+        let (mem_par, rep_par) = run(EngineKind::Lane, 4);
+        assert_eq!(mem_tree, mem_lane);
         assert_eq!(mem_tree, mem_par);
-        assert_eq!(mem_tree, mem_simd);
-        assert_eq!(mem_tree, mem_spar);
-        assert_eq!(rep_tree.node_stats, rep_byte.node_stats);
+        assert_eq!(rep_tree.node_stats, rep_lane.node_stats);
         assert_eq!(rep_tree.node_stats, rep_par.node_stats);
-        assert_eq!(rep_tree.node_stats, rep_simd.node_stats);
-        assert_eq!(rep_tree.node_stats, rep_spar.node_stats);
-        assert_eq!(rep_tree.times, rep_byte.times);
-        assert_eq!(rep_tree.times, rep_simd.times);
-        assert_eq!(rep_tree.wire_bytes, rep_byte.wire_bytes);
-        assert_eq!(rep_tree.wire_bytes, rep_simd.wire_bytes);
+        assert_eq!(rep_tree.times, rep_lane.times);
+        assert_eq!(rep_tree.wire_bytes, rep_lane.wire_bytes);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub struct LaunchSchedule {
     pub degraded_time: f64,
     /// Range-analysis certification summary: `(certified, total)`
     /// reachable memory accesses the abstract interpreter proves in-bounds
-    /// at this launch. Certified accesses take the engines' unchecked fast
-    /// path. `(0, 0)` for the tree-walk tier (no bytecode to analyze).
+    /// at this launch. Certified accesses take the engine's unchecked fast
+    /// path. `(0, 0)` under the tree-walk oracle (no bytecode to analyze).
     pub certs: (usize, usize),
 }
 
@@ -379,7 +379,7 @@ pub fn plan_schedule(
     };
     // Certification summary rides along the (cached) schedule; the
     // executors re-derive the full per-pc certificate table when they
-    // compile for the chosen engine tier.
+    // compile the launch.
     let certs = match Program::compile(&ck.kernel, launch, args) {
         Ok(prog) => {
             let exts = global_extents(&prog, |b| {

@@ -18,7 +18,8 @@
 //! * `__syncthreads()` phase boundaries are precomputed into a [`PhaseOp`]
 //!   tree instead of being rediscovered per block via `contains_barrier`.
 //!
-//! Execution of the compiled form lives in [`crate::engine`]. Every
+//! Execution of the compiled form lives in [`crate::lane`] (the engine) and
+//! [`crate::engine`] (its entry points and thread-major fallback). Every
 //! instruction replicates the interpreter's *exact* dynamic statistics
 //! semantics (which operations count as int vs float ops, address
 //! arithmetic, traffic counters), so `BlockStats` from both executors agree
@@ -195,6 +196,21 @@ pub enum Inst {
     Return,
 }
 
+/// What the thread-major fallback stages around one segment. The engine's
+/// register file is lane rows (struct-of-arrays); [`crate::engine::run_seg`]
+/// wants one thread's registers contiguous. Only registers that carry state
+/// across a segment boundary need to move: temporaries are written before
+/// they are read inside a segment and pooled constants never change.
+#[derive(Debug, Clone, Default)]
+pub struct SegStage {
+    /// Variable and pooled-`threadIdx` registers the segment names, copied
+    /// rows → window before a chunk of threads runs (ascending).
+    pub load: Vec<Reg>,
+    /// Variable registers the segment writes, copied window → rows after
+    /// (ascending; a subset of `load`).
+    pub store: Vec<Reg>,
+}
+
 /// One step of the precomputed barrier-phase schedule (the MCUDA/CuPBoP
 /// loop-fission structure, discovered once at compile time instead of per
 /// block).
@@ -202,14 +218,17 @@ pub enum Inst {
 pub enum PhaseOp {
     /// A maximal barrier-free code range: every live thread runs
     /// `code[start..end]` to completion before the next phase op. `batch`
-    /// is the inst-major execution mode [`seg_batchable`] proved safe;
-    /// `plan` indexes [`Program::lane_plans`] for the vectorized tier
-    /// ([`NO_PLAN`] when the segment is not batchable).
+    /// is the lane execution mode [`seg_batchable`] proved safe; `plan`
+    /// indexes [`Program::lane_plans`] ([`NO_PLAN`] when the segment is not
+    /// batchable and runs thread-major); `stage` lists the registers the
+    /// thread-major fallback moves between the engine's lane rows and its
+    /// per-thread windows.
     Seg {
         start: u32,
         end: u32,
         batch: BatchKind,
         plan: u32,
+        stage: SegStage,
     },
     /// `__syncthreads()` — charges one barrier per block.
     Barrier,
@@ -259,13 +278,12 @@ pub struct Program {
     /// Byte sizes of the local arrays (one image per thread each).
     pub(crate) local_sizes: Vec<usize>,
     /// Superinstruction-fused lane programs for every batchable segment,
-    /// indexed by [`PhaseOp::Seg::plan`] (see [`build_lane_plan`]). Only the
-    /// vectorized tier ([`crate::lane`]) executes these; the bytecode and
-    /// tree-walk paths ignore them.
+    /// indexed by [`PhaseOp::Seg::plan`] (see [`build_lane_plan`]) and
+    /// executed by [`crate::lane`].
     pub(crate) lane_plans: Vec<LanePlan>,
     pub(crate) launch: LaunchConfig,
     /// Optional bounds certificates attached by the range analysis
-    /// (`cucc-analysis::range`): per-pc in-bounds proofs the engines consume
+    /// (`cucc-analysis::range`): per-pc in-bounds proofs the engine consumes
     /// to elide (or cross-validate) bounds checks. `None` = every access
     /// takes the checked path.
     pub(crate) certs: Option<Certs>,
@@ -303,13 +321,24 @@ impl Program {
             if_sites: Vec::new(),
         };
         let mut phases = c.lower_phases(&kernel.body)?;
-        mark_batchable(&mut phases, &c.code, &c.slots);
+        // Decided once all code is emitted, so every jump target is final.
+        for_each_seg(&mut phases, &mut |start, end, batch, _, _| {
+            *batch = seg_batchable(&c.code, &c.slots, start, end);
+        });
         let (const_base, num_regs) = c.finish_regs();
-        // Lane plans read the *final* register layout (temporaries are
-        // `num_vars <= r < const_base`), so they must build after
+        // Lane plans and staging lists read the *final* register layout
+        // (temporaries are `num_vars <= r < const_base`, pooled `threadIdx`
+        // registers sit above the constants), so they must build after
         // `finish_regs` relocates the pooled registers.
+        let tid_base = const_base + c.consts.len() as u32;
         let mut lane_plans = Vec::new();
-        assign_lane_plans(&mut phases, &c.code, num_vars, const_base, &mut lane_plans);
+        for_each_seg(&mut phases, &mut |start, end, batch, plan, stage| {
+            if *batch != BatchKind::No {
+                *plan = lane_plans.len() as u32;
+                lane_plans.push(build_lane_plan(&c.code, start, end, num_vars, const_base));
+            }
+            *stage = seg_stage(&c.code, start, end, num_vars, tid_base);
+        });
         let mut has_global_atomics = false;
         kernel.visit_stmts(&mut |s| {
             if let Stmt::AtomicRmw { mem, .. } = s {
@@ -398,7 +427,7 @@ impl Program {
 
     /// Attach a per-pc bounds-certificate table (one entry per instruction;
     /// only memory instructions are consulted). Certified accesses take the
-    /// engines' unchecked fast path in [`CertMode::Elide`]; in
+    /// engine's unchecked fast path in [`CertMode::Elide`]; in
     /// [`CertMode::Validate`] they run the checked path and a bounds fault
     /// on a certified access surfaces as
     /// [`ExecError::CertificateViolation`] — a wrong certificate is a loud
@@ -415,20 +444,18 @@ impl Program {
             .iter()
             .map(|p| vec![true; p.ops.len()])
             .collect();
-        let mut segs: Vec<(u32, u32, u32)> = Vec::new();
-        collect_segs(&self.phases, &mut segs);
-        for (start, end, plan) in segs {
-            if plan == NO_PLAN {
-                continue;
+        for_each_seg(&mut self.phases, &mut |start, end, _, plan, _| {
+            if *plan == NO_PLAN {
+                return;
             }
-            let lp = &self.lane_plans[plan as usize];
+            let lp = &self.lane_plans[*plan as usize];
             for pc in start..end {
                 if is_mem_inst(&self.code[pc as usize]) && !pc_certified[pc as usize] {
                     let op = lp.src_map[(pc - start) as usize] as usize;
-                    plan_ops[plan as usize][op] = false;
+                    plan_ops[*plan as usize][op] = false;
                 }
             }
-        }
+        });
         self.certs = Some(Certs {
             pc: pc_certified.to_vec(),
             plan_ops,
@@ -439,6 +466,20 @@ impl Program {
     /// Remove any attached certificate table (all accesses checked again).
     pub fn detach_certs(&mut self) {
         self.certs = None;
+    }
+
+    /// Drop every lane plan, so each segment runs thread-major through
+    /// [`crate::engine::run_seg`] — the engine without its lanes. For
+    /// differential tests and ablation benches; no launch option reaches it.
+    pub fn detach_lane_plans(&mut self) {
+        for_each_seg(&mut self.phases, &mut |_, _, batch, plan, _| {
+            *batch = BatchKind::No;
+            *plan = NO_PLAN;
+        });
+        self.lane_plans.clear();
+        if let Some(c) = &mut self.certs {
+            c.plan_ops.clear();
+        }
     }
 
     /// Mode of the attached certificate table, if any.
@@ -531,6 +572,7 @@ impl Program {
                         end,
                         batch,
                         plan,
+                        ..
                     } => {
                         let tag = match batch {
                             BatchKind::No => "scalar",
@@ -576,7 +618,7 @@ impl Program {
     }
 }
 
-/// How the engines consume an attached certificate table.
+/// How the engine consumes an attached certificate table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertMode {
     /// Certified accesses take the unchecked fast path: the per-access
@@ -608,20 +650,28 @@ pub(crate) fn is_mem_inst(inst: &Inst) -> bool {
     )
 }
 
-/// Pre-order `(start, end, plan)` of every `Seg` in a phase tree.
-fn collect_segs(phases: &[PhaseOp], out: &mut Vec<(u32, u32, u32)>) {
+/// Visit every `Seg` of a phase tree in pre-order as
+/// `f(start, end, batch, plan, stage)`.
+fn for_each_seg(
+    phases: &mut [PhaseOp],
+    f: &mut impl FnMut(u32, u32, &mut BatchKind, &mut u32, &mut SegStage),
+) {
     for p in phases {
         match p {
             PhaseOp::Seg {
-                start, end, plan, ..
-            } => out.push((*start, *end, *plan)),
+                start,
+                end,
+                batch,
+                plan,
+                stage,
+            } => f(*start, *end, batch, plan, stage),
             PhaseOp::Barrier => {}
-            PhaseOp::UniformFor { body, .. } => collect_segs(body, out),
+            PhaseOp::UniformFor { body, .. } => for_each_seg(body, f),
             PhaseOp::UniformIf {
                 then_ops, else_ops, ..
             } => {
-                collect_segs(then_ops, out);
-                collect_segs(else_ops, out);
+                for_each_seg(then_ops, f);
+                for_each_seg(else_ops, f);
             }
         }
     }
@@ -1337,8 +1387,8 @@ impl<'a> Compiler<'a> {
 
     // ---- phase schedule --------------------------------------------------
 
-    /// See [`mark_batchable`]: lowering leaves `batch: false`; the flag is
-    /// decided after the whole code stream exists.
+    /// Lowering leaves `batch: No`; [`Program::compile`] decides the flag
+    /// after the whole code stream exists.
     fn lower_phases(&mut self, stmts: &[Stmt]) -> Result<Vec<PhaseOp>, ExecError> {
         let mut out = Vec::new();
         let mut i = 0;
@@ -1355,9 +1405,10 @@ impl<'a> Compiler<'a> {
                 out.push(PhaseOp::Seg {
                     start,
                     end: self.here(),
-                    // Decided by `mark_batchable` once all code is emitted.
+                    // Decided in `Program::compile` once all code is emitted.
                     batch: BatchKind::No,
                     plan: NO_PLAN,
+                    stage: SegStage::default(),
                 });
                 continue;
             }
@@ -1468,28 +1519,6 @@ pub enum BatchKind {
     Dense,
 }
 
-/// Set [`PhaseOp::Seg::batch`] throughout a phase tree. Runs after all code
-/// is emitted so every jump target is final.
-fn mark_batchable(phases: &mut [PhaseOp], code: &[Inst], slots: &[Option<MemSlotInfo>]) {
-    for p in phases {
-        match p {
-            PhaseOp::Seg {
-                start, end, batch, ..
-            } => {
-                *batch = seg_batchable(code, slots, *start, *end);
-            }
-            PhaseOp::Barrier => {}
-            PhaseOp::UniformFor { body, .. } => mark_batchable(body, code, slots),
-            PhaseOp::UniformIf {
-                then_ops, else_ops, ..
-            } => {
-                mark_batchable(then_ops, code, slots);
-                mark_batchable(else_ops, code, slots);
-            }
-        }
-    }
-}
-
 /// Can `code[start..end)` run *inst-major* across all threads of a block
 /// (one dispatch per instruction, inner loop over threads) while staying
 /// bit-for-bit with the oracle's thread-major order? Two families of rules:
@@ -1585,18 +1614,17 @@ fn seg_batchable(code: &[Inst], slots: &[Option<MemSlotInfo>], start: u32, end: 
     }
 }
 
-// ---- lane plans: superinstruction fusion for the vectorized tier --------
+// ---- lane plans: superinstruction fusion --------------------------------
 
 /// Sentinel for [`PhaseOp::Seg::plan`]: no lane plan (the segment is not
-/// batchable, so the vectorized tier falls back to thread-major scalar
-/// execution).
+/// batchable, so the engine falls back to thread-major scalar execution).
 pub const NO_PLAN: u32 = u32::MAX;
 
 /// One instruction of a fused lane program. The base variants mirror
 /// [`Inst`] one-for-one (jump targets rebased to plan-relative indices); the
 /// superinstruction variants collapse the adjacent pairs and triples that
-/// dominate the built-in kernels, so the vectorized hot loop dispatches once
-/// where the bytecode engine dispatches two or three times. Every fused
+/// dominate the built-in kernels, so the lane loop dispatches once where the
+/// thread-major loop dispatches two or three times. Every fused
 /// variant charges *exactly* the per-component `BlockStats` its expansion
 /// would, and faults in per-lane program order, so observational equivalence
 /// with the oracle is preserved (see [`try_fuse`] for the legality rules).
@@ -1772,63 +1800,104 @@ pub struct LanePlan {
     pub src_map: Vec<u32>,
 }
 
-/// Build a [`LanePlan`] for every batchable segment in the phase tree and
-/// record its index in [`PhaseOp::Seg::plan`].
-fn assign_lane_plans(
-    phases: &mut [PhaseOp],
-    code: &[Inst],
-    num_vars: u32,
-    const_base: u32,
-    plans: &mut Vec<LanePlan>,
-) {
-    for p in phases {
-        match p {
-            PhaseOp::Seg {
-                start,
-                end,
-                batch,
-                plan,
-            } => {
-                if *batch != BatchKind::No {
-                    *plan = plans.len() as u32;
-                    plans.push(build_lane_plan(code, *start, *end, num_vars, const_base));
-                }
+/// Visit every register `inst` names: `f(r, false)` for a read, `f(r,
+/// true)` for a write.
+fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
+    match inst {
+        Inst::Const { dst, .. } | Inst::Tid { dst, .. } | Inst::Bid { dst, .. } => f(*dst, true),
+        Inst::Jump { .. } | Inst::Return => {}
+        Inst::Copy { dst, src }
+        | Inst::Unary { dst, src, .. }
+        | Inst::Cast { dst, src, .. }
+        | Inst::Test { dst, src } => {
+            f(*src, false);
+            f(*dst, true);
+        }
+        Inst::Binary { dst, lhs, rhs, .. } => {
+            f(*lhs, false);
+            f(*rhs, false);
+            f(*dst, true);
+        }
+        Inst::MulAdd { dst, a, b, c } => {
+            f(*a, false);
+            f(*b, false);
+            f(*c, false);
+            f(*dst, true);
+        }
+        Inst::Intrin1 { dst, a, .. } => {
+            f(*a, false);
+            f(*dst, true);
+        }
+        Inst::Intrin2 { dst, a, b, .. } => {
+            f(*a, false);
+            f(*b, false);
+            f(*dst, true);
+        }
+        Inst::Load { dst, idx, .. } => {
+            f(*idx, false);
+            f(*dst, true);
+        }
+        Inst::Store { idx, val, .. } | Inst::AtomicRmw { idx, val, .. } => {
+            f(*idx, false);
+            f(*val, false);
+        }
+        Inst::JumpIfFalse { cond, .. } | Inst::JumpIfTrue { cond, .. } => f(*cond, false),
+        Inst::ForInit {
+            var,
+            start,
+            end,
+            step,
+            ..
+        } => {
+            for r in [start, end, step] {
+                f(*r, false);
+                f(*r, true);
             }
-            PhaseOp::Barrier => {}
-            PhaseOp::UniformFor { body, .. } => {
-                assign_lane_plans(body, code, num_vars, const_base, plans)
-            }
-            PhaseOp::UniformIf {
-                then_ops, else_ops, ..
-            } => {
-                assign_lane_plans(then_ops, code, num_vars, const_base, plans);
-                assign_lane_plans(else_ops, code, num_vars, const_base, plans);
-            }
+            f(*var, true);
+        }
+        Inst::ForNext {
+            var,
+            ind,
+            end,
+            step,
+            ..
+        } => {
+            f(*ind, false);
+            f(*end, false);
+            f(*step, false);
+            f(*ind, true);
+            f(*var, true);
         }
     }
 }
 
 /// Whether executing `inst` reads register `r`.
 fn inst_reads(inst: &Inst, r: Reg) -> bool {
-    match inst {
-        Inst::Const { .. } | Inst::Tid { .. } | Inst::Bid { .. } | Inst::Jump { .. } => false,
-        Inst::Return => false,
-        Inst::Copy { src, .. }
-        | Inst::Unary { src, .. }
-        | Inst::Cast { src, .. }
-        | Inst::Test { src, .. } => *src == r,
-        Inst::Binary { lhs, rhs, .. } => *lhs == r || *rhs == r,
-        Inst::MulAdd { a, b, c, .. } => *a == r || *b == r || *c == r,
-        Inst::Intrin1 { a, .. } => *a == r,
-        Inst::Intrin2 { a, b, .. } => *a == r || *b == r,
-        Inst::Load { idx, .. } => *idx == r,
-        Inst::Store { idx, val, .. } | Inst::AtomicRmw { idx, val, .. } => *idx == r || *val == r,
-        Inst::JumpIfFalse { cond, .. } | Inst::JumpIfTrue { cond, .. } => *cond == r,
-        Inst::ForInit {
-            start, end, step, ..
-        } => *start == r || *end == r || *step == r,
-        Inst::ForNext { ind, end, step, .. } => *ind == r || *end == r || *step == r,
+    let mut hit = false;
+    inst_regs(inst, |x, write| hit |= !write && x == r);
+    hit
+}
+
+/// Staging lists for `code[start..end)` (see [`SegStage`]): of the registers
+/// the range names, the variables (`r < num_vars`) and pooled `threadIdx`
+/// registers (`r >= tid_base`) load; the variables it writes store.
+fn seg_stage(code: &[Inst], start: u32, end: u32, num_vars: u32, tid_base: u32) -> SegStage {
+    let mut stage = SegStage::default();
+    for inst in &code[start as usize..end as usize] {
+        inst_regs(inst, |r, write| {
+            if r < num_vars || r >= tid_base {
+                stage.load.push(r);
+            }
+            if write && r < num_vars {
+                stage.store.push(r);
+            }
+        });
     }
+    for regs in [&mut stage.load, &mut stage.store] {
+        regs.sort_unstable();
+        regs.dedup();
+    }
+    stage
 }
 
 /// The destination register a lane op writes, when it has one.

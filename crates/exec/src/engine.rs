@@ -1,9 +1,10 @@
-//! Bytecode execution engine.
+//! Entry points and thread-major core of the compiled engine.
 //!
-//! Runs [`Program`]s produced by [`crate::bytecode`] with a reusable
-//! per-run arena: one [`BlockEngine`] holds every thread's register file,
-//! local arrays and the block's shared-memory image, allocated once per
-//! `run_*` call and reset per block. [`run_range`] executes a contiguous
+//! A [`Program`] produced by [`crate::bytecode`] runs on exactly one engine,
+//! [`crate::lane::LaneEngine`]: batchable segments execute over 16-lane
+//! chunks, every other segment falls back to [`run_seg`] — one thread at a
+//! time over the flat instruction stream — defined here together with the
+//! global-memory views both paths share. [`run_range`] executes a contiguous
 //! block range serially (the same ascending order as the tree-walk oracle);
 //! [`run_range_parallel`] chunks the range across the process-wide worker
 //! [`crate::pool`] for intra-node block parallelism.
@@ -18,11 +19,12 @@
 //! and fall back to the serial path, since the simulator's atomics are not
 //! host-atomic instructions.
 
-use crate::bytecode::{BatchKind, Inst, MemSlotInfo, PhaseOp, Program, Reg, SlotKind};
+use crate::bytecode::{Inst, MemSlotInfo, Program, SlotKind};
 use crate::interp::{
     apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, slice_load,
     slice_store, Arg, ExecError,
 };
+use crate::lane::LaneEngine;
 use crate::memory::{decode, encode, BufferId, MemPool};
 use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{BinOp, Kernel, LaunchConfig, Scalar, Value, ValueKind};
@@ -35,22 +37,20 @@ pub enum EngineKind {
     /// The tree-walking reference interpreter (`crate::interp`) — the
     /// differential-testing oracle.
     TreeWalk,
-    /// The compiled bytecode engine (this module).
+    /// The compiled engine (`crate::lane`): lane chunks with
+    /// superinstruction fusion for batchable segments, thread-major
+    /// [`run_seg`] otherwise.
     #[default]
-    Bytecode,
-    /// The vectorized lane-array engine (`crate::lane`): inst-major over
-    /// SoA lane chunks with superinstruction fusion for batchable segments,
-    /// scalar fallback otherwise.
-    Simd,
+    Lane,
 }
 
 impl EngineKind {
-    /// Parse a CLI spelling (`tree` / `bytecode` / `simd`).
+    /// Parse a CLI spelling: `tree` or `lane`. `bytecode` and `simd` named
+    /// the two compiled tiers that `lane` replaced and still select it.
     pub fn parse(s: &str) -> Option<EngineKind> {
         match s {
-            "tree" | "tree-walk" | "treewalk" | "interp" => Some(EngineKind::TreeWalk),
-            "bytecode" | "byte" | "engine" => Some(EngineKind::Bytecode),
-            "simd" | "vec" | "vector" | "vectorized" | "lanes" => Some(EngineKind::Simd),
+            "tree" => Some(EngineKind::TreeWalk),
+            "lane" | "bytecode" | "simd" => Some(EngineKind::Lane),
             _ => None,
         }
     }
@@ -60,8 +60,7 @@ impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineKind::TreeWalk => write!(f, "tree"),
-            EngineKind::Bytecode => write!(f, "bytecode"),
-            EngineKind::Simd => write!(f, "simd"),
+            EngineKind::Lane => write!(f, "lane"),
         }
     }
 }
@@ -70,7 +69,8 @@ impl fmt::Display for EngineKind {
 /// per-node block loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
-    /// Which executor to use.
+    /// Which executor to use: the compiled engine unless a caller wants
+    /// the oracle.
     pub engine: EngineKind,
     /// Requested worker threads per node for intra-node block parallelism
     /// (`0` = derive from host parallelism and the node's core count).
@@ -87,9 +87,9 @@ pub(crate) trait GlobalMem {
     fn size_of(&self, id: BufferId) -> usize;
     fn load(&self, id: BufferId, elem: Scalar, index: i64) -> Option<Value>;
     fn store(&mut self, id: BufferId, elem: Scalar, index: i64, value: Value) -> bool;
-    /// Resolve a buffer to its raw base pointer and byte length, so the
-    /// inst-major loops pay the lookup once per instruction instead of once
-    /// per thread. All accesses through the pointer go via [`raw_load`] /
+    /// Resolve a buffer to its raw base pointer and byte length, so the lane
+    /// loops pay the lookup once per instruction instead of once per
+    /// thread. All accesses through the pointer go via [`raw_load`] /
     /// [`raw_store`], which bounds-check every element and copy at most 8
     /// bytes — no `&`/`&mut` reference into the buffer is ever formed
     /// (the [`RacyView`] sharing contract).
@@ -265,1091 +265,6 @@ pub(crate) unsafe fn raw_store_unchecked(
     let mut tmp = [0u8; 8];
     encode(elem, value, &mut tmp[..sz]);
     std::ptr::copy_nonoverlapping(tmp.as_ptr(), ptr.add(off), sz);
-}
-
-/// Reusable per-run execution state for one block at a time: every thread's
-/// registers and local arrays plus the block's shared-memory image.
-/// Allocated once per `run_*` call, reset per block.
-pub(crate) struct BlockEngine<'p> {
-    prog: &'p Program,
-    nthreads: usize,
-    num_regs: usize,
-    num_locals: usize,
-    /// Thread-major register file: thread `t`'s registers live at
-    /// `t * num_regs ..`.
-    regs: Vec<Value>,
-    returned: Vec<bool>,
-    /// Per-thread resume targets for inst-major (batched) segments: thread
-    /// `t` executes the instruction at `pc` iff `resume[t] <= pc`, forward
-    /// jumps raise the target, `u32::MAX` retires the thread. Re-seeded at
-    /// the top of every batched segment.
-    resume: Vec<u32>,
-    tids: Vec<(u32, u32, u32)>,
-    shared: Vec<Vec<u8>>,
-    /// Thread-major local arrays: `locals[t * num_locals + l]`.
-    locals: Vec<Vec<u8>>,
-    block: (u32, u32, u32),
-    stats: BlockStats,
-}
-
-impl<'p> BlockEngine<'p> {
-    pub(crate) fn new(prog: &'p Program) -> BlockEngine<'p> {
-        let nthreads = prog.launch.threads_per_block() as usize;
-        let num_regs = prog.num_regs as usize;
-        let num_locals = prog.local_sizes.len();
-        // Launch-invariant constants and threadIdx values are splatted into
-        // every thread's register window once; nothing writes them and
-        // `reset` skips them, so they survive across all blocks of the run.
-        let tids: Vec<(u32, u32, u32)> = (0..nthreads)
-            .map(|t| prog.launch.block.delinearize(t as u64))
-            .collect();
-        let mut regs = vec![Value::I64(0); nthreads * num_regs];
-        let base = prog.const_base as usize;
-        let tid_base = base + prog.const_pool.len();
-        for (t, tid) in tids.iter().enumerate() {
-            let w = t * num_regs;
-            regs[w + base..w + tid_base].copy_from_slice(&prog.const_pool);
-            for (k, axis) in prog.tid_pool.iter().enumerate() {
-                regs[w + tid_base + k] = Value::I64(axis_of(*tid, *axis) as i64);
-            }
-        }
-        BlockEngine {
-            prog,
-            nthreads,
-            num_regs,
-            num_locals,
-            regs,
-            returned: vec![false; nthreads],
-            resume: vec![0; nthreads],
-            tids,
-            shared: prog.shared_sizes.iter().map(|&sz| vec![0u8; sz]).collect(),
-            locals: (0..nthreads)
-                .flat_map(|_| prog.local_sizes.iter().map(|&sz| vec![0u8; sz]))
-                .collect(),
-            block: (0, 0, 0),
-            stats: BlockStats::default(),
-        }
-    }
-
-    fn reset(&mut self) {
-        // Only the leading variable registers carry cross-statement state;
-        // temporaries are always written before read, so stale values from
-        // the previous block are unobservable and need no clearing.
-        let nv = self.prog.num_vars as usize;
-        for t in 0..self.nthreads {
-            let base = t * self.num_regs;
-            self.regs[base..base + nv].fill(Value::I64(0));
-        }
-        self.returned.fill(false);
-        for s in &mut self.shared {
-            s.fill(0);
-        }
-        for l in &mut self.locals {
-            l.fill(0);
-        }
-    }
-
-    #[inline]
-    fn reg(&self, t: usize, r: Reg) -> Value {
-        self.regs[t * self.num_regs + r as usize]
-    }
-
-    /// Broadcast a uniform loop variable to every thread's register file.
-    fn set_var_all(&mut self, r: Reg, v: Value) {
-        for t in 0..self.nthreads {
-            self.regs[t * self.num_regs + r as usize] = v;
-        }
-    }
-
-    /// Execute one block and return its statistics. Global-memory effects
-    /// land in `mem`.
-    pub(crate) fn run_block<M: GlobalMem>(
-        &mut self,
-        mem: &mut M,
-        block_linear: u64,
-    ) -> Result<BlockStats, ExecError> {
-        self.reset();
-        self.block = self.prog.launch.grid.delinearize(block_linear);
-        self.stats = BlockStats {
-            blocks: 1,
-            active_threads: self.nthreads as u64,
-            ..BlockStats::default()
-        };
-        let prog = self.prog;
-        self.exec_ops(&prog.phases, mem)?;
-        Ok(self.stats)
-    }
-
-    fn exec_ops<M: GlobalMem>(&mut self, ops: &[PhaseOp], mem: &mut M) -> Result<(), ExecError> {
-        for op in ops {
-            match op {
-                PhaseOp::Seg {
-                    start, end, batch, ..
-                } => {
-                    if *batch != BatchKind::No && self.nthreads > 1 {
-                        // Dense mode additionally needs every thread live:
-                        // an earlier `return` forces predication.
-                        let dense = *batch == BatchKind::Dense && !self.returned.iter().any(|&r| r);
-                        self.seg_batched(*start, *end, dense, mem)?;
-                    } else {
-                        for t in 0..self.nthreads {
-                            if !self.returned[t] {
-                                self.seg(t, *start, *end, mem)?;
-                            }
-                        }
-                    }
-                }
-                PhaseOp::Barrier => {
-                    self.stats.barriers += 1;
-                }
-                PhaseOp::UniformFor {
-                    var,
-                    bounds,
-                    sreg,
-                    ereg,
-                    streg,
-                    body,
-                } => {
-                    // Bounds evaluate once, on thread 0 (oracle semantics).
-                    self.seg(0, bounds.0, bounds.1, mem)?;
-                    let s = self.reg(0, *sreg).as_i64();
-                    let e = self.reg(0, *ereg).as_i64();
-                    let st = self.reg(0, *streg).as_i64();
-                    if st == 0 {
-                        return Err(ExecError::DivergentBarrier);
-                    }
-                    let mut v = s;
-                    while (st > 0 && v < e) || (st < 0 && v > e) {
-                        self.set_var_all(*var, Value::I64(v));
-                        self.exec_ops(body, mem)?;
-                        v += st;
-                    }
-                    self.set_var_all(*var, Value::I64(v));
-                }
-                PhaseOp::UniformIf {
-                    cond,
-                    creg,
-                    then_ops,
-                    else_ops,
-                } => {
-                    self.seg(0, cond.0, cond.1, mem)?;
-                    let taken = self.reg(0, *creg).is_true();
-                    self.exec_ops(if taken { then_ops } else { else_ops }, mem)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Dispatch one thread's segment with that thread's register and
-    /// local-array windows split out of the arena, so the hot loop in
-    /// [`run_seg`] indexes small disjoint slices instead of recomputing
-    /// thread-major offsets through `&mut self` on every access.
-    #[inline]
-    fn seg<M: GlobalMem>(
-        &mut self,
-        t: usize,
-        start: u32,
-        end: u32,
-        mem: &mut M,
-    ) -> Result<(), ExecError> {
-        let nr = self.num_regs;
-        let nl = self.num_locals;
-        run_seg(
-            self.prog,
-            &mut self.regs[t * nr..(t + 1) * nr],
-            &mut self.shared,
-            &mut self.locals[t * nl..(t + 1) * nl],
-            &mut self.returned[t],
-            &mut self.stats,
-            self.block,
-            self.tids[t],
-            start,
-            end,
-            mem,
-        )
-    }
-
-    /// Inst-major execution of a segment `seg_batchable` proved safe: one
-    /// dispatch per *instruction*, inner loop over the block's threads —
-    /// amortizing the dispatch cost `threads_per_block`-fold relative to
-    /// the thread-major [`run_seg`] loop.
-    ///
-    /// Divergence is predication: a forward jump raises the thread's
-    /// `resume` target and the thread sits out instructions until `pc`
-    /// catches up; `Return` retires it. Equivalence with the thread-major
-    /// order follows from `seg_batchable`'s hazard rules (loads only see
-    /// segment-entry state, one store site per slot, commuting atomics)
-    /// plus two observations: per-thread private state goes through the
-    /// identical instruction sequence either way, and `BlockStats` are
-    /// order-independent sums of identical per-thread charges.
-    ///
-    /// Faults: the oracle reports the *lowest* faulting thread (threads are
-    /// its outer loop). A faulting thread here retires itself and every
-    /// thread above it — the oracle never runs those — while lower threads
-    /// continue and may overwrite `pending` with a fault the oracle hits
-    /// first. Partial memory effects on the error path may differ from the
-    /// oracle's; both engines leave them unspecified on `Err`.
-    fn seg_batched<M: GlobalMem>(
-        &mut self,
-        start: u32,
-        end: u32,
-        mut dense: bool,
-        mem: &mut M,
-    ) -> Result<(), ExecError> {
-        const DEAD: u32 = u32::MAX;
-        let n = self.nthreads;
-        let n64 = n as u64;
-        let nr = self.num_regs;
-        let nl = self.num_locals;
-        let prog = self.prog;
-        let code = &prog.code;
-        let (emask, vmask) = prog.cert_masks();
-        if !dense {
-            for t in 0..n {
-                self.resume[t] = if self.returned[t] { DEAD } else { start };
-            }
-        }
-        let mut pending: Option<ExecError> = None;
-        let end = end as usize;
-        let mut pc = start as usize;
-        while pc < end {
-            if dense {
-                // Straight-line segment with every thread live: iterate the
-                // per-thread register windows directly — no predication
-                // check, no thread-offset arithmetic in the loop body. A
-                // fault demotes the rest of the segment to the predicated
-                // path (lower threads stay live; the faulting thread and
-                // everything above retire, see `demote`).
-                let mut fault: Option<(usize, ExecError)> = None;
-                match &code[pc] {
-                    Inst::Const {
-                        dst,
-                        v,
-                        int_ops,
-                        float_ops,
-                    } => {
-                        let d = *dst as usize;
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            w[d] = *v;
-                        }
-                        self.stats.int_ops += n64 * u64::from(*int_ops);
-                        self.stats.float_ops += n64 * u64::from(*float_ops);
-                    }
-                    Inst::Tid { dst, axis } => {
-                        let d = *dst as usize;
-                        for (w, tid) in self.regs.chunks_exact_mut(nr).zip(&self.tids) {
-                            w[d] = Value::I64(axis_of(*tid, *axis) as i64);
-                        }
-                    }
-                    Inst::Bid { dst, axis } => {
-                        let d = *dst as usize;
-                        let v = Value::I64(axis_of(self.block, *axis) as i64);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            w[d] = v;
-                        }
-                    }
-                    Inst::Copy { dst, src } => {
-                        let (d, s) = (*dst as usize, *src as usize);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            w[d] = w[s];
-                        }
-                    }
-                    Inst::Unary { dst, op, src } => {
-                        let (d, s) = (*dst as usize, *src as usize);
-                        let (mut iops, mut fops) = (0u64, 0u64);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            let a = w[s];
-                            match a.kind() {
-                                ValueKind::Int => iops += 1,
-                                ValueKind::Float => fops += 1,
-                            }
-                            w[d] = eval_unop(*op, a);
-                        }
-                        self.stats.int_ops += iops;
-                        self.stats.float_ops += fops;
-                    }
-                    Inst::Binary { dst, op, lhs, rhs } => {
-                        let (d, li, ri) = (*dst as usize, *lhs as usize, *rhs as usize);
-                        let (mut iops, mut fops) = (0u64, 0u64);
-                        for (t, w) in self.regs.chunks_exact_mut(nr).enumerate() {
-                            let l = w[li];
-                            let r = w[ri];
-                            let float =
-                                l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                            if float {
-                                fops += 1;
-                            } else {
-                                iops += 1;
-                            }
-                            if binop_faults(*op, r, float) {
-                                fault = Some((t, ExecError::DivByZero));
-                                break;
-                            }
-                            w[d] = eval_binop_total(*op, l, r, float);
-                        }
-                        self.stats.int_ops += iops;
-                        self.stats.float_ops += fops;
-                    }
-                    Inst::MulAdd { dst, a, b, c } => {
-                        let (d, ai, bi, ci) =
-                            (*dst as usize, *a as usize, *b as usize, *c as usize);
-                        let (mut iops, mut fops) = (0u64, 0u64);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            let (av, bv, cv) = (w[ai], w[bi], w[ci]);
-                            let f1 = av.kind() == ValueKind::Float || bv.kind() == ValueKind::Float;
-                            let m = eval_binop_total(BinOp::Mul, av, bv, f1);
-                            let f2 = m.kind() == ValueKind::Float || cv.kind() == ValueKind::Float;
-                            iops += u64::from(!f1) + u64::from(!f2);
-                            fops += u64::from(f1) + u64::from(f2);
-                            w[d] = eval_binop_total(BinOp::Add, m, cv, f2);
-                        }
-                        self.stats.int_ops += iops;
-                        self.stats.float_ops += fops;
-                    }
-                    Inst::Cast { dst, ty, src } => {
-                        let (d, s) = (*dst as usize, *src as usize);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            w[d] = w[s].convert_to(*ty);
-                        }
-                        match ty.kind() {
-                            ValueKind::Int => self.stats.int_ops += n64,
-                            ValueKind::Float => self.stats.float_ops += n64,
-                        }
-                    }
-                    Inst::Intrin1 { dst, f, a } => {
-                        let (d, ai) = (*dst as usize, *a as usize);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            let av = w[ai];
-                            w[d] = eval_intrinsic(*f, &[av]);
-                        }
-                        self.stats.float_ops += n64 * intrinsic_weight(*f);
-                    }
-                    Inst::Intrin2 { dst, f, a, b } => {
-                        let (d, ai, bi) = (*dst as usize, *a as usize, *b as usize);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            let (av, bv) = (w[ai], w[bi]);
-                            w[d] = eval_intrinsic(*f, &[av, bv]);
-                        }
-                        self.stats.float_ops += n64 * intrinsic_weight(*f);
-                    }
-                    Inst::Test { dst, src } => {
-                        let (d, s) = (*dst as usize, *src as usize);
-                        for w in self.regs.chunks_exact_mut(nr) {
-                            w[d] = Value::I64(i64::from(w[s].is_true()));
-                        }
-                    }
-                    Inst::Load { dst, slot, idx } => {
-                        let info = slot_info(prog, *slot);
-                        let (d, ix) = (*dst as usize, *idx as usize);
-                        let sz = info.elem.size() as u64;
-                        let certv = vmask.is_some_and(|m| m[pc]);
-                        match info.kind {
-                            SlotKind::Global { buf } => {
-                                let (ptr, len) = mem.raw(buf);
-                                if emask.is_some_and(|m| m[pc]) {
-                                    for w in self.regs.chunks_exact_mut(nr) {
-                                        let index = w[ix].as_i64();
-                                        // SAFETY: this pc carries an
-                                        // in-bounds certificate for every
-                                        // thread (CertMode::Elide).
-                                        w[d] = unsafe {
-                                            raw_load_unchecked(ptr, len, info.elem, index)
-                                        };
-                                    }
-                                } else {
-                                    for (t, w) in self.regs.chunks_exact_mut(nr).enumerate() {
-                                        let index = w[ix].as_i64();
-                                        match raw_load(ptr, len, info.elem, index) {
-                                            Some(v) => w[d] = v,
-                                            None => {
-                                                fault = Some((
-                                                    t,
-                                                    cert_wrap(oob(info, index, mem), certv),
-                                                ));
-                                                break;
-                                            }
-                                        }
-                                    }
-                                }
-                                self.stats.global_read_bytes += n64 * sz;
-                                self.stats.global_loads += n64;
-                            }
-                            SlotKind::Shared { idx: si } => {
-                                let sh = &self.shared[si as usize];
-                                for (t, w) in self.regs.chunks_exact_mut(nr).enumerate() {
-                                    let index = w[ix].as_i64();
-                                    match slice_load(sh, info.elem, index) {
-                                        Some(v) => w[d] = v,
-                                        None => {
-                                            fault =
-                                                Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                            break;
-                                        }
-                                    }
-                                }
-                                self.stats.shared_bytes += n64 * sz;
-                            }
-                            SlotKind::Local { idx: li } => {
-                                let lanes = self.locals.chunks_exact(nl);
-                                for (t, (w, lw)) in
-                                    self.regs.chunks_exact_mut(nr).zip(lanes).enumerate()
-                                {
-                                    let index = w[ix].as_i64();
-                                    match slice_load(&lw[li as usize], info.elem, index) {
-                                        Some(v) => w[d] = v,
-                                        None => {
-                                            fault =
-                                                Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                            break;
-                                        }
-                                    }
-                                }
-                                self.stats.local_bytes += n64 * sz;
-                            }
-                        }
-                        self.stats.int_ops += n64; // address computation
-                    }
-                    Inst::Store { slot, idx, val } => {
-                        let info = slot_info(prog, *slot);
-                        let (ix, vi) = (*idx as usize, *val as usize);
-                        let sz = info.elem.size() as u64;
-                        let certv = vmask.is_some_and(|m| m[pc]);
-                        match info.kind {
-                            SlotKind::Global { buf } => {
-                                let (ptr, len) = mem.raw(buf);
-                                if emask.is_some_and(|m| m[pc]) {
-                                    for w in self.regs.chunks_exact(nr) {
-                                        let index = w[ix].as_i64();
-                                        // SAFETY: certified in-bounds for
-                                        // every thread (CertMode::Elide).
-                                        unsafe {
-                                            raw_store_unchecked(ptr, len, info.elem, index, w[vi]);
-                                        }
-                                    }
-                                } else {
-                                    for (t, w) in self.regs.chunks_exact(nr).enumerate() {
-                                        let index = w[ix].as_i64();
-                                        if !raw_store(ptr, len, info.elem, index, w[vi]) {
-                                            fault =
-                                                Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                            break;
-                                        }
-                                    }
-                                }
-                                self.stats.global_write_bytes += n64 * sz;
-                                self.stats.global_stores += n64;
-                            }
-                            SlotKind::Shared { idx: si } => {
-                                let sh = &mut self.shared[si as usize];
-                                for (t, w) in self.regs.chunks_exact(nr).enumerate() {
-                                    let index = w[ix].as_i64();
-                                    if !slice_store(sh, info.elem, index, w[vi]) {
-                                        fault = Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                        break;
-                                    }
-                                }
-                                self.stats.shared_bytes += n64 * sz;
-                            }
-                            SlotKind::Local { idx: li } => {
-                                let lanes = self.locals.chunks_exact_mut(nl);
-                                for (t, (w, lw)) in
-                                    self.regs.chunks_exact(nr).zip(lanes).enumerate()
-                                {
-                                    let index = w[ix].as_i64();
-                                    if !slice_store(&mut lw[li as usize], info.elem, index, w[vi]) {
-                                        fault = Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                        break;
-                                    }
-                                }
-                                self.stats.local_bytes += n64 * sz;
-                            }
-                        }
-                        self.stats.int_ops += n64; // address computation
-                    }
-                    Inst::AtomicRmw { op, slot, idx, val } => {
-                        let info = slot_info(prog, *slot);
-                        let (ix, vi) = (*idx as usize, *val as usize);
-                        let sz = info.elem.size() as u64;
-                        let certv = vmask.is_some_and(|m| m[pc]);
-                        match info.kind {
-                            SlotKind::Global { buf } => {
-                                let (ptr, len) = mem.raw(buf);
-                                for (t, w) in self.regs.chunks_exact(nr).enumerate() {
-                                    let index = w[ix].as_i64();
-                                    let done =
-                                        raw_load(ptr, len, info.elem, index).is_some_and(|old| {
-                                            raw_store(
-                                                ptr,
-                                                len,
-                                                info.elem,
-                                                index,
-                                                apply_atomic(*op, old, w[vi]),
-                                            )
-                                        });
-                                    if !done {
-                                        fault = Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                        break;
-                                    }
-                                }
-                                self.stats.global_read_bytes += n64 * sz;
-                                self.stats.global_loads += n64;
-                                self.stats.global_write_bytes += n64 * sz;
-                                self.stats.global_stores += n64;
-                                self.stats.global_atomics += n64;
-                            }
-                            SlotKind::Shared { idx: si } => {
-                                let sh = &mut self.shared[si as usize];
-                                for (t, w) in self.regs.chunks_exact(nr).enumerate() {
-                                    let index = w[ix].as_i64();
-                                    let done =
-                                        slice_load(sh, info.elem, index).is_some_and(|old| {
-                                            slice_store(
-                                                sh,
-                                                info.elem,
-                                                index,
-                                                apply_atomic(*op, old, w[vi]),
-                                            )
-                                        });
-                                    if !done {
-                                        fault = Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                        break;
-                                    }
-                                }
-                                self.stats.shared_bytes += 2 * n64 * sz;
-                            }
-                            SlotKind::Local { idx: li } => {
-                                let lanes = self.locals.chunks_exact_mut(nl);
-                                for (t, (w, lw)) in
-                                    self.regs.chunks_exact(nr).zip(lanes).enumerate()
-                                {
-                                    let index = w[ix].as_i64();
-                                    let l = &mut lw[li as usize];
-                                    let done = slice_load(l, info.elem, index).is_some_and(|old| {
-                                        slice_store(
-                                            l,
-                                            info.elem,
-                                            index,
-                                            apply_atomic(*op, old, w[vi]),
-                                        )
-                                    });
-                                    if !done {
-                                        fault = Some((t, cert_wrap(oob(info, index, mem), certv)));
-                                        break;
-                                    }
-                                }
-                                self.stats.local_bytes += 2 * n64 * sz;
-                            }
-                        }
-                        // One address computation each for the load and the
-                        // store half, as in the thread-major path.
-                        self.stats.int_ops += 2 * n64;
-                    }
-                    Inst::Jump { .. }
-                    | Inst::JumpIfFalse { .. }
-                    | Inst::JumpIfTrue { .. }
-                    | Inst::ForInit { .. }
-                    | Inst::ForNext { .. }
-                    | Inst::Return => {
-                        unreachable!("dense segments are straight-line")
-                    }
-                }
-                if let Some((t, e)) = fault {
-                    demote(&mut self.resume, t, e, &mut pending);
-                    dense = false;
-                }
-                pc += 1;
-                continue;
-            }
-            let pcu = pc as u32;
-            match &code[pc] {
-                Inst::Const {
-                    dst,
-                    v,
-                    int_ops,
-                    float_ops,
-                } => {
-                    let d = *dst as usize;
-                    let mut cnt = 0u64;
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            self.regs[t * nr + d] = *v;
-                            cnt += 1;
-                        }
-                    }
-                    self.stats.int_ops += cnt * u64::from(*int_ops);
-                    self.stats.float_ops += cnt * u64::from(*float_ops);
-                }
-                Inst::Tid { dst, axis } => {
-                    let d = *dst as usize;
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            self.regs[t * nr + d] = Value::I64(axis_of(self.tids[t], *axis) as i64);
-                        }
-                    }
-                }
-                Inst::Bid { dst, axis } => {
-                    let d = *dst as usize;
-                    let v = Value::I64(axis_of(self.block, *axis) as i64);
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            self.regs[t * nr + d] = v;
-                        }
-                    }
-                }
-                Inst::Copy { dst, src } => {
-                    let (d, s) = (*dst as usize, *src as usize);
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            self.regs[t * nr + d] = self.regs[t * nr + s];
-                        }
-                    }
-                }
-                Inst::Unary { dst, op, src } => {
-                    let (d, s) = (*dst as usize, *src as usize);
-                    let (mut iops, mut fops) = (0u64, 0u64);
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            let a = self.regs[t * nr + s];
-                            match a.kind() {
-                                ValueKind::Int => iops += 1,
-                                ValueKind::Float => fops += 1,
-                            }
-                            self.regs[t * nr + d] = eval_unop(*op, a);
-                        }
-                    }
-                    self.stats.int_ops += iops;
-                    self.stats.float_ops += fops;
-                }
-                Inst::Binary { dst, op, lhs, rhs } => {
-                    let (d, li, ri) = (*dst as usize, *lhs as usize, *rhs as usize);
-                    let (mut iops, mut fops) = (0u64, 0u64);
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            let base = t * nr;
-                            let l = self.regs[base + li];
-                            let r = self.regs[base + ri];
-                            let float =
-                                l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                            if float {
-                                fops += 1;
-                            } else {
-                                iops += 1;
-                            }
-                            if binop_faults(*op, r, float) {
-                                retire_from(
-                                    &mut self.resume,
-                                    t,
-                                    ExecError::DivByZero,
-                                    &mut pending,
-                                );
-                                break;
-                            }
-                            self.regs[base + d] = eval_binop_total(*op, l, r, float);
-                        }
-                    }
-                    self.stats.int_ops += iops;
-                    self.stats.float_ops += fops;
-                }
-                Inst::MulAdd { dst, a, b, c } => {
-                    let (d, ai, bi, ci) = (*dst as usize, *a as usize, *b as usize, *c as usize);
-                    let (mut iops, mut fops) = (0u64, 0u64);
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            let base = t * nr;
-                            let (av, bv, cv) = (
-                                self.regs[base + ai],
-                                self.regs[base + bi],
-                                self.regs[base + ci],
-                            );
-                            let f1 = av.kind() == ValueKind::Float || bv.kind() == ValueKind::Float;
-                            let m = eval_binop_total(BinOp::Mul, av, bv, f1);
-                            let f2 = m.kind() == ValueKind::Float || cv.kind() == ValueKind::Float;
-                            iops += u64::from(!f1) + u64::from(!f2);
-                            fops += u64::from(f1) + u64::from(f2);
-                            self.regs[base + d] = eval_binop_total(BinOp::Add, m, cv, f2);
-                        }
-                    }
-                    self.stats.int_ops += iops;
-                    self.stats.float_ops += fops;
-                }
-                Inst::Cast { dst, ty, src } => {
-                    let (d, s) = (*dst as usize, *src as usize);
-                    let mut cnt = 0u64;
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            let v = self.regs[t * nr + s];
-                            cnt += 1;
-                            self.regs[t * nr + d] = v.convert_to(*ty);
-                        }
-                    }
-                    match ty.kind() {
-                        ValueKind::Int => self.stats.int_ops += cnt,
-                        ValueKind::Float => self.stats.float_ops += cnt,
-                    }
-                }
-                Inst::Intrin1 { dst, f, a } => {
-                    let (d, ai) = (*dst as usize, *a as usize);
-                    let w = intrinsic_weight(*f);
-                    let mut cnt = 0u64;
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            let av = self.regs[t * nr + ai];
-                            cnt += 1;
-                            self.regs[t * nr + d] = eval_intrinsic(*f, &[av]);
-                        }
-                    }
-                    self.stats.float_ops += cnt * w;
-                }
-                Inst::Intrin2 { dst, f, a, b } => {
-                    let (d, ai, bi) = (*dst as usize, *a as usize, *b as usize);
-                    let w = intrinsic_weight(*f);
-                    let mut cnt = 0u64;
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            let base = t * nr;
-                            let av = self.regs[base + ai];
-                            let bv = self.regs[base + bi];
-                            cnt += 1;
-                            self.regs[base + d] = eval_intrinsic(*f, &[av, bv]);
-                        }
-                    }
-                    self.stats.float_ops += cnt * w;
-                }
-                Inst::Test { dst, src } => {
-                    let (d, s) = (*dst as usize, *src as usize);
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            self.regs[t * nr + d] =
-                                Value::I64(i64::from(self.regs[t * nr + s].is_true()));
-                        }
-                    }
-                }
-                // Memory instructions hoist the slot-kind dispatch out of
-                // the thread loop and charge stats in bulk (`cnt` successful
-                // accesses; on a fault the partial charge is discarded with
-                // the stats by the `Err` return anyway).
-                Inst::Load { dst, slot, idx } => {
-                    let info = slot_info(prog, *slot);
-                    let (d, ix) = (*dst as usize, *idx as usize);
-                    let sz = info.elem.size() as u64;
-                    let certv = vmask.is_some_and(|m| m[pc]);
-                    let mut cnt = 0u64;
-                    match info.kind {
-                        SlotKind::Global { buf } => {
-                            let (ptr, len) = mem.raw(buf);
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    match raw_load(ptr, len, info.elem, index) {
-                                        Some(v) => {
-                                            self.regs[base + d] = v;
-                                            cnt += 1;
-                                        }
-                                        None => {
-                                            let e = cert_wrap(oob(info, index, mem), certv);
-                                            retire_from(&mut self.resume, t, e, &mut pending);
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            self.stats.global_read_bytes += cnt * sz;
-                            self.stats.global_loads += cnt;
-                        }
-                        SlotKind::Shared { idx: si } => {
-                            let sh = &self.shared[si as usize];
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    match slice_load(sh, info.elem, index) {
-                                        Some(v) => {
-                                            self.regs[base + d] = v;
-                                            cnt += 1;
-                                        }
-                                        None => {
-                                            let e = cert_wrap(oob(info, index, mem), certv);
-                                            retire_from(&mut self.resume, t, e, &mut pending);
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            self.stats.shared_bytes += cnt * sz;
-                        }
-                        SlotKind::Local { idx: li } => {
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    let lslice = &self.locals[t * nl + li as usize];
-                                    match slice_load(lslice, info.elem, index) {
-                                        Some(v) => {
-                                            self.regs[base + d] = v;
-                                            cnt += 1;
-                                        }
-                                        None => {
-                                            let e = cert_wrap(oob(info, index, mem), certv);
-                                            retire_from(&mut self.resume, t, e, &mut pending);
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            self.stats.local_bytes += cnt * sz;
-                        }
-                    }
-                    self.stats.int_ops += cnt; // address computation
-                }
-                Inst::Store { slot, idx, val } => {
-                    let info = slot_info(prog, *slot);
-                    let (ix, vi) = (*idx as usize, *val as usize);
-                    let sz = info.elem.size() as u64;
-                    let certv = vmask.is_some_and(|m| m[pc]);
-                    let mut cnt = 0u64;
-                    match info.kind {
-                        SlotKind::Global { buf } => {
-                            let (ptr, len) = mem.raw(buf);
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    let v = self.regs[base + vi];
-                                    if raw_store(ptr, len, info.elem, index, v) {
-                                        cnt += 1;
-                                    } else {
-                                        let e = cert_wrap(oob(info, index, mem), certv);
-                                        retire_from(&mut self.resume, t, e, &mut pending);
-                                        break;
-                                    }
-                                }
-                            }
-                            self.stats.global_write_bytes += cnt * sz;
-                            self.stats.global_stores += cnt;
-                        }
-                        SlotKind::Shared { idx: si } => {
-                            let sh = &mut self.shared[si as usize];
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    let v = self.regs[base + vi];
-                                    if slice_store(sh, info.elem, index, v) {
-                                        cnt += 1;
-                                    } else {
-                                        let e = cert_wrap(oob(info, index, mem), certv);
-                                        retire_from(&mut self.resume, t, e, &mut pending);
-                                        break;
-                                    }
-                                }
-                            }
-                            self.stats.shared_bytes += cnt * sz;
-                        }
-                        SlotKind::Local { idx: li } => {
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    let v = self.regs[base + vi];
-                                    let lslice = &mut self.locals[t * nl + li as usize];
-                                    if slice_store(lslice, info.elem, index, v) {
-                                        cnt += 1;
-                                    } else {
-                                        let e = cert_wrap(oob(info, index, mem), certv);
-                                        retire_from(&mut self.resume, t, e, &mut pending);
-                                        break;
-                                    }
-                                }
-                            }
-                            self.stats.local_bytes += cnt * sz;
-                        }
-                    }
-                    self.stats.int_ops += cnt; // address computation
-                }
-                Inst::AtomicRmw { op, slot, idx, val } => {
-                    let info = slot_info(prog, *slot);
-                    let (ix, vi) = (*idx as usize, *val as usize);
-                    let sz = info.elem.size() as u64;
-                    let certv = vmask.is_some_and(|m| m[pc]);
-                    let mut cnt = 0u64;
-                    match info.kind {
-                        SlotKind::Global { buf } => {
-                            let (ptr, len) = mem.raw(buf);
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    let v = self.regs[base + vi];
-                                    let done =
-                                        raw_load(ptr, len, info.elem, index).is_some_and(|old| {
-                                            raw_store(
-                                                ptr,
-                                                len,
-                                                info.elem,
-                                                index,
-                                                apply_atomic(*op, old, v),
-                                            )
-                                        });
-                                    if done {
-                                        cnt += 1;
-                                    } else {
-                                        let e = cert_wrap(oob(info, index, mem), certv);
-                                        retire_from(&mut self.resume, t, e, &mut pending);
-                                        break;
-                                    }
-                                }
-                            }
-                            self.stats.global_read_bytes += cnt * sz;
-                            self.stats.global_loads += cnt;
-                            self.stats.global_write_bytes += cnt * sz;
-                            self.stats.global_stores += cnt;
-                            self.stats.global_atomics += cnt;
-                        }
-                        SlotKind::Shared { idx: si } => {
-                            let sh = &mut self.shared[si as usize];
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    let v = self.regs[base + vi];
-                                    let done =
-                                        slice_load(sh, info.elem, index).is_some_and(|old| {
-                                            slice_store(
-                                                sh,
-                                                info.elem,
-                                                index,
-                                                apply_atomic(*op, old, v),
-                                            )
-                                        });
-                                    if done {
-                                        cnt += 1;
-                                    } else {
-                                        let e = cert_wrap(oob(info, index, mem), certv);
-                                        retire_from(&mut self.resume, t, e, &mut pending);
-                                        break;
-                                    }
-                                }
-                            }
-                            self.stats.shared_bytes += 2 * cnt * sz;
-                        }
-                        SlotKind::Local { idx: li } => {
-                            for t in 0..n {
-                                if self.resume[t] <= pcu {
-                                    let base = t * nr;
-                                    let index = self.regs[base + ix].as_i64();
-                                    let v = self.regs[base + vi];
-                                    let lslice = &mut self.locals[t * nl + li as usize];
-                                    let done =
-                                        slice_load(lslice, info.elem, index).is_some_and(|old| {
-                                            slice_store(
-                                                lslice,
-                                                info.elem,
-                                                index,
-                                                apply_atomic(*op, old, v),
-                                            )
-                                        });
-                                    if done {
-                                        cnt += 1;
-                                    } else {
-                                        let e = cert_wrap(oob(info, index, mem), certv);
-                                        retire_from(&mut self.resume, t, e, &mut pending);
-                                        break;
-                                    }
-                                }
-                            }
-                            self.stats.local_bytes += 2 * cnt * sz;
-                        }
-                    }
-                    // One address computation each for the load and the
-                    // store half, as in the thread-major path.
-                    self.stats.int_ops += 2 * cnt;
-                }
-                Inst::Jump { target } => {
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            self.resume[t] = *target;
-                        }
-                    }
-                }
-                Inst::JumpIfFalse {
-                    cond,
-                    target,
-                    int_ops,
-                } => {
-                    let c = *cond as usize;
-                    let mut cnt = 0u64;
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            cnt += 1;
-                            if !self.regs[t * nr + c].is_true() {
-                                self.resume[t] = *target;
-                            }
-                        }
-                    }
-                    self.stats.int_ops += cnt * u64::from(*int_ops);
-                }
-                Inst::JumpIfTrue {
-                    cond,
-                    target,
-                    int_ops,
-                } => {
-                    let c = *cond as usize;
-                    let mut cnt = 0u64;
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            cnt += 1;
-                            if self.regs[t * nr + c].is_true() {
-                                self.resume[t] = *target;
-                            }
-                        }
-                    }
-                    self.stats.int_ops += cnt * u64::from(*int_ops);
-                }
-                Inst::ForInit { .. } | Inst::ForNext { .. } => {
-                    unreachable!("loop instructions are never marked batchable")
-                }
-                Inst::Return => {
-                    for t in 0..n {
-                        if self.resume[t] <= pcu {
-                            self.returned[t] = true;
-                            self.resume[t] = DEAD;
-                        }
-                    }
-                }
-            }
-            pc += 1;
-        }
-        match pending {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Fault handling for [`BlockEngine::seg_batched`]: retire the faulting
-/// thread and everything above it (the thread-major oracle never runs
-/// those), record the error. Lower threads keep running — any later fault
-/// of theirs is *earlier* in oracle order and overwrites `pending`.
-#[cold]
-fn retire_from(resume: &mut [u32], t: usize, e: ExecError, pending: &mut Option<ExecError>) {
-    for r in &mut resume[t..] {
-        *r = u32::MAX;
-    }
-    *pending = Some(e);
-}
-
-/// Leave dense mode after a fault: `resume` holds stale values (dense
-/// execution never touches it), so seed every lower thread as runnable —
-/// they already executed the faulting instruction — before retiring the
-/// faulting thread and everything above it.
-#[cold]
-fn demote(resume: &mut [u32], t: usize, e: ExecError, pending: &mut Option<ExecError>) {
-    for r in &mut resume[..t] {
-        *r = 0;
-    }
-    retire_from(resume, t, e, pending);
 }
 
 #[inline]
@@ -1719,6 +634,20 @@ pub(crate) fn run_seg<M: GlobalMem>(
     Ok(())
 }
 
+/// Run `blocks` in ascending order on one [`LaneEngine`], summing stats.
+fn run_blocks<M: GlobalMem>(
+    prog: &Program,
+    mem: &mut M,
+    blocks: Range<u64>,
+) -> Result<BlockStats, ExecError> {
+    let mut eng = LaneEngine::new(prog);
+    let mut total = BlockStats::default();
+    for b in blocks {
+        total += eng.run_block(mem, b)?;
+    }
+    Ok(total)
+}
+
 /// Execute a contiguous block range serially (ascending linear index — the
 /// same order as the tree-walk oracle, so memory effects match bit-for-bit
 /// even for racy kernels).
@@ -1727,16 +656,11 @@ pub fn run_range(
     pool: &mut MemPool,
     blocks: Range<u64>,
 ) -> Result<BlockStats, ExecError> {
-    let mut eng = BlockEngine::new(prog);
-    let mut total = BlockStats::default();
-    for b in blocks {
-        total += eng.run_block(pool, b)?;
-    }
-    Ok(total)
+    run_blocks(prog, pool, blocks)
 }
 
-/// Cut `blocks` into `workers` near-equal ascending chunks and run `chunk`
-/// on each through the [`crate::pool`], every chunk on its own clone of one
+/// Cut `blocks` into `workers` near-equal ascending chunks and run each
+/// through the [`crate::pool`] on its own engine and its own clone of one
 /// [`RacyView`] of `pool`. `None` when a single worker suffices or the
 /// program is [`Program::serial_only`] (global atomics): the caller then
 /// takes its serial path.
@@ -1746,12 +670,11 @@ pub fn run_range(
 /// run regardless of interleaving. On error the first failing block in
 /// ascending order wins (chunks are ascending and each chunk runs
 /// ascending), matching the serial path's reported error.
-pub(crate) fn run_chunked(
+fn run_chunked(
     prog: &Program,
     pool: &mut MemPool,
     blocks: &Range<u64>,
     workers: usize,
-    chunk: impl Fn(&mut RacyView, Range<u64>) -> Result<BlockStats, ExecError> + Sync,
 ) -> Option<Result<BlockStats, ExecError>> {
     let nblocks = blocks.end.saturating_sub(blocks.start);
     let workers = workers.min(nblocks.min(usize::MAX as u64) as usize) as u64;
@@ -1766,7 +689,9 @@ pub(crate) fn run_chunked(
             (view.clone(), lo..hi)
         })
         .collect();
-    let results = crate::pool::run(chunks, |(mut view, range)| chunk(&mut view, range));
+    let results = crate::pool::run(chunks, |(mut view, range)| {
+        run_blocks(prog, &mut view, range)
+    });
     let mut results = results.into_iter();
     Some(results.try_fold(BlockStats::default(), |total, r| Ok(total + r?)))
 }
@@ -1781,18 +706,10 @@ pub fn run_range_parallel(
     blocks: Range<u64>,
     workers: usize,
 ) -> Result<BlockStats, ExecError> {
-    let chunked = run_chunked(prog, pool, &blocks, workers, |view, range| {
-        let mut eng = BlockEngine::new(prog);
-        let mut total = BlockStats::default();
-        for b in range {
-            total += eng.run_block(view, b)?;
-        }
-        Ok(total)
-    });
-    chunked.unwrap_or_else(|| run_range(prog, pool, blocks))
+    run_chunked(prog, pool, &blocks, workers).unwrap_or_else(|| run_range(prog, pool, blocks))
 }
 
-/// Compile `kernel` for `launch` and execute every block with the bytecode
+/// Compile `kernel` for `launch` and execute every block with the compiled
 /// engine — the drop-in counterpart of [`crate::interp::execute_launch`].
 pub fn execute_launch_bytecode(
     kernel: &Kernel,
@@ -1810,45 +727,35 @@ mod tests {
     use crate::interp::execute_launch;
     use cucc_ir::parse_kernel;
 
+    /// Oracle vs the engine vs the engine with its lane plans detached
+    /// (every segment through `run_seg`), each serial and chunked.
     fn check_equiv(src: &str, launch: LaunchConfig, setup: impl Fn(&mut MemPool) -> Vec<Arg>) {
         let k = parse_kernel(src).unwrap();
         cucc_ir::validate(&k).unwrap();
         let mut pool_a = MemPool::new();
         let args = setup(&mut pool_a);
-        let mut pool_b = pool_a.clone();
-        let mut pool_c = pool_a.clone();
-        let mut pool_d = pool_a.clone();
-        let mut pool_e = pool_a.clone();
+        let pool = pool_a.clone();
         let oracle = execute_launch(&k, launch, &args, &mut pool_a);
         let prog = Program::compile(&k, launch, &args).unwrap();
-        let engine = run_range(&prog, &mut pool_b, 0..launch.num_blocks());
-        assert_eq!(oracle, engine, "stats/error mismatch vs oracle");
-        if oracle.is_ok() {
-            assert_eq!(pool_a, pool_b, "memory mismatch vs oracle");
-        }
-        let par = run_range_parallel(&prog, &mut pool_c, 0..launch.num_blocks(), 4);
-        match (&oracle, &par) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "parallel stats mismatch");
-                assert_eq!(pool_a, pool_c, "parallel memory mismatch");
+        let mut detached = prog.clone();
+        detached.detach_lane_plans();
+        for (what, prog) in [("lane", &prog), ("detached", &detached)] {
+            let mut pool_b = pool.clone();
+            let serial = run_range(prog, &mut pool_b, 0..launch.num_blocks());
+            assert_eq!(oracle, serial, "{what}: stats/error mismatch vs oracle");
+            if oracle.is_ok() {
+                assert_eq!(pool_a, pool_b, "{what}: memory mismatch vs oracle");
             }
-            (Err(_), Err(_)) => {}
-            other => panic!("oracle/parallel disagree on success: {other:?}"),
-        }
-        let simd = crate::lane::run_range_simd(&prog, &mut pool_d, 0..launch.num_blocks());
-        assert_eq!(oracle, simd, "simd stats/error mismatch vs oracle");
-        if oracle.is_ok() {
-            assert_eq!(pool_a, pool_d, "simd memory mismatch vs oracle");
-        }
-        let spar =
-            crate::lane::run_range_parallel_simd(&prog, &mut pool_e, 0..launch.num_blocks(), 4);
-        match (&oracle, &spar) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "parallel simd stats mismatch");
-                assert_eq!(pool_a, pool_e, "parallel simd memory mismatch");
+            let mut pool_c = pool.clone();
+            let par = run_range_parallel(prog, &mut pool_c, 0..launch.num_blocks(), 4);
+            match (&oracle, &par) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b, "{what}: parallel stats mismatch");
+                    assert_eq!(pool_a, pool_c, "{what}: parallel memory mismatch");
+                }
+                (Err(_), Err(_)) => {}
+                other => panic!("{what}: oracle/parallel disagree on success: {other:?}"),
             }
-            (Err(_), Err(_)) => {}
-            other => panic!("oracle/parallel-simd disagree on success: {other:?}"),
         }
     }
 
@@ -1985,7 +892,7 @@ mod tests {
     }
 
     /// Elide mode must be bit-identical to the checked path: same memory,
-    /// same `BlockStats`, on the scalar and the lane tier.
+    /// same `BlockStats`, with lane plans and thread-major.
     #[test]
     fn certified_elide_is_bit_identical_to_checked() {
         let src = r#"
@@ -2012,25 +919,23 @@ mod tests {
         let eprog = certify_all(&prog, crate::CertMode::Elide);
         assert_eq!(eprog.cert_stats().0, eprog.cert_stats().1);
 
-        let mut p_checked = pool.clone();
-        let mut p_elide = pool.clone();
-        let s_checked = run_range(&prog, &mut p_checked, 0..launch.num_blocks()).unwrap();
-        let s_elide = run_range(&eprog, &mut p_elide, 0..launch.num_blocks()).unwrap();
-        assert_eq!(s_checked, s_elide, "scalar stats diverge under elision");
-        assert_eq!(p_checked, p_elide, "scalar memory diverges under elision");
-
-        let mut p_checked = pool.clone();
-        let mut p_elide = pool.clone();
-        let s_checked =
-            crate::lane::run_range_simd(&prog, &mut p_checked, 0..launch.num_blocks()).unwrap();
-        let s_elide =
-            crate::lane::run_range_simd(&eprog, &mut p_elide, 0..launch.num_blocks()).unwrap();
-        assert_eq!(s_checked, s_elide, "simd stats diverge under elision");
-        assert_eq!(p_checked, p_elide, "simd memory diverges under elision");
+        let mut dprog = prog.clone();
+        dprog.detach_lane_plans();
+        let mut deprog = eprog.clone();
+        deprog.detach_lane_plans();
+        for (what, prog, eprog) in [("lane", &prog, &eprog), ("detached", &dprog, &deprog)] {
+            let mut p_checked = pool.clone();
+            let mut p_elide = pool.clone();
+            let s_checked = run_range(prog, &mut p_checked, 0..launch.num_blocks()).unwrap();
+            let s_elide = run_range(eprog, &mut p_elide, 0..launch.num_blocks()).unwrap();
+            assert_eq!(s_checked, s_elide, "{what}: stats diverge under elision");
+            assert_eq!(p_checked, p_elide, "{what}: memory diverges under elision");
+        }
     }
 
-    /// A wrong certificate in Validate mode is a loud, typed failure on
-    /// every engine tier — never a silent out-of-bounds report.
+    /// A wrong certificate in Validate mode is a loud, typed failure through
+    /// the plan masks and the per-pc masks — never a silent out-of-bounds
+    /// report.
     #[test]
     fn wrong_certificate_is_a_violation_in_validate_mode() {
         let src = "__global__ void k(int* out) { out[threadIdx.x + 1] = 1; }";
@@ -2043,16 +948,15 @@ mod tests {
 
         // Unchecked claim: every access certified. Thread 7 writes out[8].
         let vprog = certify_all(&prog, crate::CertMode::Validate);
-        let scalar = run_range(&vprog, &mut pool.clone(), 0..launch.num_blocks());
-        assert!(
-            matches!(scalar, Err(ExecError::CertificateViolation { ref mem, index: 8, .. }) if mem == "out"),
-            "scalar: {scalar:?}"
-        );
-        let simd = crate::lane::run_range_simd(&vprog, &mut pool.clone(), 0..launch.num_blocks());
-        assert!(
-            matches!(simd, Err(ExecError::CertificateViolation { index: 8, .. })),
-            "simd: {simd:?}"
-        );
+        let mut dvprog = vprog.clone();
+        dvprog.detach_lane_plans();
+        for (what, vprog) in [("lane", &vprog), ("detached", &dvprog)] {
+            let got = run_range(vprog, &mut pool.clone(), 0..launch.num_blocks());
+            assert!(
+                matches!(got, Err(ExecError::CertificateViolation { ref mem, index: 8, .. }) if mem == "out"),
+                "{what}: {got:?}"
+            );
+        }
 
         // Without certificates the same fault stays a plain OutOfBounds.
         let plain = run_range(&prog, &mut pool.clone(), 0..launch.num_blocks());
@@ -2062,12 +966,13 @@ mod tests {
     #[test]
     fn engine_kind_parses() {
         assert_eq!(EngineKind::parse("tree"), Some(EngineKind::TreeWalk));
-        assert_eq!(EngineKind::parse("bytecode"), Some(EngineKind::Bytecode));
-        assert_eq!(EngineKind::parse("simd"), Some(EngineKind::Simd));
-        assert_eq!(EngineKind::parse("vectorized"), Some(EngineKind::Simd));
+        assert_eq!(EngineKind::parse("lane"), Some(EngineKind::Lane));
+        assert_eq!(EngineKind::parse("bytecode"), Some(EngineKind::Lane));
+        assert_eq!(EngineKind::parse("simd"), Some(EngineKind::Lane));
         assert_eq!(EngineKind::parse("jit"), None);
-        assert_eq!(EngineKind::Bytecode.to_string(), "bytecode");
-        assert_eq!(EngineKind::Simd.to_string(), "simd");
+        assert_eq!(EngineKind::TreeWalk.to_string(), "tree");
+        assert_eq!(EngineKind::Lane.to_string(), "lane");
+        assert_eq!(EngineKind::default(), EngineKind::Lane);
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Vectorized lane-array execution tier.
+//! The compiled engine: lane-array execution with a thread-major fallback.
 //!
-//! Third engine beside the tree-walk oracle and the bytecode engine:
-//! batchable segments run *instruction-major over chunked lane-arrays*. The
-//! register file is struct-of-arrays (`bits`/`kinds`, reg-major), threads
-//! are processed in fixed-width chunks of [`LANES`], and each chunk executes
-//! the segment's pre-fused [`LanePlan`] (see `bytecode::build_lane_plan`)
-//! with branch-free inner loops over contiguous `u64` rows the compiler can
-//! autovectorize. `Predicated` segments carry a per-lane `resume` mask
-//! through the same loops; non-batchable segments fall back to the scalar
-//! [`run_seg`] path, so every kernel the bytecode engine runs, this engine
-//! runs with bit-identical `BlockStats`, memory effects and errors.
+//! Every compiled [`Program`] runs here (the tree-walk interpreter is the
+//! oracle it is tested against). Batchable segments run *instruction-major
+//! over chunked lane-arrays*: the register file is struct-of-arrays
+//! (`bits`/`kinds`, reg-major), threads are processed in fixed-width chunks
+//! of [`LANES`], and each chunk executes the segment's pre-fused
+//! [`LanePlan`] (see `bytecode::build_lane_plan`) with branch-free inner
+//! loops over contiguous `u64` rows the compiler can autovectorize.
+//! `Predicated` segments carry a per-lane `resume` mask through the same
+//! loops. Non-batchable segments run thread-major through [`run_seg`], a
+//! chunk of threads at a time, with only the registers the segment names
+//! staged between the lane rows and per-thread windows
+//! ([`crate::bytecode::SegStage`]). `BlockStats`, memory effects and errors
+//! are bit-identical to the oracle's either way.
 //!
 //! Chunk-major order (each chunk finishes the whole plan before the next
 //! chunk starts) is observationally equivalent to the oracle's thread-major
@@ -22,19 +25,16 @@
 //! pending error with one the oracle hits first, and later chunks never
 //! start once an error is pending.
 
-use crate::bytecode::{BatchKind, LaneOp, LanePlan, PhaseOp, Program, Reg, SlotKind};
+use crate::bytecode::{BatchKind, LaneOp, LanePlan, PhaseOp, Program, Reg, SegStage, SlotKind};
 use crate::engine::{
-    cert_wrap, count_op, load_value, oob, raw_load, raw_store, run_chunked, run_seg, slot_info,
-    store_value, GlobalMem,
+    cert_wrap, count_op, load_value, oob, raw_load, raw_store, run_seg, slot_info, store_value,
+    GlobalMem,
 };
 use crate::interp::{
-    apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, Arg,
-    ExecError,
+    apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, ExecError,
 };
-use crate::memory::MemPool;
 use crate::stats::{intrinsic_weight, BlockStats};
-use cucc_ir::{BinOp, Kernel, LaunchConfig, Scalar, Value, ValueKind};
-use std::ops::Range;
+use cucc_ir::{BinOp, Scalar, Value, ValueKind};
 
 /// Lane-chunk width: one chunk of threads runs the whole plan before the
 /// next chunk starts. 16 × 8-byte rows keep a chunk's working set inside two
@@ -530,7 +530,8 @@ struct LaneBufs {
     shared: Vec<Vec<u8>>,
     /// Thread-major local arrays: `locals[t * num_locals + l]`.
     locals: Vec<Vec<u8>>,
-    /// AoS staging buffer for the scalar fallback (`run_seg` windows).
+    /// Staging for the thread-major fallback: [`LANES`] per-thread `run_seg`
+    /// windows of `num_regs` values each, the pooled constants pre-splatted.
     scratch: Vec<Value>,
 }
 
@@ -552,10 +553,9 @@ fn refill_each(vs: &mut Vec<Vec<u8>>, n: usize, sizes: impl Iterator<Item = usiz
     }
 }
 
-/// Reusable per-run lane-array execution state: the SoA register file for
-/// every thread, plus shared/local images — the lane-tier counterpart of
-/// `engine::BlockEngine`, built once per `run_*` call (from the thread's
-/// parked [`LaneBufs`]) and reset per block.
+/// Reusable per-run execution state for one block at a time: the SoA
+/// register file for every thread, plus shared/local images — built once per
+/// `run_*` call (from the thread's parked [`LaneBufs`]) and reset per block.
 pub(crate) struct LaneEngine<'p> {
     prog: &'p Program,
     nthreads: usize,
@@ -583,7 +583,7 @@ impl<'p> LaneEngine<'p> {
         refill(&mut bufs.bits, num_regs * nthreads, 0);
         refill(&mut bufs.kinds, num_regs * nthreads, 0);
         refill(&mut bufs.returned, nthreads, false);
-        refill(&mut bufs.scratch, num_regs, Value::I64(0));
+        refill(&mut bufs.scratch, LANES * num_regs, Value::I64(0));
         let shared_sizes = prog.shared_sizes.iter().copied();
         refill_each(&mut bufs.shared, prog.shared_sizes.len(), shared_sizes);
         let local_sizes = prog.local_sizes.iter().copied().cycle();
@@ -606,6 +606,10 @@ impl<'p> LaneEngine<'p> {
             eng.bufs.kinds[r * nthreads..(r + 1) * nthreads].fill(kd);
         }
         let tid_base = base + prog.const_pool.len();
+        // `finish_regs` never lays out an empty register file.
+        for w in eng.bufs.scratch.chunks_exact_mut(num_regs) {
+            w[base..tid_base].copy_from_slice(&prog.const_pool);
+        }
         for (k, axis) in prog.tid_pool.iter().enumerate() {
             let r = tid_base + k;
             for t in 0..nthreads {
@@ -744,16 +748,13 @@ impl<'p> LaneEngine<'p> {
                     end,
                     batch,
                     plan,
+                    stage,
                 } => {
                     if *batch != BatchKind::No && self.nthreads > 1 {
                         let pi = *plan as usize;
                         self.run_plan(&prog.lane_plans[pi], prog.plan_cert_masks(pi), mem)?;
                     } else {
-                        for t in 0..self.nthreads {
-                            if !self.bufs.returned[t] {
-                                self.seg_scalar(t, *start, *end, mem)?;
-                            }
-                        }
+                        self.seg_threads(*start, *end, stage, mem)?;
                     }
                 }
                 PhaseOp::Barrier => {
@@ -768,7 +769,7 @@ impl<'p> LaneEngine<'p> {
                     body,
                 } => {
                     // Bounds evaluate once, on thread 0 (oracle semantics).
-                    self.seg_scalar(0, bounds.0, bounds.1, mem)?;
+                    self.seg_uniform(bounds.0, bounds.1, mem)?;
                     let s = self.get(*sreg, 0).as_i64();
                     let e = self.get(*ereg, 0).as_i64();
                     let st = self.get(*streg, 0).as_i64();
@@ -789,7 +790,7 @@ impl<'p> LaneEngine<'p> {
                     then_ops,
                     else_ops,
                 } => {
-                    self.seg_scalar(0, cond.0, cond.1, mem)?;
+                    self.seg_uniform(cond.0, cond.1, mem)?;
                     let taken = self.get(*creg, 0).is_true();
                     self.exec_ops(if taken { then_ops } else { else_ops }, mem)?;
                 }
@@ -798,43 +799,100 @@ impl<'p> LaneEngine<'p> {
         Ok(())
     }
 
-    /// Scalar fallback for non-batchable segments and uniform snippets:
-    /// stage thread `t`'s registers into an AoS window and run the shared
-    /// thread-major interpreter loop, then scatter the results back.
-    fn seg_scalar<M: GlobalMem>(
+    /// Thread-major fallback for a non-batchable segment: every live thread
+    /// runs `code[start..end]` to completion through [`run_seg`], ascending,
+    /// as in the oracle. Threads are staged a chunk at a time — `stage.load`
+    /// rows into the chunk's windows, the threads run, `stage.store` rows
+    /// back. Registers are thread-private, so staging a whole chunk up front
+    /// is unobservable; temporaries never cross a segment boundary, so they
+    /// are not staged at all.
+    fn seg_threads<M: GlobalMem>(
         &mut self,
-        t: usize,
+        start: u32,
+        end: u32,
+        stage: &SegStage,
+        mem: &mut M,
+    ) -> Result<(), ExecError> {
+        let n = self.nthreads;
+        let nloc = self.num_locals;
+        let prog = self.prog;
+        let nr = prog.num_regs as usize;
+        let bufs = &mut self.bufs;
+        for c0 in (0..n).step_by(LANES) {
+            let nl = LANES.min(n - c0);
+            for &r in &stage.load {
+                let (r, row) = (r as usize, r as usize * n + c0);
+                let lanes = bufs.bits[row..row + nl]
+                    .iter()
+                    .zip(&bufs.kinds[row..row + nl]);
+                for (w, (&b, &k)) in bufs.scratch[r..].iter_mut().step_by(nr).zip(lanes) {
+                    *w = unpack(b, k);
+                }
+            }
+            for i in 0..nl {
+                let t = c0 + i;
+                if bufs.returned[t] {
+                    continue;
+                }
+                run_seg(
+                    prog,
+                    &mut bufs.scratch[i * nr..(i + 1) * nr],
+                    &mut bufs.shared,
+                    &mut bufs.locals[t * nloc..(t + 1) * nloc],
+                    &mut bufs.returned[t],
+                    &mut self.stats,
+                    self.block,
+                    bufs.tids[t],
+                    start,
+                    end,
+                    mem,
+                )?;
+            }
+            for &r in &stage.store {
+                let (r, row) = (r as usize, r as usize * n + c0);
+                let lanes = bufs.bits[row..row + nl]
+                    .iter_mut()
+                    .zip(&mut bufs.kinds[row..row + nl]);
+                for (w, (b, k)) in bufs.scratch[r..].iter().step_by(nr).zip(lanes) {
+                    (*b, *k) = pack(*w);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Run a uniform bounds/cond snippet on thread 0 (oracle semantics). The
+    /// caller reads the snippet's result *temporaries* afterwards, so all of
+    /// thread 0's registers go through the window and back.
+    fn seg_uniform<M: GlobalMem>(
+        &mut self,
         start: u32,
         end: u32,
         mem: &mut M,
     ) -> Result<(), ExecError> {
         let n = self.nthreads;
-        let nl = self.num_locals;
         let prog = self.prog;
-        let num_regs = prog.num_regs as usize;
-        let mut scratch = std::mem::take(&mut self.bufs.scratch);
-        for (r, s) in scratch.iter_mut().enumerate() {
-            *s = unpack(self.bufs.bits[r * n + t], self.bufs.kinds[r * n + t]);
+        let nr = prog.num_regs as usize;
+        let bufs = &mut self.bufs;
+        for r in 0..nr {
+            bufs.scratch[r] = unpack(bufs.bits[r * n], bufs.kinds[r * n]);
         }
         let res = run_seg(
             prog,
-            &mut scratch,
-            &mut self.bufs.shared,
-            &mut self.bufs.locals[t * nl..(t + 1) * nl],
-            &mut self.bufs.returned[t],
+            &mut bufs.scratch[..nr],
+            &mut bufs.shared,
+            &mut bufs.locals[..self.num_locals],
+            &mut bufs.returned[0],
             &mut self.stats,
             self.block,
-            self.bufs.tids[t],
+            bufs.tids[0],
             start,
             end,
             mem,
         );
-        for (r, s) in scratch.iter().enumerate().take(num_regs) {
-            let (b, k) = pack(*s);
-            self.bufs.bits[r * n + t] = b;
-            self.bufs.kinds[r * n + t] = k;
+        for r in 0..prog.const_base as usize {
+            (bufs.bits[r * n], bufs.kinds[r * n]) = pack(bufs.scratch[r]);
         }
-        self.bufs.scratch = scratch;
         res
     }
 
@@ -867,7 +925,7 @@ impl<'p> LaneEngine<'p> {
 
     /// Execute one lane chunk (`c0 .. c0+nl`) through the whole plan.
     ///
-    /// Predication mirrors `seg_batched`: lane `i` executes the op at index
+    /// Divergence is predication: lane `i` executes the op at index
     /// `ip` iff `resume[i] <= ip`; forward jumps raise the target, `Return`
     /// or a fault retires the lane (`DEAD`). While every lane is live and
     /// converged (`!divergent`) the chunk runs the branch-free full-width
@@ -2103,54 +2161,4 @@ impl<'p> LaneEngine<'p> {
         }
         Ok(())
     }
-}
-
-/// Execute a contiguous block range serially with the vectorized lane-array
-/// engine (ascending linear index — the tree-walk oracle's order, so memory
-/// effects match bit-for-bit even for racy kernels).
-pub fn run_range_simd(
-    prog: &Program,
-    pool: &mut MemPool,
-    blocks: Range<u64>,
-) -> Result<BlockStats, ExecError> {
-    let mut eng = LaneEngine::new(prog);
-    let mut total = BlockStats::default();
-    for b in blocks {
-        total += eng.run_block(pool, b)?;
-    }
-    Ok(total)
-}
-
-/// Lane-array counterpart of `run_range_parallel`: the same chunking on the
-/// same worker pool (`run_chunked`), each chunk running its own
-/// [`LaneEngine`]. Falls back to [`run_range_simd`] when one worker suffices
-/// or the program is `Program::serial_only` (global atomics).
-pub fn run_range_parallel_simd(
-    prog: &Program,
-    pool: &mut MemPool,
-    blocks: Range<u64>,
-    workers: usize,
-) -> Result<BlockStats, ExecError> {
-    let chunked = run_chunked(prog, pool, &blocks, workers, |view, range| {
-        let mut eng = LaneEngine::new(prog);
-        let mut total = BlockStats::default();
-        for b in range {
-            total += eng.run_block(view, b)?;
-        }
-        Ok(total)
-    });
-    chunked.unwrap_or_else(|| run_range_simd(prog, pool, blocks))
-}
-
-/// Compile `kernel` for `launch` and execute every block with the
-/// vectorized lane-array engine — the drop-in counterpart of
-/// `crate::interp::execute_launch` and `execute_launch_bytecode`.
-pub fn execute_launch_simd(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    args: &[Arg],
-    pool: &mut MemPool,
-) -> Result<BlockStats, ExecError> {
-    let prog = Program::compile(kernel, launch, args)?;
-    run_range_simd(&prog, pool, 0..launch.num_blocks())
 }

@@ -18,14 +18,13 @@
 //! workloads without interpreting billions of operations.
 
 //! The tree-walk interpreter in [`interp`] is the *reference* executor (and
-//! differential-testing oracle); [`bytecode`] + [`engine`] compile a kernel
-//! once per launch into a flat register-based instruction stream and run it
-//! with a reusable per-run arena and optional intra-node block parallelism
-//! on the process-wide worker [`pool`].
-//! [`lane`] adds a third, vectorized tier on top of the same compiled
-//! [`Program`]: batchable segments execute instruction-major over chunked
-//! SoA lane-arrays with superinstruction fusion, falling back to the scalar
-//! path elsewhere — bit-identical results, `EngineKind::Simd` to select it.
+//! differential-testing oracle). Everything else runs compiled: [`bytecode`]
+//! lowers a kernel once per launch into a flat register-based instruction
+//! stream, and one engine runs it — [`lane`], which executes batchable
+//! segments over 16-lane struct-of-arrays chunks with superinstruction
+//! fusion and every other segment thread-major ([`engine::run_seg`]), with a
+//! reusable per-run arena and optional intra-node block parallelism on the
+//! process-wide worker [`pool`]. Results are bit-identical to the oracle.
 
 pub mod bytecode;
 pub mod engine;
@@ -42,7 +41,9 @@ pub use interp::{
     execute_block, execute_block_range, execute_block_traced, execute_launch, profile_launch, Arg,
     ExecError, LaunchProfile, WriteRecord,
 };
-pub use lane::{execute_launch_simd, run_range_parallel_simd, run_range_simd};
+// The benchmark harness (`benchmark/`, which this crate's PRs may not edit)
+// imports the lane entry point under its old name.
+pub use engine::run_range as run_range_simd;
 pub use memory::{BufferId, MemPool};
 pub use sanitize::{
     cross_validate_certs, sanitize_launch, OobFinding, RaceFinding, SanitizeReport,

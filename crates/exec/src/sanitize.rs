@@ -204,8 +204,9 @@ pub fn sanitize_launch(
 
 /// Cross-validate an attached bounds-certificate table dynamically: re-run
 /// the whole launch on scratch clones of `pool` with the certificates
-/// forced to [`CertMode::Validate`], on both the scalar bytecode engine and
-/// the vectorized lane engine. In that mode every access takes the checked
+/// forced to [`CertMode::Validate`], once with the lane plans (per-op
+/// masks) and once with them detached (per-pc masks, every segment
+/// thread-major). In that mode every access takes the checked
 /// path, and a bounds fault at a certified access surfaces as
 /// [`crate::ExecError::CertificateViolation`] — the certificate itself is
 /// wrong (the analysis claimed in-bounds, execution disagreed). `Ok(())`
@@ -219,10 +220,9 @@ pub fn cross_validate_certs(prog: &crate::Program, pool: &MemPool) -> Result<(),
     let mut vprog = prog.clone();
     vprog.set_cert_mode(crate::CertMode::Validate);
     let nb = vprog.launch().num_blocks();
-    let mut scratch = pool.clone();
-    crate::engine::run_range(&vprog, &mut scratch, 0..nb)?;
-    let mut scratch = pool.clone();
-    crate::lane::run_range_simd(&vprog, &mut scratch, 0..nb)?;
+    crate::engine::run_range(&vprog, &mut pool.clone(), 0..nb)?;
+    vprog.detach_lane_plans();
+    crate::engine::run_range(&vprog, &mut pool.clone(), 0..nb)?;
     Ok(())
 }
 

@@ -193,7 +193,7 @@ impl Kernel {
 
     /// Dense slot index of a memory reference, stable for a given kernel:
     /// buffer parameters first (in declaration order), then shared arrays,
-    /// then locals. The bytecode engine resolves every [`MemRef`] to this
+    /// then locals. The compiled engine resolves every [`MemRef`] to this
     /// numbering once at compile time instead of re-matching per access.
     pub fn mem_slot(&self, mem: MemRef) -> usize {
         match mem {

@@ -22,8 +22,8 @@
 //!   --arg int:<v>            integer scalar
 //!   --arg float:<v>          float scalar
 //!   --seed S                 RNG seed for buffer data (default 42)
-//!   --engine tree|bytecode|simd
-//!                            functional executor       (default bytecode)
+//!   --engine tree|lane       functional executor       (default lane;
+//!                            bytecode and simd are accepted as lane)
 //!   -v, --verbose            per-phase batch/vector report: why each phase
 //!                            ran dense/pred/scalar and how many
 //!                            superinstructions were fused
@@ -544,7 +544,10 @@ impl CommonOpts {
             "--engine" => {
                 let v = value(rest, flag)?;
                 let engine = EngineKind::parse(v).ok_or_else(|| {
-                    format!("--engine: unknown engine `{v}` (tree|bytecode|simd)")
+                    format!(
+                        "--engine: unknown engine `{v}` (tree|lane; bytecode and simd are \
+                         accepted as lane)"
+                    )
                 })?;
                 self.run = self.run.clone().engine(engine);
             }
@@ -1107,7 +1110,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
                     out += &format!("    {line}\n");
                 }
                 // Range-analysis certification at the real allocation sizes:
-                // certified accesses run bounds-check-free in the engines.
+                // certified accesses run bounds-check-free in the engine.
                 let extents: Vec<Option<u64>> = ck
                     .kernel
                     .params
@@ -1383,7 +1386,12 @@ mod tests {
 
     #[test]
     fn run_with_engine_flags() {
-        for engine in ["tree", "bytecode", "simd"] {
+        for (engine, reported) in [
+            ("tree", "tree"),
+            ("lane", "lane"),
+            ("bytecode", "lane"),
+            ("simd", "lane"),
+        ] {
             let opts = RunOpts::parse(
                 &[
                     "--nodes",
@@ -1411,7 +1419,7 @@ mod tests {
             )
             .unwrap();
             let out = cmd_run(SAXPY, &opts).unwrap();
-            assert!(out.contains(&format!("engine: {engine}")), "{out}");
+            assert!(out.contains(&format!("engine: {reported}")), "{out}");
             assert!(out.contains("blocks/s"), "{out}");
             assert!(out.contains("matches GPU"), "{out}");
         }
@@ -1497,7 +1505,7 @@ mod tests {
                 "--block",
                 "128",
                 "--engine",
-                "simd",
+                "lane",
                 "-v",
                 "--arg",
                 "buf:1024f32",
@@ -1542,7 +1550,7 @@ mod tests {
                 "--block",
                 "128",
                 "--engine",
-                "simd",
+                "lane",
                 "-v",
                 "--arg",
                 "buf:1024f32",

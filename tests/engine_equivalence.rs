@@ -1,8 +1,10 @@
-//! Differential property tests: the bytecode engine (`cucc::exec::bytecode`
-//! plus `engine`) and the vectorized lane-array engine (`cucc::exec::lane`)
-//! must match the tree-walk oracle **bit-for-bit** — identical `BlockStats`
-//! counters, identical final memory, identical runtime errors — on randomly
-//! generated kernels and launch shapes.
+//! Differential property tests: the compiled engine (`cucc::exec::bytecode`
+//! run by `cucc::exec::lane`) must match the tree-walk oracle **bit-for-bit**
+//! — identical `BlockStats` counters, identical final memory, identical
+//! runtime errors — on randomly generated kernels and launch shapes. Every
+//! kernel runs three ways: oracle, engine, and engine with its lane plans
+//! detached (`Program::detach_lane_plans`), so the thread-major `run_seg`
+//! fallback sees every whole kernel the lane loops see.
 //!
 //! Three kernel families target the engine's distinct code paths:
 //!
@@ -17,9 +19,10 @@
 //!    intra-node parallel path (`run_range_parallel`) must also reproduce
 //!    oracle memory and stats exactly, for any worker count.
 
+use cucc::analysis::{certify_program, global_extents};
 use cucc::exec::{
-    execute_block_range, execute_launch, execute_launch_bytecode, execute_launch_simd, run_range,
-    run_range_parallel, run_range_parallel_simd, run_range_simd, Arg, MemPool, Program,
+    execute_block_range, execute_launch, execute_launch_bytecode, run_range, run_range_parallel,
+    Arg, BlockStats, BufferId, CertMode, ExecError, MemPool, Program,
 };
 use cucc::ir::{
     validate, AtomicOp, Axis, Expr, Intrinsic, Kernel, KernelBuilder, LaunchConfig, MemRef, Scalar,
@@ -54,58 +57,65 @@ fn seed_pool() -> (MemPool, Vec<Arg>) {
     (pool, args)
 }
 
-/// Run both executors from identical pools and assert stats, memory and
-/// errors all agree.
+type Outcome = Result<BlockStats, ExecError>;
+
+/// The program as the engine runs it, and with its lane plans detached
+/// (every segment thread-major).
+fn variants(prog: &Program) -> [(&'static str, Program); 2] {
+    let mut detached = prog.clone();
+    detached.detach_lane_plans();
+    [("lane", prog.clone()), ("detached", detached)]
+}
+
+/// Stats and memory agree on success; errors agree on failure.
+fn assert_same(what: &str, ra: &Outcome, pool_a: &MemPool, rb: &Outcome, pool_b: &MemPool) {
+    match (ra, rb) {
+        (Ok(sa), Ok(sb)) => {
+            assert_eq!(sa, sb, "{what}: BlockStats diverged");
+            for id in 0..pool_a.len() {
+                let id = BufferId(id as u32);
+                assert_eq!(
+                    pool_a.bytes(id),
+                    pool_b.bytes(id),
+                    "{what}: memory diverged"
+                );
+            }
+        }
+        (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{what}: errors diverged"),
+        _ => panic!("{what}: result kind diverged: oracle={ra:?} engine={rb:?}"),
+    }
+}
+
+/// Run the oracle and both engine variants from identical pools and assert
+/// stats, memory and errors all agree.
 fn assert_equiv(k: &Kernel, launch: LaunchConfig) {
     validate(k).expect("generated kernels are valid");
-    let (mut pool_a, args) = seed_pool();
-    let mut pool_b = pool_a.clone();
+    let (pool, args) = seed_pool();
+    let mut pool_a = pool.clone();
     let ra = execute_launch(k, launch, &args, &mut pool_a);
+    // The compile-and-run helper is the engine's `execute_launch`.
+    let mut pool_b = pool.clone();
     let rb = execute_launch_bytecode(k, launch, &args, &mut pool_b);
-    match (&ra, &rb) {
-        (Ok(sa), Ok(sb)) => {
-            assert_eq!(sa, sb, "BlockStats diverged");
-            for id in 0..pool_a.len() {
-                let id = cucc::exec::BufferId(id as u32);
-                assert_eq!(pool_a.bytes(id), pool_b.bytes(id), "memory diverged");
-            }
-        }
-        (Err(ea), Err(eb)) => assert_eq!(ea, eb, "errors diverged"),
-        _ => panic!("result kind diverged: oracle={ra:?} bytecode={rb:?}"),
-    }
-    // Vectorized lane-array tier: chunk-major execution with superinstruction
-    // fusion must still be observationally identical to the oracle.
-    let (mut pool_c, cargs) = seed_pool();
-    let rc = execute_launch_simd(k, launch, &cargs, &mut pool_c);
-    match (&ra, &rc) {
-        (Ok(sa), Ok(sc)) => {
-            assert_eq!(sa, sc, "simd BlockStats diverged");
-            for id in 0..pool_a.len() {
-                let id = cucc::exec::BufferId(id as u32);
-                assert_eq!(pool_a.bytes(id), pool_c.bytes(id), "simd memory diverged");
-            }
-        }
-        (Err(ea), Err(ec)) => assert_eq!(ea, ec, "simd errors diverged"),
-        _ => panic!("result kind diverged: oracle={ra:?} simd={rc:?}"),
+    assert_same("helper", &ra, &pool_a, &rb, &pool_b);
+    let Ok(prog) = Program::compile(k, launch, &args) else {
+        return;
+    };
+    let n = launch.num_blocks();
+    for (what, prog) in variants(&prog) {
+        let mut pool_b = pool.clone();
+        let rb = run_range(&prog, &mut pool_b, 0..n);
+        assert_same(what, &ra, &pool_a, &rb, &pool_b);
     }
     // Partial block ranges (how cluster nodes drive the engine): the serial
     // engine over a sub-range must match the oracle over the same sub-range.
-    let n = launch.num_blocks();
     if ra.is_ok() && n >= 4 {
         let range = (n / 4)..(n - n / 4);
-        let (mut pa, args) = seed_pool();
-        let mut pb = pa.clone();
-        let mut pc = pa.clone();
-        let sa = execute_block_range(k, launch, range.clone(), &args, &mut pa).unwrap();
-        let prog = Program::compile(k, launch, &args).unwrap();
-        let sb = run_range(&prog, &mut pb, range.clone()).unwrap();
-        assert_eq!(sa, sb, "sub-range BlockStats diverged");
-        let sc = run_range_simd(&prog, &mut pc, range).unwrap();
-        assert_eq!(sa, sc, "sub-range simd BlockStats diverged");
-        for id in 0..pa.len() {
-            let id = cucc::exec::BufferId(id as u32);
-            assert_eq!(pa.bytes(id), pb.bytes(id), "sub-range memory diverged");
-            assert_eq!(pa.bytes(id), pc.bytes(id), "sub-range simd memory diverged");
+        let mut pa = pool.clone();
+        let sa = execute_block_range(k, launch, range.clone(), &args, &mut pa);
+        for (what, prog) in variants(&prog) {
+            let mut pb = pool.clone();
+            let sb = run_range(&prog, &mut pb, range.clone());
+            assert_same(&format!("sub-range {what}"), &sa, &pa, &sb, &pb);
         }
     }
 }
@@ -637,34 +647,14 @@ proptest! {
         let k = build_elementwise(&val, true);
         validate(&k).expect("generated kernels are valid");
         let launch = LaunchConfig::new(grid, 16u32);
-        let (mut pool_a, args) = seed_pool();
-        let mut pool_b = pool_a.clone();
-        let mut pool_c = pool_a.clone();
+        let (pool, args) = seed_pool();
+        let mut pool_a = pool.clone();
         let ra = execute_launch(&k, launch, &args, &mut pool_a);
         let prog = Program::compile(&k, launch, &args).unwrap();
-        let rb = run_range_parallel(&prog, &mut pool_b, 0..launch.num_blocks(), workers);
-        let rc = run_range_parallel_simd(&prog, &mut pool_c, 0..launch.num_blocks(), workers);
-        match (&ra, &rb) {
-            (Ok(sa), Ok(sb)) => {
-                prop_assert_eq!(sa, sb, "BlockStats diverged under {} workers", workers);
-                for id in 0..pool_a.len() {
-                    let id = cucc::exec::BufferId(id as u32);
-                    prop_assert_eq!(pool_a.bytes(id), pool_b.bytes(id), "memory diverged");
-                }
-            }
-            (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-            _ => prop_assert!(false, "result kind diverged: {:?} vs {:?}", ra, rb),
-        }
-        match (&ra, &rc) {
-            (Ok(sa), Ok(sc)) => {
-                prop_assert_eq!(sa, sc, "simd BlockStats diverged under {} workers", workers);
-                for id in 0..pool_a.len() {
-                    let id = cucc::exec::BufferId(id as u32);
-                    prop_assert_eq!(pool_a.bytes(id), pool_c.bytes(id), "simd memory diverged");
-                }
-            }
-            (Err(ea), Err(ec)) => prop_assert_eq!(ea, ec),
-            _ => prop_assert!(false, "simd result kind diverged: {:?} vs {:?}", ra, rc),
+        for (what, prog) in variants(&prog) {
+            let mut pool_b = pool.clone();
+            let rb = run_range_parallel(&prog, &mut pool_b, 0..launch.num_blocks(), workers);
+            assert_same(&format!("{what} × {workers} workers"), &ra, &pool_a, &rb, &pool_b);
         }
     }
 }
@@ -694,29 +684,27 @@ fn atomic_kernel_parallel_fallback_matches_oracle() {
     let mut pool_a = MemPool::new();
     let out_a = pool_a.alloc_elems(Scalar::I64, 8);
     let args = vec![Arg::Buffer(out_a)];
-    let mut pool_b = pool_a.clone();
+    let pool = pool_a.clone();
 
-    let mut pool_c = pool_b.clone();
-    let sa = execute_launch(&k, launch, &args, &mut pool_a).unwrap();
+    let ra = execute_launch(&k, launch, &args, &mut pool_a);
     let prog = Program::compile(&k, launch, &args).unwrap();
     assert!(
         prog.serial_only(),
         "global atomics must force serial fallback"
     );
-    let sb = run_range_parallel(&prog, &mut pool_b, 0..launch.num_blocks(), 4).unwrap();
-    assert_eq!(sa, sb);
-    assert_eq!(pool_a.bytes(out_a), pool_b.bytes(out_a));
-    // The vectorized tier takes the same serial fallback; the interleaved
-    // read-modify-writes must still match the oracle exactly.
-    let sc = run_range_parallel_simd(&prog, &mut pool_c, 0..launch.num_blocks(), 4).unwrap();
-    assert_eq!(sa, sc);
-    assert_eq!(pool_a.bytes(out_a), pool_c.bytes(out_a));
+    // With and without lanes the interleaved read-modify-writes must match
+    // the oracle exactly.
+    for (what, prog) in variants(&prog) {
+        let mut pool_b = pool.clone();
+        let rb = run_range_parallel(&prog, &mut pool_b, 0..launch.num_blocks(), 4);
+        assert_same(what, &ra, &pool_a, &rb, &pool_b);
+    }
 }
 
 /// Divergent per-lane masks: an early `return` retires some lanes and a
 /// data-dependent guard predicates the store. The segment must batch as
-/// `pred` and the vectorized tier must match the oracle bit-for-bit,
-/// serially and under parallel workers.
+/// `pred` and the engine must match the oracle bit-for-bit, serially and
+/// under parallel workers.
 #[test]
 fn divergent_mask_kernel_matches_oracle_simd() {
     let mut b = KernelBuilder::new("divergent");
@@ -751,26 +739,28 @@ fn divergent_mask_kernel_matches_oracle_simd() {
         .collect();
     pool_a.write_all(fb, &f_bytes);
     let args = vec![Arg::Buffer(out_id), Arg::Buffer(fb)];
-    let mut pool_b = pool_a.clone();
-    let mut pool_c = pool_a.clone();
+    let pool = pool_a.clone();
 
-    let sa = execute_launch(&k, launch, &args, &mut pool_a).unwrap();
+    let ra = execute_launch(&k, launch, &args, &mut pool_a);
+    assert!(ra.is_ok(), "{ra:?}");
     let prog = Program::compile(&k, launch, &args).unwrap();
     assert!(
         prog.phase_summary().contains("pred["),
         "divergent kernel should batch predicated: {}",
         prog.phase_summary()
     );
-    let sb = run_range_simd(&prog, &mut pool_b, 0..launch.num_blocks()).unwrap();
-    assert_eq!(sa, sb);
-    assert_eq!(pool_a.bytes(out_id), pool_b.bytes(out_id));
-    let sc = run_range_parallel_simd(&prog, &mut pool_c, 0..launch.num_blocks(), 3).unwrap();
-    assert_eq!(sa, sc);
-    assert_eq!(pool_a.bytes(out_id), pool_c.bytes(out_id));
+    for (what, prog) in variants(&prog) {
+        let mut pool_b = pool.clone();
+        let rb = run_range(&prog, &mut pool_b, 0..launch.num_blocks());
+        assert_same(what, &ra, &pool_a, &rb, &pool_b);
+        let mut pool_c = pool.clone();
+        let rc = run_range_parallel(&prog, &mut pool_c, 0..launch.num_blocks(), 3);
+        assert_same(&format!("parallel {what}"), &ra, &pool_a, &rc, &pool_c);
+    }
 }
 
 /// Multiple lanes of one chunk fault on an out-of-bounds store: the
-/// vectorized tier must report the *lowest* faulting thread's error,
+/// engine must report the *lowest* faulting thread's error,
 /// exactly as the serial oracle does — both in dense full-mode and under a
 /// divergent mask.
 #[test]
@@ -796,8 +786,7 @@ fn faulting_lanes_report_lowest_thread_simd() {
         let mut pool_a = MemPool::new();
         let out_id = pool_a.alloc_elems(Scalar::I64, OUT_LEN as usize);
         let args = vec![Arg::Buffer(out_id)];
-        let mut pool_b = pool_a.clone();
-        let mut pool_c = pool_a.clone();
+        let pool = pool_a.clone();
 
         let ra = execute_launch(&k, launch, &args, &mut pool_a);
         let ea = ra.expect_err("threads with tid*17 % 256 >= OUT_LEN must fault");
@@ -808,12 +797,17 @@ fn faulting_lanes_report_lowest_thread_simd() {
             "guarded={guarded}: {}",
             prog.phase_summary()
         );
-        let eb = run_range_simd(&prog, &mut pool_b, 0..launch.num_blocks())
-            .expect_err("simd must fault too");
-        assert_eq!(ea, eb, "guarded={guarded}: simd fault diverged from oracle");
-        let ec = run_range_parallel_simd(&prog, &mut pool_c, 0..launch.num_blocks(), 4)
-            .expect_err("parallel simd must fault too");
-        assert_eq!(ea, ec, "guarded={guarded}: parallel simd fault diverged");
+        for (what, prog) in variants(&prog) {
+            let eb = run_range(&prog, &mut pool.clone(), 0..launch.num_blocks())
+                .expect_err("the engine must fault too");
+            assert_eq!(
+                ea, eb,
+                "guarded={guarded} {what}: fault diverged from oracle"
+            );
+            let ec = run_range_parallel(&prog, &mut pool.clone(), 0..launch.num_blocks(), 4)
+                .expect_err("the chunked engine must fault too");
+            assert_eq!(ea, ec, "guarded={guarded} {what}: parallel fault diverged");
+        }
     }
 }
 
@@ -908,4 +902,144 @@ fn all_tail_threads_guarded_off() {
     let sb = execute_launch_bytecode(&k, launch, &args, &mut pool_b).unwrap();
     assert_eq!(sa, sb);
     assert_eq!(pool_a.bytes(out_a), pool_b.bytes(out_a));
+}
+
+// ---------------------------------------------------------------------------
+// Staging between lane rows and thread-major windows.
+// ---------------------------------------------------------------------------
+
+/// A variable written in a `scalar` segment and read in a later lane
+/// segment, and the reverse, across chunk boundaries and with an early
+/// `return` in the middle of every chunk. `validate` rejects a `return`
+/// beside a barrier, so the front end never produces this kernel; the
+/// executors still define it (a returned thread sits out later phases), and
+/// it is the only way to enter a segment with some threads retired.
+#[test]
+fn staging_carries_variables_between_scalar_and_lane_segments() {
+    let k = cucc::ir::parse_kernel(
+        "__global__ void stage(int* out, int* in, int n) {
+            __shared__ int sh[1024];
+            int t = threadIdx.x;
+            int acc = t;
+            for (int j = 0; j < t % 5; j++) acc = acc + in[(t + j) % n];
+            sh[t] = acc;
+            __syncthreads();
+            int v = acc * 2 + sh[(t + 1) % blockDim.x];
+            if (t % 16 == 5) return;
+            out[blockIdx.x * blockDim.x + t] = v;
+            __syncthreads();
+            int w = acc;
+            for (int j = 0; j < 3; j++) w = w + v + j;
+            out[blockIdx.x * blockDim.x + t] = w;
+        }",
+    )
+    .unwrap();
+    for block in [1u32, 15, 16, 17, 33, 1024] {
+        let launch = LaunchConfig::new(2u32, block);
+        let mut pool = MemPool::new();
+        let out = pool.alloc_elems(Scalar::I32, 2 * block as usize);
+        let inp = pool.alloc_elems(Scalar::I32, 37);
+        pool.write_i32(inp, &(0..37).map(|i| i * 3 - 20).collect::<Vec<i32>>());
+        let args = vec![Arg::Buffer(out), Arg::Buffer(inp), Arg::int(37)];
+        let mut pool_a = pool.clone();
+        let ra = execute_launch(&k, launch, &args, &mut pool_a);
+        assert!(ra.is_ok(), "block={block}: {ra:?}");
+        let prog = Program::compile(&k, launch, &args).unwrap();
+        let summary = prog.phase_summary();
+        let tags: Vec<&str> = summary
+            .split(' ')
+            .map(|s| &s[..s.find('[').unwrap_or(3)])
+            .collect();
+        assert_eq!(
+            tags,
+            ["scalar", "bar", "pred", "bar", "scalar"],
+            "{summary}"
+        );
+        for (what, prog) in variants(&prog) {
+            let mut pool_b = pool.clone();
+            let rb = run_range(&prog, &mut pool_b, 0..2);
+            assert_same(&format!("block={block} {what}"), &ra, &pool_a, &rb, &pool_b);
+        }
+    }
+}
+
+/// Two threads of the *second* chunk of a `scalar` segment store out of
+/// bounds: the engine reports the lower one's fault, as the oracle does.
+#[test]
+fn scalar_segment_fault_in_second_chunk_reports_oracle_thread() {
+    let k = cucc::ir::parse_kernel(
+        "__global__ void k(int* out) {
+            int t = threadIdx.x;
+            int acc = 0;
+            for (int j = 0; j < 2; j++) acc = acc + j;
+            int idx = t;
+            if (t == 21) idx = 1000;
+            if (t == 27) idx = 2000;
+            out[idx] = acc;
+        }",
+    )
+    .unwrap();
+    validate(&k).unwrap();
+    let launch = LaunchConfig::new(1u32, 40u32);
+    let mut pool = MemPool::new();
+    let out = pool.alloc_elems(Scalar::I32, 64);
+    let args = vec![Arg::Buffer(out)];
+    let ea = execute_launch(&k, launch, &args, &mut pool.clone()).unwrap_err();
+    assert!(
+        matches!(ea, ExecError::OutOfBounds { index: 1000, .. }),
+        "{ea:?}"
+    );
+    let prog = Program::compile(&k, launch, &args).unwrap();
+    assert!(
+        prog.phase_summary().starts_with("scalar["),
+        "{}",
+        prog.phase_summary()
+    );
+    for (what, prog) in variants(&prog) {
+        let eb = run_range(&prog, &mut pool.clone(), 0..1).unwrap_err();
+        assert_eq!(ea, eb, "{what}");
+    }
+}
+
+/// `bert_layernorm` — dense prologue, a block reduction whose steps are
+/// `scalar` segments inside a uniform loop, dense epilogue — certified at
+/// its real extents and run under `CertMode::Validate`: staging must hand
+/// the checked path the same indices the analysis saw.
+#[test]
+fn block_reduce_kernel_validates_its_certificates() {
+    let ck = cucc::workloads::triton_kernels()
+        .into_iter()
+        .find(|k| k.name == "bert_layernorm")
+        .expect("bert_layernorm is a builtin kernel");
+    let k = cucc::ir::parse_kernel(&ck.source).unwrap();
+    let mut pool = MemPool::new();
+    let (mut bufs, mut scalars) = (ck.buffer_bytes.iter(), ck.scalars.iter());
+    let args: Vec<Arg> = k
+        .params
+        .iter()
+        .map(|p| match p {
+            cucc::ir::Param::Buffer { .. } => Arg::Buffer(pool.alloc(*bufs.next().unwrap())),
+            cucc::ir::Param::Scalar { .. } => Arg::Scalar(*scalars.next().unwrap()),
+        })
+        .collect();
+    let mut prog = Program::compile(&k, ck.launch, &args).unwrap();
+    let summary = prog.phase_summary();
+    assert!(
+        summary.contains("for(scalar[") && summary.contains("dense["),
+        "{summary}"
+    );
+    let exts = global_extents(&prog, |b| Some(pool.size_of(b)));
+    let (certified, _) = certify_program(&mut prog, &exts, CertMode::Validate).stats();
+    assert!(
+        certified > 0,
+        "nothing certified: the test would check nothing"
+    );
+    let mut pool_a = pool.clone();
+    let ra = execute_launch(&k, ck.launch, &args, &mut pool_a);
+    assert!(ra.is_ok(), "{ra:?}");
+    for (what, prog) in variants(&prog) {
+        let mut pool_b = pool.clone();
+        let rb = run_range(&prog, &mut pool_b, 0..ck.launch.num_blocks());
+        assert_same(what, &ra, &pool_a, &rb, &pool_b);
+    }
 }

@@ -1,5 +1,5 @@
 //! Two-sided soundness corpus for the range abstract interpreter
-//! (`cucc-analysis::range`) and the engines' certified unchecked fast
+//! (`cucc-analysis::range`) and the engine's certified unchecked fast
 //! paths:
 //!
 //! 1. **Certificates are sound** — on random kernels, launches, and
@@ -12,13 +12,13 @@
 //!
 //! 2. **Elision is invisible** — with certificates attached in
 //!    `CertMode::Elide`, final memory and `BlockStats` must be
-//!    bit-identical to the checked path on all three engine tiers
-//!    (tree-walk oracle, bytecode, simd lane-array).
+//!    bit-identical to the checked path three ways (tree-walk oracle,
+//!    compiled engine, compiled engine with its lane plans detached).
 
 use cucc::analysis::{analyze_ranges, certify_program, global_extents};
 use cucc::exec::{
-    cross_validate_certs, execute_launch, run_range, run_range_simd, sanitize_launch, Arg,
-    BufferId, CertMode, ExecError, MemPool, Program,
+    cross_validate_certs, execute_launch, run_range, sanitize_launch, Arg, BufferId, CertMode,
+    ExecError, MemPool, Program,
 };
 use cucc::ir::{parse_kernel, validate, LaunchConfig, Scalar};
 use proptest::prelude::*;
@@ -158,8 +158,8 @@ proptest! {
     #[test]
     fn certified_accesses_never_trap(s in subject()) {
         let (prog, pool, args, (certified, total)) = certified_program(&s);
-        // Validate mode re-checks every certified access on both bytecode
-        // tiers; a cert-violating fault is CertificateViolation.
+        // Validate mode re-checks every certified access with and without
+        // lane plans; a cert-violating fault is CertificateViolation.
         match cross_validate_certs(&prog, &pool) {
             Ok(()) => {}
             Err(ExecError::CertificateViolation { .. }) => {
@@ -191,7 +191,8 @@ proptest! {
     }
 
     /// Side 2 — transparency: the certified unchecked path is bit-identical
-    /// to the checked path (memory and BlockStats) on all three tiers.
+    /// to the checked path (memory and BlockStats), with lanes and
+    /// thread-major, and both equal the oracle.
     #[test]
     fn elision_is_bit_identical(s in subject()) {
         let s = Subject { shortfall: 0, ..s };
@@ -204,30 +205,24 @@ proptest! {
         let (mut pool_tree, args, _) = s.build();
         let st_tree = execute_launch(&kernel, launch, &args, &mut pool_tree).unwrap();
 
-        // Checked bytecode/simd: plain program, no certs attached.
+        // Checked: plain program, no certs attached. Unchecked:
+        // certificates attached in Elide mode. Each with its lane plans and
+        // with them detached (every segment thread-major).
         let plain = Program::compile(&kernel, launch, &args).unwrap();
-        let (mut pool_b, _, _) = s.build();
-        let st_b = run_range(&plain, &mut pool_b, 0..blocks).unwrap();
-        let (mut pool_s, _, _) = s.build();
-        let st_s = run_range_simd(&plain, &mut pool_s, 0..blocks).unwrap();
-
-        // Unchecked: certificates attached in Elide mode.
-        let (prog, _, _, _) = certified_program(&s);
-        let (mut pool_bu, _, _) = s.build();
-        let st_bu = run_range(&prog, &mut pool_bu, 0..blocks).unwrap();
-        let (mut pool_su, _, _) = s.build();
-        let st_su = run_range_simd(&prog, &mut pool_su, 0..blocks).unwrap();
-
-        prop_assert_eq!(&st_tree, &st_b, "checked bytecode stats diverged from oracle");
-        prop_assert_eq!(&st_b, &st_bu, "unchecked bytecode stats diverged");
-        prop_assert_eq!(&st_tree, &st_s, "checked simd stats diverged from oracle");
-        prop_assert_eq!(&st_s, &st_su, "unchecked simd stats diverged");
-        for i in 0..pool_tree.len() {
-            let id = BufferId(i as u32);
-            prop_assert_eq!(pool_tree.bytes(id), pool_b.bytes(id), "checked bytecode memory");
-            prop_assert_eq!(pool_tree.bytes(id), pool_bu.bytes(id), "unchecked bytecode memory");
-            prop_assert_eq!(pool_tree.bytes(id), pool_s.bytes(id), "checked simd memory");
-            prop_assert_eq!(pool_tree.bytes(id), pool_su.bytes(id), "unchecked simd memory");
+        let (elide, _, _, _) = certified_program(&s);
+        for (what, mut prog) in [("checked", plain), ("unchecked", elide)] {
+            for lanes in ["lane", "detached"] {
+                if lanes == "detached" {
+                    prog.detach_lane_plans();
+                }
+                let (mut pool, _, _) = s.build();
+                let st = run_range(&prog, &mut pool, 0..blocks).unwrap();
+                prop_assert_eq!(&st_tree, &st, "{} {} stats diverged from oracle", what, lanes);
+                for i in 0..pool_tree.len() {
+                    let id = BufferId(i as u32);
+                    prop_assert_eq!(pool_tree.bytes(id), pool.bytes(id), "{} {} memory", what, lanes);
+                }
+            }
         }
     }
 
