@@ -19,11 +19,13 @@
 //!   Triton, 13 Hetero-Mark) at their own launches, serial, run-only, every
 //!   repetition on a fresh copy of the initial memory.
 //!
-//! `before` carries the same 42-kernel sweep measured at the commit before
-//! the engine collapse (its `bytecode` tier was the inst-major `BlockEngine`,
-//! its `simd` tier the lane engine with full-register staging), on the host
-//! it names. The file records `host_cores`, and every row its grid, block
-//! size and worker counts: a number means nothing without them.
+//! `before` carries the serial `lane` and `unchecked` columns of the six
+//! 1-worker micro rows and the 42 builtin rows, measured at the commit whose
+//! lane engine still ran its own fused instruction set (`LaneOp`; `fused` is
+//! the number of source instructions the peephole pass folded away in that
+//! row), on the host it names. The file records `host_cores`, and every row
+//! its grid, block size and worker counts: a number means nothing without
+//! them.
 //!
 //! The harness doubles as the perf-regression smoke: it panics if lanes fail
 //! to beat thread-major execution, or if the certified unchecked path falls
@@ -46,7 +48,8 @@ const THREADS: u32 = 128;
 const GRIDS: [u32; 2] = [128, 4096];
 /// Requested worker counts; each is capped at [`host_cores`] before it runs.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// The parent commit's 42-kernel sweep (see the module docs).
+/// The 48-row sweep at the last commit with fused lane ops (see the module
+/// docs).
 const BEFORE: &str = include_str!("bench_interp_before.json");
 
 /// One kernel at one launch with its initial memory.

@@ -259,28 +259,6 @@ impl CuccCluster {
         &self.timeline
     }
 
-    /// Session-wide phase breakdown derived from the timeline: every launch
-    /// and host transfer since construction (or the last
-    /// [`CuccCluster::reset_clock`]). Unlike per-launch [`LaunchReport`]
-    /// times, this includes h2d broadcast time under
-    /// [`PhaseTimes::broadcast`].
-    pub fn session_times(&self) -> PhaseTimes {
-        PhaseTimes {
-            // Within one launch every node's phase span has the same
-            // duration, so node 0's track carries the per-launch phase
-            // times; summing it in recording order reproduces the legacy
-            // per-launch accumulation exactly.
-            partial: self.timeline.time_in_on(Track::Node(0), Category::Partial),
-            allgather: self.timeline.time_in(Category::Allgather),
-            callback: self.timeline.time_in_on(Track::Node(0), Category::Callback),
-            broadcast: self.timeline.time_in(Category::Broadcast),
-            retry: self.timeline.time_in(Category::Retry),
-            reexec: self
-                .timeline
-                .max_track_sum_since(Mark::default(), Category::Reexec),
-        }
-    }
-
     /// Total bytes moved across the network since construction (or the last
     /// [`CuccCluster::reset_clock`]) — Allgathers *and* h2d broadcasts —
     /// derived from the timeline's wire-byte counters.
@@ -572,9 +550,6 @@ impl CuccCluster {
         // planner probes node memory and the grid may read anywhere.
         self.materialize_args(args);
         let sched = self.plan(ck, launch, args)?;
-        if self.config.sanitize && self.config.fidelity == ExecutionFidelity::Functional {
-            self.run_sanitizer(ck, launch, args)?;
-        }
         let mark = self.timeline.checkpoint();
         let t0 = self.timeline.clock();
         // A synchronous launch starts at the clock and nothing else is in
@@ -1002,9 +977,6 @@ impl CuccCluster {
         self.reconcile_pending(args, sched, fps, stats)?;
         let elide = self.elision_plan(args, sched, fps);
 
-        if self.config.sanitize && self.config.fidelity == ExecutionFidelity::Functional {
-            self.run_sanitizer(ck, launch, args)?;
-        }
         let mark = self.timeline.checkpoint();
         let t0 = self.timeline.clock();
         let (report, _end) = self.execute_schedule(ck, launch, args, sched, t0, t0, &elide)?;
@@ -1484,6 +1456,9 @@ impl CuccCluster {
         net_floor: f64,
         elide: &[bool],
     ) -> Result<(LaunchReport, f64), MigrateError> {
+        if self.config.sanitize && self.config.fidelity == ExecutionFidelity::Functional {
+            self.run_sanitizer(ck, launch, args)?;
+        }
         match &sched.decision {
             ScheduleDecision::ThreePhase {
                 plan,
@@ -2447,6 +2422,39 @@ mod tests {
         assert_eq!(rep_tree.node_stats, rep_par.node_stats);
         assert_eq!(rep_tree.times, rep_lane.times);
         assert_eq!(rep_tree.wire_bytes, rep_lane.wire_bytes);
+    }
+
+    #[test]
+    fn sanitizer_checks_stream_launches() {
+        // `sanitize` promises a check before *every* functional launch; a
+        // stream launch reaches the executors without passing `launch`.
+        let options = crate::RunOptions::builder().sanitize(true).build();
+        let stream_launch = |src: &str| {
+            let ck = compile_source(src).unwrap();
+            let mut cl = CuccCluster::with_options(spec(2), options.clone());
+            let x = cl.alloc(512 * 4);
+            let out = cl.alloc(512 * 4);
+            let stream = cl.stream_create();
+            let args = [Arg::Buffer(x), Arg::Buffer(out)];
+            cl.launch_on(&ck, LaunchConfig::new(4, 128), &args, stream)
+                .unwrap();
+            cl.sanitize_report().cloned()
+        };
+        let racy = stream_launch(
+            "__global__ void all_to_zero(float* x, float* out) {
+                out[0] = x[blockDim.x * blockIdx.x + threadIdx.x];
+            }",
+        )
+        .expect("the stream launch was sanitized");
+        assert!(!racy.races.is_empty(), "{}", racy.summary());
+        let clean = stream_launch(
+            "__global__ void copy(float* x, float* out) {
+                int id = blockDim.x * blockIdx.x + threadIdx.x;
+                out[id] = x[id];
+            }",
+        )
+        .expect("the stream launch was sanitized");
+        assert!(clean.clean(), "{}", clean.summary());
     }
 
     #[test]

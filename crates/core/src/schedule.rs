@@ -25,11 +25,9 @@ use crate::compile::CompiledKernel;
 use crate::error::MigrateError;
 use crate::report::PhaseTimes;
 use crate::runtime::RuntimeConfig;
-use cucc_analysis::{
-    analyze_ranges, global_extents, plan_launch, Partition, Plan, ReplicationCause, ThreePhasePlan,
-};
+use cucc_analysis::{plan_launch, Partition, Plan, ReplicationCause, ThreePhasePlan};
 use cucc_cluster::{block_compute_time, node_time_profiled, ClusterSpec};
-use cucc_exec::{profile_launch, Arg, BufferId, LaunchProfile, MemPool, Program};
+use cucc_exec::{profile_launch, Arg, BufferId, LaunchProfile, MemPool};
 use cucc_ir::{Kernel, LaunchConfig, Value};
 use cucc_net::{allgather_cost, AllgatherAlgo, AllgatherPlacement};
 use std::collections::HashMap;
@@ -76,11 +74,6 @@ pub struct LaunchSchedule {
     /// re-partitioned across the survivors (degraded execution). Equal to
     /// `times.callback` for replicated decisions.
     pub degraded_time: f64,
-    /// Range-analysis certification summary: `(certified, total)`
-    /// reachable memory accesses the abstract interpreter proves in-bounds
-    /// at this launch. Certified accesses take the engine's unchecked fast
-    /// path. `(0, 0)` under the tree-walk oracle (no bytecode to analyze).
-    pub certs: (usize, usize),
 }
 
 impl LaunchSchedule {
@@ -188,16 +181,12 @@ pub fn schedule_key(
 /// interned shape id in [`ScheduleKey`] guarantees a schedule planned for
 /// one (node count, alive mask) pair can never serve another, and a
 /// cluster that returns to a previously seen shape (node death followed by
-/// a rejoin) warm-hits the entries it planned there. Wholesale
-/// [`ScheduleCache::invalidate_all`] remains available for explicit
-/// reconfiguration (engine or cost-model knob changes outside the key).
+/// a rejoin) warm-hits the entries it planned there.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCache {
     map: HashMap<ScheduleKey, LaunchSchedule>,
     hits: u64,
     misses: u64,
-    evictions: u64,
-    last_invalidation: Option<String>,
 }
 
 impl ScheduleCache {
@@ -225,15 +214,6 @@ impl ScheduleCache {
         self.map.insert(key, schedule);
     }
 
-    /// Drop every cached schedule (cluster shape changed: node death,
-    /// degradation, or an explicit reconfiguration). Records why, for
-    /// diagnostics.
-    pub fn invalidate_all(&mut self, reason: &str) {
-        self.evictions += self.map.len() as u64;
-        self.map.clear();
-        self.last_invalidation = Some(reason.to_string());
-    }
-
     /// Cached entry count.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -254,11 +234,6 @@ impl ScheduleCache {
         self.misses
     }
 
-    /// Entries dropped by [`ScheduleCache::invalidate_all`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// `hits / (hits + misses)`, or 0 when never queried.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -269,11 +244,6 @@ impl ScheduleCache {
         }
     }
 
-    /// Reason string from the most recent invalidation, if any.
-    pub fn last_invalidation(&self) -> Option<&str> {
-        self.last_invalidation.as_deref()
-    }
-
     /// Counter snapshot: one value the CLI, serving stats and benches can
     /// carry around (and diff) instead of reading four counters under a
     /// `--graph`-only code path.
@@ -282,7 +252,6 @@ impl ScheduleCache {
             hits: self.hits,
             misses: self.misses,
             entries: self.map.len(),
-            evictions: self.evictions,
         }
     }
 }
@@ -298,8 +267,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently cached.
     pub entries: usize,
-    /// Entries dropped by wholesale invalidation.
-    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -310,7 +277,6 @@ impl CacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             entries: self.entries,
-            evictions: self.evictions - earlier.evictions,
         }
     }
 
@@ -377,18 +343,6 @@ pub fn plan_schedule(
         Plan::ThreePhase(tp) => cost_three_phase(ck, &tp, &profile, spec, logical_nodes, config),
         Plan::Replicated(cause) => cost_replicated(cause, degraded_time),
     };
-    // Certification summary rides along the (cached) schedule; the
-    // executors re-derive the full per-pc certificate table when they
-    // compile the launch.
-    let certs = match Program::compile(&ck.kernel, launch, args) {
-        Ok(prog) => {
-            let exts = global_extents(&prog, |b| {
-                (b.index() < node0.len()).then(|| node0.size_of(b))
-            });
-            analyze_ranges(&prog, &exts).stats()
-        }
-        Err(_) => (0, 0),
-    };
     Ok(LaunchSchedule {
         decision,
         times,
@@ -397,7 +351,6 @@ pub fn plan_schedule(
         writes,
         profile,
         degraded_time,
-        certs,
     })
 }
 

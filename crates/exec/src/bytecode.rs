@@ -218,16 +218,14 @@ pub struct SegStage {
 pub enum PhaseOp {
     /// A maximal barrier-free code range: every live thread runs
     /// `code[start..end]` to completion before the next phase op. `batch`
-    /// is the lane execution mode [`seg_batchable`] proved safe; `plan`
-    /// indexes [`Program::lane_plans`] ([`NO_PLAN`] when the segment is not
-    /// batchable and runs thread-major); `stage` lists the registers the
-    /// thread-major fallback moves between the engine's lane rows and its
-    /// per-thread windows.
+    /// is the lane execution mode [`seg_batchable`] proved safe
+    /// ([`BatchKind::No`]: the segment runs thread-major); `stage` lists the
+    /// registers the thread-major fallback moves between the engine's lane
+    /// rows and its per-thread windows.
     Seg {
         start: u32,
         end: u32,
         batch: BatchKind,
-        plan: u32,
         stage: SegStage,
     },
     /// `__syncthreads()` — charges one barrier per block.
@@ -277,9 +275,7 @@ pub struct Program {
     pub(crate) shared_sizes: Vec<usize>,
     /// Byte sizes of the local arrays (one image per thread each).
     pub(crate) local_sizes: Vec<usize>,
-    /// Superinstruction-fused lane programs for every batchable segment,
-    /// indexed by [`PhaseOp::Seg::plan`] (see [`build_lane_plan`]) and
-    /// executed by [`crate::lane`].
+    /// The pc range of every batchable segment, in phase-tree pre-order.
     pub(crate) lane_plans: Vec<LanePlan>,
     pub(crate) launch: LaunchConfig,
     /// Optional bounds certificates attached by the range analysis
@@ -322,20 +318,16 @@ impl Program {
         };
         let mut phases = c.lower_phases(&kernel.body)?;
         // Decided once all code is emitted, so every jump target is final.
-        for_each_seg(&mut phases, &mut |start, end, batch, _, _| {
-            *batch = seg_batchable(&c.code, &c.slots, start, end);
-        });
         let (const_base, num_regs) = c.finish_regs();
-        // Lane plans and staging lists read the *final* register layout
-        // (temporaries are `num_vars <= r < const_base`, pooled `threadIdx`
+        // Staging lists read the *final* register layout (pooled `threadIdx`
         // registers sit above the constants), so they must build after
         // `finish_regs` relocates the pooled registers.
         let tid_base = const_base + c.consts.len() as u32;
         let mut lane_plans = Vec::new();
-        for_each_seg(&mut phases, &mut |start, end, batch, plan, stage| {
+        for_each_seg(&mut phases, &mut |start, end, batch, stage| {
+            *batch = seg_batchable(&c.code, &c.slots, start, end);
             if *batch != BatchKind::No {
-                *plan = lane_plans.len() as u32;
-                lane_plans.push(build_lane_plan(&c.code, start, end, num_vars, const_base));
+                lane_plans.push(LanePlan { start, end });
             }
             *stage = seg_stage(&c.code, start, end, num_vars, tid_base);
         });
@@ -418,7 +410,7 @@ impl Program {
         self.num_regs
     }
 
-    /// Superinstruction-fused lane programs (see [`PhaseOp::Seg::plan`]).
+    /// The batchable segments (see [`LanePlan`]).
     pub fn lane_plans(&self) -> &[LanePlan] {
         &self.lane_plans
     }
@@ -431,34 +423,16 @@ impl Program {
     /// [`CertMode::Validate`] they run the checked path and a bounds fault
     /// on a certified access surfaces as
     /// [`ExecError::CertificateViolation`] — a wrong certificate is a loud
-    /// failure, never UB. Per-lane-op masks are derived by ANDing the pc
-    /// certificates through each plan's [`LanePlan::src_map`].
+    /// failure, never UB. Lanes and the thread-major fallback read the same
+    /// table, one bit per access.
     pub fn attach_certs(&mut self, pc_certified: &[bool], mode: CertMode) {
         assert_eq!(
             pc_certified.len(),
             self.code.len(),
             "certificate table must align with the instruction stream"
         );
-        let mut plan_ops: Vec<Vec<bool>> = self
-            .lane_plans
-            .iter()
-            .map(|p| vec![true; p.ops.len()])
-            .collect();
-        for_each_seg(&mut self.phases, &mut |start, end, _, plan, _| {
-            if *plan == NO_PLAN {
-                return;
-            }
-            let lp = &self.lane_plans[*plan as usize];
-            for pc in start..end {
-                if is_mem_inst(&self.code[pc as usize]) && !pc_certified[pc as usize] {
-                    let op = lp.src_map[(pc - start) as usize] as usize;
-                    plan_ops[*plan as usize][op] = false;
-                }
-            }
-        });
         self.certs = Some(Certs {
             pc: pc_certified.to_vec(),
-            plan_ops,
             mode,
         });
     }
@@ -472,14 +446,10 @@ impl Program {
     /// [`crate::engine::run_seg`] — the engine without its lanes. For
     /// differential tests and ablation benches; no launch option reaches it.
     pub fn detach_lane_plans(&mut self) {
-        for_each_seg(&mut self.phases, &mut |_, _, batch, plan, _| {
-            *batch = BatchKind::No;
-            *plan = NO_PLAN;
+        for_each_seg(&mut self.phases, &mut |_, _, batch, _| {
+            *batch = BatchKind::No
         });
         self.lane_plans.clear();
-        if let Some(c) = &mut self.certs {
-            c.plan_ops.clear();
-        }
     }
 
     /// Mode of the attached certificate table, if any.
@@ -497,29 +467,16 @@ impl Program {
     }
 
     /// `(elide, validate)` per-pc certificate masks, split by mode — at most
-    /// one side is `Some`. Engines hoist these once per segment: the elide
-    /// mask gates the unchecked fast path, the validate mask escalates
-    /// bounds faults at certified pcs to certificate violations.
+    /// one side is `Some`. The engine hoists these out of its instruction
+    /// loops (per lane chunk, per `run_seg` call): the elide mask gates the
+    /// unchecked fast path, the validate mask escalates bounds faults at
+    /// certified pcs to certificate violations.
     #[inline]
     pub(crate) fn cert_masks(&self) -> (Option<&[bool]>, Option<&[bool]>) {
         match &self.certs {
             Some(c) => match c.mode {
                 CertMode::Elide => (Some(&c.pc[..]), None),
                 CertMode::Validate => (None, Some(&c.pc[..])),
-            },
-            None => (None, None),
-        }
-    }
-
-    /// Per-lane-op certificate masks for lane plan `idx`, split by mode
-    /// like [`Program::cert_masks`]. An op's bit is set iff every memory
-    /// instruction folded into it is certified.
-    #[inline]
-    pub(crate) fn plan_cert_masks(&self, idx: usize) -> (Option<&[bool]>, Option<&[bool]>) {
-        match &self.certs {
-            Some(c) => match c.mode {
-                CertMode::Elide => (Some(&c.plan_ops[idx][..]), None),
-                CertMode::Validate => (None, Some(&c.plan_ops[idx][..])),
             },
             None => (None, None),
         }
@@ -557,22 +514,17 @@ impl Program {
     }
 
     /// Compact human-readable phase schedule — segment ranges with their
-    /// chosen batch/vector mode (`dense`/`pred`/`scalar`) and, for
-    /// vectorizable segments, the superinstruction count as `+Nf` — for
-    /// tests and `cucc run -v` diagnostics.
+    /// chosen batch/vector mode (`dense`/`pred`/`scalar`) — for tests and
+    /// `cucc run -v` diagnostics.
     pub fn phase_summary(&self) -> String {
-        fn fmt(ops: &[PhaseOp], plans: &[LanePlan], out: &mut String) {
+        fn fmt(ops: &[PhaseOp], out: &mut String) {
             for (i, op) in ops.iter().enumerate() {
                 if i > 0 {
                     out.push(' ');
                 }
                 match op {
                     PhaseOp::Seg {
-                        start,
-                        end,
-                        batch,
-                        plan,
-                        ..
+                        start, end, batch, ..
                     } => {
                         let tag = match batch {
                             BatchKind::No => "scalar",
@@ -580,33 +532,27 @@ impl Program {
                             BatchKind::Dense => "dense",
                         };
                         out.push_str(&format!("{tag}[{start}..{end}]"));
-                        if *plan != NO_PLAN {
-                            let fused = plans[*plan as usize].fused;
-                            if fused > 0 {
-                                out.push_str(&format!("+{fused}f"));
-                            }
-                        }
                     }
                     PhaseOp::Barrier => out.push_str("bar"),
                     PhaseOp::UniformFor { body, .. } => {
                         out.push_str("for(");
-                        fmt(body, plans, out);
+                        fmt(body, out);
                         out.push(')');
                     }
                     PhaseOp::UniformIf {
                         then_ops, else_ops, ..
                     } => {
                         out.push_str("if(");
-                        fmt(then_ops, plans, out);
+                        fmt(then_ops, out);
                         out.push_str(")(");
-                        fmt(else_ops, plans, out);
+                        fmt(else_ops, out);
                         out.push(')');
                     }
                 }
             }
         }
         let mut s = String::new();
-        fmt(&self.phases, &self.lane_plans, &mut s);
+        fmt(&self.phases, &mut s);
         s
     }
 
@@ -636,9 +582,6 @@ pub(crate) struct Certs {
     /// Per-pc: the access at this pc is certified in-bounds. Only memory
     /// instructions are ever consulted.
     pub pc: Vec<bool>,
-    /// Per lane plan, per lane op: every memory access folded into the op
-    /// is certified.
-    pub plan_ops: Vec<Vec<bool>>,
     pub mode: CertMode,
 }
 
@@ -651,10 +594,10 @@ pub(crate) fn is_mem_inst(inst: &Inst) -> bool {
 }
 
 /// Visit every `Seg` of a phase tree in pre-order as
-/// `f(start, end, batch, plan, stage)`.
+/// `f(start, end, batch, stage)`.
 fn for_each_seg(
     phases: &mut [PhaseOp],
-    f: &mut impl FnMut(u32, u32, &mut BatchKind, &mut u32, &mut SegStage),
+    f: &mut impl FnMut(u32, u32, &mut BatchKind, &mut SegStage),
 ) {
     for p in phases {
         match p {
@@ -662,9 +605,8 @@ fn for_each_seg(
                 start,
                 end,
                 batch,
-                plan,
                 stage,
-            } => f(*start, *end, batch, plan, stage),
+            } => f(*start, *end, batch, stage),
             PhaseOp::Barrier => {}
             PhaseOp::UniformFor { body, .. } => for_each_seg(body, f),
             PhaseOp::UniformIf {
@@ -1407,7 +1349,6 @@ impl<'a> Compiler<'a> {
                     end: self.here(),
                     // Decided in `Program::compile` once all code is emitted.
                     batch: BatchKind::No,
-                    plan: NO_PLAN,
                     stage: SegStage::default(),
                 });
                 continue;
@@ -1614,191 +1555,16 @@ fn seg_batchable(code: &[Inst], slots: &[Option<MemSlotInfo>], start: u32, end: 
     }
 }
 
-// ---- lane plans: superinstruction fusion --------------------------------
-
-/// Sentinel for [`PhaseOp::Seg::plan`]: no lane plan (the segment is not
-/// batchable, so the engine falls back to thread-major scalar execution).
-pub const NO_PLAN: u32 = u32::MAX;
-
-/// One instruction of a fused lane program. The base variants mirror
-/// [`Inst`] one-for-one (jump targets rebased to plan-relative indices); the
-/// superinstruction variants collapse the adjacent pairs and triples that
-/// dominate the built-in kernels, so the lane loop dispatches once where the
-/// thread-major loop dispatches two or three times. Every fused
-/// variant charges *exactly* the per-component `BlockStats` its expansion
-/// would, and faults in per-lane program order, so observational equivalence
-/// with the oracle is preserved (see [`try_fuse`] for the legality rules).
-#[derive(Debug, Clone, Copy)]
-pub enum LaneOp {
-    Const {
-        dst: Reg,
-        v: Value,
-        int_ops: u32,
-        float_ops: u32,
-    },
-    Tid {
-        dst: Reg,
-        axis: Axis,
-    },
-    Bid {
-        dst: Reg,
-        axis: Axis,
-    },
-    Copy {
-        dst: Reg,
-        src: Reg,
-    },
-    Unary {
-        dst: Reg,
-        op: UnOp,
-        src: Reg,
-    },
-    Binary {
-        dst: Reg,
-        op: BinOp,
-        lhs: Reg,
-        rhs: Reg,
-    },
-    MulAdd {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-        c: Reg,
-    },
-    Cast {
-        dst: Reg,
-        ty: Scalar,
-        src: Reg,
-    },
-    Intrin1 {
-        dst: Reg,
-        f: Intrinsic,
-        a: Reg,
-    },
-    Intrin2 {
-        dst: Reg,
-        f: Intrinsic,
-        a: Reg,
-        b: Reg,
-    },
-    Test {
-        dst: Reg,
-        src: Reg,
-    },
-    Load {
-        dst: Reg,
-        slot: u32,
-        idx: Reg,
-    },
-    Store {
-        slot: u32,
-        idx: Reg,
-        val: Reg,
-    },
-    AtomicRmw {
-        op: AtomicOp,
-        slot: u32,
-        idx: Reg,
-        val: Reg,
-    },
-    Jump {
-        target: u32,
-    },
-    JumpIfFalse {
-        cond: Reg,
-        target: u32,
-        int_ops: u32,
-    },
-    JumpIfTrue {
-        cond: Reg,
-        target: u32,
-        int_ops: u32,
-    },
-    Return,
-    /// Fused comparison + conditional branch (guard checks): jump when the
-    /// comparison result equals `jump_if`. Charges the comparison (by its
-    /// operands' kinds) plus the branch's `int_ops`; comparisons never
-    /// fault, so the fusion is observationally identical.
-    CmpBranch {
-        op: BinOp,
-        lhs: Reg,
-        rhs: Reg,
-        target: u32,
-        int_ops: u32,
-        jump_if: bool,
-    },
-    /// Fused load + binary op: `dst ← loaded ⊕ other` (or `other ⊕ loaded`
-    /// when `load_lhs` is false). Only non-faulting operators fuse.
-    LoadBin {
-        dst: Reg,
-        op: BinOp,
-        slot: u32,
-        idx: Reg,
-        other: Reg,
-        load_lhs: bool,
-    },
-    /// Fused binary op + store: `mem[idx] ← lhs ⊕ rhs`.
-    BinStore {
-        op: BinOp,
-        lhs: Reg,
-        rhs: Reg,
-        slot: u32,
-        idx: Reg,
-    },
-    /// Fused load + store (tile staging): `dslot[didx] ← sslot[sidx]`. The
-    /// two slots are necessarily distinct — `seg_batchable` forbids stores
-    /// to a loaded slot — so per-lane load-then-store order is unobservable.
-    LoadStore {
-        sslot: u32,
-        sidx: Reg,
-        dslot: u32,
-        didx: Reg,
-    },
-    /// Fused load + muladd: the loaded value takes operand position `pos`
-    /// (0 = a, 1 = b, 2 = c) of `dst ← a*b + c`; `x`/`y` are the remaining
-    /// two operands in order.
-    LoadMulAdd {
-        dst: Reg,
-        x: Reg,
-        y: Reg,
-        slot: u32,
-        idx: Reg,
-        pos: u8,
-    },
-    /// Fused muladd + store: `mem[idx] ← a*b + c`.
-    MulAddStore {
-        a: Reg,
-        b: Reg,
-        c: Reg,
-        slot: u32,
-        idx: Reg,
-    },
-    /// The saxpy triple: load, muladd (loaded value at `pos`), store.
-    LoadMulAddStore {
-        x: Reg,
-        y: Reg,
-        pos: u8,
-        lslot: u32,
-        lidx: Reg,
-        dslot: u32,
-        didx: Reg,
-    },
-}
-
-/// A batchable segment compiled for inst-major lane-array execution:
-/// superinstruction-fused ops with plan-relative jump targets.
+/// A batchable segment: the engine runs `code[start..end)` instruction-major
+/// over lane chunks ([`crate::lane`]). One entry per segment
+/// [`seg_batchable`] proved safe, in phase-tree pre-order.
 #[derive(Debug, Clone)]
 pub struct LanePlan {
-    pub ops: Vec<LaneOp>,
-    /// Number of source instructions eliminated by fusion (diagnostics).
-    pub fused: u32,
-    /// Segment-relative pc → index of the lane op it became (fused insts map
-    /// to the fused op). Length is the segment length + 1; the certificate
-    /// attachment uses it to AND per-pc access certificates into per-op
-    /// masks, so a fused multi-access op is fast-pathed only when *all* its
-    /// component accesses are certified.
-    pub src_map: Vec<u32>,
+    pub start: u32,
+    pub end: u32,
 }
+
+// ---- staging lists for the thread-major fallback -------------------------
 
 /// Visit every register `inst` names: `f(r, false)` for a read, `f(r,
 /// true)` for a write.
@@ -1871,13 +1637,6 @@ fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
     }
 }
 
-/// Whether executing `inst` reads register `r`.
-fn inst_reads(inst: &Inst, r: Reg) -> bool {
-    let mut hit = false;
-    inst_regs(inst, |x, write| hit |= !write && x == r);
-    hit
-}
-
 /// Staging lists for `code[start..end)` (see [`SegStage`]): of the registers
 /// the range names, the variables (`r < num_vars`) and pooled `threadIdx`
 /// registers (`r >= tid_base`) load; the variables it writes store.
@@ -1898,408 +1657,4 @@ fn seg_stage(code: &[Inst], start: u32, end: u32, num_vars: u32, tid_base: u32) 
         regs.dedup();
     }
     stage
-}
-
-/// The destination register a lane op writes, when it has one.
-fn lane_dst(op: &LaneOp) -> Option<Reg> {
-    match op {
-        LaneOp::Const { dst, .. }
-        | LaneOp::Tid { dst, .. }
-        | LaneOp::Bid { dst, .. }
-        | LaneOp::Copy { dst, .. }
-        | LaneOp::Unary { dst, .. }
-        | LaneOp::Binary { dst, .. }
-        | LaneOp::MulAdd { dst, .. }
-        | LaneOp::Cast { dst, .. }
-        | LaneOp::Intrin1 { dst, .. }
-        | LaneOp::Intrin2 { dst, .. }
-        | LaneOp::Test { dst, .. }
-        | LaneOp::Load { dst, .. }
-        | LaneOp::LoadBin { dst, .. }
-        | LaneOp::LoadMulAdd { dst, .. } => Some(*dst),
-        _ => None,
-    }
-}
-
-/// Redirect a lane op's destination (result forwarding — see [`try_fuse`]).
-fn set_lane_dst(op: &mut LaneOp, r: Reg) {
-    match op {
-        LaneOp::Const { dst, .. }
-        | LaneOp::Tid { dst, .. }
-        | LaneOp::Bid { dst, .. }
-        | LaneOp::Copy { dst, .. }
-        | LaneOp::Unary { dst, .. }
-        | LaneOp::Binary { dst, .. }
-        | LaneOp::MulAdd { dst, .. }
-        | LaneOp::Cast { dst, .. }
-        | LaneOp::Intrin1 { dst, .. }
-        | LaneOp::Intrin2 { dst, .. }
-        | LaneOp::Test { dst, .. }
-        | LaneOp::Load { dst, .. }
-        | LaneOp::LoadBin { dst, .. }
-        | LaneOp::LoadMulAdd { dst, .. } => *dst = r,
-        other => unreachable!("retargeting dst-less lane op {other:?}"),
-    }
-}
-
-fn is_cmp(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
-    )
-}
-
-/// Try to fuse `inst` into the previously emitted lane op, rewriting it in
-/// place. Legality rests on three facts:
-///
-/// * the consumed register is an expression *temporary* (`num_vars <= r <
-///   const_base`) that no later instruction of the segment reads — and
-///   temporaries are always written before they are read within a segment,
-///   so a temp dead at segment end is dead, period (callers never observe
-///   its stale value);
-/// * the fused-over instruction is not a jump target (checked by the
-///   caller), and the first component is never a branch, so a lane active
-///   at the first component is active at the second — per-lane the fused op
-///   executes exactly the component sequence;
-/// * components fault in per-lane program order (load before compute before
-///   store), which is the oracle's thread-local order, and cross-lane
-///   memory effects are unobservable under `seg_batchable`'s hazard rules.
-///
-/// Faultable binary ops (`Div`/`Rem`, whose int forms can trap) never fuse,
-/// keeping every fused compute component total.
-fn try_fuse(
-    last: &mut LaneOp,
-    inst: &Inst,
-    is_temp: &dyn Fn(Reg) -> bool,
-    dead_after: &dyn Fn(Reg) -> bool,
-) -> bool {
-    let gone = |t: Reg| is_temp(t) && dead_after(t);
-    match (*last, inst) {
-        // Result forwarding: `op t; copy v<-t` => `op` writing `v` directly.
-        (ref l, Inst::Copy { dst, src }) if lane_dst(l) == Some(*src) && gone(*src) => {
-            set_lane_dst(last, *dst);
-            true
-        }
-        // Compare + branch (loop guards, `if (i < n)` predication).
-        (
-            LaneOp::Binary { dst, op, lhs, rhs },
-            Inst::JumpIfFalse {
-                cond,
-                target,
-                int_ops,
-            },
-        ) if *cond == dst && is_cmp(op) && gone(dst) => {
-            *last = LaneOp::CmpBranch {
-                op,
-                lhs,
-                rhs,
-                target: *target,
-                int_ops: *int_ops,
-                jump_if: false,
-            };
-            true
-        }
-        (
-            LaneOp::Binary { dst, op, lhs, rhs },
-            Inst::JumpIfTrue {
-                cond,
-                target,
-                int_ops,
-            },
-        ) if *cond == dst && is_cmp(op) && gone(dst) => {
-            *last = LaneOp::CmpBranch {
-                op,
-                lhs,
-                rhs,
-                target: *target,
-                int_ops: *int_ops,
-                jump_if: true,
-            };
-            true
-        }
-        // Load + binary (exactly one operand is the loaded temp).
-        (LaneOp::Load { dst: t, slot, idx }, Inst::Binary { dst, op, lhs, rhs })
-            if gone(t)
-                && !matches!(op, BinOp::Div | BinOp::Rem)
-                && ((*lhs == t) != (*rhs == t)) =>
-        {
-            let load_lhs = *lhs == t;
-            *last = LaneOp::LoadBin {
-                dst: *dst,
-                op: *op,
-                slot,
-                idx,
-                other: if load_lhs { *rhs } else { *lhs },
-                load_lhs,
-            };
-            true
-        }
-        // Load + muladd (exactly one operand is the loaded temp).
-        (LaneOp::Load { dst: t, slot, idx }, Inst::MulAdd { dst, a, b, c })
-            if gone(t) && (u32::from(*a == t) + u32::from(*b == t) + u32::from(*c == t)) == 1 =>
-        {
-            let (pos, x, y) = if *a == t {
-                (0, *b, *c)
-            } else if *b == t {
-                (1, *a, *c)
-            } else {
-                (2, *a, *b)
-            };
-            *last = LaneOp::LoadMulAdd {
-                dst: *dst,
-                x,
-                y,
-                slot,
-                idx,
-                pos,
-            };
-            true
-        }
-        // Load + store (tile staging).
-        (
-            LaneOp::Load { dst: t, slot, idx },
-            Inst::Store {
-                slot: ds,
-                idx: di,
-                val,
-            },
-        ) if *val == t && *di != t && gone(t) => {
-            *last = LaneOp::LoadStore {
-                sslot: slot,
-                sidx: idx,
-                dslot: *ds,
-                didx: *di,
-            };
-            true
-        }
-        // Binary + store.
-        (
-            LaneOp::Binary {
-                dst: t,
-                op,
-                lhs,
-                rhs,
-            },
-            Inst::Store { slot, idx, val },
-        ) if *val == t && *idx != t && gone(t) && !matches!(op, BinOp::Div | BinOp::Rem) => {
-            *last = LaneOp::BinStore {
-                op,
-                lhs,
-                rhs,
-                slot: *slot,
-                idx: *idx,
-            };
-            true
-        }
-        // Muladd + store.
-        (LaneOp::MulAdd { dst: t, a, b, c }, Inst::Store { slot, idx, val })
-            if *val == t && *idx != t && gone(t) =>
-        {
-            *last = LaneOp::MulAddStore {
-                a,
-                b,
-                c,
-                slot: *slot,
-                idx: *idx,
-            };
-            true
-        }
-        // Load + muladd + store: the saxpy triple, completed.
-        (
-            LaneOp::LoadMulAdd {
-                dst: t,
-                x,
-                y,
-                slot,
-                idx,
-                pos,
-            },
-            Inst::Store {
-                slot: ds,
-                idx: di,
-                val,
-            },
-        ) if *val == t && *di != t && gone(t) => {
-            *last = LaneOp::LoadMulAddStore {
-                x,
-                y,
-                pos,
-                lslot: slot,
-                lidx: idx,
-                dslot: *ds,
-                didx: *di,
-            };
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Compile `code[start..end)` — a segment `seg_batchable` proved safe — into
-/// a [`LanePlan`]: translate each instruction to its [`LaneOp`] mirror,
-/// greedily fusing into the previous op where [`try_fuse`] allows, then
-/// rebase jump targets to plan-relative indices.
-///
-/// Fusion never crosses a jump target (a lane resuming at the second
-/// component could not skip the first inside a fused op), and chains
-/// naturally: `Load` + `MulAdd` fuse to `LoadMulAdd`, which a following
-/// `Store` completes to `LoadMulAddStore`.
-fn build_lane_plan(
-    code: &[Inst],
-    start: u32,
-    end: u32,
-    num_vars: u32,
-    const_base: u32,
-) -> LanePlan {
-    let s = start as usize;
-    let e = end as usize;
-    let n = e - s;
-    let mut is_target = vec![false; n + 1];
-    for inst in &code[s..e] {
-        match inst {
-            Inst::Jump { target }
-            | Inst::JumpIfFalse { target, .. }
-            | Inst::JumpIfTrue { target, .. } => {
-                is_target[*target as usize - s] = true;
-            }
-            _ => {}
-        }
-    }
-    let is_temp = |r: Reg| r >= num_vars && r < const_base;
-    let mut ops: Vec<LaneOp> = Vec::with_capacity(n);
-    let mut old2new = vec![0u32; n + 1];
-    let mut fused = 0u32;
-    for pc in s..e {
-        let rel = pc - s;
-        let inst = &code[pc];
-        if !is_target[rel] {
-            if let Some(last) = ops.last_mut() {
-                let dead_after = |r: Reg| !code[pc + 1..e].iter().any(|i| inst_reads(i, r));
-                if try_fuse(last, inst, &is_temp, &dead_after) {
-                    fused += 1;
-                    old2new[rel] = ops.len() as u32 - 1;
-                    continue;
-                }
-            }
-        }
-        old2new[rel] = ops.len() as u32;
-        ops.push(match inst {
-            Inst::Const {
-                dst,
-                v,
-                int_ops,
-                float_ops,
-            } => LaneOp::Const {
-                dst: *dst,
-                v: *v,
-                int_ops: *int_ops,
-                float_ops: *float_ops,
-            },
-            Inst::Tid { dst, axis } => LaneOp::Tid {
-                dst: *dst,
-                axis: *axis,
-            },
-            Inst::Bid { dst, axis } => LaneOp::Bid {
-                dst: *dst,
-                axis: *axis,
-            },
-            Inst::Copy { dst, src } => LaneOp::Copy {
-                dst: *dst,
-                src: *src,
-            },
-            Inst::Unary { dst, op, src } => LaneOp::Unary {
-                dst: *dst,
-                op: *op,
-                src: *src,
-            },
-            Inst::Binary { dst, op, lhs, rhs } => LaneOp::Binary {
-                dst: *dst,
-                op: *op,
-                lhs: *lhs,
-                rhs: *rhs,
-            },
-            Inst::MulAdd { dst, a, b, c } => LaneOp::MulAdd {
-                dst: *dst,
-                a: *a,
-                b: *b,
-                c: *c,
-            },
-            Inst::Cast { dst, ty, src } => LaneOp::Cast {
-                dst: *dst,
-                ty: *ty,
-                src: *src,
-            },
-            Inst::Intrin1 { dst, f, a } => LaneOp::Intrin1 {
-                dst: *dst,
-                f: *f,
-                a: *a,
-            },
-            Inst::Intrin2 { dst, f, a, b } => LaneOp::Intrin2 {
-                dst: *dst,
-                f: *f,
-                a: *a,
-                b: *b,
-            },
-            Inst::Test { dst, src } => LaneOp::Test {
-                dst: *dst,
-                src: *src,
-            },
-            Inst::Load { dst, slot, idx } => LaneOp::Load {
-                dst: *dst,
-                slot: *slot,
-                idx: *idx,
-            },
-            Inst::Store { slot, idx, val } => LaneOp::Store {
-                slot: *slot,
-                idx: *idx,
-                val: *val,
-            },
-            Inst::AtomicRmw { op, slot, idx, val } => LaneOp::AtomicRmw {
-                op: *op,
-                slot: *slot,
-                idx: *idx,
-                val: *val,
-            },
-            Inst::Jump { target } => LaneOp::Jump { target: *target },
-            Inst::JumpIfFalse {
-                cond,
-                target,
-                int_ops,
-            } => LaneOp::JumpIfFalse {
-                cond: *cond,
-                target: *target,
-                int_ops: *int_ops,
-            },
-            Inst::JumpIfTrue {
-                cond,
-                target,
-                int_ops,
-            } => LaneOp::JumpIfTrue {
-                cond: *cond,
-                target: *target,
-                int_ops: *int_ops,
-            },
-            Inst::Return => LaneOp::Return,
-            Inst::ForInit { .. } | Inst::ForNext { .. } => {
-                unreachable!("loop instructions are never batchable")
-            }
-        });
-    }
-    old2new[n] = ops.len() as u32;
-    for op in &mut ops {
-        match op {
-            LaneOp::Jump { target }
-            | LaneOp::JumpIfFalse { target, .. }
-            | LaneOp::JumpIfTrue { target, .. }
-            | LaneOp::CmpBranch { target, .. } => {
-                *target = old2new[*target as usize - s];
-            }
-            _ => {}
-        }
-    }
-    LanePlan {
-        ops,
-        fused,
-        src_map: old2new,
-    }
 }

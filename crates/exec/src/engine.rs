@@ -37,9 +37,8 @@ pub enum EngineKind {
     /// The tree-walking reference interpreter (`crate::interp`) — the
     /// differential-testing oracle.
     TreeWalk,
-    /// The compiled engine (`crate::lane`): lane chunks with
-    /// superinstruction fusion for batchable segments, thread-major
-    /// [`run_seg`] otherwise.
+    /// The compiled engine (`crate::lane`): lane chunks for batchable
+    /// segments, thread-major [`run_seg`] otherwise.
     #[default]
     Lane,
 }
@@ -178,7 +177,7 @@ impl GlobalMem for RacyView {
 /// duration of the call — guaranteed by both [`GlobalMem::raw`] providers.
 /// The copy stays within `off + size <= len`, checked below.
 #[inline]
-pub(crate) fn raw_load(ptr: *const u8, len: usize, elem: Scalar, index: i64) -> Option<Value> {
+fn raw_load(ptr: *const u8, len: usize, elem: Scalar, index: i64) -> Option<Value> {
     let sz = elem.size();
     if index < 0 {
         return None;
@@ -198,7 +197,7 @@ pub(crate) fn raw_load(ptr: *const u8, len: usize, elem: Scalar, index: i64) -> 
 /// Bounds-checked element store through a raw `(base, len)` buffer view;
 /// same SAFETY contract as [`raw_load`].
 #[inline]
-pub(crate) fn raw_store(ptr: *mut u8, len: usize, elem: Scalar, index: i64, value: Value) -> bool {
+fn raw_store(ptr: *mut u8, len: usize, elem: Scalar, index: i64, value: Value) -> bool {
     let sz = elem.size();
     if index < 0 {
         return false;
@@ -933,9 +932,8 @@ mod tests {
         }
     }
 
-    /// A wrong certificate in Validate mode is a loud, typed failure through
-    /// the plan masks and the per-pc masks — never a silent out-of-bounds
-    /// report.
+    /// A wrong certificate in Validate mode is a loud, typed failure on
+    /// lanes and thread-major alike — never a silent out-of-bounds report.
     #[test]
     fn wrong_certificate_is_a_violation_in_validate_mode() {
         let src = "__global__ void k(int* out) { out[threadIdx.x + 1] = 1; }";

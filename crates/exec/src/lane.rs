@@ -4,31 +4,31 @@
 //! oracle it is tested against). Batchable segments run *instruction-major
 //! over chunked lane-arrays*: the register file is struct-of-arrays
 //! (`bits`/`kinds`, reg-major), threads are processed in fixed-width chunks
-//! of [`LANES`], and each chunk executes the segment's pre-fused
-//! [`LanePlan`] (see `bytecode::build_lane_plan`) with branch-free inner
-//! loops over contiguous `u64` rows the compiler can autovectorize.
+//! of [`LANES`], and each chunk executes the segment's [`Inst`]s — the same
+//! instruction stream the thread-major fallback runs — with branch-free
+//! inner loops over contiguous `u64` rows the compiler can autovectorize.
 //! `Predicated` segments carry a per-lane `resume` mask through the same
 //! loops. Non-batchable segments run thread-major through [`run_seg`], a
 //! chunk of threads at a time, with only the registers the segment names
 //! staged between the lane rows and per-thread windows
-//! ([`crate::bytecode::SegStage`]). `BlockStats`, memory effects and errors
-//! are bit-identical to the oracle's either way.
+//! ([`crate::bytecode::SegStage`]). Bounds certificates are consumed per
+//! access: one per-pc table serves lanes and fallback alike. `BlockStats`,
+//! memory effects and errors are bit-identical to the oracle's either way.
 //!
-//! Chunk-major order (each chunk finishes the whole plan before the next
+//! Chunk-major order (each chunk finishes the whole segment before the next
 //! chunk starts) is observationally equivalent to the oracle's thread-major
 //! order under `seg_batchable`'s hazard rules: loads only see segment-entry
 //! state, each slot has at most one store site (so stores from different
 //! lanes land ascending at distinct or last-writer-wins-identical indices
 //! exactly as the oracle's ascending thread loop), and atomics commute.
 //! Faults preserve the lowest-thread rule: a faulting lane retires itself
-//! and every lane above, lower lanes finish the plan and may overwrite the
+//! and every lane above, lower lanes finish the segment and may overwrite the
 //! pending error with one the oracle hits first, and later chunks never
 //! start once an error is pending.
 
-use crate::bytecode::{BatchKind, LaneOp, LanePlan, PhaseOp, Program, Reg, SegStage, SlotKind};
+use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SegStage, SlotKind};
 use crate::engine::{
-    cert_wrap, count_op, load_value, oob, raw_load, raw_store, run_seg, slot_info, store_value,
-    GlobalMem,
+    cert_wrap, count_op, load_value, oob, run_seg, slot_info, store_value, GlobalMem,
 };
 use crate::interp::{
     apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, ExecError,
@@ -36,7 +36,7 @@ use crate::interp::{
 use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{BinOp, Scalar, Value, ValueKind};
 
-/// Lane-chunk width: one chunk of threads runs the whole plan before the
+/// Lane-chunk width: one chunk of threads runs the whole segment before the
 /// next chunk starts. 16 × 8-byte rows keep a chunk's working set inside two
 /// cache lines per register while giving AVX2/AVX-512 full vectors.
 pub const LANES: usize = 16;
@@ -162,17 +162,6 @@ fn fcmp(op: BinOp, a: f64, b: f64) -> Option<i64> {
         BinOp::Eq => Some(i64::from(a == b)),
         BinOp::Ne => Some(i64::from(a != b)),
         _ => None,
-    }
-}
-
-/// Arrange a muladd's operands given the loaded value `v` and its operand
-/// position (`0` = a, `1` = b, `2` = c of `a*b + c`).
-#[inline]
-fn arrange(x: Value, y: Value, v: Value, pos: u8) -> (Value, Value, Value) {
-    match pos {
-        0 => (v, x, y),
-        1 => (x, v, y),
-        _ => (x, y, v),
     }
 }
 
@@ -740,19 +729,16 @@ impl<'p> LaneEngine<'p> {
     }
 
     fn exec_ops<M: GlobalMem>(&mut self, ops: &[PhaseOp], mem: &mut M) -> Result<(), ExecError> {
-        let prog = self.prog;
         for op in ops {
             match op {
                 PhaseOp::Seg {
                     start,
                     end,
                     batch,
-                    plan,
                     stage,
                 } => {
                     if *batch != BatchKind::No && self.nthreads > 1 {
-                        let pi = *plan as usize;
-                        self.run_plan(&prog.lane_plans[pi], prog.plan_cert_masks(pi), mem)?;
+                        self.seg_lanes(*start, *end, mem)?;
                     } else {
                         self.seg_threads(*start, *end, stage, mem)?;
                     }
@@ -896,14 +882,14 @@ impl<'p> LaneEngine<'p> {
         res
     }
 
-    /// Run a batchable segment's fused plan, chunk-major: each [`LANES`]-wide
-    /// chunk executes the whole plan before the next chunk starts. Once a
-    /// chunk leaves an error pending, later chunks never start (the oracle
-    /// never runs those threads).
-    fn run_plan<M: GlobalMem>(
+    /// Run a batchable segment on lanes, chunk-major: each [`LANES`]-wide
+    /// chunk executes all of `code[start..end]` before the next chunk starts.
+    /// Once a chunk leaves an error pending, later chunks never start (the
+    /// oracle never runs those threads).
+    fn seg_lanes<M: GlobalMem>(
         &mut self,
-        plan: &LanePlan,
-        certs: (Option<&[bool]>, Option<&[bool]>),
+        start: u32,
+        end: u32,
         mem: &mut M,
     ) -> Result<(), ExecError> {
         let n = self.nthreads;
@@ -911,7 +897,7 @@ impl<'p> LaneEngine<'p> {
         let mut c0 = 0;
         while c0 < n {
             let nl = LANES.min(n - c0);
-            self.chunk(plan, certs, c0, nl, &mut pending, mem);
+            self.chunk(start, end, c0, nl, &mut pending, mem);
             if pending.is_some() {
                 break;
             }
@@ -923,13 +909,13 @@ impl<'p> LaneEngine<'p> {
         }
     }
 
-    /// Execute one lane chunk (`c0 .. c0+nl`) through the whole plan.
+    /// Execute one lane chunk (`c0 .. c0+nl`) through `code[start..end]`.
     ///
-    /// Divergence is predication: lane `i` executes the op at index
-    /// `ip` iff `resume[i] <= ip`; forward jumps raise the target, `Return`
-    /// or a fault retires the lane (`DEAD`). While every lane is live and
+    /// Divergence is predication: lane `i` executes the instruction at `pc`
+    /// iff `resume[i] <= pc`; forward jumps raise the target, `Return` or a
+    /// fault retires the lane (`DEAD`). While every lane is live and
     /// converged (`!divergent`) the chunk runs the branch-free full-width
-    /// fast paths and takes uniform branches by moving `ip` directly; a
+    /// fast paths and takes uniform branches by moving `pc` directly; a
     /// partially-taken branch flips it into masked per-lane execution, and
     /// full re-convergence (every resume target caught up) flips it back.
     ///
@@ -938,18 +924,17 @@ impl<'p> LaneEngine<'p> {
     /// an error the oracle (which runs them to completion *first*) reports.
     fn chunk<M: GlobalMem>(
         &mut self,
-        plan: &LanePlan,
-        certs: (Option<&[bool]>, Option<&[bool]>),
+        start: u32,
+        end: u32,
         c0: usize,
         nl: usize,
         pending: &mut Option<ExecError>,
         mem: &mut M,
     ) {
-        let (emask, vmask) = certs;
         let nl = nl.min(LANES);
-        let ops = &plan.ops;
-        let nops = ops.len() as u32;
-        let mut resume = [0u32; LANES];
+        let prog = self.prog;
+        let (emask, vmask) = prog.cert_masks();
+        let mut resume = [start; LANES];
         let mut divergent = false;
         for (i, r) in resume.iter_mut().enumerate().take(nl) {
             if self.bufs.returned[c0 + i] {
@@ -957,32 +942,32 @@ impl<'p> LaneEngine<'p> {
                 divergent = true;
             }
         }
-        let mut ip: u32 = 0;
-        while ip < nops {
-            let op = &ops[ip as usize];
+        let mut pc = start;
+        while pc < end {
+            let inst = &prog.code[pc as usize];
             if !divergent {
-                match op {
-                    LaneOp::Jump { target } => {
-                        ip = *target;
+                match inst {
+                    Inst::Jump { target } => {
+                        pc = *target;
                         continue;
                     }
-                    LaneOp::Return => {
+                    Inst::Return => {
                         for i in 0..nl {
                             self.bufs.returned[c0 + i] = true;
                         }
                         return;
                     }
-                    LaneOp::JumpIfFalse {
+                    Inst::JumpIfFalse {
                         cond,
                         target,
                         int_ops,
                     }
-                    | LaneOp::JumpIfTrue {
+                    | Inst::JumpIfTrue {
                         cond,
                         target,
                         int_ops,
                     } => {
-                        let jump_if = matches!(op, LaneOp::JumpIfTrue { .. });
+                        let jump_if = matches!(inst, Inst::JumpIfTrue { .. });
                         self.stats.int_ops += nl as u64 * u64::from(*int_ops);
                         let (cb, ck) = self.row(*cond, c0, nl);
                         let mut jump = [false; LANES];
@@ -991,89 +976,32 @@ impl<'p> LaneEngine<'p> {
                             jump[i] = truthy(cb[i], ck[i]) == jump_if;
                             njump += usize::from(jump[i]);
                         }
-                        ip =
-                            self.branch(&jump, njump, nl, &mut resume, &mut divergent, ip, *target);
-                        continue;
-                    }
-                    LaneOp::CmpBranch {
-                        op: bop,
-                        lhs,
-                        rhs,
-                        target,
-                        int_ops,
-                        jump_if,
-                    } => {
-                        let (lb, lk) = self.row(*lhs, c0, nl);
-                        let (rb, rk) = self.row(*rhs, c0, nl);
-                        let mut jump = [false; LANES];
-                        let mut njump = 0usize;
-                        let (iops, fops);
-                        // Comparisons never fault; result is I64(0/1).
-                        match (uniform(lk), uniform(rk)) {
-                            (Some(0), Some(0)) => {
-                                for i in 0..nl {
-                                    jump[i] =
-                                        (ibin(*bop, lb[i] as i64, rb[i] as i64) != 0) == *jump_if;
-                                    njump += usize::from(jump[i]);
-                                }
-                                (iops, fops) = (nl as u64, 0);
-                            }
-                            (Some(1), Some(1)) if fcmp(*bop, 0.0, 0.0).is_some() => {
-                                for i in 0..nl {
-                                    let c =
-                                        fcmp(*bop, f64::from_bits(lb[i]), f64::from_bits(rb[i]));
-                                    jump[i] = (c.unwrap() != 0) == *jump_if;
-                                    njump += usize::from(jump[i]);
-                                }
-                                (iops, fops) = (0, nl as u64);
-                            }
-                            _ => {
-                                let (mut io, mut fo) = (0u64, 0u64);
-                                for i in 0..nl {
-                                    let l = unpack(lb[i], lk[i]);
-                                    let r = unpack(rb[i], rk[i]);
-                                    let float = l.kind() == ValueKind::Float
-                                        || r.kind() == ValueKind::Float;
-                                    if float {
-                                        fo += 1;
-                                    } else {
-                                        io += 1;
-                                    }
-                                    jump[i] =
-                                        eval_binop_total(*bop, l, r, float).is_true() == *jump_if;
-                                    njump += usize::from(jump[i]);
-                                }
-                                (iops, fops) = (io, fo);
-                            }
-                        }
-                        self.stats.int_ops += iops + nl as u64 * u64::from(*int_ops);
-                        self.stats.float_ops += fops;
-                        ip =
-                            self.branch(&jump, njump, nl, &mut resume, &mut divergent, ip, *target);
+                        pc =
+                            self.branch(&jump, njump, nl, &mut resume, &mut divergent, pc, *target);
                         continue;
                     }
                     _ => {
-                        let elide = emask.is_some_and(|m| m[ip as usize]);
-                        match self.op_full(op, elide, c0, nl, mem) {
+                        let elide = emask.is_some_and(|m| m[pc as usize]);
+                        match self.op_full(inst, elide, c0, nl, mem) {
                             Ok(()) => {}
                             Err((lane, e)) => {
                                 // Lanes below the fault committed this op and
                                 // stay runnable; the faulting lane and above
                                 // retire (the oracle never runs them).
                                 for r in &mut resume[..lane] {
-                                    *r = 0;
+                                    *r = start;
                                 }
                                 for r in &mut resume[lane..nl] {
                                     *r = DEAD;
                                 }
                                 *pending =
-                                    Some(cert_wrap(e, vmask.is_some_and(|m| m[ip as usize])));
+                                    Some(cert_wrap(e, vmask.is_some_and(|m| m[pc as usize])));
                                 divergent = true;
                             }
                         }
                     }
                 }
-                ip += 1;
+                pc += 1;
                 continue;
             }
             // Masked execution: recompute the active set, re-converge when
@@ -1081,7 +1009,7 @@ impl<'p> LaneEngine<'p> {
             let mut nact = 0usize;
             let mut ndead = 0usize;
             for &r in &resume[..nl] {
-                nact += usize::from(r <= ip);
+                nact += usize::from(r <= pc);
                 ndead += usize::from(r == DEAD);
             }
             if ndead == nl {
@@ -1092,93 +1020,65 @@ impl<'p> LaneEngine<'p> {
                 continue;
             }
             if nact == 0 {
-                ip += 1;
+                pc += 1;
                 continue;
             }
-            match op {
-                LaneOp::Jump { target } => {
+            match inst {
+                Inst::Jump { target } => {
                     for r in &mut resume[..nl] {
-                        if *r <= ip {
+                        if *r <= pc {
                             *r = *target;
                         }
                     }
                 }
-                LaneOp::Return => {
+                Inst::Return => {
                     for (i, r) in resume[..nl].iter_mut().enumerate() {
-                        if *r <= ip {
+                        if *r <= pc {
                             self.bufs.returned[c0 + i] = true;
                             *r = DEAD;
                         }
                     }
                 }
-                LaneOp::JumpIfFalse {
+                Inst::JumpIfFalse {
                     cond,
                     target,
                     int_ops,
                 }
-                | LaneOp::JumpIfTrue {
+                | Inst::JumpIfTrue {
                     cond,
                     target,
                     int_ops,
                 } => {
-                    let jump_if = matches!(op, LaneOp::JumpIfTrue { .. });
+                    let jump_if = matches!(inst, Inst::JumpIfTrue { .. });
                     self.stats.int_ops += nact as u64 * u64::from(*int_ops);
                     for (i, r) in resume.iter_mut().enumerate().take(nl) {
-                        if *r <= ip && (self.get(*cond, c0 + i).is_true() == jump_if) {
+                        if *r <= pc && (self.get(*cond, c0 + i).is_true() == jump_if) {
                             *r = *target;
                         }
                     }
                 }
-                LaneOp::CmpBranch {
-                    op: bop,
-                    lhs,
-                    rhs,
-                    target,
-                    int_ops,
-                    jump_if,
-                } => {
-                    let (mut iops, mut fops) = (0u64, 0u64);
-                    for (i, res) in resume.iter_mut().enumerate().take(nl) {
-                        if *res <= ip {
-                            let l = self.get(*lhs, c0 + i);
-                            let r = self.get(*rhs, c0 + i);
-                            let float =
-                                l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                            if float {
-                                fops += 1;
-                            } else {
-                                iops += 1;
-                            }
-                            if eval_binop_total(*bop, l, r, float).is_true() == *jump_if {
-                                *res = *target;
-                            }
-                        }
-                    }
-                    self.stats.int_ops += iops + nact as u64 * u64::from(*int_ops);
-                    self.stats.float_ops += fops;
-                }
                 _ => {
                     for i in 0..nl {
-                        if resume[i] <= ip {
-                            if let Err(e) = self.lane_step(op, c0 + i, mem) {
+                        if resume[i] <= pc {
+                            if let Err(e) = self.lane_step(inst, c0 + i, mem) {
                                 // Lower lanes already ran this op; this lane
                                 // and everything above retire.
                                 for r in &mut resume[i..nl] {
                                     *r = DEAD;
                                 }
                                 *pending =
-                                    Some(cert_wrap(e, vmask.is_some_and(|m| m[ip as usize])));
+                                    Some(cert_wrap(e, vmask.is_some_and(|m| m[pc as usize])));
                                 break;
                             }
                         }
                     }
                 }
             }
-            ip += 1;
+            pc += 1;
         }
     }
 
-    /// Resolve a full-width branch: taken by every lane → move `ip` (stay
+    /// Resolve a full-width branch: taken by every lane → move `pc` (stay
     /// converged), taken by none → fall through, split → raise the jumping
     /// lanes' resume targets and go divergent.
     #[allow(clippy::too_many_arguments)]
@@ -1189,13 +1089,13 @@ impl<'p> LaneEngine<'p> {
         nl: usize,
         resume: &mut [u32; LANES],
         divergent: &mut bool,
-        ip: u32,
+        pc: u32,
         target: u32,
     ) -> u32 {
         if njump == nl {
             target
         } else if njump == 0 {
-            ip + 1
+            pc + 1
         } else {
             for i in 0..nl {
                 if jump[i] {
@@ -1203,7 +1103,7 @@ impl<'p> LaneEngine<'p> {
                 }
             }
             *divergent = true;
-            ip + 1
+            pc + 1
         }
     }
 
@@ -1212,14 +1112,14 @@ impl<'p> LaneEngine<'p> {
     /// This is the engine's hot loop: operand rows are copied into stack
     /// arrays, the common uniform-kind cases run branch-free loops over raw
     /// `u64`/`i64`/`f64` lanes (float muladds keep the two separate
-    /// roundings of the oracle — never `mul_add`), and memory
-    /// superinstructions hoist the slot lookup and buffer pointer out of
-    /// the per-lane loop. Anything rare falls through to [`Self::lane_step`]
-    /// per lane. On a fault, lanes below the returned index have committed
-    /// the op; the caller retires the rest.
+    /// roundings of the oracle — never `mul_add`), and loads and stores
+    /// hoist the slot lookup and buffer pointer out of the per-lane loop.
+    /// Anything rare falls through to [`Self::lane_step`] per lane. On a
+    /// fault, lanes below the returned index have committed the op; the
+    /// caller retires the rest.
     fn op_full<M: GlobalMem>(
         &mut self,
-        op: &LaneOp,
+        inst: &Inst,
         elide: bool,
         c0: usize,
         nl: usize,
@@ -1231,8 +1131,8 @@ impl<'p> LaneEngine<'p> {
         let nl = nl.min(LANES);
         let n64 = nl as u64;
         let prog = self.prog;
-        match op {
-            LaneOp::Const {
+        match inst {
+            Inst::Const {
                 dst,
                 v,
                 int_ops,
@@ -1243,24 +1143,24 @@ impl<'p> LaneEngine<'p> {
                 self.stats.int_ops += n64 * u64::from(*int_ops);
                 self.stats.float_ops += n64 * u64::from(*float_ops);
             }
-            LaneOp::Tid { dst, axis } => {
+            Inst::Tid { dst, axis } => {
                 let mut out = [0u64; LANES];
                 for (i, o) in out.iter_mut().enumerate().take(nl) {
                     *o = axis_of(self.bufs.tids[c0 + i], *axis) as u64;
                 }
                 self.store_row(*dst, c0, nl, &out, 0);
             }
-            LaneOp::Bid { dst, axis } => {
+            Inst::Bid { dst, axis } => {
                 let v = axis_of(self.block, *axis) as u64;
                 self.store_row(*dst, c0, nl, &[v; LANES], 0);
             }
-            LaneOp::Copy { dst, src } => {
+            Inst::Copy { dst, src } => {
                 let n = self.nthreads;
                 let (sb, db) = (*src as usize * n + c0, *dst as usize * n + c0);
                 self.bufs.bits.copy_within(sb..sb + nl, db);
                 self.bufs.kinds.copy_within(sb..sb + nl, db);
             }
-            LaneOp::Test { dst, src } => {
+            Inst::Test { dst, src } => {
                 let (b, k) = self.row(*src, c0, nl);
                 let mut out = [0u64; LANES];
                 for i in 0..nl {
@@ -1268,7 +1168,7 @@ impl<'p> LaneEngine<'p> {
                 }
                 self.store_row(*dst, c0, nl, &out, 0);
             }
-            LaneOp::Unary { dst, op, src } => {
+            Inst::Unary { dst, op, src } => {
                 let (b, k) = self.load_row(*src, c0, nl);
                 let mut out = [0u64; LANES];
                 let mut ok = [0u8; LANES];
@@ -1281,7 +1181,7 @@ impl<'p> LaneEngine<'p> {
                 }
                 self.store_row_mixed(*dst, c0, nl, &out, &ok);
             }
-            LaneOp::Cast { dst, ty, src } => {
+            Inst::Cast { dst, ty, src } => {
                 let (b, k) = self.load_row(*src, c0, nl);
                 let mut out = [0u64; LANES];
                 for i in 0..nl {
@@ -1299,7 +1199,7 @@ impl<'p> LaneEngine<'p> {
                 };
                 self.store_row(*dst, c0, nl, &out, okind);
             }
-            LaneOp::Intrin1 { dst, f, a } => {
+            Inst::Intrin1 { dst, f, a } => {
                 let (b, k) = self.load_row(*a, c0, nl);
                 let mut out = [0u64; LANES];
                 let mut ok = [0u8; LANES];
@@ -1311,7 +1211,7 @@ impl<'p> LaneEngine<'p> {
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
                 self.store_row_mixed(*dst, c0, nl, &out, &ok);
             }
-            LaneOp::Intrin2 { dst, f, a, b } => {
+            Inst::Intrin2 { dst, f, a, b } => {
                 let (ab, ak) = self.load_row(*a, c0, nl);
                 let (bb, bk) = self.load_row(*b, c0, nl);
                 let mut out = [0u64; LANES];
@@ -1327,7 +1227,7 @@ impl<'p> LaneEngine<'p> {
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
                 self.store_row_mixed(*dst, c0, nl, &out, &ok);
             }
-            LaneOp::Binary { dst, op, lhs, rhs } => {
+            Inst::Binary { dst, op, lhs, rhs } => {
                 let (lb, lk) = self.row(*lhs, c0, nl);
                 let (rb, rk) = self.row(*rhs, c0, nl);
                 let mut out = [0u64; LANES];
@@ -1409,7 +1309,7 @@ impl<'p> LaneEngine<'p> {
                     }
                 }
             }
-            LaneOp::MulAdd { dst, a, b, c } => {
+            Inst::MulAdd { dst, a, b, c } => {
                 let (ab, ak) = self.row(*a, c0, nl);
                 let (bb, bk) = self.row(*b, c0, nl);
                 let (cb, ck) = self.row(*c, c0, nl);
@@ -1465,7 +1365,7 @@ impl<'p> LaneEngine<'p> {
                     }
                 }
             }
-            LaneOp::Load { dst, slot, idx } => {
+            Inst::Load { dst, slot, idx } => {
                 let info = slot_info(prog, *slot);
                 let sz = info.elem.size() as u64;
                 let ix = self.idx_row(*idx, c0, nl);
@@ -1493,12 +1393,12 @@ impl<'p> LaneEngine<'p> {
                         }
                         self.stats.shared_bytes += n64 * sz;
                     }
-                    SlotKind::Local { .. } => return self.full_fallback(op, c0, nl, mem),
+                    SlotKind::Local { .. } => return self.full_fallback(inst, c0, nl, mem),
                 }
                 self.stats.int_ops += n64; // address computation
                 self.store_row(*dst, c0, nl, &out, okind);
             }
-            LaneOp::Store { slot, idx, val } => {
+            Inst::Store { slot, idx, val } => {
                 let info = slot_info(prog, *slot);
                 let sz = info.elem.size() as u64;
                 let ix = self.idx_row(*idx, c0, nl);
@@ -1531,308 +1431,19 @@ impl<'p> LaneEngine<'p> {
                         }
                         self.stats.shared_bytes += n64 * sz;
                     }
-                    SlotKind::Local { .. } => return self.full_fallback(op, c0, nl, mem),
+                    SlotKind::Local { .. } => return self.full_fallback(inst, c0, nl, mem),
                 }
                 self.stats.int_ops += n64; // address computation
             }
-            LaneOp::LoadStore {
-                sslot,
-                sidx,
-                dslot,
-                didx,
-            } => {
-                let sinfo = slot_info(prog, *sslot);
-                let dinfo = slot_info(prog, *dslot);
-                let six = self.idx_row(*sidx, c0, nl);
-                let dix = self.idx_row(*didx, c0, nl);
-                let ssz = sinfo.elem.size() as u64;
-                let dsz = dinfo.elem.size() as u64;
-                // `seg_batchable` forbids stores to a loaded slot, so the
-                // source and destination images never alias; raw pointers /
-                // disjoint slices are taken per slot kind up front.
-                match (&sinfo.kind, &dinfo.kind) {
-                    (SlotKind::Global { buf: sb }, SlotKind::Global { buf: db }) => {
-                        let (sp, slen) = mem.raw(*sb);
-                        let (dp, dlen) = mem.raw(*db);
-                        let mut v = [0u64; LANES];
-                        // Gather everything first, then scatter what loaded:
-                        // a store fault on a lower lane precedes a load fault
-                        // on a higher one in the oracle's per-thread order.
-                        let lf = gather_cert(sp, slen, sinfo.elem, &six, nl, &mut v, elide).err();
-                        let m = lf.unwrap_or(nl);
-                        let vk = [u8::from(sinfo.elem.kind() == ValueKind::Float); LANES];
-                        let sf =
-                            scatter_cert(dp, dlen, dinfo.elem, &dix, &v[..m], &vk[..m], m, elide)
-                                .err();
-                        if let Some(j) = sf {
-                            return Err((j, oob(dinfo, dix[j], mem)));
-                        }
-                        if let Some(i) = lf {
-                            return Err((i, oob(sinfo, six[i], mem)));
-                        }
-                        self.stats.global_read_bytes += n64 * ssz;
-                        self.stats.global_loads += n64;
-                        self.stats.global_write_bytes += n64 * dsz;
-                        self.stats.global_stores += n64;
-                    }
-                    (SlotKind::Global { buf: sb }, SlotKind::Shared { idx: di }) => {
-                        let (sp, slen) = mem.raw(*sb);
-                        let mut v = [0u64; LANES];
-                        let lf = gather_cert(sp, slen, sinfo.elem, &six, nl, &mut v, elide).err();
-                        let m = lf.unwrap_or(nl);
-                        let vk = [u8::from(sinfo.elem.kind() == ValueKind::Float); LANES];
-                        let sh = &mut self.bufs.shared[*di as usize];
-                        let sf = scatter_cert(
-                            sh.as_mut_ptr(),
-                            sh.len(),
-                            dinfo.elem,
-                            &dix,
-                            &v[..m],
-                            &vk[..m],
-                            m,
-                            elide,
-                        )
-                        .err();
-                        if let Some(j) = sf {
-                            return Err((j, oob(dinfo, dix[j], mem)));
-                        }
-                        if let Some(i) = lf {
-                            return Err((i, oob(sinfo, six[i], mem)));
-                        }
-                        self.stats.global_read_bytes += n64 * ssz;
-                        self.stats.global_loads += n64;
-                        self.stats.shared_bytes += n64 * dsz;
-                    }
-                    (SlotKind::Shared { idx: si }, SlotKind::Global { buf: db }) => {
-                        let (dp, dlen) = mem.raw(*db);
-                        let sh = &self.bufs.shared[*si as usize];
-                        let mut v = [0u64; LANES];
-                        let lf =
-                            gather_cert(sh.as_ptr(), sh.len(), sinfo.elem, &six, nl, &mut v, elide)
-                                .err();
-                        let m = lf.unwrap_or(nl);
-                        let vk = [u8::from(sinfo.elem.kind() == ValueKind::Float); LANES];
-                        let sf =
-                            scatter_cert(dp, dlen, dinfo.elem, &dix, &v[..m], &vk[..m], m, elide)
-                                .err();
-                        if let Some(j) = sf {
-                            return Err((j, oob(dinfo, dix[j], mem)));
-                        }
-                        if let Some(i) = lf {
-                            return Err((i, oob(sinfo, six[i], mem)));
-                        }
-                        self.stats.shared_bytes += n64 * ssz;
-                        self.stats.global_write_bytes += n64 * dsz;
-                        self.stats.global_stores += n64;
-                    }
-                    _ => return self.full_fallback(op, c0, nl, mem),
-                }
-                self.stats.int_ops += 2 * n64; // two address computations
+            // Rare in batchable segments: per-lane scalar execution.
+            Inst::AtomicRmw { .. } => return self.full_fallback(inst, c0, nl, mem),
+            Inst::Jump { .. }
+            | Inst::JumpIfFalse { .. }
+            | Inst::JumpIfTrue { .. }
+            | Inst::Return => unreachable!("control flow is handled by `chunk`"),
+            Inst::ForInit { .. } | Inst::ForNext { .. } => {
+                unreachable!("loop instructions are never batchable")
             }
-            LaneOp::LoadMulAdd {
-                dst,
-                x,
-                y,
-                slot,
-                idx,
-                pos,
-            } => {
-                let info = slot_info(prog, *slot);
-                let SlotKind::Global { buf } = info.kind else {
-                    return self.full_fallback(op, c0, nl, mem);
-                };
-                let sz = info.elem.size() as u64;
-                let ix = self.idx_row(*idx, c0, nl);
-                let (ptr, len) = mem.raw(buf);
-                let mut out = [0u64; LANES];
-                let all_float = {
-                    let (_, xk) = self.row(*x, c0, nl);
-                    let (_, yk) = self.row(*y, c0, nl);
-                    info.elem.kind() == ValueKind::Float
-                        && uniform(xk) == Some(1)
-                        && uniform(yk) == Some(1)
-                };
-                if all_float {
-                    let mut vb = [0u64; LANES];
-                    let lf = gather_cert(ptr, len, info.elem, &ix, nl, &mut vb, elide).err();
-                    let m = lf.unwrap_or(nl);
-                    let (xb, _) = self.row(*x, c0, nl);
-                    let (yb, _) = self.row(*y, c0, nl);
-                    for i in 0..m {
-                        let v = f64::from_bits(vb[i]);
-                        let (a, b, c) = match pos {
-                            0 => (v, f64::from_bits(xb[i]), f64::from_bits(yb[i])),
-                            1 => (f64::from_bits(xb[i]), v, f64::from_bits(yb[i])),
-                            _ => (f64::from_bits(xb[i]), f64::from_bits(yb[i]), v),
-                        };
-                        out[i] = (a * b + c).to_bits();
-                    }
-                    if let Some(i) = lf {
-                        self.store_row(*dst, c0, i, &out, 1);
-                        return Err((i, oob(info, ix[i], mem)));
-                    }
-                    self.stats.float_ops += 2 * n64;
-                    self.store_row(*dst, c0, nl, &out, 1);
-                } else {
-                    let (xb, xk) = self.load_row(*x, c0, nl);
-                    let (yb, yk) = self.load_row(*y, c0, nl);
-                    let mut ok = [0u8; LANES];
-                    for i in 0..nl {
-                        let Some(v) = raw_load(ptr, len, info.elem, ix[i]) else {
-                            self.store_row_mixed(*dst, c0, i, &out, &ok);
-                            return Err((i, oob(info, ix[i], mem)));
-                        };
-                        let (a, b, c) =
-                            arrange(unpack(xb[i], xk[i]), unpack(yb[i], yk[i]), v, *pos);
-                        let (ob, okd) = pack(self.muladd(a, b, c));
-                        out[i] = ob;
-                        ok[i] = okd;
-                    }
-                    self.store_row_mixed(*dst, c0, nl, &out, &ok);
-                }
-                self.stats.global_read_bytes += n64 * sz;
-                self.stats.global_loads += n64;
-                self.stats.int_ops += n64; // address computation
-            }
-            LaneOp::MulAddStore { a, b, c, slot, idx } => {
-                let info = slot_info(prog, *slot);
-                let SlotKind::Global { buf } = info.kind else {
-                    return self.full_fallback(op, c0, nl, mem);
-                };
-                let sz = info.elem.size() as u64;
-                let ix = self.idx_row(*idx, c0, nl);
-                let (ptr, len) = mem.raw(buf);
-                let all_float = {
-                    let (_, ak) = self.row(*a, c0, nl);
-                    let (_, bk) = self.row(*b, c0, nl);
-                    let (_, ck) = self.row(*c, c0, nl);
-                    uniform(ak) == Some(1) && uniform(bk) == Some(1) && uniform(ck) == Some(1)
-                };
-                if all_float {
-                    let (ab, _) = self.row(*a, c0, nl);
-                    let (bb, _) = self.row(*b, c0, nl);
-                    let (cb, _) = self.row(*c, c0, nl);
-                    let mut out = [0u64; LANES];
-                    for i in 0..nl {
-                        let m = f64::from_bits(ab[i]) * f64::from_bits(bb[i]);
-                        out[i] = (m + f64::from_bits(cb[i])).to_bits();
-                    }
-                    let vk = [1u8; LANES];
-                    if let Err(i) = scatter_cert(ptr, len, info.elem, &ix, &out, &vk, nl, elide) {
-                        self.stats.float_ops += 2 * (i as u64 + 1);
-                        return Err((i, oob(info, ix[i], mem)));
-                    }
-                    self.stats.float_ops += 2 * n64;
-                } else {
-                    let (ab, ak) = self.load_row(*a, c0, nl);
-                    let (bb, bk) = self.load_row(*b, c0, nl);
-                    let (cb, ck) = self.load_row(*c, c0, nl);
-                    for i in 0..nl {
-                        let v = self.muladd(
-                            unpack(ab[i], ak[i]),
-                            unpack(bb[i], bk[i]),
-                            unpack(cb[i], ck[i]),
-                        );
-                        if !raw_store(ptr, len, info.elem, ix[i], v) {
-                            return Err((i, oob(info, ix[i], mem)));
-                        }
-                    }
-                }
-                self.stats.global_write_bytes += n64 * sz;
-                self.stats.global_stores += n64;
-                self.stats.int_ops += n64; // address computation
-            }
-            LaneOp::LoadMulAddStore {
-                x,
-                y,
-                pos,
-                lslot,
-                lidx,
-                dslot,
-                didx,
-            } => {
-                let linfo = slot_info(prog, *lslot);
-                let dinfo = slot_info(prog, *dslot);
-                let (SlotKind::Global { buf: lb }, SlotKind::Global { buf: db }) =
-                    (&linfo.kind, &dinfo.kind)
-                else {
-                    return self.full_fallback(op, c0, nl, mem);
-                };
-                let lsz = linfo.elem.size() as u64;
-                let dsz = dinfo.elem.size() as u64;
-                let lix = self.idx_row(*lidx, c0, nl);
-                let dix = self.idx_row(*didx, c0, nl);
-                let (lp, llen) = mem.raw(*lb);
-                let (dp, dlen) = mem.raw(*db);
-                let all_float = {
-                    let (_, xk) = self.row(*x, c0, nl);
-                    let (_, yk) = self.row(*y, c0, nl);
-                    linfo.elem.kind() == ValueKind::Float
-                        && uniform(xk) == Some(1)
-                        && uniform(yk) == Some(1)
-                };
-                if all_float {
-                    let mut vb = [0u64; LANES];
-                    // Gather, compute, scatter; a store fault on a lower lane
-                    // precedes a load fault on a higher one (oracle order).
-                    let lf = gather_cert(lp, llen, linfo.elem, &lix, nl, &mut vb, elide).err();
-                    let m = lf.unwrap_or(nl);
-                    let mut out = [0u64; LANES];
-                    {
-                        let (xb, _) = self.row(*x, c0, nl);
-                        let (yb, _) = self.row(*y, c0, nl);
-                        for i in 0..m {
-                            let v = f64::from_bits(vb[i]);
-                            let (a, b, c) = match pos {
-                                0 => (v, f64::from_bits(xb[i]), f64::from_bits(yb[i])),
-                                1 => (f64::from_bits(xb[i]), v, f64::from_bits(yb[i])),
-                                _ => (f64::from_bits(xb[i]), f64::from_bits(yb[i]), v),
-                            };
-                            out[i] = (a * b + c).to_bits();
-                        }
-                    }
-                    let vk = [1u8; LANES];
-                    let sf =
-                        scatter_cert(dp, dlen, dinfo.elem, &dix, &out[..m], &vk[..m], m, elide)
-                            .err();
-                    if let Some(j) = sf {
-                        return Err((j, oob(dinfo, dix[j], mem)));
-                    }
-                    if let Some(i) = lf {
-                        return Err((i, oob(linfo, lix[i], mem)));
-                    }
-                    self.stats.float_ops += 2 * n64;
-                } else {
-                    let (xb, xk) = self.load_row(*x, c0, nl);
-                    let (yb, yk) = self.load_row(*y, c0, nl);
-                    for i in 0..nl {
-                        let Some(v) = raw_load(lp, llen, linfo.elem, lix[i]) else {
-                            return Err((i, oob(linfo, lix[i], mem)));
-                        };
-                        let (a, b, c) =
-                            arrange(unpack(xb[i], xk[i]), unpack(yb[i], yk[i]), v, *pos);
-                        let r = self.muladd(a, b, c);
-                        if !raw_store(dp, dlen, dinfo.elem, dix[i], r) {
-                            return Err((i, oob(dinfo, dix[i], mem)));
-                        }
-                    }
-                }
-                self.stats.global_read_bytes += n64 * lsz;
-                self.stats.global_loads += n64;
-                self.stats.global_write_bytes += n64 * dsz;
-                self.stats.global_stores += n64;
-                self.stats.int_ops += 2 * n64; // two address computations
-            }
-            // Rare in batchable segments: per-lane scalar execution with the
-            // slot lookup still amortized by `lane_step`'s shared code.
-            LaneOp::LoadBin { .. } | LaneOp::BinStore { .. } | LaneOp::AtomicRmw { .. } => {
-                return self.full_fallback(op, c0, nl, mem)
-            }
-            LaneOp::Jump { .. }
-            | LaneOp::JumpIfFalse { .. }
-            | LaneOp::JumpIfTrue { .. }
-            | LaneOp::CmpBranch { .. }
-            | LaneOp::Return => unreachable!("control flow is handled by `chunk`"),
         }
         Ok(())
     }
@@ -1841,13 +1452,13 @@ impl<'p> LaneEngine<'p> {
     /// vector fast path.
     fn full_fallback<M: GlobalMem>(
         &mut self,
-        op: &LaneOp,
+        inst: &Inst,
         c0: usize,
         nl: usize,
         mem: &mut M,
     ) -> Result<(), LaneFault> {
         for i in 0..nl {
-            if let Err(e) = self.lane_step(op, c0 + i, mem) {
+            if let Err(e) = self.lane_step(inst, c0 + i, mem) {
                 return Err((i, e));
             }
         }
@@ -1868,19 +1479,17 @@ impl<'p> LaneEngine<'p> {
 
     /// Execute one data op for a single lane — the masked-mode workhorse
     /// and the fallback for ops without a full-width fast path. Mirrors
-    /// `run_seg`'s per-instruction semantics and charging exactly; fused
-    /// ops execute their components in program order, so faults surface in
-    /// the order the oracle hits them.
+    /// `run_seg`'s per-instruction semantics and charging exactly.
     fn lane_step<M: GlobalMem>(
         &mut self,
-        op: &LaneOp,
+        inst: &Inst,
         t: usize,
         mem: &mut M,
     ) -> Result<(), ExecError> {
         let prog = self.prog;
         let nloc = self.num_locals;
-        match op {
-            LaneOp::Const {
+        match inst {
+            Inst::Const {
                 dst,
                 v,
                 int_ops,
@@ -1890,24 +1499,24 @@ impl<'p> LaneEngine<'p> {
                 self.stats.float_ops += u64::from(*float_ops);
                 self.set(*dst, t, *v);
             }
-            LaneOp::Tid { dst, axis } => {
+            Inst::Tid { dst, axis } => {
                 let v = Value::I64(axis_of(self.bufs.tids[t], *axis) as i64);
                 self.set(*dst, t, v);
             }
-            LaneOp::Bid { dst, axis } => {
+            Inst::Bid { dst, axis } => {
                 let v = Value::I64(axis_of(self.block, *axis) as i64);
                 self.set(*dst, t, v);
             }
-            LaneOp::Copy { dst, src } => {
+            Inst::Copy { dst, src } => {
                 let v = self.get(*src, t);
                 self.set(*dst, t, v);
             }
-            LaneOp::Unary { dst, op, src } => {
+            Inst::Unary { dst, op, src } => {
                 let a = self.get(*src, t);
                 count_op(&mut self.stats, a.kind());
                 self.set(*dst, t, eval_unop(*op, a));
             }
-            LaneOp::Binary { dst, op, lhs, rhs } => {
+            Inst::Binary { dst, op, lhs, rhs } => {
                 let l = self.get(*lhs, t);
                 let r = self.get(*rhs, t);
                 let float = l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
@@ -1921,31 +1530,31 @@ impl<'p> LaneEngine<'p> {
                 }
                 self.set(*dst, t, eval_binop_total(*op, l, r, float));
             }
-            LaneOp::MulAdd { dst, a, b, c } => {
+            Inst::MulAdd { dst, a, b, c } => {
                 let (av, bv, cv) = (self.get(*a, t), self.get(*b, t), self.get(*c, t));
                 let v = self.muladd(av, bv, cv);
                 self.set(*dst, t, v);
             }
-            LaneOp::Cast { dst, ty, src } => {
+            Inst::Cast { dst, ty, src } => {
                 let v = self.get(*src, t);
                 count_op(&mut self.stats, ty.kind());
                 self.set(*dst, t, v.convert_to(*ty));
             }
-            LaneOp::Intrin1 { dst, f, a } => {
+            Inst::Intrin1 { dst, f, a } => {
                 let av = self.get(*a, t);
                 self.stats.float_ops += intrinsic_weight(*f);
                 self.set(*dst, t, eval_intrinsic(*f, &[av]));
             }
-            LaneOp::Intrin2 { dst, f, a, b } => {
+            Inst::Intrin2 { dst, f, a, b } => {
                 let (av, bv) = (self.get(*a, t), self.get(*b, t));
                 self.stats.float_ops += intrinsic_weight(*f);
                 self.set(*dst, t, eval_intrinsic(*f, &[av, bv]));
             }
-            LaneOp::Test { dst, src } => {
+            Inst::Test { dst, src } => {
                 let v = Value::I64(i64::from(self.get(*src, t).is_true()));
                 self.set(*dst, t, v);
             }
-            LaneOp::Load { dst, slot, idx } => {
+            Inst::Load { dst, slot, idx } => {
                 let index = self.get(*idx, t).as_i64();
                 let info = slot_info(prog, *slot);
                 let v = load_value(
@@ -1958,7 +1567,7 @@ impl<'p> LaneEngine<'p> {
                 )?;
                 self.set(*dst, t, v);
             }
-            LaneOp::Store { slot, idx, val } => {
+            Inst::Store { slot, idx, val } => {
                 let index = self.get(*idx, t).as_i64();
                 let v = self.get(*val, t);
                 let info = slot_info(prog, *slot);
@@ -1972,7 +1581,7 @@ impl<'p> LaneEngine<'p> {
                     mem,
                 )?;
             }
-            LaneOp::AtomicRmw { op, slot, idx, val } => {
+            Inst::AtomicRmw { op, slot, idx, val } => {
                 let index = self.get(*idx, t).as_i64();
                 let v = self.get(*val, t);
                 let info = slot_info(prog, *slot);
@@ -1998,166 +1607,13 @@ impl<'p> LaneEngine<'p> {
                     self.stats.global_atomics += 1;
                 }
             }
-            LaneOp::LoadBin {
-                dst,
-                op,
-                slot,
-                idx,
-                other,
-                load_lhs,
-            } => {
-                let index = self.get(*idx, t).as_i64();
-                let info = slot_info(prog, *slot);
-                let v = load_value(
-                    info,
-                    &self.bufs.shared,
-                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    mem,
-                )?;
-                let o = self.get(*other, t);
-                let (l, r) = if *load_lhs { (v, o) } else { (o, v) };
-                let float = l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                if float {
-                    self.stats.float_ops += 1;
-                } else {
-                    self.stats.int_ops += 1;
-                }
-                // Fusion excludes `Div`/`Rem`, so the op is total.
-                self.set(*dst, t, eval_binop_total(*op, l, r, float));
+            Inst::Jump { .. }
+            | Inst::JumpIfFalse { .. }
+            | Inst::JumpIfTrue { .. }
+            | Inst::Return => unreachable!("control flow is handled by `chunk`"),
+            Inst::ForInit { .. } | Inst::ForNext { .. } => {
+                unreachable!("loop instructions are never batchable")
             }
-            LaneOp::BinStore {
-                op,
-                lhs,
-                rhs,
-                slot,
-                idx,
-            } => {
-                let l = self.get(*lhs, t);
-                let r = self.get(*rhs, t);
-                let float = l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                if float {
-                    self.stats.float_ops += 1;
-                } else {
-                    self.stats.int_ops += 1;
-                }
-                let v = eval_binop_total(*op, l, r, float);
-                let index = self.get(*idx, t).as_i64();
-                let info = slot_info(prog, *slot);
-                store_value(
-                    info,
-                    &mut self.bufs.shared,
-                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    v,
-                    mem,
-                )?;
-            }
-            LaneOp::LoadStore {
-                sslot,
-                sidx,
-                dslot,
-                didx,
-            } => {
-                let sindex = self.get(*sidx, t).as_i64();
-                let sinfo = slot_info(prog, *sslot);
-                let v = load_value(
-                    sinfo,
-                    &self.bufs.shared,
-                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    sindex,
-                    mem,
-                )?;
-                let dindex = self.get(*didx, t).as_i64();
-                let dinfo = slot_info(prog, *dslot);
-                store_value(
-                    dinfo,
-                    &mut self.bufs.shared,
-                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    dindex,
-                    v,
-                    mem,
-                )?;
-            }
-            LaneOp::LoadMulAdd {
-                dst,
-                x,
-                y,
-                slot,
-                idx,
-                pos,
-            } => {
-                let index = self.get(*idx, t).as_i64();
-                let info = slot_info(prog, *slot);
-                let v = load_value(
-                    info,
-                    &self.bufs.shared,
-                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    mem,
-                )?;
-                let (a, b, c) = arrange(self.get(*x, t), self.get(*y, t), v, *pos);
-                let r = self.muladd(a, b, c);
-                self.set(*dst, t, r);
-            }
-            LaneOp::MulAddStore { a, b, c, slot, idx } => {
-                let (av, bv, cv) = (self.get(*a, t), self.get(*b, t), self.get(*c, t));
-                let v = self.muladd(av, bv, cv);
-                let index = self.get(*idx, t).as_i64();
-                let info = slot_info(prog, *slot);
-                store_value(
-                    info,
-                    &mut self.bufs.shared,
-                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    v,
-                    mem,
-                )?;
-            }
-            LaneOp::LoadMulAddStore {
-                x,
-                y,
-                pos,
-                lslot,
-                lidx,
-                dslot,
-                didx,
-            } => {
-                let lindex = self.get(*lidx, t).as_i64();
-                let linfo = slot_info(prog, *lslot);
-                let v = load_value(
-                    linfo,
-                    &self.bufs.shared,
-                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    lindex,
-                    mem,
-                )?;
-                let (a, b, c) = arrange(self.get(*x, t), self.get(*y, t), v, *pos);
-                let r = self.muladd(a, b, c);
-                let dindex = self.get(*didx, t).as_i64();
-                let dinfo = slot_info(prog, *dslot);
-                store_value(
-                    dinfo,
-                    &mut self.bufs.shared,
-                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    dindex,
-                    r,
-                    mem,
-                )?;
-            }
-            LaneOp::Jump { .. }
-            | LaneOp::JumpIfFalse { .. }
-            | LaneOp::JumpIfTrue { .. }
-            | LaneOp::CmpBranch { .. }
-            | LaneOp::Return => unreachable!("control flow is handled by `chunk`"),
         }
         Ok(())
     }

@@ -204,10 +204,10 @@ pub fn sanitize_launch(
 
 /// Cross-validate an attached bounds-certificate table dynamically: re-run
 /// the whole launch on scratch clones of `pool` with the certificates
-/// forced to [`CertMode::Validate`], once with the lane plans (per-op
-/// masks) and once with them detached (per-pc masks, every segment
-/// thread-major). In that mode every access takes the checked
-/// path, and a bounds fault at a certified access surfaces as
+/// forced to [`CertMode::Validate`], once with the lane plans and once with
+/// them detached (every segment thread-major) — both read the one per-pc
+/// mask. In that mode every access takes the checked path, and a bounds
+/// fault at a certified access surfaces as
 /// [`crate::ExecError::CertificateViolation`] — the certificate itself is
 /// wrong (the analysis claimed in-bounds, execution disagreed). `Ok(())`
 /// means every certificate held on this launch; other runtime faults are

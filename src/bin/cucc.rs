@@ -24,9 +24,8 @@
 //!   --seed S                 RNG seed for buffer data (default 42)
 //!   --engine tree|lane       functional executor       (default lane;
 //!                            bytecode and simd are accepted as lane)
-//!   -v, --verbose            per-phase batch/vector report: why each phase
-//!                            ran dense/pred/scalar and how many
-//!                            superinstructions were fused
+//!   -v, --verbose            per-phase batch/vector report: which phases
+//!                            ran dense/pred/scalar
 //!   --node-threads N         intra-node worker threads (default 0 = auto)
 //!   --modeled                timing-only (skip functional execution)
 //!   --streams N              after the verified run, replay the kernel as
@@ -1101,8 +1100,8 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
     }
 
     if opts.verbose {
-        // Per-phase batch/vector report: shows why each phase ran dense,
-        // predicated, or scalar, and how many superinstructions were fused.
+        // Per-phase batch/vector report: which phases ran dense,
+        // predicated, or scalar.
         match cucc::exec::Program::compile(&ck.kernel, launch, &cargs) {
             Ok(prog) => {
                 out += "  vectorization (per phase):\n";
@@ -1525,16 +1524,15 @@ mod tests {
         .unwrap();
         assert!(opts.verbose);
         let out = cmd_run(src, &opts).unwrap();
-        // The guarded body vectorizes under a mask (pred) with fused
-        // superinstructions; the report should say so and include the simd
-        // analysis verdict. The in-place SAXPY kernel, by contrast, must
-        // report scalar (load/store hazard on `y`).
+        // The guarded body vectorizes under a mask (pred); the report
+        // should say so and include the simd analysis verdict. The in-place
+        // SAXPY kernel, by contrast, must report scalar (load/store hazard
+        // on `y`).
         assert!(out.contains("vectorization (per phase):"), "{out}");
-        let seg = out
-            .lines()
-            .find(|l| l.contains("pred[") || l.contains("dense["))
-            .unwrap_or_else(|| panic!("no vectorized segment in {out}"));
-        assert!(seg.contains('f'), "no fused-count marker in `{seg}`");
+        assert!(
+            out.contains("pred[") || out.contains("dense["),
+            "no vectorized segment in {out}"
+        );
         assert!(out.contains("simd analysis:"), "{out}");
         assert!(out.contains("lane efficiency"), "{out}");
 

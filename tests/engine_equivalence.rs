@@ -1043,3 +1043,135 @@ fn block_reduce_kernel_validates_its_certificates() {
         assert_same(what, &ra, &pool_a, &rb, &pool_b);
     }
 }
+
+// ---------------------------------------------------------------------------
+// One instruction stream: a load and the store that consumes it are separate
+// lane ops, each with its own fault point and its own certificate.
+// ---------------------------------------------------------------------------
+
+/// Run `k` on the oracle and on the engine — lanes and plans detached, serial
+/// and over 4 worker chunks, with no certificates, `CertMode::Elide` and
+/// `CertMode::Validate` — and assert every run reproduces the oracle's result
+/// and its memory, *also when the result is an error*. A faulting launch must
+/// fault in its last block only: earlier chunks of a parallel run then commit
+/// exactly what the oracle committed before it stopped. Returns the oracle's
+/// result and the program's `cert_stats()`.
+fn assert_exact_in_every_mode(
+    k: &Kernel,
+    launch: LaunchConfig,
+    args: &[Arg],
+    pool: &MemPool,
+) -> (Outcome, (usize, usize)) {
+    validate(k).unwrap();
+    let n = launch.num_blocks();
+    let mut pool_a = pool.clone();
+    let ra = execute_launch(k, launch, args, &mut pool_a);
+    let plain = Program::compile(k, launch, args).unwrap();
+    let exts = global_extents(&plain, |b| Some(pool.size_of(b)));
+    let certified = |mode| {
+        let mut p = plain.clone();
+        certify_program(&mut p, &exts, mode);
+        p
+    };
+    let (elided, validated) = (certified(CertMode::Elide), certified(CertMode::Validate));
+    for (certs, prog) in [
+        ("no certs", &plain),
+        ("elide", &elided),
+        ("validate", &validated),
+    ] {
+        for (what, prog) in variants(prog) {
+            for workers in [1, 4] {
+                let mut pool_b = pool.clone();
+                let rb = run_range_parallel(&prog, &mut pool_b, 0..n, workers);
+                let what = format!("{what}, {certs}, {workers} worker(s)");
+                assert_eq!(ra, rb, "{what}: result diverged from the oracle");
+                assert!(pool_a == pool_b, "{what}: memory diverged from the oracle");
+            }
+        }
+    }
+    (ra, elided.cert_stats())
+}
+
+/// `out[g(t)] = in[h(t)]` where, inside one 16-lane chunk, a *higher* lane's
+/// load and a *lower* lane's store are both out of bounds. The oracle runs
+/// the lower thread to its store fault before the higher thread ever loads,
+/// so the store's error wins, and only the lanes below it have stored.
+#[test]
+fn lower_lane_store_fault_precedes_higher_lane_load_fault() {
+    for guarded in [false, true] {
+        // 8 blocks x 32 threads; threads 244 and 250 are lanes 4 and 10 of
+        // the last block's second chunk (both even: the guard keeps them).
+        let body = "out[g + (g == 244) * 100000] = in[g + (g == 250) * 100000];";
+        let body = if guarded {
+            format!("if (threadIdx.x % 2 == 0) {{ {body} }}")
+        } else {
+            body.to_string()
+        };
+        let k = cucc::ir::parse_kernel(&format!(
+            "__global__ void copy(int* out, int* in) {{
+                int g = blockIdx.x * blockDim.x + threadIdx.x;
+                {body}
+            }}"
+        ))
+        .unwrap();
+        let launch = LaunchConfig::new(8u32, 32u32);
+        let mut pool = MemPool::new();
+        let out = pool.alloc_elems(Scalar::I32, 256);
+        let inp = pool.alloc_elems(Scalar::I32, 256);
+        pool.write_i32(inp, &(0..256).map(|i| i * 5 - 300).collect::<Vec<i32>>());
+        let args = vec![Arg::Buffer(out), Arg::Buffer(inp)];
+        let prog = Program::compile(&k, launch, &args).unwrap();
+        let want = if guarded { "pred[" } else { "dense[" };
+        assert!(
+            prog.phase_summary().contains(want),
+            "{}",
+            prog.phase_summary()
+        );
+        let (ra, _) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        assert!(
+            matches!(&ra, Err(ExecError::OutOfBounds { mem, index: 100244, .. }) if mem == "out"),
+            "guarded={guarded}: {ra:?}"
+        );
+    }
+}
+
+/// One segment with a certified load and an uncertified store (`g ^ 1` stays
+/// below 192, but the interval domain only bounds it by 255). The engine
+/// elides exactly the certified access: the counts say one of two, `Elide`
+/// equals the checked run, and a store that really is out of bounds faults as
+/// `OutOfBounds` in every mode — under `Validate` too, where only a
+/// *certified* access may raise `CertificateViolation`.
+#[test]
+fn certified_load_and_uncertified_store_share_a_segment() {
+    let k = cucc::ir::parse_kernel(
+        "__global__ void swap_pairs(int* out, int* in, int off) {
+            int g = blockIdx.x * blockDim.x + threadIdx.x;
+            out[(g ^ 1) + off] = in[g];
+        }",
+    )
+    .unwrap();
+    let launch = LaunchConfig::new(6u32, 32u32);
+    let mut pool = MemPool::new();
+    let out = pool.alloc_elems(Scalar::I32, 192);
+    let inp = pool.alloc_elems(Scalar::I32, 192);
+    pool.write_i32(inp, &(0..192).map(|i| 1000 - i * 3).collect::<Vec<i32>>());
+    for (off, faults) in [(0, false), (1000, true)] {
+        let args = vec![Arg::Buffer(out), Arg::Buffer(inp), Arg::int(off)];
+        let prog = Program::compile(&k, launch, &args).unwrap();
+        assert!(
+            prog.phase_summary().starts_with("dense["),
+            "{}",
+            prog.phase_summary()
+        );
+        let (ra, certs) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        assert_eq!(certs, (1, 2), "off={off}: the load alone is certified");
+        if faults {
+            assert!(
+                matches!(&ra, Err(ExecError::OutOfBounds { mem, index: 1001, .. }) if mem == "out"),
+                "{ra:?}"
+            );
+        } else {
+            assert!(ra.is_ok(), "{ra:?}");
+        }
+    }
+}

@@ -101,7 +101,6 @@ proptest! {
         prop_assert_eq!(cl.schedule_cache().misses(), 2, "post-death lookup must miss");
         prop_assert_eq!(cl.schedule_cache().hits(), 0);
         prop_assert_eq!(cl.schedule_cache().len(), 2, "shape-keyed entries coexist");
-        prop_assert_eq!(cl.schedule_cache().evictions(), 0, "death must not evict");
         // The surviving communicator is smaller, so the three-phase
         // partition cannot be the one planned for the full cluster.
         prop_assert!(after != before, "stale schedule reused across shape change");
@@ -120,5 +119,6 @@ proptest! {
             "return to the original shape must warm-hit"
         );
         prop_assert_eq!(&back, &before, "warm hit must return the original plan");
+        prop_assert_eq!(cl.schedule_cache().len(), 2, "both shapes' entries outlive the cycle");
     }
 }
