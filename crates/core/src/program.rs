@@ -140,12 +140,20 @@ impl GpuProgram {
         self.kernels.iter().find(|k| k.name() == name)
     }
 
-    /// Execute on a backend.
+    /// Execute on a backend: resolve names to buffers, kernels and
+    /// arguments, and issue each op through `backend`.
     pub fn run_with<B: ProgramBackend>(
         &self,
         backend: &mut B,
     ) -> Result<ProgramResult, MigrateError> {
-        let mut buffers: BTreeMap<String, BufferId> = BTreeMap::new();
+        // Name → (buffer, allocated bytes).
+        let mut buffers: BTreeMap<String, (BufferId, usize)> = BTreeMap::new();
+        let lookup = |buffers: &BTreeMap<String, (BufferId, usize)>, name: &str, what: &str| {
+            buffers
+                .get(name)
+                .copied()
+                .ok_or_else(|| MigrateError::Launch(format!("{what}unknown buffer `{name}`")))
+        };
         let transfers_before = backend.prog_transfer_time();
         let mut result = ProgramResult {
             outputs: BTreeMap::new(),
@@ -161,13 +169,18 @@ impl GpuProgram {
                             "buffer `{name}` allocated twice"
                         )));
                     }
-                    let id = backend.prog_alloc(*bytes);
-                    buffers.insert(name.clone(), id);
+                    buffers.insert(name.clone(), (backend.prog_alloc(*bytes), *bytes));
                 }
                 HostOp::H2d { buf, data } => {
-                    let id = *buffers.get(buf).ok_or_else(|| {
-                        MigrateError::Launch(format!("h2d to unknown buffer `{buf}`"))
-                    })?;
+                    let (id, bytes) = lookup(&buffers, buf, "h2d to ")?;
+                    // Backends take whole-buffer copies and cannot report a
+                    // bad one: reject it here.
+                    if data.len() != bytes {
+                        return Err(MigrateError::Transfer(format!(
+                            "h2d of {} bytes does not fill buffer `{buf}` ({bytes} bytes)",
+                            data.len()
+                        )));
+                    }
                     backend.prog_h2d(id, data);
                 }
                 HostOp::Launch {
@@ -181,11 +194,7 @@ impl GpuProgram {
                     let mut resolved = Vec::with_capacity(args.len());
                     for a in args {
                         resolved.push(match a {
-                            ArgSpec::Buffer(name) => {
-                                Arg::Buffer(*buffers.get(name).ok_or_else(|| {
-                                    MigrateError::Launch(format!("unknown buffer `{name}`"))
-                                })?)
-                            }
+                            ArgSpec::Buffer(name) => Arg::Buffer(lookup(&buffers, name, "")?.0),
                             ArgSpec::Int(v) => Arg::Scalar(Value::I64(*v)),
                             ArgSpec::Float(v) => Arg::Scalar(Value::F64(*v)),
                         });
@@ -194,9 +203,7 @@ impl GpuProgram {
                     result.launches += 1;
                 }
                 HostOp::D2h { buf } => {
-                    let id = *buffers.get(buf).ok_or_else(|| {
-                        MigrateError::Launch(format!("d2h from unknown buffer `{buf}`"))
-                    })?;
+                    let (id, _) = lookup(&buffers, buf, "d2h from ")?;
                     result.outputs.insert(buf.clone(), backend.prog_d2h(id));
                 }
             }
@@ -208,14 +215,14 @@ impl GpuProgram {
     /// Execute on a [`CuccCluster`] through the async command-queue API,
     /// spreading independent op chains over up to `max_streams` streams.
     ///
-    /// Dependencies are auto-derived from buffer names: an op lands on the
-    /// stream of the first already-assigned buffer it touches (keeping
-    /// each producer→consumer chain on one stream), and an op touching
-    /// only fresh buffers starts the next chain, round-robin over lazily
-    /// created streams. Cross-chain conflicts the name-based assignment
-    /// misses are still caught by the runtime's RAW/WAW/WAR hazard
-    /// tracker, so outputs are byte-identical to [`GpuProgram::run_with`]
-    /// for every assignment — only the simulated elapsed time changes.
+    /// Dependencies are auto-derived from the buffers ops touch: an op lands
+    /// on the stream of the first already-assigned buffer it touches
+    /// (keeping each producer→consumer chain on one stream), and an op
+    /// touching only fresh buffers starts the next chain, round-robin over
+    /// lazily created streams. Cross-chain conflicts this assignment misses
+    /// are still caught by the runtime's RAW/WAW/WAR hazard tracker, so
+    /// outputs are byte-identical to [`GpuProgram::run_with`] for every
+    /// assignment — only the simulated elapsed time changes.
     ///
     /// The cluster is synchronized before returning; `cl.clock()` then
     /// reflects the overlapped end-to-end time.
@@ -224,93 +231,76 @@ impl GpuProgram {
         cl: &mut CuccCluster,
         max_streams: usize,
     ) -> Result<ProgramResult, MigrateError> {
-        let max_streams = max_streams.max(1);
-        let mut buffers: BTreeMap<String, BufferId> = BTreeMap::new();
-        let mut stream_of: BTreeMap<String, StreamId> = BTreeMap::new();
-        let mut streams: Vec<StreamId> = Vec::new();
-        let mut next = 0usize;
-        let transfers_before = cl.prog_transfer_time();
-        let mut result = ProgramResult {
-            outputs: BTreeMap::new(),
-            kernel_time: 0.0,
-            transfer_time: 0.0,
-            launches: 0,
+        let mut streamed = Streamed {
+            cl,
+            max_streams: max_streams.max(1),
+            stream_of: BTreeMap::new(),
+            streams: Vec::new(),
+            next: 0,
         };
-        let mut pick = |touched: &[&String], cl: &mut CuccCluster| -> StreamId {
-            let s = touched
-                .iter()
-                .find_map(|b| stream_of.get(*b).copied())
-                .unwrap_or_else(|| {
-                    if streams.len() < max_streams {
-                        streams.push(cl.stream_create());
-                    }
-                    let s = streams[next % streams.len()];
-                    next += 1;
-                    s
-                });
-            for b in touched {
-                stream_of.entry((*b).clone()).or_insert(s);
-            }
-            s
-        };
-        for op in &self.ops {
-            match op {
-                HostOp::Alloc { name, bytes } => {
-                    if buffers.contains_key(name) {
-                        return Err(MigrateError::Launch(format!(
-                            "buffer `{name}` allocated twice"
-                        )));
-                    }
-                    let id = cl.alloc(*bytes);
-                    buffers.insert(name.clone(), id);
-                }
-                HostOp::H2d { buf, data } => {
-                    let id = *buffers.get(buf).ok_or_else(|| {
-                        MigrateError::Launch(format!("h2d to unknown buffer `{buf}`"))
-                    })?;
-                    let s = pick(&[buf], cl);
-                    cl.upload_on(id, data, s)?;
-                }
-                HostOp::Launch {
-                    kernel,
-                    launch,
-                    args,
-                } => {
-                    let ck = self.kernel(kernel).ok_or_else(|| {
-                        MigrateError::Launch(format!("unknown kernel `{kernel}`"))
-                    })?;
-                    let mut resolved = Vec::with_capacity(args.len());
-                    let mut touched = Vec::new();
-                    for a in args {
-                        resolved.push(match a {
-                            ArgSpec::Buffer(name) => {
-                                touched.push(name);
-                                Arg::Buffer(*buffers.get(name).ok_or_else(|| {
-                                    MigrateError::Launch(format!("unknown buffer `{name}`"))
-                                })?)
-                            }
-                            ArgSpec::Int(v) => Arg::Scalar(Value::I64(*v)),
-                            ArgSpec::Float(v) => Arg::Scalar(Value::F64(*v)),
-                        });
-                    }
-                    let s = pick(&touched, cl);
-                    result.kernel_time += cl.launch_on(ck, *launch, &resolved, s)?.time();
-                    result.launches += 1;
-                }
-                HostOp::D2h { buf } => {
-                    let id = *buffers.get(buf).ok_or_else(|| {
-                        MigrateError::Launch(format!("d2h from unknown buffer `{buf}`"))
-                    })?;
-                    let s = pick(&[buf], cl);
-                    result
-                        .outputs
-                        .insert(buf.clone(), cl.download_on::<u8>(id, s)?);
-                }
-            }
-        }
-        cl.synchronize()?;
-        result.transfer_time = cl.prog_transfer_time() - transfers_before;
+        let result = self.run_with(&mut streamed)?;
+        streamed.cl.synchronize()?;
         Ok(result)
+    }
+}
+
+/// The backend behind [`GpuProgram::run_streams_with`]: a cluster driven
+/// through its async API, each op on the stream of the buffers it touches.
+struct Streamed<'a> {
+    cl: &'a mut CuccCluster,
+    max_streams: usize,
+    stream_of: BTreeMap<BufferId, StreamId>,
+    streams: Vec<StreamId>,
+    next: usize,
+}
+
+impl Streamed<'_> {
+    /// The stream for an op touching `touched`, which join its chain.
+    fn pick(&mut self, touched: impl Iterator<Item = BufferId> + Clone) -> StreamId {
+        let assigned = touched
+            .clone()
+            .find_map(|b| self.stream_of.get(&b).copied());
+        let s = assigned.unwrap_or_else(|| {
+            if self.streams.len() < self.max_streams {
+                self.streams.push(self.cl.stream_create());
+            }
+            let s = self.streams[self.next % self.streams.len()];
+            self.next += 1;
+            s
+        });
+        for b in touched {
+            self.stream_of.entry(b).or_insert(s);
+        }
+        s
+    }
+}
+
+impl ProgramBackend for Streamed<'_> {
+    fn prog_alloc(&mut self, bytes: usize) -> BufferId {
+        self.cl.alloc(bytes)
+    }
+    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) {
+        let s = self.pick([buf].into_iter());
+        self.cl.upload_on(buf, data, s).expect("program h2d");
+    }
+    fn prog_d2h(&mut self, buf: BufferId) -> Vec<u8> {
+        let s = self.pick([buf].into_iter());
+        self.cl.download_on::<u8>(buf, s).expect("program d2h")
+    }
+    fn prog_launch(
+        &mut self,
+        kernel: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+    ) -> Result<f64, MigrateError> {
+        let s = self.pick(args.iter().filter_map(|a| match a {
+            Arg::Buffer(b) => Some(*b),
+            Arg::Scalar(_) => None,
+        }));
+        Ok(self.cl.launch_on(kernel, launch, args, s)?.time())
+    }
+    fn prog_transfer_time(&self) -> f64 {
+        self.cl.prog_transfer_time()
     }
 }
 
@@ -562,6 +552,20 @@ mod tests {
         assert!(matches!(
             prog.run_with(&mut cl),
             Err(MigrateError::Launch(_))
+        ));
+        // A mis-sized h2d is a typed error on both doors (the direct one
+        // used to panic inside the backend).
+        let prog = GpuProgram::builder("short")
+            .alloc("a", 16)
+            .h2d("a", vec![0u8; 15])
+            .build();
+        assert!(matches!(
+            prog.run_with(&mut cl),
+            Err(MigrateError::Transfer(_))
+        ));
+        assert!(matches!(
+            prog.run_streams_with(&mut cl, 2),
+            Err(MigrateError::Transfer(_))
         ));
     }
 

@@ -1,0 +1,341 @@
+//! The launch path: planning, the doors (`launch`, `launch_on`; graph
+//! replay's is in [`super::replay`]) and the one body they share.
+//!
+//! A door decides what is drained and materialized first, where the
+//! launch starts and how the clock moves afterwards (DESIGN.md §5.2 has
+//! the table); everything between — sanitizer, compile, the timing walk,
+//! the functional passes, the report and the consistency check — is
+//! [`CuccCluster::launch_body`].
+
+use super::walk::Walk;
+use super::{Call, CuccCluster};
+use crate::compile::CompiledKernel;
+use crate::error::MigrateError;
+use crate::report::{LaunchReport, PhaseTimes};
+use crate::schedule::{plan_schedule, schedule_key, LaunchSchedule, ScheduleDecision};
+use crate::stream::StreamId;
+use cucc_analysis::{certify_program, global_extents};
+use cucc_exec::{Arg, CertMode, EngineKind, Program};
+use cucc_ir::LaunchConfig;
+use cucc_trace::{Category, Mark, Track};
+
+impl CuccCluster {
+    /// The pure **planning** stage of a launch: run the launch-time
+    /// planner, the sampling profiler and the cost model, and return the
+    /// resulting [`LaunchSchedule`] without touching the timeline or any
+    /// node's memory. [`CuccCluster::launch`] is exactly
+    /// `plan` + [`execute at the current clock`](CuccCluster::launch_on).
+    pub fn plan(
+        &self,
+        ck: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+    ) -> Result<LaunchSchedule, MigrateError> {
+        let active = self.active_nodes();
+        if active == 0 {
+            return Err(MigrateError::NodeFailure {
+                node: None,
+                context: format!("planning `{}`", ck.name()),
+            });
+        }
+        plan_schedule(
+            ck,
+            launch,
+            args,
+            self.sim.node(self.read_node()),
+            &self.sim.spec,
+            active,
+            &self.config,
+        )
+    }
+
+    /// [`CuccCluster::plan`] through the [`crate::ScheduleCache`]: a hit
+    /// returns the memoized schedule without touching the planner, probe or
+    /// profiler; a miss plans fresh and fills the cache. The key covers
+    /// kernel identity, launch geometry, argument fingerprints, the
+    /// interned membership-shape id and the engine knobs — so entries
+    /// planned for an old shape are never reused after a membership
+    /// change, yet warm up again when the cluster returns to that shape.
+    pub fn plan_cached(
+        &mut self,
+        ck: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+    ) -> Result<LaunchSchedule, MigrateError> {
+        let shape = self.state.shape_id();
+        let key = schedule_key(
+            ck,
+            launch,
+            args,
+            self.state.logical_nodes(),
+            shape,
+            &self.config,
+        );
+        if let Some(sched) = self.schedule_cache.get(&key) {
+            return Ok(sched);
+        }
+        let sched = self.plan(ck, launch, args)?;
+        self.schedule_cache.insert(key, sched.clone());
+        Ok(sched)
+    }
+
+    /// Launch a compiled kernel on the default stream, synchronously: the
+    /// simulated clock advances past the launch. The launch-time planner
+    /// decides between the three-phase workflow and the replicated
+    /// fallback; the report carries the time breakdown.
+    pub fn launch(
+        &mut self,
+        ck: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+    ) -> Result<LaunchReport, MigrateError> {
+        self.sync_point()?;
+        // A synchronous launch is a membership boundary: scripted joins
+        // whose time has come enter the communicator before planning.
+        self.process_joins()?;
+        // A graph-external launch must see fully gathered memory: the
+        // planner probes node memory and the grid may read anywhere.
+        self.materialize_args(args);
+        let sched = self.plan(ck, launch, args)?;
+        // Nothing else is in flight, so the network floor is the clock
+        // itself; `t0 + partial` can never round below `t0`, so the serial
+        // layout — and its exact f64 arithmetic — is reproduced.
+        let t0 = self.timeline.clock();
+        let (report, _end) = self.launch_body(Call { ck, launch, args }, &sched, t0, t0, &[])?;
+        self.timeline.advance(report.time());
+        Ok(report)
+    }
+
+    /// Launch a compiled kernel on `stream` without blocking the clock.
+    /// Only the simulated-time layout is asynchronous: functional execution
+    /// is eager, in submission order (always a valid serialization, since
+    /// hazard and event edges only point to earlier submissions), and the
+    /// report carries the same per-phase durations the default stream
+    /// would produce.
+    pub fn launch_on(
+        &mut self,
+        ck: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+        stream: StreamId,
+    ) -> Result<LaunchReport, MigrateError> {
+        if args
+            .iter()
+            .any(|a| matches!(a, Arg::Buffer(b) if self.pending.contains_key(b)))
+        {
+            // Async launches do not interleave with deferred gathers:
+            // drain the streams and materialize synchronously first (only
+            // reachable when graph replay left a gather pending).
+            self.synchronize()?;
+            self.materialize_args(args);
+        }
+        let sched = self.plan(ck, launch, args)?;
+        // Start at the latest of the stream's position, its hazard
+        // dependencies and the node lanes (a kernel occupies every node);
+        // the Allgather additionally waits for the network lane.
+        let mut t0 = self.streams.dep_floor(stream, &sched.reads, &sched.writes);
+        for i in 0..self.state.logical_nodes() {
+            t0 = t0.max(self.timeline.lane_ready(Track::Node(i as u32)));
+        }
+        let net_floor = self.timeline.lane_ready(Track::Network);
+        let call = Call { ck, launch, args };
+        let (report, end) = self.launch_body(call, &sched, t0, net_floor, &[])?;
+        self.streams
+            .commit(stream, &sched.reads, &sched.writes, end);
+        Ok(report)
+    }
+
+    /// The one launch body behind every door: lay the planned schedule onto
+    /// the timeline from `t0` (Allgather floored at `net_floor`), run the
+    /// functional blocks, and return the report — derived from, and checked
+    /// against, the spans this launch recorded — with the end time of its
+    /// last span. The clock does not move; the door owns that.
+    ///
+    /// `elide` (parallel to the three-phase plan's `buffers`, or empty for
+    /// "gather all") marks regions whose Allgather the graph replayer
+    /// defers: no collective spans, no wire bytes, no functional gather —
+    /// each node keeps only its own slice.
+    pub(super) fn launch_body(
+        &mut self,
+        call: Call<'_>,
+        sched: &LaunchSchedule,
+        t0: f64,
+        net_floor: f64,
+        elide: &[bool],
+    ) -> Result<(LaunchReport, f64), MigrateError> {
+        let functional = self.functional();
+        if functional && self.config.sanitize {
+            self.run_sanitizer(call)?;
+        }
+        // One compile per functional launch, whatever its mode; every pass
+        // reuses it. The tree-walk oracle interprets the kernel itself.
+        let prog = match self.config.engine {
+            EngineKind::Lane if functional => Some(self.compile_certified(call)?),
+            _ => None,
+        };
+        #[cfg(test)]
+        {
+            self.last_certs = prog.as_ref().map(|p| (p.cert_stats(), p.cert_mode()));
+        }
+        let mark = self.timeline.checkpoint();
+        let walk = Walk::new(self, call, sched, prog.as_ref(), t0);
+        let (report, end) = match &sched.decision {
+            ScheduleDecision::ThreePhase {
+                plan,
+                part,
+                has_tail_block,
+            } => walk.three_phase(plan, part, *has_tail_block, net_floor, elide)?,
+            ScheduleDecision::Replicated { cause } => walk.replicated(cause.clone())?,
+        };
+        let report = self.derive_report(mark, report, call.ck);
+        self.verify_written(call)?;
+        Ok((report, end))
+    }
+
+    /// Run the dynamic sanitizer on a scratch clone of node 0's memory and
+    /// cross-validate the static verifier, the same way `oracle.rs`
+    /// validates distribution plans: a dynamic race (or OOB) observed on a
+    /// launch the verifier proved race-free (or in-bounds) is a soundness
+    /// bug and fails the launch loudly. The sanitizer itself is
+    /// observational — findings are stored on [`CuccCluster::sanitize_report`],
+    /// not treated as errors (the real execution still traps OOB).
+    fn run_sanitizer(&mut self, call: Call<'_>) -> Result<(), MigrateError> {
+        let Call { ck, launch, args } = call;
+        let pool = self.sim.node(0);
+        let dynamic = cucc_exec::sanitize_launch(&ck.kernel, launch, args, pool);
+        let extents: Vec<Option<u64>> = ck
+            .kernel
+            .params
+            .iter()
+            .zip(args)
+            .map(|(p, a)| match (p, a) {
+                (cucc_ir::Param::Buffer { elem, .. }, Arg::Buffer(id)) => {
+                    Some((pool.size_of(*id) / elem.size()) as u64)
+                }
+                _ => None,
+            })
+            .collect();
+        let s = cucc_analysis::verify_launch(&ck.kernel, launch, args, &extents, false, None);
+        if !dynamic.races.is_empty() && s.race.is_safe() {
+            return Err(MigrateError::Launch(format!(
+                "sanitizer soundness violation in `{}`: dynamic write race observed \
+                 but the static verifier proved race freedom ({})",
+                ck.name(),
+                dynamic.summary()
+            )));
+        }
+        if !dynamic.oob.is_empty() && s.bounds.is_safe() {
+            return Err(MigrateError::Launch(format!(
+                "sanitizer soundness violation in `{}`: dynamic out-of-bounds trapped \
+                 but the static verifier proved in-bounds ({})",
+                ck.name(),
+                dynamic.summary()
+            )));
+        }
+        self.last_sanitize = Some(dynamic);
+        Ok(())
+    }
+
+    /// Compile the kernel for a compiled-engine launch and attach range
+    /// certificates resolved against the live allocation sizes: certified
+    /// accesses take the engine's unchecked fast path ([`CertMode::Elide`]).
+    /// Under `--sanitize` every certificate is instead *cross-validated* at
+    /// runtime ([`CertMode::Validate`]) — a wrong certificate becomes a
+    /// hard `CertificateViolation` error, never UB.
+    fn compile_certified(&self, call: Call<'_>) -> Result<Program, MigrateError> {
+        let mut prog = Program::compile(&call.ck.kernel, call.launch, call.args)?;
+        let pool = self.sim.node(0);
+        let exts = global_extents(&prog, |b| (b.index() < pool.len()).then(|| pool.size_of(b)));
+        let mode = if self.config.sanitize {
+            CertMode::Validate
+        } else {
+            CertMode::Elide
+        };
+        certify_program(&mut prog, &exts, mode);
+        Ok(prog)
+    }
+
+    /// The paper's consistency invariant: after a functional launch every
+    /// written buffer must be identical on every node.
+    fn verify_written(&self, call: Call<'_>) -> Result<(), MigrateError> {
+        let Call { ck, args, .. } = call;
+        if self.config.verify_consistency && self.functional() {
+            // Dead nodes keep stale pre-recovery bytes; the invariant holds
+            // over the surviving communicator (every node, absent faults).
+            let survivors: Vec<usize> =
+                self.state.alive_ids().iter().map(|&i| i as usize).collect();
+            for p in ck.kernel.written_global_buffers() {
+                let Arg::Buffer(id) = args[p.index()] else {
+                    continue;
+                };
+                // A pending (elided-gather) buffer is inconsistent by
+                // design until it is materialized; the invariant is
+                // checked at materialization points instead.
+                if self.pending.contains_key(&id) {
+                    continue;
+                }
+                if !self.sim.consistent_among(id, &survivors) {
+                    return Err(MigrateError::Launch(format!(
+                        "consistency violation: buffer `{}` differs across nodes after `{}`",
+                        ck.kernel.params[p.index()].name(),
+                        ck.name()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Rebuild a launch report's scalar accounting from the timeline
+    /// window the launch recorded, asserting it matches the values the
+    /// walk computed directly bit-for-bit (`retry` and `reexec` are
+    /// timeline views by definition: the walk leaves them to this scan).
+    fn derive_report(&self, mark: Mark, report: LaunchReport, ck: &CompiledKernel) -> LaunchReport {
+        let tl = &self.timeline;
+        let derived = PhaseTimes {
+            // Phase spans are one per node with identical durations
+            // (stragglers stretch individual spans; the phase time is the
+            // per-node maximum either way).
+            partial: tl.max_in_since(mark, Category::Partial),
+            // Summing the per-collective parent spans in recording order
+            // reproduces the legacy per-region accumulation exactly.
+            allgather: tl.time_in_since(mark, Category::Allgather),
+            callback: tl.max_in_since(mark, Category::Callback),
+            // Kernel launches must not record broadcasts.
+            broadcast: tl.time_in_since(mark, Category::Broadcast),
+            // Retry spans are wasted wire time: a flat in-order sum.
+            retry: tl.time_in_since(mark, Category::Retry),
+            // Each re-execution round is recorded uniformly on every node
+            // in the communicator at that moment. Membership can shrink
+            // (deaths) and grow (mid-launch joins) between rounds, so a
+            // track holds only the rounds its node took part in; the
+            // phase time is the slowest track's in-order sum.
+            reexec: tl.max_track_sum_since(mark, Category::Reexec),
+        };
+        let derived_wire = tl.wire_bytes_since(mark);
+        for (what, got, want) in [
+            ("partial", derived.partial, report.times.partial),
+            ("allgather", derived.allgather, report.times.allgather),
+            ("callback", derived.callback, report.times.callback),
+            ("broadcast", derived.broadcast, 0.0),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "timeline-derived {what} time diverged for `{}`",
+                ck.name()
+            );
+        }
+        assert_eq!(
+            derived_wire,
+            report.wire_bytes,
+            "timeline-derived wire bytes diverged for `{}`",
+            ck.name()
+        );
+        LaunchReport {
+            times: derived,
+            wire_bytes: derived_wire,
+            ..report
+        }
+    }
+}

@@ -1,0 +1,160 @@
+//! Host↔device transfers: `upload`/`download` and their stream twins.
+
+use super::CuccCluster;
+use crate::error::MigrateError;
+use crate::stream::StreamId;
+use crate::transfer::HostScalar;
+use cucc_exec::BufferId;
+use cucc_net::broadcast_traced;
+use cucc_trace::{Category, Track};
+
+impl CuccCluster {
+    /// Broadcast `data` to every node's copy of `buf` and record the
+    /// transfer starting at `t0`. Returns the broadcast duration. A
+    /// broadcast occupies the host's injection link (the host lane), not
+    /// the inter-node fabric the collectives serialize on.
+    fn perform_h2d(&mut self, buf: BufferId, data: &[u8], t0: f64) -> f64 {
+        // A whole-buffer broadcast makes every replica identical: any
+        // deferred gather for this buffer is moot.
+        self.pending.remove(&buf);
+        self.sim.write_all(buf, data);
+        let bt = broadcast_traced(
+            &self.sim.spec.net,
+            self.state.logical_nodes(),
+            data.len() as u64,
+            &mut self.timeline,
+            t0,
+            "h2d broadcast",
+        );
+        self.timeline
+            .span("h2d", Track::Host, Category::H2d, t0, bt);
+        if bt > 0.0 {
+            self.timeline.reserve_lane(Track::Host, t0 + bt);
+        }
+        bt
+    }
+
+    /// Read `buf` back at `t`. A d2h is free in the time model — recorded on
+    /// the host track, but it occupies no link time, so it never pushes the
+    /// host lane's ready time forward.
+    fn read_back<T: HostScalar>(&mut self, buf: BufferId, t: f64) -> Vec<T> {
+        self.timeline
+            .span("d2h", Track::Host, Category::D2h, t, 0.0);
+        T::decode(self.sim.read(self.read_node(), buf))
+    }
+
+    /// Validate that `buf` names an allocation and return its byte size.
+    fn check_buffer(&self, buf: BufferId, op: &str) -> Result<usize, MigrateError> {
+        let pool = self.sim.node(0);
+        if buf.index() >= pool.len() {
+            return Err(MigrateError::Transfer(format!(
+                "{op}: buffer id {} was never allocated",
+                buf.index()
+            )));
+        }
+        Ok(pool.size_of(buf))
+    }
+
+    /// Validate an upload payload against the destination allocation.
+    fn check_upload<T: HostScalar>(&self, buf: BufferId, n: usize) -> Result<(), MigrateError> {
+        let size = self.check_buffer(buf, "upload")?;
+        if n * T::SIZE != size {
+            return Err(MigrateError::Transfer(format!(
+                "upload: {n} {} elements ({} bytes) do not fill buffer id {} ({size} bytes)",
+                T::NAME,
+                n * T::SIZE,
+                buf.index()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Validate a download source and return its byte size.
+    fn check_download<T: HostScalar>(&self, buf: BufferId) -> Result<usize, MigrateError> {
+        let size = self.check_buffer(buf, "download")?;
+        if size % T::SIZE != 0 {
+            return Err(MigrateError::Transfer(format!(
+                "download: buffer id {} ({size} bytes) is not a whole number of {} elements",
+                buf.index(),
+                T::NAME
+            )));
+        }
+        Ok(size)
+    }
+
+    /// Host→device copy: broadcast `data` to every node's replica of `buf`,
+    /// charged to the clock. Typed and validated. Records the broadcast on
+    /// the timeline — including the wire traffic the pre-timeline
+    /// accounting never attributed anywhere.
+    pub fn upload<T: HostScalar>(&mut self, buf: BufferId, data: &[T]) -> Result<(), MigrateError> {
+        self.check_upload::<T>(buf, data.len())?;
+        self.sync_point()?;
+        self.h2d_at_clock(buf, &T::encode(data));
+        Ok(())
+    }
+
+    /// A synchronous broadcast: it starts at the clock, which moves past it.
+    pub(super) fn h2d_at_clock(&mut self, buf: BufferId, data: &[u8]) {
+        let t0 = self.timeline.clock();
+        let bt = self.perform_h2d(buf, data, t0);
+        self.timeline.advance(bt);
+    }
+
+    /// Device→host copy of a whole buffer. Free in the time model, but
+    /// recorded on the timeline's host track. Typed and validated.
+    pub fn download<T: HostScalar>(&mut self, buf: BufferId) -> Result<Vec<T>, MigrateError> {
+        self.check_download::<T>(buf)?;
+        self.sync_point()?;
+        // The host observes memory: an elided gather must happen now.
+        self.materialize_buffer(buf);
+        let t = self.timeline.clock();
+        Ok(self.read_back(buf, t))
+    }
+
+    /// Async host→device broadcast on `stream`. Occupies the host lane
+    /// (broadcasts serialize on the host's injection link) and overlaps
+    /// with kernel compute on the node lanes. The bytes land immediately
+    /// (see [`CuccCluster::launch_on`] on eager functional execution).
+    /// The generic, validated twin of [`CuccCluster::upload`].
+    pub fn upload_on<T: HostScalar>(
+        &mut self,
+        buf: BufferId,
+        data: &[T],
+        stream: StreamId,
+    ) -> Result<(), MigrateError> {
+        self.check_upload::<T>(buf, data.len())?;
+        let t0 = self
+            .streams
+            .dep_floor(stream, &[], &[buf])
+            .max(self.timeline.lane_ready(Track::Host));
+        let bt = self.perform_h2d(buf, &T::encode(data), t0);
+        self.streams.commit(stream, &[], &[buf], t0 + bt);
+        Ok(())
+    }
+
+    /// Async device→host copy on `stream`. Free in the time model but
+    /// hazard-ordered: it waits for the last write to `buf` on the
+    /// simulated clock, and later writes wait for it (WAR). The data is
+    /// returned immediately — eager functional execution guarantees it
+    /// already holds the value the stream order will produce. The generic,
+    /// validated twin of [`CuccCluster::download`].
+    pub fn download_on<T: HostScalar>(
+        &mut self,
+        buf: BufferId,
+        stream: StreamId,
+    ) -> Result<Vec<T>, MigrateError> {
+        self.check_download::<T>(buf)?;
+        if self.pending.contains_key(&buf) {
+            // Same policy as `launch_on`: deferred gathers resolve at a
+            // synchronous point, not mid-stream.
+            self.synchronize()?;
+            self.materialize_buffer(buf);
+        }
+        let t0 = self
+            .streams
+            .dep_floor(stream, &[buf], &[])
+            .max(self.timeline.lane_ready(Track::Host));
+        self.streams.commit(stream, &[buf], &[], t0);
+        Ok(self.read_back(buf, t0))
+    }
+}

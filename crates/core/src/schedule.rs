@@ -6,7 +6,7 @@
 //! describing how the launch will execute (three-phase vs replicated),
 //! what each phase costs on the simulated clock, how many bytes cross the
 //! wire, and which buffers the kernel reads and writes. The execution
-//! stage (`CuccCluster::execute_schedule`) then lays that schedule onto
+//! stage (the launch body in `runtime/launch.rs`) then lays that schedule onto
 //! the trace timeline at an arbitrary start time and runs the functional
 //! blocks.
 //!

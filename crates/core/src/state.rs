@@ -244,7 +244,9 @@ impl Checkpoint {
             None
         };
         let nbufs = u32::from_le_bytes(take(4)?.try_into().unwrap());
-        let mut buffers = Vec::with_capacity(nbufs as usize);
+        // The count is untrusted: reserve no more than the input could hold
+        // (every buffer costs at least its 8-byte length header).
+        let mut buffers = Vec::with_capacity((nbufs as usize).min(bytes.len() / 8));
         for _ in 0..nbufs {
             let len = u64::from_le_bytes(take(8)?.try_into().unwrap());
             buffers.push(take(len as usize)?.to_vec());
@@ -352,5 +354,20 @@ mod tests {
         let mut bad = good.clone();
         bad.push(0);
         assert!(Checkpoint::decode(&bad).is_err());
+        // An inflated buffer count (zero nodes, no cursor, `nbufs = u32::MAX`
+        // in 38 bytes) is a typed error, not a ~100 GB reservation.
+        let mut bad = Checkpoint {
+            logical_nodes: 0,
+            alive: Vec::new(),
+            buffers: Vec::new(),
+            ..Checkpoint::decode(&good).unwrap()
+        }
+        .encode();
+        assert_eq!(bad.len(), 38);
+        bad[34..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::decode(&bad),
+            Err(MigrateError::Checkpoint(_))
+        ));
     }
 }

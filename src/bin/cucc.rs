@@ -76,7 +76,7 @@ use cucc::core::{
     compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode, JobServer, RunOptions,
     RunOptionsBuilder, ServeConfig, ServePolicy,
 };
-use cucc::exec::Arg;
+use cucc::exec::{Arg, BufferId};
 use cucc::gpu_model::{GpuDevice, GpuSpec};
 use cucc::ir::{Dim3, LaunchConfig};
 use rand::rngs::StdRng;
@@ -239,7 +239,7 @@ fn real_args(
     for (i, p) in kernel.params.iter().enumerate() {
         match p {
             Param::Buffer { elem, .. } => {
-                args.push(Arg::Buffer(cucc::exec::BufferId(i as u32)));
+                args.push(Arg::Buffer(BufferId(i as u32)));
                 extents.push(Some((buffer_bytes[bi] / elem.size()) as u64));
                 bi += 1;
             }
@@ -702,25 +702,54 @@ fn parse_arg(spec: &str) -> Result<CliArg, String> {
     ))
 }
 
-fn cli_buffer_bytes(a: &CliArg, rng: &mut StdRng) -> Option<Vec<u8>> {
+/// One `--arg` with its host data materialized: a scalar as given, a
+/// buffer as the random bytes every device sees.
+enum HostArg {
+    Scalar(Arg),
+    Buffer(Vec<u8>),
+}
+
+fn host_arg(a: &CliArg, rng: &mut StdRng) -> HostArg {
     match a {
-        CliArg::BufBytes(n) => Some((0..*n).map(|_| rng.gen()).collect()),
+        CliArg::Int(v) => HostArg::Scalar(Arg::int(*v)),
+        CliArg::Float(v) => HostArg::Scalar(Arg::float(*v)),
+        CliArg::BufBytes(n) => HostArg::Buffer((0..*n).map(|_| rng.gen()).collect()),
         CliArg::BufF32(n) => {
             let mut v = Vec::with_capacity(n * 4);
             for _ in 0..*n {
                 v.extend_from_slice(&rng.gen_range(-1.0f32..1.0).to_le_bytes());
             }
-            Some(v)
+            HostArg::Buffer(v)
         }
         CliArg::BufI32(n) => {
             let mut v = Vec::with_capacity(n * 4);
             for _ in 0..*n {
                 v.extend_from_slice(&rng.gen_range(-100i32..100).to_le_bytes());
             }
-            Some(v)
+            HostArg::Buffer(v)
         }
-        _ => None,
     }
+}
+
+/// Bind a kernel's arguments on one device: scalars as given, each buffer
+/// through `alloc`, which makes the device buffer for its host bytes.
+fn bind_args(host: &[HostArg], mut alloc: impl FnMut(&[u8]) -> BufferId) -> Vec<Arg> {
+    host.iter()
+        .map(|h| match h {
+            HostArg::Scalar(a) => *a,
+            HostArg::Buffer(bytes) => Arg::Buffer(alloc(bytes)),
+        })
+        .collect()
+}
+
+/// The buffers among bound arguments, in declaration order.
+fn buffers_of(args: &[Arg]) -> Vec<BufferId> {
+    args.iter()
+        .filter_map(|a| match a {
+            Arg::Buffer(id) => Some(*id),
+            Arg::Scalar(_) => None,
+        })
+        .collect()
 }
 
 // ------------------------------------------------------------------ serve --
@@ -902,24 +931,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
 
     // Materialize data once so the GPU and cluster see identical inputs.
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let host_data: Vec<Option<Vec<u8>>> = opts
-        .args
-        .iter()
-        .map(|a| cli_buffer_bytes(a, &mut rng))
-        .collect();
-
-    let bind = |dev_alloc: &mut dyn FnMut(&[u8]) -> Arg| -> Vec<Arg> {
-        opts.args
-            .iter()
-            .zip(&host_data)
-            .map(|(a, data)| match (a, data) {
-                (CliArg::Int(v), _) => Arg::int(*v),
-                (CliArg::Float(v), _) => Arg::float(*v),
-                (_, Some(bytes)) => dev_alloc(bytes),
-                _ => unreachable!(),
-            })
-            .collect()
-    };
+    let host: Vec<HostArg> = opts.args.iter().map(|a| host_arg(a, &mut rng)).collect();
 
     let mut out = format!(
         "kernel `{}` {}  on {} × {}\n",
@@ -931,13 +943,12 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
 
     // GPU reference (functional mode only).
     let mut gpu = GpuDevice::new(GpuSpec::a100());
-    let mut gpu_handles = Vec::new();
-    let gargs = bind(&mut |bytes| {
+    let gargs = bind_args(&host, |bytes| {
         let id = gpu.alloc(bytes.len());
         gpu.h2d(id, bytes);
-        gpu_handles.push(id);
-        Arg::Buffer(id)
+        id
     });
+    let gpu_handles = buffers_of(&gargs);
     let gpu_time = if opts.modeled {
         gpu.time_only(&ck.kernel, launch, &gargs)
             .map_err(|e| e.to_string())?
@@ -950,7 +961,6 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
 
     // CuCC cluster: every flag lands in one typed RunOptions.
     let options = opts.to_run_options()?;
-    let mut cl_handles = Vec::new();
     let (mut cl, cargs) = if let Some(path) = &opts.restore {
         // Resume mid-job: buffers already live in the image, in the same
         // allocation order the fresh run would have created them.
@@ -964,33 +974,21 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
             cl.clock() * 1e3,
         );
         let mut next = 0u32;
-        let cargs: Vec<Arg> = opts
-            .args
-            .iter()
-            .zip(&host_data)
-            .map(|(a, data)| match (a, data) {
-                (CliArg::Int(v), _) => Arg::int(*v),
-                (CliArg::Float(v), _) => Arg::float(*v),
-                (_, Some(_)) => {
-                    let id = cucc::exec::BufferId(next);
-                    next += 1;
-                    cl_handles.push(id);
-                    Arg::Buffer(id)
-                }
-                _ => unreachable!(),
-            })
-            .collect();
+        let cargs = bind_args(&host, |_| {
+            next += 1;
+            BufferId(next - 1)
+        });
         (cl, cargs)
     } else {
         let mut cl = CuccCluster::with_options(spec.clone(), options.clone());
-        let cargs = bind(&mut |bytes| {
+        let cargs = bind_args(&host, |bytes| {
             let id = cl.alloc(bytes.len());
             cl.upload(id, bytes).unwrap();
-            cl_handles.push(id);
-            Arg::Buffer(id)
+            id
         });
         (cl, cargs)
     };
+    let cl_handles = buffers_of(&cargs);
     let wall0 = std::time::Instant::now();
     let report = cl.launch(&ck, launch, &cargs).map_err(|e| e.to_string())?;
     let wall = wall0.elapsed().as_secs_f64();
@@ -1114,9 +1112,9 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
                     .kernel
                     .params
                     .iter()
-                    .zip(&host_data)
+                    .zip(&host)
                     .map(|(p, data)| match (p, data) {
-                        (cucc::ir::Param::Buffer { elem, .. }, Some(bytes)) => {
+                        (cucc::ir::Param::Buffer { elem, .. }, HostArg::Buffer(bytes)) => {
                             Some((bytes.len() / elem.size()) as u64)
                         }
                         _ => None,
@@ -1146,25 +1144,15 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
             let mut cl = CuccCluster::with_options(spec.clone(), options.clone());
             let streams: Vec<_> = (0..nstreams).map(|_| cl.stream_create()).collect();
             for r in 0..replicas {
-                let cargs: Vec<Arg> = opts
-                    .args
-                    .iter()
-                    .zip(&host_data)
-                    .map(|(a, data)| match (a, data) {
-                        (CliArg::Int(v), _) => Arg::int(*v),
-                        (CliArg::Float(v), _) => Arg::float(*v),
-                        (_, Some(bytes)) => {
-                            let id = cl.alloc(bytes.len());
-                            if let Some(s) = streams.get(r % nstreams.max(1)) {
-                                cl.upload_on(id, bytes, *s).unwrap();
-                            } else {
-                                cl.upload(id, bytes).unwrap();
-                            }
-                            Arg::Buffer(id)
-                        }
-                        _ => unreachable!(),
-                    })
-                    .collect();
+                let cargs = bind_args(&host, |bytes| {
+                    let id = cl.alloc(bytes.len());
+                    if let Some(s) = streams.get(r % nstreams.max(1)) {
+                        cl.upload_on(id, bytes, *s).unwrap();
+                    } else {
+                        cl.upload(id, bytes).unwrap();
+                    }
+                    id
+                });
                 if let Some(s) = streams.get(r % nstreams.max(1)) {
                     cl.launch_on(&ck, launch, &cargs, *s)
                         .map_err(|e| e.to_string())?;
@@ -1192,14 +1180,13 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         // schedule cache and the communication optimizer saved.
         use cucc::core::{GraphCapture, ReplayStats};
         let mut gcl = CuccCluster::with_options(spec.clone(), options.clone());
-        let mut graph_handles = Vec::new();
         let mut cap = GraphCapture::new();
-        let gr_args = bind(&mut |bytes| {
+        let gr_args = bind_args(&host, |bytes| {
             let id = gcl.alloc(bytes.len());
             cap.upload(id, bytes.to_vec());
-            graph_handles.push(id);
-            Arg::Buffer(id)
+            id
         });
+        let graph_handles = buffers_of(&gr_args);
         cap.launch(&ck, launch, &gr_args);
         let graph = cap.finish();
         let mut total = ReplayStats::default();
