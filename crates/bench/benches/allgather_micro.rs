@@ -6,26 +6,24 @@
 //! in-place gathering legal.
 
 use cucc_bench::{banner, fmt_time};
-use cucc_net::{allgather_traced, AllgatherAlgo, AllgatherPlacement, NetModel};
+use cucc_net::{AllgatherAlgo, AllgatherPlacement, GatherPlan, GatherSegment, NetModel};
 use cucc_trace::{Category, Timeline};
 
-/// Run one Allgather through the traced collective and read time and wire
+/// Plan one Allgather, move its bytes, record it, and read time and wire
 /// traffic back off the recorded timeline.
 fn run(n: usize, sizes: &[u64], placement: AllgatherPlacement) -> (f64, u64) {
     let total: u64 = sizes.iter().sum();
     let mut regions: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; total as usize]).collect();
     let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-    let mut tl = Timeline::new();
-    allgather_traced(
-        &mut views,
+    let plan = GatherPlan::new(
         sizes,
         &NetModel::infiniband_100g(),
         AllgatherAlgo::Ring,
         placement,
-        &mut tl,
-        0.0,
-        "allgather",
     );
+    plan.apply(&mut views, &GatherSegment::contiguous(sizes));
+    let mut tl = Timeline::new();
+    plan.record(&mut tl, 0.0, "allgather");
     (tl.time_in(Category::Allgather), tl.wire_bytes())
 }
 

@@ -8,7 +8,7 @@ use cucc_analysis::{analyze, plan_launch};
 use cucc_core::compile_source;
 use cucc_exec::{execute_block, Arg, MemPool};
 use cucc_ir::{parse_kernel, LaunchConfig};
-use cucc_net::{allgather, AllgatherAlgo, AllgatherPlacement, NetModel};
+use cucc_net::{AllgatherAlgo, AllgatherPlacement, GatherPlan, GatherSegment, NetModel};
 use cucc_workloads::{perf::Kmeans, Benchmark, Scale};
 
 const LISTING1: &str = "__global__ void vec_copy(char* src, char* dest, int n) {
@@ -72,6 +72,8 @@ fn bench_collectives(c: &mut Criterion) {
     #[allow(clippy::single_element_loop)] // sweep list; add (nodes, unit) configs here
     for (nodes, unit) in [(8usize, 1usize << 17)] {
         let total = nodes * unit;
+        let sizes = vec![unit as u64; nodes];
+        let segments = GatherSegment::contiguous(&sizes);
         g.throughput(Throughput::Bytes((total * (nodes - 1)) as u64));
         g.bench_function(format!("ring/{nodes}x{}KiB", unit >> 10), |b| {
             b.iter_batched(
@@ -79,13 +81,15 @@ fn bench_collectives(c: &mut Criterion) {
                 |mut regions| {
                     let mut views: Vec<&mut [u8]> =
                         regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-                    allgather(
-                        &mut views,
-                        &vec![unit as u64; nodes],
+                    // Plan and move, as `SimCluster::allgather_region` does.
+                    let plan = GatherPlan::new(
+                        &sizes,
                         &model,
                         AllgatherAlgo::Ring,
                         AllgatherPlacement::InPlace,
-                    )
+                    );
+                    plan.apply(&mut views, &segments);
+                    plan.cost()
                 },
                 BatchSize::LargeInput,
             )

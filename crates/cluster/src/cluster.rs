@@ -21,10 +21,7 @@ use cucc_exec::{
     ExecError, ExecOptions, MemPool, Program,
 };
 use cucc_ir::{Kernel, LaunchConfig};
-use cucc_net::{
-    allgather, allgather_traced, partial_gather_traced, AllgatherAlgo, AllgatherPlacement,
-    CollectiveCost, GatherSegment,
-};
+use cucc_net::{AllgatherAlgo, AllgatherPlacement, CollectiveCost, GatherPlan, GatherSegment};
 use std::ops::Range;
 
 /// A simulated CPU cluster.
@@ -215,107 +212,37 @@ impl SimCluster {
         algo: AllgatherAlgo,
         placement: AllgatherPlacement,
     ) -> CollectiveCost {
-        let all: Vec<usize> = (0..self.pools.len()).collect();
-        self.allgather_region_among(buf, base, unit, &all, algo, placement)
+        let sizes = vec![unit; self.pools.len()];
+        let plan = GatherPlan::new(&sizes, &self.spec.net, algo, placement);
+        let all: Vec<usize> = (0..sizes.len()).collect();
+        self.gather_segments(buf, base, &GatherSegment::contiguous(&sizes), &all, &plan);
+        plan.cost()
     }
 
-    /// [`SimCluster::allgather_region`] restricted to a survivor subset:
-    /// the gather runs over `nodes` (physical node indices, ascending)
-    /// only, each contributing `unit` bytes, and dead pools are left
-    /// untouched.
-    pub fn allgather_region_among(
+    /// Move a planned gather's bytes through `buf` among `nodes` (physical
+    /// node indices, ascending — the communicator): every segment (byte
+    /// ranges **relative to `base`**, each authoritative on the node in
+    /// slot `owner` of `nodes`) ends up on every node of `nodes`; pools
+    /// outside it — dead nodes — are left untouched. A full Allgather over
+    /// survivors and the graph optimizer's narrowed gather of uncovered
+    /// sub-ranges are both this.
+    pub fn gather_segments(
         &mut self,
         buf: BufferId,
         base: u64,
-        unit: u64,
+        segments: &[GatherSegment],
         nodes: &[usize],
-        algo: AllgatherAlgo,
-        placement: AllgatherPlacement,
-    ) -> CollectiveCost {
-        let m = nodes.len();
+        plan: &GatherPlan,
+    ) {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "ascending indices");
-        let lo = base as usize;
-        let hi = lo + unit as usize * m;
         let mut views: Vec<&mut [u8]> = self
             .pools
             .iter_mut()
             .enumerate()
             .filter(|(i, _)| nodes.contains(i))
-            .map(|(_, p)| &mut p.bytes_mut(buf)[lo..hi])
+            .map(|(_, p)| &mut p.bytes_mut(buf)[base as usize..])
             .collect();
-        allgather(&mut views, &vec![unit; m], &self.spec.net, algo, placement)
-    }
-
-    /// [`SimCluster::allgather_region`] that also records the collective
-    /// (parent span, per-step children, wire-byte counters) into `tl`
-    /// starting at absolute simulated time `t0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn allgather_region_traced(
-        &mut self,
-        buf: BufferId,
-        base: u64,
-        unit: u64,
-        algo: AllgatherAlgo,
-        placement: AllgatherPlacement,
-        tl: &mut cucc_trace::Timeline,
-        t0: f64,
-        label: &str,
-    ) -> CollectiveCost {
-        let n = self.pools.len();
-        let lo = base as usize;
-        let hi = lo + unit as usize * n;
-        let mut views: Vec<&mut [u8]> = self
-            .pools
-            .iter_mut()
-            .map(|p| &mut p.bytes_mut(buf)[lo..hi])
-            .collect();
-        allgather_traced(
-            &mut views,
-            &vec![unit; n],
-            &self.spec.net,
-            algo,
-            placement,
-            tl,
-            t0,
-            label,
-        )
-    }
-
-    /// Partial gather over the byte region `[base, base + len)` of `buf`:
-    /// every segment (byte ranges **relative to `base`**, each authoritative
-    /// on its owner node) ends up on every node, and the collective is
-    /// recorded into `tl` at `t0`. This is how the graph communication
-    /// optimizer narrows an elided Allgather to the uncovered sub-ranges.
-    #[allow(clippy::too_many_arguments)]
-    pub fn partial_gather_region_traced(
-        &mut self,
-        buf: BufferId,
-        base: u64,
-        len: u64,
-        segments: &[GatherSegment],
-        algo: AllgatherAlgo,
-        placement: AllgatherPlacement,
-        tl: &mut cucc_trace::Timeline,
-        t0: f64,
-        label: &str,
-    ) -> CollectiveCost {
-        let lo = base as usize;
-        let hi = lo + len as usize;
-        let mut views: Vec<&mut [u8]> = self
-            .pools
-            .iter_mut()
-            .map(|p| &mut p.bytes_mut(buf)[lo..hi])
-            .collect();
-        partial_gather_traced(
-            &mut views,
-            segments,
-            &self.spec.net,
-            algo,
-            placement,
-            tl,
-            t0,
-            label,
-        )
+        plan.apply(&mut views, segments);
     }
 
     /// True when every node holds identical contents for `buf` (consistency
@@ -364,14 +291,13 @@ mod tests {
             let lo = slot * 4;
             c.node_mut(node).bytes_mut(b)[lo..lo + 4].fill(0x10 + node as u8);
         }
-        c.allgather_region_among(
-            b,
-            0,
-            4,
-            &survivors,
+        let plan = GatherPlan::new(
+            &[4; 3],
+            &c.spec.net,
             AllgatherAlgo::Ring,
             AllgatherPlacement::InPlace,
         );
+        c.gather_segments(b, 0, &GatherSegment::contiguous(&[4; 3]), &survivors, &plan);
         let want: Vec<u8> = [0x10u8, 0x11, 0x13]
             .iter()
             .flat_map(|&v| [v; 4])

@@ -13,7 +13,7 @@
 //!    is covered by data already resident there (the producer's own
 //!    write slice plus any earlier partial gathers), the producer's
 //!    gather is skipped entirely or narrowed to the uncovered byte
-//!    sub-ranges via [`cucc_net::partial_gather`].
+//!    sub-ranges (a [`cucc_net::GatherPlan`] over just those segments).
 //!
 //! Capture records ops without executing them — the same contract as CUDA
 //! stream capture. Dependencies are derived exactly like the stream

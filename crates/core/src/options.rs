@@ -1,47 +1,29 @@
 //! `RunOptions` — the unified front-end configuration for running work on
 //! a CuCC cluster.
 //!
-//! [`RuntimeConfig`] grew one knob at a time (engine, threads, sanitizer,
-//! faults, …) while session-level concerns — how many streams to fan out
-//! over, whether to capture a launch graph, where to checkpoint or restore
-//! — accreted as loose CLI flags with no typed home. [`RunOptions`] is the
-//! one value both `cucc run` and `cucc serve` parse their flags into, and
-//! the one value [`crate::CuccCluster::with_options`] consumes: the
-//! runtime knobs ride in [`RunOptions::runtime`], the session knobs beside
-//! it. `impl From<RuntimeConfig> for RunOptions` keeps every existing
-//! construction site working unchanged.
+//! [`RunOptions`] is the one value both `cucc run` and `cucc serve` parse
+//! their shared flags into, and the one value
+//! [`crate::CuccCluster::with_options`] consumes; the kernel-execution
+//! knobs ride in [`RunOptions::runtime`]. What a *session* does around its
+//! launches — stream fan-out, graph replay, checkpoint and restore paths —
+//! is not cluster configuration: the driver that does it (`cucc run`)
+//! holds those values itself. `impl From<RuntimeConfig> for RunOptions`
+//! keeps every `(spec, config)` construction site working unchanged.
 
 use crate::runtime::{ExecutionFidelity, RuntimeConfig};
 use cucc_exec::EngineKind;
 use cucc_net::{AllgatherAlgo, AllgatherPlacement, FaultPlan};
-use std::path::PathBuf;
 
-/// Everything a CuCC session can be asked to do, in one typed value:
-/// the [`RuntimeConfig`] kernel-execution knobs plus the session-level
-/// options (`--streams/--graph/--checkpoint/--restore`) that previously
-/// lived only as CLI flag state.
+/// Everything a CuCC cluster can be configured with, in one typed value.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunOptions {
     /// Kernel-execution knobs (fidelity, engine, threads, sanitizer,
     /// collectives, fault plan).
     pub runtime: RuntimeConfig,
-    /// Streams to fan a pipelined workload over (`0` = no stream
-    /// pipelining; `cucc run --streams N`).
-    pub streams: usize,
-    /// Capture the launch into a graph and replay it this many times
-    /// (`0` = no capture; `cucc run --graph N`).
-    pub graph_iters: usize,
-    /// Write the cluster state to this path at the end of the session
-    /// (`cucc run --checkpoint`).
-    pub checkpoint_to: Option<PathBuf>,
-    /// Resume the session from a checkpoint at this path before launching
-    /// (`cucc run --restore`).
-    pub restore_from: Option<PathBuf>,
 }
 
 impl RunOptions {
-    /// Defaults: functional fidelity, no streams, no graph capture, no
-    /// checkpoint I/O.
+    /// Defaults: [`RuntimeConfig::default`].
     pub fn new() -> RunOptions {
         RunOptions::default()
     }
@@ -54,30 +36,25 @@ impl RunOptions {
     }
 }
 
-/// A [`RuntimeConfig`] is a complete [`RunOptions`] with the session
-/// knobs at their defaults — so every legacy `(spec, config)` call site
-/// flows into [`crate::CuccCluster::with_options`] unchanged.
+/// A [`RuntimeConfig`] is a complete [`RunOptions`] — so every legacy
+/// `(spec, config)` call site flows into
+/// [`crate::CuccCluster::with_options`] unchanged.
 impl From<RuntimeConfig> for RunOptions {
     fn from(runtime: RuntimeConfig) -> RunOptions {
-        RunOptions {
-            runtime,
-            ..RunOptions::default()
-        }
+        RunOptions { runtime }
     }
 }
 
-/// Chainable constructor for [`RunOptions`] — the one builder: the
-/// [`RuntimeConfig`] knobs and the session knobs alike.
+/// Chainable constructor for [`RunOptions`] — the one builder.
 ///
 /// ```
 /// use cucc_core::RunOptions;
 /// let opts = RunOptions::builder()
 ///     .node_threads(2)
 ///     .sanitize(true)
-///     .streams(4)
 ///     .build();
 /// assert!(opts.runtime.sanitize);
-/// assert_eq!(opts.streams, 4);
+/// assert_eq!(opts.runtime.node_threads, 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunOptionsBuilder {
@@ -155,30 +132,6 @@ impl RunOptionsBuilder {
         Ok(self)
     }
 
-    /// Streams to fan a pipelined workload over (`--streams N`).
-    pub fn streams(mut self, streams: usize) -> Self {
-        self.options.streams = streams;
-        self
-    }
-
-    /// Capture and replay the launch graph this many times (`--graph N`).
-    pub fn graph_iters(mut self, iters: usize) -> Self {
-        self.options.graph_iters = iters;
-        self
-    }
-
-    /// Checkpoint the cluster state to `path` at the end of the session.
-    pub fn checkpoint_to(mut self, path: impl Into<PathBuf>) -> Self {
-        self.options.checkpoint_to = Some(path.into());
-        self
-    }
-
-    /// Restore the session from the checkpoint at `path` before work.
-    pub fn restore_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.options.restore_from = Some(path.into());
-        self
-    }
-
     /// Finish and return the options.
     pub fn build(self) -> RunOptions {
         self.options
@@ -190,26 +143,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_reaches_runtime_and_session_knobs() {
+    fn builder_reaches_runtime_knobs() {
         let opts = RunOptions::builder()
             .modeled()
             .node_threads(3)
             .profile_samples(5)
-            .streams(2)
-            .graph_iters(7)
-            .checkpoint_to("/tmp/x.ckpt")
             .build();
         assert_eq!(opts.runtime.fidelity, ExecutionFidelity::Modeled);
         assert!(!opts.runtime.verify_consistency);
         assert_eq!(opts.runtime.node_threads, 3);
         assert_eq!(opts.runtime.profile_samples, 5);
-        assert_eq!(opts.streams, 2);
-        assert_eq!(opts.graph_iters, 7);
-        assert_eq!(
-            opts.checkpoint_to.as_deref().unwrap().to_str(),
-            Some("/tmp/x.ckpt")
-        );
-        assert!(opts.restore_from.is_none());
     }
 
     #[test]
@@ -221,8 +164,6 @@ mod tests {
         };
         let opts: RunOptions = cfg.clone().into();
         assert_eq!(opts.runtime, cfg);
-        assert_eq!(opts.streams, 0);
-        assert_eq!(opts.graph_iters, 0);
     }
 
     #[test]

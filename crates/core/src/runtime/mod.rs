@@ -27,7 +27,7 @@ use crate::stream::{EventId, StreamId, StreamSet};
 use cucc_cluster::{ClusterSpec, SimCluster};
 use cucc_exec::{Arg, BufferId, EngineKind};
 use cucc_ir::LaunchConfig;
-use cucc_net::{AllgatherAlgo, AllgatherPlacement, FaultInjector, FaultPlan};
+use cucc_net::{AllgatherAlgo, AllgatherPlacement, FaultInjector, FaultPlan, GatherPlan};
 use cucc_trace::{Timeline, Track};
 use std::collections::BTreeMap;
 
@@ -175,9 +175,8 @@ impl CuccCluster {
     /// what keeps legacy `(spec, config)` call sites working verbatim).
     ///
     /// The cluster consumes the runtime knobs ([`crate::RunOptions::runtime`]);
-    /// session-level options (stream fan-out, graph iterations, checkpoint
-    /// paths) configure the layers above it — the CLI driver and the
-    /// serving front-end.
+    /// what a session does around its launches (stream fan-out, graph
+    /// iterations, checkpoint paths) belongs to the driver above it.
     pub fn with_options(spec: ClusterSpec, options: impl Into<crate::RunOptions>) -> CuccCluster {
         let config = options.into().runtime;
         let logical_nodes = spec.nodes as usize;
@@ -298,6 +297,19 @@ impl CuccCluster {
             self.synchronize()?;
         }
         Ok(())
+    }
+
+    /// Plan a gather in which communicator slot `i` holds `per_owner[i]`
+    /// authoritative bytes, under the configured algorithm and placement on
+    /// this cluster's interconnect. Every gather the runtime charges,
+    /// records or moves is planned here.
+    fn plan_gather(&self, per_owner: &[u64]) -> GatherPlan {
+        GatherPlan::new(
+            per_owner,
+            &self.sim.spec.net,
+            self.config.allgather_algo,
+            self.config.placement,
+        )
     }
 
     /// Charge a collective of duration `dur` that ran serially at the

@@ -10,7 +10,7 @@ use crate::graph::{
 use crate::schedule::{LaunchSchedule, ScheduleDecision};
 use cucc_analysis::{BufferFootprint, LaunchFootprints, Partition, ThreePhasePlan};
 use cucc_exec::{Arg, BufferId};
-use cucc_net::{allgather_cost_traced, owner_bytes, partial_gather_cost_traced, GatherSegment};
+use cucc_net::{owner_bytes, GatherSegment};
 
 /// How a pending (elided) gather meets a consuming launch inside a
 /// replay.
@@ -291,10 +291,32 @@ impl CuccCluster {
         elide
     }
 
-    /// Run (and trace) a deferred full Allgather for `buf` at the current
-    /// clock, advancing past it. No-op when the buffer is not pending.
+    /// Gather `segs` (byte ranges relative to `pg.base`, owned by slice) of a
+    /// pending buffer over the pending gather's own node set, at the
+    /// current clock and advancing past it: plan, record, and — in
+    /// functional fidelity — move. Timing is the plan's either way.
     /// Recorded *outside* any launch's report window, so launch reports
     /// keep their bit-for-bit derived invariants.
+    fn gather_pending(
+        &mut self,
+        buf: BufferId,
+        pg: &PendingGather,
+        segs: &[GatherSegment],
+        label: &str,
+    ) {
+        let nodes = pg.nodes as usize;
+        let plan = self.plan_gather(&owner_bytes(nodes, segs));
+        let t0 = self.timeline.clock();
+        plan.record(&mut self.timeline, t0, label);
+        if self.functional() {
+            let among: Vec<usize> = (0..nodes).collect();
+            self.sim.gather_segments(buf, pg.base, segs, &among, &plan);
+        }
+        self.advance_past_network(plan.cost().time);
+    }
+
+    /// Run the deferred full Allgather for `buf`. No-op when the buffer is
+    /// not pending.
     pub(super) fn materialize_buffer(&mut self, buf: BufferId) {
         let Some(pg) = self.pending.remove(&buf) else {
             return;
@@ -302,32 +324,8 @@ impl CuccCluster {
         if pg.is_empty() {
             return;
         }
-        let t0 = self.timeline.clock();
-        let label = "materialize gather";
-        let cost = if self.functional() {
-            self.sim.allgather_region_traced(
-                buf,
-                pg.base,
-                pg.unit,
-                self.config.allgather_algo,
-                self.config.placement,
-                &mut self.timeline,
-                t0,
-                label,
-            )
-        } else {
-            allgather_cost_traced(
-                pg.nodes as usize,
-                pg.unit,
-                &self.sim.spec.net,
-                self.config.allgather_algo,
-                self.config.placement,
-                &mut self.timeline,
-                t0,
-                label,
-            )
-        };
-        self.advance_past_network(cost.time);
+        let slices = GatherSegment::contiguous(&vec![pg.unit; pg.nodes as usize]);
+        self.gather_pending(buf, &pg, &slices, "materialize gather");
     }
 
     /// Materialize every pending buffer (a join's donor pool and a
@@ -360,42 +358,14 @@ impl CuccCluster {
         segs: &[GatherSegment],
         stats: &mut ReplayStats,
     ) {
-        let Some(pg) = self.pending.get(&buf) else {
+        let Some(mut pg) = self.pending.remove(&buf) else {
             return;
         };
-        let (base, len, nodes) = (pg.base, pg.len(), pg.nodes);
-        let t0 = self.timeline.clock();
-        let label = "partial gather";
-        let cost = if self.functional() {
-            self.sim.partial_gather_region_traced(
-                buf,
-                base,
-                len,
-                segs,
-                self.config.allgather_algo,
-                self.config.placement,
-                &mut self.timeline,
-                t0,
-                label,
-            )
-        } else {
-            let per_owner = owner_bytes(nodes as usize, segs);
-            partial_gather_cost_traced(
-                &per_owner,
-                &self.sim.spec.net,
-                self.config.allgather_algo,
-                self.config.placement,
-                &mut self.timeline,
-                t0,
-                label,
-            )
-        };
-        self.advance_past_network(cost.time);
+        self.gather_pending(buf, &pg, segs, "partial gather");
         stats.gathers_narrowed += 1;
-        let pg = self.pending.get_mut(&buf).expect("pending entry");
-        let mut extras = std::mem::take(&mut pg.extras);
-        extras.extend(segs.iter().map(|s| (base + s.lo, base + s.hi)));
-        pg.extras = crate::graph::normalize(extras);
+        let gathered = segs.iter().map(|s| (pg.base + s.lo, pg.base + s.hi));
+        pg.extras = crate::graph::normalize(pg.extras.into_iter().chain(gathered).collect());
+        self.pending.insert(buf, pg);
     }
 }
 

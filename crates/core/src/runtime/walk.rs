@@ -27,7 +27,7 @@ use crate::report::{ExecMode, FaultSummary, LaunchReport, PhaseTimes};
 use crate::schedule::LaunchSchedule;
 use cucc_analysis::{Partition, ReplicationCause, ThreePhasePlan};
 use cucc_exec::{Arg, BlockStats, ExecOptions, Program};
-use cucc_net::{allgather_cost_traced_fallible, collective_step_time};
+use cucc_net::{collective_step_time, GatherSegment};
 use cucc_trace::{Category, Track, WIRE_BYTES};
 use std::ops::Range;
 
@@ -353,12 +353,8 @@ impl<'a> Walk<'a> {
                 ck.kernel.params[region.param.index()].name()
             );
             let cl = &mut *self.cl;
-            let res = allgather_cost_traced_fallible(
-                self.survivors.len(),
-                region.unit * self.cur_cpn,
-                &cl.sim.spec.net,
-                cl.config.allgather_algo,
-                cl.config.placement,
+            let gather = cl.plan_gather(&vec![region.unit * self.cur_cpn; self.survivors.len()]);
+            let res = gather.record_fallible(
                 &self.survivors,
                 &mut cl.fault_state,
                 &mut cl.timeline,
@@ -367,10 +363,11 @@ impl<'a> Walk<'a> {
             );
             match res {
                 Ok(g) => {
+                    let cost = gather.cost();
                     self.faults.retries += g.retries;
-                    self.t_blocked += g.retry_time + g.cost.time;
-                    self.times.allgather += g.cost.time;
-                    self.wire_bytes += g.cost.wire_bytes;
+                    self.t_blocked += g.retry_time + cost.time;
+                    self.times.allgather += cost.time;
+                    self.wire_bytes += cost.wire_bytes;
                 }
                 Err(abort) => {
                     self.faults.retries += abort.retries;
@@ -567,14 +564,12 @@ impl<'a> Walk<'a> {
                 )));
             };
             if unit > 0 {
-                self.cl.sim.allgather_region_among(
-                    id,
-                    region.base,
-                    unit,
-                    &among,
-                    self.cl.config.allgather_algo,
-                    self.cl.config.placement,
-                );
+                let sizes = vec![unit; among.len()];
+                let gather = self.cl.plan_gather(&sizes);
+                let segments = GatherSegment::contiguous(&sizes);
+                self.cl
+                    .sim
+                    .gather_segments(id, region.base, &segments, &among, &gather);
             }
         }
         // Pass D: callbacks on survivors.

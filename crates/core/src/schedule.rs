@@ -116,25 +116,9 @@ pub struct ScheduleKey {
     ///
     /// [`ClusterState::shape_id`]: crate::state::ClusterState::shape_id
     shape: u64,
-    algo: AllgatherAlgoKey,
-    placement: AllgatherPlacementKey,
+    algo: AllgatherAlgo,
+    placement: AllgatherPlacement,
     profile_samples: usize,
-}
-
-// `AllgatherAlgo` / `AllgatherPlacement` derive `Eq` but not `Hash`
-// (they predate this cache); mirror them into hashable key enums rather
-// than widening the public derive surface of `cucc-net`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum AllgatherAlgoKey {
-    Ring,
-    RecursiveDoubling,
-    Bruck,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum AllgatherPlacementKey {
-    InPlace,
-    OutOfPlace,
 }
 
 /// Build the cache key for one prospective launch. `shape` is the interned
@@ -160,15 +144,8 @@ pub fn schedule_key(
             .collect(),
         logical_nodes,
         shape,
-        algo: match config.allgather_algo {
-            AllgatherAlgo::Ring => AllgatherAlgoKey::Ring,
-            AllgatherAlgo::RecursiveDoubling => AllgatherAlgoKey::RecursiveDoubling,
-            AllgatherAlgo::Bruck => AllgatherAlgoKey::Bruck,
-        },
-        placement: match config.placement {
-            AllgatherPlacement::InPlace => AllgatherPlacementKey::InPlace,
-            AllgatherPlacement::OutOfPlace => AllgatherPlacementKey::OutOfPlace,
-        },
+        algo: config.allgather_algo,
+        placement: config.placement,
         profile_samples: config.profile_samples,
     }
 }
@@ -334,6 +311,9 @@ pub fn plan_schedule(
 ) -> Result<LaunchSchedule, MigrateError> {
     if launch.num_blocks() == 0 {
         return Err(MigrateError::Launch("empty grid".into()));
+    }
+    if launch.threads_per_block() == 0 {
+        return Err(MigrateError::Launch("empty block (zero threads)".into()));
     }
     let plan = plan_launch(&ck.kernel, &ck.analysis.verdict, launch, args, node0);
     let profile = profile_launch(&ck.kernel, launch, args, node0, config.profile_samples)?;
@@ -538,15 +518,22 @@ mod tests {
         let ck = compile_source("__global__ void k(int* o) { o[threadIdx.x] = 1; }").unwrap();
         let spec = ClusterSpec::simd_focused();
         let pool = MemPool::new();
-        let err = plan_schedule(
-            &ck,
-            LaunchConfig::new(0u32, 32u32),
-            &[Arg::Buffer(BufferId(0))],
-            &pool,
-            &spec,
-            1,
-            &RuntimeConfig::default(),
-        );
-        assert!(matches!(err, Err(MigrateError::Launch(_))));
+        // An empty grid, and a grid of zero-thread blocks (which would run
+        // nothing and report an infinite speed-up).
+        for (grid, block) in [(0u32, 32u32), (4, 0)] {
+            let err = plan_schedule(
+                &ck,
+                LaunchConfig::new(grid, block),
+                &[Arg::Buffer(BufferId(0))],
+                &pool,
+                &spec,
+                1,
+                &RuntimeConfig::default(),
+            );
+            assert!(
+                matches!(err, Err(MigrateError::Launch(_))),
+                "{grid}x{block}"
+            );
+        }
     }
 }

@@ -153,7 +153,7 @@ pub struct ServeConfig {
     /// jobs has further submissions rejected. `0` disables admission
     /// control.
     pub queue_depth: usize,
-    /// Runtime and session options shared with `cucc run`.
+    /// Runtime options shared with `cucc run`.
     pub options: RunOptions,
 }
 
@@ -684,8 +684,14 @@ impl JobServer {
     /// event, execute placements on the cluster, and drain completions on
     /// the serving clock. Jobs are processed in arrival order.
     pub fn run(&mut self, jobs: &[JobSpec]) -> Result<ServeReport, MigrateError> {
+        if let Some(bad) = jobs.iter().find(|j| !j.arrival.is_finite()) {
+            return Err(MigrateError::Launch(format!(
+                "tenant {}'s job arrives at t={}: arrival times must be finite",
+                bad.tenant, bad.arrival
+            )));
+        }
         let mut stream: Vec<JobSpec> = jobs.to_vec();
-        stream.sort_by(|a, b| a.arrival.partial_cmp(&b.arrival).unwrap());
+        stream.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         let mut next = 0usize;
         let mut clock = 0.0f64;
         loop {
@@ -977,6 +983,12 @@ mod tests {
             other => panic!("expected Rejected, got {other}"),
         }
         assert!(err.to_string().contains("admission rejected"));
+        // A non-finite arrival is refused before anything runs (it used to
+        // panic in the arrival sort).
+        for arrival in [f64::NAN, f64::INFINITY] {
+            let err = srv.run(&[JobSpec { arrival, ..spec(0) }]).unwrap_err();
+            assert!(matches!(err, MigrateError::Launch(_)), "{err}");
+        }
     }
 
     #[test]

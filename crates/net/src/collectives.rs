@@ -1,11 +1,14 @@
 //! Collective communication: Allgather (the workhorse of the CuCC
 //! workflow), barrier and broadcast.
 //!
-//! The Allgather implementations *really move the bytes* between the
-//! per-node regions — the cluster simulator's memory consistency is
-//! established by these copies, not by fiat — while the returned
-//! [`CollectiveCost`] charges the LogGP model with the step structure of the
-//! real algorithm (ring, recursive doubling, Bruck).
+//! A gather is **one planned value**, [`GatherPlan`], built from the bytes
+//! each node holds authoritatively. It can be *read* for its
+//! [`CollectiveCost`], *recorded* on a timeline (`crate::traced`), and
+//! *applied* to per-node regions, which *really moves the bytes* — the
+//! cluster simulator's memory consistency is established by these copies,
+//! not by fiat. All three derive from one step engine that spells the real
+//! algorithms (ring, recursive doubling, Bruck) once, so what is charged,
+//! what is drawn and what travels cannot drift apart.
 //!
 //! Placement and balance follow the paper's §2.3 taxonomy: **in-place**
 //! Allgather reuses one buffer (node `i`'s segment is already at offset
@@ -17,7 +20,7 @@ use crate::model::NetModel;
 use serde::{Deserialize, Serialize};
 
 /// Allgather algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AllgatherAlgo {
     /// `N−1` neighbour steps; bandwidth-optimal, latency `O(N)`.
     Ring,
@@ -29,7 +32,7 @@ pub enum AllgatherAlgo {
 }
 
 /// Buffer placement (paper §2.3, Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AllgatherPlacement {
     /// Input and output share the buffer; no staging copy.
     InPlace,
@@ -68,364 +71,17 @@ pub struct CollectiveStep {
 /// Duration of one synchronous collective step gated by a `bytes`-sized
 /// transfer: `α + o + bytes·β`.
 ///
-/// This is THE step-time formula — every full- and partial-gather step
-/// (functional, analytic, and traced) charges through here, and the
-/// fault path's per-step deadline ([`crate::fault::RetryPolicy::deadline`])
-/// is defined on top of it. Keep it in one place so the two gather
-/// families can never drift apart.
+/// This is THE step-time formula — every gather step charges through here,
+/// and the fault path's per-step deadline
+/// ([`crate::fault::RetryPolicy::deadline`]) is defined on top of it.
 #[inline]
 pub fn collective_step_time(model: &NetModel, bytes: u64) -> f64 {
     model.alpha + model.overhead + bytes as f64 * model.beta
 }
 
-/// Perform an Allgather over per-node regions.
-///
-/// `regions[i]` is node `i`'s copy of the full gathered region; before the
-/// call node `i`'s authoritative data sits in its own segment (byte range
-/// `[offset(i), offset(i)+seg_sizes[i])` with offsets the prefix sums).
-/// After the call every region holds every segment. Balanced operation is
-/// the special case of equal `seg_sizes`.
-///
-/// # Panics
-/// Panics if regions have differing lengths or are smaller than the sum of
-/// segments.
-pub fn allgather(
-    regions: &mut [&mut [u8]],
-    seg_sizes: &[u64],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-) -> CollectiveCost {
-    allgather_with_steps(regions, seg_sizes, model, algo, placement, &mut Vec::new())
-}
-
-/// [`allgather`] that additionally records the per-step breakdown into
-/// `steps` (one entry per synchronous exchange round). Used by the traced
-/// wrappers in [`crate::traced`]; the cost accounting is identical.
-pub fn allgather_with_steps(
-    regions: &mut [&mut [u8]],
-    seg_sizes: &[u64],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    steps: &mut Vec<CollectiveStep>,
-) -> CollectiveCost {
-    let n = regions.len();
-    assert_eq!(n, seg_sizes.len(), "one segment size per node");
-    assert!(n > 0, "empty cluster");
-    let total: u64 = seg_sizes.iter().sum();
-    for r in regions.iter() {
-        assert!(
-            r.len() as u64 >= total,
-            "region too small: {} < {total}",
-            r.len()
-        );
-    }
-    let offsets: Vec<u64> = seg_sizes
-        .iter()
-        .scan(0u64, |acc, s| {
-            let o = *acc;
-            *acc += s;
-            Some(o)
-        })
-        .collect();
-
-    let mut cost = match (algo, n) {
-        (_, 1) => CollectiveCost::default(),
-        (AllgatherAlgo::Ring, _) => ring(regions, seg_sizes, &offsets, model, steps),
-        (AllgatherAlgo::RecursiveDoubling, _) if n.is_power_of_two() => {
-            recursive_doubling(regions, seg_sizes, &offsets, model, steps)
-        }
-        (AllgatherAlgo::RecursiveDoubling, _) | (AllgatherAlgo::Bruck, _) => {
-            bruck(regions, seg_sizes, &offsets, model, steps)
-        }
-    };
-    match placement {
-        AllgatherPlacement::InPlace => {
-            cost.peak_memory_factor = 1;
-        }
-        AllgatherPlacement::OutOfPlace => {
-            // Each node stages its own segment from the input buffer into
-            // the output buffer; the slowest node gates completion.
-            let max_seg = seg_sizes.iter().copied().max().unwrap_or(0);
-            cost.time += model.local_copy_time(max_seg);
-            cost.local_copy_bytes += total;
-            cost.peak_memory_factor = 2;
-        }
-    }
-    cost
-}
-
-fn copy_segment(regions: &mut [&mut [u8]], src: usize, dst: usize, lo: usize, hi: usize) {
-    if src == dst || lo == hi {
-        return;
-    }
-    // Split-borrow the two node regions.
-    let (a, b) = if src < dst {
-        let (left, right) = regions.split_at_mut(dst);
-        (&left[src][lo..hi], &mut right[0][lo..hi])
-    } else {
-        let (left, right) = regions.split_at_mut(src);
-        (&right[0][lo..hi], &mut left[dst][lo..hi])
-    };
-    b.copy_from_slice(a);
-}
-
-fn ring(
-    regions: &mut [&mut [u8]],
-    seg_sizes: &[u64],
-    offsets: &[u64],
-    model: &NetModel,
-    steps: &mut Vec<CollectiveStep>,
-) -> CollectiveCost {
-    let n = regions.len();
-    let mut cost = CollectiveCost::default();
-    // Step s: node i sends segment (i − s) mod n to node (i+1) mod n. All
-    // transfers of a step run concurrently; the step is gated by its
-    // largest segment.
-    for s in 0..n - 1 {
-        let mut step_max = 0u64;
-        let mut step_wire = 0u64;
-        for i in 0..n {
-            let seg = (i + n - s) % n;
-            let dst = (i + 1) % n;
-            let (lo, hi) = (
-                offsets[seg] as usize,
-                (offsets[seg] + seg_sizes[seg]) as usize,
-            );
-            copy_segment(regions, i, dst, lo, hi);
-            cost.wire_bytes += seg_sizes[seg];
-            cost.messages += 1;
-            step_wire += seg_sizes[seg];
-            step_max = step_max.max(seg_sizes[seg]);
-        }
-        let step_time = collective_step_time(model, step_max);
-        cost.time += step_time;
-        steps.push(CollectiveStep {
-            time: step_time,
-            wire_bytes: step_wire,
-            messages: n as u64,
-        });
-    }
-    cost
-}
-
-// Index-based loops: each iteration reads `snapshot[partner]` for a partner
-// derived from the index, which iterators cannot express.
-#[allow(clippy::needless_range_loop)]
-fn recursive_doubling(
-    regions: &mut [&mut [u8]],
-    seg_sizes: &[u64],
-    offsets: &[u64],
-    model: &NetModel,
-    steps: &mut Vec<CollectiveStep>,
-) -> CollectiveCost {
-    let n = regions.len();
-    let mut cost = CollectiveCost::default();
-    // owned[i] = set of segments node i currently holds (as sorted vec).
-    let mut owned: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut dist = 1usize;
-    while dist < n {
-        let mut step_max = 0u64;
-        let mut step_wire = 0u64;
-        let snapshot = owned.clone();
-        for i in 0..n {
-            let partner = i ^ dist;
-            // i receives everything partner owns.
-            let mut recv_bytes = 0u64;
-            for &seg in &snapshot[partner] {
-                if !owned[i].contains(&seg) {
-                    let (lo, hi) = (
-                        offsets[seg] as usize,
-                        (offsets[seg] + seg_sizes[seg]) as usize,
-                    );
-                    copy_segment(regions, partner, i, lo, hi);
-                    owned[i].push(seg);
-                    recv_bytes += seg_sizes[seg];
-                }
-            }
-            cost.wire_bytes += recv_bytes;
-            cost.messages += 1;
-            step_wire += recv_bytes;
-            step_max = step_max.max(recv_bytes);
-        }
-        let step_time = collective_step_time(model, step_max);
-        cost.time += step_time;
-        steps.push(CollectiveStep {
-            time: step_time,
-            wire_bytes: step_wire,
-            messages: n as u64,
-        });
-        dist <<= 1;
-    }
-    cost
-}
-
-// Index-based loop: destinations are derived from the sender index, which
-// iterators cannot express.
-#[allow(clippy::needless_range_loop)]
-fn bruck(
-    regions: &mut [&mut [u8]],
-    seg_sizes: &[u64],
-    offsets: &[u64],
-    model: &NetModel,
-    steps: &mut Vec<CollectiveStep>,
-) -> CollectiveCost {
-    let n = regions.len();
-    let mut cost = CollectiveCost::default();
-    let mut owned: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut dist = 1usize;
-    while dist < n {
-        let snapshot = owned.clone();
-        let mut step_max = 0u64;
-        let mut step_wire = 0u64;
-        for i in 0..n {
-            // Bruck: node i sends its owned set to (i − dist) mod n.
-            let dst = (i + n - dist) % n;
-            let mut sent = 0u64;
-            for &seg in &snapshot[i] {
-                if !owned[dst].contains(&seg) {
-                    let (lo, hi) = (
-                        offsets[seg] as usize,
-                        (offsets[seg] + seg_sizes[seg]) as usize,
-                    );
-                    copy_segment(regions, i, dst, lo, hi);
-                    owned[dst].push(seg);
-                    sent += seg_sizes[seg];
-                }
-            }
-            cost.wire_bytes += sent;
-            cost.messages += 1;
-            step_wire += sent;
-            step_max = step_max.max(sent);
-        }
-        let step_time = collective_step_time(model, step_max);
-        cost.time += step_time;
-        steps.push(CollectiveStep {
-            time: step_time,
-            wire_bytes: step_wire,
-            messages: n as u64,
-        });
-        dist <<= 1;
-    }
-    cost
-}
-
-/// Cost of a **balanced** Allgather of `unit` bytes per node over `n`
-/// nodes, without moving any data. Matches exactly what [`allgather`]
-/// charges for equal segments — used by the modeled (timing-only) execution
-/// path.
-pub fn allgather_cost(
-    n: usize,
-    unit: u64,
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-) -> CollectiveCost {
-    let mut cost = CollectiveCost {
-        peak_memory_factor: 1,
-        ..CollectiveCost::default()
-    };
-    if n > 1 && unit > 0 {
-        match (algo, n.is_power_of_two()) {
-            (AllgatherAlgo::Ring, _) => {
-                let steps = (n - 1) as f64;
-                cost.time = steps * collective_step_time(model, unit);
-                cost.wire_bytes = (n as u64 - 1) * n as u64 * unit;
-                cost.messages = (n as u64 - 1) * n as u64;
-            }
-            (AllgatherAlgo::RecursiveDoubling, true) => {
-                let steps = (n as f64).log2().round() as u32;
-                for k in 0..steps {
-                    let bytes = (1u64 << k) * unit;
-                    cost.time += collective_step_time(model, bytes);
-                    cost.wire_bytes += bytes * n as u64;
-                    cost.messages += n as u64;
-                }
-            }
-            (AllgatherAlgo::RecursiveDoubling, false) | (AllgatherAlgo::Bruck, _) => {
-                let mut dist = 1usize;
-                let mut owned = 1u64;
-                while dist < n {
-                    let send = owned.min((n as u64) - owned);
-                    let bytes = send * unit;
-                    cost.time += collective_step_time(model, bytes);
-                    cost.wire_bytes += bytes * n as u64;
-                    cost.messages += n as u64;
-                    owned += send;
-                    dist <<= 1;
-                }
-            }
-        }
-    }
-    if placement == AllgatherPlacement::OutOfPlace {
-        cost.time += model.local_copy_time(unit);
-        cost.local_copy_bytes += unit * n as u64;
-        cost.peak_memory_factor = 2;
-    }
-    cost
-}
-
-/// Per-step breakdown of a **balanced** Allgather, the step structure
-/// behind [`allgather_cost`] (without the placement staging term). Used to
-/// lay out trace child spans; [`allgather_cost`] remains the authoritative
-/// total, which the sum of step times may differ from by float rounding
-/// (the ring total is computed as `steps × step_time`).
-pub fn balanced_steps(
-    n: usize,
-    unit: u64,
-    model: &NetModel,
-    algo: AllgatherAlgo,
-) -> Vec<CollectiveStep> {
-    let mut steps = Vec::new();
-    if n <= 1 || unit == 0 {
-        return steps;
-    }
-    match (algo, n.is_power_of_two()) {
-        (AllgatherAlgo::Ring, _) => {
-            for _ in 0..n - 1 {
-                steps.push(CollectiveStep {
-                    time: collective_step_time(model, unit),
-                    wire_bytes: n as u64 * unit,
-                    messages: n as u64,
-                });
-            }
-        }
-        (AllgatherAlgo::RecursiveDoubling, true) => {
-            let rounds = (n as f64).log2().round() as u32;
-            for k in 0..rounds {
-                let bytes = (1u64 << k) * unit;
-                steps.push(CollectiveStep {
-                    time: collective_step_time(model, bytes),
-                    wire_bytes: bytes * n as u64,
-                    messages: n as u64,
-                });
-            }
-        }
-        (AllgatherAlgo::RecursiveDoubling, false) | (AllgatherAlgo::Bruck, _) => {
-            let mut dist = 1usize;
-            let mut owned = 1u64;
-            while dist < n {
-                let send = owned.min((n as u64) - owned);
-                let bytes = send * unit;
-                steps.push(CollectiveStep {
-                    time: collective_step_time(model, bytes),
-                    wire_bytes: bytes * n as u64,
-                    messages: n as u64,
-                });
-                owned += send;
-                dist <<= 1;
-            }
-        }
-    }
-    steps
-}
-
-// ------------------------------------------------------- partial gather --
-
-/// One authoritative sub-range of a partial gather: the byte range
-/// `[lo, hi)` of the shared region, held only by `owner` before the call
-/// and by every node after it.
+/// One authoritative sub-range of a gather: the byte range `[lo, hi)` of
+/// the shared region, held only by `owner` before the gather and by every
+/// node after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatherSegment {
     /// Node whose copy of `[lo, hi)` is authoritative.
@@ -441,11 +97,30 @@ impl GatherSegment {
     pub fn bytes(&self) -> u64 {
         self.hi - self.lo
     }
+
+    /// The segments of a full Allgather: node `i` owns `sizes[i]` bytes at
+    /// the prefix-sum offset. Equal sizes give the balanced layout
+    /// `[i·unit, (i+1)·unit)`.
+    pub fn contiguous(sizes: &[u64]) -> Vec<GatherSegment> {
+        let mut lo = 0;
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(owner, &bytes)| {
+                let seg = GatherSegment {
+                    owner,
+                    lo,
+                    hi: lo + bytes,
+                };
+                lo += bytes;
+                seg
+            })
+            .collect()
+    }
 }
 
-/// Total authoritative bytes per owner, the quantity that gates partial
-/// gather steps (the per-owner segment *set* travels as one unit, exactly
-/// like the per-node segment of a full Allgather).
+/// Total authoritative bytes per owner, the quantity that gates gather
+/// steps (the per-owner segment *set* travels as one unit).
 pub fn owner_bytes(n: usize, segments: &[GatherSegment]) -> Vec<u64> {
     let mut per = vec![0u64; n];
     for s in segments {
@@ -454,131 +129,92 @@ pub fn owner_bytes(n: usize, segments: &[GatherSegment]) -> Vec<u64> {
     per
 }
 
-/// Shared step engine for partial gathers. The same loops drive the
-/// functional primitive (real `relay` closure) and the analytic cost
-/// (no-op closure), so the two are bit-identical by construction.
-/// `relay(src, dst, owner)` moves *all* of `owner`'s segments that `src`
-/// holds to `dst`.
-fn partial_engine(
-    n: usize,
+/// The step engine: the one place ring, recursive doubling and Bruck — and
+/// recursive doubling's fallback to Bruck off powers of two — are spelled.
+/// The analytic cost and step breakdown run it with a no-op `relay`; the
+/// byte movement runs the same loops with a `relay(src, dst, owner)` that
+/// copies *all* of `owner`'s segments `src` holds to `dst`, so bytes travel
+/// step by step as the algorithm prescribes.
+///
+/// Returns the network time and the per-step breakdown. The total-time
+/// rule: every ring step has every owner set in flight, so all are gated by
+/// the same `max(per_owner)` and the total is `(n−1) × step`; the doubling
+/// algorithms' steps grow and their total is the in-order sum.
+///
+/// Needs `n ≥ 2` (a ring of one has no step).
+fn run_steps(
     per_owner: &[u64],
     model: &NetModel,
     algo: AllgatherAlgo,
-    steps: &mut Vec<CollectiveStep>,
     mut relay: impl FnMut(usize, usize, usize),
-) -> CollectiveCost {
-    let mut cost = CollectiveCost::default();
-    match (algo, n.is_power_of_two()) {
-        (AllgatherAlgo::Ring, _) => {
+) -> (f64, Vec<CollectiveStep>) {
+    let n = per_owner.len();
+    let mut steps = Vec::new();
+    // Bytes of the round's `i`-th message; the `n` messages of a round
+    // travel concurrently, so the largest gates it.
+    let mut msg = vec![0u64; n];
+    let round = |msg: &[u64]| CollectiveStep {
+        time: collective_step_time(model, msg.iter().copied().max().unwrap_or(0)),
+        wire_bytes: msg.iter().sum(),
+        messages: n as u64,
+    };
+    let time = match algo {
+        AllgatherAlgo::Ring => {
             // Step s: node i relays the segments of owner (i − s) mod n to
-            // node (i+1) mod n; every owner set is in flight each step.
+            // node (i+1) mod n.
             for s in 0..n - 1 {
-                let mut step_max = 0u64;
-                let mut step_wire = 0u64;
-                for i in 0..n {
+                for (i, sent) in msg.iter_mut().enumerate() {
                     let owner = (i + n - s) % n;
-                    let dst = (i + 1) % n;
-                    relay(i, dst, owner);
-                    cost.wire_bytes += per_owner[owner];
-                    cost.messages += 1;
-                    step_wire += per_owner[owner];
-                    step_max = step_max.max(per_owner[owner]);
+                    relay(i, (i + 1) % n, owner);
+                    *sent = per_owner[owner];
                 }
-                let step_time = collective_step_time(model, step_max);
-                cost.time += step_time;
-                steps.push(CollectiveStep {
-                    time: step_time,
-                    wire_bytes: step_wire,
-                    messages: n as u64,
-                });
+                steps.push(round(&msg));
             }
+            (n - 1) as f64 * steps[0].time
         }
-        (AllgatherAlgo::RecursiveDoubling, true) => {
+        AllgatherAlgo::RecursiveDoubling | AllgatherAlgo::Bruck => {
+            // Node i receives whatever its peer held before the round and
+            // it still lacks. Recursive doubling pairs i with i ^ dist and
+            // needs a power-of-two node count; Bruck's peer (i + dist)
+            // mod n works for any.
+            let exchange = algo == AllgatherAlgo::RecursiveDoubling && n.is_power_of_two();
             let mut owned: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
             let mut dist = 1usize;
             while dist < n {
-                let mut step_max = 0u64;
-                let mut step_wire = 0u64;
-                let snapshot = owned.clone();
-                for (i, mine) in owned.iter_mut().enumerate() {
-                    let partner = i ^ dist;
-                    let mut recv = 0u64;
-                    for &owner in &snapshot[partner] {
+                let before = owned.clone();
+                for (i, (mine, recv)) in owned.iter_mut().zip(&mut msg).enumerate() {
+                    let peer = if exchange { i ^ dist } else { (i + dist) % n };
+                    *recv = 0;
+                    for &owner in &before[peer] {
                         if !mine.contains(&owner) {
-                            relay(partner, i, owner);
+                            relay(peer, i, owner);
                             mine.push(owner);
-                            recv += per_owner[owner];
+                            *recv += per_owner[owner];
                         }
                     }
-                    cost.wire_bytes += recv;
-                    cost.messages += 1;
-                    step_wire += recv;
-                    step_max = step_max.max(recv);
                 }
-                let step_time = collective_step_time(model, step_max);
-                cost.time += step_time;
-                steps.push(CollectiveStep {
-                    time: step_time,
-                    wire_bytes: step_wire,
-                    messages: n as u64,
-                });
+                steps.push(round(&msg));
                 dist <<= 1;
             }
+            steps.iter().fold(0.0, |t, s| t + s.time)
         }
-        (AllgatherAlgo::RecursiveDoubling, false) | (AllgatherAlgo::Bruck, _) => {
-            let mut owned: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-            let mut dist = 1usize;
-            while dist < n {
-                let snapshot = owned.clone();
-                let mut step_max = 0u64;
-                let mut step_wire = 0u64;
-                for (i, sent_set) in snapshot.iter().enumerate() {
-                    // Bruck: node i sends its owned set to (i − dist) mod n.
-                    let dst = (i + n - dist) % n;
-                    let mut sent = 0u64;
-                    for &owner in sent_set {
-                        if !owned[dst].contains(&owner) {
-                            relay(i, dst, owner);
-                            owned[dst].push(owner);
-                            sent += per_owner[owner];
-                        }
-                    }
-                    cost.wire_bytes += sent;
-                    cost.messages += 1;
-                    step_wire += sent;
-                    step_max = step_max.max(sent);
-                }
-                let step_time = collective_step_time(model, step_max);
-                cost.time += step_time;
-                steps.push(CollectiveStep {
-                    time: step_time,
-                    wire_bytes: step_wire,
-                    messages: n as u64,
-                });
-                dist <<= 1;
-            }
-        }
-    }
-    cost
+    };
+    (time, steps)
 }
 
-fn apply_partial_placement(
-    cost: &mut CollectiveCost,
-    placement: AllgatherPlacement,
-    model: &NetModel,
-    per_owner: &[u64],
-) {
-    match placement {
-        AllgatherPlacement::InPlace => cost.peak_memory_factor = 1,
-        AllgatherPlacement::OutOfPlace => {
-            // Each node stages its own authoritative segments; the node with
-            // the most bytes gates completion.
-            let max_own = per_owner.iter().copied().max().unwrap_or(0);
-            cost.time += model.local_copy_time(max_own);
-            cost.local_copy_bytes += per_owner.iter().sum::<u64>();
-            cost.peak_memory_factor = 2;
-        }
+fn copy_segment(regions: &mut [&mut [u8]], src: usize, dst: usize, lo: usize, hi: usize) {
+    if src == dst || lo == hi {
+        return;
     }
+    // Split-borrow the two node regions.
+    let (a, b) = if src < dst {
+        let (left, right) = regions.split_at_mut(dst);
+        (&left[src][lo..hi], &mut right[0][lo..hi])
+    } else {
+        let (left, right) = regions.split_at_mut(src);
+        (&right[0][lo..hi], &mut left[dst][lo..hi])
+    };
+    b.copy_from_slice(a);
 }
 
 fn check_segments(n: usize, region_len: u64, segments: &[GatherSegment]) {
@@ -598,92 +234,136 @@ fn check_segments(n: usize, region_len: u64, segments: &[GatherSegment]) {
     }
 }
 
-/// Gather only the given sub-ranges of a shared per-node region: after the
-/// call every node's region holds every segment. The degenerate case of one
-/// segment `[i·unit, (i+1)·unit)` per node is a balanced Allgather, and the
-/// cost charged matches [`allgather_cost`]'s step structure exactly (the
-/// per-owner segment set travels as one unit per relay).
-///
-/// A single node or an empty segment set is free. Segments must be
-/// non-overlapping; each must lie inside every region.
-pub fn partial_gather(
-    regions: &mut [&mut [u8]],
-    segments: &[GatherSegment],
-    model: &NetModel,
+/// One gather, planned: what it costs, how its steps lay out, and — through
+/// [`GatherPlan::apply`] — which bytes it moves. Built once from the bytes
+/// each node holds authoritatively; every view is derived from the same
+/// run of the step engine.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GatherPlan {
+    pub(crate) per_owner: Vec<u64>,
     algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-) -> CollectiveCost {
-    partial_gather_with_steps(regions, segments, model, algo, placement, &mut Vec::new())
+    cost: CollectiveCost,
+    steps: Vec<CollectiveStep>,
+    /// Duration of the out-of-place staging copy (zero in place).
+    pub(crate) staging: f64,
+    pub(crate) model: NetModel,
 }
 
-/// [`partial_gather`] that additionally records the per-step breakdown.
-pub fn partial_gather_with_steps(
-    regions: &mut [&mut [u8]],
-    segments: &[GatherSegment],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    steps: &mut Vec<CollectiveStep>,
-) -> CollectiveCost {
-    let n = regions.len();
-    assert!(n > 0, "empty cluster");
-    let len = regions[0].len() as u64;
-    for r in regions.iter() {
-        assert_eq!(r.len() as u64, len, "regions must have equal lengths");
-    }
-    check_segments(n, len, segments);
-    let per_owner = owner_bytes(n, segments);
-    if n == 1 || per_owner.iter().all(|&b| b == 0) {
-        return CollectiveCost {
-            peak_memory_factor: 1,
-            ..CollectiveCost::default()
+impl GatherPlan {
+    /// Plan a gather in which node `i` holds `per_owner[i]` authoritative
+    /// bytes. Pure: moves nothing. A balanced Allgather is the special case
+    /// of equal counts ([`allgather_cost`]); a partial gather passes
+    /// [`owner_bytes`] of its segments.
+    ///
+    /// The edge rule, stated once: a gather that moves nothing — a single
+    /// node, or no authoritative bytes anywhere — has no steps and no
+    /// network cost (when only *some* owners are empty the algorithm still
+    /// runs and its zero-byte messages are charged their latency).
+    /// Placement is charged on top either way: out-of-place adds the
+    /// staging copy of the largest owner (each node stages its own
+    /// segments; the slowest gates completion) and reports double memory,
+    /// even on one node.
+    pub fn new(
+        per_owner: &[u64],
+        model: &NetModel,
+        algo: AllgatherAlgo,
+        placement: AllgatherPlacement,
+    ) -> GatherPlan {
+        let moves = per_owner.len() > 1 && per_owner.iter().any(|&b| b > 0);
+        let (time, steps) = if moves {
+            run_steps(per_owner, model, algo, |_, _, _| {})
+        } else {
+            (0.0, Vec::new())
         };
-    }
-    let mut by_owner: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for s in segments {
-        by_owner[s.owner].push((s.lo as usize, s.hi as usize));
-    }
-    let mut cost = partial_engine(n, &per_owner, model, algo, steps, |src, dst, owner| {
-        for &(lo, hi) in &by_owner[owner] {
-            copy_segment(regions, src, dst, lo, hi);
+        let mut cost = CollectiveCost {
+            time,
+            wire_bytes: steps.iter().map(|s| s.wire_bytes).sum(),
+            messages: steps.iter().map(|s| s.messages).sum(),
+            local_copy_bytes: 0,
+            peak_memory_factor: 1,
+        };
+        let mut staging = 0.0;
+        if placement == AllgatherPlacement::OutOfPlace {
+            staging = model.local_copy_time(per_owner.iter().copied().max().unwrap_or(0));
+            cost.time += staging;
+            cost.local_copy_bytes = per_owner.iter().sum();
+            cost.peak_memory_factor = 2;
         }
-    });
-    apply_partial_placement(&mut cost, placement, model, &per_owner);
-    cost
-}
-
-/// Analytic cost of a partial gather with `per_owner[i]` authoritative
-/// bytes on node `i`, without moving data. Bit-identical to what
-/// [`partial_gather`] charges (both run [`partial_engine`]).
-pub fn partial_gather_cost(
-    per_owner: &[u64],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-) -> CollectiveCost {
-    partial_gather_cost_steps(per_owner, model, algo, placement, &mut Vec::new())
-}
-
-/// [`partial_gather_cost`] that records the per-step breakdown, mirroring
-/// [`balanced_steps`] for the full Allgather.
-pub fn partial_gather_cost_steps(
-    per_owner: &[u64],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    steps: &mut Vec<CollectiveStep>,
-) -> CollectiveCost {
-    let n = per_owner.len();
-    assert!(n > 0, "empty cluster");
-    if n == 1 || per_owner.iter().all(|&b| b == 0) {
-        return CollectiveCost {
-            peak_memory_factor: 1,
-            ..CollectiveCost::default()
-        };
+        GatherPlan {
+            per_owner: per_owner.to_vec(),
+            algo,
+            cost,
+            steps,
+            staging,
+            model: *model,
+        }
     }
-    let mut cost = partial_engine(n, per_owner, model, algo, steps, |_, _, _| {});
-    apply_partial_placement(&mut cost, placement, model, per_owner);
-    cost
+
+    /// The gather's cost — the authoritative total, whether or not bytes
+    /// are ever moved.
+    pub fn cost(&self) -> CollectiveCost {
+        self.cost
+    }
+
+    /// The per-step breakdown (one entry per synchronous exchange round,
+    /// without the staging copy). Step times sum to the cost's network
+    /// time up to float rounding (the ring total is `steps × step`).
+    pub fn steps(&self) -> &[CollectiveStep] {
+        &self.steps
+    }
+
+    /// Move the planned bytes between per-node regions: `regions[i]` is
+    /// node `i`'s copy of the shared region, each of `segments` is
+    /// authoritative on its owner before the call, and every region holds
+    /// every segment after it; bytes outside the segments stay put.
+    ///
+    /// # Panics
+    /// Panics if the regions are not one per planned node and equally long,
+    /// if segments overlap or leave the region, or if their per-owner byte
+    /// counts are not the planned ones.
+    pub fn apply(&self, regions: &mut [&mut [u8]], segments: &[GatherSegment]) {
+        let n = self.per_owner.len();
+        assert_eq!(regions.len(), n, "one region per planned node");
+        let len = regions.first().map_or(0, |r| r.len());
+        for r in regions.iter() {
+            assert_eq!(r.len(), len, "regions must have equal lengths");
+        }
+        check_segments(n, len as u64, segments);
+        assert_eq!(
+            owner_bytes(n, segments),
+            self.per_owner,
+            "segments are not the planned gather"
+        );
+        if self.steps.is_empty() {
+            return;
+        }
+        let mut by_owner: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for s in segments {
+            by_owner[s.owner].push((s.lo as usize, s.hi as usize));
+        }
+        run_steps(
+            &self.per_owner,
+            &self.model,
+            self.algo,
+            |src, dst, owner| {
+                for &(lo, hi) in &by_owner[owner] {
+                    copy_segment(regions, src, dst, lo, hi);
+                }
+            },
+        );
+    }
+}
+
+/// Cost of a **balanced** Allgather of `unit` bytes per node over `n`
+/// nodes — the plan every launch schedule reads.
+pub fn allgather_cost(
+    n: usize,
+    unit: u64,
+    model: &NetModel,
+    algo: AllgatherAlgo,
+    placement: AllgatherPlacement,
+) -> CollectiveCost {
+    GatherPlan::new(&vec![unit; n], model, algo, placement).cost
 }
 
 /// Dissemination barrier cost (no data movement).
@@ -715,24 +395,39 @@ pub fn broadcast_wire_bytes(n: usize, bytes: u64) -> u64 {
 mod tests {
     use super::*;
 
-    /// Build per-node regions where node i's own segment is filled with a
-    /// distinctive pattern and the rest is garbage.
-    fn setup(n: usize, seg: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
-        let total = n * seg;
-        let mut reference = vec![0u8; total];
-        for i in 0..n {
-            for j in 0..seg {
-                reference[i * seg + j] = (i * 31 + j * 7 + 1) as u8;
-            }
-        }
-        let regions: Vec<Vec<u8>> = (0..n)
-            .map(|i| {
-                let mut r = vec![0xEEu8; total]; // garbage everywhere
-                r[i * seg..(i + 1) * seg].copy_from_slice(&reference[i * seg..(i + 1) * seg]);
+    const ALGOS: [AllgatherAlgo; 3] = [
+        AllgatherAlgo::Ring,
+        AllgatherAlgo::RecursiveDoubling,
+        AllgatherAlgo::Bruck,
+    ];
+    const PLACEMENTS: [AllgatherPlacement; 2] =
+        [AllgatherPlacement::InPlace, AllgatherPlacement::OutOfPlace];
+
+    /// Plan and apply a full Allgather of `sizes[i]` bytes per node: node
+    /// `i`'s own segment starts as a distinctive pattern and the rest as
+    /// garbage; afterwards every region must equal the reference.
+    fn gather(sizes: &[u64], algo: AllgatherAlgo, placement: AllgatherPlacement) -> GatherPlan {
+        let segments = GatherSegment::contiguous(sizes);
+        let total = sizes.iter().sum::<u64>() as usize;
+        let reference: Vec<u8> = (0..total).map(|b| (b * 7 + 1) as u8).collect();
+        let mut regions: Vec<Vec<u8>> = segments
+            .iter()
+            .map(|s| {
+                let mut r = vec![0xEEu8; total];
+                let own = s.lo as usize..s.hi as usize;
+                r[own.clone()].copy_from_slice(&reference[own]);
                 r
             })
             .collect();
-        (regions, reference)
+        let plan = GatherPlan::new(sizes, &NetModel::infiniband_100g(), algo, placement);
+        let planned = plan.clone();
+        let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
+        plan.apply(&mut views, &segments);
+        for (i, r) in regions.iter().enumerate() {
+            assert_eq!(r, &reference, "node {i} region after {algo:?} {sizes:?}");
+        }
+        assert_eq!(plan, planned);
+        plan
     }
 
     fn run(
@@ -741,23 +436,12 @@ mod tests {
         algo: AllgatherAlgo,
         placement: AllgatherPlacement,
     ) -> CollectiveCost {
-        let (mut regions, reference) = setup(n, seg);
-        let model = NetModel::infiniband_100g();
-        let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-        let cost = allgather(&mut views, &vec![seg as u64; n], &model, algo, placement);
-        for (i, r) in regions.iter().enumerate() {
-            assert_eq!(r, &reference, "node {i} region after {algo:?}");
-        }
-        cost
+        gather(&vec![seg as u64; n], algo, placement).cost()
     }
 
     #[test]
     fn all_algorithms_gather_correctly() {
-        for algo in [
-            AllgatherAlgo::Ring,
-            AllgatherAlgo::RecursiveDoubling,
-            AllgatherAlgo::Bruck,
-        ] {
+        for algo in ALGOS {
             for n in [1usize, 2, 3, 4, 5, 8, 16, 32] {
                 run(n, 64, algo, AllgatherPlacement::InPlace);
             }
@@ -809,45 +493,29 @@ mod tests {
     fn imbalanced_is_slower_than_balanced() {
         // Same total data, skewed split: ring steps gated by the largest
         // segment (paper §2.3's 2-node N/4 vs 3N/4 example).
-        let model = NetModel::infiniband_100g();
         let total = 1u64 << 20;
-        let n = 4;
-        let balanced = vec![total / 4; 4];
-        let imbalanced = vec![total / 8, total / 8, total / 4, total / 2];
-
-        let mk = |sizes: &Vec<u64>| -> f64 {
-            let total_b: u64 = sizes.iter().sum();
-            let mut regions: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; total_b as usize]).collect();
-            let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-            allgather(
-                &mut views,
-                sizes,
-                &model,
-                AllgatherAlgo::Ring,
-                AllgatherPlacement::InPlace,
-            )
-            .time
+        let time = |sizes: &[u64]| {
+            gather(sizes, AllgatherAlgo::Ring, AllgatherPlacement::InPlace)
+                .cost()
+                .time
         };
-        assert!(mk(&imbalanced) > mk(&balanced));
+        let balanced = time(&[total / 4; 4]);
+        let imbalanced = time(&[total / 8, total / 8, total / 4, total / 2]);
+        assert!(imbalanced > balanced);
     }
 
     #[test]
     fn balanced_in_place_is_fastest_configuration() {
         // The paper's conclusion of §2.3: balanced-in-place wins across the
         // 2×2 design space.
-        let model = NetModel::infiniband_100g();
         let n = 8usize;
         let total = 1u64 << 22;
         let balanced = vec![total / n as u64; n];
         let mut skewed = vec![total / (2 * n as u64); n];
         skewed[n - 1] = total - skewed[..n - 1].iter().sum::<u64>();
 
-        let time = |sizes: &Vec<u64>, placement| {
-            let t: u64 = sizes.iter().sum();
-            let mut regions: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; t as usize]).collect();
-            let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-            allgather(&mut views, sizes, &model, AllgatherAlgo::Ring, placement).time
-        };
+        let time =
+            |sizes: &[u64], placement| gather(sizes, AllgatherAlgo::Ring, placement).cost().time;
         let best = time(&balanced, AllgatherPlacement::InPlace);
         assert!(best <= time(&balanced, AllgatherPlacement::OutOfPlace));
         assert!(best <= time(&skewed, AllgatherPlacement::InPlace));
@@ -869,44 +537,59 @@ mod tests {
         assert!(broadcast_time(&m, 32, 1024) > broadcast_time(&m, 2, 1024));
     }
 
+    /// `allgather_cost` over n × algorithm × placement × unit, as one FNV-1a
+    /// checksum computed at the commit before the three algorithms were
+    /// folded into one engine: every bit a launch schedule reads is the bit
+    /// the closed forms returned. The grid includes the edge rule (one
+    /// node and zero bytes, in and out of place).
     #[test]
-    fn analytic_cost_matches_functional_ring() {
+    fn allgather_cost_is_pinned() {
         let model = NetModel::infiniband_100g();
-        for n in [2usize, 4, 7, 16] {
-            let unit = 4096usize;
-            let functional = run(n, unit, AllgatherAlgo::Ring, AllgatherPlacement::InPlace);
-            let analytic = allgather_cost(
-                n,
-                unit as u64,
-                &model,
-                AllgatherAlgo::Ring,
-                AllgatherPlacement::InPlace,
-            );
-            assert!((functional.time - analytic.time).abs() < 1e-12, "n={n}");
-            assert_eq!(functional.wire_bytes, analytic.wire_bytes);
-            assert_eq!(functional.messages, analytic.messages);
+        let mut h = 0xcbf29ce484222325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        };
+        for n in 1usize..=33 {
+            for algo in ALGOS {
+                for placement in PLACEMENTS {
+                    for unit in [0u64, 1, 4120, 1 << 20] {
+                        let c = allgather_cost(n, unit, &model, algo, placement);
+                        eat(c.time.to_bits());
+                        eat(c.wire_bytes);
+                        eat(c.messages);
+                        eat(c.local_copy_bytes);
+                        eat(c.peak_memory_factor as u64);
+                    }
+                }
+            }
         }
+        assert_eq!(h, 0x47221db7455997a7);
     }
 
+    /// The applied gather leaves every region equal to the reference and
+    /// the plan untouched (both asserted in `gather`), for balanced and
+    /// skewed sizes alike; a balanced plan's cost is `allgather_cost`'s,
+    /// bitwise, and its steps account for all its wire traffic.
     #[test]
-    fn analytic_cost_matches_functional_rd_and_bruck() {
+    fn applied_gather_is_the_planned_gather() {
         let model = NetModel::infiniband_100g();
-        for (algo, ns) in [
-            (AllgatherAlgo::RecursiveDoubling, vec![2usize, 4, 8, 16]),
-            (AllgatherAlgo::Bruck, vec![3usize, 5, 6, 12]),
-        ] {
-            for n in ns {
-                let unit = 1024usize;
-                let functional = run(n, unit, algo, AllgatherPlacement::InPlace);
-                let analytic =
-                    allgather_cost(n, unit as u64, &model, algo, AllgatherPlacement::InPlace);
-                assert!(
-                    (functional.time - analytic.time).abs() / functional.time.max(1e-30) < 1e-9,
-                    "{algo:?} n={n}: {} vs {}",
-                    functional.time,
-                    analytic.time
-                );
-                assert_eq!(functional.wire_bytes, analytic.wire_bytes, "{algo:?} n={n}");
+        for n in 1usize..=33 {
+            for algo in ALGOS {
+                for placement in PLACEMENTS {
+                    for unit in [0u64, 1, 24, 4120] {
+                        let plan = gather(&vec![unit; n], algo, placement);
+                        let cost = allgather_cost(n, unit, &model, algo, placement);
+                        assert_eq!(plan.cost().time.to_bits(), cost.time.to_bits());
+                        assert_eq!(plan.cost(), cost, "{algo:?} {placement:?} n={n}");
+                    }
+                    let skewed: Vec<u64> = (0..n as u64).map(|i| (i * 37) % 11 * 5).collect();
+                    let plan = gather(&skewed, algo, placement);
+                    let wire: u64 = plan.steps().iter().map(|s| s.wire_bytes).sum();
+                    assert_eq!(wire, plan.cost().wire_bytes);
+                }
             }
         }
     }
@@ -914,11 +597,7 @@ mod tests {
     #[test]
     fn partial_gather_moves_only_segments() {
         let model = NetModel::infiniband_100g();
-        for algo in [
-            AllgatherAlgo::Ring,
-            AllgatherAlgo::RecursiveDoubling,
-            AllgatherAlgo::Bruck,
-        ] {
+        for algo in ALGOS {
             for n in [2usize, 3, 4, 5, 8] {
                 let len = 64 * n;
                 // Node i's copy: its pattern everywhere; gathered ranges must
@@ -939,14 +618,14 @@ mod tests {
                 ];
                 let mut views: Vec<&mut [u8]> =
                     regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-                let cost = partial_gather(
-                    &mut views,
-                    &segments,
+                let plan = GatherPlan::new(
+                    &owner_bytes(n, &segments),
                     &model,
                     algo,
                     AllgatherPlacement::InPlace,
                 );
-                assert!(cost.time > 0.0);
+                plan.apply(&mut views, &segments);
+                assert!(plan.cost().time > 0.0);
                 for (i, r) in regions.iter().enumerate() {
                     for (b, v) in r.iter().enumerate() {
                         let want = if (4..12).contains(&b) {
@@ -964,106 +643,38 @@ mod tests {
     }
 
     #[test]
-    fn partial_gather_full_slices_matches_allgather_cost() {
-        // One full slice per owner degenerates to a balanced Allgather.
-        let model = NetModel::infiniband_100g();
-        for algo in [
-            AllgatherAlgo::Ring,
-            AllgatherAlgo::RecursiveDoubling,
-            AllgatherAlgo::Bruck,
-        ] {
-            for n in [2usize, 4, 5, 8] {
-                let unit = 4096u64;
-                let per_owner = vec![unit; n];
-                let partial =
-                    partial_gather_cost(&per_owner, &model, algo, AllgatherPlacement::InPlace);
-                let full = allgather_cost(n, unit, &model, algo, AllgatherPlacement::InPlace);
-                assert!(
-                    (partial.time - full.time).abs() / full.time < 1e-9,
-                    "{algo:?} n={n}: {} vs {}",
-                    partial.time,
-                    full.time
-                );
-                assert_eq!(partial.wire_bytes, full.wire_bytes, "{algo:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn partial_gather_analytic_matches_functional() {
-        let model = NetModel::infiniband_100g();
-        for algo in [AllgatherAlgo::Ring, AllgatherAlgo::Bruck] {
-            let n = 4usize;
-            let segments = vec![
-                GatherSegment {
-                    owner: 0,
-                    lo: 0,
-                    hi: 100,
-                },
-                GatherSegment {
-                    owner: 2,
-                    lo: 200,
-                    hi: 232,
-                },
-                GatherSegment {
-                    owner: 2,
-                    lo: 300,
-                    hi: 304,
-                },
-            ];
-            let mut regions: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 512]).collect();
-            let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-            let mut fsteps = Vec::new();
-            let functional = partial_gather_with_steps(
-                &mut views,
-                &segments,
-                &model,
-                algo,
-                AllgatherPlacement::InPlace,
-                &mut fsteps,
-            );
-            let mut asteps = Vec::new();
-            let analytic = partial_gather_cost_steps(
-                &owner_bytes(n, &segments),
-                &model,
-                algo,
-                AllgatherPlacement::InPlace,
-                &mut asteps,
-            );
-            assert_eq!(functional.time.to_bits(), analytic.time.to_bits());
-            assert_eq!(functional.wire_bytes, analytic.wire_bytes);
-            assert_eq!(fsteps, asteps);
-        }
-    }
-
-    #[test]
     fn partial_gather_empty_or_single_node_is_free() {
         let model = NetModel::infiniband_100g();
-        let free = partial_gather_cost(
-            &[0, 0, 0],
-            &model,
+        for per_owner in [&[0u64, 0, 0][..], &[4096]] {
+            let free = GatherPlan::new(
+                per_owner,
+                &model,
+                AllgatherAlgo::Ring,
+                AllgatherPlacement::InPlace,
+            );
+            assert_eq!(free.cost().time, 0.0);
+            assert_eq!(free.cost().wire_bytes, 0);
+            assert!(free.steps().is_empty());
+        }
+    }
+
+    fn apply_two_node(planned: &[u64], segments: &[GatherSegment]) {
+        let mut regions: Vec<Vec<u8>> = (0..2).map(|_| vec![0u8; 64]).collect();
+        let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
+        GatherPlan::new(
+            planned,
+            &NetModel::infiniband_100g(),
             AllgatherAlgo::Ring,
             AllgatherPlacement::InPlace,
-        );
-        assert_eq!(free.time, 0.0);
-        assert_eq!(free.wire_bytes, 0);
-        let one = partial_gather_cost(
-            &[4096],
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-        );
-        assert_eq!(one.time, 0.0);
+        )
+        .apply(&mut views, segments);
     }
 
     #[test]
     #[should_panic(expected = "overlapping gather segments")]
     fn partial_gather_rejects_overlap() {
-        let model = NetModel::infiniband_100g();
-        let mut regions: Vec<Vec<u8>> = (0..2).map(|_| vec![0u8; 64]).collect();
-        let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-        partial_gather(
-            &mut views,
+        apply_two_node(
+            &[10, 7],
             &[
                 GatherSegment {
                     owner: 0,
@@ -1076,42 +687,23 @@ mod tests {
                     hi: 12,
                 },
             ],
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
         );
     }
 
     #[test]
+    #[should_panic(expected = "segments are not the planned gather")]
+    fn apply_rejects_segments_it_did_not_plan() {
+        // Charging for one gather and moving another is the drift the plan
+        // exists to rule out.
+        apply_two_node(&[10, 10], &GatherSegment::contiguous(&[10, 12]));
+    }
+
+    #[test]
     fn zero_sized_segments_ok() {
-        let model = NetModel::infiniband_100g();
-        let n = 4;
-        let sizes = vec![0u64, 16, 0, 16];
-        let total: u64 = sizes.iter().sum();
-        let mut reference = vec![0u8; total as usize];
-        for (i, b) in reference.iter_mut().enumerate() {
-            *b = i as u8 + 1;
-        }
-        let offsets = [0usize, 0, 16, 16];
-        let mut regions: Vec<Vec<u8>> = (0..n)
-            .map(|i| {
-                let mut r = vec![0u8; total as usize];
-                let sz = sizes[i] as usize;
-                r[offsets[i]..offsets[i] + sz]
-                    .copy_from_slice(&reference[offsets[i]..offsets[i] + sz]);
-                r
-            })
-            .collect();
-        let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-        allgather(
-            &mut views,
-            &sizes,
-            &model,
+        gather(
+            &[0, 16, 0, 16],
             AllgatherAlgo::Bruck,
             AllgatherPlacement::InPlace,
         );
-        for r in &regions {
-            assert_eq!(r, &reference);
-        }
     }
 }

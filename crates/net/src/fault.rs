@@ -96,7 +96,7 @@ impl RetryPolicy {
     /// `step_time`: `timeout_factor × step + (α + o)`.
     ///
     /// This is the **only** place the deadline formula lives:
-    /// `traced::allgather_cost_traced_fallible` calls here per step.
+    /// `GatherPlan::record_fallible` calls here per step.
     pub fn deadline(&self, step_time: f64, model: &NetModel) -> f64 {
         self.timeout_factor * step_time + (model.alpha + model.overhead)
     }

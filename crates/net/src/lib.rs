@@ -5,11 +5,15 @@
 //! * a **cost model** ([`model::NetModel`]) in the LogGP tradition — per
 //!   message latency `α`, per-message CPU overhead `o`, per-byte time `β` —
 //!   calibrated to the evaluation clusters' interconnect (Table 1);
-//! * **functional collectives** ([`collectives`]) that really move bytes
-//!   between per-node buffers (ring, recursive-doubling and Bruck Allgather,
-//!   in-place and out-of-place, balanced and imbalanced) while charging the
-//!   cost model, plus a **point-to-point tracker** ([`p2p`]) used by the
-//!   PGAS baseline's fine-grained remote accesses.
+//! * **one planned gather** ([`collectives::GatherPlan`]): ring,
+//!   recursive-doubling and Bruck Allgather — in-place and out-of-place,
+//!   balanced and imbalanced, full and partial — are spelled once in a step
+//!   engine, and the plan built from it is read for its cost
+//!   ([`GatherPlan::cost`], [`allgather_cost`]), recorded on a timeline
+//!   ([`GatherPlan::record`], or [`GatherPlan::record_fallible`] under a
+//!   [`FaultInjector`]) and applied to per-node buffers, really moving the
+//!   bytes ([`GatherPlan::apply`]); plus a **point-to-point tracker**
+//!   ([`p2p`]) used by the PGAS baseline's fine-grained remote accesses.
 //!
 //! The paper's central performance claim — one coarse collective beats a
 //! million fine-grained puts — is exactly the `α`/`o` versus `β` trade-off
@@ -22,15 +26,11 @@ pub mod p2p;
 pub mod traced;
 
 pub use collectives::{
-    allgather, allgather_cost, balanced_steps, barrier_time, broadcast_time, broadcast_wire_bytes,
-    collective_step_time, owner_bytes, partial_gather, partial_gather_cost,
-    partial_gather_cost_steps, partial_gather_with_steps, AllgatherAlgo, AllgatherPlacement,
-    CollectiveCost, CollectiveStep, GatherSegment,
+    allgather_cost, barrier_time, broadcast_time, broadcast_wire_bytes, collective_step_time,
+    owner_bytes, AllgatherAlgo, AllgatherPlacement, CollectiveCost, CollectiveStep, GatherPlan,
+    GatherSegment,
 };
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 pub use model::NetModel;
 pub use p2p::{P2pStats, P2pTracker};
-pub use traced::{
-    allgather_cost_traced, allgather_cost_traced_fallible, allgather_traced, broadcast_traced,
-    partial_gather_cost_traced, partial_gather_traced, FaultyGather, GatherAbort,
-};
+pub use traced::{broadcast_traced, FaultyGather, GatherAbort};

@@ -1,112 +1,35 @@
-//! Timeline-emitting wrappers around the collectives.
+//! Recording collectives on the timeline.
 //!
-//! Each wrapper performs (or models) the collective exactly as its
-//! untraced counterpart — same arithmetic, same returned
-//! [`CollectiveCost`] — and additionally records the event into a
-//! [`Timeline`]: one authoritative depth-0 span on the network track whose
-//! duration is the collective's total time, depth-1 child spans for the
-//! individual exchange steps, and one [`WIRE_BYTES`] counter sample per
-//! step.
+//! [`GatherPlan::record`] lays a planned gather out as one authoritative
+//! depth-0 span on the network track whose duration is the plan's total
+//! time, depth-1 child spans for the individual exchange steps, and one
+//! [`WIRE_BYTES`] counter sample per step;
+//! [`GatherPlan::record_fallible`] steps the same plan under a
+//! [`FaultInjector`]. Recording never changes the plan's cost.
 
-use crate::collectives::{
-    allgather_cost, allgather_with_steps, balanced_steps, broadcast_time, broadcast_wire_bytes,
-    owner_bytes, partial_gather_cost_steps, partial_gather_with_steps, AllgatherAlgo,
-    AllgatherPlacement, CollectiveCost, CollectiveStep, GatherSegment,
-};
+use crate::collectives::{broadcast_time, broadcast_wire_bytes, CollectiveStep, GatherPlan};
 use crate::fault::FaultInjector;
 use crate::model::NetModel;
 use cucc_trace::{Category, Timeline, Track, WIRE_BYTES};
 
-/// Lay one collective out on the timeline: parent span of `cost.time` at
-/// `t0`, plus per-step children and wire-byte counters.
-fn record(
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-    cost: &CollectiveCost,
-    steps: &[CollectiveStep],
-    staging_time: f64,
-) {
-    tl.span(label, Track::Network, Category::Allgather, t0, cost.time);
-    let mut t = t0;
-    for (k, step) in steps.iter().enumerate() {
-        tl.child_span(
-            format!("step {k}"),
-            Track::Network,
-            Category::Allgather,
-            t,
-            step.time,
-        );
-        if step.wire_bytes > 0 {
-            tl.counter(WIRE_BYTES, Track::Network, t, step.wire_bytes);
-        }
-        t += step.time;
-    }
-    if staging_time > 0.0 {
-        tl.child_span(
-            "staging copy",
-            Track::Network,
-            Category::Allgather,
-            t,
-            staging_time,
-        );
+/// Step `k` of a gather as a child span at `at`, with its wire-byte sample.
+fn step_span(tl: &mut Timeline, k: usize, step: &CollectiveStep, at: f64) {
+    tl.child_span(
+        format!("step {k}"),
+        Track::Network,
+        Category::Allgather,
+        at,
+        step.time,
+    );
+    if step.wire_bytes > 0 {
+        tl.counter(WIRE_BYTES, Track::Network, at, step.wire_bytes);
     }
 }
 
-/// Functional [`crate::collectives::allgather`] that records the collective
-/// into `tl` starting at absolute simulated time `t0`.
-#[allow(clippy::too_many_arguments)]
-pub fn allgather_traced(
-    regions: &mut [&mut [u8]],
-    seg_sizes: &[u64],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-) -> CollectiveCost {
-    let mut steps = Vec::new();
-    let cost = allgather_with_steps(regions, seg_sizes, model, algo, placement, &mut steps);
-    let staging = if placement == AllgatherPlacement::OutOfPlace {
-        model.local_copy_time(seg_sizes.iter().copied().max().unwrap_or(0))
-    } else {
-        0.0
-    };
-    record(tl, t0, label, &cost, &steps, staging);
-    cost
-}
-
-/// Analytic [`allgather_cost`] that records the modeled collective into
-/// `tl` starting at absolute simulated time `t0`.
-#[allow(clippy::too_many_arguments)]
-pub fn allgather_cost_traced(
-    n: usize,
-    unit: u64,
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-) -> CollectiveCost {
-    let cost = allgather_cost(n, unit, model, algo, placement);
-    let steps = balanced_steps(n, unit, model, algo);
-    let staging = if placement == AllgatherPlacement::OutOfPlace {
-        model.local_copy_time(unit)
-    } else {
-        0.0
-    };
-    record(tl, t0, label, &cost, &steps, staging);
-    cost
-}
-
-/// A fault-aware collective that completed, possibly after retries.
+/// What a fault-stepped gather that completed spent on wasted attempts
+/// (the plan's own cost is unchanged by them).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultyGather {
-    /// Analytic cost of the *successful* collective (identical to the
-    /// fault-free [`allgather_cost`]); wasted attempts are not included.
-    pub cost: CollectiveCost,
     /// Wasted attempts across all steps.
     pub retries: u32,
     /// Total simulated time burned on wasted attempts (timeout + backoff).
@@ -126,155 +49,120 @@ pub struct GatherAbort {
     pub retry_time: f64,
 }
 
-/// Analytic [`allgather_cost`] stepped under a [`FaultInjector`] with the
-/// plan's retry policy.
-///
-/// Each balanced step gets a deadline derived from the cost model
-/// ([`crate::fault::RetryPolicy::deadline`]); attempt `k` of a failing step
-/// wastes `deadline × 2^(k−1)` (exponential backoff), recorded as a depth-0
-/// [`Category::Retry`] span on the network track. When the retries of one
-/// step are exhausted the collective aborts: with the offending peer's slot
-/// if a scripted kill explains it, with `dead_slot: None` otherwise.
-/// Wasted attempts charge **no** wire bytes — the payload never arrived.
-///
-/// When no fault fires, the recorded layout and returned cost are
-/// bit-identical to [`allgather_cost_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn allgather_cost_traced_fallible(
-    n: usize,
-    unit: u64,
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    participants: &[u32],
-    injector: &mut FaultInjector,
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-) -> Result<FaultyGather, GatherAbort> {
-    debug_assert_eq!(participants.len(), n);
-    let cost = allgather_cost(n, unit, model, algo, placement);
-    let steps = balanced_steps(n, unit, model, algo);
-    let staging = if placement == AllgatherPlacement::OutOfPlace {
-        model.local_copy_time(unit)
-    } else {
-        0.0
-    };
-    let policy = injector.policy();
-
-    let mut t = t0;
-    let mut retries = 0u32;
-    let mut retry_time = 0.0f64;
-    let mut starts: Vec<f64> = Vec::with_capacity(steps.len());
-    for (k, step) in steps.iter().enumerate() {
-        let deadline = policy.deadline(step.time, model);
-        let mut attempt = 1u32;
-        loop {
-            let killed = injector.kill_pending(participants, t);
-            let dropped = killed.is_none() && injector.take_drop(t);
-            if killed.is_none() && !dropped {
-                starts.push(t);
-                t += step.time;
-                break;
-            }
-            let wasted = deadline * (1u64 << (attempt - 1)) as f64;
-            tl.span(
-                format!("{label}: step {k} timeout (attempt {attempt})"),
-                Track::Network,
-                Category::Retry,
-                t,
-                wasted,
-            );
-            t += wasted;
-            retry_time += wasted;
-            retries += 1;
-            if attempt == policy.max_attempts {
-                return Err(GatherAbort {
-                    dead_slot: killed,
-                    retries,
-                    retry_time,
-                });
-            }
-            attempt += 1;
+impl GatherPlan {
+    /// Record the gather into `tl` starting at absolute simulated time
+    /// `t0`: parent span of the plan's total time, per-step children and
+    /// wire-byte counters back to back, then the staging copy if any.
+    pub fn record(&self, tl: &mut Timeline, t0: f64, label: &str) {
+        tl.span(
+            label,
+            Track::Network,
+            Category::Allgather,
+            t0,
+            self.cost().time,
+        );
+        let mut t = t0;
+        for (k, step) in self.steps().iter().enumerate() {
+            step_span(tl, k, step, t);
+            t += step.time;
         }
-    }
-
-    if retries == 0 {
-        // Clean run: identical layout and arithmetic to the fault-free path.
-        record(tl, t0, label, &cost, &steps, staging);
-    } else {
-        // Parent span keeps the analytic duration (the authoritative
-        // allgather time excludes retries); children sit at their actual
-        // post-retry positions.
-        tl.span(label, Track::Network, Category::Allgather, t0, cost.time);
-        for (k, (step, &start)) in steps.iter().zip(starts.iter()).enumerate() {
+        if self.staging > 0.0 {
             tl.child_span(
-                format!("step {k}"),
+                "staging copy",
                 Track::Network,
                 Category::Allgather,
-                start,
-                step.time,
+                t,
+                self.staging,
             );
-            if step.wire_bytes > 0 {
-                tl.counter(WIRE_BYTES, Track::Network, start, step.wire_bytes);
-            }
         }
     }
-    Ok(FaultyGather {
-        cost,
-        retries,
-        retry_time,
-    })
-}
 
-/// Functional [`crate::collectives::partial_gather`] that records the
-/// narrowed collective into `tl` starting at `t0`, with the same span
-/// layout as [`allgather_traced`] (parent + per-step children + wire-byte
-/// counters).
-#[allow(clippy::too_many_arguments)]
-pub fn partial_gather_traced(
-    regions: &mut [&mut [u8]],
-    segments: &[GatherSegment],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-) -> CollectiveCost {
-    let mut steps = Vec::new();
-    let cost = partial_gather_with_steps(regions, segments, model, algo, placement, &mut steps);
-    let staging = partial_staging(placement, model, &owner_bytes(regions.len(), segments));
-    record(tl, t0, label, &cost, &steps, staging);
-    cost
-}
+    /// [`GatherPlan::record`] stepped under a [`FaultInjector`] with the
+    /// plan's retry policy; `participants[slot]` is the node id of
+    /// communicator slot `slot`.
+    ///
+    /// Each step gets a deadline derived from the cost model
+    /// ([`crate::fault::RetryPolicy::deadline`]); attempt `k` of a failing
+    /// step wastes `deadline × 2^(k−1)` (exponential backoff), recorded as a
+    /// depth-0 [`Category::Retry`] span on the network track. When the
+    /// retries of one step are exhausted the collective aborts: with the
+    /// offending peer's slot if a scripted kill explains it, with
+    /// `dead_slot: None` otherwise. Wasted attempts charge **no** wire
+    /// bytes — the payload never arrived.
+    ///
+    /// When no fault fires, the recorded layout is bit-identical to
+    /// [`GatherPlan::record`].
+    pub fn record_fallible(
+        &self,
+        participants: &[u32],
+        injector: &mut FaultInjector,
+        tl: &mut Timeline,
+        t0: f64,
+        label: &str,
+    ) -> Result<FaultyGather, GatherAbort> {
+        debug_assert_eq!(participants.len(), self.per_owner.len());
+        let steps = self.steps();
+        let policy = injector.policy();
 
-/// Analytic [`crate::collectives::partial_gather_cost`] that records the
-/// modeled partial gather into `tl` starting at `t0`.
-#[allow(clippy::too_many_arguments)]
-pub fn partial_gather_cost_traced(
-    per_owner: &[u64],
-    model: &NetModel,
-    algo: AllgatherAlgo,
-    placement: AllgatherPlacement,
-    tl: &mut Timeline,
-    t0: f64,
-    label: &str,
-) -> CollectiveCost {
-    let mut steps = Vec::new();
-    let cost = partial_gather_cost_steps(per_owner, model, algo, placement, &mut steps);
-    let staging = partial_staging(placement, model, per_owner);
-    record(tl, t0, label, &cost, &steps, staging);
-    cost
-}
+        let mut t = t0;
+        let mut retries = 0u32;
+        let mut retry_time = 0.0f64;
+        let mut starts: Vec<f64> = Vec::with_capacity(steps.len());
+        for (k, step) in steps.iter().enumerate() {
+            let deadline = policy.deadline(step.time, &self.model);
+            let mut attempt = 1u32;
+            loop {
+                let killed = injector.kill_pending(participants, t);
+                let dropped = killed.is_none() && injector.take_drop(t);
+                if killed.is_none() && !dropped {
+                    starts.push(t);
+                    t += step.time;
+                    break;
+                }
+                let wasted = deadline * (1u64 << (attempt - 1)) as f64;
+                tl.span(
+                    format!("{label}: step {k} timeout (attempt {attempt})"),
+                    Track::Network,
+                    Category::Retry,
+                    t,
+                    wasted,
+                );
+                t += wasted;
+                retry_time += wasted;
+                retries += 1;
+                if attempt == policy.max_attempts {
+                    return Err(GatherAbort {
+                        dead_slot: killed,
+                        retries,
+                        retry_time,
+                    });
+                }
+                attempt += 1;
+            }
+        }
 
-/// Staging-copy duration of an out-of-place partial gather (gated by the
-/// node with the most authoritative bytes), zero in-place.
-fn partial_staging(placement: AllgatherPlacement, model: &NetModel, per_owner: &[u64]) -> f64 {
-    if placement == AllgatherPlacement::OutOfPlace {
-        model.local_copy_time(per_owner.iter().copied().max().unwrap_or(0))
-    } else {
-        0.0
+        if retries == 0 {
+            // Clean run: identical layout and arithmetic to the fault-free path.
+            self.record(tl, t0, label);
+        } else {
+            // Parent span keeps the analytic duration (the authoritative
+            // allgather time excludes retries); children sit at their actual
+            // post-retry positions.
+            tl.span(
+                label,
+                Track::Network,
+                Category::Allgather,
+                t0,
+                self.cost().time,
+            );
+            for (k, (step, &start)) in steps.iter().zip(&starts).enumerate() {
+                step_span(tl, k, step, start);
+            }
+        }
+        Ok(FaultyGather {
+            retries,
+            retry_time,
+        })
     }
 }
 
@@ -302,54 +190,50 @@ pub fn broadcast_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::{
+        allgather_cost, AllgatherAlgo, AllgatherPlacement, GatherPlan, GatherSegment,
+    };
+    use crate::fault::{FaultInjector, FaultPlan};
+
+    fn ring_plan(n: usize, unit: u64) -> GatherPlan {
+        GatherPlan::new(
+            &vec![unit; n],
+            &NetModel::infiniband_100g(),
+            AllgatherAlgo::Ring,
+            AllgatherPlacement::InPlace,
+        )
+    }
 
     #[test]
-    fn traced_allgather_matches_untraced_and_emits_steps() {
-        let model = NetModel::infiniband_100g();
+    fn recorded_gather_carries_the_plan_and_emits_steps() {
         let n = 4usize;
         let seg = 256usize;
-        let mk = || {
-            let mut regions: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; n * seg]).collect();
-            for (i, r) in regions.iter_mut().enumerate() {
-                r[i * seg..(i + 1) * seg].fill(i as u8 + 1);
-            }
-            regions
-        };
-
-        let mut plain = mk();
-        let mut views: Vec<&mut [u8]> = plain.iter_mut().map(|r| r.as_mut_slice()).collect();
-        let want = crate::collectives::allgather(
-            &mut views,
-            &vec![seg as u64; n],
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-        );
+        let plan = ring_plan(n, seg as u64);
+        let want = plan.cost();
 
         let mut tl = Timeline::new();
-        let mut traced = mk();
-        let mut views: Vec<&mut [u8]> = traced.iter_mut().map(|r| r.as_mut_slice()).collect();
-        let got = allgather_traced(
-            &mut views,
-            &vec![seg as u64; n],
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-            &mut tl,
-            0.0,
-            "allgather",
-        );
-        assert_eq!(got, want);
-        assert_eq!(plain, traced);
+        plan.record(&mut tl, 0.0, "allgather");
         // Parent span carries the authoritative time; counters the wire bytes.
         assert_eq!(tl.time_in(Category::Allgather), want.time);
         assert_eq!(tl.wire_bytes(), want.wire_bytes);
         // n−1 ring steps as children plus the parent.
         assert_eq!(tl.spans().len(), n);
+
+        // Recording moved nothing and changed nothing: the same plan still
+        // gathers the bytes.
+        assert_eq!(plan.cost(), want);
+        let mut regions: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; n * seg]).collect();
+        for (i, r) in regions.iter_mut().enumerate() {
+            r[i * seg..(i + 1) * seg].fill(i as u8 + 1);
+        }
+        let mut views: Vec<&mut [u8]> = regions.iter_mut().map(|r| r.as_mut_slice()).collect();
+        plan.apply(&mut views, &GatherSegment::contiguous(&vec![seg as u64; n]));
+        assert!(regions.iter().all(|r| r == &regions[0]));
+        assert_eq!(regions[0][3 * seg], 4);
     }
 
     #[test]
-    fn traced_cost_matches_untraced() {
+    fn recorded_cost_matches_allgather_cost() {
         let model = NetModel::infiniband_100g();
         for algo in [
             AllgatherAlgo::Ring,
@@ -359,17 +243,10 @@ mod tests {
             for n in [1usize, 2, 5, 8] {
                 let mut tl = Timeline::new();
                 let want = allgather_cost(n, 4096, &model, algo, AllgatherPlacement::OutOfPlace);
-                let got = allgather_cost_traced(
-                    n,
-                    4096,
-                    &model,
-                    algo,
-                    AllgatherPlacement::OutOfPlace,
-                    &mut tl,
-                    1.5,
-                    "ag",
-                );
-                assert_eq!(got, want, "{algo:?} n={n}");
+                let plan =
+                    GatherPlan::new(&vec![4096; n], &model, algo, AllgatherPlacement::OutOfPlace);
+                plan.record(&mut tl, 1.5, "ag");
+                assert_eq!(plan.cost(), want, "{algo:?} n={n}");
                 assert_eq!(tl.wire_bytes(), want.wire_bytes, "{algo:?} n={n}");
                 assert_eq!(tl.time_in(Category::Allgather), want.time);
             }
@@ -378,35 +255,14 @@ mod tests {
 
     #[test]
     fn fallible_gather_without_faults_matches_clean_layout() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let model = NetModel::infiniband_100g();
+        let plan = ring_plan(4, 4096);
         let mut clean = Timeline::new();
-        let want = allgather_cost_traced(
-            4,
-            4096,
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-            &mut clean,
-            0.25,
-            "ag",
-        );
+        plan.record(&mut clean, 0.25, "ag");
         let mut tl = Timeline::new();
         let mut inj = FaultInjector::new(FaultPlan::default());
-        let got = allgather_cost_traced_fallible(
-            4,
-            4096,
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-            &[0, 1, 2, 3],
-            &mut inj,
-            &mut tl,
-            0.25,
-            "ag",
-        )
-        .unwrap();
-        assert_eq!(got.cost, want);
+        let got = plan
+            .record_fallible(&[0, 1, 2, 3], &mut inj, &mut tl, 0.25, "ag")
+            .unwrap();
         assert_eq!(got.retries, 0);
         assert_eq!(got.retry_time, 0.0);
         assert_eq!(tl.spans(), clean.spans());
@@ -415,34 +271,17 @@ mod tests {
 
     #[test]
     fn fallible_gather_retries_a_dropped_step() {
-        use crate::fault::{FaultInjector, FaultPlan};
         let model = NetModel::infiniband_100g();
+        let plan = ring_plan(4, 4096);
+        let clean = plan.cost();
         let mut tl = Timeline::new();
         let mut inj = FaultInjector::new(FaultPlan::default().drop_step(0.0));
-        let got = allgather_cost_traced_fallible(
-            4,
-            4096,
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-            &[0, 1, 2, 3],
-            &mut inj,
-            &mut tl,
-            0.0,
-            "ag",
-        )
-        .unwrap();
-        let clean = allgather_cost(
-            4,
-            4096,
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-        );
-        assert_eq!(got.cost, clean, "retries do not change the collective cost");
+        let got = plan
+            .record_fallible(&[0, 1, 2, 3], &mut inj, &mut tl, 0.0, "ag")
+            .unwrap();
+        assert_eq!(plan.cost(), clean, "retries do not change the plan's cost");
         assert_eq!(got.retries, 1);
-        let step = balanced_steps(4, 4096, &model, AllgatherAlgo::Ring)[0];
-        let want_retry = inj.policy().deadline(step.time, &model);
+        let want_retry = inj.policy().deadline(plan.steps()[0].time, &model);
         assert_eq!(got.retry_time, want_retry);
         assert_eq!(tl.time_in(Category::Retry), want_retry);
         assert_eq!(tl.time_in(Category::Allgather), clean.time);
@@ -455,29 +294,18 @@ mod tests {
 
     #[test]
     fn fallible_gather_confirms_a_killed_peer() {
-        use crate::fault::{FaultInjector, FaultPlan};
         let model = NetModel::infiniband_100g();
+        let plan = ring_plan(4, 4096);
         let mut tl = Timeline::new();
         let mut inj = FaultInjector::new(FaultPlan::default().kill(7, 0.0));
-        let err = allgather_cost_traced_fallible(
-            4,
-            4096,
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-            &[3, 5, 7, 9],
-            &mut inj,
-            &mut tl,
-            0.0,
-            "ag",
-        )
-        .unwrap_err();
+        let err = plan
+            .record_fallible(&[3, 5, 7, 9], &mut inj, &mut tl, 0.0, "ag")
+            .unwrap_err();
         assert_eq!(err.dead_slot, Some(2), "slot of node 7 in the communicator");
         assert_eq!(err.retries, inj.policy().max_attempts);
-        let step = balanced_steps(4, 4096, &model, AllgatherAlgo::Ring)[0];
         assert_eq!(
             err.retry_time,
-            inj.policy().detection_time(step.time, &model)
+            inj.policy().detection_time(plan.steps()[0].time, &model)
         );
         assert_eq!(tl.wire_bytes(), 0, "nothing completed");
         // Exhausted transient drops with nobody dead -> timeout, no culprit.
@@ -488,19 +316,9 @@ mod tests {
                 .drop_step(0.0)
                 .drop_step(0.0),
         );
-        let err = allgather_cost_traced_fallible(
-            2,
-            512,
-            &model,
-            AllgatherAlgo::Ring,
-            AllgatherPlacement::InPlace,
-            &[0, 1],
-            &mut inj,
-            &mut tl,
-            0.0,
-            "ag",
-        )
-        .unwrap_err();
+        let err = ring_plan(2, 512)
+            .record_fallible(&[0, 1], &mut inj, &mut tl, 0.0, "ag")
+            .unwrap_err();
         assert_eq!(err.dead_slot, None);
     }
 

@@ -565,6 +565,9 @@ impl CommonOpts {
 
     /// The simulated cluster the `--cluster`/`--nodes` pair names.
     fn spec(&self) -> Result<ClusterSpec, String> {
+        if self.nodes == 0 {
+            return Err("--nodes: a cluster needs at least one node".into());
+        }
         match self.cluster.as_str() {
             "simd" => Ok(ClusterSpec::simd_focused().with_nodes(self.nodes)),
             "thread" => Ok(ClusterSpec::thread_focused().with_nodes(self.nodes)),
@@ -594,17 +597,23 @@ impl std::ops::Deref for RunOpts {
     }
 }
 
-fn parse_dim(s: &str) -> Result<Dim3, String> {
+/// A `--grid`/`--block` value, `X[,Y[,Z]]`; every extent is at least 1 (a
+/// grid without blocks or a block without threads launches nothing).
+fn parse_dim(flag: &str, s: &str) -> Result<Dim3, String> {
     let parts: Vec<u32> = s
         .split(',')
         .map(|p| p.parse().map_err(|_| format!("bad dimension `{s}`")))
         .collect::<Result<_, _>>()?;
-    match parts.as_slice() {
-        [x] => Ok(Dim3::new1(*x)),
-        [x, y] => Ok(Dim3::new2(*x, *y)),
-        [x, y, z] => Ok(Dim3::new3(*x, *y, *z)),
-        _ => Err(format!("bad dimension `{s}` (use X[,Y[,Z]])")),
+    let dim = match parts.as_slice() {
+        [x] => Dim3::new1(*x),
+        [x, y] => Dim3::new2(*x, *y),
+        [x, y, z] => Dim3::new3(*x, *y, *z),
+        _ => return Err(format!("bad dimension `{s}` (use X[,Y[,Z]])")),
+    };
+    if dim.count() == 0 {
+        return Err(format!("{flag}: `{s}` has a zero extent"));
     }
+    Ok(dim)
 }
 
 impl RunOpts {
@@ -627,8 +636,8 @@ impl RunOpts {
                 continue;
             }
             match flag.as_str() {
-                "--grid" => o.grid = parse_dim(value(&mut rest, flag)?)?,
-                "--block" => o.block = parse_dim(value(&mut rest, flag)?)?,
+                "--grid" => o.grid = parse_dim(flag, value(&mut rest, flag)?)?,
+                "--block" => o.block = parse_dim(flag, value(&mut rest, flag)?)?,
                 "--streams" => {
                     o.streams = value(&mut rest, flag)?
                         .parse()
@@ -650,23 +659,11 @@ impl RunOpts {
         Ok(o)
     }
 
-    /// The shared runtime knobs plus `run`'s session flags, as the one
-    /// typed value the cluster consumes. Every flag was validated when it
-    /// was parsed; the `Result` is for the callers' `?`.
-    fn to_run_options(&self) -> Result<RunOptions, String> {
-        let mut b = self
-            .run
-            .clone()
-            .sanitize(self.sanitize)
-            .streams(self.streams)
-            .graph_iters(self.graph);
-        if let Some(path) = &self.checkpoint {
-            b = b.checkpoint_to(path);
-        }
-        if let Some(path) = &self.restore {
-            b = b.restore_from(path);
-        }
-        Ok(b.build())
+    /// The shared runtime knobs plus `--sanitize`, as the one typed value
+    /// the cluster consumes. The session flags (`--streams`, `--graph`,
+    /// `--checkpoint`, `--restore`) stay here: `cmd_run` drives them itself.
+    fn to_run_options(&self) -> RunOptions {
+        self.run.clone().sanitize(self.sanitize).build()
     }
 }
 
@@ -811,9 +808,11 @@ impl ServeOpts {
                         .map_err(|e| format!("--queue-depth: {e}"))?;
                 }
                 "--gap-us" => {
-                    o.gap_us = value(&mut rest, flag)?
-                        .parse()
-                        .map_err(|e| format!("--gap-us: {e}"))?;
+                    let v = value(&mut rest, flag)?;
+                    o.gap_us = v.parse().map_err(|e| format!("--gap-us: {e}"))?;
+                    if !o.gap_us.is_finite() || o.gap_us < 0.0 {
+                        return Err(format!("--gap-us: `{v}` is not a finite, non-negative gap"));
+                    }
                 }
                 other => return Err(format!("unknown option `{other}`")),
             }
@@ -960,7 +959,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
     out += &format!("  A100 (roofline reference): {:.3} ms\n", gpu_time * 1e3);
 
     // CuCC cluster: every flag lands in one typed RunOptions.
-    let options = opts.to_run_options()?;
+    let options = opts.to_run_options();
     let (mut cl, cargs) = if let Some(path) = &opts.restore {
         // Resume mid-job: buffers already live in the image, in the same
         // allocation order the fresh run would have created them.
@@ -1134,12 +1133,12 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         );
     }
 
-    if options.streams > 0 {
+    if opts.streams > 0 {
         // Replay the kernel as a pipeline of independent replicas — fresh
         // buffers, async h2d + launch per replica, round-robin over the
         // streams — and compare the simulated elapsed time against the
         // same pipeline on the default stream.
-        let replicas = options.streams * 3;
+        let replicas = opts.streams * 3;
         let run_pipe = |nstreams: usize| -> Result<f64, String> {
             let mut cl = CuccCluster::with_options(spec.clone(), options.clone());
             let streams: Vec<_> = (0..nstreams).map(|_| cl.stream_create()).collect();
@@ -1163,10 +1162,10 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
             cl.synchronize().map_err(|e| e.to_string())
         };
         let serial = run_pipe(0)?;
-        let overlapped = run_pipe(options.streams)?;
+        let overlapped = run_pipe(opts.streams)?;
         out += &format!(
             "  streams: {}-way pipeline, {} replicas: serial {:.3} ms → overlapped {:.3} ms ({:.2}x)\n",
-            options.streams,
+            opts.streams,
             replicas,
             serial * 1e3,
             overlapped * 1e3,
@@ -1174,7 +1173,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         );
     }
 
-    if options.graph_iters > 0 {
+    if opts.graph > 0 {
         // Capture the workload's sequence (buffer uploads + the launch)
         // into a launch graph, replay it N times, and report what the
         // schedule cache and the communication optimizer saved.
@@ -1190,14 +1189,14 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         cap.launch(&ck, launch, &gr_args);
         let graph = cap.finish();
         let mut total = ReplayStats::default();
-        for _ in 0..options.graph_iters {
+        for _ in 0..opts.graph {
             let s = gcl.graph_replay(&graph).map_err(|e| e.to_string())?;
             total.accumulate(&s);
         }
         out += &format!(
             "  graph: {} op(s) captured, replayed {}x: cache hit rate {:.1}% ({} hit / {} miss)\n",
             graph.len(),
-            options.graph_iters,
+            opts.graph,
             total.cache_hit_rate() * 100.0,
             total.cache_hits,
             total.cache_misses,
@@ -1699,6 +1698,20 @@ mod tests {
         assert!(dispatch(&["analyze".to_string()]).is_err());
         let cov = dispatch(&["coverage".to_string()]).unwrap();
         assert!(cov.contains("21/21") || cov.contains("8/13"), "{cov}");
+        // Degenerate shapes are refused by name, not by a panic in the
+        // simulator or an `infx faster` report.
+        let path = std::env::temp_dir().join("cucc_dispatch_errors.cu");
+        std::fs::write(&path, SAXPY).unwrap();
+        let run = |flag: &str| {
+            let args = ["run", path.to_str().unwrap(), flag, "0"];
+            dispatch(&args.map(String::from)).unwrap_err()
+        };
+        for flag in ["--nodes", "--grid", "--block"] {
+            assert!(run(flag).contains(flag), "{flag}");
+        }
+        std::fs::remove_file(&path).ok();
+        let serve = ["serve", "--nodes", "0"].map(String::from);
+        assert!(dispatch(&serve).unwrap_err().contains("--nodes"));
     }
 
     #[test]
@@ -1816,6 +1829,10 @@ mod tests {
         assert!((opts.gap_us - 50.0).abs() < 1e-12);
         assert!(ServeOpts::parse(&["--policy".into(), "lifo".into()]).is_err());
         assert!(ServeOpts::parse(&["--synthetic".into(), "depth=2".into()]).is_err());
+        for gap in ["nan", "inf", "-5"] {
+            let err = ServeOpts::parse(&["--gap-us".into(), gap.into()]).err();
+            assert!(err.is_some_and(|e| e.contains("--gap-us")), "{gap}");
+        }
     }
 
     #[test]
@@ -1863,12 +1880,14 @@ mod tests {
             .collect::<Vec<_>>(),
         )
         .unwrap();
-        let ro = opts.to_run_options().unwrap();
-        assert_eq!(ro.streams, 3);
-        assert_eq!(ro.graph_iters, 5);
+        // The runtime knobs fold into the cluster's options; the session
+        // flags stay on `RunOpts`, where `cmd_run` reads them.
+        let ro = opts.to_run_options();
+        assert_eq!(ro.runtime.fidelity, cucc::core::ExecutionFidelity::Modeled);
         assert_eq!(ro.runtime.node_threads, 2);
         assert!(!ro.runtime.faults.is_empty());
-        assert!(ro.checkpoint_to.is_some());
-        assert!(ro.restore_from.is_none());
+        assert_eq!((opts.streams, opts.graph), (3, 5));
+        assert!(opts.checkpoint.is_some());
+        assert!(opts.restore.is_none());
     }
 }

@@ -10,6 +10,7 @@ use cucc::cluster::ClusterSpec;
 use cucc::core::{compile_source, CuccCluster, GraphCapture, LaunchGraph, RuntimeConfig};
 use cucc::exec::Arg;
 use cucc::ir::LaunchConfig;
+use cucc::trace::Category;
 use proptest::prelude::*;
 
 const ELEMS: usize = 1024;
@@ -247,6 +248,32 @@ fn external_launch_materializes_pending_state() {
     b.launch(&cons, launch_cfg(), &[Arg::Buffer(xb), Arg::Buffer(yb)])
         .unwrap();
     assert_eq!(a.download::<u8>(y).unwrap(), b.download::<u8>(yb).unwrap());
+
+    // A materialization costs what its plan says whether or not bytes
+    // move: the deferred gather of a 128 KiB producer, forced by a
+    // download, takes the same simulated time bit for bit in functional
+    // and in modeled fidelity. (The functional ring used to sum its step
+    // times where the model multiplied — unequal from 5 nodes on.)
+    let big = 32768usize;
+    let materialize_time = |nodes: u32, config: RuntimeConfig| {
+        let spec = ClusterSpec::simd_focused().with_nodes(nodes);
+        let mut cl = CuccCluster::with_options(spec, config);
+        let x = cl.alloc(big * 4);
+        cl.upload::<f32>(x, &seeded(19, big)).unwrap();
+        let mut cap = GraphCapture::new();
+        let launch = LaunchConfig::cover1(big as u64, THREADS);
+        cap.launch(&prod, launch, &[Arg::Buffer(x)]);
+        cl.graph_replay(&cap.finish()).unwrap();
+        assert_eq!(cl.pending_gathers(), vec![x]);
+        cl.download::<u8>(x).unwrap();
+        cl.timeline().time_in(Category::Allgather)
+    };
+    for nodes in [8, 16] {
+        let functional = materialize_time(nodes, RuntimeConfig::default());
+        let modeled = materialize_time(nodes, RuntimeConfig::modeled());
+        assert!(functional > 0.0, "{nodes} nodes: the gather was deferred");
+        assert_eq!(functional.to_bits(), modeled.to_bits(), "{nodes} nodes");
+    }
 }
 
 /// Replay accounting is relative to a timeline mark taken before each

@@ -256,7 +256,7 @@ mod partition_properties {
 }
 
 mod allgather_properties {
-    use cucc::net::{allgather, AllgatherAlgo, AllgatherPlacement, NetModel};
+    use cucc::net::{AllgatherAlgo, AllgatherPlacement, GatherPlan, GatherSegment, NetModel};
     use proptest::prelude::*;
 
     proptest! {
@@ -275,6 +275,7 @@ mod allgather_properties {
             let total = n * unit;
             let reference: Vec<u8> = (0..total).map(|_| rng.gen()).collect();
             let model = NetModel::infiniband_100g();
+            let sizes = vec![unit as u64; n];
             for algo in [
                 AllgatherAlgo::Ring,
                 AllgatherAlgo::RecursiveDoubling,
@@ -290,13 +291,9 @@ mod allgather_properties {
                     .collect();
                 let mut views: Vec<&mut [u8]> =
                     regions.iter_mut().map(|r| r.as_mut_slice()).collect();
-                let cost = allgather(
-                    &mut views,
-                    &vec![unit as u64; n],
-                    &model,
-                    algo,
-                    AllgatherPlacement::InPlace,
-                );
+                let plan = GatherPlan::new(&sizes, &model, algo, AllgatherPlacement::InPlace);
+                plan.apply(&mut views, &GatherSegment::contiguous(&sizes));
+                let cost = plan.cost();
                 for (i, r) in regions.iter().enumerate() {
                     prop_assert_eq!(r, &reference, "algo {:?} node {}", algo, i);
                 }

@@ -8,7 +8,7 @@ use cucc::cluster::ClusterSpec;
 use cucc::core::{compile_source, CuccCluster, ExecMode, RuntimeConfig};
 use cucc::exec::Arg;
 use cucc::ir::LaunchConfig;
-use cucc::net::{allgather_cost, balanced_steps, AllgatherAlgo, AllgatherPlacement, NetModel};
+use cucc::net::{allgather_cost, AllgatherAlgo, AllgatherPlacement, GatherPlan, NetModel};
 use cucc::trace::{json, Category, Timeline, Track, WIRE_BYTES};
 use proptest::prelude::*;
 
@@ -147,9 +147,10 @@ proptest! {
         }
     }
 
-    /// The per-step span decomposition of a balanced Allgather reproduces
-    /// the closed-form `allgather_cost` wire traffic exactly, and the sum
-    /// of step times is within float-accumulation distance of the total.
+    /// The steps of a balanced gather plan account for exactly the wire
+    /// traffic of `allgather_cost` (the plan's own cost), and their times
+    /// sum to within float-accumulation distance of its total (the ring
+    /// total is `steps × step`, not the running sum).
     #[test]
     fn balanced_steps_match_closed_form(
         n in 1usize..33,
@@ -162,7 +163,9 @@ proptest! {
     ) {
         let model = NetModel::infiniband_100g();
         let cost = allgather_cost(n, unit, &model, algo, AllgatherPlacement::InPlace);
-        let steps = balanced_steps(n, unit, &model, algo);
+        let plan = GatherPlan::new(&vec![unit; n], &model, algo, AllgatherPlacement::InPlace);
+        prop_assert_eq!(plan.cost(), cost);
+        let steps = plan.steps();
         let wire: u64 = steps.iter().map(|s| s.wire_bytes).sum();
         prop_assert_eq!(wire, cost.wire_bytes);
         let t: f64 = steps.iter().map(|s| s.time).sum();
