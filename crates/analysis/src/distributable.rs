@@ -1,7 +1,13 @@
-//! The **Allgather distributable analysis** (paper §6).
+//! The **Allgather distributable analysis** (paper §6) and the one walk
+//! over a kernel's memory accesses that every other analysis reads.
 //!
-//! For every global-memory write instruction the analysis checks the three
-//! conditions of §6.2:
+//! [`KernelAccesses::of_kernel`] visits the kernel body once and records
+//! every memory access — load, store, atomic — with its affine index, the
+//! classified guard conjuncts on its path, its enclosing loops and whether
+//! its evaluation is conditional. Nothing in it depends on a launch. The
+//! global stores and atomics of that list are the *write sites* of §6
+//! ([`KernelAccesses::writes`]); for each one [`analyze_kernel`] checks the
+//! three conditions of §6.2:
 //!
 //! 1. treating block index and block size as constants, the write index is
 //!    an affine function of the thread index with invariant coefficients;
@@ -13,18 +19,21 @@
 //!    CuCC-rs generalization needed by kernels like BinomialOption);
 //! 3. treating thread index as constant, the write index is an affine
 //!    function of the block index with a positive coefficient (positivity
-//!    and exact coverage are confirmed at launch time by the planner's
-//!    probe, because the coefficients are symbolic polynomials).
+//!    and exact coverage are confirmed at launch time by the planner,
+//!    because the coefficients are symbolic polynomials).
 //!
-//! Kernels passing all conditions are [`Verdict::Distributable`]; the rest
-//! fall back to replicated execution ([`Verdict::Trivial`]) with the reasons
-//! recorded — these reasons drive the Figure 7 coverage evaluation.
+//! Kernels passing all conditions are [`Verdict::Distributable`] and carry
+//! the access list to launch time, where [`crate::footprint`] resolves it
+//! once per launch; the rest fall back to replicated execution
+//! ([`Verdict::Trivial`]) with the reasons recorded — these reasons drive
+//! the Figure 7 coverage evaluation.
 
 use crate::affine::{affine_of_expr, AffineForm, IdxVar, VarForms};
 use crate::poly::Poly;
 use crate::variance::{expr_variance, var_variance, Variance};
-use cucc_ir::{BinOp, Expr, Kernel, MemRef, ParamId, Stmt};
+use cucc_ir::{BinOp, Expr, Kernel, MemRef, ParamId, Stmt, ValueKind, VarId};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A tail-divergent guard `lhs < bound`.
@@ -36,7 +45,7 @@ pub struct TailGuard {
     pub bound: Poly,
 }
 
-/// Classification of one guard conjunct enclosing a write.
+/// Classification of one guard conjunct enclosing an access.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GuardClass {
     /// Launch-invariant condition: identical for every thread and block.
@@ -52,23 +61,386 @@ pub enum GuardClass {
     Variant,
 }
 
-/// One global-memory write instruction with its analysis context.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WriteSite {
-    /// The written buffer parameter.
-    pub buffer: ParamId,
+/// A comparison conjunct in affine form, normalized to `small < big`
+/// (`small <= big` when `inclusive`, `small == big` when `eq`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Comparison {
+    /// The side the comparison bounds from above.
+    pub small: AffineForm,
+    /// The side the comparison bounds from below.
+    pub big: AffineForm,
+    /// `<=` / `>=` / `==` rather than `<` / `>`.
+    pub inclusive: bool,
+    /// `==`: both sides bound each other.
+    pub eq: bool,
+}
+
+/// One guard conjunct on the path to an access.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Guard {
+    /// What the conjunct means for distribution.
+    pub class: GuardClass,
+    /// The conjunct as an affine comparison, when it is one and the access
+    /// sits on its true branch — the bounds rule narrows index ranges by
+    /// it. `None` on an `else` branch: the negated condition still guards
+    /// the access but bounds nothing.
+    pub cmp: Option<Comparison>,
+}
+
+/// One memory access with everything the analyses ask about it that does
+/// not depend on the launch.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Access {
+    /// The memory accessed.
+    pub mem: MemRef,
     /// Element size in bytes.
     pub elem_size: usize,
-    /// Affine form of the write index (in elements), if affine.
-    pub index: Option<AffineForm>,
-    /// True for atomic read-modify-writes.
+    /// A store or an atomic (an atomic is also a read).
+    pub write: bool,
+    /// An atomic read-modify-write.
     pub atomic: bool,
+    /// Affine form of the index (in elements), if affine.
+    pub index: Option<AffineForm>,
     /// True when the index expression contains a memory load.
     pub indirect: bool,
-    /// Classification of every enclosing guard conjunct.
-    pub guards: Vec<GuardClass>,
+    /// Every enclosing guard conjunct, outermost first.
+    pub guards: Vec<Guard>,
+    /// Induction variables of every enclosing `for`, outermost first.
+    pub loops: Vec<VarId>,
     /// True when an enclosing loop has thread- or block-variant bounds.
     pub variant_loop: bool,
+    /// Inside a `Select` arm or a short-circuit operand: evaluation is not
+    /// guaranteed even where the guards hold.
+    pub conditional: bool,
+}
+
+impl Access {
+    /// The buffer parameter, for a global store or atomic — a write site.
+    pub fn written_param(&self) -> Option<ParamId> {
+        match self.mem {
+            MemRef::Global(p) if self.write => Some(p),
+            _ => None,
+        }
+    }
+
+    /// True when every guard on the path is a tail guard — the guards a
+    /// full block passes in every thread.
+    pub fn only_tail_guards(&self) -> bool {
+        self.tail_guards().count() == self.guards.len()
+    }
+
+    /// The tail guards on the path to the access.
+    pub fn tail_guards(&self) -> impl Iterator<Item = &TailGuard> {
+        self.guards.iter().filter_map(|g| match &g.class {
+            GuardClass::Tail(t) => Some(t),
+            _ => None,
+        })
+    }
+}
+
+/// Every memory access of a kernel, in the order the tree-walk interpreter
+/// evaluates them (an index's own loads before the access that uses it),
+/// plus the kernel-wide facts the launch-time consumers need beside them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct KernelAccesses {
+    /// The accesses.
+    pub list: Vec<Access>,
+    /// Launch-invariant `[start, end, step]` of each `for`, keyed by its
+    /// induction variable; `None` when a bound is not a launch constant, or
+    /// when that one range does not describe every value the variable is
+    /// read at: it drives a second `for`, is assigned outside the `for`
+    /// header, or is read outside the loop body (where it holds the exit
+    /// value).
+    pub loops: BTreeMap<VarId, Option<[Poly; 3]>>,
+    /// No `return` and no division by a non-literal: no thread stops, and no
+    /// block faults, before it has made every access its guards admit.
+    pub runs_to_completion: bool,
+    /// The tree-walk computes what the forms say: every `__syncthreads()`
+    /// sits under launch-uniform control flow (no divergence trap) and no
+    /// integer cast narrower than 64 bits is looked through (no wrap).
+    pub faithful: bool,
+}
+
+impl KernelAccesses {
+    /// Walk the kernel once.
+    pub fn of_kernel(kernel: &Kernel) -> KernelAccesses {
+        let mut w = Walker {
+            kernel,
+            forms: VarForms::of_kernel(kernel),
+            variance: var_variance(kernel),
+            out: KernelAccesses {
+                list: Vec::new(),
+                loops: BTreeMap::new(),
+                runs_to_completion: true,
+                faithful: true,
+            },
+            guards: Vec::new(),
+            loops: Vec::new(),
+            variant_loop: false,
+            unranged: Vec::new(),
+        };
+        w.stmts(&kernel.body);
+        for v in w.unranged {
+            if let Some(bounds) = w.out.loops.get_mut(&v) {
+                *bounds = None;
+            }
+        }
+        w.out
+    }
+
+    /// The write sites of §6 — global stores and atomics, numbered as
+    /// diagnostics number them — with their position in [`Self::list`] and
+    /// the buffer they write.
+    pub fn writes(&self) -> impl Iterator<Item = (usize, ParamId, &Access)> {
+        self.list
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| Some((i, a.written_param()?, a)))
+    }
+}
+
+struct Walker<'k> {
+    kernel: &'k Kernel,
+    forms: VarForms,
+    variance: Vec<Variance>,
+    out: KernelAccesses,
+    guards: Vec<Guard>,
+    loops: Vec<VarId>,
+    variant_loop: bool,
+    /// Variables that, where they are a loop's induction variable, take
+    /// values its `[start, end, step]` does not describe.
+    unranged: Vec<VarId>,
+}
+
+impl Walker<'_> {
+    /// The affine form of `e`. A loop variable it mentions outside that
+    /// loop's body is read at a value the loop's range does not hold.
+    fn form(&mut self, e: &Expr) -> Option<AffineForm> {
+        let form = affine_of_expr(e, &self.forms)?;
+        for v in form.vars() {
+            match v {
+                IdxVar::Loop(lv) if !self.loops.contains(&lv) => self.unranged.push(lv),
+                _ => {}
+            }
+        }
+        Some(form)
+    }
+
+    fn access(&mut self, mem: MemRef, index: &Expr, write: bool, atomic: bool, conditional: bool) {
+        let index_form = self.form(index);
+        self.out.list.push(Access {
+            mem,
+            elem_size: self.kernel.elem_type(mem).size(),
+            write,
+            atomic,
+            index: index_form,
+            indirect: index.has_load(),
+            guards: self.guards.clone(),
+            loops: self.loops.clone(),
+            variant_loop: self.variant_loop,
+            conditional,
+        });
+    }
+
+    /// Read a conjunct as a comparison of two affine forms.
+    fn comparison(&mut self, e: &Expr) -> Option<Comparison> {
+        let Expr::Binary { op, lhs, rhs } = e else {
+            return None;
+        };
+        let (small, big, inclusive, eq) = match op {
+            BinOp::Lt => (lhs, rhs, false, false),
+            BinOp::Le => (lhs, rhs, true, false),
+            BinOp::Gt => (rhs, lhs, false, false),
+            BinOp::Ge => (rhs, lhs, true, false),
+            BinOp::Eq => (lhs, rhs, true, true),
+            _ => return None,
+        };
+        Some(Comparison {
+            small: self.form(small)?,
+            big: self.form(big)?,
+            inclusive,
+            eq,
+        })
+    }
+
+    fn expr(&mut self, e: &Expr, conditional: bool) {
+        match e {
+            Expr::Load { mem, index } => {
+                self.expr(index, conditional);
+                self.access(*mem, index, false, false, conditional);
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let literal_divisor = matches!(&**rhs, Expr::IntConst(c) if *c != 0)
+                    || matches!(&**rhs, Expr::FloatConst(_));
+                if matches!(op, BinOp::Div | BinOp::Rem) && !literal_divisor {
+                    self.out.runs_to_completion = false;
+                }
+                let short_circuit = matches!(op, BinOp::LAnd | BinOp::LOr);
+                self.expr(lhs, conditional);
+                self.expr(rhs, conditional || short_circuit);
+            }
+            Expr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => {
+                self.expr(cond, conditional);
+                self.expr(then_value, true);
+                self.expr(else_value, true);
+            }
+            Expr::Cast { ty, arg } => {
+                if ty.kind() == ValueKind::Int && ty.size() < 8 {
+                    self.out.faithful = false;
+                }
+                self.expr(arg, conditional)
+            }
+            Expr::Unary { arg, .. } => self.expr(arg, conditional),
+            Expr::Call { args, .. } => {
+                for a in args {
+                    self.expr(a, conditional);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt]) {
+        for s in stmts {
+            match s {
+                Stmt::Assign { var, value } => {
+                    self.unranged.push(*var);
+                    self.expr(value, false)
+                }
+                Stmt::Store { mem, index, value }
+                | Stmt::AtomicRmw {
+                    mem, index, value, ..
+                } => {
+                    self.expr(index, false);
+                    self.expr(value, false);
+                    let atomic = matches!(s, Stmt::AtomicRmw { .. });
+                    self.access(*mem, index, true, atomic, false);
+                }
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    self.expr(cond, false);
+                    let mut conjuncts = Vec::new();
+                    split_conjuncts(cond, &mut conjuncts);
+                    let depth = self.guards.len();
+                    for c in conjuncts {
+                        let cmp = self.comparison(c);
+                        let class = classify_conjunct(c, cmp.as_ref(), &self.variance);
+                        self.guards.push(Guard { class, cmp });
+                    }
+                    self.stmts(then_body);
+                    if !else_body.is_empty() {
+                        // In the else branch the condition is negated:
+                        // uniform and per-thread-uniform conjuncts stay in
+                        // their class (negation preserves invariance); tail
+                        // guards become head-divergent, i.e. unsupported.
+                        for g in &mut self.guards[depth..] {
+                            g.cmp = None;
+                            if matches!(g.class, GuardClass::Tail(_)) {
+                                g.class = GuardClass::Variant;
+                            }
+                        }
+                        self.stmts(else_body);
+                    }
+                    self.guards.truncate(depth);
+                }
+                Stmt::For {
+                    var,
+                    start,
+                    end,
+                    step,
+                    body,
+                } => {
+                    let mut bounds = Variance::uniform();
+                    let mut consts = Vec::with_capacity(3);
+                    for e in [start, end, step] {
+                        self.expr(e, false);
+                        bounds = bounds.join(expr_variance(e, &self.variance));
+                        consts.extend(
+                            affine_of_expr(e, &self.forms)
+                                .filter(AffineForm::is_constant)
+                                .map(|f| f.constant),
+                        );
+                    }
+                    if self
+                        .out
+                        .loops
+                        .insert(*var, consts.try_into().ok())
+                        .is_some()
+                    {
+                        self.unranged.push(*var);
+                    }
+                    let outer = self.variant_loop;
+                    self.variant_loop |= bounds.thread || bounds.block;
+                    self.loops.push(*var);
+                    self.stmts(body);
+                    self.loops.pop();
+                    self.variant_loop = outer;
+                }
+                Stmt::SyncThreads => {
+                    let uniform = |g: &Guard| matches!(g.class, GuardClass::Uniform);
+                    if self.variant_loop || !self.guards.iter().all(uniform) {
+                        self.out.faithful = false;
+                    }
+                }
+                Stmt::Return => self.out.runs_to_completion = false,
+            }
+        }
+    }
+}
+
+fn split_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+    if let Expr::Binary {
+        op: BinOp::LAnd,
+        lhs,
+        rhs,
+    } = e
+    {
+        split_conjuncts(lhs, out);
+        split_conjuncts(rhs, out);
+    } else {
+        out.push(e);
+    }
+}
+
+fn classify_conjunct(e: &Expr, cmp: Option<&Comparison>, variance: &[Variance]) -> GuardClass {
+    let v = expr_variance(e, variance);
+    if !v.thread && !v.block {
+        return GuardClass::Uniform;
+    }
+    // Block-invariant thread selection: identical subset in every block.
+    // Loads are excluded (expr_variance marks them block-variant).
+    if !v.block {
+        return GuardClass::PerThreadUniform;
+    }
+    // Tail pattern `variant < bound`: the variant side must be on the small
+    // side of `<`; the bound must be launch-invariant; loop variables may
+    // not appear.
+    match cmp {
+        Some(c)
+            if !c.eq
+                && c.big.is_constant()
+                && !c.small.is_constant()
+                && !c.small.vars().any(|v| matches!(v, IdxVar::Loop(_))) =>
+        {
+            let bound = if c.inclusive {
+                c.big.constant.add(&Poly::constant(1))
+            } else {
+                c.big.constant.clone()
+            };
+            GuardClass::Tail(TailGuard {
+                lhs: c.small.clone(),
+                bound,
+            })
+        }
+        _ => GuardClass::Variant,
+    }
 }
 
 /// Why a kernel is only *trivially* Allgather distributable (replicated
@@ -126,9 +498,9 @@ pub struct KernelMeta {
     pub buffers: Vec<GatherBuffer>,
     /// Deduplicated tail guards (empty ⇒ no tail divergence).
     pub tail_guards: Vec<TailGuard>,
-    /// All analyzed write sites (kept for the launch-time planner and for
-    /// diagnostics).
-    pub sites: Vec<WriteSite>,
+    /// Every access of the kernel, write sites included: what the
+    /// launch-time planner resolves against a launch.
+    pub accesses: KernelAccesses,
 }
 
 impl KernelMeta {
@@ -173,12 +545,16 @@ impl Verdict {
 
 /// Run the Allgather distributable analysis on a kernel.
 pub fn analyze_kernel(kernel: &Kernel) -> Verdict {
-    let sites = collect_write_sites(kernel);
-    if sites.is_empty() {
+    distributable_verdict(&KernelAccesses::of_kernel(kernel))
+}
+
+/// The §6 verdict, read off a kernel's access list.
+pub(crate) fn distributable_verdict(accesses: &KernelAccesses) -> Verdict {
+    if accesses.writes().next().is_none() {
         return Verdict::Trivial(vec![Reason::NoGlobalWrites]);
     }
     let mut reasons = Vec::new();
-    for site in &sites {
+    for (_, _, site) in accesses.writes() {
         if site.atomic {
             push_unique(&mut reasons, Reason::AtomicWrite);
             continue;
@@ -194,7 +570,11 @@ pub fn analyze_kernel(kernel: &Kernel) -> Verdict {
         if site.variant_loop {
             push_unique(&mut reasons, Reason::VariantLoopBounds);
         }
-        if site.guards.iter().any(|g| matches!(g, GuardClass::Variant)) {
+        if site
+            .guards
+            .iter()
+            .any(|g| matches!(g.class, GuardClass::Variant))
+        {
             push_unique(&mut reasons, Reason::VariantGuard);
         }
         // Condition 3 (static part): the index must advance with the block
@@ -215,18 +595,16 @@ pub fn analyze_kernel(kernel: &Kernel) -> Verdict {
     // Assemble metadata.
     let mut buffers: Vec<GatherBuffer> = Vec::new();
     let mut tail_guards: Vec<TailGuard> = Vec::new();
-    for site in &sites {
-        if !buffers.iter().any(|b| b.param == site.buffer) {
+    for (_, param, site) in accesses.writes() {
+        if !buffers.iter().any(|b| b.param == param) {
             buffers.push(GatherBuffer {
-                param: site.buffer,
+                param,
                 elem_size: site.elem_size,
             });
         }
-        for g in &site.guards {
-            if let GuardClass::Tail(t) = g {
-                if !tail_guards.contains(t) {
-                    tail_guards.push(t.clone());
-                }
+        for t in site.tail_guards() {
+            if !tail_guards.contains(t) {
+                tail_guards.push(t.clone());
             }
         }
     }
@@ -234,7 +612,7 @@ pub fn analyze_kernel(kernel: &Kernel) -> Verdict {
     Verdict::Distributable(KernelMeta {
         buffers,
         tail_guards,
-        sites,
+        accesses: accesses.clone(),
     })
 }
 
@@ -242,185 +620,6 @@ fn push_unique(v: &mut Vec<Reason>, r: Reason) {
     if !v.contains(&r) {
         v.push(r);
     }
-}
-
-/// Collect every global write instruction with its guard and loop context.
-pub fn collect_write_sites(kernel: &Kernel) -> Vec<WriteSite> {
-    let forms = VarForms::of_kernel(kernel);
-    let variance = var_variance(kernel);
-    let mut out = Vec::new();
-    let mut guards: Vec<GuardClass> = Vec::new();
-    walk(
-        kernel,
-        &kernel.body,
-        &forms,
-        &variance,
-        &mut guards,
-        false,
-        &mut out,
-    );
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    kernel: &Kernel,
-    stmts: &[Stmt],
-    forms: &VarForms,
-    variance: &[Variance],
-    guards: &mut Vec<GuardClass>,
-    variant_loop: bool,
-    out: &mut Vec<WriteSite>,
-) {
-    for s in stmts {
-        match s {
-            Stmt::Store { mem, index, value }
-            | Stmt::AtomicRmw {
-                mem, index, value, ..
-            } => {
-                let MemRef::Global(p) = mem else { continue };
-                let _ = value;
-                let atomic = matches!(s, Stmt::AtomicRmw { .. });
-                let indirect = index.has_load();
-                out.push(WriteSite {
-                    buffer: *p,
-                    elem_size: kernel.elem_type(*mem).size(),
-                    index: affine_of_expr(index, forms),
-                    atomic,
-                    indirect,
-                    guards: guards.clone(),
-                    variant_loop,
-                });
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let classes = classify_guard(cond, forms, variance);
-                let depth = classes.len();
-                guards.extend(classes);
-                walk(
-                    kernel,
-                    then_body,
-                    forms,
-                    variance,
-                    guards,
-                    variant_loop,
-                    out,
-                );
-                guards.truncate(guards.len() - depth);
-                if !else_body.is_empty() {
-                    // In the else branch the condition is negated: uniform
-                    // and per-thread-uniform conjuncts stay in their class
-                    // (negation preserves invariance); tail guards become
-                    // head-divergent, i.e. unsupported.
-                    let neg: Vec<GuardClass> = classify_guard(cond, forms, variance)
-                        .into_iter()
-                        .map(|g| match g {
-                            GuardClass::Uniform => GuardClass::Uniform,
-                            GuardClass::PerThreadUniform => GuardClass::PerThreadUniform,
-                            GuardClass::Tail(_) | GuardClass::Variant => GuardClass::Variant,
-                        })
-                        .collect();
-                    let depth = neg.len();
-                    guards.extend(neg);
-                    walk(
-                        kernel,
-                        else_body,
-                        forms,
-                        variance,
-                        guards,
-                        variant_loop,
-                        out,
-                    );
-                    guards.truncate(guards.len() - depth);
-                }
-            }
-            Stmt::For {
-                start,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                let bounds = expr_variance(start, variance)
-                    .join(expr_variance(end, variance))
-                    .join(expr_variance(step, variance));
-                let vl = variant_loop || bounds.thread || bounds.block;
-                walk(kernel, body, forms, variance, guards, vl, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Split a guard condition into conjuncts and classify each.
-fn classify_guard(cond: &Expr, forms: &VarForms, variance: &[Variance]) -> Vec<GuardClass> {
-    let mut conjuncts = Vec::new();
-    split_conjuncts(cond, &mut conjuncts);
-    conjuncts
-        .into_iter()
-        .map(|c| classify_conjunct(c, forms, variance))
-        .collect()
-}
-
-fn split_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::LAnd,
-        lhs,
-        rhs,
-    } = e
-    {
-        split_conjuncts(lhs, out);
-        split_conjuncts(rhs, out);
-    } else {
-        out.push(e);
-    }
-}
-
-fn classify_conjunct(e: &Expr, forms: &VarForms, variance: &[Variance]) -> GuardClass {
-    let v = expr_variance(e, variance);
-    if !v.thread && !v.block {
-        return GuardClass::Uniform;
-    }
-    // Block-invariant thread selection: identical subset in every block.
-    // Loads are excluded (expr_variance marks them block-variant).
-    if !v.block {
-        return GuardClass::PerThreadUniform;
-    }
-    // Tail pattern: normalize to `variant < bound`.
-    if let Expr::Binary { op, lhs, rhs } = e {
-        let (small, big, inclusive) = match op {
-            BinOp::Lt => (lhs, rhs, false),
-            BinOp::Le => (lhs, rhs, true),
-            BinOp::Gt => (rhs, lhs, false),
-            BinOp::Ge => (rhs, lhs, true),
-            _ => return GuardClass::Variant,
-        };
-        let (Some(small_f), Some(big_f)) =
-            (affine_of_expr(small, forms), affine_of_expr(big, forms))
-        else {
-            return GuardClass::Variant;
-        };
-        // The variant side must be on the small side of `<`; the bound must
-        // be launch-invariant; loop variables may not appear.
-        if big_f.is_constant()
-            && !small_f.is_constant()
-            && !small_f.vars().any(|v| matches!(v, IdxVar::Loop(_)))
-        {
-            let bound = if inclusive {
-                big_f.constant.add(&Poly::constant(1))
-            } else {
-                big_f.constant
-            };
-            return GuardClass::Tail(TailGuard {
-                lhs: small_f,
-                bound,
-            });
-        }
-    }
-    GuardClass::Variant
 }
 
 #[cfg(test)]
@@ -474,10 +673,8 @@ mod tests {
         );
         let meta = v.meta().unwrap();
         assert!(!meta.tail_divergent());
-        assert!(matches!(
-            meta.sites[0].guards[0],
-            GuardClass::PerThreadUniform
-        ));
+        let (_, _, site) = meta.accesses.writes().next().unwrap();
+        assert!(matches!(site.guards[0].class, GuardClass::PerThreadUniform));
     }
 
     #[test]
@@ -602,9 +799,10 @@ mod tests {
         );
         let meta = v.meta().unwrap();
         assert!(meta.tail_divergent());
-        assert_eq!(meta.sites[0].guards.len(), 2);
-        assert!(matches!(meta.sites[0].guards[0], GuardClass::Uniform));
-        assert!(matches!(meta.sites[0].guards[1], GuardClass::Tail(_)));
+        let (_, _, site) = meta.accesses.writes().next().unwrap();
+        assert_eq!(site.guards.len(), 2);
+        assert!(matches!(site.guards[0].class, GuardClass::Uniform));
+        assert!(matches!(site.guards[1].class, GuardClass::Tail(_)));
     }
 
     #[test]

@@ -1,16 +1,36 @@
 //! # cucc-analysis — compiler analyses for GPU-to-CPU-cluster migration
 //!
-//! This crate implements the compiler side of CuCC (paper §5–§6):
+//! This crate implements the compiler side of CuCC (paper §5–§6). The
+//! paper's distributable test is a compile-time analysis whose metadata is
+//! resolved at launch; the crate is split along that seam, and each half
+//! is answered once:
+//! kernel level, [`KernelAccesses::of_kernel`] (once per [`analyze`], kept
+//! on [`KernelAnalysis::accesses`]): every access with its affine index,
+//! guards, enclosing loops; then launch level, [`LaunchFootprints::of`]
+//! (once per launch): every access in numbers. Byte ranges
+//! ([`BufferFootprint::byte_ranges`]), races ([`analyze_block_races`]),
+//! bounds ([`verify_launch`]), full blocks ([`full_blocks_under_guard`])
+//! and gathered regions ([`plan_launch`]) are all read off that one value.
 //!
 //! * [`poly`] / [`affine`] — symbolic polynomial and affine-form machinery
-//!   used to reason about write indices with launch-time-unknown values;
+//!   used to reason about indices with launch-time-unknown values;
 //! * [`variance`] — thread-/block-variance taint analysis (condition 2);
-//! * [`distributable`] — the **Allgather distributable analysis**: decides
-//!   whether a kernel's blocks can be partitioned across cluster nodes so
-//!   that a balanced in-place Allgather restores consistency, and records
-//!   the metadata of Figure 6 (`tail_divergent`, `mem_ptr`, `unit_size`);
-//! * [`plan`] — launch-time resolution of that metadata into an executable
-//!   three-phase plan (full blocks, chunk granularity, gathered regions);
+//! * [`distributable`] — the one walk over a kernel's accesses
+//!   ([`KernelAccesses`]) and, on its write sites, the **Allgather
+//!   distributable analysis**: decides whether a kernel's blocks can be
+//!   partitioned across cluster nodes so that a balanced in-place Allgather
+//!   restores consistency, and records the metadata of Figure 6
+//!   (`tail_divergent`, `mem_ptr`, `unit_size`);
+//! * [`footprint`] — those accesses resolved against one launch
+//!   ([`LaunchFootprints`]): the one place an affine form meets a
+//!   [`cucc_ir::LaunchConfig`], and the per-buffer `Must`/`Unknown` read
+//!   and write footprints the launch-graph communication optimizer in
+//!   `cucc-core` elides gathers on (`Must` is an over-approximation — see
+//!   the module docs for the direction);
+//! * [`plan`] — launch-time resolution of the metadata into an executable
+//!   three-phase plan (full blocks, chunk granularity, gathered regions),
+//!   from the footprints where they are exact and from a three-chunk probe
+//!   where they are not;
 //! * [`oracle`] — a dynamic write-interval oracle that validates plans
 //!   against the formal definition of §6.1 (used by the test suite to prove
 //!   the static analysis sound);
@@ -19,9 +39,6 @@
 //! * [`verify`] — the **kernel verifier**: static inter-block race /
 //!   out-of-bounds / barrier-divergence checking on a MAY/MUST/UNKNOWN
 //!   lattice, cross-validated by the dynamic sanitizer in `cucc-exec`;
-//! * [`footprint`] — launch-resolved, per-node-sliceable read/write
-//!   footprints (`Must`/`Unknown`) consumed by the launch-graph
-//!   communication optimizer in `cucc-core`;
 //! * [`range`] — flow-sensitive interval **abstract interpretation** over
 //!   compiled bytecode, producing per-access bounds certificates that the
 //!   engines consume to elide bounds checks and the verifier consumes to
@@ -43,9 +60,10 @@ pub mod verify;
 
 pub use affine::{affine_of_expr, AffineForm, IdxVar, VarForms};
 pub use distributable::{
-    analyze_kernel, GatherBuffer, GuardClass, KernelMeta, Reason, TailGuard, Verdict, WriteSite,
+    analyze_kernel, Access, GatherBuffer, Guard, GuardClass, KernelAccesses, KernelMeta, Reason,
+    TailGuard, Verdict,
 };
-pub use footprint::{launch_footprints, BlockInterval, BufferFootprint, LaunchFootprints};
+pub use footprint::{BlockInterval, BufferFootprint, LaunchFootprints};
 pub use lint::{lint_kernel, LintReport};
 pub use oracle::{verify_plan, OracleReport};
 pub use plan::{
@@ -60,9 +78,9 @@ pub use range::{
 pub use simd::{analyze_simd, SimdClass, SimdReport};
 pub use variance::{var_variance, Variance};
 pub use verify::{
-    analyze_block_races, canonical_check_input, cause_diagnostic, reason_diagnostics,
-    verify_launch, Diagnostic, PropertyVerdict, RaceAnalysis, Rule, Severity, SiteRef,
-    VerifyReport,
+    analyze_block_races, canonical_check_input, cause_diagnostic, param_extents,
+    reason_diagnostics, verify_accesses, verify_launch, Diagnostic, PropertyVerdict, RaceAnalysis,
+    Rule, Severity, SiteRef, VerifyReport,
 };
 
 /// Complete compile-time analysis result for one kernel.
@@ -72,15 +90,25 @@ pub struct KernelAnalysis {
     pub verdict: Verdict,
     /// Thread-loop vectorizability.
     pub simd: SimdReport,
+    /// The kernel's access list, whatever the verdict: what a holder of a
+    /// compiled kernel resolves against a launch ([`LaunchFootprints::of`],
+    /// [`verify_accesses`]) without walking the kernel again.
+    pub accesses: KernelAccesses,
 }
 
-/// Run every CuCC analysis on a kernel.
+/// Run every CuCC analysis on a kernel. The one walk over its accesses
+/// happens here.
 pub fn analyze(kernel: &cucc_ir::Kernel) -> KernelAnalysis {
+    let accesses = KernelAccesses::of_kernel(kernel);
     KernelAnalysis {
-        verdict: analyze_kernel(kernel),
+        verdict: distributable::distributable_verdict(&accesses),
         simd: analyze_simd(kernel),
+        accesses,
     }
 }
+
+#[cfg(test)]
+mod corpus_tests;
 
 #[cfg(test)]
 mod tests {

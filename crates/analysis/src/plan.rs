@@ -9,21 +9,26 @@
 //! * a distribution **chunk size** `G` is chosen (1 for 1-D kernels; a grid
 //!   row/plane for 2-D/3-D kernels whose per-block footprints interleave but
 //!   whose row-band footprints are dense);
-//! * a cheap **probe** (tracing three representative chunks on a scratch
-//!   memory copy) confirms that chunk footprints are dense, equal-length and
-//!   advance linearly with the chunk index — the *balanced* and *in-place*
-//!   requirements of §6. A kernel that passes the static analysis but fails
-//!   the probe falls back to replicated execution, preserving correctness.
+//! * the chunk footprints must be dense, equal-length and advance linearly
+//!   with the chunk index — the *balanced* and *in-place* requirements of
+//!   §6. The launch-resolved write footprint ([`crate::footprint`]) answers
+//!   that where it is exact; where it is not, a cheap **probe** (tracing
+//!   three representative chunks on a scratch memory copy) does. A kernel
+//!   that passes the static analysis but fails the probe falls back to
+//!   replicated execution, preserving correctness.
 //!
 //! The probe is the runtime analogue of the paper's observation that
 //! "metadata values are based on symbolic analysis; thus, for programs with
 //! runtime-dependent values, CuCC can still perform the migration" (§5).
 
-use crate::affine::IdxVar;
-use crate::distributable::{TailGuard, Verdict};
-use crate::poly::Sym;
+use crate::distributable::{GatherBuffer, KernelMeta, TailGuard, Verdict};
+use crate::footprint::{LaunchEnv, LaunchFootprints, ResolvedForm};
+use crate::verify::{
+    analyze_block_races, analyze_bounds, param_extents, PropertyVerdict, Severity,
+};
+use cucc_exec::interp::check_args;
 use cucc_exec::{execute_block_traced, Arg, MemPool, WriteRecord};
-use cucc_ir::{Axis, Kernel, LaunchConfig, ParamId, Value};
+use cucc_ir::{Kernel, LaunchConfig, ParamId};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -160,91 +165,108 @@ impl ThreePhasePlan {
     }
 }
 
-/// Evaluate polynomials under a concrete launch: scalar params from `args`,
-/// dims from `launch`.
-pub fn launch_sym_env<'a>(
-    launch: LaunchConfig,
-    args: &'a [Arg],
-) -> impl Fn(Sym) -> Option<i128> + 'a {
-    move |s: Sym| match s {
-        Sym::Param(p) => match args.get(p.index())? {
-            Arg::Scalar(Value::I64(v)) => Some(*v as i128),
-            Arg::Scalar(Value::F64(v)) => Some(*v as i128),
-            Arg::Buffer(_) => None,
-        },
-        Sym::BlockDim(a) => Some(launch.block.get(a) as i128),
-        Sym::GridDim(a) => Some(launch.grid.get(a) as i128),
-    }
-}
-
-/// Number of *full blocks* under a tail guard: blocks whose guard holds for
-/// every thread. Returns `None` when the guard structure cannot be resolved
-/// for this launch (non-linear block coefficients etc.).
+/// Number of *full blocks* under a tail guard: the leading linear blocks
+/// whose guard holds for every thread. Returns `None` when the guard
+/// structure cannot be resolved for this launch (unresolvable or shrinking
+/// block coefficients).
 pub fn full_blocks_under_guard(
     guard: &TailGuard,
     launch: LaunchConfig,
     args: &[Arg],
 ) -> Option<u64> {
-    let env = launch_sym_env(launch, args);
-    let (coeffs, c0) = guard.lhs.eval_coeffs(&env)?;
-    let bound = guard.bound.eval(&env)?;
-    let total_blocks = launch.num_blocks() as i128;
+    LaunchEnv::new(launch, args).full_blocks(guard)
+}
 
-    // Maximum over threads of the thread-dependent part.
-    let mut max_off: i128 = 0;
-    // Linear-block coefficient: coefficients per block axis must compose a
-    // single linear unit over the linear block id (x-fastest).
-    let mut unit: Option<i128> = None;
-    let gx = launch.grid.x as i128;
-    let gy = launch.grid.y as i128;
-    for (v, c) in &coeffs {
-        match v {
-            IdxVar::Thread(a) => {
-                let extent = launch.block.get(*a) as i128;
-                if *c > 0 {
-                    max_off += c * (extent - 1);
-                }
-            }
-            IdxVar::Block(a) => {
-                let (axis_unit, active) = match a {
-                    Axis::X => (*c, launch.grid.x > 1),
-                    Axis::Y => (*c / gx, launch.grid.y > 1),
-                    Axis::Z => (*c / (gx * gy), launch.grid.z > 1),
-                };
-                if !active {
-                    continue; // axis extent 1: coefficient irrelevant
-                }
-                match a {
-                    Axis::Y if *c % gx != 0 => return None,
-                    Axis::Z if *c % (gx * gy) != 0 => return None,
-                    _ => {}
-                }
-                match unit {
-                    None => unit = Some(axis_unit),
-                    Some(u) if u == axis_unit => {}
-                    Some(_) => return None, // inconsistent per-axis units
-                }
-            }
-            IdxVar::Loop(_) => return None,
+/// Per-buffer `(base, len)` in bytes of what one chunk writes.
+type ChunkFootprint = BTreeMap<u32, (u64, u64)>;
+
+/// Choose the chunk granularity and the gathered regions from chunk
+/// footprints — the one statement of what the §6 *balanced, in-place*
+/// requirement asks of a launch. For each candidate granularity (single
+/// block, grid row, grid plane) `footprint(g, chunk)` says what chunks 0,
+/// middle and last-full write: one dense interval per buffer, or why not
+/// (inner `Err`: try the next candidate). The later chunks must be linear
+/// translates of chunk 0. `footprint` may also give up on the whole
+/// derivation (outer `Err`).
+fn derive_regions<E>(
+    launch: LaunchConfig,
+    full_blocks: u64,
+    mut footprint: impl FnMut(u64, u64) -> Result<Result<ChunkFootprint, String>, E>,
+) -> Result<Result<ThreePhasePlan, String>, E> {
+    let gx = launch.grid.x as u64;
+    let mut candidates = vec![1u64];
+    if launch.grid.y > 1 {
+        candidates.push(gx);
+    }
+    if launch.grid.z > 1 {
+        candidates.push(gx * launch.grid.y as u64);
+    }
+    let mut last_err = String::new();
+    'cand: for g in candidates {
+        let full_chunks = full_blocks / g;
+        if full_chunks == 0 {
+            continue;
         }
+        let mut probes = vec![0u64];
+        if full_chunks > 2 {
+            probes.push(full_chunks / 2);
+        }
+        if full_chunks > 1 {
+            probes.push(full_chunks - 1);
+        }
+        let mut baseline: Option<ChunkFootprint> = None;
+        for chunk in probes {
+            let fp = match footprint(g, chunk)? {
+                Ok(fp) => fp,
+                Err(e) => {
+                    last_err = e;
+                    continue 'cand;
+                }
+            };
+            let Some(base) = &baseline else {
+                baseline = Some(fp);
+                continue;
+            };
+            // Same buffers, same lengths, base advanced by chunk·unit.
+            if fp.len() != base.len() {
+                last_err = "chunks write different buffer sets".into();
+                continue 'cand;
+            }
+            for (param, (b0, u0)) in base {
+                let Some((bc, uc)) = fp.get(param) else {
+                    last_err = format!("buffer p{param} missing in probe chunk");
+                    continue 'cand;
+                };
+                if uc != u0 || *bc != b0 + chunk * u0 {
+                    last_err = format!(
+                        "buffer p{param}: chunk {chunk} footprint ({bc},{uc}) is not \
+                         a translate of chunk 0 ({b0},{u0})"
+                    );
+                    continue 'cand;
+                }
+            }
+        }
+        let buffers: Vec<BufferRegion> = baseline
+            .into_iter()
+            .flatten()
+            .map(|(param, (base, unit))| BufferRegion {
+                param: ParamId(param),
+                base,
+                unit,
+            })
+            .collect();
+        if buffers.is_empty() {
+            last_err = "probe chunks wrote nothing".into();
+            continue;
+        }
+        return Ok(Ok(ThreePhasePlan {
+            num_blocks: launch.num_blocks(),
+            chunk_blocks: g,
+            full_chunks,
+            buffers,
+        }));
     }
-    let Some(u) = unit else {
-        // The guard does not depend on the block index: either it holds for
-        // all threads everywhere (all blocks full) or it fails somewhere in
-        // every block (no full blocks).
-        return Some(if c0 + max_off < bound {
-            total_blocks as u64
-        } else {
-            0
-        });
-    };
-    if u <= 0 {
-        return None;
-    }
-    // Full blocks satisfy c0 + u·b + max_off < bound  ⇔  b < K/u.
-    let k = bound - c0 - max_off;
-    let full = if k <= 0 { 0 } else { (k + u - 1) / u };
-    Some(full.clamp(0, total_blocks) as u64)
+    Ok(Err(last_err))
 }
 
 /// Aggregate a write trace into per-buffer sorted, coalesced byte intervals.
@@ -292,7 +314,7 @@ fn trace_chunk(
 /// return `(base, len)` per buffer.
 fn dense_footprint(
     intervals: &BTreeMap<u32, Vec<(u64, u64)>>,
-    buffers: &[crate::distributable::GatherBuffer],
+    buffers: &[GatherBuffer],
 ) -> Result<BTreeMap<u32, (u64, u64)>, String> {
     let mut out = BTreeMap::new();
     for (param, ranges) in intervals {
@@ -315,7 +337,160 @@ fn dense_footprint(
     Ok(out)
 }
 
-/// Build the launch-time plan. See the module docs for the algorithm.
+/// The probe half of the region derivation: trace the deciding chunks on a
+/// scratch copy of `pool` and read their footprints off the write log.
+pub(crate) fn probe_regions(
+    kernel: &Kernel,
+    meta: &KernelMeta,
+    launch: LaunchConfig,
+    args: &[Arg],
+    pool: &MemPool,
+    full_blocks: u64,
+) -> Plan {
+    let mut scratch = pool.clone();
+    let traced = derive_regions(launch, full_blocks, |g, chunk| {
+        let intervals = trace_chunk(kernel, launch, chunk, g, args, &mut scratch)?;
+        Ok(dense_footprint(&intervals, &meta.buffers))
+    });
+    match traced {
+        Ok(Ok(plan)) => Plan::ThreePhase(plan),
+        Ok(Err(mismatch)) => Plan::Replicated(ReplicationCause::ProbeMismatch(mismatch)),
+        Err(trap) => Plan::Replicated(ReplicationCause::ProbeError(trap)),
+    }
+}
+
+/// The exact element interval `form` writes over chunk `chunk` of `g`
+/// blocks when every thread and iteration stores, or `None` when that set
+/// has a gap.
+fn chunk_interval(
+    form: &ResolvedForm,
+    launch: LaunchConfig,
+    g: u64,
+    chunk: u64,
+) -> Option<(i128, i128)> {
+    let (gx, gy) = (launch.grid.x as u64, launch.grid.y as u64);
+    let extent = [
+        if g >= gx { gx } else { 1 },
+        if g >= gx * gy { gy } else { 1 },
+        1,
+    ];
+    form.dense_over(launch.grid.delinearize(chunk * g), extent)
+}
+
+/// The static half of the region derivation: read `(base, unit)` per
+/// gathered buffer off the resolved write sites. Answers only where the
+/// footprint *proves* what the probe checks, and then with the probe's
+/// answer; `None` hands the question to the probe. The conditions:
+///
+/// * no `return`, no division by a non-literal, no barrier under
+///   non-uniform control, no narrowing integer cast — in a full block
+///   every thread and iteration performs every store the forms say;
+/// * every write site resolved, certain to execute and guarded by tail
+///   guards only (full blocks pass those in every thread), so its offset
+///   set is *exactly* what the chunk writes;
+/// * each site's chunk set gapless (a gap another site of the buffer might
+///   fill is undecided), so the buffer's footprint is the union of the
+///   sites' intervals, judged by `derive_regions` as the probe's is;
+/// * the bounds rule `Safe` at the pool's real extents, so no traced block
+///   could have trapped.
+pub(crate) fn static_regions(
+    kernel: &Kernel,
+    meta: &KernelMeta,
+    fps: &LaunchFootprints,
+    args: &[Arg],
+    pool: &MemPool,
+    full_blocks: u64,
+) -> Option<ThreePhasePlan> {
+    let acc = &meta.accesses;
+    if !(acc.runs_to_completion && acc.faithful) {
+        return None;
+    }
+    let mut sites: BTreeMap<ParamId, Vec<&ResolvedForm>> = BTreeMap::new();
+    for (i, param, a) in acc.writes() {
+        sites.entry(param).or_default().push(fps.exact_write(i, a)?);
+    }
+    let launch = fps.env.launch;
+    let gapped = || Ok(Err(String::new()));
+    let plan = derive_regions(launch, full_blocks, |g, chunk| {
+        let mut fp = ChunkFootprint::new();
+        for buf in &meta.buffers {
+            let forms = &sites[&buf.param];
+            let mut spans = Vec::with_capacity(forms.len());
+            for form in forms {
+                match chunk_interval(form, launch, g, chunk) {
+                    Some(span) => spans.push(span),
+                    None if forms.len() == 1 => return gapped(),
+                    None => return Err(()),
+                }
+            }
+            spans.sort_unstable();
+            let (lo, mut hi) = spans[0];
+            for &(s, e) in &spans[1..] {
+                if s > hi + 1 {
+                    return gapped();
+                }
+                hi = hi.max(e);
+            }
+            let (lo, len) = (u64::try_from(lo).map_err(|_| ())?, (hi - lo + 1) as u64);
+            let elem = buf.elem_size as u64;
+            fp.insert(buf.param.0, (lo * elem, len * elem));
+        }
+        Ok(Ok(fp))
+    });
+    let plan = plan.ok()?.ok()?;
+    // The probe would have passed this candidate — unless it trapped.
+    check_args(kernel, args).ok()?;
+    let extents = param_extents(kernel, args, pool);
+    let (bounds, _) = analyze_bounds(kernel, acc, fps, args, &extents, false, None);
+    bounds.is_safe().then_some(plan)
+}
+
+/// What must hold before regions are worth deriving: every tail guard
+/// resolves, at least one block is full, and no two blocks may write one
+/// element. Returns the launch-resolved footprints and the full-block count.
+pub(crate) fn admit(
+    kernel: &Kernel,
+    meta: &KernelMeta,
+    launch: LaunchConfig,
+    args: &[Arg],
+) -> Result<(LaunchFootprints, u64), ReplicationCause> {
+    let fps = LaunchFootprints::of(&meta.accesses, launch, args);
+    // Resolve tail guards to the full-block count.
+    let mut full_blocks = launch.num_blocks();
+    for g in &meta.tail_guards {
+        let unresolved = "tail guard not resolvable for this launch";
+        let full = fps.env.full_blocks(g);
+        full_blocks =
+            full_blocks.min(full.ok_or(ReplicationCause::ProbeMismatch(unresolved.into()))?);
+    }
+    if full_blocks == 0 {
+        return Err(ReplicationCause::NoFullBlocks);
+    }
+
+    // Safety veto: a kernel with a possible inter-block write-write race
+    // yields node-order-dependent results when distributed — replicate. A
+    // verdict of Unknown does NOT veto (the region derivation stays the
+    // guard for footprints the verifier cannot bound).
+    let races = analyze_block_races(kernel, &meta.accesses, &fps, None);
+    if races.verdict >= PropertyVerdict::May {
+        let detail = races
+            .diagnostics
+            .first()
+            .map(|d| d.message.clone())
+            .unwrap_or_else(|| "write footprints overlap across blocks".into());
+        let sev = if races.verdict == PropertyVerdict::Must {
+            Severity::Must
+        } else {
+            Severity::May
+        };
+        return Err(ReplicationCause::RaceHazard(sev, detail));
+    }
+    Ok((fps, full_blocks))
+}
+
+/// Build the launch-time plan. See the module docs for the algorithm; the
+/// gathered regions come from `static_regions` where the footprint is
+/// exact and from `probe_regions` otherwise — one answer either way.
 pub fn plan_launch(
     kernel: &Kernel,
     verdict: &Verdict,
@@ -323,132 +498,18 @@ pub fn plan_launch(
     args: &[Arg],
     pool: &MemPool,
 ) -> Plan {
-    let meta = match verdict {
-        Verdict::Distributable(m) => m,
-        Verdict::Trivial(rs) => {
-            return Plan::Replicated(ReplicationCause::NotDistributable(rs.clone()))
-        }
+    let Verdict::Distributable(meta) = verdict else {
+        let reasons = verdict.reasons().to_vec();
+        return Plan::Replicated(ReplicationCause::NotDistributable(reasons));
     };
-    let num_blocks = launch.num_blocks();
-    // Resolve tail guards to the full-block count.
-    let mut full_blocks = num_blocks;
-    for g in &meta.tail_guards {
-        match full_blocks_under_guard(g, launch, args) {
-            Some(f) => full_blocks = full_blocks.min(f),
-            None => {
-                return Plan::Replicated(ReplicationCause::ProbeMismatch(
-                    "tail guard not resolvable for this launch".into(),
-                ))
-            }
-        }
+    let (fps, full_blocks) = match admit(kernel, meta, launch, args) {
+        Ok(admitted) => admitted,
+        Err(cause) => return Plan::Replicated(cause),
+    };
+    match static_regions(kernel, meta, &fps, args, pool, full_blocks) {
+        Some(plan) => Plan::ThreePhase(plan),
+        None => probe_regions(kernel, meta, launch, args, pool, full_blocks),
     }
-    if full_blocks == 0 {
-        return Plan::Replicated(ReplicationCause::NoFullBlocks);
-    }
-
-    // Safety veto: a kernel with a possible inter-block write-write race
-    // yields node-order-dependent results when distributed — replicate. A
-    // verdict of Unknown does NOT veto (the launch-time probe below stays
-    // the dynamic guard for footprints the verifier cannot bound).
-    let races = crate::verify::analyze_block_races(kernel, launch, args, None);
-    if races.verdict >= crate::verify::PropertyVerdict::May {
-        let detail = races
-            .diagnostics
-            .first()
-            .map(|d| d.message.clone())
-            .unwrap_or_else(|| "write footprints overlap across blocks".into());
-        let sev = if races.verdict == crate::verify::PropertyVerdict::Must {
-            crate::verify::Severity::Must
-        } else {
-            crate::verify::Severity::May
-        };
-        return Plan::Replicated(ReplicationCause::RaceHazard(sev, detail));
-    }
-
-    // Candidate chunk granularities: single block, grid row, grid plane.
-    let gx = launch.grid.x as u64;
-    let gxy = gx * launch.grid.y as u64;
-    let mut candidates = vec![1u64];
-    if launch.grid.y > 1 {
-        candidates.push(gx);
-    }
-    if launch.grid.z > 1 {
-        candidates.push(gxy);
-    }
-
-    let mut scratch = pool.clone();
-    let mut last_err = String::new();
-    'cand: for g in candidates {
-        let full_chunks = full_blocks / g;
-        if full_chunks == 0 {
-            continue;
-        }
-        // Probe chunks 0, middle and last-full.
-        let mut probes = vec![0u64];
-        if full_chunks > 2 {
-            probes.push(full_chunks / 2);
-        }
-        if full_chunks > 1 {
-            probes.push(full_chunks - 1);
-        }
-        let mut baseline: Option<BTreeMap<u32, (u64, u64)>> = None;
-        for &chunk in &probes {
-            let intervals = match trace_chunk(kernel, launch, chunk, g, args, &mut scratch) {
-                Ok(iv) => iv,
-                Err(e) => return Plan::Replicated(ReplicationCause::ProbeError(e)),
-            };
-            let fp = match dense_footprint(&intervals, &meta.buffers) {
-                Ok(fp) => fp,
-                Err(e) => {
-                    last_err = e;
-                    continue 'cand;
-                }
-            };
-            match &baseline {
-                None => baseline = Some(fp),
-                Some(base) => {
-                    // Same buffers, same lengths, base advanced by chunk·unit.
-                    if fp.len() != base.len() {
-                        last_err = "chunks write different buffer sets".into();
-                        continue 'cand;
-                    }
-                    for (param, (b0, u0)) in base {
-                        let Some((bc, uc)) = fp.get(param) else {
-                            last_err = format!("buffer p{param} missing in probe chunk");
-                            continue 'cand;
-                        };
-                        if uc != u0 || *bc != b0 + chunk * u0 {
-                            last_err = format!(
-                                "buffer p{param}: chunk {chunk} footprint ({bc},{uc}) is not \
-                                 a translate of chunk 0 ({b0},{u0})"
-                            );
-                            continue 'cand;
-                        }
-                    }
-                }
-            }
-        }
-        let Some(base) = baseline else { continue };
-        let buffers: Vec<BufferRegion> = base
-            .into_iter()
-            .map(|(param, (b, u))| BufferRegion {
-                param: ParamId(param),
-                base: b,
-                unit: u,
-            })
-            .collect();
-        if buffers.is_empty() {
-            last_err = "probe chunks wrote nothing".into();
-            continue;
-        }
-        return Plan::ThreePhase(ThreePhasePlan {
-            num_blocks,
-            chunk_blocks: g,
-            full_chunks,
-            buffers,
-        });
-    }
-    Plan::Replicated(ReplicationCause::ProbeMismatch(last_err))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! kernel with an inter-block write-write race passes the affine conditions
 //! yet produces node-order-dependent results after migration; an
 //! out-of-bounds store corrupts different bytes on different nodes. This
-//! module reuses the same [`Poly`]/[`AffineForm`]/variance machinery to
+//! module reuses the same [`crate::Poly`]/[`AffineForm`]/variance machinery to
 //! prove or refute three properties per kernel:
 //!
 //! 1. **inter-block race freedom** ([`analyze_block_races`]) — pairwise
@@ -30,20 +30,20 @@
 //! planner's [`ReplicationCause`]s so `cucc analyze` / `cucc check` / `cucc
 //! run` share one human-readable rendering.
 
-use crate::affine::{affine_of_expr, AffineForm, IdxVar, VarForms};
-use crate::distributable::{collect_write_sites, GuardClass, Reason, WriteSite};
-use crate::plan::{launch_sym_env, ReplicationCause};
+use crate::affine::AffineForm;
+use crate::distributable::{Access, Comparison, KernelAccesses, Reason};
+use crate::footprint::{
+    gcd, Coord, LaunchEnv, LaunchFootprints, ResolvedForm, ResolvedGuard, Site, SiteState,
+};
+use crate::plan::ReplicationCause;
 use crate::range::Interval;
 use crate::variance::{expr_variance, var_variance, Variance};
 use cucc_exec::bytecode::SlotKind;
-use cucc_exec::{Arg, BufferId, Program};
-use cucc_ir::{Axis, BinOp, Expr, Kernel, LaunchConfig, MemRef, Param, SourceMap, Stmt, VarId};
-use std::collections::{BTreeMap, HashMap};
+use cucc_exec::{Arg, BufferId, MemPool, Program};
+use cucc_ir::{Axis, Kernel, LaunchConfig, MemRef, Param, ParamId, SourceMap, Stmt};
+use std::collections::HashMap;
 use std::fmt;
 
-/// Per-site offset-set enumeration budget (elements). Beyond this the race
-/// check falls back to interval + stride reasoning only.
-const OFFSET_BUDGET: usize = 1 << 16;
 /// Block-shift lattice budget for multi-axis grids.
 const DELTA_BUDGET: usize = 1 << 16;
 /// Budget for the cross-coefficient full-footprint enumeration.
@@ -298,6 +298,21 @@ pub fn canonical_check_input(kernel: &Kernel) -> (LaunchConfig, Vec<Arg>, Vec<Op
     (launch, args, extents)
 }
 
+/// The real `extents[p]` of a launch: the element count of the buffer bound
+/// to each buffer parameter in `pool` (`None` for scalars and for a buffer
+/// id `pool` does not hold).
+pub fn param_extents(kernel: &Kernel, args: &[Arg], pool: &MemPool) -> Vec<Option<u64>> {
+    let bound = kernel.params.iter().zip(args);
+    bound
+        .map(|(p, a)| match (p, a) {
+            (Param::Buffer { elem, .. }, Arg::Buffer(id)) if id.index() < pool.len() => {
+                Some((pool.size_of(*id) / elem.size()) as u64)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 // ------------------------------------------------------------ top level --
 
 /// Run all three verifier rules for one launch.
@@ -308,6 +323,10 @@ pub fn canonical_check_input(kernel: &Kernel) -> (LaunchConfig, Vec<Arg>, Vec<Op
 /// allocation sizes: definite-overrun findings are then capped at MAY
 /// (a definitely-*negative* index stays MUST — no extent can excuse it).
 /// `map` attaches source lines to write sites when available.
+///
+/// Handed only a kernel, this walks its accesses first; a caller that holds
+/// the kernel's [`crate::KernelAnalysis`] passes its list to
+/// [`verify_accesses`] instead.
 pub fn verify_launch(
     kernel: &Kernel,
     launch: LaunchConfig,
@@ -316,9 +335,26 @@ pub fn verify_launch(
     assumed_extents: bool,
     map: Option<&SourceMap>,
 ) -> VerifyReport {
-    let race = analyze_block_races(kernel, launch, args, map);
+    let acc = KernelAccesses::of_kernel(kernel);
+    verify_accesses(kernel, &acc, launch, args, extents, assumed_extents, map)
+}
+
+/// [`verify_launch`] on a kernel whose accesses (`acc`) are already walked:
+/// they are resolved against the launch once, and the race and bounds rules
+/// both read that one value.
+pub fn verify_accesses(
+    kernel: &Kernel,
+    acc: &KernelAccesses,
+    launch: LaunchConfig,
+    args: &[Arg],
+    extents: &[Option<u64>],
+    assumed_extents: bool,
+    map: Option<&SourceMap>,
+) -> VerifyReport {
+    let fps = LaunchFootprints::of(acc, launch, args);
+    let race = analyze_block_races(kernel, acc, &fps, map);
     let (bounds, mut bounds_diags) =
-        analyze_bounds(kernel, launch, args, extents, assumed_extents, map);
+        analyze_bounds(kernel, acc, &fps, args, extents, assumed_extents, map);
     let (barrier, mut barrier_diags) = analyze_barriers(kernel, map);
 
     // A MUST verdict claims dynamic reproduction, which presumes the
@@ -361,292 +397,25 @@ pub struct RaceAnalysis {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Loop-variable iteration ranges resolvable for this launch:
-/// `var -> (first, last, step)` of the values the interpreter actually
-/// iterates (`first <= last` normalized; empty loops map to `None`).
-fn resolve_loops(
-    kernel: &Kernel,
-    forms: &VarForms,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
-) -> BTreeMap<VarId, Option<(i128, i128, i128)>> {
-    let mut out = BTreeMap::new();
-    kernel.visit_stmts(&mut |s| {
-        if let Stmt::For {
-            var,
-            start,
-            end,
-            step,
-            ..
-        } = s
-        {
-            let resolved = (|| {
-                let s0 = const_of(start, forms, env)?;
-                let e0 = const_of(end, forms, env)?;
-                let st = const_of(step, forms, env)?;
-                if st == 0 {
-                    return None;
-                }
-                // Interpreter semantics: `v = s0; while (st>0 ? v<e0 : v>e0)`.
-                if st > 0 {
-                    if s0 >= e0 {
-                        return Some(None); // zero iterations
-                    }
-                    let last = s0 + ((e0 - 1 - s0) / st) * st;
-                    Some(Some((s0, last, st)))
-                } else {
-                    if s0 <= e0 {
-                        return Some(None);
-                    }
-                    let last = s0 - ((s0 - (e0 + 1)) / -st) * -st;
-                    Some(Some((last, s0, -st)))
-                }
-            })();
-            // `None` = unresolvable; `Some(None)` = resolved empty.
-            out.insert(*var, resolved.flatten());
-            if resolved.is_none() {
-                out.remove(var);
-            }
-        }
-    });
-    out
-}
-
-/// Evaluate an expression to a launch-invariant constant via its affine form.
-fn const_of(
-    e: &Expr,
-    forms: &VarForms,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
-) -> Option<i128> {
-    let f = affine_of_expr(e, forms)?;
-    if !f.is_constant() {
-        return None;
-    }
-    f.constant.eval(env)
-}
-
-/// One enumerable dimension of a write-site footprint.
-#[derive(Debug, Clone)]
-struct FootDim {
-    /// Which index variable (threads use step 1 from 0; loops use their
-    /// resolved progression).
-    var: IdxVar,
-    /// Concrete coefficient.
-    coeff: i128,
-    /// First value, count and stride of the dimension's progression.
-    first: i128,
-    count: u64,
-    step: i128,
-}
-
-/// A 3-D thread (or block) coordinate used in MUST witnesses.
-type Coord = (u32, u32, u32);
-
-/// A write site with its footprint resolved for one launch. Offsets are in
-/// elements and exclude the `blockIdx` contribution (which is linear:
-/// `Σ block_coeff[a]·b_a`).
-#[derive(Debug, Clone)]
-struct ResolvedSite {
+/// A resolved write site as the pair check reads it.
+struct RaceSite<'a> {
     ordinal: usize,
-    name: String,
-    /// Per-axis concrete blockIdx coefficients.
-    block: BTreeMap<Axis, i128>,
-    /// Offset-set hull (c0 folded in).
-    span: Interval,
-    /// All offsets are ≡ `base` (mod `gcd`); `gcd == 0` ⇔ singleton set.
-    base: i128,
-    gcd: i128,
+    name: &'a str,
+    /// The index, in numbers (offsets exclude the linear `blockIdx` part).
+    form: &'a ResolvedForm,
     /// Exhaustive offsets with a thread-coordinate witness each, when the
-    /// set fits [`OFFSET_BUDGET`]. The witness is only meaningful for
+    /// set fits the enumeration budget. The witness is only meaningful for
     /// loop-free sites (MUST candidates).
     offsets: Option<Vec<(i128, Coord)>>,
-    has_loop: bool,
     /// Guards that must be re-checked before claiming MUST.
-    tail_guards: Vec<crate::distributable::TailGuard>,
-    /// Any guard the verifier cannot concretely evaluate at a witness.
-    opaque_guard: bool,
-    variant_loop: bool,
+    tail_guards: &'a [Option<ResolvedGuard>],
+    /// Loop-free, certain to execute, and guarded only by tail guards the
+    /// verifier can evaluate at a witness.
+    must_candidate: bool,
 }
 
-fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-fn site_name(kernel: &Kernel, site: &WriteSite) -> String {
-    kernel.params[site.buffer.index()].name().to_string()
-}
-
-fn site_ref(kernel: &Kernel, sites: &[WriteSite], i: usize, map: Option<&SourceMap>) -> SiteRef {
-    SiteRef {
-        buffer: site_name(kernel, &sites[i]),
-        ordinal: i,
-        line: map.and_then(|m| m.global_write_lines.get(i).copied()),
-    }
-}
-
-/// Resolve one write site's footprint for a launch. `Ok(None)` = the site
-/// never executes (an enclosing loop is provably empty).
-#[allow(clippy::too_many_arguments)]
-fn resolve_site(
-    kernel: &Kernel,
-    site: &WriteSite,
-    ordinal: usize,
-    launch: LaunchConfig,
-    loops: &BTreeMap<VarId, Option<(i128, i128, i128)>>,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
-) -> Result<Option<ResolvedSite>, String> {
-    if site.indirect {
-        return Err("data-dependent (indirect) write index".into());
-    }
-    let Some(index) = &site.index else {
-        return Err("non-affine write index".into());
-    };
-    let Some((coeffs, c0)) = index.eval_coeffs(env) else {
-        return Err("write-index coefficients not resolvable at this launch".into());
-    };
-    let mut block = BTreeMap::new();
-    let mut dims = Vec::new();
-    let mut has_loop = false;
-    for (v, c) in coeffs {
-        match v {
-            IdxVar::Block(a) => {
-                block.insert(a, c);
-            }
-            IdxVar::Thread(a) => dims.push(FootDim {
-                var: v,
-                coeff: c,
-                first: 0,
-                count: launch.block.get(a) as u64,
-                step: 1,
-            }),
-            IdxVar::Loop(lv) => {
-                has_loop = true;
-                match loops.get(&lv) {
-                    Some(Some((first, last, step))) => dims.push(FootDim {
-                        var: v,
-                        coeff: c,
-                        first: *first,
-                        count: ((last - first) / step + 1) as u64,
-                        step: *step,
-                    }),
-                    Some(None) => return Ok(None), // empty loop: dead site
-                    None => return Err("loop bounds not resolvable at this launch".into()),
-                }
-            }
-        }
-    }
-    let mut span = Interval::point(c0);
-    let mut base = c0;
-    let mut g = 0i128;
-    let mut total: u64 = 1;
-    for d in &dims {
-        let last = d.first + (d.count as i128 - 1) * d.step;
-        span = span.add(Interval::point(d.coeff * d.first).hull(Interval::point(d.coeff * last)));
-        base += d.coeff * d.first;
-        g = gcd(g, d.coeff * d.step);
-        total = total.saturating_mul(d.count);
-    }
-    let offsets = if total as usize <= OFFSET_BUDGET {
-        let mut out = Vec::with_capacity(total as usize);
-        enumerate_offsets(&dims, 0, c0, (0, 0, 0), &mut out);
-        Some(out)
-    } else {
-        None
-    };
-    let mut tail_guards = Vec::new();
-    let mut opaque_guard = false;
-    for gclass in &site.guards {
-        match gclass {
-            GuardClass::Tail(t) => tail_guards.push(t.clone()),
-            _ => opaque_guard = true,
-        }
-    }
-    Ok(Some(ResolvedSite {
-        ordinal,
-        name: site_name(kernel, site),
-        block,
-        span,
-        base,
-        gcd: g,
-        offsets,
-        has_loop,
-        tail_guards,
-        opaque_guard,
-        variant_loop: site.variant_loop,
-    }))
-}
-
-/// Recursively enumerate the offset set, carrying thread coordinates as
-/// witnesses (loop dimensions leave the coordinates untouched).
-fn enumerate_offsets(
-    dims: &[FootDim],
-    i: usize,
-    acc: i128,
-    wit: Coord,
-    out: &mut Vec<(i128, Coord)>,
-) {
-    if i == dims.len() {
-        out.push((acc, wit));
-        return;
-    }
-    let d = &dims[i];
-    let mut v = d.first;
-    for k in 0..d.count {
-        let mut w = wit;
-        if let IdxVar::Thread(a) = d.var {
-            match a {
-                Axis::X => w.0 = k as u32,
-                Axis::Y => w.1 = k as u32,
-                Axis::Z => w.2 = k as u32,
-            }
-        }
-        enumerate_offsets(dims, i + 1, acc + d.coeff * v, w, out);
-        v += d.step;
-    }
-}
-
-/// True when any `Div`/`Rem` in the kernel has a non-constant (or zero)
-/// divisor — execution could abort with a division fault before reaching a
-/// witnessed violation, so MUST claims are demoted.
-fn kernel_may_fault(kernel: &Kernel) -> bool {
-    let mut faulty = false;
-    kernel.visit_stmts(&mut |s| {
-        s.visit_exprs(&mut |e| {
-            e.visit(&mut |e| {
-                if let Expr::Binary {
-                    op: BinOp::Div | BinOp::Rem,
-                    rhs,
-                    ..
-                } = e
-                {
-                    if !matches!(&**rhs, Expr::IntConst(c) if *c != 0)
-                        && !matches!(&**rhs, Expr::FloatConst(_))
-                    {
-                        faulty = true;
-                    }
-                }
-            });
-        });
-    });
-    faulty
-}
-
-fn kernel_has_return(kernel: &Kernel) -> bool {
-    let mut found = false;
-    kernel.visit_stmts(&mut |s| {
-        if matches!(s, Stmt::Return) {
-            found = true;
-        }
-    });
-    found
-}
-
-/// Check the inter-block write-write race rule for one launch.
+/// Check the inter-block write-write race rule for one launch, on the
+/// kernel's accesses (`acc`) as resolved against it (`fps`).
 ///
 /// Two write sites race when a block `b` and a *different* block `b'` write
 /// the same element of the same buffer and the writes are not both atomic
@@ -655,56 +424,40 @@ fn kernel_has_return(kernel: &Kernel) -> bool {
 /// kernel's own business (same as on a GPU) and are not checked here.
 pub fn analyze_block_races(
     kernel: &Kernel,
-    launch: LaunchConfig,
-    args: &[Arg],
+    acc: &KernelAccesses,
+    fps: &LaunchFootprints,
     map: Option<&SourceMap>,
 ) -> RaceAnalysis {
-    let sites = collect_write_sites(kernel);
-    let env = launch_sym_env(launch, args);
-    let forms = VarForms::of_kernel(kernel);
-    let loops = resolve_loops(kernel, &forms, &env);
+    let launch = fps.env.launch;
+    let writes: Vec<(&str, &Access, &Site)> = acc
+        .writes()
+        .map(|(i, p, a)| (kernel.params[p.index()].name(), a, &fps.sites[i]))
+        .collect();
+    let site_ref = |i: usize| SiteRef {
+        buffer: writes[i].0.to_string(),
+        ordinal: i,
+        line: map.and_then(|m| m.global_write_lines.get(i).copied()),
+    };
 
-    // Enclosing-loop status per global-write ordinal (from the bounds
-    // walker, whose pre-order matches `collect_write_sites`): a site under
-    // a provably-empty loop never executes; under an unresolvable loop it
-    // cannot back a MUST claim.
-    let mut site_dead = vec![false; sites.len()];
-    let mut site_loop_unknown = vec![false; sites.len()];
-    for acc in collect_accesses(kernel) {
-        if let Some(ord) = acc.write_ordinal {
-            for lv in &acc.enclosing_loops {
-                match loops.get(lv) {
-                    Some(Some(_)) => {}
-                    Some(None) => site_dead[ord] = true,
-                    None => site_loop_unknown[ord] = true,
-                }
-            }
-        }
-    }
-
-    enum SiteState {
-        Resolved(ResolvedSite),
-        Dead,
-        Unresolved,
-    }
     let mut verdict = PropertyVerdict::Safe;
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut states: Vec<SiteState> = Vec::new();
-    for (i, site) in sites.iter().enumerate() {
-        if site_dead[i] {
-            states.push(SiteState::Dead);
-            continue;
-        }
-        match resolve_site(kernel, site, i, launch, &loops, &env) {
-            Ok(Some(mut r)) => {
-                if site_loop_unknown[i] {
-                    r.has_loop = true; // blocks MUST candidacy
-                }
-                states.push(SiteState::Resolved(r));
-            }
-            Ok(None) => states.push(SiteState::Dead),
-            Err(why) => {
-                states.push(SiteState::Unresolved);
+    // `None`: a site that never executes (`Ok`) or cannot be bounded (`Err`).
+    let mut sites: Vec<Result<Option<RaceSite>, ()>> = Vec::new();
+    for (i, (name, a, site)) in writes.iter().enumerate() {
+        sites.push(match &site.state {
+            SiteState::Dead => Ok(None),
+            SiteState::Resolved(form) => Ok(Some(RaceSite {
+                ordinal: i,
+                name,
+                form,
+                offsets: form.offsets(),
+                tail_guards: &site.tail_guards,
+                must_candidate: !form.has_loop()
+                    && !site.loop_unknown
+                    && !a.variant_loop
+                    && a.only_tail_guards(),
+            })),
+            SiteState::Unresolved(why) => {
                 // Atomic sites that cannot be resolved are still safe
                 // against *other atomic* sites; against plain sites they
                 // make the pair unknown below. Record the reason once.
@@ -713,36 +466,37 @@ pub fn analyze_block_races(
                     let mut d = Diagnostic::new(
                         Rule::Race,
                         Severity::Info,
-                        format!("cannot bound footprint: {why}"),
+                        format!("cannot bound footprint: {}", why.describe("write")),
                     );
-                    d.site = Some(site_ref(kernel, &sites, i, map));
+                    d.site = Some(site_ref(i));
                     diagnostics.push(d);
                 }
+                Err(())
             }
-        }
+        });
     }
 
-    let must_eligible = !kernel_has_return(kernel) && !kernel_may_fault(kernel);
     let nblocks = launch.num_blocks();
-    for i in 0..sites.len() {
-        for j in i..sites.len() {
-            if sites[i].buffer != sites[j].buffer {
+    for i in 0..writes.len() {
+        for j in i..writes.len() {
+            if writes[i].1.mem != writes[j].1.mem {
                 continue;
             }
-            if sites[i].atomic && sites[j].atomic {
+            if writes[i].1.atomic && writes[j].1.atomic {
                 continue;
             }
-            if matches!(states[i], SiteState::Dead) || matches!(states[j], SiteState::Dead) {
-                continue; // dead site(s): no writes happen
-            }
-            let (SiteState::Resolved(a), SiteState::Resolved(b)) = (&states[i], &states[j]) else {
-                verdict = verdict.join(PropertyVerdict::Unknown);
-                continue;
+            let (a, b) = match (&sites[i], &sites[j]) {
+                (Ok(None), _) | (_, Ok(None)) => continue, // dead site(s): no writes happen
+                (Ok(Some(a)), Ok(Some(b))) => (a, b),
+                _ => {
+                    verdict = verdict.join(PropertyVerdict::Unknown);
+                    continue;
+                }
             };
             if nblocks < 2 {
                 continue; // single block: no inter-block pair exists
             }
-            let pair = check_pair(a, b, launch, &env, must_eligible);
+            let pair = check_pair(a, b, launch, acc.runs_to_completion);
             verdict = verdict.join(pair.verdict);
             if let Some(msg) = pair.message {
                 if diagnostics.len() < DIAG_CAP {
@@ -752,7 +506,7 @@ pub fn analyze_block_races(
                         _ => Severity::Info,
                     };
                     let mut d = Diagnostic::new(Rule::Race, sev, msg);
-                    d.site = Some(site_ref(kernel, &sites, i, map));
+                    d.site = Some(site_ref(i));
                     diagnostics.push(d);
                 }
             }
@@ -789,27 +543,23 @@ impl PairOutcome {
 /// then (when available) the exact sets. Returns witnesses on overlap.
 #[allow(clippy::type_complexity)]
 fn sets_overlap(
-    a: &ResolvedSite,
-    b: &ResolvedSite,
+    a: &RaceSite,
+    b: &RaceSite,
     delta: i128,
 ) -> Result<Option<Vec<(i128, Coord, Coord)>>, ()> {
     // Interval filter.
-    if a.span.meet(b.span.translate(delta)).is_none() {
+    if a.form.span.meet(b.form.span.translate(delta)).is_none() {
         return Ok(None);
     }
     // Stride filter: every element of O_a ≡ base_a (mod g), O_b + δ ≡
     // base_b + δ (mod g) with g = gcd of both strides.
-    let g = gcd(a.gcd, b.gcd);
-    if g > 0 && (b.base + delta - a.base) % g != 0 {
+    let g = gcd(a.form.gcd, b.form.gcd);
+    if g > 0 && (b.form.base + delta - a.form.base) % g != 0 {
         return Ok(None);
     }
     if g == 0 {
         // Both singletons; interval filter already compared them.
-        return Ok(Some(vec![(
-            a.base,
-            a.offsets.as_ref().map(|o| o[0].1).unwrap_or((0, 0, 0)),
-            b.offsets.as_ref().map(|o| o[0].1).unwrap_or((0, 0, 0)),
-        )]));
+        return Ok(Some(vec![(a.form.base, (0, 0, 0), (0, 0, 0))]));
     }
     // Exact membership, when both sets are enumerated.
     let (Some(oa), Some(ob)) = (&a.offsets, &b.offsets) else {
@@ -829,29 +579,10 @@ fn sets_overlap(
 }
 
 /// Evaluate a site's tail guards at concrete thread/block coordinates.
-fn guards_hold(
-    site: &ResolvedSite,
-    wit: Coord,
-    blk: Coord,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
-) -> Option<bool> {
-    for g in &site.tail_guards {
-        let (coeffs, c0) = g.lhs.eval_coeffs(env)?;
-        let bound = g.bound.eval(env)?;
-        let mut v = c0;
-        for (var, c) in coeffs {
-            let coord = match var {
-                IdxVar::Thread(Axis::X) => wit.0 as i128,
-                IdxVar::Thread(Axis::Y) => wit.1 as i128,
-                IdxVar::Thread(Axis::Z) => wit.2 as i128,
-                IdxVar::Block(Axis::X) => blk.0 as i128,
-                IdxVar::Block(Axis::Y) => blk.1 as i128,
-                IdxVar::Block(Axis::Z) => blk.2 as i128,
-                IdxVar::Loop(_) => return None, // excluded by classification
-            };
-            v += c * coord;
-        }
-        if v >= bound {
+fn guards_hold(site: &RaceSite, wit: Coord, blk: Coord) -> Option<bool> {
+    for g in site.tail_guards {
+        let g = g.as_ref()?;
+        if g.lhs.at(wit, blk)? >= g.bound {
             return Some(false);
         }
     }
@@ -860,38 +591,30 @@ fn guards_hold(
 
 /// Check one ordered pair of resolved sites across all block shifts.
 fn check_pair(
-    a: &ResolvedSite,
-    b: &ResolvedSite,
+    a: &RaceSite,
+    b: &RaceSite,
     launch: LaunchConfig,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
     must_eligible: bool,
 ) -> PairOutcome {
-    if a.block == b.block {
-        check_pair_equal_coeffs(a, b, launch, env, must_eligible)
+    // MUST needs both sites loop-free and guarded only by concretely
+    // evaluable tail guards, in a kernel that runs to completion.
+    let must_eligible = must_eligible && a.must_candidate && b.must_candidate;
+    if a.form.block == b.form.block {
+        check_pair_equal_coeffs(a, b, launch, must_eligible)
     } else {
-        check_pair_cross_coeffs(a, b, launch, env, must_eligible)
+        check_pair_cross_coeffs(a, b, launch, must_eligible)
     }
-}
-
-/// Grid extents per axis.
-fn grid_ext(launch: LaunchConfig) -> [(Axis, i128); 3] {
-    [
-        (Axis::X, launch.grid.x as i128),
-        (Axis::Y, launch.grid.y as i128),
-        (Axis::Z, launch.grid.z as i128),
-    ]
 }
 
 /// Equal block coefficients: footprints of blocks `b` and `b + Δ` differ by
 /// the constant shift `Σ coeff[axis]·Δ[axis]`; scan the Δ lattice.
 fn check_pair_equal_coeffs(
-    a: &ResolvedSite,
-    b: &ResolvedSite,
+    a: &RaceSite,
+    b: &RaceSite,
     launch: LaunchConfig,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
     must_eligible: bool,
 ) -> PairOutcome {
-    let exts = grid_ext(launch);
+    let exts = Axis::ALL.map(|ax| (ax, launch.grid.get(ax) as i128));
     let active: Vec<(Axis, i128)> = exts.iter().copied().filter(|(_, e)| *e > 1).collect();
     if active.is_empty() {
         return PairOutcome::safe();
@@ -904,8 +627,8 @@ fn check_pair_equal_coeffs(
         // |c|·d grows monotonically with d).
         if active.len() == 1 {
             let (axis, ext) = active[0];
-            let c = a.block.get(&axis).copied().unwrap_or(0);
-            let window = a.span.sub(b.span).abs_hi();
+            let c = a.form.block[axis as usize];
+            let window = a.form.span.sub(b.form.span).abs_hi();
             for d in 1..ext {
                 if c != 0 && (c * d).abs() > window {
                     break;
@@ -913,7 +636,7 @@ fn check_pair_equal_coeffs(
                 for delta in [d, -d] {
                     let mut dv = [0i128; 3];
                     dv[axis as usize] = delta;
-                    match scan_delta(a, b, dv, env, must_eligible) {
+                    match scan_delta(a, b, dv, must_eligible) {
                         ScanOutcome::Disjoint => {}
                         other => return other.into_pair(a, b),
                     }
@@ -938,7 +661,7 @@ fn check_pair_equal_coeffs(
                 if dx == 0 && dy == 0 && dz == 0 {
                     continue;
                 }
-                match scan_delta(a, b, [dx, dy, dz], env, must_eligible) {
+                match scan_delta(a, b, [dx, dy, dz], must_eligible) {
                     ScanOutcome::Disjoint => {}
                     other => return other.into_pair(a, b),
                 }
@@ -959,7 +682,7 @@ enum ScanOutcome {
 }
 
 impl ScanOutcome {
-    fn into_pair(self, a: &ResolvedSite, b: &ResolvedSite) -> PairOutcome {
+    fn into_pair(self, a: &RaceSite, b: &RaceSite) -> PairOutcome {
         match self {
             ScanOutcome::Disjoint => PairOutcome::safe(),
             ScanOutcome::Inconclusive => PairOutcome::unknown(format!(
@@ -999,50 +722,28 @@ impl ScanOutcome {
 }
 
 /// Test one Δ of the equal-coefficient case.
-fn scan_delta(
-    a: &ResolvedSite,
-    b: &ResolvedSite,
-    dv: [i128; 3],
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
-    must_eligible: bool,
-) -> ScanOutcome {
-    let shift: i128 = [Axis::X, Axis::Y, Axis::Z]
-        .iter()
-        .map(|ax| a.block.get(ax).copied().unwrap_or(0) * dv[*ax as usize])
-        .sum();
+fn scan_delta(a: &RaceSite, b: &RaceSite, dv: [i128; 3], must_eligible: bool) -> ScanOutcome {
     // Blocks b0 and b0+Δ, with b0 chosen so both are inside the grid.
-    let b0 = (
-        (-dv[0]).max(0) as u32,
-        (-dv[1]).max(0) as u32,
-        (-dv[2]).max(0) as u32,
-    );
+    let [x0, y0, z0] = dv.map(|d| (-d).max(0));
+    let b0 = (x0 as u32, y0 as u32, z0 as u32);
     let b1 = (
-        (b0.0 as i128 + dv[0]) as u32,
-        (b0.1 as i128 + dv[1]) as u32,
-        (b0.2 as i128 + dv[2]) as u32,
+        (x0 + dv[0]) as u32,
+        (y0 + dv[1]) as u32,
+        (z0 + dv[2]) as u32,
     );
     // Footprint of `a` at b0 vs footprint of `b` at b1 = O_b + shift.
+    let block_part = a.form.block_part(b0);
+    let shift = a.form.block_part(b1) - block_part;
     match sets_overlap(a, b, shift) {
         Ok(None) => ScanOutcome::Disjoint,
         Err(()) => ScanOutcome::Inconclusive,
         Ok(Some(hits)) => {
-            let block_part: i128 = [Axis::X, Axis::Y, Axis::Z]
-                .iter()
-                .map(|ax| {
-                    a.block.get(ax).copied().unwrap_or(0)
-                        * match ax {
-                            Axis::X => b0.0 as i128,
-                            Axis::Y => b0.1 as i128,
-                            Axis::Z => b0.2 as i128,
-                        }
-                })
-                .sum();
             let mut must = false;
             let mut element = hits[0].0 + block_part;
-            if must_eligible && pair_must_candidate(a, b) {
+            if must_eligible {
                 for (o, wa, wb) in &hits {
-                    if guards_hold(a, *wa, b0, env) == Some(true)
-                        && guards_hold(b, *wb, b1, env) == Some(true)
+                    if guards_hold(a, *wa, b0) == Some(true)
+                        && guards_hold(b, *wb, b1) == Some(true)
                     {
                         must = true;
                         element = o + block_part;
@@ -1059,66 +760,39 @@ fn scan_delta(
     }
 }
 
-/// Structural eligibility of a pair for a MUST verdict: loop-free,
-/// non-atomic-only-guarded by concretely evaluable tail guards.
-fn pair_must_candidate(a: &ResolvedSite, b: &ResolvedSite) -> bool {
-    !a.has_loop
-        && !b.has_loop
-        && !a.variant_loop
-        && !b.variant_loop
-        && !a.opaque_guard
-        && !b.opaque_guard
-}
-
 /// Different block coefficients: compare global footprints, then enumerate
 /// all (block, offset) pairs within budget.
 fn check_pair_cross_coeffs(
-    a: &ResolvedSite,
-    b: &ResolvedSite,
+    a: &RaceSite,
+    b: &RaceSite,
     launch: LaunchConfig,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
     must_eligible: bool,
 ) -> PairOutcome {
-    let exts = grid_ext(launch);
-    let global = |s: &ResolvedSite| -> Interval {
-        let mut iv = s.span;
-        for (ax, e) in exts {
-            let c = s.block.get(&ax).copied().unwrap_or(0) * (e - 1);
-            iv = iv.add(Interval::point(0).hull(Interval::point(c)));
-        }
-        iv
-    };
-    if global(a).meet(global(b)).is_none() {
+    if a.form
+        .range(launch.grid)
+        .meet(b.form.range(launch.grid))
+        .is_none()
+    {
         return PairOutcome::safe();
     }
     let nblocks = launch.num_blocks();
-    let cost = |s: &ResolvedSite| -> u64 {
-        nblocks.saturating_mul(
-            s.offsets
-                .as_ref()
-                .map(|o| o.len() as u64)
-                .unwrap_or(u64::MAX),
-        )
-    };
-    if a.offsets.is_none() || b.offsets.is_none() || cost(a) > PAIR_BUDGET || cost(b) > PAIR_BUDGET
-    {
+    let fits = |o: &Vec<(i128, Coord)>| nblocks.saturating_mul(o.len() as u64) <= PAIR_BUDGET;
+    let (Some(oa), Some(ob)) = (
+        a.offsets.as_ref().filter(|o| fits(o)),
+        b.offsets.as_ref().filter(|o| fits(o)),
+    ) else {
         return PairOutcome::unknown(format!(
             "write footprints of `{}` overlap globally but are too large to \
              enumerate per block",
             a.name
         ));
-    }
+    };
     type Wit = (Coord, Coord); // (block, thread)
     let mut table: HashMap<i128, Wit> = HashMap::new();
-    let block_base = |s: &ResolvedSite, blk: Coord| -> i128 {
-        s.block.get(&Axis::X).copied().unwrap_or(0) * blk.0 as i128
-            + s.block.get(&Axis::Y).copied().unwrap_or(0) * blk.1 as i128
-            + s.block.get(&Axis::Z).copied().unwrap_or(0) * blk.2 as i128
-    };
     for lin in 0..nblocks {
         let blk = launch.grid.delinearize(lin);
-        let base = block_base(a, blk);
-        for (o, w) in a.offsets.as_ref().unwrap() {
+        let base = a.form.block_part(blk);
+        for (o, w) in oa {
             table.entry(o + base).or_insert((blk, *w));
         }
     }
@@ -1126,8 +800,8 @@ fn check_pair_cross_coeffs(
     let mut must = false;
     'outer: for lin in 0..nblocks {
         let blk = launch.grid.delinearize(lin);
-        let base = block_base(b, blk);
-        for (o, w) in b.offsets.as_ref().unwrap() {
+        let base = b.form.block_part(blk);
+        for (o, w) in ob {
             let elem = o + base;
             if let Some((ablk, aw)) = table.get(&elem) {
                 if *ablk == blk {
@@ -1137,9 +811,8 @@ fn check_pair_cross_coeffs(
                     hit = Some((elem, (*ablk, *aw), (blk, *w)));
                 }
                 if must_eligible
-                    && pair_must_candidate(a, b)
-                    && guards_hold(a, *aw, *ablk, env) == Some(true)
-                    && guards_hold(b, *w, blk, env) == Some(true)
+                    && guards_hold(a, *aw, *ablk) == Some(true)
+                    && guards_hold(b, *w, blk) == Some(true)
                 {
                     hit = Some((elem, (*ablk, *aw), (blk, *w)));
                     must = true;
@@ -1161,210 +834,20 @@ fn check_pair_cross_coeffs(
 
 // ---------------------------------------------------------- bounds rule --
 
-/// One memory access collected by the bounds walker.
-struct Access<'a> {
-    mem: MemRef,
-    index: &'a Expr,
-    is_store: bool,
-    /// Pre-order ordinal among global writes (stores/atomics only).
-    write_ordinal: Option<usize>,
-    /// Guard conjunct expressions on the path (true-branch only narrows).
-    guards: Vec<(&'a Expr, bool)>, // (expr, negated)
-    /// Inside a `Select` arm or a short-circuit operand: evaluation is not
-    /// guaranteed, so the finding cannot be MUST.
-    conditional: bool,
-    /// Loop variables of every enclosing `for` (an access under an empty
-    /// loop never executes; under an unresolvable one it may not).
-    enclosing_loops: Vec<VarId>,
-}
-
-fn collect_accesses(kernel: &Kernel) -> Vec<Access<'_>> {
-    struct Walker<'a> {
-        out: Vec<Access<'a>>,
-        guards: Vec<(&'a Expr, bool)>,
-        write_ord: usize,
-        loops: Vec<VarId>,
-    }
-    impl<'a> Walker<'a> {
-        fn expr(&mut self, e: &'a Expr, conditional: bool) {
-            match e {
-                Expr::Load { mem, index } => {
-                    self.expr(index, conditional);
-                    self.out.push(Access {
-                        mem: *mem,
-                        index,
-                        is_store: false,
-                        write_ordinal: None,
-                        guards: self.guards.clone(),
-                        conditional,
-                        enclosing_loops: self.loops.clone(),
-                    });
-                }
-                Expr::Binary {
-                    op: BinOp::LAnd | BinOp::LOr,
-                    lhs,
-                    rhs,
-                } => {
-                    self.expr(lhs, conditional);
-                    self.expr(rhs, true);
-                }
-                Expr::Binary { lhs, rhs, .. } => {
-                    self.expr(lhs, conditional);
-                    self.expr(rhs, conditional);
-                }
-                Expr::Select {
-                    cond,
-                    then_value,
-                    else_value,
-                } => {
-                    self.expr(cond, conditional);
-                    self.expr(then_value, true);
-                    self.expr(else_value, true);
-                }
-                Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => self.expr(arg, conditional),
-                Expr::Call { args, .. } => {
-                    for a in args {
-                        self.expr(a, conditional);
-                    }
-                }
-                _ => {}
-            }
-        }
-        fn stmts(&mut self, stmts: &'a [Stmt]) {
-            for s in stmts {
-                match s {
-                    Stmt::Assign { value, .. } => self.expr(value, false),
-                    Stmt::Store { mem, index, value }
-                    | Stmt::AtomicRmw {
-                        mem, index, value, ..
-                    } => {
-                        self.expr(index, false);
-                        self.expr(value, false);
-                        let ord = if matches!(mem, MemRef::Global(_)) {
-                            let o = self.write_ord;
-                            self.write_ord += 1;
-                            Some(o)
-                        } else {
-                            None
-                        };
-                        self.out.push(Access {
-                            mem: *mem,
-                            index,
-                            is_store: true,
-                            write_ordinal: ord,
-                            guards: self.guards.clone(),
-                            conditional: false,
-                            enclosing_loops: self.loops.clone(),
-                        });
-                    }
-                    Stmt::If {
-                        cond,
-                        then_body,
-                        else_body,
-                    } => {
-                        self.expr(cond, false);
-                        let mut conj = Vec::new();
-                        split_conjuncts_local(cond, &mut conj);
-                        let depth = conj.len();
-                        for c in &conj {
-                            self.guards.push((*c, false));
-                        }
-                        self.stmts(then_body);
-                        self.guards.truncate(self.guards.len() - depth);
-                        if !else_body.is_empty() {
-                            // The negated condition still guards the else
-                            // branch (blocks MUST), but performs no
-                            // narrowing.
-                            self.guards.push((cond, true));
-                            self.stmts(else_body);
-                            self.guards.pop();
-                        }
-                    }
-                    Stmt::For {
-                        var,
-                        start,
-                        end,
-                        step,
-                        body,
-                    } => {
-                        self.expr(start, false);
-                        self.expr(end, false);
-                        self.expr(step, false);
-                        self.loops.push(*var);
-                        self.stmts(body);
-                        self.loops.pop();
-                    }
-                    Stmt::SyncThreads | Stmt::Return => {}
-                }
-            }
-        }
-    }
-    let mut w = Walker {
-        out: Vec::new(),
-        guards: Vec::new(),
-        write_ord: 0,
-        loops: Vec::new(),
-    };
-    w.stmts(&kernel.body);
-    w.out
-}
-
-fn split_conjuncts_local<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::LAnd,
-        lhs,
-        rhs,
-    } = e
-    {
-        split_conjuncts_local(lhs, out);
-        split_conjuncts_local(rhs, out);
-    } else {
-        out.push(e);
-    }
-}
-
-/// Interval of an affine form under the launch, `None` when a coefficient or
-/// a loop range cannot be resolved.
-fn range_of(
-    form: &AffineForm,
-    launch: LaunchConfig,
-    loops: &BTreeMap<VarId, Option<(i128, i128, i128)>>,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
-) -> Option<Interval> {
-    let (coeffs, c0) = form.eval_coeffs(env)?;
-    let mut iv = Interval::point(c0);
-    for (v, c) in coeffs {
-        let (vmin, vmax) = match v {
-            IdxVar::Thread(a) => (0, launch.block.get(a) as i128 - 1),
-            IdxVar::Block(a) => (0, launch.grid.get(a) as i128 - 1),
-            IdxVar::Loop(lv) => match loops.get(&lv) {
-                Some(Some((first, last, _))) => (*first, *last),
-                // An empty loop's body never runs; treat the var as its
-                // start value (the access never executes anyway — using any
-                // finite range keeps the analysis an over-approximation).
-                Some(None) => return None,
-                None => return None,
-            },
-        };
-        iv = iv.add(Interval::point(vmin).hull(Interval::point(vmax)).scale(c));
-    }
-    Some(iv)
-}
-
-/// Check the in-bounds rule. Extents are in elements, indexed by parameter.
-fn analyze_bounds(
+/// Check the in-bounds rule on every access of the kernel (`acc`) as
+/// resolved against the launch (`fps`). Extents are in elements, indexed by
+/// parameter.
+pub(crate) fn analyze_bounds(
     kernel: &Kernel,
-    launch: LaunchConfig,
+    acc: &KernelAccesses,
+    fps: &LaunchFootprints,
     args: &[Arg],
     extents: &[Option<u64>],
     assumed_extents: bool,
     map: Option<&SourceMap>,
 ) -> (PropertyVerdict, Vec<Diagnostic>) {
-    let env = launch_sym_env(launch, args);
-    let forms = VarForms::of_kernel(kernel);
-    let loops = resolve_loops(kernel, &forms, &env);
-    let must_eligible = !kernel_has_return(kernel) && !kernel_may_fault(kernel);
-    let accesses = collect_accesses(kernel);
+    let launch = fps.env.launch;
+    let must_eligible = acc.runs_to_completion;
     // Bytecode range-analysis facts for MAY→Safe discharge, built lazily on
     // the first finding the affine rule cannot prove (it compiles the
     // kernel, so the common all-Safe path never pays for it).
@@ -1373,24 +856,19 @@ fn analyze_bounds(
     let mut verdict = PropertyVerdict::Safe;
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut unknown_noted = false;
-    for acc in &accesses {
-        // Enclosing-loop status: an access under a provably-empty loop
-        // never executes (skip); under an unresolvable one it may not
-        // execute (blocks MUST, bounds proofs still hold for whatever
-        // iterations do run).
-        let mut loop_unknown = false;
-        let mut dead = false;
-        for lv in &acc.enclosing_loops {
-            match loops.get(lv) {
-                Some(Some(_)) => {}
-                Some(None) => dead = true,
-                None => loop_unknown = true,
-            }
-        }
-        if dead {
+    let mut write_ordinal = 0usize;
+    for (a, site) in acc.list.iter().zip(&fps.sites) {
+        let ordinal = a.written_param().map(|_| {
+            write_ordinal += 1;
+            write_ordinal - 1
+        });
+        // An access under a provably-empty loop never executes (skip);
+        // under an unresolvable one it may not execute (blocks MUST, bounds
+        // proofs still hold for whatever iterations do run).
+        if site.state == SiteState::Dead {
             continue;
         }
-        let (name, extent): (String, Option<i128>) = match acc.mem {
+        let (name, extent): (String, Option<i128>) = match a.mem {
             MemRef::Global(p) => (
                 kernel.params[p.index()].name().to_string(),
                 extents.get(p.index()).copied().flatten().map(|e| e as i128),
@@ -1404,18 +882,14 @@ fn analyze_bounds(
                 (d.name.clone(), Some(d.len as i128))
             }
         };
-        let form = affine_of_expr(acc.index, &forms);
-        let range = form
-            .as_ref()
-            .and_then(|f| range_of(f, launch, &loops, &env));
-        let (Some(form), Some(raw)) = (form, range) else {
+        let (Some(index), SiteState::Resolved(form)) = (&a.index, &site.state) else {
             // The affine walker gave up, but the flow-sensitive bytecode
             // analysis may still certify the buffer (guard refinement,
             // constant propagation through variables).
             let disc = discharge
                 .get_or_insert_with(|| range_discharge(kernel, launch, args, extents))
                 .as_ref();
-            if disc.is_some_and(|d| d.certified(acc.mem)) {
+            if disc.is_some_and(|d| d.get(&a.mem) == Some(&true)) {
                 continue; // every compiled access certified in bounds
             }
             verdict = verdict.join(PropertyVerdict::Unknown);
@@ -1436,12 +910,10 @@ fn analyze_bounds(
         // Guard narrowing (true-branch comparisons only). An empty meet
         // means the guards contradict the raw range: no thread both passes
         // the guards and performs the access, so the site is dead.
+        let raw = form.range(launch.grid);
         let mut narrowed = Some(raw);
-        for (g, negated) in &acc.guards {
-            if *negated {
-                continue;
-            }
-            if let Some(n) = narrow_by_guard(&form, g, &forms, launch, &loops, &env) {
+        for cmp in a.guards.iter().filter_map(|g| g.cmp.as_ref()) {
+            if let Some(n) = narrow_by_guard(index, cmp, &fps.env) {
                 narrowed = narrowed.and_then(|iv| iv.meet(n));
             }
         }
@@ -1455,17 +927,15 @@ fn analyze_bounds(
         // The raw (un-narrowed) box is exact: every corner is attained by
         // some thread/iteration. Narrowed bounds are over-approximations,
         // so MUST needs the *raw* range to violate.
-        let definite = acc.guards.is_empty()
-            && !acc.conditional
-            && !loop_unknown
-            && must_eligible
-            && (raw.lo < 0 || raw.hi >= extent);
-        let neg_side = raw.lo < 0 && acc.guards.is_empty() && !acc.conditional && must_eligible;
+        let unconditional = a.guards.is_empty() && !a.conditional && must_eligible;
+        let definite = unconditional && !site.loop_unknown && (raw.lo < 0 || raw.hi >= extent);
+        let neg_side = raw.lo < 0 && unconditional;
         let sev = if definite && (!assumed_extents || neg_side) {
             Severity::Must
         } else {
             Severity::May
         };
+        let kind = if a.write { "store" } else { "load" };
         // MAY→Safe discharge: a MAY finding is an over-approximation
         // artifact whenever the bytecode interpreter certifies every
         // reachable access to the buffer in bounds under this launch.
@@ -1473,9 +943,8 @@ fn analyze_bounds(
             let disc = discharge
                 .get_or_insert_with(|| range_discharge(kernel, launch, args, extents))
                 .as_ref();
-            if disc.is_some_and(|d| d.certified(acc.mem)) {
+            if disc.is_some_and(|d| d.get(&a.mem) == Some(&true)) {
                 if diags.len() < DIAG_CAP {
-                    let kind = if acc.is_store { "store" } else { "load" };
                     diags.push(Diagnostic::new(
                         Rule::Bounds,
                         Severity::Info,
@@ -1494,21 +963,20 @@ fn analyze_bounds(
             PropertyVerdict::May
         });
         if diags.len() < DIAG_CAP {
-            let kind = if acc.is_store { "store" } else { "load" };
             let mut d = Diagnostic::new(
                 Rule::Bounds,
                 sev,
                 format!(
                     "{kind} index into `{name}` ranges over [{lo}, {hi}] but the buffer \
                      holds {extent} element(s){}",
-                    if assumed_extents && acc.mem.space() == cucc_ir::MemSpace::Global {
+                    if assumed_extents && a.mem.space() == cucc_ir::MemSpace::Global {
                         " (assumed extent)"
                     } else {
                         ""
                     }
                 ),
             );
-            if let Some(ord) = acc.write_ordinal {
+            if let Some(ord) = ordinal {
                 d.site = Some(SiteRef {
                     buffer: name,
                     ordinal: ord,
@@ -1531,36 +999,16 @@ fn analyze_bounds(
 /// small + 1 + e` bounds it below via `min(small + e)`. Equality narrows to
 /// the exact range of `big + d`. Unrelated guards yield huge, harmless
 /// bounds; unresolvable ones yield `None` (no narrowing).
-fn narrow_by_guard(
-    index: &AffineForm,
-    guard: &Expr,
-    forms: &VarForms,
-    launch: LaunchConfig,
-    loops: &BTreeMap<VarId, Option<(i128, i128, i128)>>,
-    env: &impl Fn(crate::poly::Sym) -> Option<i128>,
-) -> Option<Interval> {
-    let Expr::Binary { op, lhs, rhs } = guard else {
-        return None;
-    };
-    let (small, big, inclusive, eq) = match op {
-        BinOp::Lt => (lhs, rhs, false, false),
-        BinOp::Le => (lhs, rhs, true, false),
-        BinOp::Gt => (rhs, lhs, false, false),
-        BinOp::Ge => (rhs, lhs, true, false),
-        BinOp::Eq => (lhs, rhs, true, true),
-        _ => return None,
-    };
-    let small_f = affine_of_expr(small, forms)?;
-    let big_f = affine_of_expr(big, forms)?;
-    let upper_f = big_f.add(&index.sub(&small_f)); // big + (index − small)
-    let u = range_of(&upper_f, launch, loops, env)?;
-    if eq {
+fn narrow_by_guard(index: &AffineForm, cmp: &Comparison, env: &LaunchEnv) -> Option<Interval> {
+    let range = |f: &AffineForm| Some(env.resolve(f).ok()?.range(env.launch.grid));
+    let u = range(&cmp.big.add(&index.sub(&cmp.small)))?; // big + (index − small)
+    if cmp.eq {
         return Some(u);
     }
-    let hi = u.hi - if inclusive { 0 } else { 1 };
-    let lower_f = small_f.add(&index.sub(&big_f)); // small + (index − big)
-    let lo = match range_of(&lower_f, launch, loops, env) {
-        Some(l) => l.lo + if inclusive { 0 } else { 1 },
+    let hi = u.hi - if cmp.inclusive { 0 } else { 1 };
+    // small + (index − big)
+    let lo = match range(&cmp.small.add(&index.sub(&cmp.big))) {
+        Some(l) => l.lo + if cmp.inclusive { 0 } else { 1 },
         None => i128::MIN,
     };
     // May be empty (`lo > hi`) when the guard contradicts the raw range;
@@ -1570,29 +1018,12 @@ fn narrow_by_guard(
 
 // ----------------------------------------------- range-analysis discharge --
 
-/// Per-buffer facts from the bytecode abstract interpreter
-/// ([`crate::range::analyze_ranges`]): a memory reference maps to certified
+/// Per-memory facts from the bytecode abstract interpreter
+/// ([`crate::range::analyze_ranges`]): a memory reference maps to `true`
 /// when every *reachable* compiled access to it is proven in bounds, so the
 /// launch cannot fault on that buffer and a MAY finding of the affine rule
 /// is an over-approximation artifact.
-struct RangeDischarge {
-    /// Global buffers, keyed by parameter index.
-    global: BTreeMap<usize, bool>,
-    /// Shared arrays, keyed by declaration index.
-    shared: BTreeMap<u32, bool>,
-    /// Local arrays, keyed by declaration index.
-    local: BTreeMap<u32, bool>,
-}
-
-impl RangeDischarge {
-    fn certified(&self, mem: MemRef) -> bool {
-        match mem {
-            MemRef::Global(p) => self.global.get(&p.index()).copied().unwrap_or(false),
-            MemRef::Shared(i) => self.shared.get(&i).copied().unwrap_or(false),
-            MemRef::Local(i) => self.local.get(&i).copied().unwrap_or(false),
-        }
-    }
-}
+type RangeDischarge = HashMap<MemRef, bool>;
 
 /// Compile the kernel and run the range analysis, folding the per-slot
 /// certificates back onto source-level memory references. `None` when the
@@ -1610,24 +1041,19 @@ fn range_discharge(
     };
     let slot_extents = crate::range::param_slot_extents(&prog, args, extents);
     let ok = crate::range::analyze_ranges(&prog, &slot_extents).certified_slots();
-    let mut d = RangeDischarge {
-        global: BTreeMap::new(),
-        shared: BTreeMap::new(),
-        local: BTreeMap::new(),
-    };
+    let mut d = RangeDischarge::new();
     for (i, s) in prog.slots().iter().enumerate() {
         let Some(info) = s else { continue };
+        let mem = match info.kind {
+            SlotKind::Global { buf } => match param_of(buf) {
+                Some(p) => MemRef::Global(ParamId(p as u32)),
+                None => continue,
+            },
+            SlotKind::Shared { idx } => MemRef::Shared(idx),
+            SlotKind::Local { idx } => MemRef::Local(idx),
+        };
         // A slot with no reachable access cannot fault.
-        let c = ok.get(&(i as u32)).copied().unwrap_or(true);
-        match info.kind {
-            SlotKind::Global { buf } => {
-                if let Some(p) = param_of(buf) {
-                    *d.global.entry(p).or_insert(true) &= c;
-                }
-            }
-            SlotKind::Shared { idx } => *d.shared.entry(idx).or_insert(true) &= c,
-            SlotKind::Local { idx } => *d.local.entry(idx).or_insert(true) &= c,
-        }
+        *d.entry(mem).or_insert(true) &= ok.get(&(i as u32)).copied().unwrap_or(true);
     }
     Some(d)
 }
@@ -1735,7 +1161,8 @@ mod tests {
 
     fn races(src: &str, launch: LaunchConfig, args: Vec<Arg>) -> RaceAnalysis {
         let k = parse_kernel(src).unwrap();
-        analyze_block_races(&k, launch, &args, None)
+        let acc = KernelAccesses::of_kernel(&k);
+        analyze_block_races(&k, &acc, &LaunchFootprints::of(&acc, launch, &args), None)
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    [`crate::schedule::ScheduleCache`] (planning, probing and the
 //!    sampling profiler become amortized-free), and
 //! 2. **elide or narrow Allgathers**: when a consumer's launch-resolved
-//!    read footprint ([`cucc_analysis::launch_footprints`]) on each node
+//!    read footprint ([`cucc_analysis::LaunchFootprints`]) on each node
 //!    is covered by data already resident there (the producer's own
 //!    write slice plus any earlier partial gathers), the producer's
 //!    gather is skipped entirely or narrowed to the uncovered byte
@@ -37,7 +37,7 @@
 
 use crate::compile::CompiledKernel;
 use crate::schedule::buffer_sets;
-use cucc_analysis::{launch_footprints, Diagnostic, LaunchFootprints, Rule, Severity, SiteRef};
+use cucc_analysis::{Diagnostic, LaunchFootprints, Rule, Severity, SiteRef};
 use cucc_exec::{Arg, BufferId};
 use cucc_ir::LaunchConfig;
 use cucc_net::GatherSegment;
@@ -140,8 +140,10 @@ fn buffer_args(args: &[Arg]) -> Vec<(usize, BufferId)> {
 ///
 /// The proof is conservative in the safe direction: an `Unknown` footprint
 /// anywhere in the chain (the dead candidate's own writes, or a later
-/// consumer's reads) blocks the finding, as does any write surviving to
-/// the end of the graph (graph outputs are observable by the host).
+/// consumer's reads) blocks the finding, a later launch overwrites only
+/// what it is *certain* to write ([`LaunchFootprints::certain_writes`], not
+/// its `Must` hull), and any write surviving to the end of the graph blocks
+/// it too (graph outputs are observable by the host).
 /// Findings are `Severity::Info` under [`Rule::Lint`], matching the
 /// kernel-level lints in `cucc-analysis`.
 pub fn lint_graph(graph: &LaunchGraph) -> Vec<Diagnostic> {
@@ -182,9 +184,9 @@ pub fn lint_graph(graph: &LaunchGraph) -> Vec<Diagnostic> {
                     }
                     GraphOp::Upload { .. } => {}
                     GraphOp::Launch {
+                        ck: ck2,
                         launch: l2,
                         args: a2,
-                        ..
                     } => {
                         let Some(fp2) = &later.footprints else {
                             dead = false;
@@ -217,16 +219,15 @@ pub fn lint_graph(graph: &LaunchGraph) -> Vec<Diagnostic> {
                                     }
                                 }
                             }
-                            if let Some(w2) = fp2.writes.get(&q) {
-                                // Unknown later writes cover nothing.
-                                if let Some(ww) = w2.byte_ranges(0..b2) {
-                                    let ww = normalize(ww);
-                                    remaining = remaining
-                                        .into_iter()
-                                        .flat_map(|r| subtract_one(r, &ww))
-                                        .collect();
-                                }
-                            }
+                            // Only what the later launch is certain to
+                            // write covers anything: its `Must` hull is an
+                            // over-approximation (guards, loops, the box
+                            // around a block range).
+                            let ww = normalize(fp2.certain_writes(&ck2.analysis.accesses, q));
+                            remaining = remaining
+                                .into_iter()
+                                .flat_map(|r| subtract_one(r, &ww))
+                                .collect();
                         }
                     }
                 }
@@ -339,7 +340,7 @@ impl GraphCapture {
         let id = self.nodes.len();
         let (reads, writes) = buffer_sets(&ck.kernel, args);
         let deps = self.hazards(id, &reads, &writes);
-        let footprints = launch_footprints(&ck.kernel, &launch, args);
+        let footprints = LaunchFootprints::of(&ck.analysis.accesses, launch, args);
         self.nodes.push(GraphNode {
             op: GraphOp::Launch {
                 ck: Box::new(ck.clone()),
@@ -702,6 +703,39 @@ mod tests {
         // Second fill survives to graph exit (host-observable) — no finding
         // for it either.
         assert!(lint_graph(&g).is_empty(), "{:?}", lint_graph(&g));
+    }
+
+    #[test]
+    fn dead_launch_lint_subtracts_only_certain_writes() {
+        // A later launch's `Must` write hull covers bytes it never stores:
+        // a tail guard that fails for half the grid, a loop write with a
+        // gap. Neither may kill the earlier fill.
+        let fill = compile_source(
+            "__global__ void fill(float* x, int n) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                if (id < n) x[id] = 1.0f;
+            }",
+        )
+        .unwrap();
+        let gapped = compile_source(
+            "__global__ void gapped(float* x) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                for (int i = 0; i < 2; i++) x[id * 4 + i] = 2.0f;
+            }",
+        )
+        .unwrap();
+        let x = BufferId(0);
+        let launch = LaunchConfig::cover1(1024, 128);
+        for later in [
+            (&fill, vec![Arg::Buffer(x), Arg::int(512)]),
+            (&gapped, vec![Arg::Buffer(x)]),
+        ] {
+            let mut cap = GraphCapture::new();
+            cap.launch(&fill, launch, &[Arg::Buffer(x), Arg::int(1024)]);
+            cap.launch(later.0, launch, &later.1);
+            let findings = lint_graph(&cap.finish());
+            assert!(findings.is_empty(), "{findings:?}");
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use error::MigrateError;
 pub use graph::{
     lint_graph, GraphCapture, GraphNode, GraphOp, LaunchGraph, PendingGather, ReplayStats,
 };
-pub use options::{RunOptions, RunOptionsBuilder};
+pub use options::RunOptions;
 pub use program::{ArgSpec, GpuProgram, HostOp, ProgramBackend, ProgramBuilder, ProgramResult};
 pub use report::{ExecMode, FaultSummary, LaunchReport, PhaseTimes, ThreePhaseShape};
 pub use runtime::{CuccCluster, ExecutionFidelity, RuntimeConfig};

@@ -135,11 +135,10 @@ impl CuccCluster {
     /// before the checkpoint stay valid against the restored cluster.
     pub fn restore(
         spec: ClusterSpec,
-        options: impl Into<crate::RunOptions>,
+        options: crate::RunOptions,
         ckpt: &Checkpoint,
     ) -> Result<CuccCluster, MigrateError> {
-        let options = options.into();
-        let modeled = options.runtime.fidelity == ExecutionFidelity::Modeled;
+        let modeled = options.fidelity == ExecutionFidelity::Modeled;
         if ckpt.modeled != modeled {
             let name = |modeled| if modeled { "modeled" } else { "functional" };
             return Err(MigrateError::Checkpoint(format!(
@@ -185,7 +184,7 @@ impl CuccCluster {
     /// [`CuccCluster::checkpoint_to`].
     pub fn restore_from(
         spec: ClusterSpec,
-        options: impl Into<crate::RunOptions>,
+        options: crate::RunOptions,
         path: impl AsRef<std::path::Path>,
     ) -> Result<CuccCluster, MigrateError> {
         let bytes = std::fs::read(path.as_ref()).map_err(|e| {

@@ -203,19 +203,10 @@ impl CuccCluster {
         let Call { ck, launch, args } = call;
         let pool = self.sim.node(0);
         let dynamic = cucc_exec::sanitize_launch(&ck.kernel, launch, args, pool);
-        let extents: Vec<Option<u64>> = ck
-            .kernel
-            .params
-            .iter()
-            .zip(args)
-            .map(|(p, a)| match (p, a) {
-                (cucc_ir::Param::Buffer { elem, .. }, Arg::Buffer(id)) => {
-                    Some((pool.size_of(*id) / elem.size()) as u64)
-                }
-                _ => None,
-            })
-            .collect();
-        let s = cucc_analysis::verify_launch(&ck.kernel, launch, args, &extents, false, None);
+        let extents = cucc_analysis::param_extents(&ck.kernel, args, pool);
+        let acc = &ck.analysis.accesses;
+        let s =
+            cucc_analysis::verify_accesses(&ck.kernel, acc, launch, args, &extents, false, None);
         if !dynamic.races.is_empty() && s.race.is_safe() {
             return Err(MigrateError::Launch(format!(
                 "sanitizer soundness violation in `{}`: dynamic write race observed \

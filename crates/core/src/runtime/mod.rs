@@ -43,11 +43,12 @@ pub enum ExecutionFidelity {
     Modeled,
 }
 
-/// Runtime knobs: the plain data behind [`crate::RunOptions::runtime`].
+/// Runtime knobs — the one options type ([`crate::RunOptions`] is its
+/// front-end name).
 ///
-/// Construct through [`crate::RunOptions::builder`] (the one builder), or
-/// from [`RuntimeConfig::default`] / [`RuntimeConfig::modeled`] plus struct
-/// update; a bare `RuntimeConfig` converts into [`crate::RunOptions`].
+/// Construct through [`RuntimeConfig::builder`] and the chainable setters,
+/// or from [`RuntimeConfig::default`] / [`RuntimeConfig::modeled`] plus
+/// struct update.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Functional vs modeled execution.
@@ -169,16 +170,12 @@ pub struct CuccCluster {
 }
 
 impl CuccCluster {
-    /// Build a runtime over `spec.nodes` simulated nodes from the unified
-    /// front-end options — a [`crate::RunOptions`] value or anything
-    /// convertible into one (a bare [`RuntimeConfig`] included, which is
-    /// what keeps legacy `(spec, config)` call sites working verbatim).
+    /// Build a runtime over `spec.nodes` simulated nodes.
     ///
-    /// The cluster consumes the runtime knobs ([`crate::RunOptions::runtime`]);
-    /// what a session does around its launches (stream fan-out, graph
-    /// iterations, checkpoint paths) belongs to the driver above it.
-    pub fn with_options(spec: ClusterSpec, options: impl Into<crate::RunOptions>) -> CuccCluster {
-        let config = options.into().runtime;
+    /// The cluster consumes the runtime knobs; what a session does around
+    /// its launches (stream fan-out, graph iterations, checkpoint paths)
+    /// belongs to the driver above it.
+    pub fn with_options(spec: ClusterSpec, config: crate::RunOptions) -> CuccCluster {
         let logical_nodes = spec.nodes as usize;
         let sim_spec = if config.fidelity == ExecutionFidelity::Modeled {
             spec.with_nodes(1)

@@ -366,7 +366,7 @@ impl JobServer {
             .iter()
             .map(|src| compile_source(src))
             .collect::<Result<Vec<_>, _>>()?;
-        let runtime = config.options.runtime.clone();
+        let runtime = config.options.clone();
         let nodes = spec.nodes;
         let cluster = CuccCluster::with_options(spec, config.options.clone());
         let last_epoch = cluster.epoch();

@@ -73,8 +73,8 @@ use cucc::analysis::Verdict;
 use cucc::cluster::ClusterSpec;
 use cucc::core::codegen::{generate_host_module, generate_kernel_module};
 use cucc::core::{
-    compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode, JobServer, RunOptions,
-    RunOptionsBuilder, ServeConfig, ServePolicy,
+    compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode, ExecutionFidelity,
+    JobServer, RunOptions, ServeConfig, ServePolicy,
 };
 use cucc::exec::{Arg, BufferId};
 use cucc::gpu_model::{GpuDevice, GpuSpec};
@@ -160,7 +160,7 @@ fn cmd_analyze(src: &str) -> Result<String, String> {
                     b.elem_size
                 );
             }
-            out += &format!("  write sites   : {}\n", meta.sites.len());
+            out += &format!("  write sites   : {}\n", meta.accesses.writes().count());
         }
         Verdict::Trivial(reasons) => {
             out += "  verdict       : trivially distributable (replicated execution)\n";
@@ -180,8 +180,16 @@ fn cmd_analyze(src: &str) -> Result<String, String> {
     // rules; real geometry and extents come from `cucc check --builtin`).
     let map = cucc::ir::parse_kernel_with_map(src).ok().map(|(_, m)| m);
     let (vlaunch, vargs, vextents) = cucc::analysis::canonical_check_input(&ck.kernel);
-    let vr =
-        cucc::analysis::verify_launch(&ck.kernel, vlaunch, &vargs, &vextents, true, map.as_ref());
+    let acc = &ck.analysis.accesses;
+    let vr = cucc::analysis::verify_accesses(
+        &ck.kernel,
+        acc,
+        vlaunch,
+        &vargs,
+        &vextents,
+        true,
+        map.as_ref(),
+    );
     out += &format!("  verifier      : {vlaunch}\n");
     out += &vr.render();
     Ok(out)
@@ -506,7 +514,7 @@ struct CommonOpts {
     seed: u64,
     modeled: bool,
     trace: Option<String>,
-    run: RunOptionsBuilder,
+    run: RunOptions,
 }
 
 impl CommonOpts {
@@ -538,7 +546,8 @@ impl CommonOpts {
             }
             "--modeled" => {
                 self.modeled = true;
-                self.run = self.run.clone().modeled();
+                let run = self.run.clone().fidelity(ExecutionFidelity::Modeled);
+                self.run = run.verify_consistency(false);
             }
             "--engine" => {
                 let v = value(rest, flag)?;
@@ -1077,18 +1086,18 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
     if opts.modeled {
         out += &format!(
             "  engine: {} (modeled run, blocks not executed)\n",
-            options.runtime.engine
+            options.engine
         );
     } else {
         // Blocks node 0 really executed (partial slice + callbacks).
         let blocks = report.node_stats.blocks;
         out += &format!(
             "  engine: {} ({}): {} blocks/node in {:.3} ms wall, {:.0} blocks/s\n",
-            options.runtime.engine,
-            if options.runtime.node_threads == 0 {
+            options.engine,
+            if options.node_threads == 0 {
                 "auto node-threads".to_string()
             } else {
-                format!("{} node-threads", options.runtime.node_threads)
+                format!("{} node-threads", options.node_threads)
             },
             blocks,
             wall * 1e3,
@@ -1883,9 +1892,9 @@ mod tests {
         // The runtime knobs fold into the cluster's options; the session
         // flags stay on `RunOpts`, where `cmd_run` reads them.
         let ro = opts.to_run_options();
-        assert_eq!(ro.runtime.fidelity, cucc::core::ExecutionFidelity::Modeled);
-        assert_eq!(ro.runtime.node_threads, 2);
-        assert!(!ro.runtime.faults.is_empty());
+        assert_eq!(ro.fidelity, ExecutionFidelity::Modeled);
+        assert_eq!(ro.node_threads, 2);
+        assert!(!ro.faults.is_empty());
         assert_eq!((opts.streams, opts.graph), (3, 5));
         assert!(opts.checkpoint.is_some());
         assert!(opts.restore.is_none());

@@ -161,6 +161,133 @@ fn shifted_consumer_narrows_the_gather() {
     assert_eq!(a.download::<u8>(y).unwrap(), b.download::<u8>(yb).unwrap());
 }
 
+/// Replay a producer→consumer graph on 4 nodes and run the same ops
+/// eagerly on a second cluster; returns the replay's stats after checking
+/// both buffers bit-identical.
+fn replay_against_eager(
+    [prod, cons]: [&str; 2],
+    launch: LaunchConfig,
+    x_elems: usize,
+    scalars: &[Arg],
+) -> cucc::core::ReplayStats {
+    let prod = compile_source(prod).unwrap();
+    let cons = compile_source(cons).unwrap();
+    let xs = seeded(17, x_elems);
+    let with_scalars = |bufs: &[Arg]| [bufs, scalars].concat();
+
+    let mut a = cluster(4);
+    let (x, y) = (a.alloc(x_elems * 4), a.alloc(ELEMS * 4));
+    let mut cap = GraphCapture::new();
+    cap.upload(x, bytes(&xs));
+    cap.launch(&prod, launch, &with_scalars(&[Arg::Buffer(x)]));
+    cap.launch(
+        &cons,
+        launch,
+        &with_scalars(&[Arg::Buffer(x), Arg::Buffer(y)]),
+    );
+    let stats = a.graph_replay(&cap.finish()).unwrap();
+
+    let mut b = cluster(4);
+    let (xb, yb) = (b.alloc(x_elems * 4), b.alloc(ELEMS * 4));
+    b.upload::<f32>(xb, &xs).unwrap();
+    b.launch(&prod, launch, &with_scalars(&[Arg::Buffer(xb)]))
+        .unwrap();
+    b.launch(
+        &cons,
+        launch,
+        &with_scalars(&[Arg::Buffer(xb), Arg::Buffer(yb)]),
+    )
+    .unwrap();
+    assert_eq!(a.download::<u8>(x).unwrap(), b.download::<u8>(xb).unwrap());
+    assert_eq!(a.download::<u8>(y).unwrap(), b.download::<u8>(yb).unwrap());
+    stats
+}
+
+/// A consumer that reads through a `for` with launch-resolvable bounds
+/// (`x[id + i]`, `i < 4`) has a `Must` read footprint — the loop's whole
+/// range, three elements into the right neighbour's slice — so the
+/// producer's gather is deferred and narrowed instead of materialized.
+#[test]
+fn loop_indexed_consumer_defers_and_narrows_the_gather() {
+    let stats = replay_against_eager(
+        [
+            PROD,
+            "__global__ void stencil(float* x, float* y) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                float acc = 0.0f;
+                for (int i = 0; i < 4; i++) { acc = acc + x[id + i]; }
+                y[id] = acc;
+            }",
+        ],
+        launch_cfg(),
+        ELEMS + PAD,
+        &[],
+    );
+    assert_eq!(stats.materializations, 0, "a loop read is not Unknown");
+    assert_eq!(stats.gathers_elided, 2);
+    assert_eq!(stats.gathers_narrowed, 1, "only the halo crosses nodes");
+    assert!(stats.wire_bytes_saved > 0);
+}
+
+/// A loop's `[start, end, step]` bounds its counter only inside that one
+/// loop's body. A counter read after the loop (it holds the exit value,
+/// `x[id + 4]`) or driving two loops with different ranges is read at
+/// values no single range describes: the footprint stays `Unknown` and the
+/// producer's gather is materialized — a hull from either range alone
+/// would be too narrow and the halo would be read stale.
+#[test]
+fn counter_outside_its_one_loop_materializes_the_gather() {
+    let after_loop = "__global__ void after(float* x, float* y) {
+        int id = blockIdx.x * blockDim.x + threadIdx.x;
+        float acc = 0.0f;
+        int i;
+        for (i = 0; i < 4; i++) { acc = acc + x[id + i]; }
+        y[id] = acc + x[id + i];
+    }";
+    let reused = "__global__ void reused(float* x, float* y) {
+        int id = blockIdx.x * blockDim.x + threadIdx.x;
+        float acc = 0.0f;
+        int i;
+        for (i = 0; i < 8; i++) { acc = acc + x[id + i]; }
+        for (i = 0; i < 2; i++) { acc = acc + x[id + i]; }
+        y[id] = acc;
+    }";
+    for cons in [after_loop, reused] {
+        let stats = replay_against_eager([PROD, cons], launch_cfg(), ELEMS + PAD, &[]);
+        assert_eq!(stats.materializations, 1, "{cons}");
+        assert_eq!(stats.gathers_narrowed, 0, "{cons}");
+    }
+}
+
+/// On a 2-D grid the footprints keep per-axis block coefficients: a node's
+/// rows of blocks read exactly the rows it wrote, so both gathers elide.
+#[test]
+fn two_d_grid_consumer_elides_all_gathers() {
+    let stats = replay_against_eager(
+        [
+            "__global__ void prod2(float* x, int w) {
+                int c = blockIdx.x * blockDim.x + threadIdx.x;
+                int r = blockIdx.y * blockDim.y + threadIdx.y;
+                x[r * w + c] = x[r * w + c] * 3.0f + 1.0f;
+            }",
+            "__global__ void cons2(float* x, float* y, int w) {
+                int c = blockIdx.x * blockDim.x + threadIdx.x;
+                int r = blockIdx.y * blockDim.y + threadIdx.y;
+                y[r * w + c] = x[r * w + c] + 2.0f;
+            }",
+        ],
+        LaunchConfig::new((4u32, 4u32), (8u32, 8u32)),
+        ELEMS,
+        &[Arg::int(32)],
+    );
+    assert_eq!(stats.gathers_elided, 2);
+    assert_eq!(
+        stats.gathers_full + stats.gathers_narrowed + stats.materializations,
+        0
+    );
+    assert_eq!(stats.wire_bytes, 0);
+}
+
 /// A consumer whose read index is not affine (`x[(id·id) % n]`) gets an
 /// `Unknown` footprint: the optimizer must fall back to materializing the
 /// full deferred Allgather before the consumer runs — never guess.

@@ -12,92 +12,9 @@ use cucc::exec::{Arg, MemPool};
 use cucc::ir::{parse_kernel, validate, LaunchConfig};
 use proptest::prelude::*;
 
-/// A random affine-ish kernel: `out[a·id + b + (guarded?)] = f(id)` with a
-/// random scale/offset, optional tail guard, optional per-thread inner loop
-/// writing `w` consecutive elements.
-#[derive(Debug, Clone)]
-struct RandomKernel {
-    scale: i64,
-    offset: i64,
-    width: i64,
-    guard: bool,
-    blocks: u32,
-    threads: u32,
-    n: i64,
-}
-
-impl RandomKernel {
-    fn source(&self) -> String {
-        let idx = if self.width > 1 {
-            format!(
-                "(id * {s} + {o}) * {w} + i",
-                s = self.scale,
-                o = self.offset,
-                w = self.width
-            )
-        } else {
-            format!("id * {s} + {o}", s = self.scale, o = self.offset)
-        };
-        let body = if self.width > 1 {
-            format!(
-                "for (int i = 0; i < {w}; i++) out[{idx}] = id + i;",
-                w = self.width,
-                idx = idx
-            )
-        } else {
-            format!("out[{idx}] = id;", idx = idx)
-        };
-        let guarded = if self.guard {
-            format!("if (id < n) {{ {body} }}")
-        } else {
-            body
-        };
-        format!(
-            "__global__ void k(int* out, int n) {{
-                int id = blockIdx.x * blockDim.x + threadIdx.x;
-                {guarded}
-            }}"
-        )
-    }
-
-    fn launch(&self) -> LaunchConfig {
-        LaunchConfig::new(self.blocks, self.threads)
-    }
-
-    fn out_elems(&self) -> usize {
-        let total = self.blocks as i64 * self.threads as i64;
-        ((total * self.scale.max(1) + self.offset) * self.width.max(1) + self.width + 64) as usize
-    }
-}
-
-fn random_kernel() -> impl Strategy<Value = RandomKernel> {
-    (
-        1i64..4,  // scale
-        0i64..32, // offset
-        1i64..4,  // width
-        any::<bool>(),
-        1u32..12, // blocks
-        prop::sample::select(vec![1u32, 2, 8, 32]),
-    )
-        .prop_flat_map(|(scale, offset, width, guard, blocks, threads)| {
-            let total = blocks as i64 * threads as i64;
-            (
-                Just((scale, offset, width, guard, blocks, threads)),
-                1i64..=total,
-            )
-        })
-        .prop_map(
-            |((scale, offset, width, guard, blocks, threads), n)| RandomKernel {
-                scale,
-                offset,
-                width,
-                guard,
-                blocks,
-                threads,
-                n,
-            },
-        )
-}
+#[path = "support/generators.rs"]
+mod generators;
+use generators::random_kernel;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -111,8 +28,9 @@ proptest! {
         let mut pool = MemPool::new();
         let out = pool.alloc(rk.out_elems() * 4);
         let args = vec![Arg::Buffer(out), Arg::int(rk.n)];
-        if let Plan::ThreePhase(tp) = plan_launch(&kernel, &verdict, rk.launch(), &args, &pool) {
-            let report = verify_plan(&kernel, rk.launch(), &args, &pool, &tp).unwrap();
+        let launch = LaunchConfig::new(rk.blocks, rk.threads);
+        if let Plan::ThreePhase(tp) = plan_launch(&kernel, &verdict, launch, &args, &pool) {
+            let report = verify_plan(&kernel, launch, &args, &pool, &tp).unwrap();
             prop_assert!(report.ok(), "oracle violations: {:?}", report.violations);
             // Partition invariants for every node count.
             let part = tp.partition(nodes);
@@ -146,28 +64,27 @@ proptest! {
 
 mod tail_guard_properties {
     use super::*;
-    use cucc::analysis::{full_blocks_under_guard, GuardClass, Verdict};
-    use cucc::ir::{Axis, LaunchConfig};
+    use cucc::analysis::{full_blocks_under_guard, Verdict};
 
-    /// Brute force: a block is "full" iff the guard holds for every thread.
-    fn brute_force_full_blocks(
-        scale: i64,
-        offset: i64,
-        bound: i64,
-        blocks: u32,
-        threads: u32,
-    ) -> u64 {
-        let mut full = 0u64;
-        for b in 0..blocks as i64 {
-            let all =
-                (0..threads as i64).all(|t| (b * threads as i64 + t) * scale + offset < bound);
-            if all && full == b as u64 {
-                full += 1;
-            } else if !all {
-                break;
-            }
-        }
-        full
+    /// Longest prefix of the linear block ids (x-fastest) in which `full`
+    /// holds — what the three-phase workflow can hand to phase 1.
+    fn full_prefix(blocks: u64, full: impl Fn(u64) -> bool) -> u64 {
+        (0..blocks).take_while(|b| full(*b)).count() as u64
+    }
+
+    /// The guards of a kernel, each resolved on its own, then joined the way
+    /// `plan_launch` joins them (the minimum).
+    fn resolved_full_blocks(src: &str, launch: LaunchConfig, args: &[Arg], guards: usize) -> u64 {
+        let kernel = parse_kernel(src).unwrap();
+        let Verdict::Distributable(meta) = analyze_kernel(&kernel) else {
+            panic!("guarded affine kernel must be distributable");
+        };
+        assert_eq!(meta.tail_guards.len(), guards, "tail guards of {src}");
+        meta.tail_guards
+            .iter()
+            .map(|g| full_blocks_under_guard(g, launch, args).expect("resolvable guard"))
+            .min()
+            .unwrap()
     }
 
     proptest! {
@@ -190,31 +107,49 @@ mod tail_guard_properties {
                         out[id] = 1;
                 }}"
             );
-            let kernel = parse_kernel(&src).unwrap();
-            let verdict = analyze_kernel(&kernel);
-            let Verdict::Distributable(meta) = &verdict else {
-                panic!("guarded affine kernel must be distributable");
-            };
-            let tail: Vec<_> = meta
-                .sites
-                .iter()
-                .flat_map(|s| s.guards.iter())
-                .filter_map(|g| match g {
-                    GuardClass::Tail(t) => Some(t.clone()),
-                    _ => None,
-                })
-                .collect();
-            prop_assert_eq!(tail.len(), 1, "exactly one tail guard");
-            let launch = LaunchConfig::new(blocks, threads);
-            let args = vec![Arg::int(0) /* placeholder for out */, Arg::int(bound)];
-            // full_blocks_under_guard reads scalar params only; buffer slots
-            // just need to exist positionally — pass an int placeholder.
-            let got = full_blocks_under_guard(&tail[0], launch, &args)
-                .expect("resolvable guard");
-            let want = brute_force_full_blocks(scale, offset, bound, blocks, threads);
+            // The resolver reads scalar params only; buffer slots just need
+            // to exist positionally — pass an int placeholder.
+            let args = vec![Arg::int(0), Arg::int(bound)];
+            let got = resolved_full_blocks(&src, LaunchConfig::new(blocks, threads), &args, 1);
+            let t = threads as i64;
+            let want = full_prefix(blocks as u64, |b| {
+                (0..t).all(|tx| (b as i64 * t + tx) * scale + offset < bound)
+            });
             prop_assert_eq!(got, want, "scale={} offset={} bound={} g={}x{}",
                 scale, offset, bound, blocks, threads);
-            let _ = Axis::X;
+        }
+
+        /// On a 2-D grid a guard on x, on y or on both still resolves to
+        /// the longest linear prefix of blocks it holds in for every
+        /// thread, for exact and ragged fits alike.
+        #[test]
+        fn guard_resolver_matches_brute_force_on_2d_grids(
+            which in 0usize..3,
+            (gx, gy) in (1u32..6, 1u32..6),
+            (tx, ty) in (prop::sample::select(vec![1u32, 2, 4]), prop::sample::select(vec![1u32, 3, 4])),
+            (slack_w, slack_h) in (0i64..7, 0i64..7),
+        ) {
+            let guard = ["x < w", "y < h", "x < w && y < h"][which];
+            let src = format!(
+                "__global__ void k(int* out, int w, int h) {{
+                    int x = blockIdx.x * blockDim.x + threadIdx.x;
+                    int y = blockIdx.y * blockDim.y + threadIdx.y;
+                    if ({guard})
+                        out[y * w + x] = 1;
+                }}"
+            );
+            // slack 0 is the exact fit; more leaves trailing blocks ragged.
+            let (w, h) = ((gx * tx) as i64 - slack_w, (gy * ty) as i64 - slack_h);
+            let launch = LaunchConfig::new((gx, gy), (tx, ty));
+            let args = vec![Arg::int(0), Arg::int(w), Arg::int(h)];
+            let got = resolved_full_blocks(&src, launch, &args, if which == 2 { 2 } else { 1 });
+            let want = full_prefix(launch.num_blocks(), |b| {
+                let (bx, by, _) = launch.grid.delinearize(b);
+                let x_ok = ((bx + 1) * tx) as i64 <= w;
+                let y_ok = ((by + 1) * ty) as i64 <= h;
+                [x_ok, y_ok, x_ok && y_ok][which]
+            });
+            prop_assert_eq!(got, want, "`{}` w={} h={} on {}", guard, w, h, launch);
         }
     }
 }

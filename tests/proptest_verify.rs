@@ -21,115 +21,9 @@ use cucc::exec::{sanitize_launch, Arg, MemPool};
 use cucc::ir::{parse_kernel, validate, LaunchConfig};
 use proptest::prelude::*;
 
-/// One random verifier subject: an indexing shape, a launch geometry, and
-/// an allocation shortfall (elements removed from the exact footprint; 0
-/// means the buffer fits exactly, >0 forces out-of-bounds traps).
-#[derive(Debug, Clone)]
-struct Subject {
-    shape: Shape,
-    blocks: u32,
-    threads: u32,
-    shortfall: u64,
-}
-
-#[derive(Debug, Clone)]
-enum Shape {
-    /// `out[(b·T + t) · stride]` — disjoint per-block footprints.
-    Strided { stride: i64 },
-    /// `out[t]` — every block writes the same window.
-    BlockInvariant,
-    /// `out[b·(T − overlap) + t]` — adjacent blocks share `overlap` elems.
-    Halo { overlap: u32 },
-    /// `out[id] = …; out[id + gap] = …` — second site shifted by `gap`.
-    TwoSite { gap: i64 },
-    /// `if (id < n) out[id] = …` — guarded tail, exact extent `n`.
-    GuardedTail { quarters: i64 },
-}
-
-impl Subject {
-    fn total(&self) -> i64 {
-        self.blocks as i64 * self.threads as i64
-    }
-
-    /// Clamp shape parameters to the launch (halo overlap < threads).
-    fn overlap(&self) -> i64 {
-        match self.shape {
-            Shape::Halo { overlap } => (overlap as i64).min(self.threads as i64 - 1).max(0),
-            _ => 0,
-        }
-    }
-
-    fn source(&self) -> String {
-        let body = match &self.shape {
-            Shape::Strided { stride } => format!(
-                "int id = blockIdx.x * blockDim.x + threadIdx.x;
-                 out[id * {stride}] = id;"
-            ),
-            Shape::BlockInvariant => "out[threadIdx.x] = 1;".to_string(),
-            Shape::Halo { .. } => format!(
-                "out[blockIdx.x * (blockDim.x - {}) + threadIdx.x] = 1;",
-                self.overlap()
-            ),
-            Shape::TwoSite { gap } => format!(
-                "int id = blockIdx.x * blockDim.x + threadIdx.x;
-                 out[id] = id;
-                 out[id + {gap}] = id;"
-            ),
-            Shape::GuardedTail { .. } => "int id = blockIdx.x * blockDim.x + threadIdx.x;
-                 if (id < n) out[id] = id;"
-                .to_string(),
-        };
-        let params = match self.shape {
-            Shape::GuardedTail { .. } => "int* out, int n",
-            _ => "int* out",
-        };
-        format!("__global__ void k({params}) {{ {body} }}")
-    }
-
-    /// Exact element footprint of all writes (before the shortfall).
-    fn exact_extent(&self) -> i64 {
-        let total = self.total();
-        match &self.shape {
-            Shape::Strided { stride } => (total - 1) * stride + 1,
-            Shape::BlockInvariant => self.threads as i64,
-            Shape::Halo { .. } => {
-                (self.blocks as i64 - 1) * (self.threads as i64 - self.overlap())
-                    + self.threads as i64
-            }
-            Shape::TwoSite { gap } => total + gap,
-            Shape::GuardedTail { quarters } => (total * quarters / 4).max(1),
-        }
-    }
-
-    fn n_arg(&self) -> Option<i64> {
-        match self.shape {
-            Shape::GuardedTail { .. } => Some(self.exact_extent()),
-            _ => None,
-        }
-    }
-}
-
-fn subject() -> impl Strategy<Value = Subject> {
-    let shape = prop_oneof![
-        (1i64..4).prop_map(|stride| Shape::Strided { stride }),
-        Just(Shape::BlockInvariant),
-        (0u32..3).prop_map(|overlap| Shape::Halo { overlap }),
-        (0i64..6).prop_map(|gap| Shape::TwoSite { gap }),
-        (1i64..=4).prop_map(|quarters| Shape::GuardedTail { quarters }),
-    ];
-    (
-        shape,
-        1u32..6,
-        prop::sample::select(vec![2u32, 4, 8]),
-        0u64..3,
-    )
-        .prop_map(|(shape, blocks, threads, shortfall)| Subject {
-            shape,
-            blocks,
-            threads,
-            shortfall,
-        })
-}
+#[path = "support/generators.rs"]
+mod generators;
+use generators::{subject, Shape, Subject};
 
 /// Run both the static verifier (exact extents, no assumed-extent cap) and
 /// the dynamic sanitizer on a subject; returns `(report, dynamic)`.
