@@ -14,7 +14,10 @@
 //!
 //! * [`poly`] / [`affine`] — symbolic polynomial and affine-form machinery
 //!   used to reason about indices with launch-time-unknown values;
-//! * [`variance`] — thread-/block-variance taint analysis (condition 2);
+//! * [`variance`] — thread-/block-variance taint analysis (condition 2),
+//!   and whether memory contents can steer the kernel
+//!   ([`KernelAnalysis::content_steered`]: such a kernel's schedule is
+//!   never cached);
 //! * [`distributable`] — the one walk over a kernel's accesses
 //!   ([`KernelAccesses`]) and, on its write sites, the **Allgather
 //!   distributable analysis**: decides whether a kernel's blocks can be
@@ -76,7 +79,7 @@ pub use range::{
     BranchFact, Interval, RangeAnalysis,
 };
 pub use simd::{analyze_simd, SimdClass, SimdReport};
-pub use variance::{var_variance, Variance};
+pub use variance::{content_steered, var_variance, Variance};
 pub use verify::{
     analyze_block_races, canonical_check_input, cause_diagnostic, param_extents,
     reason_diagnostics, verify_accesses, verify_launch, Diagnostic, PropertyVerdict, RaceAnalysis,
@@ -94,6 +97,10 @@ pub struct KernelAnalysis {
     /// compiled kernel resolves against a launch ([`LaunchFootprints::of`],
     /// [`verify_accesses`]) without walking the kernel again.
     pub accesses: KernelAccesses,
+    /// Whether buffer contents can change the kernel's control flow or
+    /// addresses ([`content_steered`]) — and with them what the launch-time
+    /// probe and the sampling profiler observe.
+    pub content_steered: bool,
 }
 
 /// Run every CuCC analysis on a kernel. The one walk over its accesses
@@ -104,6 +111,7 @@ pub fn analyze(kernel: &cucc_ir::Kernel) -> KernelAnalysis {
         verdict: distributable::distributable_verdict(&accesses),
         simd: analyze_simd(kernel),
         accesses,
+        content_steered: content_steered(kernel),
     }
 }
 

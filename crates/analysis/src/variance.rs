@@ -6,8 +6,13 @@
 //! *block-variance* (can differ between blocks). Both are computed here as a
 //! joint conservative taint fixpoint, including control-dependence (a value
 //! assigned under a variant condition is variant).
+//!
+//! The same fixpoint carries a third flag, *loaded* (the value may derive
+//! from a memory load), and [`content_steered`] reads it: whether memory
+//! *contents* can change which statements a thread runs or which addresses
+//! it touches — the one input of launch planning that no cache key can hold.
 
-use cucc_ir::{Expr, Kernel, Stmt};
+use cucc_ir::{BinOp, Expr, Kernel, Stmt};
 
 /// Per-variable variance flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -16,6 +21,8 @@ pub struct Variance {
     pub thread: bool,
     /// Value may differ between blocks.
     pub block: bool,
+    /// Value may derive from a memory load.
+    pub loaded: bool,
 }
 
 impl Variance {
@@ -29,6 +36,7 @@ impl Variance {
         Variance {
             thread: self.thread || other.thread,
             block: self.block || other.block,
+            loaded: self.loaded || other.loaded,
         }
     }
 }
@@ -128,11 +136,49 @@ pub fn expr_variance(e: &Expr, vars: &[Variance]) -> Variance {
         Expr::Load { .. } => {
             out.thread = true;
             out.block = true;
+            out.loaded = true;
         }
         Expr::Var(v) => out = out.join(vars[v.index()]),
         _ => {}
     });
     out
+}
+
+/// Whether memory contents can steer the kernel: a loaded value reaches a
+/// branch condition, a loop bound, the deciding side of a short-circuit, a
+/// select condition or a memory index. The launch-time probe and the
+/// sampling profiler observe exactly control flow and addresses, so a
+/// kernel without this flag plans identically under any buffer contents —
+/// and one with it may not, so its schedules are never cached.
+pub fn content_steered(kernel: &Kernel) -> bool {
+    let v = var_variance(kernel);
+    let loaded = |e: &Expr| expr_variance(e, &v).loaded;
+    let mut steered = false;
+    kernel.visit_stmts(&mut |s| {
+        steered |= match s {
+            Stmt::If { cond, .. } => loaded(cond),
+            Stmt::For {
+                start, end, step, ..
+            } => loaded(start) || loaded(end) || loaded(step),
+            Stmt::Store { index, .. } | Stmt::AtomicRmw { index, .. } => loaded(index),
+            _ => false,
+        };
+        s.visit_exprs(&mut |e| {
+            e.visit(&mut |node| {
+                steered |= match node {
+                    Expr::Load { index, .. } => loaded(index),
+                    Expr::Binary {
+                        op: BinOp::LAnd | BinOp::LOr,
+                        lhs,
+                        ..
+                    } => loaded(lhs),
+                    Expr::Select { cond, .. } => loaded(cond),
+                    _ => false,
+                }
+            })
+        });
+    });
+    steered
 }
 
 #[cfg(test)]
@@ -165,14 +211,16 @@ mod tests {
             v[var_named(&k, "t")],
             Variance {
                 thread: true,
-                block: false
+                block: false,
+                loaded: false,
             }
         );
         assert_eq!(
             v[var_named(&k, "b")],
             Variance {
                 thread: false,
-                block: true
+                block: true,
+                loaded: false,
             }
         );
         assert_eq!(v[var_named(&k, "u")], Variance::uniform());
@@ -180,7 +228,8 @@ mod tests {
             v[var_named(&k, "g")],
             Variance {
                 thread: true,
-                block: true
+                block: true,
+                loaded: false,
             }
         );
     }
@@ -197,7 +246,8 @@ mod tests {
             v[var_named(&k, "x")],
             Variance {
                 thread: true,
-                block: true
+                block: true,
+                loaded: true,
             }
         );
     }
@@ -217,14 +267,16 @@ mod tests {
             v[var_named(&k, "x")],
             Variance {
                 thread: true,
-                block: false
+                block: false,
+                loaded: false,
             }
         );
         assert_eq!(
             v[var_named(&k, "y")],
             Variance {
                 thread: false,
-                block: true
+                block: true,
+                loaded: false,
             }
         );
     }
@@ -244,7 +296,8 @@ mod tests {
             v[var_named(&k, "acc")],
             Variance {
                 thread: true,
-                block: false
+                block: false,
+                loaded: false,
             }
         );
         assert_eq!(v[var_named(&k, "i")], Variance::uniform());
@@ -262,5 +315,28 @@ mod tests {
         );
         assert!(v[var_named(&k, "i")].thread);
         assert!(v[var_named(&k, "s")].thread);
+    }
+
+    #[test]
+    fn content_steering_is_conditions_bounds_and_indices() {
+        let steered = |body: &str| {
+            let src = format!("__global__ void k(int* out, int* data, int n) {{ {body} }}");
+            content_steered(&parse_kernel(&src).unwrap())
+        };
+        // A loaded value that is only stored steers nothing.
+        assert!(!steered("out[threadIdx.x] = data[threadIdx.x] * n;"));
+        assert!(!steered("if (threadIdx.x < n) out[threadIdx.x] = data[0];"));
+        // Branch, loop bound (through a variable), short-circuit, select, index.
+        assert!(steered("if (data[0] > 0) out[0] = 1;"));
+        assert!(steered(
+            "int t = data[0]; int s = 0; for (int i = 0; i < t; i++) s = s + 1; out[0] = s;"
+        ));
+        assert!(steered("out[0] = (data[0] > 0 && n > 0);"));
+        assert!(steered("out[0] = data[0] > 0 ? 1 : 2;"));
+        assert!(steered("out[data[threadIdx.x]] = 1;"));
+        assert!(steered("out[threadIdx.x] = data[data[threadIdx.x]];"));
+        // Control dependence: a value assigned under a loaded condition is
+        // itself loaded (the condition already steers).
+        assert!(steered("int x = 0; if (data[0] > 0) x = 1; out[x] = 1;"));
     }
 }

@@ -1,14 +1,14 @@
-//! Graph bench — capture/replay speedup and Allgather elision savings.
+//! Graph bench — Allgather elision savings of capture/replay.
 //!
 //! Captures a ping-pong chain of slice-local producer→consumer launches
 //! into a launch graph and replays it, comparing against the same ops
 //! issued as plain `launch` calls:
 //!
-//! * **wall-clock speedup** — replay serves every schedule from the
-//!   cache (no probe, no profiler) and elides every gather (no
-//!   functional copy, no cross-pool consistency sweep);
 //! * **wire-byte reduction** — elided gathers move zero bytes on the
-//!   simulated wire.
+//!   simulated wire;
+//! * **wall clock**, reported and not gated — both sides read the one
+//!   schedule cache, so what replay still skips on the host is the
+//!   functional gather copy and the cross-pool consistency sweep.
 //!
 //! The replayed memory must stay bit-identical to the uncaptured run.
 //! Writes `BENCH_graph.json` and a Perfetto trace of one replay
@@ -46,7 +46,7 @@ fn cluster() -> CuccCluster {
 fn main() {
     banner(
         "Graph",
-        "launch-graph replay vs uncaptured launches (schedule cache + gather elision)",
+        "launch-graph replay vs uncaptured launches (gather elision)",
     );
     let ck = compile_source(STEP).expect("compile step kernel");
     let xs: Vec<f32> = (0..ELEMS).map(|i| (i % 97) as f32 * 0.125 - 4.0).collect();
@@ -148,10 +148,6 @@ fn main() {
     assert!(
         total.gathers_elided == launches,
         "every gather in the slice-local chain must elide"
-    );
-    assert!(
-        speedup >= 1.3,
-        "replay must be at least 1.3x faster than uncaptured launches (got {speedup:.2}x)"
     );
 
     let json = format!(

@@ -1,50 +1,21 @@
 //! Figure 7 — Coverage evaluation for Allgather distributable.
 
 use cucc_bench::banner;
-use cucc_workloads::{classify_coverage, heteromark_kernels, triton_kernels, Expected};
+use cucc_workloads::coverage_table;
 
 fn main() {
     banner(
         "Figure 7",
         "Coverage evaluation for Allgather distributable",
     );
-    let groups: [(&str, Vec<_>); 3] = [
-        (
-            "ViT",
-            triton_kernels()
-                .into_iter()
-                .filter(|k| k.suite == "ViT")
-                .collect(),
-        ),
-        (
-            "BERT",
-            triton_kernels()
-                .into_iter()
-                .filter(|k| k.suite == "BERT")
-                .collect(),
-        ),
-        ("Hetero-Mark", heteromark_kernels()),
-    ];
     println!(
         "{:<14} {:>8} {:>15} {:>9} {:>9}",
         "suite", "kernels", "distributable", "overlap", "indirect"
     );
-    for (name, kernels) in groups {
-        let mut counts = [0usize; 3];
-        for k in &kernels {
-            match classify_coverage(k).expect("classification") {
-                Expected::Distributable => counts[0] += 1,
-                Expected::Overlap => counts[1] += 1,
-                Expected::Indirect => counts[2] += 1,
-            }
-        }
+    for row in coverage_table().expect("classification") {
         println!(
             "{:<14} {:>8} {:>15} {:>9} {:>9}",
-            name,
-            kernels.len(),
-            counts[0],
-            counts[1],
-            counts[2]
+            row.suite, row.kernels, row.distributable, row.overlap, row.indirect
         );
     }
     println!("\npaper: all 21 ViT+BERT kernels distributable; Hetero-Mark 8 of 13");

@@ -6,8 +6,9 @@
 //! the whole producer→consumer structure up front, so it can
 //!
 //! 1. serve every launch's [`crate::schedule::LaunchSchedule`] from the
-//!    [`crate::schedule::ScheduleCache`] (planning, probing and the
-//!    sampling profiler become amortized-free), and
+//!    [`crate::schedule::ScheduleCache`], as every launch is (what is
+//!    cached, and when it stops being, is [`crate::schedule::ScheduleKey`]'s
+//!    to say), and
 //! 2. **elide or narrow Allgathers**: when a consumer's launch-resolved
 //!    read footprint ([`cucc_analysis::LaunchFootprints`]) on each node
 //!    is covered by data already resident there (the producer's own
@@ -19,15 +20,6 @@
 //! stream capture. Dependencies are derived exactly like the stream
 //! hazard tracker in [`crate::stream`]: program order within the capture
 //! stream plus RAW/WAW/WAR edges on buffer arguments.
-//!
-//! **Capture-time stationarity.** A replayed schedule was planned against
-//! the memory contents of the first replay (the launch-time probe and the
-//! sampling profiler read node memory). Replay assumes those
-//! data-dependent decisions remain valid — the same assumption CUDA
-//! graphs make about captured kernel parameters. The schedule cache key
-//! covers everything else (kernel identity, launch geometry, scalar bits,
-//! cluster shape, engine knobs), and any cluster-shape change evicts the
-//! whole cache.
 //!
 //! Elision soundness rests on the `Must` footprint being an
 //! *over-approximation* of all accesses: if the hull of a consumer's

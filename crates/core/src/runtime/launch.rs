@@ -23,16 +23,26 @@ impl CuccCluster {
     /// The pure **planning** stage of a launch: run the launch-time
     /// planner, the sampling profiler and the cost model, and return the
     /// resulting [`LaunchSchedule`] without touching the timeline or any
-    /// node's memory. [`CuccCluster::launch`] is exactly
-    /// `plan` + [`execute at the current clock`](CuccCluster::launch_on).
+    /// node's memory. Always fresh — this is the miss path of
+    /// [`CuccCluster::plan_cached`], the door every launch goes through.
     pub fn plan(
         &self,
         ck: &CompiledKernel,
         launch: LaunchConfig,
         args: &[Arg],
     ) -> Result<LaunchSchedule, MigrateError> {
-        let active = self.active_nodes();
-        if active == 0 {
+        self.plan_on(ck, launch, args, self.active_nodes())
+    }
+
+    /// [`CuccCluster::plan`] for a launch spread over `nodes` nodes.
+    fn plan_on(
+        &self,
+        ck: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+        nodes: usize,
+    ) -> Result<LaunchSchedule, MigrateError> {
+        if nodes == 0 {
             return Err(MigrateError::NodeFailure {
                 node: None,
                 context: format!("planning `{}`", ck.name()),
@@ -44,38 +54,43 @@ impl CuccCluster {
             args,
             self.sim.node(self.read_node()),
             &self.sim.spec,
-            active,
+            nodes,
             &self.config,
         )
     }
 
-    /// [`CuccCluster::plan`] through the [`crate::ScheduleCache`]: a hit
-    /// returns the memoized schedule without touching the planner, probe or
-    /// profiler; a miss plans fresh and fills the cache. The key covers
-    /// kernel identity, launch geometry, argument fingerprints, the
-    /// interned membership-shape id and the engine knobs — so entries
-    /// planned for an old shape are never reused after a membership
-    /// change, yet warm up again when the cluster returns to that shape.
+    /// The one planning door: the schedule of this launch on the active
+    /// nodes, from the [`crate::ScheduleCache`] when its
+    /// [`crate::ScheduleKey`] was planned before, planned fresh (and kept)
+    /// otherwise.
     pub fn plan_cached(
         &mut self,
         ck: &CompiledKernel,
         launch: LaunchConfig,
         args: &[Arg],
     ) -> Result<LaunchSchedule, MigrateError> {
-        let shape = self.state.shape_id();
-        let key = schedule_key(
-            ck,
-            launch,
-            args,
-            self.state.logical_nodes(),
-            shape,
-            &self.config,
-        );
+        self.plan_cached_on(ck, launch, args, self.active_nodes())
+    }
+
+    /// [`CuccCluster::plan_cached`] at an explicit node count: the serving
+    /// layer's `k`-node service shape is just another key.
+    pub(crate) fn plan_cached_on(
+        &mut self,
+        ck: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+        nodes: usize,
+    ) -> Result<LaunchSchedule, MigrateError> {
+        let key = schedule_key(ck, launch, args, nodes, &self.config);
         if let Some(sched) = self.schedule_cache.get(&key) {
             return Ok(sched);
         }
-        let sched = self.plan(ck, launch, args)?;
-        self.schedule_cache.insert(key, sched.clone());
+        let sched = self.plan_on(ck, launch, args, nodes)?;
+        // Contents can change what such a kernel's probe and profile see,
+        // and no key holds contents: it plans fresh on every lookup.
+        if !ck.analysis.content_steered {
+            self.schedule_cache.insert(key, sched.clone());
+        }
         Ok(sched)
     }
 
@@ -96,7 +111,7 @@ impl CuccCluster {
         // A graph-external launch must see fully gathered memory: the
         // planner probes node memory and the grid may read anywhere.
         self.materialize_args(args);
-        let sched = self.plan(ck, launch, args)?;
+        let sched = self.plan_cached(ck, launch, args)?;
         // Nothing else is in flight, so the network floor is the clock
         // itself; `t0 + partial` can never round below `t0`, so the serial
         // layout — and its exact f64 arithmetic — is reproduced.
@@ -129,7 +144,7 @@ impl CuccCluster {
             self.synchronize()?;
             self.materialize_args(args);
         }
-        let sched = self.plan(ck, launch, args)?;
+        let sched = self.plan_cached(ck, launch, args)?;
         // Start at the latest of the stream's position, its hazard
         // dependencies and the node lanes (a kernel occupies every node);
         // the Allgather additionally waits for the network lane.

@@ -130,10 +130,10 @@ pub struct CuccCluster {
     /// are derived views over the recorded spans and counters.
     timeline: Timeline,
     /// The single ownership boundary for cluster **membership**: logical
-    /// node count, per-node liveness, the monotonically increasing
-    /// membership epoch and the interned shape registry. Every layer that
-    /// reads the cluster shape — planner, scheduler cache, fault recovery,
-    /// consistency checks, the CLI — goes through here. In
+    /// node count, per-node liveness and the monotonically increasing
+    /// membership epoch. Every layer that reads the cluster shape —
+    /// planner, schedule cache, fault recovery, consistency checks, the
+    /// CLI — goes through here. In
     /// [`ExecutionFidelity::Modeled`] only one physical node memory is
     /// materialized (paper-scale sweeps would otherwise replicate
     /// gigabytes across 32 pools); the time model still uses the logical
@@ -151,10 +151,8 @@ pub struct CuccCluster {
     /// path makes (`stretch`, `kill_pending`, `take_drop`, `joins_pending`)
     /// loops over nothing and the fault-free arithmetic is untouched.
     fault_state: FaultInjector,
-    /// Memoized launch schedules (graph replay). Keyed on the interned
-    /// membership-shape id from [`ClusterState`], so entries survive
-    /// membership changes and become valid again when the cluster returns
-    /// to a previously seen shape (kill → join back).
+    /// Memoized launch schedules: the one cache behind
+    /// [`CuccCluster::plan_cached`].
     schedule_cache: ScheduleCache,
     /// Elided Allgathers: buffers whose gathered region is currently
     /// inconsistent across nodes (each node holds its own slice plus any
@@ -191,7 +189,7 @@ impl CuccCluster {
             streams: StreamSet::new(),
             last_sanitize: None,
             fault_state,
-            schedule_cache: ScheduleCache::new(),
+            schedule_cache: ScheduleCache::default(),
             pending: BTreeMap::new(),
             #[cfg(test)]
             last_certs: None,
@@ -217,7 +215,7 @@ impl CuccCluster {
         self.state.epoch()
     }
 
-    /// The elastic membership state (epoch, liveness, shape registry).
+    /// The elastic membership state (epoch, liveness).
     pub fn cluster_state(&self) -> &ClusterState {
         &self.state
     }

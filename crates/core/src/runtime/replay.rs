@@ -39,8 +39,7 @@ impl CuccCluster {
     pub fn graph_replay(&mut self, graph: &LaunchGraph) -> Result<ReplayStats, MigrateError> {
         self.sync_point()?;
         let mut stats = ReplayStats::default();
-        let hits0 = self.schedule_cache.hits();
-        let misses0 = self.schedule_cache.misses();
+        let cache0 = self.schedule_cache.stats();
         let t_start = self.timeline.clock();
         let mut planned_wire = 0u64;
         let mut gather_wire = 0u64;
@@ -64,8 +63,9 @@ impl CuccCluster {
                 }
             }
         }
-        stats.cache_hits = self.schedule_cache.hits() - hits0;
-        stats.cache_misses = self.schedule_cache.misses() - misses0;
+        let lookups = self.schedule_cache.stats().since(&cache0);
+        stats.cache_hits = lookups.hits;
+        stats.cache_misses = lookups.misses;
         // Launch-related wire only (full + partial + materialization
         // gathers); captured uploads broadcast the same bytes captured
         // or not, so they are excluded from the savings accounting.

@@ -397,9 +397,8 @@ impl<'a> Walk<'a> {
     ) -> Result<Gathered, MigrateError> {
         self.faults.failures += 1;
         let dead = self.survivors.remove(slot);
-        // The membership epoch advances; shape-keyed cached schedules stay
-        // put and become valid again only if this exact shape returns
-        // (kill → join back).
+        // The membership epoch advances, and the active count the next
+        // schedule lookup is keyed on drops by one.
         self.cl.state.mark_dead(dead as usize);
         self.slices.owned.remove(slot);
         if self.survivors.is_empty() {

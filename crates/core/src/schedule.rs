@@ -94,41 +94,40 @@ enum ArgFingerprint {
     Buffer(BufferId),
 }
 
-/// Everything [`plan_schedule`] reads that can vary between launches:
-/// which compilation, the launch geometry, the argument values the
-/// launch-time probe resolves, the **cluster shape** (logical node count
-/// plus the interned membership-shape id — a dead or joined node changes
-/// every partition, but returning to a seen shape reuses its id), and the
-/// engine knobs the cost model consults. Two launches with equal keys are
-/// guaranteed to plan to `PartialEq`-identical [`LaunchSchedule`]s, *if*
-/// buffer contents feeding the probe/profiler are also unchanged — the
-/// capture-time-stationarity assumption graph replay documents.
+/// Exactly what [`plan_schedule`] reads that can differ between two
+/// launches on one cluster: which compilation, the launch geometry, the
+/// argument bits the launch-time probe resolves, the **active node count**
+/// (the function takes a count, not a membership: *which* nodes are dead
+/// changes nothing, *how many* are alive changes every partition) and the
+/// knobs the cost model consults. `spec.cpu`, `spec.net` and `spec.jitter`
+/// are constants of the cluster that owns the cache.
+///
+/// Two lookups with equal keys get `PartialEq`-identical
+/// [`LaunchSchedule`]s. Node memory is the one input no key can hold
+/// ([`CuccCluster::sim_mut`] hands out the pools), so it is settled by
+/// analysis instead: the probe and the profiler observe control flow and
+/// addresses only, and a kernel whose contents can steer either
+/// ([`cucc_analysis::KernelAnalysis::content_steered`]) is never inserted —
+/// every lookup for it misses and plans fresh, at every door.
+///
+/// [`CuccCluster::sim_mut`]: crate::runtime::CuccCluster::sim_mut
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScheduleKey {
     kernel_id: u64,
     launch: LaunchConfig,
     args: Vec<ArgFingerprint>,
-    logical_nodes: usize,
-    /// Interned membership-shape id from [`ClusterState::shape_id`]: the
-    /// same id always denotes the same (node count, alive mask) pair, so a
-    /// cluster that *returns* to a previously seen shape — kill then join
-    /// back — hits the entries planned for that shape again.
-    ///
-    /// [`ClusterState::shape_id`]: crate::state::ClusterState::shape_id
-    shape: u64,
+    nodes: usize,
     algo: AllgatherAlgo,
     placement: AllgatherPlacement,
     profile_samples: usize,
 }
 
-/// Build the cache key for one prospective launch. `shape` is the interned
-/// membership-shape id of the cluster (see `ClusterState::shape_id`).
+/// Build the cache key for one prospective launch on `nodes` nodes.
 pub fn schedule_key(
     ck: &CompiledKernel,
     launch: LaunchConfig,
     args: &[Arg],
-    logical_nodes: usize,
-    shape: u64,
+    nodes: usize,
     config: &RuntimeConfig,
 ) -> ScheduleKey {
     ScheduleKey {
@@ -142,23 +141,25 @@ pub fn schedule_key(
                 Arg::Buffer(id) => ArgFingerprint::Buffer(*id),
             })
             .collect(),
-        logical_nodes,
-        shape,
+        nodes,
         algo: config.allgather_algo,
         placement: config.placement,
         profile_samples: config.profile_samples,
     }
 }
 
-/// Memoizes [`plan_schedule`] results so graph replay pays the planner,
-/// probe and sampling profiler once per distinct launch, not once per
-/// iteration.
+/// Memoizes [`plan_schedule`] results behind the one planning door
+/// ([`CuccCluster::plan_cached`]): every launch, replayed launch and
+/// serving-clock lookup pays the planner, probe and sampling profiler once
+/// per distinct key.
 ///
-/// Entries are **shape-keyed**, never evicted on membership changes: the
-/// interned shape id in [`ScheduleKey`] guarantees a schedule planned for
-/// one (node count, alive mask) pair can never serve another, and a
-/// cluster that returns to a previously seen shape (node death followed by
-/// a rejoin) warm-hits the entries it planned there.
+/// A membership change evicts nothing: a death changes the node count in
+/// the key, so the next lookup misses; a rejoin restores it, so the entries
+/// planned there hit again. The only eviction is the bound — a loop that
+/// varies a scalar argument makes one entry per iteration, so an insert
+/// into a cache holding [`ScheduleCache::CAPACITY`] entries clears it first.
+///
+/// [`CuccCluster::plan_cached`]: crate::runtime::CuccCluster::plan_cached
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCache {
     map: HashMap<ScheduleKey, LaunchSchedule>,
@@ -167,10 +168,8 @@ pub struct ScheduleCache {
 }
 
 impl ScheduleCache {
-    /// Empty cache.
-    pub fn new() -> ScheduleCache {
-        ScheduleCache::default()
-    }
+    /// Entries the cache holds before an insert clears it.
+    pub const CAPACITY: usize = 1024;
 
     /// Look up a schedule, counting a hit or miss.
     pub fn get(&mut self, key: &ScheduleKey) -> Option<LaunchSchedule> {
@@ -188,42 +187,14 @@ impl ScheduleCache {
 
     /// Store a freshly planned schedule.
     pub fn insert(&mut self, key: ScheduleKey, schedule: LaunchSchedule) {
+        if self.map.len() >= Self::CAPACITY {
+            self.map.clear();
+        }
         self.map.insert(key, schedule);
     }
 
-    /// Cached entry count.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// `hits / (hits + misses)`, or 0 when never queried.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counter snapshot: one value the CLI, serving stats and benches can
-    /// carry around (and diff) instead of reading four counters under a
-    /// `--graph`-only code path.
+    /// Counter snapshot: the one way to read the cache, for the CLI,
+    /// serving stats, replay stats and tests alike.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,

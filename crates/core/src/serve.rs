@@ -19,9 +19,9 @@
 //!   (upload once, launch per job, download digests at drain), so
 //!   schedule-cache reuse, fault injection with recovery, and membership
 //!   epochs all behave exactly as they do for one-shot launches. Service
-//!   *time* on the serving clock comes from the pure planner
-//!   ([`plan_schedule`]) evaluated at the job's allocated node count, via
-//!   a shared [`ScheduleCache`] so repeated tenant kernels plan once.
+//!   *time* on the serving clock is the job's schedule at its allocated
+//!   node count, asked of the cluster's own planning door — the same
+//!   cache its launches read, so repeated tenant kernels plan once.
 //! * **Observability** — the serving [`Timeline`] lays every job out on
 //!   dedicated `Queue`/`Admit`/`Place` tracks (exportable as Chrome
 //!   trace JSON), and [`ServeReport`] carries sustained launches/sec plus
@@ -36,8 +36,8 @@
 use crate::compile::{compile_source, CompiledKernel};
 use crate::error::MigrateError;
 use crate::options::RunOptions;
-use crate::runtime::{CuccCluster, RuntimeConfig};
-use crate::schedule::{plan_schedule, schedule_key, CacheStats, LaunchSchedule, ScheduleCache};
+use crate::runtime::CuccCluster;
+use crate::schedule::CacheStats;
 use cucc_cluster::ClusterSpec;
 use cucc_exec::{Arg, BufferId};
 use cucc_ir::LaunchConfig;
@@ -199,9 +199,9 @@ pub struct TenantStats {
     pub rejected: usize,
     /// Jobs that ran to completion.
     pub completed: usize,
-    /// Planner-cache hits attributed to this tenant's placements.
+    /// Schedule-cache hits of this tenant's service-time lookups.
     pub cache_hits: u64,
-    /// Planner-cache misses attributed to this tenant's placements.
+    /// Schedule-cache misses of this tenant's service-time lookups.
     pub cache_misses: u64,
     /// Median end-to-end latency, seconds.
     pub p50_total: f64,
@@ -249,7 +249,8 @@ pub struct ServeReport {
     pub per_class: Vec<ClassStats>,
     /// Per-tenant outcomes, ascending tenant id.
     pub per_tenant: Vec<TenantStats>,
-    /// Whole-run planner-cache counters.
+    /// The cluster's schedule-cache counters at the end of the run:
+    /// every service-time lookup and every launch's own.
     pub cache: CacheStats,
     /// Node failures the fault plan injected (and recovery absorbed).
     pub node_failures: u32,
@@ -326,11 +327,9 @@ struct TenantTally {
 #[derive(Debug)]
 pub struct JobServer {
     config: ServeConfig,
-    runtime: RuntimeConfig,
     cluster: CuccCluster,
     placement: PlacementEngine,
     kernels: Vec<CompiledKernel>,
-    plans: ScheduleCache,
     timeline: Timeline,
     /// Working-set buffers per (tenant, elems).
     buffers: BTreeMap<(u32, usize), (BufferId, BufferId)>,
@@ -342,7 +341,6 @@ pub struct JobServer {
     tallies: BTreeMap<u32, TenantTally>,
     inflight: BinaryHeap<InFlight>,
     node_failures: u32,
-    last_epoch: u64,
 }
 
 impl JobServer {
@@ -366,17 +364,13 @@ impl JobServer {
             .iter()
             .map(|src| compile_source(src))
             .collect::<Result<Vec<_>, _>>()?;
-        let runtime = config.options.clone();
         let nodes = spec.nodes;
         let cluster = CuccCluster::with_options(spec, config.options.clone());
-        let last_epoch = cluster.epoch();
         Ok(JobServer {
             config,
-            runtime,
             cluster,
             placement: PlacementEngine::new(nodes),
             kernels,
-            plans: ScheduleCache::new(),
             timeline: Timeline::new(),
             buffers: BTreeMap::new(),
             queues: BTreeMap::new(),
@@ -385,7 +379,6 @@ impl JobServer {
             tallies: BTreeMap::new(),
             inflight: BinaryHeap::new(),
             node_failures: 0,
-            last_epoch,
         })
     }
 
@@ -398,12 +391,6 @@ impl JobServer {
     /// The execution backend.
     pub fn cluster(&self) -> &CuccCluster {
         &self.cluster
-    }
-
-    /// Planner-cache counters for the serving-side (per-node-count)
-    /// schedule cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.plans.stats()
     }
 
     /// Jobs currently queued for `tenant`.
@@ -473,45 +460,20 @@ impl JobServer {
         Ok(())
     }
 
-    /// Plan one job at `k` logical nodes through the serving-side
-    /// schedule cache, attributing hits/misses to the tenant.
-    fn plan_at(
-        &mut self,
-        spec: &JobSpec,
-        args: &[Arg],
-        k: u32,
-    ) -> Result<LaunchSchedule, MigrateError> {
+    /// Service time of one job at `k` nodes — its schedule's duration,
+    /// from the cluster's planning door — with the lookup's hit or miss
+    /// attributed to the tenant.
+    fn service_time(&mut self, spec: &JobSpec, args: &[Arg], k: u32) -> Result<f64, MigrateError> {
         let ck = &self.kernels[spec.kernel % Self::KERNELS.len()];
-        let key = schedule_key(ck, spec.launch(), args, k as usize, k as u64, &self.runtime);
-        let before = self.plans.stats();
-        let sched = match self.plans.get(&key) {
-            Some(s) => s,
-            None => {
-                let read_node = self
-                    .cluster
-                    .cluster_state()
-                    .alive()
-                    .iter()
-                    .position(|&a| a)
-                    .unwrap_or(0);
-                let sched = plan_schedule(
-                    ck,
-                    spec.launch(),
-                    args,
-                    self.cluster.sim().node(read_node),
-                    self.cluster.spec(),
-                    k as usize,
-                    &self.runtime,
-                )?;
-                self.plans.insert(key, sched.clone());
-                sched
-            }
-        };
-        let delta = self.plans.stats().since(&before);
+        let before = self.cluster.schedule_cache().stats();
+        let sched = self
+            .cluster
+            .plan_cached_on(ck, spec.launch(), args, k as usize)?;
+        let delta = self.cluster.schedule_cache().stats().since(&before);
         let tally = self.tallies.entry(spec.tenant).or_default();
         tally.cache_hits += delta.hits;
         tally.cache_misses += delta.misses;
-        Ok(sched)
+        Ok(sched.time())
     }
 
     fn job_args(&self, spec: &JobSpec) -> Vec<Arg> {
@@ -549,7 +511,6 @@ impl JobServer {
             // Membership changed mid-stream (kill, join, growth): resize
             // the placement capacity at the epoch boundary.
             self.placement.set_total(self.cluster.active_nodes() as u32);
-            self.last_epoch = self.cluster.epoch();
         }
         let tenant = spec.tenant;
         self.timeline.span(
@@ -614,7 +575,7 @@ impl JobServer {
         let spec = self.records[idx].spec.clone();
         let k = self.effective_nodes(&spec);
         let args = self.job_args(&spec);
-        let service = self.plan_at(&spec, &args, k)?.time();
+        let service = self.service_time(&spec, &args, k)?;
         if !self.placement.try_start(clock, k, service) {
             return Ok(false);
         }
@@ -661,7 +622,7 @@ impl JobServer {
                             let cspec = self.records[cand].spec.clone();
                             let ck = self.effective_nodes(&cspec);
                             let cargs = self.job_args(&cspec);
-                            let cservice = self.plan_at(&cspec, &cargs, ck)?.time();
+                            let cservice = self.service_time(&cspec, &cargs, ck)?;
                             if self.placement.try_backfill(clock, ck, cservice, &mut res) {
                                 self.pop_queued(cand);
                                 self.commit_placement(cand, clock, ck, cservice)?;
@@ -830,7 +791,7 @@ impl JobServer {
             p99_total: pct(&all_totals, 0.99),
             per_class,
             per_tenant,
-            cache: self.plans.stats(),
+            cache: self.cluster.schedule_cache().stats(),
             node_failures: self.node_failures,
             digests,
         })
@@ -940,7 +901,7 @@ mod tests {
             assert!(report.launches_per_sec > 0.0);
             assert!(!report.per_class.is_empty());
             assert_eq!(report.per_tenant.len(), 4);
-            // Repeated tenant kernels hit the serving schedule cache.
+            // Repeated tenant kernels hit the schedule cache.
             assert!(report.cache.hits > 0, "{policy:?}: {:?}", report.cache);
             // The timeline carries the serving tracks.
             let spans = srv.timeline().spans();

@@ -4,13 +4,12 @@
 //! ad-hoc alive mask consulted by the runtime, the scheduler, the fault
 //! path and the CLI. [`ClusterState`] centralizes it behind a
 //! **membership epoch** — a monotonically increasing counter bumped on
-//! every membership change (death, join, growth, restore) — plus an
-//! interned **shape id** per distinct (node count, alive mask) pair. The
-//! epoch answers "did anything change since I last looked?" (staleness);
-//! the shape id answers "have I seen this exact shape before?" (schedule
-//! reuse): a cluster that loses node 1 and later gets it back is at a
-//! *later epoch* but the *same shape*, so shape-keyed artifacts like
-//! cached schedules become valid again.
+//! every membership change (death, join, growth, restore). The epoch
+//! answers "did anything change since I last looked?" (staleness); what a
+//! schedule depends on is only *how many* nodes are alive
+//! ([`ClusterState::active_nodes`], the count `ScheduleKey` carries): a
+//! cluster that loses node 1 and later gets it back is at a *later epoch*
+//! with the *same count*, so the schedules planned there hit again.
 //!
 //! The module also defines the versioned on-disk [`Checkpoint`] format
 //! that serializes the full observable cluster state — buffer bytes,
@@ -30,31 +29,21 @@ pub struct ClusterState {
     epoch: u64,
     /// Liveness per logical node; its length is the logical node count.
     alive: Vec<bool>,
-    /// Interned shapes, in first-seen order; a shape id is an index here.
-    /// Two moments with equal alive masks share one id even when many
-    /// epochs apart.
-    shapes: Vec<Vec<bool>>,
 }
 
 impl ClusterState {
     /// Fresh state: `logical_nodes` nodes, all alive, epoch 0.
     pub fn new(logical_nodes: usize) -> ClusterState {
-        let alive = vec![true; logical_nodes];
         ClusterState {
             epoch: 0,
-            shapes: vec![alive.clone()],
-            alive,
+            alive: vec![true; logical_nodes],
         }
     }
 
     /// Rebuild state from a restored checkpoint: an explicit alive mask at
     /// an explicit (already advanced) epoch.
     pub(crate) fn restored(alive: Vec<bool>, epoch: u64) -> ClusterState {
-        ClusterState {
-            epoch,
-            shapes: vec![alive.clone()],
-            alive,
-        }
+        ClusterState { epoch, alive }
     }
 
     /// Logical node count (alive or dead).
@@ -87,18 +76,6 @@ impl ClusterState {
     /// Number of alive nodes.
     pub fn active_nodes(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Intern the current alive mask and return its shape id. The same
-    /// mask always maps to the same id, so shape-keyed artifacts (cached
-    /// schedules) planned before a membership excursion become valid again
-    /// when the cluster returns to that shape.
-    pub fn shape_id(&mut self) -> u64 {
-        if let Some(i) = self.shapes.iter().position(|s| *s == self.alive) {
-            return i as u64;
-        }
-        self.shapes.push(self.alive.clone());
-        (self.shapes.len() - 1) as u64
     }
 
     /// Mark a node dead; bumps the epoch. Returns the new epoch.
@@ -277,30 +254,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_is_monotonic_and_shapes_are_interned() {
+    fn epoch_is_monotonic_and_the_count_follows_membership() {
         let mut st = ClusterState::new(3);
         assert_eq!(st.epoch(), 0);
         assert_eq!(st.active_nodes(), 3);
-        let healthy = st.shape_id();
 
         st.mark_dead(1);
         assert_eq!(st.epoch(), 1);
         assert_eq!(st.alive_ids(), vec![0, 2]);
-        let degraded = st.shape_id();
-        assert_ne!(healthy, degraded);
+        assert_eq!(st.active_nodes(), 2);
 
-        // Rejoin: later epoch, same shape id as the healthy cluster.
+        // Rejoin: later epoch, the healthy cluster's count again.
         st.mark_alive(1);
         assert_eq!(st.epoch(), 2);
-        assert_eq!(st.shape_id(), healthy);
+        assert_eq!(st.active_nodes(), 3);
 
-        // Growth: new id, new shape.
+        // Growth: a new slot, alive.
         assert_eq!(st.grow(), 3);
         assert_eq!(st.epoch(), 3);
         assert_eq!(st.logical_nodes(), 4);
         assert!(st.is_alive(3));
-        assert_ne!(st.shape_id(), healthy);
-        assert_ne!(st.shape_id(), degraded);
+        assert_eq!(st.active_nodes(), 4);
     }
 
     #[test]

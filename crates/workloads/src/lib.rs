@@ -74,6 +74,46 @@ pub fn classify_coverage(k: &CoverageKernel) -> Result<Expected, String> {
     }
 }
 
+/// One row of Figure 7: a suite's kernels by classification.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoverageRow {
+    /// `ViT`, `BERT` or `Hetero-Mark`.
+    pub suite: &'static str,
+    /// Kernels in the suite.
+    pub kernels: usize,
+    /// Non-trivially Allgather distributable.
+    pub distributable: usize,
+    /// Overlapping write intervals.
+    pub overlap: usize,
+    /// Indirect store index.
+    pub indirect: usize,
+}
+
+/// Figure 7: classify every coverage kernel ([`classify_coverage`]) and
+/// count per suite — ViT, BERT, Hetero-Mark, in that order.
+pub fn coverage_table() -> Result<[CoverageRow; 3], String> {
+    let mut rows = ["ViT", "BERT", "Hetero-Mark"].map(|suite| CoverageRow {
+        suite,
+        kernels: 0,
+        distributable: 0,
+        overlap: 0,
+        indirect: 0,
+    });
+    for k in triton_kernels().iter().chain(heteromark_kernels().iter()) {
+        let row = rows
+            .iter_mut()
+            .find(|r| r.suite == k.suite)
+            .ok_or_else(|| format!("{}: unknown suite `{}`", k.name, k.suite))?;
+        row.kernels += 1;
+        match classify_coverage(k)? {
+            Expected::Distributable => row.distributable += 1,
+            Expected::Overlap => row.overlap += 1,
+            Expected::Indirect => row.indirect += 1,
+        }
+    }
+    Ok(rows)
+}
+
 /// Compare two buffers elementwise with a relative tolerance for floats.
 ///
 /// `elem = None` means exact byte comparison.
@@ -117,13 +157,25 @@ mod tests {
     use super::*;
     use cucc_ir::Scalar;
 
-    /// Figure 7, end to end: every coverage kernel classifies as expected.
+    /// Figure 7, end to end: every coverage kernel classifies as expected,
+    /// and the table counts what the paper reports.
     #[test]
     fn figure7_classification_matches() {
         for k in triton_kernels().iter().chain(heteromark_kernels().iter()) {
             let got = classify_coverage(k).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(got, k.expected, "{} misclassified", k.name);
         }
+        let counts = coverage_table()
+            .unwrap()
+            .map(|r| (r.suite, r.kernels, r.distributable, r.overlap, r.indirect));
+        assert_eq!(
+            counts,
+            [
+                ("ViT", 9, 9, 0, 0),
+                ("BERT", 12, 12, 0, 0),
+                ("Hetero-Mark", 13, 8, 4, 1)
+            ]
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! cargo run --example coverage_audit
 //! ```
 
-use cucc::workloads::{classify_coverage, heteromark_kernels, triton_kernels, Expected};
+use cucc::workloads::{
+    classify_coverage, coverage_table, heteromark_kernels, triton_kernels, Expected,
+};
 
 fn label(e: Expected) -> &'static str {
     match e {
@@ -19,27 +21,29 @@ fn label(e: Expected) -> &'static str {
 
 fn main() {
     println!("=== Allgather-distributable coverage audit (Figure 7) ===\n");
-    let mut per_suite: Vec<(&str, usize, usize)> = Vec::new();
     for (suite, kernels) in [
         ("Triton (BERT + ViT)", triton_kernels()),
         ("Hetero-Mark", heteromark_kernels()),
     ] {
         println!("{suite}:");
-        let mut distributable = 0;
         for k in &kernels {
             let got = classify_coverage(k).expect("classification failed");
             let mark = if got == k.expected { ' ' } else { '!' };
             println!("  {mark} {:24} [{:11}] → {}", k.name, k.suite, label(got));
             assert_eq!(got, k.expected, "{} misclassified", k.name);
-            if got == Expected::Distributable {
-                distributable += 1;
-            }
         }
-        per_suite.push((suite, distributable, kernels.len()));
         println!();
     }
     println!("summary (Figure 7):");
-    for (suite, d, total) in per_suite {
+    let [vit, bert, hetero] = coverage_table().expect("classification failed");
+    for (suite, d, total) in [
+        (
+            "Triton (BERT + ViT)",
+            vit.distributable + bert.distributable,
+            vit.kernels + bert.kernels,
+        ),
+        ("Hetero-Mark", hetero.distributable, hetero.kernels),
+    ] {
         println!("  {suite:22}: {d}/{total} Allgather distributable");
     }
     println!("\npaper: ViT+BERT 21/21, Hetero-Mark 8/13 ✓");

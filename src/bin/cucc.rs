@@ -121,7 +121,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         }
         Some("check") => cmd_check(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
-        Some("coverage") => Ok(cmd_coverage()),
+        Some("coverage") => cmd_coverage(),
         Some("--help") | Some("-h") | None => Ok(usage()),
         Some(other) => Err(format!("unknown command `{other}`\n{}", usage())),
     }
@@ -1249,25 +1249,20 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
 
 // ------------------------------------------------------------- coverage --
 
-fn cmd_coverage() -> String {
-    use cucc::workloads::{classify_coverage, heteromark_kernels, triton_kernels, Expected};
+fn cmd_coverage() -> Result<String, String> {
+    let [vit, bert, hetero] = cucc::workloads::coverage_table()?;
     let mut out = String::from("Figure-7 coverage classification:\n");
-    for (suite, kernels) in [
-        ("Triton (BERT+ViT)", triton_kernels()),
-        ("Hetero-Mark", heteromark_kernels()),
+    for (suite, distributable, kernels) in [
+        (
+            "Triton (BERT+ViT)",
+            vit.distributable + bert.distributable,
+            vit.kernels + bert.kernels,
+        ),
+        ("Hetero-Mark", hetero.distributable, hetero.kernels),
     ] {
-        let mut d = 0;
-        for k in &kernels {
-            if classify_coverage(k) == Ok(Expected::Distributable) {
-                d += 1;
-            }
-        }
-        out += &format!(
-            "  {suite:20}: {d}/{} Allgather distributable\n",
-            kernels.len()
-        );
+        out += &format!("  {suite:20}: {distributable}/{kernels} Allgather distributable\n");
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

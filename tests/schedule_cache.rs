@@ -1,18 +1,24 @@
-//! The schedule cache's two load-bearing properties (ISSUE 6, re-keyed
-//! by ISSUE 8's elastic membership state):
+//! The one planning door (ISSUE 23): every launch reads the cluster's one
+//! `ScheduleCache`, and a schedule is a function of its `ScheduleKey`.
 //!
-//! 1. a warm (cached) plan is `PartialEq`-identical to the cold plan it
-//!    memoized — caching never changes what executes;
-//! 2. a cached schedule is **never** reused across a cluster-shape change:
-//!    entries are keyed on the interned membership-shape id, so a node
-//!    death makes the next lookup replan against the surviving
-//!    communicator — while a later join back to the original shape
-//!    warm-hits the entry planned for it.
+//! 1. a cached schedule is `PartialEq`-identical to a fresh `plan` —
+//!    whatever the buffers hold by then, for every kernel of the builtin
+//!    suites; a kernel whose contents can steer its control flow or its
+//!    addresses is never cached, at any door;
+//! 2. the key carries the *active node count*: a death makes the next
+//!    lookup miss, a rejoin makes it hit again, and two different victims
+//!    share one entry;
+//! 3. the cache is bounded: a loop that varies a scalar argument cannot
+//!    grow it past `ScheduleCache::CAPACITY`.
 
 use cucc::cluster::ClusterSpec;
-use cucc::core::{compile_source, CompiledKernel, CuccCluster, FaultPlan, RunOptions};
+use cucc::core::{
+    compile_source, CompiledKernel, CuccCluster, FaultPlan, GraphCapture, LaunchSchedule,
+    RunOptions, ScheduleCache,
+};
 use cucc::exec::Arg;
-use cucc::ir::LaunchConfig;
+use cucc::ir::{LaunchConfig, Param, Scalar, Value};
+use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
 use proptest::prelude::*;
 
 const SAXPY: &str = "__global__ void f(float* x, float* y, float a, int n) {
@@ -20,16 +26,20 @@ const SAXPY: &str = "__global__ void f(float* x, float* y, float a, int n) {
     if (id < n) y[id] = a * x[id] + y[id];
 }";
 
+fn cluster(nodes: u32, faults: FaultPlan) -> CuccCluster {
+    CuccCluster::with_options(
+        ClusterSpec::simd_focused().with_nodes(nodes),
+        RunOptions::builder().faults(faults).build(),
+    )
+}
+
 fn setup(
     nodes: u32,
     n: usize,
     faults: FaultPlan,
 ) -> (CuccCluster, CompiledKernel, Vec<Arg>, LaunchConfig) {
     let ck = compile_source(SAXPY).unwrap();
-    let mut cl = CuccCluster::with_options(
-        ClusterSpec::simd_focused().with_nodes(nodes),
-        RunOptions::builder().faults(faults).build(),
-    );
+    let mut cl = cluster(nodes, faults);
     let x = cl.alloc(n * 4);
     let y = cl.alloc(n * 4);
     let xs: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
@@ -57,18 +67,19 @@ proptest! {
         let (mut cl, ck, args, launch) = setup(nodes, n, FaultPlan::none());
         let cold = cl.plan_cached(&ck, launch, &args).unwrap();
         let warm = cl.plan_cached(&ck, launch, &args).unwrap();
-        prop_assert_eq!(cl.schedule_cache().hits(), 1);
-        prop_assert_eq!(cl.schedule_cache().misses(), 1);
+        let stats = cl.schedule_cache().stats();
+        prop_assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        prop_assert_eq!(stats.hit_rate(), 0.5);
         prop_assert_eq!(&warm, &cold, "cached schedule differs from fresh plan");
         // The cache never changes what a plain plan would produce.
         let fresh = cl.plan(&ck, launch, &args).unwrap();
         prop_assert_eq!(&fresh, &cold);
     }
 
-    /// A node death between two lookups changes the membership shape: the
-    /// second lookup must miss and replan for the smaller communicator —
-    /// but the entry planned for the original shape stays cached, and a
-    /// join back to that exact shape warm-hits it.
+    /// A node death between two lookups changes the active node count:
+    /// the second lookup must miss and replan for the smaller communicator
+    /// — but the entry planned for the original count stays cached, and a
+    /// join back to that count warm-hits it.
     #[test]
     fn cached_schedules_never_survive_shape_changes(
         n in 512usize..4000,
@@ -86,39 +97,383 @@ proptest! {
         );
         let epoch0 = cl.epoch();
         let before = cl.plan_cached(&ck, launch, &args).unwrap();
-        prop_assert_eq!(cl.schedule_cache().len(), 1);
+        prop_assert_eq!(cl.schedule_cache().stats().entries, 1);
 
-        // The launch triggers the scripted kill; recovery marks the victim
-        // dead, which bumps the epoch and changes the shape id.
+        // The launch reads the entry just planned, then triggers the
+        // scripted kill; recovery marks the victim dead, which bumps the
+        // epoch and lowers the active count.
         let report = cl.launch(&ck, launch, &args).unwrap();
         prop_assert!(report.faults.failures > 0); // kill at t=0 always fires
         prop_assert!(!cl.is_alive(victim as usize));
         prop_assert_eq!(cl.epoch(), epoch0 + 1, "death must advance the epoch");
+        let launched = cl.schedule_cache().stats();
+        prop_assert_eq!((launched.hits, launched.misses), (1, 1), "the launch goes through the door");
 
-        // Replan: a fresh miss, keyed against the survivors' shape. The
-        // original shape's entry is retained, not evicted.
+        // Replan: a fresh miss, keyed against the survivors' count. The
+        // original count's entry is retained, not evicted.
         let after = cl.plan_cached(&ck, launch, &args).unwrap();
-        prop_assert_eq!(cl.schedule_cache().misses(), 2, "post-death lookup must miss");
-        prop_assert_eq!(cl.schedule_cache().hits(), 0);
-        prop_assert_eq!(cl.schedule_cache().len(), 2, "shape-keyed entries coexist");
+        let degraded = cl.schedule_cache().stats().since(&launched);
+        prop_assert_eq!((degraded.hits, degraded.misses), (0, 1), "post-death lookup must miss");
+        prop_assert_eq!(degraded.entries, 2, "entries of both counts coexist");
         // The surviving communicator is smaller, so the three-phase
         // partition cannot be the one planned for the full cluster.
-        prop_assert!(after != before, "stale schedule reused across shape change");
+        prop_assert!(after != before, "stale schedule reused across a membership change");
 
         // The next launch boundary admits the victim back: the cluster
-        // returns to its original shape, and the lookup planned for that
-        // shape is warm again.
+        // returns to its original count, and both the launch's lookup and
+        // ours find the entry planned for it.
+        let rejoin = cl.schedule_cache().stats();
         cl.launch(&ck, launch, &args).unwrap();
-        let hits0 = cl.schedule_cache().hits();
         let back = cl.plan_cached(&ck, launch, &args).unwrap();
         prop_assert!(cl.is_alive(victim as usize), "join must revive the victim");
         prop_assert_eq!(cl.epoch(), epoch0 + 2, "join must advance the epoch");
+        let rejoined = cl.schedule_cache().stats().since(&rejoin);
         prop_assert_eq!(
-            cl.schedule_cache().hits(),
-            hits0 + 1,
-            "return to the original shape must warm-hit"
+            (rejoined.hits, rejoined.misses),
+            (2, 0),
+            "return to the original count must warm-hit"
         );
         prop_assert_eq!(&back, &before, "warm hit must return the original plan");
-        prop_assert_eq!(cl.schedule_cache().len(), 2, "both shapes' entries outlive the cycle");
+        prop_assert_eq!(rejoined.entries, 2, "both counts' entries outlive the cycle");
     }
+}
+
+/// Two different victims, one entry. On 5 nodes: launch 0 loses node 1
+/// mid-collective; launch 1 runs degraded on {0,2,3,4}; launch 2's boundary
+/// admits node 1 back and node 3 dies inside it; launch 3 runs degraded on
+/// {0,1,2,4}. The two degraded launches see different alive masks and the
+/// same active count, so the second reads the schedule planned for the
+/// first — and that schedule equals a fresh plan, and memory equals the
+/// fault-free run's.
+#[test]
+fn different_victims_share_the_entry_of_their_count() {
+    let n = 3000usize;
+    // Returns `y`, each launch's miss count, the survivors it left and the
+    // clock after it. With `probe`, also holds the door to a fresh plan
+    // after every launch (its own lookups would blur the miss counts).
+    let run = |faults: FaultPlan, probe: bool| {
+        let (mut cl, ck, args, launch) = setup(5, n, faults);
+        let (mut misses, mut alive, mut clocks) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..4 {
+            let before = cl.schedule_cache().stats();
+            cl.launch(&ck, launch, &args).unwrap();
+            misses.push(cl.schedule_cache().stats().since(&before).misses);
+            alive.push(cl.cluster_state().alive_ids());
+            clocks.push(cl.clock());
+            if probe {
+                let door = cl.plan_cached(&ck, launch, &args).unwrap();
+                assert_eq!(door, cl.plan(&ck, launch, &args).unwrap(), "launch {i}");
+            }
+        }
+        let Arg::Buffer(y) = args[1] else {
+            unreachable!()
+        };
+        (cl.download::<u8>(y).unwrap(), misses, alive, clocks)
+    };
+    let (clean, clean_misses, ..) = run(FaultPlan::none(), false);
+    assert_eq!(clean_misses, vec![1, 0, 0, 0]);
+
+    // The clock at launch 2's boundary, read off the first kill alone.
+    let first_kill = FaultPlan::none().kill(1, 0.0);
+    let boundary = run(first_kill.clone(), false).3[1];
+    let faults = first_kill.join(1, boundary).kill(3, boundary);
+    let (faulted, misses, alive, _) = run(faults.clone(), false);
+    assert_eq!(
+        alive,
+        vec![
+            vec![0, 2, 3, 4],
+            vec![0, 2, 3, 4],
+            vec![0, 1, 2, 4],
+            vec![0, 1, 2, 4]
+        ]
+    );
+    // One plan for five nodes, one for four: launch 3 (a miss when the key
+    // held the alive mask) hits the entry launch 1 planned.
+    assert_eq!(misses, vec![1, 1, 0, 0]);
+    assert_eq!(faulted, clean, "memory equals the fault-free run's");
+    assert_eq!(run(faults, true).0, clean);
+}
+
+/// One builtin kernel with its launch and initial buffers.
+struct Case {
+    name: String,
+    source: String,
+    launch: LaunchConfig,
+    buffers: Vec<Vec<u8>>,
+    scalars: Vec<Value>,
+}
+
+/// The 8 perf-suite programs and the 34 coverage kernels.
+fn builtin_cases() -> Vec<Case> {
+    let perf = perf_suite(Scale::Test).into_iter().map(|b| Case {
+        name: b.name().to_string(),
+        source: b.source(),
+        launch: b.launch(),
+        buffers: b.buffers(),
+        scalars: b.scalars(),
+    });
+    let coverage = triton_kernels()
+        .into_iter()
+        .chain(heteromark_kernels())
+        .map(|k| Case {
+            name: k.name.to_string(),
+            source: k.source,
+            launch: k.launch,
+            buffers: k.buffer_bytes.iter().map(|&b| vec![0u8; b]).collect(),
+            scalars: k.scalars,
+        });
+    perf.chain(coverage).collect()
+}
+
+/// xorshift64*: the refill's self-contained deterministic RNG.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state >> 12;
+    *state ^= *state << 25;
+    *state ^= *state >> 27;
+    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Overwrite every buffer argument with seeded values: small non-negative
+/// integers (so a kernel that loops or indexes on what it loads stays
+/// finite) and floats in [-4, 4).
+fn refill(cl: &mut CuccCluster, ck: &CompiledKernel, args: &[Arg], seed: u64) {
+    let mut state = seed.max(1);
+    for (p, a) in ck.kernel.params.iter().zip(args) {
+        let (Param::Buffer { elem, .. }, Arg::Buffer(id)) = (p, a) else {
+            continue;
+        };
+        let len = cl.sim().node(0).size_of(*id);
+        let mut bytes = Vec::with_capacity(len);
+        while bytes.len() < len {
+            let r = next(&mut state);
+            match elem {
+                Scalar::F32 => bytes
+                    .extend_from_slice(&((r >> 40) as f32 / (1 << 21) as f32 - 4.0).to_le_bytes()),
+                Scalar::F64 => bytes.extend_from_slice(
+                    &((r >> 11) as f64 / (1u64 << 50) as f64 - 4.0).to_le_bytes(),
+                ),
+                Scalar::I64 => bytes.extend_from_slice(&((r % 8) as i64).to_le_bytes()),
+                Scalar::I32 => bytes.extend_from_slice(&((r % 8) as i32).to_le_bytes()),
+                _ => bytes.push((r % 8) as u8),
+            }
+        }
+        bytes.truncate(len);
+        cl.upload(*id, &bytes).unwrap();
+    }
+}
+
+/// The stationarity differential: for every builtin kernel on 4 nodes, what
+/// the door returns equals a fresh `plan` — before the kernel's own launch,
+/// after it, and after each of three seeded refills of every buffer.
+#[test]
+fn the_door_equals_a_fresh_plan_under_any_contents() {
+    let mut steered = Vec::new();
+    let mut cached = 0;
+    for case in builtin_cases() {
+        let ck = compile_source(&case.source).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let mut cl = cluster(4, FaultPlan::none());
+        let (mut bufs, mut scalars) = (case.buffers.iter(), case.scalars.iter());
+        let args: Vec<Arg> = ck
+            .kernel
+            .params
+            .iter()
+            .map(|p| match p {
+                Param::Buffer { .. } => {
+                    let data = bufs.next().expect("a buffer per buffer param");
+                    let id = cl.alloc(data.len());
+                    cl.upload(id, data).unwrap();
+                    Arg::Buffer(id)
+                }
+                Param::Scalar { .. } => Arg::Scalar(*scalars.next().expect("a scalar per param")),
+            })
+            .collect();
+        let check = |cl: &mut CuccCluster, when: &str| {
+            let text = |r: Result<LaunchSchedule, _>| {
+                r.map_err(|e: cucc::core::MigrateError| e.to_string())
+            };
+            let door = text(cl.plan_cached(&ck, case.launch, &args));
+            let fresh = text(cl.plan(&ck, case.launch, &args));
+            assert_eq!(door, fresh, "{}: {when}", case.name);
+        };
+        check(&mut cl, "before its launch");
+        // Zero-filled coverage inputs can trap a launch (a loaded divisor);
+        // the door is held to the fresh plan either way.
+        let _ = cl.launch(&ck, case.launch, &args);
+        check(&mut cl, "after its launch");
+        for seed in [11, 12, 13] {
+            refill(&mut cl, &ck, &args, seed);
+            check(&mut cl, "after a refill");
+        }
+        let stats = cl.schedule_cache().stats();
+        if ck.analysis.content_steered {
+            assert_eq!((stats.hits, stats.entries), (0, 0), "{}", case.name);
+            steered.push(case.name);
+        } else {
+            assert_eq!(stats.entries, 1, "{}", case.name);
+            assert!(stats.hits >= 4, "{}: {stats:?}", case.name);
+            cached += 1;
+        }
+    }
+    println!(
+        "{cached} kernels cached, {} content-steered (never cached): {steered:?}",
+        steered.len()
+    );
+    assert_eq!(cached + steered.len(), 42);
+}
+
+/// A kernel whose trip count is loaded from a buffer: the schedule really
+/// differs between two contents, so no key can serve both — the door must
+/// plan it fresh every time, through every entry point.
+const LOADED_TRIPS: &str = "__global__ void f(int* trips, float* x, float* y, int n) {
+    int id = blockIdx.x * blockDim.x + threadIdx.x;
+    int t = trips[0];
+    float acc = 0.0f;
+    for (int i = 0; i < t; i++) acc = acc + x[id] * 0.5f;
+    if (id < n) y[id] = acc;
+}";
+
+#[test]
+fn loaded_trip_count_is_planned_fresh_at_every_door() {
+    let n = 2048usize;
+    let ck = compile_source(LOADED_TRIPS).unwrap();
+    assert!(ck.analysis.content_steered);
+    assert!(!compile_source(SAXPY).unwrap().analysis.content_steered);
+    let launch = LaunchConfig::cover1(n as u64, 128);
+    let xs: Vec<f32> = (0..n).map(|i| i as f32 * 0.25).collect();
+    let build = || {
+        let mut cl = cluster(4, FaultPlan::none());
+        let trips = cl.alloc(4);
+        let x = cl.alloc(n * 4);
+        let y = cl.alloc(n * 4);
+        cl.upload::<f32>(x, &xs).unwrap();
+        (
+            cl,
+            trips,
+            y,
+            [
+                Arg::Buffer(trips),
+                Arg::Buffer(x),
+                Arg::Buffer(y),
+                Arg::int(n as i64),
+            ],
+        )
+    };
+    // The reference: a cluster built for each content, so its one lookup
+    // cannot have been cached.
+    let reference = |t: i32| {
+        let (mut cl, trips, y, args) = build();
+        cl.upload::<i32>(trips, &[t]).unwrap();
+        let report = cl.launch(&ck, launch, &args).unwrap();
+        (report, cl.download::<u8>(y).unwrap())
+    };
+    let (few, many) = (reference(2), reference(40));
+    assert_ne!(
+        few.0.times, many.0.times,
+        "the two contents plan differently"
+    );
+
+    type Door = fn(
+        &mut CuccCluster,
+        &CompiledKernel,
+        LaunchConfig,
+        &[Arg],
+    ) -> Option<cucc::core::LaunchReport>;
+    let doors: [(&str, Door); 3] = [
+        ("launch", |cl, ck, launch, args| {
+            Some(cl.launch(ck, launch, args).unwrap())
+        }),
+        ("launch_on", |cl, ck, launch, args| {
+            let s = cl.stream_create();
+            let report = cl.launch_on(ck, launch, args, s).unwrap();
+            cl.synchronize().unwrap();
+            Some(report)
+        }),
+        ("graph_replay", |cl, ck, launch, args| {
+            let mut cap = GraphCapture::new();
+            cap.launch(ck, launch, args);
+            cl.graph_replay(&cap.finish()).unwrap();
+            None
+        }),
+    ];
+    for (door, enter) in doors {
+        let (mut cl, trips, y, args) = build();
+        for (t, want) in [(2, &few), (40, &many), (2, &few)] {
+            cl.upload::<i32>(trips, &[t]).unwrap();
+            let before = cl.clock();
+            let report = enter(&mut cl, &ck, launch, &args);
+            if let Some(report) = report {
+                assert_eq!(report, want.0, "{door}, {t} trips");
+            } else {
+                // Replay reports no per-launch value; its clock moves by
+                // the schedule it ran, less the gather it elided (nothing in
+                // the graph consumes `y`; the download materializes it).
+                let moved = cl.clock() - before;
+                let want = want.0.times.partial + want.0.times.callback;
+                assert!((moved - want).abs() <= 1e-9 * want, "{door}, {t} trips");
+            }
+            assert_eq!(cl.download::<u8>(y).unwrap(), want.1, "{door}, {t} trips");
+        }
+        let stats = cl.schedule_cache().stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (0, 3, 0),
+            "{door}"
+        );
+    }
+}
+
+/// An eager loop that varies a scalar argument makes one key per
+/// iteration; the cache clears itself rather than grow without bound, and
+/// every launch — first sight, retained entry or evicted one — reports and
+/// computes what a cluster built for that one launch does.
+#[test]
+fn a_varying_scalar_cannot_grow_the_cache_past_its_capacity() {
+    let n = 256usize;
+    let cap = ScheduleCache::CAPACITY;
+    let ck = compile_source(
+        "__global__ void f(float* x, float* y, int n) {
+            int id = blockIdx.x * blockDim.x + threadIdx.x;
+            if (id < n) y[id] = 2.0f * x[id];
+        }",
+    )
+    .unwrap();
+    let launch = LaunchConfig::cover1(n as u64, 128);
+    let xs: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+    let build = || {
+        let mut cl = cluster(2, FaultPlan::none());
+        let x = cl.alloc(n * 4);
+        let y = cl.alloc(n * 4);
+        cl.upload::<f32>(x, &xs).unwrap();
+        (cl, x, y)
+    };
+    let (mut cl, x, y) = build();
+    let launch_with = |cl: &mut CuccCluster, i: usize| {
+        // `n` below the grid leaves the tail of `y` as it was: start clean.
+        cl.upload::<f32>(y, &vec![0.0; n]).unwrap();
+        let args = [Arg::Buffer(x), Arg::Buffer(y), Arg::int(i as i64)];
+        let report = cl.launch(&ck, launch, &args).unwrap();
+        (report, cl.download::<u8>(y).unwrap())
+    };
+    let check = |cl: &mut CuccCluster, i: usize| {
+        let got = launch_with(cl, i);
+        // The uncached run: a cluster whose only lookup is this one.
+        let (mut fresh, ..) = build();
+        assert_eq!(got, launch_with(&mut fresh, i), "n = {i}");
+        assert_eq!(fresh.schedule_cache().stats().misses, 1);
+        assert!(cl.schedule_cache().stats().entries <= cap, "n = {i}");
+    };
+    for i in 0..2 * cap {
+        check(&mut cl, i);
+    }
+    let stats = cl.schedule_cache().stats();
+    assert_eq!((stats.hits, stats.misses), (0, 2 * cap as u64));
+    assert_eq!(
+        stats.entries, cap,
+        "cleared once, then refilled to the brim"
+    );
+    // A retained key hits; an evicted one misses (and clears again).
+    check(&mut cl, 2 * cap - 1);
+    check(&mut cl, 0);
+    let after = cl.schedule_cache().stats().since(&stats);
+    assert_eq!((after.hits, after.misses, after.entries), (1, 1, 1));
 }

@@ -7,14 +7,23 @@
 //!    admitted job completes, for every tenant, under skewed overload;
 //! 3. a `kill:`+`join:` fault plan mid-stream changes *when* jobs run but
 //!    not *what* they compute: per-tenant memory digests are bit-identical
-//!    to the fault-free run.
+//!    to the fault-free run;
+//! 4. the server owns no planner (ISSUE 23): a job's service time is its
+//!    schedule at its allocated node count, read through the cluster's one
+//!    planning door, so each distinct key is planned once — by whichever of
+//!    the service lookup and the launch asks first.
 
 use cucc::cluster::ClusterSpec;
+use cucc::core::schedule::plan_schedule;
 use cucc::core::{
-    synthetic_stream, DeadlineClass, JobServer, JobSpec, MigrateError, RunOptions, ServeConfig,
-    ServePolicy,
+    compile_source, synthetic_stream, DeadlineClass, JobServer, JobSpec, MigrateError, RunOptions,
+    ServeConfig, ServePolicy,
 };
+use cucc::exec::{Arg, BufferId};
+use cucc::ir::LaunchConfig;
+use cucc::trace::Track;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn server(nodes: u32, config: ServeConfig) -> JobServer {
     JobServer::new(ClusterSpec::simd_focused().with_nodes(nodes), config).unwrap()
@@ -142,4 +151,102 @@ fn mid_stream_kill_and_join_is_bit_identical_to_fault_free() {
         clean, faulted,
         "admitted jobs complete bit-identically across the fault"
     );
+}
+
+/// Every job's service time on the serving clock is `plan_schedule` at its
+/// `k` nodes, called directly; the one cache plans each distinct key once
+/// (the `k = 4` service shape of a 4-node server *is* the launch's key);
+/// and sharing entries between the two kinds of lookup changes no byte of
+/// any tenant's memory.
+#[test]
+fn service_times_are_the_planner_s_and_each_key_is_planned_once() {
+    const NODES: u32 = 4;
+    let mut jobs = synthetic_stream(120, 6, 23, 2e-6);
+    jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+    let config = || ServeConfig {
+        policy: ServePolicy::Fair,
+        queue_depth: 0,
+        ..ServeConfig::default()
+    };
+    let mut srv = server(NODES, config());
+    let report = srv.run(&jobs).unwrap();
+    assert_eq!(report.completed, jobs.len());
+
+    // The server allocates `(x, y)` per (tenant, elems) in arrival order.
+    let mut buffers: BTreeMap<(u32, usize), u32> = BTreeMap::new();
+    for job in &jobs {
+        let next = 2 * buffers.len() as u32;
+        buffers.entry((job.tenant, job.elems)).or_insert(next);
+    }
+    let kernels: Vec<_> = JobServer::KERNELS
+        .iter()
+        .map(|src| compile_source(src).unwrap())
+        .collect();
+    let cluster = srv.cluster();
+    let mut keys = BTreeSet::new();
+    let mut placed = 0;
+    for span in srv.timeline().spans() {
+        if span.track != Track::Place {
+            continue;
+        }
+        // "job {idx} x{k} (tenant {t})": idx counts admissions, and nothing
+        // was rejected, so it indexes the arrival-sorted stream.
+        let mut words = span.name.split(' ');
+        let idx: usize = words.nth(1).unwrap().parse().unwrap();
+        let k: usize = words.next().unwrap()[1..].parse().unwrap();
+        let job = &jobs[idx];
+        let x = buffers[&(job.tenant, job.elems)];
+        let args = [
+            Arg::Buffer(BufferId(x)),
+            Arg::Buffer(BufferId(x + 1)),
+            Arg::float(job.scale),
+            Arg::int(job.elems as i64),
+        ];
+        let direct = plan_schedule(
+            &kernels[job.kernel % kernels.len()],
+            LaunchConfig::cover1(job.elems as u64, 128),
+            &args,
+            cluster.sim().node(0),
+            cluster.spec(),
+            k,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(span.dur.to_bits(), direct.time().to_bits(), "{}", span.name);
+        let key = |nodes: usize| (job.tenant, job.elems, job.scale.to_bits(), nodes);
+        keys.extend([key(k), key(NODES as usize)]);
+        placed += 1;
+    }
+    assert_eq!(placed, jobs.len());
+
+    let stats = cluster.schedule_cache().stats();
+    assert_eq!(
+        report.cache, stats,
+        "the report carries the one cache's counters"
+    );
+    assert_eq!(
+        stats.misses,
+        keys.len() as u64,
+        "each distinct key plans once"
+    );
+    assert_eq!(stats.entries, keys.len());
+    assert!(
+        stats.hits + stats.misses >= 2 * jobs.len() as u64,
+        "a service lookup and a launch lookup per job: {stats:?}"
+    );
+    let service: u64 = report
+        .per_tenant
+        .iter()
+        .map(|t| t.cache_hits + t.cache_misses)
+        .sum();
+    assert_eq!(
+        stats.hits + stats.misses - service,
+        jobs.len() as u64,
+        "one launch lookup per job"
+    );
+
+    // On 8 nodes no service shape (k <= 4) is the launch's: nothing is
+    // shared, and memory is the same.
+    let apart = server(8, config()).run(&jobs).unwrap();
+    assert_eq!(apart.digests, report.digests);
 }
