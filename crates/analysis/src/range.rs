@@ -777,7 +777,12 @@ impl<'a> Analyzer<'a> {
         base.join_from(&sb);
 
         // Enclosure of the loop variable while the body runs (`v < e` for
-        // positive step, `v > e` for negative).
+        // positive step, `v > e` for negative). The update wraps like every
+        // integer op, so the bound holds only while one step past the last
+        // in-body value still fits `i64`; a wrapped counter re-enters the
+        // body anywhere.
+        let wraps = (stp.lo > 0 && e.hi - 1 + stp.hi > I64MAX)
+            || (stp.hi < 0 && e.lo + 1 + stp.lo < I64MIN);
         let body_var = if stp.lo > 0 {
             s.meet_hi(e.hi.saturating_sub(1))
         } else if stp.hi < 0 {
@@ -786,7 +791,9 @@ impl<'a> Analyzer<'a> {
             Some(Interval::I64_FULL)
         }
         .map(|first| {
-            if stp.lo > 0 {
+            if wraps {
+                Interval::I64_FULL
+            } else if stp.lo > 0 {
                 Interval::new(first.lo, e.hi.saturating_sub(1).max(first.lo))
             } else if stp.hi < 0 {
                 Interval::new(e.lo.saturating_add(1).min(first.hi), first.hi)

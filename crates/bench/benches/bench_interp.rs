@@ -19,13 +19,12 @@
 //!   Triton, 13 Hetero-Mark) at their own launches, serial, run-only, every
 //!   repetition on a fresh copy of the initial memory.
 //!
-//! `before` carries the serial `lane` and `unchecked` columns of the six
-//! 1-worker micro rows and the 42 builtin rows, measured at the commit whose
-//! lane engine still ran its own fused instruction set (`LaneOp`; `fused` is
-//! the number of source instructions the peephole pass folded away in that
-//! row), on the host it names. The file records `host_cores`, and every row
-//! its grid, block size and worker counts: a number means nothing without
-//! them.
+//! `before` carries the serial run-only `tree`, `lane`, `detached` and
+//! `unchecked` columns of the six 1-worker micro rows and the 42 builtin
+//! rows, measured at the commit it names — the parent of the last PR that
+//! touched the engine — on the host it names, under the protocol it states.
+//! The file records `host_cores`, and every row its grid and block size: a
+//! number means nothing without them.
 //!
 //! The harness doubles as the perf-regression smoke: it panics if lanes fail
 //! to beat thread-major execution on the saxpy or horner15 serial rows of
@@ -49,7 +48,7 @@ const THREADS: u32 = 128;
 const GRIDS: [u32; 2] = [128, 4096];
 /// Requested worker counts; each is capped at [`host_cores`] before it runs.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// The 48-row sweep at the last commit with fused lane ops (see the module
+/// The 48-row sweep at the parent of the last engine PR (see the module
 /// docs).
 const BEFORE: &str = include_str!("bench_interp_before.json");
 

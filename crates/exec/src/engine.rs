@@ -1,13 +1,19 @@
-//! Entry points and thread-major core of the compiled engine.
+//! Entry points, the instruction step and the thread-major core of the
+//! compiled engine.
 //!
 //! A [`Program`] produced by [`crate::bytecode`] runs on exactly one engine,
 //! [`crate::lane::LaneEngine`]: batchable segments execute over 16-lane
 //! chunks, every other segment falls back to [`run_seg`] — one thread at a
-//! time over the flat instruction stream — defined here together with the
-//! global-memory views both paths share. [`run_range`] executes a contiguous
-//! block range serially (the same ascending order as the tree-walk oracle);
-//! [`run_range_parallel`] chunks the range across the process-wide worker
-//! [`crate::pool`] for intra-node block parallelism.
+//! time over the flat instruction stream. What a data instruction computes,
+//! charges and faults on for one thread is defined once, in [`step`]:
+//! [`run_seg`] is control flow around it, and the lane engine calls it for
+//! masked lanes and for ops without a full-width row loop. Global memory is
+//! reached one way too — a [`GlobalMem::raw`] view, an offset from
+//! [`elem_off`] (the bounds rule, tested or certified), a copy of at most 8
+//! bytes. [`run_range`] executes a contiguous block range serially (the
+//! same ascending order as the tree-walk oracle); [`run_range_parallel`]
+//! chunks the range across the process-wide worker [`crate::pool`] for
+//! intra-node block parallelism.
 //!
 //! Parallel legality: CUDA guarantees no ordering between blocks, so any
 //! interleaving of block execution is a valid GPU execution. Workers share
@@ -19,7 +25,7 @@
 //! and fall back to the serial path, since the simulator's atomics are not
 //! host-atomic instructions.
 
-use crate::bytecode::{Inst, MemSlotInfo, Program, SlotKind};
+use crate::bytecode::{Inst, MemSlotInfo, Program, Reg, SlotKind};
 use crate::interp::{
     apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, slice_load,
     slice_store, Arg, ExecError,
@@ -45,7 +51,10 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Parse a CLI spelling: `tree` or `lane`. `bytecode` and `simd` named
-    /// the two compiled tiers that `lane` replaced and still select it.
+    /// the two compiled tiers that `lane` replaced and still select it:
+    /// `benchmark/src/workloads/mod.rs` parses `"simd"` with `expect` (and
+    /// `probes.rs` compares against it), and this crate's PRs may not edit
+    /// `benchmark/` — the spellings stay until a `benchmark` PR drops them.
     pub fn parse(s: &str) -> Option<EngineKind> {
         match s {
             "tree" => Some(EngineKind::TreeWalk),
@@ -80,18 +89,16 @@ pub struct ExecOptions {
     pub block_parallel: bool,
 }
 
-/// Global-memory access abstraction: the serial path writes straight into a
+/// Global-memory access abstraction: the serial path reaches straight into a
 /// node's [`MemPool`], parallel workers go through a [`RacyView`].
 pub(crate) trait GlobalMem {
     fn size_of(&self, id: BufferId) -> usize;
-    fn load(&self, id: BufferId, elem: Scalar, index: i64) -> Option<Value>;
-    fn store(&mut self, id: BufferId, elem: Scalar, index: i64, value: Value) -> bool;
-    /// Resolve a buffer to its raw base pointer and byte length, so the lane
-    /// loops pay the lookup once per instruction instead of once per
-    /// thread. All accesses through the pointer go via [`raw_load`] /
-    /// [`raw_store`], which bounds-check every element and copy at most 8
-    /// bytes — no `&`/`&mut` reference into the buffer is ever formed
-    /// (the [`RacyView`] sharing contract).
+    /// Resolve a buffer to its raw base pointer and byte length — once per
+    /// instruction in the lane loops, once per access thread-major. All
+    /// accesses through the pointer go via [`raw_load`] / [`raw_store`] (or
+    /// the lane gather/scatter), which place every element by [`elem_off`]
+    /// and copy at most 8 bytes — no `&`/`&mut` reference into the buffer
+    /// is ever formed (the [`RacyView`] sharing contract).
     fn raw(&mut self, id: BufferId) -> (*mut u8, usize);
 }
 
@@ -99,16 +106,6 @@ impl GlobalMem for MemPool {
     #[inline]
     fn size_of(&self, id: BufferId) -> usize {
         MemPool::size_of(self, id)
-    }
-
-    #[inline]
-    fn load(&self, id: BufferId, elem: Scalar, index: i64) -> Option<Value> {
-        MemPool::load(self, id, elem, index)
-    }
-
-    #[inline]
-    fn store(&mut self, id: BufferId, elem: Scalar, index: i64, value: Value) -> bool {
-        MemPool::store(self, id, elem, index, value)
     }
 
     #[inline]
@@ -120,8 +117,9 @@ impl GlobalMem for MemPool {
 
 /// Raw-pointer view of a pool's buffers, shared by intra-node workers.
 ///
-/// Bounds are always checked; what is *not* synchronized is concurrent
-/// access to the same element from different blocks. That mirrors the GPU:
+/// Bounds are checked or certified ([`elem_off`]); what is *not*
+/// synchronized is concurrent access to the same element from different
+/// blocks. That mirrors the GPU:
 /// a CUDA kernel whose blocks race on global memory has indeterminate
 /// results there too, so any byte-level interleaving we produce is a valid
 /// execution of such a kernel. Accesses copy at most 8 bytes through raw
@@ -134,7 +132,7 @@ pub(crate) struct RacyView {
 // SAFETY: the view only exists while `run_chunked` holds `&mut MemPool`
 // and `pool::run` does not return before every chunk has finished, so the
 // pointed-to allocations are alive and not accessed through the pool for
-// as long as any clone exists; all accesses are bounds-checked
+// as long as any clone exists; all accesses are in-bounds (`elem_off`)
 // byte copies (see type-level comment for the data-race contract).
 unsafe impl Send for RacyView {}
 
@@ -155,115 +153,87 @@ impl GlobalMem for RacyView {
         self.bufs[id.index()].1
     }
 
-    fn load(&self, id: BufferId, elem: Scalar, index: i64) -> Option<Value> {
-        let (ptr, len) = self.bufs[id.index()];
-        raw_load(ptr, len, elem, index)
-    }
-
-    fn store(&mut self, id: BufferId, elem: Scalar, index: i64, value: Value) -> bool {
-        let (ptr, len) = self.bufs[id.index()];
-        raw_store(ptr, len, elem, index, value)
-    }
-
     #[inline]
     fn raw(&mut self, id: BufferId) -> (*mut u8, usize) {
         self.bufs[id.index()]
     }
 }
 
-/// Bounds-checked element load through a raw `(base, len)` buffer view.
+/// The bounds rule of every engine access, written once: element `index` of
+/// a `len`-byte buffer of `sz`-byte elements lies at `Some(index * sz)` when
+/// `index >= 0` and `index * sz + sz <= len`.
 ///
-/// SAFETY contract (callers): `ptr` must be valid for `len` bytes for the
-/// duration of the call — guaranteed by both [`GlobalMem::raw`] providers.
-/// The copy stays within `off + size <= len`, checked below.
-#[inline]
-fn raw_load(ptr: *const u8, len: usize, elem: Scalar, index: i64) -> Option<Value> {
-    let sz = elem.size();
-    if index < 0 {
-        return None;
+/// `certified` is the access's [`crate::bytecode::CertMode::Elide`] bit: the
+/// range analysis proved the rule for every thread that reaches the access,
+/// so the offset is taken on the certificate's word and the test is gone.
+/// Debug builds still test, so a wrong certificate panics there before the
+/// caller dereferences anything.
+#[inline(always)]
+pub(crate) fn elem_off(index: i64, sz: usize, len: usize, certified: bool) -> Option<usize> {
+    let rule = || {
+        if index < 0 {
+            return None;
+        }
+        let off = (index as usize).checked_mul(sz)?;
+        (off.checked_add(sz)? <= len).then_some(off)
+    };
+    if certified {
+        debug_assert!(
+            rule().is_some(),
+            "bounds certificate violated: index {index}, len {len} bytes"
+        );
+        return Some(index as usize * sz);
     }
-    let off = (index as usize).checked_mul(sz)?;
-    if off.checked_add(sz)? > len {
-        return None;
-    }
-    let mut tmp = [0u8; 8];
-    // SAFETY: `off + sz <= len` was just checked; see the function contract.
-    unsafe {
-        std::ptr::copy_nonoverlapping(ptr.add(off), tmp.as_mut_ptr(), sz);
-    }
-    Some(decode(elem, &tmp[..sz]))
+    rule()
 }
 
-/// Bounds-checked element store through a raw `(base, len)` buffer view;
-/// same SAFETY contract as [`raw_load`].
-#[inline]
-fn raw_store(ptr: *mut u8, len: usize, elem: Scalar, index: i64, value: Value) -> bool {
-    let sz = elem.size();
-    if index < 0 {
-        return false;
-    }
-    let Some(off) = (index as usize).checked_mul(sz) else {
-        return false;
-    };
-    let Some(end) = off.checked_add(sz) else {
-        return false;
-    };
-    if end > len {
-        return false;
-    }
-    let mut tmp = [0u8; 8];
-    encode(elem, value, &mut tmp[..sz]);
-    // SAFETY: bounds checked above; see the function contract.
-    unsafe {
-        std::ptr::copy_nonoverlapping(tmp.as_ptr(), ptr.add(off), sz);
-    }
-    true
-}
-
-/// Certificate-elided counterpart of [`raw_load`]: no bounds check.
+/// Element load through a raw `(base, len)` buffer view, placed by
+/// [`elem_off`]: `None` is an out-of-bounds index.
 ///
-/// SAFETY: in addition to the `(ptr, len)` view contract of [`raw_load`],
-/// the caller must guarantee `index * size .. + size` lies within `len` —
-/// exactly what a [`crate::bytecode::CertMode::Elide`] certificate asserts
-/// for the access. A wrong certificate is UB here in release builds; debug
-/// builds still catch it via `debug_assert!`.
+/// # Safety
+/// `ptr` must be valid for `len` bytes for the duration of the call (both
+/// [`GlobalMem::raw`] providers guarantee it), and `certified` may be set
+/// only where [`elem_off`]'s rule holds for `index` — what the access's
+/// certificate asserts. A wrong certificate is UB in release builds.
 #[inline]
-pub(crate) unsafe fn raw_load_unchecked(
+unsafe fn raw_load(
     ptr: *const u8,
     len: usize,
     elem: Scalar,
     index: i64,
-) -> Value {
+    certified: bool,
+) -> Option<Value> {
     let sz = elem.size();
-    debug_assert!(
-        index >= 0 && (index as usize) * sz + sz <= len,
-        "bounds certificate violated: index {index}, len {len} bytes"
-    );
-    let off = index as usize * sz;
+    let off = elem_off(index, sz, len, certified)?;
     let mut tmp = [0u8; 8];
+    // `off + sz <= len`, tested or certified; see the function contract.
     std::ptr::copy_nonoverlapping(ptr.add(off), tmp.as_mut_ptr(), sz);
-    decode(elem, &tmp[..sz])
+    Some(decode(elem, &tmp[..sz]))
 }
 
-/// Certificate-elided counterpart of [`raw_store`]; same SAFETY contract as
-/// [`raw_load_unchecked`].
+/// Element store through a raw `(base, len)` buffer view (C narrowing as
+/// [`encode`]); `false` is an out-of-bounds index.
+///
+/// # Safety
+/// Same contract as [`raw_load`].
 #[inline]
-pub(crate) unsafe fn raw_store_unchecked(
+unsafe fn raw_store(
     ptr: *mut u8,
     len: usize,
     elem: Scalar,
     index: i64,
     value: Value,
-) {
+    certified: bool,
+) -> bool {
     let sz = elem.size();
-    debug_assert!(
-        index >= 0 && (index as usize) * sz + sz <= len,
-        "bounds certificate violated: index {index}, len {len} bytes"
-    );
-    let off = index as usize * sz;
+    let Some(off) = elem_off(index, sz, len, certified) else {
+        return false;
+    };
     let mut tmp = [0u8; 8];
     encode(elem, value, &mut tmp[..sz]);
+    // `off + sz <= len`, tested or certified; see the function contract.
     std::ptr::copy_nonoverlapping(tmp.as_ptr(), ptr.add(off), sz);
+    true
 }
 
 #[inline]
@@ -313,60 +283,99 @@ pub(crate) fn cert_wrap(e: ExecError, certified: bool) -> ExecError {
     }
 }
 
-#[inline]
-pub(crate) fn load_value<M: GlobalMem>(
-    info: &MemSlotInfo,
-    shared: &[Vec<u8>],
-    local: &[Vec<u8>],
-    stats: &mut BlockStats,
-    index: i64,
-    mem: &M,
-) -> Result<Value, ExecError> {
-    let sz = info.elem.size() as u64;
-    stats.int_ops += 1; // address computation
-    match info.kind {
-        SlotKind::Global { buf } => {
-            stats.global_read_bytes += sz;
-            stats.global_loads += 1;
-            mem.load(buf, info.elem, index)
-                .ok_or_else(|| oob(info, index, mem))
-        }
-        SlotKind::Shared { idx } => {
-            stats.shared_bytes += sz;
-            slice_load(&shared[idx as usize], info.elem, index).ok_or_else(|| oob(info, index, mem))
-        }
-        SlotKind::Local { idx } => {
-            stats.local_bytes += sz;
-            slice_load(&local[idx as usize], info.elem, index).ok_or_else(|| oob(info, index, mem))
-        }
+/// A thread's registers as [`step`] reads and writes them: a `[Value]`
+/// window for [`run_seg`], a column of the lane rows for
+/// [`crate::lane::LaneEngine`].
+pub(crate) trait RegView {
+    fn get(&self, r: Reg) -> Value;
+    fn set(&mut self, r: Reg, v: Value);
+}
+
+impl RegView for [Value] {
+    #[inline(always)]
+    fn get(&self, r: Reg) -> Value {
+        self[r as usize]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, r: Reg, v: Value) {
+        self[r as usize] = v;
     }
 }
 
-#[inline]
-pub(crate) fn store_value<M: GlobalMem>(
+/// What a thread's [`step`] touches besides its registers: the block's
+/// shared image, the thread's local arrays, the stat counters and the
+/// thread's coordinates — disjoint borrows, split once by the caller.
+pub(crate) struct ThreadCx<'a> {
+    pub(crate) shared: &'a mut [Vec<u8>],
+    pub(crate) local: &'a mut [Vec<u8>],
+    pub(crate) stats: &'a mut BlockStats,
+    pub(crate) block: (u32, u32, u32),
+    pub(crate) tid: (u32, u32, u32),
+}
+
+/// Load element `index` of a slot. `elide` is the access's certificate bit;
+/// it reaches only global buffers (shared and local arrays are always
+/// tested).
+#[inline(always)]
+fn load_value<M: GlobalMem>(
     info: &MemSlotInfo,
-    shared: &mut [Vec<u8>],
-    local: &mut [Vec<u8>],
-    stats: &mut BlockStats,
+    elide: bool,
+    cx: &mut ThreadCx<'_>,
+    index: i64,
+    mem: &mut M,
+) -> Result<Value, ExecError> {
+    let sz = info.elem.size() as u64;
+    cx.stats.int_ops += 1; // address computation
+    let v = match info.kind {
+        SlotKind::Global { buf } => {
+            cx.stats.global_read_bytes += sz;
+            cx.stats.global_loads += 1;
+            let (ptr, len) = mem.raw(buf);
+            // SAFETY: `raw`'s view is valid for `len` bytes, and `elide` is
+            // set only for a pc that carries an in-bounds certificate for
+            // every thread that reaches it (CertMode::Elide).
+            unsafe { raw_load(ptr, len, info.elem, index, elide) }
+        }
+        SlotKind::Shared { idx } => {
+            cx.stats.shared_bytes += sz;
+            slice_load(&cx.shared[idx as usize], info.elem, index)
+        }
+        SlotKind::Local { idx } => {
+            cx.stats.local_bytes += sz;
+            slice_load(&cx.local[idx as usize], info.elem, index)
+        }
+    };
+    v.ok_or_else(|| oob(info, index, mem))
+}
+
+/// Store counterpart of [`load_value`].
+#[inline(always)]
+fn store_value<M: GlobalMem>(
+    info: &MemSlotInfo,
+    elide: bool,
+    cx: &mut ThreadCx<'_>,
     index: i64,
     value: Value,
     mem: &mut M,
 ) -> Result<(), ExecError> {
     let sz = info.elem.size() as u64;
-    stats.int_ops += 1; // address computation
+    cx.stats.int_ops += 1; // address computation
     let ok = match info.kind {
         SlotKind::Global { buf } => {
-            stats.global_write_bytes += sz;
-            stats.global_stores += 1;
-            mem.store(buf, info.elem, index, value)
+            cx.stats.global_write_bytes += sz;
+            cx.stats.global_stores += 1;
+            let (ptr, len) = mem.raw(buf);
+            // SAFETY: as in `load_value`.
+            unsafe { raw_store(ptr, len, info.elem, index, value, elide) }
         }
         SlotKind::Shared { idx } => {
-            stats.shared_bytes += sz;
-            slice_store(&mut shared[idx as usize], info.elem, index, value)
+            cx.stats.shared_bytes += sz;
+            slice_store(&mut cx.shared[idx as usize], info.elem, index, value)
         }
         SlotKind::Local { idx } => {
-            stats.local_bytes += sz;
-            slice_store(&mut local[idx as usize], info.elem, index, value)
+            cx.stats.local_bytes += sz;
+            slice_store(&mut cx.local[idx as usize], info.elem, index, value)
         }
     };
     if ok {
@@ -376,24 +385,139 @@ pub(crate) fn store_value<M: GlobalMem>(
     }
 }
 
+/// Execute one data op for one thread: the compiled engine's only
+/// per-thread definition of `Const` … `AtomicRmw` — what they compute, what
+/// they charge and how they fault. [`run_seg`] calls it on a thread's
+/// register window, the lane engine on a thread's column of the lane rows
+/// (masked lanes, and full-width ops that have no row loop). `elide` is the
+/// access's certificate bit (see [`load_value`]); a bounds fault comes back
+/// unwrapped, the caller applies [`cert_wrap`]. Control flow is the
+/// caller's.
+///
+/// `#[inline]`, not `always`: both callers inline it either way, but forced
+/// early inlining left `run_seg`'s loop 10–20 % slower on the loop-heavy
+/// builtin kernels (`history/PR-24.md`). The two memory helpers are the
+/// opposite case and are `always`.
+#[inline]
+pub(crate) fn step<R: RegView + ?Sized, M: GlobalMem>(
+    prog: &Program,
+    inst: &Inst,
+    elide: bool,
+    regs: &mut R,
+    cx: &mut ThreadCx<'_>,
+    mem: &mut M,
+) -> Result<(), ExecError> {
+    match inst {
+        Inst::Const {
+            dst,
+            v,
+            int_ops,
+            float_ops,
+        } => {
+            cx.stats.int_ops += u64::from(*int_ops);
+            cx.stats.float_ops += u64::from(*float_ops);
+            regs.set(*dst, *v);
+        }
+        Inst::Tid { dst, axis } => regs.set(*dst, Value::I64(axis_of(cx.tid, *axis) as i64)),
+        Inst::Bid { dst, axis } => regs.set(*dst, Value::I64(axis_of(cx.block, *axis) as i64)),
+        Inst::Copy { dst, src } => regs.set(*dst, regs.get(*src)),
+        Inst::Unary { dst, op, src } => {
+            let a = regs.get(*src);
+            count_op(cx.stats, a.kind());
+            regs.set(*dst, eval_unop(*op, a));
+        }
+        Inst::Binary { dst, op, lhs, rhs } => {
+            let l = regs.get(*lhs);
+            let r = regs.get(*rhs);
+            let float = l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
+            if float {
+                cx.stats.float_ops += 1;
+            } else {
+                cx.stats.int_ops += 1;
+            }
+            // Fault check hoisted out of the evaluator so the common path
+            // is an infallible `Value -> Value` computation (no `Result`
+            // moved through the dispatch loop).
+            if binop_faults(*op, r, float) {
+                return Err(ExecError::DivByZero);
+            }
+            regs.set(*dst, eval_binop_total(*op, l, r, float));
+        }
+        Inst::MulAdd { dst, a, b, c } => {
+            // Mul then add with the oracle's kind promotion, charged per
+            // component; two roundings in the float case, never fused.
+            let av = regs.get(*a);
+            let bv = regs.get(*b);
+            let cv = regs.get(*c);
+            let f1 = av.kind() == ValueKind::Float || bv.kind() == ValueKind::Float;
+            let m = eval_binop_total(BinOp::Mul, av, bv, f1);
+            let f2 = m.kind() == ValueKind::Float || cv.kind() == ValueKind::Float;
+            cx.stats.int_ops += u64::from(!f1) + u64::from(!f2);
+            cx.stats.float_ops += u64::from(f1) + u64::from(f2);
+            regs.set(*dst, eval_binop_total(BinOp::Add, m, cv, f2));
+        }
+        Inst::Cast { dst, ty, src } => {
+            let v = regs.get(*src);
+            count_op(cx.stats, ty.kind());
+            regs.set(*dst, v.convert_to(*ty));
+        }
+        Inst::Intrin1 { dst, f, a } => {
+            let av = regs.get(*a);
+            cx.stats.float_ops += intrinsic_weight(*f);
+            regs.set(*dst, eval_intrinsic(*f, &[av]));
+        }
+        Inst::Intrin2 { dst, f, a, b } => {
+            let av = regs.get(*a);
+            let bv = regs.get(*b);
+            cx.stats.float_ops += intrinsic_weight(*f);
+            regs.set(*dst, eval_intrinsic(*f, &[av, bv]));
+        }
+        Inst::Test { dst, src } => {
+            regs.set(*dst, Value::I64(i64::from(regs.get(*src).is_true())));
+        }
+        Inst::Load { dst, slot, idx } => {
+            let index = regs.get(*idx).as_i64();
+            let v = load_value(slot_info(prog, *slot), elide, cx, index, mem)?;
+            regs.set(*dst, v);
+        }
+        Inst::Store { slot, idx, val } => {
+            let index = regs.get(*idx).as_i64();
+            let v = regs.get(*val);
+            store_value(slot_info(prog, *slot), elide, cx, index, v, mem)?;
+        }
+        Inst::AtomicRmw { op, slot, idx, val } => {
+            let index = regs.get(*idx).as_i64();
+            let v = regs.get(*val);
+            let info = slot_info(prog, *slot);
+            let old = load_value(info, elide, cx, index, mem)?;
+            store_value(info, elide, cx, index, apply_atomic(*op, old, v), mem)?;
+            if matches!(info.kind, SlotKind::Global { .. }) {
+                cx.stats.global_atomics += 1;
+            }
+        }
+        Inst::Jump { .. }
+        | Inst::JumpIfFalse { .. }
+        | Inst::JumpIfTrue { .. }
+        | Inst::ForInit { .. }
+        | Inst::ForNext { .. }
+        | Inst::Return => unreachable!("control flow is the caller's"),
+    }
+    Ok(())
+}
+
 /// Run `code[start..end]` for one thread (a barrier-free segment, a
 /// uniform bounds/cond snippet, or a loop body range re-entered via
-/// jumps).
+/// jumps): the control flow is here, every data op is a [`step`].
 ///
-/// `regs` and `local` are the calling thread's windows; `shared` is the
-/// block's image. Working on pre-split disjoint borrows keeps every
-/// register access a single small-slice index and lets the stat counters
-/// stay in machine registers across the dispatch loop.
-#[allow(clippy::too_many_arguments)]
+/// `regs` and `cx` are the calling thread's windows. Working on pre-split
+/// disjoint borrows keeps every register access a single small-slice index
+/// and lets the stat counters stay in machine registers across the dispatch
+/// loop.
 pub(crate) fn run_seg<M: GlobalMem>(
     prog: &Program,
     regs: &mut [Value],
-    shared: &mut [Vec<u8>],
-    local: &mut [Vec<u8>],
+    mut cx: ThreadCx<'_>,
     returned: &mut bool,
-    stats: &mut BlockStats,
-    block: (u32, u32, u32),
-    tid: (u32, u32, u32),
     start: u32,
     end: u32,
     mem: &mut M,
@@ -404,157 +528,6 @@ pub(crate) fn run_seg<M: GlobalMem>(
     let end = end as usize;
     while pc < end {
         match &code[pc] {
-            Inst::Const {
-                dst,
-                v,
-                int_ops,
-                float_ops,
-            } => {
-                stats.int_ops += u64::from(*int_ops);
-                stats.float_ops += u64::from(*float_ops);
-                regs[*dst as usize] = *v;
-            }
-            Inst::Tid { dst, axis } => {
-                regs[*dst as usize] = Value::I64(axis_of(tid, *axis) as i64);
-            }
-            Inst::Bid { dst, axis } => {
-                regs[*dst as usize] = Value::I64(axis_of(block, *axis) as i64);
-            }
-            Inst::Copy { dst, src } => {
-                regs[*dst as usize] = regs[*src as usize];
-            }
-            Inst::Unary { dst, op, src } => {
-                let a = regs[*src as usize];
-                count_op(stats, a.kind());
-                regs[*dst as usize] = eval_unop(*op, a);
-            }
-            Inst::Binary { dst, op, lhs, rhs } => {
-                let l = regs[*lhs as usize];
-                let r = regs[*rhs as usize];
-                let float = l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                if float {
-                    stats.float_ops += 1;
-                } else {
-                    stats.int_ops += 1;
-                }
-                // Fault check hoisted out of the evaluator so the common
-                // path is an infallible `Value -> Value` computation (no
-                // `Result` moved through the dispatch loop).
-                if binop_faults(*op, r, float) {
-                    return Err(ExecError::DivByZero);
-                }
-                regs[*dst as usize] = eval_binop_total(*op, l, r, float);
-            }
-            Inst::MulAdd { dst, a, b, c } => {
-                let av = regs[*a as usize];
-                let bv = regs[*b as usize];
-                let cv = regs[*c as usize];
-                let f1 = av.kind() == ValueKind::Float || bv.kind() == ValueKind::Float;
-                let m = eval_binop_total(BinOp::Mul, av, bv, f1);
-                let f2 = m.kind() == ValueKind::Float || cv.kind() == ValueKind::Float;
-                stats.int_ops += u64::from(!f1) + u64::from(!f2);
-                stats.float_ops += u64::from(f1) + u64::from(f2);
-                regs[*dst as usize] = eval_binop_total(BinOp::Add, m, cv, f2);
-            }
-            Inst::Cast { dst, ty, src } => {
-                let v = regs[*src as usize];
-                count_op(stats, ty.kind());
-                regs[*dst as usize] = v.convert_to(*ty);
-            }
-            Inst::Intrin1 { dst, f, a } => {
-                let av = regs[*a as usize];
-                stats.float_ops += intrinsic_weight(*f);
-                regs[*dst as usize] = eval_intrinsic(*f, &[av]);
-            }
-            Inst::Intrin2 { dst, f, a, b } => {
-                let av = regs[*a as usize];
-                let bv = regs[*b as usize];
-                stats.float_ops += intrinsic_weight(*f);
-                regs[*dst as usize] = eval_intrinsic(*f, &[av, bv]);
-            }
-            Inst::Test { dst, src } => {
-                regs[*dst as usize] = Value::I64(i64::from(regs[*src as usize].is_true()));
-            }
-            Inst::Load { dst, slot, idx } => {
-                let idx = regs[*idx as usize].as_i64();
-                let info = slot_info(prog, *slot);
-                match info.kind {
-                    SlotKind::Global { buf } if emask.is_some_and(|m| m[pc]) => {
-                        let (ptr, len) = mem.raw(buf);
-                        stats.int_ops += 1; // address computation
-                        stats.global_read_bytes += info.elem.size() as u64;
-                        stats.global_loads += 1;
-                        // SAFETY: this pc carries an in-bounds certificate
-                        // for every thread of the launch (CertMode::Elide).
-                        regs[*dst as usize] =
-                            unsafe { raw_load_unchecked(ptr, len, info.elem, idx) };
-                    }
-                    _ => {
-                        regs[*dst as usize] = load_value(info, shared, local, stats, idx, mem)
-                            .map_err(|e| cert_wrap(e, vmask.is_some_and(|m| m[pc])))?;
-                    }
-                }
-            }
-            Inst::Store { slot, idx, val } => {
-                let idx = regs[*idx as usize].as_i64();
-                let v = regs[*val as usize];
-                let info = slot_info(prog, *slot);
-                match info.kind {
-                    SlotKind::Global { buf } if emask.is_some_and(|m| m[pc]) => {
-                        let (ptr, len) = mem.raw(buf);
-                        stats.int_ops += 1; // address computation
-                        stats.global_write_bytes += info.elem.size() as u64;
-                        stats.global_stores += 1;
-                        // SAFETY: certified in-bounds for every thread
-                        // (CertMode::Elide).
-                        unsafe { raw_store_unchecked(ptr, len, info.elem, idx, v) };
-                    }
-                    _ => {
-                        store_value(info, shared, local, stats, idx, v, mem)
-                            .map_err(|e| cert_wrap(e, vmask.is_some_and(|m| m[pc])))?;
-                    }
-                }
-            }
-            Inst::AtomicRmw { op, slot, idx, val } => {
-                let idx = regs[*idx as usize].as_i64();
-                let v = regs[*val as usize];
-                let info = slot_info(prog, *slot);
-                match info.kind {
-                    SlotKind::Global { buf } if emask.is_some_and(|m| m[pc]) => {
-                        let (ptr, len) = mem.raw(buf);
-                        let sz = info.elem.size() as u64;
-                        stats.int_ops += 2; // load + store address computation
-                        stats.global_read_bytes += sz;
-                        stats.global_loads += 1;
-                        stats.global_write_bytes += sz;
-                        stats.global_stores += 1;
-                        stats.global_atomics += 1;
-                        // SAFETY: certified in-bounds for every thread
-                        // (CertMode::Elide).
-                        unsafe {
-                            let old = raw_load_unchecked(ptr, len, info.elem, idx);
-                            raw_store_unchecked(
-                                ptr,
-                                len,
-                                info.elem,
-                                idx,
-                                apply_atomic(*op, old, v),
-                            );
-                        }
-                    }
-                    _ => {
-                        let certified = vmask.is_some_and(|m| m[pc]);
-                        let old = load_value(info, shared, local, stats, idx, mem)
-                            .map_err(|e| cert_wrap(e, certified))?;
-                        let new = apply_atomic(*op, old, v);
-                        store_value(info, shared, local, stats, idx, new, mem)
-                            .map_err(|e| cert_wrap(e, certified))?;
-                        if matches!(info.kind, SlotKind::Global { .. }) {
-                            stats.global_atomics += 1;
-                        }
-                    }
-                }
-            }
             Inst::Jump { target } => {
                 pc = *target as usize;
                 continue;
@@ -564,7 +537,7 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 target,
                 int_ops,
             } => {
-                stats.int_ops += u64::from(*int_ops);
+                cx.stats.int_ops += u64::from(*int_ops);
                 if !regs[*cond as usize].is_true() {
                     pc = *target as usize;
                     continue;
@@ -575,7 +548,7 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 target,
                 int_ops,
             } => {
-                stats.int_ops += u64::from(*int_ops);
+                cx.stats.int_ops += u64::from(*int_ops);
                 if regs[*cond as usize].is_true() {
                     pc = *target as usize;
                     continue;
@@ -612,10 +585,11 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 step: streg,
                 back,
             } => {
-                stats.int_ops += 2; // induction update + test
+                cx.stats.int_ops += 2; // induction update + test
                 let st = regs[*streg as usize].as_i64();
                 let e = regs[*ereg as usize].as_i64();
-                let v = regs[*ind as usize].as_i64() + st;
+                // Wraps like every other integer op.
+                let v = regs[*ind as usize].as_i64().wrapping_add(st);
                 regs[*ind as usize] = Value::I64(v);
                 regs[*var as usize] = Value::I64(v);
                 if (st > 0 && v < e) || (st < 0 && v > e) {
@@ -626,6 +600,11 @@ pub(crate) fn run_seg<M: GlobalMem>(
             Inst::Return => {
                 *returned = true;
                 return Ok(());
+            }
+            inst => {
+                let elide = emask.is_some_and(|m| m[pc]);
+                step(prog, inst, elide, regs, &mut cx, mem)
+                    .map_err(|e| cert_wrap(e, vmask.is_some_and(|m| m[pc])))?;
             }
         }
         pc += 1;

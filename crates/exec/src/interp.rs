@@ -437,7 +437,7 @@ impl<'a> Interp<'a> {
                             env.vars[var.index()] = Value::I64(v);
                         }
                         self.run_phased(body, envs)?;
-                        v += st;
+                        v = v.wrapping_add(st); // as every other integer op
                     }
                     for env in envs.iter_mut() {
                         env.vars[var.index()] = Value::I64(v);
@@ -535,7 +535,7 @@ impl<'a> Interp<'a> {
                         return Ok(());
                     }
                     self.stats.int_ops += 2; // induction update + test
-                    v += st;
+                    v = v.wrapping_add(st); // as every other integer op
                 }
                 env.vars[var.index()] = Value::I64(v);
             }

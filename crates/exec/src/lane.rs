@@ -6,14 +6,19 @@
 //! (`bits`/`kinds`, reg-major), threads are processed in fixed-width chunks
 //! of [`LANES`], and each chunk executes the segment's [`Inst`]s — the same
 //! instruction stream the thread-major fallback runs — with branch-free
-//! inner loops over contiguous `u64` rows the compiler can autovectorize.
-//! `Predicated` segments carry a per-lane `resume` mask through the same
-//! loops. Non-batchable segments run thread-major through [`run_seg`], a
-//! chunk of threads at a time, with only the registers the segment names
-//! staged between the lane rows and per-thread windows
-//! ([`crate::bytecode::SegStage`]). Bounds certificates are consumed per
-//! access: one per-pc table serves lanes and fallback alike. `BlockStats`,
-//! memory effects and errors are bit-identical to the oracle's either way.
+//! inner loops over contiguous `u64` rows the compiler can autovectorize
+//! (`op_full`; its arithmetic is the lanes' own, judged by the oracle).
+//! `Predicated` segments carry a per-lane `resume` mask; a masked lane, and
+//! any op without a row loop, is one [`step`] on the thread's [`Column`] of
+//! the rows — the definition [`run_seg`] runs, so there is no per-lane
+//! semantics here to keep in line with it. Non-batchable segments run
+//! thread-major through [`run_seg`], a chunk of threads at a time, with only
+//! the registers the segment names staged between the lane rows and
+//! per-thread windows ([`crate::bytecode::SegStage`]). Bounds certificates
+//! are consumed per access: one per-pc table serves full-width rows, masked
+//! lanes and the fallback alike, and one [`gather`]/[`scatter`] pair serves
+//! the checked and the certified access (`CERT`). `BlockStats`, memory
+//! effects and errors are bit-identical to the oracle's either way.
 //!
 //! Chunk-major order (each chunk finishes the whole segment before the next
 //! chunk starts) is observationally equivalent to the oracle's thread-major
@@ -28,10 +33,10 @@
 
 use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SegStage, SlotKind};
 use crate::engine::{
-    cert_wrap, count_op, load_value, oob, run_seg, slot_info, store_value, GlobalMem,
+    cert_wrap, count_op, elem_off, oob, run_seg, slot_info, step, GlobalMem, RegView, ThreadCx,
 };
 use crate::interp::{
-    apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, ExecError,
+    axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, ExecError,
 };
 use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{BinOp, Scalar, Value, ValueKind};
@@ -175,135 +180,38 @@ fn lane_f64(bits: u64, kind: u8) -> f64 {
     }
 }
 
-/// Bounds check mirroring `raw_load`/`raw_store`: `Some(byte offset)` when
-/// `index * sz .. + sz` fits in `len`.
-#[inline]
-fn elem_off(index: i64, sz: usize, len: usize) -> Option<usize> {
-    if index < 0 {
-        return None;
-    }
-    let off = (index as usize).checked_mul(sz)?;
-    if off.checked_add(sz)? > len {
-        return None;
-    }
-    Some(off)
-}
-
-/// Bounds-checked gather of `nl` lanes from a raw global buffer straight
-/// into packed lane bits — `pack ∘ decode ∘ raw_load` per lane with the
-/// element-type dispatch hoisted out of the loop. `Err(i)` is the first
-/// faulting lane; lanes below `i` are already committed to `out`.
-#[inline]
-fn gather(
-    ptr: *const u8,
-    len: usize,
-    elem: Scalar,
-    ix: &[i64; LANES],
-    nl: usize,
-    out: &mut [u64; LANES],
-) -> Result<(), usize> {
-    let nl = nl.min(LANES);
-    let sz = elem.size();
-    macro_rules! per_lane {
-        ($t:ty, $conv:expr) => {
-            for i in 0..nl {
-                let Some(off) = elem_off(ix[i], sz, len) else {
-                    return Err(i);
-                };
-                // SAFETY: `off + sz <= len` per `elem_off`; the caller's
-                // `(ptr, len)` view contract is `GlobalMem::raw`'s.
-                let raw = unsafe { std::ptr::read_unaligned(ptr.add(off) as *const $t) };
-                out[i] = $conv(<$t>::from_le(raw));
-            }
-        };
-    }
-    match elem {
-        Scalar::U8 => per_lane!(u8, |v| v as u64),
-        Scalar::I8 => per_lane!(u8, |v| v as i8 as i64 as u64),
-        Scalar::I32 => per_lane!(u32, |v| v as i32 as i64 as u64),
-        Scalar::U32 => per_lane!(u32, |v| v as u64),
-        Scalar::I64 => per_lane!(u64, |v| v),
-        Scalar::F32 => per_lane!(u32, |v| (f32::from_bits(v) as f64).to_bits()),
-        Scalar::F64 => per_lane!(u64, |v| v),
-    }
-    Ok(())
-}
-
-/// Bounds-checked scatter of `nl` packed lanes into a raw global buffer —
-/// `raw_store ∘ unpack` per lane (same C narrowing as `encode`), dispatch
-/// hoisted. `Err(i)` is the first faulting lane; lanes below committed.
-#[inline]
-fn scatter(
-    ptr: *mut u8,
-    len: usize,
-    elem: Scalar,
-    ix: &[i64; LANES],
-    vb: &[u64],
-    vk: &[u8],
-    nl: usize,
-) -> Result<(), usize> {
-    let sz = elem.size();
-    macro_rules! per_lane {
-        ($t:ty, $conv:expr) => {
-            for i in 0..nl {
-                let Some(off) = elem_off(ix[i], sz, len) else {
-                    return Err(i);
-                };
-                let enc: $t = $conv(vb[i], vk[i]);
-                // SAFETY: bounds checked by `elem_off`; view contract as in
-                // `gather`.
-                unsafe { std::ptr::write_unaligned(ptr.add(off) as *mut $t, enc.to_le()) };
-            }
-        };
-    }
-    #[inline]
-    fn vi(b: u64, k: u8) -> i64 {
-        if k == 0 {
-            b as i64
-        } else {
-            f64::from_bits(b) as i64
-        }
-    }
-    match elem {
-        Scalar::U8 => per_lane!(u8, |b, k| vi(b, k) as u8),
-        Scalar::I8 => per_lane!(u8, |b, k| vi(b, k) as i8 as u8),
-        Scalar::I32 => per_lane!(u32, |b, k| vi(b, k) as i32 as u32),
-        Scalar::U32 => per_lane!(u32, |b, k| vi(b, k) as u32),
-        Scalar::I64 => per_lane!(u64, |b, k| vi(b, k) as u64),
-        Scalar::F32 => per_lane!(u32, |b, k| (lane_f64(b, k) as f32).to_bits()),
-        Scalar::F64 => per_lane!(u64, |b, k| lane_f64(b, k).to_bits()),
-    }
-    Ok(())
-}
-
-/// Certificate-elided counterpart of [`gather`]: no per-lane bounds check.
+/// Gather `nl` lanes from a raw buffer view straight into packed lane bits —
+/// `pack ∘ decode ∘ raw_load` per lane with the element-type dispatch
+/// hoisted out of the loop. `CERT` is [`elem_off`]'s checked/certified
+/// choice, fixed per instantiation so the certified loop carries no test.
+/// `Err(i)` is the first faulting lane; lanes below `i` are already
+/// committed to `out`.
 ///
-/// SAFETY: in addition to the `(ptr, len)` view contract of [`gather`],
-/// every `ix[i]` for `i < nl` must be in bounds — exactly what a
-/// [`crate::bytecode::CertMode::Elide`] certificate asserts for the op. A
-/// wrong certificate is UB here in release builds; debug builds still
-/// catch it via `debug_assert!`.
+/// # Safety
+/// `ptr` must be valid for `len` bytes for the duration of the call (a
+/// [`GlobalMem::raw`] view or a live shared image). With `CERT`, every
+/// `ix[i]` for `i < nl` must be in bounds — what the op's
+/// [`crate::bytecode::CertMode::Elide`] certificate asserts. A wrong
+/// certificate is UB in release builds; debug builds catch it in
+/// [`elem_off`].
 #[inline]
-unsafe fn gather_unchecked(
+unsafe fn gather<const CERT: bool>(
     ptr: *const u8,
     len: usize,
     elem: Scalar,
     ix: &[i64; LANES],
     nl: usize,
     out: &mut [u64; LANES],
-) {
+) -> Result<(), usize> {
     let nl = nl.min(LANES);
     let sz = elem.size();
     macro_rules! per_lane {
         ($t:ty, $conv:expr) => {
             for i in 0..nl {
-                debug_assert!(
-                    elem_off(ix[i], sz, len).is_some(),
-                    "bounds certificate violated: index {}, len {} bytes",
-                    ix[i],
-                    len
-                );
-                let off = ix[i] as usize * sz;
+                let Some(off) = elem_off(ix[i], sz, len, CERT) else {
+                    return Err(i);
+                };
+                // `off + sz <= len`, tested or certified by `elem_off`.
                 let raw = std::ptr::read_unaligned(ptr.add(off) as *const $t);
                 out[i] = $conv(<$t>::from_le(raw));
             }
@@ -318,12 +226,17 @@ unsafe fn gather_unchecked(
         Scalar::F32 => per_lane!(u32, |v| (f32::from_bits(v) as f64).to_bits()),
         Scalar::F64 => per_lane!(u64, |v| v),
     }
+    Ok(())
 }
 
-/// Certificate-elided counterpart of [`scatter`]; same SAFETY contract as
-/// [`gather_unchecked`].
+/// Scatter `nl` packed lanes into a raw buffer view — `raw_store ∘ unpack`
+/// per lane (same C narrowing as `encode`), dispatch hoisted, `CERT` as in
+/// [`gather`]. `Err(i)` is the first faulting lane; lanes below committed.
+///
+/// # Safety
+/// Same contract as [`gather`].
 #[inline]
-unsafe fn scatter_unchecked(
+unsafe fn scatter<const CERT: bool>(
     ptr: *mut u8,
     len: usize,
     elem: Scalar,
@@ -331,45 +244,36 @@ unsafe fn scatter_unchecked(
     vb: &[u64],
     vk: &[u8],
     nl: usize,
-) {
+) -> Result<(), usize> {
     let sz = elem.size();
     macro_rules! per_lane {
         ($t:ty, $conv:expr) => {
             for i in 0..nl {
-                debug_assert!(
-                    elem_off(ix[i], sz, len).is_some(),
-                    "bounds certificate violated: index {}, len {} bytes",
-                    ix[i],
-                    len
-                );
-                let off = ix[i] as usize * sz;
+                let Some(off) = elem_off(ix[i], sz, len, CERT) else {
+                    return Err(i);
+                };
                 let enc: $t = $conv(vb[i], vk[i]);
+                // `off + sz <= len`, tested or certified by `elem_off`.
                 std::ptr::write_unaligned(ptr.add(off) as *mut $t, enc.to_le());
             }
         };
     }
-    #[inline]
-    fn vi(b: u64, k: u8) -> i64 {
-        if k == 0 {
-            b as i64
-        } else {
-            f64::from_bits(b) as i64
-        }
-    }
     match elem {
-        Scalar::U8 => per_lane!(u8, |b, k| vi(b, k) as u8),
-        Scalar::I8 => per_lane!(u8, |b, k| vi(b, k) as i8 as u8),
-        Scalar::I32 => per_lane!(u32, |b, k| vi(b, k) as i32 as u32),
-        Scalar::U32 => per_lane!(u32, |b, k| vi(b, k) as u32),
-        Scalar::I64 => per_lane!(u64, |b, k| vi(b, k) as u64),
+        Scalar::U8 => per_lane!(u8, |b, k| as_index(b, k) as u8),
+        Scalar::I8 => per_lane!(u8, |b, k| as_index(b, k) as i8 as u8),
+        Scalar::I32 => per_lane!(u32, |b, k| as_index(b, k) as i32 as u32),
+        Scalar::U32 => per_lane!(u32, |b, k| as_index(b, k) as u32),
+        Scalar::I64 => per_lane!(u64, |b, k| as_index(b, k) as u64),
         Scalar::F32 => per_lane!(u32, |b, k| (lane_f64(b, k) as f32).to_bits()),
         Scalar::F64 => per_lane!(u64, |b, k| lane_f64(b, k).to_bits()),
     }
+    Ok(())
 }
 
-/// `#[inline(never)]` disassembly probes over the lane gather/scatter
-/// paths, so tests (and humans with `objdump`) can inspect exactly the
-/// code the lane loops run without hunting through inlined callers.
+/// `#[inline(never)]` disassembly probes over the two instantiations of the
+/// lane gather and scatter, so tests (and humans with `objdump`) can
+/// inspect exactly the code the lane loops run without hunting through
+/// inlined callers.
 ///
 /// The interesting property is that **no `panic_bounds_check` survives**
 /// in either flavour: the global-memory bounds check is `elem_off`'s
@@ -380,10 +284,10 @@ unsafe fn scatter_unchecked(
 /// release builds and fails if a bounds-check panic reappears.
 #[doc(hidden)]
 pub mod probe {
-    use super::{gather, gather_unchecked, scatter, scatter_unchecked, LANES};
+    use super::{gather, gather_cert, scatter, scatter_cert, LANES};
     use cucc_ir::Scalar;
 
-    /// Checked per-lane gather ([`super::gather`]).
+    /// Checked per-lane gather (`gather::<false>`, as the lane loops reach it).
     #[inline(never)]
     pub fn gather_checked(
         ptr: *const u8,
@@ -393,13 +297,13 @@ pub mod probe {
         nl: usize,
         out: &mut [u64; LANES],
     ) -> Result<(), usize> {
-        gather(ptr, len, elem, ix, nl, out)
+        gather_cert(ptr, len, elem, ix, nl, out, false)
     }
 
-    /// Certificate-elided gather ([`super::gather_unchecked`]).
+    /// Certificate-elided gather (`gather::<true>`).
     ///
     /// # Safety
-    /// Same contract as [`super::gather_unchecked`]: every `ix[i]` for
+    /// Same contract as [`super::gather`] with `CERT`: every `ix[i]` for
     /// `i < nl` must be in bounds for the `(ptr, len)` view.
     #[inline(never)]
     pub unsafe fn gather_elided(
@@ -410,12 +314,11 @@ pub mod probe {
         nl: usize,
         out: &mut [u64; LANES],
     ) {
-        gather_unchecked(ptr, len, elem, ix, nl, out)
+        let _ = gather::<true>(ptr, len, elem, ix, nl, out);
     }
 
-    /// Checked per-lane scatter ([`super::scatter`]).
+    /// Checked per-lane scatter (`scatter::<false>`, likewise).
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     pub fn scatter_checked(
         ptr: *mut u8,
         len: usize,
@@ -425,15 +328,14 @@ pub mod probe {
         vk: &[u8],
         nl: usize,
     ) -> Result<(), usize> {
-        scatter(ptr, len, elem, ix, vb, vk, nl)
+        scatter_cert(ptr, len, elem, ix, vb, vk, nl, false)
     }
 
-    /// Certificate-elided scatter ([`super::scatter_unchecked`]).
+    /// Certificate-elided scatter (`scatter::<true>`).
     ///
     /// # Safety
-    /// Same contract as [`super::scatter_unchecked`].
+    /// Same contract as [`super::scatter`] with `CERT`.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn scatter_elided(
         ptr: *mut u8,
         len: usize,
@@ -443,11 +345,11 @@ pub mod probe {
         vk: &[u8],
         nl: usize,
     ) {
-        scatter_unchecked(ptr, len, elem, ix, vb, vk, nl)
+        let _ = scatter::<true>(ptr, len, elem, ix, vb, vk, nl);
     }
 }
 
-/// Gather through the checked or the certificate-elided path. `elide` is
+/// Gather through the checked or the certified instantiation. `elide` is
 /// the op's [`crate::bytecode::CertMode::Elide`] bit, hoisted by the
 /// caller; when set, the per-lane bounds checks vanish and the call cannot
 /// fault.
@@ -461,12 +363,14 @@ fn gather_cert(
     out: &mut [u64; LANES],
     elide: bool,
 ) -> Result<(), usize> {
-    if elide {
-        // SAFETY: the certificate proves every lane index in bounds.
-        unsafe { gather_unchecked(ptr, len, elem, ix, nl, out) };
-        Ok(())
-    } else {
-        gather(ptr, len, elem, ix, nl, out)
+    // SAFETY: callers pass a `GlobalMem::raw` view or a live shared image,
+    // and with `elide` the certificate proves every lane index in bounds.
+    unsafe {
+        if elide {
+            gather::<true>(ptr, len, elem, ix, nl, out)
+        } else {
+            gather::<false>(ptr, len, elem, ix, nl, out)
+        }
     }
 }
 
@@ -483,12 +387,13 @@ fn scatter_cert(
     nl: usize,
     elide: bool,
 ) -> Result<(), usize> {
-    if elide {
-        // SAFETY: the certificate proves every lane index in bounds.
-        unsafe { scatter_unchecked(ptr, len, elem, ix, vb, vk, nl) };
-        Ok(())
-    } else {
-        scatter(ptr, len, elem, ix, vb, vk, nl)
+    // SAFETY: as in `gather_cert`.
+    unsafe {
+        if elide {
+            scatter::<true>(ptr, len, elem, ix, vb, vk, nl)
+        } else {
+            scatter::<false>(ptr, len, elem, ix, vb, vk, nl)
+        }
     }
 }
 
@@ -539,6 +444,29 @@ fn refill_each(vs: &mut Vec<Vec<u8>>, n: usize, sizes: impl Iterator<Item = usiz
     vs.resize_with(n, Vec::new);
     for (v, size) in vs.iter_mut().zip(sizes) {
         refill(v, size, 0);
+    }
+}
+
+/// One thread's registers inside the reg-major lane rows: register `r` of
+/// thread `at` lives at `r * stride + at`.
+struct Column<'a> {
+    bits: &'a mut [u64],
+    kinds: &'a mut [u8],
+    at: usize,
+    stride: usize,
+}
+
+impl RegView for Column<'_> {
+    #[inline(always)]
+    fn get(&self, r: Reg) -> Value {
+        let i = r as usize * self.stride + self.at;
+        unpack(self.bits[i], self.kinds[i])
+    }
+
+    #[inline(always)]
+    fn set(&mut self, r: Reg, v: Value) {
+        let i = r as usize * self.stride + self.at;
+        (self.bits[i], self.kinds[i]) = pack(v);
     }
 }
 
@@ -628,14 +556,6 @@ impl<'p> LaneEngine<'p> {
     fn get(&self, r: Reg, t: usize) -> Value {
         let i = r as usize * self.nthreads + t;
         unpack(self.bufs.bits[i], self.bufs.kinds[i])
-    }
-
-    #[inline]
-    fn set(&mut self, r: Reg, t: usize, v: Value) {
-        let (b, k) = pack(v);
-        let i = r as usize * self.nthreads + t;
-        self.bufs.bits[i] = b;
-        self.bufs.kinds[i] = k;
     }
 
     /// Copy one register's chunk row into stack arrays (lanes past `nl` are
@@ -766,7 +686,7 @@ impl<'p> LaneEngine<'p> {
                     while (st > 0 && v < e) || (st < 0 && v > e) {
                         self.set_var_all(*var, Value::I64(v));
                         self.exec_ops(body, mem)?;
-                        v += st;
+                        v = v.wrapping_add(st); // as the oracle
                     }
                     self.set_var_all(*var, Value::I64(v));
                 }
@@ -820,19 +740,15 @@ impl<'p> LaneEngine<'p> {
                 if bufs.returned[t] {
                     continue;
                 }
-                run_seg(
-                    prog,
-                    &mut bufs.scratch[i * nr..(i + 1) * nr],
-                    &mut bufs.shared,
-                    &mut bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut bufs.returned[t],
-                    &mut self.stats,
-                    self.block,
-                    bufs.tids[t],
-                    start,
-                    end,
-                    mem,
-                )?;
+                let cx = ThreadCx {
+                    shared: &mut bufs.shared,
+                    local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
+                    stats: &mut self.stats,
+                    block: self.block,
+                    tid: bufs.tids[t],
+                };
+                let regs = &mut bufs.scratch[i * nr..(i + 1) * nr];
+                run_seg(prog, regs, cx, &mut bufs.returned[t], start, end, mem)?;
             }
             for &r in &stage.store {
                 let (r, row) = (r as usize, r as usize * n + c0);
@@ -863,19 +779,15 @@ impl<'p> LaneEngine<'p> {
         for r in 0..nr {
             bufs.scratch[r] = unpack(bufs.bits[r * n], bufs.kinds[r * n]);
         }
-        let res = run_seg(
-            prog,
-            &mut bufs.scratch[..nr],
-            &mut bufs.shared,
-            &mut bufs.locals[..self.num_locals],
-            &mut bufs.returned[0],
-            &mut self.stats,
-            self.block,
-            bufs.tids[0],
-            start,
-            end,
-            mem,
-        );
+        let cx = ThreadCx {
+            shared: &mut bufs.shared,
+            local: &mut bufs.locals[..self.num_locals],
+            stats: &mut self.stats,
+            block: self.block,
+            tid: bufs.tids[0],
+        };
+        let regs = &mut bufs.scratch[..nr];
+        let res = run_seg(prog, regs, cx, &mut bufs.returned[0], start, end, mem);
         for r in 0..prog.const_base as usize {
             (bufs.bits[r * n], bufs.kinds[r * n]) = pack(bufs.scratch[r]);
         }
@@ -934,6 +846,7 @@ impl<'p> LaneEngine<'p> {
         let nl = nl.min(LANES);
         let prog = self.prog;
         let (emask, vmask) = prog.cert_masks();
+        let elide = |pc: u32| emask.is_some_and(|m| m[pc as usize]);
         let mut resume = [start; LANES];
         let mut divergent = false;
         for (i, r) in resume.iter_mut().enumerate().take(nl) {
@@ -981,8 +894,7 @@ impl<'p> LaneEngine<'p> {
                         continue;
                     }
                     _ => {
-                        let elide = emask.is_some_and(|m| m[pc as usize]);
-                        match self.op_full(inst, elide, c0, nl, mem) {
+                        match self.op_full(inst, elide(pc), c0, nl, mem) {
                             Ok(()) => {}
                             Err((lane, e)) => {
                                 // Lanes below the fault committed this op and
@@ -1058,9 +970,10 @@ impl<'p> LaneEngine<'p> {
                     }
                 }
                 _ => {
+                    let elide = elide(pc);
                     for i in 0..nl {
                         if resume[i] <= pc {
-                            if let Err(e) = self.lane_step(inst, c0 + i, mem) {
+                            if let Err(e) = self.step_at(inst, elide, c0 + i, mem) {
                                 // Lower lanes already ran this op; this lane
                                 // and everything above retire.
                                 for r in &mut resume[i..nl] {
@@ -1114,7 +1027,7 @@ impl<'p> LaneEngine<'p> {
     /// `u64`/`i64`/`f64` lanes (float muladds keep the two separate
     /// roundings of the oracle — never `mul_add`), and loads and stores
     /// hoist the slot lookup and buffer pointer out of the per-lane loop.
-    /// Anything rare falls through to [`Self::lane_step`] per lane. On a
+    /// Anything rare falls through to [`step`] per lane. On a
     /// fault, lanes below the returned index have committed the op; the
     /// caller retires the rest.
     fn op_full<M: GlobalMem>(
@@ -1346,23 +1259,8 @@ impl<'p> LaneEngine<'p> {
                         self.stats.int_ops += 2 * n64;
                         self.store_row(*dst, c0, nl, &out, 0);
                     }
-                    _ => {
-                        let (ab, ak) = self.load_row(*a, c0, nl);
-                        let (bb, bk) = self.load_row(*b, c0, nl);
-                        let (cb, ck) = self.load_row(*c, c0, nl);
-                        let mut ok = [0u8; LANES];
-                        for i in 0..nl {
-                            let v = self.muladd(
-                                unpack(ab[i], ak[i]),
-                                unpack(bb[i], bk[i]),
-                                unpack(cb[i], ck[i]),
-                            );
-                            let (ob, okd) = pack(v);
-                            out[i] = ob;
-                            ok[i] = okd;
-                        }
-                        self.store_row_mixed(*dst, c0, nl, &out, &ok);
-                    }
+                    // Mixed kinds: per-lane promotion and charging.
+                    _ => return self.full_fallback(inst, elide, c0, nl, mem),
                 }
             }
             Inst::Load { dst, slot, idx } => {
@@ -1393,7 +1291,7 @@ impl<'p> LaneEngine<'p> {
                         }
                         self.stats.shared_bytes += n64 * sz;
                     }
-                    SlotKind::Local { .. } => return self.full_fallback(inst, c0, nl, mem),
+                    SlotKind::Local { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
                 }
                 self.stats.int_ops += n64; // address computation
                 self.store_row(*dst, c0, nl, &out, okind);
@@ -1431,12 +1329,12 @@ impl<'p> LaneEngine<'p> {
                         }
                         self.stats.shared_bytes += n64 * sz;
                     }
-                    SlotKind::Local { .. } => return self.full_fallback(inst, c0, nl, mem),
+                    SlotKind::Local { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
                 }
                 self.stats.int_ops += n64; // address computation
             }
             // Rare in batchable segments: per-lane scalar execution.
-            Inst::AtomicRmw { .. } => return self.full_fallback(inst, c0, nl, mem),
+            Inst::AtomicRmw { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
             Inst::Jump { .. }
             | Inst::JumpIfFalse { .. }
             | Inst::JumpIfTrue { .. }
@@ -1453,168 +1351,44 @@ impl<'p> LaneEngine<'p> {
     fn full_fallback<M: GlobalMem>(
         &mut self,
         inst: &Inst,
+        elide: bool,
         c0: usize,
         nl: usize,
         mem: &mut M,
     ) -> Result<(), LaneFault> {
         for i in 0..nl {
-            if let Err(e) = self.lane_step(inst, c0 + i, mem) {
+            if let Err(e) = self.step_at(inst, elide, c0 + i, mem) {
                 return Err((i, e));
             }
         }
         Ok(())
     }
 
-    /// Mul-then-add with the oracle's exact kind promotion and per-component
-    /// charging (two separate roundings in the float case).
+    /// [`step`] for thread `t` on its column of the lane rows: masked lanes,
+    /// and full-width ops that have no row loop.
     #[inline]
-    fn muladd(&mut self, av: Value, bv: Value, cv: Value) -> Value {
-        let f1 = av.kind() == ValueKind::Float || bv.kind() == ValueKind::Float;
-        let m = eval_binop_total(BinOp::Mul, av, bv, f1);
-        let f2 = m.kind() == ValueKind::Float || cv.kind() == ValueKind::Float;
-        self.stats.int_ops += u64::from(!f1) + u64::from(!f2);
-        self.stats.float_ops += u64::from(f1) + u64::from(f2);
-        eval_binop_total(BinOp::Add, m, cv, f2)
-    }
-
-    /// Execute one data op for a single lane — the masked-mode workhorse
-    /// and the fallback for ops without a full-width fast path. Mirrors
-    /// `run_seg`'s per-instruction semantics and charging exactly.
-    fn lane_step<M: GlobalMem>(
+    fn step_at<M: GlobalMem>(
         &mut self,
         inst: &Inst,
+        elide: bool,
         t: usize,
         mem: &mut M,
     ) -> Result<(), ExecError> {
-        let prog = self.prog;
         let nloc = self.num_locals;
-        match inst {
-            Inst::Const {
-                dst,
-                v,
-                int_ops,
-                float_ops,
-            } => {
-                self.stats.int_ops += u64::from(*int_ops);
-                self.stats.float_ops += u64::from(*float_ops);
-                self.set(*dst, t, *v);
-            }
-            Inst::Tid { dst, axis } => {
-                let v = Value::I64(axis_of(self.bufs.tids[t], *axis) as i64);
-                self.set(*dst, t, v);
-            }
-            Inst::Bid { dst, axis } => {
-                let v = Value::I64(axis_of(self.block, *axis) as i64);
-                self.set(*dst, t, v);
-            }
-            Inst::Copy { dst, src } => {
-                let v = self.get(*src, t);
-                self.set(*dst, t, v);
-            }
-            Inst::Unary { dst, op, src } => {
-                let a = self.get(*src, t);
-                count_op(&mut self.stats, a.kind());
-                self.set(*dst, t, eval_unop(*op, a));
-            }
-            Inst::Binary { dst, op, lhs, rhs } => {
-                let l = self.get(*lhs, t);
-                let r = self.get(*rhs, t);
-                let float = l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                if float {
-                    self.stats.float_ops += 1;
-                } else {
-                    self.stats.int_ops += 1;
-                }
-                if binop_faults(*op, r, float) {
-                    return Err(ExecError::DivByZero);
-                }
-                self.set(*dst, t, eval_binop_total(*op, l, r, float));
-            }
-            Inst::MulAdd { dst, a, b, c } => {
-                let (av, bv, cv) = (self.get(*a, t), self.get(*b, t), self.get(*c, t));
-                let v = self.muladd(av, bv, cv);
-                self.set(*dst, t, v);
-            }
-            Inst::Cast { dst, ty, src } => {
-                let v = self.get(*src, t);
-                count_op(&mut self.stats, ty.kind());
-                self.set(*dst, t, v.convert_to(*ty));
-            }
-            Inst::Intrin1 { dst, f, a } => {
-                let av = self.get(*a, t);
-                self.stats.float_ops += intrinsic_weight(*f);
-                self.set(*dst, t, eval_intrinsic(*f, &[av]));
-            }
-            Inst::Intrin2 { dst, f, a, b } => {
-                let (av, bv) = (self.get(*a, t), self.get(*b, t));
-                self.stats.float_ops += intrinsic_weight(*f);
-                self.set(*dst, t, eval_intrinsic(*f, &[av, bv]));
-            }
-            Inst::Test { dst, src } => {
-                let v = Value::I64(i64::from(self.get(*src, t).is_true()));
-                self.set(*dst, t, v);
-            }
-            Inst::Load { dst, slot, idx } => {
-                let index = self.get(*idx, t).as_i64();
-                let info = slot_info(prog, *slot);
-                let v = load_value(
-                    info,
-                    &self.bufs.shared,
-                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    mem,
-                )?;
-                self.set(*dst, t, v);
-            }
-            Inst::Store { slot, idx, val } => {
-                let index = self.get(*idx, t).as_i64();
-                let v = self.get(*val, t);
-                let info = slot_info(prog, *slot);
-                store_value(
-                    info,
-                    &mut self.bufs.shared,
-                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    v,
-                    mem,
-                )?;
-            }
-            Inst::AtomicRmw { op, slot, idx, val } => {
-                let index = self.get(*idx, t).as_i64();
-                let v = self.get(*val, t);
-                let info = slot_info(prog, *slot);
-                let old = load_value(
-                    info,
-                    &self.bufs.shared,
-                    &self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    mem,
-                )?;
-                let new = apply_atomic(*op, old, v);
-                store_value(
-                    info,
-                    &mut self.bufs.shared,
-                    &mut self.bufs.locals[t * nloc..(t + 1) * nloc],
-                    &mut self.stats,
-                    index,
-                    new,
-                    mem,
-                )?;
-                if matches!(info.kind, SlotKind::Global { .. }) {
-                    self.stats.global_atomics += 1;
-                }
-            }
-            Inst::Jump { .. }
-            | Inst::JumpIfFalse { .. }
-            | Inst::JumpIfTrue { .. }
-            | Inst::Return => unreachable!("control flow is handled by `chunk`"),
-            Inst::ForInit { .. } | Inst::ForNext { .. } => {
-                unreachable!("loop instructions are never batchable")
-            }
-        }
-        Ok(())
+        let bufs = &mut self.bufs;
+        let mut col = Column {
+            bits: &mut bufs.bits,
+            kinds: &mut bufs.kinds,
+            at: t,
+            stride: self.nthreads,
+        };
+        let mut cx = ThreadCx {
+            shared: &mut bufs.shared,
+            local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
+            stats: &mut self.stats,
+            block: self.block,
+            tid: bufs.tids[t],
+        };
+        step(self.prog, inst, elide, &mut col, &mut cx, mem)
     }
 }

@@ -1175,3 +1175,540 @@ fn certified_load_and_uncertified_store_share_a_segment() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The oracle, written down: one minimal kernel per scalar rule, with the
+// memory or the error the rule demands. Each row runs through
+// `assert_exact_in_every_mode`, so the tree-walk and every way the engine
+// can run the kernel are held to the same written expectation.
+// ---------------------------------------------------------------------------
+
+/// Initial contents of one buffer argument.
+enum Buf {
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    Zero(Scalar, usize),
+}
+
+/// What buffer 0 must hold after the launch (also after a faulting one: the
+/// threads below the fault have committed).
+enum Out {
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+}
+
+struct Rule {
+    rule: &'static str,
+    src: String,
+    threads: u32,
+    bufs: Vec<Buf>,
+    scalars: Vec<Arg>,
+    result: Result<(), ExecError>,
+    out: Out,
+    /// A substring `Program::phase_summary()` must contain: the engine path
+    /// the row is meant to reach (`dense[`/`pred[` lanes, `scalar[`
+    /// thread-major; the detached variants run everything thread-major).
+    phases: &'static str,
+    /// `cert_stats()` under `CertMode::Elide`, where the row is about it.
+    certs: Option<(usize, usize)>,
+    /// `(float_ops, global_atomics)` of the launch, where the row is about
+    /// charging.
+    charged: Option<(u64, u64)>,
+}
+
+/// A row with no certificate or charging expectation.
+fn rule(
+    rule: &'static str,
+    src: &str,
+    threads: u32,
+    bufs: Vec<Buf>,
+    result: Result<(), ExecError>,
+    out: Out,
+    phases: &'static str,
+) -> Rule {
+    Rule {
+        rule,
+        src: src.to_string(),
+        threads,
+        bufs,
+        scalars: Vec::new(),
+        result,
+        out,
+        phases,
+        certs: None,
+        charged: None,
+    }
+}
+
+fn oob(mem: &str, index: i64, len_elems: usize) -> Result<(), ExecError> {
+    Err(ExecError::OutOfBounds {
+        mem: mem.to_string(),
+        index,
+        len_elems,
+    })
+}
+
+/// Thread ids as the kernels' `t`.
+fn tids(n: u32) -> impl Iterator<Item = i64> {
+    0..i64::from(n)
+}
+
+/// `out[t] = <expr>` over `long* in`, one block of 16 threads.
+fn int_expr_rule(rule_: &'static str, expr: &str, input: Vec<i64>, want: Vec<i64>) -> Rule {
+    rule(
+        rule_,
+        &format!(
+            "__global__ void k(long* out, long* in) {{
+                int t = threadIdx.x;
+                out[t] = {expr};
+            }}"
+        ),
+        16,
+        vec![Buf::Zero(Scalar::I64, 16), Buf::I64(input)],
+        Ok(()),
+        Out::I64(want),
+        "dense[",
+    )
+}
+
+fn oracle_rules() -> Vec<Rule> {
+    const MAX: i64 = i64::MAX;
+    const MIN: i64 = i64::MIN;
+    let ints: Vec<i64> = vec![
+        0,
+        1,
+        -1,
+        127,
+        128,
+        255,
+        256,
+        -129,
+        (1 << 31) - 1,
+        1 << 31,
+        (1 << 32) - 1,
+        1 << 32,
+        -(1 << 31) - 1,
+        MAX,
+        MIN,
+        0x1_2345_6789,
+    ];
+    let floats: Vec<f64> = vec![
+        1e30,
+        -1e30,
+        f64::NAN,
+        2147483648.5,
+        -0.9,
+        3.99,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        -1.0,
+        9.3e18,
+        -9.3e18,
+        4294967296.0,
+        255.5,
+    ];
+    let to_f32: Vec<f64> = vec![
+        0.1, 1e40, -1e40, 1e-50, 16777217.0, -0.0, 1.5, 3.0e38, 3.5e38, 1e-45, 7e-46, 0.0, -2.5,
+        1e10, 65504.0, 1.0000001,
+    ];
+    // Two factors whose exact product 1 - 2^-54 rounds to 1.0: a fused
+    // multiply-add would leave -2^-54 after `+ -1.0`, two roundings leave 0.
+    let eps = (2.0f64).powi(-27);
+    let wrap_step = MAX / 2 + 2;
+    let mut rules = vec![
+        // Thread 5 divides by zero before thread 9 stores out of bounds:
+        // threads 0..5 have stored, the error is the lower thread's.
+        rule(
+            "integer / by zero faults; the lowest faulting thread wins",
+            "__global__ void k(long* out, long* in) {
+                int t = threadIdx.x;
+                out[t + (t == 9) * 1000] = in[0] / (t - 5);
+            }",
+            32,
+            vec![Buf::Zero(Scalar::I64, 32), Buf::I64(vec![100])],
+            Err(ExecError::DivByZero),
+            Out::I64(
+                tids(32)
+                    .map(|t| if t < 5 { 100 / (t - 5) } else { 0 })
+                    .collect(),
+            ),
+            "dense[",
+        ),
+        // The other order: thread 3's store fault precedes thread 5's `% 0`.
+        rule(
+            "integer % by zero faults, but not before a lower thread's fault",
+            "__global__ void k(long* out, long* in) {
+                int t = threadIdx.x;
+                out[t + (t == 3) * 1000] = in[0] % (t - 5);
+            }",
+            32,
+            vec![Buf::Zero(Scalar::I64, 32), Buf::I64(vec![100])],
+            oob("out", 1003, 32),
+            Out::I64(
+                tids(32)
+                    .map(|t| if t < 3 { 100 % (t - 5) } else { 0 })
+                    .collect(),
+            ),
+            "dense[",
+        ),
+        int_expr_rule(
+            "a << count is taken mod 64, counts >= 64 and negative included",
+            "in[0] << (t * 9 - 9)",
+            vec![-3],
+            tids(16)
+                .map(|t| -3i64 << (t * 9 - 9).rem_euclid(64))
+                .collect(),
+        ),
+        int_expr_rule(
+            "a >> count likewise, and >> is arithmetic",
+            "in[0] >> (t * 9 - 9)",
+            vec![-3],
+            tids(16)
+                .map(|t| -3i64 >> (t * 9 - 9).rem_euclid(64))
+                .collect(),
+        ),
+        int_expr_rule(
+            "i64::MIN / -1 wraps to i64::MIN",
+            "in[0] / in[1]",
+            vec![MIN, -1],
+            vec![MIN; 16],
+        ),
+        int_expr_rule(
+            "i64::MIN % -1 is 0",
+            "in[0] % in[1]",
+            vec![MIN, -1],
+            vec![0; 16],
+        ),
+        rule(
+            "a store to float rounds to f32 (overflow to inf, underflow to 0)",
+            "__global__ void k(double* out, double* in, float* a) {
+                int t = threadIdx.x;
+                a[t] = in[t];
+                __syncthreads();
+                out[t] = a[t];
+            }",
+            16,
+            vec![
+                Buf::Zero(Scalar::F64, 16),
+                Buf::F64(to_f32.clone()),
+                Buf::Zero(Scalar::F32, 16),
+            ],
+            Ok(()),
+            Out::F64(to_f32.iter().map(|&v| v as f32 as f64).collect()),
+            "dense[",
+        ),
+        // `a * b + c` is one MulAdd instruction. Odd threads multiply two
+        // floats, even threads two ints (wrapping), and every thread adds a
+        // float: 2 float ops for an odd thread, 1 for an even one.
+        Rule {
+            charged: Some((16 * 2 + 16, 0)),
+            ..rule(
+                "mul-add promotes per component, charges per component and rounds twice",
+                "__global__ void k(double* out, double* x, long* a, double* c) {
+                    int t = threadIdx.x;
+                    out[t] = ((t % 2) ? x[t] : a[t]) * ((t % 2) ? x[32 + t] : a[32 + t]) + c[t];
+                }",
+                32,
+                vec![
+                    Buf::Zero(Scalar::F64, 32),
+                    Buf::F64(
+                        (tids(32).map(|_| 1.0 + eps))
+                            .chain(tids(32).map(|_| 1.0 - eps))
+                            .collect(),
+                    ),
+                    Buf::I64(
+                        tids(32)
+                            .map(|t| MAX - t)
+                            .chain(tids(32).map(|_| 2))
+                            .collect(),
+                    ),
+                    Buf::F64(vec![-1.0; 32]),
+                ],
+                Ok(()),
+                Out::F64(
+                    tids(32)
+                        .map(|t| match t % 2 {
+                            1 => 0.0,
+                            _ => (MAX - t).wrapping_mul(2) as f64 + -1.0,
+                        })
+                        .collect(),
+                ),
+                // The selects diverge and re-converge before the mul-add: a
+                // full-width row of mixed kinds.
+                "pred[",
+            )
+        },
+        // One store site, so the segment runs on lanes; the `if` makes them
+        // diverge. A true value sets bits 0, 2 and 3, a false one bit 1.
+        rule(
+            "NaN is true, -0.0 and 0.0 are false: ?:, !, && and if agree",
+            "__global__ void k(long* out, double* in) {
+                int t = threadIdx.x;
+                long v = (in[t] ? 1 : 0) + 2 * !in[t] + 4 * (in[t] && 1);
+                if (in[t]) v = v + 8;
+                out[t] = v;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::I64, 16), Buf::F64(floats.clone())],
+            Ok(()),
+            Out::I64(
+                floats
+                    .iter()
+                    .map(|v| if v.is_nan() || *v != 0.0 { 13 } else { 2 })
+                    .collect(),
+            ),
+            "pred[",
+        ),
+        rule(
+            "a zero loop step is DivByZero in a per-thread loop",
+            "__global__ void k(long* out, long* in) {
+                int t = threadIdx.x;
+                for (long i = 0; i < 4; i += in[0]) out[t] = i;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::I64, 16), Buf::I64(vec![0])],
+            Err(ExecError::DivByZero),
+            Out::I64(vec![0; 16]),
+            "scalar[",
+        ),
+        // A barrier needs uniform bounds, so the step is a scalar argument.
+        Rule {
+            scalars: vec![Arg::int(0)],
+            ..rule(
+                "a zero loop step is DivergentBarrier in a loop with a barrier",
+                "__global__ void k(long* out, long st) {
+                    int t = threadIdx.x;
+                    for (long i = 0; i < 4; i += st) { out[t] = i; __syncthreads(); }
+                }",
+                16,
+                vec![Buf::Zero(Scalar::I64, 16)],
+                Err(ExecError::DivergentBarrier),
+                Out::I64(vec![0; 16]),
+                "for",
+            )
+        },
+        // Shared and local arrays start zeroed; their atomics are ordinary
+        // read-modify-writes and are not counted as global atomics.
+        Rule {
+            charged: Some((0, 0)),
+            ..rule(
+                "an atomic on a shared or a local slot updates it and is not a global atomic",
+                "__global__ void k(long* out) {
+                    __shared__ long acc[4];
+                    long mine[2];
+                    int t = threadIdx.x;
+                    atomicAdd(&acc[t % 4], t);
+                    atomicMax(&mine[t % 2], t);
+                    atomicAdd(&mine[t % 2], 5);
+                    __syncthreads();
+                    out[t] = acc[t % 4] + 1000 * mine[t % 2];
+                }",
+                32,
+                vec![Buf::Zero(Scalar::I64, 32)],
+                Ok(()),
+                Out::I64(
+                    tids(32)
+                        .map(|t| tids(32).filter(|u| u % 4 == t % 4).sum::<i64>() + 1000 * (t + 5))
+                        .collect(),
+                ),
+                "[",
+            )
+        },
+        // The one behaviour PR 24 changed: lanes masked off by the `if`
+        // consume the certificates too. Memory and stats stay the checked
+        // run's (that is `assert_exact_in_every_mode`).
+        Rule {
+            certs: Some((2, 2)),
+            ..rule(
+                "a certified access under a divergent if is elided in masked lanes, unobservably",
+                "__global__ void k(long* out, long* in) {
+                    int t = threadIdx.x;
+                    if (t % 3 == 0) out[t] = in[t] + 1;
+                }",
+                32,
+                vec![
+                    Buf::Zero(Scalar::I64, 32),
+                    Buf::I64(tids(32).map(|t| t * t).collect()),
+                ],
+                Ok(()),
+                Out::I64(
+                    tids(32)
+                        .map(|t| if t % 3 == 0 { t * t + 1 } else { 0 })
+                        .collect(),
+                ),
+                "pred[",
+            )
+        },
+    ];
+    // 0, st, then 2 st = -(2^63 - 2) after the wrap: still `< n`, so the loop
+    // goes on and the third store lands at index -2. The range analysis must
+    // not certify it. With a barrier in the body the loop is the uniform one.
+    for (rule_, body, phases) in [
+        (
+            "a per-thread loop's induction variable wraps like every integer op",
+            "out[i % 4] = i;",
+            "scalar[",
+        ),
+        (
+            "a uniform loop's induction variable wraps too",
+            "{ out[i % 4] = i; __syncthreads(); }",
+            "for",
+        ),
+    ] {
+        rules.push(Rule {
+            scalars: vec![Arg::int(MAX), Arg::int(wrap_step)],
+            certs: Some((0, 1)),
+            ..rule(
+                rule_,
+                &format!(
+                    "__global__ void k(long* out, long n, long st) {{
+                        for (long i = 0; i < n; i += st) {body}
+                    }}"
+                ),
+                16,
+                vec![Buf::Zero(Scalar::I64, 4)],
+                oob("out", -2, 4),
+                Out::I64(vec![0, wrap_step, 0, 0]),
+                phases,
+            )
+        });
+    }
+    // A store narrows as C does; the load back widens by the element's
+    // signedness.
+    type Narrow = fn(i64) -> i64;
+    let narrowings: [(&'static str, &str, Scalar, Narrow); 4] = [
+        (
+            "a store to u8 keeps the low 8 bits",
+            "uchar",
+            Scalar::U8,
+            |v| v as u8 as i64,
+        ),
+        (
+            "a store to i8 keeps the low 8 bits, sign-extended",
+            "char",
+            Scalar::I8,
+            |v| v as i8 as i64,
+        ),
+        (
+            "a store to i32 keeps the low 32 bits, sign-extended",
+            "int",
+            Scalar::I32,
+            |v| v as i32 as i64,
+        ),
+        (
+            "a store to u32 keeps the low 32 bits",
+            "uint",
+            Scalar::U32,
+            |v| v as u32 as i64,
+        ),
+    ];
+    for (rule_, ty, elem, narrow) in narrowings {
+        rules.push(rule(
+            rule_,
+            &format!(
+                "__global__ void k(long* out, long* in, {ty}* a) {{
+                    int t = threadIdx.x;
+                    a[t] = in[t];
+                    __syncthreads();
+                    out[t] = a[t];
+                }}"
+            ),
+            16,
+            vec![
+                Buf::Zero(Scalar::I64, 16),
+                Buf::I64(ints.clone()),
+                Buf::Zero(elem, 16),
+            ],
+            Ok(()),
+            Out::I64(ints.iter().map(|&v| narrow(v)).collect()),
+            "dense[",
+        ));
+    }
+    // A cast first saturates to i64 (NaN to 0), then narrows like a store; a
+    // float stored to an integer buffer converts the same way.
+    type Conv = fn(f64) -> i64;
+    let conversions: [(&'static str, &str, Conv); 3] = [
+        (
+            "(long) of a float saturates at the i64 range, NaN is 0",
+            "(long)in[t]",
+            |v| v as i64,
+        ),
+        (
+            "(int) of a float saturates to i64 first, then keeps the low 32 bits",
+            "(int)in[t]",
+            |v| v as i64 as i32 as i64,
+        ),
+        (
+            "a float stored to an integer buffer converts like (long)",
+            "in[t]",
+            |v| v as i64,
+        ),
+    ];
+    for (rule_, expr, conv) in conversions {
+        rules.push(rule(
+            rule_,
+            &format!(
+                "__global__ void k(long* out, double* in) {{
+                    int t = threadIdx.x;
+                    out[t] = {expr};
+                }}"
+            ),
+            16,
+            vec![Buf::Zero(Scalar::I64, 16), Buf::F64(floats.clone())],
+            Ok(()),
+            Out::I64(floats.iter().map(|&v| conv(v)).collect()),
+            "dense[",
+        ));
+    }
+    rules
+}
+
+#[test]
+fn oracle_table_holds_in_every_mode() {
+    for r in oracle_rules() {
+        let k = cucc::ir::parse_kernel(&r.src).unwrap_or_else(|e| panic!("{}: {e}", r.rule));
+        let launch = LaunchConfig::new(1u32, r.threads);
+        let mut pool = MemPool::new();
+        let mut args: Vec<Arg> = Vec::new();
+        for b in &r.bufs {
+            let (elem, bytes): (Scalar, Vec<u8>) = match b {
+                Buf::I64(v) => (
+                    Scalar::I64,
+                    v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+                ),
+                Buf::F64(v) => (
+                    Scalar::F64,
+                    v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+                ),
+                Buf::Zero(elem, n) => (*elem, vec![0; n * elem.size()]),
+            };
+            let id = pool.alloc_elems(elem, bytes.len() / elem.size());
+            pool.write_all(id, &bytes);
+            args.push(Arg::Buffer(id));
+        }
+        args.extend(r.scalars.iter().cloned());
+        let got = Program::compile(&k, launch, &args).unwrap().phase_summary();
+        assert!(got.contains(r.phases), "{}: phases {got}", r.rule);
+
+        let (ra, certs) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        assert_eq!(ra.clone().map(|_| ()), r.result, "{}", r.rule);
+        // Every mode left the oracle's memory; hold that to the table.
+        let mut after = pool.clone();
+        let _ = execute_launch(&k, launch, &args, &mut after);
+        let want: Vec<u8> = match &r.out {
+            Out::I64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            Out::F64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+        };
+        assert_eq!(after.bytes(BufferId(0)), &want[..], "{}: buffer 0", r.rule);
+        if let Some(want) = r.certs {
+            assert_eq!(certs, want, "{}: certified accesses", r.rule);
+        }
+        if let Some(want) = r.charged {
+            let s = ra.as_ref().unwrap_or_else(|e| panic!("{}: {e:?}", r.rule));
+            assert_eq!((s.float_ops, s.global_atomics), want, "{}: charges", r.rule);
+        }
+    }
+}
