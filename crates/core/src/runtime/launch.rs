@@ -12,10 +12,11 @@ use super::{Call, CuccCluster};
 use crate::compile::CompiledKernel;
 use crate::error::MigrateError;
 use crate::report::{LaunchReport, PhaseTimes};
-use crate::schedule::{plan_schedule, schedule_key, LaunchSchedule, ScheduleDecision};
+use crate::schedule::{
+    compile_certified, plan_and_compile, schedule_key, LaunchSchedule, ScheduleDecision,
+};
 use crate::stream::StreamId;
-use cucc_analysis::{certify_program, global_extents};
-use cucc_exec::{Arg, CertMode, EngineKind, Program};
+use cucc_exec::{Arg, EngineKind, Program};
 use cucc_ir::LaunchConfig;
 use cucc_trace::{Category, Mark, Track};
 
@@ -32,23 +33,25 @@ impl CuccCluster {
         args: &[Arg],
     ) -> Result<LaunchSchedule, MigrateError> {
         self.plan_on(ck, launch, args, self.active_nodes())
+            .map(|(s, _)| s)
     }
 
-    /// [`CuccCluster::plan`] for a launch spread over `nodes` nodes.
+    /// [`CuccCluster::plan`] for a launch spread over `nodes` nodes, with
+    /// the certified program its profile ran.
     fn plan_on(
         &self,
         ck: &CompiledKernel,
         launch: LaunchConfig,
         args: &[Arg],
         nodes: usize,
-    ) -> Result<LaunchSchedule, MigrateError> {
+    ) -> Result<(LaunchSchedule, Program), MigrateError> {
         if nodes == 0 {
             return Err(MigrateError::NodeFailure {
                 node: None,
                 context: format!("planning `{}`", ck.name()),
             });
         }
-        plan_schedule(
+        plan_and_compile(
             ck,
             launch,
             args,
@@ -70,28 +73,31 @@ impl CuccCluster {
         args: &[Arg],
     ) -> Result<LaunchSchedule, MigrateError> {
         self.plan_cached_on(ck, launch, args, self.active_nodes())
+            .map(|(s, _)| s)
     }
 
-    /// [`CuccCluster::plan_cached`] at an explicit node count: the serving
-    /// layer's `k`-node service shape is just another key.
+    /// [`CuccCluster::plan_cached`] at an explicit node count (the serving
+    /// layer's `k`-node service shape is just another key), with the
+    /// certified program a miss profiled with: the launch body runs it
+    /// rather than compiling again. A hit brings no program.
     pub(crate) fn plan_cached_on(
         &mut self,
         ck: &CompiledKernel,
         launch: LaunchConfig,
         args: &[Arg],
         nodes: usize,
-    ) -> Result<LaunchSchedule, MigrateError> {
+    ) -> Result<(LaunchSchedule, Option<Program>), MigrateError> {
         let key = schedule_key(ck, launch, args, nodes, &self.config);
         if let Some(sched) = self.schedule_cache.get(&key) {
-            return Ok(sched);
+            return Ok((sched, None));
         }
-        let sched = self.plan_on(ck, launch, args, nodes)?;
+        let (sched, prog) = self.plan_on(ck, launch, args, nodes)?;
         // Contents can change what such a kernel's probe and profile see,
         // and no key holds contents: it plans fresh on every lookup.
         if !ck.analysis.content_steered {
             self.schedule_cache.insert(key, sched.clone());
         }
-        Ok(sched)
+        Ok((sched, Some(prog)))
     }
 
     /// Launch a compiled kernel on the default stream, synchronously: the
@@ -111,12 +117,13 @@ impl CuccCluster {
         // A graph-external launch must see fully gathered memory: the
         // planner probes node memory and the grid may read anywhere.
         self.materialize_args(args);
-        let sched = self.plan_cached(ck, launch, args)?;
+        let (sched, prog) = self.plan_cached_on(ck, launch, args, self.active_nodes())?;
         // Nothing else is in flight, so the network floor is the clock
         // itself; `t0 + partial` can never round below `t0`, so the serial
         // layout — and its exact f64 arithmetic — is reproduced.
         let t0 = self.timeline.clock();
-        let (report, _end) = self.launch_body(Call { ck, launch, args }, &sched, t0, t0, &[])?;
+        let call = Call { ck, launch, args };
+        let (report, _end) = self.launch_body(call, &sched, prog, t0, t0, &[])?;
         self.timeline.advance(report.time());
         Ok(report)
     }
@@ -144,7 +151,7 @@ impl CuccCluster {
             self.synchronize()?;
             self.materialize_args(args);
         }
-        let sched = self.plan_cached(ck, launch, args)?;
+        let (sched, prog) = self.plan_cached_on(ck, launch, args, self.active_nodes())?;
         // Start at the latest of the stream's position, its hazard
         // dependencies and the node lanes (a kernel occupies every node);
         // the Allgather additionally waits for the network lane.
@@ -154,7 +161,7 @@ impl CuccCluster {
         }
         let net_floor = self.timeline.lane_ready(Track::Network);
         let call = Call { ck, launch, args };
-        let (report, end) = self.launch_body(call, &sched, t0, net_floor, &[])?;
+        let (report, end) = self.launch_body(call, &sched, prog, t0, net_floor, &[])?;
         self.streams
             .commit(stream, &sched.reads, &sched.writes, end);
         Ok(report)
@@ -170,10 +177,15 @@ impl CuccCluster {
     /// "gather all") marks regions whose Allgather the graph replayer
     /// defers: no collective spans, no wire bytes, no functional gather —
     /// each node keeps only its own slice.
+    ///
+    /// `planned` is the certified program a planning miss profiled with
+    /// ([`CuccCluster::plan_cached_on`]); after a hit it is `None` and the
+    /// body compiles its own.
     pub(super) fn launch_body(
         &mut self,
         call: Call<'_>,
         sched: &LaunchSchedule,
+        planned: Option<Program>,
         t0: f64,
         net_floor: f64,
         elide: &[bool],
@@ -183,9 +195,16 @@ impl CuccCluster {
             self.run_sanitizer(call)?;
         }
         // One compile per functional launch, whatever its mode; every pass
-        // reuses it. The tree-walk oracle interprets the kernel itself.
-        let prog = match self.config.engine {
-            EngineKind::Lane if functional => Some(self.compile_certified(call)?),
+        // reuses it, and a planning miss already made it. The tree-walk
+        // oracle interprets the kernel itself (and modeled fidelity runs
+        // nothing): a miss's program then only served the profile.
+        let prog = match (self.config.engine, planned) {
+            (EngineKind::Lane, Some(prog)) if functional => Some(prog),
+            (EngineKind::Lane, None) if functional => {
+                let pool = self.sim.node(self.read_node());
+                let Call { ck, launch, args } = call;
+                Some(compile_certified(ck, launch, args, pool, &self.config)?)
+            }
             _ => None,
         };
         #[cfg(test)]
@@ -240,25 +259,6 @@ impl CuccCluster {
         }
         self.last_sanitize = Some(dynamic);
         Ok(())
-    }
-
-    /// Compile the kernel for a compiled-engine launch and attach range
-    /// certificates resolved against the live allocation sizes: certified
-    /// accesses take the engine's unchecked fast path ([`CertMode::Elide`]).
-    /// Under `--sanitize` every certificate is instead *cross-validated* at
-    /// runtime ([`CertMode::Validate`]) — a wrong certificate becomes a
-    /// hard `CertificateViolation` error, never UB.
-    fn compile_certified(&self, call: Call<'_>) -> Result<Program, MigrateError> {
-        let mut prog = Program::compile(&call.ck.kernel, call.launch, call.args)?;
-        let pool = self.sim.node(0);
-        let exts = global_extents(&prog, |b| (b.index() < pool.len()).then(|| pool.size_of(b)));
-        let mode = if self.config.sanitize {
-            CertMode::Validate
-        } else {
-            CertMode::Elide
-        };
-        certify_program(&mut prog, &exts, mode);
-        Ok(prog)
     }
 
     /// The paper's consistency invariant: after a functional launch every

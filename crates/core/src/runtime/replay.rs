@@ -9,7 +9,7 @@ use crate::graph::{
 };
 use crate::schedule::{LaunchSchedule, ScheduleDecision};
 use cucc_analysis::{BufferFootprint, LaunchFootprints, Partition, ThreePhasePlan};
-use cucc_exec::{Arg, BufferId};
+use cucc_exec::{Arg, BufferId, Program};
 use cucc_net::{owner_bytes, GatherSegment};
 
 /// How a pending (elided) gather meets a consuming launch inside a
@@ -50,7 +50,8 @@ impl CuccCluster {
                     // Each replayed launch is a membership boundary, same
                     // as its uncaptured counterpart.
                     self.process_joins()?;
-                    let sched = self.plan_cached(ck, *launch, args)?;
+                    let nodes = self.active_nodes();
+                    let (sched, prog) = self.plan_cached_on(ck, *launch, args, nodes)?;
                     planned_wire += sched.wire_bytes;
                     let mark = self.timeline.checkpoint();
                     let call = Call {
@@ -58,7 +59,8 @@ impl CuccCluster {
                         launch: *launch,
                         args,
                     };
-                    self.replay_launch(call, &sched, node.footprints.as_ref(), &mut stats)?;
+                    let fps = node.footprints.as_ref();
+                    self.replay_launch(call, &sched, prog, fps, &mut stats)?;
                     gather_wire += self.timeline.wire_bytes_since(mark);
                 }
             }
@@ -82,6 +84,7 @@ impl CuccCluster {
         &mut self,
         call: Call<'_>,
         sched: &LaunchSchedule,
+        prog: Option<Program>,
         fps: Option<&LaunchFootprints>,
         stats: &mut ReplayStats,
     ) -> Result<(), MigrateError> {
@@ -120,7 +123,7 @@ impl CuccCluster {
         }
 
         let t0 = self.timeline.clock();
-        let (report, _end) = self.launch_body(call, sched, t0, t0, &elide)?;
+        let (report, _end) = self.launch_body(call, sched, prog, t0, t0, &elide)?;
         self.timeline.advance(report.time());
         Ok(())
     }

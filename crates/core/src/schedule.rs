@@ -10,6 +10,13 @@
 //! the trace timeline at an arbitrary start time and runs the functional
 //! blocks.
 //!
+//! The profiler runs on the engine that executes: the launch is compiled
+//! and certified once (`compile_certified`), its sampled blocks run that
+//! program on a scratch copy of node memory, and a planning miss hands the
+//! program on to the launch body. The tree-walk
+//! [`cucc_exec::profile_launch`] stays the profile's oracle — equal field
+//! for field (`tests/schedule_cache.rs`) — and is off the launch path.
+//!
 //! Splitting planning from execution is what makes the stream scheduler
 //! possible: an async launch needs its phase durations and buffer sets
 //! *before* it can be placed (its start time is the max of its hazard
@@ -25,9 +32,11 @@ use crate::compile::CompiledKernel;
 use crate::error::MigrateError;
 use crate::report::PhaseTimes;
 use crate::runtime::RuntimeConfig;
-use cucc_analysis::{plan_launch, Partition, Plan, ReplicationCause, ThreePhasePlan};
+use cucc_analysis::{
+    certify_program, global_extents, plan_launch, Partition, Plan, ReplicationCause, ThreePhasePlan,
+};
 use cucc_cluster::{block_compute_time, node_time_profiled, ClusterSpec};
-use cucc_exec::{profile_launch, Arg, BufferId, LaunchProfile, MemPool};
+use cucc_exec::{profile_program, Arg, BufferId, CertMode, LaunchProfile, MemPool, Program};
 use cucc_ir::{Kernel, LaunchConfig, Value};
 use cucc_net::{allgather_cost, AllgatherAlgo, AllgatherPlacement};
 use std::collections::HashMap;
@@ -268,9 +277,37 @@ fn is_staged(profile: &LaunchProfile) -> bool {
     profile.per_block.shared_bytes * 4 >= profile.per_block.global_bytes().max(1)
 }
 
+/// Compile the kernel for one launch and attach range certificates resolved
+/// against `pool`'s allocation sizes: certified accesses take the engine's
+/// unchecked fast path ([`CertMode::Elide`]). Under `--sanitize` every
+/// certificate is instead *cross-validated* at runtime
+/// ([`CertMode::Validate`]) — a wrong certificate becomes a hard
+/// `CertificateViolation` error, never UB. The one compile route of a
+/// launch: the planner profiles with this program and the launch body runs
+/// it.
+pub(crate) fn compile_certified(
+    ck: &CompiledKernel,
+    launch: LaunchConfig,
+    args: &[Arg],
+    pool: &MemPool,
+    config: &RuntimeConfig,
+) -> Result<Program, MigrateError> {
+    let mut prog = Program::compile(&ck.kernel, launch, args)?;
+    let exts = global_extents(&prog, |b| (b.index() < pool.len()).then(|| pool.size_of(b)));
+    let mode = if config.sanitize {
+        CertMode::Validate
+    } else {
+        CertMode::Elide
+    };
+    certify_program(&mut prog, &exts, mode);
+    Ok(prog)
+}
+
 /// Run planner + profiler + cost model for one launch. Pure: reads node
 /// memory (for the launch-time probe and the sampling profiler, both on
-/// scratch copies) but mutates nothing.
+/// scratch copies) but mutates nothing. The profiler runs the launch's
+/// certified program on the compiled engine
+/// ([`cucc_exec::profile_program`]).
 pub fn plan_schedule(
     ck: &CompiledKernel,
     launch: LaunchConfig,
@@ -280,6 +317,20 @@ pub fn plan_schedule(
     logical_nodes: usize,
     config: &RuntimeConfig,
 ) -> Result<LaunchSchedule, MigrateError> {
+    plan_and_compile(ck, launch, args, node0, spec, logical_nodes, config).map(|(s, _)| s)
+}
+
+/// [`plan_schedule`], returning with the schedule the certified program
+/// ([`compile_certified`]) its profile sampled, for the launch to run.
+pub(crate) fn plan_and_compile(
+    ck: &CompiledKernel,
+    launch: LaunchConfig,
+    args: &[Arg],
+    node0: &MemPool,
+    spec: &ClusterSpec,
+    logical_nodes: usize,
+    config: &RuntimeConfig,
+) -> Result<(LaunchSchedule, Program), MigrateError> {
     if launch.num_blocks() == 0 {
         return Err(MigrateError::Launch("empty grid".into()));
     }
@@ -287,14 +338,15 @@ pub fn plan_schedule(
         return Err(MigrateError::Launch("empty block (zero threads)".into()));
     }
     let plan = plan_launch(&ck.kernel, &ck.analysis.verdict, launch, args, node0);
-    let profile = profile_launch(&ck.kernel, launch, args, node0, config.profile_samples)?;
+    let prog = compile_certified(ck, launch, args, node0, config)?;
+    let profile = profile_program(&prog, node0, config.profile_samples)?;
     let (reads, writes) = buffer_sets(&ck.kernel, args);
     let degraded_time = replicated_time(ck, &profile, spec);
     let (decision, times, wire_bytes) = match plan {
         Plan::ThreePhase(tp) => cost_three_phase(ck, &tp, &profile, spec, logical_nodes, config),
         Plan::Replicated(cause) => cost_replicated(cause, degraded_time),
     };
-    Ok(LaunchSchedule {
+    let sched = LaunchSchedule {
         decision,
         times,
         wire_bytes,
@@ -302,7 +354,8 @@ pub fn plan_schedule(
         writes,
         profile,
         degraded_time,
-    })
+    };
+    Ok((sched, prog))
 }
 
 /// Cost of one node redundantly running the whole grid (the replicated

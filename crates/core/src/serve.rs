@@ -466,7 +466,7 @@ impl JobServer {
     fn service_time(&mut self, spec: &JobSpec, args: &[Arg], k: u32) -> Result<f64, MigrateError> {
         let ck = &self.kernels[spec.kernel % Self::KERNELS.len()];
         let before = self.cluster.schedule_cache().stats();
-        let sched = self
+        let (sched, _) = self
             .cluster
             .plan_cached_on(ck, spec.launch(), args, k as usize)?;
         let delta = self.cluster.schedule_cache().stats().since(&before);

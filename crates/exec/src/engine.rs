@@ -13,7 +13,8 @@
 //! bytes. [`run_range`] executes a contiguous block range serially (the
 //! same ascending order as the tree-walk oracle); [`run_range_parallel`]
 //! chunks the range across the process-wide worker [`crate::pool`] for
-//! intra-node block parallelism.
+//! intra-node block parallelism; [`profile_program`] samples a launch's
+//! blocks through [`run_range`] for the planner's cost model.
 //!
 //! Parallel legality: CUDA guarantees no ordering between blocks, so any
 //! interleaving of block execution is a valid GPU execution. Workers share
@@ -28,7 +29,7 @@
 use crate::bytecode::{Inst, MemSlotInfo, Program, Reg, SlotKind};
 use crate::interp::{
     apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, slice_load,
-    slice_store, Arg, ExecError,
+    slice_store, Arg, ExecError, LaunchProfile,
 };
 use crate::lane::LaneEngine;
 use crate::memory::{decode, encode, BufferId, MemPool};
@@ -635,6 +636,21 @@ pub fn run_range(
     blocks: Range<u64>,
 ) -> Result<BlockStats, ExecError> {
     run_blocks(prog, pool, blocks)
+}
+
+/// The launch profile on the compiled engine: `LaunchProfile::from_samples`
+/// over `prog`, each sampled block run through [`run_range`] on one scratch
+/// copy of `pool`. `BlockStats` and errors are the oracle's, so the result
+/// equals [`crate::profile_launch`] of the same launch.
+pub fn profile_program(
+    prog: &Program,
+    pool: &MemPool,
+    samples: usize,
+) -> Result<LaunchProfile, ExecError> {
+    let mut scratch = pool.clone();
+    LaunchProfile::from_samples(prog.launch.num_blocks(), samples, |b| {
+        run_range(prog, &mut scratch, b..b + 1)
+    })
 }
 
 /// Cut `blocks` into `workers` near-equal ascending chunks and run each

@@ -5,8 +5,11 @@
 //! every thread to the barrier before any thread continues past it — the
 //! classic MCUDA/CuPBoP loop-fission semantics). [`execute_launch`] runs a
 //! whole grid sequentially, which is the functional reference used as the
-//! correctness oracle. [`profile_launch`] samples representative blocks and
-//! extrapolates their [`BlockStats`] to the full launch.
+//! correctness oracle. `LaunchProfile::from_samples` samples representative
+//! blocks and extrapolates their [`BlockStats`] to the full launch;
+//! [`profile_launch`] runs those samples here and is the oracle of the
+//! profile, not its hot path — planning samples on the compiled engine
+//! ([`crate::engine::profile_program`]).
 
 use crate::memory::{decode, encode, BufferId, MemPool};
 use crate::stats::{intrinsic_weight, BlockStats};
@@ -300,11 +303,62 @@ pub struct LaunchProfile {
     pub total: BlockStats,
 }
 
-/// Sample up to `samples` evenly spaced blocks plus the tail block on a
-/// scratch copy of memory, and extrapolate to the full launch.
-///
-/// SPMD symmetry makes this accurate for the paper's kernels: all non-tail
-/// blocks execute the same instruction mix.
+impl LaunchProfile {
+    /// Profile a launch of `num_blocks` (≥ 1) blocks from `run`, which
+    /// executes one block and returns its statistics: the tail block first,
+    /// then up to `samples` evenly spaced body blocks `i·(n−1)/k`, averaged
+    /// field by field and extrapolated to the full launch. The first error
+    /// `run` returns is the profile's.
+    ///
+    /// SPMD symmetry makes this accurate for the paper's kernels: all non-tail
+    /// blocks execute the same instruction mix. Every profiler — the compiled
+    /// one planning uses and the tree-walk [`profile_launch`] — samples
+    /// through here, so they run the same blocks in the same order.
+    pub(crate) fn from_samples(
+        num_blocks: u64,
+        samples: usize,
+        mut run: impl FnMut(u64) -> Result<BlockStats, ExecError>,
+    ) -> Result<LaunchProfile, ExecError> {
+        let body_blocks = num_blocks - 1;
+        let tail = run(body_blocks)?;
+        let per_block = if body_blocks == 0 {
+            BlockStats::default()
+        } else {
+            let k = (samples.max(1) as u64).min(body_blocks);
+            let mut acc = BlockStats::default();
+            for i in 0..k {
+                acc += run(i * body_blocks / k)?;
+            }
+            // Average the samples; keep integer math exact by rounding.
+            BlockStats {
+                int_ops: acc.int_ops / k,
+                float_ops: acc.float_ops / k,
+                global_read_bytes: acc.global_read_bytes / k,
+                global_write_bytes: acc.global_write_bytes / k,
+                global_loads: acc.global_loads / k,
+                global_stores: acc.global_stores / k,
+                shared_bytes: acc.shared_bytes / k,
+                local_bytes: acc.local_bytes / k,
+                global_atomics: acc.global_atomics / k,
+                barriers: acc.barriers / k,
+                active_threads: acc.active_threads / k,
+                blocks: 1,
+            }
+        };
+        Ok(LaunchProfile {
+            per_block,
+            tail_block: tail,
+            num_blocks,
+            total: per_block.scaled(body_blocks) + tail,
+        })
+    }
+}
+
+/// `LaunchProfile::from_samples` on the tree-walk interpreter, each sampled
+/// block run on one scratch copy of `pool`. This is the profile's oracle:
+/// planning profiles on the compiled engine
+/// ([`crate::engine::profile_program`]), which must equal it field for
+/// field, error for error.
 pub fn profile_launch(
     kernel: &Kernel,
     launch: LaunchConfig,
@@ -312,43 +366,11 @@ pub fn profile_launch(
     pool: &MemPool,
     samples: usize,
 ) -> Result<LaunchProfile, ExecError> {
-    let nb = launch.num_blocks();
     let mut scratch = pool.clone();
     check_args(kernel, args)?;
     let mut arena = BlockArena::new(kernel, launch);
-    let tail = run_block_prepared(kernel, launch, nb - 1, args, &mut scratch, &mut arena, None)?;
-    let body_blocks = nb - 1;
-    let per_block = if body_blocks == 0 {
-        BlockStats::default()
-    } else {
-        let k = (samples.max(1) as u64).min(body_blocks);
-        let mut acc = BlockStats::default();
-        for i in 0..k {
-            let b = i * body_blocks / k;
-            acc += run_block_prepared(kernel, launch, b, args, &mut scratch, &mut arena, None)?;
-        }
-        // Average the samples; keep integer math exact by rounding.
-        BlockStats {
-            int_ops: acc.int_ops / k,
-            float_ops: acc.float_ops / k,
-            global_read_bytes: acc.global_read_bytes / k,
-            global_write_bytes: acc.global_write_bytes / k,
-            global_loads: acc.global_loads / k,
-            global_stores: acc.global_stores / k,
-            shared_bytes: acc.shared_bytes / k,
-            local_bytes: acc.local_bytes / k,
-            global_atomics: acc.global_atomics / k,
-            barriers: acc.barriers / k,
-            active_threads: acc.active_threads / k,
-            blocks: 1,
-        }
-    };
-    let total = per_block.scaled(body_blocks) + tail;
-    Ok(LaunchProfile {
-        per_block,
-        tail_block: tail,
-        num_blocks: nb,
-        total,
+    LaunchProfile::from_samples(launch.num_blocks(), samples, |b| {
+        run_block_prepared(kernel, launch, b, args, &mut scratch, &mut arena, None)
     })
 }
 
@@ -850,7 +872,9 @@ pub(crate) fn eval_intrinsic(f: Intrinsic, args: &[Value]) -> Value {
                 return Value::I64(match f {
                     Min => a.min(args[1].as_i64()),
                     Max => a.max(args[1].as_i64()),
-                    Abs => a.abs(),
+                    // `abs(i64::MIN)` is `i64::MIN`, as two's complement
+                    // hardware computes it.
+                    Abs => a.wrapping_abs(),
                     _ => unreachable!(),
                 });
             }

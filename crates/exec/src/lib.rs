@@ -13,9 +13,12 @@
 //! than hand-written estimates.
 //!
 //! Because GPU programs are SPMD, blocks are statistically identical; for
-//! large launches [`profile_launch`] samples a few representative blocks and
-//! extrapolates, which is how the figure harnesses scale to paper-sized
-//! workloads without interpreting billions of operations.
+//! large launches a [`LaunchProfile`] samples a few representative blocks
+//! and extrapolates, which is how the figure harnesses scale to paper-sized
+//! workloads without interpreting billions of operations. Planning samples
+//! on the compiled engine ([`profile_program`]); [`profile_launch`] samples
+//! the same blocks on the tree-walk and is the profile's oracle, not its hot
+//! path.
 
 //! The tree-walk interpreter in [`interp`] is the *reference* executor (and
 //! differential-testing oracle). Everything else runs compiled: [`bytecode`]
@@ -36,7 +39,10 @@ pub mod sanitize;
 pub mod stats;
 
 pub use bytecode::{CertMode, Program};
-pub use engine::{execute_launch_bytecode, run_range, run_range_parallel, EngineKind, ExecOptions};
+pub use engine::{
+    execute_launch_bytecode, profile_program, run_range, run_range_parallel, EngineKind,
+    ExecOptions,
+};
 pub use interp::{
     execute_block, execute_block_range, execute_block_traced, execute_launch, profile_launch, Arg,
     ExecError, LaunchProfile, WriteRecord,

@@ -1382,6 +1382,18 @@ fn oracle_rules() -> Vec<Rule> {
             vec![MIN, -1],
             vec![0; 16],
         ),
+        int_expr_rule(
+            "abs(i64::MIN) wraps to i64::MIN",
+            "abs(in[t % 4])",
+            vec![MIN, -5, 0, 7],
+            [MIN, 5, 0, 7].repeat(4),
+        ),
+        int_expr_rule(
+            "abs of a constant that folds to i64::MIN wraps at compile time too",
+            "abs(1 << 63)",
+            vec![0],
+            vec![MIN; 16],
+        ),
         rule(
             "a store to float rounds to f32 (overflow to inf, underflow to 0)",
             "__global__ void k(double* out, double* in, float* a) {

@@ -14,9 +14,9 @@
 use cucc::cluster::ClusterSpec;
 use cucc::core::{
     compile_source, CompiledKernel, CuccCluster, FaultPlan, GraphCapture, LaunchSchedule,
-    RunOptions, ScheduleCache,
+    MigrateError, RunOptions, ScheduleCache,
 };
-use cucc::exec::Arg;
+use cucc::exec::{profile_launch, Arg, ExecError};
 use cucc::ir::{LaunchConfig, Param, Scalar, Value};
 use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
 use proptest::prelude::*;
@@ -262,9 +262,27 @@ fn refill(cl: &mut CuccCluster, ck: &CompiledKernel, args: &[Arg], seed: u64) {
     }
 }
 
+/// The profiler differential: planning samples blocks with the launch's
+/// certified program on the compiled engine, and the profile it took (or the
+/// error it stopped at) is `PartialEq`-equal to the tree-walk oracle's,
+/// `profile_launch`, on the same node memory.
+fn assert_profiled_like_the_oracle(
+    cl: &CuccCluster,
+    ck: &CompiledKernel,
+    launch: LaunchConfig,
+    args: &[Arg],
+    planned: &Result<LaunchSchedule, MigrateError>,
+) {
+    let samples = RunOptions::default().profile_samples;
+    let oracle = profile_launch(&ck.kernel, launch, args, cl.sim().node(0), samples);
+    let planned = planned.as_ref().map(|s| s.profile).map_err(Clone::clone);
+    assert_eq!(planned, oracle.map_err(MigrateError::Exec), "{}", ck.name());
+}
+
 /// The stationarity differential: for every builtin kernel on 4 nodes, what
 /// the door returns equals a fresh `plan` — before the kernel's own launch,
-/// after it, and after each of three seeded refills of every buffer.
+/// after it, and after each of three seeded refills of every buffer. Each
+/// fresh plan's profile is also held to the tree-walk oracle's.
 #[test]
 fn the_door_equals_a_fresh_plan_under_any_contents() {
     let mut steered = Vec::new();
@@ -292,8 +310,9 @@ fn the_door_equals_a_fresh_plan_under_any_contents() {
                 r.map_err(|e: cucc::core::MigrateError| e.to_string())
             };
             let door = text(cl.plan_cached(&ck, case.launch, &args));
-            let fresh = text(cl.plan(&ck, case.launch, &args));
-            assert_eq!(door, fresh, "{}: {when}", case.name);
+            let fresh = cl.plan(&ck, case.launch, &args);
+            assert_profiled_like_the_oracle(cl, &ck, case.launch, &args, &fresh);
+            assert_eq!(door, text(fresh), "{}: {when}", case.name);
         };
         check(&mut cl, "before its launch");
         // Zero-filled coverage inputs can trap a launch (a loaded divisor);
@@ -319,6 +338,40 @@ fn the_door_equals_a_fresh_plan_under_any_contents() {
         steered.len()
     );
     assert_eq!(cached + steered.len(), 42);
+}
+
+/// A profile that traps stops where the oracle's does. Eight blocks of 32 at
+/// three samples run the tail (7), then blocks 0, 2 and 4. Block 2 holds two
+/// faults — thread 5 divides by zero, thread 3 stores out of bounds — and
+/// block 4 a third: the lower thread of the first faulting sample wins.
+#[test]
+fn a_trapping_profile_fails_with_the_oracles_error() {
+    let ck = compile_source(
+        "__global__ void f(int* out, int* d, int n) {
+            int id = blockIdx.x * blockDim.x + threadIdx.x;
+            if (id < n) out[id + (d[id] == 2) * 100000] = 100 / d[id];
+        }",
+    )
+    .unwrap();
+    let n = 256usize;
+    let mut d = vec![1i32; n];
+    d[2 * 32 + 3] = 2;
+    d[2 * 32 + 5] = 0;
+    d[4 * 32] = 0;
+    let mut cl = cluster(4, FaultPlan::none());
+    let out = cl.alloc(n * 4);
+    let dbuf = cl.alloc(n * 4);
+    cl.upload::<i32>(dbuf, &d).unwrap();
+    let args = [Arg::Buffer(out), Arg::Buffer(dbuf), Arg::int(n as i64)];
+    let launch = LaunchConfig::cover1(n as u64, 32);
+    let planned = cl.plan(&ck, launch, &args);
+    assert_profiled_like_the_oracle(&cl, &ck, launch, &args, &planned);
+    let want = ExecError::OutOfBounds {
+        mem: "out".into(),
+        index: 2 * 32 + 3 + 100000,
+        len_elems: n,
+    };
+    assert_eq!(planned, Err(MigrateError::Exec(want)));
 }
 
 /// A kernel whose trip count is loaded from a buffer: the schedule really
