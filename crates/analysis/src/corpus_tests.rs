@@ -1,23 +1,24 @@
 //! Corpus tests for the one footprint: over the generators of
 //! `tests/proptest_analysis.rs` and `tests/proptest_verify.rs` (the same
-//! file, pulled in by path — these tests live in the crate because
-//! integration tests cannot see the crate-visible planner halves), the 42
-//! builtin kernels and the eight perf-suite sources,
+//! file, pulled in by path), the 42 builtin kernels, the eight perf-suite
+//! sources and a set of shape kernels,
 //!
 //! * **soundness** — every write the tree-walk traces for blocks `[a, b)`
 //!   lies inside `writes[p].byte_ranges(a..b)` whenever that footprint is
 //!   `Must` (graph elision rests on this);
-//! * **differential** — whenever the static half of the planner's region
-//!   derivation answers, it answers what the probe answers, and the oracle
-//!   accepts the plan.
+//! * **planner against the oracle** — whenever the planner distributes a
+//!   launch, the tree-walk oracle accepts the plan over every full chunk,
+//!   or a full chunk traps (and with it the launch, under any plan). The
+//!   builtin kernels are pinned at 37 of 37 distributable ones planned, and
+//!   every shape the planner declines is pinned with its cause.
 //!
 //! Both print their case counts (`cargo test -p cucc-analysis corpus --
 //! --nocapture`).
 
-use crate::distributable::{analyze_kernel, KernelAccesses, Verdict};
+use crate::distributable::{analyze_kernel, KernelAccesses};
 use crate::footprint::LaunchFootprints;
 use crate::oracle::verify_plan;
-use crate::plan::{admit, plan_launch, probe_regions, static_regions, Plan, ReplicationCause};
+use crate::plan::{plan_launch, Plan, ReplicationCause};
 use cucc_exec::{execute_block_traced, Arg, MemPool};
 use cucc_ir::{parse_kernel, Kernel, LaunchConfig, Param, Value};
 use cucc_workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
@@ -95,7 +96,8 @@ fn builtin_cases() -> Vec<Case> {
 
 /// Launches the generators never produce: multi-axis grids with and
 /// without tail guards, loops in read and write indices, guards that are
-/// not tail guards, a second site per buffer, a narrowing cast.
+/// not tail guards, a second site per buffer, a narrowing cast, and two
+/// launches that trap in every full block.
 fn shape_cases() -> Vec<Case> {
     let f32s = |n: usize| vec![0u8; n * 4];
     let two_d = |guard: &str, w: i64, h: i64| {
@@ -144,7 +146,29 @@ fn shape_cases() -> Vec<Case> {
         ),
         one_d("write loop", "for (int i = 0; i < 3; i++) out[id * 3 + i] = in[id];", 768, 256),
         one_d("uniform guard", "if (n > 0) out[id] = in[id];", 256, 256),
+        one_d("uniform guard false", "if (n < 0) out[id] = in[id];", 256, 256),
         one_d("thread-0 guard", "if (threadIdx.x == 0) out[blockIdx.x] = in[id];", 256, 256),
+        one_d("thread-3 guard", "if (threadIdx.x == 3) out[blockIdx.x] = in[id];", 256, 256),
+        // Thread 40 of a 32-thread block does not exist: the store never runs.
+        one_d("thread-40 guard", "if (threadIdx.x == 40) out[blockIdx.x] = in[id];", 256, 256),
+        one_d(
+            "last-thread guard",
+            "if (threadIdx.x == blockDim.x - 1) out[blockIdx.x] = in[id];",
+            256,
+            256,
+        ),
+        Case::new(
+            "2d thread-0 guard",
+            "__global__ void k(float* in, float* out, int w) {
+                int x = blockIdx.x * blockDim.x + threadIdx.x;
+                int y = blockIdx.y * blockDim.y + threadIdx.y;
+                if (threadIdx.x == 0 && threadIdx.y == 0)
+                    out[blockIdx.y * gridDim.x + blockIdx.x] = in[y * w + x];
+            }",
+            LaunchConfig::new((4u32, 4u32), (8u32, 8u32)),
+            &[f32s(32 * 32), f32s(16)],
+            &[Value::I64(32)],
+        ),
         one_d("two sites", "out[id * 2] = in[id]; out[id * 2 + 1] = in[id];", 512, 256),
         one_d("ragged tail", "if (id < n) out[id] = in[id];", 256, 200),
         one_d("narrowing cast", "out[(unsigned char)id] = in[id];", 256, 256),
@@ -165,6 +189,9 @@ fn shape_cases() -> Vec<Case> {
             768,
             256,
         ),
+        // Every block traps, before its store or in it.
+        one_d("zero-step loop", "for (int i = 0; i < 1; i += n) {} out[id] = in[id];", 256, 0),
+        one_d("oob read", "out[id] = in[id + 4096];", 256, 256),
     ]
 }
 
@@ -237,10 +264,22 @@ fn check_write_soundness(case: &Case) -> usize {
     checked
 }
 
-/// Differential of one case: `Some(true)` when the static half answered
-/// (and agreed with the probe and the oracle), `Some(false)` when it
-/// declined, `None` when the launch never reaches the region derivation.
-fn check_static_against_probe(case: &Case) -> Option<bool> {
+/// What the planner made of one case.
+#[derive(Debug, Clone, PartialEq)]
+enum Outcome {
+    /// Distributed, and the oracle accepts the plan over every full chunk.
+    Planned,
+    /// Distributed, and a full chunk traps: so does the launch, under any
+    /// plan.
+    Traps,
+    /// Replicated by the region derivation, with the condition that failed.
+    Declined(String),
+    /// Replicated before the region derivation (not distributable, no full
+    /// block, a race).
+    Replicated,
+}
+
+fn check_plan(case: &Case) -> Outcome {
     let Case {
         kernel,
         launch,
@@ -249,29 +288,57 @@ fn check_static_against_probe(case: &Case) -> Option<bool> {
         ..
     } = case;
     let verdict = analyze_kernel(kernel);
-    let Verdict::Distributable(meta) = &verdict else {
-        return None;
+    match plan_launch(kernel, &verdict, *launch, args, pool) {
+        Plan::ThreePhase(plan) => match verify_plan(kernel, *launch, args, pool, &plan) {
+            Ok(report) => {
+                assert!(
+                    report.ok(),
+                    "{}: oracle rejects the plan: {:?}",
+                    case.name,
+                    report.violations
+                );
+                Outcome::Planned
+            }
+            Err(_) => Outcome::Traps,
+        },
+        Plan::Replicated(ReplicationCause::Unproven(why)) => Outcome::Declined(why),
+        Plan::Replicated(_) => Outcome::Replicated,
+    }
+}
+
+/// The outcomes of a set of cases, printed: planned and trapping names,
+/// declined names with their causes, and the count replicated earlier.
+fn tally(what: &str, cases: &[Case]) -> Vec<(String, Outcome)> {
+    let outcomes: Vec<(String, Outcome)> = cases
+        .iter()
+        .map(|c| (c.name.clone(), check_plan(c)))
+        .collect();
+    let named = |pick: fn(&Outcome) -> bool| -> Vec<&str> {
+        outcomes
+            .iter()
+            .filter(|(_, o)| pick(o))
+            .map(|(n, _)| n.as_str())
+            .collect()
     };
-    let (fps, full_blocks) = admit(kernel, meta, *launch, args).ok()?;
-    let probed = probe_regions(kernel, meta, *launch, args, pool, full_blocks);
-    let Some(plan) = static_regions(kernel, meta, &fps, args, pool, full_blocks) else {
-        assert_eq!(plan_launch(kernel, &verdict, *launch, args, pool), probed);
-        return Some(false);
-    };
-    assert_eq!(
-        Plan::ThreePhase(plan.clone()),
-        probed,
-        "{}: the static regions are not the probe's",
-        case.name
+    let planned = named(|o| *o == Outcome::Planned);
+    let traps = named(|o| *o == Outcome::Traps);
+    let declined: Vec<_> = outcomes
+        .iter()
+        .filter_map(|(n, o)| match o {
+            Outcome::Declined(why) => Some(format!("{n}: {why}")),
+            _ => None,
+        })
+        .collect();
+    println!(
+        "planner over {} {what}: {} planned (oracle-confirmed), {} planned and trapping \
+         {traps:?}, {} declined {declined:?}, {} replicated before the region derivation",
+        cases.len(),
+        planned.len(),
+        traps.len(),
+        declined.len(),
+        named(|o| *o == Outcome::Replicated).len()
     );
-    let report = verify_plan(kernel, *launch, args, pool, &plan).expect("a safe launch runs");
-    assert!(
-        report.ok(),
-        "{}: oracle rejects the static plan: {:?}",
-        case.name,
-        report.violations
-    );
-    Some(true)
+    outcomes
 }
 
 #[test]
@@ -286,87 +353,90 @@ fn corpus_write_footprints_are_sound_on_builtin_and_shape_kernels() {
 }
 
 #[test]
-fn corpus_static_regions_equal_probe_regions_on_builtin_and_shape_kernels() {
-    let tally = |cases: &[Case]| {
-        let mut on_probe = Vec::new();
-        let (mut answered, mut not_planned) = (0, 0);
-        for case in cases {
-            match check_static_against_probe(case) {
-                Some(true) => answered += 1,
-                Some(false) => on_probe.push(case.name.clone()),
-                None => not_planned += 1,
-            }
-        }
-        println!(
-            "static-vs-probe differential: {} kernels — {answered} planned statically (probe \
-             skipped, oracle-confirmed), {} still on the probe {on_probe:?}, {not_planned} \
-             replicated before the region derivation",
-            cases.len(),
-            on_probe.len()
-        );
-        (answered, on_probe)
-    };
-    let (builtin, _) = tally(&builtin_cases());
-    assert!(
-        builtin >= 23,
-        "only {builtin} builtin kernels planned statically"
-    );
-    // The classes the static half must decline, each shown by its kernel;
-    // every other shape is one it exists for.
-    let (_, on_probe) = tally(&shape_cases());
-    let declined = [
-        "uniform guard",
-        "thread-0 guard",
-        "two sites",
-        "narrowing cast",
-        "early return",
-        "reused counter",
-        "counter after its loop",
-    ];
-    assert_eq!(on_probe, declined);
-}
-
-/// A kernel whose probe traps (an out-of-bounds read in a full block)
-/// replicates with the probe's own error, as before the static half
-/// existed: the bounds rule is not `Safe`, so the static half declines.
-#[test]
-fn corpus_probe_trap_is_reported_unchanged() {
-    let case = Case::new(
-        "oob read",
-        "__global__ void k(float* in, float* out) {
-            int id = blockIdx.x * blockDim.x + threadIdx.x;
-            out[id] = in[id + 4096];
-        }",
-        LaunchConfig::new(4u32, 16u32),
-        &[vec![0u8; 64 * 4], vec![0u8; 64 * 4]],
-        &[],
-    );
-    assert_eq!(check_static_against_probe(&case), Some(false));
-    let verdict = analyze_kernel(&case.kernel);
+fn corpus_plans_are_oracle_confirmed_on_builtin_and_shape_kernels() {
+    // Every distributable builtin kernel is planned; the five others are
+    // not distributable or race.
+    let builtin = tally("builtin kernels", &builtin_cases());
+    let count = |o: Outcome| builtin.iter().filter(|(_, b)| *b == o).count();
     assert_eq!(
-        plan_launch(&case.kernel, &verdict, case.launch, &case.args, &case.pool),
-        Plan::Replicated(ReplicationCause::ProbeError(
-            "out-of-bounds access to `in`: index 4096, length 64".into()
-        ))
+        (count(Outcome::Planned), count(Outcome::Replicated)),
+        (37, 5)
     );
+
+    // The shapes the planner declines, each with the condition that failed;
+    // the two trapping shapes are planned, and every other shape is one the
+    // footprint decides.
+    let shapes = tally("shape kernels", &shape_cases());
+    let declined: Vec<(&str, &str)> = shapes
+        .iter()
+        .filter_map(|(n, o)| match o {
+            Outcome::Declined(why) => Some((n.as_str(), why.as_str())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(declined, DECLINED);
+    let traps: Vec<&str> = shapes
+        .iter()
+        .filter(|(_, o)| *o == Outcome::Traps)
+        .map(|(n, _)| n.as_str())
+        .collect();
+    assert_eq!(traps, ["zero-step loop", "oob read"]);
+    assert!(shapes.iter().all(|(_, o)| *o != Outcome::Replicated));
 }
 
-/// Generated cases run, and how many of them the static half planned.
-static GENERATED: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+/// The shape kernels the planner replicates, and why.
+const DECLINED: [(&str, &str); 7] = [
+    (
+        "uniform guard false",
+        "write #0: launch-uniform guard not true at this launch",
+    ),
+    ("thread-40 guard", "chunks write nothing"),
+    // Each site alone has a gap the other fills: undecided.
+    (
+        "two sites",
+        "buffer p1: chunk 0 of 1 block(s) writes with a gap",
+    ),
+    (
+        "narrowing cast",
+        "a barrier under non-uniform control or a narrowing integer cast",
+    ),
+    ("early return", "a thread may `return` before its stores"),
+    (
+        "reused counter",
+        "write #0: loop bounds not resolvable at this launch",
+    ),
+    (
+        "counter after its loop",
+        "write #0: loop bounds not resolvable at this launch",
+    ),
+];
+
+/// Generated cases run, planned (oracle-confirmed) and planned but trapping.
+static GENERATED: [AtomicUsize; 3] = [
+    AtomicUsize::new(0),
+    AtomicUsize::new(0),
+    AtomicUsize::new(0),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn corpus_generated_kernels_are_sound_and_statically_planned_like_the_probe(
+    fn corpus_generated_kernels_are_sound_and_planned_as_the_oracle_accepts(
         case in prop_oneof![analysis_generator(), verify_generator()],
     ) {
         check_write_soundness(&case);
-        let planned = check_static_against_probe(&case) == Some(true);
-        let cases = GENERATED[0].fetch_add(1, Ordering::Relaxed) + 1;
-        let planned = GENERATED[1].fetch_add(planned as usize, Ordering::Relaxed) + planned as usize;
+        let outcome = check_plan(&case);
+        let [cases, planned, traps] = [true, outcome == Outcome::Planned, outcome == Outcome::Traps]
+            .map(|b| b as usize);
+        let cases = GENERATED[0].fetch_add(cases, Ordering::Relaxed) + cases;
+        let planned = GENERATED[1].fetch_add(planned, Ordering::Relaxed) + planned;
+        let traps = GENERATED[2].fetch_add(traps, Ordering::Relaxed) + traps;
         if cases % 64 == 0 {
-            println!("generated kernels: {cases} cases sound, {planned} planned statically like the probe");
+            println!(
+                "generated kernels: {cases} cases sound, {planned} planned (oracle-confirmed), \
+                 {traps} planned and trapping"
+            );
         }
     }
 }

@@ -75,6 +75,17 @@ pub struct Comparison {
     pub eq: bool,
 }
 
+impl Comparison {
+    /// Whether the comparison holds where `small − big` is `diff`.
+    pub(crate) fn holds(&self, diff: i128) -> bool {
+        match (self.eq, self.inclusive) {
+            (true, _) => diff == 0,
+            (false, true) => diff <= 0,
+            (false, false) => diff < 0,
+        }
+    }
+}
+
 /// One guard conjunct on the path to an access.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Guard {
@@ -152,9 +163,11 @@ pub struct KernelAccesses {
     /// header, or is read outside the loop body (where it holds the exit
     /// value).
     pub loops: BTreeMap<VarId, Option<[Poly; 3]>>,
-    /// No `return` and no division by a non-literal: no thread stops, and no
-    /// block faults, before it has made every access its guards admit.
-    pub runs_to_completion: bool,
+    /// No `return`: no thread stops early of its own accord.
+    pub no_return: bool,
+    /// No division or remainder by a non-literal and no `for` step that is
+    /// not a non-zero constant: nothing can raise `DivByZero`.
+    pub no_div_by_zero: bool,
     /// The tree-walk computes what the forms say: every `__syncthreads()`
     /// sits under launch-uniform control flow (no divergence trap) and no
     /// integer cast narrower than 64 bits is looked through (no wrap).
@@ -171,7 +184,8 @@ impl KernelAccesses {
             out: KernelAccesses {
                 list: Vec::new(),
                 loops: BTreeMap::new(),
-                runs_to_completion: true,
+                no_return: true,
+                no_div_by_zero: true,
                 faithful: true,
             },
             guards: Vec::new(),
@@ -196,6 +210,12 @@ impl KernelAccesses {
             .iter()
             .enumerate()
             .filter_map(|(i, a)| Some((i, a.written_param()?, a)))
+    }
+
+    /// No thread stops, and no block faults other than out of bounds, before
+    /// it has made every access its guards admit.
+    pub fn runs_to_completion(&self) -> bool {
+        self.no_return && self.no_div_by_zero
     }
 }
 
@@ -273,7 +293,7 @@ impl Walker<'_> {
                 let literal_divisor = matches!(&**rhs, Expr::IntConst(c) if *c != 0)
                     || matches!(&**rhs, Expr::FloatConst(_));
                 if matches!(op, BinOp::Div | BinOp::Rem) && !literal_divisor {
-                    self.out.runs_to_completion = false;
+                    self.out.no_div_by_zero = false;
                 }
                 let short_circuit = matches!(op, BinOp::LAnd | BinOp::LOr);
                 self.expr(lhs, conditional);
@@ -362,18 +382,17 @@ impl Walker<'_> {
                     for e in [start, end, step] {
                         self.expr(e, false);
                         bounds = bounds.join(expr_variance(e, &self.variance));
-                        consts.extend(
-                            affine_of_expr(e, &self.forms)
-                                .filter(AffineForm::is_constant)
-                                .map(|f| f.constant),
-                        );
+                        let form = affine_of_expr(e, &self.forms);
+                        consts.push(form.filter(AffineForm::is_constant).map(|f| f.constant));
                     }
-                    if self
-                        .out
-                        .loops
-                        .insert(*var, consts.try_into().ok())
-                        .is_some()
-                    {
+                    // A step that may be zero faults like a division by zero.
+                    let step_const = consts[2].as_ref().and_then(Poly::as_const);
+                    if step_const.is_none_or(|c| c == 0) {
+                        self.out.no_div_by_zero = false;
+                    }
+                    let range = consts.into_iter().collect::<Option<Vec<_>>>();
+                    let range = range.and_then(|r| r.try_into().ok());
+                    if self.out.loops.insert(*var, range).is_some() {
                         self.unranged.push(*var);
                     }
                     let outer = self.variant_loop;
@@ -389,7 +408,7 @@ impl Walker<'_> {
                         self.out.faithful = false;
                     }
                 }
-                Stmt::Return => self.out.runs_to_completion = false,
+                Stmt::Return => self.out.no_return = false,
             }
         }
     }

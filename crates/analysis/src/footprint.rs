@@ -13,8 +13,7 @@
 //! buffer (the bounds rule of [`crate::verify::verify_launch`]), how many
 //! leading blocks pass a tail guard in every thread
 //! ([`crate::plan::full_blocks_under_guard`]), and which region each node
-//! gathers ([`crate::plan::plan_launch`], which asks the probe only what
-//! this value could not bound).
+//! gathers ([`crate::plan::plan_launch`], which reads nothing else).
 //!
 //! # The `Must` direction
 //!
@@ -44,7 +43,7 @@
 //! is read anywhere else, so an index that uses one is `Unknown` here.
 
 use crate::affine::{AffineForm, IdxVar};
-use crate::distributable::{Access, KernelAccesses, TailGuard};
+use crate::distributable::{Access, Comparison, GuardClass, KernelAccesses, TailGuard};
 use crate::poly::{Poly, Sym};
 use crate::range::Interval;
 use cucc_exec::Arg;
@@ -254,6 +253,14 @@ impl ResolvedForm {
             reach += s.abs() * n;
         }
         Some((lo, lo + reach))
+    }
+
+    /// Fix `var` at the value `at`. The form then takes a subset of its
+    /// offsets, which `span` and `gcd` still bound.
+    fn pin(&mut self, var: IdxVar, at: i128) {
+        if let Some(i) = self.dims.iter().position(|d| d.var == var) {
+            self.base += self.dims.remove(i).stride * at;
+        }
     }
 
     /// Every offset with a thread coordinate that produces it (loop
@@ -559,19 +566,60 @@ impl LaunchFootprints {
         fp
     }
 
-    /// The resolved index of write site `i` (`a` is `acc.list[i]`) where its
-    /// offset set is exactly what a full block stores: resolved, certain to
-    /// execute, guarded by tail guards only (a full block passes those in
-    /// every thread).
-    pub(crate) fn exact_write(&self, i: usize, a: &Access) -> Option<&ResolvedForm> {
-        match &self.sites[i] {
-            Site {
-                state: SiteState::Resolved(form),
-                loop_unknown: false,
-                ..
-            } if a.only_tail_guards() => Some(form),
-            _ => None,
+    /// The offsets write site `i` (`a` is `acc.list[i]`) stores in a full
+    /// block, where this launch makes that set exact: the index and every
+    /// enclosing loop resolve, and each guard conjunct on the path is passed
+    /// by threads known here. A tail guard passes every thread of a full
+    /// block; a launch-uniform comparison that holds at this launch passes
+    /// every thread; a per-thread equality whose `small − big` resolves to
+    /// `s·threadIdx.a + k` passes the one thread `t₀ = −k/s`, at which the
+    /// form's `a` dimension is pinned (equalities on different axes compose).
+    /// `Ok(None)`: the site never executes (an enclosing loop is empty, or no
+    /// thread of the block passes). `Err` names what is not exact.
+    pub(crate) fn exact_write(&self, i: usize, a: &Access) -> Result<Option<ResolvedForm>, String> {
+        let site = &self.sites[i];
+        let mut form = match &site.state {
+            SiteState::Dead => return Ok(None),
+            SiteState::Unresolved(why) => return Err(why.describe("write")),
+            SiteState::Resolved(_) if site.loop_unknown => {
+                return Err(Unresolved::LoopBounds.describe("write"))
+            }
+            SiteState::Resolved(form) => form.clone(),
+        };
+        let mut pinned = [None; 3];
+        for g in &a.guards {
+            if matches!(g.class, GuardClass::Tail(_)) {
+                continue;
+            }
+            let diff = |c: &Comparison| self.env.resolve(&c.small.sub(&c.big)).ok();
+            match (&g.class, g.cmp.as_ref().and_then(|c| Some((c, diff(c)?)))) {
+                (GuardClass::Uniform, Some((c, d))) if d.dims.is_empty() && c.holds(d.base) => {}
+                (GuardClass::Uniform, _) => {
+                    return Err("launch-uniform guard not true at this launch".into())
+                }
+                (GuardClass::PerThreadUniform, Some((c, d))) if c.eq && d.block == [0; 3] => {
+                    let [Dim {
+                        var: IdxVar::Thread(axis),
+                        stride,
+                        count,
+                    }] = d.dims[..]
+                    else {
+                        return Err("equality guard does not select one thread".into());
+                    };
+                    let t0 = -d.base / stride;
+                    if d.base % stride != 0 || !(0..count as i128).contains(&t0) {
+                        return Ok(None);
+                    }
+                    match pinned[axis as usize].replace(t0) {
+                        None => form.pin(IdxVar::Thread(axis), t0),
+                        Some(p) if p != t0 => return Ok(None),
+                        Some(_) => {}
+                    }
+                }
+                _ => return Err("guard selects threads other than by one equality".into()),
+            }
         }
+        Ok(Some(form))
     }
 
     /// Byte ranges of buffer `p` the launch is certain to write — the
@@ -582,7 +630,7 @@ impl LaunchFootprints {
     /// under its tail guards, and its set over the whole grid is gapless.
     /// Any other site contributes nothing.
     pub fn certain_writes(&self, acc: &KernelAccesses, p: ParamId) -> Vec<(u64, u64)> {
-        if !(acc.runs_to_completion && acc.faithful) {
+        if !(acc.runs_to_completion() && acc.faithful) {
             return Vec::new();
         }
         let grid = self.env.launch.grid;
@@ -590,6 +638,8 @@ impl LaunchFootprints {
         let exact = |(i, _, a): (usize, ParamId, &Access)| {
             let form = self
                 .exact_write(i, a)
+                .ok()
+                .flatten()
                 .filter(|_| a.tail_guards().all(all_full))?;
             let (lo, hi) = form.dense_over((0, 0, 0), [grid.x, grid.y, grid.z].map(u64::from))?;
             let (lo, elem) = (u64::try_from(lo).ok()?, a.elem_size as u64);

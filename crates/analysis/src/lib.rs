@@ -32,8 +32,8 @@
 //!   the module docs for the direction);
 //! * [`plan`] — launch-time resolution of the metadata into an executable
 //!   three-phase plan (full blocks, chunk granularity, gathered regions),
-//!   from the footprints where they are exact and from a three-chunk probe
-//!   where they are not;
+//!   read off the footprints alone, or the condition that keeps a launch
+//!   replicated;
 //! * [`oracle`] — a dynamic write-interval oracle that validates plans
 //!   against the formal definition of §6.1 (used by the test suite to prove
 //!   the static analysis sound);
@@ -98,8 +98,8 @@ pub struct KernelAnalysis {
     /// [`verify_accesses`]) without walking the kernel again.
     pub accesses: KernelAccesses,
     /// Whether buffer contents can change the kernel's control flow or
-    /// addresses ([`content_steered`]) — and with them what the launch-time
-    /// probe and the sampling profiler observe.
+    /// addresses ([`content_steered`]) — and with them what the sampling
+    /// profiler observes.
     pub content_steered: bool,
 }
 

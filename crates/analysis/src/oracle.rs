@@ -1,10 +1,10 @@
 //! Dynamic write-interval oracle.
 //!
 //! The static analysis is *sufficient but not necessary* (paper §6.2) and
-//! the launch-time probe only samples three chunks. This module provides the
-//! ground truth: it traces **every** block of a launch and checks the formal
-//! Allgather-distributable definition of §6.1 against a concrete
-//! [`ThreePhasePlan`]:
+//! the planner reads only the launch-resolved footprint. This module is the
+//! independent ground truth: it traces **every** block of a launch and
+//! checks the formal Allgather-distributable definition of §6.1 against a
+//! concrete [`ThreePhasePlan`]:
 //!
 //! 1. every phase-1 chunk writes exactly inside its own unit interval
 //!    (equal length, disjoint, no gaps — conditions 1–3 of the definition);

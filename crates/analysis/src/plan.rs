@@ -11,23 +11,24 @@
 //!   whose row-band footprints are dense);
 //! * the chunk footprints must be dense, equal-length and advance linearly
 //!   with the chunk index — the *balanced* and *in-place* requirements of
-//!   §6. The launch-resolved write footprint ([`crate::footprint`]) answers
-//!   that where it is exact; where it is not, a cheap **probe** (tracing
-//!   three representative chunks on a scratch memory copy) does. A kernel
-//!   that passes the static analysis but fails the probe falls back to
-//!   replicated execution, preserving correctness.
+//!   §6. They are read off the launch-resolved write footprint
+//!   ([`crate::footprint`]) alone: the planner reads no memory and runs no
+//!   block. A launch whose footprint does not prove them falls back to
+//!   replicated execution, naming the condition that failed
+//!   ([`ReplicationCause::Unproven`]).
 //!
-//! The probe is the runtime analogue of the paper's observation that
-//! "metadata values are based on symbolic analysis; thus, for programs with
-//! runtime-dependent values, CuCC can still perform the migration" (§5).
+//! This is the paper's observation that "metadata values are based on
+//! symbolic analysis; thus, for programs with runtime-dependent values, CuCC
+//! can still perform the migration" (§5): the symbols are resolved at launch.
+//! Whether a block can trap is not asked. A trapping block fails the launch
+//! under any plan with the same error, because each node runs its blocks in
+//! ascending order and the first error in node order is the one returned.
 
 use crate::distributable::{GatherBuffer, KernelMeta, TailGuard, Verdict};
 use crate::footprint::{LaunchEnv, LaunchFootprints, ResolvedForm};
-use crate::verify::{
-    analyze_block_races, analyze_bounds, param_extents, PropertyVerdict, Severity,
-};
+use crate::verify::{analyze_block_races, PropertyVerdict, Severity};
 use cucc_exec::interp::check_args;
-use cucc_exec::{execute_block_traced, Arg, MemPool, WriteRecord};
+use cucc_exec::{Arg, MemPool};
 use cucc_ir::{Kernel, LaunchConfig, ParamId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -51,10 +52,9 @@ pub enum ReplicationCause {
     NotDistributable(Vec<crate::distributable::Reason>),
     /// Tail guards leave no full blocks to distribute.
     NoFullBlocks,
-    /// The launch-time probe found footprints that are not dense translates.
-    ProbeMismatch(String),
-    /// Probe execution itself failed (e.g. out-of-bounds).
-    ProbeError(String),
+    /// The launch-resolved footprint does not prove the chunks balanced and
+    /// in place; the message names the condition that failed.
+    Unproven(String),
     /// The kernel verifier found a possible or proven inter-block
     /// write-write race: distributing would make the result depend on node
     /// execution order, so the launch is replicated instead.
@@ -80,8 +80,7 @@ impl fmt::Display for ReplicationCause {
                 write!(f, ")")
             }
             ReplicationCause::NoFullBlocks => write!(f, "no full blocks to distribute"),
-            ReplicationCause::ProbeMismatch(m) => write!(f, "probe mismatch: {m}"),
-            ReplicationCause::ProbeError(m) => write!(f, "probe failed: {m}"),
+            ReplicationCause::Unproven(m) => write!(f, "distribution not proven: {m}"),
             ReplicationCause::RaceHazard(sev, m) => write!(f, "{sev} write-race hazard: {m}"),
             ReplicationCause::NodeLoss(m) => write!(f, "node loss: {m}"),
         }
@@ -180,43 +179,34 @@ pub fn full_blocks_under_guard(
 /// Per-buffer `(base, len)` in bytes of what one chunk writes.
 type ChunkFootprint = BTreeMap<u32, (u64, u64)>;
 
-/// Choose the chunk granularity and the gathered regions from chunk
-/// footprints — the one statement of what the §6 *balanced, in-place*
-/// requirement asks of a launch. For each candidate granularity (single
-/// block, grid row, grid plane) `footprint(g, chunk)` says what chunks 0,
-/// middle and last-full write: one dense interval per buffer, or why not
-/// (inner `Err`: try the next candidate). The later chunks must be linear
-/// translates of chunk 0. `footprint` may also give up on the whole
-/// derivation (outer `Err`).
-fn derive_regions<E>(
+/// Each buffer's exact write sites, resolved against the launch; a buffer
+/// none of whose sites executes is absent.
+type ExactSites = BTreeMap<ParamId, Vec<ResolvedForm>>;
+
+/// Choose the chunk granularity and the gathered regions — the one
+/// statement of what the §6 *balanced, in-place* requirement asks of a
+/// launch. For each candidate granularity (single block, grid row, grid
+/// plane), chunks 0, middle and last-full must each write one dense
+/// interval per buffer ([`chunk_footprint`]), and the later chunks must be
+/// linear translates of chunk 0 (a chunk named twice is checked twice, to
+/// the same answer). `Err` says why the last candidate failed.
+fn derive_regions(
     launch: LaunchConfig,
     full_blocks: u64,
-    mut footprint: impl FnMut(u64, u64) -> Result<Result<ChunkFootprint, String>, E>,
-) -> Result<Result<ThreePhasePlan, String>, E> {
-    let gx = launch.grid.x as u64;
-    let mut candidates = vec![1u64];
-    if launch.grid.y > 1 {
-        candidates.push(gx);
-    }
-    if launch.grid.z > 1 {
-        candidates.push(gx * launch.grid.y as u64);
-    }
+    buffers: &[GatherBuffer],
+    sites: &ExactSites,
+) -> Result<ThreePhasePlan, String> {
+    let (gx, gy) = (launch.grid.x as u64, launch.grid.y as u64);
+    let candidates = [(true, 1), (gy > 1, gx), (launch.grid.z > 1, gx * gy)];
     let mut last_err = String::new();
-    'cand: for g in candidates {
+    'cand: for (_, g) in candidates.into_iter().filter(|c| c.0) {
         let full_chunks = full_blocks / g;
         if full_chunks == 0 {
             continue;
         }
-        let mut probes = vec![0u64];
-        if full_chunks > 2 {
-            probes.push(full_chunks / 2);
-        }
-        if full_chunks > 1 {
-            probes.push(full_chunks - 1);
-        }
         let mut baseline: Option<ChunkFootprint> = None;
-        for chunk in probes {
-            let fp = match footprint(g, chunk)? {
+        for chunk in [0, full_chunks / 2, full_chunks - 1] {
+            let fp = match chunk_footprint(launch, buffers, sites, g, chunk) {
                 Ok(fp) => fp,
                 Err(e) => {
                     last_err = e;
@@ -228,15 +218,11 @@ fn derive_regions<E>(
                 continue;
             };
             // Same buffers, same lengths, base advanced by chunk·unit.
-            if fp.len() != base.len() {
-                last_err = "chunks write different buffer sets".into();
+            if !fp.keys().eq(base.keys()) {
+                last_err = format!("chunk {chunk} writes other buffers than chunk 0");
                 continue 'cand;
             }
-            for (param, (b0, u0)) in base {
-                let Some((bc, uc)) = fp.get(param) else {
-                    last_err = format!("buffer p{param} missing in probe chunk");
-                    continue 'cand;
-                };
+            for ((param, (b0, u0)), (bc, uc)) in base.iter().zip(fp.values()) {
                 if uc != u0 || *bc != b0 + chunk * u0 {
                     last_err = format!(
                         "buffer p{param}: chunk {chunk} footprint ({bc},{uc}) is not \
@@ -256,107 +242,52 @@ fn derive_regions<E>(
             })
             .collect();
         if buffers.is_empty() {
-            last_err = "probe chunks wrote nothing".into();
+            last_err = "chunks write nothing".into();
             continue;
         }
-        return Ok(Ok(ThreePhasePlan {
+        return Ok(ThreePhasePlan {
             num_blocks: launch.num_blocks(),
             chunk_blocks: g,
             full_chunks,
             buffers,
-        }));
+        });
     }
-    Ok(Err(last_err))
+    Err(last_err)
 }
 
-/// Aggregate a write trace into per-buffer sorted, coalesced byte intervals.
-fn coalesce(trace: &[WriteRecord]) -> BTreeMap<u32, Vec<(u64, u64)>> {
-    let mut per_buf: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
-    for w in trace {
-        per_buf
-            .entry(w.param)
-            .or_default()
-            .push((w.byte_off, w.byte_off + w.bytes as u64));
-    }
-    for ranges in per_buf.values_mut() {
-        ranges.sort_unstable();
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-        for &(s, e) in ranges.iter() {
-            match out.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => out.push((s, e)),
-            }
-        }
-        *ranges = out;
-    }
-    per_buf
-}
-
-/// Trace one chunk (blocks `[chunk·g, (chunk+1)·g)`) on scratch memory and
-/// return its coalesced per-buffer write intervals.
-fn trace_chunk(
-    kernel: &Kernel,
+/// What chunk `chunk` of `g` blocks writes: per buffer, the union of its
+/// sites' exact intervals, which must be one gapless interval — or why not.
+fn chunk_footprint(
     launch: LaunchConfig,
-    chunk: u64,
-    g: u64,
-    args: &[Arg],
-    scratch: &mut MemPool,
-) -> Result<BTreeMap<u32, Vec<(u64, u64)>>, String> {
-    let mut trace = Vec::new();
-    for b in chunk * g..(chunk + 1) * g {
-        execute_block_traced(kernel, launch, b, args, scratch, &mut trace)
-            .map_err(|e| e.to_string())?;
-    }
-    Ok(coalesce(&trace))
-}
-
-/// Check a chunk trace is a single dense interval per gathered buffer and
-/// return `(base, len)` per buffer.
-fn dense_footprint(
-    intervals: &BTreeMap<u32, Vec<(u64, u64)>>,
     buffers: &[GatherBuffer],
-) -> Result<BTreeMap<u32, (u64, u64)>, String> {
-    let mut out = BTreeMap::new();
-    for (param, ranges) in intervals {
-        if !buffers.iter().any(|b| b.param.0 == *param) {
-            return Err(format!("write to unexpected buffer p{param}"));
-        }
-        match ranges.as_slice() {
-            [] => {}
-            [(s, e)] => {
-                out.insert(*param, (*s, e - s));
+    sites: &ExactSites,
+    g: u64,
+    chunk: u64,
+) -> Result<ChunkFootprint, String> {
+    let mut fp = ChunkFootprint::new();
+    for buf in buffers {
+        let (p, elem) = (buf.param.0, buf.elem_size as u64);
+        let Some(forms) = sites.get(&buf.param) else {
+            continue;
+        };
+        let gap = || format!("buffer p{p}: chunk {chunk} of {g} block(s) writes with a gap");
+        let mut spans = forms
+            .iter()
+            .map(|form| chunk_interval(form, launch, g, chunk).ok_or_else(gap))
+            .collect::<Result<Vec<_>, _>>()?;
+        spans.sort_unstable();
+        let (lo, mut hi) = spans[0];
+        for &(s, e) in &spans[1..] {
+            if s > hi + 1 {
+                return Err(gap());
             }
-            more => {
-                return Err(format!(
-                    "buffer p{param} footprint has {} disjoint intervals (not dense)",
-                    more.len()
-                ))
-            }
+            hi = hi.max(e);
         }
+        let len = (hi - lo + 1) as u64;
+        let lo = u64::try_from(lo).map_err(|_| format!("buffer p{p}: negative write offset"))?;
+        fp.insert(p, (lo * elem, len * elem));
     }
-    Ok(out)
-}
-
-/// The probe half of the region derivation: trace the deciding chunks on a
-/// scratch copy of `pool` and read their footprints off the write log.
-pub(crate) fn probe_regions(
-    kernel: &Kernel,
-    meta: &KernelMeta,
-    launch: LaunchConfig,
-    args: &[Arg],
-    pool: &MemPool,
-    full_blocks: u64,
-) -> Plan {
-    let mut scratch = pool.clone();
-    let traced = derive_regions(launch, full_blocks, |g, chunk| {
-        let intervals = trace_chunk(kernel, launch, chunk, g, args, &mut scratch)?;
-        Ok(dense_footprint(&intervals, &meta.buffers))
-    });
-    match traced {
-        Ok(Ok(plan)) => Plan::ThreePhase(plan),
-        Ok(Err(mismatch)) => Plan::Replicated(ReplicationCause::ProbeMismatch(mismatch)),
-        Err(trap) => Plan::Replicated(ReplicationCause::ProbeError(trap)),
-    }
+    Ok(fp)
 }
 
 /// The exact element interval `form` writes over chunk `chunk` of `g`
@@ -377,78 +308,48 @@ fn chunk_interval(
     form.dense_over(launch.grid.delinearize(chunk * g), extent)
 }
 
-/// The static half of the region derivation: read `(base, unit)` per
-/// gathered buffer off the resolved write sites. Answers only where the
-/// footprint *proves* what the probe checks, and then with the probe's
-/// answer; `None` hands the question to the probe. The conditions:
+/// Read `(base, unit)` per gathered buffer off the resolved write sites.
+/// The conditions, the failing one named in the `Err`:
 ///
-/// * no `return`, no division by a non-literal, no barrier under
-///   non-uniform control, no narrowing integer cast — in a full block
-///   every thread and iteration performs every store the forms say;
-/// * every write site resolved, certain to execute and guarded by tail
-///   guards only (full blocks pass those in every thread), so its offset
-///   set is *exactly* what the chunk writes;
-/// * each site's chunk set gapless (a gap another site of the buffer might
-///   fill is undecided), so the buffer's footprint is the union of the
-///   sites' intervals, judged by `derive_regions` as the probe's is;
-/// * the bounds rule `Safe` at the pool's real extents, so no traced block
-///   could have trapped.
-pub(crate) fn static_regions(
+/// * no `return`, no barrier under non-uniform control, no narrowing
+///   integer cast — in a full block every thread and iteration that does
+///   not trap performs every store the forms say;
+/// * every write site exact ([`LaunchFootprints::exact_write`]), so its
+///   offset set is what the chunk writes;
+/// * for some chunk granularity, each buffer's sites gapless over the chunk
+///   and their union one interval that advances by one unit per chunk
+///   ([`derive_regions`]).
+fn static_regions(
     kernel: &Kernel,
     meta: &KernelMeta,
     fps: &LaunchFootprints,
     args: &[Arg],
-    pool: &MemPool,
     full_blocks: u64,
-) -> Option<ThreePhasePlan> {
+) -> Result<ThreePhasePlan, String> {
     let acc = &meta.accesses;
-    if !(acc.runs_to_completion && acc.faithful) {
-        return None;
+    if !acc.no_return {
+        return Err("a thread may `return` before its stores".into());
     }
-    let mut sites: BTreeMap<ParamId, Vec<&ResolvedForm>> = BTreeMap::new();
-    for (i, param, a) in acc.writes() {
-        sites.entry(param).or_default().push(fps.exact_write(i, a)?);
+    if !acc.faithful {
+        return Err("a barrier under non-uniform control or a narrowing integer cast".into());
     }
-    let launch = fps.env.launch;
-    let gapped = || Ok(Err(String::new()));
-    let plan = derive_regions(launch, full_blocks, |g, chunk| {
-        let mut fp = ChunkFootprint::new();
-        for buf in &meta.buffers {
-            let forms = &sites[&buf.param];
-            let mut spans = Vec::with_capacity(forms.len());
-            for form in forms {
-                match chunk_interval(form, launch, g, chunk) {
-                    Some(span) => spans.push(span),
-                    None if forms.len() == 1 => return gapped(),
-                    None => return Err(()),
-                }
-            }
-            spans.sort_unstable();
-            let (lo, mut hi) = spans[0];
-            for &(s, e) in &spans[1..] {
-                if s > hi + 1 {
-                    return gapped();
-                }
-                hi = hi.max(e);
-            }
-            let (lo, len) = (u64::try_from(lo).map_err(|_| ())?, (hi - lo + 1) as u64);
-            let elem = buf.elem_size as u64;
-            fp.insert(buf.param.0, (lo * elem, len * elem));
+    check_args(kernel, args).map_err(|e| e.to_string())?;
+    let mut sites = ExactSites::new();
+    for (n, (i, param, a)) in acc.writes().enumerate() {
+        let form = fps
+            .exact_write(i, a)
+            .map_err(|why| format!("write #{n}: {why}"))?;
+        if let Some(form) = form {
+            sites.entry(param).or_default().push(form);
         }
-        Ok(Ok(fp))
-    });
-    let plan = plan.ok()?.ok()?;
-    // The probe would have passed this candidate — unless it trapped.
-    check_args(kernel, args).ok()?;
-    let extents = param_extents(kernel, args, pool);
-    let (bounds, _) = analyze_bounds(kernel, acc, fps, args, &extents, false, None);
-    bounds.is_safe().then_some(plan)
+    }
+    derive_regions(fps.env.launch, full_blocks, &meta.buffers, &sites)
 }
 
 /// What must hold before regions are worth deriving: every tail guard
 /// resolves, at least one block is full, and no two blocks may write one
 /// element. Returns the launch-resolved footprints and the full-block count.
-pub(crate) fn admit(
+fn admit(
     kernel: &Kernel,
     meta: &KernelMeta,
     launch: LaunchConfig,
@@ -458,10 +359,9 @@ pub(crate) fn admit(
     // Resolve tail guards to the full-block count.
     let mut full_blocks = launch.num_blocks();
     for g in &meta.tail_guards {
-        let unresolved = "tail guard not resolvable for this launch";
-        let full = fps.env.full_blocks(g);
-        full_blocks =
-            full_blocks.min(full.ok_or(ReplicationCause::ProbeMismatch(unresolved.into()))?);
+        let unresolved =
+            || ReplicationCause::Unproven("tail guard not resolvable for this launch".into());
+        full_blocks = full_blocks.min(fps.env.full_blocks(g).ok_or_else(unresolved)?);
     }
     if full_blocks == 0 {
         return Err(ReplicationCause::NoFullBlocks);
@@ -488,27 +388,27 @@ pub(crate) fn admit(
     Ok((fps, full_blocks))
 }
 
-/// Build the launch-time plan. See the module docs for the algorithm; the
-/// gathered regions come from `static_regions` where the footprint is
-/// exact and from `probe_regions` otherwise — one answer either way.
+/// Build the launch-time plan from the kernel, the launch and the argument
+/// list; see the module docs for the algorithm. `_pool` is not read: the
+/// plan is a function of the footprint, which no memory content changes.
+/// The parameter stays so that callers keep one signature.
 pub fn plan_launch(
     kernel: &Kernel,
     verdict: &Verdict,
     launch: LaunchConfig,
     args: &[Arg],
-    pool: &MemPool,
+    _pool: &MemPool,
 ) -> Plan {
     let Verdict::Distributable(meta) = verdict else {
         let reasons = verdict.reasons().to_vec();
         return Plan::Replicated(ReplicationCause::NotDistributable(reasons));
     };
-    let (fps, full_blocks) = match admit(kernel, meta, launch, args) {
-        Ok(admitted) => admitted,
-        Err(cause) => return Plan::Replicated(cause),
-    };
-    match static_regions(kernel, meta, &fps, args, pool, full_blocks) {
-        Some(plan) => Plan::ThreePhase(plan),
-        None => probe_regions(kernel, meta, launch, args, pool, full_blocks),
+    let planned = admit(kernel, meta, launch, args).and_then(|(fps, full_blocks)| {
+        static_regions(kernel, meta, &fps, args, full_blocks).map_err(ReplicationCause::Unproven)
+    });
+    match planned {
+        Ok(plan) => Plan::ThreePhase(plan),
+        Err(cause) => Plan::Replicated(cause),
     }
 }
 
@@ -642,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn strided_write_fails_probe_and_replicates() {
+    fn strided_write_is_unproven_and_replicates() {
         // Dense per thread but strided per block: footprints interleave and
         // no chunk granularity fixes it.
         let src = "__global__ void k(int* out) {
@@ -652,10 +552,33 @@ mod tests {
             let out = p.alloc_elems(Scalar::I32, 32);
             vec![Arg::Buffer(out)]
         });
-        assert!(matches!(
+        assert_eq!(
             plan,
-            Plan::Replicated(ReplicationCause::ProbeMismatch(_))
-        ));
+            Plan::Replicated(ReplicationCause::Unproven(
+                "buffer p0: chunk 0 of 1 block(s) writes with a gap".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn plans_read_no_memory() {
+        // The same launch over an empty pool and over one holding the
+        // buffers: the plan is the footprint's.
+        let k = parse_kernel(LISTING1).unwrap();
+        let verdict = analyze_kernel(&k);
+        let launch = LaunchConfig::cover1(1200, 256);
+        let mut pool = MemPool::new();
+        let args = vec![
+            Arg::Buffer(pool.alloc(1200)),
+            Arg::Buffer(pool.alloc(1200)),
+            Arg::int(1200),
+        ];
+        let plan = plan_launch(&k, &verdict, launch, &args, &pool);
+        assert!(plan.three_phase().is_some());
+        assert_eq!(
+            plan_launch(&k, &verdict, launch, &args, &MemPool::new()),
+            plan
+        );
     }
 
     #[test]

@@ -146,10 +146,10 @@ pub fn expr_variance(e: &Expr, vars: &[Variance]) -> Variance {
 
 /// Whether memory contents can steer the kernel: a loaded value reaches a
 /// branch condition, a loop bound, the deciding side of a short-circuit, a
-/// select condition or a memory index. The launch-time probe and the
-/// sampling profiler observe exactly control flow and addresses, so a
-/// kernel without this flag plans identically under any buffer contents —
-/// and one with it may not, so its schedules are never cached.
+/// select condition or a memory index. The sampling profiler observes
+/// exactly control flow and addresses, so a kernel without this flag plans
+/// identically under any buffer contents — and one with it may not, so its
+/// schedules are never cached.
 pub fn content_steered(kernel: &Kernel) -> bool {
     let v = var_variance(kernel);
     let loaded = |e: &Expr| expr_variance(e, &v).loaded;

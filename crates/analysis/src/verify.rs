@@ -496,7 +496,7 @@ pub fn analyze_block_races(
             if nblocks < 2 {
                 continue; // single block: no inter-block pair exists
             }
-            let pair = check_pair(a, b, launch, acc.runs_to_completion);
+            let pair = check_pair(a, b, launch, acc.runs_to_completion());
             verdict = verdict.join(pair.verdict);
             if let Some(msg) = pair.message {
                 if diagnostics.len() < DIAG_CAP {
@@ -847,7 +847,7 @@ pub(crate) fn analyze_bounds(
     map: Option<&SourceMap>,
 ) -> (PropertyVerdict, Vec<Diagnostic>) {
     let launch = fps.env.launch;
-    let must_eligible = acc.runs_to_completion;
+    let must_eligible = acc.runs_to_completion();
     // Bytecode range-analysis facts for MAY→Safe discharge, built lazily on
     // the first finding the affine rule cannot prove (it compiles the
     // kernel, so the common all-Safe path never pays for it).
@@ -1530,6 +1530,23 @@ mod tests {
         );
         assert_eq!(r.bounds, PropertyVerdict::Must);
         assert_eq!(r.race, PropertyVerdict::May, "{r:?}");
+    }
+
+    #[test]
+    fn zero_step_loop_demotes_race_to_may() {
+        // With `s == 0` every thread faults in the loop header, before the
+        // racing store: no block writes `out[0]`, so no MUST claim.
+        let r = check(
+            "__global__ void k(int* out, int s) {
+                for (int i = 0; i < 1; i += s) {}
+                out[0] = 1;
+            }",
+            LaunchConfig::new(4u32, 8u32),
+            vec![Arg::Buffer(BufferId(0)), Arg::int(0)],
+            vec![Some(1), None],
+        );
+        assert_eq!(r.race, PropertyVerdict::May, "{r:?}");
+        assert!(!r.render().contains("MUST[race]"), "{}", r.render());
     }
 
     #[test]

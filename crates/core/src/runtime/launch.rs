@@ -92,7 +92,7 @@ impl CuccCluster {
             return Ok((sched, None));
         }
         let (sched, prog) = self.plan_on(ck, launch, args, nodes)?;
-        // Contents can change what such a kernel's probe and profile see,
+        // Contents can change what such a kernel's profile sees,
         // and no key holds contents: it plans fresh on every lookup.
         if !ck.analysis.content_steered {
             self.schedule_cache.insert(key, sched.clone());
@@ -115,7 +115,7 @@ impl CuccCluster {
         // whose time has come enter the communicator before planning.
         self.process_joins()?;
         // A graph-external launch must see fully gathered memory: the
-        // planner probes node memory and the grid may read anywhere.
+        // profiler samples node memory and the grid may read anywhere.
         self.materialize_args(args);
         let (sched, prog) = self.plan_cached_on(ck, launch, args, self.active_nodes())?;
         // Nothing else is in flight, so the network floor is the clock

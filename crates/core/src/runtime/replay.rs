@@ -202,7 +202,7 @@ impl CuccCluster {
         }
         // Writes: only a same-geometry gathered region may overwrite a
         // pending buffer (each node then rewrites exactly its own slice,
-        // which the probe proved dense and slice-local).
+        // which the planner proved dense and slice-local).
         if sched.writes.contains(&id) {
             let matching = plan.buffers.iter().any(|r| {
                 matches!(args.get(r.param.index()), Some(Arg::Buffer(b)) if *b == id)

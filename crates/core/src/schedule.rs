@@ -94,7 +94,7 @@ impl LaunchSchedule {
 
 /// One launch argument, reduced to the exact bits that influence
 /// planning. Scalars are fingerprinted by bit pattern (so `-0.0` and
-/// `0.0` — which the probe and profiler can distinguish through guards —
+/// `0.0` — which the planner and profiler can distinguish through guards —
 /// hash differently), buffers by identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ArgFingerprint {
@@ -105,7 +105,7 @@ enum ArgFingerprint {
 
 /// Exactly what [`plan_schedule`] reads that can differ between two
 /// launches on one cluster: which compilation, the launch geometry, the
-/// argument bits the launch-time probe resolves, the **active node count**
+/// argument bits the launch-time planner resolves, the **active node count**
 /// (the function takes a count, not a membership: *which* nodes are dead
 /// changes nothing, *how many* are alive changes every partition) and the
 /// knobs the cost model consults. `spec.cpu`, `spec.net` and `spec.jitter`
@@ -114,9 +114,9 @@ enum ArgFingerprint {
 /// Two lookups with equal keys get `PartialEq`-identical
 /// [`LaunchSchedule`]s. Node memory is the one input no key can hold
 /// ([`CuccCluster::sim_mut`] hands out the pools), so it is settled by
-/// analysis instead: the probe and the profiler observe control flow and
-/// addresses only, and a kernel whose contents can steer either
-/// ([`cucc_analysis::KernelAnalysis::content_steered`]) is never inserted —
+/// analysis instead: the planner reads no memory, the profiler observes
+/// control flow and addresses only, and a kernel whose contents can steer
+/// them ([`cucc_analysis::KernelAnalysis::content_steered`]) is never inserted —
 /// every lookup for it misses and plans fresh, at every door.
 ///
 /// [`CuccCluster::sim_mut`]: crate::runtime::CuccCluster::sim_mut
@@ -159,7 +159,7 @@ pub fn schedule_key(
 
 /// Memoizes [`plan_schedule`] results behind the one planning door
 /// ([`CuccCluster::plan_cached`]): every launch, replayed launch and
-/// serving-clock lookup pays the planner, probe and sampling profiler once
+/// serving-clock lookup pays the planner and sampling profiler once
 /// per distinct key.
 ///
 /// A membership change evicts nothing: a death changes the node count in
@@ -304,10 +304,9 @@ pub(crate) fn compile_certified(
 }
 
 /// Run planner + profiler + cost model for one launch. Pure: reads node
-/// memory (for the launch-time probe and the sampling profiler, both on
-/// scratch copies) but mutates nothing. The profiler runs the launch's
-/// certified program on the compiled engine
-/// ([`cucc_exec::profile_program`]).
+/// memory (for the sampling profiler, on a scratch copy) but mutates
+/// nothing. The profiler runs the launch's certified program on the
+/// compiled engine ([`cucc_exec::profile_program`]).
 pub fn plan_schedule(
     ck: &CompiledKernel,
     launch: LaunchConfig,

@@ -106,7 +106,7 @@ struct Interval {
 
 /// Coalesce one block's raw write records into maximal intervals, keeping
 /// atomic and non-atomic runs separate.
-fn coalesce(block: u64, records: &[WriteRecord], out: &mut Vec<Interval>) {
+fn block_intervals(block: u64, records: &[WriteRecord], out: &mut Vec<Interval>) {
     let mut sorted: Vec<&WriteRecord> = records.iter().collect();
     sorted.sort_by_key(|r| (r.param, r.atomic, r.byte_off));
     let mut cur: Option<Interval> = None;
@@ -172,7 +172,7 @@ pub fn sanitize_launch(
         }
         report.blocks += 1;
         report.writes += trace.len() as u64;
-        coalesce(block, &trace, &mut intervals);
+        block_intervals(block, &trace, &mut intervals);
     }
 
     // Sweep for overlaps between intervals of *different* blocks.

@@ -230,8 +230,8 @@ pub fn heteromark_kernels() -> Vec<CoverageKernel> {
             // distributable analysis accepts the affine form, but the kernel
             // verifier proves a MUST-level inter-block write-write race
             // (adjacent blocks share `out[b*(blockDim.x-1)+blockDim.x-1]`),
-            // so the planner vetoes distribution before the launch-time
-            // probe even runs (classified Overlap).
+            // so the planner vetoes distribution before it derives any
+            // region (classified Overlap).
             "__global__ void sw(float* out) {
                 int id = blockIdx.x * (blockDim.x - 1) + threadIdx.x;
                 out[id] = 1.0f;

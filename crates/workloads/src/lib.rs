@@ -30,9 +30,9 @@ pub use triton::{triton_kernels, CoverageKernel, Expected};
 
 /// Classify a coverage kernel the way Figure 7 does: run the static
 /// Allgather-distributable analysis, then (for statically distributable
-/// kernels) the launch-time probe on the kernel's sample launch. Kernels
-/// whose footprints overlap only dynamically (halo writes) are caught by
-/// the probe.
+/// kernels) the launch-time planner on the kernel's sample launch. Kernels
+/// whose footprints overlap only at a launch (halo writes) are caught by
+/// the planner's race veto.
 pub fn classify_coverage(k: &CoverageKernel) -> Result<Expected, String> {
     use cucc_analysis::{plan_launch, Plan, Reason};
     use cucc_exec::{Arg, MemPool};
@@ -51,7 +51,7 @@ pub fn classify_coverage(k: &CoverageKernel) -> Result<Expected, String> {
             Expected::Overlap
         });
     }
-    // Statically distributable: confirm with the launch-time probe.
+    // Statically distributable: confirm with the launch-time planner.
     let mut pool = MemPool::new();
     let mut args = Vec::new();
     let (mut bi, mut si) = (0usize, 0usize);

@@ -175,3 +175,103 @@ fn oob_kernel_reports_not_corrupts() {
         "other memory untouched"
     );
 }
+
+/// A launch that traps fails with the error it fails with replicated: each
+/// node runs its blocks in ascending order and the first error in node
+/// order is returned, so the planner distributes without asking whether a
+/// block can trap. Each kernel is planned three-phase and traps somewhere
+/// else; on 1, 3 and 4 nodes, eager and replayed, its error is `Debug`-equal
+/// to that of the same kernel forced replicated, and the sentinel buffers
+/// around its operands stay intact on every node.
+#[test]
+fn trapping_launches_fail_as_they_do_replicated() {
+    use cucc::analysis::{plan_launch, Plan, Reason, Verdict};
+    use cucc::core::{CompiledKernel, GraphCapture};
+    use cucc::exec::MemPool;
+
+    // 8 blocks of 32 threads; the tail kernel's guard leaves 7 full blocks.
+    let kernels = [
+        (
+            "oob read in every block",
+            "out[id] = in[id + n];",
+            1_000_000,
+        ),
+        (
+            "integer trap at one thread of block 3",
+            "out[id] = in[id] + (float)(n / (id - 100));",
+            1,
+        ),
+        (
+            "trap in the tail callback block only",
+            "if (id < n) out[id] = in[id] + (float)(1 / (id - 240));",
+            250,
+        ),
+        (
+            "division by n = 0",
+            "out[id] = in[id] + (float)(id / n);",
+            0,
+        ),
+        // Blocks 3 and 5 trap on different nodes, and neither is profiled:
+        // the index names which block's error the launch returns.
+        (
+            "oob reads in blocks 3 and 5",
+            "out[id] = in[blockIdx.x == 3 || blockIdx.x == 5 ? id + n : id];",
+            1_000_000,
+        ),
+    ];
+    let launch = LaunchConfig::new(8u32, 32u32);
+    for (what, body, n) in kernels {
+        let ck = compile_source(&format!(
+            "__global__ void k(float* in, float* out, int n) {{
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                {body}
+            }}"
+        ))
+        .unwrap();
+        let mut replicated = ck.clone();
+        replicated.analysis.verdict = Verdict::Trivial(vec![Reason::AtomicWrite]);
+        for nodes in [1, 3, 4] {
+            let run = |ck: &CompiledKernel, replay: bool| {
+                let mut cl = CuccCluster::with_options(
+                    ClusterSpec::simd_focused().with_nodes(nodes),
+                    RuntimeConfig::default(),
+                );
+                let before = cl.alloc(64);
+                let (input, out) = (cl.alloc(256 * 4), cl.alloc(256 * 4));
+                let after = cl.alloc(64);
+                for s in [before, after] {
+                    cl.upload(s, &[0xABu8; 64]).unwrap();
+                }
+                let args = [Arg::Buffer(input), Arg::Buffer(out), Arg::int(n)];
+                let plan = plan_launch(
+                    &ck.kernel,
+                    &ck.analysis.verdict,
+                    launch,
+                    &args,
+                    &MemPool::new(),
+                );
+                let err = if replay {
+                    let mut cap = GraphCapture::new();
+                    cap.launch(ck, launch, &args);
+                    cl.graph_replay(&cap.finish()).unwrap_err()
+                } else {
+                    cl.launch(ck, launch, &args).unwrap_err()
+                };
+                for s in [before, after] {
+                    assert!(cl.sim().consistent(s), "{what}: sentinel diverged");
+                    assert_eq!(cl.download::<u8>(s).unwrap(), vec![0xAB; 64], "{what}");
+                }
+                (matches!(plan, Plan::ThreePhase(_)), format!("{err:?}"))
+            };
+            for replay in [false, true] {
+                let (distributed, err) = run(&ck, replay);
+                assert!(distributed, "{what}: not planned three-phase");
+                assert_eq!(
+                    (false, err),
+                    run(&replicated, replay),
+                    "{what} on {nodes} node(s), replay {replay}"
+                );
+            }
+        }
+    }
+}
