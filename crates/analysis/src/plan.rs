@@ -346,15 +346,37 @@ fn static_regions(
     derive_regions(fps.env.launch, full_blocks, &meta.buffers, &sites)
 }
 
-/// What must hold before regions are worth deriving: every tail guard
-/// resolves, at least one block is full, and no two blocks may write one
-/// element. Returns the launch-resolved footprints and the full-block count.
+/// A gathered buffer that is bound to a second buffer parameter too. The
+/// footprint speaks per parameter, so it cannot see a block read, through
+/// the other name, what another block wrote — on another node, that read
+/// finds a stale copy. Names both parameters.
+fn aliased_write(kernel: &Kernel, meta: &KernelMeta, args: &[Arg]) -> Option<String> {
+    let name = |i: usize| kernel.params[i].name();
+    meta.buffers.iter().find_map(|gb| {
+        let w = gb.param.index();
+        let bound = *args.get(w)?;
+        let other = (0..args.len()).find(|&i| i != w && args[i] == bound)?;
+        Some(format!(
+            "written buffer `{}` is also bound to `{}`",
+            name(w),
+            name(other)
+        ))
+    })
+}
+
+/// What must hold before regions are worth deriving: no gathered buffer is
+/// bound to two parameters, every tail guard resolves, at least one block
+/// is full, and no two blocks may write one element. Returns the
+/// launch-resolved footprints and the full-block count.
 fn admit(
     kernel: &Kernel,
     meta: &KernelMeta,
     launch: LaunchConfig,
     args: &[Arg],
 ) -> Result<(LaunchFootprints, u64), ReplicationCause> {
+    if let Some(why) = aliased_write(kernel, meta, args) {
+        return Err(ReplicationCause::Unproven(why));
+    }
     let fps = LaunchFootprints::of(&meta.accesses, launch, args);
     // Resolve tail guards to the full-block count.
     let mut full_blocks = launch.num_blocks();
@@ -485,6 +507,20 @@ mod tests {
         let p32 = tp.partition(32);
         assert_eq!(p32.partial_blocks_per_node, 9);
         assert_eq!(p32.callback_blocks, 25);
+    }
+
+    #[test]
+    fn written_buffer_bound_twice_replicates_naming_both() {
+        let plan = plan_for(LISTING1, LaunchConfig::cover1(1024, 256), |p| {
+            let buf = p.alloc(1024);
+            vec![Arg::Buffer(buf), Arg::Buffer(buf), Arg::int(1024)]
+        });
+        assert_eq!(
+            plan,
+            Plan::Replicated(ReplicationCause::Unproven(
+                "written buffer `dest` is also bound to `src`".into()
+            ))
+        );
     }
 
     #[test]

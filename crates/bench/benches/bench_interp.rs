@@ -6,15 +6,18 @@
 //! Two kernel sets, both written to `BENCH_interp.json` at the repository
 //! root so docs and CI can quote the numbers:
 //!
-//! * `micro` — three straight-line kernels (elementwise SAXPY, a
-//!   shared-memory tile reverse with a barrier, a compute-bound Horner
-//!   polynomial) whose launches exactly cover their data, on a 128-block and
+//! * `micro` — four straight-line kernels (elementwise SAXPY out of place
+//!   and in place, a shared-memory tile reverse with a barrier, a
+//!   compute-bound Horner polynomial) whose launches exactly cover their
+//!   data, on a 128-block and
 //!   a 4096-block grid, at 1, 2, 4 and 8 requested intra-node workers capped
 //!   at the host's core count (more chunks than cores only measures
 //!   oversubscription). `lane_blocks_per_sec` includes the per-launch
 //!   compile; the `*_run_*` columns hoist compile + range analysis out of
-//!   the timed region, so `elide_speedup` isolates the elision effect. The
-//!   kernels are out-of-place, so repetitions share one cache-warm pool.
+//!   the timed region, so `elide_speedup` isolates the elision effect.
+//!   Repetitions share one cache-warm pool; `saxpy_inplace` updates `y`
+//!   there, which moves its values between repetitions but no instruction
+//!   it runs.
 //! * `builtin` — all 42 built-in kernels (8 perf-suite at `Scale::Test`, 21
 //!   Triton, 13 Hetero-Mark) at their own launches, serial, run-only, every
 //!   repetition on a fresh copy of the initial memory.
@@ -27,8 +30,8 @@
 //! number means nothing without them.
 //!
 //! The harness doubles as the perf-regression smoke: it panics if lanes fail
-//! to beat thread-major execution on the saxpy or horner15 serial rows of
-//! either grid. (Certificate elision is reported — `elide_speedup` — but not
+//! to beat thread-major execution on the saxpy, saxpy_inplace or horner15
+//! serial rows of either grid. (Certificate elision is reported — `elide_speedup` — but not
 //! asserted: it reads 0.98–1.04 on `horner15`, inside one measurement's
 //! host noise.) Bit-identity of all four executions (stats and memory) is asserted
 //! for every kernel before anything is timed.
@@ -84,6 +87,23 @@ fn saxpy() -> Kernel {
         Expr::Var(g),
         a.clone()
             .mul(Expr::load(x, Expr::Var(g)))
+            .add(Expr::load(y, Expr::Var(g))),
+    );
+    b.finish()
+}
+
+/// `y[g] = a * x[g] + y[g]` — the in-place SAXPY that `JobServer` serves:
+/// `y` is loaded and stored in one segment, each thread at its own index.
+fn saxpy_inplace() -> Kernel {
+    let mut b = KernelBuilder::new("saxpy_inplace");
+    let x = b.buffer("x", Scalar::F32);
+    let y = b.buffer("y", Scalar::F32);
+    let a = b.scalar("a", Scalar::F32);
+    let g = global_tid(&mut b);
+    b.store(
+        y,
+        Expr::Var(g),
+        a.mul(Expr::load(x, Expr::Var(g)))
             .add(Expr::load(y, Expr::Var(g))),
     );
     b.finish()
@@ -333,7 +353,7 @@ fn micro_rows(c: &Case, reps: usize) -> Vec<String> {
         // Perf-regression smoke, serial row: lanes must not lose to
         // thread-major execution on the dense compute kernels they were
         // built for.
-        if workers == 1 && matches!(c.name.as_str(), "saxpy" | "horner15") {
+        if workers == 1 && matches!(c.name.as_str(), "saxpy" | "saxpy_inplace" | "horner15") {
             assert!(
                 lane_run >= detached_run,
                 "{}/{nblocks}: lanes regressed below thread-major ({lane_run:.0} < \
@@ -388,6 +408,7 @@ fn main() {
     let mut micro = Vec::new();
     for (name, kernel) in [
         ("saxpy", saxpy()),
+        ("saxpy_inplace", saxpy_inplace()),
         ("tile_reverse", tile_reverse()),
         ("horner15", horner15()),
     ] {

@@ -31,8 +31,8 @@ use crate::interp::{
 use crate::memory::BufferId;
 use crate::stats::intrinsic_weight;
 use cucc_ir::{
-    AtomicOp, Axis, BinOp, Expr, Intrinsic, Kernel, LaunchConfig, MemRef, MemSpace, Scalar, Stmt,
-    UnOp, Value, ValueKind,
+    AtomicOp, Axis, BinOp, Dim3, Expr, Intrinsic, Kernel, LaunchConfig, MemRef, MemSpace, Scalar,
+    Stmt, UnOp, Value, ValueKind,
 };
 
 /// Register index into a thread's register file. Registers `0..num_vars`
@@ -323,9 +323,15 @@ impl Program {
         // registers sit above the constants), so they must build after
         // `finish_regs` relocates the pooled registers.
         let tid_base = const_base + c.consts.len() as u32;
+        let pools = Pools {
+            const_base,
+            consts: &c.consts,
+            tids: &c.tids,
+            block: launch.block,
+        };
         let mut lane_plans = Vec::new();
         for_each_seg(&mut phases, &mut |start, end, batch, stage| {
-            *batch = seg_batchable(&c.code, &c.slots, start, end);
+            *batch = seg_batchable(&c.code, &c.slots, &pools, start, end);
             if *batch != BatchKind::No {
                 lane_plans.push(LanePlan { start, end });
             }
@@ -1469,53 +1475,51 @@ pub enum BatchKind {
 /// Divergence then reduces to predication: a thread that jumped ahead sits
 /// out instructions until its resume point, and `Return` retires it.
 ///
-/// Memory accesses to non-local slots must not interleave observably
-/// (locals are thread-private, so per-thread program order — which
-/// batching preserves — is all they need):
+/// Memory accesses to one memory object — a global buffer, whichever
+/// parameters it is bound to, or a shared array — must not interleave
+/// observably (locals are thread-private, so per-thread program order —
+/// which batching preserves — is all they need):
 ///
-/// * a loaded slot has no stores and no atomics in the range: every load
+/// * a loaded object has no stores and no atomics in the range: every load
 ///   then sees segment-entry state, exactly as in the oracle, where a
-///   thread's own earlier stores are the only ones it could observe;
-/// * at most one plain `Store` instruction per slot (and no atomics on
+///   thread's own earlier stores are the only ones it could observe — or
+///   it is accessed *in place* ([`in_place`]): one store, and every access
+///   at one thread-injective index, so each thread only ever sees its own
+///   element and per-thread program order is again all that matters;
+/// * at most one plain `Store` instruction per object (and no atomics on
 ///   it): a single instruction's thread-ascending writes leave the same
 ///   last-writer-per-element as the thread-major order, but two store
 ///   sites can swap order under divergence (`out[0] = 1` by all threads
 ///   then `out[0] = 2` by thread 0 only must end at 1, not 2);
-/// * a slot's atomics either come from a single instruction (its
+/// * an object's atomics either come from a single instruction (its
 ///   thread-ascending order *is* the oracle order), or all share one op on
-///   an integer element: atomic results are discarded (`AtomicRmw` has no
-///   destination register), so only the final accumulated value matters,
-///   and wrapping-int add/min/max are order-independent — float add is
-///   non-associative and float min/max can flip `±0.0` bits, so multiple
-///   float atomic sites stay thread-major.
-fn seg_batchable(code: &[Inst], slots: &[Option<MemSlotInfo>], start: u32, end: u32) -> BatchKind {
-    struct SlotUse {
+///   one integer element type: atomic results are discarded (`AtomicRmw`
+///   has no destination register), so only the final accumulated value
+///   matters, and wrapping-int add/min/max are order-independent — float
+///   add is non-associative and float min/max can flip `±0.0` bits, so
+///   multiple float atomic sites stay thread-major.
+fn seg_batchable(
+    code: &[Inst],
+    slots: &[Option<MemSlotInfo>],
+    pools: &Pools,
+    start: u32,
+    end: u32,
+) -> BatchKind {
+    struct ObjUse {
+        obj: MemObj,
+        elem: Scalar,
+        /// Reached through slots of more than one element type.
+        mixed: bool,
         loaded: bool,
         stores: u32,
+        atomics: u32,
         atomic: Option<AtomicOp>,
-        atomic_ok: bool,
+        one_op: bool,
     }
-    let mut uses: Vec<SlotUse> = slots
-        .iter()
-        .map(|_| SlotUse {
-            loaded: false,
-            stores: 0,
-            atomic: None,
-            atomic_ok: true,
-        })
-        .collect();
-    let local = |slot: u32| {
-        matches!(
-            slots[slot as usize],
-            Some(MemSlotInfo {
-                kind: SlotKind::Local { .. },
-                ..
-            })
-        )
-    };
+    let mut uses: Vec<ObjUse> = Vec::new();
     let mut diverges = false;
     for pc in start..end {
-        match &code[pc as usize] {
+        let slot = match &code[pc as usize] {
             Inst::Jump { target }
             | Inst::JumpIfFalse { target, .. }
             | Inst::JumpIfTrue { target, .. } => {
@@ -1523,36 +1527,273 @@ fn seg_batchable(code: &[Inst], slots: &[Option<MemSlotInfo>], start: u32, end: 
                     return BatchKind::No;
                 }
                 diverges = true;
+                continue;
             }
-            Inst::Return => diverges = true,
+            Inst::Return => {
+                diverges = true;
+                continue;
+            }
             Inst::ForInit { .. } | Inst::ForNext { .. } => return BatchKind::No,
-            Inst::Load { slot, .. } if !local(*slot) => uses[*slot as usize].loaded = true,
-            Inst::Store { slot, .. } if !local(*slot) => uses[*slot as usize].stores += 1,
-            Inst::AtomicRmw { op, slot, .. } if !local(*slot) => {
-                let u = &mut uses[*slot as usize];
-                let commutes = slots[*slot as usize]
-                    .as_ref()
-                    .is_some_and(|i| i.elem.kind() == ValueKind::Int);
-                match u.atomic {
-                    None => u.atomic = Some(*op),
-                    Some(prev) if prev == *op && commutes => {}
-                    Some(_) => u.atomic_ok = false,
-                }
+            Inst::Load { slot, .. } | Inst::Store { slot, .. } | Inst::AtomicRmw { slot, .. } => {
+                *slot
             }
-            _ => {}
+            _ => continue,
+        };
+        let Some((obj, elem)) = mem_obj(slots, slot) else {
+            continue;
+        };
+        let i = uses.iter().position(|u| u.obj == obj).unwrap_or_else(|| {
+            uses.push(ObjUse {
+                obj,
+                elem,
+                mixed: false,
+                loaded: false,
+                stores: 0,
+                atomics: 0,
+                atomic: None,
+                one_op: true,
+            });
+            uses.len() - 1
+        });
+        let u = &mut uses[i];
+        u.mixed |= u.elem != elem;
+        match &code[pc as usize] {
+            Inst::Load { .. } => u.loaded = true,
+            Inst::Store { .. } => u.stores += 1,
+            Inst::AtomicRmw { op, .. } => {
+                u.atomics += 1;
+                u.one_op &= *u.atomic.get_or_insert(*op) == *op;
+            }
+            _ => unreachable!("matched a memory instruction above"),
         }
     }
     let safe = uses.iter().all(|u| {
-        u.atomic_ok
-            && !(u.loaded && (u.stores > 0 || u.atomic.is_some()))
+        let atomics_ok =
+            u.atomics <= 1 || (u.one_op && !u.mixed && u.elem.kind() == ValueKind::Int);
+        let hazard = u.loaded && (u.stores > 0 || u.atomics > 0);
+        atomics_ok
             && u.stores <= 1
-            && !(u.stores == 1 && u.atomic.is_some())
+            && !(u.stores == 1 && u.atomics > 0)
+            && (!hazard
+                || (u.atomics == 0 && !u.mixed && in_place(code, slots, pools, start, end, u.obj)))
     });
     match (safe, diverges) {
         (false, _) => BatchKind::No,
         (true, true) => BatchKind::Predicated,
         (true, false) => BatchKind::Dense,
     }
+}
+
+/// One memory object a slot reaches: two buffer parameters bound to one
+/// buffer are one object, so hazards are keyed by this, not by slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MemObj {
+    Global(BufferId),
+    Shared(u32),
+}
+
+/// The object and element type behind `slot`; `None` for a local array
+/// (thread-private, never a hazard).
+fn mem_obj(slots: &[Option<MemSlotInfo>], slot: u32) -> Option<(MemObj, Scalar)> {
+    let info = slots[slot as usize]
+        .as_ref()
+        .expect("an accessed slot has metadata");
+    let obj = match info.kind {
+        SlotKind::Global { buf } => MemObj::Global(buf),
+        SlotKind::Shared { idx } => MemObj::Shared(idx),
+        SlotKind::Local { .. } => return None,
+    };
+    Some((obj, info.elem))
+}
+
+/// What the in-place rule reads besides the code: the launch-invariant
+/// register pools (final layout) and the block shape.
+struct Pools<'a> {
+    const_base: u32,
+    consts: &'a [Value],
+    tids: &'a [Axis],
+    block: Dim3,
+}
+
+/// The in-place exception to the load/store hazard, for an object with one
+/// `Store`, no atomics and one element type: every access to `obj` in
+/// `code[start..end)` takes its index from one register `r`, `r` is not
+/// written between the first access and the last, and at the first access
+/// `r` is thread-injective ([`index_form`], [`injective`]). Each thread
+/// then reads and writes an element no other thread of the block touches,
+/// so inst-major order shows every thread exactly its own program order.
+fn in_place(
+    code: &[Inst],
+    slots: &[Option<MemSlotInfo>],
+    pools: &Pools,
+    start: u32,
+    end: u32,
+    obj: MemObj,
+) -> bool {
+    let (mut r, mut first, mut last) = (None, start, start);
+    for pc in start..end {
+        let (Inst::Load { slot, idx, .. } | Inst::Store { slot, idx, .. }) = &code[pc as usize]
+        else {
+            continue;
+        };
+        if mem_obj(slots, *slot).map(|(o, _)| o) != Some(obj) {
+            continue;
+        }
+        if r.is_none() {
+            first = pc;
+        }
+        if *r.get_or_insert(*idx) != *idx {
+            return false;
+        }
+        last = pc;
+    }
+    let Some(r) = r else { return false };
+    let written = |pc: u32| {
+        let mut w = false;
+        inst_regs(&code[pc as usize], |reg, write| w |= write && reg == r);
+        w
+    };
+    !(first..last).any(written)
+        && index_form(code, pools, start, first, r).is_some_and(|c| injective(c, pools.block))
+}
+
+/// `r`'s value at `code[at]` as `u + Σ c[a]·threadIdx.a` with `u` uniform
+/// in the block: `Some(c)`, or `None` when the form is not derivable. A
+/// forward scan from the segment start through `Tid`, `Bid`, pooled
+/// constants, `Copy`, integer `Add`/`Sub`, `Mul` with one constant (or
+/// uniform) side and `MulAdd`; any other write — a load, a float, a cast, a
+/// division — leaves its destination unknown, as does any write a forward
+/// jump can skip (the value then depends on the path a thread took).
+/// Registers live into the segment are unknown, except the pools.
+fn index_form(code: &[Inst], pools: &Pools, start: u32, at: u32, r: Reg) -> Option<[i64; 3]> {
+    /// `tid·threadIdx + u`; `k = Some(u)` when `u` is a known constant
+    /// (then `tid` is zero).
+    #[derive(Clone, Copy)]
+    struct Form {
+        tid: [i64; 3],
+        k: Option<i64>,
+    }
+    const UNIFORM: Form = Form {
+        tid: [0; 3],
+        k: None,
+    };
+    fn axis(a: Axis) -> Form {
+        let mut tid = [0; 3];
+        tid[a as usize] = 1;
+        Form { tid, k: None }
+    }
+    fn konst(v: Value) -> Option<Form> {
+        let Value::I64(i) = v else { return None };
+        Some(Form {
+            tid: [0; 3],
+            k: Some(i),
+        })
+    }
+    fn lin(a: Form, b: Form, sign: i64) -> Option<Form> {
+        let mut tid = a.tid;
+        for (t, c) in tid.iter_mut().zip(b.tid) {
+            *t = t.checked_add(c.checked_mul(sign)?)?;
+        }
+        let k =
+            a.k.zip(b.k)
+                .map(|(x, y)| x.wrapping_add(y.wrapping_mul(sign)));
+        Some(Form { tid, k })
+    }
+    fn mul(a: Form, b: Form) -> Option<Form> {
+        let (f, m) = match (a.k, b.k) {
+            (_, Some(m)) => (a, m),
+            (Some(m), _) => (b, m),
+            // Two unknown uniform values multiply to a uniform value.
+            _ if a.tid == [0; 3] && b.tid == [0; 3] => return Some(UNIFORM),
+            _ => return None,
+        };
+        let mut tid = f.tid;
+        for t in &mut tid {
+            *t = t.checked_mul(m)?;
+        }
+        let k = f.k.map(|v| v.wrapping_mul(m));
+        Some(Form { tid, k })
+    }
+    let tid_base = pools.const_base + pools.consts.len() as u32;
+    // Forms written in this scan (latest last); pooled registers are never
+    // written, so a miss falls back to the pools.
+    let mut forms: Vec<(Reg, Option<Form>)> = Vec::new();
+    let get =
+        |forms: &[(Reg, Option<Form>)], reg: Reg| match forms.iter().rev().find(|f| f.0 == reg) {
+            Some(f) => f.1,
+            None if reg >= tid_base => pools.tids.get((reg - tid_base) as usize).map(|a| axis(*a)),
+            None if reg >= pools.const_base => {
+                konst(pools.consts[(reg - pools.const_base) as usize])
+            }
+            None => None,
+        };
+    let mut reach = start;
+    for pc in start..at {
+        let inst = &code[pc as usize];
+        let skippable = reach > pc;
+        if let Inst::Jump { target }
+        | Inst::JumpIfFalse { target, .. }
+        | Inst::JumpIfTrue { target, .. } = inst
+        {
+            reach = reach.max(*target);
+            continue;
+        }
+        let f = |reg| get(&forms, reg);
+        let (dst, form) = match inst {
+            Inst::Tid { dst, axis: a } => (*dst, Some(axis(*a))),
+            Inst::Bid { dst, .. } => (*dst, Some(UNIFORM)),
+            Inst::Const { dst, v, .. } => (*dst, konst(*v)),
+            Inst::Copy { dst, src } => (*dst, f(*src)),
+            Inst::Binary { dst, op, lhs, rhs } => {
+                let form = f(*lhs).zip(f(*rhs)).and_then(|(a, b)| match op {
+                    BinOp::Add => lin(a, b, 1),
+                    BinOp::Sub => lin(a, b, -1),
+                    BinOp::Mul => mul(a, b),
+                    _ => None,
+                });
+                (*dst, form)
+            }
+            Inst::MulAdd { dst, a, b, c } => {
+                let ab = f(*a).zip(f(*b)).and_then(|(a, b)| mul(a, b));
+                (*dst, ab.zip(f(*c)).and_then(|(ab, c)| lin(ab, c, 1)))
+            }
+            other => {
+                inst_regs(other, |reg, write| {
+                    if write {
+                        forms.push((reg, None));
+                    }
+                });
+                continue;
+            }
+        };
+        forms.push((dst, if skippable { None } else { form }));
+    }
+    get(&forms, r).map(|f| f.tid)
+}
+
+/// Does `threadIdx ↦ Σ c[a]·threadIdx.a` give every thread of a `block`
+/// a distinct value (mod 2⁶⁴, the engine's wrapping arithmetic)? Taking
+/// the axes with extent > 1 by ascending `|c|`, each `|c|` must exceed the
+/// widest span the axes before it reach, `Σ |c|·(extent − 1)` — a
+/// mixed-radix numbering. For a 1-D block: `c.x ≠ 0`.
+fn injective(c: [i64; 3], block: Dim3) -> bool {
+    let mut axes: Vec<(u64, u64)> = [Axis::X, Axis::Y, Axis::Z]
+        .into_iter()
+        .filter(|a| block.get(*a) > 1)
+        .map(|a| (c[a as usize].unsigned_abs(), u64::from(block.get(a) - 1)))
+        .collect();
+    axes.sort_unstable();
+    let mut span: u64 = 0;
+    for (c, extent) in axes {
+        if c <= span {
+            return false;
+        }
+        let Some(s) = c.checked_mul(extent).and_then(|w| span.checked_add(w)) else {
+            return false;
+        };
+        span = s;
+    }
+    true
 }
 
 /// A batchable segment: the engine runs `code[start..end)` instruction-major

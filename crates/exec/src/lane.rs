@@ -22,10 +22,11 @@
 //!
 //! Chunk-major order (each chunk finishes the whole segment before the next
 //! chunk starts) is observationally equivalent to the oracle's thread-major
-//! order under `seg_batchable`'s hazard rules: loads only see segment-entry
-//! state, each slot has at most one store site (so stores from different
-//! lanes land ascending at distinct or last-writer-wins-identical indices
-//! exactly as the oracle's ascending thread loop), and atomics commute.
+//! order under `seg_batchable`'s hazard rules, keyed by memory object: loads
+//! only see segment-entry state or, in place, the thread's own element;
+//! each object has at most one store site (so stores from different lanes
+//! land ascending at distinct or last-writer-wins-identical indices exactly
+//! as the oracle's ascending thread loop), and atomics commute.
 //! Faults preserve the lowest-thread rule: a faulting lane retires itself
 //! and every lane above, lower lanes finish the segment and may overwrite the
 //! pending error with one the oracle hits first, and later chunks never

@@ -4,8 +4,11 @@
 //! reference device (which itself is verified against pure-Rust reference
 //! implementations inside `cucc-workloads`).
 
+use cucc::analysis::ReplicationCause;
 use cucc::cluster::ClusterSpec;
-use cucc::core::{compile_source, CuccCluster, ExecMode, RuntimeConfig};
+use cucc::core::{compile_source, CuccCluster, EngineKind, ExecMode, RuntimeConfig};
+use cucc::exec::Arg;
+use cucc::ir::LaunchConfig;
 use cucc::pgas::{PgasCluster, PgasConfig};
 use cucc::workloads::{perf_suite, run_reference_check, setup_args, Benchmark, Scale};
 
@@ -119,5 +122,44 @@ fn callback_counts_match_partition_arithmetic() {
             assert_eq!(callback_blocks, 1);
         }
         other => panic!("unexpected mode {other:?}"),
+    }
+}
+
+/// One buffer bound to both `in` and `out` of `out[i + 1] = in[i] + 1`:
+/// every block reads what the block before it wrote, so the launch must
+/// not be distributed. It replicates, naming both parameters, and memory is
+/// the same ramp on 1 and 4 nodes under either engine.
+#[test]
+fn aliased_written_buffer_replicates() {
+    let ck = compile_source(
+        "__global__ void shift(float* in, float* out, int n) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i + 1 < n) out[i + 1] = in[i] + 1.0f;
+        }",
+    )
+    .unwrap();
+    let n = 4096usize;
+    let launch = LaunchConfig::cover1(n as u64, 256);
+    let ramp: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    for engine in [EngineKind::TreeWalk, EngineKind::Lane] {
+        for nodes in [1u32, 4] {
+            let what = format!("{engine:?} on {nodes} node(s)");
+            let config = RuntimeConfig::default().engine(engine);
+            let mut cl = CuccCluster::with_options(simd_cluster(nodes), config);
+            let buf = cl.alloc(n * 4);
+            cl.upload(buf, &vec![0f32; n]).unwrap();
+            let args = [Arg::Buffer(buf), Arg::Buffer(buf), Arg::int(n as i64)];
+            let report = cl.launch(&ck, launch, &args).unwrap();
+            match &report.mode {
+                ExecMode::Replicated {
+                    cause: ReplicationCause::Unproven(why),
+                } => assert!(
+                    why.contains("`out`") && why.contains("`in`"),
+                    "{what}: {why}"
+                ),
+                other => panic!("{what}: {other:?}"),
+            }
+            assert_eq!(cl.download::<f32>(buf).unwrap(), ramp, "{what}");
+        }
     }
 }

@@ -18,6 +18,10 @@
 //! 3. **Elementwise kernels** — each block writes a disjoint slice, so the
 //!    intra-node parallel path (`run_range_parallel`) must also reproduce
 //!    oracle memory and stats exactly, for any worker count.
+//! 4. **In-place kernels** — family 3 with `out` read back at the store's
+//!    own index, so every segment loads and stores `out` and must still run
+//!    on lanes (`seg_batchable`'s in-place rule); near-misses of that rule
+//!    must stay thread-major.
 
 use cucc::analysis::{certify_program, global_extents};
 use cucc::exec::{
@@ -29,6 +33,7 @@ use cucc::ir::{
     VarId,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 const OUT_LEN: i64 = 128;
 const F_LEN: i64 = 32;
@@ -145,6 +150,9 @@ enum ER {
     Select(Box<ER>, Box<ER>, Box<ER>),
     CastI32(Box<ER>),
     Min(Box<ER>, Box<ER>),
+    /// `out[g]`, the element the family 4 store writes (built only by
+    /// [`redirect_out_reads`]).
+    OwnOut,
 }
 
 fn er() -> impl Strategy<Value = ER> {
@@ -256,6 +264,7 @@ fn build_expr(r: &ER, c: &Ctx) -> Expr {
         ER::Var(i) => Expr::Var(c.vars[*i as usize % c.vars.len()]),
         ER::LoadOut(i) => Expr::load(c.out, mask(build_expr(i, c), OUT_LEN)),
         ER::LoadF(i) => Expr::load(c.fbuf, mask(build_expr(i, c), F_LEN)),
+        ER::OwnOut => Expr::load(c.out, Expr::Var(c.vars[0])),
         ER::Add(a, b) => build_expr(a, c).add(build_expr(b, c)),
         ER::Sub(a, b) => build_expr(a, c).sub(build_expr(b, c)),
         ER::Mul(a, b) => build_expr(a, c).mul(build_expr(b, c)),
@@ -543,37 +552,42 @@ fn build_barrier(phs: &[PhR]) -> Kernel {
 // Family 3: elementwise kernels (disjoint writes → parallel workers legal).
 // ---------------------------------------------------------------------------
 
-/// Rewrite every `out` read into an `fbuf` read. Family 3 writes `out` from
+/// Rewrite every `out` read: into an `fbuf` read, or with `own` into a read
+/// of `out[g]`, the element the store writes. Family 3 writes `out` from
 /// concurrent workers: a load of `out` at an arbitrary masked index could
 /// observe another block's write (or not) depending on scheduling, so the
 /// oracle and the parallel path would legitimately diverge. `fbuf` is never
-/// written by this family, so reads from it are race-free.
-fn strip_out_reads(r: &ER) -> ER {
+/// written by these families, and `out[g]` only by thread `g`, so both
+/// reads are race-free.
+fn redirect_out_reads(r: &ER, own: bool) -> ER {
+    let re = |e: &ER| Box::new(redirect_out_reads(e, own));
     match r {
-        ER::LoadOut(i) => ER::LoadF(Box::new(strip_out_reads(i))),
-        ER::LoadF(i) => ER::LoadF(Box::new(strip_out_reads(i))),
-        ER::Add(a, b) => ER::Add(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
-        ER::Sub(a, b) => ER::Sub(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
-        ER::Mul(a, b) => ER::Mul(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
-        ER::Div(a, b) => ER::Div(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
-        ER::Rem(a, b) => ER::Rem(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
-        ER::Lt(a, b) => ER::Lt(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
-        ER::And(a, b) => ER::And(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
-        ER::Select(c, a, b) => ER::Select(
-            Box::new(strip_out_reads(c)),
-            Box::new(strip_out_reads(a)),
-            Box::new(strip_out_reads(b)),
-        ),
-        ER::CastI32(a) => ER::CastI32(Box::new(strip_out_reads(a))),
-        ER::Min(a, b) => ER::Min(Box::new(strip_out_reads(a)), Box::new(strip_out_reads(b))),
+        ER::LoadOut(_) if own => ER::OwnOut,
+        ER::LoadOut(i) | ER::LoadF(i) => ER::LoadF(re(i)),
+        ER::Add(a, b) => ER::Add(re(a), re(b)),
+        ER::Sub(a, b) => ER::Sub(re(a), re(b)),
+        ER::Mul(a, b) => ER::Mul(re(a), re(b)),
+        ER::Div(a, b) => ER::Div(re(a), re(b)),
+        ER::Rem(a, b) => ER::Rem(re(a), re(b)),
+        ER::Lt(a, b) => ER::Lt(re(a), re(b)),
+        ER::And(a, b) => ER::And(re(a), re(b)),
+        ER::Select(c, a, b) => ER::Select(re(c), re(a), re(b)),
+        ER::CastI32(a) => ER::CastI32(re(a)),
+        ER::Min(a, b) => ER::Min(re(a), re(b)),
         other => other.clone(),
     }
 }
 
-fn build_elementwise(val: &ER, guard: bool) -> Kernel {
-    let val = strip_out_reads(val);
+/// `out[g] = val` (family 3), or with `in_place` `out[g] = out[g] + val`
+/// with every `out` read in `val` at `g` too (family 4).
+fn build_elementwise(val: &ER, guard: bool, in_place: bool) -> Kernel {
+    let val = redirect_out_reads(val, in_place);
     let val = &val;
-    let mut b = KernelBuilder::new("rnd_elementwise");
+    let mut b = KernelBuilder::new(if in_place {
+        "rnd_in_place"
+    } else {
+        "rnd_elementwise"
+    });
     let out = b.buffer("out", Scalar::I64);
     let fbuf = b.buffer("fbuf", Scalar::F32);
     let p = b.scalar("p", Scalar::I32);
@@ -595,11 +609,11 @@ fn build_elementwise(val: &ER, guard: bool) -> Kernel {
         vars,
     };
     let store = |b: &mut KernelBuilder, c: &Ctx| {
-        b.store(
-            c.out,
-            Expr::Var(g),
-            Expr::cast(Scalar::I64, build_expr(val, c)),
-        );
+        let mut v = Expr::cast(Scalar::I64, build_expr(val, c));
+        if in_place {
+            v = Expr::load(c.out, Expr::Var(g)).add(v);
+        }
+        b.store(c.out, Expr::Var(g), v);
     };
     if guard {
         b.if_then(Expr::Var(g).lt(Expr::int(OUT_LEN)), |b| store(b, &c));
@@ -644,7 +658,7 @@ proptest! {
         workers in 2usize..6,
         grid in 2u32..9,
     ) {
-        let k = build_elementwise(&val, true);
+        let k = build_elementwise(&val, true, false);
         validate(&k).expect("generated kernels are valid");
         let launch = LaunchConfig::new(grid, 16u32);
         let (pool, args) = seed_pool();
@@ -657,6 +671,288 @@ proptest! {
             assert_same(&format!("{what} × {workers} workers"), &ra, &pool_a, &rb, &pool_b);
         }
     }
+}
+
+/// Family 4: in-place kernels — `out[g]` loaded and stored in one segment
+/// at the thread-injective `g` — run on lanes, never `scalar[`, and match
+/// the oracle three ways, serially and under parallel workers. Unguarded
+/// launches past `OUT_LEN` fault at the in-place load, so the lowest-thread
+/// rule is exercised too. Prints its case counts (`--nocapture`).
+#[test]
+fn in_place_kernels_batch_and_match_oracle() {
+    const CASES: u32 = 160;
+    let cases = (
+        er(),
+        any::<bool>(),
+        prop::sample::select(vec![16u32, 40]),
+        2u32..9,
+        2usize..6,
+    );
+    let (mut dense, mut pred, mut faulting) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = TestRng::for_case("in_place_kernels_batch_and_match_oracle", case);
+        let (val, guard, block, grid, workers) = cases.generate(&mut rng);
+        let k = build_elementwise(&val, guard, true);
+        validate(&k).expect("generated kernels are valid");
+        let launch = LaunchConfig::new(grid, block);
+        let (pool, args) = seed_pool();
+        let mut pool_a = pool.clone();
+        let ra = execute_launch(&k, launch, &args, &mut pool_a);
+        let prog = Program::compile(&k, launch, &args).unwrap();
+        let summary = prog.phase_summary();
+        assert!(!summary.contains("scalar["), "case {case}: {summary}");
+        if summary.contains("dense[") {
+            dense += 1;
+        } else {
+            pred += 1;
+        }
+        faulting += usize::from(ra.is_err());
+        let n = launch.num_blocks();
+        for (what, prog) in variants(&prog) {
+            let mut pool_b = pool.clone();
+            let rb = run_range(&prog, &mut pool_b, 0..n);
+            assert_same(&format!("case {case} {what}"), &ra, &pool_a, &rb, &pool_b);
+            let mut pool_c = pool.clone();
+            let rc = run_range_parallel(&prog, &mut pool_c, 0..n, workers);
+            let what = format!("case {case} {what} × {workers} workers");
+            assert_same(&what, &ra, &pool_a, &rc, &pool_c);
+        }
+    }
+    println!(
+        "in-place family: {CASES} cases, {dense} dense + {pred} pred + 0 scalar, \
+         {faulting} faulting (same error in every mode)"
+    );
+}
+
+/// Near-misses of the in-place rule: each loads and stores `out` in one
+/// segment, but not at one thread-injective index held in one register, so
+/// the segment stays thread-major — and every mode still matches the
+/// oracle, memory included. Most are real hazards: lanes would diverge.
+#[test]
+fn in_place_near_misses_stay_thread_major() {
+    let x = LaunchConfig::new(1u32, 64u32);
+    let cases: [(&str, &str, LaunchConfig, usize); 6] = [
+        (
+            "the store's index is the load's plus one",
+            "out[t + 1] = out[t] + 1;",
+            x,
+            65,
+        ),
+        (
+            "the index is redefined between the load and the store",
+            "int i = t; long v = out[i]; i = (i * 5) % 64; out[i] = v + i;",
+            x,
+            64,
+        ),
+        (
+            "the index is written under a branch",
+            "int i = t; if (i % 2 == 0) i = i + 1; out[i] = out[i] + 1;",
+            x,
+            65,
+        ),
+        (
+            "a narrowing cast on the index",
+            "int i = (uchar)t; out[i] = out[i] + 1;",
+            LaunchConfig::new(1u32, 300u32),
+            256,
+        ),
+        (
+            "a 2-D block indexed by tid.x + tid.y",
+            "int i = threadIdx.x + threadIdx.y; out[i] = out[i] + 1;",
+            LaunchConfig::new(1u32, (8u32, 8u32)),
+            15,
+        ),
+        (
+            "two stores to the object",
+            "out[t] = out[t] + 1; out[t] = out[t] * 3;",
+            x,
+            64,
+        ),
+    ];
+    for (what, body, launch, len) in cases {
+        let k = cucc::ir::parse_kernel(&format!(
+            "__global__ void k(long* out) {{
+                int t = threadIdx.x;
+                {body}
+            }}"
+        ))
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let mut pool = MemPool::new();
+        let out = pool.alloc_elems(Scalar::I64, len);
+        let init: Vec<u8> = (0..len as i64)
+            .flat_map(|i| (i * 3 - 7).to_le_bytes())
+            .collect();
+        pool.write_all(out, &init);
+        let args = vec![Arg::Buffer(out)];
+        let summary = Program::compile(&k, launch, &args).unwrap().phase_summary();
+        assert!(summary.starts_with("scalar["), "{what}: {summary}");
+        let (ra, _) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        assert!(ra.is_ok(), "{what}: {ra:?}");
+    }
+}
+
+/// One buffer bound to both `in` and `out` of `out[i + 1] = in[i] + 1`: the
+/// hazard is on the buffer, not on either parameter, so the segment stays
+/// thread-major and every thread reads its predecessor's write.
+#[test]
+fn aliased_buffer_arguments_match_oracle() {
+    let k = cucc::ir::parse_kernel(
+        "__global__ void shift(float* in, float* out, int n) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i + 1 < n) out[i + 1] = in[i] + 1.0f;
+        }",
+    )
+    .unwrap();
+    let launch = LaunchConfig::cover1(64, 32);
+    let mut pool = MemPool::new();
+    let buf = pool.alloc_elems(Scalar::F32, 64);
+    let args = vec![Arg::Buffer(buf), Arg::Buffer(buf), Arg::int(64)];
+    let mut pool_a = pool.clone();
+    let ra = execute_launch(&k, launch, &args, &mut pool_a);
+    let ramp: Vec<f32> = (0..64).map(|i| i as f32).collect();
+    assert_eq!(pool_a.read_f32(buf), ramp);
+    let prog = Program::compile(&k, launch, &args).unwrap();
+    let summary = prog.phase_summary();
+    assert!(summary.starts_with("scalar["), "{summary}");
+    for (what, prog) in variants(&prog) {
+        let mut pool_b = pool.clone();
+        let rb = run_range(&prog, &mut pool_b, 0..launch.num_blocks());
+        assert_same(what, &ra, &pool_a, &rb, &pool_b);
+    }
+}
+
+/// The two kernels `JobServer` serves update `y` in place; at the launch
+/// shapes it serves (128-thread blocks, exact and tail grids) no segment
+/// runs thread-major, and all three ways agree, serially and chunked.
+#[test]
+fn serve_kernels_run_on_lanes() {
+    for src in cucc::core::JobServer::KERNELS {
+        let k = cucc::ir::parse_kernel(src).unwrap();
+        for elems in [512u32, 1000, 2048] {
+            let launch = LaunchConfig::cover1(u64::from(elems), 128);
+            let mut pool = MemPool::new();
+            let (x, y) = (
+                pool.alloc_elems(Scalar::F32, elems as usize),
+                pool.alloc_elems(Scalar::F32, elems as usize),
+            );
+            let ramp = |a: f32| (0..elems).map(|i| i as f32 * a - 3.0).collect::<Vec<_>>();
+            pool.write_f32(x, &ramp(0.25));
+            pool.write_f32(y, &ramp(-0.5));
+            let args = vec![
+                Arg::Buffer(x),
+                Arg::Buffer(y),
+                Arg::float(1.5),
+                Arg::int(i64::from(elems)),
+            ];
+            let mut pool_a = pool.clone();
+            let ra = execute_launch(&k, launch, &args, &mut pool_a);
+            assert!(ra.is_ok(), "{ra:?}");
+            let prog = Program::compile(&k, launch, &args).unwrap();
+            let summary = prog.phase_summary();
+            assert!(!summary.contains("scalar["), "{}: {summary}", k.name);
+            for (what, prog) in variants(&prog) {
+                let mut pool_b = pool.clone();
+                let rb = run_range(&prog, &mut pool_b, 0..launch.num_blocks());
+                assert_same(what, &ra, &pool_a, &rb, &pool_b);
+                let mut pool_c = pool.clone();
+                let rc = run_range_parallel(&prog, &mut pool_c, 0..launch.num_blocks(), 3);
+                assert_same(&format!("{what} chunked"), &ra, &pool_a, &rc, &pool_c);
+            }
+        }
+    }
+}
+
+/// The phase schedule of every builtin kernel at its own launch, pinned:
+/// the in-place rule moved none of them (their `scalar[` segments loop).
+#[test]
+fn builtin_phase_summaries_are_pinned() {
+    const PINNED: [(&str, &str); 42] = [
+        ("Transpose", "dense[0..9] bar dense[9..18]"),
+        ("FIR", "scalar[0..17]"),
+        ("Kmeans", "scalar[0..31]"),
+        ("BinomialOption", "scalar[0..39]"),
+        ("EP", "scalar[0..19]"),
+        ("GA", "scalar[0..26] bar scalar[26..39]"),
+        ("BlackScholes", "scalar[0..62]"),
+        ("Conv2D", "scalar[0..27]"),
+        ("bert_embed_sum", "pred[0..13]"),
+        (
+            "bert_layernorm",
+            "dense[0..5] bar for(scalar[8..16] bar) dense[16..20] bar dense[20..26] bar \
+             for(scalar[29..37] bar) dense[37..49]",
+        ),
+        ("bert_qkv_bias", "pred[0..9]"),
+        ("bert_attn_scores", "scalar[0..20]"),
+        (
+            "bert_softmax",
+            "dense[0..6] bar for(scalar[9..17] bar) dense[17..19] bar dense[19..23] bar \
+             for(scalar[26..34] bar) dense[34..38]",
+        ),
+        ("bert_attn_context", "scalar[0..19]"),
+        ("bert_dense_gelu", "pred[0..15]"),
+        ("bert_residual_add", "pred[0..8]"),
+        ("bert_dropout", "pred[0..15]"),
+        ("bert_pooler_tanh", "pred[0..9]"),
+        ("bert_logits_bias", "pred[0..9]"),
+        ("bert_matmul_tile", "scalar[0..19]"),
+        ("vit_patch_embed", "scalar[0..18]"),
+        ("vit_pos_embed", "pred[0..8]"),
+        ("vit_cls_concat", "pred[0..11]"),
+        ("vit_layernorm", "scalar[0..31] bar dense[31..41]"),
+        (
+            "vit_attn_softmax",
+            "dense[0..8] bar for(scalar[11..19] bar) dense[19..23]",
+        ),
+        ("vit_gelu", "pred[0..17]"),
+        ("vit_mlp_fc", "scalar[0..19]"),
+        ("vit_scale_residual", "pred[0..8]"),
+        ("vit_token_pool", "scalar[0..17]"),
+        ("hm_aes_round", "scalar[0..20]"),
+        ("hm_fir", "scalar[0..17]"),
+        ("hm_kmeans", "scalar[0..31]"),
+        ("hm_ep", "scalar[0..19]"),
+        ("hm_ga", "scalar[0..26] bar scalar[26..39]"),
+        ("hm_blackscholes", "pred[0..16]"),
+        ("hm_background_extract", "pred[0..19]"),
+        ("hm_transpose", "dense[0..9] bar dense[9..18]"),
+        ("hm_histogram", "pred[0..6]"),
+        ("hm_pagerank_push", "pred[0..7]"),
+        ("hm_knn_min", "pred[0..8]"),
+        ("hm_sliding_window", "dense[0..4]"),
+        ("hm_scatter_bst", "pred[0..7]"),
+    ];
+    use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
+    let mut got = Vec::new();
+    let mut summarize = |name: &str, src: &str, launch, sizes: Vec<usize>, scalars: Vec<Arg>| {
+        let k = cucc::ir::parse_kernel(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut pool = MemPool::new();
+        let mut sizes = sizes.into_iter();
+        let mut scalars = scalars.into_iter();
+        let args: Vec<Arg> = k
+            .params
+            .iter()
+            .map(|p| match p.is_buffer() {
+                true => Arg::Buffer(pool.alloc(sizes.next().expect("a size per buffer"))),
+                false => scalars.next().expect("a value per scalar"),
+            })
+            .collect();
+        let prog = Program::compile(&k, launch, &args).unwrap_or_else(|e| panic!("{name}: {e}"));
+        got.push((name.to_string(), prog.phase_summary()));
+    };
+    for b in perf_suite(Scale::Test) {
+        let sizes = b.buffers().iter().map(Vec::len).collect();
+        let scalars = b.scalars().into_iter().map(Arg::Scalar).collect();
+        summarize(b.name(), &b.source(), b.launch(), sizes, scalars);
+    }
+    for k in triton_kernels().into_iter().chain(heteromark_kernels()) {
+        let scalars = k.scalars.iter().copied().map(Arg::Scalar).collect();
+        summarize(k.name, &k.source, k.launch, k.buffer_bytes.clone(), scalars);
+    }
+    let want: Vec<(String, String)> = PINNED
+        .iter()
+        .map(|(n, s)| (n.to_string(), s.to_string()))
+        .collect();
+    assert_eq!(got, want);
 }
 
 /// Global atomics force the parallel path into its serial fallback; the
@@ -1675,6 +1971,48 @@ fn oracle_rules() -> Vec<Rule> {
             "dense[",
         ));
     }
+    // In place on lanes: thread `t` loads and stores `out[t]` in one dense
+    // segment. A load past the end faults at lane 4 of the second chunk:
+    // every thread below it has stored, none above.
+    rules.push(rule(
+        "an out-of-bounds in-place load faults at the lowest thread",
+        "__global__ void k(long* out) {
+            int t = threadIdx.x;
+            out[t] = out[t] + 1;
+        }",
+        32,
+        vec![Buf::I64((0..20).collect())],
+        oob("out", 20, 20),
+        Out::I64((1..21).collect()),
+        "dense[",
+    ));
+    // A fault between an in-place load and its store: the threads below the
+    // faulting one have stored, the faulting one and those above have not.
+    let div: Vec<i64> = tids(16).map(|t| if t == 9 { 0 } else { t + 1 }).collect();
+    rules.push(rule(
+        "a division by zero between an in-place load and its store",
+        "__global__ void k(long* out, long* in) {
+            int t = threadIdx.x;
+            long v = out[t];
+            long w = 100 / in[t];
+            out[t] = v + w;
+        }",
+        16,
+        vec![Buf::I64(tids(16).map(|t| t * 10).collect()), Buf::I64(div)],
+        Err(ExecError::DivByZero),
+        Out::I64(
+            tids(16)
+                .map(|t| {
+                    if t < 9 {
+                        t * 10 + 100 / (t + 1)
+                    } else {
+                        t * 10
+                    }
+                })
+                .collect(),
+        ),
+        "dense[",
+    ));
     rules
 }
 
