@@ -23,7 +23,7 @@
 //!   repetition on a fresh copy of the initial memory.
 //!
 //! `before` carries the serial run-only `tree`, `lane`, `detached` and
-//! `unchecked` columns of the six 1-worker micro rows and the 42 builtin
+//! `unchecked` columns of the eight 1-worker micro rows and the 42 builtin
 //! rows, measured at the commit it names — the parent of the last PR that
 //! touched the engine — on the host it names, under the protocol it states.
 //! The file records `host_cores`, and every row its grid and block size: a
@@ -31,7 +31,10 @@
 //!
 //! The harness doubles as the perf-regression smoke: it panics if lanes fail
 //! to beat thread-major execution on the saxpy, saxpy_inplace or horner15
-//! serial rows of either grid. (Certificate elision is reported — `elide_speedup` — but not
+//! serial rows of either grid or on the FIR, EP and BlackScholes builtin
+//! rows (loops inside the lane chunk), or fall below 0.9× of it on
+//! `vit_token_pool`, whose loop one lane of each block runs alone.
+//! (Certificate elision is reported — `elide_speedup` — but not
 //! asserted: it reads 0.98–1.04 on `horner15`, inside one measurement's
 //! host noise.) Bit-identity of all four executions (stats and memory) is asserted
 //! for every kernel before anything is timed.
@@ -51,7 +54,7 @@ const THREADS: u32 = 128;
 const GRIDS: [u32; 2] = [128, 4096];
 /// Requested worker counts; each is capped at [`host_cores`] before it runs.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// The 48-row sweep at the parent of the last engine PR (see the module
+/// The 50-row sweep at the parent of the last engine PR (see the module
 /// docs).
 const BEFORE: &str = include_str!("bench_interp_before.json");
 
@@ -382,6 +385,19 @@ fn builtin_row(c: &Case) -> String {
         run_only(&p.lane),
         run_only(&p.detached),
         run_only(&p.unchecked),
+    );
+    // Perf-regression smoke: loop kernels run on lanes, and a lone lane's
+    // loop runs thread-major inside the lane chunk.
+    let floor = match c.name.as_str() {
+        "FIR" | "EP" | "BlackScholes" => 1.0,
+        "vit_token_pool" => 0.9,
+        _ => 0.0,
+    };
+    assert!(
+        lane >= floor * detached,
+        "{}: lanes regressed below {floor}x thread-major ({lane:.0} < {detached:.0} blocks/s \
+         serial run-only)",
+        c.name,
     );
     let tpb = c.launch.threads_per_block();
     println!(

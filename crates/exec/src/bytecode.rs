@@ -1455,11 +1455,11 @@ fn expr_reads_var(e: &Expr, v: u32) -> bool {
 /// compile time by [`seg_batchable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchKind {
-    /// Thread-major only: the segment loops, or its memory accesses could
-    /// interleave observably under inst-major order.
+    /// Thread-major only: its memory accesses could interleave observably
+    /// under inst-major order, or its control flow leaves the segment.
     No,
-    /// Inst-major with per-thread predication (forward jumps / returns
-    /// divert individual threads).
+    /// Inst-major with per-thread predication (forward jumps, returns and
+    /// loop exits divert individual threads).
     Predicated,
     /// Inst-major with no control flow at all: every thread executes every
     /// instruction, so the engine can skip predication entirely.
@@ -1470,10 +1470,22 @@ pub enum BatchKind {
 /// (one dispatch per instruction, inner loop over threads) while staying
 /// bit-for-bit with the oracle's thread-major order? Two families of rules:
 ///
-/// Control flow must be forward-only inside the range — every jump target
-/// satisfies `pc < target <= end` and there is no `ForInit`/`ForNext`.
+/// Control flow must stay inside the range and loop only through `for`:
+/// every jump target satisfies `pc < target <= end`, every `ForInit` exit
+/// lies in `(pc, end]` and every `ForNext` back edge in `(start, pc]`.
 /// Divergence then reduces to predication: a thread that jumped ahead sits
-/// out instructions until its resume point, and `Return` retires it.
+/// out instructions until its resume point, a thread whose loop ended waits
+/// at its exit while the others iterate, and `Return` retires it.
+///
+/// Inside a loop body the lanes run *iteration-major*: iteration `k` of
+/// every lane of a chunk before iteration `k + 1` of any. Per-thread program
+/// order is unchanged, so registers and local arrays need nothing more. A
+/// store to a global or shared object inside a body is refused — two
+/// (thread, iteration) pairs hitting one address would swap their last
+/// writer — and an atomic there counts as two sites, so only the
+/// commutative rule below admits it. The in-place exception is for
+/// loop-free segments: its index scan is forward-only, and after a back
+/// edge "unchanged from first access to last" no longer holds.
 ///
 /// Memory accesses to one memory object — a global buffer, whichever
 /// parameters it is bound to, or a shared array — must not interleave
@@ -1518,7 +1530,11 @@ fn seg_batchable(
     }
     let mut uses: Vec<ObjUse> = Vec::new();
     let mut diverges = false;
+    // Loop bodies nest or follow one another, so `pc < loop_end` (the
+    // furthest `ForInit` exit seen so far) is exactly "inside a body".
+    let mut loop_end = start;
     for pc in start..end {
+        let in_loop = pc < loop_end;
         let slot = match &code[pc as usize] {
             Inst::Jump { target }
             | Inst::JumpIfFalse { target, .. }
@@ -1533,7 +1549,20 @@ fn seg_batchable(
                 diverges = true;
                 continue;
             }
-            Inst::ForInit { .. } | Inst::ForNext { .. } => return BatchKind::No,
+            Inst::ForInit { exit, .. } => {
+                if *exit <= pc || *exit > end {
+                    return BatchKind::No;
+                }
+                loop_end = loop_end.max(*exit);
+                diverges = true;
+                continue;
+            }
+            Inst::ForNext { back, .. } => {
+                if *back <= start || *back > pc {
+                    return BatchKind::No;
+                }
+                continue;
+            }
             Inst::Load { slot, .. } | Inst::Store { slot, .. } | Inst::AtomicRmw { slot, .. } => {
                 *slot
             }
@@ -1559,14 +1588,20 @@ fn seg_batchable(
         u.mixed |= u.elem != elem;
         match &code[pc as usize] {
             Inst::Load { .. } => u.loaded = true,
+            // Iteration-major order reorders a loop's stores across
+            // (thread, iteration) pairs, and with them the last writer.
+            Inst::Store { .. } if in_loop => return BatchKind::No,
             Inst::Store { .. } => u.stores += 1,
             Inst::AtomicRmw { op, .. } => {
-                u.atomics += 1;
+                // Each iteration is another site in effect: only the
+                // commutative one-op integer rule admits it.
+                u.atomics += if in_loop { 2 } else { 1 };
                 u.one_op &= *u.atomic.get_or_insert(*op) == *op;
             }
             _ => unreachable!("matched a memory instruction above"),
         }
     }
+    let loops = loop_end > start;
     let safe = uses.iter().all(|u| {
         let atomics_ok =
             u.atomics <= 1 || (u.one_op && !u.mixed && u.elem.kind() == ValueKind::Int);
@@ -1575,7 +1610,10 @@ fn seg_batchable(
             && u.stores <= 1
             && !(u.stores == 1 && u.atomics > 0)
             && (!hazard
-                || (u.atomics == 0 && !u.mixed && in_place(code, slots, pools, start, end, u.obj)))
+                || (!loops
+                    && u.atomics == 0
+                    && !u.mixed
+                    && in_place(code, slots, pools, start, end, u.obj)))
     });
     match (safe, diverges) {
         (false, _) => BatchKind::No,
@@ -1616,7 +1654,7 @@ struct Pools<'a> {
 }
 
 /// The in-place exception to the load/store hazard, for an object with one
-/// `Store`, no atomics and one element type: every access to `obj` in
+/// `Store`, no atomics, one element type and no loop: every access to `obj` in
 /// `code[start..end)` takes its index from one register `r`, `r` is not
 /// written between the first access and the last, and at the first access
 /// `r` is thread-injective ([`index_form`], [`injective`]). Each thread

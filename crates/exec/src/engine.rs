@@ -506,6 +506,50 @@ pub(crate) fn step<R: RegView + ?Sized, M: GlobalMem>(
     Ok(())
 }
 
+/// `ForInit` for one thread: normalise the bounds to `I64` in place (`sreg`
+/// doubles as the private induction register from here on), set the
+/// variable, and say whether the loop runs at least once. A zero step is
+/// `DivByZero`.
+#[inline]
+pub(crate) fn for_init<R: RegView + ?Sized>(
+    regs: &mut R,
+    var: Reg,
+    sreg: Reg,
+    ereg: Reg,
+    streg: Reg,
+) -> Result<bool, ExecError> {
+    let s = regs.get(sreg).as_i64();
+    let e = regs.get(ereg).as_i64();
+    let st = regs.get(streg).as_i64();
+    if st == 0 {
+        return Err(ExecError::DivByZero);
+    }
+    regs.set(sreg, Value::I64(s));
+    regs.set(ereg, Value::I64(e));
+    regs.set(streg, Value::I64(st));
+    regs.set(var, Value::I64(s));
+    Ok((st > 0 && s < e) || (st < 0 && s > e))
+}
+
+/// `ForNext` for one thread: advance the induction register and the
+/// variable (wrapping, like every other integer op) and say whether the loop
+/// goes on. The caller charges its 2 int ops (induction update + test).
+#[inline]
+pub(crate) fn for_next<R: RegView + ?Sized>(
+    regs: &mut R,
+    var: Reg,
+    ind: Reg,
+    ereg: Reg,
+    streg: Reg,
+) -> bool {
+    let st = regs.get(streg).as_i64();
+    let e = regs.get(ereg).as_i64();
+    let v = regs.get(ind).as_i64().wrapping_add(st);
+    regs.set(ind, Value::I64(v));
+    regs.set(var, Value::I64(v));
+    (st > 0 && v < e) || (st < 0 && v > e)
+}
+
 /// Run `code[start..end]` for one thread (a barrier-free segment, a
 /// uniform bounds/cond snippet, or a loop body range re-entered via
 /// jumps): the control flow is here, every data op is a [`step`].
@@ -562,19 +606,7 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 step: streg,
                 exit,
             } => {
-                let s = regs[*sreg as usize].as_i64();
-                let e = regs[*ereg as usize].as_i64();
-                let st = regs[*streg as usize].as_i64();
-                if st == 0 {
-                    return Err(ExecError::DivByZero);
-                }
-                // Normalize bounds to i64 once; `sreg` doubles as the
-                // private induction register from here on.
-                regs[*sreg as usize] = Value::I64(s);
-                regs[*ereg as usize] = Value::I64(e);
-                regs[*streg as usize] = Value::I64(st);
-                regs[*var as usize] = Value::I64(s);
-                if !((st > 0 && s < e) || (st < 0 && s > e)) {
+                if !for_init(regs, *var, *sreg, *ereg, *streg)? {
                     pc = *exit as usize;
                     continue;
                 }
@@ -587,13 +619,7 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 back,
             } => {
                 cx.stats.int_ops += 2; // induction update + test
-                let st = regs[*streg as usize].as_i64();
-                let e = regs[*ereg as usize].as_i64();
-                // Wraps like every other integer op.
-                let v = regs[*ind as usize].as_i64().wrapping_add(st);
-                regs[*ind as usize] = Value::I64(v);
-                regs[*var as usize] = Value::I64(v);
-                if (st > 0 && v < e) || (st < 0 && v > e) {
+                if for_next(regs, *var, *ind, *ereg, *streg) {
                     pc = *back as usize;
                     continue;
                 }

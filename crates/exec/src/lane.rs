@@ -27,14 +27,28 @@
 //! each object has at most one store site (so stores from different lanes
 //! land ascending at distinct or last-writer-wins-identical indices exactly
 //! as the oracle's ascending thread loop), and atomics commute.
+//!
+//! A barrier-free `for` runs inside the chunk, *iteration-major*: iteration
+//! `k` of every lane before iteration `k + 1` of any (a lane whose loop
+//! ended waits at the exit). Each lane still runs its own program order, so
+//! registers, local arrays and loads of objects the segment never writes
+//! cannot tell. Only the order between (thread, iteration) pairs changes,
+//! and it is observable only through an address two pairs write — which is
+//! why `seg_batchable` refuses a global or shared store in a loop body and
+//! admits an atomic there only under the commutative integer rule. A store
+//! outside every body runs once per lane, ascending, as before.
+//!
 //! Faults preserve the lowest-thread rule: a faulting lane retires itself
 //! and every lane above, lower lanes finish the segment and may overwrite the
 //! pending error with one the oracle hits first, and later chunks never
-//! start once an error is pending.
+//! start once an error is pending. In a loop that holds per iteration: a
+//! higher lane that faults in an earlier iteration is overwritten by a
+//! lower lane's later fault, which the oracle reaches first.
 
 use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SegStage, SlotKind};
 use crate::engine::{
-    cert_wrap, count_op, elem_off, oob, run_seg, slot_info, step, GlobalMem, RegView, ThreadCx,
+    cert_wrap, count_op, elem_off, for_init, for_next, oob, run_seg, slot_info, step, GlobalMem,
+    RegView, ThreadCx,
 };
 use crate::interp::{
     axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, ExecError,
@@ -676,7 +690,7 @@ impl<'p> LaneEngine<'p> {
                     body,
                 } => {
                     // Bounds evaluate once, on thread 0 (oracle semantics).
-                    self.seg_uniform(bounds.0, bounds.1, mem)?;
+                    self.seg_one(0, bounds.0, bounds.1, mem)?;
                     let s = self.get(*sreg, 0).as_i64();
                     let e = self.get(*ereg, 0).as_i64();
                     let st = self.get(*streg, 0).as_i64();
@@ -697,7 +711,7 @@ impl<'p> LaneEngine<'p> {
                     then_ops,
                     else_ops,
                 } => {
-                    self.seg_uniform(cond.0, cond.1, mem)?;
+                    self.seg_one(0, cond.0, cond.1, mem)?;
                     let taken = self.get(*creg, 0).is_true();
                     self.exec_ops(if taken { then_ops } else { else_ops }, mem)?;
                 }
@@ -764,33 +778,37 @@ impl<'p> LaneEngine<'p> {
         Ok(())
     }
 
-    /// Run a uniform bounds/cond snippet on thread 0 (oracle semantics). The
-    /// caller reads the snippet's result *temporaries* afterwards, so all of
-    /// thread 0's registers go through the window and back.
-    fn seg_uniform<M: GlobalMem>(
+    /// Run `code[start..end]` for thread `t` alone through [`run_seg`]: a
+    /// uniform bounds/cond snippet on thread 0 (oracle semantics), or the
+    /// loop of a lone active lane. The caller may read temporaries the code
+    /// left behind, so all of the thread's registers go through the window
+    /// and back.
+    fn seg_one<M: GlobalMem>(
         &mut self,
+        t: usize,
         start: u32,
         end: u32,
         mem: &mut M,
     ) -> Result<(), ExecError> {
         let n = self.nthreads;
+        let nloc = self.num_locals;
         let prog = self.prog;
         let nr = prog.num_regs as usize;
         let bufs = &mut self.bufs;
         for r in 0..nr {
-            bufs.scratch[r] = unpack(bufs.bits[r * n], bufs.kinds[r * n]);
+            bufs.scratch[r] = unpack(bufs.bits[r * n + t], bufs.kinds[r * n + t]);
         }
         let cx = ThreadCx {
             shared: &mut bufs.shared,
-            local: &mut bufs.locals[..self.num_locals],
+            local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
             stats: &mut self.stats,
             block: self.block,
-            tid: bufs.tids[0],
+            tid: bufs.tids[t],
         };
         let regs = &mut bufs.scratch[..nr];
-        let res = run_seg(prog, regs, cx, &mut bufs.returned[0], start, end, mem);
+        let res = run_seg(prog, regs, cx, &mut bufs.returned[t], start, end, mem);
         for r in 0..prog.const_base as usize {
-            (bufs.bits[r * n], bufs.kinds[r * n]) = pack(bufs.scratch[r]);
+            (bufs.bits[r * n + t], bufs.kinds[r * n + t]) = pack(bufs.scratch[r]);
         }
         res
     }
@@ -826,7 +844,8 @@ impl<'p> LaneEngine<'p> {
     ///
     /// Divergence is predication: lane `i` executes the instruction at `pc`
     /// iff `resume[i] <= pc`; forward jumps raise the target, `Return` or a
-    /// fault retires the lane (`DEAD`). While every lane is live and
+    /// fault retires the lane (`DEAD`), and loops move `pc` back
+    /// ([`Self::loop_ctl`]). While every lane is live and
     /// converged (`!divergent`) the chunk runs the branch-free full-width
     /// fast paths and takes uniform branches by moving `pc` directly; a
     /// partially-taken branch flips it into masked per-lane execution, and
@@ -892,6 +911,13 @@ impl<'p> LaneEngine<'p> {
                         }
                         pc =
                             self.branch(&jump, njump, nl, &mut resume, &mut divergent, pc, *target);
+                        continue;
+                    }
+                    Inst::ForInit { .. } | Inst::ForNext { .. } => {
+                        let (next, together) =
+                            self.loop_ctl(inst, pc, c0, nl, &mut resume, pending, mem);
+                        pc = next;
+                        divergent = !together;
                         continue;
                     }
                     _ => {
@@ -970,6 +996,10 @@ impl<'p> LaneEngine<'p> {
                         }
                     }
                 }
+                Inst::ForInit { .. } | Inst::ForNext { .. } => {
+                    pc = self.loop_ctl(inst, pc, c0, nl, &mut resume, pending, mem).0;
+                    continue;
+                }
                 _ => {
                     let elide = elide(pc);
                     for i in 0..nl {
@@ -989,6 +1019,99 @@ impl<'p> LaneEngine<'p> {
                 }
             }
             pc += 1;
+        }
+    }
+
+    /// Run a `ForInit` or `ForNext` for the chunk's active lanes (`resume <=
+    /// pc`: all of them while converged), exactly as [`run_seg`] runs it per
+    /// thread. Returns the next pc and whether the active lanes stayed
+    /// together (none split off, faulted or returned).
+    ///
+    /// `ForInit`: a lane that skips the loop waits at `exit`; a zero step
+    /// faults the lane and retires it and every lane above. A lone active
+    /// lane runs the whole loop thread-major ([`Self::seg_one`]): every other
+    /// lane is dead or waits at or past `exit`, so there is nothing to batch.
+    /// `ForNext`: continuing lanes go back, exiting lanes wait at `pc + 1`.
+    /// Setting the continuing lanes' `resume` to `back` also drops a forward
+    /// target an earlier iteration left behind: a lane still holding one
+    /// would sit out the next iteration up to it.
+    #[allow(clippy::too_many_arguments)]
+    fn loop_ctl<M: GlobalMem>(
+        &mut self,
+        inst: &Inst,
+        pc: u32,
+        c0: usize,
+        nl: usize,
+        resume: &mut [u32; LANES],
+        pending: &mut Option<ExecError>,
+        mem: &mut M,
+    ) -> (u32, bool) {
+        let nl = nl.min(LANES);
+        let mut nact = 0usize;
+        let mut went = 0usize;
+        match *inst {
+            Inst::ForInit {
+                var,
+                start,
+                end,
+                step,
+                exit,
+            } => {
+                let mut act = (0..nl).filter(|&i| resume[i] <= pc);
+                if let (Some(i), None) = (act.next(), act.next()) {
+                    let t = c0 + i;
+                    match self.seg_one(t, pc, exit, mem) {
+                        Ok(()) if self.bufs.returned[t] => resume[i] = DEAD,
+                        Ok(()) => resume[i] = exit,
+                        Err(e) => {
+                            resume[i..nl].fill(DEAD);
+                            *pending = Some(e);
+                        }
+                    }
+                    return (exit, resume[i] == exit);
+                }
+                for i in 0..nl {
+                    if resume[i] > pc {
+                        continue;
+                    }
+                    nact += 1;
+                    match for_init(&mut self.column(c0 + i), var, start, end, step) {
+                        Ok(true) => went += 1,
+                        Ok(false) => resume[i] = exit,
+                        Err(e) => {
+                            resume[i..nl].fill(DEAD);
+                            *pending = Some(e);
+                            return (if went == 0 { exit } else { pc + 1 }, false);
+                        }
+                    }
+                }
+                let next = if went == 0 { exit } else { pc + 1 };
+                (next, went == 0 || went == nact)
+            }
+            Inst::ForNext {
+                var,
+                ind,
+                end,
+                step,
+                back,
+            } => {
+                for (i, r) in resume[..nl].iter_mut().enumerate() {
+                    if *r > pc {
+                        continue;
+                    }
+                    nact += 1;
+                    if for_next(&mut self.column(c0 + i), var, ind, end, step) {
+                        *r = back;
+                        went += 1;
+                    } else {
+                        *r = pc + 1;
+                    }
+                }
+                self.stats.int_ops += 2 * nact as u64;
+                let next = if went == 0 { pc + 1 } else { back };
+                (next, went == 0 || went == nact)
+            }
+            _ => unreachable!("loop_ctl runs loop control only"),
         }
     }
 
@@ -1363,6 +1486,17 @@ impl<'p> LaneEngine<'p> {
             }
         }
         Ok(())
+    }
+
+    /// Thread `t`'s registers as a [`RegView`].
+    #[inline]
+    fn column(&mut self, t: usize) -> Column<'_> {
+        Column {
+            bits: &mut self.bufs.bits,
+            kinds: &mut self.bufs.kinds,
+            at: t,
+            stride: self.nthreads,
+        }
     }
 
     /// [`step`] for thread `t` on its column of the lane rows: masked lanes,

@@ -6,7 +6,7 @@
 //! detached (`Program::detach_lane_plans`), so the thread-major `run_seg`
 //! fallback sees every whole kernel the lane loops see.
 //!
-//! Three kernel families target the engine's distinct code paths:
+//! Five kernel families target the engine's distinct code paths:
 //!
 //! 1. **General serial kernels** — nested `if`/`for`, assignments, global +
 //!    local-array traffic, unmasked `/`/`%` (so `DivByZero` errors must
@@ -22,6 +22,10 @@
 //!    own index, so every segment loads and stores `out` and must still run
 //!    on lanes (`seg_batchable`'s in-place rule); near-misses of that rule
 //!    must stay thread-major.
+//! 5. **Loop kernels** — barrier-free `for`s with load-only bodies, register
+//!    accumulation, `if`s and `return`s inside, per-thread trip counts and
+//!    nesting, which run on lanes iteration-major; a store in a loop body
+//!    must keep the segment thread-major.
 
 use cucc::analysis::{certify_program, global_extents};
 use cucc::exec::{
@@ -862,19 +866,461 @@ fn serve_kernels_run_on_lanes() {
     }
 }
 
-/// The phase schedule of every builtin kernel at its own launch, pinned:
-/// the in-place rule moved none of them (their `scalar[` segments loop).
+// ---------------------------------------------------------------------------
+// Family 5: loop kernels (a barrier-free `for` runs inside the lane chunk).
+// ---------------------------------------------------------------------------
+
+/// The trip shape of one generated loop.
+#[derive(Debug, Clone)]
+enum Trip {
+    /// `for (i = 0; i < n; i++)`: one trip count on every lane.
+    Const(u8),
+    /// `for (i = 0; i < t % k; i++)`: per-thread trip counts, zero on some
+    /// lanes.
+    PerThread(u8),
+    /// `for (i = n; i > t % 3; i -= 2)`: descending to a per-thread end.
+    Down(u8),
+    /// `for (i = 0; i < 4; i += (g == 20 * k + 3 ? 0 : 1))`: a zero step,
+    /// hence `DivByZero`, on one thread of the launch (if it has that many).
+    ZeroStepOn(u8),
+}
+
+fn trip() -> impl Strategy<Value = Trip> {
+    prop_oneof![
+        (0u8..5).prop_map(Trip::Const),
+        (1u8..6).prop_map(Trip::PerThread),
+        (0u8..7).prop_map(Trip::Down),
+        (1u8..5).prop_map(Trip::ZeroStepOn),
+    ]
+}
+
+/// One statement of a loop kernel. Loop bodies hold only what lanes may run
+/// iteration-major: loads, register and local-array traffic, integer
+/// `atomicAdd`s, `if`s, nested loops and `return`.
+#[derive(Debug, Clone)]
+enum LR {
+    /// `v = v + e` — register accumulation.
+    Acc(u8, ER),
+    Set(u8, ER),
+    StoreLocal(ER, ER),
+    LoadLocal(u8, ER),
+    AtomicAdd(ER, ER),
+    If(ER, Vec<LR>),
+    IfElse(ER, Vec<LR>, Vec<LR>),
+    Loop(Trip, Vec<LR>),
+    RetIf(ER),
+}
+
+fn lr() -> impl Strategy<Value = LR> {
+    let leaf = prop_oneof![
+        (0u8..6, er()).prop_map(|(v, e)| LR::Acc(v, e)),
+        (0u8..6, er()).prop_map(|(v, e)| LR::Set(v, e)),
+        (er(), er()).prop_map(|(i, v)| LR::StoreLocal(i, v)),
+        (0u8..6, er()).prop_map(|(v, i)| LR::LoadLocal(v, i)),
+        (er(), er()).prop_map(|(i, v)| LR::AtomicAdd(i, v)),
+        er().prop_map(LR::RetIf),
+    ];
+    leaf.prop_recursive(2, 12, 3, |i| {
+        prop_oneof![
+            (er(), prop::collection::vec(i.clone(), 1..3)).prop_map(|(c, b)| LR::If(c, b)),
+            (
+                er(),
+                prop::collection::vec(i.clone(), 1..3),
+                prop::collection::vec(i.clone(), 1..3)
+            )
+                .prop_map(|(c, t, e)| LR::IfElse(c, t, e)),
+            (trip(), prop::collection::vec(i, 1..4)).prop_map(|(t, b)| LR::Loop(t, b)),
+        ]
+    })
+}
+
+/// `c` with one more readable (and assignable) variable: a loop's own.
+fn with_var(c: &Ctx, v: VarId) -> Ctx {
+    let mut vars = c.vars.clone();
+    vars.push(v);
+    Ctx {
+        out: c.out,
+        fbuf: c.fbuf,
+        lcl: c.lcl,
+        p: c.p.clone(),
+        q: c.q.clone(),
+        vars,
+    }
+}
+
+/// Divisors `d` become `d * d + 1`, never an integer zero (no square is
+/// `-1` mod 2⁶⁴), so the faults a loop kernel takes are mostly its own: zero
+/// steps, and a float divisor that casts to zero.
+fn tame_division(r: &ER) -> ER {
+    let re = |e: &ER| Box::new(tame_division(e));
+    let nonzero = |d: &ER| {
+        let d = re(d);
+        Box::new(ER::Add(
+            Box::new(ER::Mul(d.clone(), d)),
+            Box::new(ER::Const(1)),
+        ))
+    };
+    match r {
+        ER::Div(a, b) => ER::Div(re(a), nonzero(b)),
+        ER::Rem(a, b) => ER::Rem(re(a), nonzero(b)),
+        ER::LoadOut(i) => ER::LoadOut(re(i)),
+        ER::LoadF(i) => ER::LoadF(re(i)),
+        ER::Add(a, b) => ER::Add(re(a), re(b)),
+        ER::Sub(a, b) => ER::Sub(re(a), re(b)),
+        ER::Mul(a, b) => ER::Mul(re(a), re(b)),
+        ER::Lt(a, b) => ER::Lt(re(a), re(b)),
+        ER::And(a, b) => ER::And(re(a), re(b)),
+        ER::Select(c, a, b) => ER::Select(re(c), re(a), re(b)),
+        ER::CastI32(a) => ER::CastI32(re(a)),
+        ER::Min(a, b) => ER::Min(re(a), re(b)),
+        other => other.clone(),
+    }
+}
+
+/// Emit loop-kernel statements. Every `out` read becomes an `fbuf` read:
+/// the kernel stores `out` once, after its loops.
+fn emit_lr(b: &mut KernelBuilder, stmts: &[LR], c: &Ctx, hist: MemRef, fresh: &mut u32) {
+    let ex = |e: &ER| build_expr(&redirect_out_reads(&tame_division(e), false), c);
+    let var = |v: &u8| c.vars[*v as usize % c.vars.len()];
+    for s in stmts {
+        match s {
+            LR::Acc(v, e) => {
+                let v = var(v);
+                b.assign(v, Expr::cast(Scalar::I64, Expr::Var(v).add(ex(e))));
+            }
+            LR::Set(v, e) => b.assign(var(v), Expr::cast(Scalar::I64, ex(e))),
+            LR::StoreLocal(i, v) => b.store(c.lcl, mask(ex(i), 8), Expr::cast(Scalar::I64, ex(v))),
+            LR::LoadLocal(v, i) => b.assign(var(v), Expr::load(c.lcl, mask(ex(i), 8))),
+            LR::AtomicAdd(i, v) => b.atomic(
+                AtomicOp::Add,
+                hist,
+                mask(ex(i), HIST_LEN),
+                Expr::cast(Scalar::I64, ex(v)),
+            ),
+            LR::If(cond, body) => b.if_then(ex(cond), |b| emit_lr(b, body, c, hist, fresh)),
+            LR::IfElse(cond, t, e) => {
+                let fresh_cell = std::cell::Cell::new(*fresh);
+                let arm = |b: &mut KernelBuilder, body: &[LR]| {
+                    let mut f = fresh_cell.get();
+                    emit_lr(b, body, c, hist, &mut f);
+                    fresh_cell.set(f);
+                };
+                b.if_else(ex(cond), |b| arm(b, t), |b| arm(b, e));
+                *fresh = fresh_cell.get();
+            }
+            LR::Loop(trip, body) => {
+                let name = format!("i{}", *fresh);
+                *fresh += 1;
+                let t = || Expr::ThreadIdx(Axis::X);
+                let (start, end, step) = match *trip {
+                    Trip::Const(n) => (Expr::int(0), Expr::int(n.into()), Expr::int(1)),
+                    Trip::PerThread(k) => {
+                        (Expr::int(0), t().rem(Expr::int(k.into())), Expr::int(1))
+                    }
+                    Trip::Down(n) => (Expr::int(n.into()), t().rem(Expr::int(3)), Expr::int(-2)),
+                    Trip::ZeroStepOn(k) => (
+                        Expr::int(0),
+                        Expr::int(4),
+                        Expr::Select {
+                            cond: Box::new(
+                                Expr::BlockIdx(Axis::X)
+                                    .mul(Expr::BlockDim(Axis::X))
+                                    .add(t())
+                                    .eq_(Expr::int(20 * i64::from(k) + 3)),
+                            ),
+                            then_value: Box::new(Expr::int(0)),
+                            else_value: Box::new(Expr::int(1)),
+                        },
+                    ),
+                };
+                b.for_(name, start, end, step, |b, i| {
+                    emit_lr(b, body, &with_var(c, i), hist, fresh)
+                });
+            }
+            LR::RetIf(cond) => b.if_then(ex(cond), |b| b.ret()),
+        }
+    }
+}
+
+const HIST_LEN: i64 = 8;
+
+/// `pre; for (trip) { body }; if (g < OUT_LEN) out[g] = v0 + v1 + v2 + v3;`
+/// — one segment with at least one loop. With `store_in_loop` a second loop
+/// stores `out[g]` in its body (the rule's first near-miss), and the segment
+/// must run thread-major.
+fn build_loop(pre: &[LR], trip: &Trip, body: &[LR], store_in_loop: bool) -> Kernel {
+    let mut b = KernelBuilder::new("rnd_loop");
+    let out = b.buffer("out", Scalar::I64);
+    let fbuf = b.buffer("fbuf", Scalar::F32);
+    let hist = b.buffer("hist", Scalar::I64);
+    let p = b.scalar("p", Scalar::I32);
+    let q = b.scalar("q", Scalar::F32);
+    let lcl = b.local_array("scratch", Scalar::I64, 8);
+    let g = b.let_(
+        "g",
+        Expr::BlockIdx(Axis::X)
+            .mul(Expr::BlockDim(Axis::X))
+            .add(Expr::ThreadIdx(Axis::X)),
+    );
+    let vars: Vec<VarId> = (0..4)
+        .map(|i| b.let_(format!("v{i}"), Expr::int(i as i64 - 1)))
+        .collect();
+    let sum = vars[1..]
+        .iter()
+        .fold(Expr::Var(vars[0]), |acc, v| acc.add(Expr::Var(*v)));
+    let c = Ctx {
+        out,
+        fbuf,
+        lcl,
+        p,
+        q,
+        vars,
+    };
+    let mut fresh = 0;
+    emit_lr(&mut b, pre, &c, hist, &mut fresh);
+    emit_lr(
+        &mut b,
+        &[LR::Loop(trip.clone(), body.to_vec())],
+        &c,
+        hist,
+        &mut fresh,
+    );
+    if store_in_loop {
+        b.for_range("s", Expr::int(2), |b, _| {
+            b.if_then(Expr::Var(g).lt(Expr::int(OUT_LEN)), |b| {
+                b.store(out, Expr::Var(g), Expr::Var(c.vars[0]))
+            })
+        });
+    }
+    b.if_then(Expr::Var(g).lt(Expr::int(OUT_LEN)), |b| {
+        b.store(out, Expr::Var(g), Expr::cast(Scalar::I64, sum))
+    });
+    b.finish()
+}
+
+/// Family 5: loop kernels — load-only bodies, register accumulation, `if`s
+/// inside bodies, per-thread trip counts (zero on some lanes), nested loops,
+/// `return` in a body and zero steps on some lanes — run on lanes, never
+/// `scalar[` unless a body stores to global memory, and match the oracle
+/// three ways, serially and under parallel workers. Prints its case counts
+/// (`--nocapture`).
+#[test]
+fn loop_kernels_run_on_lanes_and_match_oracle() {
+    const CASES: u32 = 192;
+    let cases = (
+        prop::collection::vec(lr(), 0..2),
+        trip(),
+        prop::collection::vec(lr(), 1..4),
+        0u8..5,
+        prop::sample::select(vec![1u32, 5, 16, 17, 31, 40]),
+        1u32..5,
+        2usize..5,
+    );
+    let (mut pred, mut scalar, mut faulting) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = TestRng::for_case("loop_kernels_run_on_lanes_and_match_oracle", case);
+        let (pre, trip, body, near_miss, block, grid, workers) = cases.generate(&mut rng);
+        let store_in_loop = near_miss == 0;
+        let k = build_loop(&pre, &trip, &body, store_in_loop);
+        validate(&k).expect("generated kernels are valid");
+        let launch = LaunchConfig::new(grid, block);
+        let mut pool = MemPool::new();
+        let (out, fbuf, hist) = (
+            pool.alloc_elems(Scalar::I64, OUT_LEN as usize),
+            pool.alloc_elems(Scalar::F32, F_LEN as usize),
+            pool.alloc_elems(Scalar::I64, HIST_LEN as usize),
+        );
+        pool.write_f32(
+            fbuf,
+            &(0..F_LEN).map(|i| i as f32 * 0.5 - 3.0).collect::<Vec<_>>(),
+        );
+        let args = vec![
+            Arg::Buffer(out),
+            Arg::Buffer(fbuf),
+            Arg::Buffer(hist),
+            Arg::int(5),
+            Arg::float(1.5),
+        ];
+        let mut pool_a = pool.clone();
+        let ra = execute_launch(&k, launch, &args, &mut pool_a);
+        let prog = Program::compile(&k, launch, &args).unwrap();
+        let summary = prog.phase_summary();
+        let want = if store_in_loop { "scalar[" } else { "pred[" };
+        assert!(summary.starts_with(want), "case {case}: {summary}");
+        pred += usize::from(!store_in_loop);
+        scalar += usize::from(store_in_loop);
+        faulting += usize::from(ra.is_err());
+        let n = launch.num_blocks();
+        for (what, prog) in variants(&prog) {
+            let mut pool_b = pool.clone();
+            let rb = run_range(&prog, &mut pool_b, 0..n);
+            assert_same(&format!("case {case} {what}"), &ra, &pool_a, &rb, &pool_b);
+            let mut pool_c = pool.clone();
+            let rc = run_range_parallel(&prog, &mut pool_c, 0..n, workers);
+            let what = format!("case {case} {what} × {workers} workers");
+            assert_same(&what, &ra, &pool_a, &rc, &pool_c);
+        }
+    }
+    println!(
+        "loop family: {CASES} cases, {pred} pred + {scalar} scalar (each scalar case stores \
+         in a loop body), {faulting} faulting (same error in every mode)"
+    );
+}
+
+/// Kmeans' shape: `if (d < best)` is taken by different lanes in different
+/// iterations. A lane that skipped the `if` in one iteration and takes it in
+/// a later one must run it there, so every backward jump resets the resume
+/// targets of the lanes that go on — also while the chunk is converged.
+#[test]
+fn loop_branch_taken_in_different_iterations_matches_oracle() {
+    let k = cucc::ir::parse_kernel(
+        "__global__ void argmin(long* out, long* in) {
+            int t = threadIdx.x;
+            long best = 1000;
+            int bi = -1;
+            for (int j = 0; j < 8; j++) {
+                long d = in[(t * 5 + j * 3) % 64];
+                if (d < best) {
+                    best = d;
+                    bi = j;
+                }
+            }
+            out[t] = bi * 1000 + best;
+        }",
+    )
+    .unwrap();
+    let input: Vec<i64> = (0..64).map(|i| (i * 37 + 11) % 97).collect();
+    let want: Vec<i64> = (0..32)
+        .map(|t| {
+            let (mut best, mut bi) = (1000, -1);
+            for j in 0..8 {
+                let d = input[(t * 5 + j * 3) % 64];
+                if d < best {
+                    (best, bi) = (d, j as i64);
+                }
+            }
+            bi * 1000 + best
+        })
+        .collect();
+    let (pool, args) = pool_of(&[Buf::Zero(Scalar::I64, 32), Buf::I64(input)]);
+    let launch = LaunchConfig::new(1u32, 32u32);
+    let summary = Program::compile(&k, launch, &args).unwrap().phase_summary();
+    assert!(summary.starts_with("pred["), "{summary}");
+    let (ra, _) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+    assert!(ra.is_ok(), "{ra:?}");
+    let mut after = pool.clone();
+    execute_launch(&k, launch, &args, &mut after).unwrap();
+    let want: Vec<u8> = want.iter().flat_map(|x| x.to_le_bytes()).collect();
+    assert_eq!(after.bytes(BufferId(0)), &want[..]);
+}
+
+/// Near-misses of the loop rule: each segment loops, but lanes running it
+/// iteration-major could be told apart from the oracle, so it stays
+/// thread-major — and every mode still matches the oracle, memory included.
+/// All but the last are real hazards.
+#[test]
+fn loop_near_misses_stay_thread_major() {
+    let ramp = |n: i64| Buf::I64((0..n).map(|i| i * 3 - 7).collect());
+    let cases: [(&str, &str, Vec<Buf>); 5] = [
+        (
+            "a global store in the loop body (two iterations hit one address)",
+            "__global__ void k(long* out, long* in) {
+                int t = threadIdx.x;
+                for (int j = 0; j < 4; j++) out[(t + j) % 64] = t * 10 + j;
+            }",
+            vec![Buf::Zero(Scalar::I64, 64), ramp(64)],
+        ),
+        (
+            "a shared store in the loop body",
+            "__global__ void k(long* out, long* in) {
+                __shared__ long sh[64];
+                int t = threadIdx.x;
+                for (int j = 0; j < 4; j++) sh[(t + j) % 64] = t * 10 + j;
+                __syncthreads();
+                out[t] = sh[t];
+            }",
+            vec![Buf::Zero(Scalar::I64, 64), ramp(64)],
+        ),
+        (
+            "a float atomicAdd in the loop body (float addition does not commute bitwise)",
+            "__global__ void k(double* out, double* in) {
+                int t = threadIdx.x;
+                for (int j = 0; j < 4; j++) atomicAdd(&out[t % 4], in[(t + j) % 64] * 0.1);
+            }",
+            vec![
+                Buf::Zero(Scalar::F64, 4),
+                Buf::F64((0..64).map(|i| 1.0 / (i as f64 + 0.3)).collect()),
+            ],
+        ),
+        (
+            // The forward scan of the in-place rule would pass it: `idx` is
+            // thread-injective at the load and not written from the load to
+            // the store in pc order. After the back edge it names the next
+            // thread's element, which thread-major order stores before the
+            // next thread's first load of it.
+            "one object loaded in the loop and stored after it at one register",
+            "__global__ void k(long* out, long* in) {
+                int t = threadIdx.x;
+                long acc = 0;
+                int j = t;
+                int idx = t;
+                for (int i = 0; i < 4; i++) {
+                    idx = j;
+                    acc = acc + out[idx];
+                    j = (t + 1) % 64;
+                }
+                out[idx] = acc;
+            }",
+            vec![ramp(64), ramp(64)],
+        ),
+        (
+            "aes_round's shape: a per-thread range stored inside the loop",
+            "__global__ void k(uchar* out, uchar* in, uchar* key, int n) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                if (id < n) {
+                    for (int b = 0; b < 16; b++) {
+                        int v = in[id * 16 + b];
+                        v = ((v << 1) ^ (v >> 7) ^ key[b]) & 255;
+                        out[id * 16 + b] = v;
+                    }
+                }
+            }",
+            vec![
+                Buf::Zero(Scalar::U8, 64 * 16),
+                Buf::U8((0..64 * 16).map(|i| (i * 7 + 3) as u8).collect()),
+                Buf::U8((0..16).map(|i| (i * 29 + 5) as u8).collect()),
+            ],
+        ),
+    ];
+    for (what, src, bufs) in cases {
+        let k = cucc::ir::parse_kernel(src).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let (pool, mut args) = pool_of(&bufs);
+        if k.params.len() > args.len() {
+            args.push(Arg::int(60));
+        }
+        let launch = LaunchConfig::new(1u32, 64u32);
+        let summary = Program::compile(&k, launch, &args).unwrap().phase_summary();
+        assert!(summary.starts_with("scalar["), "{what}: {summary}");
+        let (ra, _) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        assert!(ra.is_ok(), "{what}: {ra:?}");
+    }
+}
+
+/// The phase schedule of every builtin kernel at its own launch, pinned.
+/// Barrier-free loops run on lanes, so what is left `scalar[` is a store in
+/// a loop (`hm_aes_round`), two store sites on one object (`vit_layernorm`)
+/// and the load-and-store reduction steps inside uniform loops.
 #[test]
 fn builtin_phase_summaries_are_pinned() {
     const PINNED: [(&str, &str); 42] = [
         ("Transpose", "dense[0..9] bar dense[9..18]"),
-        ("FIR", "scalar[0..17]"),
-        ("Kmeans", "scalar[0..31]"),
-        ("BinomialOption", "scalar[0..39]"),
-        ("EP", "scalar[0..19]"),
-        ("GA", "scalar[0..26] bar scalar[26..39]"),
-        ("BlackScholes", "scalar[0..62]"),
-        ("Conv2D", "scalar[0..27]"),
+        ("FIR", "pred[0..17]"),
+        ("Kmeans", "pred[0..31]"),
+        ("BinomialOption", "pred[0..39]"),
+        ("EP", "pred[0..19]"),
+        ("GA", "pred[0..26] bar pred[26..39]"),
+        ("BlackScholes", "pred[0..62]"),
+        ("Conv2D", "pred[0..27]"),
         ("bert_embed_sum", "pred[0..13]"),
         (
             "bert_layernorm",
@@ -882,20 +1328,20 @@ fn builtin_phase_summaries_are_pinned() {
              for(scalar[29..37] bar) dense[37..49]",
         ),
         ("bert_qkv_bias", "pred[0..9]"),
-        ("bert_attn_scores", "scalar[0..20]"),
+        ("bert_attn_scores", "pred[0..20]"),
         (
             "bert_softmax",
             "dense[0..6] bar for(scalar[9..17] bar) dense[17..19] bar dense[19..23] bar \
              for(scalar[26..34] bar) dense[34..38]",
         ),
-        ("bert_attn_context", "scalar[0..19]"),
+        ("bert_attn_context", "pred[0..19]"),
         ("bert_dense_gelu", "pred[0..15]"),
         ("bert_residual_add", "pred[0..8]"),
         ("bert_dropout", "pred[0..15]"),
         ("bert_pooler_tanh", "pred[0..9]"),
         ("bert_logits_bias", "pred[0..9]"),
-        ("bert_matmul_tile", "scalar[0..19]"),
-        ("vit_patch_embed", "scalar[0..18]"),
+        ("bert_matmul_tile", "pred[0..19]"),
+        ("vit_patch_embed", "pred[0..18]"),
         ("vit_pos_embed", "pred[0..8]"),
         ("vit_cls_concat", "pred[0..11]"),
         ("vit_layernorm", "scalar[0..31] bar dense[31..41]"),
@@ -904,14 +1350,14 @@ fn builtin_phase_summaries_are_pinned() {
             "dense[0..8] bar for(scalar[11..19] bar) dense[19..23]",
         ),
         ("vit_gelu", "pred[0..17]"),
-        ("vit_mlp_fc", "scalar[0..19]"),
+        ("vit_mlp_fc", "pred[0..19]"),
         ("vit_scale_residual", "pred[0..8]"),
-        ("vit_token_pool", "scalar[0..17]"),
+        ("vit_token_pool", "pred[0..17]"),
         ("hm_aes_round", "scalar[0..20]"),
-        ("hm_fir", "scalar[0..17]"),
-        ("hm_kmeans", "scalar[0..31]"),
-        ("hm_ep", "scalar[0..19]"),
-        ("hm_ga", "scalar[0..26] bar scalar[26..39]"),
+        ("hm_fir", "pred[0..17]"),
+        ("hm_kmeans", "pred[0..31]"),
+        ("hm_ep", "pred[0..19]"),
+        ("hm_ga", "pred[0..26] bar pred[26..39]"),
         ("hm_blackscholes", "pred[0..16]"),
         ("hm_background_extract", "pred[0..19]"),
         ("hm_transpose", "dense[0..9] bar dense[9..18]"),
@@ -1206,7 +1652,8 @@ fn all_tail_threads_guarded_off() {
 
 /// A variable written in a `scalar` segment and read in a later lane
 /// segment, and the reverse, across chunk boundaries and with an early
-/// `return` in the middle of every chunk. `validate` rejects a `return`
+/// `return` in the middle of every chunk. The two `scalar` segments store
+/// inside their loops, which keeps them thread-major. `validate` rejects a `return`
 /// beside a barrier, so the front end never produces this kernel; the
 /// executors still define it (a returned thread sits out later phases), and
 /// it is the only way to enter a segment with some threads retired.
@@ -1217,7 +1664,10 @@ fn staging_carries_variables_between_scalar_and_lane_segments() {
             __shared__ int sh[1024];
             int t = threadIdx.x;
             int acc = t;
-            for (int j = 0; j < t % 5; j++) acc = acc + in[(t + j) % n];
+            for (int j = 0; j < t % 5; j++) {
+                acc = acc + in[(t + j) % n];
+                out[blockIdx.x * blockDim.x + t] = acc;
+            }
             sh[t] = acc;
             __syncthreads();
             int v = acc * 2 + sh[(t + 1) % blockDim.x];
@@ -1225,8 +1675,10 @@ fn staging_carries_variables_between_scalar_and_lane_segments() {
             out[blockIdx.x * blockDim.x + t] = v;
             __syncthreads();
             int w = acc;
-            for (int j = 0; j < 3; j++) w = w + v + j;
-            out[blockIdx.x * blockDim.x + t] = w;
+            for (int j = 0; j < 3; j++) {
+                w = w + v + j;
+                out[blockIdx.x * blockDim.x + t] = w;
+            }
         }",
     )
     .unwrap();
@@ -1259,15 +1711,19 @@ fn staging_carries_variables_between_scalar_and_lane_segments() {
     }
 }
 
-/// Two threads of the *second* chunk of a `scalar` segment store out of
-/// bounds: the engine reports the lower one's fault, as the oracle does.
+/// Two threads of the *second* chunk of a `scalar` segment (a store inside
+/// its loop keeps it thread-major) store out of bounds: the engine reports
+/// the lower one's fault, as the oracle does.
 #[test]
 fn scalar_segment_fault_in_second_chunk_reports_oracle_thread() {
     let k = cucc::ir::parse_kernel(
         "__global__ void k(int* out) {
             int t = threadIdx.x;
             int acc = 0;
-            for (int j = 0; j < 2; j++) acc = acc + j;
+            for (int j = 0; j < 2; j++) {
+                acc = acc + j;
+                out[t] = acc;
+            }
             int idx = t;
             if (t == 21) idx = 1000;
             if (t == 27) idx = 2000;
@@ -1483,7 +1939,32 @@ fn certified_load_and_uncertified_store_share_a_segment() {
 enum Buf {
     I64(Vec<i64>),
     F64(Vec<f64>),
+    U8(Vec<u8>),
     Zero(Scalar, usize),
+}
+
+/// A pool holding `bufs`, and one `Arg::Buffer` per buffer, in order.
+fn pool_of(bufs: &[Buf]) -> (MemPool, Vec<Arg>) {
+    let mut pool = MemPool::new();
+    let mut args = Vec::new();
+    for b in bufs {
+        let (elem, bytes): (Scalar, Vec<u8>) = match b {
+            Buf::I64(v) => (
+                Scalar::I64,
+                v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            ),
+            Buf::F64(v) => (
+                Scalar::F64,
+                v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            ),
+            Buf::U8(v) => (Scalar::U8, v.clone()),
+            Buf::Zero(elem, n) => (*elem, vec![0; n * elem.size()]),
+        };
+        let id = pool.alloc_elems(elem, bytes.len() / elem.size());
+        pool.write_all(id, &bytes);
+        args.push(Arg::Buffer(id));
+    }
+    (pool, args)
 }
 
 /// What buffer 0 must hold after the launch (also after a faulting one: the
@@ -1884,6 +2365,126 @@ fn oracle_rules() -> Vec<Rule> {
             )
         });
     }
+    // Loops on lanes. Every fault below comes before any store of the
+    // faulting thread: the threads under it have stored, none above.
+    // Thread 9 faults in iteration 0, thread 3 only in iteration 2: the
+    // oracle runs thread 3 first, so thread 3's fault is the one reported.
+    rules.push(rule(
+        "a fault in a later iteration of a lower lane beats an earlier one of a higher lane",
+        "__global__ void k(long* out, long* in) {
+            int t = threadIdx.x;
+            long acc = 0;
+            for (int j = 0; j < 4; j++)
+                acc = acc + in[t + (t == 3 && j == 2) * 1000 + (t == 9 && j == 0) * 2000];
+            out[t] = acc;
+        }",
+        16,
+        vec![
+            Buf::Zero(Scalar::I64, 16),
+            Buf::I64(tids(16).map(|t| t * 10).collect()),
+        ],
+        oob("in", 1003, 16),
+        Out::I64(tids(16).map(|t| if t < 3 { t * 40 } else { 0 }).collect()),
+        "pred[",
+    ));
+    rules.push(rule(
+        "a zero loop step on one lane is DivByZero at that lane",
+        "__global__ void k(long* out, long* in) {
+            int t = threadIdx.x;
+            long acc = 0;
+            for (long i = 0; i < 4; i += (t == 6 ? 0 : 1)) acc = acc + in[i];
+            out[t] = acc;
+        }",
+        16,
+        vec![Buf::Zero(Scalar::I64, 16), Buf::I64(vec![1, 2, 3, 4])],
+        Err(ExecError::DivByZero),
+        Out::I64(tids(16).map(|t| if t < 6 { 10 } else { 0 }).collect()),
+        "pred[",
+    ));
+    // 0, st, then 2 st wraps to -(2^63 - 2), then -2^62 + 3 and 4, all `< n`;
+    // 5 st = 2^62 + 5 ends the loop. Two of the five values are negative.
+    let wrap_n = (1i64 << 62) + 3;
+    let wrapped: i64 = (0..5i64)
+        .map(|k| k.wrapping_mul(wrap_step))
+        .map(|i| (i & 7) + 100 * i64::from(i < 0))
+        .sum();
+    rules.push(Rule {
+        scalars: vec![Arg::int(wrap_n), Arg::int(wrap_step)],
+        ..rule(
+            "a loop counter on lanes wraps like every integer op",
+            "__global__ void k(long* out, long n, long st) {
+                int t = threadIdx.x;
+                long acc = t;
+                for (long i = 0; i < n; i += st) acc = acc + (i & 7) + 100 * (i < 0);
+                out[t] = acc;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::I64, 16)],
+            Ok(()),
+            Out::I64(tids(16).map(|t| t + wrapped).collect()),
+            "pred[",
+        )
+    });
+    rules.push(rule(
+        "a loop runs zero times on some lanes and waits at its exit",
+        "__global__ void k(long* out, long* in) {
+            int t = threadIdx.x;
+            long acc = 100;
+            for (int j = 0; j < t % 4; j++) acc = acc + in[j];
+            out[t] = acc;
+        }",
+        16,
+        vec![Buf::Zero(Scalar::I64, 16), Buf::I64(vec![1, 20, 300])],
+        Ok(()),
+        Out::I64(
+            tids(16)
+                .map(|t| 100 + [0, 1, 21, 321][t as usize % 4])
+                .collect(),
+        ),
+        "pred[",
+    ));
+    rules.push(rule(
+        "a loop run by one lane alone faults at that lane",
+        "__global__ void k(long* out, long* in) {
+            int t = threadIdx.x;
+            long acc = t;
+            if (t == 5)
+                for (int j = 0; j < 4; j++) acc = acc + in[j * 5];
+            out[t] = acc;
+        }",
+        16,
+        vec![Buf::Zero(Scalar::I64, 16), Buf::I64(vec![1; 12])],
+        oob("in", 15, 12),
+        Out::I64(tids(16).map(|t| if t < 5 { t } else { 0 }).collect()),
+        "pred[",
+    ));
+    // One site in a loop body counts as two: only the commutative
+    // one-op integer rule admits it.
+    rules.push(Rule {
+        charged: Some((0, 64)),
+        ..rule(
+            "an integer atomicAdd in a loop body runs on lanes",
+            "__global__ void k(long* out) {
+                int t = threadIdx.x;
+                for (int j = 0; j < 4; j++) atomicAdd(&out[(t + j) % 8], t * j + 1);
+            }",
+            16,
+            vec![Buf::Zero(Scalar::I64, 8)],
+            Ok(()),
+            Out::I64(
+                (0..8)
+                    .map(|e| {
+                        let pairs = tids(16).flat_map(|t| (0..4).map(move |j| (t, j)));
+                        pairs
+                            .filter(|(t, j)| (t + j) % 8 == e)
+                            .map(|(t, j)| t * j + 1)
+                            .sum()
+                    })
+                    .collect(),
+            ),
+            "pred[",
+        )
+    });
     // A store narrows as C does; the load back widens by the element's
     // signedness.
     type Narrow = fn(i64) -> i64;
@@ -2021,24 +2622,7 @@ fn oracle_table_holds_in_every_mode() {
     for r in oracle_rules() {
         let k = cucc::ir::parse_kernel(&r.src).unwrap_or_else(|e| panic!("{}: {e}", r.rule));
         let launch = LaunchConfig::new(1u32, r.threads);
-        let mut pool = MemPool::new();
-        let mut args: Vec<Arg> = Vec::new();
-        for b in &r.bufs {
-            let (elem, bytes): (Scalar, Vec<u8>) = match b {
-                Buf::I64(v) => (
-                    Scalar::I64,
-                    v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                ),
-                Buf::F64(v) => (
-                    Scalar::F64,
-                    v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                ),
-                Buf::Zero(elem, n) => (*elem, vec![0; n * elem.size()]),
-            };
-            let id = pool.alloc_elems(elem, bytes.len() / elem.size());
-            pool.write_all(id, &bytes);
-            args.push(Arg::Buffer(id));
-        }
+        let (pool, mut args) = pool_of(&r.bufs);
         args.extend(r.scalars.iter().cloned());
         let got = Program::compile(&k, launch, &args).unwrap().phase_summary();
         assert!(got.contains(r.phases), "{}: phases {got}", r.rule);
