@@ -59,7 +59,7 @@ use std::collections::BTreeMap;
 use cucc_exec::bytecode::{CertMode, Inst, PhaseOp, Program, Reg, SlotKind};
 use cucc_exec::memory::BufferId;
 use cucc_exec::Arg;
-use cucc_ir::{Axis, BinOp, Dim3, Intrinsic, Scalar, UnOp, Value};
+use cucc_ir::{Axis, BinOp, Dim3, Intrinsic, Scalar, UnOp, Value, ValueKind};
 
 const I64MIN: i128 = i64::MIN as i128;
 const I64MAX: i128 = i64::MAX as i128;
@@ -253,6 +253,14 @@ impl AbsVal {
 
     fn point(v: i64) -> AbsVal {
         AbsVal::int(Interval::point(v as i128))
+    }
+
+    /// A loop variable holding a count in `iv`, converted to `ty`.
+    fn count(iv: Interval, ty: Scalar) -> AbsVal {
+        match ty.kind() {
+            ValueKind::Int => AbsVal::int(iv),
+            ValueKind::Float => AbsVal::float(),
+        }
     }
 
     fn float() -> AbsVal {
@@ -714,12 +722,13 @@ impl<'a> Analyzer<'a> {
                 } => self.uniform_if(*cond, *creg, then_ops, else_ops, cur, col),
                 PhaseOp::UniformFor {
                     var,
+                    ty,
                     bounds,
                     sreg,
                     ereg,
                     streg,
                     body,
-                } => self.uniform_for(*var, *bounds, *sreg, *ereg, *streg, body, cur, col),
+                } => self.uniform_for((*var, *ty), *bounds, *sreg, *ereg, *streg, body, cur, col),
             };
         }
         st
@@ -757,7 +766,7 @@ impl<'a> Analyzer<'a> {
     #[allow(clippy::too_many_arguments)]
     fn uniform_for(
         &mut self,
-        var: Reg,
+        (var, ty): (Reg, Scalar),
         bounds: (u32, u32),
         sreg: Reg,
         ereg: Reg,
@@ -816,7 +825,7 @@ impl<'a> Analyzer<'a> {
             let mut iters = 0u32;
             loop {
                 let mut bi = acc.clone();
-                bi.set(var, AbsVal::int(hull));
+                bi.set(var, AbsVal::count(hull, ty));
                 let out = self.exec_ops(body, Some(bi), col);
                 let Some(out) = out else { break };
                 any_out = true;
@@ -849,7 +858,7 @@ impl<'a> Analyzer<'a> {
         } else {
             Interval::I64_FULL
         };
-        acc.set(var, AbsVal::int(after.fit_i64()));
+        acc.set(var, AbsVal::count(after.fit_i64(), ty));
         Some(acc)
     }
 
@@ -1054,6 +1063,7 @@ impl<'a> Analyzer<'a> {
             }
             Inst::ForInit {
                 var,
+                ty,
                 start: sreg,
                 end: ereg,
                 step: streg,
@@ -1067,7 +1077,7 @@ impl<'a> Analyzer<'a> {
                 st.set(*sreg, AbsVal::int(s));
                 st.set(*ereg, AbsVal::int(e));
                 st.set(*streg, AbsVal::int(stp));
-                st.set(*var, AbsVal::int(s));
+                st.set(*var, AbsVal::count(s, *ty));
                 if stp.as_point() == Some(0) {
                     return vec![]; // zero step faults
                 }
@@ -1095,7 +1105,9 @@ impl<'a> Analyzer<'a> {
                 if let Some((si, ei)) = body {
                     let mut b = st.clone();
                     b.narrow(*sreg, si);
-                    b.narrow(*var, si);
+                    if ty.kind() == ValueKind::Int {
+                        b.narrow(*var, si);
+                    }
                     b.narrow(*ereg, ei);
                     out.push((rel + 1, b));
                 }
@@ -1104,6 +1116,7 @@ impl<'a> Analyzer<'a> {
             }
             Inst::ForNext {
                 var,
+                ty,
                 ind,
                 end: ereg,
                 step: streg,
@@ -1126,7 +1139,7 @@ impl<'a> Analyzer<'a> {
                 if let Some(vb) = vb {
                     let mut b = st.clone();
                     b.set(*ind, AbsVal::int(vb));
-                    b.set(*var, AbsVal::int(vb));
+                    b.set(*var, AbsVal::count(vb, *ty));
                     out.push((r(*back), b));
                 }
                 let vf = if stp.lo > 0 {
@@ -1138,7 +1151,7 @@ impl<'a> Analyzer<'a> {
                 };
                 if let Some(vf) = vf {
                     st.set(*ind, AbsVal::int(vf));
-                    st.set(*var, AbsVal::int(vf));
+                    st.set(*var, AbsVal::count(vf, *ty));
                     out.push((rel + 1, st));
                 }
                 out

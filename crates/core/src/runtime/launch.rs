@@ -312,11 +312,10 @@ impl CuccCluster {
             // Retry spans are wasted wire time: a flat in-order sum.
             retry: tl.time_in_since(mark, Category::Retry),
             // Each re-execution round is recorded uniformly on every node
-            // in the communicator at that moment. Membership can shrink
-            // (deaths) and grow (mid-launch joins) between rounds, so a
-            // track holds only the rounds its node took part in; the
-            // phase time is the slowest track's in-order sum.
-            reexec: tl.max_track_sum_since(mark, Category::Reexec),
+            // in the communicator at that moment; membership can shrink
+            // (deaths) and grow (mid-launch joins) between rounds, so the
+            // phase time is the sum of the rounds, each counted once.
+            reexec: tl.round_sum_since(mark, Category::Reexec),
         };
         let derived_wire = tl.wire_bytes_since(mark);
         for (what, got, want) in [

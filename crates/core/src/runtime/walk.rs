@@ -262,7 +262,7 @@ impl<'a> Walk<'a> {
     /// survivor at `at` and return the slowest node's time. Stragglers
     /// stretch a node's own span; a re-execution round is instead recorded
     /// uniformly, as its critical path, on every node (the derived
-    /// `reexec` view sums the slowest track).
+    /// `reexec` view sums the rounds).
     fn compute_phase(&mut self, label: &str, category: Category, at: f64, dur: f64) -> f64 {
         let cl = &mut *self.cl;
         let stretched = |&node: &u32| cl.fault_state.stretch(node, at, dur);
@@ -472,7 +472,7 @@ impl<'a> Walk<'a> {
         }
         // Recorded uniformly (the round's critical path) on every current
         // survivor, joiner included: the derived `reexec` view sums the
-        // slowest track.
+        // rounds.
         for &node in &self.survivors {
             cl.timeline.span(
                 label.as_str(),

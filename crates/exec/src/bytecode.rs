@@ -8,8 +8,10 @@
 //! every scalar parameter. [`Program::compile`] resolves all of it ahead of
 //! time:
 //!
-//! * variables map to fixed low registers, expression temporaries to a
-//!   compact stack of scratch registers above them;
+//! * variables map to fixed low registers, expression temporaries to two
+//!   compact stacks of scratch registers above them, one per value kind, so
+//!   every register holds one [`ValueKind`] for the whole program
+//!   (`Program::kinds`; the front end made every conversion explicit);
 //! * scalar params, `blockDim`/`gridDim` and constant subtrees fold into
 //!   [`Inst::Const`] instructions that carry the op counts the folded code
 //!   would have charged (stat parity with the oracle is bit-for-bit);
@@ -173,9 +175,11 @@ pub enum Inst {
     /// *private* induction register (the body may freely clobber the loop
     /// variable without affecting iteration, exactly like the tree-walk
     /// interpreter's local induction value). Zero step errors; a zero trip
-    /// count leaves `var = start` and jumps to `exit`.
+    /// count leaves `var = start` and jumps to `exit`. `var` receives each
+    /// count converted to `ty`, the type the variable holds.
     ForInit {
         var: Reg,
+        ty: Scalar,
         start: Reg,
         end: Reg,
         step: Reg,
@@ -187,6 +191,7 @@ pub enum Inst {
     /// of the matching [`Inst::ForInit`].
     ForNext {
         var: Reg,
+        ty: Scalar,
         ind: Reg,
         end: Reg,
         step: Reg,
@@ -232,9 +237,11 @@ pub enum PhaseOp {
     Barrier,
     /// Uniform loop around a barrier. `bounds` is a code range evaluated
     /// once on thread 0's registers (op counts charged once, as in the
-    /// oracle), leaving start/end/step in `sreg`/`ereg`/`streg`.
+    /// oracle), leaving start/end/step in `sreg`/`ereg`/`streg`; `var`
+    /// receives each count converted to `ty`.
     UniformFor {
         var: Reg,
+        ty: Scalar,
         bounds: (u32, u32),
         sreg: Reg,
         ereg: Reg,
@@ -257,6 +264,8 @@ pub struct Program {
     pub(crate) phases: Vec<PhaseOp>,
     /// Registers per thread (variables + peak temporaries).
     pub(crate) num_regs: u32,
+    /// The one kind each register holds (`num_regs` entries).
+    pub(crate) kinds: Vec<ValueKind>,
     /// Leading registers holding kernel variables. Only these need zeroing
     /// between blocks: temporaries are always written before they are read.
     pub(crate) num_vars: u32,
@@ -310,15 +319,20 @@ impl Program {
             args,
             code: Vec::with_capacity(kernel.flat_stmt_count() * 4),
             slots: vec![None; kernel.num_mem_slots()],
-            next_reg: num_vars,
-            max_reg: num_vars,
+            next_reg: [num_vars, FLOAT_BASE],
+            max_reg: [num_vars, FLOAT_BASE],
             consts: Vec::new(),
             tids: Vec::new(),
             if_sites: Vec::new(),
         };
         let mut phases = c.lower_phases(&kernel.body)?;
         // Decided once all code is emitted, so every jump target is final.
-        let (const_base, num_regs) = c.finish_regs();
+        let (const_base, num_regs) = c.finish_regs(&mut phases);
+        let mut kinds: Vec<ValueKind> = kernel.var_types.iter().map(|t| t.kind()).collect();
+        kinds.resize(c.max_reg[0] as usize, ValueKind::Int);
+        kinds.resize(const_base as usize, ValueKind::Float);
+        kinds.extend(c.consts.iter().map(|v| v.kind()));
+        kinds.resize(num_regs as usize, ValueKind::Int);
         // Staging lists read the *final* register layout (pooled `threadIdx`
         // registers sit above the constants), so they must build after
         // `finish_regs` relocates the pooled registers.
@@ -349,6 +363,7 @@ impl Program {
             code: c.code,
             phases,
             num_regs,
+            kinds,
             num_vars,
             const_pool: c.consts,
             const_base,
@@ -666,14 +681,20 @@ const CONST_BASE: Reg = 1 << 30;
 /// block-invariant, so they are written once per run like constants).
 const TID_BASE: Reg = 1 << 29;
 
+/// Virtual register base for float temporaries; int temporaries stack up
+/// from the variables. [`Compiler::finish_regs`] packs the float stack
+/// right above the int one.
+const FLOAT_BASE: Reg = 1 << 28;
+
 struct Compiler<'a> {
     kernel: &'a Kernel,
     launch: LaunchConfig,
     args: &'a [Arg],
     code: Vec<Inst>,
     slots: Vec<Option<MemSlotInfo>>,
-    next_reg: Reg,
-    max_reg: Reg,
+    /// Temporary stacks, `[int, float]`.
+    next_reg: [Reg; 2],
+    max_reg: [Reg; 2],
     /// Launch-invariant constant pool: values the engine writes into
     /// dedicated registers once per run instead of re-materializing with a
     /// `Const` instruction in every block × thread.
@@ -687,19 +708,46 @@ struct Compiler<'a> {
 impl<'a> Compiler<'a> {
     // ---- register allocation ------------------------------------------
 
-    fn mark(&self) -> Reg {
+    fn mark(&self) -> [Reg; 2] {
         self.next_reg
     }
 
-    fn restore(&mut self, mark: Reg) {
+    fn restore(&mut self, mark: [Reg; 2]) {
         self.next_reg = mark;
     }
 
-    fn alloc_tmp(&mut self) -> Reg {
-        let r = self.next_reg;
-        self.next_reg += 1;
-        self.max_reg = self.max_reg.max(self.next_reg);
+    fn alloc_tmp(&mut self, kind: ValueKind) -> Reg {
+        let k = kind as usize;
+        let r = self.next_reg[k];
+        self.next_reg[k] += 1;
+        self.max_reg[k] = self.max_reg[k].max(self.next_reg[k]);
         r
+    }
+
+    fn kind(&self, e: &Expr) -> ValueKind {
+        self.kernel.expr_kind(e)
+    }
+
+    /// Kind of a variable or temporary register (pooled registers are
+    /// never lowering destinations).
+    fn reg_kind(&self, r: Reg) -> ValueKind {
+        if r >= FLOAT_BASE {
+            ValueKind::Float
+        } else if r < self.kernel.num_vars() as Reg {
+            self.kernel.var_types[r as usize].kind()
+        } else {
+            ValueKind::Int
+        }
+    }
+
+    /// `dst` when `e` has its kind, else a fresh temporary of `e`'s kind.
+    fn scratch(&mut self, e: &Expr, dst: Reg) -> Reg {
+        let k = self.kind(e);
+        if self.reg_kind(dst) == k {
+            dst
+        } else {
+            self.alloc_tmp(k)
+        }
     }
 
     /// Dedicated read-only register for a launch-invariant value
@@ -732,20 +780,25 @@ impl<'a> Compiler<'a> {
         TID_BASE + i as Reg
     }
 
-    /// Relocate pooled registers from their virtual ranges to just above
-    /// the temporaries — layout `[vars][temps][consts][tids]` — returning
-    /// `(const_base, num_regs)`.
-    fn finish_regs(&mut self) -> (u32, u32) {
-        let base = self.max_reg.max(1);
-        debug_assert!(base < TID_BASE, "register file overflow");
+    /// Relocate float temporaries and pooled registers from their virtual
+    /// ranges to just above the int temporaries — layout `[vars][int
+    /// temps][float temps][consts][tids]` — returning `(const_base,
+    /// num_regs)`.
+    fn finish_regs(&mut self, phases: &mut [PhaseOp]) -> (u32, u32) {
+        let float_base = self.max_reg[0];
+        let base = (float_base + self.max_reg[1] - FLOAT_BASE).max(1);
+        debug_assert!(base < FLOAT_BASE, "register file overflow");
         let tid_base = base + self.consts.len() as u32;
         let remap = |r: &mut Reg| {
             if *r >= CONST_BASE {
                 *r = base + (*r - CONST_BASE);
             } else if *r >= TID_BASE {
                 *r = tid_base + (*r - TID_BASE);
+            } else if *r >= FLOAT_BASE {
+                *r = float_base + (*r - FLOAT_BASE);
             }
         };
+        remap_phases(phases, &remap);
         for inst in &mut self.code {
             match inst {
                 Inst::Const { dst, .. } | Inst::Tid { dst, .. } | Inst::Bid { dst, .. } => {
@@ -794,9 +847,8 @@ impl<'a> Compiler<'a> {
                     step,
                     ..
                 } => {
-                    // Loop bounds are always materialized into private
-                    // temporaries (`ForInit` normalizes them in place), so
-                    // none of these can be pooled; remap defensively anyway.
+                    // Loop bounds are always materialized into private int
+                    // temporaries (`ForInit` normalizes them in place).
                     remap(var);
                     remap(start);
                     remap(end);
@@ -1010,7 +1062,7 @@ impl<'a> Compiler<'a> {
         if let Some(r) = self.pooled_operand(e) {
             return Ok(r);
         }
-        let t = self.alloc_tmp();
+        let t = self.alloc_tmp(self.kind(e));
         self.lower_expr(e, t)?;
         Ok(t)
     }
@@ -1032,22 +1084,33 @@ impl<'a> Compiler<'a> {
     }
 
     /// [`Self::lower_operand`], but a subexpression that does need code
-    /// reuses the caller's scratch register `dst` instead of a fresh
-    /// temporary (keeps deep left-leaning chains at constant register
-    /// pressure).
+    /// reuses the caller's scratch register `dst` when it has `dst`'s kind
+    /// instead of a fresh temporary (keeps deep left-leaning chains at
+    /// constant register pressure). A fresh temporary lives until the
+    /// enclosing [`Self::lower_expr`] returns.
     fn lower_operand_into(&mut self, e: &Expr, dst: Reg) -> Result<Reg, ExecError> {
         if let Some(r) = self.pooled_operand(e) {
             return Ok(r);
         }
-        self.lower_expr(e, dst)?;
-        Ok(dst)
+        let r = self.scratch(e, dst);
+        self.lower_expr(e, r)?;
+        Ok(r)
     }
 
-    /// Lower `e` so its value lands in `dst`. `dst` must be a register this
-    /// subexpression owns — a temporary, or a variable register whose
-    /// current value `e` provably does not read (see [`expr_reads_var`]) —
-    /// because sub-lowering writes through it early.
+    /// Lower `e` so its value lands in `dst`, a register of `e`'s kind.
+    /// `dst` must be a register this subexpression owns — a temporary, or a
+    /// variable register whose current value `e` provably does not read
+    /// (see [`expr_reads_var`]) — because sub-lowering writes through it
+    /// early.
     fn lower_expr(&mut self, e: &Expr, dst: Reg) -> Result<(), ExecError> {
+        debug_assert_eq!(self.reg_kind(dst), self.kind(e), "kind of {e:?}");
+        let m = self.mark();
+        self.lower_expr_at(e, dst)?;
+        self.restore(m);
+        Ok(())
+    }
+
+    fn lower_expr_at(&mut self, e: &Expr, dst: Reg) -> Result<(), ExecError> {
         if let Some(f) = self.fold(e) {
             self.emit(Inst::Const {
                 dst,
@@ -1087,8 +1150,9 @@ impl<'a> Compiler<'a> {
                         target: 0,
                         int_ops: 1,
                     });
-                    self.lower_expr(rhs, dst)?;
-                    self.emit(Inst::Test { dst, src: dst });
+                    let r = self.scratch(rhs, dst);
+                    self.lower_expr(rhs, r)?;
+                    self.emit(Inst::Test { dst, src: r });
                     let j = self.emit(Inst::Jump { target: 0 });
                     let f = self.here();
                     self.patch_target(jf, f);
@@ -1108,8 +1172,9 @@ impl<'a> Compiler<'a> {
                         target: 0,
                         int_ops: 1,
                     });
-                    self.lower_expr(rhs, dst)?;
-                    self.emit(Inst::Test { dst, src: dst });
+                    let r = self.scratch(rhs, dst);
+                    self.lower_expr(rhs, r)?;
+                    self.emit(Inst::Test { dst, src: r });
                     let j = self.emit(Inst::Jump { target: 0 });
                     let t = self.here();
                     self.patch_target(jt, t);
@@ -1217,7 +1282,7 @@ impl<'a> Compiler<'a> {
                     // `lower_expr` may clobber `dst` before the read —
                     // stage through a temporary.
                     let m = self.mark();
-                    let t = self.alloc_tmp();
+                    let t = self.alloc_tmp(self.kind(value));
                     self.lower_expr(value, t)?;
                     self.emit(Inst::Copy {
                         dst: var.0 as Reg,
@@ -1293,15 +1358,18 @@ impl<'a> Compiler<'a> {
                 body,
             } => {
                 // Bound registers stay live across the body: hold the mark.
+                // Bounds are ints (the front end converts them).
                 let m = self.mark();
-                let rs = self.alloc_tmp();
-                let re = self.alloc_tmp();
-                let rstep = self.alloc_tmp();
+                let rs = self.alloc_tmp(ValueKind::Int);
+                let re = self.alloc_tmp(ValueKind::Int);
+                let rstep = self.alloc_tmp(ValueKind::Int);
                 self.lower_expr(start, rs)?;
                 self.lower_expr(end, re)?;
                 self.lower_expr(step, rstep)?;
+                let ty = self.kernel.var_type(*var).widened();
                 let init = self.emit(Inst::ForInit {
                     var: var.0 as Reg,
+                    ty,
                     start: rs,
                     end: re,
                     step: rstep,
@@ -1313,6 +1381,7 @@ impl<'a> Compiler<'a> {
                 }
                 self.emit(Inst::ForNext {
                     var: var.0 as Reg,
+                    ty,
                     ind: rs,
                     end: re,
                     step: rstep,
@@ -1369,9 +1438,9 @@ impl<'a> Compiler<'a> {
                     body,
                 } => {
                     let m = self.mark();
-                    let sreg = self.alloc_tmp();
-                    let ereg = self.alloc_tmp();
-                    let streg = self.alloc_tmp();
+                    let sreg = self.alloc_tmp(ValueKind::Int);
+                    let ereg = self.alloc_tmp(ValueKind::Int);
+                    let streg = self.alloc_tmp(ValueKind::Int);
                     let c0 = self.here();
                     self.lower_expr(start, sreg)?;
                     self.lower_expr(end, ereg)?;
@@ -1381,6 +1450,7 @@ impl<'a> Compiler<'a> {
                     self.restore(m);
                     out.push(PhaseOp::UniformFor {
                         var: var.0 as Reg,
+                        ty: self.kernel.var_type(*var).widened(),
                         bounds: (c0, c1),
                         sreg,
                         ereg,
@@ -1394,7 +1464,7 @@ impl<'a> Compiler<'a> {
                     else_body,
                 } => {
                     let m = self.mark();
-                    let creg = self.alloc_tmp();
+                    let creg = self.alloc_tmp(self.kind(cond));
                     let c0 = self.here();
                     self.lower_expr(cond, creg)?;
                     let c1 = self.here();
@@ -1418,6 +1488,27 @@ impl<'a> Compiler<'a> {
             i += 1;
         }
         Ok(out)
+    }
+}
+
+/// Relocate the condition registers of a phase tree, the only phase
+/// registers that can be float temporaries.
+fn remap_phases(phases: &mut [PhaseOp], remap: &impl Fn(&mut Reg)) {
+    for p in phases {
+        match p {
+            PhaseOp::UniformFor { body, .. } => remap_phases(body, remap),
+            PhaseOp::UniformIf {
+                creg,
+                then_ops,
+                else_ops,
+                ..
+            } => {
+                remap(creg);
+                remap_phases(then_ops, remap);
+                remap_phases(else_ops, remap);
+            }
+            PhaseOp::Seg { .. } | PhaseOp::Barrier => {}
+        }
     }
 }
 
@@ -1847,7 +1938,7 @@ pub struct LanePlan {
 
 /// Visit every register `inst` names: `f(r, false)` for a read, `f(r,
 /// true)` for a write.
-fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
+pub(crate) fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
     match inst {
         Inst::Const { dst, .. } | Inst::Tid { dst, .. } | Inst::Bid { dst, .. } => f(*dst, true),
         Inst::Jump { .. } | Inst::Return => {}

@@ -508,12 +508,13 @@ pub(crate) fn step<R: RegView + ?Sized, M: GlobalMem>(
 
 /// `ForInit` for one thread: normalise the bounds to `I64` in place (`sreg`
 /// doubles as the private induction register from here on), set the
-/// variable, and say whether the loop runs at least once. A zero step is
-/// `DivByZero`.
+/// variable to the count converted to `ty`, and say whether the loop runs
+/// at least once. A zero step is `DivByZero`.
 #[inline]
 pub(crate) fn for_init<R: RegView + ?Sized>(
     regs: &mut R,
     var: Reg,
+    ty: Scalar,
     sreg: Reg,
     ereg: Reg,
     streg: Reg,
@@ -527,17 +528,19 @@ pub(crate) fn for_init<R: RegView + ?Sized>(
     regs.set(sreg, Value::I64(s));
     regs.set(ereg, Value::I64(e));
     regs.set(streg, Value::I64(st));
-    regs.set(var, Value::I64(s));
+    regs.set(var, Value::I64(s).convert_to(ty));
     Ok((st > 0 && s < e) || (st < 0 && s > e))
 }
 
-/// `ForNext` for one thread: advance the induction register and the
-/// variable (wrapping, like every other integer op) and say whether the loop
-/// goes on. The caller charges its 2 int ops (induction update + test).
+/// `ForNext` for one thread: advance the induction register (wrapping, like
+/// every other integer op) and the variable (the count converted to `ty`),
+/// and say whether the loop goes on. The caller charges its 2 int ops
+/// (induction update + test).
 #[inline]
 pub(crate) fn for_next<R: RegView + ?Sized>(
     regs: &mut R,
     var: Reg,
+    ty: Scalar,
     ind: Reg,
     ereg: Reg,
     streg: Reg,
@@ -546,7 +549,7 @@ pub(crate) fn for_next<R: RegView + ?Sized>(
     let e = regs.get(ereg).as_i64();
     let v = regs.get(ind).as_i64().wrapping_add(st);
     regs.set(ind, Value::I64(v));
-    regs.set(var, Value::I64(v));
+    regs.set(var, Value::I64(v).convert_to(ty));
     (st > 0 && v < e) || (st < 0 && v > e)
 }
 
@@ -601,25 +604,27 @@ pub(crate) fn run_seg<M: GlobalMem>(
             }
             Inst::ForInit {
                 var,
+                ty,
                 start: sreg,
                 end: ereg,
                 step: streg,
                 exit,
             } => {
-                if !for_init(regs, *var, *sreg, *ereg, *streg)? {
+                if !for_init(regs, *var, *ty, *sreg, *ereg, *streg)? {
                     pc = *exit as usize;
                     continue;
                 }
             }
             Inst::ForNext {
                 var,
+                ty,
                 ind,
                 end: ereg,
                 step: streg,
                 back,
             } => {
                 cx.stats.int_ops += 2; // induction update + test
-                if for_next(regs, *var, *ind, *ereg, *streg) {
+                if for_next(regs, *var, *ty, *ind, *ereg, *streg) {
                     pc = *back as usize;
                     continue;
                 }
@@ -632,11 +637,28 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 let elide = emask.is_some_and(|m| m[pc]);
                 step(prog, inst, elide, regs, &mut cx, mem)
                     .map_err(|e| cert_wrap(e, vmask.is_some_and(|m| m[pc])))?;
+                debug_assert_static_kinds(prog, inst, regs);
             }
         }
         pc += 1;
     }
     Ok(())
+}
+
+/// Every register `inst` wrote holds the kind [`Program::kinds`] gives it:
+/// the front end's conversions make a register's kind a compile-time fact,
+/// and the lanes store bits only, trusting it.
+#[inline]
+fn debug_assert_static_kinds(prog: &Program, inst: &Inst, regs: &[Value]) {
+    if cfg!(debug_assertions) {
+        crate::bytecode::inst_regs(inst, |r, write| {
+            let (got, want) = (regs[r as usize].kind(), prog.kinds[r as usize]);
+            assert!(
+                !write || got == want,
+                "r{r}: {got:?}, static {want:?} at {inst:?}"
+            );
+        });
+    }
 }
 
 /// Run `blocks` in ascending order on one [`LaneEngine`], summing stats.

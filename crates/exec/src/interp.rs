@@ -453,16 +453,17 @@ impl<'a> Interp<'a> {
                     if st == 0 {
                         return Err(ExecError::DivergentBarrier);
                     }
+                    let ty = self.kernel.var_type(*var).widened();
                     let mut v = s;
                     while (st > 0 && v < e) || (st < 0 && v > e) {
                         for env in envs.iter_mut() {
-                            env.vars[var.index()] = Value::I64(v);
+                            env.vars[var.index()] = Value::I64(v).convert_to(ty);
                         }
                         self.run_phased(body, envs)?;
                         v = v.wrapping_add(st); // as every other integer op
                     }
                     for env in envs.iter_mut() {
-                        env.vars[var.index()] = Value::I64(v);
+                        env.vars[var.index()] = Value::I64(v).convert_to(ty);
                     }
                 }
                 Stmt::If {
@@ -549,9 +550,12 @@ impl<'a> Interp<'a> {
                     // treated as a divide-by-zero-class error.
                     return Err(ExecError::DivByZero);
                 }
+                // The loop counts in i64; the variable holds each count
+                // converted to its declared type.
+                let ty = self.kernel.var_type(*var).widened();
                 let mut v = s0;
                 while (st > 0 && v < e) || (st < 0 && v > e) {
-                    env.vars[var.index()] = Value::I64(v);
+                    env.vars[var.index()] = Value::I64(v).convert_to(ty);
                     self.exec_run(body, env)?;
                     if env.returned {
                         return Ok(());
@@ -559,7 +563,7 @@ impl<'a> Interp<'a> {
                     self.stats.int_ops += 2; // induction update + test
                     v = v.wrapping_add(st); // as every other integer op
                 }
-                env.vars[var.index()] = Value::I64(v);
+                env.vars[var.index()] = Value::I64(v).convert_to(ty);
             }
             Stmt::SyncThreads => {
                 // Reached only in barrier-free runs, i.e. never (the phased
@@ -812,52 +816,68 @@ pub(crate) fn eval_binop(op: BinOp, l: Value, r: Value, float: bool) -> Result<V
     Ok(eval_binop_total(op, l, r, float))
 }
 
-/// Infallible binary-op core. Callers must rule out [`binop_faults`] first;
-/// the int `Div`/`Rem` arms defensively yield 0 on a zero divisor so this
-/// function can never panic.
+/// Infallible binary-op core: C's usual arithmetic conversions (a float
+/// operand makes the op a float op), then [`float_binop`] or [`int_binop`].
+/// Callers must rule out [`binop_faults`] first.
 #[inline]
 pub(crate) fn eval_binop_total(op: BinOp, l: Value, r: Value, float: bool) -> Value {
-    use BinOp::*;
     if float {
-        let (a, b) = (l.as_f64(), r.as_f64());
-        return match op {
-            Add => Value::F64(a + b),
-            Sub => Value::F64(a - b),
-            Mul => Value::F64(a * b),
-            Div => Value::F64(a / b),
-            Lt => Value::I64(i64::from(a < b)),
-            Le => Value::I64(i64::from(a <= b)),
-            Gt => Value::I64(i64::from(a > b)),
-            Ge => Value::I64(i64::from(a >= b)),
-            Eq => Value::I64(i64::from(a == b)),
-            Ne => Value::I64(i64::from(a != b)),
-            // Integer-only operators with float operands are rejected by
-            // validation; fall back to int semantics defensively.
-            Rem | And | Or | Xor | Shl | Shr | LAnd | LOr => {
-                eval_binop_total(op, Value::I64(l.as_i64()), Value::I64(r.as_i64()), false)
-            }
-        };
+        float_binop(op, l.as_f64(), r.as_f64())
+    } else {
+        Value::I64(int_binop(op, l.as_i64(), r.as_i64()))
     }
-    let (a, b) = (l.as_i64(), r.as_i64());
+}
+
+/// A binary op on doubles: arithmetic gives a double, comparisons 0/1.
+#[inline]
+pub(crate) fn float_binop(op: BinOp, a: f64, b: f64) -> Value {
+    use BinOp::*;
     match op {
-        Add => Value::I64(a.wrapping_add(b)),
-        Sub => Value::I64(a.wrapping_sub(b)),
-        Mul => Value::I64(a.wrapping_mul(b)),
-        Div => Value::I64(if b == 0 { 0 } else { a.wrapping_div(b) }),
-        Rem => Value::I64(if b == 0 { 0 } else { a.wrapping_rem(b) }),
+        Add => Value::F64(a + b),
+        Sub => Value::F64(a - b),
+        Mul => Value::F64(a * b),
+        Div => Value::F64(a / b),
         Lt => Value::I64(i64::from(a < b)),
         Le => Value::I64(i64::from(a <= b)),
         Gt => Value::I64(i64::from(a > b)),
         Ge => Value::I64(i64::from(a >= b)),
         Eq => Value::I64(i64::from(a == b)),
         Ne => Value::I64(i64::from(a != b)),
-        And => Value::I64(a & b),
-        Or => Value::I64(a | b),
-        Xor => Value::I64(a ^ b),
-        Shl => Value::I64(a.wrapping_shl(b as u32 & 63)),
-        Shr => Value::I64(a.wrapping_shr(b as u32 & 63)),
-        LAnd => Value::I64(i64::from(a != 0 && b != 0)),
-        LOr => Value::I64(i64::from(a != 0 || b != 0)),
+        // Integer-only operators with float operands are rejected by
+        // validation; fall back to int semantics defensively.
+        Rem | And | Or | Xor | Shl | Shr | LAnd | LOr => {
+            Value::I64(int_binop(op, a as i64, b as i64))
+        }
+    }
+}
+
+/// A binary op on i64s, wrapping like two's complement hardware. The `Div`
+/// and `Rem` arms defensively yield 0 on a zero divisor so this can never
+/// panic.
+#[inline]
+pub(crate) fn int_binop(op: BinOp, a: i64, b: i64) -> i64 {
+    use BinOp::*;
+    match op {
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        Div if b == 0 => 0,
+        Rem if b == 0 => 0,
+        Div => a.wrapping_div(b),
+        Rem => a.wrapping_rem(b),
+        Lt => i64::from(a < b),
+        Le => i64::from(a <= b),
+        Gt => i64::from(a > b),
+        Ge => i64::from(a >= b),
+        Eq => i64::from(a == b),
+        Ne => i64::from(a != b),
+        And => a & b,
+        Or => a | b,
+        Xor => a ^ b,
+        Shl => a.wrapping_shl(b as u32 & 63),
+        Shr => a.wrapping_shr(b as u32 & 63),
+        LAnd => i64::from(a != 0 && b != 0),
+        LOr => i64::from(a != 0 || b != 0),
     }
 }
 

@@ -2,12 +2,15 @@
 //!
 //! Every compiled [`Program`] runs here (the tree-walk interpreter is the
 //! oracle it is tested against). Batchable segments run *instruction-major
-//! over chunked lane-arrays*: the register file is struct-of-arrays
-//! (`bits`/`kinds`, reg-major), threads are processed in fixed-width chunks
-//! of [`LANES`], and each chunk executes the segment's [`Inst`]s — the same
+//! over chunked lane-arrays*: the register file is one reg-major row of
+//! `u64` bits per register, threads are processed in fixed-width chunks of
+//! [`LANES`], and each chunk executes the segment's [`Inst`]s — the same
 //! instruction stream the thread-major fallback runs — with branch-free
-//! inner loops over contiguous `u64` rows the compiler can autovectorize
-//! (`op_full`; its arithmetic is the lanes' own, judged by the oracle).
+//! inner loops over contiguous rows the compiler can autovectorize
+//! (`op_full`). A row holds no kinds: each register's kind is the static
+//! `Program::kinds` entry (the front end made every conversion explicit),
+//! so a row loop is chosen per op, not per lane, and calls the scalar
+//! definitions `step` and the oracle share.
 //! `Predicated` segments carry a per-lane `resume` mask; a masked lane, and
 //! any op without a row loop, is one [`step`] on the thread's [`Column`] of
 //! the rows — the definition [`run_seg`] runs, so there is no per-lane
@@ -47,12 +50,10 @@
 
 use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SegStage, SlotKind};
 use crate::engine::{
-    cert_wrap, count_op, elem_off, for_init, for_next, oob, run_seg, slot_info, step, GlobalMem,
-    RegView, ThreadCx,
+    cert_wrap, elem_off, for_init, for_next, oob, run_seg, slot_info, step, GlobalMem, RegView,
+    ThreadCx,
 };
-use crate::interp::{
-    axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, ExecError,
-};
+use crate::interp::{axis_of, eval_intrinsic, eval_unop, float_binop, int_binop, ExecError};
 use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{BinOp, Scalar, Value, ValueKind};
 
@@ -63,135 +64,31 @@ pub const LANES: usize = 16;
 
 const DEAD: u32 = u32::MAX;
 
+/// A value's row bits; its kind is the register's static one.
 #[inline]
-fn pack(v: Value) -> (u64, u8) {
+fn pack(v: Value) -> u64 {
     match v {
-        Value::I64(i) => (i as u64, 0),
-        Value::F64(f) => (f.to_bits(), 1),
+        Value::I64(i) => i as u64,
+        Value::F64(f) => f.to_bits(),
     }
 }
 
 #[inline]
-fn unpack(bits: u64, kind: u8) -> Value {
-    if kind == 0 {
-        Value::I64(bits as i64)
-    } else {
-        Value::F64(f64::from_bits(bits))
+fn unpack(bits: u64, kind: ValueKind) -> Value {
+    match kind {
+        ValueKind::Int => Value::I64(bits as i64),
+        ValueKind::Float => Value::F64(f64::from_bits(bits)),
     }
 }
 
-/// Branch-free truthiness on the packed representation: ints are true when
-/// nonzero; floats when not ±0.0 (shifting out the sign bit — NaN stays
-/// true), matching `Value::is_true`.
+/// Branch-free truthiness on row bits: ints are true when nonzero; floats
+/// when not ±0.0 (shifting out the sign bit — NaN stays true), matching
+/// `Value::is_true`.
 #[inline]
-fn truthy(bits: u64, kind: u8) -> bool {
-    if kind == 0 {
-        bits != 0
-    } else {
-        (bits << 1) != 0
-    }
-}
-
-#[inline]
-fn as_index(bits: u64, kind: u8) -> i64 {
-    if kind == 0 {
-        bits as i64
-    } else {
-        f64::from_bits(bits) as i64
-    }
-}
-
-/// `Some(kind)` when every lane of the row holds the same value kind — the
-/// gate for the branch-free all-float / all-int fast loops. A full chunk
-/// (`LANES` = 16 lanes) is one 16-byte compare.
-#[inline]
-fn uniform(kinds: &[u8]) -> Option<u8> {
-    let k = kinds[0];
-    if let Ok(arr) = <&[u8; LANES]>::try_from(kinds) {
-        let splat = u128::from(k) * (u128::MAX / 0xff);
-        if u128::from_ne_bytes(*arr) == splat {
-            Some(k)
-        } else {
-            None
-        }
-    } else if kinds.iter().all(|&x| x == k) {
-        Some(k)
-    } else {
-        None
-    }
-}
-
-/// Infallible int binary op on i64 lanes — exact mirror of
-/// `eval_binop_total`'s int path. Callers pre-check `Div`/`Rem` divisors.
-#[inline]
-fn ibin(op: BinOp, a: i64, b: i64) -> i64 {
-    match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
-        BinOp::Lt => i64::from(a < b),
-        BinOp::Le => i64::from(a <= b),
-        BinOp::Gt => i64::from(a > b),
-        BinOp::Ge => i64::from(a >= b),
-        BinOp::Eq => i64::from(a == b),
-        BinOp::Ne => i64::from(a != b),
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-        BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-        BinOp::LAnd => i64::from(a != 0 && b != 0),
-        BinOp::LOr => i64::from(a != 0 || b != 0),
-    }
-}
-
-/// Float arithmetic ops that have a branch-free all-float lane loop (same
-/// result as `eval_binop_total`'s float path).
-#[inline]
-fn fbin_arith(op: BinOp, a: f64, b: f64) -> Option<f64> {
-    match op {
-        BinOp::Add => Some(a + b),
-        BinOp::Sub => Some(a - b),
-        BinOp::Mul => Some(a * b),
-        BinOp::Div => Some(a / b),
-        _ => None,
-    }
-}
-
-#[inline]
-fn fcmp(op: BinOp, a: f64, b: f64) -> Option<i64> {
-    match op {
-        BinOp::Lt => Some(i64::from(a < b)),
-        BinOp::Le => Some(i64::from(a <= b)),
-        BinOp::Gt => Some(i64::from(a > b)),
-        BinOp::Ge => Some(i64::from(a >= b)),
-        BinOp::Eq => Some(i64::from(a == b)),
-        BinOp::Ne => Some(i64::from(a != b)),
-        _ => None,
-    }
-}
-
-/// `Value::as_f64` on the packed representation.
-#[inline]
-fn lane_f64(bits: u64, kind: u8) -> f64 {
-    if kind == 0 {
-        bits as i64 as f64
-    } else {
-        f64::from_bits(bits)
+fn truthy(bits: u64, kind: ValueKind) -> bool {
+    match kind {
+        ValueKind::Int => bits != 0,
+        ValueKind::Float => (bits << 1) != 0,
     }
 }
 
@@ -244,12 +141,19 @@ unsafe fn gather<const CERT: bool>(
     Ok(())
 }
 
-/// Scatter `nl` packed lanes into a raw buffer view — `raw_store ∘ unpack`
-/// per lane (same C narrowing as `encode`), dispatch hoisted, `CERT` as in
-/// [`gather`]. `Err(i)` is the first faulting lane; lanes below committed.
+/// Scatter the first `nl` lanes of a row into a raw buffer view —
+/// `raw_store ∘ unpack` per lane (same C narrowing as `encode`), dispatch
+/// hoisted, `CERT` as in [`gather`]. `vb` holds the row's bits and `vk` is
+/// the row register's static kind, so a lane is unpacked by the kind of its
+/// register, not by a tag of its own. `Err(i)` is the first faulting lane;
+/// lanes below committed.
 ///
 /// # Safety
-/// Same contract as [`gather`].
+/// Same contract as [`gather`]: `ptr` must be valid for `len` bytes for the
+/// duration of the call, and with `CERT` every `ix[i]` for `i < nl` must be
+/// in bounds. `vb` is only read as a slice (a short one panics, it is never
+/// read past its end), and a wrong `vk` writes a wrongly converted value,
+/// never out of bounds.
 #[inline]
 unsafe fn scatter<const CERT: bool>(
     ptr: *mut u8,
@@ -257,7 +161,7 @@ unsafe fn scatter<const CERT: bool>(
     elem: Scalar,
     ix: &[i64; LANES],
     vb: &[u64],
-    vk: &[u8],
+    vk: ValueKind,
     nl: usize,
 ) -> Result<(), usize> {
     let sz = elem.size();
@@ -267,20 +171,20 @@ unsafe fn scatter<const CERT: bool>(
                 let Some(off) = elem_off(ix[i], sz, len, CERT) else {
                     return Err(i);
                 };
-                let enc: $t = $conv(vb[i], vk[i]);
+                let enc: $t = $conv(unpack(vb[i], vk));
                 // `off + sz <= len`, tested or certified by `elem_off`.
                 std::ptr::write_unaligned(ptr.add(off) as *mut $t, enc.to_le());
             }
         };
     }
     match elem {
-        Scalar::U8 => per_lane!(u8, |b, k| as_index(b, k) as u8),
-        Scalar::I8 => per_lane!(u8, |b, k| as_index(b, k) as i8 as u8),
-        Scalar::I32 => per_lane!(u32, |b, k| as_index(b, k) as i32 as u32),
-        Scalar::U32 => per_lane!(u32, |b, k| as_index(b, k) as u32),
-        Scalar::I64 => per_lane!(u64, |b, k| as_index(b, k) as u64),
-        Scalar::F32 => per_lane!(u32, |b, k| (lane_f64(b, k) as f32).to_bits()),
-        Scalar::F64 => per_lane!(u64, |b, k| lane_f64(b, k).to_bits()),
+        Scalar::U8 => per_lane!(u8, |v: Value| v.as_i64() as u8),
+        Scalar::I8 => per_lane!(u8, |v: Value| v.as_i64() as i8 as u8),
+        Scalar::I32 => per_lane!(u32, |v: Value| v.as_i64() as i32 as u32),
+        Scalar::U32 => per_lane!(u32, |v: Value| v.as_i64() as u32),
+        Scalar::I64 => per_lane!(u64, |v: Value| v.as_i64() as u64),
+        Scalar::F32 => per_lane!(u32, |v: Value| (v.as_f64() as f32).to_bits()),
+        Scalar::F64 => per_lane!(u64, |v: Value| v.as_f64().to_bits()),
     }
     Ok(())
 }
@@ -292,15 +196,15 @@ unsafe fn scatter<const CERT: bool>(
 ///
 /// The interesting property is that **no `panic_bounds_check` survives**
 /// in either flavour: the global-memory bounds check is `elem_off`'s
-/// `Option` (a fault return, never a panic), and the `out[i]` / `vb[i]` /
-/// `vk[i]` indexing of the `[u64; LANES]` temporaries is dominated by
-/// `nl <= LANES`, which the optimizer proves from the `nl.min(LANES)`
-/// restatement. `tests/asm_probe.rs` disassembles these symbols in
-/// release builds and fails if a bounds-check panic reappears.
+/// `Option` (a fault return, never a panic), and the `ix[i]` / `out[i]` /
+/// `vb[i]` indexing of the lane temporaries is dominated by `nl <= LANES`,
+/// which the optimizer proves from the `nl.min(LANES)` restatement.
+/// `tests/asm_probe.rs` disassembles these symbols in release builds and
+/// fails if a bounds-check panic reappears.
 #[doc(hidden)]
 pub mod probe {
     use super::{gather, gather_cert, scatter, scatter_cert, LANES};
-    use cucc_ir::Scalar;
+    use cucc_ir::{Scalar, ValueKind};
 
     /// Checked per-lane gather (`gather::<false>`, as the lane loops reach it).
     #[inline(never)]
@@ -340,7 +244,7 @@ pub mod probe {
         elem: Scalar,
         ix: &[i64; LANES],
         vb: &[u64],
-        vk: &[u8],
+        vk: ValueKind,
         nl: usize,
     ) -> Result<(), usize> {
         scatter_cert(ptr, len, elem, ix, vb, vk, nl, false)
@@ -357,7 +261,7 @@ pub mod probe {
         elem: Scalar,
         ix: &[i64; LANES],
         vb: &[u64],
-        vk: &[u8],
+        vk: ValueKind,
         nl: usize,
     ) {
         let _ = scatter::<true>(ptr, len, elem, ix, vb, vk, nl);
@@ -398,7 +302,7 @@ fn scatter_cert(
     elem: Scalar,
     ix: &[i64; LANES],
     vb: &[u64],
-    vk: &[u8],
+    vk: ValueKind,
     nl: usize,
     elide: bool,
 ) -> Result<(), usize> {
@@ -428,12 +332,9 @@ type LaneFault = (usize, ExecError);
 /// `steady_tiled` op against 0.4k).
 #[derive(Default)]
 struct LaneBufs {
-    /// Reg-major packed register values: register `r`, thread `t` lives at
-    /// `bits[r * nthreads + t]`.
+    /// Reg-major register bits: register `r`, thread `t` lives at
+    /// `bits[r * nthreads + t]`, of kind `Program::kinds[r]`.
     bits: Vec<u64>,
-    /// Value kind per register per thread (`0` = int, `1` = float),
-    /// same layout as `bits`.
-    kinds: Vec<u8>,
     returned: Vec<bool>,
     tids: Vec<(u32, u32, u32)>,
     shared: Vec<Vec<u8>>,
@@ -463,10 +364,10 @@ fn refill_each(vs: &mut Vec<Vec<u8>>, n: usize, sizes: impl Iterator<Item = usiz
 }
 
 /// One thread's registers inside the reg-major lane rows: register `r` of
-/// thread `at` lives at `r * stride + at`.
+/// thread `at` lives at `r * stride + at`, of kind `kinds[r]`.
 struct Column<'a> {
     bits: &'a mut [u64],
-    kinds: &'a mut [u8],
+    kinds: &'a [ValueKind],
     at: usize,
     stride: usize,
 }
@@ -474,14 +375,16 @@ struct Column<'a> {
 impl RegView for Column<'_> {
     #[inline(always)]
     fn get(&self, r: Reg) -> Value {
-        let i = r as usize * self.stride + self.at;
-        unpack(self.bits[i], self.kinds[i])
+        unpack(
+            self.bits[r as usize * self.stride + self.at],
+            self.kinds[r as usize],
+        )
     }
 
     #[inline(always)]
     fn set(&mut self, r: Reg, v: Value) {
-        let i = r as usize * self.stride + self.at;
-        (self.bits[i], self.kinds[i]) = pack(v);
+        debug_assert_eq!(v.kind(), self.kinds[r as usize], "static kind of r{r}");
+        self.bits[r as usize * self.stride + self.at] = pack(v);
     }
 }
 
@@ -513,7 +416,6 @@ impl<'p> LaneEngine<'p> {
         let tids = (0..nthreads).map(|t| prog.launch.block.delinearize(t as u64));
         bufs.tids.extend(tids);
         refill(&mut bufs.bits, num_regs * nthreads, 0);
-        refill(&mut bufs.kinds, num_regs * nthreads, 0);
         refill(&mut bufs.returned, nthreads, false);
         refill(&mut bufs.scratch, LANES * num_regs, Value::I64(0));
         let shared_sizes = prog.shared_sizes.iter().copied();
@@ -532,10 +434,8 @@ impl<'p> LaneEngine<'p> {
         // nothing writes them and `reset` skips them.
         let base = prog.const_base as usize;
         for (k, c) in prog.const_pool.iter().enumerate() {
-            let (b, kd) = pack(*c);
             let r = base + k;
-            eng.bufs.bits[r * nthreads..(r + 1) * nthreads].fill(b);
-            eng.bufs.kinds[r * nthreads..(r + 1) * nthreads].fill(kd);
+            eng.bufs.bits[r * nthreads..(r + 1) * nthreads].fill(pack(*c));
         }
         let tid_base = base + prog.const_pool.len();
         // `finish_regs` never lays out an empty register file.
@@ -553,11 +453,10 @@ impl<'p> LaneEngine<'p> {
 
     fn reset(&mut self) {
         // Variable registers carry cross-statement state; temporaries are
-        // written before read, so only the leading `num_vars` rows (and the
-        // `I64(0)` kind) need clearing.
+        // written before read, so only the leading `num_vars` rows need
+        // clearing.
         let nv = self.prog.num_vars as usize * self.nthreads;
         self.bufs.bits[..nv].fill(0);
-        self.bufs.kinds[..nv].fill(0);
         self.bufs.returned.fill(false);
         for s in &mut self.bufs.shared {
             s.fill(0);
@@ -569,80 +468,55 @@ impl<'p> LaneEngine<'p> {
 
     #[inline]
     fn get(&self, r: Reg, t: usize) -> Value {
-        let i = r as usize * self.nthreads + t;
-        unpack(self.bufs.bits[i], self.bufs.kinds[i])
+        unpack(self.bufs.bits[r as usize * self.nthreads + t], self.kind(r))
     }
 
-    /// Copy one register's chunk row into stack arrays (lanes past `nl` are
-    /// zero-padded and never read).
+    /// The static kind of register `r`.
     #[inline]
-    fn load_row(&self, r: Reg, c0: usize, nl: usize) -> ([u64; LANES], [u8; LANES]) {
-        let base = r as usize * self.nthreads + c0;
-        let mut b = [0u64; LANES];
-        let mut k = [0u8; LANES];
-        b[..nl].copy_from_slice(&self.bufs.bits[base..base + nl]);
-        k[..nl].copy_from_slice(&self.bufs.kinds[base..base + nl]);
-        (b, k)
+    fn kind(&self, r: Reg) -> ValueKind {
+        self.prog.kinds[r as usize]
     }
 
-    /// Write the first `nl` lanes of `out` to a register row with a uniform
-    /// value kind.
+    /// Write the first `nl` lanes of `out` to a register row.
     #[inline]
-    fn store_row(&mut self, r: Reg, c0: usize, nl: usize, out: &[u64; LANES], kind: u8) {
+    fn store_row(&mut self, r: Reg, c0: usize, nl: usize, out: &[u64; LANES]) {
         let base = r as usize * self.nthreads + c0;
         self.bufs.bits[base..base + nl].copy_from_slice(&out[..nl]);
-        self.bufs.kinds[base..base + nl].fill(kind);
     }
 
-    #[inline]
-    fn store_row_mixed(
-        &mut self,
-        r: Reg,
-        c0: usize,
-        nl: usize,
-        out: &[u64; LANES],
-        kinds: &[u8; LANES],
-    ) {
-        let base = r as usize * self.nthreads + c0;
-        self.bufs.bits[base..base + nl].copy_from_slice(&out[..nl]);
-        self.bufs.kinds[base..base + nl].copy_from_slice(&kinds[..nl]);
-    }
-
-    /// Gather a register row as memory indices (`Value::as_i64` per lane).
+    /// A register row as memory indices (subscripts are ints).
     #[inline]
     fn idx_row(&self, r: Reg, c0: usize, nl: usize) -> [i64; LANES] {
-        let base = r as usize * self.nthreads + c0;
-        let bs = &self.bufs.bits[base..base + nl];
-        let ks = &self.bufs.kinds[base..base + nl];
         let mut ix = [0i64; LANES];
-        if uniform(ks) == Some(0) {
-            for i in 0..nl {
-                ix[i] = bs[i] as i64;
-            }
-        } else {
-            for i in 0..nl {
-                ix[i] = as_index(bs[i], ks[i]);
-            }
+        for (i, b) in ix.iter_mut().zip(self.row(r, c0, nl)) {
+            *i = *b as i64;
         }
         ix
     }
 
-    /// Direct borrow of one register's chunk row (no copy) — bits and kinds.
+    /// Direct borrow of one register's chunk row (no copy).
     #[inline]
-    fn row(&self, r: Reg, c0: usize, nl: usize) -> (&[u64], &[u8]) {
+    fn row(&self, r: Reg, c0: usize, nl: usize) -> &[u64] {
         let base = r as usize * self.nthreads + c0;
-        (
-            &self.bufs.bits[base..base + nl],
-            &self.bufs.kinds[base..base + nl],
-        )
+        &self.bufs.bits[base..base + nl]
+    }
+
+    /// `f` over the first `nl` lanes of `src`'s row (read as values of its
+    /// kind) into `dst`'s row.
+    #[inline]
+    fn map_row(&mut self, dst: Reg, src: Reg, c0: usize, nl: usize, f: impl Fn(Value) -> Value) {
+        let k = self.kind(src);
+        let mut out = [0u64; LANES];
+        for (o, b) in out.iter_mut().zip(self.row(src, c0, nl)) {
+            *o = pack(f(unpack(*b, k)));
+        }
+        self.store_row(dst, c0, nl, &out);
     }
 
     /// Broadcast a uniform loop variable to every thread's row.
     fn set_var_all(&mut self, r: Reg, v: Value) {
-        let (b, k) = pack(v);
         let base = r as usize * self.nthreads;
-        self.bufs.bits[base..base + self.nthreads].fill(b);
-        self.bufs.kinds[base..base + self.nthreads].fill(k);
+        self.bufs.bits[base..base + self.nthreads].fill(pack(v));
     }
 
     /// Execute one block; global-memory effects land in `mem`.
@@ -683,6 +557,7 @@ impl<'p> LaneEngine<'p> {
                 }
                 PhaseOp::UniformFor {
                     var,
+                    ty,
                     bounds,
                     sreg,
                     ereg,
@@ -699,11 +574,11 @@ impl<'p> LaneEngine<'p> {
                     }
                     let mut v = s;
                     while (st > 0 && v < e) || (st < 0 && v > e) {
-                        self.set_var_all(*var, Value::I64(v));
+                        self.set_var_all(*var, Value::I64(v).convert_to(*ty));
                         self.exec_ops(body, mem)?;
                         v = v.wrapping_add(st); // as the oracle
                     }
-                    self.set_var_all(*var, Value::I64(v));
+                    self.set_var_all(*var, Value::I64(v).convert_to(*ty));
                 }
                 PhaseOp::UniformIf {
                     cond,
@@ -742,11 +617,9 @@ impl<'p> LaneEngine<'p> {
         for c0 in (0..n).step_by(LANES) {
             let nl = LANES.min(n - c0);
             for &r in &stage.load {
-                let (r, row) = (r as usize, r as usize * n + c0);
-                let lanes = bufs.bits[row..row + nl]
-                    .iter()
-                    .zip(&bufs.kinds[row..row + nl]);
-                for (w, (&b, &k)) in bufs.scratch[r..].iter_mut().step_by(nr).zip(lanes) {
+                let (k, r, row) = (prog.kinds[r as usize], r as usize, r as usize * n + c0);
+                let lanes = &bufs.bits[row..row + nl];
+                for (w, &b) in bufs.scratch[r..].iter_mut().step_by(nr).zip(lanes) {
                     *w = unpack(b, k);
                 }
             }
@@ -767,11 +640,9 @@ impl<'p> LaneEngine<'p> {
             }
             for &r in &stage.store {
                 let (r, row) = (r as usize, r as usize * n + c0);
-                let lanes = bufs.bits[row..row + nl]
-                    .iter_mut()
-                    .zip(&mut bufs.kinds[row..row + nl]);
-                for (w, (b, k)) in bufs.scratch[r..].iter().step_by(nr).zip(lanes) {
-                    (*b, *k) = pack(*w);
+                let lanes = &mut bufs.bits[row..row + nl];
+                for (w, b) in bufs.scratch[r..].iter().step_by(nr).zip(lanes) {
+                    *b = pack(*w);
                 }
             }
         }
@@ -796,7 +667,7 @@ impl<'p> LaneEngine<'p> {
         let nr = prog.num_regs as usize;
         let bufs = &mut self.bufs;
         for r in 0..nr {
-            bufs.scratch[r] = unpack(bufs.bits[r * n + t], bufs.kinds[r * n + t]);
+            bufs.scratch[r] = unpack(bufs.bits[r * n + t], prog.kinds[r]);
         }
         let cx = ThreadCx {
             shared: &mut bufs.shared,
@@ -808,7 +679,7 @@ impl<'p> LaneEngine<'p> {
         let regs = &mut bufs.scratch[..nr];
         let res = run_seg(prog, regs, cx, &mut bufs.returned[t], start, end, mem);
         for r in 0..prog.const_base as usize {
-            (bufs.bits[r * n + t], bufs.kinds[r * n + t]) = pack(bufs.scratch[r]);
+            bufs.bits[r * n + t] = pack(bufs.scratch[r]);
         }
         res
     }
@@ -902,11 +773,11 @@ impl<'p> LaneEngine<'p> {
                     } => {
                         let jump_if = matches!(inst, Inst::JumpIfTrue { .. });
                         self.stats.int_ops += nl as u64 * u64::from(*int_ops);
-                        let (cb, ck) = self.row(*cond, c0, nl);
+                        let (cb, ck) = (self.row(*cond, c0, nl), self.kind(*cond));
                         let mut jump = [false; LANES];
                         let mut njump = 0usize;
                         for i in 0..nl {
-                            jump[i] = truthy(cb[i], ck[i]) == jump_if;
+                            jump[i] = truthy(cb[i], ck) == jump_if;
                             njump += usize::from(jump[i]);
                         }
                         pc =
@@ -1052,6 +923,7 @@ impl<'p> LaneEngine<'p> {
         match *inst {
             Inst::ForInit {
                 var,
+                ty,
                 start,
                 end,
                 step,
@@ -1075,7 +947,7 @@ impl<'p> LaneEngine<'p> {
                         continue;
                     }
                     nact += 1;
-                    match for_init(&mut self.column(c0 + i), var, start, end, step) {
+                    match for_init(&mut self.column(c0 + i), var, ty, start, end, step) {
                         Ok(true) => went += 1,
                         Ok(false) => resume[i] = exit,
                         Err(e) => {
@@ -1090,6 +962,7 @@ impl<'p> LaneEngine<'p> {
             }
             Inst::ForNext {
                 var,
+                ty,
                 ind,
                 end,
                 step,
@@ -1100,7 +973,7 @@ impl<'p> LaneEngine<'p> {
                         continue;
                     }
                     nact += 1;
-                    if for_next(&mut self.column(c0 + i), var, ind, end, step) {
+                    if for_next(&mut self.column(c0 + i), var, ty, ind, end, step) {
                         *r = back;
                         went += 1;
                     } else {
@@ -1146,14 +1019,15 @@ impl<'p> LaneEngine<'p> {
 
     /// Execute a data op for every lane of a fully-active chunk.
     ///
-    /// This is the engine's hot loop: operand rows are copied into stack
-    /// arrays, the common uniform-kind cases run branch-free loops over raw
-    /// `u64`/`i64`/`f64` lanes (float muladds keep the two separate
+    /// This is the engine's hot loop: operand rows are read in place, the
+    /// static kinds of the operand registers pick one branch-free loop over
+    /// raw `u64`/`i64`/`f64` lanes (float muladds keep the two separate
     /// roundings of the oracle — never `mul_add`), and loads and stores
     /// hoist the slot lookup and buffer pointer out of the per-lane loop.
-    /// Anything rare falls through to [`step`] per lane. On a
-    /// fault, lanes below the returned index have committed the op; the
-    /// caller retires the rest.
+    /// The arithmetic is the scalar definitions `step` and the oracle
+    /// share; a mixed-kind mul-add and anything rare fall through to
+    /// [`step`] per lane. On a fault, lanes below the returned index have
+    /// committed the op; the caller retires the rest.
     fn op_full<M: GlobalMem>(
         &mut self,
         inst: &Inst,
@@ -1168,6 +1042,7 @@ impl<'p> LaneEngine<'p> {
         let nl = nl.min(LANES);
         let n64 = nl as u64;
         let prog = self.prog;
+        let mut out = [0u64; LANES];
         match inst {
             Inst::Const {
                 dst,
@@ -1175,185 +1050,100 @@ impl<'p> LaneEngine<'p> {
                 int_ops,
                 float_ops,
             } => {
-                let (b, k) = pack(*v);
-                self.store_row(*dst, c0, nl, &[b; LANES], k);
+                self.store_row(*dst, c0, nl, &[pack(*v); LANES]);
                 self.stats.int_ops += n64 * u64::from(*int_ops);
                 self.stats.float_ops += n64 * u64::from(*float_ops);
             }
             Inst::Tid { dst, axis } => {
-                let mut out = [0u64; LANES];
                 for (i, o) in out.iter_mut().enumerate().take(nl) {
                     *o = axis_of(self.bufs.tids[c0 + i], *axis) as u64;
                 }
-                self.store_row(*dst, c0, nl, &out, 0);
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Bid { dst, axis } => {
                 let v = axis_of(self.block, *axis) as u64;
-                self.store_row(*dst, c0, nl, &[v; LANES], 0);
+                self.store_row(*dst, c0, nl, &[v; LANES]);
             }
             Inst::Copy { dst, src } => {
                 let n = self.nthreads;
-                let (sb, db) = (*src as usize * n + c0, *dst as usize * n + c0);
-                self.bufs.bits.copy_within(sb..sb + nl, db);
-                self.bufs.kinds.copy_within(sb..sb + nl, db);
+                let sb = *src as usize * n + c0;
+                self.bufs
+                    .bits
+                    .copy_within(sb..sb + nl, *dst as usize * n + c0);
             }
             Inst::Test { dst, src } => {
-                let (b, k) = self.row(*src, c0, nl);
-                let mut out = [0u64; LANES];
-                for i in 0..nl {
-                    out[i] = u64::from(truthy(b[i], k[i]));
+                let k = self.kind(*src);
+                for (o, b) in out.iter_mut().zip(self.row(*src, c0, nl)) {
+                    *o = u64::from(truthy(*b, k));
                 }
-                self.store_row(*dst, c0, nl, &out, 0);
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Unary { dst, op, src } => {
-                let (b, k) = self.load_row(*src, c0, nl);
-                let mut out = [0u64; LANES];
-                let mut ok = [0u8; LANES];
-                for i in 0..nl {
-                    let a = unpack(b[i], k[i]);
-                    count_op(&mut self.stats, a.kind());
-                    let (ob, okd) = pack(eval_unop(*op, a));
-                    out[i] = ob;
-                    ok[i] = okd;
+                match self.kind(*src) {
+                    ValueKind::Int => self.stats.int_ops += n64,
+                    ValueKind::Float => self.stats.float_ops += n64,
                 }
-                self.store_row_mixed(*dst, c0, nl, &out, &ok);
+                self.map_row(*dst, *src, c0, nl, |a| eval_unop(*op, a));
             }
             Inst::Cast { dst, ty, src } => {
-                let (b, k) = self.load_row(*src, c0, nl);
-                let mut out = [0u64; LANES];
-                for i in 0..nl {
-                    out[i] = pack(unpack(b[i], k[i]).convert_to(*ty)).0;
+                match ty.kind() {
+                    ValueKind::Int => self.stats.int_ops += n64,
+                    ValueKind::Float => self.stats.float_ops += n64,
                 }
-                let okind = match ty.kind() {
-                    ValueKind::Int => {
-                        self.stats.int_ops += n64;
-                        0
-                    }
-                    ValueKind::Float => {
-                        self.stats.float_ops += n64;
-                        1
-                    }
-                };
-                self.store_row(*dst, c0, nl, &out, okind);
+                self.map_row(*dst, *src, c0, nl, |a| a.convert_to(*ty));
             }
             Inst::Intrin1 { dst, f, a } => {
-                let (b, k) = self.load_row(*a, c0, nl);
-                let mut out = [0u64; LANES];
-                let mut ok = [0u8; LANES];
-                for i in 0..nl {
-                    let (ob, okd) = pack(eval_intrinsic(*f, &[unpack(b[i], k[i])]));
-                    out[i] = ob;
-                    ok[i] = okd;
-                }
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
-                self.store_row_mixed(*dst, c0, nl, &out, &ok);
+                self.map_row(*dst, *a, c0, nl, |a| eval_intrinsic(*f, &[a]));
             }
             Inst::Intrin2 { dst, f, a, b } => {
-                let (ab, ak) = self.load_row(*a, c0, nl);
-                let (bb, bk) = self.load_row(*b, c0, nl);
-                let mut out = [0u64; LANES];
-                let mut ok = [0u8; LANES];
-                for i in 0..nl {
-                    let (ob, okd) = pack(eval_intrinsic(
-                        *f,
-                        &[unpack(ab[i], ak[i]), unpack(bb[i], bk[i])],
-                    ));
-                    out[i] = ob;
-                    ok[i] = okd;
+                let (ak, bk) = (self.kind(*a), self.kind(*b));
+                let rows = self.row(*a, c0, nl).iter().zip(self.row(*b, c0, nl));
+                for (o, (x, y)) in out.iter_mut().zip(rows) {
+                    *o = pack(eval_intrinsic(*f, &[unpack(*x, ak), unpack(*y, bk)]));
                 }
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
-                self.store_row_mixed(*dst, c0, nl, &out, &ok);
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Binary { dst, op, lhs, rhs } => {
-                let (lb, lk) = self.row(*lhs, c0, nl);
-                let (rb, rk) = self.row(*rhs, c0, nl);
-                let mut out = [0u64; LANES];
-                match (uniform(lk), uniform(rk)) {
-                    (Some(1), Some(1)) if fbin_arith(*op, 0.0, 0.0).is_some() => {
-                        for i in 0..nl {
-                            let a = f64::from_bits(lb[i]);
-                            let b = f64::from_bits(rb[i]);
-                            out[i] = fbin_arith(*op, a, b).unwrap().to_bits();
-                        }
-                        self.stats.float_ops += n64;
-                        self.store_row(*dst, c0, nl, &out, 1);
-                    }
-                    (Some(1), Some(1)) if fcmp(*op, 0.0, 0.0).is_some() => {
-                        for i in 0..nl {
-                            let a = f64::from_bits(lb[i]);
-                            let b = f64::from_bits(rb[i]);
-                            out[i] = fcmp(*op, a, b).unwrap() as u64;
-                        }
-                        self.stats.float_ops += n64;
-                        self.store_row(*dst, c0, nl, &out, 0);
-                    }
-                    (Some(0), Some(0)) => {
-                        if matches!(op, BinOp::Div | BinOp::Rem) {
-                            let mut fault = None;
-                            for i in 0..nl {
-                                if rb[i] == 0 {
-                                    fault = Some(i);
-                                    break;
-                                }
-                                out[i] = ibin(*op, lb[i] as i64, rb[i] as i64) as u64;
+                let (lk, rk) = (self.kind(*lhs), self.kind(*rhs));
+                let (lb, rb) = (self.row(*lhs, c0, nl), self.row(*rhs, c0, nl));
+                if lk == ValueKind::Int && rk == ValueKind::Int {
+                    if matches!(op, BinOp::Div | BinOp::Rem) {
+                        if let Some(i) = rb.iter().position(|&b| b == 0) {
+                            // Lanes below the zero divisor commit before the
+                            // fault is reported.
+                            for j in 0..i {
+                                out[j] = int_binop(*op, lb[j] as i64, rb[j] as i64) as u64;
                             }
-                            if let Some(i) = fault {
-                                // Lanes below already computed: commit them
-                                // before reporting the fault.
-                                self.stats.int_ops += i as u64 + 1;
-                                let row = *dst as usize * self.nthreads + c0;
-                                self.bufs.bits[row..row + i].copy_from_slice(&out[..i]);
-                                self.bufs.kinds[row..row + i].fill(0);
-                                return Err((i, ExecError::DivByZero));
-                            }
-                        } else {
-                            for i in 0..nl {
-                                out[i] = ibin(*op, lb[i] as i64, rb[i] as i64) as u64;
-                            }
-                        }
-                        self.stats.int_ops += n64;
-                        self.store_row(*dst, c0, nl, &out, 0);
-                    }
-                    _ => {
-                        let mut ok = [0u8; LANES];
-                        let (mut io, mut fo) = (0u64, 0u64);
-                        let mut fault = None;
-                        for i in 0..nl {
-                            let l = unpack(lb[i], lk[i]);
-                            let r = unpack(rb[i], rk[i]);
-                            let float =
-                                l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-                            if float {
-                                fo += 1;
-                            } else {
-                                io += 1;
-                            }
-                            if binop_faults(*op, r, float) {
-                                fault = Some(i);
-                                break;
-                            }
-                            let (ob, okd) = pack(eval_binop_total(*op, l, r, float));
-                            out[i] = ob;
-                            ok[i] = okd;
-                        }
-                        self.stats.int_ops += io;
-                        self.stats.float_ops += fo;
-                        if let Some(i) = fault {
-                            self.store_row_mixed(*dst, c0, i, &out, &ok);
+                            self.stats.int_ops += i as u64 + 1;
+                            self.store_row(*dst, c0, i, &out);
                             return Err((i, ExecError::DivByZero));
                         }
-                        self.store_row_mixed(*dst, c0, nl, &out, &ok);
                     }
+                    for i in 0..nl {
+                        out[i] = int_binop(*op, lb[i] as i64, rb[i] as i64) as u64;
+                    }
+                    self.stats.int_ops += n64;
+                } else {
+                    // C's usual arithmetic conversions: an int operand
+                    // converts to double, as in `eval_binop_total`.
+                    for i in 0..nl {
+                        let (a, b) = (unpack(lb[i], lk).as_f64(), unpack(rb[i], rk).as_f64());
+                        out[i] = pack(float_binop(*op, a, b));
+                    }
+                    self.stats.float_ops += n64;
                 }
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::MulAdd { dst, a, b, c } => {
-                let (ab, ak) = self.row(*a, c0, nl);
-                let (bb, bk) = self.row(*b, c0, nl);
-                let (cb, ck) = self.row(*c, c0, nl);
-                let kinds = (uniform(ak), uniform(bk), uniform(ck));
-                let mut out = [0u64; LANES];
-                match kinds {
-                    (Some(1), Some(1), Some(1)) => {
+                let (ab, bb, cb) = (
+                    self.row(*a, c0, nl),
+                    self.row(*b, c0, nl),
+                    self.row(*c, c0, nl),
+                );
+                match (self.kind(*a), self.kind(*b), self.kind(*c)) {
+                    (ValueKind::Float, ValueKind::Float, ValueKind::Float) => {
                         // Fixed-width body for full chunks so the trip count
                         // is a compile-time constant the autovectorizer can
                         // unroll into whole vectors.
@@ -1373,34 +1163,28 @@ impl<'p> LaneEngine<'p> {
                             }
                         }
                         self.stats.float_ops += 2 * n64;
-                        self.store_row(*dst, c0, nl, &out, 1);
                     }
-                    (Some(0), Some(0), Some(0)) => {
+                    (ValueKind::Int, ValueKind::Int, ValueKind::Int) => {
                         for i in 0..nl {
-                            let m = (ab[i] as i64).wrapping_mul(bb[i] as i64);
-                            out[i] = m.wrapping_add(cb[i] as i64) as u64;
+                            let m = int_binop(BinOp::Mul, ab[i] as i64, bb[i] as i64);
+                            out[i] = int_binop(BinOp::Add, m, cb[i] as i64) as u64;
                         }
                         self.stats.int_ops += 2 * n64;
-                        self.store_row(*dst, c0, nl, &out, 0);
                     }
-                    // Mixed kinds: per-lane promotion and charging.
+                    // Mixed kinds: promotion and charging per component.
                     _ => return self.full_fallback(inst, elide, c0, nl, mem),
                 }
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Load { dst, slot, idx } => {
                 let info = slot_info(prog, *slot);
                 let sz = info.elem.size() as u64;
                 let ix = self.idx_row(*idx, c0, nl);
-                let okind = match info.elem.kind() {
-                    ValueKind::Int => 0,
-                    ValueKind::Float => 1,
-                };
-                let mut out = [0u64; LANES];
                 match info.kind {
                     SlotKind::Global { buf } => {
                         let (ptr, len) = mem.raw(buf);
                         if let Err(i) = gather_cert(ptr, len, info.elem, &ix, nl, &mut out, elide) {
-                            self.store_row(*dst, c0, i, &out, okind);
+                            self.store_row(*dst, c0, i, &out);
                             return Err((i, oob(info, ix[i], mem)));
                         }
                         self.stats.global_read_bytes += n64 * sz;
@@ -1410,7 +1194,7 @@ impl<'p> LaneEngine<'p> {
                         let sh = &self.bufs.shared[si as usize];
                         let (sp, slen) = (sh.as_ptr(), sh.len());
                         if let Err(i) = gather_cert(sp, slen, info.elem, &ix, nl, &mut out, elide) {
-                            self.store_row(*dst, c0, i, &out, okind);
+                            self.store_row(*dst, c0, i, &out);
                             return Err((i, oob(info, ix[i], mem)));
                         }
                         self.stats.shared_bytes += n64 * sz;
@@ -1418,42 +1202,32 @@ impl<'p> LaneEngine<'p> {
                     SlotKind::Local { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
                 }
                 self.stats.int_ops += n64; // address computation
-                self.store_row(*dst, c0, nl, &out, okind);
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Store { slot, idx, val } => {
                 let info = slot_info(prog, *slot);
                 let sz = info.elem.size() as u64;
                 let ix = self.idx_row(*idx, c0, nl);
+                let vk = self.kind(*val);
+                let pv = *val as usize * self.nthreads + c0;
+                let vb = &self.bufs.bits[pv..pv + nl];
+                let (ptr, len) = match info.kind {
+                    SlotKind::Global { buf } => mem.raw(buf),
+                    SlotKind::Shared { idx: si } => {
+                        let sh = &mut self.bufs.shared[si as usize];
+                        (sh.as_mut_ptr(), sh.len())
+                    }
+                    SlotKind::Local { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
+                };
+                if let Err(i) = scatter_cert(ptr, len, info.elem, &ix, vb, vk, nl, elide) {
+                    return Err((i, oob(info, ix[i], mem)));
+                }
                 match info.kind {
-                    SlotKind::Global { buf } => {
-                        let (ptr, len) = mem.raw(buf);
-                        let (vb, vk) = self.row(*val, c0, nl);
-                        if let Err(i) = scatter_cert(ptr, len, info.elem, &ix, vb, vk, nl, elide) {
-                            return Err((i, oob(info, ix[i], mem)));
-                        }
+                    SlotKind::Global { .. } => {
                         self.stats.global_write_bytes += n64 * sz;
                         self.stats.global_stores += n64;
                     }
-                    SlotKind::Shared { idx: si } => {
-                        let pv = *val as usize * self.nthreads + c0;
-                        let (vb, vk) =
-                            (&self.bufs.bits[pv..pv + nl], &self.bufs.kinds[pv..pv + nl]);
-                        let sh = &mut self.bufs.shared[si as usize];
-                        if let Err(i) = scatter_cert(
-                            sh.as_mut_ptr(),
-                            sh.len(),
-                            info.elem,
-                            &ix,
-                            vb,
-                            vk,
-                            nl,
-                            elide,
-                        ) {
-                            return Err((i, oob(info, ix[i], mem)));
-                        }
-                        self.stats.shared_bytes += n64 * sz;
-                    }
-                    SlotKind::Local { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
+                    _ => self.stats.shared_bytes += n64 * sz,
                 }
                 self.stats.int_ops += n64; // address computation
             }
@@ -1493,7 +1267,7 @@ impl<'p> LaneEngine<'p> {
     fn column(&mut self, t: usize) -> Column<'_> {
         Column {
             bits: &mut self.bufs.bits,
-            kinds: &mut self.bufs.kinds,
+            kinds: &self.prog.kinds,
             at: t,
             stride: self.nthreads,
         }
@@ -1513,7 +1287,7 @@ impl<'p> LaneEngine<'p> {
         let bufs = &mut self.bufs;
         let mut col = Column {
             bits: &mut bufs.bits,
-            kinds: &mut bufs.kinds,
+            kinds: &self.prog.kinds,
             at: t,
             stride: self.nthreads,
         };

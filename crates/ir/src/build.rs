@@ -26,14 +26,12 @@ use crate::types::Scalar;
 ///
 /// Statements are appended to the innermost open block; [`Self::if_then`],
 /// [`Self::if_else`] and [`Self::for_`] take closures that build the nested
-/// bodies.
+/// bodies. Every expression passes through `Kernel::convert` on its way
+/// in, so a value assigned across kinds or a mixed `?:` gets C's cast.
 #[derive(Debug)]
 pub struct KernelBuilder {
-    name: String,
-    params: Vec<Param>,
-    shared: Vec<ArrayDecl>,
-    locals: Vec<ArrayDecl>,
-    var_names: Vec<String>,
+    /// Everything but the body, which lives on `stack` until `finish`.
+    kernel: Kernel,
     stack: Vec<Vec<Stmt>>,
 }
 
@@ -41,19 +39,18 @@ impl KernelBuilder {
     /// Start a new kernel.
     pub fn new(name: impl Into<String>) -> KernelBuilder {
         KernelBuilder {
-            name: name.into(),
-            params: Vec::new(),
-            shared: Vec::new(),
-            locals: Vec::new(),
-            var_names: Vec::new(),
+            kernel: Kernel {
+                name: name.into(),
+                ..Kernel::default()
+            },
             stack: vec![Vec::new()],
         }
     }
 
     /// Declare a global-memory buffer parameter; returns its memory handle.
     pub fn buffer(&mut self, name: impl Into<String>, elem: Scalar) -> MemRef {
-        let id = ParamId(self.params.len() as u32);
-        self.params.push(Param::Buffer {
+        let id = ParamId(self.kernel.params.len() as u32);
+        self.kernel.params.push(Param::Buffer {
             name: name.into(),
             elem,
         });
@@ -62,8 +59,8 @@ impl KernelBuilder {
 
     /// Declare a scalar parameter; returns an expression reading it.
     pub fn scalar(&mut self, name: impl Into<String>, ty: Scalar) -> Expr {
-        let id = ParamId(self.params.len() as u32);
-        self.params.push(Param::Scalar {
+        let id = ParamId(self.kernel.params.len() as u32);
+        self.kernel.params.push(Param::Scalar {
             name: name.into(),
             ty,
         });
@@ -72,8 +69,8 @@ impl KernelBuilder {
 
     /// Declare a `__shared__` array of `len` elements.
     pub fn shared(&mut self, name: impl Into<String>, elem: Scalar, len: usize) -> MemRef {
-        let id = self.shared.len() as u32;
-        self.shared.push(ArrayDecl {
+        let id = self.kernel.shared.len() as u32;
+        self.kernel.shared.push(ArrayDecl {
             name: name.into(),
             elem,
             len,
@@ -83,8 +80,8 @@ impl KernelBuilder {
 
     /// Declare a per-thread local array of `len` elements.
     pub fn local_array(&mut self, name: impl Into<String>, elem: Scalar, len: usize) -> MemRef {
-        let id = self.locals.len() as u32;
-        self.locals.push(ArrayDecl {
+        let id = self.kernel.locals.len() as u32;
+        self.kernel.locals.push(ArrayDecl {
             name: name.into(),
             elem,
             len,
@@ -92,16 +89,16 @@ impl KernelBuilder {
         MemRef::Local(id)
     }
 
-    /// Declare a local scalar variable (without assigning it).
-    pub fn var(&mut self, name: impl Into<String>) -> VarId {
-        let id = VarId(self.var_names.len() as u32);
-        self.var_names.push(name.into());
-        id
+    /// Declare a local scalar variable of type `ty` (without assigning it).
+    pub fn var(&mut self, name: impl Into<String>, ty: Scalar) -> VarId {
+        self.kernel.add_var(name.into(), ty)
     }
 
-    /// Declare a variable and immediately assign it (`int name = value;`).
+    /// Declare a variable typed by its initializer's kind (`long` or
+    /// `double`) and immediately assign it.
     pub fn let_(&mut self, name: impl Into<String>, value: Expr) -> VarId {
-        let v = self.var(name);
+        let ty = self.kernel.expr_kind(&value).scalar();
+        let v = self.var(name, ty);
         self.assign(v, value);
         v
     }
@@ -113,18 +110,25 @@ impl KernelBuilder {
             .push(s);
     }
 
-    /// `var = value;`
+    fn conv(&self, e: Expr) -> Expr {
+        self.kernel.convert(e, None)
+    }
+
+    /// `var = value;`, converted to `var`'s declared type.
     pub fn assign(&mut self, var: VarId, value: Expr) {
+        let value = self.kernel.convert(value, Some(self.kernel.var_type(var)));
         self.push(Stmt::Assign { var, value });
     }
 
     /// `mem[index] = value;`
     pub fn store(&mut self, mem: MemRef, index: Expr, value: Expr) {
+        let (index, value) = (self.conv(index), self.conv(value));
         self.push(Stmt::Store { mem, index, value });
     }
 
     /// `atomicOp(&mem[index], value);`
     pub fn atomic(&mut self, op: AtomicOp, mem: MemRef, index: Expr, value: Expr) {
+        let (index, value) = (self.conv(index), self.conv(value));
         self.push(Stmt::AtomicRmw {
             op,
             mem,
@@ -145,14 +149,7 @@ impl KernelBuilder {
 
     /// `if (cond) { body(b) }`
     pub fn if_then(&mut self, cond: Expr, body: impl FnOnce(&mut KernelBuilder)) {
-        self.stack.push(Vec::new());
-        body(self);
-        let then_body = self.stack.pop().expect("balanced block stack");
-        self.push(Stmt::If {
-            cond,
-            then_body,
-            else_body: Vec::new(),
-        });
+        self.if_else(cond, body, |_| {});
     }
 
     /// `if (cond) { then_b(b) } else { else_b(b) }`
@@ -168,6 +165,7 @@ impl KernelBuilder {
         self.stack.push(Vec::new());
         else_b(self);
         let else_body = self.stack.pop().expect("balanced block stack");
+        let cond = self.conv(cond);
         self.push(Stmt::If {
             cond,
             then_body,
@@ -176,7 +174,8 @@ impl KernelBuilder {
     }
 
     /// `for (v = start; v < end; v += step) { body(b, v) }` — declares and
-    /// returns the induction variable.
+    /// returns the induction variable, typed by `start`'s kind. The bounds
+    /// are converted to the loop's `i64` count.
     pub fn for_(
         &mut self,
         name: impl Into<String>,
@@ -185,10 +184,12 @@ impl KernelBuilder {
         step: Expr,
         body: impl FnOnce(&mut KernelBuilder, VarId),
     ) -> VarId {
-        let var = self.var(name);
+        let var = self.var(name, self.kernel.expr_kind(&start).scalar());
         self.stack.push(Vec::new());
         body(self, var);
         let body_stmts = self.stack.pop().expect("balanced block stack");
+        let [start, end, step] =
+            [start, end, step].map(|e| self.kernel.convert(e, Some(Scalar::I64)));
         self.push(Stmt::For {
             var,
             start,
@@ -220,14 +221,8 @@ impl KernelBuilder {
             1,
             "KernelBuilder::finish called with unbalanced blocks"
         );
-        Kernel {
-            name: self.name,
-            params: self.params,
-            shared: self.shared,
-            locals: self.locals,
-            body: self.stack.pop().unwrap(),
-            var_names: self.var_names,
-        }
+        self.kernel.body = self.stack.pop().unwrap();
+        self.kernel
     }
 }
 
@@ -277,8 +272,8 @@ mod tests {
     #[test]
     fn var_ids_are_sequential() {
         let mut b = KernelBuilder::new("k");
-        let a = b.var("a");
-        let c = b.var("c");
+        let a = b.var("a", Scalar::I32);
+        let c = b.var("c", Scalar::F32);
         assert_eq!(a, VarId(0));
         assert_eq!(c, VarId(1));
     }

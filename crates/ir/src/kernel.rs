@@ -1,8 +1,8 @@
 //! Kernel definitions: parameters, memory declarations and the kernel body.
 
-use crate::expr::Expr;
+use crate::expr::{BinOp, Expr, Intrinsic, UnOp};
 use crate::stmt::Stmt;
-use crate::types::{MemSpace, Scalar};
+use crate::types::{MemSpace, Scalar, ValueKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -120,8 +120,11 @@ impl MemRef {
 /// Invariants beyond what the type system expresses are established by
 /// [`crate::validate::validate`] and relied on by the executors:
 /// variables are assigned before use, barrier statements only appear in
-/// uniform control flow, and operand domains (int/float) agree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// uniform control flow, and every value reaching a variable, a `for` bound,
+/// a subscript or a `?:` arm already has the kind it needs there (the
+/// parser and [`crate::KernelBuilder`] insert C's conversions), so each
+/// expression's kind is static ([`Kernel::expr_kind`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
     /// Kernel name (the `__global__` function name).
     pub name: String,
@@ -135,12 +138,112 @@ pub struct Kernel {
     pub body: Vec<Stmt>,
     /// Names of local scalar variables, indexed by [`VarId`].
     pub var_names: Vec<String>,
+    /// Declared type of each local scalar variable, indexed by [`VarId`].
+    /// A variable holds `ty.widened()`: ints are carried i64-wide.
+    pub var_types: Vec<Scalar>,
 }
 
 impl Kernel {
     /// Number of local scalar variables.
     pub fn num_vars(&self) -> usize {
         self.var_names.len()
+    }
+
+    /// Declared type of a variable.
+    pub fn var_type(&self, v: VarId) -> Scalar {
+        self.var_types[v.index()]
+    }
+
+    /// Add a scalar variable of declared type `ty`.
+    pub(crate) fn add_var(&mut self, name: String, ty: Scalar) -> VarId {
+        let id = VarId(self.var_names.len() as u32);
+        self.var_names.push(name);
+        self.var_types.push(ty);
+        id
+    }
+
+    /// The kind `e` evaluates to. Comparisons, logic and the integer-only
+    /// operators give `Int`; arithmetic is `Float` when either operand is
+    /// (C's usual arithmetic conversions, done inside the op); `min`/`max`/
+    /// `abs` stay `Int` on int arguments and every other intrinsic is
+    /// `Float`; a `?:` takes its then-arm's kind (the arms agree once the
+    /// front end's conversions are in).
+    pub fn expr_kind(&self, e: &Expr) -> ValueKind {
+        match e {
+            Expr::IntConst(_)
+            | Expr::ThreadIdx(_)
+            | Expr::BlockIdx(_)
+            | Expr::BlockDim(_)
+            | Expr::GridDim(_) => ValueKind::Int,
+            Expr::FloatConst(_) => ValueKind::Float,
+            Expr::Param(p) => self.params[p.index()].scalar().kind(),
+            Expr::Var(v) => self.var_type(*v).kind(),
+            Expr::Load { mem, .. } => self.elem_type(*mem).kind(),
+            Expr::Unary { op: UnOp::Neg, arg } => self.expr_kind(arg),
+            Expr::Unary { .. } => ValueKind::Int,
+            Expr::Binary { op, lhs, rhs } => match op {
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+                    self.expr_kind(lhs).max(self.expr_kind(rhs))
+                }
+                _ => ValueKind::Int,
+            },
+            Expr::Select { then_value, .. } => self.expr_kind(then_value),
+            Expr::Cast { ty, .. } => ty.kind(),
+            Expr::Call { f, args } => match f {
+                Intrinsic::Min | Intrinsic::Max | Intrinsic::Abs => args
+                    .iter()
+                    .map(|a| self.expr_kind(a))
+                    .max()
+                    .unwrap_or(ValueKind::Int),
+                _ => ValueKind::Float,
+            },
+        }
+    }
+
+    /// C's implicit conversions made explicit, the one place they are made
+    /// (the parser and [`crate::KernelBuilder`] call it on every statement's
+    /// expressions): the int arm of every `?:` in `e` whose arms differ in
+    /// kind is cast to `F64`, and when `to` names a target — a variable's
+    /// declared type, or `I64` for a `for` bound — the result is cast to
+    /// `to.widened()` if its kind differs. Same-kind values are untouched.
+    pub(crate) fn convert(&self, mut e: Expr, to: Option<Scalar>) -> Expr {
+        self.convert_selects(&mut e);
+        match to {
+            Some(ty) if self.expr_kind(&e) != ty.kind() => Expr::cast(ty.widened(), e),
+            _ => e,
+        }
+    }
+
+    fn convert_selects(&self, e: &mut Expr) {
+        match e {
+            Expr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => {
+                for x in [&mut **cond, &mut **then_value, &mut **else_value] {
+                    self.convert_selects(x);
+                }
+                let (t, f) = (self.expr_kind(then_value), self.expr_kind(else_value));
+                if t != f {
+                    let arm = if t == ValueKind::Int {
+                        &mut **then_value
+                    } else {
+                        &mut **else_value
+                    };
+                    *arm = Expr::cast(Scalar::F64, std::mem::replace(arm, Expr::IntConst(0)));
+                }
+            }
+            Expr::Load { index: a, .. }
+            | Expr::Unary { arg: a, .. }
+            | Expr::Cast { arg: a, .. } => self.convert_selects(a),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.convert_selects(lhs);
+                self.convert_selects(rhs);
+            }
+            Expr::Call { args, .. } => args.iter_mut().for_each(|a| self.convert_selects(a)),
+            _ => {}
+        }
     }
 
     /// Element type of a memory reference.
@@ -334,6 +437,7 @@ mod tests {
                 value: Expr::load(MemRef::Global(src), Expr::global_tid_x()),
             }],
             var_names: vec![],
+            var_types: vec![],
         }
     }
 

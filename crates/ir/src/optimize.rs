@@ -12,16 +12,17 @@
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel::Kernel;
 use crate::stmt::Stmt;
+use crate::types::{Scalar, Value};
 
 /// Optimize a kernel in place; returns the number of rewrites applied.
 pub fn optimize(kernel: &mut Kernel) -> usize {
     let mut count = 0;
     let body = std::mem::take(&mut kernel.body);
-    kernel.body = opt_block(body, &mut count);
+    kernel.body = opt_block(body, &kernel.var_types, &mut count);
     count
 }
 
-fn opt_block(stmts: Vec<Stmt>, count: &mut usize) -> Vec<Stmt> {
+fn opt_block(stmts: Vec<Stmt>, var_types: &[Scalar], count: &mut usize) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
         match s {
@@ -51,8 +52,8 @@ fn opt_block(stmts: Vec<Stmt>, count: &mut usize) -> Vec<Stmt> {
                 else_body,
             } => {
                 let cond = opt_expr(cond, count);
-                let then_body = opt_block(then_body, count);
-                let else_body = opt_block(else_body, count);
+                let then_body = opt_block(then_body, var_types, count);
+                let else_body = opt_block(else_body, var_types, count);
                 match const_truth(&cond) {
                     // Statically decided branch: splice the taken side.
                     Some(true) => {
@@ -88,7 +89,7 @@ fn opt_block(stmts: Vec<Stmt>, count: &mut usize) -> Vec<Stmt> {
                 let start = opt_expr(start, count);
                 let end = opt_expr(end, count);
                 let step = opt_expr(step, count);
-                let body = opt_block(body, count);
+                let body = opt_block(body, var_types, count);
                 // Zero-trip loops still define the induction variable, so
                 // keep the loop header (the interpreter assigns `var =
                 // start` even when the body never runs) unless the body is
@@ -101,10 +102,15 @@ fn opt_block(stmts: Vec<Stmt>, count: &mut usize) -> Vec<Stmt> {
                     let never_runs = (st > 0 && s0 >= e0) || (st < 0 && s0 <= e0);
                     if never_runs {
                         *count += 1;
-                        // Keep the induction-variable definition.
+                        // Keep the induction-variable definition: the
+                        // count converted to the variable's type.
+                        let ty = var_types[var.index()].widened();
                         out.push(Stmt::Assign {
                             var,
-                            value: Expr::IntConst(s0),
+                            value: match Value::I64(s0).convert_to(ty) {
+                                Value::I64(v) => Expr::IntConst(v),
+                                Value::F64(v) => Expr::FloatConst(v),
+                            },
                         });
                         continue;
                     }
@@ -211,7 +217,7 @@ pub fn opt_expr(e: Expr, count: &mut usize) -> Expr {
             if let Expr::IntConst(v) = arg {
                 if ty.kind() == crate::types::ValueKind::Int {
                     *count += 1;
-                    return Expr::IntConst(crate::types::Value::I64(v).convert_to(ty).as_i64());
+                    return Expr::IntConst(Value::I64(v).convert_to(ty).as_i64());
                 }
             }
             Expr::Cast {

@@ -18,7 +18,7 @@
 use crate::expr::{BinOp, Expr, Intrinsic, UnOp};
 use crate::kernel::{ArrayDecl, Kernel, MemRef, Param, ParamId, VarId};
 use crate::stmt::{AtomicOp, Stmt};
-use crate::types::{Axis, Scalar};
+use crate::types::{Axis, Scalar, ValueKind};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -74,10 +74,7 @@ pub fn parse_kernel_with_map(src: &str) -> Result<(Kernel, SourceMap), ParseErro
     let mut p = Parser {
         tokens,
         pos: 0,
-        params: Vec::new(),
-        shared: Vec::new(),
-        locals: Vec::new(),
-        var_names: Vec::new(),
+        k: Kernel::default(),
         scopes: vec![HashMap::new()],
         map: SourceMap::default(),
     };
@@ -243,10 +240,9 @@ enum Binding {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    params: Vec<Param>,
-    shared: Vec<ArrayDecl>,
-    locals: Vec<ArrayDecl>,
-    var_names: Vec<String>,
+    /// The kernel so far: signature, arrays and typed variables (the body
+    /// is assembled by the recursive descent and set at the end).
+    k: Kernel,
     scopes: Vec<HashMap<String, Binding>>,
     map: SourceMap,
 }
@@ -393,11 +389,27 @@ impl Parser {
             .insert(name, b);
     }
 
-    fn new_var(&mut self, name: String) -> VarId {
-        let id = VarId(self.var_names.len() as u32);
-        self.var_names.push(name.clone());
+    fn new_var(&mut self, name: String, ty: Scalar) -> VarId {
+        let id = self.k.add_var(name.clone(), ty);
         self.bind(name, Binding::Var(id));
         id
+    }
+
+    /// `var = value`, converted to `var`'s declared type.
+    fn assign(&self, var: VarId, value: Expr) -> Stmt {
+        let value = self.k.convert(value, Some(self.k.var_type(var)));
+        Stmt::Assign { var, value }
+    }
+
+    /// A statement expression with C's implicit conversions made explicit.
+    fn conv(&self, e: Expr) -> Expr {
+        self.k.convert(e, None)
+    }
+
+    /// Parse an expression and [`Self::conv`] it.
+    fn expr_conv(&mut self) -> Result<Expr, ParseError> {
+        let e = self.expr()?;
+        Ok(self.conv(e))
     }
 
     // --------------------------------------------------- kernel structure --
@@ -405,7 +417,7 @@ impl Parser {
     fn kernel(&mut self) -> Result<Kernel, ParseError> {
         self.expect_kw("__global__")?;
         self.expect_kw("void")?;
-        let name = self.expect_ident()?;
+        self.k.name = self.expect_ident()?;
         self.expect_punct("(")?;
         if !self.eat_punct(")") {
             loop {
@@ -417,15 +429,15 @@ impl Parser {
                 };
                 let is_ptr = self.eat_punct("*");
                 let pname = self.expect_ident()?;
-                let id = ParamId(self.params.len() as u32);
+                let id = ParamId(self.k.params.len() as u32);
                 if is_ptr {
-                    self.params.push(Param::Buffer {
+                    self.k.params.push(Param::Buffer {
                         name: pname.clone(),
                         elem: ty,
                     });
                     self.bind(pname, Binding::Mem(MemRef::Global(id)));
                 } else {
-                    self.params.push(Param::Scalar {
+                    self.k.params.push(Param::Scalar {
                         name: pname.clone(),
                         ty,
                     });
@@ -442,14 +454,8 @@ impl Parser {
         if self.pos != self.tokens.len() {
             return self.err("trailing tokens after kernel body");
         }
-        Ok(Kernel {
-            name,
-            params: std::mem::take(&mut self.params),
-            shared: std::mem::take(&mut self.shared),
-            locals: std::mem::take(&mut self.locals),
-            body,
-            var_names: std::mem::take(&mut self.var_names),
-        })
+        self.k.body = body;
+        Ok(std::mem::take(&mut self.k))
     }
 
     /// Parse statements until the matching `}` (consumed).
@@ -486,8 +492,8 @@ impl Parser {
             if len < 0 {
                 return self.err("negative array length");
             }
-            let id = self.shared.len() as u32;
-            self.shared.push(ArrayDecl {
+            let id = self.k.shared.len() as u32;
+            self.k.shared.push(ArrayDecl {
                 name: name.clone(),
                 elem: ty,
                 len: len as usize,
@@ -506,8 +512,8 @@ impl Parser {
                 if len < 0 {
                     return self.err("negative array length");
                 }
-                let id = self.locals.len() as u32;
-                self.locals.push(ArrayDecl {
+                let id = self.k.locals.len() as u32;
+                self.k.locals.push(ArrayDecl {
                     name: name.clone(),
                     elem: ty,
                     len: len as usize,
@@ -515,16 +521,18 @@ impl Parser {
                 self.bind(name, Binding::Mem(MemRef::Local(id)));
                 return Ok(());
             }
-            let var = self.new_var(name);
+            let var = self.new_var(name, ty);
             if self.eat_punct("=") {
-                let mut value = self.expr()?;
-                // A declaration's type narrows the stored value, like C.
-                // Keep int-kind vars wide (they carry i64) but make float
-                // declarations of int expressions float-kind via a cast.
-                if ty.kind() == crate::types::ValueKind::Float {
-                    value = Expr::cast(ty, value);
-                }
-                out.push(Stmt::Assign { var, value });
+                let value = self.expr()?;
+                // A float declaration also rounds its initializer to the
+                // declared width, whatever its kind.
+                out.push(match ty.kind() {
+                    ValueKind::Float => Stmt::Assign {
+                        var,
+                        value: Expr::cast(ty, self.conv(value)),
+                    },
+                    ValueKind::Int => self.assign(var, value),
+                });
             }
             self.expect_punct(";")?;
             return Ok(());
@@ -566,10 +574,10 @@ impl Parser {
                     return self.err(format!("`{target}` is not an array"));
                 };
                 self.expect_punct("[")?;
-                let index = self.expr()?;
+                let index = self.expr_conv()?;
                 self.expect_punct("]")?;
                 self.expect_punct(",")?;
-                let value = self.expr()?;
+                let value = self.expr_conv()?;
                 self.expect_punct(")")?;
                 self.expect_punct(";")?;
                 if matches!(mem, MemRef::Global(_)) {
@@ -594,9 +602,10 @@ impl Parser {
         match binding {
             Binding::Mem(mem) => {
                 self.expect_punct("[")?;
-                let index = self.expr()?;
+                let index = self.expr_conv()?;
                 self.expect_punct("]")?;
                 let value = self.compound_rhs(Expr::load(mem, index.clone()))?;
+                let value = self.conv(value);
                 self.expect_punct(";")?;
                 if matches!(mem, MemRef::Global(_)) {
                     self.map.global_write_lines.push(stmt_line);
@@ -607,25 +616,15 @@ impl Parser {
                 Ok(())
             }
             Binding::Var(var) => {
-                if self.eat_punct("++") {
-                    self.expect_punct(";")?;
-                    out.push(Stmt::Assign {
-                        var,
-                        value: Expr::Var(var).add(Expr::int(1)),
-                    });
-                    return Ok(());
-                }
-                if self.eat_punct("--") {
-                    self.expect_punct(";")?;
-                    out.push(Stmt::Assign {
-                        var,
-                        value: Expr::Var(var).sub(Expr::int(1)),
-                    });
-                    return Ok(());
-                }
-                let value = self.compound_rhs(Expr::Var(var))?;
+                let value = if self.eat_punct("++") {
+                    Expr::Var(var).add(Expr::int(1))
+                } else if self.eat_punct("--") {
+                    Expr::Var(var).sub(Expr::int(1))
+                } else {
+                    self.compound_rhs(Expr::Var(var))?
+                };
                 self.expect_punct(";")?;
-                out.push(Stmt::Assign { var, value });
+                out.push(self.assign(var, value));
                 Ok(())
             }
             Binding::ScalarParam(_) => self.err(format!("cannot assign to parameter `{name}`")),
@@ -654,7 +653,7 @@ impl Parser {
 
     fn if_stmt(&mut self, out: &mut Vec<Stmt>) -> Result<(), ParseError> {
         self.expect_punct("(")?;
-        let cond = self.expr()?;
+        let cond = self.expr_conv()?;
         self.expect_punct(")")?;
         let then_body = self.stmt_or_block()?;
         let else_body = if self.eat_kw("else") {
@@ -699,10 +698,10 @@ impl Parser {
 
     fn for_stmt_inner(&mut self, out: &mut Vec<Stmt>) -> Result<(), ParseError> {
         // Init: `type name = start` or `name = start`.
-        let declared = self.eat_type().is_some();
+        let declared = self.eat_type();
         let name = self.expect_ident()?;
-        let var = if declared {
-            self.new_var(name)
+        let var = if let Some(ty) = declared {
+            self.new_var(name, ty)
         } else {
             match self.lookup(&name) {
                 Some(Binding::Var(v)) => v,
@@ -715,10 +714,10 @@ impl Parser {
 
         // Condition: `name < end`, `<=`, `>`, `>=`.
         let cname = self.expect_ident()?;
-        if cname != self.var_names[var.index()] {
+        if cname != self.k.var_names[var.index()] {
             return self.err(format!(
                 "for condition must test loop variable `{}`",
-                self.var_names[var.index()]
+                self.k.var_names[var.index()]
             ));
         }
         let rel = match self.next() {
@@ -732,7 +731,7 @@ impl Parser {
 
         // Increment: `name++`, `name--`, `name += e`, `name -= e`.
         let iname = self.expect_ident()?;
-        if iname != self.var_names[var.index()] {
+        if iname != self.k.var_names[var.index()] {
             return self.err("for increment must update the loop variable");
         }
         let step = if self.eat_punct("++") {
@@ -757,6 +756,9 @@ impl Parser {
             _ => unreachable!(),
         };
         let body = self.stmt_or_block()?;
+        // The loop counts in i64; the variable gets each count converted to
+        // its declared type.
+        let [start, end, step] = [start, end, step].map(|e| self.k.convert(e, Some(Scalar::I64)));
         out.push(Stmt::For {
             var,
             start,

@@ -7,8 +7,6 @@
 use crate::expr::{BinOp, Expr};
 use crate::kernel::{Kernel, MemRef, Param};
 use crate::stmt::Stmt;
-use crate::types::{Scalar, ValueKind};
-use crate::validate::infer_var_kinds;
 use std::fmt::Write;
 
 /// Render a kernel as mini-CUDA source.
@@ -94,13 +92,9 @@ impl<'k> Printer<'k> {
             self.line(&format!("{} {}[{}];", a.elem.c_name(), a.name, a.len));
         }
         // Hoisted scalar declarations: every local variable is declared up
-        // front so assignments inside nested blocks stay plain assignments.
-        let kinds = infer_var_kinds(k).unwrap_or_else(|_| vec![ValueKind::Int; k.num_vars()]);
-        for (i, name) in self.var_names.clone().iter().enumerate() {
-            let ty = match kinds[i] {
-                ValueKind::Int => "long",
-                ValueKind::Float => "double",
-            };
+        // front, with its declared type, so assignments inside nested
+        // blocks stay plain assignments.
+        for (ty, name) in k.var_types.iter().zip(self.var_names.clone()) {
             self.line(&format!("{ty} {name};"));
         }
         let body = &k.body;
@@ -289,19 +283,11 @@ pub(crate) fn bin_prec(op: BinOp) -> u8 {
     }
 }
 
-/// Convenience: render the scalar type used for declarations of a kind.
-pub fn decl_type(kind: ValueKind) -> Scalar {
-    match kind {
-        ValueKind::Int => Scalar::I64,
-        ValueKind::Float => Scalar::F64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::KernelBuilder;
-    use crate::types::Axis;
+    use crate::types::{Axis, Scalar};
 
     #[test]
     fn prints_listing1_shape() {

@@ -45,6 +45,17 @@ impl Scalar {
         }
     }
 
+    /// The type a variable declared `self` holds: C's integer types are
+    /// carried i64-wide (32-bit wrap is out of scope), floats keep their
+    /// declared width. The target of every conversion into a variable.
+    #[inline]
+    pub const fn widened(self) -> Scalar {
+        match self.kind() {
+            ValueKind::Int => Scalar::I64,
+            ValueKind::Float => self,
+        }
+    }
+
     /// The C-dialect spelling used by the printer and parser.
     pub const fn c_name(self) -> &'static str {
         match self {
@@ -65,18 +76,30 @@ impl fmt::Display for Scalar {
     }
 }
 
-/// Whether a runtime value is carried in the integer or floating domain.
+/// Whether a value is carried in the integer or floating domain.
 ///
-/// The IR is dynamically typed at only this coarse granularity: every
-/// expression evaluates to either an `i64` or an `f64`, and narrowing to the
-/// destination [`Scalar`] happens at stores and explicit casts, mirroring C
-/// integer conversion semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Every expression evaluates to either an `i64` or an `f64`, and which one
+/// is a compile-time fact ([`crate::Kernel::expr_kind`]): variables have
+/// declared types and the front end makes C's implicit conversions
+/// explicit casts. Narrowing to the destination [`Scalar`] happens at
+/// stores and casts, mirroring C integer conversion semantics. Ordered
+/// `Int < Float`: mixed arithmetic has the larger kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ValueKind {
     /// Integer domain (`i64` carrier).
     Int,
     /// Floating-point domain (`f64` carrier).
     Float,
+}
+
+impl ValueKind {
+    /// The carrier as a [`Scalar`]: `I64` or `F64`.
+    pub(crate) const fn scalar(self) -> Scalar {
+        match self {
+            ValueKind::Int => Scalar::I64,
+            ValueKind::Float => Scalar::F64,
+        }
+    }
 }
 
 /// A runtime value flowing through the interpreter.
@@ -129,6 +152,7 @@ impl Value {
     /// Convert to the representation a buffer of element type `ty` stores,
     /// then back to the runtime carrier. This applies C narrowing semantics
     /// (wrapping integer truncation, `f64`→`f32` rounding).
+    #[inline]
     pub fn convert_to(self, ty: Scalar) -> Value {
         match ty {
             Scalar::U8 => Value::I64((self.as_i64() as u8) as i64),

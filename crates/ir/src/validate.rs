@@ -7,9 +7,11 @@
 //! * all ids ([`VarId`], [`crate::kernel::ParamId`], shared/local indices) are in range,
 //!   and `MemRef::Global` refers to buffer (not scalar) parameters;
 //! * every local variable is assigned before use on every path;
-//! * variables keep a consistent value domain (int vs float) across
-//!   assignments (implicit `int → float` promotion is allowed inside
-//!   expressions, as in C, but a variable cannot alternate domains);
+//! * C's implicit conversions are explicit (the parser and
+//!   [`crate::KernelBuilder`] insert them): a value assigned to a variable
+//!   has the kind of its declared type, `for` bounds are ints, and the arms
+//!   of a `?:` agree — so every register of a compiled kernel has one kind;
+//! * subscripts are integers, as in C;
 //! * integer-only operators (`% & | ^ << >> ~`) receive integer operands;
 //! * intrinsic calls have the right arity;
 //! * `__syncthreads()` appears only in *uniform* control flow — at the top
@@ -33,8 +35,12 @@ pub enum ValidateError {
     BadMemRef(String),
     /// A variable may be read before any assignment dominates the read.
     UseBeforeDef { var: VarId, name: String },
-    /// A variable is assigned both integer and float values.
-    KindConflict { var: VarId, name: String },
+    /// A value reaches a variable, a `for` bound or a `?:` arm in the
+    /// wrong kind: the cast the parser and `KernelBuilder` insert is
+    /// missing.
+    Unconverted(String),
+    /// A load, store or atomic is subscripted by a float.
+    FloatIndex { mem: String },
     /// An integer-only operator received a float operand.
     IntOnlyOp(String),
     /// Wrong number of intrinsic arguments.
@@ -55,8 +61,11 @@ impl fmt::Display for ValidateError {
             ValidateError::UseBeforeDef { name, .. } => {
                 write!(f, "variable `{name}` may be used before assignment")
             }
-            ValidateError::KindConflict { name, .. } => {
-                write!(f, "variable `{name}` is assigned both int and float values")
+            ValidateError::Unconverted(site) => {
+                write!(f, "{site} needs an explicit conversion")
+            }
+            ValidateError::FloatIndex { mem } => {
+                write!(f, "subscript of `{mem}` is not an integer")
             }
             ValidateError::IntOnlyOp(op) => {
                 write!(f, "operator `{op}` requires integer operands")
@@ -81,8 +90,7 @@ impl std::error::Error for ValidateError {}
 pub fn validate(kernel: &Kernel) -> Result<(), ValidateError> {
     check_refs(kernel)?;
     check_def_before_use(kernel)?;
-    let kinds = infer_var_kinds(kernel)?;
-    check_expr_kinds(kernel, &kinds)?;
+    check_kinds(kernel)?;
     check_barriers(kernel)?;
     Ok(())
 }
@@ -142,6 +150,10 @@ fn check_expr_refs(kernel: &Kernel, nv: u32, e: &Expr) -> Result<(), ValidateErr
 
 fn check_refs(kernel: &Kernel) -> Result<(), ValidateError> {
     let nv = kernel.num_vars() as u32;
+    if kernel.var_types.len() != kernel.num_vars() {
+        let n = kernel.var_types.len().min(kernel.num_vars());
+        return Err(ValidateError::BadVarId(VarId(n as u32)));
+    }
     let mut result = Ok(());
     kernel.visit_stmts(&mut |s| {
         if result.is_err() {
@@ -239,183 +251,85 @@ fn check_def_before_use(kernel: &Kernel) -> Result<(), ValidateError> {
     walk(&kernel.body, &mut defined, kernel)
 }
 
-/// Infer each variable's value domain from its assignments.
-///
-/// Returns one [`ValueKind`] per variable; unassigned variables default to
-/// `Int` (they can never be read, per def-before-use).
-pub fn infer_var_kinds(kernel: &Kernel) -> Result<Vec<ValueKind>, ValidateError> {
-    let mut kinds: Vec<Option<ValueKind>> = vec![None; kernel.num_vars()];
-    // Iterate to a fixed point: expression kinds depend on variable kinds
-    // which depend on assignment expression kinds. `None` is treated as Int
-    // during inference; a variable flipping Int -> Float re-runs the pass, a
-    // flip Float -> Int is a conflict.
-    for _round in 0..=kernel.num_vars() {
-        let mut changed = false;
-        let mut conflict: Option<VarId> = None;
-        kernel.visit_stmts(&mut |s| {
-            let (var, value) = match s {
-                Stmt::Assign { var, value } => (*var, value),
-                Stmt::For { var, start, .. } => (*var, start),
-                _ => return,
+/// The kinds the executors rely on: every assignment and `for` bound
+/// already converted, `?:` arms agreeing, integer subscripts and integer
+/// operands for the integer-only operators.
+fn check_kinds(kernel: &Kernel) -> Result<(), ValidateError> {
+    let int = |e: &Expr| kernel.expr_kind(e) == ValueKind::Int;
+    let index = |mem: MemRef, e: &Expr| match int(e) {
+        true => Ok(()),
+        false => Err(ValidateError::FloatIndex {
+            mem: match mem {
+                MemRef::Global(p) => kernel.params[p.index()].name().to_string(),
+                MemRef::Shared(i) => kernel.shared[i as usize].name.clone(),
+                MemRef::Local(i) => kernel.locals[i as usize].name.clone(),
+            },
+        }),
+    };
+    let expr = |e: &Expr| {
+        let mut result = Ok(());
+        e.visit(&mut |node| {
+            if result.is_err() {
+                return;
+            }
+            result = match node {
+                Expr::Load { mem, index: i } => index(*mem, i),
+                Expr::Binary { op, lhs, rhs }
+                    if matches!(
+                        op,
+                        BinOp::Rem | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
+                    ) && !(int(lhs) && int(rhs)) =>
+                {
+                    Err(ValidateError::IntOnlyOp(op.symbol().to_string()))
+                }
+                Expr::Unary {
+                    op: UnOp::BitNot,
+                    arg,
+                } if !int(arg) => Err(ValidateError::IntOnlyOp("~".into())),
+                Expr::Select {
+                    then_value,
+                    else_value,
+                    ..
+                } if kernel.expr_kind(then_value) != kernel.expr_kind(else_value) => {
+                    Err(ValidateError::Unconverted("the arms of a `?:`".into()))
+                }
+                _ => Ok(()),
             };
-            let k = expr_kind(value, &kinds, kernel);
-            match kinds[var.index()] {
-                None => {
-                    kinds[var.index()] = Some(k);
-                    changed = true;
-                }
-                Some(prev) if prev == k => {}
-                Some(ValueKind::Int) if k == ValueKind::Float => {
-                    kinds[var.index()] = Some(ValueKind::Float);
-                    changed = true;
-                }
-                Some(ValueKind::Float) if k == ValueKind::Int => {
-                    // Assigning an int expression to a float variable is C
-                    // implicit conversion; keep Float.
-                }
-                Some(_) => conflict = Some(var),
-            }
         });
-        if let Some(v) = conflict {
-            return Err(ValidateError::KindConflict {
-                var: v,
-                name: kernel.var_names[v.index()].clone(),
-            });
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(kinds
-        .into_iter()
-        .map(|k| k.unwrap_or(ValueKind::Int))
-        .collect())
-}
-
-/// Compute the value domain of an expression given variable kinds.
-pub fn expr_kind(e: &Expr, kinds: &[Option<ValueKind>], kernel: &Kernel) -> ValueKind {
-    match e {
-        Expr::IntConst(_)
-        | Expr::ThreadIdx(_)
-        | Expr::BlockIdx(_)
-        | Expr::BlockDim(_)
-        | Expr::GridDim(_) => ValueKind::Int,
-        Expr::FloatConst(_) => ValueKind::Float,
-        Expr::Param(p) => kernel.params[p.index()].scalar().kind(),
-        Expr::Var(v) => kinds[v.index()].unwrap_or(ValueKind::Int),
-        Expr::Load { mem, .. } => kernel.elem_type(*mem).kind(),
-        Expr::Unary { op, arg } => match op {
-            UnOp::Neg => expr_kind(arg, kinds, kernel),
-            UnOp::Not | UnOp::BitNot => ValueKind::Int,
-        },
-        Expr::Binary { op, lhs, rhs } => {
-            if op.is_comparison()
-                || matches!(
-                    op,
-                    BinOp::LAnd
-                        | BinOp::LOr
-                        | BinOp::Rem
-                        | BinOp::And
-                        | BinOp::Or
-                        | BinOp::Xor
-                        | BinOp::Shl
-                        | BinOp::Shr
-                )
-            {
-                ValueKind::Int
-            } else {
-                // Arithmetic promotes to float if either side is float.
-                match (expr_kind(lhs, kinds, kernel), expr_kind(rhs, kinds, kernel)) {
-                    (ValueKind::Int, ValueKind::Int) => ValueKind::Int,
-                    _ => ValueKind::Float,
-                }
-            }
-        }
-        Expr::Select {
-            then_value,
-            else_value,
-            ..
-        } => match (
-            expr_kind(then_value, kinds, kernel),
-            expr_kind(else_value, kinds, kernel),
-        ) {
-            (ValueKind::Int, ValueKind::Int) => ValueKind::Int,
-            _ => ValueKind::Float,
-        },
-        Expr::Cast { ty, .. } => ty.kind(),
-        Expr::Call { f, args } => {
-            use crate::expr::Intrinsic::*;
-            match f {
-                Min | Max | Abs => {
-                    if args
-                        .iter()
-                        .all(|a| expr_kind(a, kinds, kernel) == ValueKind::Int)
-                    {
-                        ValueKind::Int
-                    } else {
-                        ValueKind::Float
-                    }
-                }
-                _ => ValueKind::Float,
-            }
-        }
-    }
-}
-
-fn check_expr_kinds(kernel: &Kernel, kinds: &[ValueKind]) -> Result<(), ValidateError> {
-    let opt: Vec<Option<ValueKind>> = kinds.iter().copied().map(Some).collect();
-    fn walk(e: &Expr, opt: &[Option<ValueKind>], kernel: &Kernel) -> Result<(), ValidateError> {
-        match e {
-            Expr::Binary { op, lhs, rhs } => {
-                walk(lhs, opt, kernel)?;
-                walk(rhs, opt, kernel)?;
-                if matches!(
-                    op,
-                    BinOp::Rem | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
-                ) {
-                    let lk = expr_kind(lhs, opt, kernel);
-                    let rk = expr_kind(rhs, opt, kernel);
-                    if lk != ValueKind::Int || rk != ValueKind::Int {
-                        return Err(ValidateError::IntOnlyOp(op.symbol().to_string()));
-                    }
-                }
-                Ok(())
-            }
-            Expr::Unary {
-                op: UnOp::BitNot,
-                arg,
-            } => {
-                walk(arg, opt, kernel)?;
-                if expr_kind(arg, opt, kernel) != ValueKind::Int {
-                    return Err(ValidateError::IntOnlyOp("~".into()));
-                }
-                Ok(())
-            }
-            Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => walk(arg, opt, kernel),
-            Expr::Load { index, .. } => walk(index, opt, kernel),
-            Expr::Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                walk(cond, opt, kernel)?;
-                walk(then_value, opt, kernel)?;
-                walk(else_value, opt, kernel)
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    walk(a, opt, kernel)?;
-                }
-                Ok(())
-            }
-            _ => Ok(()),
-        }
-    }
+        result
+    };
     let mut result = Ok(());
     kernel.visit_stmts(&mut |s| {
+        if result.is_err() {
+            return;
+        }
+        let var = |v: &VarId| format!("`{}`", kernel.var_names[v.index()]);
+        result = match s {
+            Stmt::Assign { var: v, value }
+                if kernel.expr_kind(value) != kernel.var_type(*v).kind() =>
+            {
+                Err(ValidateError::Unconverted(format!(
+                    "the value assigned to {}",
+                    var(v)
+                )))
+            }
+            Stmt::For {
+                var: v,
+                start,
+                end,
+                step,
+                ..
+            } if !(int(start) && int(end) && int(step)) => Err(ValidateError::Unconverted(
+                format!("a bound of the `for` over {}", var(v)),
+            )),
+            Stmt::Store { mem, index: i, .. } | Stmt::AtomicRmw { mem, index: i, .. } => {
+                index(*mem, i)
+            }
+            _ => Ok(()),
+        };
         s.visit_exprs(&mut |e| {
             if result.is_ok() {
-                result = walk(e, &opt, kernel);
+                result = expr(e);
             }
         });
     });
@@ -616,7 +530,7 @@ mod tests {
     fn use_before_def_caught() {
         let mut b = KernelBuilder::new("k");
         let buf = b.buffer("out", Scalar::I32);
-        let x = b.var("x");
+        let x = b.var("x", Scalar::I32);
         b.store(buf, Expr::int(0), Expr::Var(x));
         let err = validate(&b.finish()).unwrap_err();
         assert!(matches!(err, ValidateError::UseBeforeDef { .. }));
@@ -626,7 +540,7 @@ mod tests {
     fn def_in_single_branch_not_definite() {
         let mut b = KernelBuilder::new("k");
         let buf = b.buffer("out", Scalar::I32);
-        let x = b.var("x");
+        let x = b.var("x", Scalar::I32);
         b.if_then(Expr::ThreadIdx(Axis::X).lt(Expr::int(1)), |b| {
             b.assign(x, Expr::int(1));
         });
@@ -641,7 +555,7 @@ mod tests {
     fn def_in_both_branches_is_definite() {
         let mut b = KernelBuilder::new("k");
         let buf = b.buffer("out", Scalar::I32);
-        let x = b.var("x");
+        let x = b.var("x", Scalar::I32);
         b.if_else(
             Expr::ThreadIdx(Axis::X).lt(Expr::int(1)),
             |b| b.assign(x, Expr::int(1)),
@@ -652,16 +566,73 @@ mod tests {
     }
 
     #[test]
-    fn kind_conflict_caught() {
+    fn builder_converts_and_bare_ir_is_rejected() {
         let mut b = KernelBuilder::new("k");
         let _buf = b.buffer("out", Scalar::I32);
-        let x = b.var("x");
+        let x = b.var("x", Scalar::F32);
         b.assign(x, Expr::float(1.5));
-        b.assign(x, Expr::int(1)); // ok: int assigned to float var
-        let k = b.finish();
+        b.assign(x, Expr::int(1)); // C converts: `x = (float)1`
+        let mut k = b.finish();
         validate(&k).unwrap();
-        let kinds = infer_var_kinds(&k).unwrap();
-        assert_eq!(kinds[0], ValueKind::Float);
+        assert_eq!(
+            k.body[1],
+            Stmt::Assign {
+                var: x,
+                value: Expr::cast(Scalar::F32, Expr::int(1))
+            }
+        );
+        k.body[1] = Stmt::Assign {
+            var: x,
+            value: Expr::int(1),
+        };
+        assert!(matches!(validate(&k), Err(ValidateError::Unconverted(_))));
+    }
+
+    #[test]
+    fn mixed_select_gets_its_int_arm_cast() {
+        let mut b = KernelBuilder::new("k");
+        let out = b.buffer("out", Scalar::F32);
+        let sel = Expr::Select {
+            cond: Box::new(Expr::ThreadIdx(Axis::X)),
+            then_value: Box::new(Expr::int(7)),
+            else_value: Box::new(Expr::float(2.5)),
+        };
+        b.store(out, Expr::int(0), sel.clone());
+        let mut k = b.finish();
+        validate(&k).unwrap();
+        let Stmt::Store { value, .. } = &k.body[0] else {
+            unreachable!()
+        };
+        let Expr::Select { then_value, .. } = value else {
+            unreachable!()
+        };
+        assert_eq!(**then_value, Expr::cast(Scalar::F64, Expr::int(7)));
+        k.body[0] = Stmt::Store {
+            mem: out,
+            index: Expr::int(0),
+            value: sel,
+        };
+        assert!(matches!(validate(&k), Err(ValidateError::Unconverted(_))));
+    }
+
+    #[test]
+    fn float_subscripts_rejected() {
+        let src = [
+            "__global__ void k(float* a) { a[0.5f] = 1.0f; }",
+            "__global__ void k(float* a, float* b) { b[0] = a[threadIdx.x * 0.5f]; }",
+            "__global__ void k(int* a) { atomicAdd(&a[1.0], 1); }",
+            "__global__ void k(int* a) { __shared__ int t[4]; t[0] = t[(double)1]; a[0] = 1; }",
+        ];
+        for s in src {
+            let k = crate::parse::parse_kernel(s).unwrap();
+            assert!(
+                matches!(validate(&k), Err(ValidateError::FloatIndex { .. })),
+                "{s}"
+            );
+        }
+        // An explicit cast is the C spelling.
+        let k = crate::parse::parse_kernel("__global__ void k(float* a) { a[(int)0.5f] = 1.0f; }");
+        validate(&k.unwrap()).unwrap();
     }
 
     #[test]
@@ -730,7 +701,7 @@ mod tests {
         // though the assigned value is uniform.
         let mut b = KernelBuilder::new("k");
         let _buf = b.buffer("out", Scalar::I32);
-        let x = b.var("x");
+        let x = b.var("x", Scalar::I32);
         b.assign(x, Expr::int(0));
         b.if_then(Expr::ThreadIdx(Axis::X).lt(Expr::int(1)), |b| {
             b.assign(x, Expr::int(5));

@@ -459,27 +459,24 @@ impl Timeline {
         t
     }
 
-    /// Maximum over tracks of the in-order per-track sum of depth-0 span
-    /// durations of `category` after `mark` (0.0 when there are none).
+    /// Sum of the depth-0 `category` rounds after `mark` (0.0 when there
+    /// are none), in recording order.
     ///
     /// Used for phases that can repeat within one launch (fault-recovery
-    /// re-execution rounds): each round records one span on every node in
-    /// the communicator at that moment, so a track sums the rounds its node
-    /// took part in. While membership only shrinks, the slowest surviving
-    /// track holds every round and its sum is the phase's elapsed time;
-    /// once a mid-launch join also grows it, no single track need hold
-    /// them all.
-    pub fn max_track_sum_since(&self, mark: Mark, category: Category) -> f64 {
-        let mut sums: Vec<(Track, f64)> = Vec::new();
+    /// re-execution rounds): each round records one span, with the same
+    /// start and duration, on every node in the communicator at that
+    /// moment. Membership shrinks (deaths) and grows (mid-launch joins)
+    /// between rounds, so no single track need hold them all; a round
+    /// counts once however many tracks recorded it.
+    pub fn round_sum_since(&self, mark: Mark, category: Category) -> f64 {
+        let mut rounds: Vec<(f64, f64)> = Vec::new();
         for s in self.spans_since(mark) {
-            if s.depth == 0 && s.category == category {
-                match sums.iter_mut().find(|(t, _)| *t == s.track) {
-                    Some((_, sum)) => *sum += s.dur,
-                    None => sums.push((s.track, s.dur)),
-                }
+            let round = (s.start, s.dur);
+            if s.depth == 0 && s.category == category && !rounds.contains(&round) {
+                rounds.push(round);
             }
         }
-        sums.iter().fold(0.0f64, |m, &(_, s)| m.max(s))
+        rounds.iter().map(|&(_, d)| d).sum()
     }
 
     /// Total of counter `name` after `mark`.
@@ -739,18 +736,21 @@ mod tests {
     }
 
     #[test]
-    fn max_track_sum_accumulates_rounds_per_track() {
+    fn round_sum_counts_each_round_once() {
         let mut tl = Timeline::new();
         let mark = tl.checkpoint();
-        // Round 1: nodes 0 and 1 survive; round 2: only node 0.
+        // Round 1 on nodes 0 and 1; node 1 dies and node 2 joins for round
+        // 2; node 0 dies before round 3. No track holds every round.
         tl.span("reexec", Track::Node(0), Category::Reexec, 1.0, 2.0);
         tl.span("reexec", Track::Node(1), Category::Reexec, 1.0, 2.0);
         tl.span("reexec", Track::Node(0), Category::Reexec, 4.0, 0.5);
-        assert_eq!(tl.max_track_sum_since(mark, Category::Reexec), 2.5);
+        tl.span("reexec", Track::Node(2), Category::Reexec, 4.0, 0.5);
+        tl.span("reexec", Track::Node(2), Category::Reexec, 5.0, 1.0);
+        assert_eq!(tl.round_sum_since(mark, Category::Reexec), 3.5);
         // Depth-1 children are excluded; empty category yields 0.0.
         tl.child_span("detail", Track::Node(0), Category::Reexec, 1.0, 9.0);
-        assert_eq!(tl.max_track_sum_since(mark, Category::Reexec), 2.5);
-        assert_eq!(tl.max_track_sum_since(mark, Category::Retry), 0.0);
+        assert_eq!(tl.round_sum_since(mark, Category::Reexec), 3.5);
+        assert_eq!(tl.round_sum_since(mark, Category::Retry), 0.0);
     }
 
     #[test]

@@ -390,9 +390,9 @@ fn fault_cursor_is_written_only_under_a_plan_and_validated_on_restore() {
 /// One launch that loses a node, readmits a slot that was already dead at
 /// launch entry, then loses two more: 6 distributed chunks re-partition
 /// 3 → 2 → 3 → 2 → 1 ways, and only the mid-launch joiner survives. No
-/// node takes part in all four re-execution rounds, so the report's
-/// `reexec` (the slowest track's sum) is not the sum of the rounds; the
-/// report must still agree with the timeline (`derive_report`'s asserts).
+/// node takes part in all four re-execution rounds, yet the report's
+/// `reexec` is their sum; the report must also agree with the timeline
+/// (`derive_report`'s asserts).
 #[test]
 fn kill_join_kill_kill_in_one_launch_recovers_on_the_joiner() {
     let n = 6 * 128 + 50; // 6 full blocks + a tail callback block
@@ -450,8 +450,7 @@ fn kill_join_kill_kill_in_one_launch_recovers_on_the_joiner() {
         }
     }
     assert_eq!(rounds.len(), 4);
-    // The slowest track missed a round, so the view can only under-count
-    // (CHANGES.md, PR 13, records this as a defect inherited from PR 8).
+    // No track took part in every round; the phase time is their sum.
     let sum: f64 = rounds.iter().map(|&(_, d)| d).sum();
-    assert!(report.times.reexec <= sum);
+    assert_eq!(report.times.reexec, sum);
 }

@@ -1969,6 +1969,7 @@ fn pool_of(bufs: &[Buf]) -> (MemPool, Vec<Arg>) {
 
 /// What buffer 0 must hold after the launch (also after a faulting one: the
 /// threads below the fault have committed).
+#[derive(Debug)]
 enum Out {
     I64(Vec<i64>),
     F64(Vec<f64>),
@@ -2095,7 +2096,8 @@ fn oracle_rules() -> Vec<Rule> {
     // multiply-add would leave -2^-54 after `+ -1.0`, two roundings leave 0.
     let eps = (2.0f64).powi(-27);
     let wrap_step = MAX / 2 + 2;
-    let mut rules = vec![
+    let mut rules =
+        vec![
         // Thread 5 divides by zero before thread 9 stores out of bounds:
         // threads 0..5 have stored, the error is the lower thread's.
         rule(
@@ -2189,11 +2191,15 @@ fn oracle_rules() -> Vec<Rule> {
             Out::F64(to_f32.iter().map(|&v| v as f32 as f64).collect()),
             "dense[",
         ),
-        // `a * b + c` is one MulAdd instruction. Odd threads multiply two
-        // floats, even threads two ints (wrapping), and every thread adds a
-        // float: 2 float ops for an odd thread, 1 for an even one.
+        // `a * b + c` is one MulAdd instruction. Each `?:` mixes a double
+        // and a long arm, so C converts the long arm: every thread
+        // multiplies two doubles and adds one (2 float ops), and each even
+        // thread also pays its two `(double)` casts. Even threads:
+        // `(double)(MAX - t)` is 2^63 (doubles below 2^63 are 1024 apart),
+        // times 2 is 2^64, and 2^64 - 1 rounds back to 2^64. Odd threads:
+        // (1 + eps)(1 - eps) rounds to 1 before the add — 0, not -eps².
         Rule {
-            charged: Some((16 * 2 + 16, 0)),
+            charged: Some((32 * 2 + 16 * 2, 0)),
             ..rule(
                 "mul-add promotes per component, charges per component and rounds twice",
                 "__global__ void k(double* out, double* x, long* a, double* c) {
@@ -2221,15 +2227,117 @@ fn oracle_rules() -> Vec<Rule> {
                     tids(32)
                         .map(|t| match t % 2 {
                             1 => 0.0,
-                            _ => (MAX - t).wrapping_mul(2) as f64 + -1.0,
+                            _ => 18446744073709551616.0,
                         })
                         .collect(),
                 ),
-                // The selects diverge and re-converge before the mul-add: a
-                // full-width row of mixed kinds.
+                // The selects diverge and re-converge before the mul-add.
                 "pred[",
             )
         },
+        // A statically mixed mul-add: the long product wraps, the add is a
+        // double — 1 int op and 1 float op per thread. (MAX - t) * 2 wraps
+        // to -2 - 2t, and -2 - 2t - 1 is exact in a double.
+        Rule {
+            charged: Some((16, 0)),
+            ..rule(
+                "mul-add of long * long + double promotes per component",
+                "__global__ void k(double* out, long* a, double* c) {
+                    int t = threadIdx.x;
+                    out[t] = a[t] * a[16 + t] + c[t];
+                }",
+                16,
+                vec![
+                    Buf::Zero(Scalar::F64, 16),
+                    Buf::I64(tids(16).map(|t| MAX - t).chain(tids(16).map(|_| 2)).collect()),
+                    Buf::F64(vec![-1.0; 16]),
+                ],
+                Ok(()),
+                Out::F64(tids(16).map(|t| (-3 - 2 * t) as f64).collect()),
+                "dense[",
+            )
+        },
+        // C's conversions, each derived from the C standard by hand.
+        // Assigning an int to a float variable converts it, so `x / 2` is a
+        // float division: t / 2.
+        rule(
+            "C: an int assigned to a float variable becomes a float",
+            "__global__ void k(double* out) {
+                int t = threadIdx.x;
+                float x = 0.5f;
+                x = t;
+                out[t] = x / 2;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::F64, 16)],
+            Ok(()),
+            Out::F64(tids(16).map(|t| t as f64 / 2.0).collect()),
+            "dense[",
+        ),
+        // `t * 1.5f` is a float; initializing an int truncates it toward
+        // zero: 0, 1, 3, 4, 6, … = 3t / 2, stored as doubles.
+        rule(
+            "C: a float initializing an int variable truncates",
+            "__global__ void k(double* out) {
+                int t = threadIdx.x;
+                int j = t * 1.5f;
+                out[t] = j;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::F64, 16)],
+            Ok(()),
+            Out::F64(tids(16).map(|t| (3 * t / 2) as f64).collect()),
+            "dense[",
+        ),
+        // The arms of `?:` meet in their common type, float: 7.0f / 2 is
+        // 3.5 on odd threads, 2.5f / 2 is 1.25 on even ones.
+        rule(
+            "C: a ?: with an int and a float arm is a float",
+            "__global__ void k(double* out) {
+                int t = threadIdx.x;
+                out[t] = ((t & 1) ? 7 : 2.5f) / 2;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::F64, 16)],
+            Ok(()),
+            Out::F64(tids(16).map(|t| if t & 1 == 1 { 3.5 } else { 1.25 }).collect()),
+            "pred[",
+        ),
+        // `j += 0.5f` is `j = (int)(j + 0.5f)`: t + 0.5 truncates back to
+        // t, twice.
+        rule(
+            "C: a compound float assignment to an int truncates",
+            "__global__ void k(long* out) {
+                int t = threadIdx.x;
+                int j = t;
+                j += 0.5f;
+                j += 0.5f;
+                out[t] = j;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::I64, 16)],
+            Ok(()),
+            Out::I64(tids(16).collect()),
+            "dense[",
+        ),
+        // A float loop variable initialized from an int holds t, t + 1 and
+        // t + 2 as floats, so each `x / 2` is a float division:
+        // (3t + 3) / 2, exact in a double.
+        rule(
+            "C: a float for-init from an int counts in floats",
+            "__global__ void k(double* out) {
+                int t = threadIdx.x;
+                double s = 0.0;
+                float x;
+                for (x = t; x < t + 3; x++) s = s + x / 2;
+                out[t] = s;
+            }",
+            16,
+            vec![Buf::Zero(Scalar::F64, 16)],
+            Ok(()),
+            Out::F64(tids(16).map(|t| (3 * t + 3) as f64 / 2.0).collect()),
+            "pred[",
+        ),
         // One store site, so the segment runs on lanes; the `if` makes them
         // diverge. A true value sets bits 0, 2 and 3, a false one bit 1.
         rule(
@@ -2637,6 +2745,9 @@ fn oracle_table_holds_in_every_mode() {
             Out::F64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
         };
         assert_eq!(after.bytes(BufferId(0)), &want[..], "{}: buffer 0", r.rule);
+        if r.rule.starts_with("C: ") || r.rule.starts_with("mul-add") {
+            println!("{}: {:?}", r.rule, r.out);
+        }
         if let Some(want) = r.certs {
             assert_eq!(certs, want, "{}: certified accesses", r.rule);
         }

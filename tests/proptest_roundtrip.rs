@@ -187,6 +187,63 @@ proptest! {
         let p1 = print_kernel(&k);
         let k2 = parse_kernel(&p1).unwrap();
         let p2 = print_kernel(&k2);
+        prop_assert_eq!(&k.var_types, &k2.var_types);
         prop_assert_eq!(p1, p2);
+    }
+}
+
+/// Declared types and C's conversions survive the printer: a cross-kind
+/// assignment, a compound one and a mixed `?:`, built both ways. Print →
+/// parse → print is a fixed point, the declared types are equal, and the
+/// reparsed kernel computes the same values.
+#[test]
+fn conversions_round_trip() {
+    let src = "__global__ void k(double* out) {
+        int t = threadIdx.x;
+        float x = 0.5f;
+        x = t;
+        int j = t * 1.5f;
+        j += 0.5f;
+        out[t] = ((t & 1) ? 7 : 2.5f) / 2 + x / 2 + j;
+    }";
+    let mut b = KernelBuilder::new("k");
+    let out = b.buffer("out", Scalar::F64);
+    let t = b.var("t", Scalar::I32);
+    b.assign(t, Expr::ThreadIdx(cucc::ir::Axis::X));
+    let x = b.var("x", Scalar::F32);
+    b.assign(x, Expr::Var(t));
+    let j = b.var("j", Scalar::I32);
+    b.assign(j, Expr::Var(t).mul(Expr::float(1.5)));
+    let sel = Expr::Select {
+        cond: Box::new(Expr::bin(cucc::ir::BinOp::And, Expr::Var(t), Expr::int(1))),
+        then_value: Box::new(Expr::int(7)),
+        else_value: Box::new(Expr::float(2.5)),
+    };
+    let value = sel
+        .div(Expr::int(2))
+        .add(Expr::Var(x).div(Expr::int(2)))
+        .add(Expr::Var(j));
+    b.store(out, Expr::Var(t), value);
+    let run = |k: &cucc::ir::Kernel| {
+        let mut pool = MemPool::new();
+        let out = pool.alloc_elems(Scalar::F64, 8);
+        execute_launch(
+            k,
+            LaunchConfig::new(1u32, 8u32),
+            &[Arg::Buffer(out)],
+            &mut pool,
+        )
+        .unwrap();
+        pool.read_f64(out)
+    };
+    for k in [parse_kernel(src).unwrap(), b.finish()] {
+        validate(&k).unwrap();
+        assert_eq!(k.var_types, [Scalar::I32, Scalar::F32, Scalar::I32]);
+        let p1 = print_kernel(&k);
+        let k2 = parse_kernel(&p1).unwrap_or_else(|e| panic!("{e}\n{p1}"));
+        validate(&k2).unwrap();
+        assert_eq!(k2.var_types, k.var_types, "{p1}");
+        assert_eq!(print_kernel(&k2), p1);
+        assert_eq!(run(&k2), run(&k), "{p1}");
     }
 }
