@@ -201,21 +201,6 @@ pub enum Inst {
     Return,
 }
 
-/// What the thread-major fallback stages around one segment. The engine's
-/// register file is lane rows (struct-of-arrays); [`crate::engine::run_seg`]
-/// wants one thread's registers contiguous. Only registers that carry state
-/// across a segment boundary need to move: temporaries are written before
-/// they are read inside a segment and pooled constants never change.
-#[derive(Debug, Clone, Default)]
-pub struct SegStage {
-    /// Variable and pooled-`threadIdx` registers the segment names, copied
-    /// rows → window before a chunk of threads runs (ascending).
-    pub load: Vec<Reg>,
-    /// Variable registers the segment writes, copied window → rows after
-    /// (ascending; a subset of `load`).
-    pub store: Vec<Reg>,
-}
-
 /// One step of the precomputed barrier-phase schedule (the MCUDA/CuPBoP
 /// loop-fission structure, discovered once at compile time instead of per
 /// block).
@@ -224,14 +209,11 @@ pub enum PhaseOp {
     /// A maximal barrier-free code range: every live thread runs
     /// `code[start..end]` to completion before the next phase op. `batch`
     /// is the lane execution mode [`seg_batchable`] proved safe
-    /// ([`BatchKind::No`]: the segment runs thread-major); `stage` lists the
-    /// registers the thread-major fallback moves between the engine's lane
-    /// rows and its per-thread windows.
+    /// ([`BatchKind::No`]: the segment runs thread-major).
     Seg {
         start: u32,
         end: u32,
         batch: BatchKind,
-        stage: SegStage,
     },
     /// `__syncthreads()` — charges one barrier per block.
     Barrier,
@@ -333,10 +315,6 @@ impl Program {
         kinds.resize(const_base as usize, ValueKind::Float);
         kinds.extend(c.consts.iter().map(|v| v.kind()));
         kinds.resize(num_regs as usize, ValueKind::Int);
-        // Staging lists read the *final* register layout (pooled `threadIdx`
-        // registers sit above the constants), so they must build after
-        // `finish_regs` relocates the pooled registers.
-        let tid_base = const_base + c.consts.len() as u32;
         let pools = Pools {
             const_base,
             consts: &c.consts,
@@ -344,12 +322,11 @@ impl Program {
             block: launch.block,
         };
         let mut lane_plans = Vec::new();
-        for_each_seg(&mut phases, &mut |start, end, batch, stage| {
+        for_each_seg(&mut phases, &mut |start, end, batch| {
             *batch = seg_batchable(&c.code, &c.slots, &pools, start, end);
             if *batch != BatchKind::No {
                 lane_plans.push(LanePlan { start, end });
             }
-            *stage = seg_stage(&c.code, start, end, num_vars, tid_base);
         });
         let mut has_global_atomics = false;
         kernel.visit_stmts(&mut |s| {
@@ -467,9 +444,7 @@ impl Program {
     /// [`crate::engine::run_seg`] — the engine without its lanes. For
     /// differential tests and ablation benches; no launch option reaches it.
     pub fn detach_lane_plans(&mut self) {
-        for_each_seg(&mut self.phases, &mut |_, _, batch, _| {
-            *batch = BatchKind::No
-        });
+        for_each_seg(&mut self.phases, &mut |_, _, batch| *batch = BatchKind::No);
         self.lane_plans.clear();
     }
 
@@ -615,19 +590,11 @@ pub(crate) fn is_mem_inst(inst: &Inst) -> bool {
 }
 
 /// Visit every `Seg` of a phase tree in pre-order as
-/// `f(start, end, batch, stage)`.
-fn for_each_seg(
-    phases: &mut [PhaseOp],
-    f: &mut impl FnMut(u32, u32, &mut BatchKind, &mut SegStage),
-) {
+/// `f(start, end, batch)`.
+fn for_each_seg(phases: &mut [PhaseOp], f: &mut impl FnMut(u32, u32, &mut BatchKind)) {
     for p in phases {
         match p {
-            PhaseOp::Seg {
-                start,
-                end,
-                batch,
-                stage,
-            } => f(*start, *end, batch, stage),
+            PhaseOp::Seg { start, end, batch } => f(*start, *end, batch),
             PhaseOp::Barrier => {}
             PhaseOp::UniformFor { body, .. } => for_each_seg(body, f),
             PhaseOp::UniformIf {
@@ -1424,7 +1391,6 @@ impl<'a> Compiler<'a> {
                     end: self.here(),
                     // Decided in `Program::compile` once all code is emitted.
                     batch: BatchKind::No,
-                    stage: SegStage::default(),
                 });
                 continue;
             }
@@ -1934,11 +1900,11 @@ pub struct LanePlan {
     pub end: u32,
 }
 
-// ---- staging lists for the thread-major fallback -------------------------
+// ---- the registers an instruction reads and writes ---------------------
 
 /// Visit every register `inst` names: `f(r, false)` for a read, `f(r,
 /// true)` for a write.
-pub(crate) fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
+fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
     match inst {
         Inst::Const { dst, .. } | Inst::Tid { dst, .. } | Inst::Bid { dst, .. } => f(*dst, true),
         Inst::Jump { .. } | Inst::Return => {}
@@ -2005,26 +1971,4 @@ pub(crate) fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
             f(*var, true);
         }
     }
-}
-
-/// Staging lists for `code[start..end)` (see [`SegStage`]): of the registers
-/// the range names, the variables (`r < num_vars`) and pooled `threadIdx`
-/// registers (`r >= tid_base`) load; the variables it writes store.
-fn seg_stage(code: &[Inst], start: u32, end: u32, num_vars: u32, tid_base: u32) -> SegStage {
-    let mut stage = SegStage::default();
-    for inst in &code[start as usize..end as usize] {
-        inst_regs(inst, |r, write| {
-            if r < num_vars || r >= tid_base {
-                stage.load.push(r);
-            }
-            if write && r < num_vars {
-                stage.store.push(r);
-            }
-        });
-    }
-    for regs in [&mut stage.load, &mut stage.store] {
-        regs.sort_unstable();
-        regs.dedup();
-    }
-    stage
 }

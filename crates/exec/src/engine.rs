@@ -4,8 +4,10 @@
 //! A [`Program`] produced by [`crate::bytecode`] runs on exactly one engine,
 //! [`crate::lane::LaneEngine`]: batchable segments execute over 16-lane
 //! chunks, every other segment falls back to [`run_seg`] — one thread at a
-//! time over the flat instruction stream. What a data instruction computes,
-//! charges and faults on for one thread is defined once, in [`step`]:
+//! time over the flat instruction stream. There is one register file, the
+//! engine's lane rows: a thread reads and writes its [`Column`] of them in
+//! place on either path. What a data instruction computes, charges and
+//! faults on for one thread is defined once, in [`step`]:
 //! [`run_seg`] is control flow around it, and the lane engine calls it for
 //! masked lanes and for ops without a full-width row loop. Global memory is
 //! reached one way too — a [`GlobalMem::raw`] view, an offset from
@@ -31,7 +33,7 @@ use crate::interp::{
     apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, slice_load,
     slice_store, Arg, ExecError, LaunchProfile,
 };
-use crate::lane::LaneEngine;
+use crate::lane::{Column, LaneEngine};
 use crate::memory::{decode, encode, BufferId, MemPool};
 use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{BinOp, Kernel, LaunchConfig, Scalar, Value, ValueKind};
@@ -284,26 +286,6 @@ pub(crate) fn cert_wrap(e: ExecError, certified: bool) -> ExecError {
     }
 }
 
-/// A thread's registers as [`step`] reads and writes them: a `[Value]`
-/// window for [`run_seg`], a column of the lane rows for
-/// [`crate::lane::LaneEngine`].
-pub(crate) trait RegView {
-    fn get(&self, r: Reg) -> Value;
-    fn set(&mut self, r: Reg, v: Value);
-}
-
-impl RegView for [Value] {
-    #[inline(always)]
-    fn get(&self, r: Reg) -> Value {
-        self[r as usize]
-    }
-
-    #[inline(always)]
-    fn set(&mut self, r: Reg, v: Value) {
-        self[r as usize] = v;
-    }
-}
-
 /// What a thread's [`step`] touches besides its registers: the block's
 /// shared image, the thread's local arrays, the stat counters and the
 /// thread's coordinates — disjoint borrows, split once by the caller.
@@ -388,9 +370,9 @@ fn store_value<M: GlobalMem>(
 
 /// Execute one data op for one thread: the compiled engine's only
 /// per-thread definition of `Const` … `AtomicRmw` — what they compute, what
-/// they charge and how they fault. [`run_seg`] calls it on a thread's
-/// register window, the lane engine on a thread's column of the lane rows
-/// (masked lanes, and full-width ops that have no row loop). `elide` is the
+/// they charge and how they fault, on the thread's [`Column`] of the lane
+/// rows: [`run_seg`] calls it for thread-major segments, the lane engine for
+/// masked lanes and full-width ops that have no row loop. `elide` is the
 /// access's certificate bit (see [`load_value`]); a bounds fault comes back
 /// unwrapped, the caller applies [`cert_wrap`]. Control flow is the
 /// caller's.
@@ -400,11 +382,11 @@ fn store_value<M: GlobalMem>(
 /// builtin kernels (`history/PR-24.md`). The two memory helpers are the
 /// opposite case and are `always`.
 #[inline]
-pub(crate) fn step<R: RegView + ?Sized, M: GlobalMem>(
+pub(crate) fn step<M: GlobalMem>(
     prog: &Program,
     inst: &Inst,
     elide: bool,
-    regs: &mut R,
+    regs: &mut Column<'_>,
     cx: &mut ThreadCx<'_>,
     mem: &mut M,
 ) -> Result<(), ExecError> {
@@ -511,8 +493,8 @@ pub(crate) fn step<R: RegView + ?Sized, M: GlobalMem>(
 /// variable to the count converted to `ty`, and say whether the loop runs
 /// at least once. A zero step is `DivByZero`.
 #[inline]
-pub(crate) fn for_init<R: RegView + ?Sized>(
-    regs: &mut R,
+pub(crate) fn for_init(
+    regs: &mut Column<'_>,
     var: Reg,
     ty: Scalar,
     sreg: Reg,
@@ -537,8 +519,8 @@ pub(crate) fn for_init<R: RegView + ?Sized>(
 /// and say whether the loop goes on. The caller charges its 2 int ops
 /// (induction update + test).
 #[inline]
-pub(crate) fn for_next<R: RegView + ?Sized>(
-    regs: &mut R,
+pub(crate) fn for_next(
+    regs: &mut Column<'_>,
     var: Reg,
     ty: Scalar,
     ind: Reg,
@@ -553,23 +535,23 @@ pub(crate) fn for_next<R: RegView + ?Sized>(
     (st > 0 && v < e) || (st < 0 && v > e)
 }
 
-/// Run `code[start..end]` for one thread (a barrier-free segment, a
-/// uniform bounds/cond snippet, or a loop body range re-entered via
-/// jumps): the control flow is here, every data op is a [`step`].
+/// Run `code[start..end]` for one thread (a thread-major segment, a uniform
+/// bounds/cond snippet, or the loop of a lone active lane): the control flow
+/// is here, every data op is a [`step`]. `Ok(true)` means the thread
+/// executed `Return`.
 ///
-/// `regs` and `cx` are the calling thread's windows. Working on pre-split
-/// disjoint borrows keeps every register access a single small-slice index
-/// and lets the stat counters stay in machine registers across the dispatch
-/// loop.
+/// `regs` is the thread's column of the lane rows, read and written in
+/// place, and `cx` the rest of its state — disjoint borrows split once by
+/// the caller, so the stat counters can stay in machine registers across the
+/// dispatch loop.
 pub(crate) fn run_seg<M: GlobalMem>(
     prog: &Program,
-    regs: &mut [Value],
+    regs: &mut Column<'_>,
     mut cx: ThreadCx<'_>,
-    returned: &mut bool,
     start: u32,
     end: u32,
     mem: &mut M,
-) -> Result<(), ExecError> {
+) -> Result<bool, ExecError> {
     let code = &prog.code;
     let (emask, vmask) = prog.cert_masks();
     let mut pc = start as usize;
@@ -586,7 +568,7 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 int_ops,
             } => {
                 cx.stats.int_ops += u64::from(*int_ops);
-                if !regs[*cond as usize].is_true() {
+                if !regs.get(*cond).is_true() {
                     pc = *target as usize;
                     continue;
                 }
@@ -597,7 +579,7 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 int_ops,
             } => {
                 cx.stats.int_ops += u64::from(*int_ops);
-                if regs[*cond as usize].is_true() {
+                if regs.get(*cond).is_true() {
                     pc = *target as usize;
                     continue;
                 }
@@ -629,36 +611,16 @@ pub(crate) fn run_seg<M: GlobalMem>(
                     continue;
                 }
             }
-            Inst::Return => {
-                *returned = true;
-                return Ok(());
-            }
+            Inst::Return => return Ok(true),
             inst => {
                 let elide = emask.is_some_and(|m| m[pc]);
                 step(prog, inst, elide, regs, &mut cx, mem)
                     .map_err(|e| cert_wrap(e, vmask.is_some_and(|m| m[pc])))?;
-                debug_assert_static_kinds(prog, inst, regs);
             }
         }
         pc += 1;
     }
-    Ok(())
-}
-
-/// Every register `inst` wrote holds the kind [`Program::kinds`] gives it:
-/// the front end's conversions make a register's kind a compile-time fact,
-/// and the lanes store bits only, trusting it.
-#[inline]
-fn debug_assert_static_kinds(prog: &Program, inst: &Inst, regs: &[Value]) {
-    if cfg!(debug_assertions) {
-        crate::bytecode::inst_regs(inst, |r, write| {
-            let (got, want) = (regs[r as usize].kind(), prog.kinds[r as usize]);
-            assert!(
-                !write || got == want,
-                "r{r}: {got:?}, static {want:?} at {inst:?}"
-            );
-        });
-    }
+    Ok(false)
 }
 
 /// Run `blocks` in ascending order on one [`LaneEngine`], summing stats.

@@ -15,13 +15,13 @@
 //! any op without a row loop, is one [`step`] on the thread's [`Column`] of
 //! the rows — the definition [`run_seg`] runs, so there is no per-lane
 //! semantics here to keep in line with it. Non-batchable segments run
-//! thread-major through [`run_seg`], a chunk of threads at a time, with only
-//! the registers the segment names staged between the lane rows and
-//! per-thread windows ([`crate::bytecode::SegStage`]). Bounds certificates
-//! are consumed per access: one per-pc table serves full-width rows, masked
-//! lanes and the fallback alike, and one [`gather`]/[`scatter`] pair serves
-//! the checked and the certified access (`CERT`). `BlockStats`, memory
-//! effects and errors are bit-identical to the oracle's either way.
+//! thread-major through [`run_seg`], one live thread after another,
+//! ascending, each on its own [`Column`]: the lane rows are the only
+//! register file. Bounds certificates are consumed per access: one per-pc
+//! table serves full-width rows, masked lanes and the fallback alike, and
+//! one [`gather`]/[`scatter`] pair serves the checked and the certified
+//! access (`CERT`). `BlockStats`, memory effects and errors are
+//! bit-identical to the oracle's either way.
 //!
 //! Chunk-major order (each chunk finishes the whole segment before the next
 //! chunk starts) is observationally equivalent to the oracle's thread-major
@@ -48,10 +48,9 @@
 //! higher lane that faults in an earlier iteration is overwritten by a
 //! lower lane's later fault, which the oracle reaches first.
 
-use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SegStage, SlotKind};
+use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SlotKind};
 use crate::engine::{
-    cert_wrap, elem_off, for_init, for_next, oob, run_seg, slot_info, step, GlobalMem, RegView,
-    ThreadCx,
+    cert_wrap, elem_off, for_init, for_next, oob, run_seg, slot_info, step, GlobalMem, ThreadCx,
 };
 use crate::interp::{axis_of, eval_intrinsic, eval_unop, float_binop, int_binop, ExecError};
 use crate::stats::{intrinsic_weight, BlockStats};
@@ -340,9 +339,6 @@ struct LaneBufs {
     shared: Vec<Vec<u8>>,
     /// Thread-major local arrays: `locals[t * num_locals + l]`.
     locals: Vec<Vec<u8>>,
-    /// Staging for the thread-major fallback: [`LANES`] per-thread `run_seg`
-    /// windows of `num_regs` values each, the pooled constants pre-splatted.
-    scratch: Vec<Value>,
 }
 
 thread_local! {
@@ -364,17 +360,18 @@ fn refill_each(vs: &mut Vec<Vec<u8>>, n: usize, sizes: impl Iterator<Item = usiz
 }
 
 /// One thread's registers inside the reg-major lane rows: register `r` of
-/// thread `at` lives at `r * stride + at`, of kind `kinds[r]`.
-struct Column<'a> {
+/// thread `at` lives at `r * stride + at`, of kind `kinds[r]`. What [`step`]
+/// and [`run_seg`] read and write; the engine has no other register file.
+pub(crate) struct Column<'a> {
     bits: &'a mut [u64],
     kinds: &'a [ValueKind],
     at: usize,
     stride: usize,
 }
 
-impl RegView for Column<'_> {
+impl Column<'_> {
     #[inline(always)]
-    fn get(&self, r: Reg) -> Value {
+    pub(crate) fn get(&self, r: Reg) -> Value {
         unpack(
             self.bits[r as usize * self.stride + self.at],
             self.kinds[r as usize],
@@ -382,7 +379,7 @@ impl RegView for Column<'_> {
     }
 
     #[inline(always)]
-    fn set(&mut self, r: Reg, v: Value) {
+    pub(crate) fn set(&mut self, r: Reg, v: Value) {
         debug_assert_eq!(v.kind(), self.kinds[r as usize], "static kind of r{r}");
         self.bits[r as usize * self.stride + self.at] = pack(v);
     }
@@ -417,7 +414,6 @@ impl<'p> LaneEngine<'p> {
         bufs.tids.extend(tids);
         refill(&mut bufs.bits, num_regs * nthreads, 0);
         refill(&mut bufs.returned, nthreads, false);
-        refill(&mut bufs.scratch, LANES * num_regs, Value::I64(0));
         let shared_sizes = prog.shared_sizes.iter().copied();
         refill_each(&mut bufs.shared, prog.shared_sizes.len(), shared_sizes);
         let local_sizes = prog.local_sizes.iter().copied().cycle();
@@ -438,10 +434,6 @@ impl<'p> LaneEngine<'p> {
             eng.bufs.bits[r * nthreads..(r + 1) * nthreads].fill(pack(*c));
         }
         let tid_base = base + prog.const_pool.len();
-        // `finish_regs` never lays out an empty register file.
-        for w in eng.bufs.scratch.chunks_exact_mut(num_regs) {
-            w[base..tid_base].copy_from_slice(&prog.const_pool);
-        }
         for (k, axis) in prog.tid_pool.iter().enumerate() {
             let r = tid_base + k;
             for t in 0..nthreads {
@@ -540,16 +532,11 @@ impl<'p> LaneEngine<'p> {
     fn exec_ops<M: GlobalMem>(&mut self, ops: &[PhaseOp], mem: &mut M) -> Result<(), ExecError> {
         for op in ops {
             match op {
-                PhaseOp::Seg {
-                    start,
-                    end,
-                    batch,
-                    stage,
-                } => {
+                PhaseOp::Seg { start, end, batch } => {
                     if *batch != BatchKind::No && self.nthreads > 1 {
                         self.seg_lanes(*start, *end, mem)?;
                     } else {
-                        self.seg_threads(*start, *end, stage, mem)?;
+                        self.seg_threads(*start, *end, mem)?;
                     }
                 }
                 PhaseOp::Barrier => {
@@ -596,64 +583,26 @@ impl<'p> LaneEngine<'p> {
     }
 
     /// Thread-major fallback for a non-batchable segment: every live thread
-    /// runs `code[start..end]` to completion through [`run_seg`], ascending,
-    /// as in the oracle. Threads are staged a chunk at a time — `stage.load`
-    /// rows into the chunk's windows, the threads run, `stage.store` rows
-    /// back. Registers are thread-private, so staging a whole chunk up front
-    /// is unobservable; temporaries never cross a segment boundary, so they
-    /// are not staged at all.
+    /// runs `code[start..end]` to completion through [`Self::seg_one`],
+    /// ascending, as in the oracle.
     fn seg_threads<M: GlobalMem>(
         &mut self,
         start: u32,
         end: u32,
-        stage: &SegStage,
         mem: &mut M,
     ) -> Result<(), ExecError> {
-        let n = self.nthreads;
-        let nloc = self.num_locals;
-        let prog = self.prog;
-        let nr = prog.num_regs as usize;
-        let bufs = &mut self.bufs;
-        for c0 in (0..n).step_by(LANES) {
-            let nl = LANES.min(n - c0);
-            for &r in &stage.load {
-                let (k, r, row) = (prog.kinds[r as usize], r as usize, r as usize * n + c0);
-                let lanes = &bufs.bits[row..row + nl];
-                for (w, &b) in bufs.scratch[r..].iter_mut().step_by(nr).zip(lanes) {
-                    *w = unpack(b, k);
-                }
-            }
-            for i in 0..nl {
-                let t = c0 + i;
-                if bufs.returned[t] {
-                    continue;
-                }
-                let cx = ThreadCx {
-                    shared: &mut bufs.shared,
-                    local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
-                    stats: &mut self.stats,
-                    block: self.block,
-                    tid: bufs.tids[t],
-                };
-                let regs = &mut bufs.scratch[i * nr..(i + 1) * nr];
-                run_seg(prog, regs, cx, &mut bufs.returned[t], start, end, mem)?;
-            }
-            for &r in &stage.store {
-                let (r, row) = (r as usize, r as usize * n + c0);
-                let lanes = &mut bufs.bits[row..row + nl];
-                for (w, b) in bufs.scratch[r..].iter().step_by(nr).zip(lanes) {
-                    *b = pack(*w);
-                }
+        for t in 0..self.nthreads {
+            if !self.bufs.returned[t] {
+                self.seg_one(t, start, end, mem)?;
             }
         }
         Ok(())
     }
 
-    /// Run `code[start..end]` for thread `t` alone through [`run_seg`]: a
+    /// Run `code[start..end]` for thread `t` alone through [`run_seg`], on
+    /// its column of the lane rows: a thread of a thread-major segment, a
     /// uniform bounds/cond snippet on thread 0 (oracle semantics), or the
-    /// loop of a lone active lane. The caller may read temporaries the code
-    /// left behind, so all of the thread's registers go through the window
-    /// and back.
+    /// loop of a lone active lane.
     fn seg_one<M: GlobalMem>(
         &mut self,
         t: usize,
@@ -661,27 +610,12 @@ impl<'p> LaneEngine<'p> {
         end: u32,
         mem: &mut M,
     ) -> Result<(), ExecError> {
-        let n = self.nthreads;
-        let nloc = self.num_locals;
         let prog = self.prog;
-        let nr = prog.num_regs as usize;
-        let bufs = &mut self.bufs;
-        for r in 0..nr {
-            bufs.scratch[r] = unpack(bufs.bits[r * n + t], prog.kinds[r]);
+        let (mut regs, cx) = self.thread(t);
+        if run_seg(prog, &mut regs, cx, start, end, mem)? {
+            self.bufs.returned[t] = true;
         }
-        let cx = ThreadCx {
-            shared: &mut bufs.shared,
-            local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
-            stats: &mut self.stats,
-            block: self.block,
-            tid: bufs.tids[t],
-        };
-        let regs = &mut bufs.scratch[..nr];
-        let res = run_seg(prog, regs, cx, &mut bufs.returned[t], start, end, mem);
-        for r in 0..prog.const_base as usize {
-            bufs.bits[r * n + t] = pack(bufs.scratch[r]);
-        }
-        res
+        Ok(())
     }
 
     /// Run a batchable segment on lanes, chunk-major: each [`LANES`]-wide
@@ -1262,7 +1196,9 @@ impl<'p> LaneEngine<'p> {
         Ok(())
     }
 
-    /// Thread `t`'s registers as a [`RegView`].
+    /// Thread `t`'s column of the lane rows alone: what loop control reads
+    /// and writes. Splitting off a whole [`Self::thread`] per lane per
+    /// iteration cost the lane loops (`FIR`, `GA`, `Conv2D`) about 10 %.
     #[inline]
     fn column(&mut self, t: usize) -> Column<'_> {
         Column {
@@ -1271,6 +1207,28 @@ impl<'p> LaneEngine<'p> {
             at: t,
             stride: self.nthreads,
         }
+    }
+
+    /// Thread `t`'s column of the lane rows and the rest of what a [`step`]
+    /// touches, split from the engine's buffers in one place.
+    #[inline]
+    fn thread(&mut self, t: usize) -> (Column<'_>, ThreadCx<'_>) {
+        let nloc = self.num_locals;
+        let bufs = &mut self.bufs;
+        let regs = Column {
+            bits: &mut bufs.bits,
+            kinds: &self.prog.kinds,
+            at: t,
+            stride: self.nthreads,
+        };
+        let cx = ThreadCx {
+            shared: &mut bufs.shared,
+            local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
+            stats: &mut self.stats,
+            block: self.block,
+            tid: bufs.tids[t],
+        };
+        (regs, cx)
     }
 
     /// [`step`] for thread `t` on its column of the lane rows: masked lanes,
@@ -1283,21 +1241,8 @@ impl<'p> LaneEngine<'p> {
         t: usize,
         mem: &mut M,
     ) -> Result<(), ExecError> {
-        let nloc = self.num_locals;
-        let bufs = &mut self.bufs;
-        let mut col = Column {
-            bits: &mut bufs.bits,
-            kinds: &self.prog.kinds,
-            at: t,
-            stride: self.nthreads,
-        };
-        let mut cx = ThreadCx {
-            shared: &mut bufs.shared,
-            local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
-            stats: &mut self.stats,
-            block: self.block,
-            tid: bufs.tids[t],
-        };
-        step(self.prog, inst, elide, &mut col, &mut cx, mem)
+        let prog = self.prog;
+        let (mut regs, mut cx) = self.thread(t);
+        step(prog, inst, elide, &mut regs, &mut cx, mem)
     }
 }

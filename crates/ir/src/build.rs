@@ -174,8 +174,9 @@ impl KernelBuilder {
     }
 
     /// `for (v = start; v < end; v += step) { body(b, v) }` — declares and
-    /// returns the induction variable, typed by `start`'s kind. The bounds
-    /// are converted to the loop's `i64` count.
+    /// returns the induction variable, typed by `start`'s kind. The loop
+    /// counts in `i64`: a float bound is not truncated, `validate` rejects
+    /// it.
     pub fn for_(
         &mut self,
         name: impl Into<String>,
@@ -188,8 +189,7 @@ impl KernelBuilder {
         self.stack.push(Vec::new());
         body(self, var);
         let body_stmts = self.stack.pop().expect("balanced block stack");
-        let [start, end, step] =
-            [start, end, step].map(|e| self.kernel.convert(e, Some(Scalar::I64)));
+        let [start, end, step] = [start, end, step].map(|e| self.kernel.convert(e, None));
         self.push(Stmt::For {
             var,
             start,

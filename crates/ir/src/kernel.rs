@@ -120,10 +120,10 @@ impl MemRef {
 /// Invariants beyond what the type system expresses are established by
 /// [`crate::validate::validate`] and relied on by the executors:
 /// variables are assigned before use, barrier statements only appear in
-/// uniform control flow, and every value reaching a variable, a `for` bound,
-/// a subscript or a `?:` arm already has the kind it needs there (the
-/// parser and [`crate::KernelBuilder`] insert C's conversions), so each
-/// expression's kind is static ([`Kernel::expr_kind`]).
+/// uniform control flow, and every value reaching a variable, a subscript or
+/// a `?:` arm already has the kind it needs there (the parser and
+/// [`crate::KernelBuilder`] insert C's conversions; `for` bounds are ints),
+/// so each expression's kind is static ([`Kernel::expr_kind`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
     /// Kernel name (the `__global__` function name).
@@ -204,8 +204,8 @@ impl Kernel {
     /// (the parser and [`crate::KernelBuilder`] call it on every statement's
     /// expressions): the int arm of every `?:` in `e` whose arms differ in
     /// kind is cast to `F64`, and when `to` names a target — a variable's
-    /// declared type, or `I64` for a `for` bound — the result is cast to
-    /// `to.widened()` if its kind differs. Same-kind values are untouched.
+    /// declared type — the result is cast to `to.widened()` if its kind
+    /// differs. Same-kind values are untouched.
     pub(crate) fn convert(&self, mut e: Expr, to: Option<Scalar>) -> Expr {
         self.convert_selects(&mut e);
         match to {

@@ -756,9 +756,10 @@ impl Parser {
             _ => unreachable!(),
         };
         let body = self.stmt_or_block()?;
-        // The loop counts in i64; the variable gets each count converted to
-        // its declared type.
-        let [start, end, step] = [start, end, step].map(|e| self.k.convert(e, Some(Scalar::I64)));
+        // The loop counts in i64 and the variable gets each count converted
+        // to its declared type; a float bound is left for `validate` to
+        // reject, not truncated.
+        let [start, end, step] = [start, end, step].map(|e| self.k.convert(e, None));
         out.push(Stmt::For {
             var,
             start,

@@ -9,8 +9,11 @@
 //! * every local variable is assigned before use on every path;
 //! * C's implicit conversions are explicit (the parser and
 //!   [`crate::KernelBuilder`] insert them): a value assigned to a variable
-//!   has the kind of its declared type, `for` bounds are ints, and the arms
-//!   of a `?:` agree — so every register of a compiled kernel has one kind;
+//!   has the kind of its declared type and the arms of a `?:` agree — so
+//!   every register of a compiled kernel has one kind;
+//! * `for` bounds and steps are integers (a float loop variable counts in
+//!   them, converted): the loops count in `i64`, and a float bound is
+//!   rejected rather than truncated;
 //! * subscripts are integers, as in C;
 //! * integer-only operators (`% & | ^ << >> ~`) receive integer operands;
 //! * intrinsic calls have the right arity;
@@ -35,10 +38,13 @@ pub enum ValidateError {
     BadMemRef(String),
     /// A variable may be read before any assignment dominates the read.
     UseBeforeDef { var: VarId, name: String },
-    /// A value reaches a variable, a `for` bound or a `?:` arm in the
-    /// wrong kind: the cast the parser and `KernelBuilder` insert is
-    /// missing.
+    /// A value reaches a variable or a `?:` arm in the wrong kind: the
+    /// cast the parser and `KernelBuilder` insert is missing.
     Unconverted(String),
+    /// A bound or step of the `for` over `var` is a float. The dialect's
+    /// loops count in integers; truncating the bound would run a different
+    /// number of iterations than C does.
+    FloatLoopBound { var: String },
     /// A load, store or atomic is subscripted by a float.
     FloatIndex { mem: String },
     /// An integer-only operator received a float operand.
@@ -63,6 +69,9 @@ impl fmt::Display for ValidateError {
             }
             ValidateError::Unconverted(site) => {
                 write!(f, "{site} needs an explicit conversion")
+            }
+            ValidateError::FloatLoopBound { var } => {
+                write!(f, "the `for` over `{var}` has a float bound or step")
             }
             ValidateError::FloatIndex { mem } => {
                 write!(f, "subscript of `{mem}` is not an integer")
@@ -251,8 +260,8 @@ fn check_def_before_use(kernel: &Kernel) -> Result<(), ValidateError> {
     walk(&kernel.body, &mut defined, kernel)
 }
 
-/// The kinds the executors rely on: every assignment and `for` bound
-/// already converted, `?:` arms agreeing, integer subscripts and integer
+/// The kinds the executors rely on: every assignment already converted,
+/// `?:` arms agreeing, integer `for` bounds, integer subscripts and integer
 /// operands for the integer-only operators.
 fn check_kinds(kernel: &Kernel) -> Result<(), ValidateError> {
     let int = |e: &Expr| kernel.expr_kind(e) == ValueKind::Int;
@@ -319,9 +328,9 @@ fn check_kinds(kernel: &Kernel) -> Result<(), ValidateError> {
                 end,
                 step,
                 ..
-            } if !(int(start) && int(end) && int(step)) => Err(ValidateError::Unconverted(
-                format!("a bound of the `for` over {}", var(v)),
-            )),
+            } if !(int(start) && int(end) && int(step)) => Err(ValidateError::FloatLoopBound {
+                var: kernel.var_names[v.index()].clone(),
+            }),
             Stmt::Store { mem, index: i, .. } | Stmt::AtomicRmw { mem, index: i, .. } => {
                 index(*mem, i)
             }
@@ -613,6 +622,45 @@ mod tests {
             value: sel,
         };
         assert!(matches!(validate(&k), Err(ValidateError::Unconverted(_))));
+    }
+
+    #[test]
+    fn float_loop_bounds_rejected() {
+        let src = [
+            // C sums 0.5 + 1.5 + 2.5 = 4.5; a truncated start would give 3.
+            "__global__ void k(float* out) { float s = 0.0f; \
+             for (float x = 0.5f; x < 3; x++) s = s + x; out[0] = s; }",
+            // C runs i = 0, 1, 2; a truncated bound would stop after 2.
+            "__global__ void k(int* out) { float lim = 2.5f; int n = 0; \
+             for (int i = 0; i < lim; i++) n = n + 1; out[0] = n; }",
+            "__global__ void k(int* out) { for (int i = 0; i < 8; i += 0.5f) out[i] = 1; }",
+        ];
+        for s in src {
+            let k = crate::parse::parse_kernel(s).unwrap();
+            assert!(
+                matches!(validate(&k), Err(ValidateError::FloatLoopBound { .. })),
+                "{s}"
+            );
+        }
+        let k = crate::parse::parse_kernel(src[0]).unwrap();
+        assert_eq!(
+            validate(&k).unwrap_err().to_string(),
+            "the `for` over `x` has a float bound or step"
+        );
+        // A float loop variable with int bounds counts in floats, as in C.
+        let ok = "__global__ void k(float* out) { float s = 0.0f; float x; \
+                  for (x = threadIdx.x; x < threadIdx.x + 3; x++) s = s + x / 2; out[0] = s; }";
+        validate(&crate::parse::parse_kernel(ok).unwrap()).unwrap();
+        // So does the builder; a float bound there is rejected too.
+        let mut b = KernelBuilder::new("k");
+        let out = b.buffer("out", Scalar::F32);
+        b.for_("x", Expr::float(0.5), Expr::int(3), Expr::int(1), |b, x| {
+            b.store(out, Expr::int(0), Expr::Var(x));
+        });
+        assert_eq!(
+            validate(&b.finish()),
+            Err(ValidateError::FloatLoopBound { var: "x".into() })
+        );
     }
 
     #[test]

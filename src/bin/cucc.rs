@@ -74,7 +74,7 @@ use cucc::cluster::ClusterSpec;
 use cucc::core::codegen::{generate_host_module, generate_kernel_module};
 use cucc::core::{
     compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode, ExecutionFidelity,
-    JobServer, RunOptions, ServeConfig, ServePolicy,
+    FaultKind, FaultPlan, JobServer, RunOptions, ServeConfig, ServePolicy,
 };
 use cucc::exec::{Arg, BufferId};
 use cucc::gpu_model::{GpuDevice, GpuSpec};
@@ -841,6 +841,7 @@ fn cmd_serve(opts: &ServeOpts) -> Result<String, String> {
         options: opts.run.clone().build(),
     };
     let mut srv = JobServer::new(spec.clone(), config).map_err(|e| e.to_string())?;
+    check_fault_nodes(&opts.run.faults, srv.cluster().num_nodes())?;
     let stream = synthetic_stream(opts.jobs, opts.tenants, opts.seed, opts.gap_us * 1e-6);
     let report = srv.run(&stream).map_err(|e| e.to_string())?;
 
@@ -897,6 +898,29 @@ fn cmd_serve(opts: &ServeOpts) -> Result<String, String> {
         );
     }
     Ok(out)
+}
+
+/// Refuse a `kill`/`delay` naming a node the cluster can never have: ids
+/// below its `num_nodes` slots (a restored image's grown slots included)
+/// plus one per `join` in the plan. A `join` is checked when it fires.
+fn check_fault_nodes(plan: &FaultPlan, num_nodes: usize) -> Result<(), String> {
+    let joins = plan
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, FaultKind::Join { .. }))
+        .count();
+    let bound = num_nodes + joins;
+    for e in &plan.events {
+        if let FaultKind::Kill { node } | FaultKind::Straggle { node, .. } = e.kind {
+            if node as usize >= bound {
+                return Err(format!(
+                    "--fault {e}: node {node} never exists (node ids stay below {bound}: \
+                     {num_nodes} node(s) + {joins} join(s))"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -996,6 +1020,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         });
         (cl, cargs)
     };
+    check_fault_nodes(&options.faults, cl.num_nodes())?;
     let cl_handles = buffers_of(&cargs);
     let wall0 = std::time::Instant::now();
     let report = cl.launch(&ck, launch, &cargs).map_err(|e| e.to_string())?;
@@ -1870,6 +1895,60 @@ mod tests {
         assert!(out.contains("class interactive"), "{out}");
         assert!(out.contains("tenant  0"), "{out}");
         assert!(out.contains("cache hit rate"), "{out}");
+    }
+
+    #[test]
+    fn run_refuses_a_fault_on_a_node_that_never_exists() {
+        let run = |nodes: &str, faults: &[&str]| {
+            let mut argv = vec![
+                "--nodes",
+                nodes,
+                "--grid",
+                "8",
+                "--block",
+                "128",
+                "--arg",
+                "buf:1024f32",
+                "--arg",
+                "buf:1024f32",
+                "--arg",
+                "float:2.0",
+                "--arg",
+                "int:1024",
+            ];
+            for f in faults {
+                argv.extend(["--fault", f]);
+            }
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            cmd_run(SAXPY, &RunOpts::parse(&argv).unwrap())
+        };
+        let err = run("4", &["kill:node=99@t=0"]).unwrap_err();
+        assert!(err.contains("node 99 never exists"), "{err}");
+        assert!(err.contains("below 4: 4 node(s) + 0 join(s)"), "{err}");
+        // One join makes room for one more id, and no more.
+        let err = run("4", &["join:node=4@t=0", "delay:node=5@t=0,factor=2"]).unwrap_err();
+        assert!(
+            err.contains("delay:node=5") && err.contains("below 5"),
+            "{err}"
+        );
+        // The specs README and CI run are still accepted.
+        let out = run("3", &["kill:node=2@t=0"]).unwrap();
+        assert!(out.contains("faults: 1 node failure"), "{out}");
+        let out = run("4", &["kill:node=3@t=0", "join:node=4@t=0"]).unwrap();
+        assert!(out.contains("faults: 1 node failure"), "{out}");
+    }
+
+    #[test]
+    fn serve_refuses_a_fault_on_a_node_that_never_exists() {
+        let serve = |fault: &str| {
+            let argv = ["--synthetic", "jobs=20,tenants=2", "--fault", fault];
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            cmd_serve(&ServeOpts::parse(&argv).unwrap())
+        };
+        let err = serve("kill:node=50@t=0").unwrap_err();
+        assert!(err.contains("node 50 never exists"), "{err}");
+        assert!(err.contains("below 8: 8 node(s) + 0 join(s)"), "{err}");
+        serve("kill:node=7@t=0").unwrap();
     }
 
     #[test]

@@ -1647,7 +1647,9 @@ fn all_tail_threads_guarded_off() {
 }
 
 // ---------------------------------------------------------------------------
-// Staging between lane rows and thread-major windows.
+// Registers crossing between lane and thread-major segments. Both paths
+// read and write the one register file, the lane rows; a `scalar` segment
+// works on each thread's column of them in place.
 // ---------------------------------------------------------------------------
 
 /// A variable written in a `scalar` segment and read in a later lane
@@ -1755,8 +1757,8 @@ fn scalar_segment_fault_in_second_chunk_reports_oracle_thread() {
 
 /// `bert_layernorm` — dense prologue, a block reduction whose steps are
 /// `scalar` segments inside a uniform loop, dense epilogue — certified at
-/// its real extents and run under `CertMode::Validate`: staging must hand
-/// the checked path the same indices the analysis saw.
+/// its real extents and run under `CertMode::Validate`: the thread-major
+/// path must see in the lane rows the same indices the analysis saw.
 #[test]
 fn block_reduce_kernel_validates_its_certificates() {
     let ck = cucc::workloads::triton_kernels()
@@ -2722,6 +2724,41 @@ fn oracle_rules() -> Vec<Rule> {
         ),
         "dense[",
     ));
+    // Intra-block races (Hathhorn et al.'s cases), at 17 threads: one full
+    // lane chunk plus one lane of a second. Threads run ascending, so the
+    // last writer wins; in (b) thread 16 reads thread 0's new value.
+    rules.push(rule(
+        "race: write-write on one shared element, the last thread wins",
+        "__global__ void k(long* out) {
+            __shared__ long sh[1];
+            int t = threadIdx.x;
+            sh[0] = t;
+            __syncthreads();
+            out[t] = sh[0];
+        }",
+        17,
+        vec![Buf::Zero(Scalar::I64, 17)],
+        Ok(()),
+        Out::I64(vec![16; 17]),
+        "dense[0..2] bar dense[2..4]",
+    ));
+    rules.push(rule(
+        "race: read-write in one segment, thread 16 reads thread 0's store",
+        "__global__ void k(long* out) {
+            __shared__ long sh[17];
+            int t = threadIdx.x;
+            sh[t] = t;
+            __syncthreads();
+            sh[t] = sh[(t + 1) % blockDim.x];
+            __syncthreads();
+            out[t] = sh[t];
+        }",
+        17,
+        vec![Buf::Zero(Scalar::I64, 17)],
+        Ok(()),
+        Out::I64((1..17).chain([1]).collect()),
+        "dense[0..2] bar scalar[2..6] bar dense[6..8]",
+    ));
     rules
 }
 
@@ -2745,7 +2782,10 @@ fn oracle_table_holds_in_every_mode() {
             Out::F64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
         };
         assert_eq!(after.bytes(BufferId(0)), &want[..], "{}: buffer 0", r.rule);
-        if r.rule.starts_with("C: ") || r.rule.starts_with("mul-add") {
+        if ["C: ", "mul-add", "race: "]
+            .iter()
+            .any(|p| r.rule.starts_with(p))
+        {
             println!("{}: {:?}", r.rule, r.out);
         }
         if let Some(want) = r.certs {
