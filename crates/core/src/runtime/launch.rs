@@ -79,7 +79,8 @@ impl CuccCluster {
     /// [`CuccCluster::plan_cached`] at an explicit node count (the serving
     /// layer's `k`-node service shape is just another key), with the
     /// certified program a miss profiled with: the launch body runs it
-    /// rather than compiling again. A hit brings no program.
+    /// rather than compiling again. A hit brings no program. A buffer
+    /// argument the cluster never allocated is refused here, for every door.
     pub(crate) fn plan_cached_on(
         &mut self,
         ck: &CompiledKernel,
@@ -87,6 +88,11 @@ impl CuccCluster {
         args: &[Arg],
         nodes: usize,
     ) -> Result<(LaunchSchedule, Option<Program>), MigrateError> {
+        for a in args {
+            if let Arg::Buffer(id) = a {
+                self.check_buffer(*id, "launch")?;
+            }
+        }
         let key = schedule_key(ck, launch, args, nodes, &self.config);
         if let Some(sched) = self.schedule_cache.get(&key) {
             return Ok((sched, None));

@@ -1220,4 +1220,27 @@ mod tests {
         assert_eq!(cl.download::<f32>(buf).unwrap(), vec![1.5, -2.0]);
         assert_eq!(cl.download::<u8>(buf).unwrap().len(), 8);
     }
+
+    #[test]
+    fn every_door_refuses_a_buffer_never_allocated() {
+        let ck = compile_source(LISTING1).unwrap();
+        let launch = LaunchConfig::cover1(64, 32);
+        let args = [
+            Arg::Buffer(BufferId(7)),
+            Arg::Buffer(BufferId(7)),
+            Arg::int(64),
+        ];
+        let fresh = || CuccCluster::with_options(spec(2), RuntimeConfig::default());
+        let refused = |r: Result<(), MigrateError>| {
+            let e = r.unwrap_err().to_string();
+            assert!(e.contains("buffer id 7 was never allocated"), "{e}");
+        };
+        refused(fresh().launch(&ck, launch, &args).map(drop));
+        let mut cl = fresh();
+        let s = cl.stream_create();
+        refused(cl.launch_on(&ck, launch, &args, s).map(drop));
+        let mut cap = crate::GraphCapture::new();
+        cap.launch(&ck, launch, &args);
+        refused(fresh().graph_replay(&cap.finish()).map(drop));
+    }
 }

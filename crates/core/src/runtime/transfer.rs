@@ -44,7 +44,7 @@ impl CuccCluster {
     }
 
     /// Validate that `buf` names an allocation and return its byte size.
-    fn check_buffer(&self, buf: BufferId, op: &str) -> Result<usize, MigrateError> {
+    pub(super) fn check_buffer(&self, buf: BufferId, op: &str) -> Result<usize, MigrateError> {
         let pool = self.sim.node(0);
         if buf.index() >= pool.len() {
             return Err(MigrateError::Transfer(format!(

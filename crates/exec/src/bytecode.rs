@@ -435,11 +435,6 @@ impl Program {
         });
     }
 
-    /// Remove any attached certificate table (all accesses checked again).
-    pub fn detach_certs(&mut self) {
-        self.certs = None;
-    }
-
     /// Drop every lane plan, so each segment runs thread-major through
     /// [`crate::engine::run_seg`] — the engine without its lanes. For
     /// differential tests and ablation benches; no launch option reaches it.

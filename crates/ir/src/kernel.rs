@@ -277,15 +277,6 @@ impl Kernel {
             .map(|(i, p)| (ParamId(i as u32), p))
     }
 
-    /// Iterate over the scalar parameters with their ids.
-    pub fn scalar_params(&self) -> impl Iterator<Item = (ParamId, &Param)> {
-        self.params
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_buffer())
-            .map(|(i, p)| (ParamId(i as u32), p))
-    }
-
     /// Number of dense *memory slots* a flat executor needs: one per
     /// parameter (scalar parameter slots stay unused placeholders, keeping
     /// the numbering trivial), then one per `__shared__` array, then one per

@@ -57,14 +57,6 @@ impl NetModel {
         self.alpha + self.overhead + bytes as f64 * self.beta
     }
 
-    /// Sender-side occupancy of one message (the part that serializes
-    /// back-to-back sends on one node): software overhead plus payload
-    /// injection.
-    #[inline]
-    pub fn send_occupancy(&self, bytes: u64) -> f64 {
-        self.overhead + bytes as f64 * self.beta
-    }
-
     /// Time to copy `bytes` within node memory (staging for out-of-place
     /// collectives).
     #[inline]

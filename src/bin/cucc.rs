@@ -1,75 +1,16 @@
 //! `cucc` — command-line front-end to the CuCC migration framework.
 //!
-//! ```text
-//! cucc analyze  <kernel.cu>                     # compiler analysis report
-//! cucc codegen  <kernel.cu>                     # Figure-6 CPU modules
-//! cucc run      <kernel.cu> [options]           # migrate & execute
-//! cucc serve    [options]                       # multi-tenant serving front-end
-//! cucc check    <kernel.cu|file.rs>             # static race/bounds/barrier verifier
-//! cucc check    --builtin                       # verify every built-in suite kernel
-//! cucc lint     <kernel.cu|file.rs>             # range-analysis lints (dead stores, …)
-//! cucc lint     --builtin                       # lint every built-in suite kernel
-//! cucc coverage                                 # Figure-7 suites
-//!
-//! run options:
-//!   --cluster simd|thread    target cluster class   (default simd)
-//!   --nodes N                cluster size           (default 4)
-//!   --grid X[,Y[,Z]]         grid dimensions        (default 64)
-//!   --block X[,Y[,Z]]        block dimensions       (default 256)
-//!   --arg buf:<elems>f32     buffer argument, random f32 data
-//!   --arg buf:<elems>i32     buffer argument, random i32 data
-//!   --arg buf:<bytes>        buffer argument, random bytes
-//!   --arg int:<v>            integer scalar
-//!   --arg float:<v>          float scalar
-//!   --seed S                 RNG seed for buffer data (default 42)
-//!   --engine tree|lane       functional executor       (default lane;
-//!                            bytecode and simd are accepted as lane)
-//!   -v, --verbose            per-phase batch/vector report: which phases
-//!                            ran dense/pred/scalar
-//!   --node-threads N         intra-node worker threads (default 0 = auto)
-//!   --modeled                timing-only (skip functional execution)
-//!   --streams N              after the verified run, replay the kernel as
-//!                            an N-stream pipeline (async h2d + launch per
-//!                            replica) and report overlap vs serial
-//!   --graph N                after the verified run, capture the upload +
-//!                            launch sequence into a launch graph and replay
-//!                            it N times; report schedule-cache hit rate,
-//!                            elided/narrowed Allgathers and wire bytes saved
-//!   --trace out.json         export the simulated-clock timeline as
-//!                            Chrome trace-event JSON (open in Perfetto)
-//!   --sanitize               run the dynamic write-race / OOB sanitizer
-//!                            before execution and cross-check it against
-//!                            the static verifier verdicts
-//!   --fault SPEC             inject a scripted fault; repeatable. SPECs:
-//!                            kill:node=N@t=T, delay:node=N@t=T[,factor=F],
-//!                            drop:step@t=T, join:node=N@t=T (revive a dead
-//!                            slot, or grow the cluster when N == size)
-//!   --checkpoint PATH        after the verified run, serialize the full
-//!                            cluster state (buffers, membership epoch,
-//!                            fault cursor, clock) to PATH
-//!   --restore PATH           resume from a checkpoint instead of fresh
-//!                            uploads; buffer args bind to the restored
-//!                            allocations in order (GPU byte-comparison is
-//!                            skipped — the state is mid-job)
-//!
-//! serve options:
-//!   --synthetic jobs=N,tenants=M
-//!                            synthetic arrival stream shape (default 200, 8)
-//!   --policy fifo|fair       queue discipline          (default fair)
-//!   --queue-depth N          per-tenant admission limit (default 0 = unbounded)
-//!   --nodes N                cluster size              (default 8)
-//!   --cluster simd|thread    target cluster class      (default simd)
-//!   --gap-us USEC            mean interarrival gap     (default 200)
-//!   --seed S                 stream RNG seed           (default 42)
-//!   --modeled / --engine / --node-threads / --fault / --trace
-//!                            as for `run`
-//! ```
+//! `cucc --help` lists the subcommands and `cucc <cmd> --help` one
+//! subcommand's options. Both are generated from [`CMDS`] and the flag
+//! tables below, the one place a subcommand or a flag is declared; the
+//! one parser reads every command line through the same rows before any
+//! file is opened.
 //!
 //! `run` executes the kernel on the simulated GPU (reference) and on the
 //! CuCC cluster, compares the results byte-for-byte, and prints the
 //! distribution decision and simulated-time breakdown.
 
-use cucc::analysis::Verdict;
+use cucc::analysis::{LintReport, Verdict, VerifyReport};
 use cucc::cluster::ClusterSpec;
 use cucc::core::codegen::{generate_host_module, generate_kernel_module};
 use cucc::core::{
@@ -78,7 +19,7 @@ use cucc::core::{
 };
 use cucc::exec::{Arg, BufferId};
 use cucc::gpu_model::{GpuDevice, GpuSpec};
-use cucc::ir::{Dim3, LaunchConfig};
+use cucc::ir::{Dim3, Kernel, LaunchConfig, Param, SourceMap, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
@@ -98,50 +39,330 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        Some("analyze") => {
-            let path = args.get(1).ok_or("usage: cucc analyze <kernel.cu>")?;
-            let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            cmd_analyze(&src)
-        }
-        Some("codegen") => {
-            let path = args.get(1).ok_or("usage: cucc codegen <kernel.cu>")?;
-            let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            cmd_codegen(&src)
-        }
-        Some("run") => {
-            let path = args.get(1).ok_or("usage: cucc run <kernel.cu> [options]")?;
-            let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let opts = RunOpts::parse(&args[2..])?;
-            cmd_run(&src, &opts)
-        }
-        Some("serve") => {
-            let opts = ServeOpts::parse(&args[1..])?;
-            cmd_serve(&opts)
-        }
-        Some("check") => cmd_check(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("coverage") => cmd_coverage(),
-        Some("--help") | Some("-h") | None => Ok(usage()),
-        Some(other) => Err(format!("unknown command `{other}`\n{}", usage())),
+    let first = args.first().map_or(HELP.name, String::as_str);
+    if first == HELP.name || HELP.short == Some(first) {
+        return Ok(usage());
     }
+    let o = parse(args)?;
+    if o.help {
+        return Ok(o.cmd.usage());
+    }
+    (o.cmd.run)(&o)
+}
+
+// ------------------------------------------------------------------ CLI --
+
+/// One subcommand: what it takes and what runs it.
+struct Cmd {
+    name: &'static str,
+    /// Synopsis of the positional operands, for the usage lines.
+    operands: &'static str,
+    /// Positional operands accepted; one more is a usage error.
+    arity: usize,
+    /// The flag groups it accepts (every subcommand also takes [`HELP`]).
+    flags: &'static [&'static [Flag]],
+    help: &'static str,
+    /// Default cluster size, for the subcommands that build a cluster.
+    nodes: u32,
+    run: fn(&Opts) -> Result<String, String>,
+}
+
+/// One flag: its spellings, the name of its value (`None` for a switch),
+/// its help line, and the setter that writes the value into [`Opts`]. The
+/// setter gets the flag's spelling, so each error names the flag.
+struct Flag {
+    name: &'static str,
+    short: Option<&'static str>,
+    value: Option<&'static str>,
+    help: &'static str,
+    set: fn(&mut Opts, &str, &str) -> Result<(), String>,
+}
+
+/// Everything one command line sets: every flag's target and the operands.
+struct Opts {
+    cmd: &'static Cmd,
+    operands: Vec<String>,
+    help: bool,
+    builtin: bool,
+    /// The simulated cluster, `--nodes` included.
+    cluster: ClusterSpec,
+    seed: u64,
+    trace: Option<String>,
+    /// The runtime knobs, in the one typed value the cluster consumes.
+    run: RunOptions,
+    launch: LaunchConfig,
+    args: Vec<CliArg>,
+    streams: usize,
+    graph: usize,
+    checkpoint: Option<String>,
+    restore: Option<String>,
+    verbose: bool,
+    jobs: usize,
+    tenants: u32,
+    policy: ServePolicy,
+    queue_depth: usize,
+    gap_us: f64,
+}
+
+const FAULT: &str = "--fault";
+const ARG: &str = "--arg";
+
+/// The flags `run` and `serve` share: the cluster and the runtime knobs.
+#[rustfmt::skip]
+const SHARED: &[Flag] = &[
+    Flag { name: "--cluster", short: None, value: Some("simd|thread"), help: "target cluster class (default simd)",
+        set: |o, _, v| {
+            let spec = match v {
+                "simd" => ClusterSpec::simd_focused(),
+                "thread" => ClusterSpec::thread_focused(),
+                other => return Err(format!("unknown cluster `{other}` (simd|thread)")),
+            };
+            o.cluster = spec.with_nodes(o.cluster.nodes);
+            Ok(())
+        } },
+    Flag { name: "--nodes", short: None, value: Some("N"), help: "cluster size (default 4; serve: 8)",
+        set: |o, f, v| Some(num(f, v)?).filter(|&n| n > 0).map(|n| o.cluster.nodes = n)
+            .ok_or_else(|| format!("{f}: a cluster needs at least one node")) },
+    Flag { name: "--seed", short: None, value: Some("S"), help: "RNG seed for buffer data or the job stream (default 42)",
+        set: |o, f, v| num(f, v).map(|s| o.seed = s) },
+    Flag { name: "--modeled", short: None, value: None, help: "timing-only: skip functional execution",
+        set: |o, _, _| { (o.run.fidelity, o.run.verify_consistency) = (ExecutionFidelity::Modeled, false); Ok(()) } },
+    Flag { name: "--engine", short: None, value: Some("tree|lane"),
+        help: "functional executor (default lane; bytecode and simd are accepted as lane)",
+        set: |o, f, v| EngineKind::parse(v).map(|e| o.run.engine = e)
+            .ok_or_else(|| format!("{f}: unknown engine `{v}` (tree|lane; bytecode and simd are accepted as lane)")) },
+    Flag { name: "--node-threads", short: None, value: Some("N"), help: "intra-node worker threads (default 0 = auto)",
+        set: |o, f, v| num(f, v).map(|n| o.run.node_threads = n) },
+    Flag { name: FAULT, short: None, value: Some("SPEC"),
+        help: "inject a scripted fault, repeatable: kill:node=N@t=T, delay:node=N@t=T[,factor=F], \
+               drop:step@t=T, join:node=N@t=T (revive a dead slot, or grow the cluster when N == size)",
+        set: |o, _, v| std::mem::take(&mut o.run).fault(v).map(|r| o.run = r) },
+    Flag { name: "--trace", short: None, value: Some("PATH"),
+        help: "export the simulated-clock timeline as Chrome trace-event JSON (Perfetto)",
+        set: |o, _, v| { o.trace = Some(v.into()); Ok(()) } },
+];
+
+/// The flags of `run` alone: the launch, its arguments and the session
+/// around it.
+#[rustfmt::skip]
+const RUN: &[Flag] = &[
+    Flag { name: "--grid", short: None, value: Some("X[,Y[,Z]]"), help: "grid dimensions (default 64)",
+        set: |o, f, v| parse_dim(f, v).map(|d| o.launch.grid = d) },
+    Flag { name: "--block", short: None, value: Some("X[,Y[,Z]]"), help: "block dimensions (default 256)",
+        set: |o, f, v| parse_dim(f, v).map(|d| o.launch.block = d) },
+    Flag { name: ARG, short: None, value: Some("SPEC"),
+        help: "the next kernel argument, repeatable: buf:<elems>f32 | buf:<elems>i32 | buf:<bytes> \
+               (random data), int:<v> | float:<v> (scalars)",
+        set: |o, f, v| parse_arg(f, v).map(|a| o.args.push(a)) },
+    Flag { name: "--verbose", short: Some("-v"), value: None,
+        help: "per-phase report: which segments ran dense/pred/scalar, range certificates",
+        set: |o, _, _| { o.verbose = true; Ok(()) } },
+    Flag { name: "--sanitize", short: None, value: None,
+        help: "run the dynamic write-race / OOB sanitizer and cross-check the static verifier",
+        set: |o, _, _| { o.run.sanitize = true; Ok(()) } },
+    Flag { name: "--streams", short: None, value: Some("N"),
+        help: "after the verified run, replay the kernel as an N-stream pipeline and report overlap vs serial",
+        set: |o, f, v| num(f, v).map(|n| o.streams = n) },
+    Flag { name: "--graph", short: None, value: Some("N"),
+        help: "after the verified run, capture upload + launch as a launch graph, replay it N times and \
+               report cache hits, elided gathers and wire bytes saved",
+        set: |o, f, v| num(f, v).map(|n| o.graph = n) },
+    Flag { name: "--checkpoint", short: None, value: Some("PATH"),
+        help: "after the verified run, write the cluster state (buffers, membership, fault cursor, clock) to PATH",
+        set: |o, _, v| { o.checkpoint = Some(v.into()); Ok(()) } },
+    Flag { name: "--restore", short: None, value: Some("PATH"),
+        help: "resume from a checkpoint instead of fresh uploads; buffer arguments bind to the restored \
+               allocations in order (no GPU comparison)",
+        set: |o, _, v| { o.restore = Some(v.into()); Ok(()) } },
+];
+
+/// The flags of `serve` alone: the synthetic stream and its admission.
+#[rustfmt::skip]
+const SERVE: &[Flag] = &[
+    Flag { name: "--synthetic", short: None, value: Some("jobs=N,tenants=M"),
+        help: "synthetic arrival stream shape (default 200, 8)", set: set_synthetic },
+    Flag { name: "--policy", short: None, value: Some("fifo|fair"), help: "queue discipline (default fair)",
+        set: |o, f, v| ServePolicy::parse(v).map(|p| o.policy = p)
+            .ok_or_else(|| format!("{f}: unknown policy `{v}` (fifo|fair)")) },
+    Flag { name: "--queue-depth", short: None, value: Some("N"),
+        help: "per-tenant admission limit (default 0 = unbounded)",
+        set: |o, f, v| num(f, v).map(|n| o.queue_depth = n) },
+    Flag { name: "--gap-us", short: None, value: Some("USEC"), help: "mean interarrival gap (default 200)",
+        set: |o, f, v| Some(num(f, v)?).filter(|g: &f64| g.is_finite() && *g >= 0.0).map(|g| o.gap_us = g)
+            .ok_or_else(|| format!("{f}: `{v}` is not a finite, non-negative gap")) },
+];
+
+/// The flag `check` and `lint` share.
+#[rustfmt::skip]
+const SUITES: &[Flag] = &[
+    Flag { name: "--builtin", short: None, value: None,
+        help: "every built-in suite kernel at its real launch, instead of a file",
+        set: |o, _, _| { o.builtin = true; Ok(()) } },
+];
+
+#[rustfmt::skip]
+static HELP: Flag = Flag { name: "--help", short: Some("-h"), value: None, help: "print this help",
+    set: |o, _, _| { o.help = true; Ok(()) } };
+
+#[rustfmt::skip]
+static CMDS: &[Cmd] = &[
+    Cmd { name: "analyze", operands: "<kernel.cu>", arity: 1, flags: &[], nodes: 0,
+        help: "run the Allgather-distributable & SIMD analyses", run: |o| cmd_analyze(&o.source()?) },
+    Cmd { name: "codegen", operands: "<kernel.cu>", arity: 1, flags: &[], nodes: 0,
+        help: "print the generated CPU host/kernel modules", run: |o| cmd_codegen(&o.source()?) },
+    Cmd { name: "run", operands: "<kernel.cu>", arity: 1, flags: &[SHARED, RUN], nodes: 4,
+        help: "migrate and execute on a simulated cluster", run: |o| cmd_run(&o.source()?, o) },
+    Cmd { name: "serve", operands: "", arity: 0, flags: &[SHARED, SERVE], nodes: 8,
+        help: "drive a synthetic multi-tenant job stream through the admission-controlled serving front-end",
+        run: cmd_serve },
+    Cmd { name: "check", operands: "<kernel.cu|file.rs>", arity: 1, flags: &[SUITES], nodes: 0,
+        help: "static race / bounds / barrier-divergence verifier", run: cmd_check },
+    Cmd { name: "lint", operands: "<kernel.cu|file.rs>", arity: 1, flags: &[SUITES], nodes: 0,
+        help: "range-analysis lints: dead stores, redundant barriers, constant conditions, unreachable code",
+        run: cmd_lint },
+    Cmd { name: "coverage", operands: "", arity: 0, flags: &[], nodes: 0,
+        help: "classify the built-in Figure-7 kernel suites", run: |_| cmd_coverage() },
+];
+
+fn set_synthetic(o: &mut Opts, flag: &str, v: &str) -> Result<(), String> {
+    for part in v.split(',') {
+        if let Some(n) = part.strip_prefix("jobs=") {
+            o.jobs = num(&format!("{flag} jobs"), n)?;
+        } else if let Some(n) = part.strip_prefix("tenants=") {
+            o.tenants = num(&format!("{flag} tenants"), n)?;
+        } else {
+            return Err(format!("bad {flag} part `{part}` (use jobs=N,tenants=M)"));
+        }
+    }
+    if o.jobs == 0 || o.tenants == 0 {
+        return Err(format!("{flag} needs jobs >= 1 and tenants >= 1"));
+    }
+    Ok(())
 }
 
 fn usage() -> String {
-    "usage: cucc <analyze|codegen|run|serve|check|lint|coverage> [args]\n\
-     \n\
-     analyze  <kernel.cu>         run the Allgather-distributable & SIMD analyses\n\
-     codegen  <kernel.cu>         print the generated CPU host/kernel modules\n\
-     run      <kernel.cu> [opts]  migrate and execute on a simulated cluster\n\
-     serve    [opts]              drive a multi-tenant synthetic job stream through\n\
-                                  the admission-controlled serving front-end\n\
-     check    <kernel.cu|.rs>     static race / bounds / barrier-divergence verifier\n\
-     check    --builtin           verify all built-in suite kernels at real launches\n\
-     lint     <kernel.cu|.rs>     range-analysis lints: dead stores, redundant\n\
-                                  barriers, constant conditions, unreachable code\n\
-     lint     --builtin           lint all built-in suite kernels at real launches\n\
-     coverage                     classify the built-in Figure-7 kernel suites"
-        .to_string()
+    let names: Vec<&str> = CMDS.iter().map(|c| c.name).collect();
+    let mut out = format!("usage: cucc <{}> [args]\n", names.join("|"));
+    for c in CMDS {
+        out += &format!("\n{:8} {:20} {}", c.name, c.operands, c.help);
+    }
+    let help = HELP.name;
+    out + &format!("\n\n`cucc <command> {help}` lists a command's options")
+}
+
+impl Cmd {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().copied().flatten().chain([&HELP])
+    }
+
+    /// The subcommand's usage: synopsis, help line and one row per flag.
+    fn usage(&self) -> String {
+        let synopsis = format!("cucc {} {}", self.name, self.operands);
+        let mut out = format!("usage: {} [options]\n{}\n", synopsis.trim_end(), self.help);
+        for f in self.flags() {
+            let short = f.short.map_or(String::new(), |s| format!("{s}, "));
+            let left = format!("  {short}{} {}", f.name, f.value.unwrap_or_default());
+            out += &format!("\n{left:30} {}", f.help);
+        }
+        out
+    }
+}
+
+/// Read a command line (`args[0]` names the subcommand) through the
+/// tables, before any file is opened: a token that spells one of the
+/// subcommand's flags sets it, any other `-…` token is an unknown option,
+/// and the rest are operands, at most the subcommand's arity.
+fn parse(args: &[String]) -> Result<Opts, String> {
+    let name = args.first().map_or("", String::as_str);
+    let cmd = CMDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`\n{}", usage()))?;
+    let mut o = Opts::new(cmd);
+    let mut rest = args[1..].iter();
+    while let Some(tok) = rest.next() {
+        if tok.len() > 1 && tok.starts_with('-') {
+            let flag = cmd
+                .flags()
+                .find(|f| f.name == tok || f.short == Some(tok))
+                .ok_or_else(|| format!("unknown option `{tok}`\n{}", cmd.usage()))?;
+            let value = flag
+                .value
+                .map_or(Some(""), |_| rest.next().map(String::as_str));
+            let value = value.ok_or_else(|| format!("missing value after `{tok}`"))?;
+            (flag.set)(&mut o, flag.name, value)?;
+        } else if o.operands.len() < cmd.arity {
+            o.operands.push(tok.clone());
+        } else {
+            return Err(format!("unexpected argument `{tok}`\n{}", cmd.usage()));
+        }
+    }
+    Ok(o)
+}
+
+/// A flag's numeric value; the error names the flag.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+impl Opts {
+    fn new(cmd: &'static Cmd) -> Opts {
+        Opts {
+            cmd,
+            operands: Vec::new(),
+            help: false,
+            builtin: false,
+            cluster: ClusterSpec::simd_focused().with_nodes(cmd.nodes),
+            seed: 42,
+            trace: None,
+            run: RunOptions::builder(),
+            launch: LaunchConfig::new(64u32, 256u32),
+            args: Vec::new(),
+            streams: 0,
+            graph: 0,
+            checkpoint: None,
+            restore: None,
+            verbose: false,
+            jobs: 200,
+            tenants: 8,
+            policy: ServePolicy::Fair,
+            queue_depth: 0,
+            gap_us: 200.0,
+        }
+    }
+
+    /// The one operand, or the subcommand's usage when it is missing.
+    fn path(&self) -> Result<&String, String> {
+        self.operands.first().ok_or_else(|| self.cmd.usage())
+    }
+
+    /// The text of the file the operand names.
+    fn source(&self) -> Result<String, String> {
+        let path = self.path()?;
+        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+    }
+
+    /// The kernel sources of the operand: a `.rs` file's embedded kernels,
+    /// any other file whole.
+    fn kernels(&self) -> Result<Vec<String>, String> {
+        let (path, text) = (self.path()?, self.source()?);
+        let sources = if path.ends_with(".rs") {
+            extract_cuda_kernels(&text)
+        } else {
+            vec![text]
+        };
+        if sources.is_empty() {
+            return Err(format!("{path}: no `__global__` kernels found"));
+        }
+        Ok(sources)
+    }
+
+    fn modeled(&self) -> bool {
+        self.run.fidelity == ExecutionFidelity::Modeled
+    }
 }
 
 // -------------------------------------------------------------- analyze --
@@ -179,313 +400,233 @@ fn cmd_analyze(src: &str) -> Result<String, String> {
     // Kernel verifier at the canonical launch (`cucc check` runs the same
     // rules; real geometry and extents come from `cucc check --builtin`).
     let map = cucc::ir::parse_kernel_with_map(src).ok().map(|(_, m)| m);
-    let (vlaunch, vargs, vextents) = cucc::analysis::canonical_check_input(&ck.kernel);
-    let acc = &ck.analysis.accesses;
-    let vr = cucc::analysis::verify_accesses(
-        &ck.kernel,
-        acc,
-        vlaunch,
-        &vargs,
-        &vextents,
-        true,
-        map.as_ref(),
-    );
-    out += &format!("  verifier      : {vlaunch}\n");
+    let (launch, args, ext) = cucc::analysis::canonical_check_input(&ck.kernel);
+    let (k, acc) = (&ck.kernel, &ck.analysis.accesses);
+    let vr = cucc::analysis::verify_accesses(k, acc, launch, &args, &ext, true, map.as_ref());
+    out += &format!("  verifier      : {launch}\n");
     out += &vr.render();
     Ok(out)
 }
 
-// ---------------------------------------------------------------- check --
+// ---------------------------------------------------------- check, lint --
 
 /// Pull every `__global__ … { … }` kernel out of a text file (balanced
 /// braces). Lets `cucc check` run over the mini-CUDA sources embedded in
 /// the Rust examples as well as plain `.cu` files.
 fn extract_cuda_kernels(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut at = 0usize;
-    while let Some(pos) = text[at..].find("__global__") {
-        let start = at + pos;
-        let Some(open) = text[start..].find('{') else {
+    let mut rest = text;
+    while let Some(start) = rest.find("__global__") {
+        let Some(open) = rest[start..].find('{').map(|i| start + i) else {
             break;
         };
         let mut depth = 0usize;
-        let mut end = None;
-        for (i, c) in text[start + open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = Some(start + open + i + 1);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(end) = end else { break };
-        out.push(text[start..end].to_string());
-        at = end;
+        let close = rest[open..].char_indices().find(|&(_, c)| {
+            depth = depth + usize::from(c == '{') - usize::from(c == '}');
+            depth == 0
+        });
+        let Some((len, _)) = close else { break };
+        out.push(rest[start..=open + len].to_string());
+        rest = &rest[open + len + 1..];
     }
     out
 }
 
-/// Parse + verify one kernel source. With `real = Some((launch, bytes,
-/// scalars))` the rules run at that geometry with exact allocation-derived
-/// extents; otherwise at the canonical launch with assumed extents.
-/// Build the `(args, extents)` a real launch binds: buffers in declaration
-/// order with allocation-derived element extents, scalars from `scalars`.
-fn real_args(
-    kernel: &cucc::ir::Kernel,
-    buffer_bytes: &[usize],
-    scalars: &[cucc::ir::Value],
-) -> (Vec<Arg>, Vec<Option<u64>>) {
-    use cucc::ir::Param;
-    let mut args = Vec::new();
-    let mut extents = Vec::new();
-    let (mut bi, mut si) = (0usize, 0usize);
-    for (i, p) in kernel.params.iter().enumerate() {
-        match p {
-            Param::Buffer { elem, .. } => {
-                args.push(Arg::Buffer(BufferId(i as u32)));
-                extents.push(Some((buffer_bytes[bi] / elem.size()) as u64));
-                bi += 1;
-            }
-            Param::Scalar { .. } => {
-                args.push(Arg::Scalar(scalars[si]));
-                extents.push(None);
-                si += 1;
-            }
-        }
-    }
-    (args, extents)
-}
+/// A built-in kernel's place in the suite table: suite, name, and whether
+/// it is annotated as overlapping (MUST findings expected).
+type SuiteRow = (&'static str, &'static str, bool);
 
-fn verify_source(
-    src: &str,
-    real: Option<(LaunchConfig, &[usize], &[cucc::ir::Value])>,
-) -> Result<(String, cucc::analysis::VerifyReport), String> {
-    let (kernel, map) = cucc::ir::parse_kernel_with_map(src).map_err(|e| e.to_string())?;
-    cucc::ir::validate(&kernel).map_err(|e| format!("{}: {e}", kernel.name))?;
-    let report = match real {
-        Some((launch, buffer_bytes, scalars)) => {
-            let (args, extents) = real_args(&kernel, buffer_bytes, scalars);
-            cucc::analysis::verify_launch(&kernel, launch, &args, &extents, false, Some(&map))
-        }
-        None => {
-            let (launch, args, extents) = cucc::analysis::canonical_check_input(&kernel);
-            cucc::analysis::verify_launch(&kernel, launch, &args, &extents, true, Some(&map))
-        }
+/// A built-in kernel's real launch: its row, geometry, buffer allocation
+/// sizes in bytes (declaration order) and scalar values.
+type Builtin<'a> = (SuiteRow, LaunchConfig, &'a [usize], &'a [Value]);
+
+/// Element extents of a launch's parameters: a buffer's from its
+/// allocation size (`bytes`, one per buffer in declaration order), none
+/// for a scalar.
+fn extents(kernel: &Kernel, bytes: impl IntoIterator<Item = usize>) -> Vec<Option<u64>> {
+    let mut bytes = bytes.into_iter();
+    let extent = |p: &Param| match p {
+        Param::Buffer { elem, .. } => bytes.next().map(|b| (b / elem.size()) as u64),
+        Param::Scalar { .. } => None,
     };
-    Ok((kernel.name.clone(), report))
+    kernel.params.iter().map(extent).collect()
 }
 
-/// Parse + lint one kernel source, at the real launch when given, otherwise
-/// at the canonical check launch.
-fn lint_source(
-    src: &str,
-    real: Option<(LaunchConfig, &[usize], &[cucc::ir::Value])>,
-) -> Result<(String, cucc::analysis::LintReport), String> {
-    let (kernel, map) = cucc::ir::parse_kernel_with_map(src).map_err(|e| e.to_string())?;
-    cucc::ir::validate(&kernel).map_err(|e| format!("{}: {e}", kernel.name))?;
-    let (launch, args, extents) = match real {
-        Some((launch, buffer_bytes, scalars)) => {
-            let (args, extents) = real_args(&kernel, buffer_bytes, scalars);
-            (launch, args, extents)
-        }
-        None => cucc::analysis::canonical_check_input(&kernel),
-    };
-    let report = cucc::analysis::lint_kernel(&kernel, launch, &args, &extents, Some(&map))
-        .map_err(|e| format!("{}: {e}", kernel.name))?;
-    Ok((kernel.name.clone(), report))
+/// One kernel `check` or `lint` examines: parsed, validated and bound to a
+/// launch, its arguments and their extents.
+struct Target {
+    /// Where a built-in kernel sits; `None` for a file's kernel, which runs
+    /// at the canonical launch with assumed extents.
+    row: Option<SuiteRow>,
+    kernel: Kernel,
+    map: SourceMap,
+    input: (LaunchConfig, Vec<Arg>, Vec<Option<u64>>),
 }
 
-fn cmd_check(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        None => Err("usage: cucc check <kernel.cu|file.rs> | cucc check --builtin".into()),
-        Some("--builtin") => cmd_check_builtin(),
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let sources = if path.ends_with(".rs") {
-                extract_cuda_kernels(&text)
-            } else {
-                vec![text]
-            };
-            if sources.is_empty() {
-                return Err(format!("{path}: no `__global__` kernels found"));
+impl Target {
+    /// Parse and validate `src` and bind it: a built-in kernel at its real
+    /// launch with exact allocation-derived extents, otherwise at the
+    /// canonical check launch.
+    fn new(src: &str, builtin: Option<Builtin>) -> Result<Target, String> {
+        let (kernel, map) = cucc::ir::parse_kernel_with_map(src).map_err(|e| e.to_string())?;
+        cucc::ir::validate(&kernel).map_err(|e| format!("{}: {e}", kernel.name))?;
+        let row = builtin.map(|b| b.0);
+        let input = match builtin {
+            None => cucc::analysis::canonical_check_input(&kernel),
+            Some((_, launch, bytes, scalars)) => {
+                let mut scalars = scalars.iter();
+                let arg = |(i, p): (usize, &Param)| match p {
+                    Param::Buffer { .. } => Arg::Buffer(BufferId(i as u32)),
+                    Param::Scalar { .. } => Arg::Scalar(*scalars.next().unwrap()),
+                };
+                let args = kernel.params.iter().enumerate().map(arg).collect();
+                (launch, args, extents(&kernel, bytes.iter().copied()))
             }
-            let mut out = String::new();
-            let mut musts = 0usize;
-            for src in &sources {
-                let (name, report) = verify_source(src, None)?;
-                out += &format!("kernel `{name}` at canonical grid 64 × block 256:\n");
-                out += &report.render();
-                if report.has_must() {
-                    musts += 1;
-                }
-            }
-            if musts > 0 {
-                Err(format!(
-                    "{out}{musts} kernel(s) with MUST-level diagnostics"
-                ))
-            } else {
-                Ok(out)
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------- lint --
-
-fn cmd_lint(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        None => Err("usage: cucc lint <kernel.cu|file.rs> | cucc lint --builtin".into()),
-        Some("--builtin") => cmd_lint_builtin(),
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let sources = if path.ends_with(".rs") {
-                extract_cuda_kernels(&text)
-            } else {
-                vec![text]
-            };
-            if sources.is_empty() {
-                return Err(format!("{path}: no `__global__` kernels found"));
-            }
-            let mut out = String::new();
-            for src in &sources {
-                let (name, report) = lint_source(src, None)?;
-                out += &format!("kernel `{name}` at canonical grid 64 × block 256:\n");
-                out += &report.render();
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Lint every built-in suite kernel at its real launch. Lints are advisory
-/// (all `Info`), so this never fails — findings are printed for review.
-fn cmd_lint_builtin() -> Result<String, String> {
-    use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
-    let mut out = String::from("range-analysis lints over the built-in suites (real launches):\n");
-    let mut findings = 0usize;
-    let mut checked = 0usize;
-    let mut emit =
-        |out: &mut String, suite: &str, name: &str, report: &cucc::analysis::LintReport| {
-            *out += &format!("  {suite:18} {name:22} {}\n", report.summary());
-            for d in &report.diagnostics {
-                *out += &format!("    {d}\n");
-            }
-            findings += report.diagnostics.len();
-            checked += 1;
         };
+        Ok(Target {
+            row,
+            kernel,
+            map,
+            input,
+        })
+    }
+
+    fn verify(&self) -> VerifyReport {
+        let (launch, args, ext) = &self.input;
+        let canonical = self.row.is_none();
+        cucc::analysis::verify_launch(&self.kernel, *launch, args, ext, canonical, Some(&self.map))
+    }
+
+    fn lint(&self) -> Result<LintReport, String> {
+        let (launch, args, ext) = &self.input;
+        let name = &self.kernel.name;
+        cucc::analysis::lint_kernel(&self.kernel, *launch, args, ext, Some(&self.map))
+            .map_err(|e| format!("{name}: {e}"))
+    }
+
+    /// The heading of a file kernel's report.
+    fn heading(&self) -> String {
+        let name = &self.kernel.name;
+        format!("kernel `{name}` at canonical grid 64 × block 256:\n")
+    }
+}
+
+/// What `check` and `lint` examine: every built-in suite kernel at its
+/// real launch when `--builtin` is given (and no path), otherwise the
+/// kernels of the one path named.
+fn targets(o: &Opts) -> Result<Vec<Target>, String> {
+    use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Expected, Scale};
+    if !o.builtin {
+        return o.kernels()?.iter().map(|s| Target::new(s, None)).collect();
+    }
+    if let Some(path) = o.operands.first() {
+        return Err(format!("unexpected argument `{path}`\n{}", o.cmd.usage()));
+    }
+    let mut out = Vec::new();
     for (suite, kernels) in [
         ("Triton (BERT+ViT)", triton_kernels()),
         ("Hetero-Mark", heteromark_kernels()),
     ] {
         for k in &kernels {
-            let (_, report) =
-                lint_source(&k.source, Some((k.launch, &k.buffer_bytes, &k.scalars)))?;
-            emit(&mut out, suite, k.name, &report);
+            let row = (suite, k.name, k.expected != Expected::Distributable);
+            let real = (row, k.launch, &k.buffer_bytes[..], &k.scalars[..]);
+            out.push(Target::new(&k.source, Some(real))?);
         }
     }
     for b in perf_suite(Scale::Test) {
-        let bufs = b.buffers();
-        let bytes: Vec<usize> = bufs.iter().map(Vec::len).collect();
-        let scalars = b.scalars();
-        let (_, report) = lint_source(&b.source(), Some((b.launch(), &bytes, &scalars)))?;
-        emit(&mut out, "perf (Fig. 9)", b.name(), &report);
+        let bytes: Vec<usize> = b.buffers().iter().map(Vec::len).collect();
+        let (row, scalars) = (("perf (Fig. 9)", b.name(), false), b.scalars());
+        out.push(Target::new(
+            &b.source(),
+            Some((row, b.launch(), &bytes, &scalars)),
+        )?);
     }
-    out += &format!("{checked} kernels linted, {findings} finding(s)\n");
     Ok(out)
 }
 
-/// Compact range/lint column for the `check --builtin` table.
-fn range_summary(r: &cucc::analysis::LintReport) -> String {
-    format!(
-        "certs {}/{} lint {}",
-        r.cert_stats.0,
-        r.cert_stats.1,
-        r.diagnostics.len()
-    )
+/// Verify each target. A file's kernels fail the command on any MUST-level
+/// finding; the built-in sweep tolerates them only on kernels annotated as
+/// overlapping (`Expected::Overlap/Indirect`), which is what CI runs.
+fn cmd_check(o: &Opts) -> Result<String, String> {
+    let targets = targets(o)?;
+    let mut out = String::new();
+    if o.builtin {
+        out += "kernel verifier over the built-in suites (real launches):\n";
+    }
+    let mut flagged = Vec::new();
+    for t in &targets {
+        let report = t.verify();
+        let Some((suite, name, annotated)) = t.row else {
+            out += &t.heading();
+            out += &report.render();
+            if report.has_must() {
+                flagged.push(t.kernel.name.clone());
+            }
+            continue;
+        };
+        let lint = t.lint()?;
+        let [race, bounds, barrier] =
+            [report.race, report.bounds, report.barrier].map(|v| v.to_string());
+        let ((certified, accesses), lints) = (lint.cert_stats, lint.diagnostics.len());
+        let note = match (annotated, report.has_must()) {
+            (true, true) => "  (expected: overlapping writes)",
+            _ => "",
+        };
+        out += &format!(
+            "  {suite:18} {name:22} race {race:<12} bounds {bounds:<12} barrier {barrier:<12} \
+             certs {certified}/{accesses} lint {lints}{note}\n"
+        );
+        if report.has_must() && !annotated {
+            flagged.push(format!("{suite}/{name}"));
+        }
+    }
+    let (n, musts, flagged) = (targets.len(), flagged.len(), flagged.join(", "));
+    match (o.builtin, musts) {
+        (false, 0) => Ok(out),
+        (false, _) => Err(format!(
+            "{out}{musts} kernel(s) with MUST-level diagnostics"
+        )),
+        (true, 0) => Ok(format!(
+            "{out}{n} kernels checked; MUST findings confined to annotated overlapping kernels\n"
+        )),
+        (true, _) => Err(format!(
+            "{out}unexpected MUST-level diagnostics on: {flagged}"
+        )),
+    }
 }
 
-/// Verify every coverage kernel and perf benchmark at its real launch
-/// geometry and allocation sizes. MUST-level findings are only tolerated on
-/// kernels already annotated as overlapping (`Expected::Overlap/Indirect`) —
-/// anywhere else they fail the command, which is what CI runs.
-fn cmd_check_builtin() -> Result<String, String> {
-    use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Expected, Scale};
-    let mut out = String::from("kernel verifier over the built-in suites (real launches):\n");
-    let mut unexpected: Vec<String> = Vec::new();
-    let mut checked = 0usize;
-    for (suite, kernels) in [
-        ("Triton (BERT+ViT)", triton_kernels()),
-        ("Hetero-Mark", heteromark_kernels()),
-    ] {
-        for k in &kernels {
-            let real = Some((k.launch, &k.buffer_bytes[..], &k.scalars[..]));
-            let (_, report) = verify_source(&k.source, real)?;
-            let (_, lint) = lint_source(&k.source, real)?;
-            let annotated = k.expected != Expected::Distributable;
-            out += &format!(
-                "  {suite:18} {:22} race {:<12} bounds {:<12} barrier {:<12} {}{}\n",
-                k.name,
-                report.race.to_string(),
-                report.bounds.to_string(),
-                report.barrier.to_string(),
-                range_summary(&lint),
-                if annotated && report.has_must() {
-                    "  (expected: overlapping writes)"
-                } else {
-                    ""
-                }
-            );
-            if report.has_must() && !annotated {
-                unexpected.push(format!("{suite}/{}", k.name));
-            }
-            checked += 1;
+/// Lint each target. Lints are advisory (all `Info`), so this never fails
+/// on a finding; the built-in sweep prints them for review.
+fn cmd_lint(o: &Opts) -> Result<String, String> {
+    let targets = targets(o)?;
+    let mut out = String::new();
+    if o.builtin {
+        out += "range-analysis lints over the built-in suites (real launches):\n";
+    }
+    let mut findings = 0usize;
+    for t in &targets {
+        let report = t.lint()?;
+        findings += report.diagnostics.len();
+        let Some((suite, name, _)) = t.row else {
+            out += &t.heading();
+            out += &report.render();
+            continue;
+        };
+        out += &format!("  {suite:18} {name:22} {}\n", report.summary());
+        for d in &report.diagnostics {
+            out += &format!("    {d}\n");
         }
     }
-    for b in perf_suite(Scale::Test) {
-        let bufs = b.buffers();
-        let bytes: Vec<usize> = bufs.iter().map(Vec::len).collect();
-        let scalars = b.scalars();
-        let (_, report) = verify_source(&b.source(), Some((b.launch(), &bytes, &scalars)))?;
-        let (_, lint) = lint_source(&b.source(), Some((b.launch(), &bytes, &scalars)))?;
-        out += &format!(
-            "  {:18} {:22} race {:<12} bounds {:<12} barrier {:<12} {}\n",
-            "perf (Fig. 9)",
-            b.name(),
-            report.race.to_string(),
-            report.bounds.to_string(),
-            report.barrier.to_string(),
-            range_summary(&lint),
-        );
-        if report.has_must() {
-            unexpected.push(format!("perf/{}", b.name()));
-        }
-        checked += 1;
+    if o.builtin {
+        out += &format!("{} kernels linted, {findings} finding(s)\n", targets.len());
     }
-    if unexpected.is_empty() {
-        out += &format!(
-            "{checked} kernels checked; MUST findings confined to annotated overlapping kernels\n"
-        );
-        Ok(out)
-    } else {
-        Err(format!(
-            "{out}unexpected MUST-level diagnostics on: {}",
-            unexpected.join(", ")
-        ))
-    }
+    Ok(out)
 }
 
 fn cmd_codegen(src: &str) -> Result<String, String> {
     let ck = compile_source(src).map_err(|e| e.to_string())?;
-    Ok(format!(
-        "{}\n{}",
-        generate_host_module(&ck),
-        generate_kernel_module(&ck)
-    ))
+    let (host, kernel) = (generate_host_module(&ck), generate_kernel_module(&ck));
+    Ok(format!("{host}\n{kernel}"))
 }
 
 // ------------------------------------------------------------------ run --
@@ -497,113 +638,6 @@ enum CliArg {
     BufI32(usize),
     Int(i64),
     Float(f64),
-}
-
-/// The value following `flag` in a subcommand's argument list.
-fn value<'a>(rest: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    rest.next()
-        .ok_or_else(|| format!("missing value after `{flag}`"))
-}
-
-/// The eight flags `run` and `serve` share, parsed once: the runtime knobs
-/// go straight into the [`RunOptions`] builder, the rest are plain fields.
-#[derive(Debug)]
-struct CommonOpts {
-    cluster: String,
-    nodes: u32,
-    seed: u64,
-    modeled: bool,
-    trace: Option<String>,
-    run: RunOptions,
-}
-
-impl CommonOpts {
-    fn new(nodes: u32) -> CommonOpts {
-        CommonOpts {
-            cluster: "simd".into(),
-            nodes,
-            seed: 42,
-            modeled: false,
-            trace: None,
-            run: RunOptions::builder(),
-        }
-    }
-
-    /// Consume `flag` (and its value) when it is one of the shared flags;
-    /// `Ok(false)` leaves it to the subcommand.
-    fn take(&mut self, flag: &str, rest: &mut std::slice::Iter<String>) -> Result<bool, String> {
-        match flag {
-            "--cluster" => self.cluster = value(rest, flag)?.clone(),
-            "--nodes" => {
-                self.nodes = value(rest, flag)?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--seed" => {
-                self.seed = value(rest, flag)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--modeled" => {
-                self.modeled = true;
-                let run = self.run.clone().fidelity(ExecutionFidelity::Modeled);
-                self.run = run.verify_consistency(false);
-            }
-            "--engine" => {
-                let v = value(rest, flag)?;
-                let engine = EngineKind::parse(v).ok_or_else(|| {
-                    format!(
-                        "--engine: unknown engine `{v}` (tree|lane; bytecode and simd are \
-                         accepted as lane)"
-                    )
-                })?;
-                self.run = self.run.clone().engine(engine);
-            }
-            "--node-threads" => {
-                let threads = value(rest, flag)?
-                    .parse()
-                    .map_err(|e| format!("--node-threads: {e}"))?;
-                self.run = self.run.clone().node_threads(threads);
-            }
-            "--fault" => self.run = self.run.clone().fault(value(rest, flag)?)?,
-            "--trace" => self.trace = Some(value(rest, flag)?.clone()),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// The simulated cluster the `--cluster`/`--nodes` pair names.
-    fn spec(&self) -> Result<ClusterSpec, String> {
-        if self.nodes == 0 {
-            return Err("--nodes: a cluster needs at least one node".into());
-        }
-        match self.cluster.as_str() {
-            "simd" => Ok(ClusterSpec::simd_focused().with_nodes(self.nodes)),
-            "thread" => Ok(ClusterSpec::thread_focused().with_nodes(self.nodes)),
-            other => Err(format!("unknown cluster `{other}` (simd|thread)")),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct RunOpts {
-    common: CommonOpts,
-    grid: Dim3,
-    block: Dim3,
-    args: Vec<CliArg>,
-    streams: usize,
-    graph: usize,
-    sanitize: bool,
-    checkpoint: Option<String>,
-    restore: Option<String>,
-    verbose: bool,
-}
-
-impl std::ops::Deref for RunOpts {
-    type Target = CommonOpts;
-    fn deref(&self) -> &CommonOpts {
-        &self.common
-    }
 }
 
 /// A `--grid`/`--block` value, `X[,Y[,Z]]`; every extent is at least 1 (a
@@ -619,93 +653,30 @@ fn parse_dim(flag: &str, s: &str) -> Result<Dim3, String> {
         [x, y, z] => Dim3::new3(*x, *y, *z),
         _ => return Err(format!("bad dimension `{s}` (use X[,Y[,Z]])")),
     };
-    if dim.count() == 0 {
+    if parts.contains(&0) {
         return Err(format!("{flag}: `{s}` has a zero extent"));
     }
     Ok(dim)
 }
 
-impl RunOpts {
-    fn parse(args: &[String]) -> Result<RunOpts, String> {
-        let mut o = RunOpts {
-            common: CommonOpts::new(4),
-            grid: Dim3::new1(64),
-            block: Dim3::new1(256),
-            args: Vec::new(),
-            streams: 0,
-            graph: 0,
-            sanitize: false,
-            checkpoint: None,
-            restore: None,
-            verbose: false,
-        };
-        let mut rest = args.iter();
-        while let Some(flag) = rest.next() {
-            if o.common.take(flag, &mut rest)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--grid" => o.grid = parse_dim(flag, value(&mut rest, flag)?)?,
-                "--block" => o.block = parse_dim(flag, value(&mut rest, flag)?)?,
-                "--streams" => {
-                    o.streams = value(&mut rest, flag)?
-                        .parse()
-                        .map_err(|e| format!("--streams: {e}"))?;
-                }
-                "--graph" => {
-                    o.graph = value(&mut rest, flag)?
-                        .parse()
-                        .map_err(|e| format!("--graph: {e}"))?;
-                }
-                "--sanitize" => o.sanitize = true,
-                "--arg" => o.args.push(parse_arg(value(&mut rest, flag)?)?),
-                "--checkpoint" => o.checkpoint = Some(value(&mut rest, flag)?.clone()),
-                "--restore" => o.restore = Some(value(&mut rest, flag)?.clone()),
-                "-v" | "--verbose" => o.verbose = true,
-                other => return Err(format!("unknown option `{other}`")),
+/// One `--arg` value.
+fn parse_arg(flag: &str, spec: &str) -> Result<CliArg, String> {
+    let bad = |what: &str| format!("bad {what} `{spec}`");
+    match spec.split_once(':') {
+        Some(("buf", n)) => {
+            let size = |n: &str| n.parse().map_err(|_| bad("buffer size"));
+            match (n.strip_suffix("f32"), n.strip_suffix("i32")) {
+                (Some(n), _) => size(n).map(CliArg::BufF32),
+                (_, Some(n)) => size(n).map(CliArg::BufI32),
+                _ => size(n).map(CliArg::BufBytes),
             }
         }
-        Ok(o)
+        Some(("int", v)) => v.parse().map(CliArg::Int).map_err(|_| bad("int")),
+        Some(("float", v)) => v.parse().map(CliArg::Float).map_err(|_| bad("float")),
+        _ => Err(format!(
+            "bad {flag} `{spec}` (use buf:<n>[f32|i32], int:<v>, float:<v>)"
+        )),
     }
-
-    /// The shared runtime knobs plus `--sanitize`, as the one typed value
-    /// the cluster consumes. The session flags (`--streams`, `--graph`,
-    /// `--checkpoint`, `--restore`) stay here: `cmd_run` drives them itself.
-    fn to_run_options(&self) -> RunOptions {
-        self.run.clone().sanitize(self.sanitize).build()
-    }
-}
-
-fn parse_arg(spec: &str) -> Result<CliArg, String> {
-    if let Some(rest) = spec.strip_prefix("buf:") {
-        if let Some(n) = rest.strip_suffix("f32") {
-            return Ok(CliArg::BufF32(
-                n.parse().map_err(|_| format!("bad buffer size `{spec}`"))?,
-            ));
-        }
-        if let Some(n) = rest.strip_suffix("i32") {
-            return Ok(CliArg::BufI32(
-                n.parse().map_err(|_| format!("bad buffer size `{spec}`"))?,
-            ));
-        }
-        return Ok(CliArg::BufBytes(
-            rest.parse()
-                .map_err(|_| format!("bad buffer size `{spec}`"))?,
-        ));
-    }
-    if let Some(v) = spec.strip_prefix("int:") {
-        return Ok(CliArg::Int(
-            v.parse().map_err(|_| format!("bad int `{spec}`"))?,
-        ));
-    }
-    if let Some(v) = spec.strip_prefix("float:") {
-        return Ok(CliArg::Float(
-            v.parse().map_err(|_| format!("bad float `{spec}`"))?,
-        ));
-    }
-    Err(format!(
-        "bad --arg `{spec}` (use buf:<n>[f32|i32], int:<v>, float:<v>)"
-    ))
 }
 
 /// One `--arg` with its host data materialized: a scalar as given, a
@@ -720,20 +691,16 @@ fn host_arg(a: &CliArg, rng: &mut StdRng) -> HostArg {
         CliArg::Int(v) => HostArg::Scalar(Arg::int(*v)),
         CliArg::Float(v) => HostArg::Scalar(Arg::float(*v)),
         CliArg::BufBytes(n) => HostArg::Buffer((0..*n).map(|_| rng.gen()).collect()),
-        CliArg::BufF32(n) => {
-            let mut v = Vec::with_capacity(n * 4);
-            for _ in 0..*n {
-                v.extend_from_slice(&rng.gen_range(-1.0f32..1.0).to_le_bytes());
-            }
-            HostArg::Buffer(v)
-        }
-        CliArg::BufI32(n) => {
-            let mut v = Vec::with_capacity(n * 4);
-            for _ in 0..*n {
-                v.extend_from_slice(&rng.gen_range(-100i32..100).to_le_bytes());
-            }
-            HostArg::Buffer(v)
-        }
+        CliArg::BufF32(n) => HostArg::Buffer(
+            (0..*n)
+                .flat_map(|_| rng.gen_range(-1.0f32..1.0).to_le_bytes())
+                .collect(),
+        ),
+        CliArg::BufI32(n) => HostArg::Buffer(
+            (0..*n)
+                .flat_map(|_| rng.gen_range(-100i32..100).to_le_bytes())
+                .collect(),
+        ),
     }
 }
 
@@ -760,85 +727,12 @@ fn buffers_of(args: &[Arg]) -> Vec<BufferId> {
 
 // ------------------------------------------------------------------ serve --
 
-struct ServeOpts {
-    common: CommonOpts,
-    jobs: usize,
-    tenants: u32,
-    policy: ServePolicy,
-    queue_depth: usize,
-    gap_us: f64,
-}
-
-impl std::ops::Deref for ServeOpts {
-    type Target = CommonOpts;
-    fn deref(&self) -> &CommonOpts {
-        &self.common
-    }
-}
-
-impl ServeOpts {
-    fn parse(args: &[String]) -> Result<ServeOpts, String> {
-        let mut o = ServeOpts {
-            common: CommonOpts::new(8),
-            jobs: 200,
-            tenants: 8,
-            policy: ServePolicy::Fair,
-            queue_depth: 0,
-            gap_us: 200.0,
-        };
-        let mut rest = args.iter();
-        while let Some(flag) = rest.next() {
-            if o.common.take(flag, &mut rest)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--synthetic" => {
-                    for part in value(&mut rest, flag)?.split(',') {
-                        if let Some(v) = part.strip_prefix("jobs=") {
-                            o.jobs = v.parse().map_err(|e| format!("--synthetic jobs: {e}"))?;
-                        } else if let Some(v) = part.strip_prefix("tenants=") {
-                            o.tenants =
-                                v.parse().map_err(|e| format!("--synthetic tenants: {e}"))?;
-                        } else {
-                            return Err(format!(
-                                "bad --synthetic part `{part}` (use jobs=N,tenants=M)"
-                            ));
-                        }
-                    }
-                }
-                "--policy" => {
-                    let v = value(&mut rest, flag)?;
-                    o.policy = ServePolicy::parse(v)
-                        .ok_or_else(|| format!("--policy: unknown policy `{v}` (fifo|fair)"))?;
-                }
-                "--queue-depth" => {
-                    o.queue_depth = value(&mut rest, flag)?
-                        .parse()
-                        .map_err(|e| format!("--queue-depth: {e}"))?;
-                }
-                "--gap-us" => {
-                    let v = value(&mut rest, flag)?;
-                    o.gap_us = v.parse().map_err(|e| format!("--gap-us: {e}"))?;
-                    if !o.gap_us.is_finite() || o.gap_us < 0.0 {
-                        return Err(format!("--gap-us: `{v}` is not a finite, non-negative gap"));
-                    }
-                }
-                other => return Err(format!("unknown option `{other}`")),
-            }
-        }
-        if o.jobs == 0 || o.tenants == 0 {
-            return Err("--synthetic needs jobs >= 1 and tenants >= 1".into());
-        }
-        Ok(o)
-    }
-}
-
-fn cmd_serve(opts: &ServeOpts) -> Result<String, String> {
-    let spec = opts.spec()?;
+fn cmd_serve(opts: &Opts) -> Result<String, String> {
+    let spec = &opts.cluster;
     let config = ServeConfig {
         policy: opts.policy,
         queue_depth: opts.queue_depth,
-        options: opts.run.clone().build(),
+        options: opts.run.clone(),
     };
     let mut srv = JobServer::new(spec.clone(), config).map_err(|e| e.to_string())?;
     check_fault_nodes(&opts.run.faults, srv.cluster().num_nodes())?;
@@ -849,13 +743,12 @@ fn cmd_serve(opts: &ServeOpts) -> Result<String, String> {
         "serving {} job(s) from {} tenant(s) on {} × {} (policy {}, queue depth {})\n",
         opts.jobs,
         opts.tenants,
-        opts.nodes,
+        spec.nodes,
         spec.cpu.name,
         opts.policy.label(),
-        if opts.queue_depth == 0 {
-            "unbounded".to_string()
-        } else {
-            opts.queue_depth.to_string()
+        match opts.queue_depth {
+            0 => "unbounded".to_string(),
+            d => d.to_string(),
         },
     );
     out += &format!("  {}\n", report.summary_line());
@@ -890,12 +783,7 @@ fn cmd_serve(opts: &ServeOpts) -> Result<String, String> {
         );
     }
     if let Some(path) = &opts.trace {
-        std::fs::write(path, srv.timeline().to_chrome_json())
-            .map_err(|e| format!("{path}: {e}"))?;
-        out += &format!(
-            "  trace: {} span(s) written to {path} (load in https://ui.perfetto.dev)\n",
-            srv.timeline().spans().len()
-        );
+        out += &format!("  {}", write_trace(path, srv.timeline())?);
     }
     Ok(out)
 }
@@ -914,7 +802,7 @@ fn check_fault_nodes(plan: &FaultPlan, num_nodes: usize) -> Result<(), String> {
         if let FaultKind::Kill { node } | FaultKind::Straggle { node, .. } = e.kind {
             if node as usize >= bound {
                 return Err(format!(
-                    "--fault {e}: node {node} never exists (node ids stay below {bound}: \
+                    "{FAULT} {e}: node {node} never exists (node ids stay below {bound}: \
                      {num_nodes} node(s) + {joins} join(s))"
                 ));
             }
@@ -924,35 +812,20 @@ fn check_fault_nodes(plan: &FaultPlan, num_nodes: usize) -> Result<(), String> {
 }
 
 fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in data {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let step = |h: u64, b: &u8| (h ^ *b as u64).wrapping_mul(0x100000001b3);
+    data.iter().fold(0xcbf29ce484222325, step)
 }
 
-fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
+fn cmd_run(src: &str, opts: &Opts) -> Result<String, String> {
     let ck = compile_source(src).map_err(|e| e.to_string())?;
-    let launch = LaunchConfig {
-        grid: opts.grid,
-        block: opts.block,
-    };
-    let spec = opts.spec()?;
+    let launch = opts.launch;
+    let spec = opts.cluster.clone();
     let n_buffers = ck.kernel.buffer_params().count();
-    let n_buf_args = opts
-        .args
-        .iter()
-        .filter(|a| {
-            matches!(
-                a,
-                CliArg::BufBytes(_) | CliArg::BufF32(_) | CliArg::BufI32(_)
-            )
-        })
-        .count();
+    let scalar = |a: &&CliArg| matches!(a, CliArg::Int(_) | CliArg::Float(_));
+    let n_buf_args = opts.args.len() - opts.args.iter().filter(scalar).count();
     if opts.args.len() != ck.kernel.params.len() || n_buf_args != n_buffers {
         return Err(format!(
-            "kernel `{}` takes {} parameter(s) ({} buffer(s)); got {} --arg ({} buffer(s))",
+            "kernel `{}` takes {} parameter(s) ({} buffer(s)); got {} {ARG} ({} buffer(s))",
             ck.name(),
             ck.kernel.params.len(),
             n_buffers,
@@ -969,7 +842,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         "kernel `{}` {}  on {} × {}\n",
         ck.name(),
         launch,
-        opts.nodes,
+        spec.nodes,
         spec.cpu.name
     );
 
@@ -981,7 +854,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         id
     });
     let gpu_handles = buffers_of(&gargs);
-    let gpu_time = if opts.modeled {
+    let gpu_time = if opts.modeled() {
         gpu.time_only(&ck.kernel, launch, &gargs)
             .map_err(|e| e.to_string())?
     } else {
@@ -991,12 +864,10 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
     };
     out += &format!("  A100 (roofline reference): {:.3} ms\n", gpu_time * 1e3);
 
-    // CuCC cluster: every flag lands in one typed RunOptions.
-    let options = opts.to_run_options();
     let (mut cl, cargs) = if let Some(path) = &opts.restore {
         // Resume mid-job: buffers already live in the image, in the same
         // allocation order the fresh run would have created them.
-        let cl = CuccCluster::restore_from(spec.clone(), options.clone(), path)
+        let cl = CuccCluster::restore_from(spec.clone(), opts.run.clone(), path)
             .map_err(|e| e.to_string())?;
         out += &format!(
             "  restore: resumed from {path} (epoch {}, {}/{} node(s) alive, clock {:.3} ms)\n",
@@ -1012,7 +883,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         });
         (cl, cargs)
     } else {
-        let mut cl = CuccCluster::with_options(spec.clone(), options.clone());
+        let mut cl = CuccCluster::with_options(spec.clone(), opts.run.clone());
         let cargs = bind_args(&host, |bytes| {
             let id = cl.alloc(bytes.len());
             cl.upload(id, bytes).unwrap();
@@ -1020,28 +891,26 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         });
         (cl, cargs)
     };
-    check_fault_nodes(&options.faults, cl.num_nodes())?;
+    check_fault_nodes(&opts.run.faults, cl.num_nodes())?;
     let cl_handles = buffers_of(&cargs);
     let wall0 = std::time::Instant::now();
     let report = cl.launch(&ck, launch, &cargs).map_err(|e| e.to_string())?;
     let wall = wall0.elapsed().as_secs_f64();
-    match &report.mode {
+    out += &match &report.mode {
         ExecMode::ThreePhase {
-            partial_blocks_per_node,
-            callback_blocks,
+            partial_blocks_per_node: p,
+            callback_blocks: c,
             ..
         } => {
-            out += &format!(
-                "  mode: three-phase ({partial_blocks_per_node} partial blocks/node, {callback_blocks} callbacks)\n"
-            );
+            format!("  mode: three-phase ({p} partial blocks/node, {c} callbacks)\n")
         }
         ExecMode::Replicated { cause } => {
-            out += &format!(
+            format!(
                 "  mode: replicated ({})\n",
                 cucc::analysis::cause_diagnostic(cause)
-            );
+            )
         }
-    }
+    };
     if let Some(r) = cl.sanitize_report() {
         out += &format!("  {}\n", r.summary());
     }
@@ -1066,19 +935,12 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         report.times.callback * 1e3,
         report.wire_bytes
     );
-    out += &format!(
-        "  vs A100: {:.2}x {}\n",
-        if report.time() > gpu_time {
-            report.time() / gpu_time
-        } else {
-            gpu_time / report.time()
-        },
-        if report.time() > gpu_time {
-            "slower"
-        } else {
-            "faster"
-        }
-    );
+    let (ratio, verdict) = if report.time() > gpu_time {
+        (report.time() / gpu_time, "slower")
+    } else {
+        (gpu_time / report.time(), "faster")
+    };
+    out += &format!("  vs A100: {ratio:.2}x {verdict}\n");
 
     if let Some(path) = &opts.checkpoint {
         let size = cl.checkpoint_to(path).map_err(|e| e.to_string())?;
@@ -1090,7 +952,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         );
     }
 
-    if !opts.modeled && opts.restore.is_none() {
+    if !opts.modeled() && opts.restore.is_none() {
         // Verify buffers byte-for-byte against the GPU reference. A
         // restored run starts from mid-job state, so the single-launch GPU
         // reference does not apply there.
@@ -1108,23 +970,21 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         }
     }
 
-    if opts.modeled {
+    if opts.modeled() {
         out += &format!(
             "  engine: {} (modeled run, blocks not executed)\n",
-            options.engine
+            opts.run.engine
         );
     } else {
         // Blocks node 0 really executed (partial slice + callbacks).
         let blocks = report.node_stats.blocks;
+        let threads = match opts.run.node_threads {
+            0 => "auto".to_string(),
+            n => n.to_string(),
+        };
         out += &format!(
-            "  engine: {} ({}): {} blocks/node in {:.3} ms wall, {:.0} blocks/s\n",
-            options.engine,
-            if options.node_threads == 0 {
-                "auto node-threads".to_string()
-            } else {
-                format!("{} node-threads", options.node_threads)
-            },
-            blocks,
+            "  engine: {} ({threads} node-threads): {blocks} blocks/node in {:.3} ms wall, {:.0} blocks/s\n",
+            opts.run.engine,
             wall * 1e3,
             blocks as f64 / wall.max(1e-9)
         );
@@ -1141,18 +1001,11 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
                 }
                 // Range-analysis certification at the real allocation sizes:
                 // certified accesses run bounds-check-free in the engine.
-                let extents: Vec<Option<u64>> = ck
-                    .kernel
-                    .params
-                    .iter()
-                    .zip(&host)
-                    .map(|(p, data)| match (p, data) {
-                        (cucc::ir::Param::Buffer { elem, .. }, HostArg::Buffer(bytes)) => {
-                            Some((bytes.len() / elem.size()) as u64)
-                        }
-                        _ => None,
-                    })
-                    .collect();
+                let bytes = host.iter().filter_map(|h| match h {
+                    HostArg::Buffer(bytes) => Some(bytes.len()),
+                    HostArg::Scalar(_) => None,
+                });
+                let extents = extents(&ck.kernel, bytes);
                 let slot_exts = cucc::analysis::param_slot_extents(&prog, &cargs, &extents);
                 let (c, t) = cucc::analysis::analyze_ranges(&prog, &slot_exts).stats();
                 out += &format!(
@@ -1174,24 +1027,23 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         // same pipeline on the default stream.
         let replicas = opts.streams * 3;
         let run_pipe = |nstreams: usize| -> Result<f64, String> {
-            let mut cl = CuccCluster::with_options(spec.clone(), options.clone());
+            let mut cl = CuccCluster::with_options(spec.clone(), opts.run.clone());
             let streams: Vec<_> = (0..nstreams).map(|_| cl.stream_create()).collect();
             for r in 0..replicas {
+                let stream = streams.get(r % nstreams.max(1)).copied();
                 let cargs = bind_args(&host, |bytes| {
                     let id = cl.alloc(bytes.len());
-                    if let Some(s) = streams.get(r % nstreams.max(1)) {
-                        cl.upload_on(id, bytes, *s).unwrap();
-                    } else {
-                        cl.upload(id, bytes).unwrap();
+                    match stream {
+                        Some(s) => cl.upload_on(id, bytes, s).unwrap(),
+                        None => cl.upload(id, bytes).unwrap(),
                     }
                     id
                 });
-                if let Some(s) = streams.get(r % nstreams.max(1)) {
-                    cl.launch_on(&ck, launch, &cargs, *s)
-                        .map_err(|e| e.to_string())?;
-                } else {
-                    cl.launch(&ck, launch, &cargs).map_err(|e| e.to_string())?;
+                match stream {
+                    Some(s) => cl.launch_on(&ck, launch, &cargs, s),
+                    None => cl.launch(&ck, launch, &cargs),
                 }
+                .map_err(|e| e.to_string())?;
             }
             cl.synchronize().map_err(|e| e.to_string())
         };
@@ -1212,7 +1064,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
         // into a launch graph, replay it N times, and report what the
         // schedule cache and the communication optimizer saved.
         use cucc::core::{GraphCapture, ReplayStats};
-        let mut gcl = CuccCluster::with_options(spec.clone(), options.clone());
+        let mut gcl = CuccCluster::with_options(spec.clone(), opts.run.clone());
         let mut cap = GraphCapture::new();
         let gr_args = bind_args(&host, |bytes| {
             let id = gcl.alloc(bytes.len());
@@ -1248,7 +1100,7 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
             total.wire_bytes,
             total.wire_bytes + total.wire_bytes_saved,
         );
-        if !opts.modeled {
+        if !opts.modeled() {
             // Each iteration re-uploads, so the replayed end state must
             // match the verified single launch bit-for-bit.
             for (i, (g, c)) in graph_handles.iter().zip(&cl_handles).enumerate() {
@@ -1263,13 +1115,18 @@ fn cmd_run(src: &str, opts: &RunOpts) -> Result<String, String> {
     out += "\n";
     out += &cl.timeline().summary();
     if let Some(path) = &opts.trace {
-        std::fs::write(path, cl.timeline().to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
-        out += &format!(
-            "\ntrace: {} span(s) written to {path} (load in https://ui.perfetto.dev)\n",
-            cl.timeline().spans().len()
-        );
+        out += &format!("\n{}", write_trace(path, cl.timeline())?);
     }
     Ok(out)
+}
+
+/// Export `timeline` as Chrome trace-event JSON to `path`, and say so.
+fn write_trace(path: &str, timeline: &cucc::trace::Timeline) -> Result<String, String> {
+    std::fs::write(path, timeline.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
+    let spans = timeline.spans().len();
+    Ok(format!(
+        "trace: {spans} span(s) written to {path} (load in https://ui.perfetto.dev)\n"
+    ))
 }
 
 // ------------------------------------------------------------- coverage --
@@ -1293,6 +1150,16 @@ fn cmd_coverage() -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Parse `argv` as the command line `cucc <cmd> argv…`.
+    fn cli(cmd: &str, argv: &[&str]) -> Result<Opts, String> {
+        let args: Vec<String> = std::iter::once(cmd)
+            .chain(argv.iter().copied())
+            .map(String::from)
+            .collect();
+        parse(&args)
+    }
 
     const SAXPY: &str = "__global__ void saxpy(float* x, float* y, float a, int n) {
         int id = blockIdx.x * blockDim.x + threadIdx.x;
@@ -1316,7 +1183,8 @@ mod tests {
 
     #[test]
     fn run_executes_and_verifies() {
-        let opts = RunOpts::parse(
+        let opts = cli(
+            "run",
             &[
                 "--nodes",
                 "3",
@@ -1332,10 +1200,7 @@ mod tests {
                 "float:2.0",
                 "--arg",
                 "int:1024",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         let out = cmd_run(SAXPY, &opts).unwrap();
@@ -1347,7 +1212,8 @@ mod tests {
     fn run_writes_chrome_trace() {
         let path = std::env::temp_dir().join("cucc_cli_trace_test.json");
         let path_str = path.to_str().unwrap().to_string();
-        let opts = RunOpts::parse(
+        let opts = cli(
+            "run",
             &[
                 "--nodes",
                 "3",
@@ -1365,10 +1231,7 @@ mod tests {
                 "int:1024",
                 "--trace",
                 &path_str,
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         let out = cmd_run(SAXPY, &opts).unwrap();
@@ -1406,7 +1269,8 @@ mod tests {
             ("bytecode", "lane"),
             ("simd", "lane"),
         ] {
-            let opts = RunOpts::parse(
+            let opts = cli(
+                "run",
                 &[
                     "--nodes",
                     "2",
@@ -1426,10 +1290,7 @@ mod tests {
                     "float:2.0",
                     "--arg",
                     "int:1024",
-                ]
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>(),
+                ],
             )
             .unwrap();
             let out = cmd_run(SAXPY, &opts).unwrap();
@@ -1437,7 +1298,7 @@ mod tests {
             assert!(out.contains("blocks/s"), "{out}");
             assert!(out.contains("matches GPU"), "{out}");
         }
-        assert!(RunOpts::parse(&["--engine".into(), "jit".into()]).is_err());
+        assert!(cli("run", &["--engine", "jit"]).is_err());
     }
 
     #[test]
@@ -1462,7 +1323,7 @@ mod tests {
         ];
         // Kill node 3 mid-launch, grow by a fresh node at the checkpoint's
         // quiesce barrier, and write the image.
-        let mut first: Vec<String> = common.iter().map(|s| s.to_string()).collect();
+        let mut first = common.to_vec();
         for extra in [
             "--fault",
             "kill:node=3@t=0",
@@ -1471,9 +1332,9 @@ mod tests {
             "--checkpoint",
             &path_str,
         ] {
-            first.push(extra.to_string());
+            first.push(extra);
         }
-        let opts = RunOpts::parse(&first).unwrap();
+        let opts = cli("run", &first).unwrap();
         let out = cmd_run(SAXPY, &opts).unwrap();
         assert!(out.contains("faults: 1 node failure"), "{out}");
         assert!(out.contains("checkpoint: wrote"), "{out}");
@@ -1482,8 +1343,8 @@ mod tests {
         // Restore into a new process at the grown shape and resume. The
         // same fault plan rides along; the image's cursor marks both
         // events consumed, so neither refires.
-        let mut second: Vec<String> = common.iter().map(|s| s.to_string()).collect();
-        second[1] = "5".to_string(); // --nodes 5: the image's grown shape
+        let mut second = common.to_vec();
+        second[1] = "5"; // --nodes 5: the image's grown shape
         for extra in [
             "--fault",
             "kill:node=3@t=0",
@@ -1492,9 +1353,9 @@ mod tests {
             "--restore",
             &path_str,
         ] {
-            second.push(extra.to_string());
+            second.push(extra);
         }
-        let opts = RunOpts::parse(&second).unwrap();
+        let opts = cli("run", &second).unwrap();
         let out = cmd_run(SAXPY, &opts).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(out.contains("restore: resumed from"), "{out}");
@@ -1510,7 +1371,8 @@ mod tests {
             int id = blockIdx.x * blockDim.x + threadIdx.x;
             if (id < n) out[id] = a * x[id] + y[id];
         }";
-        let opts = RunOpts::parse(
+        let opts = cli(
+            "run",
             &[
                 "--nodes",
                 "2",
@@ -1531,10 +1393,7 @@ mod tests {
                 "float:2.0",
                 "--arg",
                 "int:1024",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         assert!(opts.verbose);
@@ -1564,8 +1423,9 @@ mod tests {
         assert!(hazard.contains("scalar["), "{hazard}");
     }
 
-    fn opts_for_saxpy() -> RunOpts {
-        RunOpts::parse(
+    fn opts_for_saxpy() -> Opts {
+        cli(
+            "run",
             &[
                 "--grid",
                 "8",
@@ -1582,17 +1442,15 @@ mod tests {
                 "float:2.0",
                 "--arg",
                 "int:1024",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap()
     }
 
     #[test]
     fn run_with_streams_reports_overlap() {
-        let opts = RunOpts::parse(
+        let opts = cli(
+            "run",
             &[
                 "--nodes",
                 "4",
@@ -1610,10 +1468,7 @@ mod tests {
                 "float:2.0",
                 "--arg",
                 "int:16384",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         assert_eq!(opts.streams, 2);
@@ -1637,7 +1492,8 @@ mod tests {
 
     #[test]
     fn run_with_graph_reports_cache_and_elision() {
-        let opts = RunOpts::parse(
+        let opts = cli(
+            "run",
             &[
                 "--nodes",
                 "4",
@@ -1655,10 +1511,7 @@ mod tests {
                 "float:2.0",
                 "--arg",
                 "int:16384",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         assert_eq!(opts.graph, 3);
@@ -1689,20 +1542,15 @@ mod tests {
 
     #[test]
     fn run_rejects_bad_arg_count() {
-        let opts = RunOpts::parse(
-            &["--arg", "buf:64f32"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let opts = cli("run", &["--arg", "buf:64f32"]).unwrap();
         let err = cmd_run(SAXPY, &opts).unwrap_err();
         assert!(err.contains("takes 4 parameter"), "{err}");
     }
 
     #[test]
     fn option_parsing() {
-        let o = RunOpts::parse(
+        let o = cli(
+            "run",
             &[
                 "--cluster",
                 "thread",
@@ -1713,20 +1561,17 @@ mod tests {
                 "--modeled",
                 "--seed",
                 "7",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
-        assert_eq!(o.cluster, "thread");
-        assert_eq!(o.grid, Dim3::new2(4, 4));
-        assert_eq!(o.block, Dim3::new2(16, 16));
-        assert!(o.modeled);
+        assert_eq!(o.cluster, ClusterSpec::thread_focused().with_nodes(4));
+        assert_eq!(o.launch.grid, Dim3::new2(4, 4));
+        assert_eq!(o.launch.block, Dim3::new2(16, 16));
+        assert!(o.modeled());
         assert_eq!(o.seed, 7);
-        assert!(RunOpts::parse(&["--bogus".to_string()]).is_err());
-        assert!(parse_arg("buf:xyz").is_err());
-        assert!(parse_arg("frob:1").is_err());
+        assert!(cli("run", &["--bogus"]).is_err());
+        assert!(parse_arg("--arg", "buf:xyz").is_err());
+        assert!(parse_arg("--arg", "frob:1").is_err());
     }
 
     #[test]
@@ -1750,6 +1595,130 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let serve = ["serve", "--nodes", "0"].map(String::from);
         assert!(dispatch(&serve).unwrap_err().contains("--nodes"));
+        // Help after a subcommand lists its flags and reads no file.
+        let help =
+            |argv: &[&str]| dispatch(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let run_help = help(&["run", "--help"]).unwrap();
+        assert!(run_help.contains("--node-threads N"), "{run_help}");
+        assert!(help(&["serve", "-h"]).unwrap().contains("--queue-depth N"));
+        assert!(help(&["--help"]).unwrap().contains("coverage"));
+        // A stray operand or an unknown option is an error with the
+        // subcommand's usage, before any file is read.
+        for argv in [
+            &["coverage", "extra"][..],
+            &["check", "--builtin", "extra"],
+            &["lint", "a.cu", "--builtin"],
+            &["analyze", "a.cu", "b.cu"],
+            &["codegen", "k.cu", "--bogus"],
+            &["serve", "extra"],
+        ] {
+            let err = help(argv).unwrap_err();
+            assert!(
+                err.contains(&format!("usage: cucc {}", argv[0])),
+                "{argv:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_restore_refuses_a_buffer_the_image_never_held() {
+        let dir = std::env::temp_dir();
+        let (one, saxpy) = (
+            dir.join("cucc_restore_one.cu"),
+            dir.join("cucc_restore_saxpy.cu"),
+        );
+        let ckpt = dir.join("cucc_restore_one.ckpt");
+        std::fs::write(
+            &one,
+            "__global__ void one(float* x, int n) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                if (id < n) x[id] = 2.0f * x[id];
+            }",
+        )
+        .unwrap();
+        std::fs::write(&saxpy, SAXPY).unwrap();
+        let run = |src: &std::path::Path, args: &[&str], image: &str| {
+            let mut argv = vec!["run", src.to_str().unwrap(), "--grid", "4", "--block", "64"];
+            for a in args {
+                argv.extend(["--arg", a]);
+            }
+            argv.extend([image, ckpt.to_str().unwrap()]);
+            dispatch(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        };
+        run(&one, &["buf:256f32", "int:256"], "--checkpoint").unwrap();
+        let saxpy_args = ["buf:256f32", "buf:256f32", "float:2", "int:256"];
+        let err = run(&saxpy, &saxpy_args, "--restore").unwrap_err();
+        for f in [&one, &saxpy, &ckpt] {
+            std::fs::remove_file(f).ok();
+        }
+        assert!(err.contains("buffer id 1 was never allocated"), "{err}");
+    }
+
+    /// Every flag spelling the tables hold, and stray options and operands.
+    fn flag_tokens() -> Vec<&'static str> {
+        let spelled = CMDS
+            .iter()
+            .flat_map(|c| c.flags())
+            .flat_map(|f| [Some(f.name), f.short]);
+        let strays = ["extra", "a.cu", "-", "--", "-x", "--bogus", "run"];
+        spelled.flatten().chain(strays).collect()
+    }
+
+    /// Hostile values, and a few that some flag accepts.
+    fn value_tokens() -> Vec<&'static str> {
+        vec![
+            "",
+            "-1",
+            "18446744073709551616",
+            "nan",
+            "inf",
+            "1,,2",
+            "0,0,0",
+            "jobs=",
+            "kill:node=",
+            "4294967295,4294967295,4294967295",
+            "buf:",
+            "int:",
+            "tenants=0",
+            "jobs=1,tenants=",
+            "1",
+            "4,4",
+            "simd",
+            "fifo",
+            "kill:node=1@t=0",
+            "buf:64f32",
+            "jobs=5,tenants=2",
+            "--help",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// For every subcommand, the parser answers `Ok` or `Err` on any
+        /// line of (flag, value) pairs and stray tokens built from the
+        /// tables' own spellings and hostile values, and never panics; it
+        /// opens no file and runs no kernel.
+        #[test]
+        fn parser_never_panics(
+            pairs in prop::collection::vec(
+                (prop::sample::select(flag_tokens()), prop::sample::select(value_tokens())),
+                0..6,
+            ),
+            stray in prop::sample::select(flag_tokens()),
+        ) {
+            for cmd in CMDS {
+                let words = pairs.iter().flat_map(|&(f, v)| [f, v]).chain([stray]);
+                let argv: Vec<String> = std::iter::once(cmd.name).chain(words).map(String::from).collect();
+                if let Ok(o) = parse(&argv) {
+                    prop_assert!(o.operands.len() <= o.cmd.arity);
+                }
+                let short = &argv[..argv.len() - 1];
+                if let Ok(o) = parse(short) {
+                    prop_assert!(o.operands.len() <= o.cmd.arity);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1765,7 +1734,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let clean = dir.join("cucc_check_clean.cu");
         std::fs::write(&clean, SAXPY).unwrap();
-        let out = cmd_check(&[clean.to_str().unwrap().to_string()]).unwrap();
+        let out = cmd_check(&cli("check", &[clean.to_str().unwrap()]).unwrap()).unwrap();
         std::fs::remove_file(&clean).ok();
         assert!(out.contains("all checks pass"), "{out}");
 
@@ -1775,7 +1744,7 @@ mod tests {
             "__global__ void k(int* out) { out[threadIdx.x] = 1; }",
         )
         .unwrap();
-        let err = cmd_check(&[racy.to_str().unwrap().to_string()]).unwrap_err();
+        let err = cmd_check(&cli("check", &[racy.to_str().unwrap()]).unwrap()).unwrap_err();
         std::fs::remove_file(&racy).ok();
         assert!(err.contains("MUST"), "{err}");
         assert!(err.contains("race"), "{err}");
@@ -1797,20 +1766,21 @@ mod tests {
         assert!(kernels[0].contains("void one"));
         assert!(kernels[1].trim_end().ends_with('}'));
         for k in &kernels {
-            let (_, report) = verify_source(k, None).unwrap();
+            let report = Target::new(k, None).unwrap().verify();
             assert!(!report.has_must(), "{report:?}");
         }
     }
 
     #[test]
     fn check_builtin_suites_have_no_unexpected_musts() {
-        let out = cmd_check_builtin().unwrap();
+        let out = dispatch(&["check", "--builtin"].map(String::from)).unwrap();
         assert!(out.contains("kernels checked"), "{out}");
     }
 
     #[test]
     fn run_with_sanitizer_reports_clean() {
-        let opts = RunOpts::parse(
+        let opts = cli(
+            "run",
             &[
                 "--nodes",
                 "2",
@@ -1827,13 +1797,10 @@ mod tests {
                 "float:2.0",
                 "--arg",
                 "int:1024",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
-        assert!(opts.sanitize);
+        assert!(opts.run.sanitize);
         let out = cmd_run(SAXPY, &opts).unwrap();
         assert!(out.contains("sanitizer: clean"), "{out}");
         assert!(out.contains("matches GPU"), "{out}");
@@ -1841,7 +1808,8 @@ mod tests {
 
     #[test]
     fn serve_opts_parse_synthetic_and_policy() {
-        let opts = ServeOpts::parse(
+        let opts = cli(
+            "serve",
             &[
                 "--synthetic",
                 "jobs=50,tenants=5",
@@ -1853,29 +1821,27 @@ mod tests {
                 "6",
                 "--gap-us",
                 "50",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         assert_eq!(opts.jobs, 50);
         assert_eq!(opts.tenants, 5);
         assert_eq!(opts.policy, ServePolicy::Fifo);
         assert_eq!(opts.queue_depth, 8);
-        assert_eq!(opts.nodes, 6);
+        assert_eq!(opts.cluster.nodes, 6);
         assert!((opts.gap_us - 50.0).abs() < 1e-12);
-        assert!(ServeOpts::parse(&["--policy".into(), "lifo".into()]).is_err());
-        assert!(ServeOpts::parse(&["--synthetic".into(), "depth=2".into()]).is_err());
+        assert!(cli("serve", &["--policy", "lifo"]).is_err());
+        assert!(cli("serve", &["--synthetic", "depth=2"]).is_err());
         for gap in ["nan", "inf", "-5"] {
-            let err = ServeOpts::parse(&["--gap-us".into(), gap.into()]).err();
+            let err = cli("serve", &["--gap-us", gap]).err();
             assert!(err.is_some_and(|e| e.contains("--gap-us")), "{gap}");
         }
     }
 
     #[test]
     fn serve_reports_latency_summary_per_tenant() {
-        let opts = ServeOpts::parse(
+        let opts = cli(
+            "serve",
             &[
                 "--synthetic",
                 "jobs=80",
@@ -1883,10 +1849,7 @@ mod tests {
                 "32",
                 "--nodes",
                 "4",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         let out = cmd_serve(&opts).unwrap();
@@ -1919,8 +1882,7 @@ mod tests {
             for f in faults {
                 argv.extend(["--fault", f]);
             }
-            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            cmd_run(SAXPY, &RunOpts::parse(&argv).unwrap())
+            cmd_run(SAXPY, &cli("run", &argv).unwrap())
         };
         let err = run("4", &["kill:node=99@t=0"]).unwrap_err();
         assert!(err.contains("node 99 never exists"), "{err}");
@@ -1942,8 +1904,7 @@ mod tests {
     fn serve_refuses_a_fault_on_a_node_that_never_exists() {
         let serve = |fault: &str| {
             let argv = ["--synthetic", "jobs=20,tenants=2", "--fault", fault];
-            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            cmd_serve(&ServeOpts::parse(&argv).unwrap())
+            cmd_serve(&cli("serve", &argv).unwrap())
         };
         let err = serve("kill:node=50@t=0").unwrap_err();
         assert!(err.contains("node 50 never exists"), "{err}");
@@ -1953,7 +1914,8 @@ mod tests {
 
     #[test]
     fn run_opts_fold_into_run_options() {
-        let opts = RunOpts::parse(
+        let opts = cli(
+            "run",
             &[
                 "--modeled",
                 "--streams",
@@ -1966,15 +1928,12 @@ mod tests {
                 "kill:node=1@t=0.5",
                 "--checkpoint",
                 "/tmp/cucc_opts.ckpt",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+            ],
         )
         .unwrap();
         // The runtime knobs fold into the cluster's options; the session
-        // flags stay on `RunOpts`, where `cmd_run` reads them.
-        let ro = opts.to_run_options();
+        // flags stay beside them, where `cmd_run` reads them.
+        let ro = &opts.run;
         assert_eq!(ro.fidelity, ExecutionFidelity::Modeled);
         assert_eq!(ro.node_threads, 2);
         assert!(!ro.faults.is_empty());
