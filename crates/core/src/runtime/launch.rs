@@ -1,14 +1,16 @@
-//! The launch path: planning, the doors (`launch`, `launch_on`; graph
-//! replay's is in [`super::replay`]) and the one body they share.
+//! The launch path: planning and the one launch function,
+//! [`CuccCluster::submit`], behind `launch`, `launch_on` and graph replay.
 //!
-//! A door decides what is drained and materialized first, where the
-//! launch starts and how the clock moves afterwards (DESIGN.md §5.2 has
-//! the table); everything between — sanitizer, compile, the timing walk,
-//! the functional passes, the report and the consistency check — is
-//! [`CuccCluster::launch_body`].
+//! A [`Start`] decides what is drained first, whether ripe joins enter,
+//! where the launch starts and how time moves afterwards; the captured
+//! footprints decide when pending inputs are gathered and which gathers
+//! are deferred (DESIGN.md §5.2 has the table). Everything between —
+//! sanitizer, compile, the timing walk, the functional passes, the report
+//! and the consistency check — is the same for every launch.
 
+use super::replay::Replayed;
 use super::walk::Walk;
-use super::{Call, CuccCluster};
+use super::{Call, CuccCluster, Start};
 use crate::compile::CompiledKernel;
 use crate::error::MigrateError;
 use crate::report::{LaunchReport, PhaseTimes};
@@ -78,8 +80,8 @@ impl CuccCluster {
 
     /// [`CuccCluster::plan_cached`] at an explicit node count (the serving
     /// layer's `k`-node service shape is just another key), with the
-    /// certified program a miss profiled with: the launch body runs it
-    /// rather than compiling again. A hit brings no program. A buffer
+    /// certified program a miss profiled with: the launch runs it rather
+    /// than compiling again. A hit brings no program. A buffer
     /// argument the cluster never allocated is refused here, for every door.
     pub(crate) fn plan_cached_on(
         &mut self,
@@ -116,22 +118,7 @@ impl CuccCluster {
         launch: LaunchConfig,
         args: &[Arg],
     ) -> Result<LaunchReport, MigrateError> {
-        self.sync_point()?;
-        // A synchronous launch is a membership boundary: scripted joins
-        // whose time has come enter the communicator before planning.
-        self.process_joins()?;
-        // A graph-external launch must see fully gathered memory: the
-        // profiler samples node memory and the grid may read anywhere.
-        self.materialize_args(args);
-        let (sched, prog) = self.plan_cached_on(ck, launch, args, self.active_nodes())?;
-        // Nothing else is in flight, so the network floor is the clock
-        // itself; `t0 + partial` can never round below `t0`, so the serial
-        // layout — and its exact f64 arithmetic — is reproduced.
-        let t0 = self.timeline.clock();
-        let call = Call { ck, launch, args };
-        let (report, _end) = self.launch_body(call, &sched, prog, t0, t0, &[])?;
-        self.timeline.advance(report.time());
-        Ok(report)
+        self.submit(Call { ck, launch, args }, None, Start::Clock)
     }
 
     /// Launch a compiled kernel on `stream` without blocking the clock.
@@ -147,55 +134,50 @@ impl CuccCluster {
         args: &[Arg],
         stream: StreamId,
     ) -> Result<LaunchReport, MigrateError> {
-        if args
-            .iter()
-            .any(|a| matches!(a, Arg::Buffer(b) if self.pending.contains_key(b)))
-        {
-            // Async launches do not interleave with deferred gathers:
-            // drain the streams and materialize synchronously first (only
-            // reachable when graph replay left a gather pending).
-            self.synchronize()?;
-            self.materialize_args(args);
-        }
-        let (sched, prog) = self.plan_cached_on(ck, launch, args, self.active_nodes())?;
-        // Start at the latest of the stream's position, its hazard
-        // dependencies and the node lanes (a kernel occupies every node);
-        // the Allgather additionally waits for the network lane.
-        let mut t0 = self.streams.dep_floor(stream, &sched.reads, &sched.writes);
-        for i in 0..self.state.logical_nodes() {
-            t0 = t0.max(self.timeline.lane_ready(Track::Node(i as u32)));
-        }
-        let net_floor = self.timeline.lane_ready(Track::Network);
-        let call = Call { ck, launch, args };
-        let (report, end) = self.launch_body(call, &sched, prog, t0, net_floor, &[])?;
-        self.streams
-            .commit(stream, &sched.reads, &sched.writes, end);
-        Ok(report)
+        self.submit(Call { ck, launch, args }, None, Start::Stream(stream))
     }
 
-    /// The one launch body behind every door: lay the planned schedule onto
-    /// the timeline from `t0` (Allgather floored at `net_floor`), run the
-    /// functional blocks, and return the report — derived from, and checked
-    /// against, the spans this launch recorded — with the end time of its
-    /// last span. The clock does not move; the door owns that.
+    /// The one launch function behind `launch`, `launch_on` and every
+    /// launch of graph replay: drain and admit what `start` requires, plan
+    /// through [`CuccCluster::plan_cached_on`], lay the schedule onto the
+    /// timeline from `start`'s time, run the functional blocks, and return
+    /// the report — derived from, and checked against, the spans this
+    /// launch recorded — after moving time past it.
     ///
-    /// `elide` (parallel to the three-phase plan's `buffers`, or empty for
-    /// "gather all") marks regions whose Allgather the graph replayer
-    /// defers: no collective spans, no wire bytes, no functional gather —
+    /// `replayed` is `None` for an uncaptured launch, which materializes its
+    /// pending arguments before planning (the profile samples node memory)
+    /// and never defers a gather. A replayed launch reconciles its pending
+    /// inputs after planning, and the walk skips the Allgathers replay
+    /// elides: no collective spans, no wire bytes, no functional gather —
     /// each node keeps only its own slice.
-    ///
-    /// `planned` is the certified program a planning miss profiled with
-    /// ([`CuccCluster::plan_cached_on`]); after a hit it is `None` and the
-    /// body compiles its own.
-    pub(super) fn launch_body(
+    pub(super) fn submit(
         &mut self,
         call: Call<'_>,
-        sched: &LaunchSchedule,
-        planned: Option<Program>,
-        t0: f64,
-        net_floor: f64,
-        elide: &[bool],
-    ) -> Result<(LaunchReport, f64), MigrateError> {
+        replayed: Option<Replayed<'_>>,
+        start: Start,
+    ) -> Result<LaunchReport, MigrateError> {
+        let Call { ck, launch, args } = call;
+        self.drain(start, args)?;
+        if let Start::Clock = start {
+            // A synchronous launch is a membership boundary: scripted joins
+            // whose time has come enter the communicator before planning.
+            // A stream launch admits them at its Allgather.
+            self.process_joins()?;
+        }
+        if replayed.is_none() {
+            // A graph-external launch must see fully gathered memory: the
+            // profiler samples node memory and the grid may read anywhere.
+            for a in args {
+                if let Arg::Buffer(id) = a {
+                    self.materialize_buffer(*id);
+                }
+            }
+        }
+        let (sched, planned) = self.plan_cached_on(ck, launch, args, self.active_nodes())?;
+        let elide = match replayed {
+            Some(r) => self.replay_gathers(args, &sched, r),
+            None => Vec::new(),
+        };
         let functional = self.functional();
         if functional && self.config.sanitize {
             self.run_sanitizer(call)?;
@@ -208,7 +190,6 @@ impl CuccCluster {
             (EngineKind::Lane, Some(prog)) if functional => Some(prog),
             (EngineKind::Lane, None) if functional => {
                 let pool = self.sim.node(self.read_node());
-                let Call { ck, launch, args } = call;
                 Some(compile_certified(ck, launch, args, pool, &self.config)?)
             }
             _ => None,
@@ -217,19 +198,30 @@ impl CuccCluster {
         {
             self.last_certs = prog.as_ref().map(|p| (p.cert_stats(), p.cert_mode()));
         }
+        // A kernel occupies every node lane, and its Allgather waits for the
+        // network lane. At the clock nothing else is in flight, so the floor
+        // is the clock itself: `t0 + partial` can never round below `t0`,
+        // so the serial layout — and its exact f64 arithmetic — holds.
+        let nodes = (0..self.state.logical_nodes()).map(|i| Track::Node(i as u32));
+        let t0 = self.start_time(start, &sched.reads, &sched.writes, nodes);
+        let net_floor = match start {
+            Start::Clock => t0,
+            Start::Stream(_) => self.timeline.lane_ready(Track::Network),
+        };
         let mark = self.timeline.checkpoint();
-        let walk = Walk::new(self, call, sched, prog.as_ref(), t0);
+        let walk = Walk::new(self, call, &sched, prog.as_ref(), t0);
         let (report, end) = match &sched.decision {
             ScheduleDecision::ThreePhase {
                 plan,
                 part,
                 has_tail_block,
-            } => walk.three_phase(plan, part, *has_tail_block, net_floor, elide)?,
+            } => walk.three_phase(plan, part, *has_tail_block, net_floor, &elide)?,
             ScheduleDecision::Replicated { cause } => walk.replicated(cause.clone())?,
         };
-        let report = self.derive_report(mark, report, call.ck);
+        let report = self.derive_report(mark, report, ck);
         self.verify_written(call)?;
-        Ok((report, end))
+        self.close(start, &sched.reads, &sched.writes, report.time(), end);
+        Ok(report)
     }
 
     /// Run the dynamic sanitizer on a scratch clone of node 0's memory and

@@ -4,9 +4,11 @@
 //! This module holds the handle, its configuration and the accessors;
 //! the work is split along the seams of the runtime:
 //!
-//! * [`transfer`] — uploads, downloads and their stream (`_on`) twins;
-//! * [`launch`] — planning, the three launch doors' shared body, report
-//!   derivation and the consistency check;
+//! * [`transfer`] — uploads and downloads: one `h2d` and one `d2h`, each
+//!   on a [`Start`];
+//! * [`launch`] — planning, the one launch function behind `launch`,
+//!   `launch_on` and graph replay, report derivation and the consistency
+//!   check;
 //! * [`walk`] — the timing walk of one launch: three-phase with retry and
 //!   re-partition, and the one replicated completion;
 //! * [`replay`] — graph replay, gather elision and materialization;
@@ -117,6 +119,16 @@ struct Call<'a> {
     ck: &'a CompiledKernel,
     launch: LaunchConfig,
     args: &'a [Arg],
+}
+
+/// Where an op starts and how time moves past it (DESIGN.md §5.2).
+#[derive(Clone, Copy)]
+enum Start {
+    /// At the clock, after pending stream work drains; the clock moves past the op.
+    Clock,
+    /// At the stream's position, its hazard floors and the ready times of the lanes
+    /// the op occupies; the stream records the op's end, the clock moves at `synchronize`.
+    Stream(StreamId),
 }
 
 /// A CUDA-context-like handle to a simulated CPU cluster.
@@ -284,14 +296,46 @@ impl CuccCluster {
         self.config.fidelity == ExecutionFidelity::Functional
     }
 
-    /// Drain pending async work before a synchronous op touches the clock.
-    /// No-op on pure-sync sessions, so the legacy clock arithmetic is
-    /// untouched when the stream API is never used.
-    fn sync_point(&mut self) -> Result<(), MigrateError> {
-        if self.streams.pending() {
-            self.synchronize()?;
+    /// Drain what must settle before an op on `start` reading `inputs`: a
+    /// synchronous op drains pending async work (a no-op on pure-sync
+    /// sessions); a stream op drains every stream only when an input has a
+    /// deferred gather, which resolves at a synchronous point, not mid-stream.
+    fn drain(&mut self, start: Start, inputs: &[Arg]) -> Result<(), MigrateError> {
+        let deferred = |a: &Arg| matches!(a, Arg::Buffer(b) if self.pending.contains_key(b));
+        match start {
+            Start::Clock if self.streams.pending() => self.synchronize().map(drop),
+            Start::Stream(_) if inputs.iter().any(deferred) => self.synchronize().map(drop),
+            _ => Ok(()),
         }
-        Ok(())
+    }
+
+    /// When an op on `start` reading `reads` and writing `writes` begins:
+    /// at the clock, or at the latest of the stream's position, its hazard
+    /// floors and the ready times of the `lanes` the op occupies.
+    fn start_time(
+        &self,
+        start: Start,
+        reads: &[BufferId],
+        writes: &[BufferId],
+        lanes: impl IntoIterator<Item = Track>,
+    ) -> f64 {
+        match start {
+            Start::Clock => self.timeline.clock(),
+            Start::Stream(s) => lanes
+                .into_iter()
+                .fold(self.streams.dep_floor(s, reads, writes), |t, lane| {
+                    t.max(self.timeline.lane_ready(lane))
+                }),
+        }
+    }
+
+    /// Move time past an op on `start` that took `dur` and ended at `end`:
+    /// the clock advances by `dur`, or the stream commits `end`.
+    fn close(&mut self, start: Start, reads: &[BufferId], writes: &[BufferId], dur: f64, end: f64) {
+        match start {
+            Start::Clock => self.timeline.advance(dur),
+            Start::Stream(s) => self.streams.commit(s, reads, writes, end),
+        }
     }
 
     /// Plan a gather in which communicator slot `i` holds `per_owner[i]`

@@ -2,15 +2,20 @@
 //! materialization of what was elided.
 
 use super::walk::elided;
-use super::{Call, CuccCluster};
+use super::{Call, CuccCluster, Start};
 use crate::error::MigrateError;
 use crate::graph::{
     segments_for, uncovered_ranges, GraphOp, LaunchGraph, PendingGather, ReplayStats,
 };
 use crate::schedule::{LaunchSchedule, ScheduleDecision};
 use cucc_analysis::{BufferFootprint, LaunchFootprints, Partition, ThreePhasePlan};
-use cucc_exec::{Arg, BufferId, Program};
+use cucc_exec::{Arg, BufferId};
 use cucc_net::{owner_bytes, GatherSegment};
+use std::collections::BTreeSet;
+
+/// A replayed launch: the footprints capture resolved for it, and the
+/// replay's counters.
+pub(super) type Replayed<'r> = (Option<&'r LaunchFootprints>, &'r mut ReplayStats);
 
 /// How a pending (elided) gather meets a consuming launch inside a
 /// replay.
@@ -37,64 +42,70 @@ impl CuccCluster {
     /// it). Memory after replay + download is bit-identical to running
     /// the same ops uncaptured.
     pub fn graph_replay(&mut self, graph: &LaunchGraph) -> Result<ReplayStats, MigrateError> {
-        self.sync_point()?;
+        self.drain(Start::Clock, &[])?;
         let mut stats = ReplayStats::default();
         let cache0 = self.schedule_cache.stats();
         let t_start = self.timeline.clock();
-        let mut planned_wire = 0u64;
-        let mut gather_wire = 0u64;
         for node in &graph.nodes {
-            match &node.op {
-                GraphOp::Upload { buf, data } => self.h2d_at_clock(*buf, data),
-                GraphOp::Launch { ck, launch, args } => {
-                    // Each replayed launch is a membership boundary, same
-                    // as its uncaptured counterpart.
-                    self.process_joins()?;
-                    let nodes = self.active_nodes();
-                    let (sched, prog) = self.plan_cached_on(ck, *launch, args, nodes)?;
-                    planned_wire += sched.wire_bytes;
-                    let mark = self.timeline.checkpoint();
-                    let call = Call {
-                        ck,
-                        launch: *launch,
-                        args,
-                    };
-                    let fps = node.footprints.as_ref();
-                    self.replay_launch(call, &sched, prog, fps, &mut stats)?;
-                    gather_wire += self.timeline.wire_bytes_since(mark);
+            match node.op {
+                GraphOp::Upload { buf, ref data } => self.h2d(buf, data, Start::Clock)?,
+                GraphOp::Launch {
+                    ref ck,
+                    launch,
+                    ref args,
+                } => {
+                    let replayed = Some((node.footprints.as_ref(), &mut stats));
+                    let call = Call { ck, launch, args };
+                    stats.wire_bytes += self.submit(call, replayed, Start::Clock)?.wire_bytes;
                 }
             }
         }
         let lookups = self.schedule_cache.stats().since(&cache0);
         stats.cache_hits = lookups.hits;
         stats.cache_misses = lookups.misses;
-        // Launch-related wire only (full + partial + materialization
-        // gathers); captured uploads broadcast the same bytes captured
-        // or not, so they are excluded from the savings accounting.
-        stats.wire_bytes = gather_wire;
-        stats.wire_bytes_saved = planned_wire.saturating_sub(gather_wire);
+        // `wire_bytes` holds launch-related wire only (full + partial +
+        // materialization gathers): captured uploads broadcast the same
+        // bytes captured or not, so they are left out of the savings, and
+        // `wire_bytes_saved` has so far summed the planned gather wire.
+        stats.wire_bytes_saved = stats.wire_bytes_saved.saturating_sub(stats.wire_bytes);
         stats.time = self.timeline.clock() - t_start;
         Ok(stats)
     }
 
-    /// The replay door: reconcile pending inputs, decide elision for the
-    /// launch's own gathers and record the pending state they leave, then
-    /// run the launch body at the clock and advance past it.
-    fn replay_launch(
+    /// What replay adds to a captured launch between planning and the walk:
+    /// resolve each pending buffer it touches — covered (nothing to do),
+    /// narrowed (partial gather) or materialized (full gather) — then elide
+    /// what of its own gathers it can and record the pending state that
+    /// leaves. Returns the elision mask (parallel to the three-phase plan's
+    /// `buffers`, or empty for "gather all").
+    pub(super) fn replay_gathers(
         &mut self,
-        call: Call<'_>,
+        args: &[Arg],
         sched: &LaunchSchedule,
-        prog: Option<Program>,
-        fps: Option<&LaunchFootprints>,
-        stats: &mut ReplayStats,
-    ) -> Result<(), MigrateError> {
-        let args = call.args;
-        self.reconcile_pending(args, sched, fps, stats);
+        (fps, stats): Replayed<'_>,
+    ) -> Vec<bool> {
+        let mark = self.timeline.checkpoint();
+        let touched: BTreeSet<BufferId> =
+            sched.reads.iter().chain(&sched.writes).copied().collect();
+        for id in touched {
+            let Some(pg) = self.pending.get(&id).cloned() else {
+                continue;
+            };
+            match self.pending_action(args, sched, fps, id, &pg) {
+                PendingAction::Covered => {}
+                PendingAction::Narrow(segs) => self.partial_gather_pending(id, &segs, stats),
+                PendingAction::Materialize => {
+                    self.materialize_buffer(id);
+                    stats.materializations += 1;
+                }
+            }
+        }
+        stats.wire_bytes += self.timeline.wire_bytes_since(mark);
+        // The planned gather wire; `graph_replay` subtracts what moved.
+        stats.wire_bytes_saved += sched.wire_bytes;
         let elide = self.elision_plan(args, sched, fps);
-
-        // Bookkeeping, ahead of the body's consistency check (which skips
-        // pending buffers): elided regions go (or stay) pending with fresh
-        // slices; fully gathered regions are consistent again.
+        // Elided regions go (or stay) pending with fresh slices; fully
+        // gathered regions are consistent again.
         if let ScheduleDecision::ThreePhase { plan, part, .. } = &sched.decision {
             for (idx, region) in plan.buffers.iter().enumerate() {
                 let Arg::Buffer(id) = args[region.param.index()] else {
@@ -114,54 +125,14 @@ impl CuccCluster {
                     );
                 } else if unit > 0 {
                     stats.gathers_full += 1;
-                    // `reconcile_pending` only lets a matching-geometry
+                    // `pending_action` only lets a matching-geometry
                     // region write a pending buffer, so the full gather
                     // covers the whole pending span.
                     self.pending.remove(&id);
                 }
             }
         }
-
-        let t0 = self.timeline.clock();
-        let (report, _end) = self.launch_body(call, sched, prog, t0, t0, &elide)?;
-        self.timeline.advance(report.time());
-        Ok(())
-    }
-
-    /// Walk the pending buffers this launch touches and resolve each:
-    /// covered (nothing to do), narrowed (partial gather of the uncovered
-    /// sub-ranges), or materialized (full fallback gather).
-    fn reconcile_pending(
-        &mut self,
-        args: &[Arg],
-        sched: &LaunchSchedule,
-        fps: Option<&LaunchFootprints>,
-        stats: &mut ReplayStats,
-    ) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut touched: Vec<BufferId> = sched
-            .reads
-            .iter()
-            .chain(sched.writes.iter())
-            .copied()
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for id in touched {
-            let Some(pg) = self.pending.get(&id).cloned() else {
-                continue;
-            };
-            match self.pending_action(args, sched, fps, id, &pg) {
-                PendingAction::Covered => {}
-                PendingAction::Narrow(segs) => self.partial_gather_pending(id, &segs, stats),
-                PendingAction::Materialize => {
-                    self.materialize_buffer(id);
-                    stats.materializations += 1;
-                }
-            }
-        }
+        elide
     }
 
     /// What replay needs before it may reason about a launch's gathers: a
@@ -261,7 +232,7 @@ impl CuccCluster {
         let n = self.state.logical_nodes() as u64;
         // Aliased region buffers would share one pending entry: keep the
         // full gathers.
-        let mut region_bufs = std::collections::BTreeSet::new();
+        let mut region_bufs = BTreeSet::new();
         for region in &plan.buffers {
             match args.get(region.param.index()) {
                 Some(Arg::Buffer(id)) => {
@@ -337,19 +308,6 @@ impl CuccCluster {
         let bufs: Vec<BufferId> = self.pending.keys().copied().collect();
         for buf in bufs {
             self.materialize_buffer(buf);
-        }
-    }
-
-    /// Materialize every pending buffer among `args` (graph-external
-    /// launches). No-op when nothing is pending.
-    pub(super) fn materialize_args(&mut self, args: &[Arg]) {
-        if self.pending.is_empty() {
-            return;
-        }
-        for a in args {
-            if let Arg::Buffer(id) = a {
-                self.materialize_buffer(*id);
-            }
         }
     }
 

@@ -1,21 +1,27 @@
-//! Host↔device transfers: `upload`/`download` and their stream twins.
+//! Host↔device transfers: one `h2d` and one `d2h`, each on a [`Start`];
+//! `upload`/`download` start at the clock, their `_on` twins on a stream.
 
-use super::CuccCluster;
+use super::{CuccCluster, Start};
 use crate::error::MigrateError;
 use crate::stream::StreamId;
 use crate::transfer::HostScalar;
-use cucc_exec::BufferId;
+use cucc_exec::{Arg, BufferId};
 use cucc_net::broadcast_traced;
 use cucc_trace::{Category, Track};
 
 impl CuccCluster {
-    /// Broadcast `data` to every node's copy of `buf` and record the
-    /// transfer starting at `t0`. Returns the broadcast duration. A
-    /// broadcast occupies the host's injection link (the host lane), not
-    /// the inter-node fabric the collectives serialize on.
-    fn perform_h2d(&mut self, buf: BufferId, data: &[u8], t0: f64) -> f64 {
-        // A whole-buffer broadcast makes every replica identical: any
-        // deferred gather for this buffer is moot.
+    /// Broadcast `data` to every node's copy of `buf`. A broadcast occupies
+    /// the host's injection link (the host lane), not the inter-node fabric
+    /// the collectives serialize on. It makes every replica identical, so a
+    /// deferred gather for `buf` is moot: a stream broadcast waits for none.
+    pub(super) fn h2d(
+        &mut self,
+        buf: BufferId,
+        data: &[u8],
+        start: Start,
+    ) -> Result<(), MigrateError> {
+        self.drain(start, &[])?;
+        let t0 = self.start_time(start, &[], &[buf], [Track::Host]);
         self.pending.remove(&buf);
         self.sim.write_all(buf, data);
         let bt = broadcast_traced(
@@ -31,16 +37,30 @@ impl CuccCluster {
         if bt > 0.0 {
             self.timeline.reserve_lane(Track::Host, t0 + bt);
         }
-        bt
+        self.close(start, &[], &[buf], bt, t0 + bt);
+        Ok(())
     }
 
-    /// Read `buf` back at `t`. A d2h is free in the time model — recorded on
-    /// the host track, but it occupies no link time, so it never pushes the
-    /// host lane's ready time forward.
-    fn read_back<T: HostScalar>(&mut self, buf: BufferId, t: f64) -> Vec<T> {
+    /// Read `buf` back. The host observes memory, so an elided gather
+    /// happens first. A d2h is free in the time model — recorded on the
+    /// host track, but it occupies no link time, so it moves neither the
+    /// clock nor the host lane; on a stream it is still hazard-ordered.
+    fn d2h<T: HostScalar>(&mut self, buf: BufferId, start: Start) -> Result<Vec<T>, MigrateError> {
+        let size = self.check_buffer(buf, "download")?;
+        if size % T::SIZE != 0 {
+            return Err(MigrateError::Transfer(format!(
+                "download: buffer id {} ({size} bytes) is not a whole number of {} elements",
+                buf.index(),
+                T::NAME
+            )));
+        }
+        self.drain(start, &[Arg::Buffer(buf)])?;
+        self.materialize_buffer(buf);
+        let t = self.start_time(start, &[buf], &[], [Track::Host]);
+        self.close(start, &[buf], &[], 0.0, t);
         self.timeline
             .span("d2h", Track::Host, Category::D2h, t, 0.0);
-        T::decode(self.sim.read(self.read_node(), buf))
+        Ok(T::decode(self.sim.read(self.read_node(), buf)))
     }
 
     /// Validate that `buf` names an allocation and return its byte size.
@@ -69,46 +89,19 @@ impl CuccCluster {
         Ok(())
     }
 
-    /// Validate a download source and return its byte size.
-    fn check_download<T: HostScalar>(&self, buf: BufferId) -> Result<usize, MigrateError> {
-        let size = self.check_buffer(buf, "download")?;
-        if size % T::SIZE != 0 {
-            return Err(MigrateError::Transfer(format!(
-                "download: buffer id {} ({size} bytes) is not a whole number of {} elements",
-                buf.index(),
-                T::NAME
-            )));
-        }
-        Ok(size)
-    }
-
     /// Host→device copy: broadcast `data` to every node's replica of `buf`,
     /// charged to the clock. Typed and validated. Records the broadcast on
     /// the timeline — including the wire traffic the pre-timeline
     /// accounting never attributed anywhere.
     pub fn upload<T: HostScalar>(&mut self, buf: BufferId, data: &[T]) -> Result<(), MigrateError> {
         self.check_upload::<T>(buf, data.len())?;
-        self.sync_point()?;
-        self.h2d_at_clock(buf, &T::encode(data));
-        Ok(())
-    }
-
-    /// A synchronous broadcast: it starts at the clock, which moves past it.
-    pub(super) fn h2d_at_clock(&mut self, buf: BufferId, data: &[u8]) {
-        let t0 = self.timeline.clock();
-        let bt = self.perform_h2d(buf, data, t0);
-        self.timeline.advance(bt);
+        self.h2d(buf, &T::encode(data), Start::Clock)
     }
 
     /// Device→host copy of a whole buffer. Free in the time model, but
     /// recorded on the timeline's host track. Typed and validated.
     pub fn download<T: HostScalar>(&mut self, buf: BufferId) -> Result<Vec<T>, MigrateError> {
-        self.check_download::<T>(buf)?;
-        self.sync_point()?;
-        // The host observes memory: an elided gather must happen now.
-        self.materialize_buffer(buf);
-        let t = self.timeline.clock();
-        Ok(self.read_back(buf, t))
+        self.d2h(buf, Start::Clock)
     }
 
     /// Async host→device broadcast on `stream`. Occupies the host lane
@@ -123,13 +116,7 @@ impl CuccCluster {
         stream: StreamId,
     ) -> Result<(), MigrateError> {
         self.check_upload::<T>(buf, data.len())?;
-        let t0 = self
-            .streams
-            .dep_floor(stream, &[], &[buf])
-            .max(self.timeline.lane_ready(Track::Host));
-        let bt = self.perform_h2d(buf, &T::encode(data), t0);
-        self.streams.commit(stream, &[], &[buf], t0 + bt);
-        Ok(())
+        self.h2d(buf, &T::encode(data), Start::Stream(stream))
     }
 
     /// Async device→host copy on `stream`. Free in the time model but
@@ -143,18 +130,6 @@ impl CuccCluster {
         buf: BufferId,
         stream: StreamId,
     ) -> Result<Vec<T>, MigrateError> {
-        self.check_download::<T>(buf)?;
-        if self.pending.contains_key(&buf) {
-            // Same policy as `launch_on`: deferred gathers resolve at a
-            // synchronous point, not mid-stream.
-            self.synchronize()?;
-            self.materialize_buffer(buf);
-        }
-        let t0 = self
-            .streams
-            .dep_floor(stream, &[buf], &[])
-            .max(self.timeline.lane_ready(Track::Host));
-        self.streams.commit(stream, &[buf], &[], t0);
-        Ok(self.read_back(buf, t0))
+        self.d2h(buf, Start::Stream(stream))
     }
 }

@@ -36,6 +36,7 @@ use cucc_ir::{
     AtomicOp, Axis, BinOp, Dim3, Expr, Intrinsic, Kernel, LaunchConfig, MemRef, MemSpace, Scalar,
     Stmt, UnOp, Value, ValueKind,
 };
+use std::ops::Range;
 
 /// Register index into a thread's register file. Registers `0..num_vars`
 /// hold the kernel's scalar variables; higher registers are expression
@@ -266,8 +267,9 @@ pub struct Program {
     pub(crate) shared_sizes: Vec<usize>,
     /// Byte sizes of the local arrays (one image per thread each).
     pub(crate) local_sizes: Vec<usize>,
-    /// The pc range of every batchable segment, in phase-tree pre-order.
-    pub(crate) lane_plans: Vec<LanePlan>,
+    /// The pc range of every batchable segment (one the engine runs
+    /// instruction-major over lane chunks), in phase-tree pre-order.
+    pub(crate) lane_plans: Vec<Range<u32>>,
     pub(crate) launch: LaunchConfig,
     /// Optional bounds certificates attached by the range analysis
     /// (`cucc-analysis::range`): per-pc in-bounds proofs the engine consumes
@@ -325,7 +327,7 @@ impl Program {
         for_each_seg(&mut phases, &mut |start, end, batch| {
             *batch = seg_batchable(&c.code, &c.slots, &pools, start, end);
             if *batch != BatchKind::No {
-                lane_plans.push(LanePlan { start, end });
+                lane_plans.push(start..end);
             }
         });
         let mut has_global_atomics = false;
@@ -408,8 +410,8 @@ impl Program {
         self.num_regs
     }
 
-    /// The batchable segments (see [`LanePlan`]).
-    pub fn lane_plans(&self) -> &[LanePlan] {
+    /// The pc ranges of the batchable segments, in phase-tree pre-order.
+    pub fn lane_plans(&self) -> &[Range<u32>] {
         &self.lane_plans
     }
 
@@ -1884,15 +1886,6 @@ fn injective(c: [i64; 3], block: Dim3) -> bool {
         span = s;
     }
     true
-}
-
-/// A batchable segment: the engine runs `code[start..end)` instruction-major
-/// over lane chunks ([`crate::lane`]). One entry per segment
-/// [`seg_batchable`] proved safe, in phase-tree pre-order.
-#[derive(Debug, Clone)]
-pub struct LanePlan {
-    pub start: u32,
-    pub end: u32,
 }
 
 // ---- the registers an instruction reads and writes ---------------------

@@ -476,7 +476,8 @@ impl Timeline {
                 rounds.push(round);
             }
         }
-        rounds.iter().map(|&(_, d)| d).sum()
+        // Folded from +0.0: an empty `f64` sum is -0.0.
+        rounds.iter().fold(0.0, |t, &(_, d)| t + d)
     }
 
     /// Total of counter `name` after `mark`.
@@ -746,11 +747,20 @@ mod tests {
         tl.span("reexec", Track::Node(0), Category::Reexec, 4.0, 0.5);
         tl.span("reexec", Track::Node(2), Category::Reexec, 4.0, 0.5);
         tl.span("reexec", Track::Node(2), Category::Reexec, 5.0, 1.0);
-        assert_eq!(tl.round_sum_since(mark, Category::Reexec), 3.5);
-        // Depth-1 children are excluded; empty category yields 0.0.
+        assert_eq!(
+            tl.round_sum_since(mark, Category::Reexec).to_bits(),
+            3.5f64.to_bits()
+        );
+        // Depth-1 children are excluded; an empty category yields +0.0.
         tl.child_span("detail", Track::Node(0), Category::Reexec, 1.0, 9.0);
-        assert_eq!(tl.round_sum_since(mark, Category::Reexec), 3.5);
-        assert_eq!(tl.round_sum_since(mark, Category::Retry), 0.0);
+        assert_eq!(
+            tl.round_sum_since(mark, Category::Reexec).to_bits(),
+            3.5f64.to_bits()
+        );
+        assert_eq!(
+            tl.round_sum_since(mark, Category::Retry).to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]
