@@ -10,16 +10,24 @@
 //!   launch, the tree-walk oracle accepts the plan over every full chunk,
 //!   or a full chunk traps (and with it the launch, under any plan). The
 //!   builtin kernels are pinned at 37 of 37 distributable ones planned, and
-//!   every shape the planner declines is pinned with its cause.
+//!   every shape the planner declines is pinned with its cause;
+//! * **one bounds prover** — the `i`-th access of the walk and the `i`-th
+//!   memory instruction of the compiled program address the same memory,
+//!   one for one, and every access whose raw affine range lies inside its
+//!   extent is certified (or unreachable) by the range analysis, so the
+//!   verifier loses nothing by proving bounds through certificates alone.
 //!
-//! Both print their case counts (`cargo test -p cucc-analysis corpus --
+//! All print their case counts (`cargo test -p cucc-analysis corpus --
 //! --nocapture`).
 
 use crate::distributable::{analyze_kernel, KernelAccesses};
-use crate::footprint::LaunchFootprints;
+use crate::footprint::{LaunchFootprints, SiteState};
 use crate::oracle::verify_plan;
 use crate::plan::{plan_launch, Plan, ReplicationCause};
-use cucc_exec::{execute_block_traced, Arg, MemPool};
+use crate::range::{analyze_ranges, param_slot_extents};
+use crate::verify::{access_pcs, param_extents};
+use cucc_exec::bytecode::Inst;
+use cucc_exec::{execute_block_traced, Arg, MemPool, Program};
 use cucc_ir::{parse_kernel, Kernel, LaunchConfig, Param, Value};
 use cucc_workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
 use proptest::prelude::*;
@@ -264,6 +272,88 @@ fn check_write_soundness(case: &Case) -> usize {
     checked
 }
 
+/// Bounds parity of one case: `[accesses, inside by the raw affine range,
+/// certified or unreachable]`.
+fn check_bounds_parity(case: &Case) -> [usize; 3] {
+    let Case {
+        kernel,
+        launch,
+        args,
+        pool,
+        ..
+    } = case;
+    let acc = KernelAccesses::of_kernel(kernel);
+    let prog =
+        Program::compile(kernel, *launch, args).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+    let slots: Vec<usize> = (prog.code().iter())
+        .filter_map(|i| match i {
+            Inst::Load { slot, .. } | Inst::Store { slot, .. } | Inst::AtomicRmw { slot, .. } => {
+                Some(*slot as usize)
+            }
+            _ => None,
+        })
+        .collect();
+    let mems: Vec<usize> = acc.list.iter().map(|a| kernel.mem_slot(a.mem)).collect();
+    assert_eq!(
+        slots, mems,
+        "{}: memory instructions vs accesses",
+        case.name
+    );
+    let pcs = access_pcs(kernel, &acc, &prog).expect("paired one for one");
+
+    let extents = param_slot_extents(&prog, args, &param_extents(kernel, args, pool));
+    let ra = analyze_ranges(&prog, &extents);
+    let fps = LaunchFootprints::of(&acc, *launch, args);
+    let mut counts = [acc.list.len(), 0, 0];
+    for ((a, site), pc) in acc.list.iter().zip(&fps.sites).zip(pcs) {
+        let proven = ra.pc_certified[pc] || !ra.reachable[pc];
+        counts[2] += proven as usize;
+        let extent = extents[kernel.mem_slot(a.mem)];
+        let (SiteState::Resolved(form), Some(extent)) = (&site.state, extent) else {
+            continue;
+        };
+        let raw = form.range(launch.grid);
+        if raw.lo >= 0 && raw.hi < extent as i128 {
+            counts[1] += 1;
+            assert!(
+                proven,
+                "{}: access to {:?} at pc {pc} is inside [0, {extent}) by its affine range \
+                 {raw:?} but not certified",
+                case.name, a.mem
+            );
+        }
+    }
+    counts
+}
+
+/// Print the bounds-parity totals over a set of cases.
+fn report_parity(what: &str, totals: [usize; 3], cases: usize) {
+    let [accesses, affine, proven] = totals;
+    println!(
+        "bounds parity over {cases} {what}: {accesses} accesses paired with their instructions; \
+         {affine} inside their extent by the raw affine range, every one certified; \
+         {proven} certified or unreachable in all"
+    );
+}
+
+#[test]
+fn corpus_accesses_pair_with_instructions_and_affine_proofs_are_certified() {
+    for (what, cases) in [
+        ("builtin kernels", builtin_cases()),
+        ("shape kernels", shape_cases()),
+    ] {
+        let mut totals = [0; 3];
+        for c in &cases {
+            let counts = check_bounds_parity(c);
+            for (t, n) in totals.iter_mut().zip(counts) {
+                *t += n;
+            }
+        }
+        report_parity(what, totals, cases.len());
+        assert!(totals[1] > 0);
+    }
+}
+
 /// What the planner made of one case.
 #[derive(Debug, Clone, PartialEq)]
 enum Outcome {
@@ -418,6 +508,15 @@ static GENERATED: [AtomicUsize; 3] = [
     AtomicUsize::new(0),
 ];
 
+/// Generated cases checked for bounds parity, then the three counts of
+/// [`check_bounds_parity`] summed.
+static PARITY: [AtomicUsize; 4] = [
+    AtomicUsize::new(0),
+    AtomicUsize::new(0),
+    AtomicUsize::new(0),
+    AtomicUsize::new(0),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -437,6 +536,18 @@ proptest! {
                 "generated kernels: {cases} cases sound, {planned} planned (oracle-confirmed), \
                  {traps} planned and trapping"
             );
+        }
+    }
+
+    #[test]
+    fn corpus_generated_accesses_pair_with_instructions_and_affine_proofs_are_certified(
+        case in prop_oneof![analysis_generator(), verify_generator()],
+    ) {
+        let counts = check_bounds_parity(&case);
+        let cases = PARITY[0].fetch_add(1, Ordering::Relaxed) + 1;
+        let totals = [1, 2, 3].map(|i| PARITY[i].fetch_add(counts[i - 1], Ordering::Relaxed) + counts[i - 1]);
+        if cases % 64 == 0 {
+            report_parity("generated kernels", totals, cases);
         }
     }
 }

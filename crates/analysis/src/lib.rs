@@ -44,8 +44,8 @@
 //!   lattice, cross-validated by the dynamic sanitizer in `cucc-exec`;
 //! * [`range`] — flow-sensitive interval **abstract interpretation** over
 //!   compiled bytecode, producing per-access bounds certificates that the
-//!   engines consume to elide bounds checks and the verifier consumes to
-//!   discharge MAY-bounds findings;
+//!   engines consume to elide bounds checks and the verifier's bounds rule
+//!   reads as its one proof;
 //! * [`lint`] — dead-store / redundant-barrier / constant-condition /
 //!   unreachable-code findings on top of the range analysis (`cucc lint`).
 

@@ -18,8 +18,9 @@
 //!    the [`Program`]; the bytecode and lane engines then take unchecked
 //!    fast paths for certified accesses ([`CertMode::Elide`]) or
 //!    cross-validate every certificate at runtime ([`CertMode::Validate`]).
-//! 2. **Verifier discharge** — `verify.rs` upgrades MAY-bounds diagnostics
-//!    to Safe when every reachable access to a buffer is certified.
+//! 2. **The verifier's bounds rule** — `verify.rs` reads the same per-access
+//!    certificates: a source access is in bounds exactly when its compiled
+//!    instruction is certified or unreachable.
 //! 3. **Lint** — [`RangeAnalysis::branches`] and
 //!    [`RangeAnalysis::reachable`] drive the constant-condition and
 //!    unreachable-code lints in `lint.rs`.
@@ -41,9 +42,10 @@
 //! Loops always lower to `ForInit`/`ForNext`, so the only back-edges in a
 //! segment are `ForNext → back`. The worklist widens at exactly those
 //! targets, using *threshold widening*: a grown bound snaps outward to the
-//! nearest member of a constant pool harvested from the program (folded
-//! constants, launch dimensions, buffer extents, each ±1) before giving up
-//! and jumping to the `i64` extremes. That keeps `for (i = 0; i < n; ++i)`
+//! nearest member of a constant pool harvested from the program (folded and
+//! emitted constants, launch dimensions, buffer extents, each ±1) before
+//! giving up and jumping to the `i64` extremes; only growth along a loop's
+//! own back edge counts towards either. That keeps `for (i = 0; i < n; ++i)`
 //! at `i ∈ [0, n-1]` instead of ⊤ without iterating `n` times. Two plain
 //! narrowing passes afterwards recover precision lost to overshoot (any
 //! post-fixpoint re-applied through the monotone transfer stays sound).
@@ -437,17 +439,6 @@ impl RangeAnalysis {
         let c = self.certs.iter().filter(|c| c.certified).count();
         (c, self.certs.len())
     }
-
-    /// Per-slot discharge map: slot id → true when every *reachable* access
-    /// to the slot is certified in-bounds (the verifier's MAY→Safe hook).
-    pub fn certified_slots(&self) -> BTreeMap<u32, bool> {
-        let mut m = BTreeMap::new();
-        for c in &self.certs {
-            let e = m.entry(c.slot).or_insert(true);
-            *e &= c.certified;
-        }
-        m
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -613,9 +604,11 @@ fn entry_state(prog: &Program) -> State {
     }
 }
 
-/// Threshold set for widening: every folded integer constant, launch
-/// dimension and known extent, each with its ±1 neighbours, so loop bounds
-/// like `i < n` stabilize at `[0, n-1]` in a handful of joins.
+/// Threshold set for widening: every folded integer constant (pooled, or
+/// emitted by a `Const` — loop bounds are, into the registers `ForInit`
+/// normalizes), launch dimension and known extent, each with its ±1
+/// neighbours, so loop bounds like `i < n` stabilize at `[0, n-1]` in a
+/// handful of joins.
 fn harvest_thresholds(prog: &Program, extents: &[Option<u64>]) -> Vec<i128> {
     let mut t = vec![I64MIN, -1, 0, 1, I64MAX];
     let mut push = |v: i128| {
@@ -623,7 +616,11 @@ fn harvest_thresholds(prog: &Program, extents: &[Option<u64>]) -> Vec<i128> {
         t.push(v);
         t.push(v.saturating_add(1));
     };
-    for c in prog.const_pool() {
+    let emitted = prog.code().iter().filter_map(|i| match i {
+        Inst::Const { v, .. } => Some(v),
+        _ => None,
+    });
+    for c in prog.const_pool().iter().chain(emitted) {
         if let Value::I64(v) = c {
             push(*v as i128);
         }
@@ -914,15 +911,12 @@ impl<'a> Analyzer<'a> {
             return Some(entry);
         }
         let code = self.prog.code();
-        // The only back-edges are ForNext → back; widen exactly there.
-        let mut widen_at = vec![false; n + 1];
-        for pc in start..end {
-            if let Inst::ForNext { back, .. } = &code[pc as usize] {
-                widen_at[(*back - start) as usize] = true;
-            }
-        }
         let mut ins: Vec<Option<State>> = vec![None; n + 1];
         ins[0] = Some(entry);
+        // Growing joins along each loop's own back edge (`ForNext → back`,
+        // the only edges that do not point forward); a re-entry from an
+        // enclosing loop does not count, so an inner loop is not pushed to
+        // the extremes while its outer loop still converges.
         let mut visits = vec![0u32; n + 1];
         let mut in_wl = vec![false; n + 1];
         let mut wl: Vec<usize> = vec![0];
@@ -942,8 +936,8 @@ impl<'a> Analyzer<'a> {
                     Some(old) => {
                         let mut j = old.clone();
                         if j.join_from(&s) {
-                            visits[t] += 1;
-                            if widen_at[t] && visits[t] > WIDEN_AFTER {
+                            visits[t] += u32::from(t <= rel);
+                            if visits[t] > WIDEN_AFTER {
                                 let old = old.clone();
                                 self.widen(&old, &mut j, visits[t] > EXTREME_AFTER);
                             }
@@ -1706,6 +1700,76 @@ mod tests {
         );
     }
 
+    /// Extents per memory slot from the byte size of each bound buffer
+    /// (`BufferId(i)` holds `bytes[i]`).
+    fn byte_extents(prog: &Program, bytes: &[usize]) -> Vec<Option<u64>> {
+        global_extents(prog, |b| bytes.get(b.index()).copied())
+    }
+
+    #[test]
+    fn loop_bound_constants_are_widening_thresholds() {
+        // `8` and `4` are emitted as `Const`s into the registers `ForInit`
+        // normalizes, not pooled: without them as thresholds `c` widens to
+        // the next pool member (31), and `ctr[c * 4 + j]` overruns 32.
+        let launch = LaunchConfig::new(4, 32);
+        let prog = program(
+            "__global__ void k(float* ctr, float* out) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                float s = 0.0f;
+                for (int c = 0; c < 8; c++)
+                    for (int j = 0; j < 4; j++)
+                        s += ctr[c * 4 + j];
+                out[id] = s;
+            }",
+            launch,
+            &[Arg::Buffer(BufferId(0)), Arg::Buffer(BufferId(1))],
+        );
+        let ra = analyze_ranges(&prog, &byte_extents(&prog, &[32 * 4, 128 * 4]));
+        assert_eq!(ra.stats(), (2, 2), "{:?}", ra.certs);
+        assert_eq!(ra.certs[0].index, Some(Interval::new(0, 31)));
+    }
+
+    #[test]
+    fn ga_certifies_every_access_at_its_real_launch() {
+        // An inner loop re-entered by its outer loop: counted as widening
+        // visits of the inner head, the re-entries push `j` to the `i64`
+        // extremes while `i` still converges.
+        let ga = cucc_workloads::heteromark_kernels()
+            .into_iter()
+            .find(|k| k.name == "hm_ga")
+            .expect("hm_ga");
+        assert_eq!(ga.launch, LaunchConfig::new(16, 64));
+        assert_eq!(ga.scalars, [Value::I64(16), Value::I64(4)], "seg, qlen");
+        let buffers = (0..ga.buffer_bytes.len() as u32).map(|i| Arg::Buffer(BufferId(i)));
+        let args: Vec<Arg> = buffers
+            .chain(ga.scalars.iter().map(|v| Arg::Scalar(*v)))
+            .collect();
+        let prog = program(&ga.source, ga.launch, &args);
+        let ra = analyze_ranges(&prog, &byte_extents(&prog, &ga.buffer_bytes));
+        assert_eq!(ra.stats(), (5, 5), "{:?}", ra.certs);
+    }
+
+    #[test]
+    fn three_deep_constant_nest_terminates_and_certifies() {
+        let launch = LaunchConfig::new(2, 32);
+        let prog = program(
+            "__global__ void k(float* w, float* out) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                float s = 0.0f;
+                for (int a = 0; a < 3; a++)
+                    for (int b = 0; b < 5; b++)
+                        for (int c = 0; c < 7; c++)
+                            s += w[(a * 5 + b) * 7 + c];
+                out[id] = s;
+            }",
+            launch,
+            &[Arg::Buffer(BufferId(0)), Arg::Buffer(BufferId(1))],
+        );
+        let ra = analyze_ranges(&prog, &byte_extents(&prog, &[105 * 4, 64 * 4]));
+        assert_eq!(ra.stats(), (2, 2), "{:?}", ra.certs);
+        assert_eq!(ra.certs[0].index, Some(Interval::new(0, 104)));
+    }
+
     #[test]
     fn modulo_bounds_certify() {
         let launch = LaunchConfig::cover1(4096, 256);
@@ -1774,27 +1838,5 @@ mod tests {
         let ra = certify_program(&mut prog, &ext, CertMode::Elide);
         let (c, t) = ra.stats();
         assert_eq!((c, t), (t, t), "all accesses certified: {:?}", ra.certs);
-    }
-
-    #[test]
-    fn certified_slots_aggregates_per_slot() {
-        let launch = LaunchConfig::cover1(1000, 128);
-        let prog = program(
-            "__global__ void f(float* x, float* y, int n) {
-                int id = blockIdx.x * blockDim.x + threadIdx.x;
-                if (id < n) y[id] = x[id] + x[id + 24];
-            }",
-            launch,
-            &[
-                Arg::Buffer(BufferId(0)),
-                Arg::Buffer(BufferId(1)),
-                Arg::int(1000),
-            ],
-        );
-        let ext = uniform_extents(&prog, 1000);
-        let ra = analyze_ranges(&prog, &ext);
-        let slots = ra.certified_slots();
-        // `x[id + 24]` reaches 1023 >= 1000 — x is not fully certified, y is.
-        assert_eq!(slots.values().filter(|v| **v).count(), 1, "{ra:?}");
     }
 }

@@ -12,8 +12,10 @@
 //! 1. **inter-block race freedom** ([`analyze_block_races`]) — pairwise
 //!    write-site footprint disjointness across `blockIdx`, via interval,
 //!    gcd-stride and exact offset-set reasoning;
-//! 2. **in-bounds accesses** — symbolic load/store index ranges compared
-//!    with the buffer extents resolved at launch;
+//! 2. **in-bounds accesses** — proven only by the range certificates the
+//!    launch elides bounds checks on ([`crate::range`], over the kernel
+//!    compiled once for the launch); the affine index range of an unproven
+//!    access words its MUST/MAY finding;
 //! 3. **barrier uniformity** — no `__syncthreads()` under thread-variant
 //!    control flow.
 //!
@@ -30,17 +32,16 @@
 //! planner's [`ReplicationCause`]s so `cucc analyze` / `cucc check` / `cucc
 //! run` share one human-readable rendering.
 
-use crate::affine::AffineForm;
-use crate::distributable::{Access, Comparison, KernelAccesses, Reason};
+use crate::distributable::{Access, KernelAccesses, Reason};
 use crate::footprint::{
-    gcd, Coord, LaunchEnv, LaunchFootprints, ResolvedForm, ResolvedGuard, Site, SiteState,
+    gcd, Coord, LaunchFootprints, ResolvedForm, ResolvedGuard, Site, SiteState,
 };
 use crate::plan::ReplicationCause;
-use crate::range::Interval;
+use crate::range::{analyze_ranges, param_slot_extents};
 use crate::variance::{expr_variance, var_variance, Variance};
-use cucc_exec::bytecode::SlotKind;
+use cucc_exec::bytecode::Inst;
 use cucc_exec::{Arg, BufferId, MemPool, Program};
-use cucc_ir::{Axis, Kernel, LaunchConfig, MemRef, Param, ParamId, SourceMap, Stmt};
+use cucc_ir::{Axis, Kernel, LaunchConfig, MemRef, Param, SourceMap, Stmt};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -837,6 +838,13 @@ fn check_pair_cross_coeffs(
 /// Check the in-bounds rule on every access of the kernel (`acc`) as
 /// resolved against the launch (`fps`). Extents are in elements, indexed by
 /// parameter.
+///
+/// The proof is the one the launch elides checks on: the range analysis of
+/// the compiled program ([`crate::range::analyze_ranges`]). An access is in
+/// bounds exactly when its instruction is certified or unreachable. The
+/// affine range of an access it does not prove only words the finding: MUST
+/// for a definite overrun (every corner of the raw box is attained), MAY
+/// otherwise.
 pub(crate) fn analyze_bounds(
     kernel: &Kernel,
     acc: &KernelAccesses,
@@ -848,24 +856,29 @@ pub(crate) fn analyze_bounds(
 ) -> (PropertyVerdict, Vec<Diagnostic>) {
     let launch = fps.env.launch;
     let must_eligible = acc.runs_to_completion();
-    // Bytecode range-analysis facts for MAY→Safe discharge, built lazily on
-    // the first finding the affine rule cannot prove (it compiles the
-    // kernel, so the common all-Safe path never pays for it).
-    let mut discharge: Option<Option<RangeDischarge>> = None;
+    let proven: Vec<bool> = Program::compile(kernel, launch, args)
+        .ok()
+        .and_then(|prog| {
+            let pcs = access_pcs(kernel, acc, &prog)?;
+            let ra = analyze_ranges(&prog, &param_slot_extents(&prog, args, extents));
+            Some(
+                pcs.iter()
+                    .map(|&pc| ra.pc_certified[pc] || !ra.reachable[pc])
+                    .collect(),
+            )
+        })
+        .unwrap_or_default();
 
     let mut verdict = PropertyVerdict::Safe;
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut unknown_noted = false;
     let mut write_ordinal = 0usize;
-    for (a, site) in acc.list.iter().zip(&fps.sites) {
+    for (i, (a, site)) in acc.list.iter().zip(&fps.sites).enumerate() {
         let ordinal = a.written_param().map(|_| {
             write_ordinal += 1;
             write_ordinal - 1
         });
-        // An access under a provably-empty loop never executes (skip);
-        // under an unresolvable one it may not execute (blocks MUST, bounds
-        // proofs still hold for whatever iterations do run).
-        if site.state == SiteState::Dead {
+        if proven.get(i) == Some(&true) {
             continue;
         }
         let (name, extent): (String, Option<i128>) = match a.mem {
@@ -882,16 +895,7 @@ pub(crate) fn analyze_bounds(
                 (d.name.clone(), Some(d.len as i128))
             }
         };
-        let (Some(index), SiteState::Resolved(form)) = (&a.index, &site.state) else {
-            // The affine walker gave up, but the flow-sensitive bytecode
-            // analysis may still certify the buffer (guard refinement,
-            // constant propagation through variables).
-            let disc = discharge
-                .get_or_insert_with(|| range_discharge(kernel, launch, args, extents))
-                .as_ref();
-            if disc.is_some_and(|d| d.get(&a.mem) == Some(&true)) {
-                continue; // every compiled access certified in bounds
-            }
+        let SiteState::Resolved(form) = &site.state else {
             verdict = verdict.join(PropertyVerdict::Unknown);
             if !unknown_noted && diags.len() < DIAG_CAP {
                 unknown_noted = true;
@@ -903,60 +907,24 @@ pub(crate) fn analyze_bounds(
             }
             continue;
         };
-        let Some(extent) = extent else {
+        // The raw box is exact: every corner is attained by some
+        // thread/iteration that passes no guard.
+        let raw = form.range(launch.grid);
+        let Some(extent) = extent.filter(|&e| raw.lo < 0 || raw.hi >= e) else {
+            // No extent, or no overrun to witness.
             verdict = verdict.join(PropertyVerdict::Unknown);
             continue;
         };
-        // Guard narrowing (true-branch comparisons only). An empty meet
-        // means the guards contradict the raw range: no thread both passes
-        // the guards and performs the access, so the site is dead.
-        let raw = form.range(launch.grid);
-        let mut narrowed = Some(raw);
-        for cmp in a.guards.iter().filter_map(|g| g.cmp.as_ref()) {
-            if let Some(n) = narrow_by_guard(index, cmp, &fps.env) {
-                narrowed = narrowed.and_then(|iv| iv.meet(n));
-            }
-        }
-        let Some(iv) = narrowed else {
-            continue; // guards prove the access never executes
-        };
-        if iv.lo >= 0 && iv.hi < extent {
-            continue; // proven in bounds
-        }
-        let (lo, hi) = (iv.lo, iv.hi);
-        // The raw (un-narrowed) box is exact: every corner is attained by
-        // some thread/iteration. Narrowed bounds are over-approximations,
-        // so MUST needs the *raw* range to violate.
+        let (lo, hi) = (raw.lo, raw.hi);
         let unconditional = a.guards.is_empty() && !a.conditional && must_eligible;
-        let definite = unconditional && !site.loop_unknown && (raw.lo < 0 || raw.hi >= extent);
-        let neg_side = raw.lo < 0 && unconditional;
+        let definite = unconditional && !site.loop_unknown;
+        let neg_side = lo < 0 && unconditional;
         let sev = if definite && (!assumed_extents || neg_side) {
             Severity::Must
         } else {
             Severity::May
         };
         let kind = if a.write { "store" } else { "load" };
-        // MAY→Safe discharge: a MAY finding is an over-approximation
-        // artifact whenever the bytecode interpreter certifies every
-        // reachable access to the buffer in bounds under this launch.
-        if sev == Severity::May {
-            let disc = discharge
-                .get_or_insert_with(|| range_discharge(kernel, launch, args, extents))
-                .as_ref();
-            if disc.is_some_and(|d| d.get(&a.mem) == Some(&true)) {
-                if diags.len() < DIAG_CAP {
-                    diags.push(Diagnostic::new(
-                        Rule::Bounds,
-                        Severity::Info,
-                        format!(
-                            "{kind} index into `{name}` MAY exceed [0, {extent}) affinely, \
-                             but range analysis certifies every access — discharged"
-                        ),
-                    ));
-                }
-                continue;
-            }
-        }
         verdict = verdict.join(if sev == Severity::Must {
             PropertyVerdict::Must
         } else {
@@ -989,73 +957,26 @@ pub(crate) fn analyze_bounds(
     (verdict, diags)
 }
 
-/// Narrow an index interval using one guard conjunct `small <cmp> big`
-/// (comparisons and equalities over affine expressions).
-///
-/// Pointwise for the thread executing the access, `index = small + d` with
-/// `d = index − small`, so under the guard `index ≤ big − 1 + d` (`Le`: no
-/// `−1`), bounded above by `max(big + d)` over the launch box — computed
-/// jointly so correlated terms cancel. Symmetrically `index = big + e ≥
-/// small + 1 + e` bounds it below via `min(small + e)`. Equality narrows to
-/// the exact range of `big + d`. Unrelated guards yield huge, harmless
-/// bounds; unresolvable ones yield `None` (no narrowing).
-fn narrow_by_guard(index: &AffineForm, cmp: &Comparison, env: &LaunchEnv) -> Option<Interval> {
-    let range = |f: &AffineForm| Some(env.resolve(f).ok()?.range(env.launch.grid));
-    let u = range(&cmp.big.add(&index.sub(&cmp.small)))?; // big + (index − small)
-    if cmp.eq {
-        return Some(u);
-    }
-    let hi = u.hi - if cmp.inclusive { 0 } else { 1 };
-    // small + (index − big)
-    let lo = match range(&cmp.small.add(&index.sub(&cmp.big))) {
-        Some(l) => l.lo + if cmp.inclusive { 0 } else { 1 },
-        None => i128::MIN,
-    };
-    // May be empty (`lo > hi`) when the guard contradicts the raw range;
-    // the caller's `meet` then proves the access dead.
-    Some(Interval { lo, hi })
-}
-
-// ----------------------------------------------- range-analysis discharge --
-
-/// Per-memory facts from the bytecode abstract interpreter
-/// ([`crate::range::analyze_ranges`]): a memory reference maps to `true`
-/// when every *reachable* compiled access to it is proven in bounds, so the
-/// launch cannot fault on that buffer and a MAY finding of the affine rule
-/// is an over-approximation artifact.
-type RangeDischarge = HashMap<MemRef, bool>;
-
-/// Compile the kernel and run the range analysis, folding the per-slot
-/// certificates back onto source-level memory references. `None` when the
-/// kernel does not compile (the affine verdict then stands alone).
-fn range_discharge(
+/// The pc of each access of `acc` in `prog`: source access `i` is the
+/// `i`-th `Load`/`Store`/`AtomicRmw` in pc order, since the access walk and
+/// the compiler both emit in post-order. `None` when the two do not pair
+/// one for one on the same memory (nothing is then proven).
+pub(crate) fn access_pcs(
     kernel: &Kernel,
-    launch: LaunchConfig,
-    args: &[Arg],
-    extents: &[Option<u64>],
-) -> Option<RangeDischarge> {
-    let prog = Program::compile(kernel, launch, args).ok()?;
-    let param_of = |buf: BufferId| {
-        args.iter()
-            .position(|a| matches!(a, Arg::Buffer(b) if *b == buf))
-    };
-    let slot_extents = crate::range::param_slot_extents(&prog, args, extents);
-    let ok = crate::range::analyze_ranges(&prog, &slot_extents).certified_slots();
-    let mut d = RangeDischarge::new();
-    for (i, s) in prog.slots().iter().enumerate() {
-        let Some(info) = s else { continue };
-        let mem = match info.kind {
-            SlotKind::Global { buf } => match param_of(buf) {
-                Some(p) => MemRef::Global(ParamId(p as u32)),
-                None => continue,
-            },
-            SlotKind::Shared { idx } => MemRef::Shared(idx),
-            SlotKind::Local { idx } => MemRef::Local(idx),
-        };
-        // A slot with no reachable access cannot fault.
-        *d.entry(mem).or_insert(true) &= ok.get(&(i as u32)).copied().unwrap_or(true);
-    }
-    Some(d)
+    acc: &KernelAccesses,
+    prog: &Program,
+) -> Option<Vec<usize>> {
+    let mem: Vec<(usize, u32)> = (prog.code().iter().enumerate())
+        .filter_map(|(pc, inst)| match inst {
+            Inst::Load { slot, .. } | Inst::Store { slot, .. } | Inst::AtomicRmw { slot, .. } => {
+                Some((pc, *slot))
+            }
+            _ => None,
+        })
+        .collect();
+    let pairs = mem.len() == acc.list.len()
+        && (mem.iter().zip(&acc.list)).all(|(m, a)| m.1 as usize == kernel.mem_slot(a.mem));
+    pairs.then(|| mem.into_iter().map(|(pc, _)| pc).collect())
 }
 
 // --------------------------------------------------------- barrier rule --
@@ -1380,8 +1301,8 @@ mod tests {
 
     #[test]
     fn nonaffine_index_discharged_by_range_analysis() {
-        // `id % 64` is non-affine, so the affine rule alone says Unknown;
-        // the bytecode range analysis proves [0, 63] and discharges.
+        // `id % 64` is non-affine (the affine walker gives up); the range
+        // analysis proves [0, 63] and certifies the store.
         let r = check(
             "__global__ void k(int* out) {
                 int id = blockIdx.x * blockDim.x + threadIdx.x;
@@ -1396,9 +1317,8 @@ mod tests {
 
     #[test]
     fn guard_through_variable_discharged_by_range_analysis() {
-        // The guard is a *variable* holding a comparison, which the affine
-        // narrowing cannot see through (it would report MAY); the bytecode
-        // analysis tracks the predicate provenance and certifies.
+        // The guard is a *variable* holding a comparison; the range
+        // analysis tracks the predicate provenance and certifies the store.
         let r = check(
             "__global__ void k(int* out, int n) {
                 int id = blockIdx.x * blockDim.x + threadIdx.x;
@@ -1410,16 +1330,10 @@ mod tests {
             vec![Some(100), None],
         );
         assert!(r.bounds.is_safe(), "{r:?}");
-        assert!(
-            r.diagnostics
-                .iter()
-                .any(|d| d.severity == Severity::Info && d.message.contains("discharged")),
-            "{r:?}"
-        );
     }
 
     #[test]
-    fn tail_guard_narrows_bounds_to_safe() {
+    fn tail_guard_is_certified_in_bounds() {
         let r = check(
             "__global__ void k(int* out, int n) {
                 int id = blockIdx.x * blockDim.x + threadIdx.x;
@@ -1433,9 +1347,9 @@ mod tests {
     }
 
     #[test]
-    fn eq_guard_narrows_bounds() {
+    fn eq_guard_is_certified_in_bounds() {
         // Only thread 0 stores out[blockIdx.x + threadIdx.x]; the equality
-        // substitutes threadIdx.x = 0, so extent = grid size suffices.
+        // refines threadIdx.x to 0, so extent = grid size suffices.
         let r = check(
             "__global__ void k(float* out) {
                 float acc = 1.0f;

@@ -1755,28 +1755,52 @@ fn scalar_segment_fault_in_second_chunk_reports_oracle_thread() {
     }
 }
 
+/// A builtin kernel at its own launch: perf-suite kernels with their data,
+/// coverage kernels with zeroed buffers.
+fn builtin_launch(name: &str) -> (Kernel, LaunchConfig, Vec<Arg>, MemPool) {
+    use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
+    let (src, launch, bufs, scalars) = match perf_suite(Scale::Test)
+        .into_iter()
+        .find(|b| b.name() == name)
+    {
+        Some(b) => (b.source(), b.launch(), b.buffers(), b.scalars()),
+        None => {
+            let ck = triton_kernels()
+                .into_iter()
+                .chain(heteromark_kernels())
+                .find(|k| k.name == name)
+                .unwrap_or_else(|| panic!("{name} is not a builtin kernel"));
+            let bufs = ck.buffer_bytes.iter().map(|n| vec![0u8; *n]).collect();
+            (ck.source, ck.launch, bufs, ck.scalars)
+        }
+    };
+    let k = cucc::ir::parse_kernel(&src).unwrap();
+    let mut pool = MemPool::new();
+    let (mut bufs, mut scalars) = (bufs.iter(), scalars.iter());
+    let args: Vec<Arg> = k
+        .params
+        .iter()
+        .map(|p| match p {
+            cucc::ir::Param::Buffer { .. } => {
+                let data = bufs.next().unwrap();
+                let id = pool.alloc(data.len());
+                pool.write_all(id, data);
+                Arg::Buffer(id)
+            }
+            cucc::ir::Param::Scalar { .. } => Arg::Scalar(*scalars.next().unwrap()),
+        })
+        .collect();
+    (k, launch, args, pool)
+}
+
 /// `bert_layernorm` — dense prologue, a block reduction whose steps are
 /// `scalar` segments inside a uniform loop, dense epilogue — certified at
 /// its real extents and run under `CertMode::Validate`: the thread-major
 /// path must see in the lane rows the same indices the analysis saw.
 #[test]
 fn block_reduce_kernel_validates_its_certificates() {
-    let ck = cucc::workloads::triton_kernels()
-        .into_iter()
-        .find(|k| k.name == "bert_layernorm")
-        .expect("bert_layernorm is a builtin kernel");
-    let k = cucc::ir::parse_kernel(&ck.source).unwrap();
-    let mut pool = MemPool::new();
-    let (mut bufs, mut scalars) = (ck.buffer_bytes.iter(), ck.scalars.iter());
-    let args: Vec<Arg> = k
-        .params
-        .iter()
-        .map(|p| match p {
-            cucc::ir::Param::Buffer { .. } => Arg::Buffer(pool.alloc(*bufs.next().unwrap())),
-            cucc::ir::Param::Scalar { .. } => Arg::Scalar(*scalars.next().unwrap()),
-        })
-        .collect();
-    let mut prog = Program::compile(&k, ck.launch, &args).unwrap();
+    let (k, launch, args, pool) = builtin_launch("bert_layernorm");
+    let mut prog = Program::compile(&k, launch, &args).unwrap();
     let summary = prog.phase_summary();
     assert!(
         summary.contains("for(scalar[") && summary.contains("dense["),
@@ -1789,12 +1813,27 @@ fn block_reduce_kernel_validates_its_certificates() {
         "nothing certified: the test would check nothing"
     );
     let mut pool_a = pool.clone();
-    let ra = execute_launch(&k, ck.launch, &args, &mut pool_a);
+    let ra = execute_launch(&k, launch, &args, &mut pool_a);
     assert!(ra.is_ok(), "{ra:?}");
     for (what, prog) in variants(&prog) {
         let mut pool_b = pool.clone();
-        let rb = run_range(&prog, &mut pool_b, 0..ck.launch.num_blocks());
+        let rb = run_range(&prog, &mut pool_b, 0..launch.num_blocks());
         assert_same(what, &ra, &pool_a, &rb, &pool_b);
+    }
+}
+
+/// Loop nests whose every access the range analysis certifies at the
+/// kernel's own launch (a constant bound inside a loop, an inner loop
+/// re-entered by its outer one), run certified in every mode — `Validate`
+/// and `Elide`, lanes and detached: no `CertificateViolation`, and the
+/// oracle's memory.
+#[test]
+fn builtin_loop_nests_validate_their_certificates() {
+    for (name, certs) in [("hm_ga", (5, 5)), ("GA", (5, 5)), ("hm_kmeans", (3, 3))] {
+        let (k, launch, args, pool) = builtin_launch(name);
+        let (ra, stats) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        assert!(ra.is_ok(), "{name}: {ra:?}");
+        assert_eq!(stats, certs, "{name}: certified / memory instructions");
     }
 }
 

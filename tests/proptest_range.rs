@@ -227,7 +227,7 @@ proptest! {
     }
 
     /// The cert table itself is honest: `stats()` counts match the
-    /// per-access table, and certified slots imply certified accesses.
+    /// per-access table.
     #[test]
     fn cert_table_is_consistent(s in subject()) {
         let kernel = parse_kernel(&s.source()).unwrap();
@@ -242,14 +242,5 @@ proptest! {
         prop_assert!(certified <= total);
         let from_table = ra.certs.iter().filter(|c| c.certified).count();
         prop_assert_eq!(certified, from_table);
-        for (slot, all_ok) in ra.certified_slots() {
-            if all_ok {
-                prop_assert!(ra
-                    .certs
-                    .iter()
-                    .filter(|c| c.slot == slot)
-                    .all(|c| c.certified));
-            }
-        }
     }
 }
