@@ -551,3 +551,184 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------------ barrier placement --
+
+/// Where a generated condition or loop bound takes its value from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Thread,
+    Block,
+    Param,
+    /// A `__shared__` load.
+    Shared,
+    /// `w`, assigned under `if (threadIdx.x < 3)`.
+    Tainted,
+}
+
+impl Source {
+    const ALL: [Source; 5] = [
+        Source::Thread,
+        Source::Block,
+        Source::Param,
+        Source::Shared,
+        Source::Tainted,
+    ];
+
+    fn expr(self) -> &'static str {
+        match self {
+            Source::Thread => "threadIdx.x",
+            Source::Block => "blockIdx.x",
+            Source::Param => "n",
+            Source::Shared => "sh[1]",
+            Source::Tainted => "w",
+        }
+    }
+
+    fn thread_variant(self) -> bool {
+        matches!(self, Source::Thread | Source::Shared | Source::Tainted)
+    }
+}
+
+/// A nest of up to three `if`s / `for`s with one `__syncthreads()` under
+/// the first `depth` of them.
+#[derive(Debug, Clone)]
+struct BarrierNest {
+    /// `(is a for, where its condition or bound comes from)`, outermost
+    /// first.
+    levels: Vec<(bool, Source)>,
+    depth: usize,
+}
+
+impl BarrierNest {
+    fn source(&self) -> String {
+        let mut body = String::new();
+        for (i, (is_for, src)) in self.levels.iter().enumerate() {
+            if i == self.depth {
+                body += "__syncthreads(); ";
+            }
+            let e = src.expr();
+            body += &match is_for {
+                true => format!("for (int i{i} = 0; i{i} < {e}; i{i}++) {{ "),
+                false => format!("if ({e} < 2) {{ "),
+            };
+        }
+        if self.depth == self.levels.len() {
+            body += "__syncthreads(); ";
+        }
+        body += "out[id] = out[id] + 1; ";
+        body += &"} ".repeat(self.levels.len());
+        format!(
+            "__global__ void k(int* out, int n) {{
+                __shared__ int sh[32];
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                sh[threadIdx.x] = id;
+                int w = 0;
+                if (threadIdx.x < 3) w = 1;
+                {body}
+                out[id] = sh[threadIdx.x] + w;
+            }}"
+        )
+    }
+
+    /// Whether a level enclosing the barrier is thread-variant.
+    fn divergent(&self) -> bool {
+        self.levels[..self.depth]
+            .iter()
+            .any(|(_, s)| s.thread_variant())
+    }
+
+    /// Enclosing `if`s with a thread-uniform condition.
+    fn uniform_ifs(&self) -> usize {
+        (self.levels[..self.depth].iter())
+            .filter(|(is_for, s)| !is_for && !s.thread_variant())
+            .count()
+    }
+}
+
+fn barrier_nest() -> impl Strategy<Value = BarrierNest> {
+    prop::collection::vec((any::<bool>(), 0..Source::ALL.len()), 1..4)
+        .prop_flat_map(|levels| {
+            let n = levels.len();
+            (Just(levels), 0..=n)
+        })
+        .prop_map(|(levels, depth)| BarrierNest {
+            levels: levels
+                .into_iter()
+                .map(|(f, s)| (f, Source::ALL[s]))
+                .collect(),
+            depth,
+        })
+}
+
+/// The validator rejects a barrier exactly where the verifier's barrier
+/// rule (on the kernel as parsed, unvalidated) proves divergence, both
+/// agree with the nest, and on a kernel that validates the access walk
+/// calls it faithful exactly under launch-uniform levels and the lint
+/// counts the nest's uniform `if`s. Returns `[divergent, uniform-branch finding]`.
+fn check_barrier_placement(nest: &BarrierNest) -> [bool; 2] {
+    use crate::verify::{verify_launch, PropertyVerdict};
+    use cucc_ir::ValidateError;
+    let src = nest.source();
+    let kernel = parse_kernel(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let launch = LaunchConfig::new(2u32, 32u32);
+    let args = [Arg::Buffer(cucc_exec::BufferId(0)), Arg::int(3)];
+    let extents = [Some(64), None];
+    let validated = cucc_ir::validate(&kernel);
+    let report = verify_launch(&kernel, launch, &args, &extents, false, None);
+    assert_eq!(
+        validated == Err(ValidateError::DivergentBarrier),
+        report.barrier == PropertyVerdict::Must,
+        "{src}"
+    );
+    assert_eq!(validated.is_err(), nest.divergent(), "{src}: {validated:?}");
+    if validated.is_err() {
+        return [true, false];
+    }
+    // The distributable analysis trusts its forms only under launch-uniform
+    // barriers: a legal barrier under a `blockIdx` level is not.
+    let launch_uniform =
+        (nest.levels[..nest.depth].iter()).all(|(_, s)| !matches!(s, Source::Block));
+    assert_eq!(
+        KernelAccesses::of_kernel(&kernel).faithful,
+        launch_uniform,
+        "{src}"
+    );
+    let lint = crate::lint_kernel(&kernel, launch, &args, &extents, None).unwrap();
+    let uniform: Vec<&str> = (lint.diagnostics.iter())
+        .map(|d| d.message.as_str())
+        .filter(|m| m.starts_with("uniform branch barrier"))
+        .collect();
+    match nest.uniform_ifs() {
+        0 => assert!(uniform.is_empty(), "{src}: {uniform:?}"),
+        d => assert!(
+            uniform.len() == 1 && uniform[0].contains(&format!("sits under {d} provably")),
+            "{src}: {uniform:?}"
+        ),
+    }
+    [false, !uniform.is_empty()]
+}
+
+/// Generated barrier nests checked, divergent ones, uniform-branch findings.
+static NESTS: [AtomicUsize; 3] = [
+    AtomicUsize::new(0),
+    AtomicUsize::new(0),
+    AtomicUsize::new(0),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn corpus_barrier_placement_validator_verifier_and_lint_agree(nest in barrier_nest()) {
+        let [divergent, uniform] = check_barrier_placement(&nest);
+        let [cases, divergent, uniform] = [(0, true), (1, divergent), (2, uniform)]
+            .map(|(i, b)| NESTS[i].fetch_add(b as usize, Ordering::Relaxed) + b as usize);
+        if cases % 64 == 0 {
+            println!(
+                "barrier nests: {cases} cases, {divergent} divergent (validator and verifier \
+                 agree), {uniform} uniform-branch lint findings at the nest's depth"
+            );
+        }
+    }
+}

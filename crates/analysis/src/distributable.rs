@@ -30,8 +30,10 @@
 
 use crate::affine::{affine_of_expr, AffineForm, IdxVar, VarForms};
 use crate::poly::Poly;
-use crate::variance::{expr_variance, var_variance, Variance};
-use cucc_ir::{BinOp, Expr, Kernel, MemRef, ParamId, Stmt, ValueKind, VarId};
+use cucc_ir::{
+    barrier_sites, expr_variance, var_variance, BarrierSite, BinOp, Expr, Kernel, MemRef, ParamId,
+    Stmt, ValueKind, VarId, Variance,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -169,8 +171,10 @@ pub struct KernelAccesses {
     /// not a non-zero constant: nothing can raise `DivByZero`.
     pub no_div_by_zero: bool,
     /// The tree-walk computes what the forms say: every `__syncthreads()`
-    /// sits under launch-uniform control flow (no divergence trap) and no
-    /// integer cast narrower than 64 bits is looked through (no wrap).
+    /// sits under launch-uniform control flow ([`barrier_sites`]: no
+    /// enclosing condition or bound varies between threads or blocks, so no
+    /// divergence trap) and no integer cast narrower than 64 bits is looked
+    /// through (no wrap).
     pub faithful: bool,
 }
 
@@ -194,6 +198,8 @@ impl KernelAccesses {
             unranged: Vec::new(),
         };
         w.stmts(&kernel.body);
+        let variant = |s: &BarrierSite| s.control.thread || s.control.block;
+        w.out.faithful &= !barrier_sites(kernel, &w.variance).iter().any(variant);
         for v in w.unranged {
             if let Some(bounds) = w.out.loops.get_mut(&v) {
                 *bounds = None;
@@ -402,12 +408,7 @@ impl Walker<'_> {
                     self.loops.pop();
                     self.variant_loop = outer;
                 }
-                Stmt::SyncThreads => {
-                    let uniform = |g: &Guard| matches!(g.class, GuardClass::Uniform);
-                    if self.variant_loop || !self.guards.iter().all(uniform) {
-                        self.out.faithful = false;
-                    }
-                }
+                Stmt::SyncThreads => {}
                 Stmt::Return => self.out.no_return = false,
             }
         }

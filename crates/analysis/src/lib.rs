@@ -14,10 +14,12 @@
 //!
 //! * [`poly`] / [`affine`] — symbolic polynomial and affine-form machinery
 //!   used to reason about indices with launch-time-unknown values;
-//! * [`variance`] — thread-/block-variance taint analysis (condition 2),
-//!   and whether memory contents can steer the kernel
+//! * [`variance`] — whether memory contents can steer the kernel
 //!   ([`KernelAnalysis::content_steered`]: such a kernel's schedule is
-//!   never cached);
+//!   never cached), read off the one thread-/block-variance fixpoint
+//!   ([`cucc_ir::var_variance`], condition 2), which the validator's
+//!   barrier rule ([`cucc_ir::barrier_sites`]), the distributable and SIMD
+//!   analyses, the verifier and the lint all read;
 //! * [`distributable`] — the one walk over a kernel's accesses
 //!   ([`KernelAccesses`]) and, on its write sites, the **Allgather
 //!   distributable analysis**: decides whether a kernel's blocks can be
@@ -79,7 +81,7 @@ pub use range::{
     BranchFact, Interval, RangeAnalysis,
 };
 pub use simd::{analyze_simd, SimdClass, SimdReport};
-pub use variance::{content_steered, var_variance, Variance};
+pub use variance::content_steered;
 pub use verify::{
     analyze_block_races, canonical_check_input, cause_diagnostic, param_extents,
     reason_diagnostics, verify_accesses, verify_launch, Diagnostic, PropertyVerdict, RaceAnalysis,

@@ -12,8 +12,12 @@
 //! * `dead store` — a store to a `__shared__` or local array that the
 //!   kernel never reads back: the array is write-only, so the stores (and
 //!   any barrier protecting them) are dead work.
-//! * `redundant barrier` — a `__syncthreads()` in a kernel with no shared
-//!   memory accesses at all: there is nothing to synchronize.
+//! * `redundant barrier` — a `__syncthreads()` with nothing to order at
+//!   this launch: the kernel touches no shared memory, and every global
+//!   buffer it writes is accessed at one loop-free index that no two threads
+//!   of a block share, so no thread reads, overwrites or is overwritten by
+//!   another's element (read-after-write, write-after-read and
+//!   write-after-write all need two threads on one element).
 //! * `uniform branch barrier` — a barrier nested under `if`s whose
 //!   conditions are all provably thread-uniform: legal (no divergence), but
 //!   the barrier can be hoisted out of the conditional, where the phase
@@ -31,11 +35,14 @@
 //! `cucc-core::graph`, which owns the graph structure; it reuses this
 //! module's diagnostic shape.
 
+use crate::affine::IdxVar;
+use crate::footprint::{LaunchFootprints, ResolvedForm, SiteState};
 use crate::range::{analyze_ranges, param_slot_extents, RangeAnalysis};
-use crate::variance::{expr_variance, var_variance, Variance};
 use crate::verify::{Diagnostic, Rule, Severity, SiteRef};
+use cucc_exec::bytecode::injective;
 use cucc_exec::{Arg, Program};
-use cucc_ir::{Expr, Kernel, LaunchConfig, MemRef, SourceMap, Stmt};
+use cucc_ir::{barrier_sites, var_variance, Expr, Kernel, LaunchConfig, MemRef, SourceMap, Stmt};
+use std::collections::HashMap;
 
 /// Result of [`lint_kernel`]: findings plus the range-analysis coverage
 /// summary (`cucc check --builtin` prints the latter per kernel).
@@ -89,7 +96,7 @@ pub fn lint_kernel(
 
     let mut diags = Vec::new();
     lint_dead_stores(kernel, map, &mut diags);
-    lint_barriers(kernel, map, &mut diags);
+    lint_barriers(kernel, launch, args, map, &mut diags);
     lint_constant_conditions(&prog, &ra, map, &mut diags);
     lint_unreachable(&ra, &mut diags);
 
@@ -163,121 +170,85 @@ fn lint_dead_stores(kernel: &Kernel, map: Option<&SourceMap>, out: &mut Vec<Diag
 
 // -------------------------------------------------------------- barriers --
 
-/// Redundant and uniformly-guarded barriers.
-fn lint_barriers(kernel: &Kernel, map: Option<&SourceMap>, out: &mut Vec<Diagnostic>) {
-    // Does the kernel touch shared memory at all?
-    let mut touches_shared = false;
-    kernel.visit_stmts(&mut |s| {
-        if let Stmt::Store { mem, .. } | Stmt::AtomicRmw { mem, .. } = s {
-            touches_shared |= matches!(mem, MemRef::Shared(_));
-        }
-        s.visit_exprs(&mut |e| {
-            e.visit(&mut |e| {
-                if let Expr::Load {
-                    mem: MemRef::Shared(_),
-                    ..
-                } = e
-                {
-                    touches_shared = true;
-                }
-            });
-        });
-    });
-    let variance = var_variance(kernel);
-    let mut ordinal = 0usize;
-    walk_barriers(
-        &kernel.body,
-        &variance,
-        0,
-        touches_shared,
-        map,
-        &mut ordinal,
-        out,
-    );
-}
-
-fn walk_barriers(
-    stmts: &[Stmt],
-    variance: &[Variance],
-    uniform_depth: usize,
-    touches_shared: bool,
+/// Redundant and uniformly-guarded barriers, at the validator's sites
+/// ([`barrier_sites`]).
+fn lint_barriers(
+    kernel: &Kernel,
+    launch: LaunchConfig,
+    args: &[Arg],
     map: Option<&SourceMap>,
-    ordinal: &mut usize,
     out: &mut Vec<Diagnostic>,
 ) {
-    for s in stmts {
-        match s {
-            Stmt::SyncThreads => {
-                let mut d = None;
-                if !touches_shared {
-                    d = Some(info(
-                        "redundant barrier: the kernel never accesses shared memory, so \
-                         `__syncthreads()` has nothing to order"
-                            .into(),
-                    ));
-                } else if uniform_depth > 0 {
-                    d = Some(info(format!(
-                        "uniform branch barrier: `__syncthreads()` sits under {uniform_depth} \
-                         provably thread-uniform condition(s) — hoisting it out of the \
-                         conditional avoids per-phase condition re-evaluation"
-                    )));
-                }
-                if let Some(mut d) = d {
-                    d.site = Some(SiteRef {
-                        buffer: String::new(),
-                        ordinal: *ordinal,
-                        line: map.and_then(|m| m.barrier_lines.get(*ordinal).copied()),
-                    });
-                    out.push(d);
-                }
-                *ordinal += 1;
+    let sites = barrier_sites(kernel, &var_variance(kernel));
+    let redundant = !sites.is_empty() && !barrier_orders_memory(kernel, launch, args);
+    for (ordinal, site) in sites.iter().enumerate() {
+        let mut d = match (redundant, site.uniform_ifs) {
+            (true, _) => info(
+                "redundant barrier: no shared memory, and no two threads of a block touch one \
+                 element of global memory, so `__syncthreads()` has nothing to order"
+                    .into(),
+            ),
+            (false, 0) => continue,
+            (false, n) => info(format!(
+                "uniform branch barrier: `__syncthreads()` sits under {n} provably \
+                 thread-uniform condition(s) — hoisting it out of the conditional avoids \
+                 per-phase condition re-evaluation"
+            )),
+        };
+        d.site = Some(SiteRef::barrier(ordinal, map));
+        out.push(d);
+    }
+}
+
+/// Whether a barrier can order memory at this launch: the kernel touches
+/// shared memory, or some global buffer it writes is accessed by two
+/// threads of one block at one element. A buffer (the memory object a
+/// parameter is bound to, so two parameters bound to one buffer are one)
+/// whose every access takes one resolved, loop-free index form, injective
+/// over the threads of a block, is touched by each thread at its own
+/// element only — when the forms are faithful (no narrowing cast wraps
+/// them).
+fn barrier_orders_memory(kernel: &Kernel, launch: LaunchConfig, args: &[Arg]) -> bool {
+    // `analyze` is the `&Kernel` entry point that walks the accesses.
+    let acc = crate::analyze(kernel).accesses;
+    if !acc.faithful {
+        return true;
+    }
+    let fps = LaunchFootprints::of(&acc, launch, args);
+    let own = |f: &ResolvedForm| {
+        let mut c = [0i64; 3];
+        for d in &f.dims {
+            match (d.var, i64::try_from(d.stride)) {
+                (IdxVar::Thread(a), Ok(s)) => c[a as usize] = s,
+                _ => return false,
             }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                // A thread-variant branch containing a barrier is the
-                // verifier's MUST finding, not a lint; only count uniform
-                // nesting here.
-                let depth = if expr_variance(cond, variance).thread {
-                    uniform_depth
-                } else {
-                    uniform_depth + 1
-                };
-                walk_barriers(
-                    then_body,
-                    variance,
-                    depth,
-                    touches_shared,
-                    map,
-                    ordinal,
-                    out,
-                );
-                walk_barriers(
-                    else_body,
-                    variance,
-                    depth,
-                    touches_shared,
-                    map,
-                    ordinal,
-                    out,
-                );
-            }
-            Stmt::For { body, .. } => {
-                walk_barriers(
-                    body,
-                    variance,
-                    uniform_depth,
-                    touches_shared,
-                    map,
-                    ordinal,
-                    out,
-                );
-            }
-            _ => {}
+        }
+        injective(c, launch.block)
+    };
+    // Per buffer: written at all, and the one own-element index every
+    // access takes (`None` once one is not its thread's own or two differ).
+    let mut buffers = HashMap::new();
+    for (a, site) in acc.list.iter().zip(&fps.sites) {
+        let p = match a.mem {
+            MemRef::Shared(_) => return true,
+            MemRef::Local(_) => continue,
+            MemRef::Global(p) => p,
+        };
+        let index = match &site.state {
+            SiteState::Dead => continue,
+            SiteState::Resolved(f) if own(f) => Some((a.elem_size, f)),
+            _ => None,
+        };
+        let Some(Arg::Buffer(id)) = args.get(p.index()) else {
+            return true;
+        };
+        let (written, one) = buffers.entry(*id).or_insert((false, index));
+        *written |= a.write;
+        if *one != index {
+            *one = None;
         }
     }
+    (buffers.values()).any(|(written, one)| *written && one.is_none())
 }
 
 // --------------------------------------------------- constant conditions --
@@ -407,6 +378,79 @@ mod tests {
             .find(|d| d.message.starts_with("redundant barrier"))
             .unwrap();
         assert_eq!(d.site.as_ref().unwrap().line, Some(3));
+    }
+
+    /// `__syncthreads()` orders global memory too: each kernel below changes
+    /// its output when the barrier is deleted.
+    fn barrier_findings(src: &str, launch: LaunchConfig, args: &[Arg]) -> Vec<String> {
+        let (k, map) = parse_kernel_with_map(src).unwrap();
+        cucc_ir::validate(&k).unwrap();
+        let extents: Vec<_> = (args.iter())
+            .map(|a| matches!(a, Arg::Buffer(_)).then_some(64))
+            .collect();
+        let r = lint_kernel(&k, launch, args, &extents, Some(&map)).unwrap();
+        (r.diagnostics.iter())
+            .filter(|d| d.message.contains("barrier"))
+            .map(|d| d.message.clone())
+            .collect()
+    }
+
+    #[test]
+    fn barrier_ordering_a_neighbours_global_read_is_not_redundant() {
+        // Read-after-write: thread t reads the element thread t ^ 1 wrote.
+        let src = "__global__ void k(int* a, int* b) {
+            int t = blockIdx.x * blockDim.x + threadIdx.x;
+            a[t] = t;
+            __syncthreads();
+            b[t] = a[t ^ 1];
+        }";
+        let args = [Arg::Buffer(BufferId(0)), Arg::Buffer(BufferId(1))];
+        let found = barrier_findings(src, LaunchConfig::new(2u32, 4u32), &args);
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn barrier_ordering_two_writes_to_one_element_is_not_redundant() {
+        // Write-after-write: every thread of a block writes `out[blockIdx.x]`,
+        // then thread 5 overwrites it.
+        let src = "__global__ void k(float* out) {
+            out[blockIdx.x] = 1.0f;
+            __syncthreads();
+            if (threadIdx.x == 5) out[blockIdx.x] = 2.0f;
+        }";
+        let found = barrier_findings(
+            src,
+            LaunchConfig::new(2u32, 8u32),
+            &[Arg::Buffer(BufferId(0))],
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn barrier_redundancy_keys_on_the_buffer_and_the_block_shape() {
+        // Write-after-read through two parameters bound to one buffer.
+        let src = "__global__ void k(int* a, int* b) {
+            int t = threadIdx.x;
+            int v = a[t];
+            __syncthreads();
+            b[t + 1] = v;
+        }";
+        let one = [Arg::Buffer(BufferId(0)), Arg::Buffer(BufferId(0))];
+        let two = [Arg::Buffer(BufferId(0)), Arg::Buffer(BufferId(1))];
+        let launch = LaunchConfig::new(2u32, 8u32);
+        assert!(barrier_findings(src, launch, &one).is_empty());
+        let found = barrier_findings(src, launch, &two);
+        assert!(found[0].starts_with("redundant barrier"), "{found:?}");
+        // `threadIdx.x` is shared by the rows of a 2-D block.
+        let own = "__global__ void k(float* out) {
+            out[threadIdx.x] = 1.0f;
+            __syncthreads();
+            out[threadIdx.x] = 2.0f;
+        }";
+        let args = [Arg::Buffer(BufferId(0))];
+        assert!(barrier_findings(own, LaunchConfig::new(1u32, (4u32, 2u32)), &args).is_empty());
+        let found = barrier_findings(own, LaunchConfig::new(1u32, (4u32, 1u32)), &args);
+        assert!(found[0].starts_with("redundant barrier"), "{found:?}");
     }
 
     #[test]

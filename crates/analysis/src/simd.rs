@@ -20,8 +20,7 @@
 //!   efficiency.
 
 use crate::affine::{affine_of_expr, IdxVar, VarForms};
-use crate::variance::{expr_variance, var_variance, Variance};
-use cucc_ir::{Axis, Expr, Kernel, MemRef, Stmt, VarId};
+use cucc_ir::{expr_variance, var_variance, Axis, Expr, Kernel, MemRef, Stmt, VarId, Variance};
 use serde::{Deserialize, Serialize};
 
 /// Vectorization outcome class.

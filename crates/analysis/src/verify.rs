@@ -38,10 +38,9 @@ use crate::footprint::{
 };
 use crate::plan::ReplicationCause;
 use crate::range::{analyze_ranges, param_slot_extents};
-use crate::variance::{expr_variance, var_variance, Variance};
 use cucc_exec::bytecode::Inst;
 use cucc_exec::{Arg, BufferId, MemPool, Program};
-use cucc_ir::{Axis, Kernel, LaunchConfig, MemRef, Param, SourceMap, Stmt};
+use cucc_ir::{barrier_sites, var_variance, Axis, Kernel, LaunchConfig, MemRef, Param, SourceMap};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -154,6 +153,17 @@ pub struct SiteRef {
     pub ordinal: usize,
     /// 1-based source line, when the kernel came from `parse_kernel_with_map`.
     pub line: Option<u32>,
+}
+
+impl SiteRef {
+    /// The `ordinal`-th barrier ([`cucc_ir::barrier_sites`] order).
+    pub(crate) fn barrier(ordinal: usize, map: Option<&SourceMap>) -> SiteRef {
+        SiteRef {
+            buffer: String::new(),
+            ordinal,
+            line: map.and_then(|m| m.barrier_lines.get(ordinal).copied()),
+        }
+    }
 }
 
 /// One structured verifier finding.
@@ -356,7 +366,7 @@ pub fn verify_accesses(
     let race = analyze_block_races(kernel, acc, &fps, map);
     let (bounds, mut bounds_diags) =
         analyze_bounds(kernel, acc, &fps, args, extents, assumed_extents, map);
-    let (barrier, mut barrier_diags) = analyze_barriers(kernel, map);
+    let (barrier, mut barrier_diags) = barrier_rule(kernel, map);
 
     // A MUST verdict claims dynamic reproduction, which presumes the
     // witnessing blocks run to completion. If another rule says execution
@@ -981,85 +991,33 @@ pub(crate) fn access_pcs(
 
 // --------------------------------------------------------- barrier rule --
 
-/// Check barrier uniformity: `__syncthreads()` under thread-variant control
-/// flow diverges (some threads wait forever). Mirrors the validator's rule
-/// but reports structured diagnostics instead of rejecting the kernel, so
-/// builder-constructed kernels get the same scrutiny as parsed ones.
-fn analyze_barriers(
-    kernel: &Kernel,
-    map: Option<&SourceMap>,
-) -> (PropertyVerdict, Vec<Diagnostic>) {
-    let variance = var_variance(kernel);
-    let mut verdict = PropertyVerdict::Safe;
-    let mut diags = Vec::new();
-    let mut ordinal = 0usize;
-    fn walk(
-        stmts: &[Stmt],
-        variance: &[Variance],
-        variant: bool,
-        ordinal: &mut usize,
-        verdict: &mut PropertyVerdict,
-        diags: &mut Vec<Diagnostic>,
-        map: Option<&SourceMap>,
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::SyncThreads => {
-                    if variant {
-                        *verdict = verdict.join(PropertyVerdict::Must);
-                        if diags.len() < DIAG_CAP {
-                            let mut d = Diagnostic::new(
-                                Rule::Barrier,
-                                Severity::Must,
-                                "__syncthreads() under thread-variant control flow \
-                                 (threads diverge at the barrier)"
-                                    .into(),
-                            );
-                            d.site = Some(SiteRef {
-                                buffer: String::new(),
-                                ordinal: *ordinal,
-                                line: map.and_then(|m| m.barrier_lines.get(*ordinal).copied()),
-                            });
-                            diags.push(d);
-                        }
-                    }
-                    *ordinal += 1;
-                }
-                Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    let v = variant || expr_variance(cond, variance).thread;
-                    walk(then_body, variance, v, ordinal, verdict, diags, map);
-                    walk(else_body, variance, v, ordinal, verdict, diags, map);
-                }
-                Stmt::For {
-                    start,
-                    end,
-                    step,
-                    body,
-                    ..
-                } => {
-                    let bounds = expr_variance(start, variance)
-                        .join(expr_variance(end, variance))
-                        .join(expr_variance(step, variance));
-                    let v = variant || bounds.thread;
-                    walk(body, variance, v, ordinal, verdict, diags, map);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(
-        &kernel.body,
-        &variance,
-        false,
-        &mut ordinal,
-        &mut verdict,
-        &mut diags,
-        map,
-    );
+/// Barrier uniformity: a `__syncthreads()` under thread-variant control
+/// flow diverges (some threads wait forever). The sites are the
+/// validator's ([`barrier_sites`]); this reports them as structured
+/// diagnostics instead of rejecting the kernel, so builder-constructed
+/// kernels get the same scrutiny as parsed ones.
+fn barrier_rule(kernel: &Kernel, map: Option<&SourceMap>) -> (PropertyVerdict, Vec<Diagnostic>) {
+    let sites = barrier_sites(kernel, &var_variance(kernel));
+    let divergent: Vec<usize> = (sites.iter().enumerate())
+        .filter_map(|(ordinal, site)| site.control.thread.then_some(ordinal))
+        .collect();
+    let verdict = match divergent.is_empty() {
+        true => PropertyVerdict::Safe,
+        false => PropertyVerdict::Must,
+    };
+    let diags = (divergent.into_iter().take(DIAG_CAP))
+        .map(|ordinal| {
+            let mut d = Diagnostic::new(
+                Rule::Barrier,
+                Severity::Must,
+                "__syncthreads() under thread-variant control flow \
+                 (threads diverge at the barrier)"
+                    .into(),
+            );
+            d.site = Some(SiteRef::barrier(ordinal, map));
+            d
+        })
+        .collect();
     (verdict, diags)
 }
 
@@ -1422,10 +1380,10 @@ mod tests {
             Expr::ThreadIdx(Axis::X).lt(Expr::int(5)),
             vec![Stmt::SyncThreads],
         )];
-        let (v, d) = analyze_barriers(&bad, None);
+        let (v, d) = barrier_rule(&bad, None);
         assert_eq!(v, PropertyVerdict::Must);
         assert_eq!(d[0].rule, Rule::Barrier);
-        let (v2, _) = analyze_barriers(&k, None);
+        let (v2, _) = barrier_rule(&k, None);
         assert!(v2.is_safe());
     }
 

@@ -68,12 +68,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable or disable the per-launch consistency check.
-    pub fn verify_consistency(mut self, on: bool) -> Self {
-        self.verify_consistency = on;
-        self
-    }
-
     /// Blocks sampled per launch profile.
     pub fn profile_samples(mut self, samples: usize) -> Self {
         self.profile_samples = samples;
@@ -108,7 +102,6 @@ mod tests {
     fn builder_reaches_runtime_knobs() {
         let opts = RunOptions::builder()
             .fidelity(ExecutionFidelity::Modeled)
-            .verify_consistency(false)
             .node_threads(3)
             .profile_samples(5)
             .build();

@@ -59,9 +59,6 @@ pub struct RuntimeConfig {
     pub allgather_algo: AllgatherAlgo,
     /// Buffer placement (§2.3: CuCC uses balanced **in-place**).
     pub placement: AllgatherPlacement,
-    /// After every functional launch, assert that all written buffers are
-    /// identical on every node (the paper's consistency invariant).
-    pub verify_consistency: bool,
     /// Blocks sampled per profile.
     pub profile_samples: usize,
     /// Which executor runs functional blocks (the compiled lane engine by
@@ -91,7 +88,6 @@ impl Default for RuntimeConfig {
             fidelity: ExecutionFidelity::Functional,
             allgather_algo: AllgatherAlgo::Ring,
             placement: AllgatherPlacement::InPlace,
-            verify_consistency: true,
             profile_samples: 3,
             engine: EngineKind::default(),
             node_threads: 0,
@@ -106,7 +102,6 @@ impl RuntimeConfig {
     pub fn modeled() -> RuntimeConfig {
         RuntimeConfig {
             fidelity: ExecutionFidelity::Modeled,
-            verify_consistency: false,
             ..RuntimeConfig::default()
         }
     }

@@ -18,7 +18,7 @@
 //! * buffer params resolve to [`crate::memory::BufferId`]s in a dense
 //!   memory-slot table (see `Kernel::mem_slot`);
 //! * `__syncthreads()` phase boundaries are precomputed into a [`PhaseOp`]
-//!   tree instead of being rediscovered per block via `contains_barrier`.
+//!   tree instead of being rediscovered per block via `Stmt::has_barrier`.
 //!
 //! Execution of the compiled form lives in [`crate::lane`] (the engine) and
 //! [`crate::engine`] (its entry points and thread-major fallback). Every
@@ -27,9 +27,7 @@
 //! arithmetic, traffic counters), so `BlockStats` from both executors agree
 //! bit-for-bit — enforced by the differential proptest suite.
 
-use crate::interp::{
-    check_args, contains_barrier, eval_binop, eval_intrinsic, eval_unop, Arg, ExecError,
-};
+use crate::interp::{check_args, eval_binop, eval_intrinsic, eval_unop, Arg, ExecError};
 use crate::memory::BufferId;
 use crate::stats::intrinsic_weight;
 use cucc_ir::{
@@ -1374,10 +1372,10 @@ impl<'a> Compiler<'a> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < stmts.len() {
-            if !contains_barrier(&stmts[i]) {
+            if !stmts[i].has_barrier() {
                 let start = self.here();
                 let s0 = i;
-                while i < stmts.len() && !contains_barrier(&stmts[i]) {
+                while i < stmts.len() && !stmts[i].has_barrier() {
                     i += 1;
                 }
                 for s in &stmts[s0..i] {
@@ -1444,7 +1442,7 @@ impl<'a> Compiler<'a> {
                         else_ops,
                     });
                 }
-                // `contains_barrier` is only true for the three shapes
+                // `Stmt::has_barrier` is only true for the three shapes
                 // above; mirror the interpreter's defensive error.
                 _ => return Err(ExecError::DivergentBarrier),
             }
@@ -1868,7 +1866,7 @@ fn index_form(code: &[Inst], pools: &Pools, start: u32, at: u32, r: Reg) -> Opti
 /// the axes with extent > 1 by ascending `|c|`, each `|c|` must exceed the
 /// widest span the axes before it reach, `Σ |c|·(extent − 1)` — a
 /// mixed-radix numbering. For a 1-D block: `c.x ≠ 0`.
-fn injective(c: [i64; 3], block: Dim3) -> bool {
+pub fn injective(c: [i64; 3], block: Dim3) -> bool {
     let mut axes: Vec<(u64, u64)> = [Axis::X, Axis::Y, Axis::Z]
         .into_iter()
         .filter(|a| block.get(*a) > 1)

@@ -397,19 +397,6 @@ pub fn check_args(kernel: &Kernel, args: &[Arg]) -> Result<(), ExecError> {
     Ok(())
 }
 
-pub(crate) fn contains_barrier(s: &Stmt) -> bool {
-    match s {
-        Stmt::SyncThreads => true,
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => then_body.iter().any(contains_barrier) || else_body.iter().any(contains_barrier),
-        Stmt::For { body, .. } => body.iter().any(contains_barrier),
-        _ => false,
-    }
-}
-
 impl<'a> Interp<'a> {
     /// Run a statement list with barrier-phase semantics: maximal
     /// barrier-free runs execute thread-by-thread to completion; barriers
@@ -417,9 +404,9 @@ impl<'a> Interp<'a> {
     fn run_phased(&mut self, stmts: &[Stmt], envs: &mut [Env]) -> Result<(), ExecError> {
         let mut i = 0;
         while i < stmts.len() {
-            if !contains_barrier(&stmts[i]) {
+            if !stmts[i].has_barrier() {
                 let start = i;
-                while i < stmts.len() && !contains_barrier(&stmts[i]) {
+                while i < stmts.len() && !stmts[i].has_barrier() {
                     i += 1;
                 }
                 let run = &stmts[start..i];

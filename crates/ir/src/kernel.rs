@@ -307,19 +307,7 @@ impl Kernel {
 
     /// True if the kernel contains any `__syncthreads()` barrier.
     pub fn has_barrier(&self) -> bool {
-        fn block_has(stmts: &[Stmt]) -> bool {
-            stmts.iter().any(|s| match s {
-                Stmt::SyncThreads => true,
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => block_has(then_body) || block_has(else_body),
-                Stmt::For { body, .. } => block_has(body),
-                _ => false,
-            })
-        }
-        block_has(&self.body)
+        self.body.iter().any(Stmt::has_barrier)
     }
 
     /// Visit every statement in the kernel (pre-order, nested blocks

@@ -27,6 +27,8 @@
 //!
 //! A structural [`validate::validate`] pass checks the invariants the rest of
 //! the pipeline relies on (def-before-use, barrier placement, type kinds).
+//! Barrier placement and the distributable analysis read one thread-variance
+//! fixpoint, [`variance::var_variance`].
 
 pub mod build;
 pub mod expr;
@@ -38,6 +40,7 @@ pub mod printer;
 pub mod stmt;
 pub mod types;
 pub mod validate;
+pub mod variance;
 
 pub use build::KernelBuilder;
 pub use expr::{BinOp, Expr, Intrinsic, UnOp};
@@ -48,3 +51,4 @@ pub use parse::{parse_kernel, parse_kernel_with_map, ParseError, SourceMap};
 pub use stmt::{AtomicOp, Stmt};
 pub use types::{Axis, MemSpace, Scalar, Value, ValueKind};
 pub use validate::{validate, ValidateError};
+pub use variance::{barrier_sites, expr_variance, var_variance, BarrierSite, Variance};

@@ -98,6 +98,20 @@ impl Stmt {
         }
     }
 
+    /// True if this statement is or contains a `__syncthreads()` barrier.
+    pub fn has_barrier(&self) -> bool {
+        match self {
+            Stmt::SyncThreads => true,
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => then_body.iter().chain(else_body).any(Stmt::has_barrier),
+            Stmt::For { body, .. } => body.iter().any(Stmt::has_barrier),
+            _ => false,
+        }
+    }
+
     /// Visit every expression appearing directly in this statement
     /// (not recursing into nested statements).
     pub fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {

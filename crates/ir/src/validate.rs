@@ -17,15 +17,21 @@
 //! * subscripts are integers, as in C;
 //! * integer-only operators (`% & | ^ << >> ~`) receive integer operands;
 //! * intrinsic calls have the right arity;
-//! * `__syncthreads()` appears only in *uniform* control flow — at the top
-//!   level or inside loops whose bounds are thread-invariant — mirroring
-//!   CUDA's requirement that all threads of a block reach the same barrier;
+//! * `__syncthreads()` appears only in *uniform* control flow — under no
+//!   `if` condition and no `for` bound that can differ between the threads
+//!   of a block — mirroring CUDA's requirement that all threads of a block
+//!   reach the same barrier. The thread-variance taint is
+//!   [`crate::variance::var_variance`], shared with the
+//!   Allgather-distributable analysis (paper §6.2, condition 2), and the
+//!   sites are [`crate::variance::barrier_sites`], which the verifier and
+//!   the lint read too;
 //! * `return` is absent from kernels that contain barriers.
 
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel::{Kernel, MemRef, Param, VarId};
 use crate::stmt::Stmt;
 use crate::types::ValueKind;
+use crate::variance::{barrier_sites, var_variance};
 use std::fmt;
 
 /// A validation failure.
@@ -345,174 +351,23 @@ fn check_kinds(kernel: &Kernel) -> Result<(), ValidateError> {
     result
 }
 
-/// Compute which variables are *thread-variant*: their value can differ
-/// between threads of the same block.
-///
-/// A variable is thread-variant if any of its assignments reads `threadIdx`,
-/// loads from memory, or reads another thread-variant variable. Loop
-/// induction variables are thread-variant if the loop bounds are. This is a
-/// conservative taint analysis shared with the Allgather-distributable
-/// analysis (paper §6.2, condition 2).
-pub fn thread_variant_vars(kernel: &Kernel) -> Vec<bool> {
-    let n = kernel.num_vars();
-    let mut variant = vec![false; n];
-    let expr_variant = |e: &Expr, variant: &[bool]| -> bool {
-        let mut tainted = false;
-        e.visit(&mut |node| match node {
-            Expr::ThreadIdx(_) | Expr::Load { .. } => tainted = true,
-            Expr::Var(v) if variant[v.index()] => tainted = true,
-            _ => {}
-        });
-        tainted
-    };
-    // Iterate to a fixed point (taint can flow through reassignments in
-    // loops, e.g. `x = x + threadIdx.x`).
-    loop {
-        let mut changed = false;
-        kernel.visit_stmts(&mut |s| match s {
-            Stmt::Assign { var, value }
-                if !variant[var.index()] && expr_variant(value, &variant) =>
-            {
-                variant[var.index()] = true;
-                changed = true;
-            }
-            Stmt::For {
-                var,
-                start,
-                end,
-                step,
-                ..
-            } if !variant[var.index()]
-                && (expr_variant(start, &variant)
-                    || expr_variant(end, &variant)
-                    || expr_variant(step, &variant)) =>
-            {
-                variant[var.index()] = true;
-                changed = true;
-            }
-            _ => {}
-        });
-        // Control-dependence taint: assignments under thread-variant
-        // conditions are thread-variant too.
-        fn control(
-            stmts: &[Stmt],
-            under_variant: bool,
-            variant: &mut Vec<bool>,
-            changed: &mut bool,
-            expr_variant: &impl Fn(&Expr, &[bool]) -> bool,
-        ) {
-            for s in stmts {
-                match s {
-                    Stmt::Assign { var, .. } if under_variant && !variant[var.index()] => {
-                        variant[var.index()] = true;
-                        *changed = true;
-                    }
-                    Stmt::If {
-                        cond,
-                        then_body,
-                        else_body,
-                    } => {
-                        let v = under_variant || expr_variant(cond, variant);
-                        control(then_body, v, variant, changed, expr_variant);
-                        control(else_body, v, variant, changed, expr_variant);
-                    }
-                    Stmt::For {
-                        var,
-                        start,
-                        end,
-                        step,
-                        body,
-                    } => {
-                        let bounds_variant = expr_variant(start, variant)
-                            || expr_variant(end, variant)
-                            || expr_variant(step, variant);
-                        let v = under_variant || bounds_variant;
-                        if v && !variant[var.index()] {
-                            variant[var.index()] = true;
-                            *changed = true;
-                        }
-                        control(body, v, variant, changed, expr_variant);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        control(
-            &kernel.body,
-            false,
-            &mut variant,
-            &mut changed,
-            &expr_variant,
-        );
-        if !changed {
-            break;
-        }
-    }
-    variant
-}
-
+/// `return` never shares a kernel with a barrier, and no barrier sits
+/// under thread-variant control flow ([`barrier_sites`], over the variance
+/// fixpoint the distributable analysis reads).
 fn check_barriers(kernel: &Kernel) -> Result<(), ValidateError> {
     if !kernel.has_barrier() {
         return Ok(());
     }
-    // No `return` may coexist with barriers.
     let mut has_return = false;
-    kernel.visit_stmts(&mut |s| {
-        if matches!(s, Stmt::Return) {
-            has_return = true;
-        }
-    });
+    kernel.visit_stmts(&mut |s| has_return |= matches!(s, Stmt::Return));
     if has_return {
         return Err(ValidateError::ReturnWithBarrier);
     }
-
-    let variant = thread_variant_vars(kernel);
-    let expr_variant = |e: &Expr| -> bool {
-        let mut tainted = false;
-        e.visit(&mut |node| match node {
-            Expr::ThreadIdx(_) | Expr::Load { .. } => tainted = true,
-            Expr::Var(v) if variant[v.index()] => tainted = true,
-            _ => {}
-        });
-        tainted
-    };
-
-    fn walk(
-        stmts: &[Stmt],
-        uniform: bool,
-        expr_variant: &impl Fn(&Expr) -> bool,
-    ) -> Result<(), ValidateError> {
-        for s in stmts {
-            match s {
-                Stmt::SyncThreads if !uniform => return Err(ValidateError::DivergentBarrier),
-                Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    let u = uniform && !expr_variant(cond);
-                    walk(then_body, u, expr_variant)?;
-                    walk(else_body, u, expr_variant)?;
-                }
-                Stmt::For {
-                    start,
-                    end,
-                    step,
-                    body,
-                    ..
-                } => {
-                    let u = uniform
-                        && !expr_variant(start)
-                        && !expr_variant(end)
-                        && !expr_variant(step);
-                    walk(body, u, expr_variant)?;
-                }
-                _ => {}
-            }
-        }
-        Ok(())
+    let sites = barrier_sites(kernel, &var_variance(kernel));
+    match sites.iter().any(|s| s.control.thread) {
+        true => Err(ValidateError::DivergentBarrier),
+        false => Ok(()),
     }
-    walk(&kernel.body, true, &expr_variant)
 }
 
 #[cfg(test)]
@@ -727,35 +582,6 @@ mod tests {
         b.if_then(Expr::ThreadIdx(Axis::X).lt(Expr::int(1)), |b| b.ret());
         b.sync_threads();
         assert_eq!(validate(&b.finish()), Err(ValidateError::ReturnWithBarrier));
-    }
-
-    #[test]
-    fn thread_variance_propagates_through_vars() {
-        let mut b = KernelBuilder::new("k");
-        let _buf = b.buffer("out", Scalar::I32);
-        let a = b.let_("a", Expr::ThreadIdx(Axis::X));
-        let c = b.let_("c", Expr::Var(a).add(Expr::int(1)));
-        let d = b.let_("d", Expr::BlockIdx(Axis::X));
-        let k = b.finish();
-        let v = thread_variant_vars(&k);
-        assert!(v[a.index()]);
-        assert!(v[c.index()]);
-        assert!(!v[d.index()]);
-    }
-
-    #[test]
-    fn control_dependent_taint() {
-        // x assigned under a thread-variant condition is thread-variant even
-        // though the assigned value is uniform.
-        let mut b = KernelBuilder::new("k");
-        let _buf = b.buffer("out", Scalar::I32);
-        let x = b.var("x", Scalar::I32);
-        b.assign(x, Expr::int(0));
-        b.if_then(Expr::ThreadIdx(Axis::X).lt(Expr::int(1)), |b| {
-            b.assign(x, Expr::int(5));
-        });
-        let k = b.finish();
-        assert!(thread_variant_vars(&k)[x.index()]);
     }
 
     #[test]

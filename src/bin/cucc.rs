@@ -126,7 +126,7 @@ const SHARED: &[Flag] = &[
     Flag { name: "--seed", short: None, value: Some("S"), help: "RNG seed for buffer data or the job stream (default 42)",
         set: |o, f, v| num(f, v).map(|s| o.seed = s) },
     Flag { name: "--modeled", short: None, value: None, help: "timing-only: skip functional execution",
-        set: |o, _, _| { (o.run.fidelity, o.run.verify_consistency) = (ExecutionFidelity::Modeled, false); Ok(()) } },
+        set: |o, _, _| { o.run.fidelity = ExecutionFidelity::Modeled; Ok(()) } },
     Flag { name: "--engine", short: None, value: Some("tree|lane"),
         help: "functional executor (default lane; bytecode and simd are accepted as lane)",
         set: |o, f, v| EngineKind::parse(v).map(|e| o.run.engine = e)
