@@ -15,19 +15,23 @@
 //!   memory instruction of the compiled program address the same memory,
 //!   one for one, and every access whose raw affine range lies inside its
 //!   extent is certified (or unreachable) by the range analysis, so the
-//!   verifier loses nothing by proving bounds through certificates alone.
+//!   verifier loses nothing by proving bounds through certificates alone;
+//! * **one launch resolution** — the verifier's report, the lint findings
+//!   and the certificate counts read off a launch's facts are the same
+//!   whether the facts borrow the certified program the launch runs (the
+//!   sanitizer's path) or compile the kernel afresh (`cucc check`'s path).
 //!
 //! All print their case counts (`cargo test -p cucc-analysis corpus --
 //! --nocapture`).
 
 use crate::distributable::{analyze_kernel, KernelAccesses};
-use crate::footprint::{LaunchFootprints, SiteState};
+use crate::footprint::{LaunchFacts, LaunchFootprints, SiteState};
 use crate::oracle::verify_plan;
 use crate::plan::{plan_launch, Plan, ReplicationCause};
-use crate::range::{analyze_ranges, param_slot_extents};
-use crate::verify::{access_pcs, param_extents};
+use crate::range::{analyze_ranges, certify_program, global_extents, CompiledLaunch};
+use crate::verify::{access_pcs, verify};
 use cucc_exec::bytecode::Inst;
-use cucc_exec::{execute_block_traced, Arg, MemPool, Program};
+use cucc_exec::{execute_block_traced, Arg, BufferId, CertMode, MemPool, Program};
 use cucc_ir::{parse_kernel, Kernel, LaunchConfig, Param, Value};
 use cucc_workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
 use proptest::prelude::*;
@@ -47,6 +51,11 @@ struct Case {
 }
 
 impl Case {
+    /// Byte size of a buffer of the case's pool.
+    fn size_of(&self, b: BufferId) -> Option<usize> {
+        (b.index() < self.pool.len()).then(|| self.pool.size_of(b))
+    }
+
     fn new(
         name: &str,
         src: &str,
@@ -279,7 +288,6 @@ fn check_bounds_parity(case: &Case) -> [usize; 3] {
         kernel,
         launch,
         args,
-        pool,
         ..
     } = case;
     let acc = KernelAccesses::of_kernel(kernel);
@@ -301,7 +309,7 @@ fn check_bounds_parity(case: &Case) -> [usize; 3] {
     );
     let pcs = access_pcs(kernel, &acc, &prog).expect("paired one for one");
 
-    let extents = param_slot_extents(&prog, args, &param_extents(kernel, args, pool));
+    let extents = global_extents(&prog, |b| case.size_of(b));
     let ra = analyze_ranges(&prog, &extents);
     let fps = LaunchFootprints::of(&acc, *launch, args);
     let mut counts = [acc.list.len(), 0, 0];
@@ -334,6 +342,67 @@ fn report_parity(what: &str, totals: [usize; 3], cases: usize) {
          {affine} inside their extent by the raw affine range, every one certified; \
          {proven} certified or unreachable in all"
     );
+}
+
+/// Build one case's launch facts both ways and require the same verdicts,
+/// lint findings and certificate counts: from the accesses and the program
+/// a launch holds (compiled and certified in `CertMode::Validate`, as
+/// `--sanitize` runs it) and afresh. Returns `[certified accesses, lint findings, diagnostics]`.
+fn check_facts_parity(case: &Case) -> [usize; 3] {
+    let Case {
+        kernel,
+        launch,
+        args,
+        ..
+    } = case;
+    let acc = KernelAccesses::of_kernel(kernel);
+    let mut program =
+        Program::compile(kernel, *launch, args).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+    let exts = global_extents(&program, |b| case.size_of(b));
+    let ranges = certify_program(&mut program, &exts, CertMode::Validate);
+    let launched = CompiledLaunch { program, ranges };
+    // The launch holds the kernel's accesses and its program; `check` holds neither.
+    let [ran, fresh] = [(Some(&acc), Some(&launched)), (None, None)]
+        .map(|(a, c)| LaunchFacts::of(kernel, a, *launch, args, |b| case.size_of(b), c));
+    let [v_ran, v_fresh] = [&ran, &fresh].map(|f| verify(f, false, None));
+    assert_eq!(v_ran, v_fresh, "{}: verifier", case.name);
+    let [l_ran, l_fresh] = [&ran, &fresh].map(|f| crate::lint_kernel(f, None).unwrap());
+    assert_eq!(
+        l_ran.diagnostics, l_fresh.diagnostics,
+        "{}: lint",
+        case.name
+    );
+    assert_eq!(l_ran.cert_stats, l_fresh.cert_stats, "{}: certs", case.name);
+    assert_eq!(
+        l_ran.reach_stats, l_fresh.reach_stats,
+        "{}: reach",
+        case.name
+    );
+    let findings = l_ran.diagnostics.len();
+    [l_ran.cert_stats.0, findings, v_ran.diagnostics.len()]
+}
+
+#[test]
+fn corpus_launch_facts_agree_from_the_launched_program_and_fresh() {
+    for (what, cases) in [
+        ("builtin kernels", builtin_cases()),
+        ("shape kernels", shape_cases()),
+    ] {
+        let mut totals = [0; 3];
+        for c in &cases {
+            for (t, n) in totals.iter_mut().zip(check_facts_parity(c)) {
+                *t += n;
+            }
+        }
+        let [certified, lints, diags] = totals;
+        println!(
+            "launch facts parity over {} {what}: equal verify reports ({diags} diagnostics), \
+             lint findings ({lints}) and certificate counts ({certified} certified accesses) \
+             from the launched program and afresh",
+            cases.len()
+        );
+        assert!(certified > 0);
+    }
 }
 
 #[test]
@@ -667,15 +736,15 @@ fn barrier_nest() -> impl Strategy<Value = BarrierNest> {
 /// calls it faithful exactly under launch-uniform levels and the lint
 /// counts the nest's uniform `if`s. Returns `[divergent, uniform-branch finding]`.
 fn check_barrier_placement(nest: &BarrierNest) -> [bool; 2] {
-    use crate::verify::{verify_launch, PropertyVerdict};
+    use crate::verify::PropertyVerdict;
     use cucc_ir::ValidateError;
     let src = nest.source();
     let kernel = parse_kernel(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
     let launch = LaunchConfig::new(2u32, 32u32);
-    let args = [Arg::Buffer(cucc_exec::BufferId(0)), Arg::int(3)];
-    let extents = [Some(64), None];
+    let args = [Arg::Buffer(BufferId(0)), Arg::int(3)];
+    let facts = LaunchFacts::of(&kernel, None, launch, &args, |_| Some(64 * 4), None);
     let validated = cucc_ir::validate(&kernel);
-    let report = verify_launch(&kernel, launch, &args, &extents, false, None);
+    let report = verify(&facts, false, None);
     assert_eq!(
         validated == Err(ValidateError::DivergentBarrier),
         report.barrier == PropertyVerdict::Must,
@@ -689,12 +758,8 @@ fn check_barrier_placement(nest: &BarrierNest) -> [bool; 2] {
     // barriers: a legal barrier under a `blockIdx` level is not.
     let launch_uniform =
         (nest.levels[..nest.depth].iter()).all(|(_, s)| !matches!(s, Source::Block));
-    assert_eq!(
-        KernelAccesses::of_kernel(&kernel).faithful,
-        launch_uniform,
-        "{src}"
-    );
-    let lint = crate::lint_kernel(&kernel, launch, &args, &extents, None).unwrap();
+    assert_eq!(facts.accesses.faithful, launch_uniform, "{src}");
+    let lint = crate::lint_kernel(&facts, None).unwrap();
     let uniform: Vec<&str> = (lint.diagnostics.iter())
         .map(|d| d.message.as_str())
         .filter(|m| m.starts_with("uniform branch barrier"))

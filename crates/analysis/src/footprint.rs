@@ -10,10 +10,13 @@
 //! ([`BufferFootprint::byte_ranges`], for the graph communication optimizer
 //! in `cucc-core`), whether two blocks can write one element
 //! ([`crate::verify::analyze_block_races`]), whether an index can leave its
-//! buffer (the bounds rule of [`crate::verify::verify_launch`]), how many
+//! buffer (the bounds rule of [`crate::verify::verify`]), how many
 //! leading blocks pass a tail guard in every thread
 //! ([`crate::plan::full_blocks_under_guard`]), and which region each node
 //! gathers ([`crate::plan::plan_launch`], which reads nothing else).
+//! [`LaunchFacts`] carries that value together with the kernel compiled for
+//! the launch and its range analysis: the one launch resolution the
+//! verifier and the lint read.
 //!
 //! # The `Must` direction
 //!
@@ -45,9 +48,10 @@
 use crate::affine::{AffineForm, IdxVar};
 use crate::distributable::{Access, Comparison, GuardClass, KernelAccesses, TailGuard};
 use crate::poly::{Poly, Sym};
-use crate::range::Interval;
-use cucc_exec::Arg;
-use cucc_ir::{Axis, Dim3, LaunchConfig, MemRef, ParamId, Value, VarId};
+use crate::range::{analyze_ranges, global_extents, CompiledLaunch, Interval};
+use cucc_exec::{Arg, BufferId, Program};
+use cucc_ir::{Axis, Dim3, Kernel, LaunchConfig, MemRef, ParamId, Value, VarId};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Per-site offset-set enumeration budget (elements). Beyond this the race
@@ -647,6 +651,80 @@ impl LaunchFootprints {
         };
         let sites = acc.writes().filter(|(_, q, _)| *q == p);
         sites.filter_map(exact).collect()
+    }
+}
+
+/// One launch as the launch-time rules read it, resolved once: the
+/// footprints, the kernel compiled for the launch and the range analysis
+/// over that program. The verifier ([`crate::verify()`]) and the lint
+/// ([`crate::lint_kernel`]) read it; a sanitized launch builds it from the
+/// program it runs. Buffers are measured in bytes: an extent is a byte size
+/// over the element size of the parameter (or slot, [`global_extents`])
+/// that reads it, so two parameters bound to one buffer each get their own.
+#[derive(Debug)]
+pub struct LaunchFacts<'a> {
+    /// The kernel as launched.
+    pub kernel: &'a Kernel,
+    /// Its accesses ([`KernelAccesses::of_kernel`]).
+    pub accesses: Cow<'a, KernelAccesses>,
+    /// The launch's arguments.
+    pub args: &'a [Arg],
+    /// The accesses resolved against the launch.
+    pub footprints: LaunchFootprints,
+    /// Byte size of the buffer bound to each parameter (`None`: a scalar, or unknown).
+    bytes: Vec<Option<usize>>,
+    /// The launch's program and its range analysis, or why it does not compile.
+    pub compiled: Result<Cow<'a, CompiledLaunch>, String>,
+}
+
+impl<'a> LaunchFacts<'a> {
+    /// The facts of `kernel` launched as `launch` on `args`, whose buffers
+    /// hold `size_of` bytes. A caller holding the kernel's `accesses` (a
+    /// compiled kernel's `analysis.accesses`) or the program the launch
+    /// runs (`compiled`, for this launch and these arguments) passes them;
+    /// what it does not hold is walked, or compiled and range-analysed, here.
+    pub fn of(
+        kernel: &'a Kernel,
+        accesses: Option<&'a KernelAccesses>,
+        launch: LaunchConfig,
+        args: &'a [Arg],
+        size_of: impl Fn(BufferId) -> Option<usize>,
+        compiled: Option<&'a CompiledLaunch>,
+    ) -> LaunchFacts<'a> {
+        let compiled = match compiled {
+            Some(c) => Ok(Cow::Borrowed(c)),
+            None => Program::compile(kernel, launch, args)
+                .map(|program| {
+                    let ranges = analyze_ranges(&program, &global_extents(&program, &size_of));
+                    Cow::Owned(CompiledLaunch { program, ranges })
+                })
+                .map_err(|e| e.to_string()),
+        };
+        let bytes = (args.iter())
+            .map(|a| match a {
+                Arg::Buffer(b) => size_of(*b),
+                Arg::Scalar(_) => None,
+            })
+            .collect();
+        let accesses = accesses.map_or_else(
+            || Cow::Owned(KernelAccesses::of_kernel(kernel)),
+            Cow::Borrowed,
+        );
+        let footprints = LaunchFootprints::of(&accesses, launch, args);
+        LaunchFacts {
+            kernel,
+            accesses,
+            args,
+            footprints,
+            bytes,
+            compiled,
+        }
+    }
+
+    /// Element count of the buffer bound to global parameter `p`.
+    pub(crate) fn extent(&self, p: ParamId) -> Option<u64> {
+        let elem = self.kernel.elem_type(MemRef::Global(p)).size();
+        self.bytes[p.index()].map(|b| (b / elem) as u64)
     }
 }
 

@@ -9,8 +9,14 @@
 //! guards, enclosing loops; then launch level, [`LaunchFootprints::of`]
 //! (once per launch): every access in numbers. Byte ranges
 //! ([`BufferFootprint::byte_ranges`]), races ([`analyze_block_races`]),
-//! bounds ([`verify_launch`]), full blocks ([`full_blocks_under_guard`])
-//! and gathered regions ([`plan_launch`]) are all read off that one value.
+//! full blocks ([`full_blocks_under_guard`]) and gathered regions
+//! ([`plan_launch`]) are all read off that one value. The launch-time
+//! rules read one value built around it, [`LaunchFacts::of`]: the
+//! footprints, the kernel compiled for the launch and its
+//! [`RangeAnalysis`], with buffers measured in bytes. The verifier
+//! ([`verify()`]) and the lint ([`lint_kernel`]) read it, `cucc check`
+//! builds it once per target, and a sanitized launch builds it from the
+//! program it runs.
 //!
 //! * [`poly`] / [`affine`] — symbolic polynomial and affine-form machinery
 //!   used to reason about indices with launch-time-unknown values;
@@ -41,7 +47,7 @@
 //!   the static analysis sound);
 //! * [`simd`] — vectorizability analysis of the transformed thread loop,
 //!   driving the SIMD-Focused vs Thread-Focused performance model (§8.2);
-//! * [`verify`] — the **kernel verifier**: static inter-block race /
+//! * [`mod@verify`] — the **kernel verifier**: static inter-block race /
 //!   out-of-bounds / barrier-divergence checking on a MAY/MUST/UNKNOWN
 //!   lattice, cross-validated by the dynamic sanitizer in `cucc-exec`;
 //! * [`range`] — flow-sensitive interval **abstract interpretation** over
@@ -68,7 +74,7 @@ pub use distributable::{
     analyze_kernel, Access, GatherBuffer, Guard, GuardClass, KernelAccesses, KernelMeta, Reason,
     TailGuard, Verdict,
 };
-pub use footprint::{BlockInterval, BufferFootprint, LaunchFootprints};
+pub use footprint::{BlockInterval, BufferFootprint, LaunchFacts, LaunchFootprints};
 pub use lint::{lint_kernel, LintReport};
 pub use oracle::{verify_plan, OracleReport};
 pub use plan::{
@@ -77,15 +83,14 @@ pub use plan::{
 };
 pub use poly::{Poly, Sym};
 pub use range::{
-    analyze_ranges, certify_program, global_extents, param_slot_extents, AccessCert, AccessKind,
-    BranchFact, Interval, RangeAnalysis,
+    analyze_ranges, certify_program, global_extents, AccessCert, AccessKind, BranchFact,
+    CompiledLaunch, Interval, RangeAnalysis,
 };
 pub use simd::{analyze_simd, SimdClass, SimdReport};
 pub use variance::content_steered;
 pub use verify::{
-    analyze_block_races, canonical_check_input, cause_diagnostic, param_extents,
-    reason_diagnostics, verify_accesses, verify_launch, Diagnostic, PropertyVerdict, RaceAnalysis,
-    Rule, Severity, SiteRef, VerifyReport,
+    analyze_block_races, canonical_check_input, cause_diagnostic, reason_diagnostics, verify,
+    Diagnostic, PropertyVerdict, RaceAnalysis, Rule, Severity, SiteRef, VerifyReport,
 };
 
 /// Complete compile-time analysis result for one kernel.
@@ -97,7 +102,7 @@ pub struct KernelAnalysis {
     pub simd: SimdReport,
     /// The kernel's access list, whatever the verdict: what a holder of a
     /// compiled kernel resolves against a launch ([`LaunchFootprints::of`],
-    /// [`verify_accesses`]) without walking the kernel again.
+    /// [`LaunchFacts::of`]) without walking the kernel again.
     pub accesses: KernelAccesses,
     /// Whether buffer contents can change the kernel's control flow or
     /// addresses ([`content_steered`]) — and with them what the sampling

@@ -1,7 +1,7 @@
 //! Kernel lint pass: dead-code and style findings on top of the range
 //! analysis.
 //!
-//! The verifier ([`crate::verify`]) answers "can this launch fault or
+//! The verifier ([`mod@crate::verify`]) answers "can this launch fault or
 //! race?"; this module answers the softer question "is this kernel doing
 //! work that cannot matter?". All findings are `Severity::Info` — a lint
 //! never fails a build — and reuse the verifier's [`Diagnostic`] shape so
@@ -36,12 +36,12 @@
 //! module's diagnostic shape.
 
 use crate::affine::IdxVar;
-use crate::footprint::{LaunchFootprints, ResolvedForm, SiteState};
-use crate::range::{analyze_ranges, param_slot_extents, RangeAnalysis};
+use crate::footprint::{LaunchFacts, ResolvedForm, SiteState};
+use crate::range::RangeAnalysis;
 use crate::verify::{Diagnostic, Rule, Severity, SiteRef};
 use cucc_exec::bytecode::injective;
 use cucc_exec::{Arg, Program};
-use cucc_ir::{barrier_sites, var_variance, Expr, Kernel, LaunchConfig, MemRef, SourceMap, Stmt};
+use cucc_ir::{barrier_sites, var_variance, Expr, Kernel, MemRef, SourceMap, Stmt};
 use std::collections::HashMap;
 
 /// Result of [`lint_kernel`]: findings plus the range-analysis coverage
@@ -80,25 +80,17 @@ impl LintReport {
     }
 }
 
-/// Run every kernel lint at one launch. `extents` are per-parameter element
-/// counts (the [`crate::verify::verify_launch`] convention). Fails only
-/// when the kernel does not compile.
-pub fn lint_kernel(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    args: &[Arg],
-    extents: &[Option<u64>],
-    map: Option<&SourceMap>,
-) -> Result<LintReport, String> {
-    let prog = Program::compile(kernel, launch, args).map_err(|e| e.to_string())?;
-    let slot_extents = param_slot_extents(&prog, args, extents);
-    let ra = analyze_ranges(&prog, &slot_extents);
+/// Run every kernel lint on one launch's facts. Fails only when the kernel
+/// does not compile at the launch.
+pub fn lint_kernel(facts: &LaunchFacts, map: Option<&SourceMap>) -> Result<LintReport, String> {
+    let c = facts.compiled.as_ref().map_err(String::clone)?;
+    let ra = &c.ranges;
 
     let mut diags = Vec::new();
-    lint_dead_stores(kernel, map, &mut diags);
-    lint_barriers(kernel, launch, args, map, &mut diags);
-    lint_constant_conditions(&prog, &ra, map, &mut diags);
-    lint_unreachable(&ra, &mut diags);
+    lint_dead_stores(facts.kernel, map, &mut diags);
+    lint_barriers(facts, map, &mut diags);
+    lint_constant_conditions(&c.program, ra, map, &mut diags);
+    lint_unreachable(ra, &mut diags);
 
     let reachable = ra.reachable.iter().filter(|r| **r).count();
     Ok(LintReport {
@@ -172,15 +164,9 @@ fn lint_dead_stores(kernel: &Kernel, map: Option<&SourceMap>, out: &mut Vec<Diag
 
 /// Redundant and uniformly-guarded barriers, at the validator's sites
 /// ([`barrier_sites`]).
-fn lint_barriers(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    args: &[Arg],
-    map: Option<&SourceMap>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let sites = barrier_sites(kernel, &var_variance(kernel));
-    let redundant = !sites.is_empty() && !barrier_orders_memory(kernel, launch, args);
+fn lint_barriers(facts: &LaunchFacts, map: Option<&SourceMap>, out: &mut Vec<Diagnostic>) {
+    let sites = barrier_sites(facts.kernel, &var_variance(facts.kernel));
+    let redundant = !sites.is_empty() && !barrier_orders_memory(facts);
     for (ordinal, site) in sites.iter().enumerate() {
         let mut d = match (redundant, site.uniform_ifs) {
             (true, _) => info(
@@ -208,13 +194,11 @@ fn lint_barriers(
 /// over the threads of a block, is touched by each thread at its own
 /// element only — when the forms are faithful (no narrowing cast wraps
 /// them).
-fn barrier_orders_memory(kernel: &Kernel, launch: LaunchConfig, args: &[Arg]) -> bool {
-    // `analyze` is the `&Kernel` entry point that walks the accesses.
-    let acc = crate::analyze(kernel).accesses;
+fn barrier_orders_memory(facts: &LaunchFacts) -> bool {
+    let (acc, launch, args) = (&facts.accesses, facts.footprints.env.launch, facts.args);
     if !acc.faithful {
         return true;
     }
-    let fps = LaunchFootprints::of(&acc, launch, args);
     let own = |f: &ResolvedForm| {
         let mut c = [0i64; 3];
         for d in &f.dims {
@@ -228,7 +212,7 @@ fn barrier_orders_memory(kernel: &Kernel, launch: LaunchConfig, args: &[Arg]) ->
     // Per buffer: written at all, and the one own-element index every
     // access takes (`None` once one is not its thread's own or two differ).
     let mut buffers = HashMap::new();
-    for (a, site) in acc.list.iter().zip(&fps.sites) {
+    for (a, site) in acc.list.iter().zip(&facts.footprints.sites) {
         let p = match a.mem {
             MemRef::Shared(_) => return true,
             MemRef::Local(_) => continue,
@@ -301,19 +285,28 @@ fn lint_unreachable(ra: &RangeAnalysis, out: &mut Vec<Diagnostic>) {
 mod tests {
     use super::*;
     use cucc_exec::BufferId;
-    use cucc_ir::parse_kernel_with_map;
+    use cucc_ir::{parse_kernel_with_map, LaunchConfig};
 
-    fn lint(src: &str, args: Vec<Arg>, extents: Vec<Option<u64>>) -> LintReport {
+    /// Lint at `launch`, parameter `i` (bound to `BufferId(i)`) holding
+    /// `extents[i]` elements.
+    fn lint_at(
+        src: &str,
+        launch: LaunchConfig,
+        args: &[Arg],
+        extents: &[Option<u64>],
+    ) -> LintReport {
         let (k, map) = parse_kernel_with_map(src).unwrap();
         cucc_ir::validate(&k).unwrap();
-        lint_kernel(
-            &k,
-            LaunchConfig::new(2u32, 32u32),
-            &args,
-            &extents,
-            Some(&map),
-        )
-        .unwrap()
+        let bytes = |b: BufferId| {
+            let elem = k.elem_type(MemRef::Global(cucc_ir::ParamId(b.0)));
+            extents[b.index()].map(|e| e as usize * elem.size())
+        };
+        let facts = LaunchFacts::of(&k, None, launch, args, bytes, None);
+        lint_kernel(&facts, Some(&map)).unwrap()
+    }
+
+    fn lint(src: &str, args: Vec<Arg>, extents: Vec<Option<u64>>) -> LintReport {
+        lint_at(src, LaunchConfig::new(2u32, 32u32), &args, &extents)
     }
 
     fn kinds(r: &LintReport) -> Vec<&str> {
@@ -383,12 +376,10 @@ mod tests {
     /// `__syncthreads()` orders global memory too: each kernel below changes
     /// its output when the barrier is deleted.
     fn barrier_findings(src: &str, launch: LaunchConfig, args: &[Arg]) -> Vec<String> {
-        let (k, map) = parse_kernel_with_map(src).unwrap();
-        cucc_ir::validate(&k).unwrap();
         let extents: Vec<_> = (args.iter())
             .map(|a| matches!(a, Arg::Buffer(_)).then_some(64))
             .collect();
-        let r = lint_kernel(&k, launch, args, &extents, Some(&map)).unwrap();
+        let r = lint_at(src, launch, args, &extents);
         (r.diagnostics.iter())
             .filter(|d| d.message.contains("barrier"))
             .map(|d| d.message.clone())

@@ -60,7 +60,6 @@ use std::collections::BTreeMap;
 
 use cucc_exec::bytecode::{CertMode, Inst, PhaseOp, Program, Reg, SlotKind};
 use cucc_exec::memory::BufferId;
-use cucc_exec::Arg;
 use cucc_ir::{Axis, BinOp, Dim3, Intrinsic, Scalar, UnOp, Value, ValueKind};
 
 const I64MIN: i128 = i64::MIN as i128;
@@ -433,6 +432,17 @@ pub struct RangeAnalysis {
     pub branches: Vec<BranchFact>,
 }
 
+/// A kernel compiled for one launch, with the range analysis over it:
+/// what a launch runs (its certificates attached from `ranges`) and what
+/// [`crate::LaunchFacts`] hands the verifier and the lint.
+#[derive(Debug, Clone)]
+pub struct CompiledLaunch {
+    /// The launch's program.
+    pub program: Program,
+    /// [`analyze_ranges`] over `program` at the launch's buffer extents.
+    pub ranges: RangeAnalysis,
+}
+
 impl RangeAnalysis {
     /// `(certified, total)` over reachable memory instructions.
     pub fn stats(&self) -> (usize, usize) {
@@ -461,31 +471,6 @@ pub fn global_extents(
             match info.kind {
                 SlotKind::Global { buf } => {
                     size_of(buf).map(|bytes| (bytes / info.elem.size()) as u64)
-                }
-                SlotKind::Shared { .. } | SlotKind::Local { .. } => Some(info.len_elems as u64),
-            }
-        })
-        .collect()
-}
-
-/// Map per-*parameter* extents (the verifier's convention) onto per-*slot*
-/// extents (this module's): a global slot looks up the parameter its buffer
-/// is bound to in `args`, shared/local slots use their compile-time lengths.
-pub fn param_slot_extents(
-    prog: &Program,
-    args: &[Arg],
-    extents: &[Option<u64>],
-) -> Vec<Option<u64>> {
-    prog.slots()
-        .iter()
-        .map(|s| {
-            let info = s.as_ref()?;
-            match info.kind {
-                SlotKind::Global { buf } => {
-                    let p = args
-                        .iter()
-                        .position(|a| matches!(a, Arg::Buffer(b) if *b == buf))?;
-                    extents.get(p).copied().flatten()
                 }
                 SlotKind::Shared { .. } | SlotKind::Local { .. } => Some(info.len_elems as u64),
             }

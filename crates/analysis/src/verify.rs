@@ -34,12 +34,11 @@
 
 use crate::distributable::{Access, KernelAccesses, Reason};
 use crate::footprint::{
-    gcd, Coord, LaunchFootprints, ResolvedForm, ResolvedGuard, Site, SiteState,
+    gcd, Coord, LaunchFacts, LaunchFootprints, ResolvedForm, ResolvedGuard, Site, SiteState,
 };
 use crate::plan::ReplicationCause;
-use crate::range::{analyze_ranges, param_slot_extents};
 use cucc_exec::bytecode::Inst;
-use cucc_exec::{Arg, BufferId, MemPool, Program};
+use cucc_exec::{Arg, BufferId, Program};
 use cucc_ir::{barrier_sites, var_variance, Axis, Kernel, LaunchConfig, MemRef, Param, SourceMap};
 use std::collections::HashMap;
 use std::fmt;
@@ -283,89 +282,47 @@ pub fn cause_diagnostic(cause: &ReplicationCause) -> Diagnostic {
 /// caller supplies no geometry: grid 64 × block 256, integer scalars
 /// defaulting to the total thread count (so canonical `id < n` tail guards
 /// hold everywhere), float scalars 1.0, and every buffer *assumed* to hold
-/// exactly `total` elements. Returns `(launch, args, extents)`; the assumed
-/// extents cap definite-overrun bounds findings at MAY severity (pass
-/// `assumed_extents = true` to [`verify_launch`]).
-pub fn canonical_check_input(kernel: &Kernel) -> (LaunchConfig, Vec<Arg>, Vec<Option<u64>>) {
+/// exactly `total` elements. Returns `(launch, args, bytes)`, `bytes[i]`
+/// the assumed byte size of the buffer bound to parameter `i` (which is
+/// `BufferId(i)`); assumed sizes cap definite-overrun bounds findings at
+/// MAY severity (pass `assumed_extents = true` to [`verify`]).
+pub fn canonical_check_input(kernel: &Kernel) -> (LaunchConfig, Vec<Arg>, Vec<Option<usize>>) {
     let launch = LaunchConfig::new(64u32, 256u32);
     let total = 64i64 * 256;
     let mut args = Vec::with_capacity(kernel.params.len());
-    let mut extents = Vec::with_capacity(kernel.params.len());
+    let mut bytes = Vec::with_capacity(kernel.params.len());
     for (i, p) in kernel.params.iter().enumerate() {
         match p {
-            Param::Buffer { .. } => {
+            Param::Buffer { elem, .. } => {
                 args.push(Arg::Buffer(BufferId(i as u32)));
-                extents.push(Some(total as u64));
+                bytes.push(Some(total as usize * elem.size()));
             }
             Param::Scalar { ty, .. } => {
                 args.push(match ty.kind() {
                     cucc_ir::ValueKind::Int => Arg::int(total),
                     cucc_ir::ValueKind::Float => Arg::float(1.0),
                 });
-                extents.push(None);
+                bytes.push(None);
             }
         }
     }
-    (launch, args, extents)
-}
-
-/// The real `extents[p]` of a launch: the element count of the buffer bound
-/// to each buffer parameter in `pool` (`None` for scalars and for a buffer
-/// id `pool` does not hold).
-pub fn param_extents(kernel: &Kernel, args: &[Arg], pool: &MemPool) -> Vec<Option<u64>> {
-    let bound = kernel.params.iter().zip(args);
-    bound
-        .map(|(p, a)| match (p, a) {
-            (Param::Buffer { elem, .. }, Arg::Buffer(id)) if id.index() < pool.len() => {
-                Some((pool.size_of(*id) / elem.size()) as u64)
-            }
-            _ => None,
-        })
-        .collect()
+    (launch, args, bytes)
 }
 
 // ------------------------------------------------------------ top level --
 
-/// Run all three verifier rules for one launch.
+/// Run all three verifier rules on one launch's facts: the race and bounds
+/// rules read its footprints, and the bounds rule its range analysis.
 ///
-/// `extents[p]` is the element count of the buffer bound to parameter `p`
-/// (`None` when unknown — bounds checks on that buffer become `Unknown`).
-/// `assumed_extents` marks the extents as synthesized rather than real
+/// A buffer of unknown size makes bounds checks on it `Unknown`.
+/// `assumed_extents` marks the buffer sizes as synthesized rather than real
 /// allocation sizes: definite-overrun findings are then capped at MAY
 /// (a definitely-*negative* index stays MUST — no extent can excuse it).
 /// `map` attaches source lines to write sites when available.
-///
-/// Handed only a kernel, this walks its accesses first; a caller that holds
-/// the kernel's [`crate::KernelAnalysis`] passes its list to
-/// [`verify_accesses`] instead.
-pub fn verify_launch(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    args: &[Arg],
-    extents: &[Option<u64>],
-    assumed_extents: bool,
-    map: Option<&SourceMap>,
-) -> VerifyReport {
-    let acc = KernelAccesses::of_kernel(kernel);
-    verify_accesses(kernel, &acc, launch, args, extents, assumed_extents, map)
-}
-
-/// [`verify_launch`] on a kernel whose accesses (`acc`) are already walked:
-/// they are resolved against the launch once, and the race and bounds rules
-/// both read that one value.
-pub fn verify_accesses(
-    kernel: &Kernel,
-    acc: &KernelAccesses,
-    launch: LaunchConfig,
-    args: &[Arg],
-    extents: &[Option<u64>],
-    assumed_extents: bool,
-    map: Option<&SourceMap>,
-) -> VerifyReport {
-    let fps = LaunchFootprints::of(acc, launch, args);
-    let race = analyze_block_races(kernel, acc, &fps, map);
-    let (bounds, mut bounds_diags) =
-        analyze_bounds(kernel, acc, &fps, args, extents, assumed_extents, map);
+pub fn verify(facts: &LaunchFacts, assumed_extents: bool, map: Option<&SourceMap>) -> VerifyReport {
+    let (kernel, acc) = (facts.kernel, &*facts.accesses);
+    let race = analyze_block_races(kernel, acc, &facts.footprints, map);
+    let (bounds, mut bounds_diags) = analyze_bounds(facts, assumed_extents, map);
     let (barrier, mut barrier_diags) = barrier_rule(kernel, map);
 
     // A MUST verdict claims dynamic reproduction, which presumes the
@@ -845,32 +802,25 @@ fn check_pair_cross_coeffs(
 
 // ---------------------------------------------------------- bounds rule --
 
-/// Check the in-bounds rule on every access of the kernel (`acc`) as
-/// resolved against the launch (`fps`). Extents are in elements, indexed by
-/// parameter.
+/// Check the in-bounds rule on every access of the launch's facts.
 ///
 /// The proof is the one the launch elides checks on: the range analysis of
-/// the compiled program ([`crate::range::analyze_ranges`]). An access is in
+/// the launch's program ([`LaunchFacts::compiled`]). An access is in
 /// bounds exactly when its instruction is certified or unreachable. The
 /// affine range of an access it does not prove only words the finding: MUST
 /// for a definite overrun (every corner of the raw box is attained), MAY
 /// otherwise.
-pub(crate) fn analyze_bounds(
-    kernel: &Kernel,
-    acc: &KernelAccesses,
-    fps: &LaunchFootprints,
-    args: &[Arg],
-    extents: &[Option<u64>],
+fn analyze_bounds(
+    facts: &LaunchFacts,
     assumed_extents: bool,
     map: Option<&SourceMap>,
 ) -> (PropertyVerdict, Vec<Diagnostic>) {
+    let (kernel, acc, fps) = (facts.kernel, &*facts.accesses, &facts.footprints);
     let launch = fps.env.launch;
     let must_eligible = acc.runs_to_completion();
-    let proven: Vec<bool> = Program::compile(kernel, launch, args)
-        .ok()
-        .and_then(|prog| {
-            let pcs = access_pcs(kernel, acc, &prog)?;
-            let ra = analyze_ranges(&prog, &param_slot_extents(&prog, args, extents));
+    let proven: Vec<bool> = (facts.compiled.as_ref().ok())
+        .and_then(|c| {
+            let (pcs, ra) = (access_pcs(kernel, acc, &c.program)?, &c.ranges);
             Some(
                 pcs.iter()
                     .map(|&pc| ra.pc_certified[pc] || !ra.reachable[pc])
@@ -894,7 +844,7 @@ pub(crate) fn analyze_bounds(
         let (name, extent): (String, Option<i128>) = match a.mem {
             MemRef::Global(p) => (
                 kernel.params[p.index()].name().to_string(),
-                extents.get(p.index()).copied().flatten().map(|e| e as i128),
+                facts.extent(p).map(|e| e as i128),
             ),
             MemRef::Shared(i) => {
                 let d = &kernel.shared[i as usize];
@@ -1024,9 +974,10 @@ fn barrier_rule(kernel: &Kernel, map: Option<&SourceMap>) -> (PropertyVerdict, V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cucc_exec::MemPool;
     use cucc_ir::{parse_kernel, parse_kernel_with_map};
 
+    /// Verify at a launch whose parameter `i` (bound to `BufferId(i)`)
+    /// holds `extents[i]` elements.
     fn check(
         src: &str,
         launch: LaunchConfig,
@@ -1035,7 +986,23 @@ mod tests {
     ) -> VerifyReport {
         let (k, map) = parse_kernel_with_map(src).unwrap();
         cucc_ir::validate(&k).unwrap();
-        verify_launch(&k, launch, &args, &extents, false, Some(&map))
+        let bytes = |b: BufferId| {
+            let elem = k.elem_type(MemRef::Global(cucc_ir::ParamId(b.0)));
+            extents[b.index()].map(|e| e as usize * elem.size())
+        };
+        let facts = LaunchFacts::of(&k, None, launch, &args, bytes, None);
+        verify(&facts, false, Some(&map))
+    }
+
+    /// Verify at the canonical launch, sizes assumed.
+    fn canonical(k: &Kernel, map: Option<&SourceMap>) -> VerifyReport {
+        let (launch, args, bytes) = canonical_check_input(k);
+        let size_of = |b: BufferId| bytes[b.index()];
+        verify(
+            &LaunchFacts::of(k, None, launch, &args, size_of, None),
+            true,
+            map,
+        )
     }
 
     fn races(src: &str, launch: LaunchConfig, args: Vec<Arg>) -> RaceAnalysis {
@@ -1345,8 +1312,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let (launch, args, extents) = canonical_check_input(&k);
-        let r = verify_launch(&k, launch, &args, &extents, true, Some(&map));
+        let r = canonical(&k, Some(&map));
         assert_eq!(r.bounds, PropertyVerdict::Must, "{r:?}");
     }
 
@@ -1358,8 +1324,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let (launch, args, extents) = canonical_check_input(&k);
-        let r = verify_launch(&k, launch, &args, &extents, true, None);
+        let r = canonical(&k, None);
         assert_eq!(r.bounds, PropertyVerdict::May, "{r:?}");
         assert!(r.clean());
     }
@@ -1465,13 +1430,13 @@ mod tests {
             }",
         )
         .unwrap();
-        let (launch, args, extents) = canonical_check_input(&k);
+        let (launch, args, bytes) = canonical_check_input(&k);
         assert_eq!(launch.num_blocks(), 64);
         assert_eq!(args.len(), 3);
-        assert_eq!(extents, vec![Some(16384), None, None]);
+        assert_eq!(bytes, vec![Some(16384 * 4), None, None]);
         assert!(matches!(args[1], Arg::Scalar(cucc_ir::Value::I64(16384))));
         // And the canonical report for this kernel is fully clean.
-        let r = verify_launch(&k, launch, &args, &extents, true, None);
+        let r = canonical(&k, None);
         assert!(r.race.is_safe() && r.bounds.is_safe() && r.barrier.is_safe());
     }
 
@@ -1483,11 +1448,8 @@ mod tests {
             }",
         )
         .unwrap();
-        let (launch, args, extents) = canonical_check_input(&k);
-        let r = verify_launch(&k, launch, &args, &extents, true, None);
-        let s = r.render();
+        let s = canonical(&k, None).render();
         assert!(s.contains("race    : safe"), "{s}");
         assert!(s.contains("all checks pass"), "{s}");
-        let _ = MemPool::new(); // keep the dev-dependency honest
     }
 }

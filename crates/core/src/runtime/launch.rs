@@ -5,7 +5,7 @@
 //! where the launch starts and how time moves afterwards; the captured
 //! footprints decide when pending inputs are gathered and which gathers
 //! are deferred (DESIGN.md §5.2 has the table). Everything between —
-//! sanitizer, compile, the timing walk, the functional passes, the report
+//! compile, sanitizer, the timing walk, the functional passes, the report
 //! and the consistency check — is the same for every launch.
 
 use super::replay::Replayed;
@@ -18,7 +18,8 @@ use crate::schedule::{
     compile_certified, plan_and_compile, schedule_key, LaunchSchedule, ScheduleDecision,
 };
 use crate::stream::StreamId;
-use cucc_exec::{Arg, EngineKind, Program};
+use cucc_analysis::{CompiledLaunch, LaunchFacts};
+use cucc_exec::{Arg, EngineKind};
 use cucc_ir::LaunchConfig;
 use cucc_trace::{Category, Mark, Track};
 
@@ -46,7 +47,7 @@ impl CuccCluster {
         launch: LaunchConfig,
         args: &[Arg],
         nodes: usize,
-    ) -> Result<(LaunchSchedule, Program), MigrateError> {
+    ) -> Result<(LaunchSchedule, CompiledLaunch), MigrateError> {
         if nodes == 0 {
             return Err(MigrateError::NodeFailure {
                 node: None,
@@ -89,7 +90,7 @@ impl CuccCluster {
         launch: LaunchConfig,
         args: &[Arg],
         nodes: usize,
-    ) -> Result<(LaunchSchedule, Option<Program>), MigrateError> {
+    ) -> Result<(LaunchSchedule, Option<CompiledLaunch>), MigrateError> {
         for a in args {
             if let Arg::Buffer(id) = a {
                 self.check_buffer(*id, "launch")?;
@@ -179,24 +180,26 @@ impl CuccCluster {
             None => Vec::new(),
         };
         let functional = self.functional();
-        if functional && self.config.sanitize {
-            self.run_sanitizer(call)?;
-        }
         // One compile per functional launch, whatever its mode; every pass
-        // reuses it, and a planning miss already made it. The tree-walk
-        // oracle interprets the kernel itself (and modeled fidelity runs
-        // nothing): a miss's program then only served the profile.
-        let prog = match (self.config.engine, planned) {
-            (EngineKind::Lane, Some(prog)) if functional => Some(prog),
+        // and the sanitizer reuse it, and a planning miss already made it.
+        // The tree-walk oracle interprets the kernel itself (and modeled
+        // fidelity runs nothing): a miss's program then only served the
+        // profile.
+        let compiled = match (self.config.engine, planned) {
+            (EngineKind::Lane, Some(c)) if functional => Some(c),
             (EngineKind::Lane, None) if functional => {
                 let pool = self.sim.node(self.read_node());
                 Some(compile_certified(ck, launch, args, pool, &self.config)?)
             }
             _ => None,
         };
+        if functional && self.config.sanitize {
+            self.run_sanitizer(call, compiled.as_ref())?;
+        }
+        let prog = compiled.as_ref().map(|c| &c.program);
         #[cfg(test)]
         {
-            self.last_certs = prog.as_ref().map(|p| (p.cert_stats(), p.cert_mode()));
+            self.last_certs = prog.map(|p| (p.cert_stats(), p.cert_mode()));
         }
         // A kernel occupies every node lane, and its Allgather waits for the
         // network lane. At the clock nothing else is in flight, so the floor
@@ -209,7 +212,7 @@ impl CuccCluster {
             Start::Stream(_) => self.timeline.lane_ready(Track::Network),
         };
         let mark = self.timeline.checkpoint();
-        let walk = Walk::new(self, call, &sched, prog.as_ref(), t0);
+        let walk = Walk::new(self, call, &sched, prog, t0);
         let (report, end) = match &sched.decision {
             ScheduleDecision::ThreePhase {
                 plan,
@@ -228,17 +231,23 @@ impl CuccCluster {
     /// cross-validate the static verifier, the same way `oracle.rs`
     /// validates distribution plans: a dynamic race (or OOB) observed on a
     /// launch the verifier proved race-free (or in-bounds) is a soundness
-    /// bug and fails the launch loudly. The sanitizer itself is
+    /// bug and fails the launch loudly. The verifier reads the launch's own
+    /// program and range analysis (`compiled`; the tree-walk engine has
+    /// none, and the facts compile it). The sanitizer itself is
     /// observational — findings are stored on [`CuccCluster::sanitize_report`],
     /// not treated as errors (the real execution still traps OOB).
-    fn run_sanitizer(&mut self, call: Call<'_>) -> Result<(), MigrateError> {
+    fn run_sanitizer(
+        &mut self,
+        call: Call<'_>,
+        compiled: Option<&CompiledLaunch>,
+    ) -> Result<(), MigrateError> {
         let Call { ck, launch, args } = call;
         let pool = self.sim.node(0);
         let dynamic = cucc_exec::sanitize_launch(&ck.kernel, launch, args, pool);
-        let extents = cucc_analysis::param_extents(&ck.kernel, args, pool);
-        let acc = &ck.analysis.accesses;
-        let s =
-            cucc_analysis::verify_accesses(&ck.kernel, acc, launch, args, &extents, false, None);
+        let size_of = |b: cucc_exec::BufferId| (b.index() < pool.len()).then(|| pool.size_of(b));
+        let acc = Some(&ck.analysis.accesses);
+        let facts = LaunchFacts::of(&ck.kernel, acc, launch, args, size_of, compiled);
+        let s = cucc_analysis::verify(&facts, false, None);
         if !dynamic.races.is_empty() && s.race.is_safe() {
             return Err(MigrateError::Launch(format!(
                 "sanitizer soundness violation in `{}`: dynamic write race observed \

@@ -427,6 +427,7 @@ mod tests {
     use super::*;
     use crate::compile::compile_source;
     use crate::report::{ExecMode, LaunchReport};
+    use cucc_analysis::LaunchFacts;
     use cucc_gpu_model::{GpuDevice, GpuSpec};
     use cucc_trace::Category;
 
@@ -790,6 +791,44 @@ mod tests {
             let (clean, certs) = sanitized(door, TALLY);
             assert!(clean.clean(), "{door:?}: {}", clean.summary());
             assert!(certs.0 > 0, "{door:?}: {certs:?}");
+        }
+    }
+
+    /// Two parameters of different element types bound to one buffer each
+    /// measure it in their own elements: `b` sees 256 chars, `a` 64 ints,
+    /// and block 1 stores `a[64..96]`. The verifier proves nothing there,
+    /// so a sanitized launch fails exactly as an unsanitized one does, with
+    /// the engine's trap.
+    #[test]
+    fn aliased_parameters_are_bounded_by_their_own_element_size() {
+        let ck = compile_source(
+            "__global__ void k(char* b, int* a) {
+                if (blockIdx.x == 1) a[threadIdx.x + 64] = 1;
+            }",
+        )
+        .unwrap();
+        let launch = LaunchConfig::new(8u32, 32u32);
+        for sanitize in [false, true] {
+            let options = crate::RunOptions::builder().sanitize(sanitize).build();
+            let mut cl = CuccCluster::with_options(spec(2), options);
+            let buf = cl.alloc(256);
+            let args = [Arg::Buffer(buf), Arg::Buffer(buf)];
+            let acc = Some(&ck.analysis.accesses);
+            let facts = LaunchFacts::of(&ck.kernel, acc, launch, &args, |_| Some(256), None);
+            let bounds = cucc_analysis::verify(&facts, false, None).bounds;
+            assert_eq!(bounds, cucc_analysis::PropertyVerdict::May);
+            let err = cl.launch(&ck, launch, &args).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    MigrateError::Exec(cucc_exec::ExecError::OutOfBounds {
+                        mem,
+                        index: 64,
+                        len_elems: 64,
+                    }) if mem == "a"
+                ),
+                "sanitize {sanitize}: {err}"
+            );
         }
     }
 

@@ -33,7 +33,8 @@ use crate::error::MigrateError;
 use crate::report::PhaseTimes;
 use crate::runtime::RuntimeConfig;
 use cucc_analysis::{
-    certify_program, global_extents, plan_launch, Partition, Plan, ReplicationCause, ThreePhasePlan,
+    certify_program, global_extents, plan_launch, CompiledLaunch, Partition, Plan,
+    ReplicationCause, ThreePhasePlan,
 };
 use cucc_cluster::{block_compute_time, node_time_profiled, ClusterSpec};
 use cucc_exec::{profile_program, Arg, BufferId, CertMode, LaunchProfile, MemPool, Program};
@@ -283,15 +284,16 @@ fn is_staged(profile: &LaunchProfile) -> bool {
 /// certificate is instead *cross-validated* at runtime
 /// ([`CertMode::Validate`]) — a wrong certificate becomes a hard
 /// `CertificateViolation` error, never UB. The one compile route of a
-/// launch: the planner profiles with this program and the launch body runs
-/// it.
+/// launch: the planner profiles with this program, the launch body runs it
+/// and the sanitizer checks the verifier against it, with the range
+/// analysis the certificates came from.
 pub(crate) fn compile_certified(
     ck: &CompiledKernel,
     launch: LaunchConfig,
     args: &[Arg],
     pool: &MemPool,
     config: &RuntimeConfig,
-) -> Result<Program, MigrateError> {
+) -> Result<CompiledLaunch, MigrateError> {
     let mut prog = Program::compile(&ck.kernel, launch, args)?;
     let exts = global_extents(&prog, |b| (b.index() < pool.len()).then(|| pool.size_of(b)));
     let mode = if config.sanitize {
@@ -299,8 +301,11 @@ pub(crate) fn compile_certified(
     } else {
         CertMode::Elide
     };
-    certify_program(&mut prog, &exts, mode);
-    Ok(prog)
+    let ranges = certify_program(&mut prog, &exts, mode);
+    Ok(CompiledLaunch {
+        program: prog,
+        ranges,
+    })
 }
 
 /// Run planner + profiler + cost model for one launch. Pure: reads node
@@ -329,7 +334,7 @@ pub(crate) fn plan_and_compile(
     spec: &ClusterSpec,
     logical_nodes: usize,
     config: &RuntimeConfig,
-) -> Result<(LaunchSchedule, Program), MigrateError> {
+) -> Result<(LaunchSchedule, CompiledLaunch), MigrateError> {
     if launch.num_blocks() == 0 {
         return Err(MigrateError::Launch("empty grid".into()));
     }
@@ -338,7 +343,7 @@ pub(crate) fn plan_and_compile(
     }
     let plan = plan_launch(&ck.kernel, &ck.analysis.verdict, launch, args, node0);
     let prog = compile_certified(ck, launch, args, node0, config)?;
-    let profile = profile_program(&prog, node0, config.profile_samples)?;
+    let profile = profile_program(&prog.program, node0, config.profile_samples)?;
     let (reads, writes) = buffer_sets(&ck.kernel, args);
     let degraded_time = replicated_time(ck, &profile, spec);
     let (decision, times, wire_bytes) = match plan {

@@ -448,15 +448,6 @@ impl Program {
         self.certs.as_ref().map(|c| c.mode)
     }
 
-    /// Switch the consumption mode of an attached certificate table without
-    /// recomputing it (no-op when none is attached). The sanitizer uses this
-    /// to force [`CertMode::Validate`] on a scratch re-run.
-    pub fn set_cert_mode(&mut self, mode: CertMode) {
-        if let Some(c) = &mut self.certs {
-            c.mode = mode;
-        }
-    }
-
     /// `(elide, validate)` per-pc certificate masks, split by mode — at most
     /// one side is `Some`. The engine hoists these out of its instruction
     /// loops (per lane chunk, per `run_seg` call): the elide mask gates the
@@ -562,8 +553,9 @@ pub enum CertMode {
     /// bounds check is elided (a `debug_assert` still guards debug builds).
     Elide,
     /// Certified accesses run the checked path, and a bounds fault on one
-    /// becomes [`ExecError::CertificateViolation`] — used by the sanitizer
-    /// and the soundness proptests to cross-validate every certificate.
+    /// becomes [`ExecError::CertificateViolation`]: a `--sanitize` launch
+    /// runs its program so, and the soundness proptests certify in this
+    /// mode to cross-validate every certificate.
     Validate,
 }
 

@@ -51,7 +51,5 @@ pub use interp::{
 // imports the lane entry point under its old name.
 pub use engine::run_range as run_range_simd;
 pub use memory::{BufferId, MemPool};
-pub use sanitize::{
-    cross_validate_certs, sanitize_launch, OobFinding, RaceFinding, SanitizeReport,
-};
+pub use sanitize::{sanitize_launch, OobFinding, RaceFinding, SanitizeReport};
 pub use stats::BlockStats;

@@ -16,6 +16,13 @@
 //! distribution analysis already refuses to distribute atomics, and they
 //! commute under replicated execution — so atomic-atomic overlaps are
 //! excluded (mixed atomic/plain overlaps are reported).
+//!
+//! A `--sanitize` launch in `cucc-core` runs this beside the program the
+//! launch itself runs: the static verdicts it checks are read off that
+//! program's range analysis (`cucc_analysis::LaunchFacts`), and the program
+//! runs its certificates in [`crate::CertMode::Validate`], so a wrong
+//! bounds certificate fails the launch as
+//! [`crate::ExecError::CertificateViolation`].
 
 use crate::interp::{execute_block_traced, Arg, WriteRecord};
 use crate::memory::MemPool;
@@ -202,30 +209,6 @@ pub fn sanitize_launch(
     report
 }
 
-/// Cross-validate an attached bounds-certificate table dynamically: re-run
-/// the whole launch on scratch clones of `pool` with the certificates
-/// forced to [`CertMode::Validate`], once with the lane plans and once with
-/// them detached (every segment thread-major) — both read the one per-pc
-/// mask. In that mode every access takes the checked path, and a bounds
-/// fault at a certified access surfaces as
-/// [`crate::ExecError::CertificateViolation`] — the certificate itself is
-/// wrong (the analysis claimed in-bounds, execution disagreed). `Ok(())`
-/// means every certificate held on this launch; other runtime faults are
-/// reported as-is. No-op `Ok` when no table is attached. The caller's pool
-/// and program are never modified.
-pub fn cross_validate_certs(prog: &crate::Program, pool: &MemPool) -> Result<(), crate::ExecError> {
-    if prog.cert_mode().is_none() {
-        return Ok(());
-    }
-    let mut vprog = prog.clone();
-    vprog.set_cert_mode(crate::CertMode::Validate);
-    let nb = vprog.launch().num_blocks();
-    crate::engine::run_range(&vprog, &mut pool.clone(), 0..nb)?;
-    vprog.detach_lane_plans();
-    crate::engine::run_range(&vprog, &mut pool.clone(), 0..nb)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,38 +220,6 @@ mod tests {
         let id = pool.alloc(elems * 4);
         assert_eq!(id, BufferId(0));
         pool
-    }
-
-    #[test]
-    fn cross_validate_accepts_good_and_rejects_bad_certs() {
-        let k = parse_kernel(
-            "__global__ void k(int* out, int n) {
-                int id = blockIdx.x * blockDim.x + threadIdx.x;
-                if (id < n) out[id] = id;
-            }",
-        )
-        .unwrap();
-        let launch = LaunchConfig::cover1(30, 8);
-        let pool = pool_with(30);
-        let args = [Arg::Buffer(BufferId(0)), Arg::int(30)];
-        let mut prog = crate::Program::compile(&k, launch, &args).unwrap();
-
-        // No certs attached: trivially Ok.
-        assert!(cross_validate_certs(&prog, &pool).is_ok());
-
-        // All accesses are guarded in-bounds, so an all-true table holds.
-        let mask = vec![true; prog.num_insts()];
-        prog.attach_certs(&mask, crate::CertMode::Elide);
-        assert!(cross_validate_certs(&prog, &pool).is_ok());
-
-        // Shrink the buffer under the same certificates: now they are wrong,
-        // and validation must say so with the typed violation error.
-        let small = pool_with(20);
-        let bad = cross_validate_certs(&prog, &small);
-        assert!(
-            matches!(bad, Err(crate::ExecError::CertificateViolation { .. })),
-            "{bad:?}"
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! CuCC cluster, compares the results byte-for-byte, and prints the
 //! distribution decision and simulated-time breakdown.
 
-use cucc::analysis::{LintReport, Verdict, VerifyReport};
+use cucc::analysis::{LaunchFacts, LintReport, Verdict, VerifyReport};
 use cucc::cluster::ClusterSpec;
 use cucc::core::codegen::{generate_host_module, generate_kernel_module};
 use cucc::core::{
@@ -400,9 +400,10 @@ fn cmd_analyze(src: &str) -> Result<String, String> {
     // Kernel verifier at the canonical launch (`cucc check` runs the same
     // rules; real geometry and extents come from `cucc check --builtin`).
     let map = cucc::ir::parse_kernel_with_map(src).ok().map(|(_, m)| m);
-    let (launch, args, ext) = cucc::analysis::canonical_check_input(&ck.kernel);
+    let (launch, args, bytes) = cucc::analysis::canonical_check_input(&ck.kernel);
     let (k, acc) = (&ck.kernel, &ck.analysis.accesses);
-    let vr = cucc::analysis::verify_accesses(k, acc, launch, &args, &ext, true, map.as_ref());
+    let facts = LaunchFacts::of(k, Some(acc), launch, &args, |b| bytes[b.index()], None);
+    let vr = cucc::analysis::verify(&facts, true, map.as_ref());
     out += &format!("  verifier      : {launch}\n");
     out += &vr.render();
     Ok(out)
@@ -440,33 +441,22 @@ type SuiteRow = (&'static str, &'static str, bool);
 /// sizes in bytes (declaration order) and scalar values.
 type Builtin<'a> = (SuiteRow, LaunchConfig, &'a [usize], &'a [Value]);
 
-/// Element extents of a launch's parameters: a buffer's from its
-/// allocation size (`bytes`, one per buffer in declaration order), none
-/// for a scalar.
-fn extents(kernel: &Kernel, bytes: impl IntoIterator<Item = usize>) -> Vec<Option<u64>> {
-    let mut bytes = bytes.into_iter();
-    let extent = |p: &Param| match p {
-        Param::Buffer { elem, .. } => bytes.next().map(|b| (b / elem.size()) as u64),
-        Param::Scalar { .. } => None,
-    };
-    kernel.params.iter().map(extent).collect()
-}
-
 /// One kernel `check` or `lint` examines: parsed, validated and bound to a
-/// launch, its arguments and their extents.
+/// launch, its arguments and the byte size of the buffer bound to each
+/// parameter (parameter `i`'s buffer is `BufferId(i)`).
 struct Target {
     /// Where a built-in kernel sits; `None` for a file's kernel, which runs
-    /// at the canonical launch with assumed extents.
+    /// at the canonical launch with assumed sizes.
     row: Option<SuiteRow>,
     kernel: Kernel,
     map: SourceMap,
-    input: (LaunchConfig, Vec<Arg>, Vec<Option<u64>>),
+    input: (LaunchConfig, Vec<Arg>, Vec<Option<usize>>),
 }
 
 impl Target {
     /// Parse and validate `src` and bind it: a built-in kernel at its real
-    /// launch with exact allocation-derived extents, otherwise at the
-    /// canonical check launch.
+    /// launch with its allocation sizes, otherwise at the canonical check
+    /// launch.
     fn new(src: &str, builtin: Option<Builtin>) -> Result<Target, String> {
         let (kernel, map) = cucc::ir::parse_kernel_with_map(src).map_err(|e| e.to_string())?;
         cucc::ir::validate(&kernel).map_err(|e| format!("{}: {e}", kernel.name))?;
@@ -474,13 +464,15 @@ impl Target {
         let input = match builtin {
             None => cucc::analysis::canonical_check_input(&kernel),
             Some((_, launch, bytes, scalars)) => {
-                let mut scalars = scalars.iter();
-                let arg = |(i, p): (usize, &Param)| match p {
-                    Param::Buffer { .. } => Arg::Buffer(BufferId(i as u32)),
-                    Param::Scalar { .. } => Arg::Scalar(*scalars.next().unwrap()),
+                let (mut bytes, mut scalars) = (bytes.iter(), scalars.iter());
+                let bind = |(i, p): (usize, &Param)| match p {
+                    Param::Buffer { .. } => {
+                        (Arg::Buffer(BufferId(i as u32)), bytes.next().copied())
+                    }
+                    Param::Scalar { .. } => (Arg::Scalar(*scalars.next().unwrap()), None),
                 };
-                let args = kernel.params.iter().enumerate().map(arg).collect();
-                (launch, args, extents(&kernel, bytes.iter().copied()))
+                let (args, bytes) = kernel.params.iter().enumerate().map(bind).unzip();
+                (launch, args, bytes)
             }
         };
         Ok(Target {
@@ -491,17 +483,21 @@ impl Target {
         })
     }
 
-    fn verify(&self) -> VerifyReport {
-        let (launch, args, ext) = &self.input;
-        let canonical = self.row.is_none();
-        cucc::analysis::verify_launch(&self.kernel, *launch, args, ext, canonical, Some(&self.map))
+    /// The target's launch facts: its one compile and range analysis,
+    /// which `verify` and `lint` share.
+    fn facts(&self) -> LaunchFacts<'_> {
+        let (launch, args, bytes) = &self.input;
+        let size_of = |b: BufferId| bytes[b.index()];
+        LaunchFacts::of(&self.kernel, None, *launch, args, size_of, None)
     }
 
-    fn lint(&self) -> Result<LintReport, String> {
-        let (launch, args, ext) = &self.input;
+    fn verify(&self, facts: &LaunchFacts) -> VerifyReport {
+        cucc::analysis::verify(facts, self.row.is_none(), Some(&self.map))
+    }
+
+    fn lint(&self, facts: &LaunchFacts) -> Result<LintReport, String> {
         let name = &self.kernel.name;
-        cucc::analysis::lint_kernel(&self.kernel, *launch, args, ext, Some(&self.map))
-            .map_err(|e| format!("{name}: {e}"))
+        cucc::analysis::lint_kernel(facts, Some(&self.map)).map_err(|e| format!("{name}: {e}"))
     }
 
     /// The heading of a file kernel's report.
@@ -555,7 +551,8 @@ fn cmd_check(o: &Opts) -> Result<String, String> {
     }
     let mut flagged = Vec::new();
     for t in &targets {
-        let report = t.verify();
+        let facts = t.facts();
+        let report = t.verify(&facts);
         let Some((suite, name, annotated)) = t.row else {
             out += &t.heading();
             out += &report.render();
@@ -564,7 +561,7 @@ fn cmd_check(o: &Opts) -> Result<String, String> {
             }
             continue;
         };
-        let lint = t.lint()?;
+        let lint = t.lint(&facts)?;
         let [race, bounds, barrier] =
             [report.race, report.bounds, report.barrier].map(|v| v.to_string());
         let ((certified, accesses), lints) = (lint.cert_stats, lint.diagnostics.len());
@@ -605,7 +602,7 @@ fn cmd_lint(o: &Opts) -> Result<String, String> {
     }
     let mut findings = 0usize;
     for t in &targets {
-        let report = t.lint()?;
+        let report = t.lint(&t.facts())?;
         findings += report.diagnostics.len();
         let Some((suite, name, _)) = t.row else {
             out += &t.heading();
@@ -993,31 +990,30 @@ fn cmd_run(src: &str, opts: &Opts) -> Result<String, String> {
     if opts.verbose {
         // Per-phase batch/vector report: which phases ran dense,
         // predicated, or scalar.
-        match cucc::exec::Program::compile(&ck.kernel, launch, &cargs) {
-            Ok(prog) => {
+        // Range-analysis certification at the real allocation sizes:
+        // certified accesses run bounds-check-free in the engine.
+        let size_of = |b: BufferId| {
+            (cargs.iter().zip(&host)).find_map(|(a, h)| match (a, h) {
+                (Arg::Buffer(id), HostArg::Buffer(bytes)) if *id == b => Some(bytes.len()),
+                _ => None,
+            })
+        };
+        let acc = Some(&ck.analysis.accesses);
+        let facts = LaunchFacts::of(&ck.kernel, acc, launch, &cargs, size_of, None);
+        match &facts.compiled {
+            Ok(c) => {
                 out += "  vectorization (per phase):\n";
-                for line in prog.phase_summary().lines() {
+                for line in c.program.phase_summary().lines() {
                     out += &format!("    {line}\n");
                 }
-                // Range-analysis certification at the real allocation sizes:
-                // certified accesses run bounds-check-free in the engine.
-                let bytes = host.iter().filter_map(|h| match h {
-                    HostArg::Buffer(bytes) => Some(bytes.len()),
-                    HostArg::Scalar(_) => None,
-                });
-                let extents = extents(&ck.kernel, bytes);
-                let slot_exts = cucc::analysis::param_slot_extents(&prog, &cargs, &extents);
-                let (c, t) = cucc::analysis::analyze_ranges(&prog, &slot_exts).stats();
+                let (c, t) = c.ranges.stats();
                 out += &format!(
                     "  range certs: {c}/{t} accesses certified in-bounds (unchecked fast path)\n"
                 );
             }
             Err(e) => out += &format!("  vectorization: unavailable ({e})\n"),
         }
-        out += &format!(
-            "  simd analysis: {}\n",
-            cucc::analysis::analyze_simd(&ck.kernel).summary()
-        );
+        out += &format!("  simd analysis: {}\n", ck.analysis.simd.summary());
     }
 
     if opts.streams > 0 {
@@ -1766,7 +1762,8 @@ mod tests {
         assert!(kernels[0].contains("void one"));
         assert!(kernels[1].trim_end().ends_with('}'));
         for k in &kernels {
-            let report = Target::new(k, None).unwrap().verify();
+            let t = Target::new(k, None).unwrap();
+            let report = t.verify(&t.facts());
             assert!(!report.has_must(), "{report:?}");
         }
     }

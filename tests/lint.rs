@@ -3,7 +3,7 @@
 //! lint on a captured graph (the acceptance shape of the `cucc lint`
 //! subcommand).
 
-use cucc::analysis::lint_kernel;
+use cucc::analysis::{lint_kernel, LaunchFacts};
 use cucc::core::{compile_source, lint_graph, GraphCapture};
 use cucc::exec::{Arg, BufferId};
 use cucc::ir::{parse_kernel_with_map, validate, LaunchConfig};
@@ -27,14 +27,9 @@ fn lint_reports_four_kinds_with_lines() {
     let (kernel, map) = parse_kernel_with_map(src).unwrap();
     validate(&kernel).unwrap();
     let args = [Arg::Buffer(BufferId(0)), Arg::int(7)];
-    let report = lint_kernel(
-        &kernel,
-        LaunchConfig::new(4u32, 64u32),
-        &args,
-        &[Some(64), None],
-        Some(&map),
-    )
-    .unwrap();
+    let launch = LaunchConfig::new(4u32, 64u32);
+    let facts = LaunchFacts::of(&kernel, None, launch, &args, |_| Some(64 * 4), None);
+    let report = lint_kernel(&facts, Some(&map)).unwrap();
 
     let kinds: std::collections::BTreeSet<&str> = report
         .diagnostics

@@ -17,8 +17,8 @@
 
 use cucc::analysis::{analyze_ranges, certify_program, global_extents};
 use cucc::exec::{
-    cross_validate_certs, execute_launch, run_range, sanitize_launch, Arg, BufferId, CertMode,
-    ExecError, MemPool, Program,
+    execute_launch, run_range, sanitize_launch, Arg, BufferId, CertMode, ExecError, MemPool,
+    Program,
 };
 use cucc::ir::{parse_kernel, validate, LaunchConfig, Scalar};
 use proptest::prelude::*;
@@ -140,15 +140,26 @@ fn subject() -> impl Strategy<Value = Subject> {
 }
 
 /// Compile and certify against the pool's real allocation sizes.
-fn certified_program(s: &Subject) -> (Program, MemPool, Vec<Arg>, (usize, usize)) {
+fn certified_program(s: &Subject, mode: CertMode) -> (Program, MemPool, Vec<Arg>, (usize, usize)) {
     let kernel = parse_kernel(&s.source()).unwrap();
     validate(&kernel).unwrap();
     let launch = LaunchConfig::new(s.blocks, s.threads);
     let (pool, args, _) = s.build();
     let mut prog = Program::compile(&kernel, launch, &args).unwrap();
     let exts = global_extents(&prog, |b| (b.index() < pool.len()).then(|| pool.size_of(b)));
-    let stats = certify_program(&mut prog, &exts, CertMode::Elide).stats();
+    let stats = certify_program(&mut prog, &exts, mode).stats();
     (prog, pool, args, stats)
+}
+
+/// Run the whole launch on a scratch clone of `pool`, with the lane plans
+/// and with them detached (both read the one per-pc certificate mask).
+fn run_both_ways(prog: &Program, pool: &MemPool) -> Result<(), ExecError> {
+    let nb = prog.launch().num_blocks();
+    run_range(prog, &mut pool.clone(), 0..nb)?;
+    let mut detached = prog.clone();
+    detached.detach_lane_plans();
+    run_range(&detached, &mut pool.clone(), 0..nb)?;
+    Ok(())
 }
 
 proptest! {
@@ -157,10 +168,10 @@ proptest! {
     /// Side 1 — soundness: no certificate is ever contradicted at runtime.
     #[test]
     fn certified_accesses_never_trap(s in subject()) {
-        let (prog, pool, args, (certified, total)) = certified_program(&s);
+        let (prog, pool, args, (certified, total)) = certified_program(&s, CertMode::Validate);
         // Validate mode re-checks every certified access with and without
         // lane plans; a cert-violating fault is CertificateViolation.
-        match cross_validate_certs(&prog, &pool) {
+        match run_both_ways(&prog, &pool) {
             Ok(()) => {}
             Err(ExecError::CertificateViolation { .. }) => {
                 prop_assert!(false, "certificate contradicted at runtime on {s:?}");
@@ -185,7 +196,7 @@ proptest! {
     #[test]
     fn exact_extents_fully_certify(s in subject()) {
         let s = Subject { shortfall: 0, ..s };
-        let (_, _, _, (certified, total)) = certified_program(&s);
+        let (_, _, _, (certified, total)) = certified_program(&s, CertMode::Elide);
         prop_assert!(total > 0);
         prop_assert_eq!(certified, total, "uncertified access at exact extent on {:?}", s);
     }
@@ -209,7 +220,7 @@ proptest! {
         // certificates attached in Elide mode. Each with its lane plans and
         // with them detached (every segment thread-major).
         let plain = Program::compile(&kernel, launch, &args).unwrap();
-        let (elide, _, _, _) = certified_program(&s);
+        let (elide, _, _, _) = certified_program(&s, CertMode::Elide);
         for (what, mut prog) in [("checked", plain), ("unchecked", elide)] {
             for lanes in ["lane", "detached"] {
                 if lanes == "detached" {

@@ -16,7 +16,7 @@
 //! `Unknown`/`May` are unconstrained — imprecision is allowed, unsoundness
 //! is not.
 
-use cucc::analysis::{verify_launch, PropertyVerdict};
+use cucc::analysis::{verify, LaunchFacts, PropertyVerdict};
 use cucc::exec::{sanitize_launch, Arg, MemPool};
 use cucc::ir::{parse_kernel, validate, LaunchConfig};
 use proptest::prelude::*;
@@ -35,12 +35,12 @@ fn run_both(s: &Subject) -> (cucc::analysis::VerifyReport, cucc::exec::SanitizeR
     let mut pool = MemPool::new();
     let out = pool.alloc(extent as usize * 4);
     let mut args = vec![Arg::Buffer(out)];
-    let mut extents = vec![Some(extent)];
     if let Some(n) = s.n_arg() {
         args.push(Arg::int(n));
-        extents.push(None);
     }
-    let report = verify_launch(&kernel, launch, &args, &extents, false, None);
+    let size_of = |b| (b == out).then(|| pool.size_of(out));
+    let facts = LaunchFacts::of(&kernel, None, launch, &args, size_of, None);
+    let report = verify(&facts, false, None);
     let dynamic = sanitize_launch(&kernel, launch, &args, &pool);
     (report, dynamic)
 }
