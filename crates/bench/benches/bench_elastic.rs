@@ -6,9 +6,9 @@
 //! nodes, and a mid-launch kill whose geometry allows the §6 re-partition
 //! against one that forces degraded (replicated-on-survivors) completion.
 //! Part 2 measures wall-clock checkpoint serialization and restore across
-//! growing state sizes. Every elastic run must reproduce the healthy
-//! run's memory bit-for-bit. Writes `BENCH_elastic.json` at the
-//! repository root.
+//! growing state sizes, each row the median of [`REPS`] repetitions.
+//! Every elastic run must reproduce the healthy run's memory bit-for-bit.
+//! Writes `BENCH_elastic.json` at the repository root.
 
 use cucc_bench::banner;
 use cucc_cluster::ClusterSpec;
@@ -29,6 +29,10 @@ const N_BALANCED: usize = 21 * 8 * 256;
 /// Large power-of-two grid: a kill at 8 nodes leaves 7 survivors that
 /// the distribution chunk count cannot divide onto — degraded.
 const N_DEGRADED: usize = 1 << 20;
+
+/// Repetitions behind each checkpoint row's wall times (the median is
+/// reported).
+const REPS: usize = 5;
 
 fn make(nodes: u32, faults: FaultPlan) -> CuccCluster {
     CuccCluster::with_options(
@@ -187,23 +191,32 @@ fn main() {
         let reference = cl.download::<u8>(y).unwrap();
 
         let path = std::env::temp_dir().join(format!("cucc-bench-elastic-{elems}.ckpt"));
-        let w0 = std::time::Instant::now();
-        let image_bytes = cl.checkpoint_to(&path).expect("checkpoint");
-        let t_ckpt = w0.elapsed().as_secs_f64();
-        let w1 = std::time::Instant::now();
-        let mut restored = CuccCluster::restore_from(
-            ClusterSpec::simd_focused().with_nodes(4),
-            RuntimeConfig::default(),
-            &path,
-        )
-        .expect("restore");
-        let t_restore = w1.elapsed().as_secs_f64();
+        let (mut ckpts, mut restores) = (Vec::new(), Vec::new());
+        let mut image_bytes = 0;
+        for _ in 0..REPS {
+            let w0 = std::time::Instant::now();
+            image_bytes = cl.checkpoint_to(&path).expect("checkpoint");
+            ckpts.push(w0.elapsed().as_secs_f64());
+            let w1 = std::time::Instant::now();
+            let mut restored = CuccCluster::restore_from(
+                ClusterSpec::simd_focused().with_nodes(4),
+                RuntimeConfig::default(),
+                &path,
+            )
+            .expect("restore");
+            restores.push(w1.elapsed().as_secs_f64());
+            assert_eq!(
+                restored.download::<u8>(y).unwrap(),
+                reference,
+                "restored memory diverges at {elems} elems"
+            );
+        }
         std::fs::remove_file(&path).ok();
-        assert_eq!(
-            restored.download::<u8>(y).unwrap(),
-            reference,
-            "restored memory diverges at {elems} elems"
-        );
+        let median = |mut t: Vec<f64>| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        let (t_ckpt, t_restore) = (median(ckpts), median(restores));
 
         let state_bytes = elems * 8; // two f32 buffers
         println!(
@@ -218,7 +231,8 @@ fn main() {
         }
         ckpt_rows.push_str(&format!(
             "    {{\"state_bytes\": {state_bytes}, \"image_bytes\": {image_bytes}, \
-             \"checkpoint_s\": {t_ckpt:.9}, \"restore_s\": {t_restore:.9}}}"
+             \"checkpoint_s\": {t_ckpt:.9}, \"restore_s\": {t_restore:.9}, \
+             \"repetitions\": {REPS}}}"
         ));
     }
 

@@ -58,6 +58,21 @@ impl SimCluster {
         id.expect("cluster has at least one node")
     }
 
+    /// Allocate a buffer holding a copy of `data` on **every** node
+    /// (lockstep, same id): one copy of the bytes per node, the way a
+    /// restore rebuilds node memory from a checkpoint image.
+    pub fn alloc_from(&mut self, data: &[u8]) -> BufferId {
+        let mut id = None;
+        for p in &mut self.pools {
+            let this = p.alloc_from(data);
+            match id {
+                None => id = Some(this),
+                Some(prev) => assert_eq!(prev, this, "lockstep allocation diverged"),
+            }
+        }
+        id.expect("cluster has at least one node")
+    }
+
     /// Copy host data into the buffer on every node (host-to-device
     /// broadcast; the time cost is charged by the runtime layer).
     pub fn write_all(&mut self, id: BufferId, data: &[u8]) {

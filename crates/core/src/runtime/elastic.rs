@@ -87,23 +87,25 @@ impl CuccCluster {
     /// stream, flush every deferred gather (a checkpoint taken mid-graph
     /// would otherwise record per-node slices), and admit ripe joins so
     /// the image reflects the membership the next launch would see. The
-    /// returned [`Checkpoint`] serializes with [`Checkpoint::encode`] and
-    /// restores — into the same or a *different* node count — with
-    /// [`CuccCluster::restore`].
-    pub fn checkpoint(&mut self) -> Result<Checkpoint, MigrateError> {
+    /// returned [`Checkpoint`] borrows the read node's pool (nothing is
+    /// copied, and the cluster stays borrowed while it lives); it
+    /// serializes with [`Checkpoint::encode`] and restores — into the same
+    /// or a *different* node count — with [`CuccCluster::restore`].
+    pub fn checkpoint(&mut self) -> Result<Checkpoint<'_>, MigrateError> {
         self.synchronize()?;
         self.process_joins()?;
         self.materialize_all();
         let pool = self.sim.node(self.read_node());
-        let buffers: Vec<Vec<u8>> = (0..pool.len())
-            .map(|i| pool.bytes(BufferId(i as u32)).to_vec())
+        let buffers = (0..pool.len())
+            .map(|i| pool.bytes(BufferId(i as u32)))
             .collect();
         Ok(Checkpoint {
             logical_nodes: self.state.logical_nodes() as u32,
             epoch: self.state.epoch(),
             clock: self.timeline.clock(),
             modeled: !self.functional(),
-            alive: self.state.alive().to_vec(),
+            // A byte per node; the buffers above are the node state.
+            alive: self.state.alive().into(),
             // Only an armed plan has consumption state worth carrying; an
             // empty plan's image stays cursor-free (and byte-identical to
             // the images written before the injector was always present).
@@ -132,11 +134,12 @@ impl CuccCluster {
     /// With a *different* node count the restore is a migration: every
     /// node of the new shape starts alive, one epoch past the image's.
     /// Buffer ids are replayed in allocation order, so handles held
-    /// before the checkpoint stay valid against the restored cluster.
+    /// before the checkpoint stay valid against the restored cluster, and
+    /// each node's buffer is built straight from the checkpoint's bytes.
     pub fn restore(
         spec: ClusterSpec,
         options: crate::RunOptions,
-        ckpt: &Checkpoint,
+        ckpt: &Checkpoint<'_>,
     ) -> Result<CuccCluster, MigrateError> {
         let modeled = options.fidelity == ExecutionFidelity::Modeled;
         if ckpt.modeled != modeled {
@@ -156,8 +159,7 @@ impl CuccCluster {
             cl.state = ClusterState::restored(vec![true; n], ckpt.epoch + 1);
         }
         for bytes in &ckpt.buffers {
-            let id = cl.sim.alloc(bytes.len());
-            cl.sim.write_all(id, bytes);
+            cl.sim.alloc_from(bytes);
         }
         // Consumed one-shot fault events stay consumed across the restore,
         // and the fault RNG continues its checkpointed sequence.

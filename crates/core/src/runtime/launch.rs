@@ -180,14 +180,15 @@ impl CuccCluster {
             None => Vec::new(),
         };
         let functional = self.functional();
+        let lane = functional && self.config.engine == EngineKind::Lane;
         // One compile per functional launch, whatever its mode; every pass
         // and the sanitizer reuse it, and a planning miss already made it.
         // The tree-walk oracle interprets the kernel itself (and modeled
-        // fidelity runs nothing): a miss's program then only served the
-        // profile.
-        let compiled = match (self.config.engine, planned) {
-            (EngineKind::Lane, Some(c)) if functional => Some(c),
-            (EngineKind::Lane, None) if functional => {
+        // fidelity runs nothing): a miss's program then serves only the
+        // profile and the sanitizer.
+        let compiled = match planned {
+            Some(c) if functional => Some(c),
+            None if lane => {
                 let pool = self.sim.node(self.read_node());
                 Some(compile_certified(ck, launch, args, pool, &self.config)?)
             }
@@ -196,7 +197,7 @@ impl CuccCluster {
         if functional && self.config.sanitize {
             self.run_sanitizer(call, compiled.as_ref())?;
         }
-        let prog = compiled.as_ref().map(|c| &c.program);
+        let prog = compiled.as_ref().filter(|_| lane).map(|c| &c.program);
         #[cfg(test)]
         {
             self.last_certs = prog.map(|p| (p.cert_stats(), p.cert_mode()));
@@ -232,7 +233,8 @@ impl CuccCluster {
     /// validates distribution plans: a dynamic race (or OOB) observed on a
     /// launch the verifier proved race-free (or in-bounds) is a soundness
     /// bug and fails the launch loudly. The verifier reads the launch's own
-    /// program and range analysis (`compiled`; the tree-walk engine has
+    /// program and range analysis (`compiled`: a planning miss's, or the
+    /// lane engine's; a tree-walk launch that hit the schedule cache has
     /// none, and the facts compile it). The sanitizer itself is
     /// observational — findings are stored on [`CuccCluster::sanitize_report`],
     /// not treated as errors (the real execution still traps OOB).
@@ -248,6 +250,10 @@ impl CuccCluster {
         let acc = Some(&ck.analysis.accesses);
         let facts = LaunchFacts::of(&ck.kernel, acc, launch, args, size_of, compiled);
         let s = cucc_analysis::verify(&facts, false, None);
+        #[cfg(test)]
+        {
+            self.last_verdicts = Some((s.clone(), compiled.is_some()));
+        }
         if !dynamic.races.is_empty() && s.race.is_safe() {
             return Err(MigrateError::Launch(format!(
                 "sanitizer soundness violation in `{}`: dynamic write race observed \

@@ -172,6 +172,10 @@ pub struct CuccCluster {
     /// ran: the tests' probe that every door and mode runs a certified one.
     #[cfg(test)]
     last_certs: Option<((usize, usize), Option<cucc_exec::CertMode>)>,
+    /// The static verdicts the most recent sanitized launch checked, and
+    /// whether they were read off the launch's own program.
+    #[cfg(test)]
+    last_verdicts: Option<(cucc_analysis::VerifyReport, bool)>,
 }
 
 impl CuccCluster {
@@ -200,6 +204,8 @@ impl CuccCluster {
             pending: BTreeMap::new(),
             #[cfg(test)]
             last_certs: None,
+            #[cfg(test)]
+            last_verdicts: None,
         }
     }
 
@@ -791,6 +797,56 @@ mod tests {
             let (clean, certs) = sanitized(door, TALLY);
             assert!(clean.clean(), "{door:?}: {}", clean.summary());
             assert!(certs.0 > 0, "{door:?}: {certs:?}");
+        }
+    }
+
+    /// A tree-walk launch is sanitized as a lane launch is: the same static
+    /// verdicts and the same dynamic observations. A planning miss hands its
+    /// program to the sanitizer under either engine; a cache hit under the
+    /// tree walk has none to hand, and the verdicts come out the same.
+    #[test]
+    fn sanitizer_verdicts_do_not_depend_on_the_engine() {
+        let sanitized = |engine: EngineKind, src: &str| {
+            let ck = compile_source(src).unwrap();
+            let options = crate::RunOptions::builder()
+                .sanitize(true)
+                .engine(engine)
+                .build();
+            let mut cl = CuccCluster::with_options(spec(2), options);
+            let x = cl.alloc(512 * 4);
+            let out = cl.alloc(512 * 4);
+            let args = [Arg::Buffer(x), Arg::Buffer(out), Arg::int(512)];
+            let args = &args[..ck.kernel.params.len()];
+            // A planning miss, then a cache hit.
+            (0..2)
+                .map(|_| {
+                    cl.launch(&ck, LaunchConfig::new(4, 128), args).unwrap();
+                    let (verdicts, reused) = cl.last_verdicts.clone().expect("sanitized");
+                    let dynamic = format!("{:?}", cl.sanitize_report().expect("sanitized"));
+                    (verdicts, dynamic, reused)
+                })
+                .collect::<Vec<_>>()
+        };
+        for src in [
+            "__global__ void copy(float* x, float* out) {
+                int id = blockDim.x * blockIdx.x + threadIdx.x;
+                out[id] = x[id];
+            }",
+            "__global__ void all_to_zero(float* x, float* out) {
+                out[0] = x[blockDim.x * blockIdx.x + threadIdx.x];
+            }",
+            TALLY,
+        ] {
+            let tree = sanitized(EngineKind::TreeWalk, src);
+            let lane = sanitized(EngineKind::Lane, src);
+            for (t, l) in tree.iter().zip(&lane) {
+                assert_eq!((&t.0, &t.1), (&l.0, &l.1), "{src}");
+            }
+            assert!(
+                tree[0].2 && lane[0].2,
+                "a miss hands its program over: {src}"
+            );
+            assert!(lane[1].2, "a lane launch always runs a program: {src}");
         }
     }
 

@@ -16,6 +16,13 @@
 //! alive/epoch, the simulated clock, and the fault-session cursor — so a
 //! job can be restored into a new process (same or different node count)
 //! and resume bit-identically.
+//!
+//! Node state is copied once per direction. A [`Checkpoint`] borrows its
+//! buffer bytes: the one taken by `CuccCluster::checkpoint` lends the read
+//! node's pool, and the one [`Checkpoint::decode`] returns lends slices of
+//! the image. Going out, [`Checkpoint::encode`] copies each byte into an
+//! image sized once; coming back, `CuccCluster::restore` copies each byte
+//! from the image into each node's fresh buffer.
 
 use crate::error::MigrateError;
 
@@ -127,8 +134,12 @@ impl ClusterState {
 /// streams and materializes every pending (elided) gather first, so the
 /// recorded buffer bytes are globally consistent and a single copy per
 /// buffer suffices.
+///
+/// The buffers are borrowed (`'a` is the node pool or the image they were
+/// read from); a checkpoint that must outlive its cluster goes through
+/// [`Checkpoint::encode`] and [`Checkpoint::decode`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
+pub struct Checkpoint<'a> {
     /// Logical node count the checkpoint was taken at.
     pub logical_nodes: u32,
     /// Membership epoch at checkpoint time.
@@ -143,7 +154,7 @@ pub struct Checkpoint {
     /// consumption flags. `None` when the session had no fault plan.
     pub fault_cursor: Option<(u64, Vec<bool>)>,
     /// Raw bytes of every buffer, in allocation (= `BufferId`) order.
-    pub buffers: Vec<Vec<u8>>,
+    pub buffers: Vec<&'a [u8]>,
 }
 
 /// File magic of the checkpoint format.
@@ -151,17 +162,26 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CUCCCKPT";
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-impl Checkpoint {
-    /// Serialize to the versioned binary format.
+impl<'a> Checkpoint<'a> {
+    /// Serialize to the versioned binary format, into an image allocated
+    /// once at its final size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        debug_assert_eq!(self.alive.len(), self.logical_nodes as usize);
+        // magic, version, nodes, epoch, clock, modeled
+        const FIXED: usize = 8 + 4 + 4 + 8 + 8 + 1;
+        let cursor = match &self.fault_cursor {
+            None => 1,
+            Some((_, flags)) => 1 + 8 + 4 + flags.len(),
+        };
+        let payload: usize = self.buffers.iter().map(|b| 8 + b.len()).sum();
+        let len = FIXED + self.alive.len() + cursor + 4 + payload;
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.logical_nodes.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.clock.to_bits().to_le_bytes());
         out.push(self.modeled as u8);
-        debug_assert_eq!(self.alive.len(), self.logical_nodes as usize);
         out.extend(self.alive.iter().map(|&a| a as u8));
         match &self.fault_cursor {
             None => out.push(0),
@@ -177,11 +197,13 @@ impl Checkpoint {
             out.extend_from_slice(&(buf.len() as u64).to_le_bytes());
             out.extend_from_slice(buf);
         }
+        debug_assert_eq!(out.len(), len, "encode sized the image wrongly");
         out
     }
 
-    /// Parse the versioned binary format.
-    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, MigrateError> {
+    /// Parse the versioned binary format. The buffers are slices of
+    /// `bytes`; nothing of the payload is copied.
+    pub fn decode(bytes: &'a [u8]) -> Result<Checkpoint<'a>, MigrateError> {
         fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], MigrateError> {
             let end = pos
                 .checked_add(n)
@@ -226,7 +248,8 @@ impl Checkpoint {
         let mut buffers = Vec::with_capacity((nbufs as usize).min(bytes.len() / 8));
         for _ in 0..nbufs {
             let len = u64::from_le_bytes(take(8)?.try_into().unwrap());
-            buffers.push(take(len as usize)?.to_vec());
+            // A length past the address space is past the input too.
+            buffers.push(take(usize::try_from(len).unwrap_or(usize::MAX))?);
         }
         if p != bytes.len() {
             return Err(bad("trailing bytes after checkpoint payload"));
@@ -286,7 +309,7 @@ mod tests {
             modeled: false,
             alive: vec![true, false, true],
             fault_cursor: Some((0xDEAD_BEEF, vec![true, false, true, true])),
-            buffers: vec![vec![1, 2, 3, 4], vec![], vec![0xFF; 31]],
+            buffers: vec![&[1, 2, 3, 4], &[], &[0xFF; 31]],
         };
         let bytes = ck.encode();
         assert_eq!(Checkpoint::decode(&bytes).unwrap(), ck);
@@ -308,7 +331,7 @@ mod tests {
             modeled: true,
             alive: vec![true, true],
             fault_cursor: None,
-            buffers: vec![vec![9; 8]],
+            buffers: vec![&[9; 8]],
         }
         .encode();
 
@@ -343,5 +366,48 @@ mod tests {
             Checkpoint::decode(&bad),
             Err(MigrateError::Checkpoint(_))
         ));
+    }
+
+    /// Version-1 images as `encode` wrote them before checkpoints borrowed
+    /// their buffers: one with a fault cursor, one without. `encode` must
+    /// still write these bytes, and `decode` must still read them.
+    #[test]
+    fn version_1_images_are_pinned() {
+        const WITH_CURSOR: [u8; 90] = [
+            67, 85, 67, 67, 67, 75, 80, 84, 1, 0, 0, 0, 3, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 123,
+            20, 174, 71, 225, 122, 84, 63, 0, 1, 0, 1, 1, 239, 190, 173, 222, 0, 0, 0, 0, 4, 0, 0,
+            0, 1, 0, 1, 1, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0,
+            5, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255,
+        ];
+        const WITHOUT_CURSOR: [u8; 56] = [
+            67, 85, 67, 67, 67, 75, 80, 84, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 183,
+            95, 62, 89, 49, 92, 205, 62, 1, 1, 1, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9,
+            9, 9, 9, 9, 9,
+        ];
+        let with_cursor = Checkpoint {
+            logical_nodes: 3,
+            epoch: 7,
+            clock: 1.25e-3,
+            modeled: false,
+            alive: vec![true, false, true],
+            fault_cursor: Some((0xDEAD_BEEF, vec![true, false, true, true])),
+            buffers: vec![&[1, 2, 3, 4], &[], &[0xFF; 5]],
+        };
+        let without_cursor = Checkpoint {
+            logical_nodes: 2,
+            epoch: 0,
+            clock: 3.5e-6,
+            modeled: true,
+            alive: vec![true, true],
+            fault_cursor: None,
+            buffers: vec![&[9; 8]],
+        };
+        for (ck, pinned) in [
+            (with_cursor, &WITH_CURSOR[..]),
+            (without_cursor, &WITHOUT_CURSOR[..]),
+        ] {
+            assert_eq!(ck.encode(), pinned);
+            assert_eq!(Checkpoint::decode(pinned).unwrap(), ck);
+        }
     }
 }

@@ -38,6 +38,14 @@ impl MemPool {
         id
     }
 
+    /// Allocate a buffer holding a copy of `bytes`; returns the handle.
+    /// The buffer is built from the bytes, not zeroed and then written.
+    pub fn alloc_from(&mut self, bytes: &[u8]) -> BufferId {
+        let id = BufferId(self.bufs.len() as u32);
+        self.bufs.push(bytes.to_vec());
+        id
+    }
+
     /// Allocate room for `len` elements of type `elem`.
     pub fn alloc_elems(&mut self, elem: Scalar, len: usize) -> BufferId {
         self.alloc(elem.size() * len)

@@ -14,8 +14,9 @@ use cucc::analysis::{LaunchFacts, LintReport, Verdict, VerifyReport};
 use cucc::cluster::ClusterSpec;
 use cucc::core::codegen::{generate_host_module, generate_kernel_module};
 use cucc::core::{
-    compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode, ExecutionFidelity,
-    FaultKind, FaultPlan, JobServer, RunOptions, ServeConfig, ServePolicy,
+    compile, compile_source, synthetic_stream, CuccCluster, EngineKind, ExecMode,
+    ExecutionFidelity, FaultKind, FaultPlan, JobServer, MigrateError, RunOptions, ServeConfig,
+    ServePolicy,
 };
 use cucc::exec::{Arg, BufferId};
 use cucc::gpu_model::{GpuDevice, GpuSpec};
@@ -368,7 +369,10 @@ impl Opts {
 // -------------------------------------------------------------- analyze --
 
 fn cmd_analyze(src: &str) -> Result<String, String> {
-    let ck = compile_source(src).map_err(|e| e.to_string())?;
+    // One parse: the verifier's line numbers come from the same pass.
+    let (kernel, map) =
+        cucc::ir::parse_kernel_with_map(src).map_err(|e| MigrateError::from(e).to_string())?;
+    let ck = compile(kernel).map_err(|e| e.to_string())?;
     let mut out = format!("kernel `{}`\n", ck.name());
     match &ck.analysis.verdict {
         Verdict::Distributable(meta) => {
@@ -399,11 +403,10 @@ fn cmd_analyze(src: &str) -> Result<String, String> {
     }
     // Kernel verifier at the canonical launch (`cucc check` runs the same
     // rules; real geometry and extents come from `cucc check --builtin`).
-    let map = cucc::ir::parse_kernel_with_map(src).ok().map(|(_, m)| m);
     let (launch, args, bytes) = cucc::analysis::canonical_check_input(&ck.kernel);
     let (k, acc) = (&ck.kernel, &ck.analysis.accesses);
     let facts = LaunchFacts::of(k, Some(acc), launch, &args, |b| bytes[b.index()], None);
-    let vr = cucc::analysis::verify(&facts, true, map.as_ref());
+    let vr = cucc::analysis::verify(&facts, true, Some(&map));
     out += &format!("  verifier      : {launch}\n");
     out += &vr.render();
     Ok(out)

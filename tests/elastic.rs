@@ -189,6 +189,123 @@ proptest! {
     }
 }
 
+/// Images of this file's shapes, each after one SAXPY launch: 1–5 nodes
+/// without a fault plan and with an armed one that never fires (so with a
+/// fault cursor), plus the kill + growth-join image (a dead node, 5 slots).
+fn decode_corpus() -> &'static [Vec<u8>] {
+    static CORPUS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let ck = compile_source(SAXPY).unwrap();
+        let image = |nodes: u32, plan: FaultPlan| {
+            let n = 64 * nodes as usize + 13;
+            let (xs, ys) = seeded(u64::from(nodes), n);
+            let (mut cl, x, y) = loaded(nodes, plan, &xs, &ys);
+            let launch = LaunchConfig::cover1(n as u64, 64);
+            cl.launch(&ck, launch, &saxpy_args(x, y, n)).unwrap();
+            cl.checkpoint().unwrap().encode()
+        };
+        let mut images = Vec::new();
+        for nodes in 1u32..6 {
+            images.push(image(nodes, FaultPlan::none()));
+            let armed = FaultPlan::none().kill(nodes - 1, 1e9).drop_step(1e9);
+            images.push(image(nodes, armed));
+        }
+        images.push(image(4, FaultPlan::none().kill(3, 0.0).join(4, 0.0)));
+        images
+    })
+}
+
+/// Byte offset of the node count (after the magic and the version).
+const NODE_COUNT_AT: usize = 12;
+
+/// Byte offsets of the other fields a decode trusts for sizes, read off a
+/// clean image: the cursor's flag count (when there is a cursor), the
+/// buffer count and each buffer's length.
+fn size_fields(image: &[u8]) -> (Option<usize>, usize, Vec<usize>) {
+    let ck = Checkpoint::decode(image).unwrap();
+    let cursor_byte = 33 + ck.alive.len();
+    let flags = ck.fault_cursor.as_ref().map(|_| cursor_byte + 9);
+    let mut at = match &ck.fault_cursor {
+        None => cursor_byte + 1,
+        Some((_, f)) => cursor_byte + 13 + f.len(),
+    };
+    let nbufs = at;
+    at += 4;
+    let mut lens = Vec::new();
+    for b in &ck.buffers {
+        lens.push(at);
+        at += 8 + b.len();
+    }
+    (flags, nbufs, lens)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Checkpoint::decode` of a mutated image never panics: it returns
+    /// the typed checkpoint error or a checkpoint whose buffers lie inside
+    /// the input, whose vectors reserve no more elements than the input
+    /// has bytes, and whose own image decodes again.
+    #[test]
+    fn decode_never_panics_on_mutated_images(
+        pick in any::<usize>(),
+        mutation in 0u8..6,
+        at in any::<usize>(),
+        mask in 1u8..=255,
+        value in any::<u64>(),
+        inflate in 0u8..4,
+    ) {
+        let corpus = decode_corpus();
+        let clean = &corpus[pick % corpus.len()];
+        let (flags, nbufs, lens) = size_fields(clean);
+        let mut bytes = clean.clone();
+        // An inflated size: one more, a little more, the largest, or any.
+        let grow = |old: u64, max: u64| match inflate {
+            0 => old.saturating_add(1).min(max),
+            1 => old.saturating_add(1 + value % 4096).min(max),
+            2 => max,
+            _ => value & max,
+        };
+        let set_u32 = |bytes: &mut Vec<u8>, off: usize| {
+            let old = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+            let new = grow(u64::from(old), u64::from(u32::MAX)) as u32;
+            bytes[off..off + 4].copy_from_slice(&new.to_le_bytes());
+        };
+        match mutation {
+            0 => bytes[at % clean.len()] ^= mask,
+            1 => bytes.truncate(at % clean.len()),
+            2 => set_u32(&mut bytes, NODE_COUNT_AT),
+            3 => set_u32(&mut bytes, flags.unwrap_or(nbufs)),
+            4 => set_u32(&mut bytes, nbufs),
+            _ => {
+                let off = lens[at % lens.len()];
+                let old = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+                let new = grow(old, u64::MAX);
+                bytes[off..off + 8].copy_from_slice(&new.to_le_bytes());
+            }
+        }
+        match Checkpoint::decode(&bytes) {
+            Ok(ck) => {
+                let input = bytes.as_ptr_range();
+                for b in &ck.buffers {
+                    let inner = b.as_ptr_range();
+                    prop_assert!(input.start <= inner.start && inner.end <= input.end,
+                        "a decoded buffer is not a slice of the image");
+                }
+                prop_assert!(ck.buffers.capacity() <= bytes.len());
+                prop_assert!(ck.alive.capacity() <= bytes.len());
+                if let Some((_, f)) = &ck.fault_cursor {
+                    prop_assert!(f.capacity() <= bytes.len());
+                }
+                let again = ck.encode();
+                prop_assert_eq!(Checkpoint::decode(&again).unwrap().encode(), again);
+            }
+            Err(cucc::core::MigrateError::Checkpoint(_)) => {}
+            Err(e) => prop_assert!(false, "untyped decode error: {e}"),
+        }
+    }
+}
+
 /// The ISSUE's acceptance scenario, end to end: a workload is killed at
 /// node 3, a fresh node joins (cluster growth 4 → 5), the job is
 /// checkpointed to disk, restored into a new process, and run to
@@ -280,7 +397,9 @@ fn checkpoint_flushes_pending_gathers() {
         "the replay must leave x pending for this test to bite"
     );
 
-    let ckpt = cl.checkpoint().unwrap();
+    // The checkpoint borrows the cluster; its image outlives the borrow.
+    let image = cl.checkpoint().unwrap().encode();
+    let ckpt = Checkpoint::decode(&image).unwrap();
     assert!(
         cl.pending_gathers().is_empty(),
         "checkpoint must flush pending gathers"
@@ -348,24 +467,28 @@ fn restore_rejects_mismatched_configurations() {
 #[test]
 fn fault_cursor_is_written_only_under_a_plan_and_validated_on_restore() {
     use cucc::core::MigrateError;
+    // A checkpoint borrows its cluster, so each outlives the cluster as
+    // its encoded image.
     let image_of = |faults: FaultPlan| {
         let mut cl = cluster(3, faults);
         let x = cl.alloc(64);
         cl.upload::<f32>(x, &[1.0; 16]).unwrap();
-        cl.checkpoint().unwrap()
+        cl.checkpoint().unwrap().encode()
     };
     let restore = |options: RunOptions, ckpt: &Checkpoint| {
         CuccCluster::restore(ClusterSpec::simd_focused().with_nodes(3), options, ckpt)
     };
 
-    let plain = image_of(FaultPlan::none());
+    let plain_image = image_of(FaultPlan::none());
+    let plain = Checkpoint::decode(&plain_image).unwrap();
     assert_eq!(plain.fault_cursor, None);
     // magic 8 + version 4 + nodes 4 + epoch 8 + clock 8 + modeled 1 + alive 3.
     assert_eq!(plain.encode()[36], 0, "cursor byte of an empty-plan image");
     restore(RunOptions::default(), &plain).unwrap();
 
     let plan = FaultPlan::none().kill(1, 1e9).drop_step(1e9);
-    let armed = image_of(plan.clone());
+    let armed_image = image_of(plan.clone());
+    let armed = Checkpoint::decode(&armed_image).unwrap();
     let (_, flags) = armed.fault_cursor.as_ref().expect("armed plan → cursor");
     assert_eq!(flags.len(), 2);
     assert_eq!(armed.encode()[36], 1);

@@ -16,7 +16,7 @@ use cucc::core::{
     compile_source, CompiledKernel, CuccCluster, FaultPlan, GraphCapture, LaunchSchedule,
     MigrateError, RunOptions, ScheduleCache,
 };
-use cucc::exec::{profile_launch, Arg, ExecError};
+use cucc::exec::{profile_launch, Arg, EngineKind, ExecError};
 use cucc::ir::{LaunchConfig, Param, Scalar, Value};
 use cucc::workloads::{heteromark_kernels, perf_suite, triton_kernels, Scale};
 use proptest::prelude::*;
@@ -203,15 +203,20 @@ struct Case {
     scalars: Vec<Value>,
 }
 
-/// The 8 perf-suite programs and the 34 coverage kernels.
-fn builtin_cases() -> Vec<Case> {
-    let perf = perf_suite(Scale::Test).into_iter().map(|b| Case {
+/// The 8 perf-suite programs.
+fn perf_cases() -> impl Iterator<Item = Case> {
+    perf_suite(Scale::Test).into_iter().map(|b| Case {
         name: b.name().to_string(),
         source: b.source(),
         launch: b.launch(),
         buffers: b.buffers(),
         scalars: b.scalars(),
-    });
+    })
+}
+
+/// The 8 perf-suite programs and the 34 coverage kernels.
+fn builtin_cases() -> Vec<Case> {
+    let perf = perf_cases();
     let coverage = triton_kernels()
         .into_iter()
         .chain(heteromark_kernels())
@@ -223,6 +228,25 @@ fn builtin_cases() -> Vec<Case> {
             scalars: k.scalars,
         });
     perf.chain(coverage).collect()
+}
+
+/// Allocate and upload `case`'s buffers on `cl` and bind them, with its
+/// scalars, to `ck`'s parameters in order.
+fn bind(cl: &mut CuccCluster, ck: &CompiledKernel, case: &Case) -> Vec<Arg> {
+    let (mut bufs, mut scalars) = (case.buffers.iter(), case.scalars.iter());
+    ck.kernel
+        .params
+        .iter()
+        .map(|p| match p {
+            Param::Buffer { .. } => {
+                let data = bufs.next().expect("a buffer per buffer param");
+                let id = cl.alloc(data.len());
+                cl.upload(id, data).unwrap();
+                Arg::Buffer(id)
+            }
+            Param::Scalar { .. } => Arg::Scalar(*scalars.next().expect("a scalar per param")),
+        })
+        .collect()
 }
 
 /// xorshift64*: the refill's self-contained deterministic RNG.
@@ -290,21 +314,7 @@ fn the_door_equals_a_fresh_plan_under_any_contents() {
     for case in builtin_cases() {
         let ck = compile_source(&case.source).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let mut cl = cluster(4, FaultPlan::none());
-        let (mut bufs, mut scalars) = (case.buffers.iter(), case.scalars.iter());
-        let args: Vec<Arg> = ck
-            .kernel
-            .params
-            .iter()
-            .map(|p| match p {
-                Param::Buffer { .. } => {
-                    let data = bufs.next().expect("a buffer per buffer param");
-                    let id = cl.alloc(data.len());
-                    cl.upload(id, data).unwrap();
-                    Arg::Buffer(id)
-                }
-                Param::Scalar { .. } => Arg::Scalar(*scalars.next().expect("a scalar per param")),
-            })
-            .collect();
+        let args = bind(&mut cl, &ck, &case);
         let check = |cl: &mut CuccCluster, when: &str| {
             let text = |r: Result<LaunchSchedule, _>| {
                 r.map_err(|e: cucc::core::MigrateError| e.to_string())
@@ -338,6 +348,37 @@ fn the_door_equals_a_fresh_plan_under_any_contents() {
         steered.len()
     );
     assert_eq!(cached + steered.len(), 42);
+}
+
+/// `--sanitize` observes the same under the tree walk as on lanes, for
+/// the perf-suite programs on 4 nodes (three-phase, replicated and
+/// content-steered), at a planning miss and at a cache hit: the same
+/// launch outcome (a soundness violation is an error) and the same
+/// sanitizer report.
+#[test]
+fn sanitized_builtins_agree_across_engines() {
+    for case in perf_cases() {
+        let ck = compile_source(&case.source).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let sanitized = |engine: EngineKind| {
+            let options = RunOptions::builder().sanitize(true).engine(engine).build();
+            let mut cl =
+                CuccCluster::with_options(ClusterSpec::simd_focused().with_nodes(4), options);
+            let args = bind(&mut cl, &ck, &case);
+            (0..2)
+                .map(|_| {
+                    let outcome = cl.launch(&ck, case.launch, &args).map(|_| ());
+                    let report = cl.sanitize_report().map(|r| format!("{r:?}"));
+                    (outcome.map_err(|e| e.to_string()), report)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            sanitized(EngineKind::TreeWalk),
+            sanitized(EngineKind::Lane),
+            "{}",
+            case.name
+        );
+    }
 }
 
 /// A profile that traps stops where the oracle's does. Eight blocks of 32 at
