@@ -8,7 +8,7 @@
 //! * [`compute`] — the node compute-time model (SIMD speedup × LPT core
 //!   scheduling × memory-bandwidth floor) fed by instrumented
 //!   [`cucc_exec::BlockStats`];
-//! * [`cluster`] — [`SimCluster`]: per-node disjoint memories, parallel
+//! * [`cluster`] — [`SimCluster`]: per-node private memories, parallel
 //!   functional block execution, and byte-moving Allgather between nodes.
 
 pub mod cluster;

@@ -1377,4 +1377,45 @@ mod tests {
         cap.launch(&ck, launch, &args);
         refused(fresh().graph_replay(&cap.finish()).map(drop));
     }
+
+    #[test]
+    fn checkpoint_to_replaces_the_image_whole_or_not_at_all() {
+        let dir = std::env::temp_dir().join(format!("cucc-ckpt-durable-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.ckpt");
+        let tmp = dir.join("state.ckpt.tmp");
+        let restored = |at: &std::path::Path| {
+            let mut cl = CuccCluster::restore_from(spec(2), RuntimeConfig::default(), at).unwrap();
+            cl.download::<u8>(BufferId(0)).unwrap()
+        };
+        let mut cl = CuccCluster::with_options(spec(2), RuntimeConfig::default());
+        let b = cl.alloc(64);
+        cl.upload::<u8>(b, &[7; 64]).unwrap();
+        let size = cl.checkpoint_to(&path).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
+        assert!(!tmp.exists(), "a successful checkpoint leaves no temporary");
+        assert_eq!(restored(&path), [7; 64]);
+
+        // The temporary cannot be written: a typed error, the old image kept.
+        cl.upload::<u8>(b, &[9; 64]).unwrap();
+        std::fs::create_dir(&tmp).unwrap();
+        let err = cl.checkpoint_to(&path).unwrap_err();
+        assert!(matches!(err, MigrateError::Checkpoint(_)), "{err}");
+        std::fs::remove_dir(&tmp).unwrap();
+        assert_eq!(restored(&path), [7; 64]);
+
+        // The rename fails (the final name is a directory): a typed error,
+        // the directory untouched and no temporary left behind.
+        let blocked = dir.join("blocked.ckpt");
+        std::fs::create_dir(&blocked).unwrap();
+        std::fs::write(blocked.join("keep"), b"x").unwrap();
+        let err = cl.checkpoint_to(&blocked).unwrap_err();
+        assert!(matches!(err, MigrateError::Checkpoint(_)), "{err}");
+        assert!(blocked.join("keep").exists());
+        assert!(!dir.join("blocked.ckpt.tmp").exists());
+
+        assert_eq!(cl.checkpoint_to(&path).unwrap(), size);
+        assert_eq!(restored(&path), [9; 64]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
