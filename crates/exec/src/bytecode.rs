@@ -544,6 +544,21 @@ impl Program {
     pub fn serial_only(&self) -> bool {
         self.has_global_atomics
     }
+
+    /// The global buffers some instruction stores to, in code order (a
+    /// buffer may repeat). Every other buffer the launch binds is only
+    /// read, so it may stay shared with other nodes for the whole launch.
+    pub(crate) fn written_buffers(&self) -> impl Iterator<Item = BufferId> + '_ {
+        self.code.iter().filter_map(|inst| {
+            let (Inst::Store { slot, .. } | Inst::AtomicRmw { slot, .. }) = inst else {
+                return None;
+            };
+            match self.slots[*slot as usize].as_ref()?.kind {
+                SlotKind::Global { buf } => Some(buf),
+                SlotKind::Shared { .. } | SlotKind::Local { .. } => None,
+            }
+        })
+    }
 }
 
 /// How the engine consumes an attached certificate table.

@@ -305,7 +305,8 @@ fn scatter_cert(
     nl: usize,
     elide: bool,
 ) -> Result<(), usize> {
-    // SAFETY: as in `gather_cert`.
+    // SAFETY: as in `gather_cert`, through a `GlobalMem::raw_mut` view
+    // (bytes this node alone holds) or a live shared image.
     unsafe {
         if elide {
             scatter::<true>(ptr, len, elem, ix, vb, vk, nl)
@@ -1146,7 +1147,7 @@ impl<'p> LaneEngine<'p> {
                 let pv = *val as usize * self.nthreads + c0;
                 let vb = &self.bufs.bits[pv..pv + nl];
                 let (ptr, len) = match info.kind {
-                    SlotKind::Global { buf } => mem.raw(buf),
+                    SlotKind::Global { buf } => mem.raw_mut(buf),
                     SlotKind::Shared { idx: si } => {
                         let sh = &mut self.bufs.shared[si as usize];
                         (sh.as_mut_ptr(), sh.len())
