@@ -22,6 +22,11 @@
 //!   Triton, 13 Hetero-Mark) at their own launches, serial, run-only, every
 //!   repetition on a fresh copy of the initial memory.
 //!
+//! Every `lane` and `detached` column is also written as a ratio to the same
+//! run's `tree` column (`*_vs_tree`). The tree-walk oracle is the one
+//! executor an engine change leaves alone, so a ratio moved between two runs
+//! is the engine, while a bare rate also carries the host's drift.
+//!
 //! `before` carries the serial run-only `tree`, `lane`, `detached` and
 //! `unchecked` columns of the eight 1-worker micro rows and the 42 builtin
 //! rows, measured at the commit it names — the parent of the last PR that
@@ -346,11 +351,14 @@ fn micro_rows(c: &Case, reps: usize) -> Vec<String> {
              \"lane_speedup\": {:.2}, \"lane_run_blocks_per_sec\": {lane_run:.0}, \
              \"detached_run_blocks_per_sec\": {detached_run:.0}, \"lane_vs_detached\": {:.2}, \
              \"unchecked_run_blocks_per_sec\": {unchecked_run:.0}, \"elide_speedup\": {:.2}, \
+             \"lane_run_vs_tree\": {:.2}, \"detached_run_vs_tree\": {:.2}, \
              \"sanitize_blocks_per_sec\": {sanitize:.0}, \"sanitize_overhead_vs_tree\": {:.2}}}",
             c.name,
             lane / tree,
             lane_run / detached_run,
             unchecked_run / lane_run,
+            lane_run / tree,
+            detached_run / tree,
             tree / sanitize,
         ));
         // Perf-regression smoke, serial row: lanes must not lose to
@@ -401,9 +409,12 @@ fn builtin_row(c: &Case) -> String {
     );
     let tpb = c.launch.threads_per_block();
     println!(
-        "{:<24} {nblocks:>4}x{tpb:<5} tree {tree:>10.0} | lane {lane:>10.0} | detached \
-         {detached:>10.0} ({:.2}x) | unchecked {unchecked:>10.0} ({}/{} certified)",
+        "{:<24} {nblocks:>4}x{tpb:<5} tree {tree:>10.0} | lane {lane:>10.0} ({:.2}x tree) | \
+         detached {detached:>10.0} ({:.2}x tree; lane {:.2}x) | unchecked {unchecked:>10.0} \
+         ({}/{} certified)",
         c.name,
+        lane / tree,
+        detached / tree,
         lane / detached,
         p.certs.0,
         p.certs.1,
@@ -412,9 +423,12 @@ fn builtin_row(c: &Case) -> String {
         "    {{\"kernel\": \"{}\", \"blocks\": {nblocks}, \"threads_per_block\": {tpb}, \
          \"phases\": \"{}\", \"tree_blocks_per_sec\": {tree:.0}, \
          \"lane_run_blocks_per_sec\": {lane:.0}, \"detached_run_blocks_per_sec\": {detached:.0}, \
+         \"lane_vs_tree\": {:.2}, \"detached_vs_tree\": {:.2}, \
          \"unchecked_run_blocks_per_sec\": {unchecked:.0}, \"certified\": {}, \"accesses\": {}}}",
         c.name,
         p.lane.phase_summary(),
+        lane / tree,
+        detached / tree,
         p.certs.0,
         p.certs.1,
     )

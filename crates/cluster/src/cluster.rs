@@ -584,6 +584,17 @@ mod tests {
     }
 
     #[test]
+    fn write_all_over_a_restored_buffer_replaces_it_on_one_node() {
+        let img = image(64);
+        let mut c = small_cluster(4);
+        let b = c.alloc_from(&img);
+        let data: Vec<u8> = img.iter().map(|v| v ^ 0xff).collect();
+        c.node_mut(2).write_all(b, &data);
+        assert_eq!(c.read(2, b), &data[..]);
+        only_node_wrote(&c, b, 2, &img);
+    }
+
+    #[test]
     fn a_serial_launch_unshares_only_what_it_writes_on_the_node_that_runs() {
         // One worker: the engine reaches the pool through `GlobalMem::raw`
         // for loads and `GlobalMem::raw_mut` for stores.

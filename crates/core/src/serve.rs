@@ -291,8 +291,7 @@ impl Ord for InFlight {
         // Reversed: earliest completion first, ties by record index.
         other
             .end
-            .partial_cmp(&self.end)
-            .unwrap()
+            .total_cmp(&self.end)
             .then(other.idx.cmp(&self.idx))
     }
 }
@@ -400,9 +399,11 @@ impl JobServer {
 
     /// Admission-check and enqueue one job at its arrival time. Returns
     /// the typed [`MigrateError::Rejected`] (and counts the rejection)
-    /// when the tenant's queue is at the configured depth limit; the
-    /// cluster is untouched in that case.
+    /// when the tenant's queue is at the configured depth limit, and
+    /// [`MigrateError::Launch`] for a non-finite arrival; the cluster is
+    /// untouched in either case.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<(), MigrateError> {
+        finite_arrival(spec)?;
         let tenant = spec.tenant;
         let tally = self.tallies.entry(tenant).or_default();
         let depth = self.queues.get(&tenant).map_or(0, |q| q.len());
@@ -645,12 +646,8 @@ impl JobServer {
     /// event, execute placements on the cluster, and drain completions on
     /// the serving clock. Jobs are processed in arrival order.
     pub fn run(&mut self, jobs: &[JobSpec]) -> Result<ServeReport, MigrateError> {
-        if let Some(bad) = jobs.iter().find(|j| !j.arrival.is_finite()) {
-            return Err(MigrateError::Launch(format!(
-                "tenant {}'s job arrives at t={}: arrival times must be finite",
-                bad.tenant, bad.arrival
-            )));
-        }
+        // Refused before any job is admitted, as `submit` would refuse it.
+        jobs.iter().try_for_each(finite_arrival)?;
         let mut stream: Vec<JobSpec> = jobs.to_vec();
         stream.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         let mut next = 0usize;
@@ -722,10 +719,9 @@ impl JobServer {
             let mut q: Vec<f64> = recs.iter().map(|r| r.placed - r.spec.arrival).collect();
             let mut e: Vec<f64> = recs.iter().map(|r| r.end - r.placed).collect();
             let mut t: Vec<f64> = recs.iter().map(|r| r.end - r.spec.arrival).collect();
-            let by = |a: &f64, b: &f64| a.partial_cmp(b).unwrap();
-            q.sort_by(by);
-            e.sort_by(by);
-            t.sort_by(by);
+            q.sort_by(f64::total_cmp);
+            e.sort_by(f64::total_cmp);
+            t.sort_by(f64::total_cmp);
             (q, e, t)
         };
         let (_, _, all_totals) = totals_of(&done);
@@ -796,6 +792,18 @@ impl JobServer {
             digests,
         })
     }
+}
+
+/// A job's arrival must be a finite time: the event loop and the sorts
+/// order jobs by it.
+fn finite_arrival(spec: &JobSpec) -> Result<(), MigrateError> {
+    if spec.arrival.is_finite() {
+        return Ok(());
+    }
+    Err(MigrateError::Launch(format!(
+        "tenant {}'s job arrives at t={}: arrival times must be finite",
+        spec.tenant, spec.arrival
+    )))
 }
 
 /// Percentile of an ascending-sorted sample (nearest-rank; 0.0 when
@@ -950,6 +958,31 @@ mod tests {
             let err = srv.run(&[JobSpec { arrival, ..spec(0) }]).unwrap_err();
             assert!(matches!(err, MigrateError::Launch(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn submit_refuses_a_nan_arrival_with_a_typed_error() {
+        let mut srv = server(2, ServeConfig::default());
+        let spec = JobSpec {
+            tenant: 1,
+            class: DeadlineClass::Interactive,
+            kernel: 0,
+            elems: 512,
+            nodes: 1,
+            arrival: f64::NAN,
+            scale: 1.0,
+        };
+        let err = srv.submit(&spec).unwrap_err();
+        assert!(matches!(err, MigrateError::Launch(_)), "{err}");
+        assert_eq!(srv.queue_depth(1), 0, "nothing was admitted");
+        // The server still runs a finite stream to its report.
+        let report = srv
+            .run(&[JobSpec {
+                arrival: 0.0,
+                ..spec
+            }])
+            .unwrap();
+        assert_eq!((report.submitted, report.completed), (1, 1));
     }
 
     #[test]

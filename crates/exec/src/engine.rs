@@ -2,7 +2,7 @@
 //! compiled engine.
 //!
 //! A [`Program`] produced by [`crate::bytecode`] runs on exactly one engine,
-//! [`crate::lane::LaneEngine`]: batchable segments execute over 16-lane
+//! [`crate::lane::LaneEngine`]: batchable segments execute over 64-lane
 //! chunks, every other segment falls back to [`run_seg`] — one thread at a
 //! time over the flat instruction stream. There is one register file, the
 //! engine's lane rows: a thread reads and writes its [`Column`] of them in

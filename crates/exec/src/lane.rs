@@ -8,9 +8,12 @@
 //! instruction stream the thread-major fallback runs — with branch-free
 //! inner loops over contiguous rows the compiler can autovectorize
 //! (`op_full`). A row holds no kinds: each register's kind is the static
-//! `Program::kinds` entry (the front end made every conversion explicit),
-//! so a row loop is chosen per op, not per lane, and calls the scalar
-//! definitions `step` and the oracle share.
+//! `Program::kinds` entry (the front end made every conversion explicit).
+//! So `op_full` picks one row loop per instruction from its operator and
+//! its operand kinds (`per_variant!`, `per_kind!`), and each loop calls the
+//! scalar definition `step` and the oracle share on a constant operator and
+//! typed lanes: the definition folds to its one arm, and no lane decides an
+//! operator or a kind at run time.
 //! `Predicated` segments carry a per-lane `resume` mask; a masked lane, and
 //! any op without a row loop, is one [`step`] on the thread's [`Column`] of
 //! the rows — the definition [`run_seg`] runs, so there is no per-lane
@@ -52,16 +55,111 @@ use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SlotKind};
 use crate::engine::{
     cert_wrap, elem_off, for_init, for_next, oob, run_seg, slot_info, step, GlobalMem, ThreadCx,
 };
-use crate::interp::{axis_of, eval_intrinsic, eval_unop, float_binop, int_binop, ExecError};
+use crate::interp::{axis_of, eval_binop_total, eval_intrinsic, eval_unop, ExecError};
 use crate::stats::{intrinsic_weight, BlockStats};
-use cucc_ir::{BinOp, Scalar, Value, ValueKind};
+use cucc_ir::{BinOp, Intrinsic, Scalar, UnOp, Value, ValueKind};
 
 /// Lane-chunk width: one chunk of threads runs the whole segment before the
-/// next chunk starts. 16 × 8-byte rows keep a chunk's working set inside two
-/// cache lines per register while giving AVX2/AVX-512 full vectors.
-pub const LANES: usize = 16;
+/// next chunk starts, so a batchable segment dispatches each instruction once
+/// per 64 lanes — once per block for blocks of up to 64 threads. One
+/// register's chunk row is 512 bytes (eight cache lines). Of the widths 16,
+/// 32, 64, 128, 256 and 1024, 64 measured at or near the best on both steady
+/// benchmark workloads; wider chunks gained nothing.
+pub const LANES: usize = 64;
 
 const DEAD: u32 = u32::MAX;
+
+/// `$body` once per listed variant of `$e`'s enum `$ty`, with `$c` bound to
+/// that variant: inside each copy the operator is a constant, so the scalar
+/// definition the body calls folds to its one arm. A variant not listed runs
+/// `$rest`.
+macro_rules! per_variant {
+    ($e:expr, $ty:ident, [$($v:ident),*], |$c:ident| $body:expr $(, _ => $rest:expr)?) => {
+        match $e {
+            $($ty::$v => {
+                let $c = $ty::$v;
+                $body
+            })*
+            $(_ => $rest,)?
+        }
+    };
+}
+
+/// `$body` once per static register kind, with `$f` a constant: `true` for
+/// float. [`lane`] reads a lane as that kind.
+macro_rules! per_kind {
+    ($k:expr, |$f:ident| $body:expr) => {
+        match $k {
+            ValueKind::Int => {
+                const $f: bool = false;
+                $body
+            }
+            ValueKind::Float => {
+                const $f: bool = true;
+                $body
+            }
+        }
+    };
+}
+
+/// A row lane as a value of its register's static kind (`FLOAT`), fixed per
+/// row loop.
+#[inline(always)]
+fn lane<const FLOAT: bool>(bits: u64) -> Value {
+    if FLOAT {
+        Value::F64(f64::from_bits(bits))
+    } else {
+        Value::I64(bits as i64)
+    }
+}
+
+// The row loops `op_full` picks, one per (operator, operand kinds): `f` is
+// the definition `step` runs, called with a constant operator on lanes read
+// as fixed kinds, so each loop body is one arm of that definition.
+
+/// `f` over the lanes of `a` (at most [`LANES`]), read as kind `A`, into
+/// `out`.
+#[inline(always)]
+fn map1<const A: bool>(out: &mut [u64; LANES], a: &[u64], f: impl Fn(Value) -> Value) {
+    for (o, x) in out.iter_mut().zip(a) {
+        *o = pack(f(lane::<A>(*x)));
+    }
+}
+
+/// `f` over the lanes of `a` and `b`, read as kinds `A` and `B`.
+#[inline(always)]
+fn map2<const A: bool, const B: bool>(
+    out: &mut [u64; LANES],
+    a: &[u64],
+    b: &[u64],
+    f: impl Fn(Value, Value) -> Value,
+) {
+    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
+        *o = pack(f(lane::<A>(*x), lane::<B>(*y)));
+    }
+}
+
+/// `f` over the lanes of `a`, `b` and `c`, read as kinds `A`, `B` and `C`.
+#[inline(always)]
+fn map3<const A: bool, const B: bool, const C: bool>(
+    out: &mut [u64; LANES],
+    a: &[u64],
+    b: &[u64],
+    c: &[u64],
+    f: impl Fn(Value, Value, Value) -> Value,
+) {
+    for (((o, x), y), z) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = pack(f(lane::<A>(*x), lane::<B>(*y), lane::<C>(*z)));
+    }
+}
+
+/// `MulAdd` as [`step`] runs it: the mul, then the add, each promoted and
+/// rounded on its own (never fused).
+#[inline(always)]
+fn muladd<const A: bool, const B: bool, const C: bool>(x: Value, y: Value, z: Value) -> Value {
+    let m = eval_binop_total(BinOp::Mul, x, y, A || B);
+    eval_binop_total(BinOp::Add, m, z, A || B || C)
+}
 
 /// A value's row bits; its kind is the register's static one.
 #[inline]
@@ -202,8 +300,11 @@ unsafe fn scatter<const CERT: bool>(
 /// fails if a bounds-check panic reappears.
 #[doc(hidden)]
 pub mod probe {
-    use super::{gather, gather_cert, scatter, scatter_cert, LANES};
-    use cucc_ir::{Scalar, ValueKind};
+    use super::{
+        eval_binop_total, eval_intrinsic, eval_unop, gather, gather_cert, map1, map2, map3, muladd,
+        scatter, scatter_cert, LANES,
+    };
+    use cucc_ir::{BinOp, Intrinsic, Scalar, UnOp, ValueKind};
 
     /// Checked per-lane gather (`gather::<false>`, as the lane loops reach it).
     #[inline(never)]
@@ -264,6 +365,51 @@ pub mod probe {
         nl: usize,
     ) {
         let _ = scatter::<true>(ptr, len, elem, ix, vb, vk, nl);
+    }
+
+    // One row loop per row-op class, at one operator and one set of operand
+    // kinds: the loop `op_full` runs for that instruction.
+
+    /// Int `+`.
+    #[inline(never)]
+    pub fn int_binary(out: &mut [u64; LANES], a: &[u64], b: &[u64]) {
+        map2::<false, false>(out, a, b, |x, y| eval_binop_total(BinOp::Add, x, y, false));
+    }
+
+    /// Float `*`.
+    #[inline(never)]
+    pub fn float_binary(out: &mut [u64; LANES], a: &[u64], b: &[u64]) {
+        map2::<true, true>(out, a, b, |x, y| eval_binop_total(BinOp::Mul, x, y, true));
+    }
+
+    /// Float `<`.
+    #[inline(never)]
+    pub fn compare(out: &mut [u64; LANES], a: &[u64], b: &[u64]) {
+        map2::<true, true>(out, a, b, |x, y| eval_binop_total(BinOp::Lt, x, y, true));
+    }
+
+    /// `(float)` of a float.
+    #[inline(never)]
+    pub fn cast(out: &mut [u64; LANES], a: &[u64]) {
+        map1::<true>(out, a, |v| v.convert_to(Scalar::F32));
+    }
+
+    /// Float `-`.
+    #[inline(never)]
+    pub fn unary(out: &mut [u64; LANES], a: &[u64]) {
+        map1::<true>(out, a, |v| eval_unop(UnOp::Neg, v));
+    }
+
+    /// `sqrtf` of a float.
+    #[inline(never)]
+    pub fn intrinsic(out: &mut [u64; LANES], a: &[u64]) {
+        map1::<true>(out, a, |v| eval_intrinsic(Intrinsic::Sqrt, &[v]));
+    }
+
+    /// Float `a * b + c`.
+    #[inline(never)]
+    pub fn mul_add(out: &mut [u64; LANES], a: &[u64], b: &[u64], c: &[u64]) {
+        map3::<true, true, true>(out, a, b, c, muladd::<true, true, true>);
     }
 }
 
@@ -492,18 +638,6 @@ impl<'p> LaneEngine<'p> {
     fn row(&self, r: Reg, c0: usize, nl: usize) -> &[u64] {
         let base = r as usize * self.nthreads + c0;
         &self.bufs.bits[base..base + nl]
-    }
-
-    /// `f` over the first `nl` lanes of `src`'s row (read as values of its
-    /// kind) into `dst`'s row.
-    #[inline]
-    fn map_row(&mut self, dst: Reg, src: Reg, c0: usize, nl: usize, f: impl Fn(Value) -> Value) {
-        let k = self.kind(src);
-        let mut out = [0u64; LANES];
-        for (o, b) in out.iter_mut().zip(self.row(src, c0, nl)) {
-            *o = pack(f(unpack(*b, k)));
-        }
-        self.store_row(dst, c0, nl, &out);
     }
 
     /// Broadcast a uniform loop variable to every thread's row.
@@ -954,15 +1088,15 @@ impl<'p> LaneEngine<'p> {
 
     /// Execute a data op for every lane of a fully-active chunk.
     ///
-    /// This is the engine's hot loop: operand rows are read in place, the
-    /// static kinds of the operand registers pick one branch-free loop over
-    /// raw `u64`/`i64`/`f64` lanes (float muladds keep the two separate
-    /// roundings of the oracle — never `mul_add`), and loads and stores
-    /// hoist the slot lookup and buffer pointer out of the per-lane loop.
-    /// The arithmetic is the scalar definitions `step` and the oracle
-    /// share; a mixed-kind mul-add and anything rare fall through to
-    /// [`step`] per lane. On a fault, lanes below the returned index have
-    /// committed the op; the caller retires the rest.
+    /// This is the engine's hot loop: operand rows are read in place, and
+    /// the operator and the static kinds of the operand registers pick one
+    /// branch-free loop over typed lanes, once per instruction (float
+    /// muladds keep the two separate roundings of the oracle — never
+    /// `mul_add`). Loads and stores hoist the slot lookup and buffer pointer
+    /// out of the per-lane loop. The arithmetic is the scalar definitions
+    /// `step` and the oracle share; local-memory accesses and atomics fall
+    /// through to [`step`] per lane. On a fault, lanes below the returned
+    /// index have committed the op; the caller retires the rest.
     fn op_full<M: GlobalMem>(
         &mut self,
         inst: &Inst,
@@ -1014,62 +1148,89 @@ impl<'p> LaneEngine<'p> {
                 self.store_row(*dst, c0, nl, &out);
             }
             Inst::Unary { dst, op, src } => {
-                match self.kind(*src) {
+                let k = self.kind(*src);
+                let a = self.row(*src, c0, nl);
+                per_kind!(k, |F| per_variant!(*op, UnOp, [Neg, Not, BitNot], |op| {
+                    map1::<F>(&mut out, a, |v| eval_unop(op, v))
+                }));
+                match k {
                     ValueKind::Int => self.stats.int_ops += n64,
                     ValueKind::Float => self.stats.float_ops += n64,
                 }
-                self.map_row(*dst, *src, c0, nl, |a| eval_unop(*op, a));
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Cast { dst, ty, src } => {
+                let a = self.row(*src, c0, nl);
+                per_kind!(self.kind(*src), |F| per_variant!(
+                    *ty,
+                    Scalar,
+                    [U8, I8, I32, U32, I64, F32, F64],
+                    |ty| map1::<F>(&mut out, a, |v| v.convert_to(ty))
+                ));
                 match ty.kind() {
                     ValueKind::Int => self.stats.int_ops += n64,
                     ValueKind::Float => self.stats.float_ops += n64,
                 }
-                self.map_row(*dst, *src, c0, nl, |a| a.convert_to(*ty));
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Intrin1 { dst, f, a } => {
+                let ab = self.row(*a, c0, nl);
+                per_kind!(self.kind(*a), |F| per_variant!(
+                    *f,
+                    Intrinsic, [Exp, Log, Sqrt, Rsqrt, Sin, Cos, Tanh, Erf, Fabs, Floor, Ceil, Abs],
+                    |f| map1::<F>(&mut out, ab, |v| eval_intrinsic(f, &[v])),
+                    _ => unreachable!("an intrinsic's arity is checked by validation")
+                ));
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
-                self.map_row(*dst, *a, c0, nl, |a| eval_intrinsic(*f, &[a]));
+                self.store_row(*dst, c0, nl, &out);
             }
             Inst::Intrin2 { dst, f, a, b } => {
-                let (ak, bk) = (self.kind(*a), self.kind(*b));
-                let rows = self.row(*a, c0, nl).iter().zip(self.row(*b, c0, nl));
-                for (o, (x, y)) in out.iter_mut().zip(rows) {
-                    *o = pack(eval_intrinsic(*f, &[unpack(*x, ak), unpack(*y, bk)]));
-                }
+                let (ab, bb) = (self.row(*a, c0, nl), self.row(*b, c0, nl));
+                per_kind!(self.kind(*a), |AF| per_kind!(
+                    self.kind(*b),
+                    |BF| per_variant!(
+                        *f,
+                        Intrinsic, [Pow, Fmin, Fmax, Min, Max],
+                        |f| map2::<AF, BF>(&mut out, ab, bb, |x, y| eval_intrinsic(f, &[x, y])),
+                        _ => unreachable!("an intrinsic's arity is checked by validation")
+                    )
+                ));
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
                 self.store_row(*dst, c0, nl, &out);
             }
             Inst::Binary { dst, op, lhs, rhs } => {
                 let (lk, rk) = (self.kind(*lhs), self.kind(*rhs));
-                let (lb, rb) = (self.row(*lhs, c0, nl), self.row(*rhs, c0, nl));
-                if lk == ValueKind::Int && rk == ValueKind::Int {
-                    if matches!(op, BinOp::Div | BinOp::Rem) {
-                        if let Some(i) = rb.iter().position(|&b| b == 0) {
-                            // Lanes below the zero divisor commit before the
-                            // fault is reported.
-                            for j in 0..i {
-                                out[j] = int_binop(*op, lb[j] as i64, rb[j] as i64) as u64;
-                            }
-                            self.stats.int_ops += i as u64 + 1;
-                            self.store_row(*dst, c0, i, &out);
-                            return Err((i, ExecError::DivByZero));
-                        }
-                    }
-                    for i in 0..nl {
-                        out[i] = int_binop(*op, lb[i] as i64, rb[i] as i64) as u64;
-                    }
-                    self.stats.int_ops += n64;
+                let float = lk == ValueKind::Float || rk == ValueKind::Float;
+                // An int `/` or `%` faults at the first zero divisor; the
+                // lanes below it commit the op before the fault is reported.
+                let rb = self.row(*rhs, c0, nl);
+                let zero = match op {
+                    BinOp::Div | BinOp::Rem if !float => rb.iter().position(|&b| b == 0),
+                    _ => None,
+                };
+                let n = zero.unwrap_or(nl);
+                let (lb, rb) = (self.row(*lhs, c0, n), &rb[..n]);
+                per_kind!(lk, |LF| per_kind!(rk, |RF| per_variant!(
+                    *op,
+                    BinOp,
+                    [
+                        Add, Sub, Mul, Div, Rem, Lt, Le, Gt, Ge, Eq, Ne, And, Or, Xor, Shl, Shr,
+                        LAnd, LOr
+                    ],
+                    |op| map2::<LF, RF>(&mut out, lb, rb, |x, y| {
+                        eval_binop_total(op, x, y, LF || RF)
+                    })
+                )));
+                if float {
+                    self.stats.float_ops += n as u64;
                 } else {
-                    // C's usual arithmetic conversions: an int operand
-                    // converts to double, as in `eval_binop_total`.
-                    for i in 0..nl {
-                        let (a, b) = (unpack(lb[i], lk).as_f64(), unpack(rb[i], rk).as_f64());
-                        out[i] = pack(float_binop(*op, a, b));
-                    }
-                    self.stats.float_ops += n64;
+                    self.stats.int_ops += n as u64;
                 }
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, n, &out);
+                if zero.is_some() {
+                    self.stats.int_ops += 1;
+                    return Err((n, ExecError::DivByZero));
+                }
             }
             Inst::MulAdd { dst, a, b, c } => {
                 let (ab, bb, cb) = (
@@ -1077,38 +1238,15 @@ impl<'p> LaneEngine<'p> {
                     self.row(*b, c0, nl),
                     self.row(*c, c0, nl),
                 );
-                match (self.kind(*a), self.kind(*b), self.kind(*c)) {
-                    (ValueKind::Float, ValueKind::Float, ValueKind::Float) => {
-                        // Fixed-width body for full chunks so the trip count
-                        // is a compile-time constant the autovectorizer can
-                        // unroll into whole vectors.
-                        if let (Ok(ab), Ok(bb), Ok(cb)) = (
-                            <&[u64; LANES]>::try_from(ab),
-                            <&[u64; LANES]>::try_from(bb),
-                            <&[u64; LANES]>::try_from(cb),
-                        ) {
-                            for i in 0..LANES {
-                                let m = f64::from_bits(ab[i]) * f64::from_bits(bb[i]);
-                                out[i] = (m + f64::from_bits(cb[i])).to_bits();
-                            }
-                        } else {
-                            for i in 0..nl {
-                                let m = f64::from_bits(ab[i]) * f64::from_bits(bb[i]);
-                                out[i] = (m + f64::from_bits(cb[i])).to_bits();
-                            }
-                        }
-                        self.stats.float_ops += 2 * n64;
-                    }
-                    (ValueKind::Int, ValueKind::Int, ValueKind::Int) => {
-                        for i in 0..nl {
-                            let m = int_binop(BinOp::Mul, ab[i] as i64, bb[i] as i64);
-                            out[i] = int_binop(BinOp::Add, m, cb[i] as i64) as u64;
-                        }
-                        self.stats.int_ops += 2 * n64;
-                    }
-                    // Mixed kinds: promotion and charging per component.
-                    _ => return self.full_fallback(inst, elide, c0, nl, mem),
-                }
+                let (ak, bk, ck) = (self.kind(*a), self.kind(*b), self.kind(*c));
+                per_kind!(ak, |AF| per_kind!(bk, |BF| per_kind!(ck, |CF| {
+                    map3::<AF, BF, CF>(&mut out, ab, bb, cb, muladd::<AF, BF, CF>)
+                })));
+                // Charged per component: the mul, then the add.
+                let f1 = ak == ValueKind::Float || bk == ValueKind::Float;
+                let f2 = f1 || ck == ValueKind::Float;
+                self.stats.int_ops += n64 * (u64::from(!f1) + u64::from(!f2));
+                self.stats.float_ops += n64 * (u64::from(f1) + u64::from(f2));
                 self.store_row(*dst, c0, nl, &out);
             }
             Inst::Load { dst, slot, idx } => {

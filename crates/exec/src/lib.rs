@@ -24,7 +24,7 @@
 //! differential-testing oracle). Everything else runs compiled: [`bytecode`]
 //! lowers a kernel once per launch into a flat register-based instruction
 //! stream, and one engine runs it — [`lane`], which executes batchable
-//! segments over 16-lane struct-of-arrays chunks and every other segment
+//! segments over 64-lane struct-of-arrays chunks and every other segment
 //! thread-major ([`engine::run_seg`]), with a reusable per-run arena and
 //! optional intra-node block parallelism on the process-wide worker
 //! [`pool`]. Results are bit-identical to the oracle.

@@ -9,7 +9,9 @@
 //! once and shared (and a clone of a pool shares what the original shares).
 //! Every write goes through [`MemPool::bytes_mut`], which first makes the
 //! buffer unique to its pool: the last holder takes the bytes as they are,
-//! any other holder copies them. Reads never unshare.
+//! any other holder copies them. [`MemPool::write_all`], which overwrites
+//! every byte, gives a shared buffer's holder its own copy of the new bytes
+//! instead. Reads never unshare.
 
 use cucc_ir::{Scalar, Value};
 use std::sync::Arc;
@@ -134,11 +136,16 @@ impl MemPool {
         matches!(self.bufs[id.index()], Buf::Own(_))
     }
 
-    /// Overwrite an allocation's contents (lengths must match).
+    /// Overwrite an allocation's contents (lengths must match). A shared
+    /// buffer is replaced by an owned copy of `data`: unsharing it first
+    /// would copy bytes only to overwrite every one of them.
     pub fn write_all(&mut self, id: BufferId, data: &[u8]) {
-        let dst = self.bytes_mut(id);
-        assert_eq!(dst.len(), data.len(), "write_all length mismatch");
-        dst.copy_from_slice(data);
+        let buf = &mut self.bufs[id.index()];
+        assert_eq!(buf.bytes().len(), data.len(), "write_all length mismatch");
+        match buf {
+            Buf::Own(v) => v.copy_from_slice(data),
+            Buf::Shared(_) => *buf = Buf::Own(data.to_vec()),
+        }
     }
 
     /// Load element `index` of an allocation viewed as `elem[]`.

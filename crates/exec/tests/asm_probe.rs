@@ -10,6 +10,12 @@
 //! panic at all on the elided path, whose only checks are
 //! `debug_assert!`s) reappears.
 //!
+//! The same disassembly reports the row loops `op_full` picks per
+//! (operator, kinds): one probe per row-op class (int binary, float binary,
+//! compare, cast, unary, intrinsic, mul-add), each with its instruction
+//! count and whether its loop body is packed (`*pd`, `p*`/`vp*`) or scalar
+//! (`*sd`, calls). `ROW_PROBES` pins "packed" for every class that is.
+//!
 //! Only meaningful with optimizations on — debug builds keep every bounds
 //! check by design — so the assertions are release-only; the test also
 //! skips (loudly) if `objdump` is unavailable.
@@ -116,6 +122,139 @@ fn lane_loops_carry_no_bounds_check_panics() {
                     .collect::<Vec<_>>()
                     .join("\n")
             );
+        }
+    }
+}
+
+/// What one row-op probe's disassembly holds.
+#[derive(Debug, Default)]
+struct Census {
+    insts: usize,
+    /// Packed arithmetic: `*pd`/`*ps` ops other than moves and shuffles,
+    /// and the SSE/AVX integer ops (`p*`, `vp*`).
+    packed: usize,
+    /// Scalar float arithmetic (`*sd`/`*ss` ops other than moves).
+    scalar: usize,
+    calls: usize,
+}
+
+impl Census {
+    fn of(body: &[String]) -> Census {
+        let mut c = Census::default();
+        for line in body {
+            // `  addr:\tbytes \tmnemonic operands`
+            let Some(asm) = line.split('\t').nth(2) else {
+                continue;
+            };
+            let mut words = asm.split_whitespace();
+            let Some(m) = words.next() else { continue };
+            let ops = words.next().unwrap_or("");
+            c.insts += 1;
+            let m = m.strip_prefix('v').unwrap_or(m);
+            let moves = [
+                "mov",
+                "unpck",
+                "shuf",
+                "pshuf",
+                "punpck",
+                "blend",
+                "perm",
+                "extract",
+                "insert",
+                "broadcast",
+            ];
+            let is_move = moves.iter().any(|p| m.starts_with(p));
+            // `xorps %xmm0,%xmm0` zeroes a register; it computes nothing.
+            let zeroing = m.starts_with("xorp") && {
+                let regs: Vec<&str> = ops.split(',').collect();
+                regs.len() >= 2 && regs[0] == regs[1]
+            };
+            let not_simd = ["push", "pop", "pause", "prefetch"];
+            let packed = m.ends_with("pd")
+                || m.ends_with("ps")
+                || (m.starts_with('p') && !not_simd.iter().any(|p| m.starts_with(p)));
+            let scalar = ["sd", "ss"].iter().any(|s| m.ends_with(s)) || m.contains("comis");
+            if m.starts_with("call") {
+                c.calls += 1;
+            } else if !(is_move || zeroing) {
+                c.packed += usize::from(packed);
+                c.scalar += usize::from(scalar && !packed);
+            }
+        }
+        c
+    }
+
+    fn body(&self) -> &'static str {
+        if self.packed > 0 {
+            "packed"
+        } else {
+            "scalar"
+        }
+    }
+}
+
+/// The row-op classes `lane::probe` holds a loop for, and whether each loop
+/// body must be packed. A class pinned `true` fails here when its loop goes
+/// scalar again.
+const ROW_PROBES: [(&str, bool); 7] = [
+    ("int_binary", true),
+    ("float_binary", true),
+    ("compare", true),
+    ("cast", true),
+    ("unary", true),
+    ("intrinsic", true),
+    ("mul_add", true),
+];
+
+#[test]
+fn row_loops_report_their_bodies() {
+    let probes: [*const (); 7] = [
+        probe::int_binary as *const (),
+        probe::float_binary as *const (),
+        probe::compare as *const (),
+        probe::cast as *const (),
+        probe::unary as *const (),
+        probe::intrinsic as *const (),
+        probe::mul_add as *const (),
+    ];
+    std::hint::black_box(probes);
+
+    if cfg!(debug_assertions) {
+        eprintln!("skipping: unoptimized row loops are scalar by design");
+        return;
+    }
+    if Command::new("objdump").arg("--version").output().is_err() {
+        eprintln!("skipping: objdump not available");
+        return;
+    }
+
+    let syms = disasm_symbols("lane::probe::");
+    println!("row loops at LANES = {LANES}:");
+    println!(
+        "{:<14} {:>6} {:>7} {:>7} {:>6}  body",
+        "class", "insts", "packed", "scalar", "calls"
+    );
+    for (class, pinned) in ROW_PROBES {
+        let needle = format!("lane::probe::{class}>:");
+        let (_, body) = syms
+            .iter()
+            .find(|(h, _)| h.ends_with(&needle))
+            .unwrap_or_else(|| panic!("probe `{class}` missing from disassembly"));
+        let c = Census::of(body);
+        println!(
+            "{class:<14} {:>6} {:>7} {:>7} {:>6}  {}",
+            c.insts,
+            c.packed,
+            c.scalar,
+            c.calls,
+            c.body()
+        );
+        assert!(
+            !body.iter().any(|l| l.contains("panic_bounds_check")),
+            "bounds-check panic in row loop `{class}`"
+        );
+        if pinned {
+            assert_eq!(c.body(), "packed", "row loop `{class}` went scalar: {c:?}");
         }
     }
 }

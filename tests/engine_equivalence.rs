@@ -28,6 +28,7 @@
 //!    must keep the segment thread-major.
 
 use cucc::analysis::{certify_program, global_extents};
+use cucc::exec::lane::LANES;
 use cucc::exec::{
     execute_block_range, execute_launch, execute_launch_bytecode, run_range, run_range_parallel,
     Arg, BlockStats, BufferId, CertMode, ExecError, MemPool, Program,
@@ -1661,6 +1662,22 @@ fn all_tail_threads_guarded_off() {
 /// it is the only way to enter a segment with some threads retired.
 #[test]
 fn staging_carries_variables_between_scalar_and_lane_segments() {
+    for block in [1u32, 15, 16, 17, 33, 1024] {
+        check_staging(block);
+    }
+}
+
+/// The staging kernel at block sizes around the lane chunk: one lane short
+/// of a chunk, exactly one, one lane into a second, one into a third.
+#[test]
+fn staging_carries_variables_across_the_lane_chunk_boundary() {
+    for block in [LANES - 1, LANES, LANES + 1, 2 * LANES + 1] {
+        check_staging(block as u32);
+    }
+}
+
+/// One block size of `staging_carries_variables_between_scalar_and_lane_segments`.
+fn check_staging(block: u32) {
     let k = cucc::ir::parse_kernel(
         "__global__ void stage(int* out, int* in, int n) {
             __shared__ int sh[1024];
@@ -1684,59 +1701,69 @@ fn staging_carries_variables_between_scalar_and_lane_segments() {
         }",
     )
     .unwrap();
-    for block in [1u32, 15, 16, 17, 33, 1024] {
-        let launch = LaunchConfig::new(2u32, block);
-        let mut pool = MemPool::new();
-        let out = pool.alloc_elems(Scalar::I32, 2 * block as usize);
-        let inp = pool.alloc_elems(Scalar::I32, 37);
-        pool.write_i32(inp, &(0..37).map(|i| i * 3 - 20).collect::<Vec<i32>>());
-        let args = vec![Arg::Buffer(out), Arg::Buffer(inp), Arg::int(37)];
-        let mut pool_a = pool.clone();
-        let ra = execute_launch(&k, launch, &args, &mut pool_a);
-        assert!(ra.is_ok(), "block={block}: {ra:?}");
-        let prog = Program::compile(&k, launch, &args).unwrap();
-        let summary = prog.phase_summary();
-        let tags: Vec<&str> = summary
-            .split(' ')
-            .map(|s| &s[..s.find('[').unwrap_or(3)])
-            .collect();
-        assert_eq!(
-            tags,
-            ["scalar", "bar", "pred", "bar", "scalar"],
-            "{summary}"
-        );
-        for (what, prog) in variants(&prog) {
-            let mut pool_b = pool.clone();
-            let rb = run_range(&prog, &mut pool_b, 0..2);
-            assert_same(&format!("block={block} {what}"), &ra, &pool_a, &rb, &pool_b);
-        }
+    let launch = LaunchConfig::new(2u32, block);
+    let mut pool = MemPool::new();
+    let out = pool.alloc_elems(Scalar::I32, 2 * block as usize);
+    let inp = pool.alloc_elems(Scalar::I32, 37);
+    pool.write_i32(inp, &(0..37).map(|i| i * 3 - 20).collect::<Vec<i32>>());
+    let args = vec![Arg::Buffer(out), Arg::Buffer(inp), Arg::int(37)];
+    let mut pool_a = pool.clone();
+    let ra = execute_launch(&k, launch, &args, &mut pool_a);
+    assert!(ra.is_ok(), "block={block}: {ra:?}");
+    let prog = Program::compile(&k, launch, &args).unwrap();
+    let summary = prog.phase_summary();
+    let tags: Vec<&str> = summary
+        .split(' ')
+        .map(|s| &s[..s.find('[').unwrap_or(3)])
+        .collect();
+    assert_eq!(
+        tags,
+        ["scalar", "bar", "pred", "bar", "scalar"],
+        "{summary}"
+    );
+    for (what, prog) in variants(&prog) {
+        let mut pool_b = pool.clone();
+        let rb = run_range(&prog, &mut pool_b, 0..2);
+        assert_same(&format!("block={block} {what}"), &ra, &pool_a, &rb, &pool_b);
     }
 }
 
-/// Two threads of the *second* chunk of a `scalar` segment (a store inside
-/// its loop keeps it thread-major) store out of bounds: the engine reports
-/// the lower one's fault, as the oracle does.
+/// Two threads past the first 16 of a `scalar` segment (a store inside its
+/// loop keeps it thread-major) store out of bounds: the engine reports the
+/// lower one's fault, as the oracle does.
 #[test]
 fn scalar_segment_fault_in_second_chunk_reports_oracle_thread() {
-    let k = cucc::ir::parse_kernel(
-        "__global__ void k(int* out) {
+    check_scalar_segment_fault(40, 21, 27);
+}
+
+/// The same at the lane chunk: the faulting threads are lanes 4 and 10 of
+/// the second chunk of a block of two chunks and a lane.
+#[test]
+fn scalar_segment_fault_past_the_first_lane_chunk_reports_oracle_thread() {
+    check_scalar_segment_fault(2 * LANES as u32 + 1, LANES as u32 + 4, LANES as u32 + 10);
+}
+
+/// `threads` threads in one block; threads `lo < hi` store out of bounds.
+fn check_scalar_segment_fault(threads: u32, lo: u32, hi: u32) {
+    let k = cucc::ir::parse_kernel(&format!(
+        "__global__ void k(int* out) {{
             int t = threadIdx.x;
             int acc = 0;
-            for (int j = 0; j < 2; j++) {
+            for (int j = 0; j < 2; j++) {{
                 acc = acc + j;
                 out[t] = acc;
-            }
+            }}
             int idx = t;
-            if (t == 21) idx = 1000;
-            if (t == 27) idx = 2000;
+            if (t == {lo}) idx = 1000;
+            if (t == {hi}) idx = 2000;
             out[idx] = acc;
-        }",
-    )
+        }}"
+    ))
     .unwrap();
     validate(&k).unwrap();
-    let launch = LaunchConfig::new(1u32, 40u32);
+    let launch = LaunchConfig::new(1u32, threads);
     let mut pool = MemPool::new();
-    let out = pool.alloc_elems(Scalar::I32, 64);
+    let out = pool.alloc_elems(Scalar::I32, (threads as usize).next_power_of_two());
     let args = vec![Arg::Buffer(out)];
     let ea = execute_launch(&k, launch, &args, &mut pool.clone()).unwrap_err();
     assert!(
@@ -1885,20 +1912,36 @@ fn assert_exact_in_every_mode(
     (ra, elided.cert_stats())
 }
 
-/// `out[g(t)] = in[h(t)]` where, inside one 16-lane chunk, a *higher* lane's
+/// `out[g(t)] = in[h(t)]` where, inside one lane chunk, a *higher* lane's
 /// load and a *lower* lane's store are both out of bounds. The oracle runs
 /// the lower thread to its store fault before the higher thread ever loads,
 /// so the store's error wins, and only the lanes below it have stored.
 #[test]
 fn lower_lane_store_fault_precedes_higher_lane_load_fault() {
+    // 8 blocks x 32 threads; threads 244 and 250 are lanes 4 and 10 of the
+    // last block's second 16 threads (both even: the guard keeps them).
+    check_store_fault_before_load_fault(32, 244, 250);
+}
+
+/// The same where the two lanes are lanes 4 and 10 of the last block's
+/// second lane chunk.
+#[test]
+fn lower_lane_store_fault_precedes_higher_lane_load_fault_in_the_second_chunk() {
+    let block = 2 * LANES as u32;
+    let second = 7 * block + LANES as u32;
+    check_store_fault_before_load_fault(block, second + 4, second + 10);
+}
+
+/// 8 blocks of `block` threads; thread `store` stores and thread `load`
+/// loads out of bounds (`store < load`, both even).
+fn check_store_fault_before_load_fault(block: u32, store: u32, load: u32) {
+    let n = 8 * block as usize;
     for guarded in [false, true] {
-        // 8 blocks x 32 threads; threads 244 and 250 are lanes 4 and 10 of
-        // the last block's second chunk (both even: the guard keeps them).
-        let body = "out[g + (g == 244) * 100000] = in[g + (g == 250) * 100000];";
+        let body = format!("out[g + (g == {store}) * 100000] = in[g + (g == {load}) * 100000];");
         let body = if guarded {
             format!("if (threadIdx.x % 2 == 0) {{ {body} }}")
         } else {
-            body.to_string()
+            body
         };
         let k = cucc::ir::parse_kernel(&format!(
             "__global__ void copy(int* out, int* in) {{
@@ -1907,11 +1950,14 @@ fn lower_lane_store_fault_precedes_higher_lane_load_fault() {
             }}"
         ))
         .unwrap();
-        let launch = LaunchConfig::new(8u32, 32u32);
+        let launch = LaunchConfig::new(8u32, block);
         let mut pool = MemPool::new();
-        let out = pool.alloc_elems(Scalar::I32, 256);
-        let inp = pool.alloc_elems(Scalar::I32, 256);
-        pool.write_i32(inp, &(0..256).map(|i| i * 5 - 300).collect::<Vec<i32>>());
+        let out = pool.alloc_elems(Scalar::I32, n);
+        let inp = pool.alloc_elems(Scalar::I32, n);
+        pool.write_i32(
+            inp,
+            &(0..n as i32).map(|i| i * 5 - 300).collect::<Vec<i32>>(),
+        );
         let args = vec![Arg::Buffer(out), Arg::Buffer(inp)];
         let prog = Program::compile(&k, launch, &args).unwrap();
         let want = if guarded { "pred[" } else { "dense[" };
@@ -1921,8 +1967,9 @@ fn lower_lane_store_fault_precedes_higher_lane_load_fault() {
             prog.phase_summary()
         );
         let (ra, _) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        let want = i64::from(store) + 100000;
         assert!(
-            matches!(&ra, Err(ExecError::OutOfBounds { mem, index: 100244, .. }) if mem == "out"),
+            matches!(&ra, Err(ExecError::OutOfBounds { mem, index, .. }) if mem == "out" && *index == want),
             "guarded={guarded}: {ra:?}"
         );
     }
@@ -2803,7 +2850,13 @@ fn oracle_rules() -> Vec<Rule> {
 
 #[test]
 fn oracle_table_holds_in_every_mode() {
-    for r in oracle_rules() {
+    check_rules(oracle_rules());
+}
+
+/// Each row's kernel in every engine mode: the phases it must reach, the
+/// oracle's result and memory, and its certificate and charging counts.
+fn check_rules(rules: Vec<Rule>) {
+    for r in rules {
         let k = cucc::ir::parse_kernel(&r.src).unwrap_or_else(|e| panic!("{}: {e}", r.rule));
         let launch = LaunchConfig::new(1u32, r.threads);
         let (pool, mut args) = pool_of(&r.bufs);
@@ -2835,4 +2888,243 @@ fn oracle_table_holds_in_every_mode() {
             assert_eq!((s.float_ops, s.global_atomics), want, "{}: charges", r.rule);
         }
     }
+}
+
+/// The oracle table's rows written against the lane chunk, at the chunk
+/// width itself: the intra-block races at one full chunk plus one lane of a
+/// second, and the in-place load fault at lane 4 of the second chunk.
+#[test]
+fn chunk_boundary_rules_hold_in_every_mode() {
+    let n = LANES as i64;
+    let t = LANES as u32 + 1;
+    check_rules(vec![
+        rule(
+            "race: write-write on one shared element across the chunk boundary",
+            "__global__ void k(long* out) {
+                __shared__ long sh[1];
+                int t = threadIdx.x;
+                sh[0] = t;
+                __syncthreads();
+                out[t] = sh[0];
+            }",
+            t,
+            vec![Buf::Zero(Scalar::I64, t as usize)],
+            Ok(()),
+            Out::I64(vec![n; t as usize]),
+            "dense[0..2] bar dense[2..4]",
+        ),
+        rule(
+            "race: read-write across the chunk boundary, the last thread reads thread 0's store",
+            &format!(
+                "__global__ void k(long* out) {{
+                    __shared__ long sh[{t}];
+                    int t = threadIdx.x;
+                    sh[t] = t;
+                    __syncthreads();
+                    sh[t] = sh[(t + 1) % blockDim.x];
+                    __syncthreads();
+                    out[t] = sh[t];
+                }}"
+            ),
+            t,
+            vec![Buf::Zero(Scalar::I64, t as usize)],
+            Ok(()),
+            Out::I64((1..=n).chain([1]).collect()),
+            "dense[0..2] bar scalar[2..6] bar dense[6..8]",
+        ),
+        rule(
+            "an in-place load past the end at lane 4 of the second chunk faults there",
+            "__global__ void k(long* out) {
+                int t = threadIdx.x;
+                out[t] = out[t] + 1;
+            }",
+            2 * LANES as u32,
+            vec![Buf::I64((0..n + 4).collect())],
+            oob("out", n + 4, LANES + 4),
+            Out::I64((1..n + 5).collect()),
+            "dense[",
+        ),
+    ]);
+}
+
+// ---------------------------------------------------------------------------
+// The row loops at their edges: one kernel per (operator, operand kinds)
+// loop `op_full` specialises, at `LANES + 3` threads (a full chunk and a
+// partial one), on operands that sit at the edges of each definition.
+// ---------------------------------------------------------------------------
+
+/// `threads` operand pairs: the `pinned` pairs first, then every value of
+/// `edges` against a scattered partner.
+fn edge_pairs<T: Copy>(edges: &[T], pinned: &[(T, T)], threads: usize) -> (Vec<T>, Vec<T>) {
+    let n = edges.len();
+    let rest = (0..).map(|t: usize| (edges[t % n], edges[(t * 11 + t * t / 7) % n]));
+    pinned.iter().copied().chain(rest).take(threads).unzip()
+}
+
+/// Every specialised row loop against the oracle in every engine mode. The
+/// kernel is `out[t] = <expr>` over int operands `ia`, `ib`, `ic`, the
+/// nonzero divisors `id`, the divisors `iz` (zero at lane `LANES + 1`), and
+/// float operands `fa`, `fb`, `fc`.
+#[test]
+fn row_loops_match_the_oracle_on_edge_values() {
+    const MIN: i64 = i64::MIN;
+    const MAX: i64 = i64::MAX;
+    let threads = LANES + 3;
+    let ints = [
+        0,
+        1,
+        -1,
+        2,
+        -3,
+        63,
+        64,
+        65,
+        127,
+        -64,
+        200,
+        MIN,
+        MAX,
+        MIN + 1,
+        1 << 32,
+        -(1 << 31),
+        7,
+    ];
+    let int_pins = [
+        (MIN, -1),
+        (MIN, 1),
+        (MAX, -1),
+        (-1, 64),
+        (1, 65),
+        (-3, 127),
+        (5, -1),
+        (MIN, 63),
+        (7, MIN),
+        (-1, 200),
+    ];
+    let floats = [
+        0.0,
+        -0.0,
+        1.5,
+        -2.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -2.2e-308,
+        1e300,
+        3.5e38,
+        -1.0,
+        9.3e18,
+        0.5,
+        255.5,
+        -0.75,
+    ];
+    let float_pins = [
+        (f64::NAN, f64::NAN),
+        (0.0, -0.0),
+        (-0.0, 0.0),
+        (f64::INFINITY, f64::NEG_INFINITY),
+        (f64::INFINITY, f64::INFINITY),
+        (f64::NEG_INFINITY, 0.0),
+        (5e-324, 5e-324),
+        (5e-324, -0.5),
+        (1e300, 1e300),
+        (f64::NAN, 1.0),
+        (-2.2e-308, 1e-10),
+    ];
+    let (ia, ib) = edge_pairs(&ints, &int_pins, threads);
+    let (fa, fb) = edge_pairs(&floats, &float_pins, threads);
+    let ic: Vec<i64> = (0..threads)
+        .map(|t| ints[(t * 5 + 3) % ints.len()])
+        .collect();
+    let fc: Vec<f64> = (0..threads)
+        .map(|t| floats[(t * 5 + 3) % floats.len()])
+        .collect();
+    let id: Vec<i64> = ib.iter().map(|&b| if b == 0 { 3 } else { b }).collect();
+    let mut iz = id.clone();
+    iz[LANES + 1] = 0;
+
+    // (expression, whether its value is a float)
+    let mut cases: Vec<(String, bool)> = Vec::new();
+    let kinds = [("ia", false), ("fa", true)];
+    let pairs = [
+        ("ia", "ib", false, false),
+        ("fa", "fb", true, true),
+        ("ia", "fb", false, true),
+        ("fa", "ib", true, false),
+    ];
+    for (l, r, lf, rf) in pairs {
+        for op in ["+", "-", "*", "/"] {
+            let r = if r == "ib" && !lf { "id" } else { r };
+            cases.push((format!("{l}[t] {op} {r}[t]"), lf || rf));
+        }
+        for op in ["<", "<=", ">", ">=", "==", "!=", "&&", "||"] {
+            cases.push((format!("{l}[t] {op} {r}[t]"), false));
+        }
+        for f in ["powf", "fminf", "fmaxf", "min", "max"] {
+            let float = lf || rf || !matches!(f, "min" | "max");
+            cases.push((format!("{f}({l}[t], {r}[t])"), float));
+        }
+        for (c, cf) in kinds {
+            let c = if c == "ia" { "ic" } else { "fc" };
+            cases.push((format!("{l}[t] * {r}[t] + {c}[t]"), lf || rf || cf));
+        }
+    }
+    for op in ["%", "&", "|", "^", "<<", ">>"] {
+        let r = if op == "%" { "id" } else { "ib" };
+        cases.push((format!("ia[t] {op} {r}[t]"), false));
+    }
+    // The zero divisor sits in the second chunk: the lanes below it commit.
+    for op in ["/", "%"] {
+        cases.push((format!("ia[t] {op} iz[t]"), false));
+    }
+    for (x, xf) in kinds {
+        cases.push((format!("-{x}[t]"), xf));
+        cases.push((format!("!{x}[t]"), false));
+        for ty in ["uchar", "char", "int", "uint", "long", "float", "double"] {
+            cases.push((format!("({ty}){x}[t]"), matches!(ty, "float" | "double")));
+        }
+        for f in [
+            "expf", "logf", "sqrtf", "rsqrtf", "sinf", "cosf", "tanhf", "erff", "fabsf", "floorf",
+            "ceilf", "abs",
+        ] {
+            cases.push((format!("{f}({x}[t])"), xf || f != "abs"));
+        }
+    }
+    cases.push(("~ia[t]".to_string(), false));
+
+    let bufs = || {
+        vec![
+            Buf::Zero(Scalar::I64, threads),
+            Buf::I64(ia.clone()),
+            Buf::I64(ib.clone()),
+            Buf::I64(ic.clone()),
+            Buf::I64(id.clone()),
+            Buf::I64(iz.clone()),
+            Buf::F64(fa.clone()),
+            Buf::F64(fb.clone()),
+            Buf::F64(fc.clone()),
+        ]
+    };
+    for (expr, float) in &cases {
+        let out = if *float { "double" } else { "long" };
+        let k = cucc::ir::parse_kernel(&format!(
+            "__global__ void k({out}* out, long* ia, long* ib, long* ic, long* id, long* iz,
+                               double* fa, double* fb, double* fc) {{
+                int t = threadIdx.x;
+                out[t] = {expr};
+            }}"
+        ))
+        .unwrap_or_else(|e| panic!("{expr}: {e}"));
+        let launch = LaunchConfig::new(1u32, threads as u32);
+        let (pool, args) = pool_of(&bufs());
+        let phases = Program::compile(&k, launch, &args).unwrap().phase_summary();
+        // `&&` and `||` short-circuit: they branch, so their lanes diverge.
+        let lanes = ["dense[", "pred["].iter().any(|p| phases.starts_with(p));
+        assert!(lanes && !phases.contains(' '), "{expr}: {phases}");
+        let (ra, _) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+        let faults = expr.contains("iz");
+        assert_eq!(ra.is_err(), faults, "{expr}: {ra:?}");
+    }
+    println!("{} row-loop cases at {threads} threads", cases.len());
 }
