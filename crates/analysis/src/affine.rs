@@ -17,12 +17,11 @@
 
 use crate::poly::{Poly, Sym};
 use cucc_ir::{Axis, BinOp, Expr, Kernel, Stmt, UnOp, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// An index-space variable an affine form can depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IdxVar {
     /// `threadIdx.{x,y,z}`
     Thread(Axis),
@@ -43,7 +42,7 @@ impl fmt::Display for IdxVar {
 }
 
 /// An affine combination of index variables with polynomial coefficients.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AffineForm {
     /// Coefficients per index variable (zero coefficients are absent).
     pub coeffs: BTreeMap<IdxVar, Poly>,

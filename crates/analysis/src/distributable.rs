@@ -34,12 +34,11 @@ use cucc_ir::{
     barrier_sites, expr_variance, var_variance, BarrierSite, BinOp, Expr, Kernel, MemRef, ParamId,
     Stmt, ValueKind, VarId, Variance,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A tail-divergent guard `lhs < bound`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailGuard {
     /// Affine form over thread/block indices (strictly less-than `bound`).
     pub lhs: AffineForm,
@@ -48,7 +47,7 @@ pub struct TailGuard {
 }
 
 /// Classification of one guard conjunct enclosing an access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GuardClass {
     /// Launch-invariant condition: identical for every thread and block.
     Uniform,
@@ -65,7 +64,7 @@ pub enum GuardClass {
 
 /// A comparison conjunct in affine form, normalized to `small < big`
 /// (`small <= big` when `inclusive`, `small == big` when `eq`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// The side the comparison bounds from above.
     pub small: AffineForm,
@@ -89,7 +88,7 @@ impl Comparison {
 }
 
 /// One guard conjunct on the path to an access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Guard {
     /// What the conjunct means for distribution.
     pub class: GuardClass,
@@ -102,7 +101,7 @@ pub struct Guard {
 
 /// One memory access with everything the analyses ask about it that does
 /// not depend on the launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Access {
     /// The memory accessed.
     pub mem: MemRef,
@@ -154,7 +153,7 @@ impl Access {
 /// Every memory access of a kernel, in the order the tree-walk interpreter
 /// evaluates them (an index's own loads before the access that uses it),
 /// plus the kernel-wide facts the launch-time consumers need beside them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelAccesses {
     /// The accesses.
     pub list: Vec<Access>,
@@ -465,7 +464,7 @@ fn classify_conjunct(e: &Expr, cmp: Option<&Comparison>, variance: &[Variance]) 
 
 /// Why a kernel is only *trivially* Allgather distributable (replicated
 /// execution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reason {
     /// A write index is not an affine function of the indices.
     NonAffineIndex,
@@ -501,7 +500,7 @@ impl fmt::Display for Reason {
 }
 
 /// A buffer that the three-phase workflow must synchronize with Allgather.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatherBuffer {
     /// Buffer parameter id.
     pub param: ParamId,
@@ -512,7 +511,7 @@ pub struct GatherBuffer {
 /// Compiler metadata for a distributable kernel (the `metadata` box of the
 /// paper's Figure 6: `tail_divergent`, `mem_ptr`, `unit_size` — unit sizes
 /// are resolved at launch time from the affine forms).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelMeta {
     /// Buffers to synchronize after the partial block execution phase.
     pub buffers: Vec<GatherBuffer>,
@@ -532,7 +531,7 @@ impl KernelMeta {
 }
 
 /// The analysis verdict for one kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Verdict {
     /// Non-trivially distributable: the three-phase workflow applies.
     Distributable(KernelMeta),

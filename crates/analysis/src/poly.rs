@@ -7,13 +7,12 @@
 //! once the launch configuration and arguments are known.
 
 use cucc_ir::{Axis, ParamId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A launch-time symbol: fixed for the whole launch, identical on every
 /// thread and block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Sym {
     /// A scalar kernel parameter.
     Param(ParamId),
@@ -39,7 +38,7 @@ type Monomial = Vec<Sym>;
 /// A multivariate polynomial with `i128` coefficients, kept in canonical
 /// form (sorted monomials, no zero coefficients) so that structural equality
 /// is semantic equality.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Poly {
     /// Map monomial → coefficient. The empty monomial is the constant term.
     terms: BTreeMap<Monomial, i128>,

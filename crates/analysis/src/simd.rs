@@ -21,10 +21,9 @@
 
 use crate::affine::{affine_of_expr, IdxVar, VarForms};
 use cucc_ir::{expr_variance, var_variance, Axis, Expr, Kernel, MemRef, Stmt, VarId, Variance};
-use serde::{Deserialize, Serialize};
 
 /// Vectorization outcome class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdClass {
     /// The whole thread loop maps to SIMD lanes.
     Full,
@@ -35,7 +34,7 @@ pub enum SimdClass {
 }
 
 /// Result of the vectorizability analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimdReport {
     /// Overall class.
     pub class: SimdClass,

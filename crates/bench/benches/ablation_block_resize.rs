@@ -17,7 +17,7 @@ fn timed_with_factor(bench: &dyn Benchmark, spec: ClusterSpec, factor: u32) -> O
     let (kernel, launch) = split_blocks(&kernel, bench.launch(), factor).ok()?;
     let ck = compile(kernel).ok()?;
     let mut cl = CuccCluster::with_options(spec, RuntimeConfig::modeled());
-    let (args, _) = setup_args(bench, &ck.kernel, &mut cl);
+    let (args, _) = setup_args(bench, &ck.kernel, &mut cl).unwrap();
     Some(cl.launch(&ck, launch, &args).ok()?.time())
 }
 

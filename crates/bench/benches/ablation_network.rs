@@ -48,7 +48,7 @@ fn main() {
         let mut cfg = RuntimeConfig::modeled();
         cfg.allgather_algo = algo;
         let mut cl = CuccCluster::with_options(ClusterSpec::simd_focused().with_nodes(32), cfg);
-        let (args, _) = setup_args(&bench, &ck.kernel, &mut cl);
+        let (args, _) = setup_args(&bench, &ck.kernel, &mut cl).unwrap();
         let r = cl.launch(&ck, bench.launch(), &args).unwrap();
         println!(
             "  {:<20} total {:>10}, allgather {:>10}",

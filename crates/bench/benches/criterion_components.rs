@@ -110,7 +110,7 @@ fn bench_end_to_end(c: &mut Criterion) {
                 ClusterSpec::simd_focused().with_nodes(2),
                 RuntimeConfig::default(),
             );
-            let (args, _) = setup_args(&bench, &ck.kernel, &mut cl);
+            let (args, _) = setup_args(&bench, &ck.kernel, &mut cl).unwrap();
             cl.launch(&ck, bench.launch(), &args).unwrap()
         })
     });

@@ -43,7 +43,7 @@ pub fn cucc_report_traced(
 ) -> (LaunchReport, cucc_trace::Timeline) {
     let ck = compile_source(&bench.source()).expect("compile");
     let mut cl = CuccCluster::with_options(spec, RuntimeConfig::modeled());
-    let (args, _) = setup_args(bench, &ck.kernel, &mut cl);
+    let (args, _) = setup_args(bench, &ck.kernel, &mut cl).expect("upload");
     cl.reset_clock();
     let report = cl
         .launch(&ck, bench.launch(), &args)
@@ -56,7 +56,7 @@ pub fn cucc_report_traced(
 pub fn pgas_report(bench: &dyn Benchmark, spec: ClusterSpec) -> PgasReport {
     let ck = compile_source(&bench.source()).expect("compile");
     let mut pg = PgasCluster::new(spec, PgasConfig::modeled());
-    let (args, _) = setup_args(bench, &ck.kernel, &mut pg);
+    let (args, _) = setup_args(bench, &ck.kernel, &mut pg).expect("upload");
     pg.launch(&ck, bench.launch(), &args)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
 }
@@ -65,7 +65,7 @@ pub fn pgas_report(bench: &dyn Benchmark, spec: ClusterSpec) -> PgasReport {
 pub fn gpu_time(bench: &dyn Benchmark, spec: GpuSpec) -> f64 {
     let ck = compile_source(&bench.source()).expect("compile");
     let mut gpu = GpuDevice::new(spec);
-    let (args, _) = setup_args(bench, &ck.kernel, &mut gpu);
+    let (args, _) = setup_args(bench, &ck.kernel, &mut gpu).expect("upload");
     gpu.time_only(&ck.kernel, bench.launch(), &args)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
 }

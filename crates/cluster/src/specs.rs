@@ -9,10 +9,9 @@
 //! (cores × frequency × SIMD lanes × 2 FMA pipes × 2 flops/FMA).
 
 use cucc_net::NetModel;
-use serde::{Deserialize, Serialize};
 
 /// One CPU node's capabilities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Marketing name.
     pub name: String,
@@ -130,7 +129,7 @@ impl CpuSpec {
 }
 
 /// A whole CPU cluster: homogeneous nodes plus an interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Cluster name as used in the paper.
     pub name: String,

@@ -17,9 +17,7 @@
 //!    sub-ranges (a [`cucc_net::GatherPlan`] over just those segments).
 //!
 //! Capture records ops without executing them — the same contract as CUDA
-//! stream capture. Dependencies are derived exactly like the stream
-//! hazard tracker in [`crate::stream`]: program order within the capture
-//! stream plus RAW/WAW/WAR edges on buffer arguments.
+//! stream capture. Replay runs the nodes in capture order.
 //!
 //! Elision soundness rests on the `Must` footprint being an
 //! *over-approximation* of all accesses: if the hull of a consumer's
@@ -28,12 +26,10 @@
 //! sessions all fall back to the full Allgather.
 
 use crate::compile::CompiledKernel;
-use crate::schedule::buffer_sets;
 use cucc_analysis::{Diagnostic, LaunchFootprints, Rule, Severity, SiteRef};
 use cucc_exec::{Arg, BufferId};
 use cucc_ir::LaunchConfig;
 use cucc_net::GatherSegment;
-use std::collections::HashMap;
 
 /// One captured operation.
 #[derive(Debug, Clone)]
@@ -57,24 +53,21 @@ pub enum GraphOp {
     },
 }
 
-/// A captured op plus its dependency edges and static metadata.
+/// A captured op plus its static metadata.
 #[derive(Debug, Clone)]
 pub struct GraphNode {
     /// The operation.
     pub op: GraphOp,
-    /// Indices of earlier nodes this node must follow (RAW/WAW/WAR on
-    /// buffer arguments — the same hazards the stream scheduler tracks).
-    pub deps: Vec<usize>,
     /// Launch-resolved read/write footprints (launch nodes only). Purely
     /// static — a function of (kernel, launch, scalar args) — so they
     /// ride along the node and never need re-deriving on replay.
     pub footprints: Option<LaunchFootprints>,
 }
 
-/// An immutable captured DAG, ready for [`replay`](crate::runtime::CuccCluster::graph_replay).
+/// An immutable captured op sequence, ready for [`replay`](crate::runtime::CuccCluster::graph_replay).
 #[derive(Debug, Clone, Default)]
 pub struct LaunchGraph {
-    /// Nodes in capture (submission) order — a valid topological order.
+    /// Nodes in capture (submission) order, the order replay runs them in.
     pub nodes: Vec<GraphNode>,
 }
 
@@ -87,25 +80,6 @@ impl LaunchGraph {
     /// True when nothing was captured.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// All dependency edges as `(producer, consumer)` pairs.
-    pub fn edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                out.push((d, i));
-            }
-        }
-        out
-    }
-
-    /// Number of launch nodes.
-    pub fn num_launches(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.op, GraphOp::Launch { .. }))
-            .count()
     }
 }
 
@@ -278,16 +252,12 @@ pub fn lint_graph(graph: &LaunchGraph) -> Vec<Diagnostic> {
 /// let b = cap.launch(&ck, LaunchConfig::cover1(1024, 128),
 ///                    &[Arg::Buffer(BufferId(0)), Arg::int(1024)]);
 /// let graph = cap.finish();
-/// assert_eq!(graph.len(), 2);
-/// assert!(graph.edges().contains(&(a, b))); // WAW on buffer 0
+/// assert_eq!((a, b, graph.len()), (0, 1, 2));
+/// assert!(graph.nodes[b].footprints.is_some());
 /// ```
 #[derive(Debug, Default)]
 pub struct GraphCapture {
     nodes: Vec<GraphNode>,
-    /// Last node that wrote each buffer.
-    last_writer: HashMap<BufferId, usize>,
-    /// Readers of each buffer since its last write.
-    readers_since: HashMap<BufferId, Vec<usize>>,
 }
 
 impl GraphCapture {
@@ -296,42 +266,9 @@ impl GraphCapture {
         GraphCapture::default()
     }
 
-    /// Dependency edges for one op touching `reads`/`writes`, updating the
-    /// hazard state — the capture-time mirror of the stream tracker's
-    /// `dep_floor` + `commit`.
-    fn hazards(&mut self, id: usize, reads: &[BufferId], writes: &[BufferId]) -> Vec<usize> {
-        let mut deps = Vec::new();
-        for b in reads {
-            if let Some(&w) = self.last_writer.get(b) {
-                deps.push(w); // RAW
-            }
-        }
-        for b in writes {
-            if let Some(&w) = self.last_writer.get(b) {
-                deps.push(w); // WAW
-            }
-            if let Some(rs) = self.readers_since.get(b) {
-                deps.extend(rs.iter().copied()); // WAR
-            }
-        }
-        deps.sort_unstable();
-        deps.dedup();
-        deps.retain(|&d| d != id);
-        for b in reads {
-            self.readers_since.entry(*b).or_default().push(id);
-        }
-        for b in writes {
-            self.last_writer.insert(*b, id);
-            self.readers_since.insert(*b, Vec::new());
-        }
-        deps
-    }
-
     /// Record a kernel launch. Returns the node index.
     pub fn launch(&mut self, ck: &CompiledKernel, launch: LaunchConfig, args: &[Arg]) -> usize {
         let id = self.nodes.len();
-        let (reads, writes) = buffer_sets(&ck.kernel, args);
-        let deps = self.hazards(id, &reads, &writes);
         let footprints = LaunchFootprints::of(&ck.analysis.accesses, launch, args);
         self.nodes.push(GraphNode {
             op: GraphOp::Launch {
@@ -339,7 +276,6 @@ impl GraphCapture {
                 launch,
                 args: args.to_vec(),
             },
-            deps,
             footprints: Some(footprints),
         });
         id
@@ -348,10 +284,8 @@ impl GraphCapture {
     /// Record a host→device broadcast. Returns the node index.
     pub fn upload(&mut self, buf: BufferId, data: Vec<u8>) -> usize {
         let id = self.nodes.len();
-        let deps = self.hazards(id, &[], &[buf]);
         self.nodes.push(GraphNode {
             op: GraphOp::Upload { buf, data },
-            deps,
             footprints: None,
         });
         id
@@ -753,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn capture_edges_follow_hazards() {
+    fn capture_records_nodes_in_order() {
         let ck = compile_source(
             "__global__ void k(float* x, float* y, int n) {
                 int id = blockIdx.x * blockDim.x + threadIdx.x;
@@ -771,18 +705,15 @@ mod tests {
             launch,
             &[Arg::Buffer(x), Arg::Buffer(y), Arg::int(1024)],
         );
-        // y -> x: reads a's output (RAW), and overwrites a's input (WAR).
         let b = cap.launch(
             &ck,
             launch,
             &[Arg::Buffer(y), Arg::Buffer(x), Arg::int(1024)],
         );
         let g = cap.finish();
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.num_launches(), 2);
-        let edges = g.edges();
-        assert!(edges.contains(&(up, a)), "RAW upload→launch");
-        assert!(edges.contains(&(a, b)), "producer→consumer");
+        assert_eq!((up, a, b, g.len()), (0, 1, 2, 3));
+        assert!(g.nodes[up].footprints.is_none());
         assert!(g.nodes[a].footprints.is_some());
+        assert!(g.nodes[b].footprints.is_some());
     }
 }

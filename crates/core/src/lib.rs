@@ -64,7 +64,9 @@ pub use graph::{
     lint_graph, GraphCapture, GraphNode, GraphOp, LaunchGraph, PendingGather, ReplayStats,
 };
 pub use options::RunOptions;
-pub use program::{ArgSpec, GpuProgram, HostOp, ProgramBackend, ProgramBuilder, ProgramResult};
+pub use program::{
+    host_transfer_time, ArgSpec, GpuProgram, HostOp, ProgramBackend, ProgramBuilder, ProgramResult,
+};
 pub use report::{ExecMode, FaultSummary, LaunchReport, PhaseTimes, ThreePhaseShape};
 pub use runtime::{CuccCluster, ExecutionFidelity, RuntimeConfig};
 pub use schedule::{

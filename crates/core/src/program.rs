@@ -11,12 +11,11 @@
 
 use crate::compile::{compile_source, CompiledKernel};
 use crate::error::MigrateError;
-use crate::report::LaunchReport;
 use crate::runtime::CuccCluster;
 use crate::stream::StreamId;
 use cucc_exec::{Arg, BufferId};
 use cucc_ir::{LaunchConfig, Value};
-use cucc_trace::{Category, Track};
+use cucc_trace::{Category, Timeline, Track};
 use std::collections::BTreeMap;
 
 /// A launch argument referring to program state by name.
@@ -80,10 +79,10 @@ pub struct ProgramResult {
 pub trait ProgramBackend {
     /// Allocate zeroed device memory.
     fn prog_alloc(&mut self, bytes: usize) -> BufferId;
-    /// Host→device copy.
-    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]);
-    /// Device→host copy.
-    fn prog_d2h(&mut self, buf: BufferId) -> Vec<u8>;
+    /// Host→device copy of a whole buffer.
+    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) -> Result<(), MigrateError>;
+    /// Device→host copy of a whole buffer.
+    fn prog_d2h(&mut self, buf: BufferId) -> Result<Vec<u8>, MigrateError>;
     /// Launch a compiled kernel; returns simulated kernel seconds.
     fn prog_launch(
         &mut self,
@@ -102,11 +101,11 @@ impl ProgramBackend for CuccCluster {
     fn prog_alloc(&mut self, bytes: usize) -> BufferId {
         self.alloc(bytes)
     }
-    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) {
-        self.upload(buf, data).expect("program h2d");
+    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) -> Result<(), MigrateError> {
+        self.upload(buf, data)
     }
-    fn prog_d2h(&mut self, buf: BufferId) -> Vec<u8> {
-        self.download::<u8>(buf).expect("program d2h")
+    fn prog_d2h(&mut self, buf: BufferId) -> Result<Vec<u8>, MigrateError> {
+        self.download::<u8>(buf)
     }
     fn prog_launch(
         &mut self,
@@ -114,13 +113,19 @@ impl ProgramBackend for CuccCluster {
         launch: LaunchConfig,
         args: &[Arg],
     ) -> Result<f64, MigrateError> {
-        self.launch(kernel, launch, args)
-            .map(|r: LaunchReport| r.time())
+        Ok(self.launch(kernel, launch, args)?.time())
     }
     fn prog_transfer_time(&self) -> f64 {
-        let tl = self.timeline();
-        tl.time_in_on(Track::Host, Category::H2d) + tl.time_in_on(Track::Host, Category::D2h)
+        host_transfer_time(self.timeline())
     }
+}
+
+/// Simulated seconds a timeline spent in host transfers: the h2d and d2h
+/// spans on its host track. What a cluster backend's
+/// [`ProgramBackend::prog_transfer_time`] reports.
+pub fn host_transfer_time(timeline: &Timeline) -> f64 {
+    timeline.time_in_on(Track::Host, Category::H2d)
+        + timeline.time_in_on(Track::Host, Category::D2h)
 }
 
 impl GpuProgram {
@@ -173,15 +178,15 @@ impl GpuProgram {
                 }
                 HostOp::H2d { buf, data } => {
                     let (id, bytes) = lookup(&buffers, buf, "h2d to ")?;
-                    // Backends take whole-buffer copies and cannot report a
-                    // bad one: reject it here.
+                    // The GPU and PGAS backends take whole-buffer copies and
+                    // cannot report a bad one: reject it here.
                     if data.len() != bytes {
                         return Err(MigrateError::Transfer(format!(
                             "h2d of {} bytes does not fill buffer `{buf}` ({bytes} bytes)",
                             data.len()
                         )));
                     }
-                    backend.prog_h2d(id, data);
+                    backend.prog_h2d(id, data)?;
                 }
                 HostOp::Launch {
                     kernel,
@@ -204,7 +209,7 @@ impl GpuProgram {
                 }
                 HostOp::D2h { buf } => {
                     let (id, _) = lookup(&buffers, buf, "d2h from ")?;
-                    result.outputs.insert(buf.clone(), backend.prog_d2h(id));
+                    result.outputs.insert(buf.clone(), backend.prog_d2h(id)?);
                 }
             }
         }
@@ -279,13 +284,13 @@ impl ProgramBackend for Streamed<'_> {
     fn prog_alloc(&mut self, bytes: usize) -> BufferId {
         self.cl.alloc(bytes)
     }
-    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) {
+    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) -> Result<(), MigrateError> {
         let s = self.pick([buf].into_iter());
-        self.cl.upload_on(buf, data, s).expect("program h2d");
+        self.cl.upload_on(buf, data, s)
     }
-    fn prog_d2h(&mut self, buf: BufferId) -> Vec<u8> {
+    fn prog_d2h(&mut self, buf: BufferId) -> Result<Vec<u8>, MigrateError> {
         let s = self.pick([buf].into_iter());
-        self.cl.download_on::<u8>(buf, s).expect("program d2h")
+        self.cl.download_on::<u8>(buf, s)
     }
     fn prog_launch(
         &mut self,
@@ -567,6 +572,28 @@ mod tests {
             prog.run_streams_with(&mut cl, 2),
             Err(MigrateError::Transfer(_))
         ));
+    }
+
+    #[test]
+    fn bad_transfer_is_an_error_not_a_panic() {
+        let mut cl = CuccCluster::with_options(
+            ClusterSpec::simd_focused().with_nodes(2),
+            RuntimeConfig::default(),
+        );
+        let a = cl.prog_alloc(16);
+        let never = BufferId(a.0 + 1);
+        assert!(matches!(
+            cl.prog_h2d(a, &[0u8; 15]),
+            Err(MigrateError::Transfer(_))
+        ));
+        assert!(matches!(
+            cl.prog_h2d(never, &[0u8; 16]),
+            Err(MigrateError::Transfer(_))
+        ));
+        assert!(matches!(cl.prog_d2h(never), Err(MigrateError::Transfer(_))));
+        // The refusals left the buffer usable.
+        cl.prog_h2d(a, &[7u8; 16]).unwrap();
+        assert_eq!(cl.prog_d2h(a).unwrap(), vec![7u8; 16]);
     }
 
     #[test]

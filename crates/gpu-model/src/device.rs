@@ -8,6 +8,7 @@
 //! the **correctness oracle** and the **GPU performance baseline**.
 
 use crate::spec::GpuSpec;
+use cucc_core::{CompiledKernel, MigrateError, ProgramBackend};
 use cucc_exec::{execute_launch, profile_launch, Arg, BufferId, ExecError, MemPool};
 use cucc_ir::{Kernel, LaunchConfig};
 
@@ -94,6 +95,27 @@ impl GpuDevice {
     /// Total simulated time of all launches so far.
     pub fn elapsed(&self) -> f64 {
         self.elapsed
+    }
+}
+
+impl ProgramBackend for GpuDevice {
+    fn prog_alloc(&mut self, bytes: usize) -> BufferId {
+        self.alloc(bytes)
+    }
+    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) -> Result<(), MigrateError> {
+        self.h2d(buf, data);
+        Ok(())
+    }
+    fn prog_d2h(&mut self, buf: BufferId) -> Result<Vec<u8>, MigrateError> {
+        Ok(self.d2h(buf))
+    }
+    fn prog_launch(
+        &mut self,
+        kernel: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+    ) -> Result<f64, MigrateError> {
+        Ok(self.launch(&kernel.kernel, launch, args)?.time)
     }
 }
 

@@ -2,10 +2,9 @@
 
 use cucc_exec::BlockStats;
 use cucc_ir::LaunchConfig;
-use serde::{Deserialize, Serialize};
 
 /// Published parameters of a GPU (Table 1's GPU rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: String,

@@ -2,14 +2,13 @@
 
 use crate::kernel::{MemRef, ParamId, VarId};
 use crate::types::{Axis, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// Binary operators.
 ///
 /// Arithmetic operators are polymorphic over the integer/float domains
 /// (operands must agree); comparisons yield integer `0`/`1`; bitwise and
 /// shift operators are integer-only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -81,7 +80,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -106,7 +105,7 @@ impl UnOp {
 ///
 /// These correspond to the CUDA device functions the benchmark kernels use
 /// (`expf`, `sqrtf`, …). All evaluate in `f64` and are narrowed at stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intrinsic {
     Exp,
     Log,
@@ -189,7 +188,7 @@ impl Intrinsic {
 }
 
 /// An expression tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
     IntConst(i64),

@@ -3,11 +3,10 @@
 use crate::expr::{BinOp, Expr, Intrinsic, UnOp};
 use crate::stmt::Stmt;
 use crate::types::{MemSpace, Scalar, ValueKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a kernel parameter (buffer or scalar), in declaration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub u32);
 
 impl ParamId {
@@ -25,7 +24,7 @@ impl fmt::Display for ParamId {
 }
 
 /// Index of a kernel-local scalar variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -43,7 +42,7 @@ impl fmt::Display for VarId {
 }
 
 /// A kernel parameter: either a pointer into global memory or a scalar.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Param {
     /// `elem* name` — a device global-memory buffer.
     Buffer { name: String, elem: Scalar },
@@ -74,7 +73,7 @@ impl Param {
 }
 
 /// A statically sized array declaration (shared or thread-local).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDecl {
     /// Source name.
     pub name: String,
@@ -93,7 +92,7 @@ impl ArrayDecl {
 }
 
 /// A reference to an addressable memory object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemRef {
     /// Global buffer parameter.
     Global(ParamId),
@@ -124,7 +123,7 @@ impl MemRef {
 /// a `?:` arm already has the kind it needs there (the parser and
 /// [`crate::KernelBuilder`] insert C's conversions; `for` bounds are ints),
 /// so each expression's kind is static ([`Kernel::expr_kind`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Kernel {
     /// Kernel name (the `__global__` function name).
     pub name: String,

@@ -1,11 +1,10 @@
 //! Launch geometry: grid/block dimensions and kernel launch configuration.
 
 use crate::types::Axis;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CUDA `dim3`: extents along x, y and z.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     pub x: u32,
     pub y: u32,
@@ -89,7 +88,7 @@ impl From<(u32, u32, u32)> for Dim3 {
 }
 
 /// The geometry of one kernel launch: `kernel<<<grid, block>>>(…)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Number of blocks along each axis.
     pub grid: Dim3,

@@ -2,7 +2,6 @@
 
 use crate::expr::Expr;
 use crate::kernel::{MemRef, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Atomic read-modify-write operations on memory.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// intervals* in the paper's terminology, which makes them not Allgather
 /// distributable (they land in the "overlap" bar of Figure 7). They still
 /// execute correctly via the replicated fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomicOp {
     /// `atomicAdd`
     Add,
@@ -32,7 +31,7 @@ impl AtomicOp {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `var = value;` — also used for declarations (`int var = value;`);
     /// the validator enforces assignment-before-use.

@@ -1,13 +1,12 @@
 //! Scalar element types, runtime values and memory spaces.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element type of a memory buffer or the target of a cast.
 ///
 /// Matches the C scalar types the mini-CUDA front-end accepts (`char`,
 /// `unsigned char`, `int`, `unsigned int`, `long`, `float`, `double`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     /// 8-bit unsigned integer (`unsigned char`).
     U8,
@@ -84,7 +83,7 @@ impl fmt::Display for Scalar {
 /// explicit casts. Narrowing to the destination [`Scalar`] happens at
 /// stores and casts, mirroring C integer conversion semantics. Ordered
 /// `Int < Float`: mixed arithmetic has the larger kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ValueKind {
     /// Integer domain (`i64` carrier).
     Int,
@@ -167,7 +166,7 @@ impl Value {
 }
 
 /// One axis of the 3-D thread/block index space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Axis {
     /// `.x`
     X,
@@ -203,7 +202,7 @@ impl fmt::Display for Axis {
 /// migration to a CPU cluster: shared and local memory are private to a
 /// block/thread, and CuCC schedules every thread of a block onto the same
 /// node (paper §2.2, footnote 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// Device global memory, visible to all blocks.
     Global,

@@ -17,10 +17,9 @@
 //! ring step is gated by the largest segment in flight.
 
 use crate::model::NetModel;
-use serde::{Deserialize, Serialize};
 
 /// Allgather algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllgatherAlgo {
     /// `N−1` neighbour steps; bandwidth-optimal, latency `O(N)`.
     Ring,
@@ -32,7 +31,7 @@ pub enum AllgatherAlgo {
 }
 
 /// Buffer placement (paper §2.3, Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllgatherPlacement {
     /// Input and output share the buffer; no staging copy.
     InPlace,
@@ -41,7 +40,7 @@ pub enum AllgatherPlacement {
 }
 
 /// Accumulated cost of one collective.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CollectiveCost {
     /// Simulated wall-clock seconds.
     pub time: f64,

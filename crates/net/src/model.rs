@@ -1,14 +1,12 @@
 //! LogGP-style interconnect cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Interconnect cost parameters.
 ///
 /// Message cost: `α + o + bytes·β`. `α` is wire/switch latency, `o` is the
 /// per-message CPU/NIC software overhead (the term that makes fine-grained
 /// PGAS puts expensive), `β` the inverse payload bandwidth. Local memory
 /// movement (out-of-place collectives) is charged at `mem_bw`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetModel {
     /// One-way wire latency in seconds.
     pub alpha: f64,

@@ -18,10 +18,9 @@
 //! `o`s no matter how the cluster scales.
 
 use crate::model::NetModel;
-use serde::{Deserialize, Serialize};
 
 /// Per-node send/receive accounting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct P2pStats {
     /// Messages sent by each node.
     pub sent_msgs: Vec<u64>,

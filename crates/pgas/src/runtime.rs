@@ -9,7 +9,7 @@
 
 use crate::global::{Distribution, GlobalArray};
 use cucc_cluster::{block_compute_time, node_time_profiled, ClusterSpec, SimCluster};
-use cucc_core::{CompiledKernel, MigrateError};
+use cucc_core::{host_transfer_time, CompiledKernel, MigrateError, ProgramBackend};
 use cucc_exec::{execute_block_traced, profile_launch, Arg, BufferId, WriteRecord};
 use cucc_ir::LaunchConfig;
 use cucc_net::{barrier_time, broadcast_traced, P2pTracker};
@@ -358,6 +358,30 @@ impl PgasCluster {
         assert_eq!(report.wire_bytes, wire_bytes);
         self.timeline.advance(report.time());
         Ok(report)
+    }
+}
+
+impl ProgramBackend for PgasCluster {
+    fn prog_alloc(&mut self, bytes: usize) -> BufferId {
+        self.alloc(bytes)
+    }
+    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) -> Result<(), MigrateError> {
+        self.h2d(buf, data);
+        Ok(())
+    }
+    fn prog_d2h(&mut self, buf: BufferId) -> Result<Vec<u8>, MigrateError> {
+        Ok(self.d2h(buf))
+    }
+    fn prog_launch(
+        &mut self,
+        kernel: &CompiledKernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+    ) -> Result<f64, MigrateError> {
+        Ok(self.launch(kernel, launch, args)?.time())
+    }
+    fn prog_transfer_time(&self) -> f64 {
+        host_transfer_time(&self.timeline)
     }
 }
 

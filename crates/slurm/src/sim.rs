@@ -1,9 +1,7 @@
 //! Discrete-event FIFO partition scheduler (a minimal Slurm).
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a partition serves CPU or GPU nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionKind {
     /// CPU partition.
     Cpu,
@@ -12,7 +10,7 @@ pub enum PartitionKind {
 }
 
 /// One scheduling partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     /// Partition name (e.g. `cpu-small`).
     pub name: String,
@@ -23,7 +21,7 @@ pub struct Partition {
 }
 
 /// A job submitted to one partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Submission time, seconds.
     pub arrival: f64,

@@ -5,10 +5,8 @@
 //! fleet process jobs *in addition to* the GPUs: throughput is measured in
 //! kernels completed per second across the whole machine.
 
-use serde::{Deserialize, Serialize};
-
 /// A datacenter's node inventory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Datacenter {
     /// CPU nodes available for migrated execution.
     pub cpu_nodes: u32,

@@ -1,64 +1,20 @@
-//! Device abstraction so one benchmark instance runs everywhere.
+//! Run one benchmark instance on any [`ProgramBackend`]: the GPU reference
+//! device, the CuCC cluster or the PGAS baseline.
 
 use crate::perf::Benchmark;
+use cucc_core::{MigrateError, ProgramBackend};
 use cucc_exec::{Arg, BufferId};
 use cucc_ir::{Kernel, Param};
 
-/// The minimal CUDA-like surface shared by [`cucc_gpu_model::GpuDevice`],
-/// [`cucc_core::CuccCluster`] and [`cucc_pgas::PgasCluster`].
-pub trait DeviceApi {
-    /// Allocate zeroed device memory.
-    fn alloc_dev(&mut self, bytes: usize) -> BufferId;
-    /// Host→device copy.
-    fn h2d_dev(&mut self, buf: BufferId, data: &[u8]);
-    /// Device→host copy.
-    fn d2h_dev(&mut self, buf: BufferId) -> Vec<u8>;
-}
-
-impl DeviceApi for cucc_gpu_model::GpuDevice {
-    fn alloc_dev(&mut self, bytes: usize) -> BufferId {
-        self.alloc(bytes)
-    }
-    fn h2d_dev(&mut self, buf: BufferId, data: &[u8]) {
-        self.h2d(buf, data);
-    }
-    fn d2h_dev(&mut self, buf: BufferId) -> Vec<u8> {
-        self.d2h(buf)
-    }
-}
-
-impl DeviceApi for cucc_core::CuccCluster {
-    fn alloc_dev(&mut self, bytes: usize) -> BufferId {
-        self.alloc(bytes)
-    }
-    fn h2d_dev(&mut self, buf: BufferId, data: &[u8]) {
-        self.upload(buf, data).expect("device upload");
-    }
-    fn d2h_dev(&mut self, buf: BufferId) -> Vec<u8> {
-        self.download::<u8>(buf).expect("device download")
-    }
-}
-
-impl DeviceApi for cucc_pgas::PgasCluster {
-    fn alloc_dev(&mut self, bytes: usize) -> BufferId {
-        self.alloc(bytes)
-    }
-    fn h2d_dev(&mut self, buf: BufferId, data: &[u8]) {
-        self.h2d(buf, data);
-    }
-    fn d2h_dev(&mut self, buf: BufferId) -> Vec<u8> {
-        self.d2h(buf)
-    }
-}
-
 /// Allocate and upload a benchmark's buffers on a device and assemble the
 /// full argument list in kernel-parameter order. Returns `(args, buffer
-/// handles in buffer-param order)`.
-pub fn setup_args<A: DeviceApi>(
+/// handles in buffer-param order)`, or the first transfer the device
+/// refused.
+pub fn setup_args(
     bench: &dyn Benchmark,
     kernel: &Kernel,
-    api: &mut A,
-) -> (Vec<Arg>, Vec<BufferId>) {
+    dev: &mut impl ProgramBackend,
+) -> Result<(Vec<Arg>, Vec<BufferId>), MigrateError> {
     let host = bench.buffers();
     let scalars = bench.scalars();
     let mut args = Vec::with_capacity(kernel.params.len());
@@ -69,8 +25,8 @@ pub fn setup_args<A: DeviceApi>(
             Param::Buffer { .. } => {
                 let data = &host[bi];
                 bi += 1;
-                let id = api.alloc_dev(data.len());
-                api.h2d_dev(id, data);
+                let id = dev.prog_alloc(data.len());
+                dev.prog_h2d(id, data)?;
                 handles.push(id);
                 args.push(Arg::Buffer(id));
             }
@@ -82,68 +38,24 @@ pub fn setup_args<A: DeviceApi>(
     }
     assert_eq!(bi, host.len(), "unused host buffers");
     assert_eq!(si, scalars.len(), "unused scalar args");
-    (args, handles)
-}
-
-/// [`cucc_core::ProgramBackend`] adapters so whole [`cucc_core::GpuProgram`]s
-/// run on the GPU reference device and the PGAS baseline (newtype wrappers
-/// keep trait coherence).
-pub struct GpuBackend(pub cucc_gpu_model::GpuDevice);
-
-impl cucc_core::ProgramBackend for GpuBackend {
-    fn prog_alloc(&mut self, bytes: usize) -> BufferId {
-        self.0.alloc(bytes)
-    }
-    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) {
-        self.0.h2d(buf, data);
-    }
-    fn prog_d2h(&mut self, buf: BufferId) -> Vec<u8> {
-        self.0.d2h(buf)
-    }
-    fn prog_launch(
-        &mut self,
-        kernel: &cucc_core::CompiledKernel,
-        launch: cucc_ir::LaunchConfig,
-        args: &[Arg],
-    ) -> Result<f64, cucc_core::MigrateError> {
-        Ok(self.0.launch(&kernel.kernel, launch, args)?.time)
-    }
-}
-
-/// PGAS-baseline program backend.
-pub struct PgasBackend(pub cucc_pgas::PgasCluster);
-
-impl cucc_core::ProgramBackend for PgasBackend {
-    fn prog_alloc(&mut self, bytes: usize) -> BufferId {
-        self.0.alloc(bytes)
-    }
-    fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) {
-        self.0.h2d(buf, data);
-    }
-    fn prog_d2h(&mut self, buf: BufferId) -> Vec<u8> {
-        self.0.d2h(buf)
-    }
-    fn prog_launch(
-        &mut self,
-        kernel: &cucc_core::CompiledKernel,
-        launch: cucc_ir::LaunchConfig,
-        args: &[Arg],
-    ) -> Result<f64, cucc_core::MigrateError> {
-        Ok(self.0.launch(kernel, launch, args)?.time())
-    }
+    Ok((args, handles))
 }
 
 /// After execution, compare every buffer against the benchmark's reference.
-pub fn run_reference_check<A: DeviceApi>(
+/// A refused read-back is reported like a mismatch.
+pub fn run_reference_check(
     bench: &dyn Benchmark,
-    api: &mut A,
+    dev: &mut impl ProgramBackend,
     handles: &[BufferId],
 ) -> Result<(), String> {
     let reference = bench.reference();
     assert_eq!(reference.len(), handles.len());
     for (i, (id, want)) in handles.iter().zip(&reference).enumerate() {
-        let got = api.d2h_dev(*id);
-        crate::buffers_close(&got, want, bench.compare_elem(), bench.tolerance())
+        dev.prog_d2h(*id)
+            .map_err(|e| e.to_string())
+            .and_then(|got| {
+                crate::buffers_close(&got, want, bench.compare_elem(), bench.tolerance())
+            })
             .map_err(|e| format!("{}: buffer {i}: {e}", bench.name()))?;
     }
     Ok(())

@@ -14,16 +14,17 @@
 //!   access).
 //!
 //! The [`Benchmark`] trait describes a runnable instance (kernel source,
-//! launch geometry, input data, expected outputs); [`api::DeviceApi`] lets
-//! the same instance run on the GPU reference device, the CuCC cluster or
-//! the PGAS baseline.
+//! launch geometry, input data, expected outputs); [`setup_args`] and
+//! [`run_reference_check`] run the same instance on any
+//! [`cucc_core::ProgramBackend`]: the GPU reference device, the CuCC cluster
+//! or the PGAS baseline.
 
 pub mod api;
 pub mod heteromark;
 pub mod perf;
 pub mod triton;
 
-pub use api::{run_reference_check, setup_args, DeviceApi, GpuBackend, PgasBackend};
+pub use api::{run_reference_check, setup_args};
 pub use heteromark::heteromark_kernels;
 pub use perf::{perf_suite, Benchmark, Scale};
 pub use triton::{triton_kernels, CoverageKernel, Expected};

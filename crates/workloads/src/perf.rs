@@ -929,7 +929,7 @@ mod tests {
             let ck =
                 compile_source(&bench.source()).unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
             let mut gpu = GpuDevice::new(GpuSpec::a100());
-            let (args, handles) = setup_args(bench.as_ref(), &ck.kernel, &mut gpu);
+            let (args, handles) = setup_args(bench.as_ref(), &ck.kernel, &mut gpu).unwrap();
             gpu.launch(&ck.kernel, bench.launch(), &args)
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
             run_reference_check(bench.as_ref(), &mut gpu, &handles)

@@ -36,7 +36,7 @@ fn main() {
 
         // GPU kernel time (A100, roofline).
         let mut gpu = GpuDevice::new(GpuSpec::a100());
-        let (gargs, _) = setup_args(bench.as_ref(), &ck.kernel, &mut gpu);
+        let (gargs, _) = setup_args(bench.as_ref(), &ck.kernel, &mut gpu).unwrap();
         let gpu_t = gpu.time_only(&ck.kernel, bench.launch(), &gargs).unwrap();
 
         // Best CPU cluster size (Thread-Focused class, like Lonestar6).
@@ -46,7 +46,7 @@ fn main() {
                 ClusterSpec::thread_focused().with_nodes(nodes),
                 RuntimeConfig::modeled(),
             );
-            let (cargs, _) = setup_args(bench.as_ref(), &ck.kernel, &mut cl);
+            let (cargs, _) = setup_args(bench.as_ref(), &ck.kernel, &mut cl).unwrap();
             let t = cl.launch(&ck, bench.launch(), &cargs).unwrap().time();
             if best.map(|(_, bt)| t < bt).unwrap_or(true) {
                 best = Some((nodes, t));

@@ -24,7 +24,7 @@ fn thread_cluster(n: u32) -> ClusterSpec {
 fn check_cucc(bench: &dyn Benchmark, spec: ClusterSpec) {
     let ck = compile_source(&bench.source()).unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
     let mut cluster = CuccCluster::with_options(spec, RuntimeConfig::default());
-    let (args, handles) = setup_args(bench, &ck.kernel, &mut cluster);
+    let (args, handles) = setup_args(bench, &ck.kernel, &mut cluster).unwrap();
     cluster
         .launch(&ck, bench.launch(), &args)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
@@ -64,7 +64,7 @@ fn pgas_baseline_matches_references_too() {
     for bench in perf_suite(Scale::Test) {
         let ck = compile_source(&bench.source()).unwrap();
         let mut pg = PgasCluster::new(simd_cluster(4), PgasConfig::default());
-        let (args, handles) = setup_args(bench.as_ref(), &ck.kernel, &mut pg);
+        let (args, handles) = setup_args(bench.as_ref(), &ck.kernel, &mut pg).unwrap();
         pg.launch(&ck, bench.launch(), &args)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
         run_reference_check(bench.as_ref(), &mut pg, &handles).unwrap_or_else(|e| panic!("{e}"));
@@ -78,7 +78,7 @@ fn all_benchmarks_distribute_not_replicate() {
     for bench in perf_suite(Scale::Test) {
         let ck = compile_source(&bench.source()).unwrap();
         let mut cluster = CuccCluster::with_options(simd_cluster(4), RuntimeConfig::default());
-        let (args, _) = setup_args(bench.as_ref(), &ck.kernel, &mut cluster);
+        let (args, _) = setup_args(bench.as_ref(), &ck.kernel, &mut cluster).unwrap();
         let report = cluster.launch(&ck, bench.launch(), &args).unwrap();
         assert!(
             report.mode.is_three_phase(),
@@ -94,7 +94,7 @@ fn node_memories_fully_consistent_after_launch() {
     for bench in perf_suite(Scale::Test) {
         let ck = compile_source(&bench.source()).unwrap();
         let mut cluster = CuccCluster::with_options(simd_cluster(5), RuntimeConfig::default());
-        let (args, _) = setup_args(bench.as_ref(), &ck.kernel, &mut cluster);
+        let (args, _) = setup_args(bench.as_ref(), &ck.kernel, &mut cluster).unwrap();
         cluster.launch(&ck, bench.launch(), &args).unwrap();
         assert!(
             cluster.sim().fully_consistent(),
@@ -110,7 +110,7 @@ fn callback_counts_match_partition_arithmetic() {
     let bench = cucc::workloads::perf::VecCopy::new(Scale::Test);
     let ck = compile_source(&bench.source()).unwrap();
     let mut cluster = CuccCluster::with_options(simd_cluster(2), RuntimeConfig::default());
-    let (args, _) = setup_args(&bench, &ck.kernel, &mut cluster);
+    let (args, _) = setup_args(&bench, &ck.kernel, &mut cluster).unwrap();
     let report = cluster.launch(&ck, bench.launch(), &args).unwrap();
     match report.mode {
         ExecMode::ThreePhase {

@@ -7,7 +7,7 @@ use cucc::core::{compile, split_blocks, ArgSpec, CuccCluster, GpuProgram, Runtim
 use cucc::gpu_model::{GpuDevice, GpuSpec};
 use cucc::ir::{parse_kernel, LaunchConfig};
 use cucc::pgas::{PgasCluster, PgasConfig};
-use cucc::workloads::{GpuBackend, PgasBackend};
+use cucc::trace::{Category, Track};
 
 /// A three-stage image-ish pipeline: brighten → blur(1D) → threshold count
 /// per block. Exercises distributed buffers flowing between kernels.
@@ -92,7 +92,7 @@ fn pipeline(n: usize) -> GpuProgram {
 fn pipeline_identical_on_all_backends() {
     let prog = pipeline(4000);
 
-    let mut gpu = GpuBackend(GpuDevice::new(GpuSpec::a100()));
+    let mut gpu = GpuDevice::new(GpuSpec::a100());
     let gres = prog.run_with(&mut gpu).unwrap();
     assert_eq!(gres.launches, 3);
 
@@ -104,12 +104,32 @@ fn pipeline_identical_on_all_backends() {
         let cres = prog.run_with(&mut cucc).unwrap();
         assert_eq!(cres.outputs, gres.outputs, "CuCC {nodes} nodes");
 
-        let mut pgas = PgasBackend(PgasCluster::new(
+        let mut pgas = PgasCluster::new(
             ClusterSpec::simd_focused().with_nodes(nodes),
             PgasConfig::default(),
-        ));
+        );
         let pres = prog.run_with(&mut pgas).unwrap();
         assert_eq!(pres.outputs, gres.outputs, "PGAS {nodes} nodes");
+    }
+}
+
+#[test]
+fn pgas_program_reports_its_transfer_time() {
+    let prog = pipeline(4000);
+    for nodes in [2u32, 4] {
+        let mut pgas = PgasCluster::new(
+            ClusterSpec::simd_focused().with_nodes(nodes),
+            PgasConfig::default(),
+        );
+        let res = prog.run_with(&mut pgas).unwrap();
+        // The h2d broadcast reaches more than one rank, so it costs time.
+        assert!(res.transfer_time > 0.0, "PGAS {nodes} nodes");
+        let tl = pgas.timeline();
+        assert_eq!(
+            res.transfer_time,
+            tl.time_in_on(Track::Host, Category::H2d) + tl.time_in_on(Track::Host, Category::D2h),
+            "PGAS {nodes} nodes"
+        );
     }
 }
 
