@@ -65,7 +65,8 @@ pub use graph::{
 };
 pub use options::RunOptions;
 pub use program::{
-    host_transfer_time, ArgSpec, GpuProgram, HostOp, ProgramBackend, ProgramBuilder, ProgramResult,
+    check_transfer, host_transfer_time, ArgSpec, GpuProgram, HostOp, ProgramBackend,
+    ProgramBuilder, ProgramResult,
 };
 pub use report::{ExecMode, FaultSummary, LaunchReport, PhaseTimes, ThreePhaseShape};
 pub use runtime::{CuccCluster, ExecutionFidelity, RuntimeConfig};

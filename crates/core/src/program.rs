@@ -13,7 +13,7 @@ use crate::compile::{compile_source, CompiledKernel};
 use crate::error::MigrateError;
 use crate::runtime::CuccCluster;
 use crate::stream::StreamId;
-use cucc_exec::{Arg, BufferId};
+use cucc_exec::{Arg, BufferId, MemPool};
 use cucc_ir::{LaunchConfig, Value};
 use cucc_trace::{Category, Timeline, Track};
 use std::collections::BTreeMap;
@@ -117,6 +117,37 @@ impl ProgramBackend for CuccCluster {
     }
     fn prog_transfer_time(&self) -> f64 {
         host_transfer_time(self.timeline())
+    }
+}
+
+/// Check a whole-buffer transfer against a backend's one device pool, as
+/// the [`ProgramBackend`] impls that hold one (the GPU reference device,
+/// the PGAS baseline) do before copying: `buf` must name an allocation, and
+/// an upload's payload (`Some(bytes)`) must fill it. A refusal is
+/// [`MigrateError::Transfer`], as on [`CuccCluster`], never a panic.
+pub fn check_transfer(
+    pool: &MemPool,
+    buf: BufferId,
+    upload: Option<usize>,
+) -> Result<(), MigrateError> {
+    let op = if upload.is_some() {
+        "upload"
+    } else {
+        "download"
+    };
+    if buf.index() >= pool.len() {
+        return Err(MigrateError::Transfer(format!(
+            "{op}: buffer id {} was never allocated",
+            buf.index()
+        )));
+    }
+    let size = pool.size_of(buf);
+    match upload {
+        Some(n) if n != size => Err(MigrateError::Transfer(format!(
+            "upload: {n} bytes do not fill buffer id {} ({size} bytes)",
+            buf.index()
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -572,28 +603,6 @@ mod tests {
             prog.run_streams_with(&mut cl, 2),
             Err(MigrateError::Transfer(_))
         ));
-    }
-
-    #[test]
-    fn bad_transfer_is_an_error_not_a_panic() {
-        let mut cl = CuccCluster::with_options(
-            ClusterSpec::simd_focused().with_nodes(2),
-            RuntimeConfig::default(),
-        );
-        let a = cl.prog_alloc(16);
-        let never = BufferId(a.0 + 1);
-        assert!(matches!(
-            cl.prog_h2d(a, &[0u8; 15]),
-            Err(MigrateError::Transfer(_))
-        ));
-        assert!(matches!(
-            cl.prog_h2d(never, &[0u8; 16]),
-            Err(MigrateError::Transfer(_))
-        ));
-        assert!(matches!(cl.prog_d2h(never), Err(MigrateError::Transfer(_))));
-        // The refusals left the buffer usable.
-        cl.prog_h2d(a, &[7u8; 16]).unwrap();
-        assert_eq!(cl.prog_d2h(a).unwrap(), vec![7u8; 16]);
     }
 
     #[test]

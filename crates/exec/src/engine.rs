@@ -8,8 +8,9 @@
 //! engine's lane rows: a thread reads and writes its [`Column`] of them in
 //! place on either path. What a data instruction computes, charges and
 //! faults on for one thread is defined once, in [`step`]:
-//! [`run_seg`] is control flow around it, and the lane engine calls it for
-//! masked lanes and for ops without a full-width row loop. Global memory is
+//! [`run_seg`] is control flow around it, and the lane engine calls it per
+//! lane for ops without a row loop and, under a partial active set, for the
+//! ops that can fault (memory accesses, int `/`/`%`). Global memory is
 //! reached one way too — a [`GlobalMem::raw`] view for loads or a
 //! [`GlobalMem::raw_mut`] view for stores, an offset from
 //! [`elem_off`] (the bounds rule, tested or certified), a copy of at most 8
@@ -430,10 +431,10 @@ fn store_value<M: GlobalMem>(
 /// per-thread definition of `Const` … `AtomicRmw` — what they compute, what
 /// they charge and how they fault, on the thread's [`Column`] of the lane
 /// rows: [`run_seg`] calls it for thread-major segments, the lane engine for
-/// masked lanes and full-width ops that have no row loop. `elide` is the
-/// access's certificate bit (see [`load_value`]); a bounds fault comes back
-/// unwrapped, the caller applies [`cert_wrap`]. Control flow is the
-/// caller's.
+/// ops that have no row loop and for masked lanes of ops that can fault.
+/// `elide` is the access's certificate bit (see [`load_value`]); a bounds
+/// fault comes back unwrapped, the caller applies [`cert_wrap`]. Control
+/// flow is the caller's.
 ///
 /// `#[inline]`, not `always`: both callers inline it either way, but forced
 /// early inlining left `run_seg`'s loop 10–20 % slower on the loop-heavy
@@ -546,6 +547,14 @@ pub(crate) fn step<M: GlobalMem>(
     Ok(())
 }
 
+/// Whether a loop at count `v` runs (again) toward `e` by step `st`: the
+/// test `ForInit`, `ForNext` and a uniform `for` make, per thread and per
+/// row.
+#[inline]
+pub(crate) fn loop_runs(v: i64, e: i64, st: i64) -> bool {
+    (st > 0 && v < e) || (st < 0 && v > e)
+}
+
 /// `ForInit` for one thread: normalise the bounds to `I64` in place (`sreg`
 /// doubles as the private induction register from here on), set the
 /// variable to the count converted to `ty`, and say whether the loop runs
@@ -569,7 +578,7 @@ pub(crate) fn for_init(
     regs.set(ereg, Value::I64(e));
     regs.set(streg, Value::I64(st));
     regs.set(var, Value::I64(s).convert_to(ty));
-    Ok((st > 0 && s < e) || (st < 0 && s > e))
+    Ok(loop_runs(s, e, st))
 }
 
 /// `ForNext` for one thread: advance the induction register (wrapping, like
@@ -590,7 +599,7 @@ pub(crate) fn for_next(
     let v = regs.get(ind).as_i64().wrapping_add(st);
     regs.set(ind, Value::I64(v));
     regs.set(var, Value::I64(v).convert_to(ty));
-    (st > 0 && v < e) || (st < 0 && v > e)
+    loop_runs(v, e, st)
 }
 
 /// Run `code[start..end]` for one thread (a thread-major segment, a uniform

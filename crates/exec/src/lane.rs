@@ -14,14 +14,22 @@
 //! scalar definition `step` and the oracle share on a constant operator and
 //! typed lanes: the definition folds to its one arm, and no lane decides an
 //! operator or a kind at run time.
-//! `Predicated` segments carry a per-lane `resume` mask; a masked lane, and
-//! any op without a row loop, is one [`step`] on the thread's [`Column`] of
-//! the rows — the definition [`run_seg`] runs, so there is no per-lane
-//! semantics here to keep in line with it. Non-batchable segments run
+//! `Predicated` segments carry a per-lane `resume` target; the lanes at or
+//! past it are the chunk's active set. Divergence is predication of the
+//! whole row, as on a SIMD unit: a register op under a partial active set
+//! runs the same row loop over every lane and its row store keeps the
+//! inactive lanes' bits (a branch-free select). Only ops that cannot fault
+//! may run on an inactive lane's stale bits; those that can — `Load`,
+//! `Store`, atomics and int `/`/`%` — run one [`step`] per active lane, as
+//! does any op without a row loop (local arrays, atomics), on the thread's
+//! [`Column`] of the rows: the definition [`run_seg`] runs, so there is no
+//! per-lane semantics here to keep in line with it. Loop control
+//! (`ForInit`/`ForNext`) is one pass over the loop's rows, converged or
+//! masked alike; stats charge active lanes only. Non-batchable segments run
 //! thread-major through [`run_seg`], one live thread after another,
 //! ascending, each on its own [`Column`]: the lane rows are the only
 //! register file. Bounds certificates are consumed per access: one per-pc
-//! table serves full-width rows, masked lanes and the fallback alike, and
+//! table serves full-width rows, per-lane steps and the fallback alike, and
 //! one [`gather`]/[`scatter`] pair serves the checked and the certified
 //! access (`CERT`). `BlockStats`, memory effects and errors are
 //! bit-identical to the oracle's either way.
@@ -53,7 +61,7 @@
 
 use crate::bytecode::{BatchKind, Inst, PhaseOp, Program, Reg, SlotKind};
 use crate::engine::{
-    cert_wrap, elem_off, for_init, for_next, oob, run_seg, slot_info, step, GlobalMem, ThreadCx,
+    cert_wrap, elem_off, loop_runs, oob, run_seg, slot_info, step, GlobalMem, ThreadCx,
 };
 use crate::interp::{axis_of, eval_binop_total, eval_intrinsic, eval_unop, ExecError};
 use crate::stats::{intrinsic_weight, BlockStats};
@@ -72,12 +80,15 @@ const DEAD: u32 = u32::MAX;
 /// `$body` once per listed variant of `$e`'s enum `$ty`, with `$c` bound to
 /// that variant: inside each copy the operator is a constant, so the scalar
 /// definition the body calls folds to its one arm. A variant not listed runs
-/// `$rest`.
+/// `$rest`. `$c` is a `const`, not a `let`: a closure that reads it
+/// captures nothing, so no two copies compile to one shared, out-of-line
+/// body that reads the operator at run time.
 macro_rules! per_variant {
     ($e:expr, $ty:ident, [$($v:ident),*], |$c:ident| $body:expr $(, _ => $rest:expr)?) => {
         match $e {
             $($ty::$v => {
-                let $c = $ty::$v;
+                #[allow(non_upper_case_globals)]
+                const $c: $ty = $ty::$v;
                 $body
             })*
             $(_ => $rest,)?
@@ -189,6 +200,100 @@ fn truthy(bits: u64, kind: ValueKind) -> bool {
     }
 }
 
+/// The lanes of a divergent chunk that run the instruction at `pc`: those
+/// whose `resume` target is at or before it, `n` of them. A converged chunk
+/// has none: all its lanes run.
+#[derive(Clone, Copy)]
+struct Active<'a> {
+    resume: &'a [u32; LANES],
+    pc: u32,
+    n: usize,
+}
+
+/// The masked row store: `out`'s lanes where `resume <= pc` (the active
+/// lanes), `row`'s own lanes elsewhere — a select under a word mask (`!0`
+/// active, `0` not), no branch per lane.
+#[inline(always)]
+fn blend(row: &mut [u64], out: &[u64; LANES], resume: &[u32; LANES], pc: u32) {
+    for ((d, o), r) in row.iter_mut().zip(out).zip(resume) {
+        let w = 0u64.wrapping_sub(u64::from(*r <= pc));
+        *d = (o & w) | (*d & !w);
+    }
+}
+
+/// A loop count as its variable's row bits: the count converted to `ty`, as
+/// `for_init`/`for_next` set it (an `I64` variable takes it directly).
+#[inline(always)]
+fn count_as(v: i64, ty: Scalar) -> u64 {
+    match ty {
+        Scalar::I64 => v as u64,
+        ty => pack(Value::I64(v).convert_to(ty)),
+    }
+}
+
+/// `ForInit` over a chunk's `start`/`var`/`end`/`step` rows, as
+/// [`for_init`](crate::engine::for_init) runs it per thread, for the lanes
+/// of `resume` (a prefix of the chunk with no active zero step): an active
+/// lane (`resume <= pc`) sets its variable to its start as `ty` and runs
+/// the body, or waits at `exit` if its loop is empty. The bounds rows are
+/// ints already, so the in-place normalisation writes nothing. Returns the
+/// active and the entering lane counts.
+#[inline(always)]
+fn for_init_rows(
+    [s, var, e, st]: [&mut [u64]; 4],
+    ty: Scalar,
+    resume: &mut [u32],
+    pc: u32,
+    exit: u32,
+) -> (usize, usize) {
+    let (mut nact, mut went) = (0, 0);
+    let lanes = resume.iter_mut().zip(var).zip(&*s).zip(&*e).zip(&*st);
+    for ((((r, var), &s), &e), &st) in lanes {
+        let on = *r <= pc;
+        let go = loop_runs(s as i64, e as i64, st as i64);
+        let w = 0u64.wrapping_sub(u64::from(on));
+        *var = (count_as(s as i64, ty) & w) | (*var & !w);
+        *r = if on && !go { exit } else { *r };
+        nact += usize::from(on);
+        went += usize::from(on && go);
+    }
+    (nact, went)
+}
+
+/// `ForNext` over a chunk's `ind`/`var`/`end`/`step` rows, as
+/// [`for_next`](crate::engine::for_next) runs it per thread: an active
+/// lane (`resume <= pc`) adds its step to its induction lane (wrapping),
+/// sets its variable to the count as `ty`, and goes `back` while its loop
+/// runs or waits at `pc + 1`. An inactive lane keeps its row lanes and its
+/// `resume`. Returns the active and the continuing lane counts.
+#[inline(always)]
+fn for_next_rows(
+    [ind, var, e, st]: [&mut [u64]; 4],
+    ty: Scalar,
+    resume: &mut [u32],
+    pc: u32,
+    back: u32,
+) -> (usize, usize) {
+    let (mut nact, mut went) = (0, 0);
+    let lanes = resume.iter_mut().zip(ind).zip(var).zip(&*e).zip(&*st);
+    for ((((r, ind), var), &e), &st) in lanes {
+        let on = *r <= pc;
+        let v = (*ind as i64).wrapping_add(st as i64);
+        let go = loop_runs(v, e as i64, st as i64);
+        let w = 0u64.wrapping_sub(u64::from(on));
+        *ind = (v as u64 & w) | (*ind & !w);
+        *var = (count_as(v, ty) & w) | (*var & !w);
+        *r = match (on, go) {
+            (false, _) => *r,
+            (true, true) => back,
+            (true, false) => pc + 1,
+        };
+        nact += usize::from(on);
+        went += usize::from(on && go);
+    }
+    (nact, went)
+}
+
 /// Gather `nl` lanes from a raw buffer view straight into packed lane bits —
 /// `pack ∘ decode ∘ raw_load` per lane with the element-type dispatch
 /// hoisted out of the loop. `CERT` is [`elem_off`]'s checked/certified
@@ -239,26 +344,25 @@ unsafe fn gather<const CERT: bool>(
 }
 
 /// Scatter the first `nl` lanes of a row into a raw buffer view —
-/// `raw_store ∘ unpack` per lane (same C narrowing as `encode`), dispatch
-/// hoisted, `CERT` as in [`gather`]. `vb` holds the row's bits and `vk` is
-/// the row register's static kind, so a lane is unpacked by the kind of its
-/// register, not by a tag of its own. `Err(i)` is the first faulting lane;
-/// lanes below committed.
+/// `raw_store` per lane (same C narrowing as `encode`), dispatch hoisted,
+/// `CERT` as in [`gather`]. `vb` holds the row's bits, read as the row
+/// register's static kind `FLOAT` (as the row loops read theirs), so a lane
+/// is converted by the kind of its register, not by a tag of its own.
+/// `Err(i)` is the first faulting lane; lanes below committed.
 ///
 /// # Safety
 /// Same contract as [`gather`]: `ptr` must be valid for `len` bytes for the
 /// duration of the call, and with `CERT` every `ix[i]` for `i < nl` must be
 /// in bounds. `vb` is only read as a slice (a short one panics, it is never
-/// read past its end), and a wrong `vk` writes a wrongly converted value,
+/// read past its end), and a wrong `FLOAT` writes a wrongly converted value,
 /// never out of bounds.
 #[inline]
-unsafe fn scatter<const CERT: bool>(
+unsafe fn scatter<const CERT: bool, const FLOAT: bool>(
     ptr: *mut u8,
     len: usize,
     elem: Scalar,
     ix: &[i64; LANES],
     vb: &[u64],
-    vk: ValueKind,
     nl: usize,
 ) -> Result<(), usize> {
     let sz = elem.size();
@@ -268,7 +372,7 @@ unsafe fn scatter<const CERT: bool>(
                 let Some(off) = elem_off(ix[i], sz, len, CERT) else {
                     return Err(i);
                 };
-                let enc: $t = $conv(unpack(vb[i], vk));
+                let enc: $t = $conv(lane::<FLOAT>(vb[i]));
                 // `off + sz <= len`, tested or certified by `elem_off`.
                 std::ptr::write_unaligned(ptr.add(off) as *mut $t, enc.to_le());
             }
@@ -301,8 +405,8 @@ unsafe fn scatter<const CERT: bool>(
 #[doc(hidden)]
 pub mod probe {
     use super::{
-        eval_binop_total, eval_intrinsic, eval_unop, gather, gather_cert, map1, map2, map3, muladd,
-        scatter, scatter_cert, LANES,
+        blend, eval_binop_total, eval_intrinsic, eval_unop, for_next_rows, gather, gather_cert,
+        map1, map2, map3, muladd, scatter, scatter_cert, LANES,
     };
     use cucc_ir::{BinOp, Intrinsic, Scalar, UnOp, ValueKind};
 
@@ -336,7 +440,8 @@ pub mod probe {
         let _ = gather::<true>(ptr, len, elem, ix, nl, out);
     }
 
-    /// Checked per-lane scatter (`scatter::<false>`, likewise).
+    /// Checked per-lane scatter of an int row (`scatter::<false, false>`,
+    /// as the lane loops reach it).
     #[inline(never)]
     pub fn scatter_checked(
         ptr: *mut u8,
@@ -344,13 +449,12 @@ pub mod probe {
         elem: Scalar,
         ix: &[i64; LANES],
         vb: &[u64],
-        vk: ValueKind,
         nl: usize,
     ) -> Result<(), usize> {
-        scatter_cert(ptr, len, elem, ix, vb, vk, nl, false)
+        scatter_cert(ptr, len, elem, ix, vb, ValueKind::Int, nl, false)
     }
 
-    /// Certificate-elided scatter (`scatter::<true>`).
+    /// Certificate-elided scatter of a float row (`scatter::<true, true>`).
     ///
     /// # Safety
     /// Same contract as [`super::scatter`] with `CERT`.
@@ -361,10 +465,9 @@ pub mod probe {
         elem: Scalar,
         ix: &[i64; LANES],
         vb: &[u64],
-        vk: ValueKind,
         nl: usize,
     ) {
-        let _ = scatter::<true>(ptr, len, elem, ix, vb, vk, nl);
+        let _ = scatter::<true, true>(ptr, len, elem, ix, vb, nl);
     }
 
     // One row loop per row-op class, at one operator and one set of operand
@@ -411,6 +514,27 @@ pub mod probe {
     pub fn mul_add(out: &mut [u64; LANES], a: &[u64], b: &[u64], c: &[u64]) {
         map3::<true, true, true>(out, a, b, c, muladd::<true, true, true>);
     }
+
+    // The two row passes a divergent chunk adds.
+
+    /// The masked row store: a register op's result lanes into its row
+    /// where `resume <= pc`, the row's own lanes elsewhere.
+    #[inline(never)]
+    pub fn masked_store(row: &mut [u64], out: &[u64; LANES], resume: &[u32; LANES], pc: u32) {
+        blend(row, out, resume, pc);
+    }
+
+    /// The `ForNext` row pass over a chunk's `ind`/`var`/`end`/`step` rows.
+    #[inline(never)]
+    pub fn for_next(
+        rows: [&mut [u64]; 4],
+        ty: Scalar,
+        resume: &mut [u32],
+        pc: u32,
+        back: u32,
+    ) -> (usize, usize) {
+        for_next_rows(rows, ty, resume, pc, back)
+    }
 }
 
 /// Gather through the checked or the certified instantiation. `elide` is
@@ -438,7 +562,8 @@ fn gather_cert(
     }
 }
 
-/// Scatter counterpart of [`gather_cert`].
+/// Scatter counterpart of [`gather_cert`]; `vk` is the row register's
+/// static kind, picked once per call.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn scatter_cert(
@@ -454,11 +579,11 @@ fn scatter_cert(
     // SAFETY: as in `gather_cert`, through a `GlobalMem::raw_mut` view
     // (bytes this node alone holds) or a live shared image.
     unsafe {
-        if elide {
-            scatter::<true>(ptr, len, elem, ix, vb, vk, nl)
+        per_kind!(vk, |F| if elide {
+            scatter::<true, F>(ptr, len, elem, ix, vb, nl)
         } else {
-            scatter::<false>(ptr, len, elem, ix, vb, vk, nl)
-        }
+            scatter::<false, F>(ptr, len, elem, ix, vb, nl)
+        })
     }
 }
 
@@ -616,11 +741,23 @@ impl<'p> LaneEngine<'p> {
         self.prog.kinds[r as usize]
     }
 
-    /// Write the first `nl` lanes of `out` to a register row.
+    /// Write the first `nl` lanes of `out` to a register row: every lane of
+    /// a converged chunk, or only the lanes `mask` marks active.
     #[inline]
-    fn store_row(&mut self, r: Reg, c0: usize, nl: usize, out: &[u64; LANES]) {
+    fn store_row(
+        &mut self,
+        r: Reg,
+        c0: usize,
+        nl: usize,
+        out: &[u64; LANES],
+        mask: Option<Active<'_>>,
+    ) {
         let base = r as usize * self.nthreads + c0;
-        self.bufs.bits[base..base + nl].copy_from_slice(&out[..nl]);
+        let row = &mut self.bufs.bits[base..base + nl];
+        match mask {
+            None => row.copy_from_slice(&out[..nl]),
+            Some(m) => blend(row, out, m.resume, m.pc),
+        }
     }
 
     /// A register row as memory indices (subscripts are ints).
@@ -695,7 +832,7 @@ impl<'p> LaneEngine<'p> {
                         return Err(ExecError::DivergentBarrier);
                     }
                     let mut v = s;
-                    while (st > 0 && v < e) || (st < 0 && v > e) {
+                    while loop_runs(v, e, st) {
                         self.set_var_all(*var, Value::I64(v).convert_to(*ty));
                         self.exec_ops(body, mem)?;
                         v = v.wrapping_add(st); // as the oracle
@@ -785,11 +922,12 @@ impl<'p> LaneEngine<'p> {
     /// Divergence is predication: lane `i` executes the instruction at `pc`
     /// iff `resume[i] <= pc`; forward jumps raise the target, `Return` or a
     /// fault retires the lane (`DEAD`), and loops move `pc` back
-    /// ([`Self::loop_ctl`]). While every lane is live and
-    /// converged (`!divergent`) the chunk runs the branch-free full-width
-    /// fast paths and takes uniform branches by moving `pc` directly; a
-    /// partially-taken branch flips it into masked per-lane execution, and
-    /// full re-convergence (every resume target caught up) flips it back.
+    /// ([`Self::loop_ctl`]). While every lane is live and converged
+    /// (`!divergent`) the chunk takes uniform branches by moving `pc`
+    /// directly; a partially-taken branch flips it into masked execution,
+    /// and full re-convergence (every resume target caught up) flips it
+    /// back. Either way a data op is one [`Self::op_full`] over the chunk's
+    /// rows, given the active lanes when divergent.
     ///
     /// Faults keep the lowest-thread rule: the faulting lane and everything
     /// above retire, lower lanes continue and may overwrite `pending` with
@@ -806,7 +944,6 @@ impl<'p> LaneEngine<'p> {
         let nl = nl.min(LANES);
         let prog = self.prog;
         let (emask, vmask) = prog.cert_masks();
-        let elide = |pc: u32| emask.is_some_and(|m| m[pc as usize]);
         let mut resume = [start; LANES];
         let mut divergent = false;
         for (i, r) in resume.iter_mut().enumerate().take(nl) {
@@ -818,6 +955,7 @@ impl<'p> LaneEngine<'p> {
         let mut pc = start;
         while pc < end {
             let inst = &prog.code[pc as usize];
+            let mut nact = nl;
             if !divergent {
                 match inst {
                     Inst::Jump { target } => {
@@ -860,117 +998,106 @@ impl<'p> LaneEngine<'p> {
                         divergent = !together;
                         continue;
                     }
-                    _ => {
-                        match self.op_full(inst, elide(pc), c0, nl, mem) {
-                            Ok(()) => {}
-                            Err((lane, e)) => {
-                                // Lanes below the fault committed this op and
-                                // stay runnable; the faulting lane and above
-                                // retire (the oracle never runs them).
-                                for r in &mut resume[..lane] {
-                                    *r = start;
-                                }
-                                for r in &mut resume[lane..nl] {
-                                    *r = DEAD;
-                                }
-                                *pending =
-                                    Some(cert_wrap(e, vmask.is_some_and(|m| m[pc as usize])));
-                                divergent = true;
-                            }
-                        }
-                    }
+                    _ => {}
                 }
-                pc += 1;
-                continue;
-            }
-            // Masked execution: recompute the active set, re-converge when
-            // every live lane has caught up.
-            let mut nact = 0usize;
-            let mut ndead = 0usize;
-            for &r in &resume[..nl] {
-                nact += usize::from(r <= pc);
-                ndead += usize::from(r == DEAD);
-            }
-            if ndead == nl {
-                return;
-            }
-            if nact == nl {
-                divergent = false;
-                continue;
-            }
-            if nact == 0 {
-                pc += 1;
-                continue;
-            }
-            match inst {
-                Inst::Jump { target } => {
-                    for r in &mut resume[..nl] {
-                        if *r <= pc {
-                            *r = *target;
-                        }
-                    }
+            } else {
+                // Masked execution: recompute the active set, re-converge
+                // when every live lane has caught up.
+                nact = 0;
+                let mut ndead = 0usize;
+                for &r in &resume[..nl] {
+                    nact += usize::from(r <= pc);
+                    ndead += usize::from(r == DEAD);
                 }
-                Inst::Return => {
-                    for (i, r) in resume[..nl].iter_mut().enumerate() {
-                        if *r <= pc {
-                            self.bufs.returned[c0 + i] = true;
-                            *r = DEAD;
-                        }
-                    }
+                if ndead == nl {
+                    return;
                 }
-                Inst::JumpIfFalse {
-                    cond,
-                    target,
-                    int_ops,
-                }
-                | Inst::JumpIfTrue {
-                    cond,
-                    target,
-                    int_ops,
-                } => {
-                    let jump_if = matches!(inst, Inst::JumpIfTrue { .. });
-                    self.stats.int_ops += nact as u64 * u64::from(*int_ops);
-                    for (i, r) in resume.iter_mut().enumerate().take(nl) {
-                        if *r <= pc && (self.get(*cond, c0 + i).is_true() == jump_if) {
-                            *r = *target;
-                        }
-                    }
-                }
-                Inst::ForInit { .. } | Inst::ForNext { .. } => {
-                    pc = self.loop_ctl(inst, pc, c0, nl, &mut resume, pending, mem).0;
+                if nact == nl {
+                    divergent = false;
                     continue;
                 }
-                _ => {
-                    let elide = elide(pc);
-                    for i in 0..nl {
-                        if resume[i] <= pc {
-                            if let Err(e) = self.step_at(inst, elide, c0 + i, mem) {
-                                // Lower lanes already ran this op; this lane
-                                // and everything above retire.
-                                for r in &mut resume[i..nl] {
-                                    *r = DEAD;
-                                }
-                                *pending =
-                                    Some(cert_wrap(e, vmask.is_some_and(|m| m[pc as usize])));
-                                break;
+                if nact == 0 {
+                    pc += 1;
+                    continue;
+                }
+                let control = match inst {
+                    Inst::Jump { target } => {
+                        for r in &mut resume[..nl] {
+                            if *r <= pc {
+                                *r = *target;
                             }
                         }
+                        true
                     }
+                    Inst::Return => {
+                        for (i, r) in resume[..nl].iter_mut().enumerate() {
+                            if *r <= pc {
+                                self.bufs.returned[c0 + i] = true;
+                                *r = DEAD;
+                            }
+                        }
+                        true
+                    }
+                    Inst::JumpIfFalse {
+                        cond,
+                        target,
+                        int_ops,
+                    }
+                    | Inst::JumpIfTrue {
+                        cond,
+                        target,
+                        int_ops,
+                    } => {
+                        let jump_if = matches!(inst, Inst::JumpIfTrue { .. });
+                        self.stats.int_ops += nact as u64 * u64::from(*int_ops);
+                        let (cb, ck) = (self.row(*cond, c0, nl), self.kind(*cond));
+                        for (r, &b) in resume[..nl].iter_mut().zip(cb) {
+                            if *r <= pc && truthy(b, ck) == jump_if {
+                                *r = *target;
+                            }
+                        }
+                        true
+                    }
+                    Inst::ForInit { .. } | Inst::ForNext { .. } => {
+                        pc = self.loop_ctl(inst, pc, c0, nl, &mut resume, pending, mem).0;
+                        continue;
+                    }
+                    _ => false,
+                };
+                if control {
+                    pc += 1;
+                    continue;
                 }
+            }
+            let elide = emask.is_some_and(|m| m[pc as usize]);
+            let mask = divergent.then_some(Active {
+                resume: &resume,
+                pc,
+                n: nact,
+            });
+            if let Err((lane, e)) = self.op_full(inst, elide, c0, nl, mask, mem) {
+                // Lanes below the fault committed this op and stay runnable;
+                // the faulting lane and above retire (the oracle never runs
+                // them).
+                resume[lane..nl].fill(DEAD);
+                *pending = Some(cert_wrap(e, vmask.is_some_and(|m| m[pc as usize])));
+                divergent = true;
             }
             pc += 1;
         }
     }
 
     /// Run a `ForInit` or `ForNext` for the chunk's active lanes (`resume <=
-    /// pc`: all of them while converged), exactly as [`run_seg`] runs it per
-    /// thread. Returns the next pc and whether the active lanes stayed
-    /// together (none split off, faulted or returned).
+    /// pc`: all of them while converged) as one pass over the loop's rows
+    /// ([`for_init_rows`], [`for_next_rows`]), exactly as [`run_seg`] runs
+    /// it per thread. Returns the next pc and whether the active lanes
+    /// stayed together (none split off, faulted or returned).
     ///
     /// `ForInit`: a lane that skips the loop waits at `exit`; a zero step
-    /// faults the lane and retires it and every lane above. A lone active
-    /// lane runs the whole loop thread-major ([`Self::seg_one`]): every other
-    /// lane is dead or waits at or past `exit`, so there is nothing to batch.
+    /// faults the lowest active lane that has one and retires it and every
+    /// lane above (those run nothing). A lone active lane runs the whole
+    /// loop thread-major ([`Self::seg_one`]): every other lane is dead or
+    /// waits at or past `exit`, so there is nothing to batch.
     /// `ForNext`: continuing lanes go back, exiting lanes wait at `pc + 1`.
     /// Setting the continuing lanes' `resume` to `back` also drops a forward
     /// target an earlier iteration left behind: a lane still holding one
@@ -987,8 +1114,6 @@ impl<'p> LaneEngine<'p> {
         mem: &mut M,
     ) -> (u32, bool) {
         let nl = nl.min(LANES);
-        let mut nact = 0usize;
-        let mut went = 0usize;
         match *inst {
             Inst::ForInit {
                 var,
@@ -1011,22 +1136,17 @@ impl<'p> LaneEngine<'p> {
                     }
                     return (exit, resume[i] == exit);
                 }
-                for i in 0..nl {
-                    if resume[i] > pc {
-                        continue;
-                    }
-                    nact += 1;
-                    match for_init(&mut self.column(c0 + i), var, ty, start, end, step) {
-                        Ok(true) => went += 1,
-                        Ok(false) => resume[i] = exit,
-                        Err(e) => {
-                            resume[i..nl].fill(DEAD);
-                            *pending = Some(e);
-                            return (if went == 0 { exit } else { pc + 1 }, false);
-                        }
-                    }
-                }
+                let sb = self.row(step, c0, nl);
+                let zero = (0..nl).find(|&i| resume[i] <= pc && sb[i] == 0);
+                let upto = zero.unwrap_or(nl);
+                let rows = self.loop_rows(c0, upto, [start, var, end, step]);
+                let (nact, went) = for_init_rows(rows, ty, &mut resume[..upto], pc, exit);
                 let next = if went == 0 { exit } else { pc + 1 };
+                if zero.is_some() {
+                    resume[upto..nl].fill(DEAD);
+                    *pending = Some(ExecError::DivByZero);
+                    return (next, false);
+                }
                 (next, went == 0 || went == nact)
             }
             Inst::ForNext {
@@ -1037,24 +1157,33 @@ impl<'p> LaneEngine<'p> {
                 step,
                 back,
             } => {
-                for (i, r) in resume[..nl].iter_mut().enumerate() {
-                    if *r > pc {
-                        continue;
-                    }
-                    nact += 1;
-                    if for_next(&mut self.column(c0 + i), var, ty, ind, end, step) {
-                        *r = back;
-                        went += 1;
-                    } else {
-                        *r = pc + 1;
-                    }
-                }
+                let rows = self.loop_rows(c0, nl, [ind, var, end, step]);
+                let (nact, went) = for_next_rows(rows, ty, &mut resume[..nl], pc, back);
                 self.stats.int_ops += 2 * nact as u64;
                 let next = if went == 0 { pc + 1 } else { back };
                 (next, went == 0 || went == nact)
             }
             _ => unreachable!("loop_ctl runs loop control only"),
         }
+    }
+
+    /// Lanes `c0 .. c0 + nl` of four distinct registers' rows: a loop's
+    /// bounds, induction and variable registers, which the loop owns.
+    fn loop_rows(&mut self, c0: usize, nl: usize, regs: [Reg; 4]) -> [&mut [u64]; 4] {
+        let mut order = [0, 1, 2, 3];
+        order.sort_unstable_by_key(|&k| regs[k]);
+        let mut rows = self.bufs.bits.chunks_exact_mut(self.nthreads);
+        let mut out: [&mut [u64]; 4] = Default::default();
+        let mut next = 0;
+        for k in order {
+            let r = regs[k] as usize;
+            let skip = r
+                .checked_sub(next)
+                .expect("a loop's registers are distinct");
+            out[k] = &mut rows.nth(skip).expect("a register's row")[c0..c0 + nl];
+            next = r + 1;
+        }
+        out
     }
 
     /// Resolve a full-width branch: taken by every lane → move `pc` (stay
@@ -1086,7 +1215,8 @@ impl<'p> LaneEngine<'p> {
         }
     }
 
-    /// Execute a data op for every lane of a fully-active chunk.
+    /// Execute a data op for the chunk's lanes: all `nl` of a converged
+    /// chunk (`mask` is `None`), or the active lanes of a divergent one.
     ///
     /// This is the engine's hot loop: operand rows are read in place, and
     /// the operator and the static kinds of the operand registers pick one
@@ -1095,23 +1225,31 @@ impl<'p> LaneEngine<'p> {
     /// `mul_add`). Loads and stores hoist the slot lookup and buffer pointer
     /// out of the per-lane loop. The arithmetic is the scalar definitions
     /// `step` and the oracle share; local-memory accesses and atomics fall
-    /// through to [`step`] per lane. On a fault, lanes below the returned
-    /// index have committed the op; the caller retires the rest.
+    /// through to [`step`] per lane.
+    ///
+    /// Under a mask, a register op runs its row loop on every lane and its
+    /// row store writes the active lanes only ([`blend`]): an inactive lane
+    /// computes on whatever bits its row holds, which only an op that cannot
+    /// fault may do, and its result is dropped. The ops that can fault —
+    /// `Load`, `Store`, atomics and int `/`/`%` — run [`step`] per active
+    /// lane instead. Stats charge active lanes only. On a fault, lanes below
+    /// the returned index have committed the op; the caller retires the
+    /// rest.
     fn op_full<M: GlobalMem>(
         &mut self,
         inst: &Inst,
         elide: bool,
         c0: usize,
         nl: usize,
+        mask: Option<Active<'_>>,
         mem: &mut M,
     ) -> Result<(), LaneFault> {
         // `nl <= LANES` always holds; restating it lets the optimizer drop
         // the bounds checks on `[u64; LANES]` temporaries in the lane loops
         // (verified by the disassembly probes in `tests/asm_probe.rs`).
         let nl = nl.min(LANES);
-        let n64 = nl as u64;
+        let n64 = mask.map_or(nl, |m| m.n) as u64;
         let prog = self.prog;
-        let mut out = [0u64; LANES];
         match inst {
             Inst::Const {
                 dst,
@@ -1119,35 +1257,46 @@ impl<'p> LaneEngine<'p> {
                 int_ops,
                 float_ops,
             } => {
-                self.store_row(*dst, c0, nl, &[pack(*v); LANES]);
+                self.store_row(*dst, c0, nl, &[pack(*v); LANES], mask);
                 self.stats.int_ops += n64 * u64::from(*int_ops);
                 self.stats.float_ops += n64 * u64::from(*float_ops);
             }
             Inst::Tid { dst, axis } => {
+                let mut out = [0u64; LANES];
                 for (i, o) in out.iter_mut().enumerate().take(nl) {
                     *o = axis_of(self.bufs.tids[c0 + i], *axis) as u64;
                 }
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Bid { dst, axis } => {
                 let v = axis_of(self.block, *axis) as u64;
-                self.store_row(*dst, c0, nl, &[v; LANES]);
+                self.store_row(*dst, c0, nl, &[v; LANES], mask);
             }
             Inst::Copy { dst, src } => {
                 let n = self.nthreads;
                 let sb = *src as usize * n + c0;
-                self.bufs
-                    .bits
-                    .copy_within(sb..sb + nl, *dst as usize * n + c0);
+                match mask {
+                    None => self
+                        .bufs
+                        .bits
+                        .copy_within(sb..sb + nl, *dst as usize * n + c0),
+                    Some(_) => {
+                        let mut out = [0u64; LANES];
+                        out[..nl].copy_from_slice(&self.bufs.bits[sb..sb + nl]);
+                        self.store_row(*dst, c0, nl, &out, mask);
+                    }
+                }
             }
             Inst::Test { dst, src } => {
+                let mut out = [0u64; LANES];
                 let k = self.kind(*src);
                 for (o, b) in out.iter_mut().zip(self.row(*src, c0, nl)) {
                     *o = u64::from(truthy(*b, k));
                 }
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Unary { dst, op, src } => {
+                let mut out = [0u64; LANES];
                 let k = self.kind(*src);
                 let a = self.row(*src, c0, nl);
                 per_kind!(k, |F| per_variant!(*op, UnOp, [Neg, Not, BitNot], |op| {
@@ -1157,9 +1306,10 @@ impl<'p> LaneEngine<'p> {
                     ValueKind::Int => self.stats.int_ops += n64,
                     ValueKind::Float => self.stats.float_ops += n64,
                 }
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Cast { dst, ty, src } => {
+                let mut out = [0u64; LANES];
                 let a = self.row(*src, c0, nl);
                 per_kind!(self.kind(*src), |F| per_variant!(
                     *ty,
@@ -1171,9 +1321,10 @@ impl<'p> LaneEngine<'p> {
                     ValueKind::Int => self.stats.int_ops += n64,
                     ValueKind::Float => self.stats.float_ops += n64,
                 }
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Intrin1 { dst, f, a } => {
+                let mut out = [0u64; LANES];
                 let ab = self.row(*a, c0, nl);
                 per_kind!(self.kind(*a), |F| per_variant!(
                     *f,
@@ -1182,9 +1333,10 @@ impl<'p> LaneEngine<'p> {
                     _ => unreachable!("an intrinsic's arity is checked by validation")
                 ));
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Intrin2 { dst, f, a, b } => {
+                let mut out = [0u64; LANES];
                 let (ab, bb) = (self.row(*a, c0, nl), self.row(*b, c0, nl));
                 per_kind!(self.kind(*a), |AF| per_kind!(
                     self.kind(*b),
@@ -1196,17 +1348,23 @@ impl<'p> LaneEngine<'p> {
                     )
                 ));
                 self.stats.float_ops += n64 * intrinsic_weight(*f);
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Binary { dst, op, lhs, rhs } => {
                 let (lk, rk) = (self.kind(*lhs), self.kind(*rhs));
                 let float = lk == ValueKind::Float || rk == ValueKind::Float;
+                let divides = !float && matches!(op, BinOp::Div | BinOp::Rem);
+                if divides && mask.is_some() {
+                    return self.lanes_step(inst, elide, c0, nl, mask, mem);
+                }
                 // An int `/` or `%` faults at the first zero divisor; the
                 // lanes below it commit the op before the fault is reported.
+                let mut out = [0u64; LANES];
                 let rb = self.row(*rhs, c0, nl);
-                let zero = match op {
-                    BinOp::Div | BinOp::Rem if !float => rb.iter().position(|&b| b == 0),
-                    _ => None,
+                let zero = if divides {
+                    rb.iter().position(|&b| b == 0)
+                } else {
+                    None
                 };
                 let n = zero.unwrap_or(nl);
                 let (lb, rb) = (self.row(*lhs, c0, n), &rb[..n]);
@@ -1221,18 +1379,20 @@ impl<'p> LaneEngine<'p> {
                         eval_binop_total(op, x, y, LF || RF)
                     })
                 )));
+                let charged = mask.map_or(n, |m| m.n) as u64;
                 if float {
-                    self.stats.float_ops += n as u64;
+                    self.stats.float_ops += charged;
                 } else {
-                    self.stats.int_ops += n as u64;
+                    self.stats.int_ops += charged;
                 }
-                self.store_row(*dst, c0, n, &out);
+                self.store_row(*dst, c0, n, &out, mask);
                 if zero.is_some() {
                     self.stats.int_ops += 1;
                     return Err((n, ExecError::DivByZero));
                 }
             }
             Inst::MulAdd { dst, a, b, c } => {
+                let mut out = [0u64; LANES];
                 let (ab, bb, cb) = (
                     self.row(*a, c0, nl),
                     self.row(*b, c0, nl),
@@ -1247,9 +1407,13 @@ impl<'p> LaneEngine<'p> {
                 let f2 = f1 || ck == ValueKind::Float;
                 self.stats.int_ops += n64 * (u64::from(!f1) + u64::from(!f2));
                 self.stats.float_ops += n64 * (u64::from(f1) + u64::from(f2));
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, mask);
+            }
+            Inst::Load { .. } | Inst::Store { .. } if mask.is_some() => {
+                return self.lanes_step(inst, elide, c0, nl, mask, mem);
             }
             Inst::Load { dst, slot, idx } => {
+                let mut out = [0u64; LANES];
                 let info = slot_info(prog, *slot);
                 let sz = info.elem.size() as u64;
                 let ix = self.idx_row(*idx, c0, nl);
@@ -1257,7 +1421,7 @@ impl<'p> LaneEngine<'p> {
                     SlotKind::Global { buf } => {
                         let (ptr, len) = mem.raw(buf);
                         if let Err(i) = gather_cert(ptr, len, info.elem, &ix, nl, &mut out, elide) {
-                            self.store_row(*dst, c0, i, &out);
+                            self.store_row(*dst, c0, i, &out, None);
                             return Err((i, oob(info, ix[i], mem)));
                         }
                         self.stats.global_read_bytes += n64 * sz;
@@ -1267,15 +1431,17 @@ impl<'p> LaneEngine<'p> {
                         let sh = &self.bufs.shared[si as usize];
                         let (sp, slen) = (sh.as_ptr(), sh.len());
                         if let Err(i) = gather_cert(sp, slen, info.elem, &ix, nl, &mut out, elide) {
-                            self.store_row(*dst, c0, i, &out);
+                            self.store_row(*dst, c0, i, &out, None);
                             return Err((i, oob(info, ix[i], mem)));
                         }
                         self.stats.shared_bytes += n64 * sz;
                     }
-                    SlotKind::Local { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
+                    SlotKind::Local { .. } => {
+                        return self.lanes_step(inst, elide, c0, nl, None, mem)
+                    }
                 }
                 self.stats.int_ops += n64; // address computation
-                self.store_row(*dst, c0, nl, &out);
+                self.store_row(*dst, c0, nl, &out, None);
             }
             Inst::Store { slot, idx, val } => {
                 let info = slot_info(prog, *slot);
@@ -1290,7 +1456,9 @@ impl<'p> LaneEngine<'p> {
                         let sh = &mut self.bufs.shared[si as usize];
                         (sh.as_mut_ptr(), sh.len())
                     }
-                    SlotKind::Local { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
+                    SlotKind::Local { .. } => {
+                        return self.lanes_step(inst, elide, c0, nl, None, mem)
+                    }
                 };
                 if let Err(i) = scatter_cert(ptr, len, info.elem, &ix, vb, vk, nl, elide) {
                     return Err((i, oob(info, ix[i], mem)));
@@ -1305,47 +1473,37 @@ impl<'p> LaneEngine<'p> {
                 self.stats.int_ops += n64; // address computation
             }
             // Rare in batchable segments: per-lane scalar execution.
-            Inst::AtomicRmw { .. } => return self.full_fallback(inst, elide, c0, nl, mem),
+            Inst::AtomicRmw { .. } => return self.lanes_step(inst, elide, c0, nl, mask, mem),
             Inst::Jump { .. }
             | Inst::JumpIfFalse { .. }
             | Inst::JumpIfTrue { .. }
             | Inst::Return => unreachable!("control flow is handled by `chunk`"),
             Inst::ForInit { .. } | Inst::ForNext { .. } => {
-                unreachable!("loop instructions are never batchable")
+                unreachable!("loop control is `loop_ctl`'s")
             }
         }
         Ok(())
     }
 
-    /// Per-lane scalar execution of a full-width chunk for ops without a
-    /// vector fast path.
-    fn full_fallback<M: GlobalMem>(
+    /// [`step`] per lane, ascending, for the chunk's lanes (all `nl`, or the
+    /// ones `mask` marks active): ops without a row loop, and the ops that
+    /// can fault under a mask. On a fault, lanes below the returned index
+    /// have committed the op.
+    fn lanes_step<M: GlobalMem>(
         &mut self,
         inst: &Inst,
         elide: bool,
         c0: usize,
         nl: usize,
+        mask: Option<Active<'_>>,
         mem: &mut M,
     ) -> Result<(), LaneFault> {
-        for i in 0..nl {
-            if let Err(e) = self.step_at(inst, elide, c0 + i, mem) {
-                return Err((i, e));
+        for i in 0..nl.min(LANES) {
+            if mask.is_none_or(|m| m.resume[i] <= m.pc) {
+                self.step_at(inst, elide, c0 + i, mem).map_err(|e| (i, e))?;
             }
         }
         Ok(())
-    }
-
-    /// Thread `t`'s column of the lane rows alone: what loop control reads
-    /// and writes. Splitting off a whole [`Self::thread`] per lane per
-    /// iteration cost the lane loops (`FIR`, `GA`, `Conv2D`) about 10 %.
-    #[inline]
-    fn column(&mut self, t: usize) -> Column<'_> {
-        Column {
-            bits: &mut self.bufs.bits,
-            kinds: &self.prog.kinds,
-            at: t,
-            stride: self.nthreads,
-        }
     }
 
     /// Thread `t`'s column of the lane rows and the rest of what a [`step`]
@@ -1370,8 +1528,8 @@ impl<'p> LaneEngine<'p> {
         (regs, cx)
     }
 
-    /// [`step`] for thread `t` on its column of the lane rows: masked lanes,
-    /// and full-width ops that have no row loop.
+    /// [`step`] for thread `t` on its column of the lane rows: a lane of an
+    /// op that has no row loop, or an active lane of an op that can fault.
     #[inline]
     fn step_at<M: GlobalMem>(
         &mut self,

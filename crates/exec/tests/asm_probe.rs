@@ -16,6 +16,11 @@
 //! count and whether its loop body is packed (`*pd`, `p*`/`vp*`) or scalar
 //! (`*sd`, calls). `ROW_PROBES` pins "packed" for every class that is.
 //!
+//! A divergent chunk adds two row passes: the masked row store (a register
+//! op's result lanes blended into its row under the active-lane mask) and
+//! the `ForNext` row pass. Their probes must carry no bounds-check panic
+//! either; their instruction counts are reported beside the row loops'.
+//!
 //! Only meaningful with optimizations on — debug builds keep every bounds
 //! check by design — so the assertions are release-only; the test also
 //! skips (loudly) if `objdump` is unavailable.
@@ -64,11 +69,13 @@ fn disasm_symbols(needle: &str) -> Vec<(String, Vec<String>)> {
 fn lane_loops_carry_no_bounds_check_panics() {
     // Force codegen of the probe shells into this binary: take their
     // addresses through black_box so the linker cannot strip them.
-    let probes: [*const (); 4] = [
+    let probes: [*const (); 6] = [
         probe::gather_checked as *const (),
         probe::gather_elided as *const (),
         probe::scatter_checked as *const (),
         probe::scatter_elided as *const (),
+        probe::masked_store as *const (),
+        probe::for_next as *const (),
     ];
     std::hint::black_box(probes);
     let _ = LANES;
@@ -89,6 +96,8 @@ fn lane_loops_carry_no_bounds_check_panics() {
         "gather_elided",
         "scatter_checked",
         "scatter_elided",
+        "masked_store",
+        "for_next",
     ] {
         assert!(
             names.iter().any(|n| n.contains(expect)),
@@ -206,9 +215,13 @@ const ROW_PROBES: [(&str, bool); 7] = [
     ("mul_add", true),
 ];
 
+/// The divergent chunk's row passes: reported, not pinned packed (the
+/// `ForNext` pass converts each count to its variable's type).
+const MASK_PROBES: [&str; 2] = ["masked_store", "for_next"];
+
 #[test]
 fn row_loops_report_their_bodies() {
-    let probes: [*const (); 7] = [
+    let probes: [*const (); 9] = [
         probe::int_binary as *const (),
         probe::float_binary as *const (),
         probe::compare as *const (),
@@ -216,6 +229,8 @@ fn row_loops_report_their_bodies() {
         probe::unary as *const (),
         probe::intrinsic as *const (),
         probe::mul_add as *const (),
+        probe::masked_store as *const (),
+        probe::for_next as *const (),
     ];
     std::hint::black_box(probes);
 
@@ -234,7 +249,10 @@ fn row_loops_report_their_bodies() {
         "{:<14} {:>6} {:>7} {:>7} {:>6}  body",
         "class", "insts", "packed", "scalar", "calls"
     );
-    for (class, pinned) in ROW_PROBES {
+    let rows = ROW_PROBES
+        .into_iter()
+        .chain(MASK_PROBES.map(|c| (c, false)));
+    for (class, pinned) in rows {
         let needle = format!("lane::probe::{class}>:");
         let (_, body) = syms
             .iter()

@@ -8,7 +8,7 @@
 //! the **correctness oracle** and the **GPU performance baseline**.
 
 use crate::spec::GpuSpec;
-use cucc_core::{CompiledKernel, MigrateError, ProgramBackend};
+use cucc_core::{check_transfer, CompiledKernel, MigrateError, ProgramBackend};
 use cucc_exec::{execute_launch, profile_launch, Arg, BufferId, ExecError, MemPool};
 use cucc_ir::{Kernel, LaunchConfig};
 
@@ -103,10 +103,12 @@ impl ProgramBackend for GpuDevice {
         self.alloc(bytes)
     }
     fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) -> Result<(), MigrateError> {
+        check_transfer(&self.pool, buf, Some(data.len()))?;
         self.h2d(buf, data);
         Ok(())
     }
     fn prog_d2h(&mut self, buf: BufferId) -> Result<Vec<u8>, MigrateError> {
+        check_transfer(&self.pool, buf, None)?;
         Ok(self.d2h(buf))
     }
     fn prog_launch(

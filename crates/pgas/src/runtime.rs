@@ -9,7 +9,7 @@
 
 use crate::global::{Distribution, GlobalArray};
 use cucc_cluster::{block_compute_time, node_time_profiled, ClusterSpec, SimCluster};
-use cucc_core::{host_transfer_time, CompiledKernel, MigrateError, ProgramBackend};
+use cucc_core::{check_transfer, host_transfer_time, CompiledKernel, MigrateError, ProgramBackend};
 use cucc_exec::{execute_block_traced, profile_launch, Arg, BufferId, WriteRecord};
 use cucc_ir::LaunchConfig;
 use cucc_net::{barrier_time, broadcast_traced, P2pTracker};
@@ -366,10 +366,12 @@ impl ProgramBackend for PgasCluster {
         self.alloc(bytes)
     }
     fn prog_h2d(&mut self, buf: BufferId, data: &[u8]) -> Result<(), MigrateError> {
+        check_transfer(self.sim.node(0), buf, Some(data.len()))?;
         self.h2d(buf, data);
         Ok(())
     }
     fn prog_d2h(&mut self, buf: BufferId) -> Result<Vec<u8>, MigrateError> {
+        check_transfer(self.sim.node(0), buf, None)?;
         Ok(self.d2h(buf))
     }
     fn prog_launch(

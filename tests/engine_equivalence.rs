@@ -3128,3 +3128,353 @@ fn row_loops_match_the_oracle_on_edge_values() {
     }
     println!("{} row-loop cases at {threads} threads", cases.len());
 }
+
+// ---------------------------------------------------------------------------
+// The masked path. Under a partial active set a register op runs its row
+// loop on every lane of the chunk and its row store writes the active lanes
+// only; the ops that can fault step per active lane; loop control is one
+// pass over the loop's rows. Each test runs one block of `LANES + 3` threads
+// (a full chunk and a 3-lane one) in every engine mode, and checks that the
+// stats charge the lanes that did the work and no other.
+// ---------------------------------------------------------------------------
+
+/// `src` over one block of `LANES + 3` threads on `bufs`, held to the oracle
+/// in every engine mode. Its phases must contain `phases`. Returns the
+/// oracle's stats and the final bytes of each buffer.
+fn masked_run(src: &str, bufs: &[Buf], phases: &str) -> (BlockStats, Vec<Vec<u8>>) {
+    let k = cucc::ir::parse_kernel(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    let launch = LaunchConfig::new(1u32, (LANES + 3) as u32);
+    let (pool, args) = pool_of(bufs);
+    let prog = Program::compile(&k, launch, &args).unwrap();
+    assert!(
+        prog.phase_summary().contains(phases),
+        "{}",
+        prog.phase_summary()
+    );
+    let (ra, _) = assert_exact_in_every_mode(&k, launch, &args, &pool);
+    let mut mem = pool.clone();
+    assert_eq!(execute_launch(&k, launch, &args, &mut mem), ra);
+    let bytes = args.iter().map(|a| match a {
+        Arg::Buffer(b) => mem.bytes(*b).to_vec(),
+        Arg::Scalar(_) => unreachable!("`pool_of` binds buffers only"),
+    });
+    (ra.expect("the kernel does not fault"), bytes.collect())
+}
+
+/// Little-endian 8-byte words.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+}
+
+/// Thread `t` of these runs does `base + Σₖ cₖ(t) · unitₖ` work, for counts
+/// `cₖ(t)` (branch entries or loop trips) that are 0 in `none`. A unit is
+/// `(run, all, mixed)`: in `run` count `k` sums to `all` over the threads and
+/// every other count is 0, and in `mixed` it sums to `mixed`. Every counter
+/// of `mixed` must then be `none`'s plus those units: work charged to the
+/// lanes that did it, and to no other.
+fn assert_charged_per_lane(
+    none: &BlockStats,
+    units: &[(&BlockStats, u64, u64)],
+    mixed: &BlockStats,
+) {
+    type Counter = (&'static str, fn(&BlockStats) -> u64);
+    let counters: [Counter; 12] = [
+        ("int_ops", |s| s.int_ops),
+        ("float_ops", |s| s.float_ops),
+        ("global_read_bytes", |s| s.global_read_bytes),
+        ("global_write_bytes", |s| s.global_write_bytes),
+        ("global_loads", |s| s.global_loads),
+        ("global_stores", |s| s.global_stores),
+        ("shared_bytes", |s| s.shared_bytes),
+        ("local_bytes", |s| s.local_bytes),
+        ("global_atomics", |s| s.global_atomics),
+        ("barriers", |s| s.barriers),
+        ("active_threads", |s| s.active_threads),
+        ("blocks", |s| s.blocks),
+    ];
+    // Scaled by the product of the `all` sums, so every unit is whole.
+    let scale: i128 = units.iter().map(|u| u.1 as i128).product();
+    for (name, f) in counters {
+        let (n, m) = (f(none) as i128, f(mixed) as i128);
+        let added: i128 = units
+            .iter()
+            .map(|&(a, all, sum)| (f(a) as i128 - n) * sum as i128 * (scale / all as i128))
+            .sum();
+        assert_eq!(
+            m * scale,
+            n * scale + added,
+            "{name}: none {n}, mixed {m}, units (run, all, mixed) {:?}",
+            units
+                .iter()
+                .map(|&(a, all, sum)| (f(a), all, sum))
+                .collect::<Vec<_>>()
+        );
+    }
+}
+
+/// The instruction variants of the first `if` body inside a loop, read from
+/// the program's listing: the span from the `JumpIfFalse` that follows the
+/// first `ForInit` to that jump's target.
+fn if_body_in_loop(prog: &Program) -> Vec<String> {
+    let listing = format!("{prog:?}");
+    let code = &listing[listing.find("code: [").unwrap() + 7..listing.find("], phases").unwrap()];
+    let insts: Vec<&str> = code.split("}, ").collect();
+    let name = |s: &str| s.split([' ', '{']).next().unwrap().trim().to_string();
+    let init = insts.iter().position(|s| s.starts_with("ForInit")).unwrap();
+    let jf = init
+        + insts[init..]
+            .iter()
+            .position(|s| s.starts_with("JumpIfFalse"))
+            .unwrap();
+    let target: usize = insts[jf]
+        .split("target: ")
+        .nth(1)
+        .unwrap()
+        .split(',')
+        .next()
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    insts[jf + 1..target].iter().map(|s| name(s)).collect()
+}
+
+/// A data-dependent `if` inside a loop whose body runs every register-op
+/// class — `Const`, `Copy`, `Unary`, `Binary`, `Cast`, `Intrin1`,
+/// `Intrin2`, `MulAdd`, `Test` — under a partial mask, on operands that
+/// include NaN, infinities and signed zeros.
+#[test]
+fn masked_register_ops_match_the_oracle_and_charge_active_lanes() {
+    let src = "__global__ void k(double* out, long* iout, long* sel, double* x) {
+        int t = threadIdx.x;
+        double acc = 0.0;
+        long ia = 0;
+        for (int i = 0; i < 3; i++) {
+            double v = x[t] + i;
+            long s = sel[t * 3 + i];
+            if (s > 0) {
+                double c = 2.5;
+                double d = v;
+                double n = -d;
+                long b = s ^ i;
+                double f = (double)b;
+                double r = sqrtf(fabsf(n));
+                double p = fminf(r, c);
+                acc = d * f + p;
+                ia = ia + ((s > 0) && (n < 0.0)) + ((s < 0) || d);
+            }
+        }
+        out[t] = acc;
+        iout[t] = ia;
+    }";
+    let threads = LANES + 3;
+    let edges = [
+        0.0,
+        -0.0,
+        1.5,
+        -2.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        1e300,
+        -7.25,
+    ];
+    let x: Vec<f64> = (0..threads).map(|t| edges[(t * 7) % edges.len()]).collect();
+    let sel = |on: &dyn Fn(usize, usize) -> bool| -> Vec<i64> {
+        (0..threads * 3)
+            .map(|j| {
+                if on(j / 3, j % 3) {
+                    (j % 11) as i64 + 1
+                } else {
+                    -((j % 5) as i64)
+                }
+            })
+            .collect()
+    };
+    let bufs = |sel: Vec<i64>| {
+        vec![
+            Buf::Zero(Scalar::F64, threads),
+            Buf::Zero(Scalar::I64, threads),
+            Buf::I64(sel),
+            Buf::F64(x.clone()),
+        ]
+    };
+    // Some lanes in every iteration, in both chunks, and in the third
+    // iteration every lane of the first chunk (the converged path).
+    let on = |t: usize, i: usize| (t * 5 + i * 3) % 7 < 3 || (i == 2 && t < LANES);
+    let mixed_sum = (0..threads)
+        .flat_map(|t| (0..3).map(move |i| (t, i)))
+        .filter(|&(t, i)| on(t, i))
+        .count() as u64;
+    let (_, args) = pool_of(&bufs(sel(&on)));
+    let k = cucc::ir::parse_kernel(src).unwrap();
+    let prog = Program::compile(&k, LaunchConfig::new(1u32, threads as u32), &args).unwrap();
+    let body = if_body_in_loop(&prog);
+    for class in [
+        "Const", "Copy", "Unary", "Binary", "Cast", "Intrin1", "Intrin2", "MulAdd", "Test",
+    ] {
+        assert!(
+            body.iter().any(|b| b == class),
+            "no `{class}` in the masked body: {body:?}"
+        );
+    }
+
+    let (none, _) = masked_run(src, &bufs(sel(&|_, _| false)), "pred[");
+    let (all, _) = masked_run(src, &bufs(sel(&|_, _| true)), "pred[");
+    let (mixed, _) = masked_run(src, &bufs(sel(&on)), "pred[");
+    assert_charged_per_lane(&none, &[(&all, 3 * threads as u64, mixed_sum)], &mixed);
+}
+
+/// Inactive lanes whose operands would misbehave if a masked op ran on
+/// them — a zero int divisor, a NaN and an out-of-range shift count — raise
+/// no fault, and the registers of those lanes keep what they held.
+#[test]
+fn inactive_lanes_with_faulting_operands_neither_fault_nor_change() {
+    let src = "__global__ void k(long* q, long* r, long* s, long* c, double* h,
+                                 long* num, long* den, long* sh, double* x) {
+        int t = threadIdx.x;
+        long qt = 1000 + t;
+        long rt = 2000 + t;
+        long st = 3000 + t;
+        long ct = 4000 + t;
+        double ht = 0.5 + t;
+        long d = den[t];
+        long w = sh[t];
+        double v = x[t];
+        if (d != 0) {
+            qt = num[t] / d;
+            rt = num[t] % d;
+            st = num[t] << w;
+            ct = (long)(v * 2.0);
+            ht = v / 3.0;
+        }
+        q[t] = qt;
+        r[t] = rt;
+        s[t] = st;
+        c[t] = ct;
+        h[t] = ht;
+    }";
+    let threads = LANES + 3;
+    let num: Vec<i64> = (0..threads as i64).map(|t| t * 37 - 900).collect();
+    let active = |t: usize| (t * 3) % 5 < 2;
+    let inputs = |on: &dyn Fn(usize) -> bool| {
+        let pick = |t: usize, good: i64, bad: i64| if on(t) { good } else { bad };
+        let den = (0..threads).map(|t| pick(t, t as i64 % 9 + 1, 0)).collect();
+        let sh = (0..threads)
+            .map(|t| pick(t, t as i64 % 13, [64, 70, -1, 1 << 40][t % 4]))
+            .collect();
+        let x = (0..threads)
+            .map(|t| {
+                if on(t) {
+                    t as f64 * 1.25 - 30.0
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
+        vec![
+            Buf::Zero(Scalar::I64, threads),
+            Buf::Zero(Scalar::I64, threads),
+            Buf::Zero(Scalar::I64, threads),
+            Buf::Zero(Scalar::I64, threads),
+            Buf::Zero(Scalar::F64, threads),
+            Buf::I64(num.clone()),
+            Buf::I64(den),
+            Buf::I64(sh),
+            Buf::F64(x),
+        ]
+    };
+    let (mixed, mem) = masked_run(src, &inputs(&active), "pred[");
+    let out: Vec<Vec<u64>> = mem.iter().map(|b| words(b).collect()).collect();
+    for t in (0..threads).filter(|&t| !active(t)) {
+        let kept = [1000, 2000, 3000, 4000].map(|b| (b + t as i64) as u64);
+        for (o, want) in out.iter().zip(kept) {
+            assert_eq!(o[t], want, "thread {t}");
+        }
+        assert_eq!(out[4][t], (0.5 + t as f64).to_bits(), "thread {t}");
+    }
+    let (none, _) = masked_run(src, &inputs(&|_| false), "pred[");
+    let (all, _) = masked_run(src, &inputs(&|_| true), "pred[");
+    let n_active = (0..threads).filter(|&t| active(t)).count() as u64;
+    assert_charged_per_lane(&none, &[(&all, threads as u64, n_active)], &mixed);
+}
+
+/// Loops on the lanes' rows: a per-lane trip count with a negative step
+/// entered by some lanes only, a `float` loop variable with a per-lane
+/// bound, both variables read after their loops, and a loop only one lane
+/// enters (the lone-lane path). Thread `t` runs the first loop `gate · c₁`
+/// times and the second `c₂` times.
+#[test]
+fn loops_with_per_lane_trips_negative_steps_and_float_variables() {
+    let src = "__global__ void k(double* out, long* lo, long* n, long* gate, long* solo) {
+        int t = threadIdx.x;
+        double acc = 0.25;
+        long i = 100 + t;
+        if (gate[t] != 0) {
+            for (i = lo[t]; i > -4; i -= 3) {
+                acc = acc * 0.5 + i;
+            }
+        }
+        float f = 0.5;
+        for (f = 0; f < n[t]; f++) {
+            acc = acc + f * 1.5;
+        }
+        if (solo[t] != 0) {
+            for (int j = 0; j < 4; j++) acc = acc - j;
+        }
+        out[t] = acc + i + f;
+    }";
+    let threads = LANES + 3;
+    type Count<'a> = &'a dyn Fn(usize) -> i64;
+    let inputs = |gate: Count, c1: Count, c2: Count| {
+        // `lo = 3c - 6` runs `i > -4; i -= 3` exactly `c` times.
+        let lo = (0..threads).map(|t| 3 * c1(t) - 6).collect();
+        let solo = (0..threads).map(|t| i64::from(t == LANES + 1)).collect();
+        vec![
+            Buf::Zero(Scalar::F64, threads),
+            Buf::I64(lo),
+            Buf::I64((0..threads).map(c2).collect()),
+            Buf::I64((0..threads).map(gate).collect()),
+            Buf::I64(solo),
+        ]
+    };
+    let gate = |t: usize| i64::from(t % 5 != 3);
+    let c1 = |t: usize| ((t * 7) % 6) as i64;
+    let c2 = |t: usize| ((t * 5 + 2) % 7) as i64;
+    let (zero, three) = (|_| 0, |_| 3);
+    let (none, _) = masked_run(src, &inputs(&gate, &zero, &zero), "pred[");
+    let (all1, _) = masked_run(src, &inputs(&gate, &three, &zero), "pred[");
+    let (all2, _) = masked_run(src, &inputs(&gate, &zero, &three), "pred[");
+    let (mixed, mem) = masked_run(src, &inputs(&gate, &c1, &c2), "pred[");
+    let gated = (0..threads).map(|t| gate(t) as u64).sum::<u64>();
+    let sum1 = (0..threads).map(|t| (gate(t) * c1(t)) as u64).sum();
+    let sum2 = (0..threads).map(|t| c2(t) as u64).sum();
+    let units = [(&all1, 3 * gated, sum1), (&all2, 3 * threads as u64, sum2)];
+    assert_charged_per_lane(&none, &units, &mixed);
+    // A lane that skipped the first loop kept its `i`; every lane's `f`
+    // took each count converted to `float`.
+    for (t, got) in words(&mem[0]).enumerate() {
+        let mut acc = 0.25f64;
+        let mut i = 100 + t as i64;
+        if gate(t) != 0 {
+            i = 3 * c1(t) - 6;
+            while i > -4 {
+                acc = acc * 0.5 + i as f64;
+                i -= 3;
+            }
+        }
+        let mut f = 0i64;
+        while f < c2(t) {
+            acc += (f as f32 as f64) * 1.5;
+            f += 1;
+        }
+        if t == LANES + 1 {
+            acc -= 6.0;
+        }
+        let want = acc + i as f64 + f as f32 as f64;
+        assert_eq!(got, want.to_bits(), "thread {t}");
+    }
+}

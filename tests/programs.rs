@@ -3,7 +3,11 @@
 //! PGAS baseline) and must produce identical outputs.
 
 use cucc::cluster::ClusterSpec;
-use cucc::core::{compile, split_blocks, ArgSpec, CuccCluster, GpuProgram, RuntimeConfig};
+use cucc::core::{
+    compile, split_blocks, ArgSpec, CuccCluster, GpuProgram, MigrateError, ProgramBackend,
+    RuntimeConfig,
+};
+use cucc::exec::BufferId;
 use cucc::gpu_model::{GpuDevice, GpuSpec};
 use cucc::ir::{parse_kernel, LaunchConfig};
 use cucc::pgas::{PgasCluster, PgasConfig};
@@ -110,6 +114,41 @@ fn pipeline_identical_on_all_backends() {
         );
         let pres = prog.run_with(&mut pgas).unwrap();
         assert_eq!(pres.outputs, gres.outputs, "PGAS {nodes} nodes");
+    }
+}
+
+/// A short payload and a buffer id that was never allocated are a typed
+/// `Transfer` error on every backend, never a panic, and the refusals leave
+/// the buffer usable.
+#[test]
+fn bad_transfer_is_an_error_not_a_panic() {
+    let spec = || ClusterSpec::simd_focused().with_nodes(2);
+    let backends: [(&str, Box<dyn ProgramBackend>); 3] = [
+        (
+            "cucc",
+            Box::new(CuccCluster::with_options(spec(), RuntimeConfig::default())),
+        ),
+        ("gpu", Box::new(GpuDevice::new(GpuSpec::a100()))),
+        (
+            "pgas",
+            Box::new(PgasCluster::new(spec(), PgasConfig::default())),
+        ),
+    ];
+    for (name, mut b) in backends {
+        let a = b.prog_alloc(16);
+        let never = BufferId(a.0 + 1);
+        let refused = |r: Result<(), MigrateError>| matches!(r, Err(MigrateError::Transfer(_)));
+        assert!(refused(b.prog_h2d(a, &[0u8; 15])), "{name}: short upload");
+        assert!(
+            refused(b.prog_h2d(never, &[0u8; 16])),
+            "{name}: upload to a never-allocated id"
+        );
+        assert!(
+            matches!(b.prog_d2h(never), Err(MigrateError::Transfer(_))),
+            "{name}: download of a never-allocated id"
+        );
+        b.prog_h2d(a, &[7u8; 16]).unwrap();
+        assert_eq!(b.prog_d2h(a).unwrap(), vec![7u8; 16], "{name}");
     }
 }
 
