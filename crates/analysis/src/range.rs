@@ -493,10 +493,7 @@ pub fn analyze_ranges(prog: &Program, extents: &[Option<u64>]) -> RangeAnalysis 
         access: BTreeMap::new(),
         branch: BTreeMap::new(),
     };
-    let mut az = Analyzer {
-        prog,
-        thresholds: harvest_thresholds(prog, extents),
-    };
+    let mut az = Analyzer::new(prog, extents);
     az.exec_ops(prog.phases(), Some(entry_state(prog)), &mut col);
 
     let mut pc_certified = vec![false; n];
@@ -577,16 +574,14 @@ fn entry_state(prog: &Program) -> State {
     for (i, c) in prog.const_pool().iter().enumerate() {
         vals[base + i] = AbsVal::from_value(*c);
     }
-    let tid_base = base + prog.const_pool().len();
-    let block = prog.launch().block;
-    for (i, ax) in prog.tid_pool().iter().enumerate() {
-        let n = axis_len(block, *ax).max(1) as i128;
-        vals[tid_base + i] = AbsVal::int(Interval::new(0, n - 1));
-    }
-    State {
+    let mut st = State {
         prov: vec![None; nr],
         vals,
+    };
+    for inst in prog.block_pool().iter().chain(prog.thread_pool()) {
+        apply_straight(&mut st, inst, prog);
     }
+    st
 }
 
 /// Threshold set for widening: every folded integer constant (pooled, or
@@ -679,9 +674,55 @@ impl Collector {
 struct Analyzer<'a> {
     prog: &'a Program,
     thresholds: Vec<i128>,
+    /// The block pool's code, then the thread pool's.
+    pool: Vec<Inst>,
+    /// Per register: the pool code re-run where it is read, in pool order.
+    /// A pooled subtree is evaluated where the instruction reading it runs,
+    /// as the inline code it stands for was, so a guard that narrowed its
+    /// `threadIdx` operands narrows it too. A `Tid` register is a leaf,
+    /// seeded once and narrowed in place.
+    redo: Vec<Vec<usize>>,
 }
 
 impl<'a> Analyzer<'a> {
+    fn new(prog: &'a Program, extents: &[Option<u64>]) -> Analyzer<'a> {
+        let pool: Vec<Inst> = prog
+            .block_pool()
+            .iter()
+            .chain(prog.thread_pool())
+            .copied()
+            .collect();
+        let mut redo = vec![Vec::new(); prog.num_regs() as usize];
+        for (i, inst) in pool.iter().enumerate() {
+            if matches!(inst, Inst::Tid { .. }) {
+                continue;
+            }
+            let (mut dst, mut deps) = (0, vec![i]);
+            inst.for_each_reg(|r, write| match write {
+                true => dst = r as usize,
+                false => deps.extend(&redo[r as usize]),
+            });
+            deps.sort_unstable();
+            deps.dedup();
+            redo[dst] = deps;
+        }
+        Analyzer {
+            prog,
+            thresholds: harvest_thresholds(prog, extents),
+            pool,
+            redo,
+        }
+    }
+
+    /// Re-evaluate the pooled registers `inst` reads (see `redo`).
+    fn refresh(&self, st: &mut State, inst: &Inst) {
+        inst.for_each_reg(|r, _| {
+            for &i in &self.redo[r as usize] {
+                apply_straight(st, &self.pool[i], self.prog);
+            }
+        });
+    }
+
     /// Interpret a phase-op sequence. `None` in/out means no thread reaches
     /// this point (all paths returned) — subsequent ops stay unreached.
     fn exec_ops(
@@ -990,7 +1031,10 @@ impl<'a> Analyzer<'a> {
             let Some(st) = slot else { continue };
             let pc = start + rel as u32;
             col.reached[pc as usize] = true;
-            match &code[pc as usize] {
+            let inst = &code[pc as usize];
+            let st = &mut st.clone();
+            self.refresh(st, inst);
+            match inst {
                 Inst::Load { slot, idx, .. } => {
                     col.rec_access(pc, *slot, AccessKind::Load, st.get(*idx));
                 }
@@ -1015,6 +1059,7 @@ impl<'a> Analyzer<'a> {
     fn edges(&self, start: u32, rel: usize, mut st: State) -> Vec<(usize, State)> {
         let pc = start + rel as u32;
         let inst = &self.prog.code()[pc as usize];
+        self.refresh(&mut st, inst);
         let r = |abs: u32| (abs - start) as usize;
         match inst {
             Inst::Jump { target } => vec![(r(*target), st)],
@@ -1798,6 +1843,29 @@ mod tests {
         );
         // Only the reachable store is recorded.
         assert_eq!(ra.stats(), (1, 1), "{:?}", ra.certs);
+    }
+
+    /// A pooled index is evaluated where its access runs: the guard has
+    /// narrowed `threadIdx.x` to `[0, 31]` there, so `threadIdx.x * 2 + 1`
+    /// stays inside the 64-element tile, as the inline code did.
+    #[test]
+    fn pooled_index_is_narrowed_by_its_guard() {
+        let launch = LaunchConfig::new(4, 64);
+        let mut prog = program(
+            "__global__ void f(float* y) {
+                __shared__ float tile[64];
+                if (threadIdx.x < 32) tile[threadIdx.x * 2 + 1] = 1.0f;
+                __syncthreads();
+                y[blockIdx.x * 64 + threadIdx.x] = tile[threadIdx.x];
+            }",
+            launch,
+            &[Arg::Buffer(BufferId(0))],
+        );
+        assert!(!prog.thread_pool().is_empty());
+        let ext = uniform_extents(&prog, 256);
+        let ra = certify_program(&mut prog, &ext, CertMode::Elide);
+        let (c, t) = ra.stats();
+        assert_eq!((c, t), (3, 3), "{:?}", ra.certs);
     }
 
     #[test]

@@ -12,9 +12,16 @@
 //!   compact stacks of scratch registers above them, one per value kind, so
 //!   every register holds one [`ValueKind`] for the whole program
 //!   (`Program::kinds`; the front end made every conversion explicit);
-//! * scalar params, `blockDim`/`gridDim` and constant subtrees fold into
-//!   [`Inst::Const`] instructions that carry the op counts the folded code
-//!   would have charged (stat parity with the oracle is bit-for-bit);
+//! * scalar params, `blockDim`/`gridDim` and constant subtrees fold;
+//! * every maximal subtree that reads no variable and no memory and cannot
+//!   fault is *pooled*: a launch constant into a register splatted once per
+//!   run, a subtree of `blockIdx` and launch values into code run once per
+//!   block ([`Program::block_pool`]), one of `threadIdx` and launch values
+//!   into code run once per thread and run ([`Program::thread_pool`]). The
+//!   ops a folded or pooled subtree would have charged are charged by the
+//!   instruction that stands in for it or reads its register, each time it
+//!   runs (`Program::subtree_ops`), so stat parity with the oracle stays
+//!   bit-for-bit;
 //! * buffer params resolve to [`crate::memory::BufferId`]s in a dense
 //!   memory-slot table (see `Kernel::mem_slot`);
 //! * `__syncthreads()` phase boundaries are precomputed into a [`PhaseOp`]
@@ -29,7 +36,7 @@
 
 use crate::interp::{check_args, eval_binop, eval_intrinsic, eval_unop, Arg, ExecError};
 use crate::memory::BufferId;
-use crate::stats::intrinsic_weight;
+use crate::stats::{intrinsic_weight, BlockStats};
 use cucc_ir::{
     AtomicOp, Axis, BinOp, Dim3, Expr, Intrinsic, Kernel, LaunchConfig, MemRef, MemSpace, Scalar,
     Stmt, UnOp, Value, ValueKind,
@@ -66,25 +73,24 @@ pub struct MemSlotInfo {
 
 /// One bytecode instruction.
 ///
-/// Jump targets are absolute indices into [`Program::code`]. Instructions
-/// that stand in for folded or control-flow work carry the op counts the
-/// interpreter would have charged, keeping `BlockStats` bit-identical.
-#[derive(Debug, Clone)]
+/// Jump targets are absolute indices into [`Program::code`]. Control-flow
+/// instructions carry the op counts the interpreter would have charged for
+/// their decision; the ops of folded or pooled subtrees an instruction
+/// stands in for are `Program::subtree_ops`. `BlockStats` stay
+/// bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Inst {
-    /// `dst ← v`, charging the ops of the constant-folded subtree.
+    /// `dst ← v`, a folded subtree.
     Const {
         dst: Reg,
         v: Value,
-        int_ops: u32,
-        float_ops: u32,
     },
-    /// `dst ← threadIdx.<axis>`.
+    /// `dst ← threadIdx.<axis>` (thread-pool code only).
     Tid {
         dst: Reg,
         axis: Axis,
     },
-    /// `dst ← blockIdx.<axis>` (the only launch-invariant special that
-    /// cannot fold: it varies per block).
+    /// `dst ← blockIdx.<axis>` (block-pool code only).
     Bid {
         dst: Reg,
         axis: Axis,
@@ -242,6 +248,10 @@ pub enum PhaseOp {
 #[derive(Debug, Clone)]
 pub struct Program {
     pub(crate) code: Vec<Inst>,
+    /// Per pc: the ops of the folded and pooled subtrees the instruction
+    /// stands in for or reads, charged per thread each time it runs — when
+    /// the oracle evaluates those subtrees.
+    pub(crate) subtree_ops: Vec<Charge>,
     pub(crate) phases: Vec<PhaseOp>,
     /// Registers per thread (variables + peak temporaries).
     pub(crate) num_regs: u32,
@@ -250,14 +260,19 @@ pub struct Program {
     /// Leading registers holding kernel variables. Only these need zeroing
     /// between blocks: temporaries are always written before they are read.
     pub(crate) num_vars: u32,
-    /// Launch-invariant constants, splatted once per run into the registers
-    /// starting at `const_base` (above the temporaries) and never written
-    /// again — so `reset` between blocks leaves them intact.
+    /// Launch constants, splatted once per run into the registers starting
+    /// at `const_base` (above the temporaries) and never written again — so
+    /// `reset` between blocks leaves them intact.
     pub(crate) const_pool: Vec<Value>,
     pub(crate) const_base: u32,
-    /// Pooled `threadIdx` axes: per-thread but block-invariant values in
-    /// the registers right after the constants, written once per run.
-    pub(crate) tid_pool: Vec<Axis>,
+    /// Block-invariant subtrees (`blockIdx` and launch values): instruction
+    /// `i` writes register `const_base + const_pool.len() + i`, reading only
+    /// pooled registers. Run once per block on one lane, its rows splatted
+    /// before the block's first segment.
+    pub(crate) block_pool: Vec<Inst>,
+    /// Thread-invariant subtrees (`threadIdx` and launch values), in the
+    /// registers right after the block pool's: run once per thread and run.
+    pub(crate) thread_pool: Vec<Inst>,
     /// Slot metadata, indexed by `Kernel::mem_slot` numbering. Slots the
     /// kernel never references (e.g. scalar parameters) stay `None`.
     pub(crate) slots: Vec<Option<MemSlotInfo>>,
@@ -300,11 +315,14 @@ impl Program {
             launch,
             args,
             code: Vec::with_capacity(kernel.flat_stmt_count() * 4),
+            subtree_ops: Vec::with_capacity(kernel.flat_stmt_count() * 4),
+            pending: Charge::default(),
             slots: vec![None; kernel.num_mem_slots()],
             next_reg: [num_vars, FLOAT_BASE],
             max_reg: [num_vars, FLOAT_BASE],
             consts: Vec::new(),
-            tids: Vec::new(),
+            pools: Default::default(),
+            pool_kinds: Default::default(),
             if_sites: Vec::new(),
         };
         let mut phases = c.lower_phases(&kernel.body)?;
@@ -314,11 +332,14 @@ impl Program {
         kinds.resize(c.max_reg[0] as usize, ValueKind::Int);
         kinds.resize(const_base as usize, ValueKind::Float);
         kinds.extend(c.consts.iter().map(|v| v.kind()));
-        kinds.resize(num_regs as usize, ValueKind::Int);
+        kinds.extend(c.pool_kinds.iter().flatten());
+        debug_assert_eq!(kinds.len(), num_regs as usize);
+        let [block_pool, thread_pool] = c.pools;
         let pools = Pools {
             const_base,
             consts: &c.consts,
-            tids: &c.tids,
+            block_pool: &block_pool,
+            thread_pool: &thread_pool,
             block: launch.block,
         };
         let mut lane_plans = Vec::new();
@@ -338,13 +359,15 @@ impl Program {
         });
         Ok(Program {
             code: c.code,
+            subtree_ops: c.subtree_ops,
             phases,
             num_regs,
             kinds,
             num_vars,
             const_pool: c.consts,
             const_base,
-            tid_pool: c.tids,
+            block_pool,
+            thread_pool,
             slots: c.slots,
             shared_sizes: kernel.shared.iter().map(|a| a.size_bytes()).collect(),
             local_sizes: kernel.locals.iter().map(|a| a.size_bytes()).collect(),
@@ -381,16 +404,26 @@ impl Program {
         &self.slots
     }
 
-    /// Launch-invariant constant pool (register `const_base + i` holds
+    /// Launch constant pool (register `const_base + i` holds
     /// `const_pool[i]` for the whole run).
     pub fn const_pool(&self) -> &[Value] {
         &self.const_pool
     }
 
-    /// Pooled `threadIdx` axes (register `const_base + const_pool.len() + i`
-    /// holds `threadIdx.<tid_pool[i]>`).
-    pub fn tid_pool(&self) -> &[Axis] {
-        &self.tid_pool
+    /// Block-pool code: each instruction writes its own register, reading
+    /// pooled registers only; run once per block before its first segment.
+    pub fn block_pool(&self) -> &[Inst] {
+        &self.block_pool
+    }
+
+    /// Thread-pool code: as [`Self::block_pool`], run once per thread.
+    pub fn thread_pool(&self) -> &[Inst] {
+        &self.thread_pool
+    }
+
+    /// First block-pool register (the thread pool's follow it).
+    pub(crate) fn block_base(&self) -> u32 {
+        self.const_base + self.const_pool.len() as u32
     }
 
     /// First pooled register (registers below are variables + temporaries).
@@ -545,6 +578,18 @@ impl Program {
         self.has_global_atomics
     }
 
+    /// The global buffers the program's slots bind: the only ones a run of
+    /// it reaches.
+    pub(crate) fn bound_buffers(&self) -> impl Iterator<Item = BufferId> + '_ {
+        self.slots
+            .iter()
+            .flatten()
+            .filter_map(|info| match info.kind {
+                SlotKind::Global { buf } => Some(buf),
+                SlotKind::Shared { .. } | SlotKind::Local { .. } => None,
+            })
+    }
+
     /// The global buffers some instruction stores to, in code order (a
     /// buffer may repeat). Every other buffer the launch binds is only
     /// read, so it may stay shared with other nodes for the whole launch.
@@ -609,25 +654,16 @@ fn for_each_seg(phases: &mut [PhaseOp], f: &mut impl FnMut(u32, u32, &mut BatchK
     }
 }
 
-/// Result of constant-folding a subtree: the value plus the op counts the
-/// interpreter would have charged evaluating it.
-#[derive(Clone, Copy)]
-struct Folded {
-    v: Value,
-    int_ops: u32,
-    float_ops: u32,
+/// Ops charged per thread, by kind: what a folded or pooled subtree would
+/// have charged in the oracle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Charge {
+    pub(crate) int_ops: u32,
+    pub(crate) float_ops: u32,
 }
 
-impl Folded {
-    fn pure(v: Value) -> Folded {
-        Folded {
-            v,
-            int_ops: 0,
-            float_ops: 0,
-        }
-    }
-
-    fn count(mut self, kind: ValueKind) -> Folded {
+impl Charge {
+    fn count(mut self, kind: ValueKind) -> Charge {
         match kind {
             ValueKind::Int => self.int_ops += 1,
             ValueKind::Float => self.float_ops += 1,
@@ -635,41 +671,90 @@ impl Folded {
         self
     }
 
+    fn plus(self, o: Charge) -> Charge {
+        Charge {
+            int_ops: self.int_ops + o.int_ops,
+            float_ops: self.float_ops + o.float_ops,
+        }
+    }
+
+    /// Charge `n` threads.
+    #[inline]
+    pub(crate) fn add_to(self, stats: &mut BlockStats, n: u64) {
+        stats.int_ops += n * u64::from(self.int_ops);
+        stats.float_ops += n * u64::from(self.float_ops);
+    }
+}
+
+/// Result of constant-folding a subtree: the value plus the op counts the
+/// interpreter would have charged evaluating it.
+#[derive(Clone, Copy)]
+struct Folded {
+    v: Value,
+    ops: Charge,
+}
+
+impl Folded {
+    fn pure(v: Value) -> Folded {
+        Folded {
+            v,
+            ops: Charge::default(),
+        }
+    }
+
+    fn count(mut self, kind: ValueKind) -> Folded {
+        self.ops = self.ops.count(kind);
+        self
+    }
+
     fn plus_ops(mut self, other: Folded) -> Folded {
-        self.int_ops += other.int_ops;
-        self.float_ops += other.float_ops;
+        self.ops = self.ops.plus(other.ops);
         self
     }
 }
 
-/// Virtual register base for launch-invariant constants during lowering;
-/// [`Compiler::finish_regs`] relocates them above the temporaries.
+/// Which pool a subtree can live in ([`Compiler::pool_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pool {
+    /// It folds: a launch constant.
+    Launch,
+    /// It reads `blockIdx` and launch values only.
+    Block,
+    /// It reads `threadIdx` and launch values only.
+    Thread,
+}
+
+/// Virtual register bases during lowering, relocated by
+/// [`Compiler::finish_regs`] to the final layout `[vars][int temps][float
+/// temps][consts][block pool][thread pool]`. Int temporaries stack up from
+/// the variables, float temporaries from `FLOAT_BASE`.
 const CONST_BASE: Reg = 1 << 30;
-
-/// Virtual register base for pooled `threadIdx` reads (per-thread but
-/// block-invariant, so they are written once per run like constants).
-const TID_BASE: Reg = 1 << 29;
-
-/// Virtual register base for float temporaries; int temporaries stack up
-/// from the variables. [`Compiler::finish_regs`] packs the float stack
-/// right above the int one.
-const FLOAT_BASE: Reg = 1 << 28;
+const THREAD_BASE: Reg = 1 << 29;
+const BLOCK_BASE: Reg = 1 << 28;
+const FLOAT_BASE: Reg = 1 << 27;
 
 struct Compiler<'a> {
     kernel: &'a Kernel,
     launch: LaunchConfig,
     args: &'a [Arg],
     code: Vec<Inst>,
+    /// Parallel to `code` (see [`Program::subtree_ops`]).
+    subtree_ops: Vec<Charge>,
+    /// Ops of the pooled operands lowered for the instruction about to be
+    /// emitted; [`Self::emit`] hands them to it.
+    pending: Charge,
     slots: Vec<Option<MemSlotInfo>>,
     /// Temporary stacks, `[int, float]`.
     next_reg: [Reg; 2],
     max_reg: [Reg; 2],
-    /// Launch-invariant constant pool: values the engine writes into
-    /// dedicated registers once per run instead of re-materializing with a
-    /// `Const` instruction in every block × thread.
+    /// Launch constant pool: values the engine writes into dedicated
+    /// registers once per run instead of re-materializing with a `Const`
+    /// instruction in every block × thread.
     consts: Vec<Value>,
-    /// Pooled `threadIdx` axes, same idea per thread (see [`TID_BASE`]).
-    tids: Vec<Axis>,
+    /// Block- and thread-pool code (`[block, thread]`) and the kinds of the
+    /// registers it writes.
+    pools: [Vec<Inst>; 2],
+    pool_kinds: [Vec<ValueKind>; 2],
     /// Branch pc per source `if`, pre-order (see [`Program::if_sites`]).
     if_sites: Vec<u32>,
 }
@@ -737,108 +822,184 @@ impl<'a> Compiler<'a> {
         CONST_BASE + i as Reg
     }
 
-    /// Dedicated read-only register for a `threadIdx.<axis>` read.
-    fn tid_reg(&mut self, axis: Axis) -> Reg {
-        let i = match self.tids.iter().position(|a| *a == axis) {
-            Some(i) => i,
-            None => {
-                self.tids.push(axis);
-                self.tids.len() - 1
+    /// Which pool can hold `e` — a syntactic walk over the one expression:
+    /// `Launch` when it folds; `Block` or `Thread` when it reads `blockIdx`
+    /// or `threadIdx` (not both) and launch values, no variable and no
+    /// memory, and holds no int `/` or `%` (they can fault) and no `?:`,
+    /// `&&` or `||` (what they charge depends on the values); else `None`.
+    fn pool_of(&self, e: &Expr) -> Option<Pool> {
+        let join = |a: Pool, b: Pool| match (a, b) {
+            (Pool::Launch, p) | (p, Pool::Launch) => Some(p),
+            (a, b) => (a == b).then_some(a),
+        };
+        let p = match e {
+            Expr::ThreadIdx(_) => return Some(Pool::Thread),
+            Expr::BlockIdx(_) => return Some(Pool::Block),
+            Expr::Var(_) | Expr::Load { .. } => return None,
+            Expr::IntConst(_)
+            | Expr::FloatConst(_)
+            | Expr::BlockDim(_)
+            | Expr::GridDim(_)
+            | Expr::Param(_) => Pool::Launch,
+            Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => self.pool_of(arg)?,
+            Expr::Call { args, .. } => args
+                .iter()
+                .try_fold(Pool::Launch, |p, a| join(p, self.pool_of(a)?))?,
+            Expr::Binary { op, lhs, rhs } => {
+                let p = join(self.pool_of(lhs)?, self.pool_of(rhs)?)?;
+                let float =
+                    self.kind(lhs) == ValueKind::Float || self.kind(rhs) == ValueKind::Float;
+                let faults = !float && matches!(op, BinOp::Div | BinOp::Rem);
+                if p != Pool::Launch && (faults || matches!(op, BinOp::LAnd | BinOp::LOr)) {
+                    return None;
+                }
+                p
+            }
+            Expr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => {
+                for x in [cond, then_value, else_value] {
+                    if self.pool_of(x)? != Pool::Launch {
+                        return None;
+                    }
+                }
+                Pool::Launch
             }
         };
-        TID_BASE + i as Reg
+        match p {
+            Pool::Launch => self.fold(e).map(|_| Pool::Launch),
+            p => Some(p),
+        }
+    }
+
+    /// The register holding `e` and the ops one evaluation of `e` charges,
+    /// when `e` can be pooled ([`Self::pool_of`]): a launch constant's
+    /// register, or a block- or thread-pool register.
+    fn pooled(&mut self, e: &Expr) -> Option<(Reg, Charge)> {
+        match self.pool_of(e)? {
+            Pool::Launch => {
+                let f = self.fold(e)?;
+                Some((self.const_reg(f.v), f.ops))
+            }
+            Pool::Block => Some(self.pool_node(e, 0)),
+            Pool::Thread => Some(self.pool_node(e, 1)),
+        }
+    }
+
+    /// Emit `e`'s own instruction, reading its operands' pooled registers,
+    /// into pool `k`'s code (`0` block, `1` thread); an identical
+    /// instruction already there lends its register instead.
+    fn pool_node(&mut self, e: &Expr, k: usize) -> (Reg, Charge) {
+        let arg = |c: &mut Self, a: &Expr| {
+            c.pooled(a)
+                .expect("an operand of a pooled subtree is pooled")
+        };
+        let (inst, ops) = match e {
+            Expr::ThreadIdx(axis) => (
+                Inst::Tid {
+                    dst: 0,
+                    axis: *axis,
+                },
+                Charge::default(),
+            ),
+            Expr::BlockIdx(axis) => (
+                Inst::Bid {
+                    dst: 0,
+                    axis: *axis,
+                },
+                Charge::default(),
+            ),
+            Expr::Unary { op, arg: a } => {
+                let (src, ops) = arg(self, a);
+                let inst = Inst::Unary {
+                    dst: 0,
+                    op: *op,
+                    src,
+                };
+                (inst, ops.count(self.kind(a)))
+            }
+            Expr::Cast { ty, arg: a } => {
+                let (src, ops) = arg(self, a);
+                (
+                    Inst::Cast {
+                        dst: 0,
+                        ty: *ty,
+                        src,
+                    },
+                    ops.count(ty.kind()),
+                )
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let (l, lops) = arg(self, lhs);
+                let (r, rops) = arg(self, rhs);
+                let kind = self.kind(lhs).max(self.kind(rhs));
+                let inst = Inst::Binary {
+                    dst: 0,
+                    op: *op,
+                    lhs: l,
+                    rhs: r,
+                };
+                (inst, lops.plus(rops).count(kind))
+            }
+            Expr::Call { f, args } => {
+                let (a, mut ops) = arg(self, &args[0]);
+                let inst = match args.get(1) {
+                    None => Inst::Intrin1 { dst: 0, f: *f, a },
+                    Some(b) => {
+                        let (b, bops) = arg(self, b);
+                        ops = ops.plus(bops);
+                        Inst::Intrin2 {
+                            dst: 0,
+                            f: *f,
+                            a,
+                            b,
+                        }
+                    }
+                };
+                ops.float_ops += intrinsic_weight(*f) as u32;
+                (inst, ops)
+            }
+            _ => unreachable!("`pool_of` pools no other node"),
+        };
+        let base = [BLOCK_BASE, THREAD_BASE][k];
+        let code = &mut self.pools[k];
+        let i = match code.iter().position(|c| with_dst(*c, 0) == inst) {
+            Some(i) => i,
+            None => {
+                code.push(with_dst(inst, base + code.len() as Reg));
+                self.pool_kinds[k].push(self.kernel.expr_kind(e));
+                code.len() - 1
+            }
+        };
+        (base + i as Reg, ops)
     }
 
     /// Relocate float temporaries and pooled registers from their virtual
-    /// ranges to just above the int temporaries — layout `[vars][int
-    /// temps][float temps][consts][tids]` — returning `(const_base,
-    /// num_regs)`.
+    /// ranges to the final layout (see [`CONST_BASE`]), returning
+    /// `(const_base, num_regs)`.
     fn finish_regs(&mut self, phases: &mut [PhaseOp]) -> (u32, u32) {
         let float_base = self.max_reg[0];
         let base = (float_base + self.max_reg[1] - FLOAT_BASE).max(1);
         debug_assert!(base < FLOAT_BASE, "register file overflow");
-        let tid_base = base + self.consts.len() as u32;
+        let block_base = base + self.consts.len() as u32;
+        let thread_base = block_base + self.pools[0].len() as u32;
         let remap = |r: &mut Reg| {
-            if *r >= CONST_BASE {
-                *r = base + (*r - CONST_BASE);
-            } else if *r >= TID_BASE {
-                *r = tid_base + (*r - TID_BASE);
-            } else if *r >= FLOAT_BASE {
-                *r = float_base + (*r - FLOAT_BASE);
+            *r = match *r {
+                r if r >= CONST_BASE => base + (r - CONST_BASE),
+                r if r >= THREAD_BASE => thread_base + (r - THREAD_BASE),
+                r if r >= BLOCK_BASE => block_base + (r - BLOCK_BASE),
+                r if r >= FLOAT_BASE => float_base + (r - FLOAT_BASE),
+                r => r,
             }
         };
         remap_phases(phases, &remap);
-        for inst in &mut self.code {
-            match inst {
-                Inst::Const { dst, .. } | Inst::Tid { dst, .. } | Inst::Bid { dst, .. } => {
-                    remap(dst)
-                }
-                Inst::Copy { dst, src }
-                | Inst::Unary { dst, src, .. }
-                | Inst::Cast { dst, src, .. }
-                | Inst::Test { dst, src } => {
-                    remap(dst);
-                    remap(src);
-                }
-                Inst::Binary { dst, lhs, rhs, .. } => {
-                    remap(dst);
-                    remap(lhs);
-                    remap(rhs);
-                }
-                Inst::MulAdd { dst, a, b, c } => {
-                    remap(dst);
-                    remap(a);
-                    remap(b);
-                    remap(c);
-                }
-                Inst::Intrin1 { dst, a, .. } => {
-                    remap(dst);
-                    remap(a);
-                }
-                Inst::Intrin2 { dst, a, b, .. } => {
-                    remap(dst);
-                    remap(a);
-                    remap(b);
-                }
-                Inst::Load { dst, idx, .. } => {
-                    remap(dst);
-                    remap(idx);
-                }
-                Inst::Store { idx, val, .. } | Inst::AtomicRmw { idx, val, .. } => {
-                    remap(idx);
-                    remap(val);
-                }
-                Inst::JumpIfFalse { cond, .. } | Inst::JumpIfTrue { cond, .. } => remap(cond),
-                Inst::ForInit {
-                    var,
-                    start,
-                    end,
-                    step,
-                    ..
-                } => {
-                    // Loop bounds are always materialized into private int
-                    // temporaries (`ForInit` normalizes them in place).
-                    remap(var);
-                    remap(start);
-                    remap(end);
-                    remap(step);
-                }
-                Inst::ForNext {
-                    var,
-                    ind,
-                    end,
-                    step,
-                    ..
-                } => {
-                    remap(var);
-                    remap(ind);
-                    remap(end);
-                    remap(step);
-                }
-                Inst::Jump { .. } | Inst::Return => {}
-            }
+        let [block, thread] = &mut self.pools;
+        for inst in self.code.iter_mut().chain(block).chain(thread) {
+            regs_mut(inst, |r, _| remap(r));
         }
-        (base, tid_base + self.tids.len() as u32)
+        (base, thread_base + self.pools[1].len() as u32)
     }
 
     // ---- code emission -------------------------------------------------
@@ -847,8 +1008,11 @@ impl<'a> Compiler<'a> {
         self.code.len() as u32
     }
 
+    /// Append `i`, which charges the ops of the pooled operands lowered for
+    /// it (`pending`).
     fn emit(&mut self, i: Inst) -> usize {
         self.code.push(i);
+        self.subtree_ops.push(std::mem::take(&mut self.pending));
         self.code.len() - 1
     }
 
@@ -1000,16 +1164,16 @@ impl<'a> Compiler<'a> {
             }
             Expr::Call { f, args } => {
                 let mut vals = Vec::with_capacity(args.len());
-                let mut acc = Folded::pure(Value::I64(0));
+                let mut ops = Charge::default();
                 for a in args {
                     let fa = self.fold(a)?;
                     vals.push(fa.v);
-                    acc = acc.plus_ops(fa);
+                    ops = ops.plus(fa.ops);
                 }
+                ops.float_ops += intrinsic_weight(*f) as u32;
                 Folded {
                     v: eval_intrinsic(*f, &vals),
-                    float_ops: acc.float_ops + intrinsic_weight(*f) as u32,
-                    int_ops: acc.int_ops,
+                    ops,
                 }
             }
             Expr::ThreadIdx(_) | Expr::BlockIdx(_) | Expr::Var(_) | Expr::Load { .. } => {
@@ -1020,10 +1184,10 @@ impl<'a> Compiler<'a> {
 
     // ---- expression lowering --------------------------------------------
 
-    /// Lower `e` as a read-only operand: a variable reads its register
-    /// directly and a zero-charge constant its pooled register — no `Copy`
-    /// or `Const` instruction at all. Anything else materializes into a
-    /// fresh temporary; callers bracket the call with `mark`/`restore`.
+    /// Lower `e` as a read-only operand: a variable or a pooled subtree
+    /// reads its register directly — no `Copy` or `Const` instruction at
+    /// all. Anything else materializes into a fresh temporary; callers
+    /// bracket the call with `mark`/`restore`.
     ///
     /// Never use this for registers an instruction later writes (`ForInit`
     /// normalizes its bound registers in place).
@@ -1036,20 +1200,16 @@ impl<'a> Compiler<'a> {
         Ok(t)
     }
 
-    /// The register an operand can read without any code: a variable, a
-    /// pooled `threadIdx`, or a zero-charge launch-invariant constant.
+    /// The register an operand can read without any code: a variable or a
+    /// pooled subtree ([`Self::pooled`]), whose ops the instruction emitted
+    /// next — the one reading it — charges.
     fn pooled_operand(&mut self, e: &Expr) -> Option<Reg> {
-        match e {
-            Expr::Var(v) => return Some(v.0 as Reg),
-            Expr::ThreadIdx(a) => return Some(self.tid_reg(*a)),
-            _ => {}
+        if let Expr::Var(v) = e {
+            return Some(v.0 as Reg);
         }
-        if let Some(f) = self.fold(e) {
-            if f.int_ops == 0 && f.float_ops == 0 {
-                return Some(self.const_reg(f.v));
-            }
-        }
-        None
+        let (r, ops) = self.pooled(e)?;
+        self.pending = self.pending.plus(ops);
+        Some(r)
     }
 
     /// [`Self::lower_operand`], but a subexpression that does need code
@@ -1073,35 +1233,30 @@ impl<'a> Compiler<'a> {
     /// early.
     fn lower_expr(&mut self, e: &Expr, dst: Reg) -> Result<(), ExecError> {
         debug_assert_eq!(self.reg_kind(dst), self.kind(e), "kind of {e:?}");
+        let outer = std::mem::take(&mut self.pending);
         let m = self.mark();
         self.lower_expr_at(e, dst)?;
         self.restore(m);
+        debug_assert_eq!(
+            self.pending,
+            Charge::default(),
+            "a reader takes its operands' ops"
+        );
+        self.pending = outer;
         Ok(())
     }
 
     fn lower_expr_at(&mut self, e: &Expr, dst: Reg) -> Result<(), ExecError> {
         if let Some(f) = self.fold(e) {
-            self.emit(Inst::Const {
-                dst,
-                v: f.v,
-                int_ops: f.int_ops,
-                float_ops: f.float_ops,
-            });
+            self.pending = f.ops;
+            self.emit(Inst::Const { dst, v: f.v });
+            return Ok(());
+        }
+        if let Some(src) = self.pooled_operand(e) {
+            self.emit(Inst::Copy { dst, src });
             return Ok(());
         }
         match e {
-            Expr::ThreadIdx(a) => {
-                self.emit(Inst::Tid { dst, axis: *a });
-            }
-            Expr::BlockIdx(a) => {
-                self.emit(Inst::Bid { dst, axis: *a });
-            }
-            Expr::Var(v) => {
-                self.emit(Inst::Copy {
-                    dst,
-                    src: v.0 as Reg,
-                });
-            }
             Expr::Load { mem, index } => {
                 let idx = self.lower_operand_into(index, dst)?;
                 let slot = self.slot(*mem);
@@ -1119,8 +1274,7 @@ impl<'a> Compiler<'a> {
                         target: 0,
                         int_ops: 1,
                     });
-                    let r = self.scratch(rhs, dst);
-                    self.lower_expr(rhs, r)?;
+                    let r = self.lower_operand_into(rhs, dst)?;
                     self.emit(Inst::Test { dst, src: r });
                     let j = self.emit(Inst::Jump { target: 0 });
                     let f = self.here();
@@ -1128,8 +1282,6 @@ impl<'a> Compiler<'a> {
                     self.emit(Inst::Const {
                         dst,
                         v: Value::I64(0),
-                        int_ops: 0,
-                        float_ops: 0,
                     });
                     let end = self.here();
                     self.patch_target(j, end);
@@ -1141,8 +1293,7 @@ impl<'a> Compiler<'a> {
                         target: 0,
                         int_ops: 1,
                     });
-                    let r = self.scratch(rhs, dst);
-                    self.lower_expr(rhs, r)?;
+                    let r = self.lower_operand_into(rhs, dst)?;
                     self.emit(Inst::Test { dst, src: r });
                     let j = self.emit(Inst::Jump { target: 0 });
                     let t = self.here();
@@ -1150,8 +1301,6 @@ impl<'a> Compiler<'a> {
                     self.emit(Inst::Const {
                         dst,
                         v: Value::I64(1),
-                        int_ops: 0,
-                        float_ops: 0,
                     });
                     let end = self.here();
                     self.patch_target(j, end);
@@ -1232,11 +1381,14 @@ impl<'a> Compiler<'a> {
                 }
                 n => unreachable!("intrinsic arity {n} rejected by validation"),
             },
-            Expr::IntConst(_)
+            Expr::Var(_)
+            | Expr::ThreadIdx(_)
+            | Expr::BlockIdx(_)
+            | Expr::IntConst(_)
             | Expr::FloatConst(_)
             | Expr::BlockDim(_)
             | Expr::GridDim(_)
-            | Expr::Param(_) => unreachable!("always folded"),
+            | Expr::Param(_) => unreachable!("always folded or pooled"),
         }
         Ok(())
     }
@@ -1703,12 +1855,13 @@ fn mem_obj(slots: &[Option<MemSlotInfo>], slot: u32) -> Option<(MemObj, Scalar)>
     Some((obj, info.elem))
 }
 
-/// What the in-place rule reads besides the code: the launch-invariant
-/// register pools (final layout) and the block shape.
+/// What the in-place rule reads besides the code: the register pools
+/// (final layout) and the block shape.
 struct Pools<'a> {
     const_base: u32,
     consts: &'a [Value],
-    tids: &'a [Axis],
+    block_pool: &'a [Inst],
+    thread_pool: &'a [Inst],
     block: Dim3,
 }
 
@@ -1747,7 +1900,7 @@ fn in_place(
     let Some(r) = r else { return false };
     let written = |pc: u32| {
         let mut w = false;
-        inst_regs(&code[pc as usize], |reg, write| w |= write && reg == r);
+        code[pc as usize].for_each_reg(|reg, write| w |= write && reg == r);
         w
     };
     !(first..last).any(written)
@@ -1756,12 +1909,13 @@ fn in_place(
 
 /// `r`'s value at `code[at]` as `u + Σ c[a]·threadIdx.a` with `u` uniform
 /// in the block: `Some(c)`, or `None` when the form is not derivable. A
-/// forward scan from the segment start through `Tid`, `Bid`, pooled
-/// constants, `Copy`, integer `Add`/`Sub`, `Mul` with one constant (or
-/// uniform) side and `MulAdd`; any other write — a load, a float, a cast, a
-/// division — leaves its destination unknown, as does any write a forward
-/// jump can skip (the value then depends on the path a thread took).
-/// Registers live into the segment are unknown, except the pools.
+/// forward scan through the pool code, then from the segment start, through
+/// `Tid`, `Bid`, constants, `Copy`, integer `Add`/`Sub`, `Mul` with one
+/// constant (or uniform) side and `MulAdd`; any other write — a load, a
+/// float, a cast, a division — leaves its destination unknown, as does any
+/// write a forward jump can skip (the value then depends on the path a
+/// thread took). Registers live into the segment are unknown, except the
+/// pools.
 fn index_form(code: &[Inst], pools: &Pools, start: u32, at: u32, r: Reg) -> Option<[i64; 3]> {
     /// `tid·threadIdx + u`; `k = Some(u)` when `u` is a known constant
     /// (then `tid` is zero).
@@ -1811,35 +1965,22 @@ fn index_form(code: &[Inst], pools: &Pools, start: u32, at: u32, r: Reg) -> Opti
         let k = f.k.map(|v| v.wrapping_mul(m));
         Some(Form { tid, k })
     }
-    let tid_base = pools.const_base + pools.consts.len() as u32;
-    // Forms written in this scan (latest last); pooled registers are never
-    // written, so a miss falls back to the pools.
+    let consts = pools.const_base..pools.const_base + pools.consts.len() as u32;
+    // Forms written in this scan (latest last); the constant pool is never
+    // written, so a miss there falls back to its value.
     let mut forms: Vec<(Reg, Option<Form>)> = Vec::new();
     let get =
         |forms: &[(Reg, Option<Form>)], reg: Reg| match forms.iter().rev().find(|f| f.0 == reg) {
             Some(f) => f.1,
-            None if reg >= tid_base => pools.tids.get((reg - tid_base) as usize).map(|a| axis(*a)),
-            None if reg >= pools.const_base => {
-                konst(pools.consts[(reg - pools.const_base) as usize])
-            }
+            None if consts.contains(&reg) => konst(pools.consts[(reg - consts.start) as usize]),
             None => None,
         };
-    let mut reach = start;
-    for pc in start..at {
-        let inst = &code[pc as usize];
-        let skippable = reach > pc;
-        if let Inst::Jump { target }
-        | Inst::JumpIfFalse { target, .. }
-        | Inst::JumpIfTrue { target, .. } = inst
-        {
-            reach = reach.max(*target);
-            continue;
-        }
-        let f = |reg| get(&forms, reg);
+    let write = |forms: &mut Vec<(Reg, Option<Form>)>, inst: &Inst, skippable: bool| {
+        let f = |reg| get(forms, reg);
         let (dst, form) = match inst {
             Inst::Tid { dst, axis: a } => (*dst, Some(axis(*a))),
             Inst::Bid { dst, .. } => (*dst, Some(UNIFORM)),
-            Inst::Const { dst, v, .. } => (*dst, konst(*v)),
+            Inst::Const { dst, v } => (*dst, konst(*v)),
             Inst::Copy { dst, src } => (*dst, f(*src)),
             Inst::Binary { dst, op, lhs, rhs } => {
                 let form = f(*lhs).zip(f(*rhs)).and_then(|(a, b)| match op {
@@ -1855,15 +1996,30 @@ fn index_form(code: &[Inst], pools: &Pools, start: u32, at: u32, r: Reg) -> Opti
                 (*dst, ab.zip(f(*c)).and_then(|(ab, c)| lin(ab, c, 1)))
             }
             other => {
-                inst_regs(other, |reg, write| {
+                other.for_each_reg(|reg, write| {
                     if write {
                         forms.push((reg, None));
                     }
                 });
-                continue;
+                return;
             }
         };
         forms.push((dst, if skippable { None } else { form }));
+    };
+    for inst in pools.block_pool.iter().chain(pools.thread_pool) {
+        write(&mut forms, inst, false);
+    }
+    let mut reach = start;
+    for pc in start..at {
+        let inst = &code[pc as usize];
+        if let Inst::Jump { target }
+        | Inst::JumpIfFalse { target, .. }
+        | Inst::JumpIfTrue { target, .. } = inst
+        {
+            reach = reach.max(*target);
+            continue;
+        }
+        write(&mut forms, inst, reach > pc);
     }
     get(&forms, r).map(|f| f.tid)
 }
@@ -1895,48 +2051,62 @@ pub fn injective(c: [i64; 3], block: Dim3) -> bool {
 
 // ---- the registers an instruction reads and writes ---------------------
 
-/// Visit every register `inst` names: `f(r, false)` for a read, `f(r,
-/// true)` for a write.
-fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
+impl Inst {
+    /// Visit every register the instruction names, once per field: `f(r,
+    /// true)` when it writes `r` (`ForInit`'s bounds and `ForNext`'s
+    /// induction register are read too), `f(r, false)` for a read only.
+    pub fn for_each_reg(&self, mut f: impl FnMut(Reg, bool)) {
+        let mut inst = *self;
+        regs_mut(&mut inst, |r, write| f(*r, write));
+    }
+}
+
+/// `inst` writing `dst` instead (an instruction with one destination).
+fn with_dst(mut inst: Inst, dst: Reg) -> Inst {
+    regs_mut(&mut inst, |r, write| {
+        if write {
+            *r = dst;
+        }
+    });
+    inst
+}
+
+/// [`Inst::for_each_reg`] over the fields themselves.
+fn regs_mut(inst: &mut Inst, mut f: impl FnMut(&mut Reg, bool)) {
     match inst {
-        Inst::Const { dst, .. } | Inst::Tid { dst, .. } | Inst::Bid { dst, .. } => f(*dst, true),
+        Inst::Const { dst, .. } | Inst::Tid { dst, .. } | Inst::Bid { dst, .. } => f(dst, true),
         Inst::Jump { .. } | Inst::Return => {}
         Inst::Copy { dst, src }
         | Inst::Unary { dst, src, .. }
         | Inst::Cast { dst, src, .. }
-        | Inst::Test { dst, src } => {
-            f(*src, false);
-            f(*dst, true);
+        | Inst::Test { dst, src }
+        | Inst::Intrin1 { dst, a: src, .. }
+        | Inst::Load { dst, idx: src, .. } => {
+            f(src, false);
+            f(dst, true);
         }
-        Inst::Binary { dst, lhs, rhs, .. } => {
-            f(*lhs, false);
-            f(*rhs, false);
-            f(*dst, true);
+        Inst::Binary { dst, lhs, rhs, .. }
+        | Inst::Intrin2 {
+            dst,
+            a: lhs,
+            b: rhs,
+            ..
+        } => {
+            f(lhs, false);
+            f(rhs, false);
+            f(dst, true);
         }
         Inst::MulAdd { dst, a, b, c } => {
-            f(*a, false);
-            f(*b, false);
-            f(*c, false);
-            f(*dst, true);
-        }
-        Inst::Intrin1 { dst, a, .. } => {
-            f(*a, false);
-            f(*dst, true);
-        }
-        Inst::Intrin2 { dst, a, b, .. } => {
-            f(*a, false);
-            f(*b, false);
-            f(*dst, true);
-        }
-        Inst::Load { dst, idx, .. } => {
-            f(*idx, false);
-            f(*dst, true);
+            f(a, false);
+            f(b, false);
+            f(c, false);
+            f(dst, true);
         }
         Inst::Store { idx, val, .. } | Inst::AtomicRmw { idx, val, .. } => {
-            f(*idx, false);
-            f(*val, false);
+            f(idx, false);
+            f(val, false);
         }
-        Inst::JumpIfFalse { cond, .. } | Inst::JumpIfTrue { cond, .. } => f(*cond, false),
+        Inst::JumpIfFalse { cond, .. } | Inst::JumpIfTrue { cond, .. } => f(cond, false),
         Inst::ForInit {
             var,
             start,
@@ -1944,11 +2114,9 @@ fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
             step,
             ..
         } => {
-            for r in [start, end, step] {
-                f(*r, false);
-                f(*r, true);
+            for r in [start, end, step, var] {
+                f(r, true);
             }
-            f(*var, true);
         }
         Inst::ForNext {
             var,
@@ -1957,11 +2125,68 @@ fn inst_regs(inst: &Inst, mut f: impl FnMut(Reg, bool)) {
             step,
             ..
         } => {
-            f(*ind, false);
-            f(*end, false);
-            f(*step, false);
-            f(*ind, true);
-            f(*var, true);
+            f(end, false);
+            f(step, false);
+            f(ind, true);
+            f(var, true);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cucc_ir::parse_kernel;
+
+    /// Every `blockIdx` read is block-pool code: the chunk loop runs no `Bid`.
+    fn no_bid(prog: &Program) -> bool {
+        !prog.code.iter().any(|i| matches!(i, Inst::Bid { .. }))
+    }
+
+    /// The tiled transpose at 1024² in 32×32 blocks: each segment keeps the
+    /// per-thread work only — two address `MulAdd`s, the `+ threadIdx.x`,
+    /// the load and the store. `blockIdx.y * 32` and friends are block-pool
+    /// code, `threadIdx.y * 32 + threadIdx.x` and its transpose thread-pool
+    /// code.
+    #[test]
+    fn transpose_runs_five_instructions_per_segment() {
+        let src = "__global__ void transpose(float* in, float* out, int n) {
+            __shared__ float tile[1024];
+            tile[threadIdx.y * 32 + threadIdx.x]
+                = in[(blockIdx.x * 32 + threadIdx.y) * n + blockIdx.y * 32 + threadIdx.x];
+            __syncthreads();
+            out[(blockIdx.y * 32 + threadIdx.y) * n + blockIdx.x * 32 + threadIdx.x]
+                = tile[threadIdx.x * 32 + threadIdx.y];
+        }";
+        let k = parse_kernel(src).unwrap();
+        let args = [
+            Arg::Buffer(BufferId(0)),
+            Arg::Buffer(BufferId(1)),
+            Arg::int(1024),
+        ];
+        let launch = LaunchConfig::new((32u32, 32u32), (32u32, 32u32));
+        let prog = Program::compile(&k, launch, &args).unwrap();
+        assert_eq!(prog.phase_summary(), "dense[0..5] bar dense[5..10]");
+        assert!(no_bid(&prog), "{:?}", prog.code);
+    }
+
+    /// `blockIdx.x * blockDim.x + threadIdx.x` reads the pooled `blockIdx.x`.
+    #[test]
+    fn vec_affine_runs_no_bid() {
+        let src = "__global__ void vec_affine(float* x, float* y, float a, float b, int n) {
+            int id = blockIdx.x * blockDim.x + threadIdx.x;
+            if (id < n) y[id] = a * x[id] + b;
+        }";
+        let k = parse_kernel(src).unwrap();
+        let n = 1 << 20;
+        let args = [
+            Arg::Buffer(BufferId(0)),
+            Arg::Buffer(BufferId(1)),
+            Arg::float(1.5),
+            Arg::float(-0.25),
+            Arg::int(n),
+        ];
+        let prog = Program::compile(&k, LaunchConfig::cover1(n as u64, 256), &args).unwrap();
+        assert!(no_bid(&prog), "{:?}", prog.code);
     }
 }

@@ -30,9 +30,9 @@
 //! and fall back to the serial path, since the simulator's atomics are not
 //! host-atomic instructions.
 
-use crate::bytecode::{Inst, MemSlotInfo, Program, Reg, SlotKind};
+use crate::bytecode::{Charge, Inst, MemSlotInfo, Program, Reg, SlotKind};
 use crate::interp::{
-    apply_atomic, axis_of, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, slice_load,
+    apply_atomic, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, slice_load,
     slice_store, Arg, ExecError, LaunchProfile,
 };
 use crate::lane::{Column, LaneEngine};
@@ -346,14 +346,12 @@ pub(crate) fn cert_wrap(e: ExecError, certified: bool) -> ExecError {
 }
 
 /// What a thread's [`step`] touches besides its registers: the block's
-/// shared image, the thread's local arrays, the stat counters and the
-/// thread's coordinates — disjoint borrows, split once by the caller.
+/// shared image, the thread's local arrays and the stat counters — disjoint
+/// borrows, split once by the caller.
 pub(crate) struct ThreadCx<'a> {
     pub(crate) shared: &'a mut [Vec<u8>],
     pub(crate) local: &'a mut [Vec<u8>],
     pub(crate) stats: &'a mut BlockStats,
-    pub(crate) block: (u32, u32, u32),
-    pub(crate) tid: (u32, u32, u32),
 }
 
 /// Load element `index` of a slot. `elide` is the access's certificate bit;
@@ -450,18 +448,7 @@ pub(crate) fn step<M: GlobalMem>(
     mem: &mut M,
 ) -> Result<(), ExecError> {
     match inst {
-        Inst::Const {
-            dst,
-            v,
-            int_ops,
-            float_ops,
-        } => {
-            cx.stats.int_ops += u64::from(*int_ops);
-            cx.stats.float_ops += u64::from(*float_ops);
-            regs.set(*dst, *v);
-        }
-        Inst::Tid { dst, axis } => regs.set(*dst, Value::I64(axis_of(cx.tid, *axis) as i64)),
-        Inst::Bid { dst, axis } => regs.set(*dst, Value::I64(axis_of(cx.block, *axis) as i64)),
+        Inst::Const { dst, v } => regs.set(*dst, *v),
         Inst::Copy { dst, src } => regs.set(*dst, regs.get(*src)),
         Inst::Unary { dst, op, src } => {
             let a = regs.get(*src);
@@ -542,7 +529,9 @@ pub(crate) fn step<M: GlobalMem>(
         | Inst::JumpIfTrue { .. }
         | Inst::ForInit { .. }
         | Inst::ForNext { .. }
-        | Inst::Return => unreachable!("control flow is the caller's"),
+        | Inst::Return
+        | Inst::Tid { .. }
+        | Inst::Bid { .. } => unreachable!("control flow is the caller's; pool code runs on rows"),
     }
     Ok(())
 }
@@ -604,8 +593,8 @@ pub(crate) fn for_next(
 
 /// Run `code[start..end]` for one thread (a thread-major segment, a uniform
 /// bounds/cond snippet, or the loop of a lone active lane): the control flow
-/// is here, every data op is a [`step`]. `Ok(true)` means the thread
-/// executed `Return`.
+/// and each instruction's `Program::subtree_ops` are here, every data op is
+/// a [`step`]. `Ok(true)` means the thread executed `Return`.
 ///
 /// `regs` is the thread's column of the lane rows, read and written in
 /// place, and `cx` the rest of its state — disjoint borrows split once by
@@ -619,11 +608,15 @@ pub(crate) fn run_seg<M: GlobalMem>(
     end: u32,
     mem: &mut M,
 ) -> Result<bool, ExecError> {
-    let code = &prog.code;
     let (emask, vmask) = prog.cert_masks();
     let mut pc = start as usize;
     let end = end as usize;
+    let (code, subtree_ops) = (&prog.code[..end], &prog.subtree_ops[..end]);
     while pc < end {
+        let ops = subtree_ops[pc];
+        if ops != Charge::default() {
+            ops.add_to(cx.stats, 1);
+        }
         match &code[pc] {
             Inst::Jump { target } => {
                 pc = *target as usize;
@@ -696,7 +689,7 @@ fn run_blocks<M: GlobalMem>(
     mem: &mut M,
     blocks: Range<u64>,
 ) -> Result<BlockStats, ExecError> {
-    let mut eng = LaneEngine::new(prog);
+    let mut eng = LaneEngine::new(prog, mem);
     let mut total = BlockStats::default();
     for b in blocks {
         total += eng.run_block(mem, b)?;
@@ -717,14 +710,15 @@ pub fn run_range(
 
 /// The launch profile on the compiled engine: `LaunchProfile::from_samples`
 /// over `prog`, each sampled block run through [`run_range`] on one scratch
-/// copy of `pool`. `BlockStats` and errors are the oracle's, so the result
-/// equals [`crate::profile_launch`] of the same launch.
+/// copy of the buffers `prog` binds (the rest of `pool` is never reached).
+/// `BlockStats` and errors are the oracle's, so the result equals
+/// [`crate::profile_launch`] of the same launch.
 pub fn profile_program(
     prog: &Program,
     pool: &MemPool,
     samples: usize,
 ) -> Result<LaunchProfile, ExecError> {
-    let mut scratch = pool.clone();
+    let mut scratch = pool.clone_only(prog.bound_buffers());
     LaunchProfile::from_samples(prog.launch.num_blocks(), samples, |b| {
         run_range(prog, &mut scratch, b..b + 1)
     })

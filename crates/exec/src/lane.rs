@@ -14,6 +14,11 @@
 //! scalar definition `step` and the oracle share on a constant operator and
 //! typed lanes: the definition folds to its one arm, and no lane decides an
 //! operator or a kind at run time.
+//! Pooled registers (`Program::block_pool`, `Program::thread_pool`) are
+//! filled outside the chunk loop, one `op_full` per pool instruction: the
+//! thread pool once per run, the block pool once per block on lane 0 and
+//! splatted; an instruction that reads one charges its subtree per active
+//! lane (`Program::subtree_ops`).
 //! `Predicated` segments carry a per-lane `resume` target; the lanes at or
 //! past it are the chunk's active set. Divergence is predication of the
 //! whole row, as on a SIMD unit: a register op under a partial active set
@@ -676,7 +681,10 @@ impl Drop for LaneEngine<'_> {
 }
 
 impl<'p> LaneEngine<'p> {
-    pub(crate) fn new(prog: &'p Program) -> LaneEngine<'p> {
+    /// The engine for runs of `prog`, its pooled rows filled: the constants
+    /// and the thread pool, which no block changes. `mem` is only passed
+    /// through: pooled code reaches no memory.
+    pub(crate) fn new<M: GlobalMem>(prog: &'p Program, mem: &mut M) -> LaneEngine<'p> {
         let nthreads = prog.launch.threads_per_block() as usize;
         let num_regs = prog.num_regs as usize;
         let num_locals = prog.local_sizes.len();
@@ -698,21 +706,29 @@ impl<'p> LaneEngine<'p> {
             block: (0, 0, 0),
             stats: BlockStats::default(),
         };
-        // Launch-invariant rows are splatted once and survive every block:
-        // nothing writes them and `reset` skips them.
+        // Pooled rows survive every block: nothing else writes them and
+        // `reset` skips them.
         let base = prog.const_base as usize;
         for (k, c) in prog.const_pool.iter().enumerate() {
             let r = base + k;
             eng.bufs.bits[r * nthreads..(r + 1) * nthreads].fill(pack(*c));
         }
-        let tid_base = base + prog.const_pool.len();
-        for (k, axis) in prog.tid_pool.iter().enumerate() {
-            let r = tid_base + k;
-            for t in 0..nthreads {
-                eng.bufs.bits[r * nthreads + t] = axis_of(eng.bufs.tids[t], *axis) as u64;
-            }
+        for c0 in (0..nthreads).step_by(LANES) {
+            eng.run_pool(&prog.thread_pool, c0, LANES.min(nthreads - c0), mem);
         }
         eng
+    }
+
+    /// Run pooled code over lanes `c0 .. c0 + nl`, one [`Self::op_full`]
+    /// per instruction. What it charges is dropped: each instruction that
+    /// reads a pooled register charges the subtree itself
+    /// (`Program::subtree_ops`), and `run_block` resets the stats after this
+    /// runs.
+    fn run_pool<M: GlobalMem>(&mut self, code: &[Inst], c0: usize, nl: usize, mem: &mut M) {
+        for inst in code {
+            let done = self.op_full(inst, false, c0, nl, None, mem);
+            assert!(done.is_ok(), "pooled code cannot fault");
+        }
     }
 
     fn reset(&mut self) {
@@ -790,13 +806,24 @@ impl<'p> LaneEngine<'p> {
         block_linear: u64,
     ) -> Result<BlockStats, ExecError> {
         self.reset();
-        self.block = self.prog.launch.grid.delinearize(block_linear);
+        let prog = self.prog;
+        self.block = prog.launch.grid.delinearize(block_linear);
+        // The block pool, on lane 0, splatted to every thread.
+        let n = self.nthreads;
+        if n > 0 {
+            self.run_pool(&prog.block_pool, 0, 1, mem);
+            let rows = prog.block_base() as usize * n..;
+            let rows = self.bufs.bits[rows].chunks_exact_mut(n);
+            for row in rows.take(prog.block_pool.len()) {
+                let v = row[0];
+                row.fill(v);
+            }
+        }
         self.stats = BlockStats {
             blocks: 1,
             active_threads: self.nthreads as u64,
             ..BlockStats::default()
         };
-        let prog = self.prog;
         self.exec_ops(&prog.phases, mem)?;
         Ok(self.stats)
     }
@@ -955,8 +982,10 @@ impl<'p> LaneEngine<'p> {
         let mut pc = start;
         while pc < end {
             let inst = &prog.code[pc as usize];
+            let ops = prog.subtree_ops[pc as usize];
             let mut nact = nl;
             if !divergent {
+                ops.add_to(&mut self.stats, nl as u64);
                 match inst {
                     Inst::Jump { target } => {
                         pc = *target;
@@ -1020,6 +1049,7 @@ impl<'p> LaneEngine<'p> {
                     pc += 1;
                     continue;
                 }
+                ops.add_to(&mut self.stats, nact as u64);
                 let control = match inst {
                     Inst::Jump { target } => {
                         for r in &mut resume[..nl] {
@@ -1251,16 +1281,7 @@ impl<'p> LaneEngine<'p> {
         let n64 = mask.map_or(nl, |m| m.n) as u64;
         let prog = self.prog;
         match inst {
-            Inst::Const {
-                dst,
-                v,
-                int_ops,
-                float_ops,
-            } => {
-                self.store_row(*dst, c0, nl, &[pack(*v); LANES], mask);
-                self.stats.int_ops += n64 * u64::from(*int_ops);
-                self.stats.float_ops += n64 * u64::from(*float_ops);
-            }
+            Inst::Const { dst, v } => self.store_row(*dst, c0, nl, &[pack(*v); LANES], mask),
             Inst::Tid { dst, axis } => {
                 let mut out = [0u64; LANES];
                 for (i, o) in out.iter_mut().enumerate().take(nl) {
@@ -1522,8 +1543,6 @@ impl<'p> LaneEngine<'p> {
             shared: &mut bufs.shared,
             local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
             stats: &mut self.stats,
-            block: self.block,
-            tid: bufs.tids[t],
         };
         (regs, cx)
     }

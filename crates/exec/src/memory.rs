@@ -79,6 +79,17 @@ impl MemPool {
         MemPool::default()
     }
 
+    /// A pool with this one's allocation table in which only `ids` keep
+    /// their bytes (a clone, so a shared buffer stays shared); every other
+    /// allocation is empty.
+    pub(crate) fn clone_only(&self, ids: impl IntoIterator<Item = BufferId>) -> MemPool {
+        let mut bufs = vec![Buf::Own(Vec::new()); self.bufs.len()];
+        for id in ids {
+            bufs[id.index()] = self.bufs[id.index()].clone();
+        }
+        MemPool { bufs }
+    }
+
     /// Allocate `bytes` zeroed bytes; returns the handle.
     pub fn alloc(&mut self, bytes: usize) -> BufferId {
         self.push(Buf::Own(vec![0u8; bytes]))
