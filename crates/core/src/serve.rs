@@ -544,19 +544,19 @@ impl JobServer {
     /// served-work among tenants with queued jobs (ties to the lowest
     /// id). A starving tenant's served-work is frozen, so it is
     /// eventually always chosen and its head holds the EASY reservation —
-    /// the no-starvation argument.
-    fn pick_tenant(&self) -> Option<u32> {
-        let mut best: Option<(f64, u32)> = None;
+    /// the no-starvation argument. Returns the tenant and its queue's head.
+    fn pick_tenant(&self) -> Option<(u32, usize)> {
+        let mut best: Option<(f64, u32, usize)> = None;
         for (&tenant, q) in &self.queues {
             let Some(&head) = q.front() else { continue };
             let weight = self.records[head].spec.class.weight();
             let tally = self.tallies.get(&tenant).copied().unwrap_or_default();
             let key = tally.served_work / weight;
-            if best.is_none_or(|(k, _)| key < k) {
-                best = Some((key, tenant));
+            if best.is_none_or(|(k, _, _)| key < k) {
+                best = Some((key, tenant, head));
             }
         }
-        best.map(|(_, t)| t)
+        best.map(|(_, t, head)| (t, head))
     }
 
     fn pop_queued(&mut self, idx: usize) {
@@ -598,8 +598,7 @@ impl JobServer {
                 }
             }
             ServePolicy::Fair => {
-                while let Some(tenant) = self.pick_tenant() {
-                    let head = *self.queues[&tenant].front().unwrap();
+                while let Some((tenant, head)) = self.pick_tenant() {
                     if self.try_place(head, clock)? {
                         continue;
                     }

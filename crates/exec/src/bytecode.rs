@@ -20,19 +20,22 @@
 //!   into code run once per thread and run ([`Program::thread_pool`]). The
 //!   ops a folded or pooled subtree would have charged are charged by the
 //!   instruction that stands in for it or reads its register, each time it
-//!   runs (`Program::subtree_ops`), so stat parity with the oracle stays
-//!   bit-for-bit;
+//!   runs, so stat parity with the oracle stays bit-for-bit;
 //! * buffer params resolve to [`crate::memory::BufferId`]s in a dense
 //!   memory-slot table (see `Kernel::mem_slot`);
 //! * `__syncthreads()` phase boundaries are precomputed into a [`PhaseOp`]
 //!   tree instead of being rediscovered per block via `Stmt::has_barrier`.
 //!
 //! Execution of the compiled form lives in [`crate::lane`] (the engine) and
-//! [`crate::engine`] (its entry points and thread-major fallback). Every
-//! instruction replicates the interpreter's *exact* dynamic statistics
-//! semantics (which operations count as int vs float ops, address
-//! arithmetic, traffic counters), so `BlockStats` from both executors agree
-//! bit-for-bit — enforced by the differential proptest suite.
+//! [`crate::engine`] (its entry points and thread-major fallback). What an
+//! instruction charges depends on the instruction alone — its operator, its
+//! registers' static kinds, its slot's space and element size, the pooled
+//! subtrees it reads — so it is decided here, once, in the per-pc charge
+//! table (`Program::charges`) that replicates the interpreter's *exact*
+//! dynamic statistics (which operations count as int vs float ops, address
+//! arithmetic, traffic counters). The engine only counts how often each pc
+//! runs per thread; `BlockStats` from both executors agree bit-for-bit —
+//! enforced by the differential proptest suite.
 
 use crate::interp::{check_args, eval_binop, eval_intrinsic, eval_unop, Arg, ExecError};
 use crate::memory::BufferId;
@@ -73,11 +76,9 @@ pub struct MemSlotInfo {
 
 /// One bytecode instruction.
 ///
-/// Jump targets are absolute indices into [`Program::code`]. Control-flow
-/// instructions carry the op counts the interpreter would have charged for
-/// their decision; the ops of folded or pooled subtrees an instruction
-/// stands in for are `Program::subtree_ops`. `BlockStats` stay
-/// bit-identical.
+/// Jump targets are absolute indices into [`Program::code`]. What one
+/// execution of an instruction charges one thread is its entry in
+/// `Program::charges`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Inst {
     /// `dst ← v`, a folded subtree.
@@ -162,18 +163,16 @@ pub enum Inst {
     Jump {
         target: u32,
     },
-    /// Charge `int_ops` (the branch/short-circuit decision), then jump when
-    /// the register is falsy.
+    /// Jump when the register is falsy (charges the branch or
+    /// short-circuit decision, 1 int op).
     JumpIfFalse {
         cond: Reg,
         target: u32,
-        int_ops: u32,
     },
-    /// Charge `int_ops`, then jump when the register is truthy.
+    /// Jump when the register is truthy (1 int op, as `JumpIfFalse`).
     JumpIfTrue {
         cond: Reg,
         target: u32,
-        int_ops: u32,
     },
     /// For-loop entry. Registers `start`/`end`/`step` hold the evaluated
     /// bounds; they are normalized to `I64` in place, `start` becoming the
@@ -248,10 +247,12 @@ pub enum PhaseOp {
 #[derive(Debug, Clone)]
 pub struct Program {
     pub(crate) code: Vec<Inst>,
-    /// Per pc: the ops of the folded and pooled subtrees the instruction
-    /// stands in for or reads, charged per thread each time it runs — when
-    /// the oracle evaluates those subtrees.
-    pub(crate) subtree_ops: Vec<Charge>,
+    /// Per pc: what one execution of the instruction charges one thread —
+    /// its own ops and traffic ([`own_charge`]) plus the ops of the folded
+    /// and pooled subtrees it stands in for or reads, which the oracle
+    /// evaluates exactly when it runs. A run's stats are these times the
+    /// engine's per-pc execution counts.
+    pub(crate) charges: Vec<BlockStats>,
     pub(crate) phases: Vec<PhaseOp>,
     /// Registers per thread (variables + peak temporaries).
     pub(crate) num_regs: u32,
@@ -315,8 +316,8 @@ impl Program {
             launch,
             args,
             code: Vec::with_capacity(kernel.flat_stmt_count() * 4),
-            subtree_ops: Vec::with_capacity(kernel.flat_stmt_count() * 4),
-            pending: Charge::default(),
+            charges: Vec::with_capacity(kernel.flat_stmt_count() * 4),
+            pending: BlockStats::default(),
             slots: vec![None; kernel.num_mem_slots()],
             next_reg: [num_vars, FLOAT_BASE],
             max_reg: [num_vars, FLOAT_BASE],
@@ -334,6 +335,9 @@ impl Program {
         kinds.extend(c.consts.iter().map(|v| v.kind()));
         kinds.extend(c.pool_kinds.iter().flatten());
         debug_assert_eq!(kinds.len(), num_regs as usize);
+        for (charge, inst) in c.charges.iter_mut().zip(&c.code) {
+            *charge += own_charge(inst, &kinds, &c.slots);
+        }
         let [block_pool, thread_pool] = c.pools;
         let pools = Pools {
             const_base,
@@ -359,7 +363,7 @@ impl Program {
         });
         Ok(Program {
             code: c.code,
-            subtree_ops: c.subtree_ops,
+            charges: c.charges,
             phases,
             num_regs,
             kinds,
@@ -654,35 +658,92 @@ fn for_each_seg(phases: &mut [PhaseOp], f: &mut impl FnMut(u32, u32, &mut BatchK
     }
 }
 
-/// Ops charged per thread, by kind: what a folded or pooled subtree would
-/// have charged in the oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Charge {
-    pub(crate) int_ops: u32,
-    pub(crate) float_ops: u32,
+/// One ALU op of `kind`, as the oracle counts it.
+fn alu(kind: ValueKind) -> BlockStats {
+    match kind {
+        ValueKind::Int => BlockStats {
+            int_ops: 1,
+            ..BlockStats::default()
+        },
+        ValueKind::Float => BlockStats {
+            float_ops: 1,
+            ..BlockStats::default()
+        },
+    }
 }
 
-impl Charge {
-    fn count(mut self, kind: ValueKind) -> Charge {
-        match kind {
-            ValueKind::Int => self.int_ops += 1,
-            ValueKind::Float => self.float_ops += 1,
-        }
-        self
+/// An intrinsic call: its weight in float ops.
+fn call(f: Intrinsic) -> BlockStats {
+    BlockStats {
+        float_ops: intrinsic_weight(f),
+        ..BlockStats::default()
     }
+}
 
-    fn plus(self, o: Charge) -> Charge {
-        Charge {
-            int_ops: self.int_ops + o.int_ops,
-            float_ops: self.float_ops + o.float_ops,
+/// One access of a slot: the address computation and the element's
+/// traffic in its memory space.
+fn access(info: &MemSlotInfo, store: bool) -> BlockStats {
+    let sz = info.elem.size() as u64;
+    let mut s = alu(ValueKind::Int);
+    match info.kind {
+        SlotKind::Global { .. } if store => {
+            s.global_write_bytes = sz;
+            s.global_stores = 1;
         }
+        SlotKind::Global { .. } => {
+            s.global_read_bytes = sz;
+            s.global_loads = 1;
+        }
+        SlotKind::Shared { .. } => s.shared_bytes = sz,
+        SlotKind::Local { .. } => s.local_bytes = sz,
     }
+    s
+}
 
-    /// Charge `n` threads.
-    #[inline]
-    pub(crate) fn add_to(self, stats: &mut BlockStats, n: u64) {
-        stats.int_ops += n * u64::from(self.int_ops);
-        stats.float_ops += n * u64::from(self.float_ops);
+/// What one execution of `inst` charges one thread by itself, from its
+/// operator, its registers' static `kinds` and its slot: the oracle's count
+/// for the node it lowers. Pooled operands are charged on top
+/// ([`Program::charges`]).
+fn own_charge(inst: &Inst, kinds: &[ValueKind], slots: &[Option<MemSlotInfo>]) -> BlockStats {
+    let kind = |r: Reg| kinds[r as usize];
+    let slot = |s: u32| {
+        slots[s as usize]
+            .as_ref()
+            .expect("referenced slot is resolved at compile time")
+    };
+    match *inst {
+        Inst::Unary { src, .. } => alu(kind(src)),
+        Inst::Cast { ty, .. } => alu(ty.kind()),
+        Inst::Binary { lhs, rhs, .. } => alu(kind(lhs).max(kind(rhs))),
+        // The mul, then the add, each by its operands' kinds.
+        Inst::MulAdd { a, b, c, .. } => {
+            let mul = kind(a).max(kind(b));
+            alu(mul) + alu(mul.max(kind(c)))
+        }
+        Inst::Intrin1 { f, .. } | Inst::Intrin2 { f, .. } => call(f),
+        Inst::Load { slot: s, .. } => access(slot(s), false),
+        Inst::Store { slot: s, .. } => access(slot(s), true),
+        Inst::AtomicRmw { slot: s, .. } => {
+            let info = slot(s);
+            let global = matches!(info.kind, SlotKind::Global { .. });
+            let rmw = access(info, false) + access(info, true);
+            BlockStats {
+                global_atomics: u64::from(global),
+                ..rmw
+            }
+        }
+        // The branch or short-circuit decision.
+        Inst::JumpIfFalse { .. } | Inst::JumpIfTrue { .. } => alu(ValueKind::Int),
+        // The induction update and the test.
+        Inst::ForNext { .. } => alu(ValueKind::Int) + alu(ValueKind::Int),
+        Inst::Const { .. }
+        | Inst::Tid { .. }
+        | Inst::Bid { .. }
+        | Inst::Copy { .. }
+        | Inst::Test { .. }
+        | Inst::Jump { .. }
+        | Inst::ForInit { .. }
+        | Inst::Return => BlockStats::default(),
     }
 }
 
@@ -691,24 +752,24 @@ impl Charge {
 #[derive(Clone, Copy)]
 struct Folded {
     v: Value,
-    ops: Charge,
+    ops: BlockStats,
 }
 
 impl Folded {
     fn pure(v: Value) -> Folded {
         Folded {
             v,
-            ops: Charge::default(),
+            ops: BlockStats::default(),
         }
     }
 
     fn count(mut self, kind: ValueKind) -> Folded {
-        self.ops = self.ops.count(kind);
+        self.ops += alu(kind);
         self
     }
 
     fn plus_ops(mut self, other: Folded) -> Folded {
-        self.ops = self.ops.plus(other.ops);
+        self.ops += other.ops;
         self
     }
 }
@@ -738,11 +799,13 @@ struct Compiler<'a> {
     launch: LaunchConfig,
     args: &'a [Arg],
     code: Vec<Inst>,
-    /// Parallel to `code` (see [`Program::subtree_ops`]).
-    subtree_ops: Vec<Charge>,
+    /// Parallel to `code`: [`Program::charges`], holding only the ops of
+    /// the folded and pooled subtrees each instruction stands in for or
+    /// reads until [`Program::compile`] adds the instruction's own.
+    charges: Vec<BlockStats>,
     /// Ops of the pooled operands lowered for the instruction about to be
     /// emitted; [`Self::emit`] hands them to it.
-    pending: Charge,
+    pending: BlockStats,
     slots: Vec<Option<MemSlotInfo>>,
     /// Temporary stacks, `[int, float]`.
     next_reg: [Reg; 2],
@@ -877,7 +940,7 @@ impl<'a> Compiler<'a> {
     /// The register holding `e` and the ops one evaluation of `e` charges,
     /// when `e` can be pooled ([`Self::pool_of`]): a launch constant's
     /// register, or a block- or thread-pool register.
-    fn pooled(&mut self, e: &Expr) -> Option<(Reg, Charge)> {
+    fn pooled(&mut self, e: &Expr) -> Option<(Reg, BlockStats)> {
         match self.pool_of(e)? {
             Pool::Launch => {
                 let f = self.fold(e)?;
@@ -891,7 +954,7 @@ impl<'a> Compiler<'a> {
     /// Emit `e`'s own instruction, reading its operands' pooled registers,
     /// into pool `k`'s code (`0` block, `1` thread); an identical
     /// instruction already there lends its register instead.
-    fn pool_node(&mut self, e: &Expr, k: usize) -> (Reg, Charge) {
+    fn pool_node(&mut self, e: &Expr, k: usize) -> (Reg, BlockStats) {
         let arg = |c: &mut Self, a: &Expr| {
             c.pooled(a)
                 .expect("an operand of a pooled subtree is pooled")
@@ -902,14 +965,14 @@ impl<'a> Compiler<'a> {
                     dst: 0,
                     axis: *axis,
                 },
-                Charge::default(),
+                BlockStats::default(),
             ),
             Expr::BlockIdx(axis) => (
                 Inst::Bid {
                     dst: 0,
                     axis: *axis,
                 },
-                Charge::default(),
+                BlockStats::default(),
             ),
             Expr::Unary { op, arg: a } => {
                 let (src, ops) = arg(self, a);
@@ -918,7 +981,7 @@ impl<'a> Compiler<'a> {
                     op: *op,
                     src,
                 };
-                (inst, ops.count(self.kind(a)))
+                (inst, ops + alu(self.kind(a)))
             }
             Expr::Cast { ty, arg: a } => {
                 let (src, ops) = arg(self, a);
@@ -928,7 +991,7 @@ impl<'a> Compiler<'a> {
                         ty: *ty,
                         src,
                     },
-                    ops.count(ty.kind()),
+                    ops + alu(ty.kind()),
                 )
             }
             Expr::Binary { op, lhs, rhs } => {
@@ -941,7 +1004,7 @@ impl<'a> Compiler<'a> {
                     lhs: l,
                     rhs: r,
                 };
-                (inst, lops.plus(rops).count(kind))
+                (inst, lops + rops + alu(kind))
             }
             Expr::Call { f, args } => {
                 let (a, mut ops) = arg(self, &args[0]);
@@ -949,7 +1012,7 @@ impl<'a> Compiler<'a> {
                     None => Inst::Intrin1 { dst: 0, f: *f, a },
                     Some(b) => {
                         let (b, bops) = arg(self, b);
-                        ops = ops.plus(bops);
+                        ops += bops;
                         Inst::Intrin2 {
                             dst: 0,
                             f: *f,
@@ -958,7 +1021,7 @@ impl<'a> Compiler<'a> {
                         }
                     }
                 };
-                ops.float_ops += intrinsic_weight(*f) as u32;
+                ops += call(*f);
                 (inst, ops)
             }
             _ => unreachable!("`pool_of` pools no other node"),
@@ -1012,7 +1075,7 @@ impl<'a> Compiler<'a> {
     /// it (`pending`).
     fn emit(&mut self, i: Inst) -> usize {
         self.code.push(i);
-        self.subtree_ops.push(std::mem::take(&mut self.pending));
+        self.charges.push(std::mem::take(&mut self.pending));
         self.code.len() - 1
     }
 
@@ -1164,13 +1227,13 @@ impl<'a> Compiler<'a> {
             }
             Expr::Call { f, args } => {
                 let mut vals = Vec::with_capacity(args.len());
-                let mut ops = Charge::default();
+                let mut ops = BlockStats::default();
                 for a in args {
                     let fa = self.fold(a)?;
                     vals.push(fa.v);
-                    ops = ops.plus(fa.ops);
+                    ops += fa.ops;
                 }
-                ops.float_ops += intrinsic_weight(*f) as u32;
+                ops += call(*f);
                 Folded {
                     v: eval_intrinsic(*f, &vals),
                     ops,
@@ -1208,7 +1271,7 @@ impl<'a> Compiler<'a> {
             return Some(v.0 as Reg);
         }
         let (r, ops) = self.pooled(e)?;
-        self.pending = self.pending.plus(ops);
+        self.pending += ops;
         Some(r)
     }
 
@@ -1239,7 +1302,7 @@ impl<'a> Compiler<'a> {
         self.restore(m);
         debug_assert_eq!(
             self.pending,
-            Charge::default(),
+            BlockStats::default(),
             "a reader takes its operands' ops"
         );
         self.pending = outer;
@@ -1269,11 +1332,7 @@ impl<'a> Compiler<'a> {
             Expr::Binary { op, lhs, rhs } => match op {
                 BinOp::LAnd => {
                     let c = self.lower_operand_into(lhs, dst)?;
-                    let jf = self.emit(Inst::JumpIfFalse {
-                        cond: c,
-                        target: 0,
-                        int_ops: 1,
-                    });
+                    let jf = self.emit(Inst::JumpIfFalse { cond: c, target: 0 });
                     let r = self.lower_operand_into(rhs, dst)?;
                     self.emit(Inst::Test { dst, src: r });
                     let j = self.emit(Inst::Jump { target: 0 });
@@ -1288,11 +1347,7 @@ impl<'a> Compiler<'a> {
                 }
                 BinOp::LOr => {
                     let c = self.lower_operand_into(lhs, dst)?;
-                    let jt = self.emit(Inst::JumpIfTrue {
-                        cond: c,
-                        target: 0,
-                        int_ops: 1,
-                    });
+                    let jt = self.emit(Inst::JumpIfTrue { cond: c, target: 0 });
                     let r = self.lower_operand_into(rhs, dst)?;
                     self.emit(Inst::Test { dst, src: r });
                     let j = self.emit(Inst::Jump { target: 0 });
@@ -1350,11 +1405,7 @@ impl<'a> Compiler<'a> {
                 else_value,
             } => {
                 let c = self.lower_operand_into(cond, dst)?;
-                let jf = self.emit(Inst::JumpIfFalse {
-                    cond: c,
-                    target: 0,
-                    int_ops: 1,
-                });
+                let jf = self.emit(Inst::JumpIfFalse { cond: c, target: 0 });
                 self.lower_expr(then_value, dst)?;
                 let j = self.emit(Inst::Jump { target: 0 });
                 let e0 = self.here();
@@ -1448,11 +1499,7 @@ impl<'a> Compiler<'a> {
                 let m = self.mark();
                 let c = self.lower_operand(cond)?;
                 self.restore(m);
-                let jf = self.emit(Inst::JumpIfFalse {
-                    cond: c,
-                    target: 0,
-                    int_ops: 1,
-                });
+                let jf = self.emit(Inst::JumpIfFalse { cond: c, target: 0 });
                 self.if_sites.push(jf as u32);
                 for s in then_body {
                     self.lower_stmt(s)?;

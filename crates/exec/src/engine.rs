@@ -6,11 +6,14 @@
 //! chunks, every other segment falls back to [`run_seg`] — one thread at a
 //! time over the flat instruction stream. There is one register file, the
 //! engine's lane rows: a thread reads and writes its [`Column`] of them in
-//! place on either path. What a data instruction computes, charges and
-//! faults on for one thread is defined once, in [`step`]:
+//! place on either path. What a data instruction computes and faults on for
+//! one thread is defined once, in [`step`]:
 //! [`run_seg`] is control flow around it, and the lane engine calls it per
 //! lane for ops without a row loop and, under a partial active set, for the
-//! ops that can fault (memory accesses, int `/`/`%`). Global memory is
+//! ops that can fault (memory accesses, int `/`/`%`). What it charges is
+//! decided once too, at compile time: the charge rule is `Program::charges`
+//! per pc, the engine only counts how often each pc runs per thread, and
+//! [`run_range`]'s one fold multiplies the two. Global memory is
 //! reached one way too — a [`GlobalMem::raw`] view for loads or a
 //! [`GlobalMem::raw_mut`] view for stores, an offset from
 //! [`elem_off`] (the bounds rule, tested or certified), a copy of at most 8
@@ -30,14 +33,14 @@
 //! and fall back to the serial path, since the simulator's atomics are not
 //! host-atomic instructions.
 
-use crate::bytecode::{Charge, Inst, MemSlotInfo, Program, Reg, SlotKind};
+use crate::bytecode::{Inst, MemSlotInfo, Program, Reg, SlotKind};
 use crate::interp::{
     apply_atomic, binop_faults, eval_binop_total, eval_intrinsic, eval_unop, slice_load,
     slice_store, Arg, ExecError, LaunchProfile,
 };
 use crate::lane::{Column, LaneEngine};
 use crate::memory::{decode, encode, BufferId, MemPool};
-use crate::stats::{intrinsic_weight, BlockStats};
+use crate::stats::BlockStats;
 use cucc_ir::{BinOp, Kernel, LaunchConfig, Scalar, Value, ValueKind};
 use std::fmt;
 use std::ops::Range;
@@ -299,14 +302,6 @@ unsafe fn raw_store(
 }
 
 #[inline]
-pub(crate) fn count_op(stats: &mut BlockStats, kind: ValueKind) {
-    match kind {
-        ValueKind::Int => stats.int_ops += 1,
-        ValueKind::Float => stats.float_ops += 1,
-    }
-}
-
-#[inline]
 pub(crate) fn slot_info(prog: &Program, slot: u32) -> &MemSlotInfo {
     prog.slots[slot as usize]
         .as_ref()
@@ -346,12 +341,11 @@ pub(crate) fn cert_wrap(e: ExecError, certified: bool) -> ExecError {
 }
 
 /// What a thread's [`step`] touches besides its registers: the block's
-/// shared image, the thread's local arrays and the stat counters — disjoint
-/// borrows, split once by the caller.
+/// shared image and the thread's local arrays — disjoint borrows, split
+/// once by the caller.
 pub(crate) struct ThreadCx<'a> {
     pub(crate) shared: &'a mut [Vec<u8>],
     pub(crate) local: &'a mut [Vec<u8>],
-    pub(crate) stats: &'a mut BlockStats,
 }
 
 /// Load element `index` of a slot. `elide` is the access's certificate bit;
@@ -365,26 +359,16 @@ fn load_value<M: GlobalMem>(
     index: i64,
     mem: &mut M,
 ) -> Result<Value, ExecError> {
-    let sz = info.elem.size() as u64;
-    cx.stats.int_ops += 1; // address computation
     let v = match info.kind {
         SlotKind::Global { buf } => {
-            cx.stats.global_read_bytes += sz;
-            cx.stats.global_loads += 1;
             let (ptr, len) = mem.raw(buf);
             // SAFETY: `raw`'s view is valid for `len` bytes, and `elide` is
             // set only for a pc that carries an in-bounds certificate for
             // every thread that reaches it (CertMode::Elide).
             unsafe { raw_load(ptr, len, info.elem, index, elide) }
         }
-        SlotKind::Shared { idx } => {
-            cx.stats.shared_bytes += sz;
-            slice_load(&cx.shared[idx as usize], info.elem, index)
-        }
-        SlotKind::Local { idx } => {
-            cx.stats.local_bytes += sz;
-            slice_load(&cx.local[idx as usize], info.elem, index)
-        }
+        SlotKind::Shared { idx } => slice_load(&cx.shared[idx as usize], info.elem, index),
+        SlotKind::Local { idx } => slice_load(&cx.local[idx as usize], info.elem, index),
     };
     v.ok_or_else(|| oob(info, index, mem))
 }
@@ -399,22 +383,16 @@ fn store_value<M: GlobalMem>(
     value: Value,
     mem: &mut M,
 ) -> Result<(), ExecError> {
-    let sz = info.elem.size() as u64;
-    cx.stats.int_ops += 1; // address computation
     let ok = match info.kind {
         SlotKind::Global { buf } => {
-            cx.stats.global_write_bytes += sz;
-            cx.stats.global_stores += 1;
             let (ptr, len) = mem.raw_mut(buf);
             // SAFETY: as in `load_value`.
             unsafe { raw_store(ptr, len, info.elem, index, value, elide) }
         }
         SlotKind::Shared { idx } => {
-            cx.stats.shared_bytes += sz;
             slice_store(&mut cx.shared[idx as usize], info.elem, index, value)
         }
         SlotKind::Local { idx } => {
-            cx.stats.local_bytes += sz;
             slice_store(&mut cx.local[idx as usize], info.elem, index, value)
         }
     };
@@ -426,13 +404,13 @@ fn store_value<M: GlobalMem>(
 }
 
 /// Execute one data op for one thread: the compiled engine's only
-/// per-thread definition of `Const` … `AtomicRmw` — what they compute, what
-/// they charge and how they fault, on the thread's [`Column`] of the lane
-/// rows: [`run_seg`] calls it for thread-major segments, the lane engine for
-/// ops that have no row loop and for masked lanes of ops that can fault.
-/// `elide` is the access's certificate bit (see [`load_value`]); a bounds
-/// fault comes back unwrapped, the caller applies [`cert_wrap`]. Control
-/// flow is the caller's.
+/// per-thread definition of `Const` … `AtomicRmw` — what they compute and
+/// how they fault, on the thread's [`Column`] of the lane rows: [`run_seg`]
+/// calls it for thread-major segments, the lane engine for ops that have no
+/// row loop and for masked lanes of ops that can fault. What they charge is
+/// `Program::charges`. `elide` is the access's certificate bit (see
+/// [`load_value`]); a bounds fault comes back unwrapped, the caller applies
+/// [`cert_wrap`]. Control flow is the caller's.
 ///
 /// `#[inline]`, not `always`: both callers inline it either way, but forced
 /// early inlining left `run_seg`'s loop 10–20 % slower on the loop-heavy
@@ -450,20 +428,11 @@ pub(crate) fn step<M: GlobalMem>(
     match inst {
         Inst::Const { dst, v } => regs.set(*dst, *v),
         Inst::Copy { dst, src } => regs.set(*dst, regs.get(*src)),
-        Inst::Unary { dst, op, src } => {
-            let a = regs.get(*src);
-            count_op(cx.stats, a.kind());
-            regs.set(*dst, eval_unop(*op, a));
-        }
+        Inst::Unary { dst, op, src } => regs.set(*dst, eval_unop(*op, regs.get(*src))),
         Inst::Binary { dst, op, lhs, rhs } => {
             let l = regs.get(*lhs);
             let r = regs.get(*rhs);
             let float = l.kind() == ValueKind::Float || r.kind() == ValueKind::Float;
-            if float {
-                cx.stats.float_ops += 1;
-            } else {
-                cx.stats.int_ops += 1;
-            }
             // Fault check hoisted out of the evaluator so the common path
             // is an infallible `Value -> Value` computation (no `Result`
             // moved through the dispatch loop).
@@ -473,32 +442,21 @@ pub(crate) fn step<M: GlobalMem>(
             regs.set(*dst, eval_binop_total(*op, l, r, float));
         }
         Inst::MulAdd { dst, a, b, c } => {
-            // Mul then add with the oracle's kind promotion, charged per
-            // component; two roundings in the float case, never fused.
+            // Mul then add with the oracle's kind promotion; two roundings
+            // in the float case, never fused.
             let av = regs.get(*a);
             let bv = regs.get(*b);
             let cv = regs.get(*c);
             let f1 = av.kind() == ValueKind::Float || bv.kind() == ValueKind::Float;
             let m = eval_binop_total(BinOp::Mul, av, bv, f1);
             let f2 = m.kind() == ValueKind::Float || cv.kind() == ValueKind::Float;
-            cx.stats.int_ops += u64::from(!f1) + u64::from(!f2);
-            cx.stats.float_ops += u64::from(f1) + u64::from(f2);
             regs.set(*dst, eval_binop_total(BinOp::Add, m, cv, f2));
         }
-        Inst::Cast { dst, ty, src } => {
-            let v = regs.get(*src);
-            count_op(cx.stats, ty.kind());
-            regs.set(*dst, v.convert_to(*ty));
-        }
-        Inst::Intrin1 { dst, f, a } => {
-            let av = regs.get(*a);
-            cx.stats.float_ops += intrinsic_weight(*f);
-            regs.set(*dst, eval_intrinsic(*f, &[av]));
-        }
+        Inst::Cast { dst, ty, src } => regs.set(*dst, regs.get(*src).convert_to(*ty)),
+        Inst::Intrin1 { dst, f, a } => regs.set(*dst, eval_intrinsic(*f, &[regs.get(*a)])),
         Inst::Intrin2 { dst, f, a, b } => {
             let av = regs.get(*a);
             let bv = regs.get(*b);
-            cx.stats.float_ops += intrinsic_weight(*f);
             regs.set(*dst, eval_intrinsic(*f, &[av, bv]));
         }
         Inst::Test { dst, src } => {
@@ -520,9 +478,6 @@ pub(crate) fn step<M: GlobalMem>(
             let info = slot_info(prog, *slot);
             let old = load_value(info, elide, cx, index, mem)?;
             store_value(info, elide, cx, index, apply_atomic(*op, old, v), mem)?;
-            if matches!(info.kind, SlotKind::Global { .. }) {
-                cx.stats.global_atomics += 1;
-            }
         }
         Inst::Jump { .. }
         | Inst::JumpIfFalse { .. }
@@ -572,8 +527,7 @@ pub(crate) fn for_init(
 
 /// `ForNext` for one thread: advance the induction register (wrapping, like
 /// every other integer op) and the variable (the count converted to `ty`),
-/// and say whether the loop goes on. The caller charges its 2 int ops
-/// (induction update + test).
+/// and say whether the loop goes on.
 #[inline]
 pub(crate) fn for_next(
     regs: &mut Column<'_>,
@@ -592,18 +546,19 @@ pub(crate) fn for_next(
 }
 
 /// Run `code[start..end]` for one thread (a thread-major segment, a uniform
-/// bounds/cond snippet, or the loop of a lone active lane): the control flow
-/// and each instruction's `Program::subtree_ops` are here, every data op is
-/// a [`step`]. `Ok(true)` means the thread executed `Return`.
+/// bounds/cond snippet, or the body of a lone active lane's loop): the
+/// control flow is here, every data op is a [`step`], and each instruction
+/// that runs adds one to its pc's execution count. `Ok(true)` means the
+/// thread executed `Return`.
 ///
 /// `regs` is the thread's column of the lane rows, read and written in
-/// place, and `cx` the rest of its state — disjoint borrows split once by
-/// the caller, so the stat counters can stay in machine registers across the
-/// dispatch loop.
+/// place, `cx` the rest of its state and `counts` the engine's per-pc
+/// execution counts — disjoint borrows split once by the caller.
 pub(crate) fn run_seg<M: GlobalMem>(
     prog: &Program,
     regs: &mut Column<'_>,
     mut cx: ThreadCx<'_>,
+    counts: &mut [u64],
     start: u32,
     end: u32,
     mem: &mut M,
@@ -611,34 +566,21 @@ pub(crate) fn run_seg<M: GlobalMem>(
     let (emask, vmask) = prog.cert_masks();
     let mut pc = start as usize;
     let end = end as usize;
-    let (code, subtree_ops) = (&prog.code[..end], &prog.subtree_ops[..end]);
+    let (code, counts) = (&prog.code[..end], &mut counts[..end]);
     while pc < end {
-        let ops = subtree_ops[pc];
-        if ops != Charge::default() {
-            ops.add_to(cx.stats, 1);
-        }
+        counts[pc] += 1;
         match &code[pc] {
             Inst::Jump { target } => {
                 pc = *target as usize;
                 continue;
             }
-            Inst::JumpIfFalse {
-                cond,
-                target,
-                int_ops,
-            } => {
-                cx.stats.int_ops += u64::from(*int_ops);
+            Inst::JumpIfFalse { cond, target } => {
                 if !regs.get(*cond).is_true() {
                     pc = *target as usize;
                     continue;
                 }
             }
-            Inst::JumpIfTrue {
-                cond,
-                target,
-                int_ops,
-            } => {
-                cx.stats.int_ops += u64::from(*int_ops);
+            Inst::JumpIfTrue { cond, target } => {
                 if regs.get(*cond).is_true() {
                     pc = *target as usize;
                     continue;
@@ -665,7 +607,6 @@ pub(crate) fn run_seg<M: GlobalMem>(
                 step: streg,
                 back,
             } => {
-                cx.stats.int_ops += 2; // induction update + test
                 if for_next(regs, *var, *ty, *ind, *ereg, *streg) {
                     pc = *back as usize;
                     continue;
@@ -683,16 +624,27 @@ pub(crate) fn run_seg<M: GlobalMem>(
     Ok(false)
 }
 
-/// Run `blocks` in ascending order on one [`LaneEngine`], summing stats.
+/// Run `blocks` in ascending order on one [`LaneEngine`]. Its stats are one
+/// fold: the engine counts how often each pc ran, per thread, and the run
+/// charges `Σ counts[pc] × Program::charges[pc]` on top of the counters
+/// the engine writes itself (`blocks`, `active_threads`, `barriers`). A
+/// fault returns no stats, so every record this makes is of a completed
+/// run, in which each executed instruction charged once per executing
+/// thread: exactly the oracle's count.
 fn run_blocks<M: GlobalMem>(
     prog: &Program,
     mem: &mut M,
     blocks: Range<u64>,
 ) -> Result<BlockStats, ExecError> {
     let mut eng = LaneEngine::new(prog, mem);
-    let mut total = BlockStats::default();
     for b in blocks {
-        total += eng.run_block(mem, b)?;
+        eng.run_block(mem, b)?;
+    }
+    let (mut total, counts) = eng.tally();
+    for (charge, &n) in prog.charges.iter().zip(counts) {
+        if n > 0 {
+            total += charge.scaled(n);
+        }
     }
     Ok(total)
 }
@@ -846,6 +798,53 @@ mod tests {
                 Arg::int(1000),
             ]
         });
+    }
+
+    /// Per-pc execution counts of one serial run of `prog` over `blocks`.
+    fn counts(prog: &Program, pool: &MemPool, blocks: Range<u64>) -> Vec<u64> {
+        let mut pool = pool.clone();
+        let mut eng = LaneEngine::new(prog, &mut pool);
+        for b in blocks {
+            eng.run_block(&mut pool, b).unwrap();
+        }
+        eng.tally().1.to_vec()
+    }
+
+    /// The lanes count what the threads run: every pc's count is the same
+    /// with lane plans as without them (one thread at a time), and a loop
+    /// that one lane enters alone counts its `ForInit` once per block.
+    #[test]
+    fn lanes_count_each_pc_once_per_thread_that_runs_it() {
+        let src = r#"
+            __global__ void k(int* out, int n) {
+                int id = blockIdx.x * blockDim.x + threadIdx.x;
+                if (id >= n) return;
+                int acc = 0;
+                if (threadIdx.x == 3) {
+                    for (int j = 0; j < 5; j++) acc = acc + j;
+                }
+                for (int j = 0; j < id % 7; j++) {
+                    if (j % 2 == 0) acc = acc + j * j;
+                }
+                out[id] = acc;
+            }
+        "#;
+        let k = parse_kernel(src).unwrap();
+        let mut pool = MemPool::new();
+        let out = pool.alloc_elems(Scalar::I32, 500);
+        let launch = LaunchConfig::cover1(500, 64);
+        let prog = Program::compile(&k, launch, &[Arg::Buffer(out), Arg::int(500)]).unwrap();
+        assert!(!prog.lane_plans().is_empty(), "{}", prog.phase_summary());
+        let mut detached = prog.clone();
+        detached.detach_lane_plans();
+        let blocks = 0..launch.num_blocks();
+        let lanes = counts(&prog, &pool, blocks.clone());
+        assert_eq!(lanes, counts(&detached, &pool, blocks));
+        let init = prog
+            .code
+            .iter()
+            .position(|i| matches!(i, Inst::ForInit { .. }));
+        assert_eq!(lanes[init.unwrap()], launch.num_blocks());
     }
 
     #[test]

@@ -17,8 +17,12 @@
 //! Pooled registers (`Program::block_pool`, `Program::thread_pool`) are
 //! filled outside the chunk loop, one `op_full` per pool instruction: the
 //! thread pool once per run, the block pool once per block on lane 0 and
-//! splatted; an instruction that reads one charges its subtree per active
-//! lane (`Program::subtree_ops`).
+//! splatted.
+//! Nothing here charges: what an instruction costs one thread, pooled
+//! subtrees it reads included, is `Program::charges`, decided at compile
+//! time. The chunk loop and [`run_seg`] each add the lanes that run an
+//! instruction — all `nl`, the active ones, or 1 — to its pc's count at
+//! their one dispatch point, and a run's stats are counts × charges.
 //! `Predicated` segments carry a per-lane `resume` target; the lanes at or
 //! past it are the chunk's active set. Divergence is predication of the
 //! whole row, as on a SIMD unit: a register op under a partial active set
@@ -30,7 +34,7 @@
 //! [`Column`] of the rows: the definition [`run_seg`] runs, so there is no
 //! per-lane semantics here to keep in line with it. Loop control
 //! (`ForInit`/`ForNext`) is one pass over the loop's rows, converged or
-//! masked alike; stats charge active lanes only. Non-batchable segments run
+//! masked alike. Non-batchable segments run
 //! thread-major through [`run_seg`], one live thread after another,
 //! ascending, each on its own [`Column`]: the lane rows are the only
 //! register file. Bounds certificates are consumed per access: one per-pc
@@ -69,7 +73,7 @@ use crate::engine::{
     cert_wrap, elem_off, loop_runs, oob, run_seg, slot_info, step, GlobalMem, ThreadCx,
 };
 use crate::interp::{axis_of, eval_binop_total, eval_intrinsic, eval_unop, ExecError};
-use crate::stats::{intrinsic_weight, BlockStats};
+use crate::stats::BlockStats;
 use cucc_ir::{BinOp, Intrinsic, Scalar, UnOp, Value, ValueKind};
 
 /// Lane-chunk width: one chunk of threads runs the whole segment before the
@@ -206,13 +210,12 @@ fn truthy(bits: u64, kind: ValueKind) -> bool {
 }
 
 /// The lanes of a divergent chunk that run the instruction at `pc`: those
-/// whose `resume` target is at or before it, `n` of them. A converged chunk
-/// has none: all its lanes run.
+/// whose `resume` target is at or before it. A converged chunk has none:
+/// all its lanes run.
 #[derive(Clone, Copy)]
 struct Active<'a> {
     resume: &'a [u32; LANES],
     pc: u32,
-    n: usize,
 }
 
 /// The masked row store: `out`'s lanes where `resume <= pc` (the active
@@ -616,6 +619,8 @@ struct LaneBufs {
     shared: Vec<Vec<u8>>,
     /// Thread-major local arrays: `locals[t * num_locals + l]`.
     locals: Vec<Vec<u8>>,
+    /// Per pc: how many times a thread ran the instruction in this run.
+    counts: Vec<u64>,
 }
 
 thread_local! {
@@ -671,6 +676,8 @@ pub(crate) struct LaneEngine<'p> {
     num_locals: usize,
     bufs: LaneBufs,
     block: (u32, u32, u32),
+    /// The counters no instruction charges: `blocks`, `active_threads` and
+    /// `barriers`.
     stats: BlockStats,
 }
 
@@ -698,6 +705,7 @@ impl<'p> LaneEngine<'p> {
         refill_each(&mut bufs.shared, prog.shared_sizes.len(), shared_sizes);
         let local_sizes = prog.local_sizes.iter().copied().cycle();
         refill_each(&mut bufs.locals, nthreads * num_locals, local_sizes);
+        refill(&mut bufs.counts, prog.code.len(), 0);
         let mut eng = LaneEngine {
             prog,
             nthreads,
@@ -720,10 +728,8 @@ impl<'p> LaneEngine<'p> {
     }
 
     /// Run pooled code over lanes `c0 .. c0 + nl`, one [`Self::op_full`]
-    /// per instruction. What it charges is dropped: each instruction that
-    /// reads a pooled register charges the subtree itself
-    /// (`Program::subtree_ops`), and `run_block` resets the stats after this
-    /// runs.
+    /// per instruction. It counts nothing: each instruction that reads a
+    /// pooled register charges the subtree itself (`Program::charges`).
     fn run_pool<M: GlobalMem>(&mut self, code: &[Inst], c0: usize, nl: usize, mem: &mut M) {
         for inst in code {
             let done = self.op_full(inst, false, c0, nl, None, mem);
@@ -804,7 +810,7 @@ impl<'p> LaneEngine<'p> {
         &mut self,
         mem: &mut M,
         block_linear: u64,
-    ) -> Result<BlockStats, ExecError> {
+    ) -> Result<(), ExecError> {
         self.reset();
         let prog = self.prog;
         self.block = prog.launch.grid.delinearize(block_linear);
@@ -819,13 +825,15 @@ impl<'p> LaneEngine<'p> {
                 row.fill(v);
             }
         }
-        self.stats = BlockStats {
-            blocks: 1,
-            active_threads: self.nthreads as u64,
-            ..BlockStats::default()
-        };
-        self.exec_ops(&prog.phases, mem)?;
-        Ok(self.stats)
+        self.stats.blocks += 1;
+        self.stats.active_threads += self.nthreads as u64;
+        self.exec_ops(&prog.phases, mem)
+    }
+
+    /// The run so far: the counters written directly, and how many times a
+    /// thread ran each pc.
+    pub(crate) fn tally(&self) -> (BlockStats, &[u64]) {
+        (self.stats, &self.bufs.counts)
     }
 
     fn exec_ops<M: GlobalMem>(&mut self, ops: &[PhaseOp], mem: &mut M) -> Result<(), ExecError> {
@@ -910,8 +918,8 @@ impl<'p> LaneEngine<'p> {
         mem: &mut M,
     ) -> Result<(), ExecError> {
         let prog = self.prog;
-        let (mut regs, cx) = self.thread(t);
-        if run_seg(prog, &mut regs, cx, start, end, mem)? {
+        let (mut regs, cx, counts) = self.thread(t);
+        if run_seg(prog, &mut regs, cx, counts, start, end, mem)? {
             self.bufs.returned[t] = true;
         }
         Ok(())
@@ -982,10 +990,30 @@ impl<'p> LaneEngine<'p> {
         let mut pc = start;
         while pc < end {
             let inst = &prog.code[pc as usize];
-            let ops = prog.subtree_ops[pc as usize];
             let mut nact = nl;
+            if divergent {
+                // Masked execution: recompute the active set, re-converge
+                // when every live lane has caught up.
+                nact = 0;
+                let mut ndead = 0usize;
+                for &r in &resume[..nl] {
+                    nact += usize::from(r <= pc);
+                    ndead += usize::from(r == DEAD);
+                }
+                if ndead == nl {
+                    return;
+                }
+                if nact == nl {
+                    divergent = false;
+                    continue;
+                }
+                if nact == 0 {
+                    pc += 1;
+                    continue;
+                }
+            }
+            self.bufs.counts[pc as usize] += nact as u64;
             if !divergent {
-                ops.add_to(&mut self.stats, nl as u64);
                 match inst {
                     Inst::Jump { target } => {
                         pc = *target;
@@ -997,18 +1025,8 @@ impl<'p> LaneEngine<'p> {
                         }
                         return;
                     }
-                    Inst::JumpIfFalse {
-                        cond,
-                        target,
-                        int_ops,
-                    }
-                    | Inst::JumpIfTrue {
-                        cond,
-                        target,
-                        int_ops,
-                    } => {
+                    Inst::JumpIfFalse { cond, target } | Inst::JumpIfTrue { cond, target } => {
                         let jump_if = matches!(inst, Inst::JumpIfTrue { .. });
-                        self.stats.int_ops += nl as u64 * u64::from(*int_ops);
                         let (cb, ck) = (self.row(*cond, c0, nl), self.kind(*cond));
                         let mut jump = [false; LANES];
                         let mut njump = 0usize;
@@ -1030,26 +1048,6 @@ impl<'p> LaneEngine<'p> {
                     _ => {}
                 }
             } else {
-                // Masked execution: recompute the active set, re-converge
-                // when every live lane has caught up.
-                nact = 0;
-                let mut ndead = 0usize;
-                for &r in &resume[..nl] {
-                    nact += usize::from(r <= pc);
-                    ndead += usize::from(r == DEAD);
-                }
-                if ndead == nl {
-                    return;
-                }
-                if nact == nl {
-                    divergent = false;
-                    continue;
-                }
-                if nact == 0 {
-                    pc += 1;
-                    continue;
-                }
-                ops.add_to(&mut self.stats, nact as u64);
                 let control = match inst {
                     Inst::Jump { target } => {
                         for r in &mut resume[..nl] {
@@ -1068,18 +1066,8 @@ impl<'p> LaneEngine<'p> {
                         }
                         true
                     }
-                    Inst::JumpIfFalse {
-                        cond,
-                        target,
-                        int_ops,
-                    }
-                    | Inst::JumpIfTrue {
-                        cond,
-                        target,
-                        int_ops,
-                    } => {
+                    Inst::JumpIfFalse { cond, target } | Inst::JumpIfTrue { cond, target } => {
                         let jump_if = matches!(inst, Inst::JumpIfTrue { .. });
-                        self.stats.int_ops += nact as u64 * u64::from(*int_ops);
                         let (cb, ck) = (self.row(*cond, c0, nl), self.kind(*cond));
                         for (r, &b) in resume[..nl].iter_mut().zip(cb) {
                             if *r <= pc && truthy(b, ck) == jump_if {
@@ -1103,7 +1091,6 @@ impl<'p> LaneEngine<'p> {
             let mask = divergent.then_some(Active {
                 resume: &resume,
                 pc,
-                n: nact,
             });
             if let Err((lane, e)) = self.op_full(inst, elide, c0, nl, mask, mem) {
                 // Lanes below the fault committed this op and stay runnable;
@@ -1125,9 +1112,11 @@ impl<'p> LaneEngine<'p> {
     ///
     /// `ForInit`: a lane that skips the loop waits at `exit`; a zero step
     /// faults the lowest active lane that has one and retires it and every
-    /// lane above (those run nothing). A lone active lane runs the whole
-    /// loop thread-major ([`Self::seg_one`]): every other lane is dead or
-    /// waits at or past `exit`, so there is nothing to batch.
+    /// lane above (those run nothing). A lone active lane that enters runs
+    /// the rest of its loop, from the body on, thread-major
+    /// ([`Self::seg_one`]): every other lane is dead or waits at or past
+    /// `exit`, so there is nothing to batch. The chunk counted its
+    /// `ForInit`; `run_seg` counts what it runs after.
     /// `ForNext`: continuing lanes go back, exiting lanes wait at `pc + 1`.
     /// Setting the continuing lanes' `resume` to `back` also drops a forward
     /// target an earlier iteration left behind: a lane still holding one
@@ -1153,19 +1142,6 @@ impl<'p> LaneEngine<'p> {
                 step,
                 exit,
             } => {
-                let mut act = (0..nl).filter(|&i| resume[i] <= pc);
-                if let (Some(i), None) = (act.next(), act.next()) {
-                    let t = c0 + i;
-                    match self.seg_one(t, pc, exit, mem) {
-                        Ok(()) if self.bufs.returned[t] => resume[i] = DEAD,
-                        Ok(()) => resume[i] = exit,
-                        Err(e) => {
-                            resume[i..nl].fill(DEAD);
-                            *pending = Some(e);
-                        }
-                    }
-                    return (exit, resume[i] == exit);
-                }
                 let sb = self.row(step, c0, nl);
                 let zero = (0..nl).find(|&i| resume[i] <= pc && sb[i] == 0);
                 let upto = zero.unwrap_or(nl);
@@ -1176,6 +1152,22 @@ impl<'p> LaneEngine<'p> {
                     resume[upto..nl].fill(DEAD);
                     *pending = Some(ExecError::DivByZero);
                     return (next, false);
+                }
+                if (nact, went) == (1, 1) {
+                    // The entering lane kept its resume target at or before pc.
+                    let i = (0..nl)
+                        .find(|&i| resume[i] <= pc)
+                        .expect("one lane entered");
+                    let t = c0 + i;
+                    match self.seg_one(t, pc + 1, exit, mem) {
+                        Ok(()) if self.bufs.returned[t] => resume[i] = DEAD,
+                        Ok(()) => resume[i] = exit,
+                        Err(e) => {
+                            resume[i..nl].fill(DEAD);
+                            *pending = Some(e);
+                        }
+                    }
+                    return (exit, resume[i] == exit);
                 }
                 (next, went == 0 || went == nact)
             }
@@ -1189,7 +1181,6 @@ impl<'p> LaneEngine<'p> {
             } => {
                 let rows = self.loop_rows(c0, nl, [ind, var, end, step]);
                 let (nact, went) = for_next_rows(rows, ty, &mut resume[..nl], pc, back);
-                self.stats.int_ops += 2 * nact as u64;
                 let next = if went == 0 { pc + 1 } else { back };
                 (next, went == 0 || went == nact)
             }
@@ -1262,9 +1253,8 @@ impl<'p> LaneEngine<'p> {
     /// computes on whatever bits its row holds, which only an op that cannot
     /// fault may do, and its result is dropped. The ops that can fault —
     /// `Load`, `Store`, atomics and int `/`/`%` — run [`step`] per active
-    /// lane instead. Stats charge active lanes only. On a fault, lanes below
-    /// the returned index have committed the op; the caller retires the
-    /// rest.
+    /// lane instead. On a fault, lanes below the returned index have
+    /// committed the op; the caller retires the rest.
     fn op_full<M: GlobalMem>(
         &mut self,
         inst: &Inst,
@@ -1278,7 +1268,6 @@ impl<'p> LaneEngine<'p> {
         // the bounds checks on `[u64; LANES]` temporaries in the lane loops
         // (verified by the disassembly probes in `tests/asm_probe.rs`).
         let nl = nl.min(LANES);
-        let n64 = mask.map_or(nl, |m| m.n) as u64;
         let prog = self.prog;
         match inst {
             Inst::Const { dst, v } => self.store_row(*dst, c0, nl, &[pack(*v); LANES], mask),
@@ -1323,10 +1312,6 @@ impl<'p> LaneEngine<'p> {
                 per_kind!(k, |F| per_variant!(*op, UnOp, [Neg, Not, BitNot], |op| {
                     map1::<F>(&mut out, a, |v| eval_unop(op, v))
                 }));
-                match k {
-                    ValueKind::Int => self.stats.int_ops += n64,
-                    ValueKind::Float => self.stats.float_ops += n64,
-                }
                 self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Cast { dst, ty, src } => {
@@ -1338,10 +1323,6 @@ impl<'p> LaneEngine<'p> {
                     [U8, I8, I32, U32, I64, F32, F64],
                     |ty| map1::<F>(&mut out, a, |v| v.convert_to(ty))
                 ));
-                match ty.kind() {
-                    ValueKind::Int => self.stats.int_ops += n64,
-                    ValueKind::Float => self.stats.float_ops += n64,
-                }
                 self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Intrin1 { dst, f, a } => {
@@ -1353,7 +1334,6 @@ impl<'p> LaneEngine<'p> {
                     |f| map1::<F>(&mut out, ab, |v| eval_intrinsic(f, &[v])),
                     _ => unreachable!("an intrinsic's arity is checked by validation")
                 ));
-                self.stats.float_ops += n64 * intrinsic_weight(*f);
                 self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Intrin2 { dst, f, a, b } => {
@@ -1368,7 +1348,6 @@ impl<'p> LaneEngine<'p> {
                         _ => unreachable!("an intrinsic's arity is checked by validation")
                     )
                 ));
-                self.stats.float_ops += n64 * intrinsic_weight(*f);
                 self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Binary { dst, op, lhs, rhs } => {
@@ -1400,15 +1379,8 @@ impl<'p> LaneEngine<'p> {
                         eval_binop_total(op, x, y, LF || RF)
                     })
                 )));
-                let charged = mask.map_or(n, |m| m.n) as u64;
-                if float {
-                    self.stats.float_ops += charged;
-                } else {
-                    self.stats.int_ops += charged;
-                }
                 self.store_row(*dst, c0, n, &out, mask);
                 if zero.is_some() {
-                    self.stats.int_ops += 1;
                     return Err((n, ExecError::DivByZero));
                 }
             }
@@ -1423,11 +1395,6 @@ impl<'p> LaneEngine<'p> {
                 per_kind!(ak, |AF| per_kind!(bk, |BF| per_kind!(ck, |CF| {
                     map3::<AF, BF, CF>(&mut out, ab, bb, cb, muladd::<AF, BF, CF>)
                 })));
-                // Charged per component: the mul, then the add.
-                let f1 = ak == ValueKind::Float || bk == ValueKind::Float;
-                let f2 = f1 || ck == ValueKind::Float;
-                self.stats.int_ops += n64 * (u64::from(!f1) + u64::from(!f2));
-                self.stats.float_ops += n64 * (u64::from(f1) + u64::from(f2));
                 self.store_row(*dst, c0, nl, &out, mask);
             }
             Inst::Load { .. } | Inst::Store { .. } if mask.is_some() => {
@@ -1436,7 +1403,6 @@ impl<'p> LaneEngine<'p> {
             Inst::Load { dst, slot, idx } => {
                 let mut out = [0u64; LANES];
                 let info = slot_info(prog, *slot);
-                let sz = info.elem.size() as u64;
                 let ix = self.idx_row(*idx, c0, nl);
                 match info.kind {
                     SlotKind::Global { buf } => {
@@ -1445,8 +1411,6 @@ impl<'p> LaneEngine<'p> {
                             self.store_row(*dst, c0, i, &out, None);
                             return Err((i, oob(info, ix[i], mem)));
                         }
-                        self.stats.global_read_bytes += n64 * sz;
-                        self.stats.global_loads += n64;
                     }
                     SlotKind::Shared { idx: si } => {
                         let sh = &self.bufs.shared[si as usize];
@@ -1455,18 +1419,15 @@ impl<'p> LaneEngine<'p> {
                             self.store_row(*dst, c0, i, &out, None);
                             return Err((i, oob(info, ix[i], mem)));
                         }
-                        self.stats.shared_bytes += n64 * sz;
                     }
                     SlotKind::Local { .. } => {
                         return self.lanes_step(inst, elide, c0, nl, None, mem)
                     }
                 }
-                self.stats.int_ops += n64; // address computation
                 self.store_row(*dst, c0, nl, &out, None);
             }
             Inst::Store { slot, idx, val } => {
                 let info = slot_info(prog, *slot);
-                let sz = info.elem.size() as u64;
                 let ix = self.idx_row(*idx, c0, nl);
                 let vk = self.kind(*val);
                 let pv = *val as usize * self.nthreads + c0;
@@ -1484,14 +1445,6 @@ impl<'p> LaneEngine<'p> {
                 if let Err(i) = scatter_cert(ptr, len, info.elem, &ix, vb, vk, nl, elide) {
                     return Err((i, oob(info, ix[i], mem)));
                 }
-                match info.kind {
-                    SlotKind::Global { .. } => {
-                        self.stats.global_write_bytes += n64 * sz;
-                        self.stats.global_stores += n64;
-                    }
-                    _ => self.stats.shared_bytes += n64 * sz,
-                }
-                self.stats.int_ops += n64; // address computation
             }
             // Rare in batchable segments: per-lane scalar execution.
             Inst::AtomicRmw { .. } => return self.lanes_step(inst, elide, c0, nl, mask, mem),
@@ -1527,10 +1480,11 @@ impl<'p> LaneEngine<'p> {
         Ok(())
     }
 
-    /// Thread `t`'s column of the lane rows and the rest of what a [`step`]
-    /// touches, split from the engine's buffers in one place.
+    /// Thread `t`'s column of the lane rows, the rest of what a [`step`]
+    /// touches and the per-pc counts, split from the engine's buffers in one
+    /// place.
     #[inline]
-    fn thread(&mut self, t: usize) -> (Column<'_>, ThreadCx<'_>) {
+    fn thread(&mut self, t: usize) -> (Column<'_>, ThreadCx<'_>, &mut [u64]) {
         let nloc = self.num_locals;
         let bufs = &mut self.bufs;
         let regs = Column {
@@ -1542,9 +1496,8 @@ impl<'p> LaneEngine<'p> {
         let cx = ThreadCx {
             shared: &mut bufs.shared,
             local: &mut bufs.locals[t * nloc..(t + 1) * nloc],
-            stats: &mut self.stats,
         };
-        (regs, cx)
+        (regs, cx, &mut bufs.counts)
     }
 
     /// [`step`] for thread `t` on its column of the lane rows: a lane of an
@@ -1558,7 +1511,7 @@ impl<'p> LaneEngine<'p> {
         mem: &mut M,
     ) -> Result<(), ExecError> {
         let prog = self.prog;
-        let (mut regs, mut cx) = self.thread(t);
+        let (mut regs, mut cx, _) = self.thread(t);
         step(prog, inst, elide, &mut regs, &mut cx, mem)
     }
 }

@@ -604,4 +604,100 @@ mod tests {
         // Zero-time steps still get the α+o grace.
         assert!(p.deadline(0.0, &model) > 0.0);
     }
+
+    /// The `--fault` specs the README and CI run, and the specs the tests
+    /// above parse or reject.
+    const SPEC_CORPUS: [&str; 17] = [
+        "kill:node=3@t=0.5",
+        "kill:node=3@t=0",
+        "join:node=4@t=0",
+        "kill:node=1@t=0.00002",
+        "join:node=1@t=0.00008",
+        "delay:node=2@t=0.1,factor=3",
+        "drop:step@t=0.2",
+        "join:node=4@t=0.5",
+        "kill",
+        "kill:node=3",
+        "kill:node=x@t=0.5",
+        "kill:node=3@t=-1",
+        "delay:node=2@t=0.1,factor=0",
+        "drop:node=1@t=0.2",
+        "join:step@t=0.2",
+        "explode:node=1@t=0.2",
+        "delay:node=0@t=1e-3,factor=1.5",
+    ];
+
+    /// What a numeric field of a spec may be inflated to.
+    const INFLATED: [&str; 9] = [
+        "1e309",
+        "-1e309",
+        "inf",
+        "NaN",
+        "4294967296",
+        "18446744073709551616",
+        "1e-400",
+        "-0",
+        "0.0000000000000000000000000000000000001",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// `parse_event` is total over mutated specs: each gives an `Err`
+        /// naming the spec, or an event with a finite `t >= 0` (and, for a
+        /// straggler, a finite `factor > 0`) whose `Display` parses back to
+        /// itself. Mutations: a byte flip, a truncation, or one run of
+        /// digits replaced by an inflated number or appended to.
+        #[test]
+        fn parse_event_is_total_on_mutated_specs(
+            pick in proptest::prelude::any::<usize>(),
+            mutation in 0u8..4,
+            at in proptest::prelude::any::<usize>(),
+            mask in 1u8..=255,
+            grow in proptest::prelude::any::<u64>(),
+        ) {
+            let clean = SPEC_CORPUS[pick % SPEC_CORPUS.len()].as_bytes();
+            let mut bytes = clean.to_vec();
+            let runs: Vec<(usize, usize)> = {
+                let mut runs = Vec::new();
+                let mut i = 0;
+                while i < clean.len() {
+                    let j = (i..clean.len()).find(|&j| !clean[j].is_ascii_digit()).unwrap_or(clean.len());
+                    if j > i {
+                        runs.push((i, j));
+                        i = j;
+                    } else {
+                        i += 1;
+                    }
+                }
+                runs
+            };
+            match (mutation, runs.is_empty()) {
+                (0, _) => bytes[at % clean.len()] ^= mask,
+                (1, _) => bytes.truncate(at % clean.len()),
+                (2, false) => {
+                    let (i, j) = runs[at % runs.len()];
+                    let with = INFLATED[grow as usize % INFLATED.len()];
+                    bytes.splice(i..j, with.bytes());
+                }
+                (_, false) => {
+                    let (_, j) = runs[at % runs.len()];
+                    bytes.splice(j..j, grow.to_string().into_bytes());
+                }
+                (_, true) => bytes.push(mask),
+            }
+            let spec = String::from_utf8_lossy(&bytes);
+            match parse_event(&spec) {
+                Err(msg) => proptest::prop_assert!(msg.starts_with("bad fault spec"), "{msg}"),
+                Ok(ev) => {
+                    proptest::prop_assert!(ev.at.is_finite() && ev.at >= 0.0, "{spec}: t = {}", ev.at);
+                    if let FaultKind::Straggle { factor, .. } = ev.kind {
+                        proptest::prop_assert!(factor.is_finite() && factor > 0.0, "{spec}: factor = {factor}");
+                    }
+                    let again = parse_event(&ev.to_string());
+                    proptest::prop_assert_eq!(again, Ok(ev), "{} does not round-trip", spec);
+                }
+            }
+        }
+    }
 }
